@@ -95,8 +95,10 @@ func main() {
 			os.Exit(1)
 		}
 		if rec := store.Recovered(); rec.SnapshotSeries > 0 || rec.WALRecords > 0 || rec.TornTails > 0 {
-			fmt.Printf("funnelserve: recovered %d series from snapshot, %d WAL records (%d torn tails discarded)\n",
-				rec.SnapshotSeries, rec.WALRecords, rec.TornTails)
+			ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
+			fmt.Printf("funnelserve: recovered %d series from snapshot, %d WAL records (%d torn tails discarded) in %v (snapshot %v, replay %v, attach+compact %v)\n",
+				rec.SnapshotSeries, rec.WALRecords, rec.TornTails,
+				ms(rec.Total()), ms(rec.SnapshotTime), ms(rec.ReplayTime), ms(rec.AttachTime))
 		}
 		start = store.Start() // a recovered epoch wins over the flag
 	} else {

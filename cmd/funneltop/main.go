@@ -407,5 +407,8 @@ func diskHealthLine(h *obs.HistoryDump) string {
 		line += fmt.Sprintf("  QUARANTINED CHUNKS %.0f  degraded reads %.0f",
 			quarantined, last(h.Series["monitor.degraded_reads"]))
 	}
+	if ms := last(h.Series[obs.CtrRecoveryMillis]); ms > 0 {
+		line += fmt.Sprintf("  recovery took %.0f ms", ms)
+	}
 	return line
 }

@@ -202,6 +202,11 @@ func TestDiskHealthLine(t *testing.T) {
 		t.Fatalf("healthy line = %q", line)
 	}
 
+	h.Series[obs.CtrRecoveryMillis] = []float64{187}
+	if line := diskHealthLine(h); line != "HEALTHY  recovery took 187 ms" {
+		t.Fatalf("recovered line = %q", line)
+	}
+
 	h.Series["monitor.persist_state"] = []float64{1}
 	h.Series["monitor.disk_errors"] = []float64{3}
 	h.Series["monitor.wal_rearms"] = []float64{0}

@@ -28,6 +28,7 @@
 package chunk
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -164,8 +165,7 @@ func FromEncoded(data []byte, count int) (*Chunk, error) {
 		return nil, fmt.Errorf("chunk: negative count %d", count)
 	}
 	c := &Chunk{count: count, data: data, crc: crc32.ChecksumIEEE(data)}
-	scratch := make([]float64, count)
-	if err := c.decodeRange(scratch, 0, count); err != nil {
+	if err := c.decodeRange(nil, 0, count); err != nil {
 		return nil, fmt.Errorf("chunk: invalid stream: %w", err)
 	}
 	return c, nil
@@ -178,13 +178,20 @@ func FromEncoded(data []byte, count int) (*Chunk, error) {
 // stream — chunks built by Encode or validated by FromEncoded never
 // are.
 func (c *Chunk) DecodeInto(dst []float64, lo, hi int) {
+	if dst == nil && hi > lo {
+		// decodeRange would take a nil dst for a validate-only pass.
+		panic("chunk: decode into nil buffer")
+	}
 	if err := c.decodeRange(dst, lo, hi); err != nil {
 		panic("chunk: " + err.Error())
 	}
 }
 
 // decodeRange is DecodeInto with an error return, shared with
-// FromEncoded's validation pass.
+// FromEncoded's validation pass. A nil dst is validate-only: the
+// stream is walked with the same bounds, window and run-record checks
+// and nothing is stored, so validating an untrusted chunk costs no
+// span-sized scratch.
 func (c *Chunk) decodeRange(dst []float64, lo, hi int) error {
 	if lo < 0 || hi > c.count || lo > hi {
 		return fmt.Errorf("decode range [%d, %d) outside chunk of %d values", lo, hi, c.count)
@@ -192,7 +199,11 @@ func (c *Chunk) decodeRange(dst []float64, lo, hi int) error {
 	if hi == lo {
 		return nil
 	}
-	if len(dst) < hi-lo {
+	if dst == nil {
+		// Every store below is guarded by i >= lo (or lo == 0) and the
+		// loop stops at hi, so an empty window stores nothing.
+		lo = hi
+	} else if len(dst) < hi-lo {
 		return fmt.Errorf("decode buffer too short: %d < %d", len(dst), hi-lo)
 	}
 	if c.quarantined {
@@ -338,6 +349,12 @@ type bitReader struct {
 func (r *bitReader) readBits(n int) (uint64, bool) {
 	if r.pos+n > len(r.data)*8 {
 		return 0, false
+	}
+	if i := r.pos >> 3; n <= 56 && i+8 <= len(r.data) {
+		// The whole read fits in one 64-bit load at the current byte.
+		w := binary.BigEndian.Uint64(r.data[i:]) << uint(r.pos&7)
+		r.pos += n
+		return w >> uint(64-n), true
 	}
 	var v uint64
 	for n > 0 {

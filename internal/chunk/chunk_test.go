@@ -187,6 +187,32 @@ func TestDecodeIntoAllocs(t *testing.T) {
 	}
 }
 
+// TestFromEncodedAllocs pins the validate-only decode: wrapping an
+// untrusted stream allocates the Chunk and nothing that scales with the
+// declared count (a snapshot header may declare a span of 1<<20).
+func TestFromEncodedAllocs(t *testing.T) {
+	vals := make([]float64, 1<<16)
+	for i := range vals {
+		vals[i] = float64(i % 97)
+	}
+	data := Encode(vals).Data()
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := FromEncoded(data, len(vals)); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("FromEncoded allocates %v per op, want ≤ 1 (the Chunk)", n)
+	}
+	// The nil buffer that selects validate-only inside the package must
+	// not be reachable through DecodeInto.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DecodeInto(nil, 0, n) did not panic")
+		}
+	}()
+	Encode(vals[:8]).DecodeInto(nil, 0, 8)
+}
+
 func TestCRCMatchesEncodedBytes(t *testing.T) {
 	vals := []float64{1, 2, 3, math.NaN(), 5, 5, 5, 2.5}
 	c := Encode(vals)

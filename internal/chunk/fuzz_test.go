@@ -64,8 +64,9 @@ func FuzzRoundTrip(f *testing.F) {
 }
 
 // FuzzFromEncoded throws arbitrary bytes at the snapshot-restore
-// entry point: it must reject or accept without panicking, and
-// anything accepted must decode in full without panicking.
+// entry point: it must reject or accept without panicking, its
+// validate-only pass must agree with a storing decode of the same
+// bytes, and anything accepted must decode in full without panicking.
 func FuzzFromEncoded(f *testing.F) {
 	f.Add([]byte{}, 0)
 	f.Add([]byte{0xff, 0xff, 0xff}, 5)
@@ -75,10 +76,14 @@ func FuzzFromEncoded(f *testing.F) {
 			return
 		}
 		c, err := FromEncoded(data, count)
+		dst := make([]float64, count)
+		full := (&Chunk{count: count, data: data}).decodeRange(dst, 0, count)
+		if (err == nil) != (full == nil) {
+			t.Fatalf("validate-only says %v, storing decode says %v", err, full)
+		}
 		if err != nil {
 			return
 		}
-		dst := make([]float64, count)
 		c.DecodeInto(dst, 0, count)
 	})
 }

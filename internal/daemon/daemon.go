@@ -138,8 +138,12 @@ func Start(cfg Config) (*Daemon, error) {
 		cfg.Pipeline.Obs = col
 		// Surface crash-recovery work done before the collector was
 		// attached, so /debug/vars reflects what OpenPersistent replayed.
-		if rec := cfg.Store.Recovered(); rec.WALRecords > 0 {
+		rec := cfg.Store.Recovered()
+		if rec.WALRecords > 0 {
 			col.Add(obs.CtrWALReplayed, int64(rec.WALRecords))
+		}
+		if ms := rec.Total().Milliseconds(); ms > 0 {
+			col.Add(obs.CtrRecoveryMillis, ms)
 		}
 		col.SetLogger(cfg.Logger)
 		col.StartHistory(cfg.HistoryStep, cfg.HistoryRetention)

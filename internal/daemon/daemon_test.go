@@ -567,3 +567,43 @@ func TestDaemonStreamMode(t *testing.T) {
 		t.Fatal("no report from the pull daemon")
 	}
 }
+
+// A daemon started on a recovered store exports what the recovery
+// replayed and how long the store was blind for.
+func TestDaemonExportsRecoveryCost(t *testing.T) {
+	dir := t.TempDir()
+	epoch := time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC)
+	opts := monitor.PersistOptions{SyncInterval: -1, CompactBytes: -1}
+	st, err := monitor.OpenPersistent(dir, epoch, time.Minute, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := topo.KPIKey{Scope: topo.ScopeServer, Entity: "d-0", Metric: "mem.util"}
+	for bin := 0; bin < 50; bin++ {
+		st.Append(monitor.Measurement{Key: key, T: epoch.Add(time.Duration(bin) * time.Minute), V: float64(bin)})
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = monitor.OpenPersistent(dir, time.Time{}, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rec := st.Recovered()
+	if rec.WALRecords != 50 || rec.ReplayTime <= 0 || rec.AttachTime <= 0 || rec.Total() < rec.ReplayTime+rec.AttachTime {
+		t.Fatalf("recovery stats %+v", rec)
+	}
+	col := obs.NewCollector()
+	d, err := Start(Config{Store: st, Obs: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if got := col.Counter(obs.CtrWALReplayed); got != 50 {
+		t.Fatalf("%s = %d, want 50", obs.CtrWALReplayed, got)
+	}
+	if got, want := col.Counter(obs.CtrRecoveryMillis), rec.Total().Milliseconds(); got != want {
+		t.Fatalf("%s = %d, want %d", obs.CtrRecoveryMillis, got, want)
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -384,5 +386,73 @@ func TestReadCorruptionQuarantines(t *testing.T) {
 	}
 	if !reopened {
 		t.Skip("no seed landed a flip inside chunk data; covered by TestSnapshotCorruptionQuarantines")
+	}
+}
+
+// countingFS counts the files open through the FS seam.
+type countingFS struct {
+	faultfs.FS
+	open atomic.Int64
+}
+
+func (c *countingFS) counted(f faultfs.File, err error) (faultfs.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	c.open.Add(1)
+	return &countedFile{File: f, fs: c}, nil
+}
+
+func (c *countingFS) Create(name string) (faultfs.File, error) { return c.counted(c.FS.Create(name)) }
+func (c *countingFS) Open(name string) (faultfs.File, error)   { return c.counted(c.FS.Open(name)) }
+
+type countedFile struct {
+	faultfs.File
+	fs   *countingFS
+	once sync.Once
+}
+
+func (f *countedFile) Close() error {
+	f.once.Do(func() { f.fs.open.Add(-1) })
+	return f.File.Close()
+}
+
+// TestFailedOpenLeaksNoFiles crashes the disk at every mutating
+// operation of a recovery in turn: an OpenPersistent that returns an
+// error — whichever createShardWAL or compaction step the crash landed
+// on — must have closed every file it opened, and one that returns a
+// store must have after Close.
+func TestFailedOpenLeaksNoFiles(t *testing.T) {
+	image := writeImage(t, 4, t0, diffWALBins, diffValue)
+	opts := persistOptsNoBG(4)
+	opts.ChunkSpan = diffSpan
+
+	clean := faultfs.New(faultfs.Plan{}, nil)
+	opts.FS = clean
+	st, err := OpenPersistent(copyImage(t, image), time.Time{}, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := clean.Ops()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	failed := 0
+	for op := int64(1); op <= ops; op++ {
+		cfs := &countingFS{FS: faultfs.New(faultfs.Plan{CrashAtOp: op}, nil)}
+		opts.FS = cfs
+		st, err := OpenPersistent(copyImage(t, image), time.Time{}, 0, opts)
+		if err != nil {
+			failed++
+		} else {
+			st.Close() // its error is the crash; the files are the point
+		}
+		if n := cfs.open.Load(); n != 0 {
+			t.Fatalf("crash at op %d (open error: %v): %d files left open", op, err, n)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no crash point failed the open: the sweep tested nothing")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/faultfs"
@@ -88,19 +87,30 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	for _, group := range [][]string{oldLogs, liveLogs} {
-		for _, path := range group {
-			var stats RecoveryStats
-			// Zero start/step: with no snapshot the oldest log's header
-			// carries the epoch, exactly as in OpenPersistent.
-			st, err := replayWAL(fsys, path, store, time.Time{}, 0, StoreShards, 0, &stats)
-			w := FsckWAL{Path: path, Records: stats.WALRecords, TornTail: stats.TornTails > 0, ReadError: err}
-			rep.WALs = append(rep.WALs, w)
-			rep.WALRecords += stats.WALRecords
-			rep.TornTails += stats.TornTails
-			if err == nil {
-				store = st
+	generations := [][]string{oldLogs, liveLogs}
+	for _, logs := range generations {
+		for _, path := range logs {
+			if store != nil {
+				break
 			}
+			// With no snapshot the oldest readable log header carries the
+			// epoch, as in OpenPersistent; a log whose header is damaged
+			// is passed over here and reported by its replay below.
+			if hdrStart, hdrStep, ok, err := peekWALHeader(fsys, path); err == nil && ok {
+				store = NewStoreShards(hdrStart, hdrStep, StoreShards)
+			}
+		}
+	}
+	for _, logs := range generations {
+		for i, r := range replayWALs(fsys, logs, store) {
+			rep.WALs = append(rep.WALs, FsckWAL{
+				Path:      logs[i],
+				Records:   r.stats.WALRecords,
+				TornTail:  r.stats.TornTails > 0,
+				ReadError: r.err,
+			})
+			rep.WALRecords += r.stats.WALRecords
+			rep.TornTails += r.stats.TornTails
 		}
 	}
 

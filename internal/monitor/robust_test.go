@@ -520,11 +520,16 @@ func TestSlowSubscriberDropAccountingUnderChurn(t *testing.T) {
 				}
 				ch, cancel := store.Subscribe(nil, 2)
 				got := 0
-				for m := range ch {
-					_ = m
-					got++
-					if got == 8 {
-						break
+				// Select on stop too: a subscription taken after the
+				// producer's last Append would otherwise wait forever for
+				// a measurement that never comes.
+			read:
+				for got < 8 {
+					select {
+					case <-ch:
+						got++
+					case <-stop:
+						break read
 					}
 				}
 				drops := cancel()

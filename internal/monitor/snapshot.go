@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/chunk"
@@ -38,6 +41,11 @@ import (
 // sorted key order (scope, entity, metric) and the chunk encoder is
 // deterministic, so two stores with identical logical contents produce
 // byte-identical snapshots — the crash-recovery e2e depends on this.
+//
+// Reading splits the work in two: one goroutine parses the framing, and
+// a pool of at most GOMAXPROCS workers runs each sealed chunk's CRC
+// check and validation decode (see chunkValidator), all joined before
+// the read returns.
 //
 // A chunk whose stored CRC does not match its bytes (or whose stream
 // fails validation) is quarantined, not fatal: the reader installs a
@@ -200,7 +208,7 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 // (may be nil) accumulates the count of checksum-failed chunks
 // replaced by tombstones.
 func readSnapshotShards(r io.Reader, shards, span int, quarantined *int) (*Store, error) {
-	br := bufio.NewReader(r)
+	br := bufio.NewReaderSize(r, 1<<16)
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, err
@@ -245,6 +253,27 @@ func readSnapshotShards(r io.Reader, shards, span int, quarantined *int) (*Store
 
 	store := NewStoreShards(start, step, shards)
 	store.span = span
+	v := startChunkValidator(span, version)
+	err := readSnapshotSeries(br, store, count, version, v)
+	// Join the workers on every path; a chunk that failed validation
+	// sits earlier in the stream than any framing error.
+	nq, verr := v.wait()
+	if quarantined != nil {
+		*quarantined += nq
+	}
+	if verr != nil {
+		err = verr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return store, nil
+}
+
+// readSnapshotSeries parses count series bodies from br into store,
+// handing sealed chunks to v for validation.
+func readSnapshotSeries(br *bufio.Reader, store *Store, count uint32, version uint16, v *chunkValidator) error {
+	span := store.span
 	// One clock read stamps every restored series' arrival watermark with
 	// the restore time. The data's true arrival time died with the
 	// previous process; leaving the watermark empty instead made the
@@ -257,45 +286,154 @@ func readSnapshotShards(r io.Reader, shards, span int, quarantined *int) (*Store
 	for i := uint32(0); i < count; i++ {
 		var b [1]byte
 		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return nil, err
+			return err
 		}
 		scope := topo.Scope(b[0])
 		if scope != topo.ScopeServer && scope != topo.ScopeInstance && scope != topo.ScopeService {
-			return nil, fmt.Errorf("monitor: bad snapshot scope %d", b[0])
+			return fmt.Errorf("monitor: bad snapshot scope %d", b[0])
 		}
 		entity, err := readSnapshotString(br)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		metric, err := readSnapshotString(br)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var e *seriesEntry
 		if version >= snapshotVersionV2 {
-			e, err = readSnapshotEntry(br, span, version, quarantined)
+			e, err = readSnapshotEntry(br, span, version, v)
 		} else {
 			e, err = readSnapshotEntryV1(br, span)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		key := topo.KPIKey{Scope: scope, Entity: entity, Metric: metric}
 		e.arrivalNanos = restoredAt
 		store.shardFor(key).series[key] = e
 	}
-	return store, nil
+	return nil
+}
+
+// chunkValidator takes the per-chunk work of a snapshot read off the
+// goroutine that parses the framing: a pool of at most GOMAXPROCS
+// workers checks each chunk's CRC, runs chunk.FromEncoded's validation
+// decode, and installs the chunk — or, in version 3, a tombstone for
+// one that fails either check. Version 2 carries no CRC, so there a
+// stream that fails validation cannot be told apart from a framing
+// error and fails the read; the earliest such chunk is the one
+// reported, as a serial read would.
+type chunkValidator struct {
+	span   int
+	hasCRC bool
+	jobs   chan chunkJob
+	wg     sync.WaitGroup
+	// pending collects one entry's jobs until its chunks slice has
+	// stopped growing (parser goroutine only); seq numbers them in
+	// stream order.
+	pending []chunkJob
+	seq     int
+
+	quarantined atomic.Int64
+
+	mu     sync.Mutex
+	err    error // version 2: the earliest chunk that failed validation
+	errSeq int
+}
+
+// chunkJob is one sealed chunk as framed on disk, and the slot of its
+// series entry that receives the validated chunk.
+type chunkJob struct {
+	e    *seriesEntry
+	slot int
+	data []byte
+	crc  uint32
+	seq  int
+}
+
+// startChunkValidator starts the worker pool for a snapshot of the
+// given chunk span and format version.
+func startChunkValidator(span int, version uint16) *chunkValidator {
+	workers := runtime.GOMAXPROCS(0)
+	v := &chunkValidator{
+		span:   span,
+		hasCRC: version >= snapshotVersion,
+		// A few jobs of slack per worker, so the parser keeps reading
+		// while every worker is inside a decode.
+		jobs: make(chan chunkJob, 4*workers),
+	}
+	for ; workers > 0; workers-- {
+		v.wg.Add(1)
+		go v.work()
+	}
+	return v
+}
+
+// work validates chunks until the job channel closes.
+func (v *chunkValidator) work() {
+	defer v.wg.Done()
+	for j := range v.jobs {
+		ck, err := chunk.FromEncoded(j.data, v.span)
+		switch {
+		case err == nil && (!v.hasCRC || ck.CRC() == j.crc):
+			j.e.chunks[j.slot] = ck
+		case v.hasCRC:
+			// The framing held (the length-delimited read succeeded) but
+			// the bytes are rotten: quarantine this chunk and keep
+			// recovering the rest of the store.
+			j.e.chunks[j.slot] = chunk.Tombstone(v.span)
+			v.quarantined.Add(1)
+		default:
+			v.mu.Lock()
+			if v.err == nil || j.seq < v.errSeq {
+				v.err, v.errSeq = fmt.Errorf("monitor: snapshot chunk %d: %w", j.slot, err), j.seq
+			}
+			v.mu.Unlock()
+		}
+	}
+}
+
+// add queues one framed chunk for the entry being parsed and reserves
+// its slot.
+func (v *chunkValidator) add(e *seriesEntry, data []byte, crc uint32) {
+	v.pending = append(v.pending, chunkJob{e: e, slot: len(e.chunks), data: data, crc: crc, seq: v.seq})
+	v.seq++
+	e.chunks = append(e.chunks, nil)
+}
+
+// tombstone installs a quarantine placeholder read from the stream.
+func (v *chunkValidator) tombstone(e *seriesEntry) {
+	e.chunks = append(e.chunks, chunk.Tombstone(v.span))
+	v.quarantined.Add(1)
+}
+
+// dispatch hands the parsed entry's chunks to the workers. The entry's
+// chunks slice must not grow again before wait returns: the workers
+// write its elements.
+func (v *chunkValidator) dispatch() {
+	for _, j := range v.pending {
+		v.jobs <- j
+	}
+	clear(v.pending) // drop the references to the dispatched bytes
+	v.pending = v.pending[:0]
+}
+
+// wait joins the workers and returns the number of chunks quarantined
+// and, for a version-2 snapshot, the first validation failure.
+func (v *chunkValidator) wait() (quarantined int, err error) {
+	close(v.jobs)
+	v.wg.Wait()
+	return int(v.quarantined.Load()), v.err
 }
 
 // readSnapshotEntry reads one version-2/3 series body: head, verbatim
 // sealed chunks, then the raw tail. In version 3 each chunk carries a
-// CRC-32 (and may be a tombstone sentinel); a chunk whose checksum or
-// stream validation fails is quarantined — replaced by a NaN tombstone
-// with the stream framing intact — so one rotten block degrades one
-// chunk, not the whole recovery. Version 2 carries no CRC, so there a
-// corrupt stream still fails the entry (it cannot be told apart from a
-// framing error).
-func readSnapshotEntry(br *bufio.Reader, span int, version uint16, quarantined *int) (*seriesEntry, error) {
+// CRC-32 (and may be a tombstone sentinel). The chunks themselves are
+// checked off-thread by v — a rotten one degrades one chunk, not the
+// whole recovery — while anything wrong with the framing fails the
+// entry here.
+func readSnapshotEntry(br *bufio.Reader, span int, version uint16, v *chunkValidator) (*seriesEntry, error) {
 	var scratch [8]byte
 	if _, err := io.ReadFull(br, scratch[:4]); err != nil {
 		return nil, err
@@ -312,12 +450,6 @@ func readSnapshotEntry(br *bufio.Reader, span int, version uint16, quarantined *
 		return nil, fmt.Errorf("monitor: snapshot head %d with no chunks", head)
 	}
 	e := &seriesEntry{head: int(head)}
-	quarantine := func() {
-		e.chunks = append(e.chunks, chunk.Tombstone(span))
-		if quarantined != nil {
-			*quarantined++
-		}
-	}
 	for c := uint32(0); c < chunkCount; c++ {
 		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
 			return nil, err
@@ -326,7 +458,7 @@ func readSnapshotEntry(br *bufio.Reader, span int, version uint16, quarantined *
 		if version >= snapshotVersion && encLen == snapshotTombstone {
 			// A quarantined chunk from a previous recovery round-trips
 			// as a tombstone.
-			quarantine()
+			v.tombstone(e)
 			continue
 		}
 		// Bound the pre-allocation by what a span of values can encode
@@ -346,24 +478,9 @@ func readSnapshotEntry(br *bufio.Reader, span int, version uint16, quarantined *
 		if _, err := io.ReadFull(br, data); err != nil {
 			return nil, err
 		}
-		if version >= snapshotVersion {
-			ck, err := chunk.FromEncoded(data, span)
-			if err != nil || ck.CRC() != wantCRC {
-				// The framing held (length-delimited read succeeded) but
-				// the bytes are rotten: quarantine this chunk and keep
-				// recovering the rest of the store.
-				quarantine()
-				continue
-			}
-			e.chunks = append(e.chunks, ck)
-			continue
-		}
-		ck, err := chunk.FromEncoded(data, span)
-		if err != nil {
-			return nil, fmt.Errorf("monitor: snapshot chunk %d: %w", c, err)
-		}
-		e.chunks = append(e.chunks, ck)
+		v.add(e, data, wantCRC)
 	}
+	v.dispatch()
 	if _, err := io.ReadFull(br, scratch[:4]); err != nil {
 		return nil, err
 	}
@@ -371,11 +488,20 @@ func readSnapshotEntry(br *bufio.Reader, span int, version uint16, quarantined *
 	if int(tailCount) >= span {
 		return nil, fmt.Errorf("monitor: snapshot tail of %d bins exceeds chunk span %d", tailCount, span)
 	}
-	for j := uint32(0); j < tailCount; j++ {
-		if _, err := io.ReadFull(br, scratch[:]); err != nil {
+	// Read the tail a block at a time. The up-front capacity is capped:
+	// the count is untrusted until the bytes behind it have arrived.
+	e.tail = make([]float64, 0, min(int(tailCount), 4096))
+	var block [64 * 8]byte
+	for left := int(tailCount); left > 0; {
+		n := min(left, len(block)/8)
+		buf := block[:8*n]
+		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, err
 		}
-		e.tail = append(e.tail, math.Float64frombits(binary.BigEndian.Uint64(scratch[:])))
+		for ; len(buf) > 0; buf = buf[8:] {
+			e.tail = append(e.tail, math.Float64frombits(binary.BigEndian.Uint64(buf)))
+		}
+		left -= n
 	}
 	return e, nil
 }

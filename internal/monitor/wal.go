@@ -8,8 +8,10 @@ import (
 	"hash/crc32"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -56,12 +58,27 @@ import (
 // process kill can inflict on an append-only log — fails its length or
 // CRC check and is discarded; everything before it replays.
 //
-// Recovery order is snapshot, then wal-*.old, then wal-*.log. Replay
-// is idempotent: the store overwrites by (key, bin), so records already
-// captured in the snapshot (a compaction that crashed between rename
-// and .old cleanup) change nothing. After replay the store compacts
-// synchronously, so a freshly opened directory always holds one
-// snapshot and empty logs.
+// Recovery order is snapshot, then the wal-*.old generation, then the
+// wal-*.log generation; a generation starts only when every log of the
+// one before it has finished, so a (key, bin) present in both ends up
+// with the live log's value. Within a generation the logs — written by
+// one shard layout, hence over disjoint keys — replay concurrently on
+// at most GOMAXPROCS goroutines, each applying a CRC-checked group
+// record under one clock read and one lock round trip, through a
+// per-log cache from framed key bytes to series entry (walApplier). The
+// snapshot read is split the same way: one goroutine parses the
+// length-prefixed framing and a pool of at most GOMAXPROCS workers runs
+// each chunk's CRC check and validation decode, installing the chunk
+// or its tombstone. Without a snapshot the store's epoch comes from the
+// first non-empty log header, read serially before any replay starts.
+// Per-log statistics are summed, and the first error reported, in
+// file-name order whatever order the workers finished in, and every
+// worker is joined before OpenPersistent returns, with a store or with
+// an error. Replay is idempotent: the store overwrites by (key, bin),
+// so records already captured in the snapshot (a compaction that
+// crashed between rename and .old cleanup) change nothing. After replay
+// the store compacts synchronously, so a freshly opened directory
+// always holds one snapshot and empty logs.
 //
 // Disk faults are classified, not latched blindly. A transient failure
 // (ENOSPC, EINTR, EAGAIN, or an injected faultfs error) puts the
@@ -189,6 +206,16 @@ type RecoveryStats struct {
 	// checksum failed on snapshot read; each was replaced by a NaN
 	// tombstone instead of aborting recovery.
 	QuarantinedChunks int
+	// SnapshotTime, ReplayTime and AttachTime are the wall time of the
+	// three recovery phases: reading the snapshot, replaying the shard
+	// logs, and attaching fresh logs plus the synchronous compaction.
+	// The store is blind to arriving bins for their sum.
+	SnapshotTime, ReplayTime, AttachTime time.Duration
+}
+
+// Total is the wall time OpenPersistent spent rebuilding the store.
+func (r RecoveryStats) Total() time.Duration {
+	return r.SnapshotTime + r.ReplayTime + r.AttachTime
 }
 
 // persister owns the on-disk state of a persistent store: the shard
@@ -514,6 +541,7 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 	}
 
 	// Phase 1: snapshot.
+	phase := time.Now()
 	var store *Store
 	snapPath := filepath.Join(dir, snapshotFile)
 	if f, err := p.fs.Open(snapPath); err == nil {
@@ -526,42 +554,69 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
+	p.recovered.SnapshotTime = time.Since(phase)
 
 	// Phase 2: shard logs. Rotated (.old) logs predate the live ones,
-	// so they replay first; within a generation file order is
-	// irrelevant (shards hold disjoint keys).
+	// so that generation replays to the end first; within a generation
+	// the logs replay concurrently (shards hold disjoint keys).
+	phase = time.Now()
 	oldLogs, liveLogs, err := listWALs(p.fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	for _, group := range [][]string{oldLogs, liveLogs} {
-		for _, path := range group {
-			st, err := replayWAL(p.fs, path, store, start, step, opts.Shards, opts.ChunkSpan, &p.recovered)
+	generations := [][]string{oldLogs, liveLogs}
+	newStore := func(start time.Time, step time.Duration) *Store {
+		s := NewStoreShards(start, step, opts.Shards)
+		s.span = opts.ChunkSpan
+		return s
+	}
+	for _, logs := range generations {
+		for _, path := range logs {
+			if store != nil {
+				break
+			}
+			// No snapshot: the oldest non-empty log's header carries the
+			// epoch.
+			hdrStart, hdrStep, ok, err := peekWALHeader(p.fs, path)
 			if err != nil {
 				return nil, err
 			}
-			store = st
+			if ok {
+				store = newStore(hdrStart, hdrStep)
+			}
 		}
 	}
 	if store == nil {
-		store = NewStoreShards(start, step, opts.Shards)
-		store.span = opts.ChunkSpan
+		store = newStore(start, step) // nothing on disk: a fresh directory
 	}
 	if step > 0 && store.step != step {
 		return nil, fmt.Errorf("monitor: step mismatch: store has %v, caller wants %v", store.step, step)
 	}
+	for _, logs := range generations {
+		for _, r := range replayWALs(p.fs, logs, store) {
+			if r.err != nil {
+				return nil, r.err
+			}
+			p.recovered.WALRecords += r.stats.WALRecords
+			p.recovered.TornTails += r.stats.TornTails
+		}
+	}
 	if p.recovered.QuarantinedChunks > 0 {
 		store.quarantined.Add(int64(p.recovered.QuarantinedChunks))
 	}
+	p.recovered.ReplayTime = time.Since(phase)
 
 	// Phase 3: attach fresh logs and compact synchronously, so the
 	// directory is always left as one snapshot + empty logs and any
 	// stale .old files are consumed exactly once.
+	phase = time.Now()
 	store.persist = p
 	p.store = store
 	if err := p.initDisk(); err != nil {
+		p.discardLogs()
 		return nil, err
 	}
+	p.recovered.AttachTime = time.Since(phase)
 
 	go p.run()
 	return store, nil
@@ -591,69 +646,114 @@ func listWALs(fsys faultfs.FS, dir string) (oldLogs, liveLogs []string, err erro
 	return oldLogs, liveLogs, nil
 }
 
-// replayWAL replays one shard log into store, creating the store from
-// the log's header epoch if it does not exist yet. Torn tails are
-// counted and ignored; corruption before the tail is an error (an
-// append-only log cannot be damaged mid-file by a crash).
-func replayWAL(fsys faultfs.FS, path string, store *Store, start time.Time, step time.Duration, shards, span int, stats *RecoveryStats) (*Store, error) {
+// readWALHeader consumes a shard log's header from r and returns its
+// epoch. ok is false for a log killed before its header flush: empty,
+// nothing to replay.
+func readWALHeader(r io.Reader, path string) (start time.Time, step time.Duration, ok bool, err error) {
+	var hdr [len(walMagic) + 2 + 8 + 8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return time.Time{}, 0, false, nil
+		}
+		return time.Time{}, 0, false, err
+	}
+	if string(hdr[:len(walMagic)]) != walMagic {
+		return time.Time{}, 0, false, fmt.Errorf("monitor: bad WAL magic in %s", path)
+	}
+	if v := binary.BigEndian.Uint16(hdr[4:6]); v != walVersion {
+		return time.Time{}, 0, false, fmt.Errorf("monitor: unsupported WAL version %d in %s", v, path)
+	}
+	start = time.Unix(0, int64(binary.BigEndian.Uint64(hdr[6:14]))).UTC()
+	step = time.Duration(binary.BigEndian.Uint64(hdr[14:22]))
+	if step <= 0 {
+		return time.Time{}, 0, false, fmt.Errorf("monitor: bad WAL step %v in %s", step, path)
+	}
+	return start, step, true, nil
+}
+
+// peekWALHeader reads just the header of the log at path.
+func peekWALHeader(fsys faultfs.FS, path string) (start time.Time, step time.Duration, ok bool, err error) {
 	f, err := fsys.Open(path)
 	if err != nil {
-		return store, err
+		return time.Time{}, 0, false, err
+	}
+	defer f.Close()
+	return readWALHeader(f, path)
+}
+
+// walReplay is the outcome of replaying one shard log.
+type walReplay struct {
+	stats RecoveryStats // WALRecords and TornTails of this log
+	err   error
+}
+
+// replayWALs replays the logs of one generation into store on at most
+// GOMAXPROCS goroutines and returns when all of them have finished,
+// with one result per path in paths order. The logs must hold disjoint
+// keys (one generation is written by one shard layout); the store's own
+// shard locks make any interleaving safe, but only disjoint keys make
+// it equal to the serial order.
+func replayWALs(fsys faultfs.FS, paths []string, store *Store) []walReplay {
+	out := make([]walReplay, len(paths))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(paths)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(paths) {
+					return
+				}
+				out[i].err = replayWAL(fsys, paths[i], store, &out[i].stats)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// replayWAL replays one shard log into store, group record by group
+// record. Torn tails are counted and ignored; corruption before
+// the tail is an error (an append-only log cannot be damaged mid-file
+// by a crash).
+func replayWAL(fsys faultfs.FS, path string, store *Store, stats *RecoveryStats) error {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return err
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<16)
-
-	hdr := make([]byte, len(walMagic)+2+8+8)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			// Killed before the header flush: an empty log, nothing to
-			// replay.
-			return store, nil
-		}
-		return store, err
-	}
-	if string(hdr[:len(walMagic)]) != walMagic {
-		return store, fmt.Errorf("monitor: bad WAL magic in %s", path)
-	}
-	if v := binary.BigEndian.Uint16(hdr[4:6]); v != walVersion {
-		return store, fmt.Errorf("monitor: unsupported WAL version %d in %s", v, path)
-	}
-	hdrStart := time.Unix(0, int64(binary.BigEndian.Uint64(hdr[6:14]))).UTC()
-	hdrStep := time.Duration(binary.BigEndian.Uint64(hdr[14:22]))
-	if hdrStep <= 0 {
-		return store, fmt.Errorf("monitor: bad WAL step %v in %s", hdrStep, path)
+	if _, _, ok, err := readWALHeader(br, path); err != nil || !ok {
+		return err
 	}
 	if store == nil {
-		// No snapshot: the oldest log's header carries the epoch.
-		if step > 0 && hdrStep != step {
-			return store, fmt.Errorf("monitor: step mismatch: WAL has %v, caller wants %v", hdrStep, step)
-		}
-		store = NewStoreShards(hdrStart, hdrStep, shards)
-		if span >= 2 {
-			store.span = span
-		}
+		// The callers derive the store from the first readable header, so
+		// this takes a header that read differently the second time.
+		return fmt.Errorf("monitor: no store to replay %s into", path)
 	}
 
-	cache := NewKeyCache()
+	a := walApplier{s: store, series: make(map[string]appliedSeries)}
 	var lenBuf [4]byte
 	payload := make([]byte, 0, 256)
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			if err == io.EOF {
-				return store, nil // clean end
+				return nil // clean end
 			}
 			if err == io.ErrUnexpectedEOF {
 				stats.TornTails++
-				return store, nil
+				return nil
 			}
-			return store, err
+			return err
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
 		if n == 0 || n > maxWALRecord {
 			// A garbage length can only be a torn tail (partial length
 			// word from a crashed append).
 			stats.TornTails++
-			return store, nil
+			return nil
 		}
 		if cap(payload) < int(n)+4 {
 			payload = make([]byte, 0, int(n)+4)
@@ -662,28 +762,104 @@ func replayWAL(fsys faultfs.FS, path string, store *Store, start time.Time, step
 		if _, err := io.ReadFull(br, payload); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				stats.TornTails++
-				return store, nil
+				return nil
 			}
-			return store, err
+			return err
 		}
 		body, crcBytes := payload[:n], payload[n:]
 		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcBytes) {
 			stats.TornTails++
-			return store, nil
+			return nil
 		}
-		// A group record carries the measurement bodies of one flush
-		// group, back to back.
-		for len(body) > 0 {
-			m, rest, err := decodeMeasurementBody(body, cache)
-			if err != nil {
-				stats.TornTails++
-				return store, nil
-			}
-			store.Append(m)
-			stats.WALRecords++
-			body = rest
+		// A body that fails to decode ends the log like any torn tail;
+		// the bodies before it have been applied.
+		applied, ok := a.applyGroup(body)
+		stats.WALRecords += applied
+		if !ok {
+			stats.TornTails++
+			return nil
 		}
 	}
+}
+
+// walApplier applies one shard log's records to the store under
+// recovery. It resolves each distinct key once — the key bytes as
+// framed map to the owning shard and series entry — so every later
+// record for that key costs one lookup on the raw bytes where Append
+// pays a shard hash plus a lookup by KPIKey. That shortcut is sound
+// only while recovery owns the store: no log is attached, nothing
+// subscribes or feeds, and nothing prunes, so an entry, once resolved,
+// stays where it is.
+type walApplier struct {
+	s      *Store
+	series map[string]appliedSeries
+}
+
+// appliedSeries is a key the log has already written to.
+type appliedSeries struct {
+	sh *storeShard
+	e  *seriesEntry
+}
+
+// applyGroup applies the measurement bodies of one group record in
+// order, with Append's semantics per measurement, under one clock read
+// and one epoch lock, holding each shard's lock across the run of
+// consecutive records it owns (the whole group, when the log was
+// written under the store's shard count). It returns how many bodies it
+// decoded and whether that was all of them.
+func (a *walApplier) applyGroup(body []byte) (n int, ok bool) {
+	s := a.s
+	now := time.Now().UnixNano()
+	s.epochMu.RLock()
+	defer s.epochMu.RUnlock()
+	// The epoch of a store that has records to replay came out of a
+	// snapshot or log header, so it is exact in nanoseconds.
+	startNanos := s.start.UnixNano()
+	var locked *storeShard
+	lock := func(sh *storeShard) {
+		if sh == locked {
+			return
+		}
+		if locked != nil {
+			locked.mu.Unlock()
+		}
+		if locked = sh; sh != nil {
+			sh.mu.Lock()
+		}
+	}
+	defer lock(nil)
+	for len(body) > 0 {
+		metOff, keyEnd, err := measurementKeySpan(body)
+		if err != nil || len(body) < keyEnd+16 {
+			return n, false
+		}
+		nanos := int64(binary.BigEndian.Uint64(body[keyEnd:]))
+		v := math.Float64frombits(binary.BigEndian.Uint64(body[keyEnd+8:]))
+		n++
+		if nanos >= startNanos { // measurements before the epoch are dropped
+			d := nanos - startNanos
+			if d < 0 {
+				d = math.MaxInt64 // saturate as Time.Sub does
+			}
+			as, seen := a.series[string(body[:keyEnd])]
+			if seen {
+				lock(as.sh)
+			} else {
+				key := keyFromSpan(body, metOff, keyEnd)
+				as.sh = s.shardFor(key)
+				lock(as.sh)
+				if as.e = as.sh.series[key]; as.e == nil {
+					as.e = &seriesEntry{feedTracked: s.feedWants(key)}
+					as.sh.series[key] = as.e
+				}
+				a.series[string(body[:keyEnd])] = as
+			}
+			s.setBinLocked(as.e, int(d/int64(s.step)), v)
+			as.e.arrivalNanos = now
+		}
+		body = body[keyEnd+16:]
+	}
+	return n, true
 }
 
 // initDisk gives every shard a fresh live log and compacts, leaving
@@ -698,6 +874,19 @@ func (p *persister) initDisk() error {
 		s.shards[i].wal = w
 	}
 	return p.compact()
+}
+
+// discardLogs closes whatever shard logs a failed initDisk left open
+// and detaches the persister, so a failed open leaks no descriptor.
+func (p *persister) discardLogs() {
+	s := p.store
+	for i := range s.shards {
+		if w := s.shards[i].wal; w != nil {
+			w.discardLocked()
+			s.shards[i].wal = nil
+		}
+	}
+	s.persist = nil
 }
 
 // run is the background maintenance loop: periodic fsync, requested

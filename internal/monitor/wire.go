@@ -93,53 +93,67 @@ func appendMeasurementBody(b []byte, m Measurement) ([]byte, error) {
 	return b, nil
 }
 
+// measurementKeySpan validates the key part of a measurement body —
+// scope byte, then the length-prefixed entity and metric — and returns
+// where the metric's length word starts and where the key ends, so
+// that b[:keyEnd] is the whole key as framed.
+func measurementKeySpan(b []byte) (metOff, keyEnd int, err error) {
+	if len(b) < 1 {
+		return 0, 0, fmt.Errorf("monitor: truncated measurement body")
+	}
+	scope := topo.Scope(b[0])
+	if scope != topo.ScopeServer && scope != topo.ScopeInstance && scope != topo.ScopeService {
+		return 0, 0, fmt.Errorf("monitor: bad scope %d", b[0])
+	}
+	if len(b) < 3 {
+		return 0, 0, fmt.Errorf("monitor: truncated string header")
+	}
+	entLen := int(binary.BigEndian.Uint16(b[1:3]))
+	metOff = 3 + entLen
+	if len(b) < metOff+2 {
+		return 0, 0, fmt.Errorf("monitor: truncated string body (want %d, have %d)", entLen, len(b)-3)
+	}
+	metLen := int(binary.BigEndian.Uint16(b[metOff : metOff+2]))
+	keyEnd = metOff + 2 + metLen
+	if len(b) < keyEnd {
+		return 0, 0, fmt.Errorf("monitor: truncated string body (want %d, have %d)", metLen, len(b)-metOff-2)
+	}
+	return metOff, keyEnd, nil
+}
+
+// keyFromSpan builds the key framed in b[:keyEnd], as validated by
+// measurementKeySpan.
+func keyFromSpan(b []byte, metOff, keyEnd int) topo.KPIKey {
+	return topo.KPIKey{
+		Scope:  topo.Scope(b[0]),
+		Entity: string(b[3:metOff]),
+		Metric: string(b[metOff+2 : keyEnd]),
+	}
+}
+
 // decodeMeasurementBody consumes one measurement body from b, returning
 // the remainder. A non-nil cache interns decoded keys so a hot ingest
 // loop does not re-allocate the entity/metric strings of every sample.
 func decodeMeasurementBody(b []byte, cache *KeyCache) (Measurement, []byte, error) {
 	var m Measurement
-	if len(b) < 1 {
-		return m, nil, fmt.Errorf("monitor: truncated measurement body")
-	}
-	scope := topo.Scope(b[0])
-	if scope != topo.ScopeServer && scope != topo.ScopeInstance && scope != topo.ScopeService {
-		return m, nil, fmt.Errorf("monitor: bad scope %d", b[0])
-	}
 	// Find the span covering scope + both strings so the whole key can
 	// be interned with one map lookup on the raw bytes.
-	if len(b) < 3 {
-		return m, nil, fmt.Errorf("monitor: truncated string header")
-	}
-	entLen := int(binary.BigEndian.Uint16(b[1:3]))
-	metOff := 3 + entLen
-	if len(b) < metOff+2 {
-		return m, nil, fmt.Errorf("monitor: truncated string body (want %d, have %d)", entLen, len(b)-3)
-	}
-	metLen := int(binary.BigEndian.Uint16(b[metOff : metOff+2]))
-	keyEnd := metOff + 2 + metLen
-	if len(b) < keyEnd {
-		return m, nil, fmt.Errorf("monitor: truncated string body (want %d, have %d)", metLen, len(b)-metOff-2)
+	metOff, keyEnd, err := measurementKeySpan(b)
+	if err != nil {
+		return m, nil, err
 	}
 	if cache != nil {
 		// string(b[...]) inside the map index does not allocate on hit.
 		if key, ok := cache.m[string(b[:keyEnd])]; ok {
 			m.Key = key
 		} else {
-			m.Key = topo.KPIKey{
-				Scope:  scope,
-				Entity: string(b[3:metOff]),
-				Metric: string(b[metOff+2 : keyEnd]),
-			}
+			m.Key = keyFromSpan(b, metOff, keyEnd)
 			if len(cache.m) < maxKeyCacheEntries {
 				cache.m[string(b[:keyEnd])] = m.Key
 			}
 		}
 	} else {
-		m.Key = topo.KPIKey{
-			Scope:  scope,
-			Entity: string(b[3:metOff]),
-			Metric: string(b[metOff+2 : keyEnd]),
-		}
+		m.Key = keyFromSpan(b, metOff, keyEnd)
 	}
 	b = b[keyEnd:]
 	if len(b) < 16 {

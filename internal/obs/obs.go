@@ -125,6 +125,10 @@ const (
 	// CtrWALReplayed counts WAL records replayed into the store during
 	// crash recovery.
 	CtrWALReplayed = "monitor.wal_replayed"
+	// CtrRecoveryMillis is the wall time, in milliseconds, the store
+	// spent in crash recovery before it could take its first bin
+	// (snapshot read + log replay + attach and compaction).
+	CtrRecoveryMillis = "monitor.recovery_ms"
 	// CtrCompactions counts WAL compactions (snapshot dump + log
 	// truncation).
 	CtrCompactions = "monitor.compactions"
