@@ -23,7 +23,6 @@ import (
 	"repro/internal/funnel"
 	"repro/internal/linalg"
 	"repro/internal/monitor"
-	"repro/internal/obs"
 	"repro/internal/sst"
 	"repro/internal/topo"
 	"repro/internal/workload"
@@ -67,37 +66,6 @@ func BenchmarkPerWindow(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c.scorer.ScoreAt(x, t0+i%span)
-			}
-		})
-	}
-}
-
-// BenchmarkPerWindowFUNNEL guards the telemetry overhead on the Table-2
-// hot path: the deployed IKA scorer raw (collector-nil, what
-// uninstrumented library users run) versus wrapped by InstrumentScorer
-// with a live collector. The instrumented path adds two clock reads and
-// one lock-free histogram update per window; the acceptance bar is <5%
-// overhead, which `go test -bench PerWindowFUNNEL` makes directly
-// comparable in one output.
-func BenchmarkPerWindowFUNNEL(b *testing.B) {
-	x := benchSeries(400)
-	cases := []struct {
-		name string
-		col  *obs.Collector
-	}{
-		{"collector-nil", nil},
-		{"collector-on", obs.NewCollector()},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			scorer := funnel.InstrumentScorer(sst.NewIKA(sst.Config{Normalize: true, RobustFilter: true}), c.col)
-			cfg := scorer.Config()
-			t0 := cfg.PastSpan()
-			span := len(x) - cfg.FutureSpan() - t0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				scorer.ScoreAt(x, t0+i%span)
 			}
 		})
 	}

@@ -129,12 +129,12 @@ func main() {
 		metrics["monitor.ingested"], metrics["assess.changes"])
 	var sstWindow struct {
 		Count int64 `json:"count"`
-		P99us int64 `json:"p99_us"`
+		AvgUs int64 `json:"avg_us"`
 	}
 	if err := json.Unmarshal(metrics["stage.sst_window"], &sstWindow); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%d (p99 ≤ %d µs)\n", sstWindow.Count, sstWindow.P99us)
+	fmt.Printf("%d (mean %d µs each)\n", sstWindow.Count, sstWindow.AvgUs)
 
 	var trace funnel.PipelineTrace
 	if err := getJSON(base+"/traces/fe-rollout-7", &trace); err != nil {

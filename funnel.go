@@ -431,8 +431,3 @@ type KPITrace = obs.KPITrace
 
 // StageHistogram is a lock-free bounded-bucket latency histogram.
 type StageHistogram = obs.Histogram
-
-// InstrumentScorer wraps a scorer so every sliding-window evaluation is
-// timed into the collector's sst_window stage (pass-through on a nil
-// collector).
-var InstrumentScorer = funnel.InstrumentScorer

@@ -68,15 +68,13 @@ func compareStreamReports(t *testing.T, tag string, got, want *funnel.Report) {
 	}
 }
 
-// batchReference assesses the store with a fresh batch assessor under
-// its own collector — the same scorer regime the streamer runs — and
+// batchReference assesses the store with a fresh batch assessor and
 // returns the reference report.
 func batchReference(t *testing.T, store *monitor.Store) *funnel.Report {
 	t.Helper()
 	a, err := funnel.NewAssessor(store, streamTopo(), funnel.Config{
 		ServerMetrics: []string{"mem.util"},
 		WindowBins:    streamWindow,
-		Obs:           obs.NewCollector(),
 	})
 	if err != nil {
 		t.Fatal(err)

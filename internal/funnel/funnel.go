@@ -150,9 +150,11 @@ type Config struct {
 	// the warning tells the operations team to double-check manually.
 	VerifyParallelTrends bool
 	// Obs, when set, collects per-stage counters and latency
-	// histograms and attaches a per-assessment trace to each Report.
-	// Nil (the default) disables all instrumentation; the hot
-	// per-window path then pays only a construction-time branch.
+	// histograms (one clock read per stage per KPI, and one around each
+	// SST sweep for the per-window figure) and attaches a
+	// per-assessment trace to each Report. Nil (the default) disables
+	// all instrumentation. Either way the pipeline never reads it back:
+	// every other Report field is the same with and without a collector.
 	Obs *obs.Collector
 }
 
@@ -341,7 +343,7 @@ type Assessor struct {
 	// nil sources keep the flat full-series reads.
 	win    WindowSource
 	topo   *topo.Topology
-	scorer sst.Scorer
+	scorer *sst.SlidingScorer
 	det    *detect.Gate
 	obs    *obs.Collector
 	// scores, when non-nil, is consulted before the SST sweep with the
@@ -377,34 +379,28 @@ func NewAssessor(source SeriesSource, tp *topo.Topology, cfg Config) (*Assessor,
 	default:
 		return nil, fmt.Errorf("funnel: unknown causality stage %q (want \"did\" or \"bsts\")", cfg.Causality)
 	}
-	// The deployed scorer is IKA; without per-window instrumentation it
-	// is wrapped in the incremental sliding sweep, which maintains the
-	// Hankel Gram operators across consecutive window positions instead
-	// of rebuilding them, and warm-starts each position's Lanczos solves
-	// from the previous position's dominant Ritz vector with a reduced
-	// Krylov dimension — scores agree with the per-window path to
-	// detector precision, which is all the threshold-crossing verdict
-	// reads. With a collector configured, the per-window path is kept so
-	// every window's latency lands in the StageSSTWindow histogram
-	// individually. A non-SST Detector name swaps in that registered
-	// detector's default configuration instead (its own pooling applies;
-	// the sliding wrapper is an SST-specific optimization).
-	var scorer sst.Scorer
+	// One scorer, whatever else is configured: the incremental sliding
+	// sweep, which maintains the Hankel Gram operators across consecutive
+	// window positions instead of rebuilding them and warm-starts each
+	// position's Lanczos solves from the previous position's dominant
+	// Ritz vector with a reduced Krylov dimension. Its scores agree with
+	// per-window IKA to detector precision (~1e-2), so this — not the
+	// per-window reference — is the algorithm the accuracy tables
+	// measure; EXPERIMENTS.md records what the difference costs. A
+	// non-SST Detector name puts that registered detector's default
+	// configuration behind the same wrapper, which then sweeps it one
+	// ScoreAt per position.
+	var scorer *sst.SlidingScorer
 	switch cfg.Detector {
 	case "", "sst":
-		if cfg.Obs != nil {
-			scorer = InstrumentScorer(sst.NewIKA(cfg.SST), cfg.Obs)
-		} else {
-			sl := sst.NewSliding(sst.NewIKA(cfg.SST))
-			sl.WarmStart = true
-			scorer = sl
-		}
+		scorer = sst.NewSliding(sst.NewIKA(cfg.SST))
+		scorer.WarmStart = true
 	default:
 		entry, err := detect.LookupDetector(cfg.Detector)
 		if err != nil {
 			return nil, err
 		}
-		scorer = InstrumentScorer(entry.New(), cfg.Obs)
+		scorer = sst.NewSliding(entry.New())
 	}
 	det := detect.New(scorer, cfg.DetectorThreshold)
 	det.Persistence = cfg.Persistence
@@ -423,34 +419,6 @@ func NewAssessor(source SeriesSource, tp *topo.Topology, cfg Config) (*Assessor,
 	}
 	win, _ := source.(WindowSource)
 	return &Assessor{cfg: cfg, source: source, win: win, topo: tp, scorer: scorer, det: det, obs: cfg.Obs}, nil
-}
-
-// InstrumentScorer wraps a scorer so every sliding-window evaluation
-// is counted and timed under obs.StageSSTWindow. A nil collector
-// returns the scorer unchanged — uninstrumented deployments pay
-// nothing on the Table-2 hot path.
-func InstrumentScorer(s sst.Scorer, c *obs.Collector) sst.Scorer {
-	if c == nil {
-		return s
-	}
-	return instrumentedScorer{inner: s, col: c}
-}
-
-// instrumentedScorer times each per-window score.
-type instrumentedScorer struct {
-	inner sst.Scorer
-	col   *obs.Collector
-}
-
-// Config returns the wrapped scorer's resolved geometry.
-func (s instrumentedScorer) Config() sst.Config { return s.inner.Config() }
-
-// ScoreAt scores one window and records its latency.
-func (s instrumentedScorer) ScoreAt(x []float64, t int) float64 {
-	start := time.Now()
-	v := s.inner.ScoreAt(x, t)
-	s.col.Observe(obs.StageSSTWindow, time.Since(start))
-	return v
 }
 
 // stamp records a stage duration in the collector's histogram and on
@@ -760,7 +728,10 @@ func (a *Assessor) detectAround(series *timeseries.Series, gaps []bool, changeBi
 		}
 	}
 	if scores == nil {
+		tw := a.obs.Now()
 		scores = sst.ScoreSeries(a.scorer, segment)
+		sc := a.scorer.Config()
+		a.obs.ObserveSinceN(obs.StageSSTWindow, tw, len(segment)-sc.PastSpan()-sc.FutureSpan()+1)
 	}
 	if a.cfg.GapPolicy == GapMask && len(gaps) >= hi {
 		// Suppress scores whose SST window touches an interpolated bin:

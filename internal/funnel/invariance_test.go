@@ -1,0 +1,197 @@
+package funnel
+
+import (
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/sst"
+	"repro/internal/workload"
+)
+
+// accuracyCorpus is one of the two labelled corpora the accuracy tables
+// are measured on; stride subsamples its cases under -short.
+type accuracyCorpus struct {
+	name   string
+	sc     *workload.Scenario
+	cfg    Config
+	stride int
+}
+
+// accuracyCorpora generates, once per test binary, the pinned bake-off
+// corpus (EXPERIMENTS.md) and the workload.DefaultParams() corpus of
+// Table 1 / RESULTS.txt.
+var accuracyCorpora = sync.OnceValues(func() ([]accuracyCorpus, error) {
+	bake := workload.DefaultParams()
+	bake.Changes, bake.HistoryDays, bake.Seed, bake.TrapFraction = 48, 3, 7, 0.25
+	out := []accuracyCorpus{
+		{name: "bakeoff", stride: 1},
+		{name: "default", stride: 1},
+	}
+	if testing.Short() {
+		out[0].stride, out[1].stride = 6, 24
+	}
+	for i, p := range []workload.Params{bake, workload.DefaultParams()} {
+		sc, err := workload.Generate(p)
+		if err != nil {
+			return nil, err
+		}
+		out[i].sc = sc
+		out[i].cfg = Config{
+			ServerMetrics:   workload.ServerMetrics(),
+			InstanceMetrics: workload.InstanceMetrics(),
+			HistoryDays:     p.HistoryDays,
+		}
+	}
+	return out, nil
+})
+
+// TestTelemetryInvariance: attaching a collector changes no Assessment
+// field on either accuracy corpus, over the flat source and over a
+// chunked store — only Report.Trace may differ.
+func TestTelemetryInvariance(t *testing.T) {
+	corpora, err := accuracyCorpora()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range corpora {
+		type namedSource struct {
+			name string
+			src  SeriesSource
+		}
+		sources := []namedSource{{"flat", c.sc.Source}}
+		// Ingesting a corpus (48 M measurements for the default one) is most
+		// of this test's time, so -short keeps to the flat source.
+		if !testing.Short() {
+			sources = append(sources, namedSource{"store", storeFromScenario(t, c.sc, 512)})
+		}
+		for _, s := range sources {
+			src := s.src
+			t.Run(c.name+"/"+s.name, func(t *testing.T) {
+				oncfg := c.cfg
+				oncfg.Obs = obs.NewCollector()
+				on, err := NewAssessor(src, c.sc.Topo, oncfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				off, err := NewAssessor(src, c.sc.Topo, c.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kpis, differ, verdicts := 0, 0, 0
+				for i := 0; i < len(c.sc.Cases); i += c.stride {
+					change := c.sc.Cases[i].Change
+					ron, err := on.Assess(change)
+					if err != nil {
+						t.Fatal(err)
+					}
+					roff, err := off.Assess(change)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ron.Trace == nil || roff.Trace != nil {
+						t.Fatalf("%s: trace presence: on %v, off %v", change.ID, ron.Trace != nil, roff.Trace != nil)
+					}
+					if ron.ChangeBin != roff.ChangeBin || len(ron.Assessments) != len(roff.Assessments) {
+						t.Fatalf("%s: report shape differs with a collector", change.ID)
+					}
+					for k := range ron.Assessments {
+						kpis++
+						aon, aoff := ron.Assessments[k], roff.Assessments[k]
+						d := assessmentDiff(aon, aoff)
+						if d != "" {
+							differ++
+						}
+						if verdictDiffers(aon, aoff) {
+							verdicts++
+							t.Errorf("%s %v, collector vs none: %s", change.ID, aon.Key, d)
+						}
+					}
+				}
+				if differ > 0 {
+					t.Errorf("with a collector attached, %d of %d KPI assessments differ in some field, %d of them in the verdict or detection kind",
+						differ, kpis, verdicts)
+				}
+				if n := oncfg.Obs.StageCount(obs.StageSSTWindow); n < int64(kpis) {
+					t.Errorf("sst_window count = %d over %d KPIs: the sweep went untimed", n, kpis)
+				}
+			})
+		}
+	}
+}
+
+// verdictDiffers reports a difference an operator would read: the
+// verdict itself or the kind of change detected.
+func verdictDiffers(a, b Assessment) bool {
+	return a.Verdict != b.Verdict || a.Detection.Kind != b.Detection.Kind
+}
+
+// perWindowIKA hides *sst.IKA's concrete type from sst.NewSliding, so
+// the wrapper finds no incremental path and scores every position with
+// the exact per-window ScoreAt.
+type perWindowIKA struct{ *sst.IKA }
+
+// TestWarmStartCost pins what the deployed warm-started sweep costs
+// against exact per-window IKA: the set of software-attributed (change,
+// KPI) pairs is identical on both accuracy corpora. Fields that never
+// reach an operator's pager (no-change ↔ changed-by-other, detection
+// kind, peak score) may differ and are only counted.
+func TestWarmStartCost(t *testing.T) {
+	corpora, err := accuracyCorpora()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range corpora {
+		t.Run(c.name, func(t *testing.T) {
+			warm, err := NewAssessor(c.sc.Source, c.sc.Topo, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := NewAssessor(c.sc.Source, c.sc.Topo, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact.scorer = sst.NewSliding(perWindowIKA{sst.NewIKA(exact.cfg.SST)})
+			exact.det.Scorer = exact.scorer
+
+			flagged := func(r *Report) []string {
+				var out []string
+				for _, a := range r.Flagged() {
+					out = append(out, r.Change.ID+" "+a.Key.String())
+				}
+				sort.Strings(out)
+				return out
+			}
+			kpis, verdicts, fields, software := 0, 0, 0, 0
+			for i := 0; i < len(c.sc.Cases); i += c.stride {
+				change := c.sc.Cases[i].Change
+				rw, err := warm.Assess(change)
+				if err != nil {
+					t.Fatal(err)
+				}
+				re, err := exact.Assess(change)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fw, fe := flagged(rw), flagged(re)
+				software += len(fw)
+				if !slices.Equal(fw, fe) {
+					t.Errorf("%s: software-attributed KPIs differ\n  warm sweep: %v\n  per-window: %v", change.ID, fw, fe)
+				}
+				for k := range rw.Assessments {
+					kpis++
+					if verdictDiffers(rw.Assessments[k], re.Assessments[k]) {
+						verdicts++
+					}
+					if assessmentDiff(rw.Assessments[k], re.Assessments[k]) != "" {
+						fields++
+					}
+				}
+			}
+			t.Logf("%s: %d KPIs, %d software-attributed on both paths; warm sweep vs per-window IKA: %d differ in verdict or detection kind, %d in some field",
+				c.name, kpis, software, verdicts, fields)
+		})
+	}
+}

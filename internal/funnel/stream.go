@@ -119,9 +119,12 @@ type assessTask struct {
 type kpiStream struct {
 	key      topo.KPIKey
 	changeAt time.Time
-	pastSpan int
-	futSpan  int
-	window   int // cfg.WindowBins
+	// The window reaches lead bins before the change and tail bins after
+	// it (detectAround's geometry: WindowBins plus the SST spans);
+	// scoreFut is the scorer's own lookahead, which differs from the SST
+	// one under a non-SST Detector.
+	lead, tail int
+	scoreFut   int
 
 	mu       sync.Mutex
 	absLo    int
@@ -131,11 +134,11 @@ type kpiStream struct {
 	scores   []float64 // len segLen; NaN until scored
 	scratch  []float64 // RangeInto reuse buffer
 	lastReal int       // index of last non-NaN raw bin, -1 when none
-	next     int       // next score position (segment frame)
 	invalid  bool      // geometry unrecoverable (change pruned away)
 
-	perWindow bool             // obs-instrumented scorer: position-independent ScoreAt
-	sweep     *sst.StreamSweep // stateful sliding sweep otherwise
+	// sweep scores the window's positions in order, resumably; its Pos
+	// is the next score position (segment frame).
+	sweep *sst.StreamSweep
 
 	enq atomic.Bool // already sitting in the advance queue
 }
@@ -267,25 +270,19 @@ func (sr *Streamer) RegisterChange(c changelog.Change) error {
 	return nil
 }
 
-// newKPIStream builds the score state for one treated KPI, picking the
-// scoring mode that mirrors the assessor's batch path exactly: the
-// stateful sliding sweep when the batch path would run ScoreRangeInto,
-// the position-independent per-window scorer when instrumentation
-// wrapped it.
+// newKPIStream builds the score state for one treated KPI: a resumable
+// sweep of the assessor's own scorer, so the streamed positions replay
+// the batch sweep's operation sequence.
 func (sr *Streamer) newKPIStream(key topo.KPIKey, changeAt time.Time) *kpiStream {
 	cfg := sr.assessor.cfg
 	ks := &kpiStream{
 		key:      key,
 		changeAt: changeAt,
-		pastSpan: cfg.SST.PastSpan(),
-		futSpan:  cfg.SST.FutureSpan(),
-		window:   cfg.WindowBins,
+		lead:     cfg.WindowBins + cfg.SST.PastSpan(),
+		tail:     cfg.WindowBins + cfg.SST.FutureSpan(),
+		scoreFut: sr.assessor.scorer.Config().FutureSpan(),
 		lastReal: -1,
-	}
-	if sl, ok := sr.assessor.scorer.(*sst.SlidingScorer); ok {
-		ks.sweep = sl.NewStream()
-	} else {
-		ks.perWindow = true
+		sweep:    sr.assessor.scorer.NewStream(),
 	}
 	ks.mu.Lock()
 	ks.rebaseLocked(sr.store)
@@ -305,11 +302,11 @@ func (ks *kpiStream) rebaseLocked(store *monitor.Store) {
 		return
 	}
 	ks.invalid = false
-	ks.absLo = changeBin - ks.window - ks.pastSpan
+	ks.absLo = changeBin - ks.lead
 	if ks.absLo < 0 {
 		ks.absLo = 0
 	}
-	ks.segLen = changeBin + ks.window + ks.futSpan - ks.absLo
+	ks.segLen = changeBin + ks.tail - ks.absLo
 	ks.resetLocked()
 }
 
@@ -319,7 +316,6 @@ func (ks *kpiStream) resetLocked() {
 	ks.raw = ks.raw[:0]
 	ks.filled = ks.filled[:0]
 	ks.lastReal = -1
-	ks.next = ks.pastSpan
 	if cap(ks.scores) < ks.segLen {
 		ks.scores = make([]float64, ks.segLen)
 	}
@@ -327,9 +323,7 @@ func (ks *kpiStream) resetLocked() {
 	for i := range ks.scores {
 		ks.scores[i] = math.NaN()
 	}
-	if ks.sweep != nil {
-		ks.sweep.Reset(0)
-	}
+	ks.sweep.Reset(0)
 }
 
 // advance re-reads the window from the store, verifies the previously
@@ -395,20 +389,17 @@ func (ks *kpiStream) advance(sr *Streamer) {
 	// extrapolate them today and replace them when data arrives, so
 	// scores touching them are not yet stable and must wait.
 	stable := ks.lastReal + 1
-	hi := ks.segLen - ks.futSpan + 1
+	hi := ks.segLen - ks.scoreFut + 1
 	x := ks.filled[:stable]
-	advanced := false
-	for ks.next < hi && ks.next+ks.futSpan <= stable {
-		if ks.perWindow {
-			ks.scores[ks.next] = sr.assessor.scorer.ScoreAt(x, ks.next)
-		} else {
-			ks.scores[ks.next] = ks.sweep.Next(x)
-		}
-		ks.next++
-		advanced = true
+	t0 := sr.col.Now()
+	n := 0
+	for t := ks.sweep.Pos(); t < hi && t+ks.scoreFut <= stable; t = ks.sweep.Pos() {
+		ks.scores[t] = ks.sweep.Next(x)
+		n++
 	}
-	if advanced && sr.col != nil {
+	if n > 0 && sr.col != nil {
 		sr.col.Add(obs.CtrStreamAdvances, 1)
+		sr.col.ObserveSinceN(obs.StageSSTWindow, t0, n)
 	}
 }
 
@@ -460,7 +451,7 @@ func (ks *kpiStream) cached(absLo int, segment []float64) []float64 {
 	if ks.invalid || absLo != ks.absLo || len(segment) != ks.segLen {
 		return nil
 	}
-	if ks.next < ks.segLen-ks.futSpan+1 || ks.lastReal+1 < ks.segLen {
+	if ks.sweep.Pos() < ks.segLen-ks.scoreFut+1 || ks.lastReal+1 < ks.segLen {
 		return nil // sweep not complete over the full window
 	}
 	// The batch path scores its gap-filled segment; ours must agree

@@ -1,6 +1,7 @@
 package funnel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -110,6 +111,35 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
+// assessmentDiff names the first field on which two assessments of the
+// same KPI differ, "" when none does. Floats compare bit-for-bit.
+func assessmentDiff(a, b Assessment) string {
+	ae, be := "", ""
+	if a.Err != nil {
+		ae = a.Err.Error()
+	}
+	if b.Err != nil {
+		be = b.Err.Error()
+	}
+	switch {
+	case a.Key != b.Key:
+		return fmt.Sprintf("key: %v vs %v", a.Key, b.Key)
+	case a.Verdict != b.Verdict:
+		return fmt.Sprintf("verdict: %v vs %v", a.Verdict, b.Verdict)
+	case a.Detection != b.Detection:
+		return fmt.Sprintf("detection: %+v vs %+v", a.Detection, b.Detection)
+	case !sameFloat(a.Alpha, b.Alpha) || !sameFloat(a.TStat, b.TStat):
+		return fmt.Sprintf("DiD: (%v, %v) vs (%v, %v)", a.Alpha, a.TStat, b.Alpha, b.TStat)
+	case a.ControlKind != b.ControlKind || a.TrendWarning != b.TrendWarning:
+		return fmt.Sprintf("control: (%v, %v) vs (%v, %v)", a.ControlKind, a.TrendWarning, b.ControlKind, b.TrendWarning)
+	case !sameFloat(a.GapFraction, b.GapFraction) || !sameFloat(a.ControlSimilarity, b.ControlSimilarity):
+		return fmt.Sprintf("gap/similarity: (%v, %v) vs (%v, %v)", a.GapFraction, a.ControlSimilarity, b.GapFraction, b.ControlSimilarity)
+	case ae != be:
+		return fmt.Sprintf("err: %q vs %q", ae, be)
+	}
+	return ""
+}
+
 // compareReports requires the streaming report to be indistinguishable
 // from the batch one, field by field (traces excluded: they carry
 // wall-clock latencies).
@@ -122,36 +152,8 @@ func compareReports(t *testing.T, stream, batch *Report) {
 		t.Fatalf("assessment count: stream %d, batch %d", len(stream.Assessments), len(batch.Assessments))
 	}
 	for i := range stream.Assessments {
-		s, b := stream.Assessments[i], batch.Assessments[i]
-		if s.Key != b.Key {
-			t.Fatalf("assessment %d key: stream %v, batch %v", i, s.Key, b.Key)
-		}
-		if s.Verdict != b.Verdict {
-			t.Fatalf("%v verdict: stream %v, batch %v", s.Key, s.Verdict, b.Verdict)
-		}
-		if s.Detection != b.Detection {
-			t.Fatalf("%v detection: stream %+v, batch %+v", s.Key, s.Detection, b.Detection)
-		}
-		if !sameFloat(s.Alpha, b.Alpha) || !sameFloat(s.TStat, b.TStat) {
-			t.Fatalf("%v DiD: stream (%v, %v), batch (%v, %v)", s.Key, s.Alpha, s.TStat, b.Alpha, b.TStat)
-		}
-		if s.ControlKind != b.ControlKind || s.TrendWarning != b.TrendWarning {
-			t.Fatalf("%v control: stream (%v, %v), batch (%v, %v)",
-				s.Key, s.ControlKind, s.TrendWarning, b.ControlKind, b.TrendWarning)
-		}
-		if !sameFloat(s.GapFraction, b.GapFraction) || !sameFloat(s.ControlSimilarity, b.ControlSimilarity) {
-			t.Fatalf("%v gap/similarity: stream (%v, %v), batch (%v, %v)",
-				s.Key, s.GapFraction, s.ControlSimilarity, b.GapFraction, b.ControlSimilarity)
-		}
-		se, be := "", ""
-		if s.Err != nil {
-			se = s.Err.Error()
-		}
-		if b.Err != nil {
-			be = b.Err.Error()
-		}
-		if se != be {
-			t.Fatalf("%v err: stream %q, batch %q", s.Key, se, be)
+		if d := assessmentDiff(stream.Assessments[i], batch.Assessments[i]); d != "" {
+			t.Fatalf("%v, stream vs batch: %s", stream.Assessments[i].Key, d)
 		}
 	}
 }
@@ -200,12 +202,10 @@ func runStreamCase(t *testing.T, cfg Config, scfg StreamConfig, gap func(srv str
 		t.Fatalf("streaming report was served without a single cache hit (misses=%d)", cc.misses.Load())
 	}
 
-	// The batch truth over the identical store. A separate collector
-	// keeps the streaming one's counters clean.
+	// The batch truth over the identical store, never with a collector:
+	// telemetry on the streaming side must not show in the report.
 	bcfg := cfg
-	if bcfg.Obs != nil {
-		bcfg.Obs = obs.NewCollector()
-	}
+	bcfg.Obs = nil
 	ba, err := NewAssessor(store, fx.buildTopo(), bcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -233,8 +233,6 @@ func interiorGap(changeMin int) func(srv string, bin int) bool {
 }
 
 func TestStreamerMatchesBatchSliding(t *testing.T) {
-	// Obs nil: the assessor's batch path is the stateful sliding sweep,
-	// so the streaming side must drive the resumable sweep.
 	runStreamCase(t, Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2},
 		StreamConfig{Workers: 1, PollInterval: 20 * time.Millisecond}, nil, true)
 }
@@ -245,9 +243,10 @@ func TestStreamerMatchesBatchSlidingGapsWorkers(t *testing.T) {
 	runStreamCase(t, cfg, StreamConfig{Workers: 4, PollInterval: 20 * time.Millisecond}, fxGap, true)
 }
 
+// TestStreamerMatchesBatchInstrumented: a Streamer with a collector
+// reports what a batch Assess without one does, and its advances land in
+// the sst_window stage.
 func TestStreamerMatchesBatchInstrumented(t *testing.T) {
-	// Obs set: the batch path scores per window (position independent);
-	// the streaming side mirrors it with incremental per-window calls.
 	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, Obs: obs.NewCollector()}
 	runStreamCase(t, cfg, StreamConfig{Workers: 2, PollInterval: 20 * time.Millisecond}, nil, true)
 	if cfg.Obs.Counter(obs.CtrStreamCacheHits) == 0 {
@@ -256,6 +255,20 @@ func TestStreamerMatchesBatchInstrumented(t *testing.T) {
 	if cfg.Obs.Counter(obs.CtrStreamAdvances) == 0 {
 		t.Fatal("collector saw no stream advances")
 	}
+	// One weighted sample per advance: count is windows scored, at least
+	// every position of the one treated KPI's ±60-bin window once.
+	positions := int64(2*60 + 1)
+	if n := cfg.Obs.StageCount(obs.StageSSTWindow); n < positions {
+		t.Fatalf("sst_window count = %d, want ≥ %d windows", n, positions)
+	}
+}
+
+// TestStreamerMatchesBatchOtherDetector drives a registry detector whose
+// spans differ from the SST geometry that sizes the window: the streamed
+// positions must still be the ones the batch sweep scores.
+func TestStreamerMatchesBatchOtherDetector(t *testing.T) {
+	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, Detector: "mrls", DetectorThreshold: 6}
+	runStreamCase(t, cfg, StreamConfig{Workers: 2, PollInterval: 20 * time.Millisecond}, nil, true)
 }
 
 func TestStreamerMatchesBatchGapMask(t *testing.T) {
@@ -279,18 +292,28 @@ func TestStreamerLateWriteInvalidates(t *testing.T) {
 	if err := sr.RegisterChange(fx.change); err != nil {
 		t.Fatal(err)
 	}
-	// Feed into the middle of the assessment window, let the sweep
-	// advance, then overwrite an already-consumed bin.
+	// Feed into the middle of the assessment window, wait until the
+	// stream state has consumed the bin about to be overwritten (an
+	// advance that ran mid-feed may have stopped short of it), then
+	// overwrite it.
 	mid := fx.changeMin + 20
+	late := fx.changeMin - 40
 	fx.feed(store, 0, mid, nil)
+	sr.mu.Lock()
+	ks := sr.tracked[fx.key("on-0")][0]
+	sr.mu.Unlock()
+	consumed := func() int {
+		ks.mu.Lock()
+		defer ks.mu.Unlock()
+		return ks.absLo + len(ks.raw)
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for cfg.Obs.Counter(obs.CtrStreamAdvances) == 0 {
+	for consumed() <= late {
 		if time.Now().After(deadline) {
-			t.Fatal("streamer never advanced")
+			t.Fatal("streamer never consumed the window prefix")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	late := fx.changeMin - 40
 	store.Append(monitor.Measurement{Key: fx.key("on-0"), T: fx.start.Add(time.Duration(late) * time.Minute), V: 99})
 	fx.feed(store, mid, fx.total, nil)
 	rep := waitReport(t, sr.Reports())
@@ -299,7 +322,7 @@ func TestStreamerLateWriteInvalidates(t *testing.T) {
 		t.Fatal("late write inside the window did not invalidate the stream state")
 	}
 	bcfg := cfg
-	bcfg.Obs = obs.NewCollector()
+	bcfg.Obs = nil
 	ba, err := NewAssessor(store, fx.buildTopo(), bcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,9 @@
 // Trace answers the per-change questions via /traces/<change-id>.
 //
 // Every method is a nil-safe no-op on a nil *Collector, so library
-// users who configure no telemetry pay only a nil check — the 401.8 µs
-// per-window budget of Table 2 is preserved (BenchmarkPerWindowFUNNEL
-// guards the overhead).
+// users who configure no telemetry pay only a nil check, and none of
+// it is ever read back by the pipeline: what is computed, and by which
+// algorithm, is the same with and without a collector.
 package obs
 
 import (
@@ -35,7 +35,10 @@ const (
 	// StageImpactSet is §3.1's impact-set construction.
 	StageImpactSet = "impact_set"
 	// StageSSTWindow is one sliding-window SST score (the Table-2
-	// unit); observed once per window by the instrumented scorer.
+	// unit). The sweep is timed as a whole: each batch sweep and each
+	// streaming advance records its n windows at their mean cost, so
+	// count is windows scored, sum is exact, and max and the buckets
+	// read mean per-window cost.
 	StageSSTWindow = "sst_window"
 	// StageSSTScore is the whole scoring pass over one KPI's
 	// assessment window (all sliding windows of that KPI).
@@ -277,6 +280,15 @@ func (c *Collector) ObserveSince(stage string, start time.Time) {
 		return
 	}
 	c.histogram(stage).Observe(time.Since(start))
+}
+
+// ObserveSinceN records n observations of stage that together took the
+// time since start, each at their mean (Histogram.ObserveN).
+func (c *Collector) ObserveSinceN(stage string, start time.Time, n int) {
+	if c == nil {
+		return
+	}
+	c.histogram(stage).ObserveN(time.Since(start), n)
 }
 
 // Now returns the current time, or the zero time on a nil collector —

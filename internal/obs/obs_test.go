@@ -97,6 +97,26 @@ func TestCountersAndStages(t *testing.T) {
 	}
 }
 
+// TestObserveNWeightsTheMean: a batch of n items recorded at once counts
+// n, adds exactly its total, and files all n under the mean's bucket.
+func TestObserveNWeightsTheMean(t *testing.T) {
+	h := NewHistogram()
+	h.ObserveN(1210*time.Microsecond, 121) // one sweep: 121 windows, 10 µs each
+	h.ObserveN(time.Second, 0)             // nothing scored: nothing recorded
+	h.Observe(300 * time.Microsecond)
+	if h.Count() != 122 || h.Sum() != 1510*time.Microsecond {
+		t.Fatalf("count %d sum %v, want 122 and 1.51ms", h.Count(), h.Sum())
+	}
+	if h.Max() != 300*time.Microsecond {
+		t.Fatalf("max = %v, want the single 300µs observation, not the sweep total", h.Max())
+	}
+	if q := h.Quantile(0.9); q != 16*time.Microsecond {
+		t.Fatalf("p90 = %v, want the 16µs bucket holding the 10µs means", q)
+	}
+	var c *Collector
+	c.ObserveSinceN(StageSSTWindow, time.Now(), 5) // nil-safe
+}
+
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	h := NewHistogram()
 	for i := 0; i < 99; i++ {

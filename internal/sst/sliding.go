@@ -51,8 +51,10 @@ type SlidingScorer struct {
 	// the full dimension — their start vector β is nearly orthogonal to
 	// the past subspace exactly when a change is present.) Scores then
 	// agree with the per-window path to detector precision (~1e-2 on
-	// [0,1] scores) rather than 1e-9, which is why it is opt-in. Set
-	// before first use; not safe to flip concurrently with scoring.
+	// [0,1] scores) rather than 1e-9. funnel.NewAssessor always sets it;
+	// it is a field so tests can leave it off and hold the sweep to the
+	// 1e-9 reference. Set before first use; not safe to flip
+	// concurrently with scoring.
 	WarmStart bool
 
 	inner Scorer
