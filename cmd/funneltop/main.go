@@ -116,10 +116,11 @@ func render(w io.Writer, addr string, s *snapshot) {
 
 	// Ingest panel: per-second rate trajectory plus lifetime total.
 	rates := h.Rates[obs.CtrIngested]
-	fmt.Fprintf(w, "ingest   %s %8.0f/s  total %.0f  batches %.0f  rejects %.0f\n",
+	fmt.Fprintf(w, "ingest   %s %8.0f/s  total %.0f  batches %.0f  key resolves %.0f  rejects %.0f\n",
 		sparkline(rates, 30), last(rates),
 		last(h.Series[obs.CtrIngested]),
 		last(h.Series[obs.CtrBatchFrames]),
+		last(h.Series[obs.CtrIngestKeyResolves]),
 		last(h.Series[obs.CtrFrameRejects]))
 	fmt.Fprintf(w, "conns    active %.0f  subs %.0f  reconnects %.0f  drops %.0f\n",
 		last(h.Series[obs.CtrConnsActive]),

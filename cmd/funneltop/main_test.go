@@ -19,6 +19,7 @@ func fixtureServer(t *testing.T) *httptest.Server {
 	c.Add(obs.CtrIngested, 5000)
 	c.Add(obs.CtrConnsActive, 2)
 	c.Add(obs.CtrBatchFrames, 12)
+	c.Add(obs.CtrIngestKeyResolves, 88)
 	c.SetGaugeFunc(obs.LabeledName("monitor.shard_series", "shard", "0"), func() int64 { return 40 })
 	c.SetGaugeFunc(obs.LabeledName("monitor.shard_series", "shard", "1"), func() int64 { return 44 })
 	c.SetGaugeFunc("monitor.store_chunks", func() int64 { return 672 })
@@ -74,6 +75,7 @@ func TestPollAndRender(t *testing.T) {
 	for _, want := range []string{
 		"funneltop — 127.0.0.1:7104",
 		"total 5000",      // ingest lifetime counter
+		"key resolves 88", // handle-table lookups on the ingest line
 		"2 stripes",       // shard panel found both gauges
 		"min 40 max 44",   // per-shard spread
 		"(balanced)",      //

@@ -2,6 +2,8 @@ package monitor
 
 import (
 	"bufio"
+	"encoding/binary"
+	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -98,12 +100,11 @@ func (s *IngestServer) handle(conn net.Conn) {
 	// A frame-cap-sized read buffer so a packed batch frame arrives in
 	// as few read syscalls as the socket allows.
 	r := bufio.NewReaderSize(conn, maxFrame)
-	// Per-connection decode state: the frame buffer, key intern table
-	// and batch scratch persist across frames so a steady publisher
-	// decodes without per-measurement allocation.
-	cache := NewKeyCache()
+	// Per-connection state: the frame buffer and the key handle table
+	// persist across frames, so a steady publisher's measurement costs
+	// one lookup on its key bytes and no allocation.
+	keys := newKeyTable(s.store)
 	var frameBuf []byte
-	var batch []Measurement
 	for {
 		if rt > 0 {
 			conn.SetReadDeadline(time.Now().Add(rt))
@@ -116,28 +117,46 @@ func (s *IngestServer) handle(conn net.Conn) {
 			countReadErr(col, err)
 			return
 		}
-		if len(payload) == 0 {
+		if err := keys.ingestFrame(payload); err != nil {
 			col.Add(obs.CtrConnDrops, 1)
 			return // protocol violation: drop the publisher
 		}
-		switch payload[0] {
-		case frameBatch:
-			batch, err = DecodeBatchInto(batch[:0], payload, cache)
-			if err != nil {
-				col.Add(obs.CtrConnDrops, 1)
-				return
-			}
-			s.store.AppendBatch(batch)
+		if payload[0] == frameBatch {
 			col.Add(obs.CtrBatchFrames, 1)
-		default:
-			m, err := DecodeMeasurement(payload)
-			if err != nil {
-				col.Add(obs.CtrConnDrops, 1)
-				return // protocol violation: drop the publisher
-			}
-			s.store.Append(m)
 		}
 	}
+}
+
+// ingestFrame applies one publisher frame — a batch (0x04) or a single
+// measurement (0x01) — to the table's store. The frame is validated
+// whole first: a bad scope byte, string length or tail, a count that
+// disagrees with the bodies, or trailing bytes reject it with the store
+// and its logs untouched.
+func (t *keyTable) ingestFrame(payload []byte) error {
+	var bodies []byte
+	var want int
+	switch {
+	case len(payload) >= 3 && payload[0] == frameBatch:
+		if want = int(binary.BigEndian.Uint16(payload[1:3])); want == 0 {
+			return fmt.Errorf("monitor: empty batch frame")
+		}
+		bodies = payload[3:]
+	case len(payload) >= 2 && payload[0] == frameMeasurement:
+		want, bodies = 1, payload[1:]
+	default:
+		return fmt.Errorf("monitor: not a measurement or batch frame")
+	}
+	n, used, err := t.scan(bodies, want)
+	switch {
+	case err != nil:
+		return err
+	case n < want:
+		return fmt.Errorf("monitor: frame holds %d of %d measurements", n, want)
+	case used < len(bodies):
+		return fmt.Errorf("monitor: %d trailing bytes in frame", len(bodies)-used)
+	}
+	t.apply(bodies)
+	return nil
 }
 
 // Publisher is the agent-side connection to an IngestServer. It is not

@@ -110,7 +110,7 @@ func (s *Store) writeSnapshotLocked(w io.Writer) error {
 		return a.Metric < b.Metric
 	})
 
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return err
 	}
@@ -178,11 +178,17 @@ func (s *Store) writeSnapshotLocked(w io.Writer) error {
 		if _, err := bw.Write(scratch[:4]); err != nil {
 			return err
 		}
-		for _, v := range e.tail {
-			binary.BigEndian.PutUint64(scratch[:], math.Float64bits(v))
-			if _, err := bw.Write(scratch[:]); err != nil {
+		// The tail goes out a block at a time, as the reader takes it in.
+		var block [64 * 8]byte
+		for tail := e.tail; len(tail) > 0; {
+			n := min(len(tail), len(block)/8)
+			for i, v := range tail[:n] {
+				binary.BigEndian.PutUint64(block[8*i:], math.Float64bits(v))
+			}
+			if _, err := bw.Write(block[:8*n]); err != nil {
 				return err
 			}
+			tail = tail[n:]
 		}
 	}
 	return bw.Flush()

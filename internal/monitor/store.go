@@ -17,6 +17,8 @@
 package monitor
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -54,6 +56,15 @@ type Measurement struct {
 type Store struct {
 	start time.Time // guarded by epochMu (Prune rebases it)
 	step  time.Duration
+
+	// pruneEpoch counts the prunes that rebased the store (guarded by
+	// epochMu, like start). Prune is the only operation that takes a
+	// seriesEntry out of its shard, and it advances pruneEpoch in the
+	// same epochMu.Lock section, so an entry resolved under
+	// epochMu.RLock is still the one its shard holds for as long as
+	// pruneEpoch reads the same under a later RLock. keyTable caches
+	// entry pointers on that rule.
+	pruneEpoch uint64
 
 	// span is the sealed-chunk width in bins: each series keeps its
 	// history as immutable chunk.Chunk blocks of exactly span bins plus
@@ -103,9 +114,11 @@ type Store struct {
 
 // storeShard is one lock stripe: a mutex, the series that hash to it,
 // and (for persistent stores) the shard's write-ahead log. Series are
-// held by pointer so the append hot path hashes the key once (a lookup)
-// instead of twice (lookup plus write-back) — KPIKey hashing is the
-// single largest per-measurement cost at fleet ingest rates.
+// held by pointer so that a resolved entry can be written, and kept,
+// without its key: Append pays one lookup by KPIKey per measurement,
+// while the ingest socket and WAL replay pay it once per key and
+// afterwards reach the entry through a keyTable handle, which stays
+// valid until the next Prune (see Store.pruneEpoch).
 type storeShard struct {
 	mu     sync.RWMutex
 	series map[topo.KPIKey]*seriesEntry
@@ -357,42 +370,96 @@ func (s *Store) Start() time.Time {
 // Step returns the bin width.
 func (s *Store) Step() time.Duration { return s.step }
 
-// applyLocked records m into sh (whose mutex the caller holds, along
-// with epochMu.RLock) and delivers it to matching subscribers.
-// arrivalNanos is the node-local ingest time stamped onto the key's
-// watermark (callers read the clock once per append or batch). It
-// returns delivery counts and whether the measurement was stored
-// (pre-epoch measurements are dropped).
-func (s *Store) applyLocked(sh *storeShard, start time.Time, m Measurement, arrivalNanos int64) (pushes, drops int64, stored bool) {
-	if m.T.Before(start) {
-		return 0, 0, false
+// binAt returns the bin of a store with the given epoch and step that
+// holds t, and false for a time before the epoch (such measurements
+// are dropped).
+func binAt(start time.Time, step time.Duration, t time.Time) (int, bool) {
+	if t.Before(start) {
+		return 0, false
 	}
-	idx := int(m.T.Sub(start) / s.step)
-	e := sh.series[m.Key]
+	return int(t.Sub(start) / step), true
+}
+
+// binClock converts wire timestamps (Unix nanoseconds) to bins against
+// one reading of the store epoch, in integer arithmetic whenever the
+// epoch is representable in Unix nanoseconds (any epoch a deployment
+// uses; the zero Time is not) and through binAt otherwise. Both agree
+// on every timestamp.
+type binClock struct {
+	start      time.Time
+	step       time.Duration
+	startNanos int64
+	exact      bool
+}
+
+// binClockLocked reads the epoch; the caller holds epochMu.
+func (s *Store) binClockLocked() binClock {
+	n := s.start.UnixNano()
+	return binClock{start: s.start, step: s.step, startNanos: n, exact: time.Unix(0, n).Equal(s.start)}
+}
+
+// bin is binAt for the instant nanos.
+func (c *binClock) bin(nanos int64) (int, bool) {
+	if !c.exact {
+		return binAt(c.start, c.step, time.Unix(0, nanos))
+	}
+	if nanos < c.startNanos {
+		return 0, false
+	}
+	d := nanos - c.startNanos
+	if d < 0 {
+		d = math.MaxInt64 // saturate as Time.Sub does
+	}
+	return int(d / int64(c.step)), true
+}
+
+// entryLocked returns key's series in sh, creating it on first sight.
+// The caller holds sh's mutex and epochMu.RLock. Keys travel by pointer
+// on this path: a KPIKey is five words, and copying it into each call
+// cost a tenth of a series-major AppendBatch load.
+func (s *Store) entryLocked(sh *storeShard, key *topo.KPIKey) *seriesEntry {
+	e := sh.series[*key]
 	if e == nil {
-		e = new(seriesEntry)
-		e.feedTracked = s.feedWants(m.Key)
-		sh.series[m.Key] = e
+		e = &seriesEntry{feedTracked: s.feedWants(*key)}
+		sh.series[*key] = e
 	}
-	s.setBinLocked(e, idx, m.V)
-	e.arrivalNanos = arrivalNanos
+	return e
+}
+
+// commitLocked is the one place a measurement becomes store state, for
+// Append, AppendBatch, the ingest socket and WAL replay alike: bin
+// write, arrival watermark, WAL, feed mark, subscriber delivery, in
+// that order. e is key's entry in sh and idx the measurement's bin;
+// the caller holds sh's mutex and epochMu.RLock, and read the clock
+// (now) once per append or batch. A measurement that arrived framed
+// passes its body as wire, which is logged verbatim, and is rebuilt as
+// a Measurement only if somebody subscribes; an in-process caller
+// passes m and a nil wire. Replay is the same call on a store that has
+// no log, feed or subscriber yet. It returns the delivery counts.
+func (s *Store) commitLocked(sh *storeShard, e *seriesEntry, key *topo.KPIKey, idx int, v float64, now int64, wire []byte, m *Measurement) (pushes, drops int64) {
+	s.setBinLocked(e, idx, v)
+	e.arrivalNanos = now
 	if sh.wal != nil {
-		sh.wal.appendLocked(m)
+		sh.wal.appendLocked(wire, m)
 	}
 	if e.feedTracked {
-		s.notifyFeeds(m.Key)
+		s.notifyFeeds(*key)
 	}
 	if s.numSubs.Load() == 0 {
-		return 0, 0, true // fast path: nobody listening, skip the scan
+		return 0, 0 // fast path: nobody listening, skip the scan
+	}
+	if m == nil {
+		nanos := int64(binary.BigEndian.Uint64(wire[len(wire)-16:]))
+		m = &Measurement{Key: *key, T: time.Unix(0, nanos).UTC(), V: v}
 	}
 	// Deliver while still holding the shard lock so measurements for
 	// one key reach each subscriber in append order.
 	s.subMu.RLock()
 	for _, sub := range s.subs {
-		if sub.filter != nil && !sub.filter(m.Key) {
+		if sub.filter != nil && !sub.filter(*key) {
 			continue
 		}
-		p, d := sub.deliver(m)
+		p, d := sub.deliver(*m)
 		pushes += p
 		drops += d
 		if d > 0 {
@@ -400,7 +467,7 @@ func (s *Store) applyLocked(sh *storeShard, start time.Time, m Measurement, arri
 		}
 	}
 	s.subMu.RUnlock()
-	return pushes, drops, true
+	return pushes, drops
 }
 
 // setBinLocked writes v at logical bin idx of e, growing the tail with
@@ -482,43 +549,91 @@ func (s *Store) spanBuf() []float64 {
 func (s *Store) Append(m Measurement) {
 	now := time.Now().UnixNano()
 	s.epochMu.RLock()
-	start := s.start
 	sh := s.shardFor(m.Key)
+	ms, run := [1]Measurement{m}, [1]int32{0}
+	pushes, drops, ingested := s.appendRun(sh, now, ms[:], run[:])
+	s.epochMu.RUnlock()
+	s.countIngest(ingested, pushes, drops)
+}
+
+// appendRun applies ms[i] for each i of run — measurements that
+// all belong to shard sh — under sh's lock, and flushes sh's WAL. The
+// caller holds epochMu.RLock.
+func (s *Store) appendRun(sh *storeShard, now int64, ms []Measurement, run []int32) (pushes, drops, ingested int64) {
+	start := s.start
 	sh.mu.Lock()
-	pushes, drops, stored := s.applyLocked(sh, start, m, now)
-	if sh.wal != nil && stored {
+	for _, i := range run {
+		// binAt and entryLocked's lookup, written out: the two calls
+		// per measurement showed in a series-major load.
+		m := &ms[i]
+		if m.T.Before(start) {
+			continue
+		}
+		idx := int(m.T.Sub(start) / s.step)
+		e := sh.series[m.Key]
+		if e == nil {
+			e = s.entryLocked(sh, &m.Key)
+		}
+		p, d := s.commitLocked(sh, e, &m.Key, idx, m.V, now, nil, m)
+		pushes += p
+		drops += d
+		ingested++
+	}
+	if sh.wal != nil {
 		sh.wal.flushLocked()
 	}
 	sh.mu.Unlock()
-	s.epochMu.RUnlock()
-	if !stored {
-		return
-	}
+	return pushes, drops, ingested
+}
+
+// countIngest reports one append or batch to the collector, if any.
+func (s *Store) countIngest(ingested, pushes, drops int64) {
 	col := s.obs.Load()
-	col.Add(obs.CtrIngested, 1)
+	col.Add(obs.CtrIngested, ingested)
 	col.Add(obs.CtrPushes, pushes)
 	col.Add(obs.CtrPushDrops, drops)
 }
 
 // batchScratch pools AppendBatch's shard-grouping scratch so the hot
 // ingest path does not allocate per batch.
-var batchScratch = sync.Pool{New: func() any { return new(batchScratchBuf) }}
+var batchScratch = sync.Pool{New: func() any { return new(shardGrouping) }}
 
-// batchScratchBuf is the pooled grouping workspace: per-measurement
-// shard indices and the counting-sorted order.
-type batchScratchBuf struct {
+// shardGrouping is the workspace that groups a batch by shard: the
+// shard of each measurement, and the measurements' indices
+// counting-sorted by it.
+type shardGrouping struct {
 	idx   []uint8
 	order []int32
 }
 
 // grow resizes the workspace for a batch of n measurements.
-func (b *batchScratchBuf) grow(n int) {
-	if cap(b.idx) < n {
-		b.idx = make([]uint8, n)
-		b.order = make([]int32, n)
+func (g *shardGrouping) grow(n int) {
+	if cap(g.idx) < n {
+		g.idx = make([]uint8, n)
+		g.order = make([]int32, n)
 	}
-	b.idx = b.idx[:n]
-	b.order = b.order[:n]
+	g.idx = g.idx[:n]
+	g.order = g.order[:n]
+}
+
+// sort counting-sorts the batch by g.idx, which the caller has filled:
+// afterwards g.order[offsets[si]:offsets[si+1]] are the indices of
+// shard si's measurements, in batch order — two cheap passes in place
+// of a batch scan per shard, each stripe visited once over one
+// contiguous run, and per-key order kept.
+func (g *shardGrouping) sort(shards int) (offsets [maxStoreShards + 1]int32) {
+	for _, si := range g.idx {
+		offsets[int(si)+1]++
+	}
+	for si := 0; si < shards; si++ {
+		offsets[si+1] += offsets[si]
+	}
+	next := offsets
+	for i, si := range g.idx {
+		g.order[next[si]] = int32(i)
+		next[si]++
+	}
+	return offsets
 }
 
 // AppendBatch records many measurements, grouping them by shard so each
@@ -537,78 +652,178 @@ func (s *Store) AppendBatch(ms []Measurement) {
 	// batch arrived together, and the amortized cost keeps the ingest
 	// hot path flat.
 	now := time.Now().UnixNano()
+	g := batchScratch.Get().(*shardGrouping)
+	g.grow(len(ms))
 	s.epochMu.RLock()
-	start := s.start
+	for i := range ms {
+		g.idx[i] = uint8(s.shardIndex(ms[i].Key))
+	}
+	offsets := g.sort(len(s.shards))
 	var pushes, drops, ingested int64
-	if len(s.shards) == 1 {
-		sh := &s.shards[0]
-		sh.mu.Lock()
-		for i := range ms {
-			p, d, ok := s.applyLocked(sh, start, ms[i], now)
+	for si := range s.shards {
+		if run := g.order[offsets[si]:offsets[si+1]]; len(run) > 0 {
+			p, d, n := s.appendRun(&s.shards[si], now, ms, run)
 			pushes += p
 			drops += d
-			if ok {
-				ingested++
+			ingested += n
+		}
+	}
+	s.epochMu.RUnlock()
+	batchScratch.Put(g)
+	s.countIngest(ingested, pushes, drops)
+}
+
+// keyTable is the framed-key handle table of one ingest connection or
+// of one shard log under replay: it maps a measurement's key bytes as
+// framed (scope byte and both length-prefixed strings) to a handle
+// holding everything later measurements of that key need, so that a
+// key's strings are allocated, its shard hashed and its series looked
+// up once per connection, and every measurement after the first costs
+// one lookup on the raw bytes. Not safe for concurrent use.
+//
+// Invalidation: a handle's entry pointer is written and read only
+// under the entry's shard lock inside an epochMu.RLock section, and
+// every such section starts by comparing epoch with the store's
+// pruneEpoch, dropping every pointer when it moved (see
+// Store.pruneEpoch). So no handle ever writes into an entry that has
+// left its shard, and no table keeps a pruned series alive past its
+// next frame.
+type keyTable struct {
+	s *Store
+	// index maps framed key bytes to a position in handles. It stops
+	// growing at maxKeyCacheEntries, so a hostile publisher streaming
+	// unique keys cannot grow it without bound; keys past the cap get a
+	// handle that lives for one frame, at handles[len(index):].
+	index   map[string]int32
+	handles []keyHandle
+	epoch   uint64
+	// recs is the frame scan left to apply, grp its grouping by shard.
+	recs []frameRec
+	grp  shardGrouping
+}
+
+// keyHandle is one key as a keyTable resolved it: the interned KPIKey,
+// the shard that owns it, and its series entry there (nil until a
+// measurement of this key is first applied, and again after a prune).
+type keyHandle struct {
+	key   topo.KPIKey
+	e     *seriesEntry
+	shard uint8
+}
+
+// frameRec locates one validated measurement body in the scanned bytes
+// and names its key's handle.
+type frameRec struct {
+	handle   int32
+	off, end int32
+}
+
+// newKeyTable returns an empty handle table for s.
+func newKeyTable(s *Store) *keyTable {
+	return &keyTable{s: s, index: make(map[string]int32)}
+}
+
+// scan validates up to max concatenated measurement bodies at the front
+// of b — the layout of a batch frame after its count and of a WAL group
+// record — and notes each for apply, resolving its key's handle.
+// It returns how many bodies it accepted and how many bytes they span,
+// and the error that stopped it at a malformed body. Nothing touches
+// the store.
+func (t *keyTable) scan(b []byte, max int) (n, used int, err error) {
+	clear(t.handles[len(t.index):]) // the last frame's past-the-cap handles
+	t.handles = t.handles[:len(t.index)]
+	t.recs = t.recs[:0]
+	for n < max && used < len(b) {
+		body := b[used:]
+		metOff, keyEnd, err := measurementKeySpan(body)
+		if err != nil {
+			return n, used, err
+		}
+		if len(body) < keyEnd+16 {
+			return n, used, fmt.Errorf("monitor: bad measurement tail length %d", len(body)-keyEnd)
+		}
+		// string(body[...]) inside the map index does not allocate.
+		hi, seen := t.index[string(body[:keyEnd])]
+		if !seen {
+			key := keyFromSpan(body, metOff, keyEnd)
+			hi = int32(len(t.handles))
+			t.handles = append(t.handles, keyHandle{key: key, shard: uint8(t.s.shardIndex(key))})
+			if len(t.index) < maxKeyCacheEntries {
+				t.index[string(body[:keyEnd])] = hi
 			}
+		}
+		end := used + keyEnd + 16
+		t.recs = append(t.recs, frameRec{handle: hi, off: int32(used), end: int32(end)})
+		used = end
+		n++
+	}
+	return n, used, nil
+}
+
+// apply applies the bodies scan accepted from b to the store, with
+// Append's semantics per measurement and AppendBatch's per batch: one
+// clock read, one epoch lock, each shard locked once over its run of
+// the batch (grouped by the handles' shards, no key re-hashed) and its
+// WAL flushed once, measurements of one key in frame order.
+func (t *keyTable) apply(b []byte) {
+	if len(t.recs) == 0 {
+		return
+	}
+	s := t.s
+	now := time.Now().UnixNano()
+	g := &t.grp
+	g.grow(len(t.recs))
+	for i, r := range t.recs {
+		g.idx[i] = t.handles[r.handle].shard
+	}
+	offsets := g.sort(len(s.shards))
+	var pushes, drops, ingested, resolves int64
+	s.epochMu.RLock()
+	clk := s.binClockLocked()
+	if t.epoch != s.pruneEpoch {
+		// A prune ran since the last frame and may have dropped any of
+		// the series these handles point at.
+		for i := range t.handles {
+			t.handles[i].e = nil
+		}
+		t.epoch = s.pruneEpoch
+	}
+	for si := range s.shards {
+		run := g.order[offsets[si]:offsets[si+1]]
+		if len(run) == 0 {
+			continue
+		}
+		sh := &s.shards[si]
+		sh.mu.Lock()
+		for _, i := range run {
+			r := t.recs[i]
+			body := b[r.off:r.end]
+			tail := body[len(body)-16:]
+			idx, ok := clk.bin(int64(binary.BigEndian.Uint64(tail)))
+			if !ok {
+				continue
+			}
+			h := &t.handles[r.handle]
+			if h.e == nil {
+				h.e = s.entryLocked(sh, &h.key)
+				resolves++
+			}
+			v := math.Float64frombits(binary.BigEndian.Uint64(tail[8:]))
+			p, d := s.commitLocked(sh, h.e, &h.key, idx, v, now, body, nil)
+			pushes += p
+			drops += d
+			ingested++
 		}
 		if sh.wal != nil {
 			sh.wal.flushLocked()
 		}
 		sh.mu.Unlock()
-	} else {
-		// Counting-sort the batch by shard so each stripe is visited
-		// once over a contiguous run of its measurements — two cheap
-		// passes instead of a full batch scan per shard. Within a shard
-		// the original slice order is preserved, keeping per-key
-		// delivery order.
-		scratch := batchScratch.Get().(*batchScratchBuf)
-		scratch.grow(len(ms))
-		idx := scratch.idx
-		var counts [maxStoreShards]int32
-		for i := range ms {
-			si := uint8(s.shardIndex(ms[i].Key))
-			idx[i] = si
-			counts[si]++
-		}
-		var offsets [maxStoreShards]int32
-		var sum int32
-		for si := range s.shards {
-			offsets[si] = sum
-			sum += counts[si]
-		}
-		order := scratch.order
-		next := offsets
-		for i := range ms {
-			order[next[idx[i]]] = int32(i)
-			next[idx[i]]++
-		}
-		for si := range s.shards {
-			lo, hi := offsets[si], offsets[si]+counts[si]
-			if lo == hi {
-				continue
-			}
-			sh := &s.shards[si]
-			sh.mu.Lock()
-			for _, i := range order[lo:hi] {
-				p, d, ok := s.applyLocked(sh, start, ms[i], now)
-				pushes += p
-				drops += d
-				if ok {
-					ingested++
-				}
-			}
-			if sh.wal != nil {
-				sh.wal.flushLocked()
-			}
-			sh.mu.Unlock()
-		}
-		batchScratch.Put(scratch)
 	}
 	s.epochMu.RUnlock()
-	col := s.obs.Load()
-	col.Add(obs.CtrIngested, ingested)
-	col.Add(obs.CtrPushes, pushes)
-	col.Add(obs.CtrPushDrops, drops)
+	s.countIngest(ingested, pushes, drops)
+	if resolves > 0 {
+		s.obs.Load().Add(obs.CtrIngestKeyResolves, resolves)
+	}
 }
 
 // Series returns a copy of the key's series from the store epoch
@@ -868,6 +1083,7 @@ func (s *Store) Prune(before time.Time) {
 		sh.mu.Unlock()
 	}
 	s.start = s.start.Add(time.Duration(drop) * s.step)
+	s.pruneEpoch++
 	p := s.persist
 	s.epochMu.Unlock()
 	// Every absolute bin index a streaming consumer cached just shifted

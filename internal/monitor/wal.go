@@ -65,7 +65,8 @@ import (
 // one shard layout, hence over disjoint keys — replay concurrently on
 // at most GOMAXPROCS goroutines, each applying a CRC-checked group
 // record under one clock read and one lock round trip, through a
-// per-log cache from framed key bytes to series entry (walApplier). The
+// per-log table from framed key bytes to series entry (keyTable, the
+// one the ingest socket keeps per connection). The
 // snapshot read is split the same way: one goroutine parses the
 // length-prefixed framing and a pool of at most GOMAXPROCS workers runs
 // each chunk's CRC check and validation decode, installing the chunk
@@ -353,22 +354,29 @@ func (p *persister) healthy() bool {
 	return p.state.Load() == int32(PersistHealthy)
 }
 
-// appendLocked adds m's body to the group record in progress. The
-// record is sealed by the flush that acknowledges the append (or when
-// it outgrows walGroupCap), so measurements from one batch share a
-// single length prefix, CRC and write. While degraded or failed the
-// append is skipped: the damaged log cannot be trusted, and the re-arm
-// snapshot (or the operator's restart) re-covers memory wholesale.
-func (w *shardWAL) appendLocked(m Measurement) {
+// appendLocked adds one measurement body to the group record in
+// progress: wire, the body as it arrived framed, copied verbatim — the
+// wire and the log share the encoding — or, when wire is nil, m
+// encoded. The record is sealed by the flush that acknowledges the
+// append (or when it outgrows walGroupCap), so measurements from one
+// batch share a single length prefix, CRC and write. While degraded or
+// failed the append is skipped: the damaged log cannot be trusted, and
+// the re-arm snapshot (or the operator's restart) re-covers memory
+// wholesale.
+func (w *shardWAL) appendLocked(wire []byte, m *Measurement) {
 	if !w.p.healthy() {
 		return
 	}
-	rec, err := appendMeasurementBody(w.rec, m)
-	if err != nil {
-		w.p.fail(err)
-		return
+	if wire != nil {
+		w.rec = append(w.rec, wire...)
+	} else {
+		rec, err := appendMeasurementBody(w.rec, *m)
+		if err != nil {
+			w.p.fail(err)
+			return
+		}
+		w.rec = rec
 	}
-	w.rec = rec
 	w.pendingAppends++
 	if len(w.rec) >= walGroupCap {
 		w.emitLocked()
@@ -715,9 +723,12 @@ func replayWALs(fsys faultfs.FS, paths []string, store *Store) []walReplay {
 }
 
 // replayWAL replays one shard log into store, group record by group
-// record. Torn tails are counted and ignored; corruption before
-// the tail is an error (an append-only log cannot be damaged mid-file
-// by a crash).
+// record, the way the ingest socket applies a batch frame: a group's
+// bodies are the bodies of a frame, so each goes through a per-log
+// keyTable — on a store that as yet has no log, feed or subscriber,
+// which is all that makes it a replay. Torn tails are counted and
+// ignored; corruption before the tail is an error (an append-only log
+// cannot be damaged mid-file by a crash).
 func replayWAL(fsys faultfs.FS, path string, store *Store, stats *RecoveryStats) error {
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -734,7 +745,7 @@ func replayWAL(fsys faultfs.FS, path string, store *Store, stats *RecoveryStats)
 		return fmt.Errorf("monitor: no store to replay %s into", path)
 	}
 
-	a := walApplier{s: store, series: make(map[string]appliedSeries)}
+	keys := newKeyTable(store)
 	var lenBuf [4]byte
 	payload := make([]byte, 0, 256)
 	for {
@@ -772,94 +783,15 @@ func replayWAL(fsys faultfs.FS, path string, store *Store, stats *RecoveryStats)
 			return nil
 		}
 		// A body that fails to decode ends the log like any torn tail;
-		// the bodies before it have been applied.
-		applied, ok := a.applyGroup(body)
+		// the bodies before it are applied.
+		applied, _, err := keys.scan(body, math.MaxInt)
+		keys.apply(body)
 		stats.WALRecords += applied
-		if !ok {
+		if err != nil {
 			stats.TornTails++
 			return nil
 		}
 	}
-}
-
-// walApplier applies one shard log's records to the store under
-// recovery. It resolves each distinct key once — the key bytes as
-// framed map to the owning shard and series entry — so every later
-// record for that key costs one lookup on the raw bytes where Append
-// pays a shard hash plus a lookup by KPIKey. That shortcut is sound
-// only while recovery owns the store: no log is attached, nothing
-// subscribes or feeds, and nothing prunes, so an entry, once resolved,
-// stays where it is.
-type walApplier struct {
-	s      *Store
-	series map[string]appliedSeries
-}
-
-// appliedSeries is a key the log has already written to.
-type appliedSeries struct {
-	sh *storeShard
-	e  *seriesEntry
-}
-
-// applyGroup applies the measurement bodies of one group record in
-// order, with Append's semantics per measurement, under one clock read
-// and one epoch lock, holding each shard's lock across the run of
-// consecutive records it owns (the whole group, when the log was
-// written under the store's shard count). It returns how many bodies it
-// decoded and whether that was all of them.
-func (a *walApplier) applyGroup(body []byte) (n int, ok bool) {
-	s := a.s
-	now := time.Now().UnixNano()
-	s.epochMu.RLock()
-	defer s.epochMu.RUnlock()
-	// The epoch of a store that has records to replay came out of a
-	// snapshot or log header, so it is exact in nanoseconds.
-	startNanos := s.start.UnixNano()
-	var locked *storeShard
-	lock := func(sh *storeShard) {
-		if sh == locked {
-			return
-		}
-		if locked != nil {
-			locked.mu.Unlock()
-		}
-		if locked = sh; sh != nil {
-			sh.mu.Lock()
-		}
-	}
-	defer lock(nil)
-	for len(body) > 0 {
-		metOff, keyEnd, err := measurementKeySpan(body)
-		if err != nil || len(body) < keyEnd+16 {
-			return n, false
-		}
-		nanos := int64(binary.BigEndian.Uint64(body[keyEnd:]))
-		v := math.Float64frombits(binary.BigEndian.Uint64(body[keyEnd+8:]))
-		n++
-		if nanos >= startNanos { // measurements before the epoch are dropped
-			d := nanos - startNanos
-			if d < 0 {
-				d = math.MaxInt64 // saturate as Time.Sub does
-			}
-			as, seen := a.series[string(body[:keyEnd])]
-			if seen {
-				lock(as.sh)
-			} else {
-				key := keyFromSpan(body, metOff, keyEnd)
-				as.sh = s.shardFor(key)
-				lock(as.sh)
-				if as.e = as.sh.series[key]; as.e == nil {
-					as.e = &seriesEntry{feedTracked: s.feedWants(key)}
-					as.sh.series[key] = as.e
-				}
-				a.series[string(body[:keyEnd])] = as
-			}
-			s.setBinLocked(as.e, int(d/int64(s.step)), v)
-			as.e.arrivalNanos = now
-		}
-		body = body[keyEnd+16:]
-	}
-	return n, true
 }
 
 // initDisk gives every shard a fresh live log and compacts, leaving

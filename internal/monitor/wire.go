@@ -37,7 +37,7 @@ import (
 //	  The body layout is the measurement frame minus its type byte.
 //	  Coalescing many measurements per frame amortizes the length
 //	  prefix, the write syscall and (server side) the per-frame read
-//	  into one allocation-free decode loop.
+//	  into one allocation-free validate-and-apply pass.
 //
 // Strings are raw bytes (the system uses ASCII identifiers). Frames are
 // capped at maxFrame to bound allocation from a misbehaving peer.
@@ -171,11 +171,13 @@ func decodeMeasurementBody(b []byte, cache *KeyCache) (Measurement, []byte, erro
 // cap; new keys just stop being interned).
 const maxKeyCacheEntries = 1 << 16
 
-// KeyCache interns KPI keys decoded from batch frames. A per-connection
-// cache turns the two string allocations per measurement into one map
-// lookup on the raw key bytes — fleets publish the same few thousand
-// keys every bin. Not safe for concurrent use; keep one per decode
-// loop.
+// KeyCache interns KPI keys decoded from batch frames. A cache kept
+// across frames turns the two string allocations per measurement into
+// one map lookup on the raw key bytes — fleets publish the same few
+// thousand keys every bin. Not safe for concurrent use; keep one per
+// decode loop. (The ingest server does not decode into Measurements; it
+// keeps a keyTable per connection, which interns the same way and also
+// remembers where each key's series lives.)
 type KeyCache struct {
 	m map[string]topo.KPIKey
 }
@@ -275,8 +277,10 @@ func appendBatchFill(dst []byte, ms []Measurement) (frame []byte, rest []Measure
 
 // DecodeBatchInto parses a batch frame payload, appending the decoded
 // measurements to dst (usually a reused slice cut to zero length). A
-// non-nil cache interns keys across calls — the ingest server keeps one
-// per connection. On error the partially-decoded prefix is discarded.
+// non-nil cache interns keys across calls. On error the
+// partially-decoded prefix is discarded. It accepts exactly the frames
+// the ingest server's keyTable.ingestFrame accepts (FuzzIngestFrame
+// holds the two together).
 func DecodeBatchInto(dst []Measurement, b []byte, cache *KeyCache) ([]Measurement, error) {
 	if len(b) < 3 || b[0] != frameBatch {
 		return dst, fmt.Errorf("monitor: not a batch frame")

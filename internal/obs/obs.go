@@ -122,6 +122,13 @@ const (
 	// CtrBatchFrames counts batch (0x04) ingest frames decoded; each
 	// frame carries many measurements (those land in CtrIngested).
 	CtrBatchFrames = "monitor.batch_frames"
+	// CtrIngestKeyResolves counts series lookups by the ingest
+	// connections' key handle tables: one per key a connection sees for
+	// the first time, and one per key it sees again after a prune
+	// invalidated its handles. It tracks distinct keys, not
+	// measurements; a rate near monitor.ingested means the tables are
+	// thrashing (unique keys past their cap, or a prune storm).
+	CtrIngestKeyResolves = "monitor.ingest_key_resolves"
 	// CtrWALAppends counts measurements appended to shard write-ahead
 	// logs.
 	CtrWALAppends = "monitor.wal_appends"

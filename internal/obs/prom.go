@@ -135,19 +135,20 @@ var promGaugeNames = map[string]bool{
 // promHelp carries HELP strings for the best-known registry bases;
 // everything else falls back to a generic line.
 var promHelp = map[string]string{
-	CtrIngested:        "Measurements appended to the KPI store.",
-	CtrPushes:          "Measurements delivered to subscribers.",
-	CtrPushDrops:       "Measurements lost on slow subscribers.",
-	CtrConnsActive:     "Currently open monitor network connections.",
-	CtrSubsActive:      "Live store subscriptions.",
-	CtrBatchFrames:     "Batch (0x04) ingest frames decoded.",
-	CtrWALAppends:      "Measurements appended to shard write-ahead logs.",
-	CtrCompactions:     "WAL compactions (snapshot dump + log truncation).",
-	CtrChangesAssessed: "Completed change assessments.",
-	CtrKPIsFlagged:     "KPI changes attributed to software changes.",
-	CtrDiskErrors:      "Disk I/O failures observed by the persister.",
-	CtrWALRearms:       "Durability re-arms after transient disk faults.",
-	CtrPersistErrors:   "Persist-state transitions out of healthy.",
+	CtrIngested:          "Measurements appended to the KPI store.",
+	CtrPushes:            "Measurements delivered to subscribers.",
+	CtrPushDrops:         "Measurements lost on slow subscribers.",
+	CtrConnsActive:       "Currently open monitor network connections.",
+	CtrSubsActive:        "Live store subscriptions.",
+	CtrBatchFrames:       "Batch (0x04) ingest frames decoded.",
+	CtrIngestKeyResolves: "Series lookups by ingest key handle tables (first sight or after a prune).",
+	CtrWALAppends:        "Measurements appended to shard write-ahead logs.",
+	CtrCompactions:       "WAL compactions (snapshot dump + log truncation).",
+	CtrChangesAssessed:   "Completed change assessments.",
+	CtrKPIsFlagged:       "KPI changes attributed to software changes.",
+	CtrDiskErrors:        "Disk I/O failures observed by the persister.",
+	CtrWALRearms:         "Durability re-arms after transient disk faults.",
+	CtrPersistErrors:     "Persist-state transitions out of healthy.",
 }
 
 // helpFor resolves the HELP string for a registry base name.

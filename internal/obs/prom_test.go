@@ -159,6 +159,7 @@ func goldenCollector() *Collector {
 	c.SetGaugeFunc("runtime.gc_cycles", func() int64 { return 3 })
 	c.SetGaugeFunc("uptime_seconds", func() int64 { return 42 })
 	c.Add(CtrIngested, 1234)
+	c.Add(CtrIngestKeyResolves, 56)
 	c.Add(CtrConnsActive, 3)
 	c.Add(CtrConnsActive, -1)
 	c.Add(CtrChangesAssessed, 7)
