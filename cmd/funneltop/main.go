@@ -172,6 +172,13 @@ func render(w io.Writer, addr string, s *snapshot) {
 		fmt.Fprintf(w, "%s\n", line)
 	}
 
+	// Scoring economy, present once a sweep ran: how many window
+	// positions the Eq. 11 bound answered against how many were
+	// eigen-solved, and how many series were read at history depth.
+	if line := scoringLine(h); line != "" {
+		fmt.Fprintf(w, "%s\n", line)
+	}
+
 	// Stage latency panel: p99 trajectory as a sparkline, current
 	// p50/p99, and the cumulative observation count.
 	fmt.Fprintf(w, "\n%-16s %-32s %10s %10s %8s\n", "stage", "p99 trend", "p50", "p99", "count")
@@ -382,6 +389,19 @@ func streamPanel(h *obs.HistoryDump) []string {
 			sparkline(p99s, 30), formatMicros(st.P99us[n]), st.Count[n]))
 	}
 	return lines
+}
+
+// scoringLine renders the scoring-economy line, or "" before any SST
+// window was scored.
+func scoringLine(h *obs.HistoryDump) string {
+	bounded := last(h.Series[obs.CtrWindowsBounded])
+	solved := last(h.Series[obs.CtrWindowsSolved])
+	if bounded+solved == 0 {
+		return ""
+	}
+	return fmt.Sprintf("scoring  windows %.0f  bounded %.0f (%.0f%%)  solved %.0f  history fetches %.0f",
+		bounded+solved, bounded, 100*bounded/(bounded+solved), solved,
+		last(h.Series[obs.CtrHistoryFetches]))
 }
 
 // diskHealthLine renders the disk-health panel body, or "" when the

@@ -31,6 +31,9 @@ func fixtureServer(t *testing.T) *httptest.Server {
 	c.Add(obs.CtrStreamCacheHits, 97)
 	c.Add(obs.CtrStreamCacheMisses, 3)
 	c.Add(obs.CtrStreamInvalidations, 2)
+	c.Add(obs.CtrWindowsBounded, 1060)
+	c.Add(obs.CtrWindowsSolved, 150)
+	c.Add(obs.CtrHistoryFetches, 4)
 	c.SetGaugeFunc(obs.GaugeStreamQueue, func() int64 { return 3 })
 	c.SetGaugeFunc(obs.GaugeStreamTracked, func() int64 { return 12 })
 	c.SetGaugeFunc(obs.GaugeStreamPending, func() int64 { return 1 })
@@ -88,6 +91,10 @@ func TestPollAndRender(t *testing.T) {
 		"cache-hit 97%",   //
 		"b2v p99",         // freshness-SLO sparkline line
 		"verdicts 1",      //
+		"windows 1210",    // scoring line: sweep positions
+		"bounded 1060 (88%)",
+		"solved 150",
+		"history fetches 4",
 		"chg-9",           // recent-verdicts panel
 		" 1/ 2 flagged",   // one flagged KPI of two
 		"b2v 42s",         // end-to-end latency rendered

@@ -134,7 +134,8 @@ func main() {
 	if err := json.Unmarshal(metrics["stage.sst_window"], &sstWindow); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%d (mean %d µs each)\n", sstWindow.Count, sstWindow.AvgUs)
+	fmt.Printf("%d (mean %d µs each; %s answered by the Eq. 11 bound, %s eigen-solved)\n",
+		sstWindow.Count, sstWindow.AvgUs, metrics["sst.windows_bounded"], metrics["sst.windows_solved"])
 
 	var trace funnel.PipelineTrace
 	if err := getJSON(base+"/traces/fe-rollout-7", &trace); err != nil {

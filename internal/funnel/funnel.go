@@ -386,15 +386,20 @@ func NewAssessor(source SeriesSource, tp *topo.Topology, cfg Config) (*Assessor,
 	// Ritz vector with a reduced Krylov dimension. Its scores agree with
 	// per-window IKA to detector precision (~1e-2), so this — not the
 	// per-window reference — is the algorithm the accuracy tables
-	// measure; EXPERIMENTS.md records what the difference costs. A
-	// non-SST Detector name puts that registered detector's default
-	// configuration behind the same wrapper, which then sweeps it one
-	// ScoreAt per position.
+	// measure; EXPERIMENTS.md records what the difference costs. The gate
+	// below reads a score only through `score >= DetectorThreshold` (and
+	// the peak of the scores that pass), so the sweep is told that
+	// threshold as its Floor and answers every position whose Eq. 11
+	// multiplier is already under it without the past solves. A non-SST
+	// Detector name puts that registered detector's default configuration
+	// behind the same wrapper, which then sweeps it one ScoreAt per
+	// position.
 	var scorer *sst.SlidingScorer
 	switch cfg.Detector {
 	case "", "sst":
 		scorer = sst.NewSliding(sst.NewIKA(cfg.SST))
 		scorer.WarmStart = true
+		scorer.Floor = cfg.DetectorThreshold
 	default:
 		entry, err := detect.LookupDetector(cfg.Detector)
 		if err != nil {
@@ -462,15 +467,18 @@ func (a *Assessor) Assess(change changelog.Change) (*Report, error) {
 	// averages are memoized per assessment so concurrent KPIs sharing a
 	// control group compute it once.
 	n := len(keys)
-	cache := &avgCache{}
-	// With a windowed source, all series reads of this assessment go
-	// through a shared fetcher that decodes only the assessable window
-	// of each KPI once, into pooled buffers released with the fetcher.
-	src := a.source
+	// Series are read through two views. On the flat path both are the
+	// source itself. With a windowed source they are the two depths of a
+	// shared fetcher that decodes only the window each reader needs, once
+	// per KPI, into pooled buffers released with the fetcher: near is all
+	// that gap gating, detection and a concurrent-control DiD read; deep
+	// adds the HistoryDays the historical-control arm reads.
+	near := &seriesView{src: a.source}
+	deep := near
 	var fx *winFetcher
 	if a.win != nil {
 		fx = newWinFetcher(a.win, change.At, &a.cfg, &a.fetchBufs)
-		src = fx
+		near, deep = &seriesView{src: &fx.near}, &seriesView{src: &fx.deep}
 		// Reports carry indices and scalars, never fetched values, so
 		// the buffers can recycle as soon as this assessment returns.
 		defer fx.release()
@@ -487,7 +495,7 @@ func (a *Assessor) Assess(change changelog.Change) (*Report, error) {
 			kt = &obs.KPITrace{Key: keys[i].String()}
 			kts[i] = kt
 		}
-		assessments[i], bins[i] = a.assessKPI(change, set, keys[i], kt, cache, src, fx)
+		assessments[i], bins[i] = a.assessKPI(change, set, keys[i], kt, near, deep, fx)
 	}
 	workers := a.cfg.AssessWorkers
 	if workers <= 0 {
@@ -562,6 +570,9 @@ func (a *Assessor) Assess(change changelog.Change) (*Report, error) {
 		a.obs.Add(obs.CtrChangesAssessed, 1)
 		a.obs.Add(obs.CtrKPIsAssessed, int64(len(report.Assessments)))
 		a.obs.Add(obs.CtrKPIsFlagged, int64(len(report.Flagged())))
+		if fx != nil {
+			a.obs.Add(obs.CtrHistoryFetches, fx.deep.fetches.Load())
+		}
 	}
 	return report, nil
 }
@@ -571,12 +582,13 @@ func (a *Assessor) Assess(change changelog.Change) (*Report, error) {
 // resolved (the same bin for every KPI of a change; the caller stores
 // the last valid one on the report). kt, when non-nil, accumulates this
 // KPI's stage trace; the caller attaches it to the change trace after
-// all workers finish. cache memoizes group averages across the KPIs of
-// one assessment. src is where series come from — the windowed fetcher
-// when the store supports it, the raw source otherwise — and fx (nil on
-// the flat path) translates window-relative bin indices back to
-// full-series positions for everything the report carries.
-func (a *Assessor) assessKPI(change changelog.Change, set *topo.ImpactSet, key topo.KPIKey, kt *obs.KPITrace, cache *avgCache, src SeriesSource, fx *winFetcher) (out Assessment, bin int) {
+// all workers finish. near is where the KPI and its concurrent control
+// are read from, deep where determine reads a historical control (the
+// same view on the flat path); each memoizes its group averages across
+// the KPIs of one assessment. fx (nil on the flat path) translates
+// window-relative bin indices back to full-series positions for
+// everything the report carries.
+func (a *Assessor) assessKPI(change changelog.Change, set *topo.ImpactSet, key topo.KPIKey, kt *obs.KPITrace, near, deep *seriesView, fx *winFetcher) (out Assessment, bin int) {
 	out = Assessment{Key: key}
 	bin = -1
 	if kt != nil {
@@ -595,28 +607,10 @@ func (a *Assessor) assessKPI(change changelog.Change, set *topo.ImpactSet, key t
 			}
 		}()
 	}
-	series, ok := src.Series(key)
-	if !ok && key.Scope == topo.ScopeService {
-		// The paper's centralized database stores service KPIs as
-		// aggregations of instance KPIs (§2.2); when the source lacks
-		// the aggregate, compute it from the service's instances.
-		if agg, err := a.groupAverage(cache, src, a.topo.InstancesOf(key.Entity), key.Metric); err == nil {
-			series, ok = agg, true
-		}
-	}
+	series, ok := a.treatedSeries(near, set, key)
 	if !ok {
 		out.Err = fmt.Errorf("funnel: no series for %v", key)
 		return out, bin
-	}
-	if key.Scope == topo.ScopeService && key.Entity == set.ChangedService && set.Dark() {
-		// §3.2.4: for the changed service's aggregate, "determining the
-		// relative performance of the tinstances is sufficient". Under
-		// Dark Launching the aggregate dilutes the effect by the
-		// untreated instances, so both detection and determination run
-		// on the tinstance average instead.
-		if treated, err := a.groupAverage(cache, src, set.TInstances, key.Metric); err == nil {
-			series = treated
-		}
 	}
 	// Everything below indexes into series' own timeline; off maps those
 	// positions back to the full-series frame for report consumers (0 on
@@ -676,7 +670,7 @@ func (a *Assessor) assessKPI(change changelog.Change, set *topo.ImpactSet, key t
 	}
 
 	// Steps 4–11: determine the cause.
-	det, err := a.determine(change, set, key, series, changeBin, kt, cache, src)
+	det, err := a.determine(change, set, key, series, changeBin, kt, near, deep)
 	out.Alpha = det.res.Alpha
 	out.TStat = det.res.TStat
 	out.ControlKind = det.kind
@@ -695,6 +689,36 @@ func (a *Assessor) assessKPI(change changelog.Change, set *topo.ImpactSet, key t
 		out.Verdict = ChangedByOther
 	}
 	return out, bin
+}
+
+// treatedSeries resolves the series a KPI is assessed on, as read
+// through v: the stored series; for a service-scope key the source lacks,
+// the average of the service's instances; and for the changed service's
+// own aggregate under Dark Launching, the tinstance average.
+func (a *Assessor) treatedSeries(v *seriesView, set *topo.ImpactSet, key topo.KPIKey) (*timeseries.Series, bool) {
+	series, ok := v.src.Series(key)
+	if !ok && key.Scope == topo.ScopeService {
+		// The paper's centralized database stores service KPIs as
+		// aggregations of instance KPIs (§2.2); when the source lacks
+		// the aggregate, compute it from the service's instances.
+		if agg, err := a.groupAverage(v, a.topo.InstancesOf(key.Entity), key.Metric); err == nil {
+			series, ok = agg, true
+		}
+	}
+	if !ok {
+		return nil, false
+	}
+	if key.Scope == topo.ScopeService && key.Entity == set.ChangedService && set.Dark() {
+		// §3.2.4: for the changed service's aggregate, "determining the
+		// relative performance of the tinstances is sufficient". Under
+		// Dark Launching the aggregate dilutes the effect by the
+		// untreated instances, so both detection and determination run
+		// on the tinstance average instead.
+		if treated, err := a.groupAverage(v, set.TInstances, key.Metric); err == nil {
+			series = treated
+		}
+	}
+	return series, true
 }
 
 // detectAround runs the detector on the ±WindowBins assessment window
@@ -729,9 +753,11 @@ func (a *Assessor) detectAround(series *timeseries.Series, gaps []bool, changeBi
 	}
 	if scores == nil {
 		tw := a.obs.Now()
-		scores = sst.ScoreSeries(a.scorer, segment)
-		sc := a.scorer.Config()
-		a.obs.ObserveSinceN(obs.StageSSTWindow, tw, len(segment)-sc.PastSpan()-sc.FutureSpan()+1)
+		var solved, bounded int
+		scores, solved, bounded = a.scorer.Sweep(segment)
+		a.obs.ObserveSinceN(obs.StageSSTWindow, tw, solved+bounded)
+		a.obs.Add(obs.CtrWindowsSolved, int64(solved))
+		a.obs.Add(obs.CtrWindowsBounded, int64(bounded))
 	}
 	if a.cfg.GapPolicy == GapMask && len(gaps) >= hi {
 		// Suppress scores whose SST window touches an interpolated bin:
@@ -812,8 +838,10 @@ type determination struct {
 
 // determine applies the Fig. 3 decision tree for cause determination.
 // Control-group selection and DiD estimation are timed as separate
-// stages.
-func (a *Assessor) determine(change changelog.Change, set *topo.ImpactSet, key topo.KPIKey, series *timeseries.Series, changeBin int, kt *obs.KPITrace, cache *avgCache, src SeriesSource) (determination, error) {
+// stages. series is the gap-filled treated series read through near,
+// which also supplies a concurrent control; only the historical arm
+// reads deep.
+func (a *Assessor) determine(change changelog.Change, set *topo.ImpactSet, key topo.KPIKey, series *timeseries.Series, changeBin int, kt *obs.KPITrace, near, deep *seriesView) (determination, error) {
 	w := a.cfg.DiDWindow
 	if changeBin-w < 0 || changeBin+w > series.Len() {
 		return determination{}, fmt.Errorf("funnel: DiD periods out of range for %v", key)
@@ -836,7 +864,7 @@ func (a *Assessor) determine(change changelog.Change, set *topo.ImpactSet, key t
 	if set.Dark() && len(controls) > 0 {
 		// Steps 8–10: concurrent control group.
 		out := determination{kind: ControlConcurrent}
-		control, cerr := a.controlAverage(cache, src, controls)
+		control, cerr := a.controlAverage(near, controls)
 		if cerr != nil {
 			a.stamp(kt, obs.StageDiDControl, tc)
 			return determination{}, cerr
@@ -877,7 +905,20 @@ func (a *Assessor) determine(change changelog.Change, set *topo.ImpactSet, key t
 	// Steps 5–6, 11: seasonal exclusion against historical windows.
 	// Weekday-matched (weekly-lag) controls are preferred when a full
 	// week of history exists: they cancel the day-of-week effect
-	// exactly; the day-based pool is the fallback.
+	// exactly; the day-based pool is the fallback. This is the one
+	// reader of the KPI's history: take the treated series again at that
+	// depth, in its own timeline.
+	if deep != near {
+		hist, ok := a.treatedSeries(deep, set, key)
+		if !ok {
+			a.stamp(kt, obs.StageDiDControl, tc)
+			return determination{}, fmt.Errorf("funnel: no history for %v", key)
+		}
+		if hist.HasGaps() {
+			hist = hist.Clone().FillGaps()
+		}
+		series, changeBin = hist, int(change.At.Sub(hist.Start)/hist.Step)
+	}
 	var cPre, cPost []float64
 	ok := false
 	if a.cfg.HistoryDays >= 7 {
@@ -941,14 +982,16 @@ func (a *Assessor) causal(res did.Result, service string) bool {
 	return res.Causal(thr) && res.Significant(a.cfg.MinTStat)
 }
 
-// avgCache memoizes group averages for the lifetime of one Assess call:
-// every treated server KPI of a metric shares its control group, so in
-// both the serial and the fanned-out path only the first KPI to ask
-// pays the align-and-average; the rest (and any concurrent askers,
-// via the per-entry once) share the result. Entries are read-only after
-// creation — every downstream consumer clones before mutating.
-type avgCache struct {
-	m sync.Map // joined key string → *avgEntry
+// seriesView is where one Assess call reads series at one depth: the
+// source, and the group averages already built over it. Every treated
+// server KPI of a metric shares its control group, so in both the serial
+// and the fanned-out path only the first KPI to ask pays the
+// align-and-average; the rest (and any concurrent askers, via the
+// per-entry once) share the result. Entries are read-only after creation
+// — every downstream consumer clones before mutating.
+type seriesView struct {
+	src  SeriesSource
+	avgs sync.Map // joined key string → *avgEntry
 }
 
 // avgEntry is one memoized average; once guards the single computation.
@@ -959,29 +1002,26 @@ type avgEntry struct {
 }
 
 // groupAverage averages one metric across a set of instances.
-func (a *Assessor) groupAverage(cache *avgCache, src SeriesSource, instances []string, metric string) (*timeseries.Series, error) {
+func (a *Assessor) groupAverage(v *seriesView, instances []string, metric string) (*timeseries.Series, error) {
 	keys := make([]topo.KPIKey, 0, len(instances))
 	for _, in := range instances {
 		keys = append(keys, topo.KPIKey{Scope: topo.ScopeInstance, Entity: in, Metric: metric})
 	}
-	return a.controlAverage(cache, src, keys)
+	return a.controlAverage(v, keys)
 }
 
 // controlAverage pulls and averages the control-group series (§3.2.4
-// uses the average of all control KPIs so hotspots wash out), memoizing
-// per assessment when a cache is supplied.
-func (a *Assessor) controlAverage(cache *avgCache, src SeriesSource, keys []topo.KPIKey) (*timeseries.Series, error) {
-	if cache == nil {
-		return a.averageSeries(src, keys)
-	}
+// uses the average of all control KPIs so hotspots wash out), memoized
+// in the view.
+func (a *Assessor) controlAverage(v *seriesView, keys []topo.KPIKey) (*timeseries.Series, error) {
 	var sb strings.Builder
 	for _, k := range keys {
 		sb.WriteString(k.String())
 		sb.WriteByte(0)
 	}
-	e, _ := cache.m.LoadOrStore(sb.String(), &avgEntry{})
+	e, _ := v.avgs.LoadOrStore(sb.String(), &avgEntry{})
 	entry := e.(*avgEntry)
-	entry.once.Do(func() { entry.s, entry.err = a.averageSeries(src, keys) })
+	entry.once.Do(func() { entry.s, entry.err = a.averageSeries(v.src, keys) })
 	return entry.s, entry.err
 }
 
@@ -1004,6 +1044,12 @@ func (a *Assessor) averageSeries(src SeriesSource, keys []topo.KPIKey) (*timeser
 	}
 	aligned, err := timeseries.Align(series...)
 	if err != nil {
+		if _, windowed := src.(*fetchDepth); windowed {
+			// Windowed members that share no span: one of them ended
+			// before the window and fell back to its short full series.
+			// Only the full series reproduce the flat path's answer.
+			return a.averageSeries(a.source, keys)
+		}
 		return nil, err
 	}
 	return timeseries.Average(aligned)

@@ -1,13 +1,16 @@
 package funnel
 
 import (
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
 
+	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/sst"
+	"repro/internal/topo"
 	"repro/internal/workload"
 )
 
@@ -18,6 +21,20 @@ type accuracyCorpus struct {
 	sc     *workload.Scenario
 	cfg    Config
 	stride int
+	// store ingests the corpus into a chunked store, once per test binary.
+	store func(t *testing.T) *monitor.Store
+}
+
+// sources lists what the invariance tests assess a corpus from: the flat
+// MapSource, and — except under -short, since ingesting a corpus (48 M
+// measurements for the default one) is most of these tests' time — a
+// chunked store, which takes the windowed read path.
+func (c *accuracyCorpus) sources(t *testing.T) map[string]SeriesSource {
+	out := map[string]SeriesSource{"flat": c.sc.Source}
+	if !testing.Short() {
+		out["store"] = c.store(t)
+	}
+	return out
 }
 
 // accuracyCorpora generates, once per test binary, the pinned bake-off
@@ -39,6 +56,12 @@ var accuracyCorpora = sync.OnceValues(func() ([]accuracyCorpus, error) {
 			return nil, err
 		}
 		out[i].sc = sc
+		var once sync.Once
+		var st *monitor.Store
+		out[i].store = func(t *testing.T) *monitor.Store {
+			once.Do(func() { st = storeFromScenario(t, sc, 512) })
+			return st
+		}
 		out[i].cfg = Config{
 			ServerMetrics:   workload.ServerMetrics(),
 			InstanceMetrics: workload.InstanceMetrics(),
@@ -57,19 +80,8 @@ func TestTelemetryInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range corpora {
-		type namedSource struct {
-			name string
-			src  SeriesSource
-		}
-		sources := []namedSource{{"flat", c.sc.Source}}
-		// Ingesting a corpus (48 M measurements for the default one) is most
-		// of this test's time, so -short keeps to the flat source.
-		if !testing.Short() {
-			sources = append(sources, namedSource{"store", storeFromScenario(t, c.sc, 512)})
-		}
-		for _, s := range sources {
-			src := s.src
-			t.Run(c.name+"/"+s.name, func(t *testing.T) {
+		for name, src := range c.sources(t) {
+			t.Run(c.name+"/"+name, func(t *testing.T) {
 				oncfg := c.cfg
 				oncfg.Obs = obs.NewCollector()
 				on, err := NewAssessor(src, c.sc.Topo, oncfg)
@@ -120,6 +132,77 @@ func TestTelemetryInvariance(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestBoundFirstInvariance: telling the sweep the detection threshold
+// (sst.SlidingScorer.Floor, set by NewAssessor) changes no Assessment
+// field on either accuracy corpus, flat or windowed, against an assessor
+// whose scorer solves every window.
+func TestBoundFirstInvariance(t *testing.T) {
+	corpora, err := accuracyCorpora()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range corpora {
+		for name, src := range c.sources(t) {
+			t.Run(c.name+"/"+name, func(t *testing.T) {
+				cfg := c.cfg
+				cfg.Obs = obs.NewCollector()
+				deployed, err := NewAssessor(src, c.sc.Topo, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Obs = obs.NewCollector()
+				exact := newSolveAllAssessor(t, src, c.sc.Topo, cfg)
+				kpis := 0
+				for i := 0; i < len(c.sc.Cases); i += c.stride {
+					change := c.sc.Cases[i].Change
+					got, err := deployed.Assess(change)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := exact.Assess(change)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.ChangeBin != want.ChangeBin || len(got.Assessments) != len(want.Assessments) {
+						t.Fatalf("%s: report shape differs with the bound", change.ID)
+					}
+					for k := range got.Assessments {
+						kpis++
+						if !reflect.DeepEqual(got.Assessments[k], want.Assessments[k]) {
+							t.Errorf("%s %v, bound-first vs solve-all: %s", change.ID, got.Assessments[k].Key,
+								assessmentDiff(got.Assessments[k], want.Assessments[k]))
+						}
+					}
+				}
+				bounded, solved := cfg.Obs.Counter(obs.CtrWindowsBounded), cfg.Obs.Counter(obs.CtrWindowsSolved)
+				if bounded != 0 || solved == 0 {
+					t.Fatalf("solve-all assessor: %d bounded, %d solved", bounded, solved)
+				}
+				bounded, solved = deployed.obs.Counter(obs.CtrWindowsBounded), deployed.obs.Counter(obs.CtrWindowsSolved)
+				if bounded < solved {
+					t.Errorf("the bound answered %d of %d windows: expected most", bounded, bounded+solved)
+				}
+				t.Logf("%s/%s: %d KPIs, %d windows, %.1f%% answered by the bound", c.name, name, kpis, bounded+solved,
+					100*float64(bounded)/float64(bounded+solved))
+			})
+		}
+	}
+}
+
+// newSolveAllAssessor is NewAssessor with the scorer rebuilt at Floor 0:
+// the deployed warm-started sweep, every window eigen-solved.
+func newSolveAllAssessor(t *testing.T, src SeriesSource, tp *topo.Topology, cfg Config) *Assessor {
+	t.Helper()
+	a, err := NewAssessor(src, tp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.scorer = sst.NewSliding(sst.NewIKA(a.cfg.SST))
+	a.scorer.WarmStart = true
+	a.det.Scorer = a.scorer
+	return a
 }
 
 // verdictDiffers reports a difference an operator would read: the

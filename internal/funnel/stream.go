@@ -392,14 +392,17 @@ func (ks *kpiStream) advance(sr *Streamer) {
 	hi := ks.segLen - ks.scoreFut + 1
 	x := ks.filled[:stable]
 	t0 := sr.col.Now()
-	n := 0
+	n, bounded := 0, ks.sweep.Bounded()
 	for t := ks.sweep.Pos(); t < hi && t+ks.scoreFut <= stable; t = ks.sweep.Pos() {
 		ks.scores[t] = ks.sweep.Next(x)
 		n++
 	}
 	if n > 0 && sr.col != nil {
+		bounded = ks.sweep.Bounded() - bounded
 		sr.col.Add(obs.CtrStreamAdvances, 1)
 		sr.col.ObserveSinceN(obs.StageSSTWindow, t0, n)
+		sr.col.Add(obs.CtrWindowsSolved, int64(n-bounded))
+		sr.col.Add(obs.CtrWindowsBounded, int64(bounded))
 	}
 }
 

@@ -3,6 +3,7 @@ package funnel
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/timeseries"
@@ -11,15 +12,16 @@ import (
 
 // WindowSource is the optional windowed face of a SeriesSource
 // (monitor.Store implements it). When the assessor's source provides
-// it, Assess fetches only the history window an assessment can
-// actually read — the seasonal-DiD lookback plus the detection window
-// around the change — via RangeInto, into pooled buffers, instead of
-// copying every KPI's full retained history. Verdicts and reports are
-// byte-identical to the flat path: all fetches of one assessment share
-// the same window bounds (so cross-series index arithmetic still lines
-// up), report-facing bin indices are translated back to full-series
-// positions, and any window the fetch cannot reproduce exactly falls
-// back to the full series. Offline sources (workload.MapSource, replay
+// it, Assess fetches only the windows an assessment actually reads —
+// the detection window around the change for every KPI, the
+// seasonal-DiD lookback only for a detected KPI with no concurrent
+// control — via RangeInto, into pooled buffers, instead of copying every
+// KPI's full retained history. Verdicts and reports are byte-identical
+// to the flat path: all fetches at one depth share the same window
+// bounds (so cross-series index arithmetic still lines up), report-facing
+// bin indices are translated back to full-series positions, and any
+// window the fetch cannot reproduce exactly falls back to the full
+// series. Offline sources (workload.MapSource, replay
 // corpora) simply do not implement it and keep the flat path.
 type WindowSource interface {
 	SeriesSource
@@ -40,23 +42,38 @@ type WindowSource interface {
 const fetchSlack = 16
 
 // winFetcher serves one Assess call's series reads from windowed
-// RangeInto fetches with a per-assessment cache: the treated KPI and
-// every control-group member decode once each, into buffers recycled
-// across assessments via the assessor-level pool. It implements
-// SeriesSource so the assessment code path is identical either way.
+// RangeInto fetches at two depths, each with a per-assessment cache: a
+// key decodes at most once per depth, into buffers recycled across
+// assessments via the assessor-level pool.
+//
+// near reaches back over what every KPI reads — gap gating, the
+// detection window, the concurrent-control DiD periods with their
+// similarity and parallel-trends checks. deep reaches back HistoryDays
+// further and is touched only by the historical-control arm of a
+// detected KPI (determine). Both end at the same bin. A KPI with no
+// detection, or with a concurrent control, never decodes its history.
 type winFetcher struct {
-	src      WindowSource
-	base     time.Time // store epoch at fetch-bound time: a flat Series would start here
-	step     time.Duration
-	from, to time.Time
-	pool     *sync.Pool
+	src  WindowSource
+	base time.Time // store epoch at fetch-bound time: a flat Series would start here
+	step time.Duration
+	pool *sync.Pool
 
-	m  sync.Map // topo.KPIKey → *fetchEntry
+	near, deep fetchDepth
+
 	mu sync.Mutex
-	// bufs collects every pooled buffer handed out, returned to the
-	// pool when the assessment's reports are built (nothing in a Report
-	// aliases fetched values).
+	// bufs collects every pooled buffer handed out at either depth,
+	// returned to the pool when the assessment's reports are built
+	// (nothing in a Report aliases fetched values).
 	bufs [][]float64
+}
+
+// fetchDepth is one of a winFetcher's two windows: the SeriesSource the
+// assessment code reads at that depth.
+type fetchDepth struct {
+	f        *winFetcher
+	from, to time.Time
+	m        sync.Map     // topo.KPIKey → *fetchEntry
+	fetches  atomic.Int64 // series decoded at this depth
 }
 
 // fetchEntry memoizes one key's fetch; once guards the single decode
@@ -67,49 +84,51 @@ type fetchEntry struct {
 	ok   bool
 }
 
-// newWinFetcher builds the per-assessment fetcher with window bounds
-// covering every read the pipeline performs for a change at this time:
-// backwards, the seasonal-DiD lookback (HistoryDays of same-clock-time
-// windows) plus the placebo and detection margins; forwards, the
-// detection window plus the DiD post period.
+// newWinFetcher builds the per-assessment fetcher for a change at this
+// time. Forwards, both depths cover the detection window plus the DiD
+// post period. Backwards, near covers the detection window with the
+// scorer's past span and the two pre-change DiD periods the placebo
+// test reads; deep adds the seasonal-DiD lookback (HistoryDays of
+// same-clock-time windows).
 func newWinFetcher(src WindowSource, at time.Time, cfg *Config, pool *sync.Pool) *winFetcher {
 	step := src.Step()
 	binsPerDay := 0
 	if step <= 24*time.Hour {
 		binsPerDay = int(24 * time.Hour / step)
 	}
-	needBack := cfg.HistoryDays*binsPerDay + 2*cfg.DiDWindow + cfg.WindowBins + cfg.SST.PastSpan() + fetchSlack
+	nearBack := 2*cfg.DiDWindow + cfg.WindowBins + cfg.SST.PastSpan() + fetchSlack
+	deepBack := cfg.HistoryDays*binsPerDay + nearBack
 	needFwd := cfg.WindowBins + cfg.SST.FutureSpan()
 	if cfg.DiDWindow > needFwd {
 		needFwd = cfg.DiDWindow
 	}
 	needFwd += fetchSlack
-	return &winFetcher{
-		src:  src,
-		base: src.Start(),
-		step: step,
-		from: at.Add(-time.Duration(needBack) * step),
-		to:   at.Add(time.Duration(needFwd) * step),
-		pool: pool,
-	}
+	f := &winFetcher{src: src, base: src.Start(), step: step, pool: pool}
+	to := at.Add(time.Duration(needFwd) * step)
+	f.near = fetchDepth{f: f, from: at.Add(-time.Duration(nearBack) * step), to: to}
+	f.deep = fetchDepth{f: f, from: at.Add(-time.Duration(deepBack) * step), to: to}
+	return f
 }
 
-// Series returns the key's window, memoized per assessment.
-func (f *winFetcher) Series(key topo.KPIKey) (*timeseries.Series, bool) {
-	e, _ := f.m.LoadOrStore(key, &fetchEntry{})
+// Series returns the key's window at this depth, memoized per
+// assessment.
+func (d *fetchDepth) Series(key topo.KPIKey) (*timeseries.Series, bool) {
+	e, _ := d.m.LoadOrStore(key, &fetchEntry{})
 	ent := e.(*fetchEntry)
-	ent.once.Do(func() { ent.s, ent.ok = f.fetch(key) })
+	ent.once.Do(func() { ent.s, ent.ok = d.fetch(key) })
 	return ent.s, ent.ok
 }
 
 // fetch performs the windowed read, falling back to the full series
 // whenever the window alone could not reproduce the flat path exactly.
-func (f *winFetcher) fetch(key topo.KPIKey) (*timeseries.Series, bool) {
+func (d *fetchDepth) fetch(key topo.KPIKey) (*timeseries.Series, bool) {
+	f := d.f
+	d.fetches.Add(1)
 	var buf []float64
 	if p, _ := f.pool.Get().(*[]float64); p != nil {
 		buf = (*p)[:0]
 	}
-	vals, start, ok := f.src.RangeInto(key, f.from, f.to, buf)
+	vals, start, ok := f.src.RangeInto(key, d.from, d.to, buf)
 	f.keep(vals)
 	if !ok {
 		// Unknown key, or a series that ends before the window starts;

@@ -38,7 +38,9 @@ const (
 	// unit). The sweep is timed as a whole: each batch sweep and each
 	// streaming advance records its n windows at their mean cost, so
 	// count is windows scored, sum is exact, and max and the buckets
-	// read mean per-window cost.
+	// read mean per-window cost. The mean is over every position of the
+	// sweep, the ones the Eq. 11 bound answered (CtrWindowsBounded) and
+	// the ones that were eigen-solved (CtrWindowsSolved) alike.
 	StageSSTWindow = "sst_window"
 	// StageSSTScore is the whole scoring pass over one KPI's
 	// assessment window (all sliding windows of that KPI).
@@ -182,6 +184,19 @@ const (
 	// work queue was full (the fleet outran the scoring workers; the
 	// state catches up at the next drain or at assess time).
 	CtrStreamSheds = "stream.sheds"
+	// CtrWindowsBounded counts SST window positions whose Eq. 11
+	// multiplier was already under the detection threshold, so the score
+	// was reported as that bound without the past eigen-solves;
+	// CtrWindowsSolved counts the positions that were solved in full.
+	// Their sum is StageSSTWindow's count. Added once per sweep or
+	// streaming advance.
+	CtrWindowsBounded = "sst.windows_bounded"
+	CtrWindowsSolved  = "sst.windows_solved"
+	// CtrHistoryFetches counts series decoded at the deep (HistoryDays)
+	// fetch depth: one per series the historical-control arm of a
+	// detected KPI read. Every other read stops at the near window
+	// around the change.
+	CtrHistoryFetches = "funnel.history_fetches"
 )
 
 // Collector aggregates counters, stage histograms and recent traces.

@@ -145,6 +145,9 @@ var promHelp = map[string]string{
 	CtrWALAppends:        "Measurements appended to shard write-ahead logs.",
 	CtrCompactions:       "WAL compactions (snapshot dump + log truncation).",
 	CtrChangesAssessed:   "Completed change assessments.",
+	CtrWindowsBounded:    "SST window positions answered by the Eq. 11 bound, without the past eigen-solves.",
+	CtrWindowsSolved:     "SST window positions eigen-solved in full.",
+	CtrHistoryFetches:    "Series decoded at the deep (HistoryDays) depth for a historical control.",
 	CtrKPIsFlagged:       "KPI changes attributed to software changes.",
 	CtrDiskErrors:        "Disk I/O failures observed by the persister.",
 	CtrWALRearms:         "Durability re-arms after transient disk faults.",

@@ -56,6 +56,17 @@ type SlidingScorer struct {
 	// 1e-9 reference. Set before first use; not safe to flip
 	// concurrently with scoring.
 	WarmStart bool
+	// Floor, when positive and the wrapped IKA has RobustFilter on, lets
+	// the sweep answer a position from the Eq. 11 multiplier alone: the
+	// solved score is x̂·mult with x̂ ∈ [0, 1], so where mult < Floor the
+	// sweep returns mult — an upper bound that is itself under Floor —
+	// without the past solves. Every position whose score reaches Floor is
+	// solved and bit-identical to the Floor-0 sweep, which is all a gate
+	// thresholding at Floor reads; funnel.NewAssessor sets it to that
+	// threshold. 0 (the default) solves everything: calibration, ROC
+	// sweeps and the arena need exact sub-threshold scores. Set before
+	// first use, like WarmStart.
+	Floor float64
 
 	inner Scorer
 	ika   *IKA // non-nil when inner is *IKA: enables the incremental path
@@ -74,6 +85,7 @@ type slidingState struct {
 	warm       []float64 // previous position's top Ritz vector
 	warmOK     bool
 	untilRecen int // positions until the next normalized-path recenter
+	bounded    int // positions since stepReset answered by the Floor bound
 }
 
 // NewSliding wraps inner with the incremental sweep fast path.
@@ -104,6 +116,22 @@ func (s *SlidingScorer) ScoreAt(x []float64, t int) float64 {
 // ScoreRangeInto scores every position in [lo, hi) whose analysis window
 // fits, writing out[t] and leaving other entries untouched.
 func (s *SlidingScorer) ScoreRangeInto(out, x []float64, lo, hi int) {
+	s.sweepInto(out, x, lo, hi)
+}
+
+// Sweep is ScoreSeries over this scorer that also reports how the
+// positions were answered: solved by the eigen-solves, or bounded by
+// Floor (always 0 at Floor 0 and for a non-IKA inner scorer).
+func (s *SlidingScorer) Sweep(x []float64) (scores []float64, solved, bounded int) {
+	cfg := s.inner.Config()
+	scores = nanSeries(len(x))
+	n, bounded := s.sweepInto(scores, x, cfg.PastSpan(), len(x)-cfg.FutureSpan()+1)
+	return scores, n - bounded, bounded
+}
+
+// sweepInto is ScoreRangeInto returning the number of positions scored
+// and how many of them the Floor bound answered.
+func (s *SlidingScorer) sweepInto(out, x []float64, lo, hi int) (n, bounded int) {
 	cfg := s.inner.Config()
 	if min := cfg.PastSpan(); lo < min {
 		lo = min
@@ -112,18 +140,20 @@ func (s *SlidingScorer) ScoreRangeInto(out, x []float64, lo, hi int) {
 		hi = max
 	}
 	if hi <= lo {
-		return
+		return 0, 0
 	}
 	if s.ika == nil {
 		// No incremental path for this scorer: per-window sweep.
 		for t := lo; t < hi; t++ {
 			out[t] = s.inner.ScoreAt(x, t)
 		}
-		return
+		return hi - lo, 0
 	}
 	st := s.pool.Get().(*slidingState)
 	s.scoreRange(st, out, x, lo, hi)
+	bounded = st.bounded
 	s.pool.Put(st)
+	return hi - lo, bounded
 }
 
 // scoreRange runs the incremental IKA sweep with all state drawn from st.
@@ -142,6 +172,7 @@ func (s *SlidingScorer) stepReset(st *slidingState) {
 	st.ws.start = grow(st.ws.start, n)
 	st.warm = grow(st.warm, n)
 	st.warmOK = false
+	st.bounded = 0
 }
 
 // step scores position t of x, advancing the incremental Gram trackers
@@ -151,6 +182,13 @@ func (s *SlidingScorer) stepReset(st *slidingState) {
 // exactly the operation sequence of one scoreRange(st, out, x, lo, hi)
 // call, bit for bit. This shared body is what keeps the resumable
 // StreamSweep byte-identical to the batch sweep.
+//
+// The Eq. 11 multiplier is evaluated first: the solved score is
+// x̂·mult with x̂ ∈ [0, 1], so a multiplier under Floor already decides
+// the position and the past-side work (the Gram readout and the η
+// discordance solves) is skipped. Both trackers still slide and recenter,
+// and with WarmStart the future solve still runs, so the carry — and with
+// it every later solved position — is what it would have been.
 func (s *SlidingScorer) step(st *slidingState, x []float64, t, lo int) float64 {
 	cfg := s.ika.cfg
 	n := cfg.Omega
@@ -171,12 +209,12 @@ func (s *SlidingScorer) step(st *slidingState, x []float64, t, lo int) float64 {
 
 	wlo := t - cfg.PastSpan()
 	whi := t + cfg.FutureSpan()
-	med, inv := 0.0, 1.0
+	med, mad, inv := 0.0, 0.0, 1.0
 	if cfg.Normalize {
 		past := x[wlo:t]
 		ws.scratch = grow(ws.scratch, whi-wlo)
-		m, mad := stats.MedianMADInto(past, ws.scratch)
-		med, inv = m, 1/normScale(past, m, mad)
+		med, mad = stats.MedianMADInto(past, ws.scratch)
+		inv = 1 / normScale(past, med, mad)
 		if st.untilRecen <= 0 {
 			// Keep the maintained products centered at the current
 			// level so the affine normalization identity stays at
@@ -187,9 +225,21 @@ func (s *SlidingScorer) step(st *slidingState, x []float64, t, lo int) float64 {
 		}
 		st.untilRecen--
 	}
-	st.pastG.GramInto(&st.gp, med, inv)
-	st.futG.GramInto(&st.gf, med, inv)
 
+	mult := 1.0
+	if cfg.RobustFilter {
+		mult = s.sectionMultiplier(st, x[wlo:whi], t-wlo, med, mad, inv)
+	}
+	// A NaN multiplier compares false and is solved.
+	bounded := cfg.RobustFilter && mult < s.Floor
+	if bounded {
+		st.bounded++
+		if !s.WarmStart {
+			return mult
+		}
+	}
+
+	st.futG.GramInto(&st.gf, med, inv)
 	k := cfg.K
 	if s.WarmStart && st.warmOK {
 		copy(ws.start, st.warm)
@@ -197,26 +247,60 @@ func (s *SlidingScorer) step(st *slidingState, x []float64, t, lo int) float64 {
 	} else {
 		st.futG.RowSumsInto(ws.start, med, inv)
 	}
-
-	score, eta := s.ika.scoreWindow(ws, &st.gp, &st.gf, k)
+	var score float64
+	var eta int
+	if bounded {
+		score, eta = mult, s.ika.futureDirections(ws, &st.gf, k)
+	} else {
+		st.pastG.GramInto(&st.gp, med, inv)
+		score, eta = s.ika.scoreWindow(ws, &st.gp, &st.gf, k)
+		if cfg.RobustFilter {
+			score *= mult
+		}
+	}
 	if s.WarmStart {
 		if eta > 0 {
 			copy(st.warm, ws.betas[:n])
-			st.warmOK = true
-		} else {
-			st.warmOK = false
 		}
-	}
-	if cfg.RobustFilter {
-		w := x[wlo:whi]
-		if cfg.Normalize {
-			st.win = grow(st.win, whi-wlo)
-			for i, v := range w {
-				st.win[i] = (v - med) * inv
-			}
-			w = st.win[:whi-wlo]
-		}
-		score *= robustMultiplierWS(ws, w, t-wlo, n)
+		st.warmOK = eta > 0
 	}
 	return score
+}
+
+// sectionMultiplier evaluates the Eq. 11 filter at index tl of the raw
+// window w, normalizing it into st.win first when the scorer normalizes.
+// med, mad and inv are the past span's statistics step already holds.
+//
+// With δ = ω the filter's before-section is exactly the normalized past
+// span, whose statistics follow from the ones in hand without a third
+// sort: v ↦ (v−med)·inv is monotone and the span's length 2ω−1 is odd, so
+// its median is the image of med, ±0, and its MAD is the image of mad.
+// Non-finite spans keep the sorting path (the sort's NaN order is not
+// monotone-invariant).
+func (s *SlidingScorer) sectionMultiplier(st *slidingState, w []float64, tl int, med, mad, inv float64) float64 {
+	cfg := s.ika.cfg
+	if !cfg.Normalize {
+		return robustMultiplierWS(&st.ws, w, tl, cfg.Omega)
+	}
+	st.win = grow(st.win, len(w))
+	for i, v := range w {
+		st.win[i] = (v - med) * inv
+	}
+	w = st.win
+	before, after, ok := robustSections(w, tl, cfg.Omega)
+	if !ok || tl != 2*cfg.Omega-1 || !allFinite(before) {
+		return robustMultiplierWS(&st.ws, w, tl, cfg.Omega)
+	}
+	medB, madB := stats.MedianMADInto(after, st.ws.scratch)
+	return sectionContrast(0, mad*inv, medB, madB)
+}
+
+// allFinite reports whether xs holds no NaN or ±Inf.
+func allFinite(xs []float64) bool {
+	for _, v := range xs {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
 }

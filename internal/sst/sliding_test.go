@@ -9,10 +9,7 @@ import (
 // the incremental sweep is held against.
 func perWindowSeries(s Scorer, x []float64) []float64 {
 	cfg := s.Config()
-	out := make([]float64, len(x))
-	for i := range out {
-		out[i] = math.NaN()
-	}
+	out := nanSeries(len(x))
 	for t := cfg.PastSpan(); t+cfg.FutureSpan() <= len(x); t++ {
 		out[t] = s.ScoreAt(x, t)
 	}

@@ -150,16 +150,22 @@ type Scorer interface {
 // from scratch.
 func ScoreSeries(s Scorer, x []float64) []float64 {
 	cfg := s.Config()
-	out := make([]float64, len(x))
-	for i := range out {
-		out[i] = math.NaN()
-	}
+	out := nanSeries(len(x))
 	if rs, ok := s.(RangeScorer); ok {
 		rs.ScoreRangeInto(out, x, cfg.PastSpan(), len(x)-cfg.FutureSpan()+1)
 		return out
 	}
 	for t := cfg.PastSpan(); t+cfg.FutureSpan() <= len(x); t++ {
 		out[t] = s.ScoreAt(x, t)
+	}
+	return out
+}
+
+// nanSeries returns n NaNs: a score series before any position is scored.
+func nanSeries(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.NaN()
 	}
 	return out
 }
@@ -171,10 +177,7 @@ func ScoreSeries(s Scorer, x []float64) []float64 {
 // service's history.
 func ScoreSeriesParallel(s Scorer, x []float64, workers int) []float64 {
 	cfg := s.Config()
-	out := make([]float64, len(x))
-	for i := range out {
-		out[i] = math.NaN()
-	}
+	out := nanSeries(len(x))
 	lo := cfg.PastSpan()
 	hi := len(x) - cfg.FutureSpan() + 1
 	if hi <= lo {

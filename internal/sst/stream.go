@@ -53,6 +53,10 @@ func (sw *StreamSweep) Reset(lo int) {
 // Pos returns the next position Next will score.
 func (sw *StreamSweep) Pos() int { return sw.next }
 
+// Bounded returns how many positions since Reset the scorer's Floor
+// bound answered without a past solve.
+func (sw *StreamSweep) Bounded() int { return sw.st.bounded }
+
 // Next scores the sweep's next position against x and advances. x is
 // the series prefix seen so far: it must extend through at least
 // Pos()+FutureSpan bins and contain the same values the previous calls

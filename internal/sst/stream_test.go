@@ -5,15 +5,6 @@ import (
 	"testing"
 )
 
-// nanSeries returns an all-NaN score buffer like ScoreSeries prefills.
-func nanSeries(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	return out
-}
-
 // bitCompare asserts got equals want bit for bit (NaNs included).
 func bitCompare(t *testing.T, name string, got, want []float64) {
 	t.Helper()
