@@ -373,11 +373,14 @@ func streamPanel(h *obs.HistoryDump) []string {
 		shedNote = fmt.Sprintf("  SHEDS %.0f", sheds)
 	}
 	lines := []string{fmt.Sprintf(
-		"stream   queue %s %3.0f  tracked %.0f  pending %.0f  advances %.0f  cache-hit %s  invalidations %.0f%s",
+		"stream   queue %s %3.0f  tracked %.0f  pending %.0f  advances %.0f  reads tail %.0f full %.0f  cache-hit %s  invalidations %.0f%s",
 		sparkline(queueSeries, 12), last(queueSeries),
 		last(h.Series[obs.GaugeStreamTracked]),
 		last(h.Series[obs.GaugeStreamPending]),
-		advances, hitRate,
+		advances,
+		last(h.Series[obs.CtrStreamTailReads]),
+		last(h.Series[obs.CtrStreamFullReads]),
+		hitRate,
 		last(h.Series[obs.CtrStreamInvalidations]), shedNote)}
 	if st, ok := h.Stages[obs.StageBinToVerdict]; ok && len(st.Count) > 0 && st.Count[len(st.Count)-1] > 0 {
 		p99s := make([]float64, len(st.P99us))

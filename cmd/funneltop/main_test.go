@@ -31,6 +31,8 @@ func fixtureServer(t *testing.T) *httptest.Server {
 	c.Add(obs.CtrStreamCacheHits, 97)
 	c.Add(obs.CtrStreamCacheMisses, 3)
 	c.Add(obs.CtrStreamInvalidations, 2)
+	c.Add(obs.CtrStreamTailReads, 4809)
+	c.Add(obs.CtrStreamFullReads, 12)
 	c.Add(obs.CtrWindowsBounded, 1060)
 	c.Add(obs.CtrWindowsSolved, 150)
 	c.Add(obs.CtrHistoryFetches, 4)
@@ -94,6 +96,7 @@ func TestPollAndRender(t *testing.T) {
 		"windows 1210",    // scoring line: sweep positions
 		"bounded 1060 (88%)",
 		"solved 150",
+		"reads tail 4809 full 12",
 		"history fetches 4",
 		"chg-9",           // recent-verdicts panel
 		" 1/ 2 flagged",   // one flagged KPI of two

@@ -2,8 +2,8 @@
 // `cmd/funnelserve` runs in production. Agents publish measurements
 // over the TCP ingest port, the operations team registers the change
 // over the admin port exactly as a deployment script would (one JSON
-// line), and the daemon prints the assessment when the observation
-// window completes. Afterwards the telemetry surface is read back over
+// line), and the daemon, assessing on ingest, prints the assessment when
+// the observation window completes. Afterwards the telemetry surface is read back over
 // HTTP: /metrics shows the pipeline stage counters and
 // /traces/<change-id> the per-KPI assessment trace.
 package main
@@ -49,6 +49,9 @@ func main() {
 		SubscribeAddr: "127.0.0.1:0",
 		AdminAddr:     "127.0.0.1:0",
 		DebugAddr:     "127.0.0.1:0",
+		// Assess on ingest, as `funnelserve -stream` does: the sweep
+		// advances with every bin, so the verdict below finds it done.
+		Stream: true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -136,6 +139,8 @@ func main() {
 	}
 	fmt.Printf("%d (mean %d µs each; %s answered by the Eq. 11 bound, %s eigen-solved)\n",
 		sstWindow.Count, sstWindow.AvgUs, metrics["sst.windows_bounded"], metrics["sst.windows_solved"])
+	fmt.Printf("/metrics: %s streaming advances read only their new bins, %s re-read the whole window\n",
+		metrics["stream.tail_reads"], metrics["stream.full_reads"])
 
 	var trace funnel.PipelineTrace
 	if err := getJSON(base+"/traces/fe-rollout-7", &trace); err != nil {

@@ -22,7 +22,10 @@ import (
 // every score position is already computed, so materializing the
 // verdict costs only the DiD determination — the SST sweep, the
 // dominant term in bin-to-verdict latency, has been amortized to O(ω)
-// work per bin.
+// work per bin. Reading is per bin too: the feed hands over, with each
+// dirty key, the lowest bin written since the last drain, and a score
+// state that has consumed the window up to some bin reads only the bins
+// from there on when that low-water is at or past it (advance).
 //
 // Correctness contract: streaming reports are byte-identical to the
 // batch path. The streamer never trusts its own incremental state —
@@ -140,7 +143,28 @@ type kpiStream struct {
 	// is the next score position (segment frame).
 	sweep *sst.StreamSweep
 
+	// low is the lowest store-absolute bin the feed reported written to
+	// key since the last advance took it: lowNone when nothing is
+	// pending, lowAll when the drain could not say (overflow, rebase).
+	// drainLoop lowers it, advance swaps it out.
+	low atomic.Int64
+
 	enq atomic.Bool // already sitting in the advance queue
+}
+
+const (
+	lowNone = math.MaxInt64 // no write reported: only new bins to read
+	lowAll  = -1            // below any bin: re-read and verify the window
+)
+
+// noteLow lowers the pending low-water to bin if it is above it.
+func (ks *kpiStream) noteLow(bin int64) {
+	for {
+		cur := ks.low.Load()
+		if bin >= cur || ks.low.CompareAndSwap(cur, bin) {
+			return
+		}
+	}
 }
 
 // NewStreamer builds the streaming assessor on store and starts its
@@ -194,7 +218,9 @@ func (sr *Streamer) feedFilter(k topo.KPIKey) bool {
 }
 
 // rebuildFilterLocked publishes a fresh tracked-key snapshot; caller
-// holds sr.mu.
+// holds sr.mu, so snapshots are published in the order tracked changed.
+// The caller then pushes the new answers down into the store's cached
+// per-series flags with refilter, after releasing sr.mu.
 func (sr *Streamer) rebuildFilterLocked() {
 	if len(sr.tracked) == 0 {
 		sr.filter.Store(nil)
@@ -205,10 +231,21 @@ func (sr *Streamer) rebuildFilterLocked() {
 		}
 		sr.filter.Store(&m)
 	}
-	// Push the new answer set down into the stores' cached per-series
-	// flags; the catch-up enqueue after registration covers any append
-	// that raced the refresh.
-	sr.feed.Refilter()
+}
+
+// refilter re-evaluates the feed flags of one change's KPIs — the only
+// keys whose answer a registration or retirement can move — against
+// the filter snapshot current at that moment. It runs outside sr.mu:
+// each flag is set under its shard lock from the snapshot loaded there,
+// so whichever of two racing calls writes a shared key last wrote the
+// newer answer. The catch-up enqueue after registration covers any
+// append that landed before the flag flipped.
+func (sr *Streamer) refilter(sc *streamChange) {
+	keys := make([]topo.KPIKey, len(sc.states))
+	for i, ks := range sc.states {
+		keys[i] = ks.key
+	}
+	sr.feed.Refilter(keys)
 }
 
 // Reports delivers finished assessments. The channel closes after
@@ -263,6 +300,7 @@ func (sr *Streamer) RegisterChange(c changelog.Change) error {
 	sr.nPending.Store(int64(len(sr.pending)))
 	sr.nTracked.Add(int64(len(sc.states)))
 	sr.mu.Unlock()
+	sr.refilter(sc)
 	// Catch up with bins that landed before registration.
 	for _, ks := range sc.states {
 		sr.enqueue(ks)
@@ -284,6 +322,7 @@ func (sr *Streamer) newKPIStream(key topo.KPIKey, changeAt time.Time) *kpiStream
 		lastReal: -1,
 		sweep:    sr.assessor.scorer.NewStream(),
 	}
+	ks.low.Store(lowNone)
 	ks.mu.Lock()
 	ks.rebaseLocked(sr.store)
 	ks.mu.Unlock()
@@ -326,64 +365,88 @@ func (ks *kpiStream) resetLocked() {
 	ks.sweep.Reset(0)
 }
 
-// advance re-reads the window from the store, verifies the previously
-// consumed prefix bit-for-bit, replays the FillGaps transform over the
-// arrived bins, and scores every position whose SST window is now
-// complete. All incremental state is derived, never authoritative: a
-// prefix mismatch (late write inside the window) restarts the state
-// and re-amortizes.
+// advance brings the state up to date with the store and scores every
+// position whose SST window is now complete. It takes the low-water
+// the feed reported for the key since the previous advance. At or past
+// the consumed prefix — the steady state, one new bin — only the bins
+// [absLo+len(raw), absLo+segLen) are read and appended. Inside the
+// prefix (a late write, a gap fill, an overwrite), unknown (feed
+// overflow, rebase) or with nothing consumed yet, the whole window is
+// re-read and the consumed prefix verified bit-for-bit, a mismatch
+// restarting the state to re-amortize. Either way the FillGaps
+// transform is replayed over the arrived bins. All incremental state
+// is derived, never authoritative: cached compares the whole segment
+// against what the batch path fetched before any score is served, so a
+// write this state never heard of costs a batch sweep, not a verdict.
 func (ks *kpiStream) advance(sr *Streamer) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
+	low := ks.low.Swap(lowNone)
 	if ks.invalid {
 		return
 	}
 	start, step := sr.store.Start(), sr.store.Step()
-	from := start.Add(time.Duration(ks.absLo) * step)
+	lo := ks.absLo
+	tail := len(ks.raw) > 0 && low >= int64(ks.absLo+len(ks.raw))
+	if tail {
+		if len(ks.raw) == ks.segLen {
+			return // window complete, nothing left to read
+		}
+		lo += len(ks.raw)
+	}
+	from := start.Add(time.Duration(lo) * step)
 	to := start.Add(time.Duration(ks.absLo+ks.segLen) * step)
 	vals, wstart, ok := sr.store.RangeInto(ks.key, from, to, ks.scratch[:0])
 	if cap(vals) > cap(ks.scratch) {
 		ks.scratch = vals
 	}
 	if !ok {
-		return // no window bins stored yet
+		return // no bin of the range stored yet
 	}
 	if !wstart.Equal(from) {
 		// Store geometry moved under us (prune racing this advance);
 		// the epoch bump re-bases the state on the next drain.
 		return
 	}
-	if len(vals) > ks.segLen {
-		vals = vals[:ks.segLen]
+	if n := ks.absLo + ks.segLen - lo; len(vals) > n {
+		vals = vals[:n]
 	}
-	if len(vals) < len(ks.raw) {
-		// The stored span shrank below the consumed prefix: resync.
-		sr.countInvalidation()
-		ks.resetLocked()
-	}
-	same := true
-	for i := range ks.raw {
-		if math.Float64bits(vals[i]) != math.Float64bits(ks.raw[i]) {
-			same = false
-			break
+	if tail {
+		ks.raw = append(ks.raw, vals...)
+		sr.col.Add(obs.CtrStreamTailReads, 1)
+	} else {
+		if len(vals) < len(ks.raw) {
+			// The stored span shrank below the consumed prefix: resync.
+			sr.col.Add(obs.CtrStreamInvalidations, 1)
+			ks.resetLocked()
 		}
+		same := true
+		for i := range ks.raw {
+			if math.Float64bits(vals[i]) != math.Float64bits(ks.raw[i]) {
+				same = false
+				break
+			}
+		}
+		if !same {
+			sr.col.Add(obs.CtrStreamInvalidations, 1)
+			ks.resetLocked()
+		}
+		ks.raw = append(ks.raw[:0], vals...)
+		sr.col.Add(obs.CtrStreamFullReads, 1)
 	}
-	if !same {
-		sr.countInvalidation()
-		ks.resetLocked()
-	}
-	ks.raw = append(ks.raw[:0], vals...)
-	ks.lastReal = -1
-	for i := len(ks.raw) - 1; i >= 0; i-- {
+	// The verified prefix is unchanged, so only bins past the previous
+	// lastReal can move it (a reset put it back to -1).
+	prev := ks.lastReal
+	for i := len(ks.raw) - 1; i > prev; i-- {
 		if !math.IsNaN(ks.raw[i]) {
 			ks.lastReal = i
 			break
 		}
 	}
-	if ks.lastReal < 0 {
-		return
+	if ks.lastReal == prev {
+		return // no new real bin: nothing new is stable
 	}
-	ks.refillLocked()
+	ks.refillLocked(prev)
 	// Score every position whose full SST window fits inside the real
 	// prefix. Bins past lastReal are gaps-so-far: FillGaps would
 	// extrapolate them today and replace them when data arrives, so
@@ -406,32 +469,36 @@ func (ks *kpiStream) advance(sr *Streamer) {
 	}
 }
 
-// refillLocked rebuilds filled[:lastReal+1] as timeseries.FillGaps
+// refillLocked extends filled from the image of raw[:prev+1] it holds
+// (prev = -1: nothing) to raw[:lastReal+1], as timeseries.FillGaps
 // would over that prefix. The transform is prefix-stable: a bin's
 // filled value depends only on the nearest real bins around it, all at
 // or before lastReal, so growing the series append-only never changes
-// already-filled positions — which is exactly what the resumable sweep
-// requires of its input.
-func (ks *kpiStream) refillLocked() {
+// already-filled positions — which is what the resumable sweep requires
+// of its input, and why the bins up to the previous lastReal need no
+// second pass.
+func (ks *kpiStream) refillLocked(prev int) {
 	n := ks.lastReal + 1
 	if cap(ks.filled) < n {
 		ks.filled = append(ks.filled[:cap(ks.filled)], make([]float64, n-cap(ks.filled))...)
 	}
 	ks.filled = ks.filled[:n]
-	copy(ks.filled, ks.raw[:n])
+	copy(ks.filled[prev+1:], ks.raw[prev+1:n])
 	v := ks.filled
-	first := -1
-	for i := range v {
-		if !math.IsNaN(v[i]) {
-			first = i
-			break
+	last := prev
+	if last < 0 {
+		// Leading gap: extend the first real bin backwards.
+		for i := range v {
+			if !math.IsNaN(v[i]) {
+				last = i
+				break
+			}
+		}
+		for i := 0; i < last; i++ {
+			v[i] = v[last]
 		}
 	}
-	for i := 0; i < first; i++ {
-		v[i] = v[first]
-	}
-	last := first
-	for i := first + 1; i < n; i++ {
+	for i := last + 1; i < n; i++ {
 		if math.IsNaN(v[i]) {
 			continue
 		}
@@ -494,12 +561,6 @@ func (sr *Streamer) cachedScores(key topo.KPIKey, absLo int, segment []float64) 
 	return ks.cached(absLo, segment)
 }
 
-func (sr *Streamer) countInvalidation() {
-	if sr.col != nil {
-		sr.col.Add(obs.CtrStreamInvalidations, 1)
-	}
-}
-
 // enqueue hands a state to the scoring workers, coalescing duplicates
 // and shedding when the bounded queue is full — a shed state catches
 // up on a later wakeup, or at worst the assessor falls back to the
@@ -538,7 +599,11 @@ func (sr *Streamer) drainLoop() {
 	defer sr.wg.Done()
 	ticker := time.NewTicker(sr.scfg.PollInterval)
 	defer ticker.Stop()
-	var keyBuf []topo.KPIKey
+	var (
+		keyBuf []topo.KPIKey
+		lowBuf []int
+		advBuf []*kpiStream
+	)
 	for {
 		poll := false
 		select {
@@ -548,40 +613,50 @@ func (sr *Streamer) drainLoop() {
 		case <-ticker.C:
 			poll = true
 		}
-		keys, epoch, overflow := sr.feed.Drain(keyBuf[:0])
-		keyBuf = keys
-		var toAdvance []*kpiStream
+		keys, lows, epoch, overflow := sr.feed.DrainBins(keyBuf[:0], lowBuf[:0])
+		keyBuf, lowBuf = keys, lows
+		toAdvance := advBuf[:0]
 		sr.mu.Lock()
 		if !sr.epochSet {
 			sr.lastEpoch, sr.epochSet = epoch, true
 		}
 		if epoch != sr.lastEpoch {
 			// Prune rebased the store: every cached absolute bin index
-			// shifted. Re-derive geometry and start the sweeps over.
+			// shifted, the drained low-waters among them. Re-derive
+			// geometry and start the sweeps over.
 			sr.lastEpoch = epoch
 			for _, states := range sr.tracked {
 				for _, ks := range states {
 					ks.mu.Lock()
 					ks.rebaseLocked(sr.store)
 					ks.mu.Unlock()
-					sr.countInvalidation()
+					sr.col.Add(obs.CtrStreamInvalidations, 1)
 				}
 			}
 			overflow = true // everything needs a fresh look
 		}
 		if overflow {
 			for _, states := range sr.tracked {
+				for _, ks := range states {
+					ks.noteLow(lowAll)
+				}
 				toAdvance = append(toAdvance, states...)
 			}
 		} else {
-			for _, k := range keys {
-				toAdvance = append(toAdvance, sr.tracked[k]...)
+			for i, k := range keys {
+				states := sr.tracked[k]
+				for _, ks := range states {
+					ks.noteLow(int64(lows[i]))
+				}
+				toAdvance = append(toAdvance, states...)
 			}
 		}
 		sr.mu.Unlock()
 		for _, ks := range toAdvance {
 			sr.enqueue(ks)
 		}
+		clear(toAdvance) // drop the references until the next wake-up
+		advBuf = toAdvance
 		sr.checkReady(poll)
 	}
 }
@@ -667,7 +742,6 @@ func (sr *Streamer) assessLoop() {
 // and republishes the feed filter.
 func (sr *Streamer) retire(sc *streamChange) {
 	sr.mu.Lock()
-	defer sr.mu.Unlock()
 	for _, ks := range sc.states {
 		states := sr.tracked[ks.key]
 		for i, c := range states {
@@ -684,6 +758,8 @@ func (sr *Streamer) retire(sc *streamChange) {
 	}
 	sr.nTracked.Add(int64(-len(sc.states)))
 	sr.rebuildFilterLocked()
+	sr.mu.Unlock()
+	sr.refilter(sc)
 }
 
 // Close unregisters the feed, stops the workers, and closes the report

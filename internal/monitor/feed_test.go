@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -72,6 +73,145 @@ func TestBinFeedFilterAndShed(t *testing.T) {
 	s.Append(Measurement{kCPU, t0.Add(time.Minute), 3})
 	if _, _, overflow := drainAll(f); overflow {
 		t.Fatal("overflow flag stuck")
+	}
+}
+
+// The dirty set carries, per key, the lowest bin written since the last
+// drain: coalesced marks keep the minimum whatever order they came in, a
+// drain resets it, and the keys-only Drain hands over the same keys —
+// for measurements appended in-process and for ones that arrived framed.
+func TestBinFeedLowWater(t *testing.T) {
+	t.Run("append", func(t *testing.T) {
+		s := NewStore(t0, time.Minute)
+		testBinFeedLowWater(t, s, s.Append)
+	})
+	t.Run("framed", func(t *testing.T) {
+		s := NewStore(t0, time.Minute)
+		table := newKeyTable(s)
+		testBinFeedLowWater(t, s, func(m Measurement) {
+			frame, err := EncodeBatch([]Measurement{m})
+			if err == nil {
+				err = table.ingestFrame(frame)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+}
+
+func testBinFeedLowWater(t *testing.T, s *Store, ingest func(Measurement)) {
+	f := s.NewBinFeed(nil, 2)
+	defer f.Close()
+	write := func(k topo.KPIKey, bins ...int) {
+		for _, b := range bins {
+			ingest(Measurement{k, t0.Add(time.Duration(b) * time.Minute), float64(b)})
+		}
+	}
+	lowOf := func(keys []topo.KPIKey, lows []int) map[topo.KPIKey]int {
+		t.Helper()
+		if len(keys) != len(lows) {
+			t.Fatalf("%d keys but %d low-waters", len(keys), len(lows))
+		}
+		m := make(map[topo.KPIKey]int)
+		for i, k := range keys {
+			m[k] = lows[i]
+		}
+		return m
+	}
+
+	write(kCPU, 7, 8, 3, 9) // in order, then a late write, then on
+	write(kPV, 5)
+	keys, lows, _, overflow := f.DrainBins(nil, nil)
+	if got := lowOf(keys, lows); overflow || len(got) != 2 || got[kCPU] != 3 || got[kPV] != 5 {
+		t.Fatalf("low-waters %v (overflow %v), want cpu 3, pv 5", got, overflow)
+	}
+
+	// Reset by the drain: the next low-water knows nothing of bin 3.
+	write(kCPU, 10, 11)
+	keys, lows, _, _ = f.DrainBins(keys[:0], lows[:0])
+	if got := lowOf(keys, lows); len(got) != 1 || got[kCPU] != 10 {
+		t.Fatalf("low-waters after a drain %v, want cpu 10 alone", got)
+	}
+
+	// An overwrite of the newest bin is a write like any other.
+	write(kCPU, 11)
+	if _, lows, _, _ = f.DrainBins(nil, nil); len(lows) != 1 || lows[0] != 11 {
+		t.Fatalf("low-water of an overwrite %v, want 11", lows)
+	}
+
+	// Over capacity the set is incomplete and says so; the keys that
+	// fit keep their low-waters, and a shed key lowers nobody's.
+	k3 := topo.KPIKey{Scope: topo.ScopeServer, Entity: "srv-3", Metric: "cpu.ctxswitch"}
+	write(kCPU, 12)
+	write(kPV, 6)
+	write(k3, 0)
+	write(kCPU, 4)
+	keys, lows, _, overflow = f.DrainBins(nil, nil)
+	if got := lowOf(keys, lows); !overflow || len(got) != 2 || got[kCPU] != 4 || got[kPV] != 6 {
+		t.Fatalf("low-waters %v (overflow %v), want cpu 4, pv 6 and an overflow", got, overflow)
+	}
+
+	// Drain is DrainBins without the bins.
+	write(kCPU, 13)
+	write(kPV, 7)
+	only, _, overflow := f.Drain(nil)
+	got := make(map[topo.KPIKey]bool)
+	for _, k := range only {
+		got[k] = true
+	}
+	if overflow || len(only) != 2 || !got[kCPU] || !got[kPV] {
+		t.Fatalf("Drain returned %v (overflow %v), want cpu and pv", only, overflow)
+	}
+	if keys, lows, _, _ = f.DrainBins(nil, nil); len(keys) != 0 || len(lows) != 0 {
+		t.Fatalf("Drain left %v %v behind", keys, lows)
+	}
+}
+
+// Refilter flips the flags of the keys it is given and no others, and a
+// named key with no series yet gets its flag when its series is made.
+func TestRefilterKeys(t *testing.T) {
+	s := NewStore(t0, time.Minute)
+	k2 := topo.KPIKey{Scope: topo.ScopeServer, Entity: "srv-2", Metric: "cpu.ctxswitch"}
+	k3 := topo.KPIKey{Scope: topo.ScopeServer, Entity: "srv-3", Metric: "cpu.ctxswitch"}
+	s.Append(Measurement{kCPU, t0, 1})
+	s.Append(Measurement{kPV, t0, 1})
+	s.Append(Measurement{k2, t0, 1})
+	fc := newFeedConsumer(s)
+	defer fc.feed.Close()
+	flags := func() [4]bool {
+		return [4]bool{feedFlag(s, kCPU), feedFlag(s, kPV), feedFlag(s, k2), feedFlag(s, k3)}
+	}
+
+	fc.register([]topo.KPIKey{kCPU, k3})
+	if got := flags(); got != [4]bool{true, false, false, false} {
+		t.Fatalf("flags after registering cpu and the unborn srv-3: %v", got)
+	}
+	// The filter now wants kPV, but nobody named it: its flag stays down
+	// until somebody does, and its appends mark nothing meanwhile.
+	fc.refs[kPV]++
+	fc.register([]topo.KPIKey{k2})
+	if got := flags(); got != [4]bool{true, false, true, false} {
+		t.Fatalf("flags after registering srv-2 with pv unnamed: %v", got)
+	}
+	for _, k := range []topo.KPIKey{kCPU, kPV, k2, k3} {
+		s.Append(Measurement{k, t0.Add(time.Minute), 2})
+	}
+	fc.drain()
+	if want := map[topo.KPIKey]bool{kCPU: true, k2: true, k3: true}; !reflect.DeepEqual(fc.marked, want) {
+		t.Fatalf("marked %v, want %v", fc.marked, want)
+	}
+	if !feedFlag(s, k3) {
+		t.Fatal("srv-3 was tracked before its first append, but its series was made with the flag down")
+	}
+
+	fc.retire([]topo.KPIKey{kCPU})
+	if got := flags(); got != [4]bool{false, false, true, true} {
+		t.Fatalf("flags after retiring cpu: %v", got)
+	}
+	fc.retire([]topo.KPIKey{kPV, k2, k3})
+	if got := flags(); got != [4]bool{} {
+		t.Fatalf("flags after retiring everything: %v", got)
 	}
 }
 

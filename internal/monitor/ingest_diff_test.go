@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -202,6 +203,64 @@ func drainSub(ch <-chan Measurement) map[topo.KPIKey][]Measurement {
 			return out
 		}
 	}
+}
+
+// feedConsumer is the streaming assessor's side of a BinFeed, reduced
+// to what the store sees of it: a tracked-key snapshot the filter reads
+// lock-free, registration and retirement that republish it and refilter
+// only the keys they name, and a drain that remembers every key marked.
+// One goroutine registers and retires; drains must not overlap.
+type feedConsumer struct {
+	feed    *BinFeed
+	refs    map[topo.KPIKey]int
+	tracked atomic.Pointer[map[topo.KPIKey]struct{}]
+	marked  map[topo.KPIKey]bool
+}
+
+func newFeedConsumer(s *Store) *feedConsumer {
+	fc := &feedConsumer{refs: make(map[topo.KPIKey]int), marked: make(map[topo.KPIKey]bool)}
+	fc.feed = s.NewBinFeed(func(k topo.KPIKey) bool {
+		m := fc.tracked.Load()
+		if m == nil {
+			return false
+		}
+		_, ok := (*m)[k]
+		return ok
+	}, 0)
+	return fc
+}
+
+func (fc *feedConsumer) register(keys []topo.KPIKey) { fc.track(keys, +1) }
+func (fc *feedConsumer) retire(keys []topo.KPIKey)   { fc.track(keys, -1) }
+
+func (fc *feedConsumer) track(keys []topo.KPIKey, d int) {
+	for _, k := range keys {
+		if fc.refs[k] += d; fc.refs[k] == 0 {
+			delete(fc.refs, k)
+		}
+	}
+	m := make(map[topo.KPIKey]struct{}, len(fc.refs))
+	for k := range fc.refs {
+		m[k] = struct{}{}
+	}
+	fc.tracked.Store(&m)
+	fc.feed.Refilter(keys)
+}
+
+func (fc *feedConsumer) drain() {
+	keys, _, _ := fc.feed.Drain(nil)
+	for _, k := range keys {
+		fc.marked[k] = true
+	}
+}
+
+// feedFlag reads key's cached tracked flag; false when it has no series.
+func feedFlag(s *Store, key topo.KPIKey) bool {
+	sh := s.shardFor(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	e := sh.series[key]
+	return e != nil && e.feedTracked
 }
 
 // drainFeed returns the feed's dirty keys, sorted.
@@ -503,9 +562,13 @@ func TestIngestTableDropsPrunedSeries(t *testing.T) {
 
 // TestIngestHandlesAcrossPruneStorm streams from several publishers
 // over real sockets while prunes keep dropping whole series and a feed
-// refilters. A handle that outlived its entry would write into a series
+// consumer registers and retires keys, refiltering only the keys it
+// names. A handle that outlived its entry would write into a series
 // the store no longer holds, and the measurement would be missing at the
-// end; so the final contents must equal a serial reference.
+// end; so the final contents must equal a serial reference. A keyed
+// Refilter that missed a flag, or flipped one it was not given, would
+// mark a different set of keys than the same schedule replayed serially;
+// so the marked keys and the final flags must equal the reference's too.
 func TestIngestHandlesAcrossPruneStorm(t *testing.T) {
 	const (
 		pubs    = 3
@@ -526,9 +589,8 @@ func TestIngestHandlesAcrossPruneStorm(t *testing.T) {
 	}
 	defer srv.Close()
 
-	var odd atomic.Bool
-	feed := s.NewBinFeed(func(k topo.KPIKey) bool { return odd.Load() == (len(k.Entity)%2 == 1) }, 0)
-	defer feed.Close()
+	live := newFeedConsumer(s)
+	defer live.feed.Close()
 	quit := make(chan struct{})
 	var drainer sync.WaitGroup
 	drainer.Add(1)
@@ -536,19 +598,25 @@ func TestIngestHandlesAcrossPruneStorm(t *testing.T) {
 		defer drainer.Done()
 		for {
 			select {
-			case <-feed.C():
-				feed.Drain(nil)
+			case <-live.feed.C():
+				live.drain()
 			case <-quit:
 				return
 			}
 		}
 	}()
-	defer drainer.Wait()
-	defer close(quit)
+	stopDrainer := sync.OnceFunc(func() {
+		close(quit)
+		drainer.Wait()
+	})
+	defer stopDrainer()
 
 	at := func(round int) time.Time { return t0.Add(time.Duration(round) * time.Minute) }
 	steadyKey := func(p, k int) topo.KPIKey {
 		return topo.KPIKey{Scope: topo.ScopeServer, Entity: fmt.Sprintf("p%d-steady-%d", p, k), Metric: "m"}
+	}
+	burstKey := func(p, k int) topo.KPIKey {
+		return topo.KPIKey{Scope: topo.ScopeInstance, Entity: fmt.Sprintf("p%d-burst-%d", p, k), Metric: "m"}
 	}
 	roundOf := func(p, r int) []Measurement {
 		var ms []Measurement
@@ -557,11 +625,40 @@ func TestIngestHandlesAcrossPruneStorm(t *testing.T) {
 		}
 		if r%cycle < burstOn {
 			for k := 0; k < bursty; k++ {
-				ms = append(ms, Measurement{topo.KPIKey{Scope: topo.ScopeInstance, Entity: fmt.Sprintf("p%d-burst-%d", p, k), Metric: "m"}, at(r), float64(r*10 + k)})
+				ms = append(ms, Measurement{burstKey(p, k), at(r), float64(r*10 + k)})
 			}
 		}
 		return ms
 	}
+	// The keys cycle c's "change" covers: one steady key per publisher
+	// and one burst key, which has no series when it is registered (the
+	// last prune dropped it) and must get its flag at creation. The
+	// consumer registers them while the publishers wait for the cycle to
+	// start, so every one is written, and marked, while tracked; the
+	// last steady key of each publisher and most burst keys are never
+	// tracked and must never be marked.
+	changeKeys := func(c int) []topo.KPIKey {
+		keys := []topo.KPIKey{burstKey(c%pubs, c%bursty)}
+		for p := 0; p < pubs; p++ {
+			keys = append(keys, steadyKey(p, c%(steady-1)))
+		}
+		return keys
+	}
+	// storm is what the consumer does inside cycle c, between the burst
+	// and the next cycle: retire the cycle's keys under the publishers'
+	// feet, register and retire them again around every prune, and
+	// leave the next cycle's keys registered. The reference replays it
+	// with nothing running beside it.
+	storm := func(fc *feedConsumer, c int, prunes []func()) {
+		fc.retire(changeKeys(c))
+		for _, prune := range prunes {
+			fc.register(changeKeys(c))
+			prune()
+			fc.retire(changeKeys(c))
+		}
+		fc.register(changeKeys(c + 1))
+	}
+	live.register(changeKeys(0))
 
 	// A publisher streams a cycle without waiting for anybody, and starts
 	// the next one — the next burst — once this cycle's prunes are done.
@@ -612,11 +709,19 @@ func TestIngestHandlesAcrossPruneStorm(t *testing.T) {
 		if c == cycles-1 {
 			cuts = cuts[:1]
 		}
-		for _, before := range cuts {
-			s.Prune(at(before))
-			odd.Store(!odd.Load())
-			feed.Refilter()
+		for _, k := range changeKeys(c) {
+			if !feedFlag(s, k) {
+				t.Fatalf("cycle %d: %v is tracked and has a series, but its flag is down", c, k)
+			}
 		}
+		if k := steadyKey(0, steady-1); feedFlag(s, k) {
+			t.Fatalf("cycle %d: %v was never tracked, but its flag is up", c, k)
+		}
+		var prunes []func()
+		for _, before := range cuts {
+			prunes = append(prunes, func() { s.Prune(at(before)) })
+		}
+		storm(live, c, prunes)
 		for _, k := range s.Keys() {
 			if k.Scope == topo.ScopeInstance && c < cycles-1 {
 				t.Fatalf("cycle %d: %v survived a prune past its last bin", c, k)
@@ -634,14 +739,41 @@ func TestIngestHandlesAcrossPruneStorm(t *testing.T) {
 		t.Fatalf("%d connections dropped", n)
 	}
 
+	stopDrainer()
+	live.drain()
+
 	ref := NewStoreShards(t0, time.Minute, twinShards)
 	ref.SetChunkSpan(4)
-	for p := 0; p < pubs; p++ {
-		for r := 0; r < cycles*cycle; r++ {
-			ref.AppendBatch(roundOf(p, r))
+	serial := newFeedConsumer(ref)
+	defer serial.feed.Close()
+	serial.register(changeKeys(0))
+	for c := 0; c < cycles; c++ {
+		for p := 0; p < pubs; p++ {
+			for r := c * cycle; r < (c+1)*cycle; r++ {
+				ref.AppendBatch(roundOf(p, r))
+			}
+		}
+		storm(serial, c, nil)
+	}
+	serial.drain()
+	ref.Prune(s.Start())
+	everTracked := make(map[topo.KPIKey]bool)
+	for c := 0; c < cycles; c++ {
+		for _, k := range changeKeys(c) {
+			everTracked[k] = true
 		}
 	}
-	ref.Prune(s.Start())
+	if !reflect.DeepEqual(serial.marked, everTracked) {
+		t.Fatalf("the serial reference marked %v, want every key a cycle tracked: %v", serial.marked, everTracked)
+	}
+	if !reflect.DeepEqual(live.marked, serial.marked) {
+		t.Fatalf("marked keys differ from the serial reference:\n got %v\nwant %v", live.marked, serial.marked)
+	}
+	for _, k := range ref.Keys() {
+		if got, want := feedFlag(s, k), feedFlag(ref, k); got != want {
+			t.Fatalf("%v: feed flag %v, reference %v", k, got, want)
+		}
+	}
 	if !ref.Start().Equal(s.Start()) {
 		t.Fatalf("epochs differ: %v, reference %v", s.Start(), ref.Start())
 	}

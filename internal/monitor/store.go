@@ -162,7 +162,8 @@ type seriesEntry struct {
 	// this key (guarded by the owning shard's mutex, like the rest of
 	// the entry). The append hot path tests this one boolean instead of
 	// hashing the three-string key against every feed's filter;
-	// feed registration, closure, and Refilter recompute it.
+	// feed registration and closure recompute it for every series,
+	// Refilter for the keys it is given.
 	feedTracked bool
 }
 
@@ -443,7 +444,7 @@ func (s *Store) commitLocked(sh *storeShard, e *seriesEntry, key *topo.KPIKey, i
 		sh.wal.appendLocked(wire, m)
 	}
 	if e.feedTracked {
-		s.notifyFeeds(*key)
+		s.notifyFeeds(key, wire, m)
 	}
 	if s.numSubs.Load() == 0 {
 		return 0, 0 // fast path: nobody listening, skip the scan

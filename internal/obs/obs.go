@@ -174,6 +174,15 @@ const (
 	// because their raw window diverged from the store (late write into
 	// scored territory, prune rebase, quarantined re-read).
 	CtrStreamInvalidations = "stream.invalidations"
+	// CtrStreamTailReads counts advances that read only the bins past
+	// the prefix the score state had consumed (the feed's low-water was
+	// at or past it); CtrStreamFullReads counts the ones that re-read
+	// and verified the whole window instead — a state's first read, a
+	// write inside its prefix, a feed overflow, a prune rebase. A full
+	// read is the streamer's fallback, so a rate of them is the answer
+	// to "why is the stream slow". Added once per advance that read.
+	CtrStreamTailReads = "stream.tail_reads"
+	CtrStreamFullReads = "stream.full_reads"
 	// GaugeStreamQueue is the streaming assessor's advance-queue depth;
 	// GaugeStreamTracked the number of KPI score states it maintains;
 	// GaugeStreamPending the changes still awaiting their ready bin.

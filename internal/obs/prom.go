@@ -148,6 +148,8 @@ var promHelp = map[string]string{
 	CtrWindowsBounded:    "SST window positions answered by the Eq. 11 bound, without the past eigen-solves.",
 	CtrWindowsSolved:     "SST window positions eigen-solved in full.",
 	CtrHistoryFetches:    "Series decoded at the deep (HistoryDays) depth for a historical control.",
+	CtrStreamTailReads:   "Streaming advances that read only the bins past the consumed prefix.",
+	CtrStreamFullReads:   "Streaming advances that re-read and verified the whole window.",
 	CtrKPIsFlagged:       "KPI changes attributed to software changes.",
 	CtrDiskErrors:        "Disk I/O failures observed by the persister.",
 	CtrWALRearms:         "Durability re-arms after transient disk faults.",

@@ -166,6 +166,8 @@ func goldenCollector() *Collector {
 	c.Add(CtrWindowsBounded, 1060)
 	c.Add(CtrWindowsSolved, 150)
 	c.Add(CtrHistoryFetches, 4)
+	c.Add(CtrStreamTailReads, 4809)
+	c.Add(CtrStreamFullReads, 12)
 	c.SetGaugeFunc(LabeledName("monitor.shard_series", "shard", "0"), func() int64 { return 11 })
 	c.SetGaugeFunc(LabeledName("monitor.shard_series", "shard", "1"), func() int64 { return 13 })
 	c.SetGaugeFunc(LabeledName("monitor.client_reconnects", "addr", `10.0.0.1:7102"\weird`, "id", "1"),
