@@ -191,18 +191,9 @@ func runBenchSuite(iters int, outPath, checkPath string) error {
 	// The incremental sliding sweep, amortized per window: each op is a
 	// full ScoreRangeInto over the series, divided by the number of
 	// window positions so the figure is directly comparable with the
-	// per_window entries. The -warm variant additionally warm-starts the
-	// future Lanczos solve with a reduced Krylov dimension — the funnel
-	// detect path's configuration.
-	for _, sv := range []struct {
-		name string
-		warm bool
-	}{
-		{"per_window/sliding-ika", false},
-		{"per_window/sliding-ika-warm", true},
-	} {
+	// per_window entries.
+	{
 		sl := sst.NewSliding(sst.NewIKA(sst.Config{Normalize: true, RobustFilter: true}))
-		sl.WarmStart = sv.warm
 		cfg := sl.Config()
 		lo, hi := cfg.PastSpan(), len(x)-cfg.FutureSpan()+1
 		out := make([]float64, len(x))
@@ -217,7 +208,7 @@ func runBenchSuite(iters int, outPath, checkPath string) error {
 		st.NsPerOp /= span
 		st.AllocsPerOp /= span
 		st.BytesPerOp /= span
-		record(sv.name, sweepIters, true, st)
+		record("per_window/sliding-ika", sweepIters, true, st)
 	}
 
 	// History backfill: the parallel batch-scoring path.

@@ -381,24 +381,19 @@ func NewAssessor(source SeriesSource, tp *topo.Topology, cfg Config) (*Assessor,
 	}
 	// One scorer, whatever else is configured: the incremental sliding
 	// sweep, which maintains the Hankel Gram operators across consecutive
-	// window positions instead of rebuilding them and warm-starts each
-	// position's Lanczos solves from the previous position's dominant
-	// Ritz vector with a reduced Krylov dimension. Its scores agree with
-	// per-window IKA to detector precision (~1e-2), so this — not the
-	// per-window reference — is the algorithm the accuracy tables
-	// measure; EXPERIMENTS.md records what the difference costs. The gate
-	// below reads a score only through `score >= DetectorThreshold` (and
-	// the peak of the scores that pass), so the sweep is told that
-	// threshold as its Floor and answers every position whose Eq. 11
-	// multiplier is already under it without the past solves. A non-SST
-	// Detector name puts that registered detector's default configuration
-	// behind the same wrapper, which then sweeps it one ScoreAt per
-	// position.
+	// window positions instead of rebuilding them and scores every window
+	// cold, so its scores are per-window IKA's to 1e-9 — the paper's
+	// algorithm is what the accuracy tables measure. The gate below reads
+	// a score only through `score >= DetectorThreshold` (and the peak of
+	// the scores that pass), so the sweep is told that threshold as its
+	// Floor and answers every position whose Eq. 11 multiplier is already
+	// under it without any eigen-solve. A non-SST Detector name puts that
+	// registered detector's default configuration behind the same wrapper,
+	// which then sweeps it one ScoreAt per position.
 	var scorer *sst.SlidingScorer
 	switch cfg.Detector {
 	case "", "sst":
 		scorer = sst.NewSliding(sst.NewIKA(cfg.SST))
-		scorer.WarmStart = true
 		scorer.Floor = cfg.DetectorThreshold
 	default:
 		entry, err := detect.LookupDetector(cfg.Detector)

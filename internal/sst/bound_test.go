@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -44,54 +45,50 @@ func boundShapes() map[string][]float64 {
 }
 
 // sweepWithFloor runs one batch sweep of cfg over x.
-func sweepWithFloor(cfg Config, warm bool, floor float64, x []float64) (scores []float64, solved, bounded int) {
+func sweepWithFloor(cfg Config, floor float64, x []float64) (scores []float64, solved, bounded int) {
 	sl := NewSliding(NewIKA(cfg))
-	sl.WarmStart = warm
 	sl.Floor = floor
 	return sl.Sweep(x)
 }
 
 // The bound-first guarantee a gate thresholding at Floor relies on: every
 // position whose Floor-0 score reaches Floor is solved and bit-equal to
-// it (including the first solve after a bounded stretch — the warm carry
-// survives), every other position reads an upper bound of its score that
-// is itself under Floor.
+// it (including the first solve after a bounded stretch), every other
+// position reads an upper bound of its score that is itself under Floor.
 func TestBoundFirstSweep(t *testing.T) {
 	floors := []float64{0, 0.5, 1.6, 6, math.Inf(1)}
 	for shape, x := range boundShapes() {
 		for cname, cfg := range configMatrix() {
-			for _, warm := range []bool{false, true} {
-				ref, refSolved, refBounded := sweepWithFloor(cfg, warm, 0, x)
-				rcfg := NewIKA(cfg).Config()
-				positions := len(x) - rcfg.PastSpan() - rcfg.FutureSpan() + 1
-				if refBounded != 0 || refSolved != positions {
-					t.Fatalf("%s/%s: Floor 0 reports %d solved, %d bounded of %d", shape, cname, refSolved, refBounded, positions)
+			ref, refSolved, refBounded := sweepWithFloor(cfg, 0, x)
+			rcfg := NewIKA(cfg).Config()
+			positions := len(x) - rcfg.PastSpan() - rcfg.FutureSpan() + 1
+			if refBounded != 0 || refSolved != positions {
+				t.Fatalf("%s/%s: Floor 0 reports %d solved, %d bounded of %d", shape, cname, refSolved, refBounded, positions)
+			}
+			for _, floor := range floors {
+				name := fmt.Sprintf("%s/%s/floor=%v", shape, cname, floor)
+				got, solved, bounded := sweepWithFloor(cfg, floor, x)
+				if solved+bounded != positions {
+					t.Fatalf("%s: %d solved + %d bounded, want %d positions", name, solved, bounded, positions)
 				}
-				for _, floor := range floors {
-					name := fmt.Sprintf("%s/%s/warm=%v/floor=%v", shape, cname, warm, floor)
-					got, solved, bounded := sweepWithFloor(cfg, warm, floor, x)
-					if solved+bounded != positions {
-						t.Fatalf("%s: %d solved + %d bounded, want %d positions", name, solved, bounded, positions)
-					}
-					if (floor == 0 || !rcfg.RobustFilter) && bounded != 0 {
-						t.Fatalf("%s: %d positions bounded with the bound off", name, bounded)
-					}
-					under := 0
-					for i, want := range ref {
-						switch {
-						case math.IsNaN(want) || want >= floor:
-							if math.Float64bits(got[i]) != math.Float64bits(want) {
-								t.Fatalf("%s: score[%d] = %v, Floor-0 sweep %v", name, i, got[i], want)
-							}
-						case !(got[i] < floor) || got[i] < want:
-							t.Fatalf("%s: score[%d] = %v is not a bound of %v under the floor", name, i, got[i], want)
-						default:
-							under++
+				if (floor == 0 || !rcfg.RobustFilter) && bounded != 0 {
+					t.Fatalf("%s: %d positions bounded with the bound off", name, bounded)
+				}
+				under := 0
+				for i, want := range ref {
+					switch {
+					case math.IsNaN(want) || want >= floor:
+						if math.Float64bits(got[i]) != math.Float64bits(want) {
+							t.Fatalf("%s: score[%d] = %v, Floor-0 sweep %v", name, i, got[i], want)
 						}
+					case !(got[i] < floor) || got[i] < want:
+						t.Fatalf("%s: score[%d] = %v is not a bound of %v under the floor", name, i, got[i], want)
+					default:
+						under++
 					}
-					if bounded > under {
-						t.Fatalf("%s: %d bounded but only %d positions under the floor", name, bounded, under)
-					}
+				}
+				if bounded > under {
+					t.Fatalf("%s: %d bounded but only %d positions under the floor", name, bounded, under)
 				}
 			}
 		}
@@ -100,12 +97,12 @@ func TestBoundFirstSweep(t *testing.T) {
 
 // The deployed configuration on a level shift must exercise both arms,
 // with solved positions following bounded ones — otherwise the property
-// test above proves nothing about the warm carry.
+// test above proves nothing about resuming after a bounded stretch.
 func TestBoundFirstSweepExercisesBothArms(t *testing.T) {
 	x := boundShapes()["level-shift"]
 	cfg := Config{Normalize: true, RobustFilter: true}
-	ref, _, _ := sweepWithFloor(cfg, true, 0, x)
-	got, solved, bounded := sweepWithFloor(cfg, true, 1.6, x)
+	ref, _, _ := sweepWithFloor(cfg, 0, x)
+	got, solved, bounded := sweepWithFloor(cfg, 1.6, x)
 	if solved == 0 || bounded < solved {
 		t.Fatalf("level shift at floor 1.6: %d solved, %d bounded; want mostly bounded with some solved", solved, bounded)
 	}
@@ -127,33 +124,30 @@ func TestBoundFirstSweepExercisesBothArms(t *testing.T) {
 // arrival chunking: both run the one step body.
 func TestBoundFirstStreamMatchesBatch(t *testing.T) {
 	for shape, x := range boundShapes() {
-		for _, warm := range []bool{false, true} {
-			sl := NewSliding(NewIKA(Config{Normalize: true, RobustFilter: true}))
-			sl.WarmStart = warm
-			sl.Floor = 1.6
-			want, _, bounded := sl.Sweep(x)
-			rcfg := sl.Config()
-			hi := len(x) - rcfg.FutureSpan() + 1
-			for _, chunk := range []int{1, 3, 17} {
-				sw := sl.NewStream()
-				sw.Reset(0)
-				got := nanSeries(len(x))
-				for n := chunk; ; n += chunk {
-					if n > len(x) {
-						n = len(x)
-					}
-					for sw.Pos() < hi && sw.Pos()+rcfg.FutureSpan() <= n {
-						got[sw.Pos()] = sw.Next(x[:n])
-					}
-					if n == len(x) {
-						break
-					}
+		sl := NewSliding(NewIKA(Config{Normalize: true, RobustFilter: true}))
+		sl.Floor = 1.6
+		want, _, bounded := sl.Sweep(x)
+		rcfg := sl.Config()
+		hi := len(x) - rcfg.FutureSpan() + 1
+		for _, chunk := range []int{1, 3, 17} {
+			sw := sl.NewStream()
+			sw.Reset(0)
+			got := nanSeries(len(x))
+			for n := chunk; ; n += chunk {
+				if n > len(x) {
+					n = len(x)
 				}
-				name := fmt.Sprintf("%s/warm=%v/chunk=%d", shape, warm, chunk)
-				bitCompare(t, name, got, want)
-				if sw.Bounded() != bounded {
-					t.Fatalf("%s: stream bounded %d positions, batch %d", name, sw.Bounded(), bounded)
+				for sw.Pos() < hi && sw.Pos()+rcfg.FutureSpan() <= n {
+					got[sw.Pos()] = sw.Next(x[:n])
 				}
+				if n == len(x) {
+					break
+				}
+			}
+			name := fmt.Sprintf("%s/chunk=%d", shape, chunk)
+			bitCompare(t, name, got, want)
+			if sw.Bounded() != bounded {
+				t.Fatalf("%s: stream bounded %d positions, batch %d", name, sw.Bounded(), bounded)
 			}
 		}
 	}
@@ -165,25 +159,22 @@ func TestBoundFirstSweepZeroAlloc(t *testing.T) {
 		t.Skip("race detector makes sync.Pool drop Puts; alloc guarantee does not hold")
 	}
 	x := boundShapes()["level-shift"]
-	for _, warm := range []bool{false, true} {
-		sl := NewSliding(NewIKA(Config{Normalize: true, RobustFilter: true}))
-		sl.WarmStart = warm
-		sl.Floor = 1.6
-		rcfg := sl.Config()
-		lo, hi := rcfg.PastSpan(), len(x)-rcfg.FutureSpan()+1
-		out := make([]float64, len(x))
-		sl.ScoreRangeInto(out, x, lo, hi) // warm the pooled state
-		if allocs := testing.AllocsPerRun(10, func() { sl.ScoreRangeInto(out, x, lo, hi) }); allocs != 0 {
-			t.Errorf("warm=%v: allocs/sweep = %v, want 0", warm, allocs)
-		}
+	sl := NewSliding(NewIKA(Config{Normalize: true, RobustFilter: true}))
+	sl.Floor = 1.6
+	rcfg := sl.Config()
+	lo, hi := rcfg.PastSpan(), len(x)-rcfg.FutureSpan()+1
+	out := make([]float64, len(x))
+	sl.ScoreRangeInto(out, x, lo, hi) // warm the pooled state
+	if allocs := testing.AllocsPerRun(10, func() { sl.ScoreRangeInto(out, x, lo, hi) }); allocs != 0 {
+		t.Errorf("allocs/sweep = %v, want 0", allocs)
 	}
 }
 
-// sectionMultiplier derives the before-section's median and MAD from the
-// normalization statistics instead of sorting the section; it must agree
-// with the sorting filter bit for bit on every window, including the
-// degenerate normalizations (zero MAD → stddev, zero stddev → level
-// floor) and the non-finite windows that keep the sorting path.
+// windowStats derives the Eq. 11 sections' medians and MADs from two
+// sliding sorted spans instead of sorting them; it must agree with the
+// sorting filter bit for bit on every window of a sweep, including the
+// degenerate normalizations (zero MAD → stddev, zero stddev → level floor)
+// and the non-finite or clipped windows that keep the sorting path.
 func TestSectionMultiplierMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	type gen func(i int) float64
@@ -198,7 +189,9 @@ func TestSectionMultiplierMatchesSort(t *testing.T) {
 		"tiny":         func(int) float64 { return 1e-300 * rng.Float64() },
 		"subnormal":    func(int) float64 { return 5e-324 * float64(rng.Intn(5)) },
 		"huge":         func(int) float64 { return 1e308 * (rng.Float64() - 0.5) },
+		"near-cap":     func(int) float64 { return 2 * spanMax * (rng.Float64() - 0.5) },
 		"signed-zero":  func(i int) float64 { return math.Copysign(0, float64(1-2*(i%2))) },
+		"zero-signs":   func(int) float64 { return math.Copysign(float64(rng.Intn(4)/3), float64(1-2*rng.Intn(2))) },
 		"step":         func(i int) float64 { return float64(i/17) * 9 },
 		"with-nan": func(i int) float64 {
 			if rng.Intn(9) == 0 {
@@ -212,42 +205,88 @@ func TestSectionMultiplierMatchesSort(t *testing.T) {
 			}
 			return rng.NormFloat64()
 		},
+		"rare-nan": func(i int) float64 { // enters, dwells, leaves; the spans rebuild in between
+			if i%71 == 50 {
+				return math.NaN()
+			}
+			return float64(rng.Intn(6))
+		},
 	}
 	cfgs := map[string]Config{
 		"deployed": {Normalize: true, RobustFilter: true},
 		"omega5":   {Omega: 5, Normalize: true, RobustFilter: true},
-		"delta7":   {Delta: 7, Normalize: true, RobustFilter: true}, // δ ≠ ω: section ≠ past span
+		"delta7":   {Delta: 7, Normalize: true, RobustFilter: true},  // δ ≠ ω: section ≠ past span
+		"delta12":  {Delta: 12, Normalize: true, RobustFilter: true}, // even past span
+		"gamma5":   {Gamma: 5, Normalize: true, RobustFilter: true},  // after-section clipped
+		"gamma12":  {Gamma: 12, Rho: 2, Normalize: true, RobustFilter: true},
+		"rho4":     {Gamma: 5, Rho: 4, Normalize: true, RobustFilter: true},
+		"nofilter": {Normalize: true},
 		"raw":      {RobustFilter: true},
 	}
+	spanPath := map[string]bool{"deployed": true, "omega5": true, "gamma12": true, "rho4": true}
 	for cname, cfg := range cfgs {
 		sl := NewSliding(NewIKA(cfg))
 		rcfg := sl.Config()
-		tl, size := rcfg.PastSpan(), rcfg.WindowSize()
 		st := &slidingState{}
-		ref := &workspace{}
 		for gname, g := range gens {
-			for trial := 0; trial < 200; trial++ {
-				w := make([]float64, size)
-				for i := range w {
-					w[i] = g(i)
+			x := make([]float64, rcfg.WindowSize()+200)
+			for i := range x {
+				x[i] = g(i)
+			}
+			sl.stepReset(st)
+			onSpans := 0
+			for pos := rcfg.PastSpan(); pos+rcfg.FutureSpan() <= len(x); pos++ {
+				st.spansOK = st.spansOK && pos != rcfg.PastSpan()+120 // a reset mid-series
+				checkWindowStats(t, cname+"/"+gname, sl, st, x, pos)
+				if st.spansOK {
+					onSpans++
 				}
-				med, mad, inv := 0.0, 0.0, 1.0
-				want := w
-				if rcfg.Normalize {
-					med, mad = stats.MedianMAD(w[:tl])
-					inv = 1 / normScale(w[:tl], med, mad)
-					want = make([]float64, size)
-					for i, v := range w {
-						want[i] = (v - med) * inv
-					}
-				}
-				a := sl.sectionMultiplier(st, w, tl, med, mad, inv)
-				b := robustMultiplierWS(ref, want, tl, rcfg.Omega)
-				if math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("%s/%s trial %d: derived multiplier %v (%x), sorted %v (%x)\nwindow %v",
-						cname, gname, trial, a, math.Float64bits(a), b, math.Float64bits(b), w)
-				}
+			}
+			switch finite := gname != "huge" && gname != "near-cap" && !strings.HasPrefix(gname, "with-"); {
+			case !spanPath[cname] && onSpans != 0:
+				t.Errorf("%s/%s: %d positions on the span path of a config that has none", cname, gname, onSpans)
+			case spanPath[cname] && finite && gname != "rare-nan" && onSpans != 201:
+				t.Errorf("%s/%s: %d of 201 positions on the span path, want all", cname, gname, onSpans)
+			case spanPath[cname] && gname == "rare-nan" && (onSpans == 0 || onSpans == 201):
+				t.Errorf("%s/%s: %d of 201 positions on the span path, want some on either", cname, gname, onSpans)
 			}
 		}
 	}
+}
+
+// checkWindowStats advances st to position pos of x through windowStats
+// and holds all it returns to the sorting path, bit for bit.
+func checkWindowStats(t *testing.T, name string, sl *SlidingScorer, st *slidingState, x []float64, pos int) {
+	t.Helper()
+	cfg := sl.Config()
+	med, inv, mult := sl.windowStats(st, x, pos)
+	wmed, winv, wmult := sortingStats(cfg, x, pos)
+	if math.Float64bits(med) != math.Float64bits(wmed) || math.Float64bits(inv) != math.Float64bits(winv) ||
+		math.Float64bits(mult) != math.Float64bits(wmult) {
+		t.Fatalf("%s position %d: spans give med %v inv %v mult %v (%x), sorting %v %v %v (%x)\nwindow %v",
+			name, pos, med, inv, mult, math.Float64bits(mult), wmed, winv, wmult, math.Float64bits(wmult),
+			x[pos-cfg.PastSpan():pos+cfg.FutureSpan()])
+	}
+}
+
+// sortingStats is windowStats as the sweep computed it before the sorted
+// spans: one sort for the past span's median and MAD, the window
+// normalized, and the sorting Eq. 11 filter over it.
+func sortingStats(cfg Config, x []float64, t int) (med, inv, mult float64) {
+	w, tl := x[t-cfg.PastSpan():t+cfg.FutureSpan()], cfg.PastSpan()
+	inv, mult = 1, 1
+	if cfg.Normalize {
+		var mad float64
+		med, mad = stats.MedianMAD(w[:tl])
+		inv = 1 / normScale(w[:tl], med, mad)
+		norm := make([]float64, len(w))
+		for i, v := range w {
+			norm[i] = (v - med) * inv
+		}
+		w = norm
+	}
+	if cfg.RobustFilter {
+		mult = robustMultiplier(w, tl, cfg.Omega)
+	}
+	return med, inv, mult
 }

@@ -78,7 +78,7 @@ func (s *IKA) scoreAt(ws *workspace, x []float64, t int) float64 {
 
 	ws.start = grow(ws.start, s.cfg.Omega)
 	ws.future.RowSums(ws.start)
-	score, _ := s.scoreWindow(ws, &ws.past, &ws.future, s.cfg.K)
+	score := s.scoreWindow(ws, &ws.past, &ws.future)
 	if s.cfg.RobustFilter {
 		score *= robustMultiplierWS(ws, w, tl, s.cfg.Omega)
 	}
@@ -89,16 +89,10 @@ func (s *IKA) scoreAt(ws *workspace, x []float64, t int) float64 {
 // discordance of each — against arbitrary past/future Gram operators, with
 // ws.start already holding the Krylov start vector for the future solve.
 // The per-window path passes the implicit HankelGram operators; the
-// sliding sweep passes incrementally maintained dense Gram matrices and,
-// in warm-start mode, a reduced Krylov dimension k. The returned eta is
-// the number of Ritz pairs left in ws.lambdas/ws.betas (0 on a
-// degenerate window); the sweep reads ws.betas[0] back as the next
-// position's warm start.
-func (s *IKA) scoreWindow(ws *workspace, past, future linalg.SymOp, k int) (float64, int) {
-	eta := s.futureDirections(ws, future, k)
-	if eta == 0 {
-		return 0, 0
-	}
+// sliding sweep passes incrementally maintained dense Gram matrices. A
+// degenerate window scores 0.
+func (s *IKA) scoreWindow(ws *workspace, past, future linalg.SymOp) float64 {
+	eta := s.futureDirections(ws, future)
 	var num, den float64
 	for i := 0; i < eta; i++ {
 		beta := ws.betas[i*s.cfg.Omega : (i+1)*s.cfg.Omega]
@@ -107,9 +101,9 @@ func (s *IKA) scoreWindow(ws *workspace, past, future linalg.SymOp, k int) (floa
 		den += ws.lambdas[i]
 	}
 	if den > 0 {
-		return clamp01(num / den), eta
+		return clamp01(num / den)
 	}
-	return 0, eta
+	return 0
 }
 
 // futureDirections extracts η Ritz pairs of the future Gram operator via
@@ -118,7 +112,7 @@ func (s *IKA) scoreWindow(ws *workspace, past, future linalg.SymOp, k int) (floa
 // the Krylov basis) row-contiguously in ws.betas. ws.start must hold the
 // Krylov start vector. It returns the number of pairs, 0 on a degenerate
 // window.
-func (s *IKA) futureDirections(ws *workspace, future linalg.SymOp, k int) int {
+func (s *IKA) futureDirections(ws *workspace, future linalg.SymOp) int {
 	n := s.cfg.Omega
 	if linalg.Norm2(ws.start) < 1e-12 {
 		// Deterministic fallback for a vanishing A·1 (e.g. a perfectly
@@ -127,7 +121,7 @@ func (s *IKA) futureDirections(ws *workspace, future linalg.SymOp, k int) int {
 			ws.start[i] = 1 + float64(i)
 		}
 	}
-	res, err := linalg.LanczosWS(&ws.lan, future, ws.start, k, true)
+	res, err := linalg.LanczosWS(&ws.lan, future, ws.start, s.cfg.K, true)
 	if err != nil {
 		return 0
 	}
@@ -174,11 +168,7 @@ func mulVecColTo(dst []float64, q, y *linalg.Matrix, col int) {
 }
 
 // discordance approximates φ = 1 − Σⱼ (βᵀuⱼ)² for the top-η
-// eigendirections uⱼ of the past Gram operator via Eq. 13, always with
-// the full Krylov dimension cfg.K: unlike the future solve, the start
-// vector β is nearly orthogonal to the past's dominant subspace
-// precisely when a change is present, so a reduced Krylov space would
-// distort φ at exactly the windows that matter. Only the first
+// eigendirections uⱼ of the past Gram operator via Eq. 13. Only the first
 // components of the tridiagonal eigenvectors enter the score, so the
 // solve accumulates just that row of the rotations
 // (TridiagEigFirstRowWS) — bit-identical to reading row 0 of the full

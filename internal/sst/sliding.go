@@ -1,6 +1,7 @@
 package sst
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/linalg"
@@ -43,29 +44,22 @@ type RangeScorer interface {
 // A SlidingScorer is safe for concurrent use: each concurrent sweep
 // draws its own state from an internal pool.
 type SlidingScorer struct {
-	// WarmStart starts each position's future Lanczos solve from the
-	// previous position's dominant Ritz vector instead of the row-sum
-	// vector, and drops that solve's Krylov dimension from k = 2η−1 to
-	// η+1: the start vector already spans most of the dominant subspace,
-	// so fewer iterations resolve the η directions. (The φ solves keep
-	// the full dimension — their start vector β is nearly orthogonal to
-	// the past subspace exactly when a change is present.) Scores then
-	// agree with the per-window path to detector precision (~1e-2 on
-	// [0,1] scores) rather than 1e-9. funnel.NewAssessor always sets it;
-	// it is a field so tests can leave it off and hold the sweep to the
-	// 1e-9 reference. Set before first use; not safe to flip
-	// concurrently with scoring.
+	// WarmStart is ignored: every window is scored cold, from the row-sum
+	// vector at the full Krylov dimension.
+	//
+	// Deprecated: has no effect; remove with benchmark/layers.go:761,
+	// ROADMAP 2a.
 	WarmStart bool
 	// Floor, when positive and the wrapped IKA has RobustFilter on, lets
 	// the sweep answer a position from the Eq. 11 multiplier alone: the
 	// solved score is x̂·mult with x̂ ∈ [0, 1], so where mult < Floor the
 	// sweep returns mult — an upper bound that is itself under Floor —
-	// without the past solves. Every position whose score reaches Floor is
+	// without any eigen-solve. Every position whose score reaches Floor is
 	// solved and bit-identical to the Floor-0 sweep, which is all a gate
 	// thresholding at Floor reads; funnel.NewAssessor sets it to that
 	// threshold. 0 (the default) solves everything: calibration, ROC
 	// sweeps and the arena need exact sub-threshold scores. Set before
-	// first use, like WarmStart.
+	// first use; not safe to change concurrently with scoring.
 	Floor float64
 
 	inner Scorer
@@ -74,18 +68,21 @@ type SlidingScorer struct {
 }
 
 // slidingState is the per-sweep mutable state: the incremental Gram
-// trackers, their dense readouts, the IKA workspace and the warm-start
-// carry. Pooled so concurrent sweeps never share state.
+// trackers, their dense readouts, the IKA workspace and the sorted Eq. 11
+// spans. Pooled so concurrent sweeps never share state.
 type slidingState struct {
-	ws         workspace
-	pastG      linalg.SlidingHankelGram
-	futG       linalg.SlidingHankelGram
-	gp, gf     linalg.Matrix
-	win        []float64 // normalized window for the Eq. 11 filter
-	warm       []float64 // previous position's top Ritz vector
-	warmOK     bool
-	untilRecen int // positions until the next normalized-path recenter
-	bounded    int // positions since stepReset answered by the Floor bound
+	ws     workspace
+	pastG  linalg.SlidingHankelGram
+	futG   linalg.SlidingHankelGram
+	gp, gf linalg.Matrix
+	win    []float64 // normalized window for the sorting Eq. 11 filter
+	// pastSpan and aftSpan are the 2ω−1 raw values before and from the
+	// previous position in the order a stable ascending sort leaves them,
+	// valid while spansOK; syncSpans slides them.
+	pastSpan, aftSpan []float64
+	spansOK           bool
+	untilRecen        int // positions until the next normalized-path recenter
+	bounded           int // positions since stepReset answered by the Floor bound
 }
 
 // NewSliding wraps inner with the incremental sweep fast path.
@@ -168,31 +165,27 @@ func (s *SlidingScorer) scoreRange(st *slidingState, out, x []float64, lo, hi in
 // pass t == lo. It is the (batch and streaming) sweep prologue; step
 // performs one position.
 func (s *SlidingScorer) stepReset(st *slidingState) {
-	n := s.ika.cfg.Omega
-	st.ws.start = grow(st.ws.start, n)
-	st.warm = grow(st.warm, n)
-	st.warmOK = false
+	st.ws.start = grow(st.ws.start, s.ika.cfg.Omega)
+	st.spansOK = false
 	st.bounded = 0
 }
 
 // step scores position t of x, advancing the incremental Gram trackers
-// and the warm-start carry in st. lo is the sweep's first position: at
-// t == lo the trackers initialize, at every later t they slide by one —
-// so a caller feeding consecutive positions t = lo, lo+1, ... replays
-// exactly the operation sequence of one scoreRange(st, out, x, lo, hi)
-// call, bit for bit. This shared body is what keeps the resumable
-// StreamSweep byte-identical to the batch sweep.
+// and the sorted spans in st. lo is the sweep's first position: at t == lo
+// the trackers initialize, at every later t they slide by one — so a
+// caller feeding consecutive positions t = lo, lo+1, ... replays exactly
+// the operation sequence of one scoreRange(st, out, x, lo, hi) call, bit
+// for bit. This shared body is what keeps the resumable StreamSweep
+// byte-identical to the batch sweep.
 //
 // The Eq. 11 multiplier is evaluated first: the solved score is
 // x̂·mult with x̂ ∈ [0, 1], so a multiplier under Floor already decides
-// the position and the past-side work (the Gram readout and the η
-// discordance solves) is skipped. Both trackers still slide and recenter,
-// and with WarmStart the future solve still runs, so the carry — and with
-// it every later solved position — is what it would have been.
+// the position, which then costs the two slides and Eq. 11 only. Every
+// solved position is scored cold — row-sum start vector, full Krylov
+// dimension — so it depends on its own window alone.
 func (s *SlidingScorer) step(st *slidingState, x []float64, t, lo int) float64 {
 	cfg := s.ika.cfg
 	n := cfg.Omega
-	ws := &st.ws
 	if t == lo {
 		cadence := 0 // linalg default: periodic drift-washing rebuilds
 		if cfg.Normalize {
@@ -207,14 +200,8 @@ func (s *SlidingScorer) step(st *slidingState, x []float64, t, lo int) float64 {
 		st.futG.Slide()
 	}
 
-	wlo := t - cfg.PastSpan()
-	whi := t + cfg.FutureSpan()
-	med, mad, inv := 0.0, 0.0, 1.0
+	med, inv, mult := s.windowStats(st, x, t)
 	if cfg.Normalize {
-		past := x[wlo:t]
-		ws.scratch = grow(ws.scratch, whi-wlo)
-		med, mad = stats.MedianMADInto(past, ws.scratch)
-		inv = 1 / normScale(past, med, mad)
 		if st.untilRecen <= 0 {
 			// Keep the maintained products centered at the current
 			// level so the affine normalization identity stays at
@@ -225,82 +212,146 @@ func (s *SlidingScorer) step(st *slidingState, x []float64, t, lo int) float64 {
 		}
 		st.untilRecen--
 	}
-
-	mult := 1.0
-	if cfg.RobustFilter {
-		mult = s.sectionMultiplier(st, x[wlo:whi], t-wlo, med, mad, inv)
-	}
 	// A NaN multiplier compares false and is solved.
-	bounded := cfg.RobustFilter && mult < s.Floor
-	if bounded {
+	if cfg.RobustFilter && mult < s.Floor {
 		st.bounded++
-		if !s.WarmStart {
-			return mult
-		}
+		return mult
 	}
 
 	st.futG.GramInto(&st.gf, med, inv)
-	k := cfg.K
-	if s.WarmStart && st.warmOK {
-		copy(ws.start, st.warm)
-		k = cfg.Eta + 1
-	} else {
-		st.futG.RowSumsInto(ws.start, med, inv)
-	}
-	var score float64
-	var eta int
-	if bounded {
-		score, eta = mult, s.ika.futureDirections(ws, &st.gf, k)
-	} else {
-		st.pastG.GramInto(&st.gp, med, inv)
-		score, eta = s.ika.scoreWindow(ws, &st.gp, &st.gf, k)
-		if cfg.RobustFilter {
-			score *= mult
-		}
-	}
-	if s.WarmStart {
-		if eta > 0 {
-			copy(st.warm, ws.betas[:n])
-		}
-		st.warmOK = eta > 0
-	}
-	return score
+	st.futG.RowSumsInto(st.ws.start, med, inv)
+	st.pastG.GramInto(&st.gp, med, inv)
+	return s.ika.scoreWindow(&st.ws, &st.gp, &st.gf) * mult
 }
 
-// sectionMultiplier evaluates the Eq. 11 filter at index tl of the raw
-// window w, normalizing it into st.win first when the scorer normalizes.
-// med, mad and inv are the past span's statistics step already holds.
+// spanMax bounds the values the sorted spans admit: with every |v| under
+// it the normalized images (v−med)·inv (inv ≤ 1e3) cannot overflow, so a
+// span that syncSpans accepts needs no second finiteness test.
+const spanMax = 1e300
+
+// windowStats returns what position t needs before any eigen-solve: the
+// past span's median and inverse scale (0 and 1 unless the scorer
+// normalizes) and the Eq. 11 multiplier (1 with the filter off).
 //
 // With δ = ω the filter's before-section is exactly the normalized past
-// span, whose statistics follow from the ones in hand without a third
-// sort: v ↦ (v−med)·inv is monotone and the span's length 2ω−1 is odd, so
-// its median is the image of med, ±0, and its MAD is the image of mad.
-// Non-finite spans keep the sorting path (the sort's NaN order is not
-// monotone-invariant).
-func (s *SlidingScorer) sectionMultiplier(st *slidingState, w []float64, tl int, med, mad, inv float64) float64 {
+// span, whose statistics follow from the raw ones: v ↦ (v−med)·inv is
+// monotone and the span's length 2ω−1 is odd, so its median is the image
+// of med, ±0, and its MAD is the image of mad. The same map carries the
+// sorted raw after-section onto its sorted normalized values, so on the
+// deployed geometry neither section is sorted and the window is never
+// normalized: both spans slide. A span holding a NaN, an Inf or a value
+// past spanMax, δ ≠ ω, or an after-section the window clips keeps the
+// sorting path (the sort's NaN order is not monotone-invariant).
+func (s *SlidingScorer) windowStats(st *slidingState, x []float64, t int) (med, inv, mult float64) {
 	cfg := s.ika.cfg
+	tl, span := cfg.PastSpan(), 2*cfg.Omega-1
+	w := x[t-tl : t+cfg.FutureSpan()]
+	past := w[:tl]
 	if !cfg.Normalize {
-		return robustMultiplierWS(&st.ws, w, tl, cfg.Omega)
+		if !cfg.RobustFilter {
+			return 0, 1, 1
+		}
+		return 0, 1, robustMultiplierWS(&st.ws, w, tl, cfg.Omega)
+	}
+	if cfg.RobustFilter && tl == span && tl+span <= len(w) && st.syncSpans(x, t, span) {
+		med, mad := sortedMedianMAD(st.pastSpan, 0, 1)
+		inv = 1 / normScale(past, med, mad)
+		medB, madB := sortedMedianMAD(st.aftSpan, med, inv)
+		return med, inv, sectionContrast(0, mad*inv, medB, madB)
+	}
+	st.ws.scratch = grow(st.ws.scratch, len(w))
+	med, mad := stats.MedianMADInto(past, st.ws.scratch)
+	inv = 1 / normScale(past, med, mad)
+	if !cfg.RobustFilter {
+		return med, inv, 1
 	}
 	st.win = grow(st.win, len(w))
 	for i, v := range w {
 		st.win[i] = (v - med) * inv
 	}
-	w = st.win
-	before, after, ok := robustSections(w, tl, cfg.Omega)
-	if !ok || tl != 2*cfg.Omega-1 || !allFinite(before) {
-		return robustMultiplierWS(&st.ws, w, tl, cfg.Omega)
-	}
-	medB, madB := stats.MedianMADInto(after, st.ws.scratch)
-	return sectionContrast(0, mad*inv, medB, madB)
+	return med, inv, robustMultiplierWS(&st.ws, st.win, tl, cfg.Omega)
 }
 
-// allFinite reports whether xs holds no NaN or ±Inf.
-func allFinite(xs []float64) bool {
-	for _, v := range xs {
-		if v-v != 0 {
+// syncSpans brings the sorted spans to position t — x[t−span:t] and
+// x[t:t+span] — by one retire/insert each when they hold position t−1,
+// by two sorts otherwise, and reports whether they are usable: false while
+// either span holds a value outside ±spanMax.
+func (st *slidingState) syncSpans(x []float64, t, span int) bool {
+	in := x[t+span-1]
+	if st.spansOK = st.spansOK && math.Abs(in) <= spanMax; st.spansOK {
+		slideSorted(st.pastSpan, x[t-1-span], x[t-1])
+		slideSorted(st.aftSpan, x[t-1], in)
+		return true
+	}
+	for _, v := range x[t-span : t+span] {
+		if !(math.Abs(v) <= spanMax) {
 			return false
 		}
 	}
+	st.pastSpan = sortedInto(st.pastSpan, x[t-span:t])
+	st.aftSpan = sortedInto(st.aftSpan, x[t:t+span])
+	st.spansOK = true
 	return true
+}
+
+// sortedInto returns src insertion-sorted into dst's backing array: equal
+// values (±0 included) keep their order, as in stats.MedianMADInto's sort.
+func sortedInto(dst, src []float64) []float64 {
+	dst = grow(dst, len(src))
+	for i, v := range src {
+		j := i
+		for ; j > 0 && dst[j-1] > v; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = v
+	}
+	return dst
+}
+
+// slideSorted replaces the oldest occurrence of old in the stably sorted s
+// — the first of its equal run — with in, placed after its own equal run:
+// the order sorting the slid span afresh would give.
+func slideSorted(s []float64, old, in float64) {
+	i := 0
+	for s[i] < old {
+		i++
+	}
+	for ; i+1 < len(s) && s[i+1] <= in; i++ {
+		s[i] = s[i+1]
+	}
+	for ; i > 0 && s[i-1] > in; i-- {
+		s[i] = s[i-1]
+	}
+	s[i] = in
+}
+
+// sortedMedianMAD returns the median and MAD of the values (v−shift)·scale
+// over the ascending, odd-length, finite s with scale ≥ 0, bit for bit what
+// stats.MedianMADInto returns on them: the map is monotone, so the median
+// is the middle value's image and the deviations grow away from it on
+// either side — the MAD is the (n/2)-th step of merging the two runs.
+func sortedMedianMAD(s []float64, shift, scale float64) (median, mad float64) {
+	mid := len(s) / 2
+	median = (s[mid] - shift) * scale
+	dev := func(i int) float64 {
+		if i < 0 || i >= len(s) {
+			return math.Inf(1)
+		}
+		return math.Abs((s[i]-shift)*scale - median)
+	}
+	// The median's own deviation, 0, is step 0 and mad's initial value.
+	i, j := mid-1, mid+1
+	below, above := dev(i), dev(j)
+	for c := 0; c < mid; c++ {
+		if below <= above {
+			mad = below
+			i--
+			below = dev(i)
+		} else {
+			mad = above
+			j++
+			above = dev(j)
+		}
+	}
+	return median, mad
 }

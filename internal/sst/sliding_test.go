@@ -103,41 +103,6 @@ func TestSlidingScoreSeriesParallel(t *testing.T) {
 	}
 }
 
-// Warm start trades bit agreement for fewer Lanczos iterations; scores
-// must stay within detector precision of the exact sweep and agree on
-// what is and is not a change at the deployed threshold's scale.
-func TestSlidingWarmStartTracksExactSweep(t *testing.T) {
-	x := mixedSeries(400, 69)
-	ika := NewIKA(Config{Normalize: true, RobustFilter: true})
-	want := ScoreSeries(NewSliding(ika), x)
-	warm := NewSliding(ika)
-	warm.WarmStart = true
-	got := ScoreSeries(warm, x)
-	var maxDiff float64
-	for i := range want {
-		if math.IsNaN(want[i]) {
-			if !math.IsNaN(got[i]) {
-				t.Fatalf("warm: score[%d] = %v, want NaN", i, got[i])
-			}
-			continue
-		}
-		if d := math.Abs(got[i] - want[i]); d > maxDiff {
-			maxDiff = d
-		}
-		// The deployed detector flags at score ≥ 1.6; a warm-started
-		// sweep may not move any score across that line by more than
-		// the tolerance band.
-		const thr, band = 1.6, 0.35
-		if (want[i] >= thr+band) != (got[i] >= thr+band) && math.Min(want[i], got[i]) < thr-band {
-			t.Fatalf("warm: score[%d] crossed the detector threshold: %v vs %v", i, got[i], want[i])
-		}
-	}
-	if maxDiff > 0.35 {
-		t.Fatalf("warm start drifted %v from the exact sweep, want ≤ 0.35", maxDiff)
-	}
-	t.Logf("warm-start max |Δ| = %.3g", maxDiff)
-}
-
 // A steady-state incremental sweep performs zero heap allocations beyond
 // the output slice.
 func TestSlidingSweepZeroAlloc(t *testing.T) {

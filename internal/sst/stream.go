@@ -8,7 +8,7 @@ package sst
 // A StreamSweep owns its sliding state permanently (it is not pooled),
 // so positions scored across many Next calls replay exactly the
 // operation sequence — Gram initialization at the first position, O(ω)
-// slides after, the recenter cadence, the warm-start carry — of one
+// slides after, the recenter cadence, the sorted Eq. 11 spans — of one
 // uninterrupted ScoreRangeInto(out, x, lo, hi) call over the same
 // positions. That makes the streamed scores bit-identical to the batch
 // sweep, which is what lets the streaming assessment path reuse them
@@ -31,8 +31,8 @@ type StreamSweep struct {
 }
 
 // NewStream returns a resumable sweep drawing its configuration from s.
-// The WarmStart flag is captured by reference: it must not be flipped
-// between Reset and the sweep's last Next.
+// Floor is read through s: it must not change between Reset and the
+// sweep's last Next.
 func (s *SlidingScorer) NewStream() *StreamSweep {
 	return &StreamSweep{s: s}
 }

@@ -22,34 +22,27 @@ func bitCompare(t *testing.T, name string, got, want []float64) {
 // The streaming guarantee the assess-on-ingest path rests on: scoring
 // positions one at a time as their bins "arrive" (growing prefixes of
 // x) produces bit-identical output to the one-shot batch sweep, for
-// every scorer configuration including the warm-started production one.
+// every scorer configuration.
 func TestStreamSweepMatchesBatchBitExact(t *testing.T) {
 	x := mixedSeries(300, 71)
 	for name, cfg := range configMatrix() {
-		for _, warm := range []bool{false, true} {
-			sl := NewSliding(NewIKA(cfg))
-			sl.WarmStart = warm
-			want := ScoreSeries(sl, x)
+		sl := NewSliding(NewIKA(cfg))
+		want := ScoreSeries(sl, x)
 
-			rcfg := sl.Config()
-			hi := len(x) - rcfg.FutureSpan() + 1
-			sw := sl.NewStream()
-			sw.Reset(0)
-			got := nanSeries(len(x))
-			// Feed the series one bin at a time; score every position the
-			// newly arrived bin completes, against only the prefix seen so
-			// far — exactly what the streaming assessor does.
-			for n := 1; n <= len(x); n++ {
-				for sw.Pos() < hi && sw.Pos()+rcfg.FutureSpan() <= n {
-					got[sw.Pos()] = sw.Next(x[:n])
-				}
+		rcfg := sl.Config()
+		hi := len(x) - rcfg.FutureSpan() + 1
+		sw := sl.NewStream()
+		sw.Reset(0)
+		got := nanSeries(len(x))
+		// Feed the series one bin at a time; score every position the
+		// newly arrived bin completes, against only the prefix seen so
+		// far — exactly what the streaming assessor does.
+		for n := 1; n <= len(x); n++ {
+			for sw.Pos() < hi && sw.Pos()+rcfg.FutureSpan() <= n {
+				got[sw.Pos()] = sw.Next(x[:n])
 			}
-			label := name
-			if warm {
-				label += "+warm"
-			}
-			bitCompare(t, label, got, want)
 		}
+		bitCompare(t, name, got, want)
 	}
 }
 
@@ -58,7 +51,6 @@ func TestStreamSweepMatchesBatchBitExact(t *testing.T) {
 // sweep bit for bit.
 func TestStreamSweepResetReuse(t *testing.T) {
 	sl := NewSliding(NewIKA(Config{Normalize: true, RobustFilter: true}))
-	sl.WarmStart = true
 	rcfg := sl.Config()
 	sw := sl.NewStream()
 	for _, seed := range []int64{81, 82} {
