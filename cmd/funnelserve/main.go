@@ -96,8 +96,8 @@ func main() {
 		}
 		if rec := store.Recovered(); rec.SnapshotSeries > 0 || rec.WALRecords > 0 || rec.TornTails > 0 {
 			ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
-			fmt.Printf("funnelserve: recovered %d series from snapshot, %d WAL records (%d torn tails discarded) in %v (snapshot %v, replay %v, attach+compact %v)\n",
-				rec.SnapshotSeries, rec.WALRecords, rec.TornTails,
+			fmt.Printf("funnelserve: recovered %d series from snapshot, %d WAL records from %d bytes in %d log generations (%d torn tails discarded) in %v (snapshot %v, replay %v, attach %v)\n",
+				rec.SnapshotSeries, rec.WALRecords, rec.LogBytes, rec.Generations, rec.TornTails,
 				ms(rec.Total()), ms(rec.SnapshotTime), ms(rec.ReplayTime), ms(rec.AttachTime))
 		}
 		start = store.Start() // a recovered epoch wins over the flag

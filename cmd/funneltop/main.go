@@ -434,5 +434,11 @@ func diskHealthLine(h *obs.HistoryDump) string {
 	if ms := last(h.Series[obs.CtrRecoveryMillis]); ms > 0 {
 		line += fmt.Sprintf("  recovery took %.0f ms", ms)
 	}
+	// More than one generation at open: the store died at least twice
+	// without a compaction in between.
+	if gens := last(h.Series[obs.CtrRecoveryGenerations]); gens > 0 {
+		line += fmt.Sprintf("  replayed %s of log in %.0f generations",
+			formatBytes(last(h.Series[obs.CtrRecoveryLogBytes])), gens)
+	}
 	return line
 }

@@ -219,6 +219,12 @@ func TestDiskHealthLine(t *testing.T) {
 		t.Fatalf("recovered line = %q", line)
 	}
 
+	h.Series[obs.CtrRecoveryGenerations] = []float64{3}
+	h.Series[obs.CtrRecoveryLogBytes] = []float64{3 << 20}
+	if line := diskHealthLine(h); line != "HEALTHY  recovery took 187 ms  replayed 3.0MiB of log in 3 generations" {
+		t.Fatalf("recovered line = %q", line)
+	}
+
 	h.Series["monitor.persist_state"] = []float64{1}
 	h.Series["monitor.disk_errors"] = []float64{3}
 	h.Series["monitor.wal_rearms"] = []float64{0}

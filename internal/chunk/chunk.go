@@ -224,6 +224,41 @@ func (c *Chunk) decodeRange(dst []float64, lo, hi int) error {
 	i := 1
 	lead, mean := -1, 0
 	for i < c.count && i < hi {
+		// One load covers the token when 8 bytes remain at the cursor: the
+		// word then holds at least 57 stream bits at any bit phase, which
+		// is a whole repeat bit, a reused-window token of up to 55 payload
+		// bits, or a new-window token of up to 42. Nothing taken from it
+		// lies past the end of the stream, so no truncation check applies.
+		// Wider payloads, run records and the last 8 bytes of the stream
+		// fall through to the bit reader below.
+		if at := r.pos >> 3; at+8 <= len(r.data) {
+			w := binary.BigEndian.Uint64(r.data[at:]) << uint(r.pos&7)
+			taken := true
+			switch {
+			case w>>63 == 0: // 0: repeat previous bits
+				r.pos++
+			case w>>62 == 0b10 && lead >= 0 && mean <= oneLoadBits-2:
+				r.pos += 2 + mean
+				prev ^= w << 2 >> uint(64-mean) << uint(64-lead-mean)
+			case w>>61 == 0b110 && int(w>>49&63)+1 <= oneLoadBits-15:
+				l, m := int(w>>55&63), int(w>>49&63)+1
+				if l+m > 64 {
+					return fmt.Errorf("bad window leading=%d meaningful=%d", l, m)
+				}
+				lead, mean = l, m
+				r.pos += 15 + mean
+				prev ^= w << 15 >> uint(64-mean) << uint(64-lead-mean)
+			default:
+				taken = false
+			}
+			if taken {
+				if i >= lo {
+					dst[i-lo] = math.Float64frombits(prev)
+				}
+				i++
+				continue
+			}
+		}
 		b, ok := r.readBits(1)
 		if !ok {
 			return errTruncated
@@ -298,6 +333,10 @@ func (c *Chunk) decodeRange(dst []float64, lo, hi int) error {
 	}
 	return nil
 }
+
+// oneLoadBits is how many stream bits a 64-bit load at the cursor's
+// byte is sure to hold past the cursor, whatever its bit phase.
+const oneLoadBits = 57
 
 // errTruncated reports a stream that ended before its value count.
 var errTruncated = fmt.Errorf("truncated stream")

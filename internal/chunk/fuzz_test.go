@@ -64,9 +64,10 @@ func FuzzRoundTrip(f *testing.F) {
 }
 
 // FuzzFromEncoded throws arbitrary bytes at the snapshot-restore
-// entry point: it must reject or accept without panicking, its
-// validate-only pass must agree with a storing decode of the same
-// bytes, and anything accepted must decode in full without panicking.
+// entry point: it must reject or accept without panicking, and exactly
+// when the bit-at-a-time reference decoder does; its validate-only pass
+// must agree with a storing decode of the same bytes; and anything
+// accepted must decode in full to the reference's values, bit for bit.
 func FuzzFromEncoded(f *testing.F) {
 	f.Add([]byte{}, 0)
 	f.Add([]byte{0xff, 0xff, 0xff}, 5)
@@ -75,15 +76,14 @@ func FuzzFromEncoded(f *testing.F) {
 		if count < 0 || count > 1<<16 {
 			return
 		}
+		accepted := checkAgainstReference(t, data, count)
 		c, err := FromEncoded(data, count)
-		dst := make([]float64, count)
-		full := (&Chunk{count: count, data: data}).decodeRange(dst, 0, count)
-		if (err == nil) != (full == nil) {
-			t.Fatalf("validate-only says %v, storing decode says %v", err, full)
+		if (err == nil) != accepted {
+			t.Fatalf("FromEncoded says %v, the reference decoder accepted: %v", err, accepted)
 		}
 		if err != nil {
 			return
 		}
-		c.DecodeInto(dst, 0, count)
+		c.DecodeInto(make([]float64, count), 0, count)
 	})
 }

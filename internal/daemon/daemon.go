@@ -145,6 +145,10 @@ func Start(cfg Config) (*Daemon, error) {
 		if ms := rec.Total().Milliseconds(); ms > 0 {
 			col.Add(obs.CtrRecoveryMillis, ms)
 		}
+		if rec.Generations > 0 {
+			col.Add(obs.CtrRecoveryGenerations, int64(rec.Generations))
+			col.Add(obs.CtrRecoveryLogBytes, rec.LogBytes)
+		}
 		col.SetLogger(cfg.Logger)
 		col.StartHistory(cfg.HistoryStep, cfg.HistoryRetention)
 	}

@@ -591,7 +591,8 @@ func TestDaemonExportsRecoveryCost(t *testing.T) {
 	}
 	defer st.Close()
 	rec := st.Recovered()
-	if rec.WALRecords != 50 || rec.ReplayTime <= 0 || rec.AttachTime <= 0 || rec.Total() < rec.ReplayTime+rec.AttachTime {
+	if rec.WALRecords != 50 || rec.Generations != 1 || rec.LogBytes <= 0 ||
+		rec.ReplayTime <= 0 || rec.AttachTime <= 0 || rec.Total() < rec.ReplayTime+rec.AttachTime {
 		t.Fatalf("recovery stats %+v", rec)
 	}
 	col := obs.NewCollector()
@@ -605,5 +606,11 @@ func TestDaemonExportsRecoveryCost(t *testing.T) {
 	}
 	if got, want := col.Counter(obs.CtrRecoveryMillis), rec.Total().Milliseconds(); got != want {
 		t.Fatalf("%s = %d, want %d", obs.CtrRecoveryMillis, got, want)
+	}
+	if got := col.Counter(obs.CtrRecoveryGenerations); got != 1 {
+		t.Fatalf("%s = %d, want 1", obs.CtrRecoveryGenerations, got)
+	}
+	if got := col.Counter(obs.CtrRecoveryLogBytes); got != rec.LogBytes {
+		t.Fatalf("%s = %d, want %d", obs.CtrRecoveryLogBytes, got, rec.LogBytes)
 	}
 }

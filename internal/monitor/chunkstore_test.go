@@ -3,8 +3,10 @@ package monitor
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -258,51 +260,22 @@ func TestSnapshotChunkedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1Read builds a version-1 flat snapshot by hand and
-// checks the reader seals it into the requested span.
-func TestSnapshotV1Read(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(snapshotMagic)
-	var w [8]byte
-	binary.BigEndian.PutUint16(w[:2], snapshotVersionOld)
-	buf.Write(w[:2])
-	binary.BigEndian.PutUint64(w[:], uint64(t0.UnixNano()))
-	buf.Write(w[:])
-	binary.BigEndian.PutUint64(w[:], uint64(time.Minute))
-	buf.Write(w[:])
-	binary.BigEndian.PutUint32(w[:4], 1) // series count
-	buf.Write(w[:4])
-	buf.WriteByte(byte(kCPU.Scope))
-	binary.BigEndian.PutUint16(w[:2], uint16(len(kCPU.Entity)))
-	buf.Write(w[:2])
-	buf.WriteString(kCPU.Entity)
-	binary.BigEndian.PutUint16(w[:2], uint16(len(kCPU.Metric)))
-	buf.Write(w[:2])
-	buf.WriteString(kCPU.Metric)
-	vals := make([]float64, 25)
-	for i := range vals {
-		vals[i] = float64(i * i)
+// TestSnapshotRejectsOldVersions: versions 1 and 2 were never deployed
+// and their readers are gone; a header declaring one is refused by
+// name, not misread as version 3.
+func TestSnapshotRejectsOldVersions(t *testing.T) {
+	for _, version := range []uint16{0, 1, 2, 4} {
+		var hdr [4 + 2 + 8 + 8 + 4 + 4]byte
+		copy(hdr[:], snapshotMagic)
+		binary.BigEndian.PutUint16(hdr[4:6], version)
+		binary.BigEndian.PutUint64(hdr[6:14], uint64(t0.UnixNano()))
+		binary.BigEndian.PutUint64(hdr[14:22], uint64(time.Minute))
+		binary.BigEndian.PutUint32(hdr[22:26], 16) // chunk span
+		_, err := ReadSnapshot(bytes.NewReader(hdr[:]))
+		if want := fmt.Sprintf("unsupported snapshot version %d", version); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d: error %v, want %q", version, err, want)
+		}
 	}
-	binary.BigEndian.PutUint32(w[:4], uint32(len(vals)))
-	buf.Write(w[:4])
-	for _, v := range vals {
-		binary.BigEndian.PutUint64(w[:], math.Float64bits(v))
-		buf.Write(w[:])
-	}
-
-	got, err := readSnapshotShards(&buf, StoreShards, 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := got.Stats()
-	if st.Chunks != 2 || st.TailBins != 5 {
-		t.Fatalf("v1 upgrade stats = %+v, want 2 chunks + 5 tail bins", st)
-	}
-	ser, ok := got.Series(kCPU)
-	if !ok {
-		t.Fatal("series missing")
-	}
-	sameBits(t, ser.Values, vals, "v1 upgrade")
 }
 
 func TestReplaySinceChunked(t *testing.T) {

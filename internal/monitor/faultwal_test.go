@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -389,10 +390,12 @@ func TestReadCorruptionQuarantines(t *testing.T) {
 	}
 }
 
-// countingFS counts the files open through the FS seam.
+// countingFS counts the files open through the FS seam, and the
+// snapshots started through it.
 type countingFS struct {
 	faultfs.FS
-	open atomic.Int64
+	open           atomic.Int64
+	snapshotWrites atomic.Int64 // Create calls on snapshot.tmp
 }
 
 func (c *countingFS) counted(f faultfs.File, err error) (faultfs.File, error) {
@@ -403,8 +406,13 @@ func (c *countingFS) counted(f faultfs.File, err error) (faultfs.File, error) {
 	return &countedFile{File: f, fs: c}, nil
 }
 
-func (c *countingFS) Create(name string) (faultfs.File, error) { return c.counted(c.FS.Create(name)) }
-func (c *countingFS) Open(name string) (faultfs.File, error)   { return c.counted(c.FS.Open(name)) }
+func (c *countingFS) Create(name string) (faultfs.File, error) {
+	if filepath.Base(name) == snapshotTmpFile {
+		c.snapshotWrites.Add(1)
+	}
+	return c.counted(c.FS.Create(name))
+}
+func (c *countingFS) Open(name string) (faultfs.File, error) { return c.counted(c.FS.Open(name)) }
 
 type countedFile struct {
 	faultfs.File
@@ -419,9 +427,9 @@ func (f *countedFile) Close() error {
 
 // TestFailedOpenLeaksNoFiles crashes the disk at every mutating
 // operation of a recovery in turn: an OpenPersistent that returns an
-// error — whichever createShardWAL or compaction step the crash landed
-// on — must have closed every file it opened, and one that returns a
-// store must have after Close.
+// error — whichever probe, createShardWAL or directory-fsync step the
+// crash landed on — must have closed every file it opened, and one that
+// returns a store must have after Close.
 func TestFailedOpenLeaksNoFiles(t *testing.T) {
 	image := writeImage(t, 4, t0, diffWALBins, diffValue)
 	opts := persistOptsNoBG(4)
@@ -454,5 +462,271 @@ func TestFailedOpenLeaksNoFiles(t *testing.T) {
 	}
 	if failed == 0 {
 		t.Fatal("no crash point failed the open: the sweep tested nothing")
+	}
+}
+
+// TestCrashAtEveryOpenAndRotateOp kills the disk at every mutating
+// operation of an open and, in a second range, of the rotation and
+// snapshot install that follow it. A crash inside the open must leave
+// the directory recovering to the store it held before; a crash inside
+// the compaction — with some shards already on generation live+1 and
+// the rest not, with the snapshot half written, renamed but not yet
+// fsynced, or with the covered generations half deleted — to the store
+// as it stood when Compact was called, byte for byte. (A crash between
+// the two ranges tears an append; internal/e2e's sweep owns that.)
+func TestCrashAtEveryOpenAndRotateOp(t *testing.T) {
+	image := writeImage(t, 4, t0, diffWALBins, diffValue)
+	opts := persistOptsNoBG(4)
+	opts.ChunkSpan = diffSpan
+	logMore := func(st *Store) {
+		var batch []Measurement
+		for bin := diffSnapBins + diffWALBins; bin < diffSnapBins+diffWALBins+3; bin++ {
+			batch = batch[:0]
+			for si, k := range fleetKeys(diffKeys) {
+				batch = append(batch, Measurement{k, st.Start().Add(time.Duration(bin) * time.Minute), diffValue(si, bin)})
+			}
+			st.AppendBatch(batch)
+		}
+	}
+
+	before, _, err := oracleRecover(image, time.Time{}, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBefore := snapshotBytes(t, before)
+
+	// One clean instrumented run learns where the open ends and where
+	// the compaction starts and ends.
+	clean := faultfs.New(faultfs.Plan{}, nil)
+	opts.FS = clean
+	st, err := OpenPersistent(copyImage(t, image), time.Time{}, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := clean.Ops()
+	logMore(st)
+	logged := clean.Ops()
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	compacted := clean.Ops()
+	wantAfter := snapshotBytes(t, st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("the open is ops 1..%d, the compaction ops %d..%d", opened, logged+1, compacted)
+	if bytes.Equal(wantBefore, wantAfter) {
+		t.Fatal("the bins logged before the compaction changed nothing: the second range would prove nothing")
+	}
+
+	for op := int64(1); op <= compacted; op++ {
+		if op > opened && op <= logged {
+			continue
+		}
+		dir := copyImage(t, image)
+		opts.FS = faultfs.New(faultfs.Plan{Seed: op, CrashAtOp: op}, nil)
+		st, err := OpenPersistent(dir, time.Time{}, 0, opts)
+		want := wantBefore
+		if op <= opened {
+			if err == nil {
+				st.Close()
+				t.Fatalf("crash at op %d of %d: the open succeeded", op, opened)
+			}
+		} else {
+			if err != nil {
+				t.Fatalf("crash at op %d: the open failed before the crash: %v", op, err)
+			}
+			logMore(st)
+			if err := st.Compact(); err == nil {
+				t.Fatalf("crash at op %d of (%d, %d]: the compaction succeeded", op, logged, compacted)
+			}
+			st.Close() // the kill; its error is the crash
+			want = wantAfter
+		}
+
+		opts.FS = nil
+		re, err := OpenPersistent(dir, time.Time{}, 0, opts)
+		if err != nil {
+			t.Fatalf("crash at op %d: recovery failed: %v", op, err)
+		}
+		got := snapshotBytes(t, re)
+		if err := re.Close(); err != nil {
+			t.Fatalf("crash at op %d: close after recovery: %v", op, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("crash at op %d (open ends at %d, compaction spans (%d, %d]): recovered store differs from the pre-crash one",
+				op, opened, logged, compacted)
+		}
+	}
+}
+
+// TestCleanReopenWritesNoSnapshot pins the one ending of a recovery:
+// reopening a cleanly closed store, with the default compaction
+// threshold, starts no snapshot, leaves the one on disk untouched and
+// the generation it replayed in place.
+func TestCleanReopenWritesNoSnapshot(t *testing.T) {
+	image := writeImage(t, 4, t0, diffWALBins, diffValue)
+	dir := copyImage(t, image)
+	snapBefore, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfs := &countingFS{FS: faultfs.OS}
+	st, err := OpenPersistent(dir, time.Time{}, 0, PersistOptions{Shards: 4, SyncInterval: -1, FS: cfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := st.Recovered()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := cfs.snapshotWrites.Load(); n != 0 {
+		t.Fatalf("the reopen started %d snapshots, want none", n)
+	}
+	snapAfter, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil || !bytes.Equal(snapAfter, snapBefore) {
+		t.Fatalf("the reopen touched the snapshot (read: %v)", err)
+	}
+	if rec.Generations != 1 || rec.LogBytes == 0 || rec.LogBytes > logBytes(t, image) {
+		t.Fatalf("recovery stats %+v, want one generation of at most %d log bytes", rec, logBytes(t, image))
+	}
+	if gens, err := listWALs(faultfs.OS, dir); err != nil || len(gens) != 2 {
+		t.Fatalf("generations after the reopen: %+v (%v), want the replayed one and the live one", gens, err)
+	}
+}
+
+// TestOpenRequestsBackgroundCompaction: an open that found more than
+// one generation (the store died at least twice without compacting), or
+// at least CompactBytes of log, hands the fold to the background loop —
+// after it has returned, not before — and one with automatic compaction
+// disabled does not.
+func TestOpenRequestsBackgroundCompaction(t *testing.T) {
+	negate := func(series, bin int) float64 { return -diffValue(series, bin) }
+	cases := []struct {
+		name         string
+		generations  int
+		compactBytes int64
+		want         bool
+	}{
+		{"two generations", 2, 1 << 30, true},
+		{"one generation past CompactBytes", 1, 1 << 10, true},
+		{"one generation under CompactBytes", 1, 1 << 30, false},
+		{"three generations, compaction disabled", 3, -1, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := writeImage(t, 4, t0, diffWALBins, diffValue)
+			for g := 1; g < tc.generations; g++ {
+				addGeneration(t, dir, 4, 60+5*g, 80+5*g, negate)
+			}
+			cfs := &countingFS{FS: faultfs.OS}
+			st, err := OpenPersistent(dir, time.Time{}, 0, PersistOptions{Shards: 4, SyncInterval: -1, CompactBytes: tc.compactBytes, FS: cfs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if rec := st.Recovered(); rec.Generations != tc.generations {
+				t.Fatalf("Generations = %d, want %d", rec.Generations, tc.generations)
+			}
+			want := snapshotBytes(t, st)
+			if !tc.want {
+				// Nothing is queued and nothing will be: the request is made
+				// before the loop starts, or never.
+				if n := len(st.persist.compactReq); n != 0 {
+					t.Fatalf("%d compaction requests queued", n)
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if n := cfs.snapshotWrites.Load(); n != 0 {
+					t.Fatalf("%d snapshots started, want none", n)
+				}
+				if gens, err := listWALs(faultfs.OS, dir); err != nil || len(gens) != tc.generations+1 {
+					t.Fatalf("generations %+v (%v), want the %d replayed and the live one", gens, err, tc.generations)
+				}
+				return
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				gens, err := listWALs(faultfs.OS, dir)
+				if err == nil && len(gens) == 1 && st.persist.walBytes.Load() == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("no background compaction: generations %+v (%v), %d snapshots started", gens, err, cfs.snapshotWrites.Load())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if n := cfs.snapshotWrites.Load(); n != 1 {
+				t.Fatalf("%d snapshots started, want 1", n)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenPersistent(dir, time.Time{}, 0, persistOptsNoBG(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if rec := re.Recovered(); rec.Generations != 1 || rec.WALRecords != 0 {
+				t.Fatalf("after the background compaction: recovery stats %+v, want one empty generation", rec)
+			}
+			if !bytes.Equal(snapshotBytes(t, re), want) {
+				t.Fatal("the background compaction changed the store")
+			}
+		})
+	}
+}
+
+// TestOpenRemovesStaleSnapshotTmp: a compaction that died between
+// creating snapshot.tmp and renaming it leaves a snapshot-sized file
+// nothing reads; with no compaction at open to overwrite it, the open
+// removes it.
+func TestOpenRemovesStaleSnapshotTmp(t *testing.T) {
+	dir := writeImage(t, 4, t0, diffWALBins, diffValue)
+	tmp := filepath.Join(dir, snapshotTmpFile)
+	if err := os.WriteFile(tmp, bytes.Repeat([]byte("half a snapshot "), 1<<10), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := diffRecover(t, dir, 4) // recovers copies: the oracle's view of the image
+	if st == nil {
+		t.Fatal("both recoveries refused the image")
+	}
+	opts := persistOptsNoBG(4)
+	opts.ChunkSpan = diffSpan
+	re, err := OpenPersistent(dir, time.Time{}, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("stale %s survived the open (stat: %v)", snapshotTmpFile, err)
+	}
+	if !bytes.Equal(snapshotBytes(t, re), snapshotBytes(t, st)) {
+		t.Fatal("the stale file changed what was recovered")
+	}
+}
+
+// TestOpenRefusesUnrecognisedLogName: a wal- file that does not follow
+// the one naming rule — here the wal-<shard>.log of the layout before
+// numbered generations — may hold records, so neither OpenPersistent
+// nor Fsck steps over it.
+func TestOpenRefusesUnrecognisedLogName(t *testing.T) {
+	for _, name := range []string{"wal-0.log", "wal-0.old", "wal-1-2.log.bak", "wal-01-2.log", "wal--1-2.log"} {
+		dir := writeImage(t, 2, t0, 2, diffValue)
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := OpenPersistent(dir, time.Time{}, 0, persistOptsNoBG(2))
+		if err == nil {
+			st.Close()
+			t.Fatalf("%s: the open stepped over it", name)
+		}
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s: error %q does not name the file", name, err)
+		}
+		if _, err := Fsck(dir, nil, false); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s: fsck error %v, want one naming the file", name, err)
+		}
 	}
 }

@@ -48,8 +48,8 @@ func (r FsckReport) Healthy() bool {
 }
 
 // Fsck verifies a persistence directory offline: it recovers the
-// snapshot (checking every sealed chunk's CRC) and replays each shard
-// log exactly as OpenPersistent would, reporting per-file health
+// snapshot (checking every sealed chunk's CRC) and replays every log
+// generation exactly as OpenPersistent does, reporting per-file health
 // instead of mutating anything. No store process may be using dir.
 //
 // With repair set and damage found, the recovered state is
@@ -72,7 +72,7 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 	var store *Store
 	snapPath := filepath.Join(dir, snapshotFile)
 	if f, err := fsys.Open(snapPath); err == nil {
-		store, err = readSnapshotShards(f, StoreShards, 0, &rep.QuarantinedChunks)
+		store, err = readSnapshotShards(f, StoreShards, &rep.QuarantinedChunks)
 		f.Close()
 		if err != nil {
 			return rep, fmt.Errorf("monitor: fsck: snapshot unrecoverable: %w", err)
@@ -83,35 +83,26 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 		return rep, err
 	}
 
-	oldLogs, liveLogs, err := listWALs(fsys, dir)
+	gens, err := listWALs(fsys, dir)
 	if err != nil {
 		return rep, err
 	}
-	generations := [][]string{oldLogs, liveLogs}
-	for _, logs := range generations {
-		for _, path := range logs {
-			if store != nil {
-				break
-			}
-			// With no snapshot the oldest readable log header carries the
-			// epoch, as in OpenPersistent; a log whose header is damaged
-			// is passed over here and reported by its replay below.
-			if hdrStart, hdrStep, ok, err := peekWALHeader(fsys, path); err == nil && ok {
-				store = NewStoreShards(hdrStart, hdrStep, StoreShards)
-			}
+	if store == nil {
+		// With no snapshot the oldest readable log header carries the
+		// epoch, as in OpenPersistent.
+		if hdrStart, hdrStep, ok := oldestWALHeader(fsys, gens); ok {
+			store = NewStoreShards(hdrStart, hdrStep, StoreShards)
 		}
 	}
-	for _, logs := range generations {
-		for i, r := range replayWALs(fsys, logs, store) {
-			rep.WALs = append(rep.WALs, FsckWAL{
-				Path:      logs[i],
-				Records:   r.stats.WALRecords,
-				TornTail:  r.stats.TornTails > 0,
-				ReadError: r.err,
-			})
-			rep.WALRecords += r.stats.WALRecords
-			rep.TornTails += r.stats.TornTails
-		}
+	for _, r := range replayGenerations(fsys, gens, store) {
+		rep.WALs = append(rep.WALs, FsckWAL{
+			Path:      r.path,
+			Records:   r.stats.WALRecords,
+			TornTail:  r.stats.TornTails > 0,
+			ReadError: r.err,
+		})
+		rep.WALRecords += r.stats.WALRecords
+		rep.TornTails += r.stats.TornTails
 	}
 
 	if store == nil {
@@ -146,7 +137,7 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 	}
 	store.quarantined.Store(0)
 
-	tmpPath := filepath.Join(dir, snapshotFile+".tmp")
+	tmpPath := filepath.Join(dir, snapshotTmpFile)
 	tmp, err := fsys.Create(tmpPath)
 	if err != nil {
 		return rep, err

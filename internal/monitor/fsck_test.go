@@ -141,7 +141,7 @@ func TestFsckCountsWALRecordsAndTornTails(t *testing.T) {
 	}
 
 	// Tear the live log's tail: append half a record.
-	wal := filepath.Join(dir, "wal-0.log")
+	wal := genLog(t, dir, 0, 0)
 	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +155,8 @@ func TestFsckCountsWALRecordsAndTornTails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.TornTails != 1 {
-		t.Fatalf("TornTails = %d, want 1 (%+v)", rep.TornTails, rep)
+	if rep.TornTails != 1 || rep.WALRecords != 5 || len(rep.WALs) != 1 || rep.WALs[0].Path != wal {
+		t.Fatalf("TornTails = %d, WALRecords = %d, want 1 and 5 from %s (%+v)", rep.TornTails, rep.WALRecords, wal, rep)
 	}
 	if rep.Healthy() {
 		t.Fatal("torn tail called healthy")

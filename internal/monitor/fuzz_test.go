@@ -208,70 +208,53 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotRestore hammers the full multi-version restore path with
-// arbitrary bytes seeded from well-formed v1, v2 and v3 snapshots and
-// corrupted variants of each: restore must either error cleanly or
-// produce a store that re-serializes deterministically — never panic,
-// and never allocate proportionally to a corrupt length field.
+// FuzzSnapshotRestore hammers the restore path with arbitrary bytes
+// seeded from well-formed snapshots of three shapes and corrupted
+// variants of each: restore must either error cleanly or produce a
+// store that re-serializes deterministically — never panic, and never
+// allocate proportionally to a corrupt length field.
 func FuzzSnapshotRestore(f *testing.F) {
-	// v3 seed: sealed chunks, a tail, and a quarantined tombstone.
+	dump := func(s *Store) []byte {
+		var buf bytes.Buffer
+		if err := s.WriteSnapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	at := func(i int) time.Time { return time.Unix(int64(60*(i+1)), 0).UTC() }
+	k := topo.KPIKey{Scope: topo.ScopeServer, Entity: "srv", Metric: "m"}
+
+	// Sealed chunks, a tail, and a quarantined tombstone.
 	s := NewStore(time.Unix(0, 0).UTC(), time.Minute)
 	s.SetChunkSpan(4)
-	k := topo.KPIKey{Scope: topo.ScopeServer, Entity: "srv", Metric: "m"}
 	for i := 0; i < 11; i++ {
-		s.Append(Measurement{Key: k, T: time.Unix(int64(60*(i+1)), 0).UTC(), V: float64(i)})
+		s.Append(Measurement{Key: k, T: at(i), V: float64(i)})
 	}
 	s.shardFor(k).series[k].chunks[1] = chunk.Tombstone(4)
-	var v3 bytes.Buffer
-	if err := s.WriteSnapshot(&v3); err != nil {
-		f.Fatal(err)
+	chunked := dump(s)
+
+	// Three scopes, gaps, and a pruned head inside the first chunk.
+	s = NewStore(time.Unix(0, 0).UTC(), time.Minute)
+	s.SetChunkSpan(4)
+	for i := 0; i < 10; i += 2 {
+		s.Append(Measurement{Key: k, T: at(i), V: 9.5})
+		s.Append(Measurement{Key: topo.KPIKey{Scope: topo.ScopeInstance, Entity: "kv@srv", Metric: "qps"}, T: at(i), V: float64(-i)})
+		s.Append(Measurement{Key: topo.KPIKey{Scope: topo.ScopeService, Entity: "kv", Metric: "lat"}, T: at(i / 2), V: math.Inf(1)})
 	}
-	f.Add(v3.Bytes())
+	s.Prune(at(2))
+	pruned := dump(s)
 
-	// Handcrafted v2 seed: one series, one chunk (no CRC words), short
-	// tail — the pre-checksum layout this reader must keep accepting.
-	ck := chunk.Encode([]float64{1, 2, 3, 4}).Data()
-	var v2 bytes.Buffer
-	v2.WriteString(snapshotMagic)
-	v2.Write(be16(snapshotVersionV2))
-	v2.Write(be64(0))                   // startUnixNano
-	v2.Write(be64(uint64(time.Minute))) // stepNanos
-	v2.Write(be32(4))                   // chunkSpan
-	v2.Write(be32(1))                   // seriesCount
-	v2.WriteByte(byte(topo.ScopeServer))
-	v2.Write(be16(3))
-	v2.WriteString("srv")
-	v2.Write(be16(1))
-	v2.WriteString("m")
-	v2.Write(be32(0)) // head
-	v2.Write(be32(1)) // chunkCount
-	v2.Write(be32(uint32(len(ck))))
-	v2.Write(ck)
-	v2.Write(be32(1)) // tailCount
-	v2.Write(be64(math.Float64bits(9.5)))
-	f.Add(v2.Bytes())
-
-	// Handcrafted v1 seed: the flat pre-chunk layout.
-	var v1 bytes.Buffer
-	v1.WriteString(snapshotMagic)
-	v1.Write(be16(snapshotVersionOld))
-	v1.Write(be64(0))
-	v1.Write(be64(uint64(time.Minute)))
-	v1.Write(be32(1))
-	v1.WriteByte(byte(topo.ScopeServer))
-	v1.Write(be16(3))
-	v1.WriteString("srv")
-	v1.Write(be16(1))
-	v1.WriteString("m")
-	v1.Write(be32(3)) // binCount
-	for _, v := range []float64{1, 2, 3} {
-		v1.Write(be64(math.Float64bits(v)))
+	// Tails only: no series has sealed a chunk yet.
+	s = NewStore(time.Unix(0, 0).UTC(), time.Minute)
+	for i, v := range []float64{1, 2, 3} {
+		s.Append(Measurement{Key: k, T: at(i), V: v})
 	}
-	f.Add(v1.Bytes())
+	tails := dump(s)
 
-	// Corrupted variants: one flipped byte in each region of each
-	// version, plus hostile length fields.
-	for _, seed := range [][]byte{v3.Bytes(), v2.Bytes(), v1.Bytes()} {
+	// Each shape, one flipped byte in each region of it, a truncation,
+	// and a hostile length field.
+	for _, seed := range [][]byte{chunked, pruned, tails} {
+		f.Add(seed)
 		for _, pos := range []int{5, len(seed) / 2, len(seed) - 2} {
 			c := append([]byte(nil), seed...)
 			c[pos] ^= 0x80
@@ -279,8 +262,8 @@ func FuzzSnapshotRestore(f *testing.F) {
 		}
 		f.Add(seed[:len(seed)/3]) // truncation
 	}
-	huge := append([]byte(nil), v1.Bytes()[:30]...)
-	huge = append(huge, 0xFF, 0xFF, 0xFF, 0xFF) // absurd binCount
+	huge := append([]byte(nil), tails[:len(tails)-3*8-4]...)
+	huge = append(huge, 0xFF, 0xFF, 0xFF, 0xFE) // absurd tail count
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -304,7 +287,3 @@ func FuzzSnapshotRestore(f *testing.F) {
 		}
 	})
 }
-
-func be16(v uint16) []byte { b := make([]byte, 2); binary.BigEndian.PutUint16(b, v); return b }
-func be32(v uint32) []byte { b := make([]byte, 4); binary.BigEndian.PutUint32(b, v); return b }
-func be64(v uint64) []byte { b := make([]byte, 8); binary.BigEndian.PutUint64(b, v); return b }

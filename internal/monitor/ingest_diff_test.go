@@ -282,7 +282,7 @@ func drainFeed(t testing.TB, f *BinFeed) []string {
 func compareStores(t testing.TB, what string, live, ref *Store, liveDir, refDir string) {
 	t.Helper()
 	for i := 0; i < live.Shards(); i++ {
-		name := fmt.Sprintf("%s%d%s", walPrefix, i, walLiveSuffix)
+		name := walName(live.persist.gen, i) // the twins rotate in step
 		got, err := os.ReadFile(filepath.Join(liveDir, name))
 		if err != nil {
 			t.Fatal(err)

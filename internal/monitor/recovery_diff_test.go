@@ -43,12 +43,13 @@ func oracleRecover(dir string, start time.Time, step time.Duration, opts Persist
 	} else if !os.IsNotExist(err) {
 		return nil, stats, err
 	}
-	oldLogs, liveLogs, err := listWALs(faultfs.OS, dir)
+	gens, err := listWALs(faultfs.OS, dir)
 	if err != nil {
 		return nil, stats, err
 	}
-	for _, group := range [][]string{oldLogs, liveLogs} {
-		for _, path := range group {
+	stats.Generations = len(gens)
+	for _, g := range gens {
+		for _, path := range g.paths {
 			if store, err = oracleReplayWAL(path, store, step, opts.Shards, opts.ChunkSpan, &stats); err != nil {
 				return nil, stats, err
 			}
@@ -129,6 +130,7 @@ func oracleReplayWAL(path string, store *Store, step time.Duration, shards, span
 			stats.TornTails++
 			return store, nil
 		}
+		stats.LogBytes += int64(len(payload)) + 4
 		for len(body) > 0 {
 			m, rest, err := decodeMeasurementBody(body, nil)
 			if err != nil {
@@ -261,6 +263,45 @@ func copyImage(t *testing.T, src string) string {
 		}
 	}
 	return dst
+}
+
+// genLog returns the path of shard's log in the generation that is
+// back generations older than the newest one in dir.
+func genLog(t *testing.T, dir string, back, shard int) string {
+	t.Helper()
+	gens, err := listWALs(faultfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back >= len(gens) {
+		t.Fatalf("%d generations in %s, want more than %d", len(gens), dir, back)
+	}
+	g := gens[len(gens)-1-back]
+	return filepath.Join(dir, walName(g.gen, shard))
+}
+
+// addGeneration reopens the image in dir with the given shard count,
+// logs bins [lo, hi) of every series and closes again — with no
+// compaction, so the image gains one generation on top of those it had.
+func addGeneration(t *testing.T, dir string, shards, lo, hi int, value func(series, bin int) float64) {
+	t.Helper()
+	opts := persistOptsNoBG(shards)
+	opts.ChunkSpan = diffSpan
+	st, err := OpenPersistent(dir, time.Time{}, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []Measurement
+	for bin := lo; bin < hi; bin++ {
+		batch = batch[:0]
+		for si, k := range fleetKeys(diffKeys) {
+			batch = append(batch, Measurement{k, st.Start().Add(time.Duration(bin) * time.Minute), value(si, bin)})
+		}
+		st.AppendBatch(batch)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 const (
@@ -431,22 +472,29 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 		},
 		{
 			// Both generations hold the same (key, bin)s with different
-			// values, and the rotated logs also reach back before the
-			// snapshot's epoch: the live value must win, the pre-epoch
-			// records must be counted and dropped.
+			// values, and the older one also reaches back before the
+			// snapshot's epoch: the newer value must win, the pre-epoch
+			// records must be counted and dropped. (The name dates from
+			// the wal-<shard>.old / .log pair; the floor list pins it.)
 			name:   "rotated and live logs overlap",
 			shards: []int{4, 1},
 			build: func(t *testing.T) string {
 				dir := writeImage(t, 4, t0, diffWALBins, diffValue)
 				// The older store's logged bins 40..99 are the image's bins
-				// -5..54.
+				// -5..54. Its logs go in as the generation a compaction
+				// that died before its snapshot landed would have left
+				// below the image's own.
 				older := writeImage(t, 4, t0.Add(-45*time.Minute), 60, func(series, bin int) float64 { return -float64(series*1000 + bin) })
+				gens, err := listWALs(faultfs.OS, dir)
+				if err != nil || len(gens) != 1 || gens[0].gen < 2 {
+					t.Fatalf("image generations %+v (%v), want one numbered 2 or more", gens, err)
+				}
 				for i := 0; i < 4; i++ {
-					raw, err := os.ReadFile(filepath.Join(older, fmt.Sprintf("wal-%d.log", i)))
+					raw, err := os.ReadFile(genLog(t, older, 0, i))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%d.old", i)), raw, 0o644); err != nil {
+					if err := os.WriteFile(filepath.Join(dir, walName(gens[0].gen-1, i)), raw, 0o644); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -455,12 +503,15 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 			check: func(t *testing.T, s *Store, rec RecoveryStats) {
 				// Bin 45 of the image is in both generations' logs.
 				if got := bin(s, keys[5], 45); got != diffValue(5, 45) {
-					t.Fatalf("live log did not win over the rotated one: bin 45 = %v, want %v", got, diffValue(5, 45))
+					t.Fatalf("the newer generation did not win over the older one: bin 45 = %v, want %v", got, diffValue(5, 45))
 				}
 				// Bin 35 of the image, bin 80 of the older store, is in the
-				// snapshot and the rotated log only.
+				// snapshot and the older generation only.
 				if got := bin(s, keys[5], 35); got != -float64(5*1000+80) {
-					t.Fatalf("rotated log not replayed over the snapshot: bin 35 = %v", got)
+					t.Fatalf("older generation not replayed over the snapshot: bin 35 = %v", got)
+				}
+				if rec.Generations != 2 {
+					t.Fatalf("Generations = %d, want 2", rec.Generations)
 				}
 			},
 		},
@@ -469,8 +520,8 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 			shards: []int{4},
 			build: func(t *testing.T) string {
 				dir := writeImage(t, 4, t0, diffWALBins, diffValue)
-				rewriteFile(t, filepath.Join(dir, "wal-0.log"), func(raw []byte) []byte { return raw[:len(raw)-5] })
-				rewriteFile(t, filepath.Join(dir, "wal-1.log"), func(raw []byte) []byte {
+				rewriteFile(t, genLog(t, dir, 0, 0), func(raw []byte) []byte { return raw[:len(raw)-5] })
+				rewriteFile(t, genLog(t, dir, 0, 1), func(raw []byte) []byte {
 					offs := walRecordOffsets(t, raw)
 					binary.BigEndian.PutUint32(raw[offs[len(offs)/2]:], 0xFFFFFFF0)
 					return raw
@@ -490,7 +541,7 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 			shards: []int{4},
 			build: func(t *testing.T) string {
 				dir := writeImage(t, 4, t0, diffWALBins, diffValue)
-				rewriteFile(t, filepath.Join(dir, "wal-2.log"), func(raw []byte) []byte {
+				rewriteFile(t, genLog(t, dir, 0, 2), func(raw []byte) []byte {
 					offs := walRecordOffsets(t, raw)
 					for _, off := range offs {
 						n := int(binary.BigEndian.Uint32(raw[off:]))
@@ -506,7 +557,7 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 						binary.BigEndian.PutUint32(raw[off+4+n:], crc32.ChecksumIEEE(body))
 						return raw
 					}
-					t.Fatal("no multi-record group in wal-2.log")
+					t.Fatal("no multi-record group in shard 2's log")
 					return nil
 				})
 				return dir
@@ -552,8 +603,8 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 		},
 		{
 			// No snapshot: the epoch comes from the first log that has a
-			// header — not wal-0 (killed before its header flush) nor
-			// wal-1 (half a header).
+			// header — not shard 0's (killed before its header flush) nor
+			// shard 1's (half a header).
 			name:   "no snapshot",
 			shards: []int{4, 16},
 			build: func(t *testing.T) string {
@@ -561,8 +612,8 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 				if err := os.Remove(filepath.Join(dir, snapshotFile)); err != nil {
 					t.Fatal(err)
 				}
-				rewriteFile(t, filepath.Join(dir, "wal-0.log"), func(raw []byte) []byte { return nil })
-				rewriteFile(t, filepath.Join(dir, "wal-1.log"), func(raw []byte) []byte { return raw[:10] })
+				rewriteFile(t, genLog(t, dir, 0, 0), func(raw []byte) []byte { return nil })
+				rewriteFile(t, genLog(t, dir, 0, 1), func(raw []byte) []byte { return raw[:10] })
 				return dir
 			},
 			check: func(t *testing.T, s *Store, rec RecoveryStats) {
@@ -571,6 +622,84 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 				}
 				if rec.SnapshotSeries != 0 || rec.WALRecords == 0 {
 					t.Fatalf("recovery stats %+v", rec)
+				}
+			},
+		},
+		{
+			// Crash, reopen, write, crash again before any compaction,
+			// reopen: three generations on disk, each overwriting some of
+			// the one below. The newest value of a (key, bin) wins.
+			name:   "three generations without a compaction",
+			shards: []int{16, 4},
+			build: func(t *testing.T) string {
+				dir := writeImage(t, 16, t0, diffWALBins, diffValue) // logs bins 40..69
+				addGeneration(t, dir, 16, 60, 80, func(series, bin int) float64 { return -diffValue(series, bin) })
+				addGeneration(t, dir, 16, 75, 90, func(series, bin int) float64 { return 0.5 + diffValue(series, bin) })
+				return dir
+			},
+			check: func(t *testing.T, s *Store, rec RecoveryStats) {
+				if rec.Generations != 3 || rec.TornTails != 0 {
+					t.Fatalf("recovery stats %+v, want 3 generations", rec)
+				}
+				for b, want := range map[int]float64{
+					51: diffValue(5, 51),       // oldest generation only
+					65: -diffValue(5, 65),      // oldest and middle: the middle one wins
+					77: 0.5 + diffValue(5, 77), // middle and newest: the newest wins
+					89: 0.5 + diffValue(5, 89), // newest only
+				} {
+					if got := bin(s, keys[5], b); got != want {
+						t.Fatalf("bin %d = %v, want %v", b, got, want)
+					}
+				}
+			},
+		},
+		{
+			// Each generation is replayed as the shard layout that wrote
+			// it, whatever layout reads it.
+			name:   "shard count 16 to 4 to 16 across generations",
+			shards: []int{16, 4, 1},
+			build: func(t *testing.T) string {
+				dir := writeImage(t, 16, t0, diffWALBins, diffValue)
+				addGeneration(t, dir, 4, 60, 80, func(series, bin int) float64 { return -diffValue(series, bin) })
+				addGeneration(t, dir, 16, 75, 90, diffValue)
+				gens, err := listWALs(faultfs.OS, dir)
+				if err != nil || len(gens) != 3 || len(gens[0].paths) != 16 || len(gens[1].paths) != 4 || len(gens[2].paths) != 16 {
+					t.Fatalf("generations %+v (%v), want 16, 4 and 16 logs", gens, err)
+				}
+				return dir
+			},
+			check: func(t *testing.T, s *Store, rec RecoveryStats) {
+				if rec.Generations != 3 {
+					t.Fatalf("Generations = %d, want 3", rec.Generations)
+				}
+				if got := bin(s, keys[9], 70); got != -diffValue(9, 70) {
+					t.Fatalf("the 4-shard generation did not win over the 16-shard one below it: bin 70 = %v", got)
+				}
+			},
+		},
+		{
+			// A tear ends its own log and nothing else: the rest of that
+			// generation and every younger one still replay.
+			name:   "torn tail in a generation that is not the newest",
+			shards: []int{4},
+			build: func(t *testing.T) string {
+				dir := writeImage(t, 4, t0, diffWALBins, diffValue)
+				addGeneration(t, dir, 4, 60, 80, func(series, bin int) float64 { return -diffValue(series, bin) })
+				addGeneration(t, dir, 4, 75, 90, diffValue)
+				rewriteFile(t, genLog(t, dir, 2, 0), func(raw []byte) []byte { return raw[:len(raw)-5] })
+				rewriteFile(t, genLog(t, dir, 1, 3), func(raw []byte) []byte {
+					offs := walRecordOffsets(t, raw)
+					binary.BigEndian.PutUint32(raw[offs[len(offs)/2]:], 0xFFFFFFF0)
+					return raw
+				})
+				return dir
+			},
+			check: func(t *testing.T, s *Store, rec RecoveryStats) {
+				if rec.TornTails != 2 || rec.Generations != 3 {
+					t.Fatalf("recovery stats %+v, want 2 torn tails in 3 generations", rec)
+				}
+				if got := bin(s, keys[5], 89); got != diffValue(5, 89) {
+					t.Fatalf("newest generation not replayed past the tears below it: bin 89 = %v", got)
 				}
 			},
 		},
@@ -598,16 +727,17 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 
 // TestRecoveryErrorJoinsWorkers breaks the third and fourth logs of an
 // eight-log image: the open must fail with the third log's error (the
-// first in file-name order, whichever worker got there first) and leave
+// first in shard order, whichever worker got there first) and leave
 // no replay or validation goroutine behind.
 func TestRecoveryErrorJoinsWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	image := writeImage(t, 8, t0, diffWALBins, diffValue)
-	rewriteFile(t, filepath.Join(image, "wal-2.log"), func(raw []byte) []byte {
+	third := genLog(t, image, 0, 2)
+	rewriteFile(t, third, func(raw []byte) []byte {
 		binary.BigEndian.PutUint16(raw[4:6], 99)
 		return raw
 	})
-	rewriteFile(t, filepath.Join(image, "wal-3.log"), func(raw []byte) []byte {
+	rewriteFile(t, genLog(t, image, 0, 3), func(raw []byte) []byte {
 		copy(raw, "XXXX")
 		return raw
 	})
@@ -622,8 +752,8 @@ func TestRecoveryErrorJoinsWorkers(t *testing.T) {
 		st.Close()
 		t.Fatal("OpenPersistent accepted an unsupported WAL version")
 	}
-	if !strings.Contains(err.Error(), "unsupported WAL version 99") || !strings.Contains(err.Error(), "wal-2.log") {
-		t.Fatalf("error %q, want wal-2.log's unsupported version", err)
+	if !strings.Contains(err.Error(), "unsupported WAL version 99") || !strings.Contains(err.Error(), filepath.Base(third)) {
+		t.Fatalf("error %q, want %s's unsupported version", err, filepath.Base(third))
 	}
 	// Joined workers have returned from their function; give the
 	// scheduler a moment to retire them before calling it a leak.

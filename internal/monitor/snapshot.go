@@ -56,19 +56,16 @@ import (
 // Quarantined chunks round-trip through the sentinel, so re-snapshots
 // stay deterministic.
 //
-// Version 2 (per-chunk encLen | data, no CRC, no sentinel) and
-// version 1 (flat: binCount uint32 | binCount × float64 bits per
-// series, no chunkSpan field) are still read; v1 bins are sealed into
-// chunks at the reading store's span on the way in.
+// Version 3 is the only version read: the checksum-less version 2 and
+// the flat version 1 were never deployed, and a snapshot declaring
+// either is refused as unsupported.
 const (
-	snapshotMagic      = "FNLS"
-	snapshotVersion    = 3
-	snapshotVersionV2  = 2
-	snapshotVersionOld = 1
+	snapshotMagic   = "FNLS"
+	snapshotVersion = 3
 )
 
 // snapshotTombstone is the encLen sentinel marking a quarantined chunk
-// in a version-3 snapshot.
+// in a snapshot.
 const snapshotTombstone = 0xFFFFFFFF
 
 // maxSnapshotSpan bounds the chunk span a snapshot header may declare.
@@ -199,7 +196,7 @@ func (s *Store) writeSnapshotLocked(w io.Writer) error {
 // Stats and the quarantined_chunks gauge), not fatal.
 func ReadSnapshot(r io.Reader) (*Store, error) {
 	var quarantined int
-	store, err := readSnapshotShards(r, StoreShards, 0, &quarantined)
+	store, err := readSnapshotShards(r, StoreShards, &quarantined)
 	if store != nil && quarantined > 0 {
 		store.quarantined.Add(int64(quarantined))
 	}
@@ -208,12 +205,10 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 
 // readSnapshotShards is ReadSnapshot into a store with the given shard
 // count (recovery reuses it so the reopened store matches the
-// configured striping). span applies only to version-1 snapshots,
-// whose flat bins are re-sealed on the way in (0 means the default);
-// a version-2+ snapshot carries its own span and keeps it. quarantined
-// (may be nil) accumulates the count of checksum-failed chunks
-// replaced by tombstones.
-func readSnapshotShards(r io.Reader, shards, span int, quarantined *int) (*Store, error) {
+// configured striping); the chunk span is the snapshot's own.
+// quarantined (may be nil) accumulates the count of checksum-failed
+// chunks replaced by tombstones.
+func readSnapshotShards(r io.Reader, shards int, quarantined *int) (*Store, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -226,8 +221,7 @@ func readSnapshotShards(r io.Reader, shards, span int, quarantined *int) (*Store
 	if _, err := io.ReadFull(br, scratch[:2]); err != nil {
 		return nil, err
 	}
-	version := binary.BigEndian.Uint16(scratch[:2])
-	if version != snapshotVersion && version != snapshotVersionV2 && version != snapshotVersionOld {
+	if version := binary.BigEndian.Uint16(scratch[:2]); version != snapshotVersion {
 		return nil, fmt.Errorf("monitor: unsupported snapshot version %d", version)
 	}
 	if _, err := io.ReadFull(br, scratch[:]); err != nil {
@@ -241,16 +235,12 @@ func readSnapshotShards(r io.Reader, shards, span int, quarantined *int) (*Store
 	if step <= 0 {
 		return nil, fmt.Errorf("monitor: bad snapshot step %v", step)
 	}
-	if version >= snapshotVersionV2 {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return nil, err
-		}
-		span = int(binary.BigEndian.Uint32(scratch[:4]))
-		if span < 2 || span > maxSnapshotSpan {
-			return nil, fmt.Errorf("monitor: bad snapshot chunk span %d", span)
-		}
-	} else if span < 2 {
-		span = chunk.DefaultSpan
+	if _, err := io.ReadFull(br, scratch[:4]); err != nil {
+		return nil, err
+	}
+	span := int(binary.BigEndian.Uint32(scratch[:4]))
+	if span < 2 || span > maxSnapshotSpan {
+		return nil, fmt.Errorf("monitor: bad snapshot chunk span %d", span)
 	}
 	if _, err := io.ReadFull(br, scratch[:4]); err != nil {
 		return nil, err
@@ -259,16 +249,12 @@ func readSnapshotShards(r io.Reader, shards, span int, quarantined *int) (*Store
 
 	store := NewStoreShards(start, step, shards)
 	store.span = span
-	v := startChunkValidator(span, version)
-	err := readSnapshotSeries(br, store, count, version, v)
-	// Join the workers on every path; a chunk that failed validation
-	// sits earlier in the stream than any framing error.
-	nq, verr := v.wait()
+	v := startChunkValidator(span)
+	err := readSnapshotSeries(br, store, count, v)
+	// Join the workers on every path.
+	nq := v.wait()
 	if quarantined != nil {
 		*quarantined += nq
-	}
-	if verr != nil {
-		err = verr
 	}
 	if err != nil {
 		return nil, err
@@ -278,7 +264,7 @@ func readSnapshotShards(r io.Reader, shards, span int, quarantined *int) (*Store
 
 // readSnapshotSeries parses count series bodies from br into store,
 // handing sealed chunks to v for validation.
-func readSnapshotSeries(br *bufio.Reader, store *Store, count uint32, version uint16, v *chunkValidator) error {
+func readSnapshotSeries(br *bufio.Reader, store *Store, count uint32, v *chunkValidator) error {
 	span := store.span
 	// One clock read stamps every restored series' arrival watermark with
 	// the restore time. The data's true arrival time died with the
@@ -306,12 +292,7 @@ func readSnapshotSeries(br *bufio.Reader, store *Store, count uint32, version ui
 		if err != nil {
 			return err
 		}
-		var e *seriesEntry
-		if version >= snapshotVersionV2 {
-			e, err = readSnapshotEntry(br, span, version, v)
-		} else {
-			e, err = readSnapshotEntryV1(br, span)
-		}
+		e, err := readSnapshotEntry(br, span, v)
 		if err != nil {
 			return err
 		}
@@ -325,27 +306,17 @@ func readSnapshotSeries(br *bufio.Reader, store *Store, count uint32, version ui
 // chunkValidator takes the per-chunk work of a snapshot read off the
 // goroutine that parses the framing: a pool of at most GOMAXPROCS
 // workers checks each chunk's CRC, runs chunk.FromEncoded's validation
-// decode, and installs the chunk — or, in version 3, a tombstone for
-// one that fails either check. Version 2 carries no CRC, so there a
-// stream that fails validation cannot be told apart from a framing
-// error and fails the read; the earliest such chunk is the one
-// reported, as a serial read would.
+// decode, and installs the chunk — or a tombstone for one that fails
+// either check.
 type chunkValidator struct {
-	span   int
-	hasCRC bool
-	jobs   chan chunkJob
-	wg     sync.WaitGroup
+	span int
+	jobs chan chunkJob
+	wg   sync.WaitGroup
 	// pending collects one entry's jobs until its chunks slice has
-	// stopped growing (parser goroutine only); seq numbers them in
-	// stream order.
+	// stopped growing (parser goroutine only).
 	pending []chunkJob
-	seq     int
 
 	quarantined atomic.Int64
-
-	mu     sync.Mutex
-	err    error // version 2: the earliest chunk that failed validation
-	errSeq int
 }
 
 // chunkJob is one sealed chunk as framed on disk, and the slot of its
@@ -355,16 +326,14 @@ type chunkJob struct {
 	slot int
 	data []byte
 	crc  uint32
-	seq  int
 }
 
 // startChunkValidator starts the worker pool for a snapshot of the
-// given chunk span and format version.
-func startChunkValidator(span int, version uint16) *chunkValidator {
+// given chunk span.
+func startChunkValidator(span int) *chunkValidator {
 	workers := runtime.GOMAXPROCS(0)
 	v := &chunkValidator{
-		span:   span,
-		hasCRC: version >= snapshotVersion,
+		span: span,
 		// A few jobs of slack per worker, so the parser keeps reading
 		// while every worker is inside a decode.
 		jobs: make(chan chunkJob, 4*workers),
@@ -381,30 +350,21 @@ func (v *chunkValidator) work() {
 	defer v.wg.Done()
 	for j := range v.jobs {
 		ck, err := chunk.FromEncoded(j.data, v.span)
-		switch {
-		case err == nil && (!v.hasCRC || ck.CRC() == j.crc):
-			j.e.chunks[j.slot] = ck
-		case v.hasCRC:
+		if err != nil || ck.CRC() != j.crc {
 			// The framing held (the length-delimited read succeeded) but
 			// the bytes are rotten: quarantine this chunk and keep
 			// recovering the rest of the store.
-			j.e.chunks[j.slot] = chunk.Tombstone(v.span)
+			ck = chunk.Tombstone(v.span)
 			v.quarantined.Add(1)
-		default:
-			v.mu.Lock()
-			if v.err == nil || j.seq < v.errSeq {
-				v.err, v.errSeq = fmt.Errorf("monitor: snapshot chunk %d: %w", j.slot, err), j.seq
-			}
-			v.mu.Unlock()
 		}
+		j.e.chunks[j.slot] = ck
 	}
 }
 
 // add queues one framed chunk for the entry being parsed and reserves
 // its slot.
 func (v *chunkValidator) add(e *seriesEntry, data []byte, crc uint32) {
-	v.pending = append(v.pending, chunkJob{e: e, slot: len(e.chunks), data: data, crc: crc, seq: v.seq})
-	v.seq++
+	v.pending = append(v.pending, chunkJob{e: e, slot: len(e.chunks), data: data, crc: crc})
 	e.chunks = append(e.chunks, nil)
 }
 
@@ -425,21 +385,19 @@ func (v *chunkValidator) dispatch() {
 	v.pending = v.pending[:0]
 }
 
-// wait joins the workers and returns the number of chunks quarantined
-// and, for a version-2 snapshot, the first validation failure.
-func (v *chunkValidator) wait() (quarantined int, err error) {
+// wait joins the workers and returns the number of chunks quarantined.
+func (v *chunkValidator) wait() (quarantined int) {
 	close(v.jobs)
 	v.wg.Wait()
-	return int(v.quarantined.Load()), v.err
+	return int(v.quarantined.Load())
 }
 
-// readSnapshotEntry reads one version-2/3 series body: head, verbatim
-// sealed chunks, then the raw tail. In version 3 each chunk carries a
-// CRC-32 (and may be a tombstone sentinel). The chunks themselves are
-// checked off-thread by v — a rotten one degrades one chunk, not the
-// whole recovery — while anything wrong with the framing fails the
-// entry here.
-func readSnapshotEntry(br *bufio.Reader, span int, version uint16, v *chunkValidator) (*seriesEntry, error) {
+// readSnapshotEntry reads one series body: head, verbatim sealed
+// chunks, each with its CRC-32 (or a tombstone sentinel in its place),
+// then the raw tail. The chunks themselves are checked off-thread by v
+// — a rotten one degrades one chunk, not the whole recovery — while
+// anything wrong with the framing fails the entry here.
+func readSnapshotEntry(br *bufio.Reader, span int, v *chunkValidator) (*seriesEntry, error) {
 	var scratch [8]byte
 	if _, err := io.ReadFull(br, scratch[:4]); err != nil {
 		return nil, err
@@ -461,7 +419,7 @@ func readSnapshotEntry(br *bufio.Reader, span int, version uint16, v *chunkValid
 			return nil, err
 		}
 		encLen := binary.BigEndian.Uint32(scratch[:4])
-		if version >= snapshotVersion && encLen == snapshotTombstone {
+		if encLen == snapshotTombstone {
 			// A quarantined chunk from a previous recovery round-trips
 			// as a tombstone.
 			v.tombstone(e)
@@ -473,13 +431,10 @@ func readSnapshotEntry(br *bufio.Reader, span int, version uint16, v *chunkValid
 		if int(encLen) > 10*span {
 			return nil, fmt.Errorf("monitor: snapshot chunk of %d bytes exceeds span %d", encLen, span)
 		}
-		var wantCRC uint32
-		if version >= snapshotVersion {
-			if _, err := io.ReadFull(br, scratch[4:8]); err != nil {
-				return nil, err
-			}
-			wantCRC = binary.BigEndian.Uint32(scratch[4:8])
+		if _, err := io.ReadFull(br, scratch[4:8]); err != nil {
+			return nil, err
 		}
+		wantCRC := binary.BigEndian.Uint32(scratch[4:8])
 		data := make([]byte, encLen)
 		if _, err := io.ReadFull(br, data); err != nil {
 			return nil, err
@@ -509,38 +464,6 @@ func readSnapshotEntry(br *bufio.Reader, span int, version uint16, v *chunkValid
 		}
 		left -= n
 	}
-	return e, nil
-}
-
-// readSnapshotEntryV1 reads one version-1 flat series body and seals
-// its bins into chunks at the reading store's span.
-func readSnapshotEntryV1(br *bufio.Reader, span int) (*seriesEntry, error) {
-	var scratch [8]byte
-	if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-		return nil, err
-	}
-	bins := binary.BigEndian.Uint32(scratch[:4])
-	// Do not pre-allocate from the untrusted count: a corrupt or
-	// malicious header could demand gigabytes. Appending grows the
-	// buffer only as fast as actual payload arrives, so truncated
-	// input fails at ReadFull long before memory does.
-	cap0 := bins
-	if cap0 > 1<<16 {
-		cap0 = 1 << 16
-	}
-	buf := make([]float64, 0, cap0)
-	for j := uint32(0); j < bins; j++ {
-		if _, err := io.ReadFull(br, scratch[:]); err != nil {
-			return nil, err
-		}
-		buf = append(buf, math.Float64frombits(binary.BigEndian.Uint64(scratch[:])))
-	}
-	e := new(seriesEntry)
-	for len(buf) >= span {
-		e.chunks = append(e.chunks, chunk.Encode(buf[:span]))
-		buf = buf[span:]
-	}
-	e.tail = append([]float64(nil), buf...)
 	return e, nil
 }
 

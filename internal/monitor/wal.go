@@ -35,10 +35,15 @@ import (
 // On-disk layout inside the data directory:
 //
 //	snapshot.fnls — latest compacted snapshot (the Store snapshot
-//	  format, written atomically via rename)
-//	wal-<shard>.log — live shard logs
-//	wal-<shard>.old — pre-rotation logs, present only while a
-//	  compaction is in flight (or after one crashed mid-way)
+//	  format, written atomically via rename from snapshot.tmp)
+//	wal-<gen>-<shard>.log — shard logs, one numbered generation per
+//	  open and per rotation; the highest generation is the live one
+//
+// The invariant: the snapshot plus every generation on disk, replayed
+// in ascending order, is the store. Nothing is ever renamed or
+// overwritten to keep it — an open and a rotation both start generation
+// live+1 beside what is there, and a generation is deleted only after a
+// snapshot that covers it has been installed.
 //
 // Each log starts with a header:
 //
@@ -58,36 +63,42 @@ import (
 // process kill can inflict on an append-only log — fails its length or
 // CRC check and is discarded; everything before it replays.
 //
-// Recovery order is snapshot, then the wal-*.old generation, then the
-// wal-*.log generation; a generation starts only when every log of the
-// one before it has finished, so a (key, bin) present in both ends up
-// with the live log's value. Within a generation the logs — written by
-// one shard layout, hence over disjoint keys — replay concurrently on
-// at most GOMAXPROCS goroutines, each applying a CRC-checked group
-// record under one clock read and one lock round trip, through a
-// per-log table from framed key bytes to series entry (keyTable, the
-// one the ingest socket keeps per connection). The
-// snapshot read is split the same way: one goroutine parses the
-// length-prefixed framing and a pool of at most GOMAXPROCS workers runs
-// each chunk's CRC check and validation decode, installing the chunk
-// or its tombstone. Without a snapshot the store's epoch comes from the
-// first non-empty log header, read serially before any replay starts.
-// Per-log statistics are summed, and the first error reported, in
-// file-name order whatever order the workers finished in, and every
-// worker is joined before OpenPersistent returns, with a store or with
-// an error. Replay is idempotent: the store overwrites by (key, bin),
-// so records already captured in the snapshot (a compaction that
-// crashed between rename and .old cleanup) change nothing. After replay
-// the store compacts synchronously, so a freshly opened directory
-// always holds one snapshot and empty logs.
+// Recovery order is snapshot, then the generations found, oldest first;
+// a generation starts only when every log of the one before it has
+// finished, so a (key, bin) present in two ends up with the newer
+// one's value. Within a generation the logs — written by one shard
+// layout, hence over disjoint keys — replay concurrently on at most
+// GOMAXPROCS goroutines, each applying a CRC-checked group record under
+// one clock read and one lock round trip, through a per-log table from
+// framed key bytes to series entry (keyTable, the one the ingest socket
+// keeps per connection). The snapshot read is split the same way: one
+// goroutine parses the length-prefixed framing and a pool of at most
+// GOMAXPROCS workers runs each chunk's CRC check and validation decode,
+// installing the chunk or its tombstone. Without a snapshot the store's
+// epoch comes from the first non-empty log header, read serially before
+// any replay starts. Per-log statistics are summed, and the first error
+// reported, in generation-then-shard order whatever order the workers
+// finished in, and every worker is joined before OpenPersistent
+// returns, with a store or with an error. Replay is idempotent: the
+// store overwrites by (key, bin), so records already captured in the
+// snapshot (a compaction that crashed between the rename and the
+// deletion of the generations it covered) change nothing.
+//
+// Recovery reads; it does not rewrite. After replay the store attaches
+// a fresh generation, fsyncs the directory once and is open — the
+// generations it replayed stay where they are until the next
+// compaction, which an open that found more than one of them (a crash
+// loop) or at least CompactBytes of log asks the background loop for.
+// A generation may hold any shard count: reopening 16 → 4 → 16 leaves
+// generations of 16, 4 and 16 logs, each replayed as written.
 //
 // Disk faults are classified, not latched blindly. A transient failure
 // (ENOSPC, EINTR, EAGAIN, or an injected faultfs error) puts the
 // persister into the degraded state: WAL writes stop (the broken logs
 // cannot be trusted), the store stays fully usable in memory, and a
 // background loop retries with exponential backoff until it re-arms
-// durability — rotate the damaged logs aside, start fresh ones, and
-// write a complete snapshot from in-memory state, after which the
+// durability — leave the damaged generation behind, start a fresh one,
+// and write a complete snapshot from in-memory state, after which the
 // store is durable again with no restart. Anything else (a programming
 // error, a crash-schedule horizon) is permanent: the first such error
 // latches, persistence fail-stops, and only the in-memory store keeps
@@ -99,12 +110,16 @@ const (
 	snapshotFile    = "snapshot.fnls"
 	snapshotTmpFile = "snapshot.tmp"
 	walPrefix       = "wal-"
-	walLiveSuffix   = ".log"
-	walOldSuffix    = ".old"
+	walSuffix       = ".log"
 )
 
-// DefaultCompactBytes is the total live-log size that triggers a
-// background compaction.
+// walName is the one naming rule for shard logs.
+func walName(gen uint64, shard int) string {
+	return fmt.Sprintf("%s%d-%d%s", walPrefix, gen, shard, walSuffix)
+}
+
+// DefaultCompactBytes is the total size of the logs not yet covered by
+// a snapshot that triggers a background compaction.
 const DefaultCompactBytes = 64 << 20
 
 // DefaultSyncInterval is the background fsync cadence for shard logs.
@@ -148,7 +163,8 @@ func (s PersistState) String() string {
 type PersistOptions struct {
 	// Shards is the store's lock-stripe count (default StoreShards).
 	Shards int
-	// CompactBytes triggers a background compaction once the live logs
+	// CompactBytes triggers a background compaction once the logs not
+	// yet covered by a snapshot — replayed at open or written since —
 	// grow past it in total (default DefaultCompactBytes; negative
 	// disables automatic compaction — Compact can still be called).
 	CompactBytes int64
@@ -157,9 +173,8 @@ type PersistOptions struct {
 	// Sync can still be called).
 	SyncInterval time.Duration
 	// ChunkSpan is the sealed-chunk width in bins (default
-	// chunk.DefaultSpan). It applies to fresh directories and to
-	// version-1 snapshot upgrades; a version-2+ snapshot keeps the
-	// span it was written with.
+	// chunk.DefaultSpan). It applies to directories without a snapshot;
+	// a snapshot keeps the span it was written with.
 	ChunkSpan int
 	// FS is the filesystem the persister talks to (default the real
 	// OS). Tests substitute a faultfs.FaultFS to inject disk faults
@@ -207,10 +222,17 @@ type RecoveryStats struct {
 	// checksum failed on snapshot read; each was replaced by a NaN
 	// tombstone instead of aborting recovery.
 	QuarantinedChunks int
+	// Generations is the number of log generations found and replayed:
+	// one after a clean shutdown or a single crash, more when the store
+	// keeps dying before it compacts.
+	Generations int
+	// LogBytes is the size of the records replayed from them, the log
+	// the next compaction has to fold into the snapshot.
+	LogBytes int64
 	// SnapshotTime, ReplayTime and AttachTime are the wall time of the
 	// three recovery phases: reading the snapshot, replaying the shard
-	// logs, and attaching fresh logs plus the synchronous compaction.
-	// The store is blind to arriving bins for their sum.
+	// logs, and attaching a fresh generation. The store is blind to
+	// arriving bins for their sum.
 	SnapshotTime, ReplayTime, AttachTime time.Duration
 }
 
@@ -228,7 +250,12 @@ type persister struct {
 	fs    faultfs.FS
 	store *Store
 
-	walBytes atomic.Int64 // live-log bytes since the last compaction
+	// gen is the live generation's number; compactMu guards it once the
+	// store is open.
+	gen uint64
+	// walBytes is the log bytes not yet in a snapshot: replayed at open
+	// or written since, less what each compaction covered.
+	walBytes atomic.Int64
 	// state is the durability health (a PersistState); the WAL write
 	// path gates on it with one atomic load per append.
 	state atomic.Int32
@@ -258,10 +285,9 @@ func (p *persister) logger() *slog.Logger {
 // shardWAL is one shard's append-only log. All methods suffixed Locked
 // require the owning shard's mutex.
 type shardWAL struct {
-	p    *persister
-	path string
-	f    faultfs.File
-	w    *bufio.Writer
+	p *persister
+	f faultfs.File
+	w *bufio.Writer
 	// rec accumulates the measurement bodies of the group record in
 	// progress; emitLocked seals it with a length prefix and CRC.
 	rec []byte
@@ -474,15 +500,14 @@ func (w *shardWAL) discardLocked() {
 	w.f.Close()
 }
 
-// createShardWAL creates (truncating) a shard log and writes its
-// header.
+// createShardWAL creates a shard log of the live generation and writes
+// its header.
 func createShardWAL(p *persister, shard int, start time.Time, step time.Duration) (*shardWAL, error) {
-	path := filepath.Join(p.dir, fmt.Sprintf("%s%d%s", walPrefix, shard, walLiveSuffix))
-	f, err := p.fs.Create(path)
+	f, err := p.fs.Create(filepath.Join(p.dir, walName(p.gen, shard)))
 	if err != nil {
 		return nil, err
 	}
-	w := &shardWAL{p: p, path: path, f: f, w: bufio.NewWriterSize(f, 1<<16)}
+	w := &shardWAL{p: p, f: f, w: bufio.NewWriterSize(f, 1<<16)}
 	hdr := append([]byte(walMagic), 0, 0)
 	binary.BigEndian.PutUint16(hdr[4:6], walVersion)
 	hdr = binary.BigEndian.AppendUint64(hdr, uint64(start.UnixNano()))
@@ -499,11 +524,14 @@ func createShardWAL(p *persister, shard int, start time.Time, step time.Duration
 }
 
 // OpenPersistent opens (or creates) a persistent store backed by dir.
-// An existing directory is recovered: snapshot first, then shard logs
-// (rotated ones before live ones), tolerating a torn final record per
-// log. start and step apply only to a fresh directory; recovered state
-// keeps its own epoch, and a non-zero step that contradicts the
-// recovered one is an error. The store must be released with Close.
+// An existing directory is recovered: snapshot first, then the log
+// generations found (oldest first), tolerating a torn final record per
+// log. What was read stays on disk as it is — the open attaches a fresh
+// generation beside it and leaves folding the rest into a snapshot to
+// the next compaction. start and step apply only to a fresh directory;
+// recovered state keeps its own epoch, and a non-zero step that
+// contradicts the recovered one is an error. The store must be released
+// with Close.
 //
 // The directory must be usable at open time: a missing parent or an
 // unwritable directory fails here, loudly, instead of degrading into a
@@ -548,12 +576,17 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 		return nil, fmt.Errorf("monitor: data directory not writable: %w", cerr)
 	}
 
+	// A compaction that died between creating snapshot.tmp and renaming
+	// it left a file no recovery reads, and no compaction is due here to
+	// overwrite it.
+	p.fs.Remove(filepath.Join(dir, snapshotTmpFile))
+
 	// Phase 1: snapshot.
 	phase := time.Now()
 	var store *Store
 	snapPath := filepath.Join(dir, snapshotFile)
 	if f, err := p.fs.Open(snapPath); err == nil {
-		store, err = readSnapshotShards(f, opts.Shards, opts.ChunkSpan, &p.recovered.QuarantinedChunks)
+		store, err = readSnapshotShards(f, opts.Shards, &p.recovered.QuarantinedChunks)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("monitor: recovering snapshot: %w", err)
@@ -564,94 +597,138 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 	}
 	p.recovered.SnapshotTime = time.Since(phase)
 
-	// Phase 2: shard logs. Rotated (.old) logs predate the live ones,
-	// so that generation replays to the end first; within a generation
-	// the logs replay concurrently (shards hold disjoint keys).
+	// Phase 2: shard logs, one generation after the other; within a
+	// generation the logs replay concurrently (shards hold disjoint keys).
 	phase = time.Now()
-	oldLogs, liveLogs, err := listWALs(p.fs, dir)
+	gens, err := listWALs(p.fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	generations := [][]string{oldLogs, liveLogs}
-	newStore := func(start time.Time, step time.Duration) *Store {
-		s := NewStoreShards(start, step, opts.Shards)
-		s.span = opts.ChunkSpan
-		return s
-	}
-	for _, logs := range generations {
-		for _, path := range logs {
-			if store != nil {
-				break
-			}
-			// No snapshot: the oldest non-empty log's header carries the
-			// epoch.
-			hdrStart, hdrStep, ok, err := peekWALHeader(p.fs, path)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				store = newStore(hdrStart, hdrStep)
-			}
-		}
-	}
 	if store == nil {
-		store = newStore(start, step) // nothing on disk: a fresh directory
+		// No snapshot: the oldest non-empty log's header carries the epoch;
+		// nothing on disk at all is a fresh directory.
+		hdrStart, hdrStep, ok := oldestWALHeader(p.fs, gens)
+		if !ok {
+			hdrStart, hdrStep = start, step
+		}
+		store = NewStoreShards(hdrStart, hdrStep, opts.Shards)
+		store.span = opts.ChunkSpan
 	}
 	if step > 0 && store.step != step {
 		return nil, fmt.Errorf("monitor: step mismatch: store has %v, caller wants %v", store.step, step)
 	}
-	for _, logs := range generations {
-		for _, r := range replayWALs(p.fs, logs, store) {
-			if r.err != nil {
-				return nil, r.err
-			}
-			p.recovered.WALRecords += r.stats.WALRecords
-			p.recovered.TornTails += r.stats.TornTails
+	for _, r := range replayGenerations(p.fs, gens, store) {
+		if r.err != nil {
+			return nil, r.err
 		}
+		p.recovered.WALRecords += r.stats.WALRecords
+		p.recovered.TornTails += r.stats.TornTails
+		p.recovered.LogBytes += r.stats.LogBytes
 	}
+	p.recovered.Generations = len(gens)
 	if p.recovered.QuarantinedChunks > 0 {
 		store.quarantined.Add(int64(p.recovered.QuarantinedChunks))
 	}
 	p.recovered.ReplayTime = time.Since(phase)
 
-	// Phase 3: attach fresh logs and compact synchronously, so the
-	// directory is always left as one snapshot + empty logs and any
-	// stale .old files are consumed exactly once.
+	// Phase 3: attach a fresh generation above the ones replayed. They
+	// stay on disk, and count against CompactBytes, until a compaction
+	// covers them.
 	phase = time.Now()
 	store.persist = p
 	p.store = store
-	if err := p.initDisk(); err != nil {
+	if len(gens) > 0 {
+		p.gen = gens[len(gens)-1].gen
+	}
+	p.walBytes.Store(p.recovered.LogBytes)
+	err = p.openGeneration()
+	if err == nil {
+		err = syncFSDir(p.fs, dir)
+	}
+	if err != nil {
 		p.discardLogs()
 		return nil, err
 	}
 	p.recovered.AttachTime = time.Since(phase)
 
+	if opts.CompactBytes > 0 && (len(gens) > 1 || p.recovered.LogBytes >= opts.CompactBytes) {
+		p.requestCompact()
+	}
 	go p.run()
 	return store, nil
 }
 
-// listWALs returns the rotated and live shard logs in dir, each group
-// sorted by name.
-func listWALs(fsys faultfs.FS, dir string) (oldLogs, liveLogs []string, err error) {
+// walGeneration is the shard logs one open or one rotation created
+// together, in shard order.
+type walGeneration struct {
+	gen   uint64
+	paths []string
+}
+
+// listWALs returns the log generations in dir, oldest first. A wal-
+// file that does not follow walName is an error, not something to step
+// over: it may hold records.
+func listWALs(fsys faultfs.FS, dir string) ([]walGeneration, error) {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	type shardLog struct {
+		gen, shard uint64
+		name       string
+	}
+	var logs []shardLog
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, walPrefix) {
+		l := shardLog{name: e.Name()}
+		if e.IsDir() || !strings.HasPrefix(l.name, walPrefix) {
 			continue
 		}
-		switch {
-		case strings.HasSuffix(name, walOldSuffix):
-			oldLogs = append(oldLogs, filepath.Join(dir, name))
-		case strings.HasSuffix(name, walLiveSuffix):
-			liveLogs = append(liveLogs, filepath.Join(dir, name))
+		if _, err := fmt.Sscanf(l.name, walPrefix+"%d-%d"+walSuffix, &l.gen, &l.shard); err != nil || walName(l.gen, int(l.shard)) != l.name {
+			return nil, fmt.Errorf("monitor: unrecognised log file %s", filepath.Join(dir, l.name))
+		}
+		logs = append(logs, l)
+	}
+	sort.Slice(logs, func(i, j int) bool {
+		if logs[i].gen != logs[j].gen {
+			return logs[i].gen < logs[j].gen
+		}
+		return logs[i].shard < logs[j].shard
+	})
+	var gens []walGeneration
+	for _, l := range logs {
+		if n := len(gens); n == 0 || gens[n-1].gen != l.gen {
+			gens = append(gens, walGeneration{gen: l.gen})
+		}
+		g := &gens[len(gens)-1]
+		g.paths = append(g.paths, filepath.Join(dir, l.name))
+	}
+	return gens, nil
+}
+
+// oldestWALHeader returns the epoch in the first readable header among
+// gens, for a directory without a snapshot. A log killed before its
+// header flush is passed over, and so is one whose header is damaged:
+// its replay reports that.
+func oldestWALHeader(fsys faultfs.FS, gens []walGeneration) (start time.Time, step time.Duration, ok bool) {
+	for _, g := range gens {
+		for _, path := range g.paths {
+			if start, step, ok, err := peekWALHeader(fsys, path); err == nil && ok {
+				return start, step, true
+			}
 		}
 	}
-	sort.Strings(oldLogs)
-	sort.Strings(liveLogs)
-	return oldLogs, liveLogs, nil
+	return time.Time{}, 0, false
+}
+
+// replayGenerations replays gens into store, a generation at a time and
+// oldest first, and returns one result per log in that order.
+// OpenPersistent and Fsck both recover through it.
+func replayGenerations(fsys faultfs.FS, gens []walGeneration, store *Store) []walReplay {
+	var out []walReplay
+	for _, g := range gens {
+		out = append(out, replayWALs(fsys, g.paths, store)...)
+	}
+	return out
 }
 
 // readWALHeader consumes a shard log's header from r and returns its
@@ -691,7 +768,8 @@ func peekWALHeader(fsys faultfs.FS, path string) (start time.Time, step time.Dur
 
 // walReplay is the outcome of replaying one shard log.
 type walReplay struct {
-	stats RecoveryStats // WALRecords and TornTails of this log
+	path  string
+	stats RecoveryStats // WALRecords, TornTails and LogBytes of this log
 	err   error
 }
 
@@ -714,6 +792,7 @@ func replayWALs(fsys faultfs.FS, paths []string, store *Store) []walReplay {
 				if i >= len(paths) {
 					return
 				}
+				out[i].path = paths[i]
 				out[i].err = replayWAL(fsys, paths[i], store, &out[i].stats)
 			}
 		}()
@@ -782,6 +861,7 @@ func replayWAL(fsys faultfs.FS, path string, store *Store, stats *RecoveryStats)
 			stats.TornTails++
 			return nil
 		}
+		stats.LogBytes += int64(n) + 8
 		// A body that fails to decode ends the log like any torn tail;
 		// the bodies before it are applied.
 		applied, _, err := keys.scan(body, math.MaxInt)
@@ -794,10 +874,12 @@ func replayWAL(fsys faultfs.FS, path string, store *Store, stats *RecoveryStats)
 	}
 }
 
-// initDisk gives every shard a fresh live log and compacts, leaving
-// the directory as one snapshot plus empty logs.
-func (p *persister) initDisk() error {
+// openGeneration starts generation gen+1: a fresh log for every shard,
+// beside whatever is on disk. The caller holds every shard lock, or is
+// an open that has not yet published the store.
+func (p *persister) openGeneration() error {
 	s := p.store
+	p.gen++
 	for i := range s.shards {
 		w, err := createShardWAL(p, i, s.start, s.step)
 		if err != nil {
@@ -805,11 +887,11 @@ func (p *persister) initDisk() error {
 		}
 		s.shards[i].wal = w
 	}
-	return p.compact()
+	return nil
 }
 
-// discardLogs closes whatever shard logs a failed initDisk left open
-// and detaches the persister, so a failed open leaks no descriptor.
+// discardLogs closes whatever shard logs a failed open left open and
+// detaches the persister, so a failed open leaks no descriptor.
 func (p *persister) discardLogs() {
 	s := p.store
 	for i := range s.shards {
@@ -899,25 +981,26 @@ func (p *persister) rearmLoop() {
 	}
 }
 
-// compact rotates every shard log aside, dumps a consistent snapshot
-// of the whole store, atomically installs it, and deletes the rotated
-// logs. A crash at any point leaves a directory that recovers to the
-// same store: before the snapshot rename the old snapshot plus rotated
-// logs cover everything; after it the rotated logs replay
-// idempotently.
+// compact starts a fresh log generation, dumps a consistent snapshot of
+// the whole store, atomically installs it, and deletes the generations
+// it covers. A crash at any point leaves a directory that recovers to
+// the same store: before the snapshot rename the old snapshot plus
+// every generation cover everything; after it the covered generations
+// replay idempotently.
 func (p *persister) compact() error { return p.compactAs(false) }
 
-// rearm is compact in recovery mode: the damaged live logs are rotated
-// aside best-effort (their tails may be torn — replay handles that),
-// fresh logs are created, and a complete snapshot of in-memory state
-// is written, restoring full durability without a restart.
+// rearm is compact in recovery mode: the damaged live logs are closed
+// best-effort and left where they are (their tails may be torn — replay
+// handles that), a fresh generation is started, and a complete snapshot
+// of in-memory state is written, restoring full durability without a
+// restart.
 func (p *persister) rearm() error { return p.compactAs(true) }
 
 // compactAs is the shared rotate-snapshot-install cycle. In rearming
-// mode close/rotate errors on the old logs are tolerated (the logs are
-// already damaged goods) and the WAL write path is re-enabled — under
-// the shard locks, so no append can fall between the snapshot cut and
-// the fresh logs.
+// mode close errors on the old logs are tolerated (the logs are already
+// damaged goods) and the WAL write path is re-enabled — under the shard
+// locks, so no append can fall between the snapshot cut and the fresh
+// logs.
 func (p *persister) compactAs(rearming bool) error {
 	p.compactMu.Lock()
 	defer p.compactMu.Unlock()
@@ -935,40 +1018,29 @@ func (p *persister) compactAs(rearming bool) error {
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
 	}
-	// Rotate: close each live log, move it aside, start a fresh one at
-	// the current epoch.
+	// Rotate: close each live log where it lies and start generation
+	// live+1 at the current epoch. No shard appends in between, so every
+	// record of the new generation is younger than every record of the
+	// ones below it — also when a rotation dies half way, with some
+	// shards on the new generation and the rest on none.
+	covered := p.walBytes.Load()
 	rotateErr := func() error {
 		for i := range s.shards {
 			sh := &s.shards[i]
-			if sh.wal != nil {
-				if rearming {
-					// Damaged log: close best-effort and rotate it aside if
-					// the rename cooperates — its intact prefix still
-					// replays if we crash before the new snapshot lands.
-					sh.wal.discardLocked()
-					oldPath := strings.TrimSuffix(sh.wal.path, walLiveSuffix) + walOldSuffix
-					p.fs.Rename(sh.wal.path, oldPath)
-					sh.wal = nil
-				} else {
-					if err := sh.wal.closeLocked(); err != nil {
-						return err
-					}
-					oldPath := strings.TrimSuffix(sh.wal.path, walLiveSuffix) + walOldSuffix
-					if err := p.fs.Rename(sh.wal.path, oldPath); err != nil {
-						return err
-					}
-					sh.wal = nil
-				}
+			sh.rotations++
+			if sh.wal == nil {
+				continue
 			}
-			w, err := createShardWAL(p, i, s.start, s.step)
-			if err != nil {
+			if rearming {
+				sh.wal.discardLocked()
+			} else if err := sh.wal.closeLocked(); err != nil {
 				return err
 			}
-			sh.wal = w
-			sh.rotations++
+			sh.wal = nil
 		}
-		return nil
+		return p.openGeneration()
 	}()
+	live := p.gen
 	var snapErr error
 	var tmp faultfs.File
 	rearmed := false
@@ -1016,10 +1088,14 @@ func (p *persister) compactAs(rearming bool) error {
 		p.fail(err)
 		return err
 	}
-	// The snapshot now covers everything the rotated logs held.
-	oldLogs, _, err := listWALs(p.fs, p.dir)
-	if err == nil {
-		for _, path := range oldLogs {
+	// The snapshot now covers everything the generations below the live
+	// one held.
+	gens, err := listWALs(p.fs, p.dir)
+	for _, g := range gens {
+		if g.gen >= live {
+			break
+		}
+		for _, path := range g.paths {
 			if rmErr := p.fs.Remove(path); rmErr != nil && err == nil {
 				err = rmErr
 			}
@@ -1029,7 +1105,7 @@ func (p *persister) compactAs(rearming bool) error {
 		p.fail(err)
 		return err
 	}
-	p.walBytes.Store(0)
+	p.walBytes.Add(-covered)
 	s.obs.Load().Add(obs.CtrCompactions, 1)
 	if rearmed {
 		s.obs.Load().Add(obs.CtrWALRearms, 1)
@@ -1139,8 +1215,8 @@ func (s *Store) Sync() error {
 	return s.persist.stateErr()
 }
 
-// Compact rotates the shard logs into a fresh snapshot and truncates
-// them. The background loop calls it automatically once the logs grow
+// Compact folds the shard logs into a fresh snapshot and starts empty
+// ones. The background loop calls it automatically once the logs grow
 // past PersistOptions.CompactBytes; exposing it lets operators compact
 // on demand (e.g. right after a Prune). On a degraded persister it
 // performs the durability re-arm immediately instead of waiting for

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -112,7 +113,7 @@ func TestPersistentTornTail(t *testing.T) {
 	}
 
 	// Tear the final record: chop a few bytes off the single shard log.
-	logPath := filepath.Join(dir, "wal-0.log")
+	logPath := genLog(t, dir, 0, 0)
 	info, err := os.Stat(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +159,7 @@ func TestPersistentCRCCatchesCorruption(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	logPath := filepath.Join(dir, "wal-0.log")
+	logPath := genLog(t, dir, 0, 0)
 	raw, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -188,6 +189,10 @@ func TestPersistentCRCCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestCompactTruncatesLogsAndSurvivesReopen: one compaction leaves
+// exactly one snapshot and one generation — the live one, numbered
+// above the one it folded in — and the logs written after it replay on
+// top of the snapshot.
 func TestCompactTruncatesLogsAndSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenPersistent(dir, t0, time.Minute, persistOptsNoBG(2))
@@ -206,14 +211,29 @@ func TestCompactTruncatesLogsAndSurvivesReopen(t *testing.T) {
 	add(st, 0, 10)
 	add(ref, 0, 10)
 	preCompact := logBytes(t, dir)
+	before, err := listWALs(faultfs.OS, dir)
+	if err != nil || len(before) != 1 {
+		t.Fatalf("generations before the compaction: %+v (%v), want one", before, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !os.IsNotExist(err) {
+		t.Fatalf("a fresh open wrote a snapshot (stat: %v)", err)
+	}
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if got := logBytes(t, dir); got >= preCompact {
 		t.Fatalf("compaction did not shrink logs: %d → %d", preCompact, got)
 	}
-	if olds, _, _ := listWALs(faultfs.OS, dir); len(olds) != 0 {
-		t.Fatalf("rotated logs left behind: %v", olds)
+	after, err := listWALs(faultfs.OS, dir)
+	if err != nil || len(after) != 1 || after[0].gen != before[0].gen+1 || len(after[0].paths) != 2 {
+		t.Fatalf("generations after the compaction: %+v (%v), want only generation %d with 2 logs", after, err, before[0].gen+1)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 { // the snapshot and the live generation's two logs
+		t.Fatalf("compaction left %d files behind, want 3: %v", len(entries), entries)
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil {
 		t.Fatal(err)
@@ -232,11 +252,16 @@ func TestCompactTruncatesLogsAndSurvivesReopen(t *testing.T) {
 	if !bytes.Equal(snapshotBytes(t, re), snapshotBytes(t, ref)) {
 		t.Fatal("compact + reopen lost measurements")
 	}
+	if rec := re.Recovered(); rec.SnapshotSeries != len(keys) || rec.Generations != 1 || rec.WALRecords != 5*len(keys) {
+		t.Fatalf("recovery stats %+v, want %d series from the snapshot and 5 bins from one generation", rec, len(keys))
+	}
 }
 
 // TestRecoveryReplaysRotatedLogs fakes a compaction that crashed after
-// rotation but before the snapshot rename: the rotated log must replay
-// (and replaying it alongside the live log is idempotent).
+// rotation but before the snapshot rename: the generation it rotated
+// away from must replay (and replaying it below a generation that holds
+// the same records is idempotent). The reopen reads both and rewrites
+// neither.
 func TestRecoveryReplaysRotatedLogs(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenPersistent(dir, t0, time.Minute, persistOptsNoBG(1))
@@ -252,18 +277,20 @@ func TestRecoveryReplaysRotatedLogs(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the crash window: the live log was rotated aside and the
-	// replacement snapshot never landed. Duplicate instead of rename so
-	// the same records also sit in the live log — replay must be
+	// Simulate the crash window: the rotation started a generation above
+	// the one holding the records and the replacement snapshot never
+	// landed. Duplicate the log into the new generation instead of
+	// leaving it empty, so the same records sit in both — replay must be
 	// idempotent.
-	raw, err := os.ReadFile(filepath.Join(dir, "wal-0.log"))
+	gens, err := listWALs(faultfs.OS, dir)
+	if err != nil || len(gens) != 1 {
+		t.Fatalf("generations %+v (%v), want one", gens, err)
+	}
+	raw, err := os.ReadFile(gens[0].paths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "wal-0.old"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, snapshotFile)); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, walName(gens[0].gen+1, 0)), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	re, err := OpenPersistent(dir, time.Time{}, 0, persistOptsNoBG(1))
@@ -274,8 +301,22 @@ func TestRecoveryReplaysRotatedLogs(t *testing.T) {
 	if !bytes.Equal(snapshotBytes(t, re), snapshotBytes(t, ref)) {
 		t.Fatal("rotated-log recovery diverged")
 	}
-	if olds, _, _ := listWALs(faultfs.OS, dir); len(olds) != 0 {
-		t.Fatal("reopen did not consume the rotated log")
+	if rec := re.Recovered(); rec.Generations != 2 || rec.WALRecords != 24 {
+		t.Fatalf("recovery stats %+v, want 12 records from each of 2 generations", rec)
+	}
+	after, err := listWALs(faultfs.OS, dir)
+	if err != nil || len(after) != 3 || after[2].gen != gens[0].gen+2 {
+		t.Fatalf("generations after the reopen: %+v (%v), want the two replayed and a live one above them", after, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !os.IsNotExist(err) {
+		t.Fatalf("the reopen wrote a snapshot (stat: %v)", err)
+	}
+	// The next compaction is what consumes them.
+	if err := re.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if after, err = listWALs(faultfs.OS, dir); err != nil || len(after) != 1 {
+		t.Fatalf("generations after a compaction: %+v (%v), want the live one only", after, err)
 	}
 }
 
@@ -413,20 +454,48 @@ func TestAutoCompactTriggers(t *testing.T) {
 	}
 }
 
-// logBytes sums the live shard log sizes.
+// logBytes sums the shard log sizes, every generation's.
 func logBytes(t *testing.T, dir string) int64 {
 	t.Helper()
-	_, live, err := listWALs(faultfs.OS, dir)
+	gens, err := listWALs(faultfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var total int64
-	for _, p := range live {
-		info, err := os.Stat(p)
-		if err != nil {
-			t.Fatal(err)
+	for _, g := range gens {
+		for _, p := range g.paths {
+			info, err := os.Stat(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += info.Size()
 		}
-		total += info.Size()
 	}
 	return total
+}
+
+// TestListWALsOrdersNumerically: generation 10 is younger than
+// generation 9 and shard 10 comes after shard 2, whatever the file
+// names' byte order says.
+func TestListWALsOrdersNumerically(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{walName(10, 0), walName(9, 10), walName(9, 2), walName(9, 0), snapshotFile, "notes.txt"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gens, err := listWALs(faultfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, g := range gens {
+		for _, p := range g.paths {
+			got = append(got, fmt.Sprintf("%d:%s", g.gen, filepath.Base(p)))
+		}
+	}
+	want := []string{"9:wal-9-0.log", "9:wal-9-2.log", "9:wal-9-10.log", "10:wal-10-0.log"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("listWALs = %v, want %v", got, want)
+	}
 }

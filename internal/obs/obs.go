@@ -139,8 +139,14 @@ const (
 	CtrWALReplayed = "monitor.wal_replayed"
 	// CtrRecoveryMillis is the wall time, in milliseconds, the store
 	// spent in crash recovery before it could take its first bin
-	// (snapshot read + log replay + attach and compaction).
+	// (snapshot read + log replay + attaching fresh logs).
 	CtrRecoveryMillis = "monitor.recovery_ms"
+	// CtrRecoveryGenerations is the number of log generations that
+	// recovery found and replayed, and CtrRecoveryLogBytes the size of
+	// their records. One generation is a clean restart or a single
+	// crash; several mean the store kept dying before it compacted.
+	CtrRecoveryGenerations = "monitor.recovery_generations"
+	CtrRecoveryLogBytes    = "monitor.recovery_log_bytes"
 	// CtrCompactions counts WAL compactions (snapshot dump + log
 	// truncation).
 	CtrCompactions = "monitor.compactions"

@@ -128,32 +128,37 @@ func escapeHelp(v string) string {
 // up/down gauges rather than monotone counters (expvar.Func entries
 // are always gauges).
 var promGaugeNames = map[string]bool{
-	CtrConnsActive: true,
-	CtrSubsActive:  true,
+	CtrConnsActive:         true,
+	CtrSubsActive:          true,
+	CtrRecoveryGenerations: true, // set once, by the open
+	CtrRecoveryLogBytes:    true,
 }
 
 // promHelp carries HELP strings for the best-known registry bases;
 // everything else falls back to a generic line.
 var promHelp = map[string]string{
-	CtrIngested:          "Measurements appended to the KPI store.",
-	CtrPushes:            "Measurements delivered to subscribers.",
-	CtrPushDrops:         "Measurements lost on slow subscribers.",
-	CtrConnsActive:       "Currently open monitor network connections.",
-	CtrSubsActive:        "Live store subscriptions.",
-	CtrBatchFrames:       "Batch (0x04) ingest frames decoded.",
-	CtrIngestKeyResolves: "Series lookups by ingest key handle tables (first sight or after a prune).",
-	CtrWALAppends:        "Measurements appended to shard write-ahead logs.",
-	CtrCompactions:       "WAL compactions (snapshot dump + log truncation).",
-	CtrChangesAssessed:   "Completed change assessments.",
-	CtrWindowsBounded:    "SST window positions answered by the Eq. 11 bound, without the past eigen-solves.",
-	CtrWindowsSolved:     "SST window positions eigen-solved in full.",
-	CtrHistoryFetches:    "Series decoded at the deep (HistoryDays) depth for a historical control.",
-	CtrStreamTailReads:   "Streaming advances that read only the bins past the consumed prefix.",
-	CtrStreamFullReads:   "Streaming advances that re-read and verified the whole window.",
-	CtrKPIsFlagged:       "KPI changes attributed to software changes.",
-	CtrDiskErrors:        "Disk I/O failures observed by the persister.",
-	CtrWALRearms:         "Durability re-arms after transient disk faults.",
-	CtrPersistErrors:     "Persist-state transitions out of healthy.",
+	CtrIngested:            "Measurements appended to the KPI store.",
+	CtrPushes:              "Measurements delivered to subscribers.",
+	CtrPushDrops:           "Measurements lost on slow subscribers.",
+	CtrConnsActive:         "Currently open monitor network connections.",
+	CtrSubsActive:          "Live store subscriptions.",
+	CtrBatchFrames:         "Batch (0x04) ingest frames decoded.",
+	CtrIngestKeyResolves:   "Series lookups by ingest key handle tables (first sight or after a prune).",
+	CtrWALAppends:          "Measurements appended to shard write-ahead logs.",
+	CtrCompactions:         "WAL compactions (snapshot dump + log truncation).",
+	CtrRecoveryMillis:      "Milliseconds the store spent in crash recovery before it could take its first bin.",
+	CtrRecoveryGenerations: "Log generations the last open found and replayed (more than one: it died before compacting).",
+	CtrRecoveryLogBytes:    "Bytes of log records the last open replayed.",
+	CtrChangesAssessed:     "Completed change assessments.",
+	CtrWindowsBounded:      "SST window positions answered by the Eq. 11 bound, without the past eigen-solves.",
+	CtrWindowsSolved:       "SST window positions eigen-solved in full.",
+	CtrHistoryFetches:      "Series decoded at the deep (HistoryDays) depth for a historical control.",
+	CtrStreamTailReads:     "Streaming advances that read only the bins past the consumed prefix.",
+	CtrStreamFullReads:     "Streaming advances that re-read and verified the whole window.",
+	CtrKPIsFlagged:         "KPI changes attributed to software changes.",
+	CtrDiskErrors:          "Disk I/O failures observed by the persister.",
+	CtrWALRearms:           "Durability re-arms after transient disk faults.",
+	CtrPersistErrors:       "Persist-state transitions out of healthy.",
 }
 
 // helpFor resolves the HELP string for a registry base name.

@@ -163,6 +163,9 @@ func goldenCollector() *Collector {
 	c.Add(CtrConnsActive, 3)
 	c.Add(CtrConnsActive, -1)
 	c.Add(CtrChangesAssessed, 7)
+	c.Add(CtrRecoveryMillis, 82)
+	c.Add(CtrRecoveryGenerations, 3)
+	c.Add(CtrRecoveryLogBytes, 30<<20)
 	c.Add(CtrWindowsBounded, 1060)
 	c.Add(CtrWindowsSolved, 150)
 	c.Add(CtrHistoryFetches, 4)
