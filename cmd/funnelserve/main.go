@@ -210,8 +210,9 @@ func splitList(s string) []string {
 }
 
 // runFsck verifies (and with repair, fixes) a persistence directory,
-// printing a per-file health report. Exit codes: 0 the directory is
-// clean (or was repaired), 1 damage remains, 2 usage error.
+// printing the snapshot's health and each log generation's. Exit codes:
+// 0 the directory is clean (or was repaired), 1 damage remains, 2 usage
+// error.
 func runFsck(dir string, repair bool) int {
 	if dir == "" {
 		fmt.Fprintln(os.Stderr, "funnelserve: -fsck requires -data")
@@ -232,8 +233,10 @@ func runFsck(dir string, repair bool) int {
 		switch {
 		case w.ReadError != nil:
 			fmt.Printf("%s: UNREADABLE: %v\n", w.Path, w.ReadError)
+		case w.TornTail && w.TornAt > 0:
+			fmt.Printf("%s: %d records, then a bad record at offset %d: %d bytes left unread\n", w.Path, w.Records, w.TornAt, w.Unread)
 		case w.TornTail:
-			fmt.Printf("%s: %d records, torn tail discarded\n", w.Path, w.Records)
+			fmt.Printf("%s: %d records, a shard's cut short at a body that does not decode\n", w.Path, w.Records)
 		default:
 			fmt.Printf("%s: %d records, clean\n", w.Path, w.Records)
 		}

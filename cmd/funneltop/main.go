@@ -116,11 +116,12 @@ func render(w io.Writer, addr string, s *snapshot) {
 
 	// Ingest panel: per-second rate trajectory plus lifetime total.
 	rates := h.Rates[obs.CtrIngested]
-	fmt.Fprintf(w, "ingest   %s %8.0f/s  total %.0f  batches %.0f  key resolves %.0f  rejects %.0f\n",
+	fmt.Fprintf(w, "ingest   %s %8.0f/s  total %.0f  batches %.0f  key resolves %.0f lookups %.0f  rejects %.0f\n",
 		sparkline(rates, 30), last(rates),
 		last(h.Series[obs.CtrIngested]),
 		last(h.Series[obs.CtrBatchFrames]),
 		last(h.Series[obs.CtrIngestKeyResolves]),
+		last(h.Series[obs.CtrIngestKeyLookups]),
 		last(h.Series[obs.CtrFrameRejects]))
 	fmt.Fprintf(w, "conns    active %.0f  subs %.0f  reconnects %.0f  drops %.0f\n",
 		last(h.Series[obs.CtrConnsActive]),
@@ -150,12 +151,12 @@ func render(w io.Writer, addr string, s *snapshot) {
 
 	// WAL churn, present only for persistent stores.
 	if wb := last(h.Series["monitor.wal_bytes"]); wb > 0 || len(h.Series[obs.CtrWALAppends]) > 0 {
-		fmt.Fprintf(w, "wal      %s on disk  appends %.0f  syncs %.0f  compactions %.0f  rotations %d\n",
+		fmt.Fprintf(w, "wal      %s on disk  appends %.0f  syncs %.0f  compactions %.0f  rotations %.0f\n",
 			formatBytes(wb),
 			last(h.Series[obs.CtrWALAppends]),
 			last(h.Series[obs.CtrWALSyncs]),
 			last(h.Series[obs.CtrCompactions]),
-			sumShards(h, "monitor.shard_rotations"))
+			last(h.Series[obs.GaugeWALRotations]))
 	}
 
 	// Disk health: persist state, quarantined chunks and degraded reads
@@ -321,15 +322,6 @@ func balanceNote(lo, hi int64) string {
 		return "(skewed)"
 	}
 	return "(balanced)"
-}
-
-// sumShards totals a labeled per-shard counter family.
-func sumShards(h *obs.HistoryDump, base string) int64 {
-	var total int64
-	for _, v := range shardSeries(h, base) {
-		total += v
-	}
-	return total
 }
 
 // formatMicros renders a microsecond quantile as a human duration.

@@ -20,6 +20,9 @@ func fixtureServer(t *testing.T) *httptest.Server {
 	c.Add(obs.CtrConnsActive, 2)
 	c.Add(obs.CtrBatchFrames, 12)
 	c.Add(obs.CtrIngestKeyResolves, 88)
+	c.Add(obs.CtrIngestKeyLookups, 7)
+	c.SetGaugeFunc("monitor.wal_bytes", func() int64 { return 3 << 20 })
+	c.SetGaugeFunc(obs.GaugeWALRotations, func() int64 { return 5 })
 	c.SetGaugeFunc(obs.LabeledName("monitor.shard_series", "shard", "0"), func() int64 { return 40 })
 	c.SetGaugeFunc(obs.LabeledName("monitor.shard_series", "shard", "1"), func() int64 { return 44 })
 	c.SetGaugeFunc("monitor.store_chunks", func() int64 { return 672 })
@@ -98,6 +101,9 @@ func TestPollAndRender(t *testing.T) {
 		"solved 150",
 		"reads tail 4809 full 12",
 		"history fetches 4",
+		"key resolves 88 lookups 7",
+		"wal      3.0MiB on disk",
+		"rotations 5",
 		"chg-9",           // recent-verdicts panel
 		" 1/ 2 flagged",   // one flagged KPI of two
 		"b2v 42s",         // end-to-end latency rendered
@@ -143,7 +149,7 @@ func TestShardIndex(t *testing.T) {
 	for _, bad := range []string{
 		"monitor.shard_series",                      // no labels
 		`monitor.shard_series{shard="x"}`,           // non-numeric
-		`monitor.shard_wal_bytes{shard="1"}`,        // different base
+		`monitor.shard_rotations{shard="1"}`,        // different base
 		`monitor.shard_series{shard="1",extra="y"}`, // trailing labels
 	} {
 		if _, ok := shardIndex(bad, "monitor.shard_series"); ok {

@@ -427,7 +427,7 @@ func (f *countedFile) Close() error {
 
 // TestFailedOpenLeaksNoFiles crashes the disk at every mutating
 // operation of a recovery in turn: an OpenPersistent that returns an
-// error — whichever probe, createShardWAL or directory-fsync step the
+// error — whichever probe, log-creation or directory-fsync step the
 // crash landed on — must have closed every file it opened, and one that
 // returns a store must have after Close.
 func TestFailedOpenLeaksNoFiles(t *testing.T) {
@@ -469,9 +469,9 @@ func TestFailedOpenLeaksNoFiles(t *testing.T) {
 // operation of an open and, in a second range, of the rotation and
 // snapshot install that follow it. A crash inside the open must leave
 // the directory recovering to the store it held before; a crash inside
-// the compaction — with some shards already on generation live+1 and
-// the rest not, with the snapshot half written, renamed but not yet
-// fsynced, or with the covered generations half deleted — to the store
+// the compaction — with generation live+1 created or not, with the
+// snapshot half written, renamed but not yet fsynced, or with the
+// covered generations half deleted — to the store
 // as it stood when Compact was called, byte for byte. (A crash between
 // the two ranges tears an append; internal/e2e's sweep owns that.)
 func TestCrashAtEveryOpenAndRotateOp(t *testing.T) {
@@ -708,11 +708,13 @@ func TestOpenRemovesStaleSnapshotTmp(t *testing.T) {
 }
 
 // TestOpenRefusesUnrecognisedLogName: a wal- file that does not follow
-// the one naming rule — here the wal-<shard>.log of the layout before
-// numbered generations — may hold records, so neither OpenPersistent
-// nor Fsck steps over it.
+// the one naming rule — here the wal-<gen>-<shard>.log of the per-shard
+// layout and the .old of the one before it — may hold records, so
+// neither OpenPersistent nor Fsck steps over it. (The oldest layout's
+// wal-<shard>.log does parse as a generation; its header's version is
+// what refuses it.)
 func TestOpenRefusesUnrecognisedLogName(t *testing.T) {
-	for _, name := range []string{"wal-0.log", "wal-0.old", "wal-1-2.log.bak", "wal-01-2.log", "wal--1-2.log"} {
+	for _, name := range []string{"wal-1-2.log", "wal-3-0.log", "wal-0.old", "wal-1.log.bak", "wal-01.log", "wal--1.log"} {
 		dir := writeImage(t, 2, t0, 2, diffValue)
 		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
 			t.Fatal(err)
@@ -728,5 +730,19 @@ func TestOpenRefusesUnrecognisedLogName(t *testing.T) {
 		if _, err := Fsck(dir, nil, false); err == nil || !strings.Contains(err.Error(), name) {
 			t.Fatalf("%s: fsck error %v, want one naming the file", name, err)
 		}
+	}
+	// A file of the oldest layout, wal-<shard>.log, has a generation's
+	// name; its header does not have a generation's version.
+	dir := writeImage(t, 2, t0, 2, diffValue)
+	old := append([]byte(walMagic), 0, 1)
+	old = append(old, make([]byte, 16)...)
+	if err := os.WriteFile(filepath.Join(dir, "wal-0.log"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := OpenPersistent(dir, time.Time{}, 0, persistOptsNoBG(2)); err == nil {
+		st.Close()
+		t.Fatal("the open replayed a version-1 log")
+	} else if !strings.Contains(err.Error(), "unsupported WAL version 1") || !strings.Contains(err.Error(), "wal-0.log") {
+		t.Fatalf("error %q, want wal-0.log's unsupported version", err)
 	}
 }

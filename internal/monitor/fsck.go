@@ -10,12 +10,17 @@ import (
 	"repro/internal/faultfs"
 )
 
-// FsckWAL is the health of one shard log as seen by Fsck.
+// FsckWAL is the health of one log generation as seen by Fsck.
 type FsckWAL struct {
-	Path      string
-	Records   int   // group-decoded measurements replayed
-	TornTail  bool  // log ended in a partial or CRC-failed record
-	ReadError error // header/framing damage; the log contributed nothing
+	Path     string
+	Records  int  // group-decoded measurements replayed
+	TornTail bool // replay dropped records: see OpenPersistent's RecoveryStats.TornTails
+	// TornAt is the file offset of the record that failed its length or
+	// CRC check and ended the replay, Unread the bytes from there to the
+	// end of the file, none of which were replayed; both 0 when no record
+	// did (TornTail is then a shard ended by an undecodable body).
+	TornAt, Unread int64
+	ReadError      error // header damage or a failed read: the store it left is partial
 }
 
 // FsckReport is the result of walking a persistence directory.
@@ -49,7 +54,8 @@ func (r FsckReport) Healthy() bool {
 
 // Fsck verifies a persistence directory offline: it recovers the
 // snapshot (checking every sealed chunk's CRC) and replays every log
-// generation exactly as OpenPersistent does, reporting per-file health
+// generation exactly as OpenPersistent does — each up to its first bad
+// record, whose offset and the bytes left unread behind it it reports —
 // instead of mutating anything. No store process may be using dir.
 //
 // With repair set and damage found, the recovered state is
@@ -99,6 +105,8 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 			Path:      r.path,
 			Records:   r.stats.WALRecords,
 			TornTail:  r.stats.TornTails > 0,
+			TornAt:    r.tornAt,
+			Unread:    r.unread,
 			ReadError: r.err,
 		})
 		rep.WALRecords += r.stats.WALRecords

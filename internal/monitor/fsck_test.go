@@ -141,7 +141,11 @@ func TestFsckCountsWALRecordsAndTornTails(t *testing.T) {
 	}
 
 	// Tear the live log's tail: append half a record.
-	wal := genLog(t, dir, 0, 0)
+	wal := genLog(t, dir, 0)
+	info, err := os.Stat(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -157,6 +161,9 @@ func TestFsckCountsWALRecordsAndTornTails(t *testing.T) {
 	}
 	if rep.TornTails != 1 || rep.WALRecords != 5 || len(rep.WALs) != 1 || rep.WALs[0].Path != wal {
 		t.Fatalf("TornTails = %d, WALRecords = %d, want 1 and 5 from %s (%+v)", rep.TornTails, rep.WALRecords, wal, rep)
+	}
+	if w := rep.WALs[0]; !w.TornTail || w.TornAt != info.Size() || w.Unread != 6 {
+		t.Fatalf("bad record reported at offset %d with %d bytes unread, want %d and 6 (%+v)", w.TornAt, w.Unread, info.Size(), w)
 	}
 	if rep.Healthy() {
 		t.Fatal("torn tail called healthy")

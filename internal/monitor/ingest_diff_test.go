@@ -124,6 +124,7 @@ type ingestTwin struct {
 	w         *bufio.Writer
 	cache     *KeyCache
 	steps     int
+	batches   int64 // batch frames sent
 }
 
 func newIngestTwin(t *testing.T) *ingestTwin {
@@ -148,6 +149,9 @@ func (tw *ingestTwin) send(payload []byte) {
 	if err := WriteFrame(tw.w, payload); err != nil {
 		tw.t.Fatal(err)
 	}
+	if payload[0] == frameBatch {
+		tw.batches++
+	}
 	if err := refIngestFrame(tw.ref.s, tw.cache, payload); err != nil {
 		tw.t.Fatalf("reference rejected a frame: %v", err)
 	}
@@ -163,9 +167,11 @@ func markerValue(s *Store) float64 {
 	return ser.Values[0]
 }
 
-// step ends a group of frames: a marker frame follows them, and once the
-// live store shows it every frame before it has been applied and
-// flushed. Then the two sides are compared.
+// step ends a group of frames: a marker frame follows them, and once
+// the live store shows it and the server has counted it every frame up
+// to it has been applied and written to the log (a bin is readable a
+// moment before its frame's write; the count follows it). Then the two
+// sides are compared.
 func (tw *ingestTwin) step(what string) {
 	tw.t.Helper()
 	tw.steps++
@@ -177,7 +183,9 @@ func (tw *ingestTwin) step(what string) {
 	if err := tw.w.Flush(); err != nil {
 		tw.t.Fatal(err)
 	}
-	waitFor(tw.t, what+": marker applied", func() bool { return markerValue(tw.live.s) == float64(tw.steps) })
+	waitFor(tw.t, what+": marker applied", func() bool {
+		return markerValue(tw.live.s) == float64(tw.steps) && tw.live.col.Counter(obs.CtrBatchFrames) >= tw.batches
+	})
 	tw.compare(what)
 }
 
@@ -277,23 +285,21 @@ func drainFeed(t testing.TB, f *BinFeed) []string {
 	return out
 }
 
-// compareStores fails unless the two stores hold the same logs, the
+// compareStores fails unless the two stores hold the same log, the
 // same snapshot and the same arrival watermarks.
 func compareStores(t testing.TB, what string, live, ref *Store, liveDir, refDir string) {
 	t.Helper()
-	for i := 0; i < live.Shards(); i++ {
-		name := walName(live.persist.gen, i) // the twins rotate in step
-		got, err := os.ReadFile(filepath.Join(liveDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(filepath.Join(refDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: %s differs: %d bytes, reference %d", what, name, len(got), len(want))
-		}
+	name := walName(live.persist.gen) // the twins rotate in step
+	got, err := os.ReadFile(filepath.Join(liveDir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(refDir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: %s differs: %d bytes, reference %d", what, name, len(got), len(want))
 	}
 	var gotSnap, wantSnap bytes.Buffer
 	if err := live.WriteSnapshot(&gotSnap); err != nil {
@@ -377,6 +383,31 @@ func TestIngestFrameMatchesAppendBatch(t *testing.T) {
 	sendAll(binOf(0, func(ki int) float64 { return float64(ki) }))
 	tw.step("first sight, mixed shards")
 
+	// The orders a handle found by position has to survive: the last
+	// frame's again, its reverse, rotated by one, one key back to back.
+	// Every one must land as the reference's map-free decode does; only
+	// the first may do so without a lookup.
+	reordered := func(bin int, order func(i int) int) []Measurement {
+		ms := binOf(bin, func(ki int) float64 { return float64(bin*100 + ki) })
+		out := make([]Measurement, len(ms))
+		for i := range ms {
+			out[i] = ms[order(i)]
+		}
+		return out
+	}
+	lookups := tw.live.col.Counter(obs.CtrIngestKeyLookups)
+	sendAll(reordered(1, func(i int) int { return i }))
+	tw.step("the same order again")
+	if got := tw.live.col.Counter(obs.CtrIngestKeyLookups) - lookups; got > 2 {
+		t.Fatalf("%d lookups for a bin in the first bin's order, want the marker's and at most the key after it", got)
+	}
+	sendAll(reordered(1, func(i int) int { return len(keys) - 1 - i }))
+	tw.step("reversed order")
+	sendAll(reordered(1, func(i int) int { return (i + 1) % len(keys) }))
+	tw.step("rotated by one")
+	sendAll([]Measurement{{keys[6], at(1), 1}, {keys[6], at(1), 2}, {keys[6], at(2), 3}, {keys[7], at(1), 4}, {keys[7], at(1), 5}, {keys[5], at(1), 6}})
+	tw.step("one key back to back")
+
 	sendAll([]Measurement{
 		{keys[3], at(1), 1}, {keys[7], at(1), 2}, {keys[3], at(1), 3}, // same key, same bin: the later wins
 		{keys[3], at(2), 4}, {keys[3], at(1), math.NaN()}, {keys[7], at(3), math.Inf(-1)},
@@ -442,6 +473,12 @@ func TestIngestFrameMatchesAppendBatch(t *testing.T) {
 	}
 	sendAll(again)
 	tw.step("keys past the cap again, mixed with interned ones")
+	sendAll([]Measurement{
+		{many[len(many)-1].Key, at(53), 1}, {many[len(many)-2].Key, at(53), 2}, // a frame that starts past the cap,
+		{many[0].Key, at(53), 3}, {many[1].Key, at(53), 4}, //                     comes back to the first handles
+		{many[len(many)-1].Key, at(53), 5}, {keys[0], at(53), 6}, //               and leaves again
+	})
+	tw.step("a frame that starts past the cap")
 	if got := tw.live.col.Counter(obs.CtrIngestKeyResolves); got < int64(len(many)+400) {
 		t.Fatalf("%d key resolves counted for %d keys, 400 of them past the cap twice", got, len(many))
 	}
@@ -455,8 +492,8 @@ func TestIngestFrameMatchesAppendBatch(t *testing.T) {
 	}
 	resolves := tw.live.col.Counter(obs.CtrIngestKeyResolves)
 	sendAll(binOf(56, func(ki int) float64 { return float64(ki) }))
-	sendAll(binOf(54, func(ki int) float64 { return -1 })) // before the new epoch
-	sendAll(binOf(57, func(ki int) float64 { return float64(ki) + 0.5 }))
+	sendAll(binOf(54, func(ki int) float64 { return -1 }))                // before the new epoch
+	sendAll(binOf(57, func(ki int) float64 { return float64(ki) + 0.5 })) // by position, through handles the prune emptied
 	tw.step("dropped series come back after a prune")
 	if got := tw.live.col.Counter(obs.CtrIngestKeyResolves) - resolves; got != int64(len(keys))+1 {
 		t.Fatalf("%d key resolves after the prune, want one per key sent (%d) and the marker", got, len(keys))
@@ -863,7 +900,8 @@ func ingestSeedBatch(lo, hi int) []Measurement {
 	return ms
 }
 
-// ingestFrameSeeds are the well-formed seeds of FuzzIngestFrame; the
+// ingestFrameSeeds are the well-formed seeds of FuzzIngestFrame (new
+// ones go at the end: the first four are named by position); the
 // corpus under testdata/fuzz/FuzzIngestFrame holds the malformed ones
 // (a count one too many and one too few, a bad scope byte, a truncated
 // tail, a trailing byte, a zero count, a bare type byte, another frame
@@ -875,7 +913,21 @@ func ingestFrameSeeds(t testing.TB) [][]byte {
 	dup, _ := EncodeBatch([]Measurement{{k[0], at(2), 1}, {k[1], at(30), 2}, {k[0], at(2), 3}, {k[0], at(-1), 4}})
 	single, _ := EncodeMeasurement(Measurement{k[2], at(12), 0.25})
 	fresh, _ := EncodeBatch([]Measurement{{topo.KPIKey{Scope: topo.ScopeService, Entity: "new", Metric: "qps"}, at(3), math.NaN()}})
-	return [][]byte{good, dup, single, fresh}
+	// The warm-up frames hold the keys in k's order, bin after bin: the
+	// same order resolves by position, the others must fall back.
+	ordered := func(order func(i int) int) []byte {
+		ms := make([]Measurement, len(k))
+		for i := range k {
+			ms[i] = Measurement{k[order(i)], at(11), float64(i)}
+		}
+		frame, _ := EncodeBatch(ms)
+		return frame
+	}
+	same := ordered(func(i int) int { return i })
+	reversed := ordered(func(i int) int { return len(k) - 1 - i })
+	rotated := ordered(func(i int) int { return (i + 1) % len(k) })
+	twice, _ := EncodeBatch([]Measurement{{k[3], at(11), 1}, {k[3], at(11), 2}, {k[3], at(12), 3}, {k[4], at(11), 4}})
+	return [][]byte{good, dup, single, fresh, same, reversed, rotated, twice}
 }
 
 // TestBinClockMatchesBinAt pins the integer bin arithmetic of the wire

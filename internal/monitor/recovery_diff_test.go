@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -11,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -20,13 +20,13 @@ import (
 	"repro/internal/topo"
 )
 
-// The differential recovery test: OpenPersistent replays logs
-// concurrently, applies group records through a key→entry cache and
-// validates snapshot chunks off-thread; the oracle below is the
-// recovery it replaced — one log after the other, one Store.Append per
-// record, every chunk validated inline — kept here, and only here, as
-// the reference. Both recover copies of the same directory image and
-// must agree on every byte and every count.
+// The differential recovery test: OpenPersistent replays a log's
+// records concurrently by shard, applies group records through a
+// key→entry table and validates snapshot chunks off-thread; the oracle
+// below is the recovery it replaced — one record after the other, one
+// Store.Append per measurement, every chunk validated inline — kept
+// here, and only here, as the reference. Both recover copies of the
+// same directory image and must agree on every byte and every count.
 
 // oracleRecover rebuilds the store dir holds without touching dir.
 func oracleRecover(dir string, start time.Time, step time.Duration, opts PersistOptions) (*Store, RecoveryStats, error) {
@@ -49,10 +49,8 @@ func oracleRecover(dir string, start time.Time, step time.Duration, opts Persist
 	}
 	stats.Generations = len(gens)
 	for _, g := range gens {
-		for _, path := range g.paths {
-			if store, err = oracleReplayWAL(path, store, step, opts.Shards, opts.ChunkSpan, &stats); err != nil {
-				return nil, stats, err
-			}
+		if store, err = oracleReplayWAL(g.path, store, step, opts.Shards, opts.ChunkSpan, &stats); err != nil {
+			return nil, stats, err
 		}
 	}
 	if store == nil {
@@ -75,7 +73,7 @@ func oracleReplayWAL(path string, store *Store, step time.Duration, shards, span
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
-	hdr := make([]byte, len(walMagic)+2+8+8)
+	hdr := make([]byte, walHeaderLen)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return store, nil
@@ -101,6 +99,7 @@ func oracleReplayWAL(path string, store *Store, step time.Duration, shards, span
 		store.span = span
 	}
 	var lenBuf [4]byte
+	ended := make(map[byte]bool) // shards an undecodable body has ended
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			if err == io.EOF {
@@ -117,7 +116,7 @@ func oracleReplayWAL(path string, store *Store, step time.Duration, shards, span
 			stats.TornTails++
 			return store, nil
 		}
-		payload := make([]byte, int(n)+4)
+		payload := make([]byte, 1+int(n)+4) // shard byte, bodies, CRC
 		if _, err := io.ReadFull(br, payload); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				stats.TornTails++
@@ -125,17 +124,19 @@ func oracleReplayWAL(path string, store *Store, step time.Duration, shards, span
 			}
 			return store, err
 		}
-		body, crcBytes := payload[:n], payload[n:]
-		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcBytes) {
+		body, crcBytes := payload[1:1+n], payload[1+n:]
+		if crc32.ChecksumIEEE(payload[:1+n]) != binary.BigEndian.Uint32(crcBytes) {
 			stats.TornTails++
 			return store, nil
 		}
 		stats.LogBytes += int64(len(payload)) + 4
-		for len(body) > 0 {
+		for len(body) > 0 && !ended[payload[0]] {
 			m, rest, err := decodeMeasurementBody(body, nil)
 			if err != nil {
+				// As when the shard had a log of its own: it ends here.
 				stats.TornTails++
-				return store, nil
+				ended[payload[0]] = true
+				break
 			}
 			store.Append(m)
 			stats.WALRecords++
@@ -265,9 +266,9 @@ func copyImage(t *testing.T, src string) string {
 	return dst
 }
 
-// genLog returns the path of shard's log in the generation that is
-// back generations older than the newest one in dir.
-func genLog(t *testing.T, dir string, back, shard int) string {
+// genLog returns the path of the log that is back generations older
+// than the newest one in dir.
+func genLog(t *testing.T, dir string, back int) string {
 	t.Helper()
 	gens, err := listWALs(faultfs.OS, dir)
 	if err != nil {
@@ -276,8 +277,7 @@ func genLog(t *testing.T, dir string, back, shard int) string {
 	if back >= len(gens) {
 		t.Fatalf("%d generations in %s, want more than %d", len(gens), dir, back)
 	}
-	g := gens[len(gens)-1-back]
-	return filepath.Join(dir, walName(g.gen, shard))
+	return gens[len(gens)-1-back].path
 }
 
 // addGeneration reopens the image in dir with the given shard count,
@@ -312,7 +312,7 @@ const (
 )
 
 // writeImage builds a crash image in a fresh directory: diffSnapBins
-// bins compacted into the snapshot, walBins more in the shard logs —
+// bins compacted into the snapshot, walBins more in the log —
 // written through both Append (one record per group) and
 // AppendBatch (one group per shard-batch), with a late write into a
 // sealed chunk and the same (key, bin) twice inside one group. value
@@ -366,13 +366,13 @@ func writeImage(t *testing.T, shards int, epoch time.Time, walBins int, value fu
 func diffValue(series, bin int) float64 { return float64(series*1000 + bin) }
 
 // walRecordOffsets returns the file offset of every record's length
-// word in a shard log.
+// word in a log.
 func walRecordOffsets(t *testing.T, raw []byte) []int {
 	t.Helper()
 	var offs []int
-	for off := len(walMagic) + 2 + 8 + 8; off+4 <= len(raw); {
+	for off := walHeaderLen; off+4 <= len(raw); {
 		offs = append(offs, off)
-		off += 4 + int(binary.BigEndian.Uint32(raw[off:])) + 4
+		off += int(binary.BigEndian.Uint32(raw[off:])) + walRecordOverhead
 	}
 	return offs
 }
@@ -489,14 +489,12 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 				if err != nil || len(gens) != 1 || gens[0].gen < 2 {
 					t.Fatalf("image generations %+v (%v), want one numbered 2 or more", gens, err)
 				}
-				for i := 0; i < 4; i++ {
-					raw, err := os.ReadFile(genLog(t, older, 0, i))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(filepath.Join(dir, walName(gens[0].gen-1, i)), raw, 0o644); err != nil {
-						t.Fatal(err)
-					}
+				raw, err := os.ReadFile(genLog(t, older, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, walName(gens[0].gen-1)), raw, 0o644); err != nil {
+					t.Fatal(err)
 				}
 				return dir
 			},
@@ -516,48 +514,53 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 			},
 		},
 		{
+			// A garbage length half way through the older generation, a
+			// torn tail on the newer: each ends its own generation where
+			// it lies, once, and nothing else.
 			name:   "torn tail and garbage length",
 			shards: []int{4},
 			build: func(t *testing.T) string {
 				dir := writeImage(t, 4, t0, diffWALBins, diffValue)
-				rewriteFile(t, genLog(t, dir, 0, 0), func(raw []byte) []byte { return raw[:len(raw)-5] })
-				rewriteFile(t, genLog(t, dir, 0, 1), func(raw []byte) []byte {
+				addGeneration(t, dir, 4, 60, 80, diffValue)
+				rewriteFile(t, genLog(t, dir, 1), func(raw []byte) []byte {
 					offs := walRecordOffsets(t, raw)
 					binary.BigEndian.PutUint32(raw[offs[len(offs)/2]:], 0xFFFFFFF0)
 					return raw
 				})
+				rewriteFile(t, genLog(t, dir, 0), func(raw []byte) []byte { return raw[:len(raw)-5] })
 				return dir
 			},
 			check: func(t *testing.T, s *Store, rec RecoveryStats) {
-				if rec.TornTails != 2 {
-					t.Fatalf("TornTails = %d, want 2", rec.TornTails)
+				if rec.TornTails != 2 || rec.Generations != 2 {
+					t.Fatalf("recovery stats %+v, want one torn tail in each of 2 generations", rec)
 				}
 			},
 		},
 		{
 			// The CRC holds but a body inside the group does not decode:
-			// the bodies before it apply, then the log ends as torn.
+			// the bodies before it apply, then that shard's records end as
+			// its log used to; the other shards' replay on.
 			name:   "undecodable body inside a group",
 			shards: []int{4},
 			build: func(t *testing.T) string {
 				dir := writeImage(t, 4, t0, diffWALBins, diffValue)
-				rewriteFile(t, genLog(t, dir, 0, 2), func(raw []byte) []byte {
+				rewriteFile(t, genLog(t, dir, 0), func(raw []byte) []byte {
 					offs := walRecordOffsets(t, raw)
-					for _, off := range offs {
+					for _, off := range offs[len(offs)/3:] {
 						n := int(binary.BigEndian.Uint32(raw[off:]))
-						body := raw[off+4 : off+4+n]
-						_, rest, err := decodeMeasurementBody(body, nil)
+						rec := raw[off+4 : off+5+n] // shard byte and bodies
+						_, rest, err := decodeMeasurementBody(rec[1:], nil)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if len(rest) == 0 {
 							continue // a single-record group
 						}
-						body[len(body)-len(rest)] = 0xEE // the second body's scope
-						binary.BigEndian.PutUint32(raw[off+4+n:], crc32.ChecksumIEEE(body))
+						rec[len(rec)-len(rest)] = 0xEE // the second body's scope
+						binary.BigEndian.PutUint32(raw[off+5+n:], crc32.ChecksumIEEE(rec))
 						return raw
 					}
-					t.Fatal("no multi-record group in shard 2's log")
+					t.Fatal("no multi-record group in the last two thirds of the log")
 					return nil
 				})
 				return dir
@@ -602,9 +605,9 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 			},
 		},
 		{
-			// No snapshot: the epoch comes from the first log that has a
-			// header — not shard 0's (killed before its header flush) nor
-			// shard 1's (half a header).
+			// No snapshot: the epoch comes from the first generation that
+			// has a header — not the oldest (killed before its header
+			// write) nor the next (half a header).
 			name:   "no snapshot",
 			shards: []int{4, 16},
 			build: func(t *testing.T) string {
@@ -612,8 +615,19 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 				if err := os.Remove(filepath.Join(dir, snapshotFile)); err != nil {
 					t.Fatal(err)
 				}
-				rewriteFile(t, genLog(t, dir, 0, 0), func(raw []byte) []byte { return nil })
-				rewriteFile(t, genLog(t, dir, 0, 1), func(raw []byte) []byte { return raw[:10] })
+				gens, err := listWALs(faultfs.OS, dir)
+				if err != nil || len(gens) != 1 || gens[0].gen < 2 {
+					t.Fatalf("image generations %+v (%v), want one numbered 2 or more", gens, err)
+				}
+				raw, err := os.ReadFile(gens[0].path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for back, content := range [][]byte{raw[:10], nil} {
+					if err := os.WriteFile(filepath.Join(dir, walName(gens[0].gen-1-uint64(back))), content, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
 				return dir
 			},
 			check: func(t *testing.T, s *Store, rec RecoveryStats) {
@@ -654,17 +668,26 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 			},
 		},
 		{
-			// Each generation is replayed as the shard layout that wrote
-			// it, whatever layout reads it.
+			// Each generation is replayed by the shard bytes of the layout
+			// that wrote it, whatever layout reads it.
 			name:   "shard count 16 to 4 to 16 across generations",
 			shards: []int{16, 4, 1},
 			build: func(t *testing.T) string {
 				dir := writeImage(t, 16, t0, diffWALBins, diffValue)
 				addGeneration(t, dir, 4, 60, 80, func(series, bin int) float64 { return -diffValue(series, bin) })
 				addGeneration(t, dir, 16, 75, 90, diffValue)
-				gens, err := listWALs(faultfs.OS, dir)
-				if err != nil || len(gens) != 3 || len(gens[0].paths) != 16 || len(gens[1].paths) != 4 || len(gens[2].paths) != 16 {
-					t.Fatalf("generations %+v (%v), want 16, 4 and 16 logs", gens, err)
+				for back, want := range []int{16, 4, 16} {
+					raw, err := os.ReadFile(genLog(t, dir, back))
+					if err != nil {
+						t.Fatal(err)
+					}
+					shards := make(map[byte]bool)
+					for _, off := range walRecordOffsets(t, raw) {
+						shards[raw[off+4]] = true
+					}
+					if len(shards) != want {
+						t.Fatalf("generation %d back holds records of %d shards, want %d", back, len(shards), want)
+					}
 				}
 				return dir
 			},
@@ -678,16 +701,61 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 			},
 		},
 		{
-			// A tear ends its own log and nothing else: the rest of that
-			// generation and every younger one still replay.
+			// Consecutive group records of a shard carry its keys in
+			// different orders — as written, reversed, rotated by one, one
+			// key back to back: a worker's table resolves the first by
+			// position and must fall back for the rest.
+			name:   "key order changes from record to record",
+			shards: []int{4, 16},
+			build: func(t *testing.T) string {
+				dir := writeImage(t, 4, t0, diffWALBins, diffValue)
+				opts := persistOptsNoBG(4)
+				opts.ChunkSpan = diffSpan
+				st, err := OpenPersistent(dir, time.Time{}, 0, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := len(keys)
+				for i, order := range []func(i int) int{
+					func(i int) int { return i },
+					func(i int) int { return i },
+					func(i int) int { return n - 1 - i },
+					func(i int) int { return (i + 1) % n },
+					func(i int) int { return i / 2 * 2 % n },
+					func(i int) int { return i },
+				} {
+					bin := diffSnapBins + diffWALBins + i
+					batch := make([]Measurement, n)
+					for j := range batch {
+						batch[j] = Measurement{keys[order(j)], t0.Add(time.Duration(bin) * time.Minute), float64(bin*1000 + j)}
+					}
+					st.AppendBatch(batch)
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return dir
+			},
+			check: func(t *testing.T, s *Store, rec RecoveryStats) {
+				bin4 := diffSnapBins + diffWALBins + 4
+				// Key 2j is written twice back to back in that bin; the
+				// second write, position 2j+1, wins.
+				if got := bin(s, keys[6], bin4); got != float64(bin4*1000+7) {
+					t.Fatalf("second of two back-to-back writes lost: bin %d = %v", bin4, got)
+				}
+			},
+		},
+		{
+			// A bad record ends its own generation and nothing else: every
+			// younger one still replays.
 			name:   "torn tail in a generation that is not the newest",
 			shards: []int{4},
 			build: func(t *testing.T) string {
 				dir := writeImage(t, 4, t0, diffWALBins, diffValue)
 				addGeneration(t, dir, 4, 60, 80, func(series, bin int) float64 { return -diffValue(series, bin) })
 				addGeneration(t, dir, 4, 75, 90, diffValue)
-				rewriteFile(t, genLog(t, dir, 2, 0), func(raw []byte) []byte { return raw[:len(raw)-5] })
-				rewriteFile(t, genLog(t, dir, 1, 3), func(raw []byte) []byte {
+				rewriteFile(t, genLog(t, dir, 2), func(raw []byte) []byte { return raw[:len(raw)-5] })
+				rewriteFile(t, genLog(t, dir, 1), func(raw []byte) []byte {
 					offs := walRecordOffsets(t, raw)
 					binary.BigEndian.PutUint32(raw[offs[len(offs)/2]:], 0xFFFFFFF0)
 					return raw
@@ -725,20 +793,48 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 	}
 }
 
-// TestRecoveryErrorJoinsWorkers breaks the third and fourth logs of an
-// eight-log image: the open must fail with the third log's error (the
-// first in shard order, whichever worker got there first) and leave
-// no replay or validation goroutine behind.
+// readFailFS fails the reads of one file once they pass a byte count.
+type readFailFS struct {
+	faultfs.FS
+	path  string
+	after int
+}
+
+type readFailFile struct {
+	faultfs.File
+	left int
+}
+
+func (fs readFailFS) Open(name string) (faultfs.File, error) {
+	f, err := fs.FS.Open(name)
+	if err != nil || filepath.Base(name) != filepath.Base(fs.path) {
+		return f, err
+	}
+	return &readFailFile{File: f, left: fs.after}, nil
+}
+
+func (f *readFailFile) Read(p []byte) (int, error) {
+	if f.left <= 0 {
+		return 0, fmt.Errorf("read failed: %w", faultfs.ErrInjected)
+	}
+	n, err := f.File.Read(p[:min(len(p), f.left)])
+	f.left -= n
+	return n, err
+}
+
+// TestRecoveryErrorJoinsWorkers breaks the second and third of three
+// generations — a read that fails with the second's workers busy, a
+// header the third's reader refuses: the open must fail with the
+// second's error (the first in generation order) and leave no replay or
+// validation goroutine behind.
 func TestRecoveryErrorJoinsWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	image := writeImage(t, 8, t0, diffWALBins, diffValue)
-	third := genLog(t, image, 0, 2)
-	rewriteFile(t, third, func(raw []byte) []byte {
+	addGeneration(t, image, 8, 60, 80, diffValue)
+	addGeneration(t, image, 8, 75, 90, diffValue)
+	second := genLog(t, image, 1)
+	rewriteFile(t, genLog(t, image, 0), func(raw []byte) []byte {
 		binary.BigEndian.PutUint16(raw[4:6], 99)
-		return raw
-	})
-	rewriteFile(t, genLog(t, image, 0, 3), func(raw []byte) []byte {
-		copy(raw, "XXXX")
 		return raw
 	})
 	opts := persistOptsNoBG(8)
@@ -746,14 +842,19 @@ func TestRecoveryErrorJoinsWorkers(t *testing.T) {
 	if _, _, err := oracleRecover(image, time.Time{}, 0, opts); err == nil {
 		t.Fatal("oracle accepted an unsupported WAL version")
 	}
+	opts.FS = readFailFS{FS: faultfs.OS, path: second, after: 4 << 10}
 	before := runtime.NumGoroutine()
 	st, err := OpenPersistent(copyImage(t, image), time.Time{}, 0, opts)
 	if err == nil {
 		st.Close()
-		t.Fatal("OpenPersistent accepted an unsupported WAL version")
+		t.Fatal("OpenPersistent replayed past a failed read")
 	}
-	if !strings.Contains(err.Error(), "unsupported WAL version 99") || !strings.Contains(err.Error(), filepath.Base(third)) {
-		t.Fatalf("error %q, want %s's unsupported version", err, filepath.Base(third))
+	if !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("error %q, want the read failure in %s", err, filepath.Base(second))
+	}
+	rep, err := Fsck(copyImage(t, image), opts.FS, false)
+	if err != nil || len(rep.WALs) != 3 || rep.WALs[0].ReadError != nil || !errors.Is(rep.WALs[1].ReadError, faultfs.ErrInjected) || rep.WALs[2].ReadError == nil {
+		t.Fatalf("fsck: %+v (%v), want the first generation readable and the other two not", rep.WALs, err)
 	}
 	// Joined workers have returned from their function; give the
 	// scheduler a moment to retire them before calling it a leak.

@@ -9,7 +9,7 @@
 // publishers, with a batch frame (0x04) that coalesces many
 // measurements per write (see Publisher.PublishBatch and
 // RobustPublisher). The store can optionally persist every append to a
-// per-shard write-ahead log with periodic compacted snapshots (see
+// write-ahead log with periodic compacted snapshots (see
 // OpenPersistent), so a restart replays to the exact pre-crash state.
 //
 // See ARCHITECTURE.md at the repository root for the dataflow diagram
@@ -108,24 +108,21 @@ type Store struct {
 	degradedReads atomic.Int64
 
 	// persist is non-nil for stores opened with OpenPersistent; each
-	// shard then carries a write-ahead log (see wal.go).
+	// shard then carries its record of the write-ahead log (see wal.go).
 	persist *persister
 }
 
 // storeShard is one lock stripe: a mutex, the series that hash to it,
-// and (for persistent stores) the shard's write-ahead log. Series are
-// held by pointer so that a resolved entry can be written, and kept,
-// without its key: Append pays one lookup by KPIKey per measurement,
-// while the ingest socket and WAL replay pay it once per key and
-// afterwards reach the entry through a keyTable handle, which stays
-// valid until the next Prune (see Store.pruneEpoch).
+// and (for persistent stores) the shard's record in the write-ahead
+// log. Series are held by pointer so that a resolved entry can be
+// written, and kept, without its key: Append pays one lookup by KPIKey
+// per measurement, while the ingest socket and WAL replay pay it once
+// per key and afterwards reach the entry through a keyTable handle,
+// which stays valid until the next Prune (see Store.pruneEpoch).
 type storeShard struct {
 	mu     sync.RWMutex
 	series map[topo.KPIKey]*seriesEntry
 	wal    *shardWAL
-	// rotations counts WAL segment rotations on this shard (guarded by
-	// mu; persistent stores only).
-	rotations int64
 }
 
 // seriesEntry is one KPI's stored state: the binned history as sealed
@@ -297,9 +294,9 @@ func (s *Store) shardFor(key topo.KPIKey) *storeShard {
 
 // SetCollector attaches a telemetry collector. Ingest counts, delivery
 // pushes, slow-subscriber drops and WAL activity are reported to it,
-// and per-shard gauges (series occupancy; WAL bytes and rotations on
-// persistent stores) are registered for the balance view of the
-// operator dashboard. A nil collector (the default) keeps every hook a
+// and gauges are registered: per-shard series occupancy for the balance
+// view of the operator dashboard, and on persistent stores the log's
+// size and rotations. A nil collector (the default) keeps every hook a
 // no-op.
 func (s *Store) SetCollector(c *obs.Collector) {
 	s.obs.Store(c)
@@ -314,28 +311,24 @@ func (s *Store) SetCollector(c *obs.Collector) {
 			defer sh.mu.RUnlock()
 			return int64(len(sh.series))
 		})
-		if s.persist != nil {
-			c.SetGaugeFunc(obs.LabeledName("monitor.shard_wal_bytes", "shard", label), func() int64 {
-				sh.mu.RLock()
-				defer sh.mu.RUnlock()
-				if sh.wal == nil {
-					return 0
-				}
-				return sh.wal.bytes
-			})
-			c.SetGaugeFunc(obs.LabeledName("monitor.shard_rotations", "shard", label), func() int64 {
-				sh.mu.RLock()
-				defer sh.mu.RUnlock()
-				return sh.rotations
-			})
-		}
 	}
-	if s.persist != nil {
-		c.SetGaugeFunc("monitor.wal_bytes", func() int64 { return s.persist.walBytes.Load() })
+	if p := s.persist; p != nil {
+		c.SetGaugeFunc("monitor.wal_bytes", func() int64 { return p.walBytes.Load() })
+		// The live generation's record bytes, and how often it was swapped.
+		c.SetGaugeFunc(obs.GaugeWALLogBytes, func() int64 {
+			p.logMu.Lock()
+			defer p.logMu.Unlock()
+			return p.logBytes
+		})
+		c.SetGaugeFunc(obs.GaugeWALRotations, func() int64 {
+			p.logMu.Lock()
+			defer p.logMu.Unlock()
+			return p.rotations
+		})
 		// persist_state: 0 healthy, 1 degraded (re-arm pending), 2
 		// failed (fail-stopped) — the one-glance durability light.
 		c.SetGaugeFunc("monitor.persist_state", func() int64 {
-			return int64(s.persist.state.Load())
+			return int64(p.state.Load())
 		})
 	}
 	// Corruption visibility: chunks quarantined by checksum failure and
@@ -554,12 +547,13 @@ func (s *Store) Append(m Measurement) {
 	ms, run := [1]Measurement{m}, [1]int32{0}
 	pushes, drops, ingested := s.appendRun(sh, now, ms[:], run[:])
 	s.epochMu.RUnlock()
+	s.persist.flush()
 	s.countIngest(ingested, pushes, drops)
 }
 
 // appendRun applies ms[i] for each i of run — measurements that
-// all belong to shard sh — under sh's lock, and flushes sh's WAL. The
-// caller holds epochMu.RLock.
+// all belong to shard sh — under sh's lock, and seals sh's log record.
+// The caller holds epochMu.RLock, and flushes the log before it returns.
 func (s *Store) appendRun(sh *storeShard, now int64, ms []Measurement, run []int32) (pushes, drops, ingested int64) {
 	start := s.start
 	sh.mu.Lock()
@@ -581,7 +575,7 @@ func (s *Store) appendRun(sh *storeShard, now int64, ms []Measurement, run []int
 		ingested++
 	}
 	if sh.wal != nil {
-		sh.wal.flushLocked()
+		sh.wal.sealLocked()
 	}
 	sh.mu.Unlock()
 	return pushes, drops, ingested
@@ -638,8 +632,8 @@ func (g *shardGrouping) sort(shards int) (offsets [maxStoreShards + 1]int32) {
 }
 
 // AppendBatch records many measurements, grouping them by shard so each
-// stripe is locked once per batch (and, for persistent stores, its WAL
-// flushed once per batch). Semantics per measurement are identical to
+// stripe is locked once per batch (and, for persistent stores, the log
+// written once per batch). Semantics per measurement are identical to
 // Append; measurements for the same key keep their slice order.
 func (s *Store) AppendBatch(ms []Measurement) {
 	if len(ms) == 0 {
@@ -670,17 +664,22 @@ func (s *Store) AppendBatch(ms []Measurement) {
 		}
 	}
 	s.epochMu.RUnlock()
+	s.persist.flush()
 	batchScratch.Put(g)
 	s.countIngest(ingested, pushes, drops)
 }
 
 // keyTable is the framed-key handle table of one ingest connection or
-// of one shard log under replay: it maps a measurement's key bytes as
-// framed (scope byte and both length-prefixed strings) to a handle
+// of one shard of a log under replay: it maps a measurement's key bytes
+// as framed (scope byte and both length-prefixed strings) to a handle
 // holding everything later measurements of that key need, so that a
 // key's strings are allocated, its shard hashed and its series looked
-// up once per connection, and every measurement after the first costs
-// one lookup on the raw bytes. Not safe for concurrent use.
+// up once per connection. Handles are kept in first-seen order, and a publisher
+// sends the same keys in the same order every bin (as a replayed log
+// holds them), so a measurement's handle is found by position: scan
+// compares the body's key bytes with the handle after the previous
+// body's, and goes to the map only when they differ. Not safe for
+// concurrent use.
 //
 // Invalidation: a handle's entry pointer is written and read only
 // under the entry's shard lock inside an epochMu.RLock section, and
@@ -697,19 +696,25 @@ type keyTable struct {
 	// handle that lives for one frame, at handles[len(index):].
 	index   map[string]int32
 	handles []keyHandle
+	// prev is the handle of the last body scanned; lookups counts the
+	// bodies of the frame being applied that position did not resolve.
+	prev    int32
+	lookups int64
 	epoch   uint64
 	// recs is the frame scan left to apply, grp its grouping by shard.
 	recs []frameRec
 	grp  shardGrouping
 }
 
-// keyHandle is one key as a keyTable resolved it: the interned KPIKey,
-// the shard that owns it, and its series entry there (nil until a
-// measurement of this key is first applied, and again after a prune).
+// keyHandle is one key as a keyTable resolved it: its bytes as framed
+// (the index's key; empty past the cap), the interned KPIKey, the shard
+// that owns it, and its series entry there (nil until a measurement of
+// this key is first applied, and again after a prune).
 type keyHandle struct {
-	key   topo.KPIKey
-	e     *seriesEntry
-	shard uint8
+	framed string
+	key    topo.KPIKey
+	e      *seriesEntry
+	shard  uint8
 }
 
 // frameRec locates one validated measurement body in the scanned bytes
@@ -734,6 +739,7 @@ func (t *keyTable) scan(b []byte, max int) (n, used int, err error) {
 	clear(t.handles[len(t.index):]) // the last frame's past-the-cap handles
 	t.handles = t.handles[:len(t.index)]
 	t.recs = t.recs[:0]
+	t.lookups = 0
 	for n < max && used < len(b) {
 		body := b[used:]
 		metOff, keyEnd, err := measurementKeySpan(body)
@@ -743,16 +749,28 @@ func (t *keyTable) scan(b []byte, max int) (n, used int, err error) {
 		if len(body) < keyEnd+16 {
 			return n, used, fmt.Errorf("monitor: bad measurement tail length %d", len(body)-keyEnd)
 		}
-		// string(body[...]) inside the map index does not allocate.
-		hi, seen := t.index[string(body[:keyEnd])]
-		if !seen {
-			key := keyFromSpan(body, metOff, keyEnd)
-			hi = int32(len(t.handles))
-			t.handles = append(t.handles, keyHandle{key: key, shard: uint8(t.s.shardIndex(key))})
-			if len(t.index) < maxKeyCacheEntries {
-				t.index[string(body[:keyEnd])] = hi
+		// The handle after the last body's, wrapping at the end of the
+		// indexed ones, if it is this key's; else by the map. Neither
+		// string(body[...]) allocates.
+		hi := t.prev + 1
+		if int(hi) >= len(t.index) {
+			hi = 0
+		}
+		if int(hi) >= len(t.index) || t.handles[hi].framed != string(body[:keyEnd]) {
+			t.lookups++
+			var seen bool
+			if hi, seen = t.index[string(body[:keyEnd])]; !seen {
+				key := keyFromSpan(body, metOff, keyEnd)
+				hi = int32(len(t.handles))
+				h := keyHandle{key: key, shard: uint8(t.s.shardIndex(key))}
+				if len(t.index) < maxKeyCacheEntries {
+					h.framed = string(body[:keyEnd])
+					t.index[h.framed] = hi
+				}
+				t.handles = append(t.handles, h)
 			}
 		}
+		t.prev = hi
 		end := used + keyEnd + 16
 		t.recs = append(t.recs, frameRec{handle: hi, off: int32(used), end: int32(end)})
 		used = end
@@ -764,8 +782,8 @@ func (t *keyTable) scan(b []byte, max int) (n, used int, err error) {
 // apply applies the bodies scan accepted from b to the store, with
 // Append's semantics per measurement and AppendBatch's per batch: one
 // clock read, one epoch lock, each shard locked once over its run of
-// the batch (grouped by the handles' shards, no key re-hashed) and its
-// WAL flushed once, measurements of one key in frame order.
+// the batch (grouped by the handles' shards, no key re-hashed), the log
+// written once, measurements of one key in frame order.
 func (t *keyTable) apply(b []byte) {
 	if len(t.recs) == 0 {
 		return
@@ -816,14 +834,18 @@ func (t *keyTable) apply(b []byte) {
 			ingested++
 		}
 		if sh.wal != nil {
-			sh.wal.flushLocked()
+			sh.wal.sealLocked()
 		}
 		sh.mu.Unlock()
 	}
 	s.epochMu.RUnlock()
+	s.persist.flush()
 	s.countIngest(ingested, pushes, drops)
 	if resolves > 0 {
 		s.obs.Load().Add(obs.CtrIngestKeyResolves, resolves)
+	}
+	if t.lookups > 0 {
+		s.obs.Load().Add(obs.CtrIngestKeyLookups, t.lookups)
 	}
 }
 

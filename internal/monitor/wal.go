@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,19 +24,19 @@ import (
 )
 
 // Write-ahead persistence: a Store opened with OpenPersistent logs
-// every stored measurement to a per-shard append-only file before the
-// ingest path returns, and periodically compacts the logs into a
-// snapshot. A crashed funnelserve reopens the directory and replays
-// snapshot + logs back to the exact pre-crash store; composed with the
-// subscribe-since watermarks (frame 0x03) downstream consumers resume
-// with no loss end to end.
+// every stored measurement to one append-only file before the ingest
+// path returns, and periodically compacts the log into a snapshot. A
+// crashed funnelserve reopens the directory and replays snapshot + logs
+// back to the exact pre-crash store; composed with the subscribe-since
+// watermarks (frame 0x03) downstream consumers resume with no loss end
+// to end.
 //
 // On-disk layout inside the data directory:
 //
 //	snapshot.fnls — latest compacted snapshot (the Store snapshot
 //	  format, written atomically via rename from snapshot.tmp)
-//	wal-<gen>-<shard>.log — shard logs, one numbered generation per
-//	  open and per rotation; the highest generation is the live one
+//	wal-<gen>.log — the log, one numbered generation per open and per
+//	  rotation; the highest generation is the live one
 //
 // The invariant: the snapshot plus every generation on disk, replayed
 // in ascending order, is the store. Nothing is ever renamed or
@@ -45,56 +44,78 @@ import (
 // live+1 beside what is there, and a generation is deleted only after a
 // snapshot that covers it has been installed.
 //
-// Each log starts with a header:
+// A log starts with a header:
 //
 //	magic "FNLW" | version uint16 | startUnixNano int64 |
 //	stepNanos int64
 //
 // followed by records:
 //
-//	payloadLen uint32 | payload | crc32(payload) uint32
+//	payloadLen uint32 | shard byte | payload | crc32(shard ‖ payload) uint32
 //
 // where payload is one or more concatenated measurement bodies shared
 // with the 0x01/0x04 wire frames (absolute timestamps, so records stay
-// valid across epoch rebases). Measurements logged between two flushes
-// share one group record — one length prefix, one CRC, one write —
-// so batched ingest pays the record overhead per shard-batch rather
-// than per measurement. A torn final record — the only damage a
-// process kill can inflict on an append-only log — fails its length or
-// CRC check and is discarded; everything before it replays.
+// valid across epoch rebases) and shard is the lock stripe, of the
+// layout that wrote the generation, all of them belong to. The
+// measurements one append, batch or socket frame brings to a shard
+// share one group record — one length prefix, one CRC.
+//
+// Group commit and log order. A shard's run is sealed into the
+// persister's one buffer while the shard's lock is still held, so the
+// records of a shard — hence of a key — sit in the buffer, and then in
+// the file, in the order they were applied to memory, whichever
+// connection applied them. Append, AppendBatch and the socket's frame
+// path each write the buffer out with exactly one Write before they
+// return, taking along whatever other callers sealed in the meantime:
+// acknowledged means written to the OS, so a process kill cannot lose
+// an acknowledged measurement. (A bin can be read from memory for the
+// microseconds between its shard's unlock and that write, as a
+// subscriber has always received it before the write.) Durability
+// against machine crashes comes from the periodic fsync pass, which
+// waits on the disk with no shard lock held.
 //
 // Recovery order is snapshot, then the generations found, oldest first;
-// a generation starts only when every log of the one before it has
-// finished, so a (key, bin) present in two ends up with the newer
-// one's value. Within a generation the logs — written by one shard
-// layout, hence over disjoint keys — replay concurrently on at most
-// GOMAXPROCS goroutines, each applying a CRC-checked group record under
-// one clock read and one lock round trip, through a per-log table from
-// framed key bytes to series entry (keyTable, the one the ingest socket
-// keeps per connection). The snapshot read is split the same way: one
-// goroutine parses the length-prefixed framing and a pool of at most
-// GOMAXPROCS workers runs each chunk's CRC check and validation decode,
-// installing the chunk or its tombstone. Without a snapshot the store's
-// epoch comes from the first non-empty log header, read serially before
-// any replay starts. Per-log statistics are summed, and the first error
-// reported, in generation-then-shard order whatever order the workers
-// finished in, and every worker is joined before OpenPersistent
-// returns, with a store or with an error. Replay is idempotent: the
-// store overwrites by (key, bin), so records already captured in the
-// snapshot (a compaction that crashed between the rename and the
-// deletion of the generations it covered) change nothing.
+// a generation starts only when the one before it has finished, so a
+// (key, bin) present in two ends up with the newer one's value. Within
+// a generation one reader frames and checks the records in file order
+// and hands each verified payload, by its shard byte, to one of at most
+// GOMAXPROCS workers; a worker applies a shard's records in log order —
+// a group record under one clock read and one lock round trip — through
+// a table per shard from framed key bytes to series entry (keyTable, the
+// one the ingest socket keeps per connection). The shards of the writing
+// layout hold disjoint keys, so the workers' interleaving equals the
+// serial order, also when the reading layout differs: apply regroups by
+// the live one. The first bad record ends the generation: a short
+// read, a length outside (0, maxWALRecord] or a CRC mismatch — all a
+// process kill can do to an append-only file is tear its final record,
+// and nothing past a record that cannot be trusted can be framed.
+// Everything before it replays, the rest of the file is left unread,
+// and TornTails counts it: at most one per generation. (A record whose
+// CRC holds and whose body does not decode is nothing a crash or the
+// disk can produce, and its framing stands: the bodies before the bad
+// one are applied and the later records of that shard, as of a shard
+// log before, are not — also counted in TornTails.) The snapshot read is split the same way: one goroutine
+// parses the length-prefixed framing and a pool of at most GOMAXPROCS
+// workers runs each chunk's CRC check and validation decode, installing
+// the chunk or its tombstone. Without a snapshot the store's epoch comes
+// from the first generation with a header, read before any replay
+// starts. Every worker is joined before OpenPersistent returns, with a
+// store or with an error. Replay is idempotent: the store overwrites by
+// (key, bin), so records already captured in the snapshot (a compaction
+// that crashed between the rename and the deletion of the generations
+// it covered) change nothing.
 //
 // Recovery reads; it does not rewrite. After replay the store attaches
 // a fresh generation, fsyncs the directory once and is open — the
 // generations it replayed stay where they are until the next
 // compaction, which an open that found more than one of them (a crash
 // loop) or at least CompactBytes of log asks the background loop for.
-// A generation may hold any shard count: reopening 16 → 4 → 16 leaves
-// generations of 16, 4 and 16 logs, each replayed as written.
+// A generation replays the same under any shard count: reopening
+// 16 → 4 → 16 leaves three files whose shard bytes run to 16, 4 and 16.
 //
 // Disk faults are classified, not latched blindly. A transient failure
 // (ENOSPC, EINTR, EAGAIN, or an injected faultfs error) puts the
-// persister into the degraded state: WAL writes stop (the broken logs
+// persister into the degraded state: WAL writes stop (the broken log
 // cannot be trusted), the store stays fully usable in memory, and a
 // background loop retries with exponential backoff until it re-arms
 // durability — leave the damaged generation behind, start a fresh one,
@@ -105,7 +126,7 @@ import (
 // serving.
 const (
 	walMagic   = "FNLW"
-	walVersion = 1
+	walVersion = 2
 
 	snapshotFile    = "snapshot.fnls"
 	snapshotTmpFile = "snapshot.tmp"
@@ -113,16 +134,19 @@ const (
 	walSuffix       = ".log"
 )
 
-// walName is the one naming rule for shard logs.
-func walName(gen uint64, shard int) string {
-	return fmt.Sprintf("%s%d-%d%s", walPrefix, gen, shard, walSuffix)
+// walHeaderLen is the size of a log's header.
+const walHeaderLen = len(walMagic) + 2 + 8 + 8
+
+// walName is the one naming rule for logs.
+func walName(gen uint64) string {
+	return fmt.Sprintf("%s%d%s", walPrefix, gen, walSuffix)
 }
 
 // DefaultCompactBytes is the total size of the logs not yet covered by
 // a snapshot that triggers a background compaction.
 const DefaultCompactBytes = 64 << 20
 
-// DefaultSyncInterval is the background fsync cadence for shard logs.
+// DefaultSyncInterval is the background fsync cadence for the log.
 // Between fsyncs, records are already in the OS page cache (flushed on
 // every append/batch), so a process kill loses nothing; the interval
 // only bounds loss on a whole-machine crash.
@@ -215,8 +239,10 @@ type RecoveryStats struct {
 	// WALRecords is the number of logged measurements replayed on top
 	// of it.
 	WALRecords int
-	// TornTails is the number of logs whose final record was torn by
-	// the crash and discarded (earlier records still replay).
+	// TornTails is the number of generations whose replay ended at a bad
+	// record — torn by the crash, as a rule — with the rest of the file
+	// left unread (earlier records still replay); at most one each, but
+	// for the shards an undecodable body in a CRC-valid record ended.
 	TornTails int
 	// QuarantinedChunks is the number of sealed chunks whose stored
 	// checksum failed on snapshot read; each was replaced by a NaN
@@ -230,8 +256,8 @@ type RecoveryStats struct {
 	// the next compaction has to fold into the snapshot.
 	LogBytes int64
 	// SnapshotTime, ReplayTime and AttachTime are the wall time of the
-	// three recovery phases: reading the snapshot, replaying the shard
-	// logs, and attaching a fresh generation. The store is blind to
+	// three recovery phases: reading the snapshot, replaying the logs,
+	// and attaching a fresh generation. The store is blind to
 	// arriving bins for their sum.
 	SnapshotTime, ReplayTime, AttachTime time.Duration
 }
@@ -241,17 +267,16 @@ func (r RecoveryStats) Total() time.Duration {
 	return r.SnapshotTime + r.ReplayTime + r.AttachTime
 }
 
-// persister owns the on-disk state of a persistent store: the shard
-// logs (reached via each shard's wal field), the snapshot, and the
-// background sync/compact/re-arm goroutine.
+// persister owns the on-disk state of a persistent store: the live
+// log, the snapshot, and the background sync/compact/re-arm goroutine.
 type persister struct {
 	dir   string
 	opts  PersistOptions
 	fs    faultfs.FS
 	store *Store
 
-	// gen is the live generation's number; compactMu guards it once the
-	// store is open.
+	// gen is the live generation's number; compactMu guards it, and which
+	// file logMu's f names, once the store is open.
 	gen uint64
 	// walBytes is the log bytes not yet in a snapshot: replayed at open
 	// or written since, less what each compaction covered.
@@ -265,7 +290,18 @@ type persister struct {
 	// (or latest) degraded episode, for Sync/Compact callers.
 	degradedErr atomic.Pointer[error]
 
-	compactMu  sync.Mutex // one compaction/re-arm at a time
+	// logMu guards the live log: its file (nil once closed, or when a
+	// rotation could not start the next generation), the sealed records
+	// not yet written to it, how many measurements those hold, and the
+	// two figures behind the log gauges. Lock order: shard.mu → logMu.
+	logMu     sync.Mutex
+	f         faultfs.File
+	buf       []byte
+	pending   int64
+	logBytes  int64 // record bytes in the live log
+	rotations int64
+
+	compactMu  sync.Mutex // one compaction/re-arm/fsync pass at a time
 	compactReq chan struct{}
 	rearmReq   chan struct{}
 	quit       chan struct{}
@@ -282,22 +318,17 @@ func (p *persister) logger() *slog.Logger {
 	return p.store.obs.Load().Logger("persist")
 }
 
-// shardWAL is one shard's append-only log. All methods suffixed Locked
-// require the owning shard's mutex.
+// shardWAL is one shard's group record in progress: its shard byte and
+// the measurement bodies the current run has logged and not yet sealed
+// into the persister's buffer. All methods suffixed Locked require the
+// owning shard's mutex.
 type shardWAL struct {
 	p *persister
-	f faultfs.File
-	w *bufio.Writer
-	// rec accumulates the measurement bodies of the group record in
-	// progress; emitLocked seals it with a length prefix and CRC.
+	// rec is the record from its shard byte on, the part the CRC covers;
+	// rec[1:] is the payload so far.
 	rec []byte
-	// pendingAppends counts measurements buffered since the last flush,
-	// for telemetry (guarded by the shard mutex like the rest).
-	pendingAppends int64
-	// bytes is this log's record bytes since creation, for the per-shard
-	// WAL-size gauge (guarded by the shard mutex; rotation installs a
-	// fresh shardWAL, resetting it).
-	bytes int64
+	// appends counts the measurements in rec, for telemetry.
+	appends int64
 }
 
 // walGroupCap bounds one group record's payload; a run that outgrows
@@ -309,6 +340,10 @@ const walGroupCap = 32 << 10
 // overshoot walGroupCap by at most one maximal measurement body
 // (direct Append callers are not bound by the wire frame cap).
 const maxWALRecord = walGroupCap + 1 + 2 + 65535 + 2 + 65535 + 16
+
+// walRecordOverhead is what a record adds to its payload: length word,
+// shard byte, CRC.
+const walRecordOverhead = 4 + 1 + 4
 
 // transientDiskError classifies disk failures the persister can heal
 // from: out-of-space episodes that an operator (or a log rotation)
@@ -383,9 +418,9 @@ func (p *persister) healthy() bool {
 // appendLocked adds one measurement body to the group record in
 // progress: wire, the body as it arrived framed, copied verbatim — the
 // wire and the log share the encoding — or, when wire is nil, m
-// encoded. The record is sealed by the flush that acknowledges the
-// append (or when it outgrows walGroupCap), so measurements from one
-// batch share a single length prefix, CRC and write. While degraded or
+// encoded. The record is sealed by the caller before it releases the
+// shard (or when it outgrows walGroupCap), so measurements from one
+// batch share a single length prefix and CRC. While degraded or
 // failed the append is skipped: the damaged log cannot be trusted, and
 // the re-arm snapshot (or the operator's restart) re-covers memory
 // wholesale.
@@ -403,130 +438,120 @@ func (w *shardWAL) appendLocked(wire []byte, m *Measurement) {
 		}
 		w.rec = rec
 	}
-	w.pendingAppends++
-	if len(w.rec) >= walGroupCap {
-		w.emitLocked()
+	w.appends++
+	if len(w.rec) > walGroupCap {
+		w.sealLocked()
 	}
 }
 
-// emitLocked seals the pending group record — length prefix, payload,
-// CRC — into the buffered writer.
-func (w *shardWAL) emitLocked() {
-	if len(w.rec) == 0 || !w.p.healthy() {
-		w.rec = w.rec[:0]
-		return
+// sealLocked seals the pending group record — length prefix, shard
+// byte, payload, CRC — into the persister's buffer. Every writer calls
+// it before releasing the shard, which is what puts a shard's records
+// in the log in the order they were applied (see the header).
+func (w *shardWAL) sealLocked() {
+	if len(w.rec) > 1 && w.p.healthy() {
+		crc := crc32.ChecksumIEEE(w.rec)
+		p := w.p
+		p.logMu.Lock()
+		p.buf = binary.BigEndian.AppendUint32(p.buf, uint32(len(w.rec)-1))
+		p.buf = append(p.buf, w.rec...)
+		p.buf = binary.BigEndian.AppendUint32(p.buf, crc)
+		p.pending += w.appends
+		p.logMu.Unlock()
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(w.rec)))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		w.p.fail(err)
-		w.rec = w.rec[:0]
-		return
-	}
-	if _, err := w.w.Write(w.rec); err != nil {
-		w.p.fail(err)
-		w.rec = w.rec[:0]
-		return
-	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(w.rec))
-	if _, err := w.w.Write(crc[:]); err != nil {
-		w.p.fail(err)
-		w.rec = w.rec[:0]
-		return
-	}
-	w.p.walBytes.Add(int64(len(w.rec)) + 8)
-	w.bytes += int64(len(w.rec)) + 8
-	w.rec = w.rec[:0]
+	w.rec, w.appends = w.rec[:1], 0
 }
 
-// flushLocked seals the pending record and pushes it to the OS (one
-// write syscall per append or shard-batch), so a process kill cannot
-// lose an acknowledged measurement. Durability against machine crashes
-// comes from the periodic fsync pass.
-func (w *shardWAL) flushLocked() {
-	w.emitLocked()
-	if !w.p.healthy() {
+// flush pushes the sealed records to the OS with one write — the
+// caller's own and whatever other writers sealed since the last flush —
+// so a process kill cannot lose an acknowledged measurement. Writers
+// call it after releasing their shards, before they return; on an
+// in-memory store (a nil persister) it is a no-op.
+func (p *persister) flush() {
+	if p == nil {
 		return
 	}
-	if err := w.w.Flush(); err != nil {
-		w.p.fail(err)
-		return
-	}
-	if n := w.pendingAppends; n > 0 {
-		w.pendingAppends = 0
-		w.p.store.obs.Load().Add(obs.CtrWALAppends, n)
-	}
-	if p := w.p; p.opts.CompactBytes > 0 && p.walBytes.Load() >= p.opts.CompactBytes {
+	p.logMu.Lock()
+	p.flushLocked() // a failure is the persister's state from here on
+	p.logMu.Unlock()
+	if p.opts.CompactBytes > 0 && p.walBytes.Load() >= p.opts.CompactBytes {
 		p.requestCompact()
 	}
 }
 
-// syncLocked seals, flushes and fsyncs the log file.
-func (w *shardWAL) syncLocked() {
-	w.emitLocked()
-	if !w.p.healthy() {
-		return
+// flushLocked is flush for a caller that holds logMu; a failed write is
+// also returned. Records sealed around a fault, or around a rotation
+// that left no live log, are dropped: memory holds them, and the
+// snapshot that re-arms durability covers memory.
+func (p *persister) flushLocked() error {
+	if len(p.buf) == 0 {
+		return nil
 	}
-	if err := w.w.Flush(); err != nil {
-		w.p.fail(err)
-		return
+	var err error
+	if p.f != nil && p.healthy() {
+		if _, err = p.f.Write(p.buf); err != nil {
+			p.fail(err)
+		} else {
+			p.walBytes.Add(int64(len(p.buf)))
+			p.logBytes += int64(len(p.buf))
+			p.store.obs.Load().Add(obs.CtrWALAppends, p.pending)
+		}
 	}
-	if err := w.f.Sync(); err != nil {
-		w.p.fail(err)
-	}
+	p.buf, p.pending = p.buf[:0], 0
+	return err
 }
 
-// closeLocked seals, flushes, fsyncs and closes the log file.
-func (w *shardWAL) closeLocked() error {
-	w.emitLocked()
-	flushErr := w.w.Flush()
-	syncErr := w.f.Sync()
-	closeErr := w.f.Close()
-	if flushErr != nil {
-		return flushErr
+// closeLogLocked writes out what is sealed, fsyncs and closes the live
+// log, if there is one; the caller holds logMu. A discard only closes
+// it — the re-arm path calls that on a log already known to be damaged.
+func (p *persister) closeLogLocked(discard bool) error {
+	f := p.f
+	if f == nil {
+		return nil
 	}
-	if syncErr != nil {
-		return syncErr
+	if discard {
+		p.buf, p.pending = p.buf[:0], 0
+		p.f = nil
+		f.Close()
+		return nil
 	}
-	return closeErr
+	err := p.flushLocked()
+	p.f = nil
+	if syncErr := f.Sync(); err == nil {
+		err = syncErr
+	}
+	if closeErr := f.Close(); err == nil {
+		err = closeErr
+	}
+	return err
 }
 
-// discardLocked closes the log file best-effort, ignoring flush and
-// sync errors — the re-arm path calls it on logs already known to be
-// damaged.
-func (w *shardWAL) discardLocked() {
-	w.w.Flush()
-	w.f.Close()
-}
-
-// createShardWAL creates a shard log of the live generation and writes
-// its header.
-func createShardWAL(p *persister, shard int, start time.Time, step time.Duration) (*shardWAL, error) {
-	f, err := p.fs.Create(filepath.Join(p.dir, walName(p.gen, shard)))
+// openGenerationLocked starts generation gen+1: a fresh log with its
+// header, beside whatever is on disk. The caller holds logMu and either
+// every shard lock or a store it has not yet published.
+func (p *persister) openGenerationLocked() error {
+	s := p.store
+	p.gen++
+	f, err := p.fs.Create(filepath.Join(p.dir, walName(p.gen)))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	w := &shardWAL{p: p, f: f, w: bufio.NewWriterSize(f, 1<<16)}
-	hdr := append([]byte(walMagic), 0, 0)
-	binary.BigEndian.PutUint16(hdr[4:6], walVersion)
-	hdr = binary.BigEndian.AppendUint64(hdr, uint64(start.UnixNano()))
-	hdr = binary.BigEndian.AppendUint64(hdr, uint64(step))
-	if _, err := w.w.Write(hdr); err != nil {
+	hdr := append(make([]byte, 0, walHeaderLen), walMagic...)
+	hdr = binary.BigEndian.AppendUint16(hdr, walVersion)
+	hdr = binary.BigEndian.AppendUint64(hdr, uint64(s.start.UnixNano()))
+	hdr = binary.BigEndian.AppendUint64(hdr, uint64(s.step))
+	if _, err := f.Write(hdr); err != nil {
 		f.Close()
-		return nil, err
+		return err
 	}
-	if err := w.w.Flush(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return w, nil
+	p.f, p.logBytes = f, 0
+	return nil
 }
 
 // OpenPersistent opens (or creates) a persistent store backed by dir.
 // An existing directory is recovered: snapshot first, then the log
-// generations found (oldest first), tolerating a torn final record per
-// log. What was read stays on disk as it is — the open attaches a fresh
+// generations found (oldest first), each up to its first bad record.
+// What was read stays on disk as it is — the open attaches a fresh
 // generation beside it and leaves folding the rest into a snapshot to
 // the next compaction. start and step apply only to a fresh directory;
 // recovered state keeps its own epoch, and a non-zero step that
@@ -597,8 +622,8 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 	}
 	p.recovered.SnapshotTime = time.Since(phase)
 
-	// Phase 2: shard logs, one generation after the other; within a
-	// generation the logs replay concurrently (shards hold disjoint keys).
+	// Phase 2: the logs, one generation after the other; a generation's
+	// records replay concurrently by shard (shards hold disjoint keys).
 	phase = time.Now()
 	gens, err := listWALs(p.fs, dir)
 	if err != nil {
@@ -641,12 +666,17 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 		p.gen = gens[len(gens)-1].gen
 	}
 	p.walBytes.Store(p.recovered.LogBytes)
-	err = p.openGeneration()
+	for i := range store.shards {
+		store.shards[i].wal = &shardWAL{p: p, rec: []byte{byte(i)}}
+	}
+	p.logMu.Lock()
+	err = p.openGenerationLocked()
+	p.logMu.Unlock()
 	if err == nil {
 		err = syncFSDir(p.fs, dir)
 	}
 	if err != nil {
-		p.discardLogs()
+		p.discardLog()
 		return nil, err
 	}
 	p.recovered.AttachTime = time.Since(phase)
@@ -658,11 +688,10 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 	return store, nil
 }
 
-// walGeneration is the shard logs one open or one rotation created
-// together, in shard order.
+// walGeneration is one log on disk.
 type walGeneration struct {
-	gen   uint64
-	paths []string
+	gen  uint64
+	path string
 }
 
 // listWALs returns the log generations in dir, oldest first. A wal-
@@ -673,69 +702,46 @@ func listWALs(fsys faultfs.FS, dir string) ([]walGeneration, error) {
 	if err != nil {
 		return nil, err
 	}
-	type shardLog struct {
-		gen, shard uint64
-		name       string
-	}
-	var logs []shardLog
+	var gens []walGeneration
 	for _, e := range entries {
-		l := shardLog{name: e.Name()}
-		if e.IsDir() || !strings.HasPrefix(l.name, walPrefix) {
+		name := e.Name()
+		if e.IsDir() || !strings.HasPrefix(name, walPrefix) {
 			continue
 		}
-		if _, err := fmt.Sscanf(l.name, walPrefix+"%d-%d"+walSuffix, &l.gen, &l.shard); err != nil || walName(l.gen, int(l.shard)) != l.name {
-			return nil, fmt.Errorf("monitor: unrecognised log file %s", filepath.Join(dir, l.name))
+		var gen uint64
+		if _, err := fmt.Sscanf(name, walPrefix+"%d"+walSuffix, &gen); err != nil || walName(gen) != name {
+			return nil, fmt.Errorf("monitor: unrecognised log file %s", filepath.Join(dir, name))
 		}
-		logs = append(logs, l)
+		gens = append(gens, walGeneration{gen: gen, path: filepath.Join(dir, name)})
 	}
-	sort.Slice(logs, func(i, j int) bool {
-		if logs[i].gen != logs[j].gen {
-			return logs[i].gen < logs[j].gen
-		}
-		return logs[i].shard < logs[j].shard
-	})
-	var gens []walGeneration
-	for _, l := range logs {
-		if n := len(gens); n == 0 || gens[n-1].gen != l.gen {
-			gens = append(gens, walGeneration{gen: l.gen})
-		}
-		g := &gens[len(gens)-1]
-		g.paths = append(g.paths, filepath.Join(dir, l.name))
-	}
+	sort.Slice(gens, func(i, j int) bool { return gens[i].gen < gens[j].gen })
 	return gens, nil
 }
 
 // oldestWALHeader returns the epoch in the first readable header among
 // gens, for a directory without a snapshot. A log killed before its
-// header flush is passed over, and so is one whose header is damaged:
+// header write is passed over, and so is one whose header is damaged:
 // its replay reports that.
 func oldestWALHeader(fsys faultfs.FS, gens []walGeneration) (start time.Time, step time.Duration, ok bool) {
 	for _, g := range gens {
-		for _, path := range g.paths {
-			if start, step, ok, err := peekWALHeader(fsys, path); err == nil && ok {
-				return start, step, true
-			}
+		f, err := fsys.Open(g.path)
+		if err != nil {
+			continue
+		}
+		start, step, ok, err := readWALHeader(f, g.path)
+		f.Close()
+		if err == nil && ok {
+			return start, step, true
 		}
 	}
 	return time.Time{}, 0, false
 }
 
-// replayGenerations replays gens into store, a generation at a time and
-// oldest first, and returns one result per log in that order.
-// OpenPersistent and Fsck both recover through it.
-func replayGenerations(fsys faultfs.FS, gens []walGeneration, store *Store) []walReplay {
-	var out []walReplay
-	for _, g := range gens {
-		out = append(out, replayWALs(fsys, g.paths, store)...)
-	}
-	return out
-}
-
-// readWALHeader consumes a shard log's header from r and returns its
-// epoch. ok is false for a log killed before its header flush: empty,
-// nothing to replay.
+// readWALHeader consumes a log's header from r and returns its epoch.
+// ok is false for a log killed before its header write: empty, nothing
+// to replay.
 func readWALHeader(r io.Reader, path string) (start time.Time, step time.Duration, ok bool, err error) {
-	var hdr [len(walMagic) + 2 + 8 + 8]byte
+	var hdr [walHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return time.Time{}, 0, false, nil
@@ -756,66 +762,72 @@ func readWALHeader(r io.Reader, path string) (start time.Time, step time.Duratio
 	return start, step, true, nil
 }
 
-// peekWALHeader reads just the header of the log at path.
-func peekWALHeader(fsys faultfs.FS, path string) (start time.Time, step time.Duration, ok bool, err error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return time.Time{}, 0, false, err
-	}
-	defer f.Close()
-	return readWALHeader(f, path)
-}
-
-// walReplay is the outcome of replaying one shard log.
+// walReplay is the outcome of replaying one generation.
 type walReplay struct {
 	path  string
 	stats RecoveryStats // WALRecords, TornTails and LogBytes of this log
-	err   error
+	// tornAt is the file offset of the record that ended the replay and
+	// unread the bytes from there to the end of the file, when one did.
+	tornAt, unread int64
+	err            error
 }
 
-// replayWALs replays the logs of one generation into store on at most
-// GOMAXPROCS goroutines and returns when all of them have finished,
-// with one result per path in paths order. The logs must hold disjoint
-// keys (one generation is written by one shard layout); the store's own
-// shard locks make any interleaving safe, but only disjoint keys make
-// it equal to the serial order.
-func replayWALs(fsys faultfs.FS, paths []string, store *Store) []walReplay {
-	out := make([]walReplay, len(paths))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(paths)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(paths) {
-					return
-				}
-				out[i].path = paths[i]
-				out[i].err = replayWAL(fsys, paths[i], store, &out[i].stats)
-			}
-		}()
+// replayGenerations replays gens into store, a generation at a time and
+// oldest first, and returns one result per generation. OpenPersistent
+// and Fsck both recover through it.
+func replayGenerations(fsys faultfs.FS, gens []walGeneration, store *Store) []walReplay {
+	out := make([]walReplay, len(gens))
+	for i, g := range gens {
+		out[i].path = g.path
+		out[i].err = replayWAL(fsys, g.path, store, &out[i])
 	}
-	wg.Wait()
 	return out
 }
 
-// replayWAL replays one shard log into store, group record by group
-// record, the way the ingest socket applies a batch frame: a group's
-// bodies are the bodies of a frame, so each goes through a per-log
-// keyTable — on a store that as yet has no log, feed or subscriber,
-// which is all that makes it a replay. Torn tails are counted and
-// ignored; corruption before the tail is an error (an append-only log
-// cannot be damaged mid-file by a crash).
-func replayWAL(fsys faultfs.FS, path string, store *Store, stats *RecoveryStats) error {
+// replayBlock is how much of a log the reader verifies before it hands
+// the records on, grouped by shard; it must hold the largest record.
+// replayPiece is how much of that it reads at a time: little enough to
+// still be in cache when the records it completes are checked.
+const (
+	replayBlock = 2 << 20
+	replayPiece = 256 << 10
+)
+
+// walRecord is one verified record of a log under replay.
+type walRecord struct {
+	shard   byte
+	payload []byte // in the reader's block
+}
+
+// replayBatch is the records of one block that go to one worker,
+// shard after shard. The last worker to finish with a block hands its
+// memory back to the reader: a replay then allocates three blocks, not
+// one per block of log — garbage that had the collector walk the
+// half-built store every few of them.
+type replayBatch struct {
+	recs  []walRecord
+	users *atomic.Int32 // batches of this block not yet applied
+	block []byte
+}
+
+// replayWAL replays one generation into store — on a store that as yet
+// has no log, feed or subscriber, which is all that makes it a replay —
+// and joins its workers before it returns. This goroutine is the
+// reader: it frames the records in file order and checks their CRCs,
+// stops at the first bad one (see the header), and hands the verified
+// payloads on, a block's worth at a time, to the worker their shard byte
+// names. A
+// worker applies a group record the way the ingest socket applies a
+// batch frame, the record's bodies being the bodies of a frame, through
+// one handle table per shard: a shard's records list its keys in one
+// order, so the table is small and resolves by position.
+func replayWAL(fsys faultfs.FS, path string, store *Store, out *walReplay) error {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	if _, _, ok, err := readWALHeader(br, path); err != nil || !ok {
+	if _, _, ok, err := readWALHeader(f, path); err != nil || !ok {
 		return err
 	}
 	if store == nil {
@@ -824,81 +836,143 @@ func replayWAL(fsys faultfs.FS, path string, store *Store, stats *RecoveryStats)
 		return fmt.Errorf("monitor: no store to replay %s into", path)
 	}
 
-	keys := newKeyTable(store)
-	var lenBuf [4]byte
-	payload := make([]byte, 0, 256)
-	for {
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			if err == io.EOF {
-				return nil // clean end
+	workers := make([]chan replayBatch, runtime.GOMAXPROCS(0))
+	stats := make([]RecoveryStats, len(workers)) // WALRecords and TornTails, by worker
+	// Three blocks at most are alive: one the workers are applying, one
+	// queued behind it, one the reader is verifying.
+	free := make(chan []byte, 3)
+	var wg sync.WaitGroup
+	for w := range workers {
+		workers[w] = make(chan replayBatch, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var tables [maxStoreShards]*keyTable
+			var ended [maxStoreShards]bool
+			for b := range workers[w] {
+				for _, rec := range b.recs {
+					if ended[rec.shard] {
+						continue
+					}
+					keys := tables[rec.shard]
+					if keys == nil {
+						keys = newKeyTable(store)
+						tables[rec.shard] = keys
+					}
+					n, _, err := keys.scan(rec.payload, math.MaxInt)
+					keys.apply(rec.payload)
+					stats[w].WALRecords += n
+					if err != nil {
+						// The CRC holds and a body does not decode: the bodies
+						// before it are applied, the shard's later records not.
+						ended[rec.shard] = true
+						stats[w].TornTails++
+					}
+				}
+				if b.users.Add(-1) == 0 {
+					select {
+					case free <- b.block:
+					default:
+					}
+				}
 			}
-			if err == io.ErrUnexpectedEOF {
-				stats.TornTails++
-				return nil
-			}
+		}()
+	}
+	defer func() {
+		for _, ch := range workers {
+			close(ch)
+		}
+		wg.Wait()
+		for _, st := range stats {
+			out.stats.WALRecords += st.WALRecords
+			out.stats.TornTails += st.TornTails
+		}
+	}()
+
+	var (
+		pos        = int64(walHeaderLen) // file offset of block[0]
+		block      = make([]byte, 0, replayBlock)
+		off        int         // block[:off] is framed and verified
+		recs       []walRecord // what it holds, in log order
+		bad, atEOF bool
+	)
+	for !bad && !atEOF {
+		n, err := f.Read(block[len(block):min(len(block)+replayPiece, cap(block))])
+		block = block[:len(block)+n]
+		if atEOF = err == io.EOF; err != nil && !atEOF {
 			return err
 		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n == 0 || n > maxWALRecord {
-			// A garbage length can only be a torn tail (partial length
-			// word from a crashed append).
-			stats.TornTails++
-			return nil
-		}
-		if cap(payload) < int(n)+4 {
-			payload = make([]byte, 0, int(n)+4)
-		}
-		payload = payload[:int(n)+4]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				stats.TornTails++
-				return nil
+		for !bad && len(block)-off >= 4 {
+			plen := int(binary.BigEndian.Uint32(block[off:]))
+			if plen == 0 || plen > maxWALRecord {
+				bad = true // a garbage length: a partial length word, or rot
+				break
 			}
-			return err
+			end := off + plen + walRecordOverhead
+			if end > len(block) {
+				break // the rest of the record is still to be read, or torn off
+			}
+			rec := block[off+4 : end-4] // shard byte and payload
+			if crc32.ChecksumIEEE(rec) != binary.BigEndian.Uint32(block[end-4:]) {
+				bad = true
+				break
+			}
+			out.stats.LogBytes += int64(plen) + walRecordOverhead
+			recs = append(recs, walRecord{rec[0], rec[1:]})
+			off = end
 		}
-		body, crcBytes := payload[:n], payload[n:]
-		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcBytes) {
-			stats.TornTails++
-			return nil
+		if !bad && !atEOF && len(block) < cap(block) {
+			continue
 		}
-		stats.LogBytes += int64(n) + 8
-		// A body that fails to decode ends the log like any torn tail;
-		// the bodies before it are applied.
-		applied, _, err := keys.scan(body, math.MaxInt)
-		keys.apply(body)
-		stats.WALRecords += applied
-		if err != nil {
-			stats.TornTails++
-			return nil
+		// A worker gets its share of the block shard after shard, so that
+		// a shard's series stay in cache over the bins the block spans; an
+		// empty share still counts the block's users down.
+		sort.SliceStable(recs, func(i, j int) bool {
+			wi, wj := int(recs[i].shard)%len(workers), int(recs[j].shard)%len(workers)
+			return wi < wj || wi == wj && recs[i].shard < recs[j].shard
+		})
+		users := new(atomic.Int32)
+		users.Store(int32(len(workers)))
+		for w, lo := 0, 0; w < len(workers); w++ {
+			hi := lo
+			for hi < len(recs) && int(recs[hi].shard)%len(workers) == w {
+				hi++
+			}
+			workers[w] <- replayBatch{recs[lo:hi], users, block}
+			lo = hi
+		}
+		// The workers own this block now; the partial record at its end
+		// moves to the front of another.
+		if !bad && !atEOF {
+			var next []byte
+			select {
+			case next = <-free:
+			default:
+				next = make([]byte, 0, replayBlock)
+			}
+			pos += int64(off)
+			block = append(next[:0], block[off:]...)
+			off, recs = 0, make([]walRecord, 0, len(recs))
 		}
 	}
-}
-
-// openGeneration starts generation gen+1: a fresh log for every shard,
-// beside whatever is on disk. The caller holds every shard lock, or is
-// an open that has not yet published the store.
-func (p *persister) openGeneration() error {
-	s := p.store
-	p.gen++
-	for i := range s.shards {
-		w, err := createShardWAL(p, i, s.start, s.step)
-		if err != nil {
-			return err
-		}
-		s.shards[i].wal = w
+	if bad || off < len(block) {
+		out.stats.TornTails++
+		out.tornAt = pos + int64(off)
+		rest, _ := io.Copy(io.Discard, f)
+		out.unread = int64(len(block)-off) + rest
 	}
 	return nil
 }
 
-// discardLogs closes whatever shard logs a failed open left open and
-// detaches the persister, so a failed open leaks no descriptor.
-func (p *persister) discardLogs() {
+// discardLog closes the live log a failed open left open and detaches
+// the persister, so a failed open leaks no descriptor.
+func (p *persister) discardLog() {
+	p.logMu.Lock()
+	p.closeLogLocked(true)
+	p.logMu.Unlock()
 	s := p.store
 	for i := range s.shards {
-		if w := s.shards[i].wal; w != nil {
-			w.discardLocked()
-			s.shards[i].wal = nil
-		}
+		s.shards[i].wal = nil
 	}
 	s.persist = nil
 }
@@ -989,18 +1063,18 @@ func (p *persister) rearmLoop() {
 // replay idempotently.
 func (p *persister) compact() error { return p.compactAs(false) }
 
-// rearm is compact in recovery mode: the damaged live logs are closed
-// best-effort and left where they are (their tails may be torn — replay
+// rearm is compact in recovery mode: the damaged live log is closed
+// best-effort and left where it is (its tail may be torn — replay
 // handles that), a fresh generation is started, and a complete snapshot
 // of in-memory state is written, restoring full durability without a
 // restart.
 func (p *persister) rearm() error { return p.compactAs(true) }
 
 // compactAs is the shared rotate-snapshot-install cycle. In rearming
-// mode close errors on the old logs are tolerated (the logs are already
+// mode the old log is closed without a flush or an fsync (it is already
 // damaged goods) and the WAL write path is re-enabled — under the shard
 // locks, so no append can fall between the snapshot cut and the fresh
-// logs.
+// log.
 func (p *persister) compactAs(rearming bool) error {
 	p.compactMu.Lock()
 	defer p.compactMu.Unlock()
@@ -1008,7 +1082,7 @@ func (p *persister) compactAs(rearming bool) error {
 		return err
 	}
 	if !rearming && !p.healthy() {
-		// A degraded persister cannot trust its live logs; a manual
+		// A degraded persister cannot trust its live log; a manual
 		// Compact during an episode performs the re-arm instead.
 		rearming = true
 	}
@@ -1018,28 +1092,20 @@ func (p *persister) compactAs(rearming bool) error {
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
 	}
-	// Rotate: close each live log where it lies and start generation
-	// live+1 at the current epoch. No shard appends in between, so every
-	// record of the new generation is younger than every record of the
-	// ones below it — also when a rotation dies half way, with some
-	// shards on the new generation and the rest on none.
+	// Rotate: close the live log where it lies — every record sealed so
+	// far goes into it, no shard seals another until its lock is released
+	// — and start generation live+1 at the current epoch, so every record
+	// of the new generation is younger than every record of the ones
+	// below it. It is one file swapped under the locks: a rotation that
+	// dies leaves the old generation, or both.
+	p.logMu.Lock()
+	p.rotations++
+	rotateErr := p.closeLogLocked(rearming)
 	covered := p.walBytes.Load()
-	rotateErr := func() error {
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.rotations++
-			if sh.wal == nil {
-				continue
-			}
-			if rearming {
-				sh.wal.discardLocked()
-			} else if err := sh.wal.closeLocked(); err != nil {
-				return err
-			}
-			sh.wal = nil
-		}
-		return p.openGeneration()
-	}()
+	if rotateErr == nil {
+		rotateErr = p.openGenerationLocked()
+	}
+	p.logMu.Unlock()
 	live := p.gen
 	var snapErr error
 	var tmp faultfs.File
@@ -1053,7 +1119,7 @@ func (p *persister) compactAs(rearming bool) error {
 		if snapErr == nil && rearming {
 			// Re-enable the WAL write path while every shard is still
 			// locked: the snapshot buffer holds everything up to this
-			// instant, the fresh logs will hold everything after it.
+			// instant, the fresh log will hold everything after it.
 			if p.state.CompareAndSwap(int32(PersistDegraded), int32(PersistHealthy)) {
 				rearmed = true
 			}
@@ -1095,10 +1161,8 @@ func (p *persister) compactAs(rearming bool) error {
 		if g.gen >= live {
 			break
 		}
-		for _, path := range g.paths {
-			if rmErr := p.fs.Remove(path); rmErr != nil && err == nil {
-				err = rmErr
-			}
+		if rmErr := p.fs.Remove(g.path); rmErr != nil && err == nil {
+			err = rmErr
 		}
 	}
 	if err != nil {
@@ -1109,26 +1173,32 @@ func (p *persister) compactAs(rearming bool) error {
 	s.obs.Load().Add(obs.CtrCompactions, 1)
 	if rearmed {
 		s.obs.Load().Add(obs.CtrWALRearms, 1)
-		p.logger().Info("durability re-armed: fresh logs + full snapshot", "dir", p.dir)
+		p.logger().Info("durability re-armed: fresh log + full snapshot", "dir", p.dir)
 	}
 	return nil
 }
 
-// syncAll fsyncs every shard log.
+// syncAll writes out what is sealed and fsyncs the live log. It waits
+// on the disk holding compactMu, which keeps a rotation from closing
+// the file under it, and neither logMu nor any shard lock: appends go
+// on while the disk answers.
 func (p *persister) syncAll() {
 	if !p.healthy() {
 		return
 	}
-	s := p.store
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if sh.wal != nil {
-			sh.wal.syncLocked()
-		}
-		sh.mu.Unlock()
+	p.compactMu.Lock()
+	defer p.compactMu.Unlock()
+	p.logMu.Lock()
+	err := p.flushLocked()
+	f := p.f
+	p.logMu.Unlock()
+	if f == nil || err != nil {
+		return
 	}
-	s.obs.Load().Add(obs.CtrWALSyncs, 1)
+	if err := f.Sync(); err != nil {
+		p.fail(err)
+	}
+	p.store.obs.Load().Add(obs.CtrWALSyncs, 1)
 }
 
 // syncFSDir fsyncs a directory so a just-renamed file survives a
@@ -1146,34 +1216,28 @@ func syncFSDir(fsys faultfs.FS, dir string) error {
 	return closeErr
 }
 
-// close stops the background loop, flushes and fsyncs every log, and
-// closes the files.
+// close stops the background loop, detaches the shards from the log,
+// writes out what they sealed, and fsyncs and closes the file.
 func (p *persister) close() error {
 	p.closeOnce.Do(func() {
 		close(p.quit)
 		<-p.done
+		p.compactMu.Lock()
+		defer p.compactMu.Unlock()
 		s := p.store
-		healthy := p.healthy()
-		var firstErr error
 		for i := range s.shards {
 			sh := &s.shards[i]
 			sh.mu.Lock()
-			if sh.wal != nil {
-				if healthy {
-					if err := sh.wal.closeLocked(); err != nil && firstErr == nil {
-						firstErr = err
-					}
-				} else {
-					sh.wal.discardLocked()
-				}
-				sh.wal = nil
-			}
+			sh.wal = nil
 			sh.mu.Unlock()
 		}
-		if firstErr == nil {
-			firstErr = p.stateErr()
+		p.logMu.Lock()
+		err := p.closeLogLocked(!p.healthy())
+		p.logMu.Unlock()
+		if err == nil {
+			err = p.stateErr()
 		}
-		p.closeErr = firstErr
+		p.closeErr = err
 	})
 	return p.closeErr
 }
@@ -1203,7 +1267,7 @@ func (s *Store) Recovered() RecoveryStats {
 	return s.persist.recovered
 }
 
-// Sync flushes and fsyncs every shard log. In-memory stores return
+// Sync flushes and fsyncs the log. In-memory stores return
 // ErrNotPersistent; a degraded or failed persister returns the error
 // that broke it (the slog hub already reported it at first
 // occurrence).
@@ -1215,8 +1279,8 @@ func (s *Store) Sync() error {
 	return s.persist.stateErr()
 }
 
-// Compact folds the shard logs into a fresh snapshot and starts empty
-// ones. The background loop calls it automatically once the logs grow
+// Compact folds the logs into a fresh snapshot and starts an empty
+// one. The background loop calls it automatically once the logs grow
 // past PersistOptions.CompactBytes; exposing it lets operators compact
 // on demand (e.g. right after a Prune). On a degraded persister it
 // performs the durability re-arm immediately instead of waiting for
@@ -1229,7 +1293,7 @@ func (s *Store) Compact() error {
 }
 
 // Close releases the store's persistence resources (background loop,
-// shard logs), flushing and fsyncing first. It is a no-op on in-memory
+// log), flushing and fsyncing first. It is a no-op on in-memory
 // stores and safe to call twice.
 func (s *Store) Close() error {
 	if s.persist == nil {

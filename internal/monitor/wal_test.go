@@ -112,8 +112,8 @@ func TestPersistentTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tear the final record: chop a few bytes off the single shard log.
-	logPath := genLog(t, dir, 0, 0)
+	// Tear the final record: chop a few bytes off the log.
+	logPath := genLog(t, dir, 0)
 	info, err := os.Stat(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestPersistentCRCCatchesCorruption(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	logPath := genLog(t, dir, 0, 0)
+	logPath := genLog(t, dir, 0)
 	raw, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -225,15 +225,15 @@ func TestCompactTruncatesLogsAndSurvivesReopen(t *testing.T) {
 		t.Fatalf("compaction did not shrink logs: %d → %d", preCompact, got)
 	}
 	after, err := listWALs(faultfs.OS, dir)
-	if err != nil || len(after) != 1 || after[0].gen != before[0].gen+1 || len(after[0].paths) != 2 {
-		t.Fatalf("generations after the compaction: %+v (%v), want only generation %d with 2 logs", after, err, before[0].gen+1)
+	if err != nil || len(after) != 1 || after[0].gen != before[0].gen+1 {
+		t.Fatalf("generations after the compaction: %+v (%v), want only generation %d", after, err, before[0].gen+1)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 3 { // the snapshot and the live generation's two logs
-		t.Fatalf("compaction left %d files behind, want 3: %v", len(entries), entries)
+	if len(entries) != 2 { // the snapshot and the live generation's log
+		t.Fatalf("compaction left %d files behind, want 2: %v", len(entries), entries)
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil {
 		t.Fatal(err)
@@ -286,11 +286,11 @@ func TestRecoveryReplaysRotatedLogs(t *testing.T) {
 	if err != nil || len(gens) != 1 {
 		t.Fatalf("generations %+v (%v), want one", gens, err)
 	}
-	raw, err := os.ReadFile(gens[0].paths[0])
+	raw, err := os.ReadFile(gens[0].path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, walName(gens[0].gen+1, 0)), raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, walName(gens[0].gen+1)), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	re, err := OpenPersistent(dir, time.Time{}, 0, persistOptsNoBG(1))
@@ -454,7 +454,7 @@ func TestAutoCompactTriggers(t *testing.T) {
 	}
 }
 
-// logBytes sums the shard log sizes, every generation's.
+// logBytes sums the log sizes, every generation's.
 func logBytes(t *testing.T, dir string) int64 {
 	t.Helper()
 	gens, err := listWALs(faultfs.OS, dir)
@@ -463,23 +463,21 @@ func logBytes(t *testing.T, dir string) int64 {
 	}
 	var total int64
 	for _, g := range gens {
-		for _, p := range g.paths {
-			info, err := os.Stat(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += info.Size()
+		info, err := os.Stat(g.path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		total += info.Size()
 	}
 	return total
 }
 
 // TestListWALsOrdersNumerically: generation 10 is younger than
-// generation 9 and shard 10 comes after shard 2, whatever the file
-// names' byte order says.
+// generation 9, and 100 than 20, whatever the file names' byte order
+// says.
 func TestListWALsOrdersNumerically(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{walName(10, 0), walName(9, 10), walName(9, 2), walName(9, 0), snapshotFile, "notes.txt"} {
+	for _, name := range []string{walName(100), walName(10), walName(9), walName(20), snapshotFile, "notes.txt"} {
 		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -490,11 +488,9 @@ func TestListWALsOrdersNumerically(t *testing.T) {
 	}
 	var got []string
 	for _, g := range gens {
-		for _, p := range g.paths {
-			got = append(got, fmt.Sprintf("%d:%s", g.gen, filepath.Base(p)))
-		}
+		got = append(got, fmt.Sprintf("%d:%s", g.gen, filepath.Base(g.path)))
 	}
-	want := []string{"9:wal-9-0.log", "9:wal-9-2.log", "9:wal-9-10.log", "10:wal-10-0.log"}
+	want := []string{"9:wal-9.log", "10:wal-10.log", "20:wal-20.log", "100:wal-100.log"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("listWALs = %v, want %v", got, want)
 	}

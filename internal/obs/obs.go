@@ -131,8 +131,17 @@ const (
 	// measurements; a rate near monitor.ingested means the tables are
 	// thrashing (unique keys past their cap, or a prune storm).
 	CtrIngestKeyResolves = "monitor.ingest_key_resolves"
-	// CtrWALAppends counts measurements appended to shard write-ahead
-	// logs.
+	// CtrIngestKeyLookups counts measurements whose key handle the
+	// tables found by a map lookup on the framed key bytes, not by
+	// position: about none per bin from a publisher that keeps its key
+	// order, one per measurement from one that shuffles it.
+	CtrIngestKeyLookups = "monitor.ingest_key_lookups"
+	// GaugeWALLogBytes is the record bytes in the live log generation,
+	// GaugeWALRotations how many generations a compaction or a durability
+	// re-arm has started (persistent stores only).
+	GaugeWALLogBytes  = "monitor.wal_log_bytes"
+	GaugeWALRotations = "monitor.wal_rotations"
+	// CtrWALAppends counts measurements appended to the write-ahead log.
 	CtrWALAppends = "monitor.wal_appends"
 	// CtrWALReplayed counts WAL records replayed into the store during
 	// crash recovery.
@@ -150,7 +159,7 @@ const (
 	// CtrCompactions counts WAL compactions (snapshot dump + log
 	// truncation).
 	CtrCompactions = "monitor.compactions"
-	// CtrWALSyncs counts explicit fsync passes over the shard logs.
+	// CtrWALSyncs counts explicit fsync passes over the log.
 	CtrWALSyncs = "monitor.wal_syncs"
 	// CtrDiskErrors counts disk I/O failures the persister observed
 	// (transient and permanent alike; each degraded episode starts

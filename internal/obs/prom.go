@@ -144,8 +144,11 @@ var promHelp = map[string]string{
 	CtrSubsActive:          "Live store subscriptions.",
 	CtrBatchFrames:         "Batch (0x04) ingest frames decoded.",
 	CtrIngestKeyResolves:   "Series lookups by ingest key handle tables (first sight or after a prune).",
-	CtrWALAppends:          "Measurements appended to shard write-ahead logs.",
+	CtrIngestKeyLookups:    "Measurements whose ingest key handle was found by map lookup instead of by position.",
+	CtrWALAppends:          "Measurements appended to the write-ahead log.",
 	CtrCompactions:         "WAL compactions (snapshot dump + log truncation).",
+	GaugeWALLogBytes:       "Record bytes in the live log generation.",
+	GaugeWALRotations:      "Log generations started by a compaction or a durability re-arm.",
 	CtrRecoveryMillis:      "Milliseconds the store spent in crash recovery before it could take its first bin.",
 	CtrRecoveryGenerations: "Log generations the last open found and replayed (more than one: it died before compacting).",
 	CtrRecoveryLogBytes:    "Bytes of log records the last open replayed.",

@@ -160,6 +160,7 @@ func goldenCollector() *Collector {
 	c.SetGaugeFunc("uptime_seconds", func() int64 { return 42 })
 	c.Add(CtrIngested, 1234)
 	c.Add(CtrIngestKeyResolves, 56)
+	c.Add(CtrIngestKeyLookups, 9)
 	c.Add(CtrConnsActive, 3)
 	c.Add(CtrConnsActive, -1)
 	c.Add(CtrChangesAssessed, 7)
@@ -171,6 +172,8 @@ func goldenCollector() *Collector {
 	c.Add(CtrHistoryFetches, 4)
 	c.Add(CtrStreamTailReads, 4809)
 	c.Add(CtrStreamFullReads, 12)
+	c.SetGaugeFunc(GaugeWALLogBytes, func() int64 { return 5 << 20 })
+	c.SetGaugeFunc(GaugeWALRotations, func() int64 { return 2 })
 	c.SetGaugeFunc(LabeledName("monitor.shard_series", "shard", "0"), func() int64 { return 11 })
 	c.SetGaugeFunc(LabeledName("monitor.shard_series", "shard", "1"), func() int64 { return 13 })
 	c.SetGaugeFunc(LabeledName("monitor.client_reconnects", "addr", `10.0.0.1:7102"\weird`, "id", "1"),
