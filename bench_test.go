@@ -89,13 +89,20 @@ func BenchmarkLinalgKernels(b *testing.B) {
 	})
 	b.Run("Lanczos5-QL", func(b *testing.B) {
 		b.ReportAllocs()
-		op := linalg.GramOp(hank)
+		// C = H·Hᵀ applied as H·(Hᵀ·v), on the workspaces IKA holds.
+		tmp := make([]float64, hank.Cols)
+		op := linalg.MatVec(func(dst, v []float64) {
+			hank.MulTVecTo(tmp, v)
+			hank.MulVecTo(dst, tmp)
+		})
+		var lws linalg.LanczosWorkspace
+		var ews linalg.EigWorkspace
 		for i := 0; i < b.N; i++ {
-			res, err := linalg.Lanczos(op, start, 5, false)
+			res, err := linalg.LanczosWS(&lws, op, start, 5, false)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := linalg.TridiagEig(res.Alpha, res.Beta); err != nil {
+			if _, _, err := linalg.TridiagEigWS(&ews, res.Alpha, res.Beta); err != nil {
 				b.Fatal(err)
 			}
 		}

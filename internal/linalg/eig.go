@@ -51,24 +51,19 @@ func (ws *EigWorkspace) ensure(n int) {
 	ws.vecs.Rows, ws.vecs.Cols, ws.vecs.Data = n, n, ws.vecs.Data[:n*n]
 }
 
-// TridiagEig computes all eigenvalues and eigenvectors of the symmetric
-// tridiagonal matrix with diagonal d (length n) and subdiagonal e
-// (length n−1) using the QL algorithm with implicit shifts (the "QL
-// iteration" the paper cites from Numerical Recipes, §3.2.3).
+// TridiagEigWS computes all eigenvalues and eigenvectors of the
+// symmetric tridiagonal matrix with diagonal d (length n) and
+// subdiagonal e (length n−1) using the QL algorithm with implicit shifts
+// (the "QL iteration" the paper cites from Numerical Recipes, §3.2.3).
 //
 // The returned eigenvalues are in descending order; column j of the
 // returned matrix is the eigenvector for eigenvalue j, expressed in the
 // basis in which the tridiagonal matrix is given (for Lanczos output,
 // the Krylov basis). d and e are not modified.
-func TridiagEig(d, e []float64) (vals []float64, vecs *Matrix, err error) {
-	ws := &EigWorkspace{}
-	return TridiagEigWS(ws, d, e)
-}
-
-// TridiagEigWS is TridiagEig with every buffer drawn from ws, performing
-// no allocation once the workspace has warmed up. The returned slice and
-// matrix alias ws-owned memory; they are invalidated by the next call
-// with the same workspace.
+//
+// Every buffer is drawn from ws, so a warmed-up workspace makes the call
+// allocation-free. The returned slice and matrix alias ws-owned memory;
+// they are invalidated by the next call with the same workspace.
 func TridiagEigWS(ws *EigWorkspace, d, e []float64) (vals []float64, vecs *Matrix, err error) {
 	n := len(d)
 	if n == 0 {
@@ -293,22 +288,15 @@ func TridiagEigFirstRowWS(ws *EigWorkspace, d, e []float64) (vals, first []float
 	return vals, first, nil
 }
 
-// SymEig computes all eigenvalues and eigenvectors of the symmetric
-// matrix a via Householder tridiagonalization followed by TridiagEig.
+// SymEigWS computes all eigenvalues and eigenvectors of the symmetric
+// matrix a via Householder tridiagonalization followed by TridiagEigWS.
 // Eigenvalues are returned in descending order; column j of the returned
 // matrix is the eigenvector for eigenvalue j. Only the lower triangle of
-// a is read.
-func SymEig(a *Matrix) (vals []float64, vecs *Matrix, err error) {
-	var ws EigWorkspace
-	return SymEigWS(&ws, a)
-}
-
-// SymEigWS is SymEig with every buffer drawn from ws, performing no
-// allocation once the workspace has warmed up. It runs the identical
-// reduction, QL iteration and back-transform, so results are
-// bit-identical to the allocating path. The returned slice and matrix
-// alias ws-owned memory; they are invalidated by the next call with the
-// same workspace. a is not modified.
+// a is read, and a is not modified.
+//
+// Every buffer is drawn from ws, so a warmed-up workspace makes the call
+// allocation-free. The returned slice and matrix alias ws-owned memory;
+// they are invalidated by the next call with the same workspace.
 func SymEigWS(ws *EigWorkspace, a *Matrix) (vals []float64, vecs *Matrix, err error) {
 	if a.Rows != a.Cols {
 		return nil, nil, fmt.Errorf("linalg: SymEig requires square matrix, got %dx%d", a.Rows, a.Cols)

@@ -26,9 +26,9 @@ func (f MatVec) Apply(dst, v []float64) { f(dst, v) }
 // allocations; Apply never allocates.
 //
 // Arithmetic note: Apply accumulates terms in exactly the order the
-// dense GramOp(Hankel(...)) path does (including skipping zero entries
-// of v in the Hᵀ·v stage), so implicit and dense scores agree bit for
-// bit — the equivalence the sst tests pin down.
+// dense path H·(Hᵀ·v) over Hankel(...) does (including skipping zero
+// entries of v in the Hᵀ·v stage), so implicit and dense scores agree
+// bit for bit — the equivalence the sst tests pin down.
 type HankelGram struct {
 	x            []float64
 	lo           int // index in x of the first (oldest) window start
@@ -96,16 +96,4 @@ func (h *HankelGram) RowSums(dst []float64) {
 		}
 		dst[r] = s
 	}
-}
-
-// HankelOp returns an implicit MatVec for H·Hᵀ where H is the Hankel
-// trajectory matrix Hankel(x, end, omega, delta). The operator computes
-// products directly from the series slice; the trajectory matrix is
-// never materialized. The closure and its scratch are allocated once
-// here — hot paths that need allocation-free reuse across windows should
-// hold a HankelGram and Reset it instead.
-func HankelOp(x []float64, end, omega, delta int) MatVec {
-	h := &HankelGram{}
-	h.Reset(x, end, omega, delta)
-	return h.Apply
 }

@@ -54,23 +54,18 @@ func (ws *LanczosWorkspace) ensure(n, k int) {
 	ws.w = ws.w[:n]
 }
 
-// Lanczos runs k steps of the Lanczos iteration for the implicit n×n
-// symmetric operator apply, starting from start (which is copied, not
+// LanczosWS runs k steps of the Lanczos iteration for the implicit n×n
+// symmetric operator op, starting from start (which is copied, not
 // modified). Full reorthogonalization is performed at every step — the
 // matrices here are tiny (k = 5 in FUNNEL) so the O(nk²) cost is
 // negligible and the numerical robustness matters more.
 //
 // If the Krylov space is exhausted early (beta underflow), the returned
 // result has K < k. wantBasis controls whether Q is accumulated.
-func Lanczos(apply MatVec, start []float64, k int, wantBasis bool) (LanczosResult, error) {
-	ws := &LanczosWorkspace{}
-	return LanczosWS(ws, apply, start, k, wantBasis)
-}
-
-// LanczosWS is Lanczos with every buffer drawn from ws, performing no
-// allocation once the workspace has warmed up. The returned result
-// aliases ws-owned memory; it is invalidated by the next call with the
-// same workspace.
+//
+// Every buffer is drawn from ws, so a warmed-up workspace makes the call
+// allocation-free. The returned result aliases ws-owned memory; it is
+// invalidated by the next call with the same workspace.
 func LanczosWS(ws *LanczosWorkspace, op SymOp, start []float64, k int, wantBasis bool) (LanczosResult, error) {
 	n := len(start)
 	if n == 0 {
@@ -178,17 +173,5 @@ func HankelInto(m *Matrix, x []float64, end, omega, delta int) {
 		for r := 0; r < omega; r++ {
 			m.Data[r*delta+c] = x[base+r]
 		}
-	}
-}
-
-// GramOp returns an implicit operator for C = B·Bᵀ, evaluated as
-// B·(Bᵀ·v) without ever forming the ω×ω Gram matrix. This is the
-// "implicit inner product calculation" of §3.2.3: Lanczos only ever
-// touches C through matrix-vector products.
-func GramOp(b *Matrix) MatVec {
-	tmp := make([]float64, b.Cols)
-	return func(dst, v []float64) {
-		b.MulTVecTo(tmp, v)
-		b.MulVecTo(dst, tmp)
 	}
 }

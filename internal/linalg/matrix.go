@@ -30,23 +30,6 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from row slices, which must all have equal
-// length. The data is copied.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	c := len(rows[0])
-	m := NewMatrix(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic("linalg: ragged rows")
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 

@@ -43,7 +43,7 @@ func fillRandom(s *Store, k topo.KPIKey, n int, seed int64) {
 }
 
 // sameBits asserts two float slices are bit-identical.
-func sameBits(t *testing.T, got, want []float64, label string) {
+func sameBits(t testing.TB, got, want []float64, label string) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: len = %d, want %d", label, len(got), len(want))
@@ -184,19 +184,24 @@ func TestLateWriteIntoSealedChunk(t *testing.T) {
 
 func TestRangeIntoAllocs(t *testing.T) {
 	s := chunkedStore(t, 64)
-	for i := 0; i < 640; i++ {
+	// 640 bins are ten sealed chunks; 13 more leave 8 in the tail and 5
+	// in the line.
+	const bins = 640 + pendBins + 5
+	for i := 0; i < bins; i++ {
 		s.Append(Measurement{kCPU, t0.Add(time.Duration(i) * time.Minute), float64(i % 250)})
 	}
 	dst := make([]float64, 0, 256)
-	from, to := t0.Add(100*time.Minute), t0.Add(300*time.Minute)
-	if n := testing.AllocsPerRun(100, func() {
-		vals, _, ok := s.RangeInto(kCPU, from, to, dst)
-		if !ok {
-			t.Fatal("window read failed")
+	for _, w := range []struct{ lo, hi int }{{100, 300}, {bins - 200, bins - 2}, {bins - 3, bins}} {
+		from, to := t0.Add(time.Duration(w.lo)*time.Minute), t0.Add(time.Duration(w.hi)*time.Minute)
+		if n := testing.AllocsPerRun(100, func() {
+			vals, _, ok := s.RangeInto(kCPU, from, to, dst)
+			if !ok || len(vals) != w.hi-w.lo || vals[len(vals)-1] != float64((w.hi-1)%250) {
+				t.Fatalf("window [%d,%d) read failed", w.lo, w.hi)
+			}
+			dst = vals[:0]
+		}); n != 0 {
+			t.Fatalf("RangeInto [%d,%d) allocates %v per op, want 0", w.lo, w.hi, n)
 		}
-		dst = vals[:0]
-	}); n != 0 {
-		t.Fatalf("RangeInto allocates %v per op, want 0", n)
 	}
 }
 

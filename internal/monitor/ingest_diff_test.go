@@ -286,7 +286,9 @@ func drainFeed(t testing.TB, f *BinFeed) []string {
 }
 
 // compareStores fails unless the two stores hold the same log, the
-// same snapshot and the same arrival watermarks.
+// same snapshot, the same arrival watermarks and, read as the assessor
+// reads them, the same last bins of every series — the window that ends
+// in the write-combining line.
 func compareStores(t testing.TB, what string, live, ref *Store, liveDir, refDir string) {
 	t.Helper()
 	name := walName(live.persist.gen) // the twins rotate in step
@@ -311,12 +313,21 @@ func compareStores(t testing.TB, what string, live, ref *Store, liveDir, refDir 
 	if !bytes.Equal(gotSnap.Bytes(), wantSnap.Bytes()) {
 		t.Fatalf("%s: snapshots differ: %d bytes, reference %d", what, gotSnap.Len(), wantSnap.Len())
 	}
+	var gotWin, wantWin []float64
 	for _, k := range ref.Keys() {
 		_, g := live.ArrivalWatermark(k)
 		_, w := ref.ArrivalWatermark(k)
 		if g != w {
 			t.Fatalf("%s: %v: arrival watermark present = %v, reference %v", what, k, g, w)
 		}
+		n, _ := ref.SeriesLen(k)
+		from := ref.Start().Add(time.Duration(n-2*pendBins) * time.Minute)
+		gotWin, _, g = live.RangeInto(k, from, from.Add(time.Hour), gotWin[:0])
+		wantWin, _, w = ref.RangeInto(k, from, from.Add(time.Hour), wantWin[:0])
+		if g != w {
+			t.Fatalf("%s: %v: last window ok = %v, reference %v", what, k, g, w)
+		}
+		sameBits(t, gotWin, wantWin, what+": "+k.String()+": last window")
 	}
 }
 

@@ -171,21 +171,24 @@ func (s *Store) writeSnapshotLocked(w io.Writer) error {
 				return err
 			}
 		}
-		binary.BigEndian.PutUint32(scratch[:4], uint32(len(e.tail)))
+		binary.BigEndian.PutUint32(scratch[:4], uint32(e.tailLen()))
 		if _, err := bw.Write(scratch[:4]); err != nil {
 			return err
 		}
-		// The tail goes out a block at a time, as the reader takes it in.
+		// The unsealed bins, tail then line, go out a block at a time,
+		// as the reader takes them in (all into its tail).
 		var block [64 * 8]byte
-		for tail := e.tail; len(tail) > 0; {
-			n := min(len(tail), len(block)/8)
-			for i, v := range tail[:n] {
-				binary.BigEndian.PutUint64(block[8*i:], math.Float64bits(v))
+		for _, tail := range [2][]float64{e.tail, e.pend[:e.npend]} {
+			for len(tail) > 0 {
+				n := min(len(tail), len(block)/8)
+				for i, v := range tail[:n] {
+					binary.BigEndian.PutUint64(block[8*i:], math.Float64bits(v))
+				}
+				if _, err := bw.Write(block[:8*n]); err != nil {
+					return err
+				}
+				tail = tail[n:]
 			}
-			if _, err := bw.Write(block[:8*n]); err != nil {
-				return err
-			}
-			tail = tail[n:]
 		}
 	}
 	return bw.Flush()

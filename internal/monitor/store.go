@@ -132,9 +132,16 @@ type storeShard struct {
 //
 // Layout: every chunk holds exactly span bins; the first head bins of
 // chunks[0] are pruned (logically absent), so logical bin i lives at
-// encoded position i+head of the sealed region, and the logical length
-// is len(chunks)·span − head + len(tail). When the tail reaches span
-// bins its first span are encoded and sealed.
+// encoded position i+head of the sealed region. The unsealed bins are
+// tail ++ pend[:npend]: pend is a write-combining line inside the entry
+// that takes the bins written past len(tail), and moves to tail with
+// one append when it is full (see setBinLocked). A time-major feed
+// writes one bin of every series, then the next; each tail is its own
+// page-sized allocation, so writing there would touch a cold page per
+// measurement, where the entry's lines are hot already. The logical
+// length is len(chunks)·span − head + len(tail) + npend, always short
+// of a further span: when the unsealed bins reach span, the first span
+// of them are encoded and sealed.
 //
 // Concurrency: all fields are guarded by the owning shard's mutex for
 // writing, but sealed chunks are immutable and shared by reference —
@@ -155,6 +162,7 @@ type seriesEntry struct {
 	head         int
 	tail         []float64
 	arrivalNanos int64
+	npend        uint8
 	// feedTracked caches whether any registered BinFeed wants marks for
 	// this key (guarded by the owning shard's mutex, like the rest of
 	// the entry). The append hot path tests this one boolean instead of
@@ -162,7 +170,13 @@ type seriesEntry struct {
 	// feed registration and closure recompute it for every series,
 	// Refilter for the keys it is given.
 	feedTracked bool
+	pend        [pendBins]float64
 }
+
+// pendBins is the width of seriesEntry.pend: one cache line of values,
+// which a span that is a multiple of 8 fills a whole number of times, so
+// each of its moves to the tail writes one line there.
+const pendBins = 8
 
 // sealedLen returns the logical length of the sealed (compressed)
 // region given the store's span.
@@ -172,7 +186,24 @@ func (e *seriesEntry) sealedLen(span int) int {
 
 // binLen returns the series' logical bin count given the store's span.
 func (e *seriesEntry) binLen(span int) int {
-	return e.sealedLen(span) + len(e.tail)
+	return e.sealedLen(span) + e.tailLen()
+}
+
+// tailLen returns the number of unsealed bins, tail and line.
+func (e *seriesEntry) tailLen() int {
+	return len(e.tail) + int(e.npend)
+}
+
+// copyTail copies unsealed bins [lo, hi) into dst.
+func (e *seriesEntry) copyTail(dst []float64, lo, hi int) {
+	nt := len(e.tail)
+	if lo < nt {
+		n := copy(dst, e.tail[lo:min(hi, nt)])
+		dst, lo = dst[n:], nt
+	}
+	if hi > nt {
+		copy(dst, e.pend[lo-nt:hi-nt])
+	}
 }
 
 // subscription is one registered measurement listener.
@@ -464,9 +495,11 @@ func (s *Store) commitLocked(sh *storeShard, e *seriesEntry, key *topo.KPIKey, i
 	return pushes, drops
 }
 
-// setBinLocked writes v at logical bin idx of e, growing the tail with
-// NaN gaps as needed and sealing full spans off its front. The caller
-// holds the owning shard's mutex.
+// setBinLocked writes v at logical bin idx of e. A bin past the tail
+// goes to the line, which moves to the tail when it is full or completes
+// a span; a bin beyond the line's reach settles the line and grows the
+// tail with NaN gaps. Either way full spans are sealed off the tail's
+// front. The caller holds the owning shard's mutex.
 func (s *Store) setBinLocked(e *seriesEntry, idx int, v float64) {
 	span := s.span
 	sealed := e.sealedLen(span)
@@ -489,11 +522,31 @@ func (s *Store) setBinLocked(e *seriesEntry, idx int, v float64) {
 		return
 	}
 	ti := idx - sealed
-	tail := e.tail
-	for len(tail) <= ti {
-		tail = append(tail, math.NaN())
+	if ti < len(e.tail) {
+		e.tail[ti] = v
+		return
 	}
-	tail[ti] = v
+	pi := uint(ti - len(e.tail))
+	if pi < pendBins {
+		for n := uint(e.npend); n < pi; n++ {
+			e.pend[n] = math.NaN()
+		}
+		e.pend[pi] = v
+		if pi >= uint(e.npend) {
+			e.npend = uint8(pi + 1)
+		}
+		if e.npend < pendBins && e.tailLen() < span {
+			return
+		}
+	}
+	tail := append(e.tail, e.pend[:e.npend]...)
+	e.npend = 0
+	if pi >= pendBins {
+		for len(tail) <= ti {
+			tail = append(tail, math.NaN())
+		}
+		tail[ti] = v
+	}
 	for len(tail) >= span {
 		e.chunks = append(e.chunks, chunk.Encode(tail[:span]))
 		n := copy(tail, tail[span:])
@@ -518,11 +571,8 @@ func (s *Store) decodeFromLocked(e *seriesEntry, lo int, dst []float64) {
 			e.chunks[ci].DecodeInto(dst[off:off+span-clo], clo, span)
 		}
 	}
-	if tlo := lo - sealed; tlo <= 0 {
-		copy(dst[sealed-lo:], e.tail)
-	} else {
-		copy(dst, e.tail[tlo:])
-	}
+	tlo := max(lo-sealed, 0)
+	e.copyTail(dst[sealed+tlo-lo:], tlo, e.tailLen())
 }
 
 // spanBuf returns a span-sized scratch buffer from the pool.
@@ -891,7 +941,7 @@ func (s *Store) rangeInto(key topo.KPIKey, from, to time.Time, dst []float64, al
 		return dst, time.Time{}, false
 	}
 	sealed := e.sealedLen(span)
-	n := sealed + len(e.tail)
+	n := sealed + e.tailLen()
 	lo, hi := 0, n
 	if !all {
 		if from.After(start) {
@@ -915,7 +965,7 @@ func (s *Store) rangeInto(key topo.KPIKey, from, to time.Time, dst []float64, al
 	dst = dst[:m]
 	head := e.head
 	chunks := e.chunks
-	// Copy the window's share of the mutable tail while still holding
+	// Copy the window's share of the unsealed bins while still holding
 	// the shard lock; the sealed chunks are immutable and decode after
 	// release (epochMu.RLock alone keeps Prune out).
 	if hi > sealed {
@@ -923,7 +973,7 @@ func (s *Store) rangeInto(key topo.KPIKey, from, to time.Time, dst []float64, al
 		if tlo < sealed {
 			tlo = sealed
 		}
-		copy(dst[tlo-lo:], e.tail[tlo-sealed:hi-sealed])
+		e.copyTail(dst[tlo-lo:], tlo-sealed, hi-sealed)
 	}
 	sh.mu.RUnlock()
 	if lo < sealed {
@@ -1078,7 +1128,7 @@ func (s *Store) Prune(before time.Time) {
 		sh.mu.Lock()
 		for key, e := range sh.series {
 			sealed := e.sealedLen(span)
-			if drop >= sealed+len(e.tail) {
+			if drop >= sealed+e.tailLen() {
 				delete(sh.series, key)
 				continue
 			}
@@ -1096,12 +1146,13 @@ func (s *Store) Prune(before time.Time) {
 				e.head = p % span
 				continue
 			}
-			td := drop - sealed
-			kept := make([]float64, len(e.tail)-td)
-			copy(kept, e.tail[td:])
+			td, n := drop-sealed, e.tailLen()
+			kept := make([]float64, n-td)
+			e.copyTail(kept, td, n)
 			e.chunks = nil
 			e.head = 0
 			e.tail = kept
+			e.npend = 0
 		}
 		sh.mu.Unlock()
 	}
@@ -1160,7 +1211,7 @@ func (s *Store) Stats() Stats {
 				st.LastBin = n - 1
 			}
 			st.Chunks += len(e.chunks)
-			st.TailBins += len(e.tail)
+			st.TailBins += e.tailLen()
 			for _, c := range e.chunks {
 				st.CompressedBytes += int64(c.EncodedBytes())
 				if c.Quarantined() {

@@ -56,11 +56,11 @@ func denseIKAScore(cfg Config, x []float64, t int) float64 {
 			start[i] = 1 + float64(i)
 		}
 	}
-	res, err := linalg.Lanczos(linalg.GramOp(a), start, cfg.K, true)
+	res, err := linalg.LanczosWS(&linalg.LanczosWorkspace{}, gramOp(a), start, cfg.K, true)
 	if err != nil {
 		return 0
 	}
-	vals, vecs, err := linalg.TridiagEig(res.Alpha, res.Beta)
+	vals, vecs, err := linalg.TridiagEigWS(&linalg.EigWorkspace{}, res.Alpha, res.Beta)
 	if err != nil {
 		return 0
 	}
@@ -88,7 +88,7 @@ func denseIKAScore(cfg Config, x []float64, t int) float64 {
 		return 0
 	}
 
-	pastOp := linalg.GramOp(b)
+	pastOp := gramOp(b)
 	var num, den float64
 	for i, beta := range betas {
 		phi := denseDiscordance(cfg, pastOp, beta)
@@ -105,13 +105,22 @@ func denseIKAScore(cfg Config, x []float64, t int) float64 {
 	return score
 }
 
+// gramOp is the dense operator C = B·Bᵀ, applied as B·(Bᵀ·v).
+func gramOp(b *linalg.Matrix) linalg.MatVec {
+	tmp := make([]float64, b.Cols)
+	return func(dst, v []float64) {
+		b.MulTVecTo(tmp, v)
+		b.MulVecTo(dst, tmp)
+	}
+}
+
 // denseDiscordance is the Eq. 13 solve of the pre-workspace path.
 func denseDiscordance(cfg Config, pastOp linalg.MatVec, beta []float64) float64 {
-	res, err := linalg.Lanczos(pastOp, beta, cfg.K, false)
+	res, err := linalg.LanczosWS(&linalg.LanczosWorkspace{}, pastOp, beta, cfg.K, false)
 	if err != nil {
 		return 0
 	}
-	vals, vecs, err := linalg.TridiagEig(res.Alpha, res.Beta)
+	vals, vecs, err := linalg.TridiagEigWS(&linalg.EigWorkspace{}, res.Alpha, res.Beta)
 	if err != nil {
 		return 0
 	}
@@ -183,7 +192,7 @@ func refRobustScore(cfg Config, x []float64, t int) float64 {
 	ueta := linalg.TopLeftSingularVectors(b, cfg.Eta)
 	a := futureMatrix(w, tl, cfg)
 	gram := a.Mul(a.T())
-	vals, vecs, err := linalg.SymEig(gram)
+	vals, vecs, err := linalg.SymEigWS(&linalg.EigWorkspace{}, gram)
 	if err != nil {
 		return 0
 	}
