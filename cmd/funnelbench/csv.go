@@ -26,18 +26,16 @@ func writeCSV(name string, header []string, rows [][]string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	w := csv.NewWriter(f)
-	if err := w.Write(header); err != nil {
-		return err
+	err = w.Write(header)
+	if err == nil {
+		err = w.WriteAll(rows) // flushes
 	}
-	for _, r := range rows {
-		if err := w.Write(r); err != nil {
-			return err
-		}
+	// A write-back failure (a full disk) can surface as late as Close.
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	w.Flush()
-	if err := w.Error(); err != nil {
+	if err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", filepath.Join(csvDir, name))

@@ -16,40 +16,7 @@
 // Sizing flags (-changes, -history, -seed, -bootstraps) trade fidelity
 // for runtime; defaults reproduce EXPERIMENTS.md.
 //
-// A separate mode tracks the hot-path latency/allocation baseline
-// (committed as BENCH_<n>.json, see README's Performance section):
-//
-//	funnelbench -run-bench                  measure and write -bench-out
-//	funnelbench -run-bench -bench-check F   measure and fail on alloc or
-//	                                        latency regression vs baseline F
-//
-// and a third measures end-to-end ingest throughput over loopback TCP
-// (committed as BENCH_3.json; the check additionally requires the
-// batch-frame + sharded-store path to beat the single-frame
-// single-mutex baseline by ≥ 4×):
-//
-//	funnelbench -run-ingest-bench                  measure, write -ingest-out
-//	funnelbench -run-ingest-bench -bench-check F   measure and gate vs F
-//
-// and a fourth measures the assessment read path — flat full-series
-// copies vs chunked RangeInto windows — plus store compression at
-// 30-day retention (committed as BENCH_4.json; the check enforces the
-// same-run ratio gates described in readbench.go):
-//
-//	funnelbench -run-read-bench                  measure, write -read-out
-//	funnelbench -run-read-bench -bench-check F   measure and gate vs F
-//
-// and a fifth measures the streaming assessment path — p99
-// bin-to-verdict latency of the assess-on-ingest Streamer against the
-// pull-mode batch sweep at equal ingest rate, plus the attached
-// feed's cost on AppendBatch throughput (committed as BENCH_5.json;
-// the check enforces the ≥ 5× latency advantage and the ≤ 1.05×
-// ingest-overhead cap described in streambench.go):
-//
-//	funnelbench -run-stream-bench                  measure, write -stream-out
-//	funnelbench -run-stream-bench -bench-check F   measure and gate vs F
-//
-// A sixth mode maintains the detector bake-off table in EXPERIMENTS.md
+// A separate mode maintains the detector bake-off table in EXPERIMENTS.md
 // (every registered detector scored on a pinned labelled corpus with
 // trend/long-range-dependence traps; see the "Detector bake-off"
 // section there for the methodology):
@@ -84,22 +51,6 @@ func main() {
 		bootstraps = flag.Int("bootstraps", 300, "CUSUM bootstrap shuffles (paper-faithful: 1000)")
 		csvOut     = flag.String("csv", "", "also write table1.csv / fig5_ccdf.csv into this directory")
 
-		runBench   = flag.Bool("run-bench", false, "run the latency/allocation benchmark suite")
-		benchIters = flag.Int("bench-iters", 300, "iterations per per-window benchmark entry")
-		benchOut   = flag.String("bench-out", "BENCH_2.json", "output path for the benchmark baseline JSON")
-		benchCheck = flag.String("bench-check", "", "baseline JSON to compare against; exit 1 on allocation or latency regression")
-
-		runIngest  = flag.Bool("run-ingest-bench", false, "run the end-to-end ingest-throughput suite (loopback TCP, single vs batch frames, 1 vs sharded store)")
-		ingestMeas = flag.Int("ingest-meas", 20000, "measurements per publisher per ingest-throughput entry")
-		ingestOut  = flag.String("ingest-out", "BENCH_3.json", "output path for the ingest-throughput baseline JSON")
-
-		runRead   = flag.Bool("run-read-bench", false, "run the assessment read-path suite (flat copy vs chunked RangeInto, assess e2e, compression)")
-		readIters = flag.Int("read-iters", 400, "iterations per read-path benchmark entry")
-		readOut   = flag.String("read-out", "BENCH_4.json", "output path for the read-path baseline JSON")
-
-		runStream = flag.Bool("run-stream-bench", false, "run the streaming-assessment suite (p99 bin-to-verdict stream vs pull, attached-feed ingest overhead)")
-		streamOut = flag.String("stream-out", "BENCH_5.json", "output path for the streaming baseline JSON")
-
 		runBakeoffF  = flag.Bool("run-bakeoff", false, "regenerate the detector bake-off table and splice it into -bakeoff-doc")
 		bakeoffDoc   = flag.String("bakeoff-doc", "EXPERIMENTS.md", "document holding the bake-off markers")
 		bakeoffCheck = flag.Bool("bakeoff-check", false, "with -run-bakeoff: compare instead of write; exit 1 when the committed table drifted (ns/op column ignored)")
@@ -110,38 +61,6 @@ func main() {
 	if *runBakeoffF {
 		if err := runBakeoff(*bakeoffDoc, *bakeoffCheck); err != nil {
 			fmt.Fprintf(os.Stderr, "funnelbench: bakeoff: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *runIngest {
-		if err := runIngestSuite(*ingestMeas, *ingestOut, *benchCheck); err != nil {
-			fmt.Fprintf(os.Stderr, "funnelbench: ingest bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *runStream {
-		if err := runStreamBenchSuite(*streamOut, *benchCheck); err != nil {
-			fmt.Fprintf(os.Stderr, "funnelbench: stream bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *runRead {
-		if err := runReadBenchSuite(*readIters, *readOut, *benchCheck); err != nil {
-			fmt.Fprintf(os.Stderr, "funnelbench: read bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *runBench || *benchCheck != "" {
-		if err := runBenchSuite(*benchIters, *benchOut, *benchCheck); err != nil {
-			fmt.Fprintf(os.Stderr, "funnelbench: bench: %v\n", err)
 			os.Exit(1)
 		}
 		return

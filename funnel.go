@@ -134,10 +134,6 @@ func NewIKASST(cfg SSTConfig) *IKASST { return sst.NewIKA(cfg) }
 // window does not fit).
 func ScoreSeries(s Scorer, x []float64) []float64 { return sst.ScoreSeries(s, x) }
 
-// ScoreSeriesParallel is ScoreSeries with positions fanned out over
-// workers (0 = GOMAXPROCS); use it for history backfills.
-var ScoreSeriesParallel = sst.ScoreSeriesParallel
-
 // Detector is the pluggable change-detector contract: a pointwise
 // scorer that identifies itself for registry lookup. SST variants,
 // CUSUM, MRLS, WoW and E-divisive all implement it; see Detectors for

@@ -108,10 +108,10 @@ func firstMetric(cfg Config) string {
 
 // HandleMeasurement appends one measurement to the local store and
 // assesses any pending change whose observation window is now complete.
-// Assessment runs inline — the per-change cost is tens of milliseconds
-// (BenchmarkAssessChange) against a 1-minute bin cadence. Callers must
-// drain Reports(); a full report buffer blocks the measurement path
-// rather than dropping an assessment.
+// Assessment runs inline — the per-change cost is a few milliseconds
+// (funnel.stage.assess_us × KPIs in the repo benchmark) against a
+// 1-minute bin cadence. Callers must drain Reports(); a full report
+// buffer blocks the measurement path rather than dropping an assessment.
 func (o *Online) HandleMeasurement(m monitor.Measurement) {
 	o.store.Append(m)
 	o.assessReady()

@@ -222,6 +222,49 @@ func TestStatsCompression(t *testing.T) {
 	}
 }
 
+// Counts are the paper's bread-and-butter KPIs (page views,
+// transactions, errors), and integer float64s share long runs of zero
+// mantissa bits, which is what the XOR codec is for: a month of them must
+// stay resident in at most half the flat []float64 footprint. The same
+// shape with full mantissas does not compress, so the bound can fail.
+func TestResidentCompressionCountKPIs(t *testing.T) {
+	const servers, bins = 8, 30 * 24 * 60
+	resident := func(round bool) float64 {
+		s := NewStore(t0, time.Minute)
+		batch := make([]Measurement, 0, 512)
+		for srv := 0; srv < servers; srv++ {
+			key := topo.KPIKey{Scope: topo.ScopeServer, Entity: fmt.Sprintf("srv-%d", srv), Metric: "req.count"}
+			rng := rand.New(rand.NewSource(int64(srv) + 7))
+			for bin := 0; bin < bins; bin++ {
+				// A diurnal request rate with Poisson-like jitter.
+				v := 800 + 400*math.Sin(2*math.Pi*float64(bin%1440)/1440) + 40*rng.NormFloat64()
+				if round {
+					v = math.Round(v)
+				}
+				batch = append(batch, Measurement{key, t0.Add(time.Duration(bin) * time.Minute), v})
+				if len(batch) == cap(batch) {
+					s.AppendBatch(batch)
+					batch = batch[:0]
+				}
+			}
+		}
+		s.AppendBatch(batch)
+		st := s.Stats()
+		if st.Bins != servers*bins {
+			t.Fatalf("stored %d bins, want %d", st.Bins, servers*bins)
+		}
+		ratio := float64(st.ApproxBytes) / float64(st.Bins*8)
+		t.Logf("round=%v: %d B resident vs %d B flat (%.3f×, %d chunks)", round, st.ApproxBytes, st.Bins*8, ratio, st.Chunks)
+		return ratio
+	}
+	if r := resident(true); r > 0.5 {
+		t.Errorf("integer counts stay resident at %.3f× the flat layout, want ≤ 0.5×", r)
+	}
+	if r := resident(false); r <= 0.5 {
+		t.Errorf("full-mantissa control reads %.3f×: the ≤ 0.5× bound cannot fail on this shape", r)
+	}
+}
+
 func TestSnapshotChunkedRoundTrip(t *testing.T) {
 	s := chunkedStore(t, 16)
 	fillRandom(s, kCPU, 200, 21)

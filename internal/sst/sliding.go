@@ -33,13 +33,13 @@ type RangeScorer interface {
 // IKA core dense, incrementally maintained Gram matrices.
 //
 // ScoreAt on single positions delegates to the wrapped scorer
-// unchanged. sst.ScoreSeries, sst.ScoreSeriesParallel and the detect
-// pipeline recognize the RangeScorer interface and route sweeps through
-// the fast path. Only *IKA has an incremental implementation — for any
-// other scorer the sweep falls back to per-window ScoreAt (trivially
-// identical scores); for IKA the sweep agrees with the per-window path
-// to well within 1e-9 (the operators are algebraically equal; only
-// rounding order differs).
+// unchanged. sst.ScoreSeries and the detect pipeline recognize the
+// RangeScorer interface and route sweeps through the fast path. Only
+// *IKA has an incremental implementation — for any other scorer the
+// sweep falls back to per-window ScoreAt (trivially identical scores);
+// for IKA the sweep agrees with the per-window path to well within
+// 1e-9 (the operators are algebraically equal; only rounding order
+// differs).
 //
 // A SlidingScorer is safe for concurrent use: each concurrent sweep
 // draws its own state from an internal pool.

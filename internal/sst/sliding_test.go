@@ -89,20 +89,6 @@ func TestSlidingFallbackExactForDensePaths(t *testing.T) {
 	}
 }
 
-// The chunked parallel sweep re-initializes the incremental state per
-// chunk, so it must stay within the same tolerance of the per-window
-// path regardless of where the chunk boundaries fall.
-func TestSlidingScoreSeriesParallel(t *testing.T) {
-	x := mixedSeries(300, 68)
-	ika := NewIKA(Config{Normalize: true, RobustFilter: true})
-	want := perWindowSeries(ika, x)
-	sl := NewSliding(ika)
-	for _, workers := range []int{1, 3, 8} {
-		got := ScoreSeriesParallel(sl, x, workers)
-		compareSweep(t, "parallel", got, want, 1e-9)
-	}
-}
-
 // A steady-state incremental sweep performs zero heap allocations beyond
 // the output slice.
 func TestSlidingSweepZeroAlloc(t *testing.T) {

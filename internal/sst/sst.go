@@ -24,8 +24,6 @@ package sst
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/stats"
@@ -167,53 +165,6 @@ func nanSeries(n int) []float64 {
 	for i := range out {
 		out[i] = math.NaN()
 	}
-	return out
-}
-
-// ScoreSeriesParallel is ScoreSeries with the window positions split
-// across workers (0 = GOMAXPROCS). Scorers in this package are
-// stateless per call, so positions are independent; use it for the
-// long backfills a production deployment runs when onboarding a
-// service's history.
-func ScoreSeriesParallel(s Scorer, x []float64, workers int) []float64 {
-	cfg := s.Config()
-	out := nanSeries(len(x))
-	lo := cfg.PastSpan()
-	hi := len(x) - cfg.FutureSpan() + 1
-	if hi <= lo {
-		return out
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > hi-lo {
-		workers = hi - lo
-	}
-	rs, ranged := s.(RangeScorer)
-	var wg sync.WaitGroup
-	chunk := (hi - lo + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		start := lo + w*chunk
-		end := start + chunk
-		if end > hi {
-			end = hi
-		}
-		if start >= end {
-			break
-		}
-		wg.Add(1)
-		go func(start, end int) {
-			defer wg.Done()
-			if ranged {
-				rs.ScoreRangeInto(out, x, start, end)
-				return
-			}
-			for t := start; t < end; t++ {
-				out[t] = s.ScoreAt(x, t)
-			}
-		}(start, end)
-	}
-	wg.Wait()
 	return out
 }
 

@@ -475,38 +475,6 @@ func TestWindowGeometryProperty(t *testing.T) {
 	}
 }
 
-// Parallel backfill must agree with sequential scoring exactly for
-// every scorer: each worker draws its own pooled workspace, so no state
-// is shared between the goroutines. CI runs this under -race, which
-// turns any workspace sharing into a hard failure.
-func TestScoreSeriesParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(58))
-	x := genLevelShift(400, 200, 6, rng)
-	for name, s := range scorers(Config{Normalize: true, RobustFilter: true}) {
-		seq := ScoreSeries(s, x)
-		for _, workers := range []int{0, 1, 3, 16} {
-			par := ScoreSeriesParallel(s, x, workers)
-			if len(par) != len(seq) {
-				t.Fatalf("%s: length mismatch at workers=%d", name, workers)
-			}
-			for i := range seq {
-				same := seq[i] == par[i] || (math.IsNaN(seq[i]) && math.IsNaN(par[i]))
-				if !same {
-					t.Fatalf("%s: workers=%d: score[%d] %v != %v", name, workers, i, par[i], seq[i])
-				}
-			}
-		}
-	}
-	// Degenerate: series shorter than the window.
-	s := NewIKA(Config{Normalize: true, RobustFilter: true})
-	short := ScoreSeriesParallel(s, make([]float64, 10), 4)
-	for _, v := range short {
-		if !math.IsNaN(v) {
-			t.Fatal("short series should be all NaN")
-		}
-	}
-}
-
 // §3.2.3's premise for fixing δ = ω: "the change score is not very
 // sensitive to δ". Verify the robust scorer localizes the same change
 // for δ below, at, and above ω.

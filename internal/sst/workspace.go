@@ -7,8 +7,8 @@ import (
 
 // workspace holds every buffer one ScoreAt evaluation needs, so that a
 // steady-state score performs zero heap allocations. Each scorer owns a
-// sync.Pool of workspaces: concurrent callers (ScoreSeriesParallel
-// workers, funnel.AssessAll workers) each check one out for the duration
+// sync.Pool of workspaces: concurrent callers (the assessor's
+// per-KPI workers, funnel.AssessAll workers) each check one out for the duration
 // of a single window evaluation, so no state is ever shared between
 // goroutines and sequential scoring reuses one workspace for the whole
 // series.
