@@ -58,9 +58,8 @@ func main() {
 		histSpan  = flag.Duration("history-retention", obs.DefaultHistoryRetention, "metrics-history span kept in memory")
 		fsck      = flag.Bool("fsck", false, "verify the -data directory (snapshot CRCs, WAL framing) and exit: 0 clean, 1 damage found")
 		fsckFix   = flag.Bool("fsck-repair", false, "with -fsck: drop quarantined chunks as explicit gaps and rewrite a clean snapshot")
-		stream    = flag.Bool("stream", false, "assess on ingest: advance per-KPI change scores as each bin lands (identical reports, much lower bin-to-verdict latency)")
-		streamWrk = flag.Int("stream-workers", 0, "with -stream: scoring worker goroutines (0 = default)")
-		streamQ   = flag.Int("stream-queue", 0, "with -stream: bounded advance-queue depth; overflow sheds to the batch sweep (0 = default)")
+		streamWrk = flag.Int("stream-workers", 0, "scoring worker goroutines (0 = default)")
+		streamQ   = flag.Int("stream-queue", 0, "bounded advance-queue depth; overflow sheds to the batch sweep (0 = default)")
 	)
 	flag.Parse()
 
@@ -120,7 +119,6 @@ func main() {
 		Logger:           logger,
 		HistoryStep:      *histStep,
 		HistoryRetention: *histSpan,
-		Stream:           *stream,
 		StreamWorkers:    *streamWrk,
 		StreamQueue:      *streamQ,
 	})
@@ -131,12 +129,8 @@ func main() {
 	defer d.Close()
 	col := d.Collector()
 
-	mode := "pull"
-	if *stream {
-		mode = "stream"
-	}
-	fmt.Printf("funnelserve: ingest=%v subscribe=%v admin=%v debug=%v epoch=%s history=%dd mode=%s\n",
-		d.IngestAddr(), d.SubscribeAddr(), d.AdminAddr(), d.DebugAddr(), start.Format(time.RFC3339), *history, mode)
+	fmt.Printf("funnelserve: ingest=%v subscribe=%v admin=%v debug=%v epoch=%s history=%dd\n",
+		d.IngestAddr(), d.SubscribeAddr(), d.AdminAddr(), d.DebugAddr(), start.Format(time.RFC3339), *history)
 
 	// Mirror another funnelserve's measurement stream into the local
 	// store over a reconnecting subscription: flaps redial with backoff

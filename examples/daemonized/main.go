@@ -49,9 +49,6 @@ func main() {
 		SubscribeAddr: "127.0.0.1:0",
 		AdminAddr:     "127.0.0.1:0",
 		DebugAddr:     "127.0.0.1:0",
-		// Assess on ingest, as `funnelserve -stream` does: the sweep
-		// advances with every bin, so the verdict below finds it done.
-		Stream: true,
 	})
 	if err != nil {
 		log.Fatal(err)

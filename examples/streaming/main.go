@@ -56,34 +56,27 @@ func main() {
 		log.Fatal(err)
 	}
 	defer client.Close()
-	// The consumer is the deployed FUNNEL (§5): an Online assessor fed
-	// by the TCP stream, plus a Fleet of per-KPI online detectors for
-	// sub-minute live alarms while the full assessment window fills.
+	// The consumer is the deployed FUNNEL (§5): a Streamer on the
+	// consumer store. The loop below only appends what the TCP stream
+	// delivers; the store's bin feed advances the change's scores as
+	// each bin lands.
 	consumerStore := funnel.NewStore(start, time.Minute)
-	online, err := funnel.NewOnline(consumerStore, tp, funnel.Config{
+	sr, err := funnel.NewStreamer(consumerStore, tp, funnel.Config{
 		ServerMetrics: []string{"mem.util"},
 		HistoryDays:   historyD,
-	})
+	}, funnel.StreamConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Fleet alarms are pre-DiD: expect occasional noise declarations
-	// here — the full assessment below is what separates them from the
-	// real change (the paper's two-stage design, Fig. 3).
-	fleet := funnel.NewFleet(nil)
+	defer sr.Close()
 	done := make(chan struct{})
 	received := 0
 	go func() {
 		defer close(done)
 		for m := range client.C() {
-			online.HandleMeasurement(m)
+			consumerStore.Append(m)
 			received++
-			if d, ok := fleet.Push(m.Key, m.V); ok {
-				fmt.Printf("LIVE: %v change declared at minute %d (evidence from minute %d, score %.1f)\n",
-					d.Key, d.At, d.Start, d.Score)
-			}
 		}
-		online.Close()
 	}()
 
 	// The operations team registers the change as it deploys (§2.1's
@@ -92,7 +85,7 @@ func main() {
 		ID: "kv-tuning", Type: funnel.ConfigChange, Service: service,
 		Servers: servers[:1], At: start.Add(changeMin * time.Minute),
 	}
-	if err := online.RegisterChange(change); err != nil {
+	if err := sr.RegisterChange(change); err != nil {
 		log.Fatal(err)
 	}
 
@@ -113,12 +106,15 @@ func main() {
 	<-done
 	fmt.Printf("consumer received %d measurements over TCP\n", received)
 
-	// ---- the full assessment arrives from the Online pipeline ----
-	for report := range online.Reports() {
+	// ---- the full assessment arrives from the Streamer ----
+	select {
+	case report := <-sr.Reports():
 		fmt.Printf("report for %s:\n", report.Change.ID)
 		for _, a := range report.Assessments {
 			fmt.Printf("  %-28s %-20s α=%+6.2f\n", a.Key, a.Verdict, a.Alpha)
 		}
+	case <-time.After(30 * time.Second):
+		log.Fatal("no report from the streamer")
 	}
 }
 

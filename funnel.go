@@ -6,7 +6,7 @@
 //
 //   - the assessment pipeline (Assessor): impact-set identification,
 //     improved-SST change detection, and Difference-in-Differences
-//     cause determination;
+//     cause determination — plus its deployed streaming form (Streamer);
 //   - the SST scorer family (classic, robust, IKA-accelerated) and the
 //     persistence-rule change detector, usable standalone on any
 //     1-minute-binned series;
@@ -88,13 +88,17 @@ func DetectionDelay(a Assessment, trueStart int) (int, bool) {
 	return funnel.DetectionDelay(a, trueStart)
 }
 
-// Online is the deployed form of the pipeline: it consumes the
-// measurement stream, accepts change registrations, and emits reports
-// as observation windows complete (§5).
-type Online = funnel.Online
+// Streamer is the deployed form of the pipeline (§5): it follows the
+// store's bin feed, accepts change registrations, and emits reports as
+// observation windows complete.
+type Streamer = funnel.Streamer
 
-// NewOnline builds the online assessor over a store and topology.
-var NewOnline = funnel.NewOnline
+// StreamConfig tunes the Streamer's workers and queues, never its
+// verdicts; the zero value takes the defaults.
+type StreamConfig = funnel.StreamConfig
+
+// NewStreamer builds the streaming assessor over a store and topology.
+var NewStreamer = funnel.NewStreamer
 
 // AssessResult pairs a change with its report in batch assessment.
 type AssessResult = funnel.AssessResult
@@ -180,27 +184,6 @@ const (
 // NewDetector pairs a scorer with a threshold under the default
 // persistence rule.
 func NewDetector(s Scorer, threshold float64) *Gate { return detect.New(s, threshold) }
-
-// StreamDetector is the online form of Gate: push samples one bin
-// at a time and receive declarations the moment the persistence rule
-// fires.
-type StreamDetector = detect.Stream
-
-// Declaration is an online detection event from a StreamDetector.
-type Declaration = detect.Declaration
-
-// NewStreamDetector wraps a detection gate for online use.
-func NewStreamDetector(d *Gate) *StreamDetector { return detect.NewStream(d) }
-
-// Fleet manages one online stream detector per KPI key — the
-// million-KPI deployment shape of §2.3.
-type Fleet = detect.Fleet
-
-// FleetDeclaration pairs an online declaration with its KPI key.
-type FleetDeclaration = detect.FleetDeclaration
-
-// NewFleet builds a fleet; a nil factory uses the deployed defaults.
-var NewFleet = detect.NewFleet
 
 // CalibrateThreshold derives a detection threshold from change-free
 // reference series.

@@ -2,6 +2,7 @@ package funnel
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -119,6 +120,27 @@ func TestDiDViaFacade(t *testing.T) {
 	}
 }
 
+// TestFleetAndDiDViaFacade checks that the regression DiD estimator
+// agrees with the moment one through the façade. Its fleet half went
+// with the deleted Fleet façade alias; the name is kept.
+func TestFleetAndDiDViaFacade(t *testing.T) {
+	tp := []float64{1, 1, 1, 1}
+	tq := []float64{4, 4, 4, 4}
+	cp := []float64{9, 9, 9, 9}
+	cq := []float64{9, 9, 9, 9}
+	m, err := EstimateDiD(tp, tq, cp, cq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := EstimateDiDRegression(tp, tq, cp, cq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Alpha != 3 || math.Abs(r.Alpha-m.Alpha) > 1e-9 {
+		t.Fatalf("α: moment %v vs regression %v", m.Alpha, r.Alpha)
+	}
+}
+
 // TestWorkloadAndEvalViaFacade generates a tiny corpus and classifies
 // a KPI through the façade.
 func TestWorkloadAndEvalViaFacade(t *testing.T) {
@@ -165,28 +187,19 @@ func TestCalibrateThresholdViaFacade(t *testing.T) {
 	}
 }
 
-// TestStreamingAndBatchHelpersViaFacade covers the online detector,
-// batch assessment, change combining and snapshot round trip through
-// the façade.
+// TestStreamingAndBatchHelpersViaFacade covers the streaming
+// assessor's registration checks and change combining through the
+// façade.
 func TestStreamingAndBatchHelpersViaFacade(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	x := make([]float64, 300)
-	for i := range x {
-		x[i] = 5 + 0.4*rng.NormFloat64()
-		if i >= 150 {
-			x[i] += 6
-		}
+	tp := NewTopology()
+	tp.Deploy("s", "x")
+	sr, err := NewStreamer(NewStore(time.Now(), time.Minute), tp, Config{ServerMetrics: []string{"m"}}, StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	det := NewDetector(NewIKASST(SSTConfig{Normalize: true, RobustFilter: true}), 1.6)
-	stream := NewStreamDetector(det)
-	declared := false
-	for _, v := range x {
-		if _, ok := stream.Push(v); ok {
-			declared = true
-		}
-	}
-	if !declared {
-		t.Fatal("stream never declared the shift")
+	defer sr.Close()
+	if err := sr.RegisterChange(Change{ID: "c", Service: "nope", Servers: []string{"x"}}); err == nil {
+		t.Fatal("streamer accepted an unknown service")
 	}
 
 	a := Change{ID: "a", Type: ConfigChange, Service: "s", Servers: []string{"x"}, At: time.Now()}
@@ -214,44 +227,6 @@ func TestSnapshotViaFacade(t *testing.T) {
 	s, ok := restored.Series(key)
 	if !ok || s.Values[0] != 7 {
 		t.Fatalf("restored = %+v ok=%v", s, ok)
-	}
-}
-
-// TestFleetAndDiDViaFacade exercises the fleet and the two DiD
-// estimators through the façade.
-func TestFleetAndDiDViaFacade(t *testing.T) {
-	fleet := NewFleet(nil)
-	rng := rand.New(rand.NewSource(11))
-	key := KPIKey{Scope: ScopeServer, Entity: "s1", Metric: "m"}
-	fired := 0
-	for i := 0; i < 400; i++ {
-		v := 30 + 0.4*rng.NormFloat64()
-		if i >= 200 {
-			v += 8
-		}
-		if _, ok := fleet.Push(key, v); ok {
-			fired++
-		}
-	}
-	if fired != 1 {
-		t.Fatalf("fleet fired %d times", fired)
-	}
-
-	// Regression DiD agrees with the moment estimator via the façade.
-	tp := []float64{1, 1, 1, 1}
-	tq := []float64{4, 4, 4, 4}
-	cp := []float64{9, 9, 9, 9}
-	cq := []float64{9, 9, 9, 9}
-	m, err := EstimateDiD(tp, tq, cp, cq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := EstimateDiDRegression(tp, tq, cp, cq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Alpha != 3 || r.Alpha-m.Alpha > 1e-9 || m.Alpha-r.Alpha > 1e-9 {
-		t.Fatalf("α: moment %v vs regression %v", m.Alpha, r.Alpha)
 	}
 }
 

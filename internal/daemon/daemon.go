@@ -1,13 +1,14 @@
 // Package daemon assembles the deployed FUNNEL process (§5): a network
 // ingest endpoint agents publish KPI measurements to, a subscription
 // endpoint downstream consumers can tap, an admin endpoint the
-// operations team registers software changes on, and the Online
-// assessor that emits a report for every registered change once its
+// operations team registers software changes on, and the streaming
+// assessor (funnel.Streamer) that advances each registered change's
+// scores off the store's bin feed and emits its report once the
 // observation window completes.
 //
-// All state mutations — measurements, topology updates, change
-// registrations — flow through one event loop, so the daemon needs no
-// locking beyond what the store provides.
+// Topology updates and change registrations serialize through one
+// event loop; measurements go straight into the store, whose bin feed
+// drives the assessor.
 package daemon
 
 import (
@@ -58,35 +59,21 @@ type Config struct {
 	// obs.DefaultHistoryStep / obs.DefaultHistoryRetention; the ring
 	// only runs when the daemon has a collector.
 	HistoryStep, HistoryRetention time.Duration
-	// Stream switches the assessment engine from the pull-mode Online
-	// (re-sweep when the observation window completes) to the
-	// push-driven Streamer (per-bin score advance off the store's bin
-	// feed). Reports are byte-identical either way; streaming trades a
-	// small per-bin cost for a much lower bin-to-verdict latency.
+	// Stream is ignored.
+	//
+	// Deprecated: assessment always streams; removed with its last
+	// setter in the [benchmark] PR.
 	Stream bool
-	// StreamWorkers / StreamQueue tune the streaming engine (zero =
-	// funnel.StreamConfig defaults). Ignored unless Stream is set.
+	// StreamWorkers / StreamQueue tune the streaming assessor (zero =
+	// funnel.StreamConfig defaults).
 	StreamWorkers, StreamQueue int
-}
-
-// assessEngine is the face shared by the pull-mode and streaming
-// assessors.
-type assessEngine interface {
-	RegisterChange(changelog.Change) error
-	Reports() <-chan *funnel.Report
-	Pending() int
-	Close()
 }
 
 // Daemon is a running FUNNEL service.
 type Daemon struct {
 	store  *monitor.Store
 	topo   *topo.Topology
-	engine assessEngine
-	// online is the pull-mode engine when Config.Stream is off (the
-	// event loop drives its readiness polls); nil in streaming mode,
-	// where the store's bin feed drives the engine instead.
-	online *funnel.Online
+	engine *funnel.Streamer
 	obs    *obs.Collector
 	log    *slog.Logger
 
@@ -167,48 +154,22 @@ func Start(cfg Config) (*Daemon, error) {
 		done:   make(chan struct{}),
 	}
 	var err error
-	if cfg.Stream {
-		var sr *funnel.Streamer
-		sr, err = funnel.NewStreamer(cfg.Store, tp, cfg.Pipeline, funnel.StreamConfig{
-			Workers:    cfg.StreamWorkers,
-			QueueDepth: cfg.StreamQueue,
-		})
-		if err != nil {
-			return nil, err
-		}
-		d.engine = sr
-	} else {
-		d.online, err = funnel.NewOnline(cfg.Store, tp, cfg.Pipeline)
-		if err != nil {
-			return nil, err
-		}
-		d.engine = d.online
+	d.engine, err = funnel.NewStreamer(cfg.Store, tp, cfg.Pipeline, funnel.StreamConfig{
+		Workers:    cfg.StreamWorkers,
+		QueueDepth: cfg.StreamQueue,
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	// Event loop: measurements and admin commands serialize here. In
-	// streaming mode the store's bin feed drives the engine, so the
-	// loop skips the measurement subscription entirely (a nil channel
-	// never fires) and only serializes admin commands.
-	var sub <-chan monitor.Measurement
-	cancel := func() int { return 0 }
-	if !cfg.Stream {
-		sub, cancel = cfg.Store.Subscribe(nil, 1<<16)
-	}
+	// Event loop: admin commands serialize here. Measurements never pass
+	// through it; the store's bin feed drives the engine.
 	go func() {
 		defer close(d.done)
-		defer cancel()
 		for {
 			select {
 			case <-d.quit:
 				return
-			case _, ok := <-sub:
-				if !ok {
-					return
-				}
-				// The store already holds the measurement (the
-				// subscription fires after the append); only the
-				// pending-change bookkeeping needs the tick.
-				d.online.Poll()
 			case fn := <-d.events:
 				fn()
 			}

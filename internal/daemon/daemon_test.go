@@ -116,6 +116,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("no report from the daemon")
 	}
+	// Started with no engine setting, the daemon streams.
+	if d.Collector().Counter(obs.CtrStreamAdvances) == 0 {
+		t.Fatal("daemon never advanced a score state")
+	}
 }
 
 func TestDaemonAdminErrors(t *testing.T) {
@@ -473,98 +477,80 @@ func waitForBins(t *testing.T, store *monitor.Store, n int) {
 	t.Fatal("store never caught up")
 }
 
-// TestDaemonStreamMode drives the same end-to-end scenario through the
-// streaming engine: network ingest feeds the bin feed, the streamer
-// advances scores per bin, and the report matches what the pull-mode
-// daemon emits for identical input.
+// TestDaemonStreamMode drives the end-to-end scenario through the
+// daemon's streaming assessor: network ingest feeds the bin feed, the
+// streamer advances scores per bin, and the report equals what batch
+// Assess makes of the same store, field by field (traces excepted).
 func TestDaemonStreamMode(t *testing.T) {
 	start := time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC)
 	store := monitor.NewStore(start, time.Minute)
+	pipeline := funnel.Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2}
 	col := obs.NewCollector()
 	d, err := Start(Config{
-		Store: store,
-		Pipeline: funnel.Config{
-			ServerMetrics: []string{"mem.util"},
-			HistoryDays:   2,
-		},
+		Store:      store,
+		Pipeline:   pipeline,
 		IngestAddr: "127.0.0.1:0",
 		AdminAddr:  "127.0.0.1:0",
 		Obs:        col,
-		Stream:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if err := d.DeployService("kv.cache", "d-0", "d-1", "d-2"); err != nil {
+	servers := []string{"d-0", "d-1", "d-2"}
+	if err := d.DeployService("kv.cache", servers...); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Register(RegisterRequest{
+	req := RegisterRequest{
 		ID: "d-stream", Type: "config", Service: "kv.cache",
-		Servers: []string{"d-0"}, At: start.Add(changeMin * time.Minute),
-	}); err != nil {
+		Servers: servers[:1], At: start.Add(changeMin * time.Minute),
+	}
+	if err := d.Register(req); err != nil {
 		t.Fatal(err)
 	}
 	publishScenario(t, d.IngestAddr(), start, changeMin+200)
 
-	var streamRep *funnel.Report
+	var got *funnel.Report
 	select {
-	case streamRep = <-d.Reports():
+	case got = <-d.Reports():
 	case <-time.After(60 * time.Second):
-		t.Fatal("no report from the streaming daemon")
+		t.Fatal("no report from the daemon")
 	}
-	flagged := streamRep.Flagged()
+	flagged := got.Flagged()
 	if len(flagged) != 1 || flagged[0].Key.Entity != "d-0" {
 		t.Fatalf("flagged = %+v", flagged)
 	}
 	if col.Counter(obs.CtrStreamAdvances) == 0 {
-		t.Fatal("streaming daemon never advanced a score state")
+		t.Fatal("daemon never advanced a score state")
 	}
 	if col.Counter(obs.CtrStreamCacheHits) == 0 {
-		t.Fatal("streaming report was not served from the score cache")
+		t.Fatal("report was not served from the score cache")
 	}
 
-	// The pull-mode daemon over the same measurements agrees verdict
-	// for verdict.
-	// A collector on both daemons keeps them in the same scorer regime
-	// (the instrumented per-window scorer); without one the pull daemon
-	// would take the sliding-sweep path, which agrees on verdicts but
-	// not bit-for-bit on scores.
-	store2 := monitor.NewStore(start, time.Minute)
-	d2, err := Start(Config{
-		Store:      store2,
-		Pipeline:   funnel.Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2},
-		IngestAddr: "127.0.0.1:0",
-		Obs:        obs.NewCollector(),
-	})
+	tp := topo.NewTopology()
+	for _, srv := range servers {
+		tp.Deploy("kv.cache", srv)
+	}
+	batch, err := funnel.NewAssessor(store, tp, pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.Close()
-	if err := d2.DeployService("kv.cache", "d-0", "d-1", "d-2"); err != nil {
+	want, err := batch.Assess(got.Change)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.Register(RegisterRequest{
-		ID: "d-stream", Type: "config", Service: "kv.cache",
-		Servers: []string{"d-0"}, At: start.Add(changeMin * time.Minute),
-	}); err != nil {
-		t.Fatal(err)
+	if got.ChangeBin != want.ChangeBin || len(got.Assessments) != len(want.Assessments) {
+		t.Fatalf("report: bin %d, %d assessments; batch: bin %d, %d assessments",
+			got.ChangeBin, len(got.Assessments), want.ChangeBin, len(want.Assessments))
 	}
-	publishScenario(t, d2.IngestAddr(), start, changeMin+200)
-	select {
-	case pullRep := <-d2.Reports():
-		if len(pullRep.Assessments) != len(streamRep.Assessments) {
-			t.Fatalf("assessment count: stream %d, pull %d",
-				len(streamRep.Assessments), len(pullRep.Assessments))
+	for i := range want.Assessments {
+		g, w := got.Assessments[i], want.Assessments[i]
+		if g.Key != w.Key || g.Verdict != w.Verdict || g.Detection != w.Detection ||
+			g.Alpha != w.Alpha || g.TStat != w.TStat || g.ControlKind != w.ControlKind ||
+			g.TrendWarning != w.TrendWarning || g.GapFraction != w.GapFraction ||
+			g.ControlSimilarity != w.ControlSimilarity || fmt.Sprint(g.Err) != fmt.Sprint(w.Err) {
+			t.Errorf("assessment %d (%v) differs from batch:\n daemon: %+v\n batch:  %+v", i, w.Key, g, w)
 		}
-		for i := range pullRep.Assessments {
-			s, p := streamRep.Assessments[i], pullRep.Assessments[i]
-			if s.Key != p.Key || s.Verdict != p.Verdict || s.Detection != p.Detection {
-				t.Fatalf("assessment %d: stream %+v, pull %+v", i, s, p)
-			}
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("no report from the pull daemon")
 	}
 }
 

@@ -123,8 +123,8 @@ type Config struct {
 	// StaleBins is the staleness horizon: when the assessment window
 	// is missing at least this many trailing bins (the feed stopped
 	// mid-window), the KPI is Inconclusive regardless of the overall
-	// gap fraction (default 15). It also bounds how long the online
-	// assessor waits for a stalled probe series once the rest of the
+	// gap fraction (default 15). It also bounds how long the
+	// Streamer waits for a stalled probe series once the rest of the
 	// store has reached the ready bin.
 	StaleBins int
 	// AssessWorkers bounds how many KPIs of one impact set are assessed

@@ -3,10 +3,7 @@ package funnel
 import (
 	"math/rand"
 	"testing"
-	"time"
 
-	"repro/internal/changelog"
-	"repro/internal/monitor"
 	"repro/internal/timeseries"
 	"repro/internal/topo"
 	"repro/internal/workload"
@@ -457,44 +454,6 @@ func TestAssessorConfigAndChangeTime(t *testing.T) {
 	if got := ChangeTime(s, 10); !got.Equal(s.TimeAt(10)) {
 		t.Fatalf("ChangeTime = %v", got)
 	}
-}
-
-func TestOnlinePollAndInstanceProbe(t *testing.T) {
-	// Instance-metric-only configuration exercises the instance probe
-	// branch of RegisterChange and the Poll path.
-	start := sc0Start()
-	store := monitorNewStore(start)
-	tp := topo.NewTopology()
-	tp.Deploy("svc", "s1")
-	tp.Deploy("svc", "s2")
-	online, err := NewOnline(store, tp, Config{
-		InstanceMetrics: []string{"pv.count"},
-		HistoryDays:     1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := changelogChange("c1", "svc", []string{"s1"}, start.Add((1440+120)*timeMinute()))
-	if err := online.RegisterChange(ch); err != nil {
-		t.Fatal(err)
-	}
-	if online.Pending() != 1 {
-		t.Fatal("change not pending")
-	}
-	online.Poll() // no data yet: still pending
-	if online.Pending() != 1 {
-		t.Fatal("Poll consumed a change without data")
-	}
-}
-
-// small wrappers keep the test body free of extra imports.
-func sc0Start() time.Time       { return time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC) }
-func timeMinute() time.Duration { return time.Minute }
-func monitorNewStore(start time.Time) *monitor.Store {
-	return monitor.NewStore(start, time.Minute)
-}
-func changelogChange(id, svc string, servers []string, at time.Time) changelog.Change {
-	return changelog.Change{ID: id, Type: changelog.Config, Service: svc, Servers: servers, At: at}
 }
 
 func TestAlphaOverridesPerService(t *testing.T) {

@@ -200,6 +200,63 @@ func TestGapMaskSuppressesInterpolatedDetections(t *testing.T) {
 	}
 }
 
+// The online assessor must not hang on a change whose probe feed died:
+// once the rest of the store has moved past the ready bin by the
+// staleness horizon, the change is force-assessed and the stale KPIs
+// come back Inconclusive.
+func TestOnlineForceAssessesStaleProbe(t *testing.T) {
+	const changeBin = 100
+	start := time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC)
+	store := monitor.NewStore(start, time.Minute)
+	tp := topo.NewTopology()
+	for _, srv := range []string{"srv-0", "srv-1", "srv-2", "srv-3"} {
+		tp.Deploy("kv.cache", srv)
+	}
+	const tick = 5 * time.Millisecond
+	sr, err := NewStreamer(store, tp, Config{
+		ServerMetrics: []string{"mem.util"},
+		WindowBins:    40,
+		StaleBins:     15,
+	}, StreamConfig{Workers: 1, PollInterval: tick})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+	if err := sr.RegisterChange(gapChange(store, changeBin)); err != nil {
+		t.Fatal(err)
+	}
+	// readyBin = changeBin + 40 + FutureSpan(17) = 157; feed healthy
+	// servers well past 157 + 15 while srv-0 (the probe) dies early.
+	rng := rand.New(rand.NewSource(5))
+	for bin := 0; bin < 190; bin++ {
+		ts := start.Add(time.Duration(bin) * time.Minute)
+		for _, srv := range []string{"srv-0", "srv-1", "srv-2", "srv-3"} {
+			if srv == "srv-0" && bin >= changeBin+10 {
+				continue // probe feed severed shortly after the change
+			}
+			store.Append(monitor.Measurement{
+				Key: topo.KPIKey{Scope: topo.ScopeServer, Entity: srv, Metric: "mem.util"},
+				T:   ts, V: 50 + 0.5*rng.NormFloat64(),
+			})
+		}
+	}
+	rep := waitReport(t, sr.Reports())
+	if a := byEntity(rep)["srv-0"]; a.Verdict != Inconclusive {
+		t.Fatalf("stale probe KPI = %v, want inconclusive", a.Verdict)
+	}
+	// The forced cooldown keeps the change pending (a backfilled probe
+	// would still deliver the real verdict) without re-emitting.
+	if sr.Pending() != 1 {
+		t.Fatalf("pending = %d after force-assess, want 1", sr.Pending())
+	}
+	time.Sleep(10 * tick)
+	select {
+	case rep := <-sr.Reports():
+		t.Fatalf("severed probe re-emitted on a later poll tick: %+v", rep.Assessments)
+	default:
+	}
+}
+
 // MaskScores itself: positions whose window overlaps a gap go NaN,
 // everything else is untouched.
 func TestMaskScoresWindowing(t *testing.T) {
@@ -218,65 +275,5 @@ func TestMaskScoresWindowing(t *testing.T) {
 		if !overlaps && math.IsNaN(v) {
 			t.Errorf("score %d should be untouched", i)
 		}
-	}
-}
-
-// The online assessor must not hang on a change whose probe feed died:
-// once the rest of the store has moved past the ready bin by the
-// staleness horizon, the change is force-assessed and the stale KPIs
-// come back Inconclusive.
-func TestOnlineForceAssessesStaleProbe(t *testing.T) {
-	const changeBin = 100
-	start := time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC)
-	store := monitor.NewStore(start, time.Minute)
-	tp := topo.NewTopology()
-	for _, srv := range []string{"srv-0", "srv-1", "srv-2", "srv-3"} {
-		tp.Deploy("kv.cache", srv)
-	}
-	online, err := NewOnline(store, tp, Config{
-		ServerMetrics: []string{"mem.util"},
-		WindowBins:    40,
-		StaleBins:     15,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := online.RegisterChange(gapChange(store, changeBin)); err != nil {
-		t.Fatal(err)
-	}
-	// readyBin = changeBin + 40 + FutureSpan(17) = 157; feed healthy
-	// servers well past 157 + 15 while srv-0 (the probe) dies early.
-	rng := rand.New(rand.NewSource(5))
-	for bin := 0; bin < 190; bin++ {
-		ts := start.Add(time.Duration(bin) * time.Minute)
-		for _, srv := range []string{"srv-0", "srv-1", "srv-2", "srv-3"} {
-			if srv == "srv-0" && bin >= changeBin+10 {
-				continue // probe feed severed shortly after the change
-			}
-			online.HandleMeasurement(monitor.Measurement{
-				Key: topo.KPIKey{Scope: topo.ScopeServer, Entity: srv, Metric: "mem.util"},
-				T:   ts, V: 50 + 0.5*rng.NormFloat64(),
-			})
-		}
-	}
-	select {
-	case rep := <-online.Reports():
-		a := byEntity(rep)["srv-0"]
-		if a.Verdict != Inconclusive {
-			t.Fatalf("stale probe KPI = %v, want inconclusive", a.Verdict)
-		}
-	default:
-		t.Fatalf("no report emitted; pending = %d (stale probe wedged the change)", online.Pending())
-	}
-	// The forced cooldown keeps the change pending (a backfilled probe
-	// would still deliver the real verdict) without re-emitting.
-	if online.Pending() != 1 {
-		t.Fatalf("pending = %d after force-assess, want 1", online.Pending())
-	}
-	online.Poll()
-	select {
-	case rep := <-online.Reports():
-		t.Fatalf("severed probe re-emitted on the next poll tick: %+v", rep.Assessments)
-	default:
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/changelog"
-	"repro/internal/detect"
 	"repro/internal/obs"
 	"repro/internal/topo"
 )
@@ -78,13 +77,11 @@ func TestAssessWorkersTraceOrderDeterministic(t *testing.T) {
 	}
 }
 
-// The race-coverage satellite: many goroutines assess the same
-// overlapping impact sets through one shared assessor while a detect
-// fleet churns under concurrent pushes. Run under -race this exercises
-// the pooled SST workspaces, the memoized control averages and the
-// fleet's per-key locking; every concurrent report must still equal the
-// serial reference.
-func TestAssessConcurrentWithFleetChurn(t *testing.T) {
+// Many goroutines assess the same overlapping impact sets through one
+// shared assessor. Run under -race this exercises the pooled SST
+// workspaces and the memoized control averages; every concurrent report
+// must still equal the serial reference.
+func TestAssessConcurrentMatchesSerial(t *testing.T) {
 	sc := smallScenario(t, 2)
 	serial := newAssessor(t, sc, func(c *Config) { c.AssessWorkers = 1 })
 	shared := newAssessor(t, sc, func(c *Config) { c.AssessWorkers = 4 })
@@ -96,27 +93,6 @@ func TestAssessConcurrentWithFleetChurn(t *testing.T) {
 		}
 		want[i] = rep
 	}
-
-	stop := make(chan struct{})
-	var churn sync.WaitGroup
-	churn.Add(1)
-	go func() {
-		defer churn.Done()
-		fleet := detect.NewFleet(nil)
-		keys := sc.Source.Keys()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			key := keys[i%len(keys)]
-			fleet.Push(key, float64(i%17))
-			if i%257 == 256 {
-				fleet.Drop(key)
-			}
-		}
-	}()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -138,8 +114,6 @@ func TestAssessConcurrentWithFleetChurn(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	close(stop)
-	churn.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)

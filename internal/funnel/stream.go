@@ -14,18 +14,22 @@ import (
 	"repro/internal/topo"
 )
 
-// Streamer is the push-driven form of the online assessor: instead of
-// re-sweeping the full ±WindowBins assessment window when a change's
-// observation window completes (the pull path, Online), it subscribes
-// to the store's coalescing bin feed and advances a per-KPI sliding
-// scorer as each bin lands. By the time the last required bin arrives,
-// every score position is already computed, so materializing the
-// verdict costs only the DiD determination — the SST sweep, the
-// dominant term in bin-to-verdict latency, has been amortized to O(ω)
-// work per bin. Reading is per bin too: the feed hands over, with each
-// dirty key, the lowest bin written since the last drain, and a score
-// state that has consumed the window up to some bin reads only the bins
-// from there on when that low-water is at or past it (advance).
+// Streamer is the deployed form of FUNNEL (§5): it accepts software-
+// change registrations as the operations team deploys them and emits an
+// assessment report for each change as soon as its post-change
+// observation window has fully arrived in the store — the paper's "1 h
+// is enough for software change assessment" horizon plus the scorer's
+// lookahead. Instead of re-sweeping the full ±WindowBins assessment
+// window at that moment, it subscribes to the store's coalescing bin
+// feed and advances a per-KPI sliding scorer as each bin lands. By the
+// time the last required bin arrives, every score position is already
+// computed, so materializing the verdict costs only the DiD
+// determination — the SST sweep, the dominant term in bin-to-verdict
+// latency, has been amortized to O(ω) work per bin. Reading is per bin
+// too: the feed hands over, with each dirty key, the lowest bin written
+// since the last drain, and a score state that has consumed the window
+// up to some bin reads only the bins from there on when that low-water
+// is at or past it (advance).
 //
 // Correctness contract: streaming reports are byte-identical to the
 // batch path. The streamer never trusts its own incremental state —
@@ -169,7 +173,7 @@ func (ks *kpiStream) noteLow(bin int64) {
 
 // NewStreamer builds the streaming assessor on store and starts its
 // feed drain, scoring workers, and assessment loop. Close releases
-// them. The assessor configuration cfg is exactly the batch/pull one;
+// them. The assessor configuration cfg is exactly the batch one;
 // scfg tunes only the streaming machinery, never the verdicts.
 func NewStreamer(store *monitor.Store, tp *topo.Topology, cfg Config, scfg StreamConfig) (*Streamer, error) {
 	assessor, err := NewAssessor(store, tp, cfg)
@@ -263,17 +267,27 @@ func (sr *Streamer) Pending() int {
 }
 
 // RegisterChange records a deployed software change for streaming
-// assessment. Same contract as Online.RegisterChange: the service must
-// be known and the change ID fresh.
+// assessment. Impact-set identification runs immediately to fail fast
+// on bad registrations: the service must be known, the change must
+// treat at least one server, and the change ID must be fresh —
+// a duplicate would double-assess and double-report the same rollout.
 func (sr *Streamer) RegisterChange(c changelog.Change) error {
 	set, err := sr.assessor.topo.IdentifyImpactSet(c.Service, c.Servers)
 	if err != nil {
 		return err
 	}
+	if len(set.TServers) == 0 {
+		return fmt.Errorf("funnel: change %q treats no server of %q", c.ID, c.Service)
+	}
+	// The probe is one treated KPI whose series length signals that the
+	// observation window has arrived.
 	cfg := sr.assessor.cfg
-	probe := topo.KPIKey{Scope: topo.ScopeServer, Entity: set.TServers[0], Metric: firstMetric(cfg)}
-	if len(cfg.ServerMetrics) == 0 {
-		probe = topo.KPIKey{Scope: topo.ScopeInstance, Entity: set.TInstances[0], Metric: firstMetric(cfg)}
+	probe := topo.KPIKey{Scope: topo.ScopeServer, Entity: set.TServers[0]}
+	switch {
+	case len(cfg.ServerMetrics) > 0:
+		probe.Metric = cfg.ServerMetrics[0]
+	case len(cfg.InstanceMetrics) > 0:
+		probe = topo.KPIKey{Scope: topo.ScopeInstance, Entity: set.TInstances[0], Metric: cfg.InstanceMetrics[0]}
 	}
 	sc := &streamChange{change: c, probe: probe}
 	for _, k := range set.TreatedKPIs(cfg.ServerMetrics, cfg.InstanceMetrics) {
@@ -763,7 +777,7 @@ func (sr *Streamer) retire(sc *streamChange) {
 }
 
 // Close unregisters the feed, stops the workers, and closes the report
-// stream. Pending changes are dropped, as in Online.Close.
+// stream. Pending changes are dropped.
 func (sr *Streamer) Close() {
 	sr.mu.Lock()
 	if sr.closed {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -398,41 +399,43 @@ func TestStreamerStaleProbeCooldown(t *testing.T) {
 	}
 }
 
-// TestOnlineStaleProbeCooldown is the pull-path regression for the
-// same fix: a severed probe forces one provisional report, not one per
-// poll tick, and a backfilled feed still yields the real verdict.
+// TestOnlineStaleProbeCooldown keeps the deleted pull engine's
+// regression pin on the Streamer: over 50 poll ticks against a severed
+// probe feed exactly one provisional report is emitted, and a
+// backfilled feed still yields the real verdict.
 func TestOnlineStaleProbeCooldown(t *testing.T) {
 	fx := newStreamFixture()
 	store := monitor.NewStore(fx.start, time.Minute)
-	online, err := NewOnline(store, fx.buildTopo(), Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2})
+	const tick = 5 * time.Millisecond
+	sr, err := NewStreamer(store, fx.buildTopo(), Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2},
+		StreamConfig{Workers: 1, PollInterval: tick})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := online.RegisterChange(fx.change); err != nil {
+	defer sr.Close()
+	if err := sr.RegisterChange(fx.change); err != nil {
 		t.Fatal(err)
 	}
 	severedAt := fx.changeMin - 30
 	sever := func(srv string, bin int) bool { return srv == "on-0" && bin >= severedAt }
 	fx.feed(store, 0, fx.total, sever)
 
-	var reports []*Report
-	for i := 0; i < 50; i++ { // 50 poll ticks against a severed feed
-		online.Poll()
-		for {
-			select {
-			case rep := <-online.Reports():
-				reports = append(reports, rep)
-				continue
-			default:
-			}
-			break
+	reports := []*Report{waitReport(t, sr.Reports())}
+	quiet := time.After(50 * tick) // 50 more poll ticks against the severed feed
+collect:
+	for {
+		select {
+		case rep := <-sr.Reports():
+			reports = append(reports, rep)
+		case <-quiet:
+			break collect
 		}
 	}
 	if len(reports) != 1 {
-		t.Fatalf("severed probe emitted %d reports over 50 poll ticks, want exactly 1", len(reports))
+		t.Fatalf("severed probe emitted %d reports, want exactly 1", len(reports))
 	}
-	if online.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1 (awaiting recovery)", online.Pending())
+	if sr.Pending() != 1 {
+		t.Fatalf("pending = %d, want 1 (awaiting recovery)", sr.Pending())
 	}
 	for _, a := range reports[0].Assessments {
 		if a.Verdict == ChangedBySoftware {
@@ -443,16 +446,164 @@ func TestOnlineStaleProbeCooldown(t *testing.T) {
 	for bin := severedAt; bin < fx.total; bin++ {
 		store.Append(monitor.Measurement{Key: fx.key("on-0"), T: fx.start.Add(time.Duration(bin) * time.Minute), V: fx.values[0][bin]})
 	}
-	online.Poll()
-	select {
-	case rep := <-online.Reports():
-		if len(rep.Flagged()) != 1 {
-			t.Fatalf("recovered verdict not flagged: %+v", rep.Assessments)
-		}
-	default:
-		t.Fatal("no report after probe recovery")
+	if rep := waitReport(t, sr.Reports()); len(rep.Flagged()) != 1 {
+		t.Fatalf("recovered verdict not flagged: %+v", rep.Assessments)
 	}
-	if online.Pending() != 0 {
-		t.Fatalf("pending = %d after recovery", online.Pending())
+	if sr.Pending() != 0 {
+		t.Fatalf("pending = %d after recovery", sr.Pending())
+	}
+}
+
+// TestOnlineEmitsReportWhenWindowCompletes registers a change at its
+// deployment time while an agent feeds the store, and demands the
+// Streamer hold the change until the post-change window completes,
+// then emit one report flagging only the treated server.
+func TestOnlineEmitsReportWhenWindowCompletes(t *testing.T) {
+	start := time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC)
+	store := monitor.NewStore(start, time.Minute)
+	tp := topo.NewTopology()
+	agent := monitor.NewAgent(store)
+	const changeMin = 2*1440 + 300
+	rng := rand.New(rand.NewSource(77))
+	for i, srv := range []string{"on-0", "on-1", "on-2"} {
+		tp.Deploy("kv.cache", srv)
+		treated := i == 0
+		seed := rng.Int63()
+		agent.Track(topo.KPIKey{Scope: topo.ScopeServer, Entity: srv, Metric: "mem.util"},
+			func(bin int) float64 {
+				r := rand.New(rand.NewSource(seed + int64(bin)))
+				v := 58 + 0.6*r.NormFloat64()
+				if treated && bin >= changeMin {
+					v += 9
+				}
+				return v
+			})
+	}
+	sr, err := NewStreamer(store, tp, Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2},
+		StreamConfig{Workers: 1, PollInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+
+	agent.Run(changeMin) // history up to the deployment
+	if err := sr.RegisterChange(changelog.Change{
+		ID: "kv-1", Type: changelog.Config, Service: "kv.cache",
+		Servers: []string{"on-0"}, At: start.Add(changeMin * time.Minute),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	agent.Run(30) // part of the post-change window only
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case rep := <-sr.Reports():
+		t.Fatalf("reported before the window completed: %+v", rep.Assessments)
+	default:
+	}
+	if sr.Pending() != 1 {
+		t.Fatalf("pending = %d mid-window, want 1", sr.Pending())
+	}
+
+	agent.Run(200 - 30)
+	report := waitReport(t, sr.Reports())
+	flagged := report.Flagged()
+	if len(flagged) != 1 || flagged[0].Key.Entity != "on-0" {
+		t.Fatalf("flagged = %+v", flagged)
+	}
+	if sr.Pending() != 0 {
+		t.Fatalf("pending = %d", sr.Pending())
+	}
+}
+
+// TestStreamerRegisterChange pins the registration contract: bad
+// registrations fail up front and never panic, and an instance-metric-
+// only configuration probes a treated instance, staying pending until
+// its window lands and reporting what batch Assess does once it has.
+func TestStreamerRegisterChange(t *testing.T) {
+	start := time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC)
+	const changeBin = 1440 + 120
+	cases := []struct {
+		name    string
+		cfg     Config
+		prep    func(sr *Streamer, c changelog.Change) // before the registration under test
+		edit    func(c *changelog.Change)
+		wantErr string
+	}{
+		{name: "unknown-service", edit: func(c *changelog.Change) { c.Service = "nope" }, wantErr: "unknown service"},
+		{name: "no-servers", edit: func(c *changelog.Change) { c.Servers = nil }, wantErr: "treats no server"},
+		{name: "duplicate-id", prep: func(sr *Streamer, c changelog.Change) {
+			if err := sr.RegisterChange(c); err != nil {
+				t.Fatal(err)
+			}
+		}, wantErr: "already registered"},
+		{name: "after-close", prep: func(sr *Streamer, _ changelog.Change) { sr.Close() }, wantErr: "closed"},
+		{name: "instance-probe", cfg: Config{InstanceMetrics: []string{"pv.count"}, HistoryDays: 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			if cfg.ServerMetrics == nil && cfg.InstanceMetrics == nil {
+				cfg = Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 1}
+			}
+			store := monitor.NewStore(start, time.Minute)
+			tp := topo.NewTopology()
+			tp.Deploy("svc", "s1")
+			tp.Deploy("svc", "s2")
+			sr, err := NewStreamer(store, tp, cfg, StreamConfig{Workers: 1, PollInterval: 5 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sr.Close()
+			c := changelog.Change{ID: "c1", Type: changelog.Config, Service: "svc",
+				Servers: []string{"s1"}, At: start.Add(changeBin * time.Minute)}
+			if tc.edit != nil {
+				tc.edit(&c)
+			}
+			if tc.prep != nil {
+				tc.prep(sr, c)
+			}
+			err = sr.RegisterChange(c)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("RegisterChange err = %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			time.Sleep(50 * time.Millisecond) // ten poll ticks without data
+			select {
+			case rep := <-sr.Reports():
+				t.Fatalf("reported without data: %+v", rep.Assessments)
+			default:
+			}
+			if sr.Pending() != 1 {
+				t.Fatalf("pending = %d without data, want 1", sr.Pending())
+			}
+			rng := rand.New(rand.NewSource(3))
+			for bin := 0; bin < changeBin+200; bin++ {
+				for _, srv := range []string{"s1", "s2"} {
+					store.Append(monitor.Measurement{
+						Key: topo.KPIKey{Scope: topo.ScopeInstance, Entity: topo.InstanceID("svc", srv), Metric: "pv.count"},
+						T:   start.Add(time.Duration(bin) * time.Minute), V: 100 + rng.NormFloat64(),
+					})
+				}
+			}
+			rep := waitReport(t, sr.Reports())
+			if sr.Pending() != 0 {
+				t.Fatalf("pending = %d after report", sr.Pending())
+			}
+			ba, err := NewAssessor(store, tp, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			brep, err := ba.Assess(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareReports(t, rep, brep)
+		})
 	}
 }
