@@ -10,11 +10,11 @@
 //
 // With -load it instead becomes a fleet-scale load generator: it dials
 // a funnelserve ingest port and publishes -servers × -kpis synthetic
-// series over -bins one-minute bins, coalesced into batch frames of
-// -batch measurements (0 = one frame per measurement), then prints the
-// achieved throughput:
+// series over -bins one-minute bins through a monitor.RobustPublisher
+// (packed batch frames, a replay ring of four bins), then prints the
+// achieved throughput and how many measurements the ring dropped:
 //
-//	kpigen -load 127.0.0.1:7101 -servers 200 -kpis 10 -bins 120 -batch 64
+//	kpigen -load 127.0.0.1:7101 -servers 200 -kpis 10 -bins 120
 package main
 
 import (
@@ -42,7 +42,6 @@ func main() {
 		servers = flag.Int("servers", 100, "load: number of servers in the synthetic fleet")
 		kpis    = flag.Int("kpis", 10, "load: KPIs per server")
 		bins    = flag.Int("bins", 60, "load: one-minute bins to publish per KPI")
-		batch   = flag.Int("batch", monitor.DefaultBatchSize, "load: measurements per batch frame (0 or 1 = one frame each)")
 		epoch   = flag.String("epoch", "", "load: timestamp of the first bin (RFC3339; default now − bins)")
 	)
 	flag.Parse()
@@ -57,7 +56,7 @@ func main() {
 			}
 			start = t
 		}
-		if err := runLoad(*load, *servers, *kpis, *bins, *batch, *seed, start); err != nil {
+		if err := runLoad(*load, *servers, *kpis, *bins, *seed, start); err != nil {
 			fmt.Fprintln(os.Stderr, "kpigen:", err)
 			os.Exit(1)
 		}
@@ -126,9 +125,8 @@ func build(kind string, changes, history int, seed int64) (*workload.Trace, erro
 // deterministic diurnal curve plus a per-series phase shift, so two
 // runs with the same parameters publish identical measurements — a
 // crash-recovery drill can compare stores across restarts.
-func runLoad(addr string, servers, kpis, bins, batch int, seed int64, start time.Time) error {
+func runLoad(addr string, servers, kpis, bins int, seed int64, start time.Time) error {
 	pub, err := monitor.DialRobustPublisher(addr, monitor.PublisherConfig{
-		BatchSize:      batch,
 		ReplayCapacity: 4 * servers * kpis,
 	})
 	if err != nil {

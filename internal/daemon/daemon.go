@@ -77,19 +77,17 @@ type Daemon struct {
 	obs    *obs.Collector
 	log    *slog.Logger
 
-	ingest    *monitor.IngestServer
-	subscribe *monitor.Server
-	adminLn   net.Listener
-	debugLn   net.Listener
+	// endpoints are the bound ingest, subscribe and admin listeners,
+	// closed and joined by Close.
+	endpoints []*monitor.Endpoint
 	debugSrv  *http.Server
 
 	events chan func()
 	quit   chan struct{}
 	done   chan struct{}
 
-	mu        sync.Mutex
-	adminConn sync.WaitGroup
-	closed    bool
+	mu     sync.Mutex
+	closed bool
 
 	// addresses as bound.
 	ingestAddr, subscribeAddr, adminAddr, debugAddr net.Addr
@@ -177,28 +175,22 @@ func Start(cfg Config) (*Daemon, error) {
 	}()
 
 	if cfg.IngestAddr != "" {
-		d.ingest = monitor.NewIngestServer(cfg.Store)
-		if d.ingestAddr, err = d.ingest.Listen(cfg.IngestAddr); err != nil {
+		if d.ingestAddr, err = d.listen(monitor.NewIngestServer(cfg.Store).Endpoint, cfg.IngestAddr); err != nil {
 			d.Close()
 			return nil, err
 		}
 	}
 	if cfg.SubscribeAddr != "" {
-		d.subscribe = monitor.NewServer(cfg.Store)
-		if d.subscribeAddr, err = d.subscribe.Listen(cfg.SubscribeAddr); err != nil {
+		if d.subscribeAddr, err = d.listen(monitor.NewServer(cfg.Store).Endpoint, cfg.SubscribeAddr); err != nil {
 			d.Close()
 			return nil, err
 		}
 	}
 	if cfg.AdminAddr != "" {
-		ln, err := net.Listen("tcp", cfg.AdminAddr)
-		if err != nil {
+		if d.adminAddr, err = d.listen(monitor.NewEndpoint("admin", d.Collector, d.serveAdmin), cfg.AdminAddr); err != nil {
 			d.Close()
 			return nil, err
 		}
-		d.adminLn = ln
-		d.adminAddr = ln.Addr()
-		go d.acceptAdmin(ln)
 	}
 	if cfg.DebugAddr != "" {
 		ln, err := net.Listen("tcp", cfg.DebugAddr)
@@ -206,7 +198,6 @@ func Start(cfg Config) (*Daemon, error) {
 			d.Close()
 			return nil, err
 		}
-		d.debugLn = ln
 		d.debugAddr = ln.Addr()
 		d.debugSrv = &http.Server{Handler: col.Handler()}
 		go d.debugSrv.Serve(ln)
@@ -219,6 +210,12 @@ func Start(cfg Config) (*Daemon, error) {
 			"debug", addrString(d.debugAddr))
 	}
 	return d, nil
+}
+
+// listen binds ep to addr and hands it to Close.
+func (d *Daemon) listen(ep *monitor.Endpoint, addr string) (net.Addr, error) {
+	d.endpoints = append(d.endpoints, ep)
+	return ep.Listen(addr)
 }
 
 // addrString renders a possibly-nil bound address for logging.
@@ -327,35 +324,8 @@ func (d *Daemon) DeployService(service string, servers ...string) error {
 // operator session left open forever must not pin a connection slot.
 const adminIdleTimeout = 5 * time.Minute
 
-// acceptAdmin serves line-delimited JSON registrations.
-func (d *Daemon) acceptAdmin(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				time.Sleep(10 * time.Millisecond)
-				continue
-			}
-			return
-		}
-		d.adminConn.Add(1)
-		go func() {
-			defer d.adminConn.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					d.obs.Add(obs.CtrConnPanics, 1)
-					if d.log != nil {
-						d.log.Error("admin handler panic", "panic", r)
-					}
-				}
-			}()
-			defer conn.Close()
-			d.serveAdmin(conn)
-		}()
-	}
-}
-
-// serveAdmin handles one admin connection.
+// serveAdmin serves line-delimited JSON registrations on one admin
+// connection.
 func (d *Daemon) serveAdmin(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	// Bound per-line allocation: registrations are small; a peer that
@@ -402,8 +372,10 @@ func (d *Daemon) adminError(conn net.Conn, err error) {
 	fmt.Fprintf(conn, "error: %v\n", err)
 }
 
-// Close shuts down the endpoints and the event loop, then closes the
-// report stream.
+// Close shuts down the endpoints — listeners and live connections —
+// and joins their handlers, so no ingest, subscribe or admin handler
+// touches the store, the feed or the event loop after it returns; then
+// it stops the event loop and closes the report stream.
 func (d *Daemon) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -413,19 +385,15 @@ func (d *Daemon) Close() {
 	d.closed = true
 	d.mu.Unlock()
 
-	if d.ingest != nil {
-		d.ingest.Close()
-	}
-	if d.subscribe != nil {
-		d.subscribe.Close()
-	}
-	if d.adminLn != nil {
-		d.adminLn.Close()
-	}
 	if d.debugSrv != nil {
 		d.debugSrv.Close()
 	}
-	d.adminConn.Wait()
+	for _, ep := range d.endpoints {
+		ep.Close()
+	}
+	for _, ep := range d.endpoints {
+		ep.Wait()
+	}
 	close(d.quit)
 	<-d.done
 	d.engine.Close()

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -117,8 +118,96 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal("no report from the daemon")
 	}
 	// Started with no engine setting, the daemon streams.
-	if d.Collector().Counter(obs.CtrStreamAdvances) == 0 {
+	col := d.Collector()
+	if col.Counter(obs.CtrStreamAdvances) == 0 {
 		t.Fatal("daemon never advanced a score state")
+	}
+
+	// The connection gauge counts admin connections too: the admin
+	// session above plus one publisher read 2, and Close takes both
+	// down.
+	pub, err := monitor.DialPublisher(d.IngestAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for col.Counter(obs.CtrConnsActive) != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d with one admin and one ingest connection open, want 2", obs.CtrConnsActive, col.Counter(obs.CtrConnsActive))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	d.Close()
+	if got := col.Counter(obs.CtrConnsActive); got != 0 {
+		t.Fatalf("%s = %d after Close, want 0", obs.CtrConnsActive, got)
+	}
+}
+
+// TestDaemonCloseWithOpenAdmin: an operator session left open must not
+// hold shutdown hostage until its idle timeout.
+func TestDaemonCloseWithOpenAdmin(t *testing.T) {
+	d, _ := startDaemon(t)
+	admin, err := net.Dial("tcp", d.AdminAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	// One round trip, so the session's handler is live before Close.
+	fmt.Fprintln(admin, `{}`)
+	if resp, err := bufio.NewReader(admin).ReadString('\n'); !strings.HasPrefix(resp, "error: ") {
+		t.Fatalf("admin response %q err %v", resp, err)
+	}
+	done := make(chan struct{})
+	go func() {
+		d.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close still blocked on an open admin connection after 2s")
+	}
+}
+
+// TestDaemonCloseEndsIngest: Close disconnects live publishers and joins
+// their handlers, so nothing they send afterwards reaches the store and
+// no handler goroutine outlives the daemon.
+func TestDaemonCloseEndsIngest(t *testing.T) {
+	base := runtime.NumGoroutine()
+	d, start := startDaemon(t)
+	col := d.Collector()
+	pub, err := monitor.DialPublisher(d.IngestAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	key := topo.KPIKey{Scope: topo.ScopeServer, Entity: "d-0", Metric: "mem.util"}
+	send := func(bin int) {
+		t.Helper()
+		if err := pub.Publish(monitor.Measurement{Key: key, T: start.Add(time.Duration(bin) * time.Minute), V: 1}); err != nil {
+			t.Fatal(err)
+		}
+		pub.Flush()
+	}
+	send(0)
+	waitForBins(t, d.store, 1)
+
+	d.Close()
+	if got := col.Counter(obs.CtrConnsActive); got != 0 {
+		t.Fatalf("%s = %d after Close, want 0", obs.CtrConnsActive, got)
+	}
+	send(1)
+	time.Sleep(100 * time.Millisecond)
+	if n, _ := d.store.SeriesLen(key); n != 1 {
+		t.Fatalf("series holds %d bins after a post-Close publish, want 1", n)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before Start", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -59,7 +59,6 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	for _, srv := range servers {
 		p, err := monitor.DialRobustPublisher(front, monitor.PublisherConfig{
 			Backoff:        bo,
-			BatchSize:      16,
 			ReplayCapacity: totalBins + 8, // ring covers the whole run: crash loss is always replayable
 		})
 		if err != nil {
@@ -128,7 +127,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	// per-append WAL flushes pushed to the OS is all a restart gets.
 	proxyA.Close()
 	ingestA.Close()
-	time.Sleep(20 * time.Millisecond) // let in-flight handlers finish their final Append
+	ingestA.Wait() // join the in-flight handlers: nothing reaches storeA after this
 
 	// Phase 2: restart over the same directory, behind the same
 	// frontend address, and let the publishers reconnect.

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -19,68 +18,24 @@ import (
 //
 // Connections are hardened: a publisher silent for longer than
 // ReadTimeout is dropped (agents flush at least once per bin, so the
-// default leaves ample slack), oversized frames are rejected, and a
-// panic in one handler drops that connection without taking the server
-// down.
+// default leaves ample slack), oversized frames are rejected, and the
+// Endpoint core recovers a panic in one handler by dropping that
+// connection. Close disconnects every live publisher; after Wait no
+// frame of theirs reaches the store.
 type IngestServer struct {
+	*Endpoint
 	store *Store
 
 	// ReadTimeout bounds the silence between frames from one
 	// publisher; 0 means DefaultIngestReadTimeout, negative disables.
 	ReadTimeout time.Duration
-
-	mu       sync.Mutex
-	ln       net.Listener
-	closed   bool
-	handlers sync.WaitGroup
 }
 
 // NewIngestServer wraps a store for network ingestion.
-func NewIngestServer(store *Store) *IngestServer { return &IngestServer{store: store} }
-
-// Listen binds to addr and starts accepting publishers in the
-// background, returning the bound address.
-func (s *IngestServer) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.Serve(ln)
-	return ln.Addr(), nil
-}
-
-// Serve starts accepting publishers on an existing listener (tests
-// inject fault-wrapped listeners here) in a background goroutine.
-func (s *IngestServer) Serve(ln net.Listener) {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	s.handlers.Add(1)
-	go func() {
-		defer s.handlers.Done()
-		acceptLoop(ln, func(conn net.Conn) {
-			s.handlers.Add(1)
-			go func() {
-				defer s.handlers.Done()
-				s.handle(conn)
-			}()
-		})
-	}()
-}
-
-// Close stops accepting; active publisher connections end when their
-// peers disconnect.
-func (s *IngestServer) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if s.ln != nil {
-		return s.ln.Close()
-	}
-	return nil
+func NewIngestServer(store *Store) *IngestServer {
+	s := &IngestServer{store: store}
+	s.Endpoint = NewEndpoint("ingest", store.Collector, s.handle)
+	return s
 }
 
 // handle consumes measurement frames from one publisher until the
@@ -88,14 +43,6 @@ func (s *IngestServer) Close() error {
 // expires.
 func (s *IngestServer) handle(conn net.Conn) {
 	col := s.store.Collector()
-	defer func() {
-		if r := recover(); r != nil {
-			col.Add(obs.CtrConnPanics, 1)
-		}
-	}()
-	defer conn.Close()
-	col.Add(obs.CtrConnsActive, 1)
-	defer col.Add(obs.CtrConnsActive, -1)
 	rt := timeout(s.ReadTimeout, DefaultIngestReadTimeout)
 	// A frame-cap-sized read buffer so a packed batch frame arrives in
 	// as few read syscalls as the socket allows.

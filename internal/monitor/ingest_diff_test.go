@@ -778,8 +778,11 @@ func TestIngestHandlesAcrossPruneStorm(t *testing.T) {
 		close(pruned[c])
 	}
 	wg.Wait()
+	// The publishers have hung up; let their handlers read to EOF before
+	// Close, which ends any connection still open.
+	waitFor(t, "publisher handlers drained", func() bool { return col.Counter(obs.CtrConnsActive) == 0 })
 	srv.Close()
-	srv.handlers.Wait()
+	srv.Wait()
 	if t.Failed() {
 		return
 	}

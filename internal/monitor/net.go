@@ -37,10 +37,13 @@ const (
 //
 // Connections are hardened: the subscribe frame must arrive within
 // HandshakeTimeout, each write must complete within WriteTimeout,
-// oversized frames are rejected, and a panic in one handler drops that
-// connection without taking the server down. Deadline kicks, drops,
+// oversized frames are rejected, and the Endpoint core recovers a panic
+// in one handler by dropping that connection. Deadline kicks, drops,
 // rejects and recovered panics are counted on the store's collector.
+// Close disconnects every live subscriber; their per-connection
+// subscriptions unwind with the handlers.
 type Server struct {
+	*Endpoint
 	store *Store
 
 	// HandshakeTimeout bounds the wait for the subscribe frame; 0
@@ -49,128 +52,14 @@ type Server struct {
 	// WriteTimeout bounds each frame write/flush to a subscriber; 0
 	// means DefaultWriteTimeout, negative disables.
 	WriteTimeout time.Duration
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	handlers sync.WaitGroup
 }
 
 // NewServer wraps a store.
 func NewServer(store *Store) *Server {
-	return &Server{store: store, conns: make(map[net.Conn]struct{})}
+	s := &Server{store: store}
+	s.Endpoint = NewEndpoint("subscribe", store.Collector, s.handle)
+	return s
 }
-
-// track registers a live connection; it reports false (and closes the
-// conn) when the server is already shut down.
-func (s *Server) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		conn.Close()
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	return true
-}
-
-// untrack forgets a connection.
-func (s *Server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
-
-// Listen binds the server to addr (e.g. "127.0.0.1:0") and starts
-// accepting in a background goroutine. It returns the bound address.
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.Serve(ln)
-	return ln.Addr(), nil
-}
-
-// Serve starts accepting subscribers on an existing listener (tests
-// inject fault-wrapped listeners here) in a background goroutine.
-func (s *Server) Serve(ln net.Listener) {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	s.handlers.Add(1)
-	go func() {
-		defer s.handlers.Done()
-		acceptLoop(ln, func(conn net.Conn) {
-			s.handlers.Add(1)
-			go func() {
-				defer s.handlers.Done()
-				s.handle(conn)
-			}()
-		})
-	}()
-}
-
-// acceptLoop accepts until the listener closes for good, riding out
-// transient failures (timeouts, EMFILE-style temporary errors) instead
-// of abandoning the loop on the first hiccup.
-func acceptLoop(ln net.Listener, handle func(net.Conn)) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if isTransient(err) {
-				time.Sleep(10 * time.Millisecond)
-				continue
-			}
-			return // listener closed
-		}
-		handle(conn)
-	}
-}
-
-// isTransient reports whether a network error is worth retrying.
-func isTransient(err error) bool {
-	if errors.Is(err, net.ErrClosed) {
-		return false
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return true
-	}
-	var te interface{ Temporary() bool }
-	return errors.As(err, &te) && te.Temporary()
-}
-
-// Close stops accepting and disconnects every live subscriber; their
-// handlers (and per-connection subscriptions) unwind as the closed
-// conns error out.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	return err
-}
-
-// Wait blocks until all handlers have exited (after Close and client
-// disconnects).
-func (s *Server) Wait() { s.handlers.Wait() }
 
 // timeout resolves a hardening field: 0 → def, negative → disabled.
 func timeout(configured, def time.Duration) time.Duration {
@@ -199,19 +88,7 @@ func countReadErr(col *obs.Collector, err error) {
 
 // handle serves one subscriber connection.
 func (s *Server) handle(conn net.Conn) {
-	if !s.track(conn) {
-		return
-	}
 	col := s.store.Collector()
-	defer func() {
-		if r := recover(); r != nil {
-			col.Add(obs.CtrConnPanics, 1)
-		}
-	}()
-	defer s.untrack(conn)
-	defer conn.Close()
-	col.Add(obs.CtrConnsActive, 1)
-	defer col.Add(obs.CtrConnsActive, -1)
 	r := bufio.NewReader(conn)
 	if hs := timeout(s.HandshakeTimeout, DefaultHandshakeTimeout); hs > 0 {
 		conn.SetReadDeadline(time.Now().Add(hs))

@@ -108,48 +108,42 @@ type PublisherConfig struct {
 	// 8192). On every reconnect the publisher resends the whole ring;
 	// the store's overwrite-by-(key, bin) semantics make the resend
 	// idempotent, so a flap loses nothing as long as the ring covers
-	// the outage. Overflow evicts the oldest entry and counts it in
-	// Dropped — loss is observable, never silent.
+	// the outage. Overflow evicts the oldest entry; evicting one that no
+	// successful Flush has pushed to the wire counts it in Dropped —
+	// loss is observable, never silent.
 	ReplayCapacity int
-	// BatchSize > 1 coalesces that many measurements per batch frame
-	// (0x04) instead of one measurement frame each, amortizing framing
-	// and syscall overhead on the fleet path. 0 or 1 keeps the
-	// frame-per-measurement wire behavior. Partial batches are flushed
-	// by Flush, so coalescing adds no latency beyond the caller's own
-	// flush cadence. Clamped to ReplayCapacity.
-	BatchSize int
 	// Obs counts reconnects on obs.CtrReconnects and registers
 	// per-publisher dropped/reconnect gauges (retired on Close).
 	Obs *obs.Collector
 }
 
-// DefaultBatchSize is the coalescing batch size used by fleet-scale
-// publishers (cmd/kpigen -load) and the chunk bound for
-// Publisher.PublishBatch frame splitting.
+// DefaultBatchSize bounds a RobustPublisher's pending batch: once that
+// many measurements (or the whole ring, if it is smaller) await the
+// link, Publish writes them in packed batch frames without waiting for
+// Flush.
 const DefaultBatchSize = 64
 
-// RobustPublisher is a Publisher that survives connection flaps: every
-// published measurement enters a bounded replay ring, writes that fail
-// mark the connection down, and subsequent Publish/Flush calls redial
-// on the backoff schedule and resend the ring. It is not safe for
-// concurrent use — one publisher per agent goroutine, like Publisher.
+// RobustPublisher is a reconnect-and-replay policy layered on
+// Publisher, which carries every byte it writes: each published
+// measurement enters a bounded replay ring, whose newest unwritten
+// entries are the pending batch (written by Publisher.PublishBatch when
+// it reaches DefaultBatchSize, and by Flush). A failed write or a peer
+// close found by Flush marks the link down; later Publish/Flush calls
+// redial on the backoff schedule and resend the whole ring. It is not
+// safe for concurrent use — one publisher per agent goroutine, like
+// Publisher.
 type RobustPublisher struct {
 	addr string
 	cfg  PublisherConfig
+	pub  *Publisher // the live link; nil while down
 
-	conn net.Conn
-	w    *bufio.Writer
-
-	ring  []Measurement
-	start int // index of the oldest live entry
-	count int
-
-	// pending holds measurements accepted while connected but not yet
-	// framed (BatchSize coalescing). Cleared on disconnect — every
-	// pending measurement is also in the ring, so the reconnect resend
-	// covers it.
-	pending  []Measurement
-	batchBuf []byte
+	// ring holds the newest measurements, oldest at start. Its newest
+	// unsent entries have not been handed to pub yet; its newest
+	// unflushed ones (unsent <= unflushed) have not been pushed out by a
+	// successful Flush. While the link is down both span the ring.
+	ring              []Measurement
+	start, count      int
+	unsent, unflushed int
 
 	bo          *backoffState
 	nextAttempt time.Time
@@ -176,9 +170,6 @@ func DialRobustPublisher(addr string, cfg PublisherConfig) (*RobustPublisher, er
 	if cfg.ReplayCapacity <= 0 {
 		cfg.ReplayCapacity = 8192
 	}
-	if cfg.BatchSize > cfg.ReplayCapacity {
-		cfg.BatchSize = cfg.ReplayCapacity
-	}
 	p := &RobustPublisher{
 		addr: addr,
 		cfg:  cfg,
@@ -203,8 +194,7 @@ func DialRobustPublisher(addr string, cfg PublisherConfig) (*RobustPublisher, er
 
 // attach installs a fresh connection.
 func (p *RobustPublisher) attach(conn net.Conn) {
-	p.conn = conn
-	p.w = bufio.NewWriter(conn)
+	p.pub = &Publisher{conn: conn, w: bufio.NewWriter(conn)}
 	p.bo.reset()
 	p.lastErr = nil
 }
@@ -212,15 +202,14 @@ func (p *RobustPublisher) attach(conn net.Conn) {
 // disconnect records a transport failure and schedules the next
 // reconnect attempt.
 func (p *RobustPublisher) disconnect(err error) {
-	if p.conn != nil {
-		p.conn.Close()
-		p.conn = nil
-		p.w = nil
+	if p.pub != nil {
+		p.pub.conn.Close()
+		p.pub = nil
 	}
 	p.lastErr = err
-	// Anything not yet framed is still in the ring; the reconnect
-	// resend will carry it.
-	p.pending = p.pending[:0]
+	// What the dead link carried may be lost: the reconnect resends the
+	// whole ring.
+	p.unsent, p.unflushed = p.count, p.count
 	delay, ok := p.bo.next()
 	if !ok {
 		// Budget exhausted: stay down until the caller closes; Err
@@ -236,19 +225,23 @@ func (p *RobustPublisher) disconnect(err error) {
 // oldest on overflow.
 func (p *RobustPublisher) remember(m Measurement) {
 	if p.count == len(p.ring) {
+		if p.unflushed == p.count {
+			p.dropped.Add(1) // the oldest never reached the wire
+		}
 		p.start = (p.start + 1) % len(p.ring)
 		p.count--
-		p.dropped.Add(1)
 	}
 	p.ring[(p.start+p.count)%len(p.ring)] = m
 	p.count++
+	p.unsent = min(p.unsent+1, p.count)
+	p.unflushed = min(p.unflushed+1, p.count)
 }
 
 // tryReconnect redials once the backoff window has elapsed and, on
 // success, resends the whole replay ring. It reports whether the
 // publisher is connected afterwards.
 func (p *RobustPublisher) tryReconnect() bool {
-	if p.conn != nil {
+	if p.pub != nil {
 		return true
 	}
 	if p.closed || time.Now().Before(p.nextAttempt) {
@@ -264,60 +257,41 @@ func (p *RobustPublisher) tryReconnect() bool {
 	p.cfg.Obs.Add(obs.CtrReconnects, 1)
 	// Resend everything we still hold: the ingest store overwrites by
 	// (key, bin), so replaying measurements the server already has is
-	// harmless, and replaying ones it lost closes the gap. With
-	// coalescing enabled the ring is resent in batch frames.
-	if p.cfg.BatchSize > 1 && p.count > 1 {
-		scratch := make([]Measurement, 0, p.cfg.BatchSize)
-		for i := 0; i < p.count; i++ {
-			scratch = append(scratch, p.ring[(p.start+i)%len(p.ring)])
-			if len(scratch) == p.cfg.BatchSize || i == p.count-1 {
-				if err := p.writeBatch(scratch); err != nil {
-					p.disconnect(err)
-					return false
-				}
-				scratch = scratch[:0]
-			}
-		}
-	} else {
-		for i := 0; i < p.count; i++ {
-			m := p.ring[(p.start+i)%len(p.ring)]
-			if err := p.writeMeasurement(m); err != nil {
-				p.disconnect(err)
-				return false
-			}
-		}
+	// harmless, and replaying ones it lost closes the gap.
+	return p.flush()
+}
+
+// writeUnsent hands the pending batch — the ring's unsent suffix — to
+// the link as at most two contiguous PublishBatch calls (the suffix
+// wraps the ring at most once). On failure it marks the link down and
+// reports false.
+func (p *RobustPublisher) writeUnsent() bool {
+	i := (p.start + p.count - p.unsent) % len(p.ring)
+	head := p.ring[i:min(i+p.unsent, len(p.ring))]
+	err := p.pub.PublishBatch(head)
+	if err == nil {
+		err = p.pub.PublishBatch(p.ring[:p.unsent-len(head)])
 	}
-	if err := p.w.Flush(); err != nil {
+	if err != nil {
 		p.disconnect(err)
 		return false
 	}
+	p.unsent = 0
 	return true
 }
 
-// writeMeasurement frames and buffers one measurement.
-func (p *RobustPublisher) writeMeasurement(m Measurement) error {
-	frame, err := EncodeMeasurement(m)
-	if err != nil {
-		return err
+// flush writes the pending batch and pushes the link's buffer to the
+// wire, reporting whether the link is still up.
+func (p *RobustPublisher) flush() bool {
+	if !p.writeUnsent() {
+		return false
 	}
-	return WriteFrame(p.w, frame)
-}
-
-// writeBatch frames and buffers many measurements as batch frames
-// (splitting at the frame cap), reusing the publisher's encode buffer.
-func (p *RobustPublisher) writeBatch(ms []Measurement) error {
-	for len(ms) > 0 {
-		frame, rest, err := appendBatchFill(p.batchBuf[:0], ms)
-		if err != nil {
-			return err
-		}
-		p.batchBuf = frame[:0]
-		if err := WriteFrame(p.w, frame); err != nil {
-			return err
-		}
-		ms = rest
+	if err := p.pub.Flush(); err != nil {
+		p.disconnect(err)
+		return false
 	}
-	return nil
+	p.unflushed = 0
+	return true
 }
 
 // validateKey pre-checks the only property that can make a measurement
@@ -329,58 +303,31 @@ func validateKey(m Measurement) error {
 	return nil
 }
 
-// Publish queues one measurement and sends it if connected. A
+// Publish queues one measurement in the ring and, once the pending
+// batch is full, writes it (reconnecting first if the link is down). A
 // transport failure is absorbed: the measurement stays in the replay
 // ring and a later Publish/Flush redials per the backoff schedule.
-// Only encoding errors (malformed keys) are returned. With BatchSize
-// coalescing the measurement may sit in the pending batch until the
-// batch fills or Flush runs.
+// Only encoding errors (malformed keys) are returned.
 func (p *RobustPublisher) Publish(m Measurement) error {
 	if err := validateKey(m); err != nil {
 		return err
 	}
 	p.remember(m)
-	if !p.tryReconnect() {
-		return nil // queued; a future call resends
-	}
-	if p.cfg.BatchSize > 1 {
-		p.pending = append(p.pending, m)
-		if len(p.pending) >= p.cfg.BatchSize {
-			if err := p.writeBatch(p.pending); err != nil {
-				p.disconnect(err)
-				return nil
-			}
-			p.pending = p.pending[:0]
-		}
-		return nil
-	}
-	if err := p.writeMeasurement(m); err != nil {
-		p.disconnect(err)
+	if p.unsent >= min(DefaultBatchSize, len(p.ring)) && p.tryReconnect() {
+		p.writeUnsent()
 	}
 	return nil
 }
 
-// Flush frames any pending batch and pushes buffered frames to the
+// Flush writes the pending batch and pushes buffered frames to the
 // wire, reconnecting first if the connection is down. It also probes
 // the connection for a peer close, so a publisher with nothing left to
 // send still notices a dead link and replays on the next call — a
 // quiet agent must not sit on a severed connection forever.
 func (p *RobustPublisher) Flush() error {
-	if !p.tryReconnect() {
-		return nil // still down; measurements are queued
+	if p.tryReconnect() && p.flush() {
+		p.probe()
 	}
-	if len(p.pending) > 0 {
-		if err := p.writeBatch(p.pending); err != nil {
-			p.disconnect(err)
-			return nil
-		}
-		p.pending = p.pending[:0]
-	}
-	if err := p.w.Flush(); err != nil {
-		p.disconnect(err)
-		return nil
-	}
-	p.probe()
 	return nil
 }
 
@@ -395,22 +342,23 @@ func (p *RobustPublisher) Flush() error {
 // looks at the socket, so the queued FIN stays invisible; peekClosed
 // peeks the socket directly instead.
 func (p *RobustPublisher) probe() {
-	if err := peekClosed(p.conn); err != nil {
+	if err := peekClosed(p.pub.conn); err != nil {
 		p.disconnect(err)
 	}
 }
 
 // Connected reports whether the publisher currently holds a live
 // connection.
-func (p *RobustPublisher) Connected() bool { return p.conn != nil }
+func (p *RobustPublisher) Connected() bool { return p.pub != nil }
 
 // Reconnects returns how many times the publisher redialed
 // successfully.
 func (p *RobustPublisher) Reconnects() int64 { return p.reconnects.Load() }
 
 // Dropped returns how many measurements were evicted from the replay
-// ring before a reconnect could resend them — the only way this
-// publisher loses data.
+// ring before a successful Flush pushed them to the wire or a
+// reconnect could resend them — the only way this publisher loses data
+// it can know about.
 func (p *RobustPublisher) Dropped() int64 { return p.dropped.Load() }
 
 // Err returns the most recent transport error (nil while healthy). A
@@ -418,7 +366,7 @@ func (p *RobustPublisher) Dropped() int64 { return p.dropped.Load() }
 // error set.
 func (p *RobustPublisher) Err() error { return p.lastErr }
 
-// Close flushes best-effort (including any pending batch) and
+// Close flushes best-effort (including the pending batch) and
 // disconnects.
 func (p *RobustPublisher) Close() error {
 	p.closed = true
@@ -426,22 +374,10 @@ func (p *RobustPublisher) Close() error {
 		p.cfg.Obs.DeleteVar(name)
 	}
 	p.gaugeNames = nil
-	if p.conn == nil {
+	if p.pub == nil || !p.writeUnsent() {
 		return p.lastErr
 	}
-	var flushErr error
-	if len(p.pending) > 0 {
-		flushErr = p.writeBatch(p.pending)
-		p.pending = p.pending[:0]
-	}
-	if err := p.w.Flush(); err != nil && flushErr == nil {
-		flushErr = err
-	}
-	closeErr := p.conn.Close()
-	p.conn = nil
-	p.w = nil
-	if flushErr != nil {
-		return flushErr
-	}
-	return closeErr
+	err := p.pub.Close()
+	p.pub = nil
+	return err
 }

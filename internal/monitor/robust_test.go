@@ -438,6 +438,8 @@ func TestServersSurviveFaultyListeners(t *testing.T) {
 	// Accept failures and mid-stream resets must not take the accept
 	// loop down: later clients still get served.
 	store := NewStore(t0, time.Minute)
+	col := obs.NewCollector()
+	store.SetCollector(col)
 	ingest := NewIngestServer(store)
 	raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -464,6 +466,45 @@ func TestServersSurviveFaultyListeners(t *testing.T) {
 	})
 	if in.Stats().AcceptFails == 0 {
 		t.Fatal("plan injected no accept failures — test is vacuous")
+	}
+
+	// Close ends a live publisher's connection too: Wait joins its
+	// handler, the gauge is back to 0, and what it sends afterwards never
+	// reaches the store.
+	live, err := DialPublisher(raw.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	send := func(bin int) {
+		if err := live.Publish(Measurement{kPV, t0.Add(time.Duration(bin) * time.Minute), float64(bin)}); err != nil {
+			t.Fatal(err)
+		}
+		live.Flush()
+	}
+	send(6)
+	waitFor(t, "live publisher ingested", func() bool {
+		s, _ := store.Series(kPV)
+		return s.Len() == 7
+	})
+	ingest.Close()
+	waited := make(chan struct{})
+	go func() {
+		ingest.Wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait did not return with a publisher still connected")
+	}
+	if got := col.Counter(obs.CtrConnsActive); got != 0 {
+		t.Fatalf("%s = %d after Close and Wait, want 0", obs.CtrConnsActive, got)
+	}
+	send(7)
+	time.Sleep(100 * time.Millisecond)
+	if s, _ := store.Series(kPV); s.Len() != 7 {
+		t.Fatalf("series holds %d bins after a post-Close publish, want 7", s.Len())
 	}
 }
 

@@ -337,9 +337,9 @@ func TestIngestServerBatchFrames(t *testing.T) {
 	}
 }
 
-// TestRobustPublisherBatching checks that BatchSize coalescing delivers
-// everything (partial batches flushed by Flush) and that a reconnect
-// resends the ring in batch frames.
+// TestRobustPublisherBatching checks that the default publisher
+// coalesces into batch frames and delivers everything, the partial
+// pending batch included (written by Flush).
 func TestRobustPublisherBatching(t *testing.T) {
 	s := NewStore(t0, time.Minute)
 	col := obs.NewCollector()
@@ -351,16 +351,13 @@ func TestRobustPublisherBatching(t *testing.T) {
 	}
 	defer srv.Close()
 
-	pub, err := DialRobustPublisher(addr.String(), PublisherConfig{
-		Backoff:   fastBackoff,
-		BatchSize: 8,
-	})
+	pub, err := DialRobustPublisher(addr.String(), PublisherConfig{Backoff: fastBackoff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := fleetKeys(5)
 	total := 0
-	for bin := 0; bin < 7; bin++ { // 35 measurements: 4 full batches + partial
+	for bin := 0; bin < 15; bin++ { // 75 measurements: one full batch + partial
 		for ki, k := range keys {
 			if err := pub.Publish(Measurement{k, t0.Add(time.Duration(bin) * time.Minute), float64(bin + ki)}); err != nil {
 				t.Fatal(err)
