@@ -597,25 +597,27 @@ func TestCleanReopenWritesNoSnapshot(t *testing.T) {
 
 // TestOpenRequestsBackgroundCompaction: an open that found more than
 // one generation (the store died at least twice without compacting), or
-// at least CompactBytes of log, hands the fold to the background loop —
-// after it has returned, not before — and one with automatic compaction
-// disabled does not.
+// a log that reaches both CompactBytes and the snapshot's size, hands
+// the fold to the background loop — after it has returned, not before —
+// and one with automatic compaction disabled does not.
 func TestOpenRequestsBackgroundCompaction(t *testing.T) {
 	negate := func(series, bin int) float64 { return -diffValue(series, bin) }
 	cases := []struct {
 		name         string
 		generations  int
+		walBins      int
 		compactBytes int64
 		want         bool
 	}{
-		{"two generations", 2, 1 << 30, true},
-		{"one generation past CompactBytes", 1, 1 << 10, true},
-		{"one generation under CompactBytes", 1, 1 << 30, false},
-		{"three generations, compaction disabled", 3, -1, false},
+		{"two generations", 2, diffWALBins, 1 << 30, true},
+		{"one generation past CompactBytes", 1, diffWALBins, 1 << 10, true}, // and past the snapshot
+		{"one generation under the snapshot", 1, 6, 1 << 10, false},         // past CompactBytes
+		{"one generation under CompactBytes", 1, diffWALBins, 1 << 30, false},
+		{"three generations, compaction disabled", 3, diffWALBins, -1, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := writeImage(t, 4, t0, diffWALBins, diffValue)
+			dir := writeImage(t, 4, t0, tc.walBins, diffValue)
 			for g := 1; g < tc.generations; g++ {
 				addGeneration(t, dir, 4, 60+5*g, 80+5*g, negate)
 			}
@@ -625,8 +627,15 @@ func TestOpenRequestsBackgroundCompaction(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			if rec := st.Recovered(); rec.Generations != tc.generations {
+			rec := st.Recovered()
+			if rec.Generations != tc.generations {
 				t.Fatalf("Generations = %d, want %d", rec.Generations, tc.generations)
+			}
+			// In the 1 KiB cases the log is past CompactBytes and the
+			// snapshot's size decides.
+			if snap := st.persist.snapBytes.Load(); tc.compactBytes == 1<<10 &&
+				(rec.LogBytes < tc.compactBytes || (rec.LogBytes >= snap) != tc.want) {
+				t.Fatalf("the image holds %d log bytes against a %d-byte snapshot: not the case named", rec.LogBytes, snap)
 			}
 			want := snapshotBytes(t, st)
 			if !tc.want {

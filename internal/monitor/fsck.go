@@ -137,7 +137,12 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 		for _, e := range store.shards[i].series {
 			for ci, c := range e.chunks {
 				if c.Quarantined() {
-					e.chunks[ci] = chunk.Encode(gap)
+					// Copy-on-write, as setBinLocked does: a published chunks
+					// slice is never written in place.
+					chunks := make([]*chunk.Chunk, len(e.chunks))
+					copy(chunks, e.chunks)
+					chunks[ci] = chunk.Encode(gap)
+					e.chunks = chunks
 					rep.DroppedChunks++
 				}
 			}

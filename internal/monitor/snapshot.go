@@ -74,30 +74,100 @@ const snapshotTombstone = 0xFFFFFFFF
 // a corrupt header must not be able to demand gigabytes.
 const maxSnapshotSpan = 1 << 20
 
-// WriteSnapshot dumps the store's full contents in sorted key order.
-// The whole dump runs with every shard read-locked so it is a
-// consistent cut even against concurrent appends and prunes.
+// WriteSnapshot dumps the store's full contents in sorted key order. It
+// holds every shard read-locked only for the cut (see snapshotCut), so
+// the dump is a consistent image even against concurrent appends and
+// prunes, and encodes and writes it with no lock held.
 func (s *Store) WriteSnapshot(w io.Writer) error {
+	var c snapshotCut
 	s.epochMu.RLock()
-	defer s.epochMu.RUnlock()
 	for i := range s.shards {
 		s.shards[i].mu.RLock()
-		defer s.shards[i].mu.RUnlock()
 	}
-	return s.writeSnapshotLocked(w)
+	c.takeLocked(s)
+	for i := range s.shards {
+		s.shards[i].mu.RUnlock()
+	}
+	s.epochMu.RUnlock()
+	return c.writeTo(w)
 }
 
-// writeSnapshotLocked writes the snapshot stream. The caller holds
-// epochMu (at least for reading) and every shard lock.
-func (s *Store) writeSnapshotLocked(w io.Writer) error {
-	keys := make([]topo.KPIKey, 0, 64)
+// snapshotCut is an immutable image of a store, taken under its locks
+// and written after they are released: the epoch, and per series the
+// key, head, the chunks slice header as it stood, and a copy of the
+// unsealed bins. Sealed chunks are immutable and a published chunks
+// slice is never written in place — it only grows past the length a
+// reader captured, or is replaced (see seriesEntry) — so the headers
+// keep describing the cut while writers go on.
+type snapshotCut struct {
+	start  time.Time
+	step   time.Duration
+	span   int
+	series []cutSeries
+	// bins holds every series' unsealed bins, tail then line, back to
+	// back; a compacting persister reuses it from one cut to the next.
+	bins []float64
+}
+
+// cutSeries is one series of a cut; bins[lo:hi] of the cut are its
+// unsealed bins.
+type cutSeries struct {
+	key    topo.KPIKey
+	head   int
+	chunks []*chunk.Chunk
+	lo, hi int
+}
+
+// reserve sizes c's buffers for a cut of s, with room for an eighth
+// more series and bins than s holds now, and touches them. It counts a
+// shard at a time under its read lock, so that the cut, taken under
+// every lock, neither allocates nor faults in fresh pages while ingest
+// waits.
+func (c *snapshotCut) reserve(s *Store) {
+	series, bins := 0, 0
 	for i := range s.shards {
-		for k := range s.shards[i].series {
-			keys = append(keys, k)
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		series += len(sh.series)
+		for _, e := range sh.series {
+			bins += e.tailLen()
+		}
+		sh.mu.RUnlock()
+	}
+	series += series / 8
+	bins += bins/8 + series*pendBins
+	if cap(c.series) < series {
+		c.series = make([]cutSeries, series)[:0]
+	}
+	if cap(c.bins) < bins {
+		c.bins = make([]float64, bins)
+		clear(c.bins) // fault the pages in here, not under the locks
+		c.bins = c.bins[:0]
+	}
+}
+
+// takeLocked captures s into c, reusing c's buffers. The caller holds
+// epochMu and every shard lock, for reading at least.
+func (c *snapshotCut) takeLocked(s *Store) {
+	c.start, c.step, c.span = s.start, s.step, s.span
+	c.series, c.bins = c.series[:0], c.bins[:0]
+	for i := range s.shards {
+		for k, e := range s.shards[i].series {
+			lo := len(c.bins)
+			c.bins = append(c.bins, e.tail...)
+			c.bins = append(c.bins, e.pend[:e.npend]...)
+			c.series = append(c.series, cutSeries{key: k, head: e.head, chunks: e.chunks, lo: lo, hi: len(c.bins)})
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
+}
+
+// writeTo writes the cut as a snapshot stream, series in sorted key
+// order. It drops the cut's references to the store's chunks on the way
+// out, so a kept cut does not hold pruned history alive.
+func (c *snapshotCut) writeTo(w io.Writer) error {
+	defer clear(c.series)
+	sort.Slice(c.series, func(i, j int) bool {
+		a, b := c.series[i].key, c.series[j].key
 		if a.Scope != b.Scope {
 			return a.Scope < b.Scope
 		}
@@ -116,82 +186,105 @@ func (s *Store) writeSnapshotLocked(w io.Writer) error {
 	if _, err := bw.Write(scratch[:2]); err != nil {
 		return err
 	}
-	binary.BigEndian.PutUint64(scratch[:], uint64(s.start.UnixNano()))
+	binary.BigEndian.PutUint64(scratch[:], uint64(c.start.UnixNano()))
 	if _, err := bw.Write(scratch[:]); err != nil {
 		return err
 	}
-	binary.BigEndian.PutUint64(scratch[:], uint64(s.step))
+	binary.BigEndian.PutUint64(scratch[:], uint64(c.step))
 	if _, err := bw.Write(scratch[:]); err != nil {
 		return err
 	}
-	binary.BigEndian.PutUint32(scratch[:4], uint32(s.span))
+	binary.BigEndian.PutUint32(scratch[:4], uint32(c.span))
 	if _, err := bw.Write(scratch[:4]); err != nil {
 		return err
 	}
 
-	binary.BigEndian.PutUint32(scratch[:4], uint32(len(keys)))
+	binary.BigEndian.PutUint32(scratch[:4], uint32(len(c.series)))
 	if _, err := bw.Write(scratch[:4]); err != nil {
 		return err
 	}
-	for _, key := range keys {
-		e := s.shards[s.shardIndex(key)].series[key]
-		hdr := []byte{byte(key.Scope)}
+	for _, cs := range c.series {
+		hdr := []byte{byte(cs.key.Scope)}
 		var err error
-		if hdr, err = appendString(hdr, key.Entity); err != nil {
+		if hdr, err = appendString(hdr, cs.key.Entity); err != nil {
 			return err
 		}
-		if hdr, err = appendString(hdr, key.Metric); err != nil {
+		if hdr, err = appendString(hdr, cs.key.Metric); err != nil {
 			return err
 		}
 		if _, err := bw.Write(hdr); err != nil {
 			return err
 		}
-		binary.BigEndian.PutUint32(scratch[:4], uint32(e.head))
+		binary.BigEndian.PutUint32(scratch[:4], uint32(cs.head))
 		if _, err := bw.Write(scratch[:4]); err != nil {
 			return err
 		}
-		binary.BigEndian.PutUint32(scratch[:4], uint32(len(e.chunks)))
+		binary.BigEndian.PutUint32(scratch[:4], uint32(len(cs.chunks)))
 		if _, err := bw.Write(scratch[:4]); err != nil {
 			return err
 		}
-		for _, c := range e.chunks {
-			if c.Quarantined() {
+		for _, ck := range cs.chunks {
+			if ck.Quarantined() {
 				binary.BigEndian.PutUint32(scratch[:4], snapshotTombstone)
 				if _, err := bw.Write(scratch[:4]); err != nil {
 					return err
 				}
 				continue
 			}
-			binary.BigEndian.PutUint32(scratch[:4], uint32(c.EncodedBytes()))
-			binary.BigEndian.PutUint32(scratch[4:8], c.CRC())
+			binary.BigEndian.PutUint32(scratch[:4], uint32(ck.EncodedBytes()))
+			binary.BigEndian.PutUint32(scratch[4:8], ck.CRC())
 			if _, err := bw.Write(scratch[:8]); err != nil {
 				return err
 			}
-			if _, err := bw.Write(c.Data()); err != nil {
+			if _, err := bw.Write(ck.Data()); err != nil {
 				return err
 			}
 		}
-		binary.BigEndian.PutUint32(scratch[:4], uint32(e.tailLen()))
+		tail := c.bins[cs.lo:cs.hi]
+		binary.BigEndian.PutUint32(scratch[:4], uint32(len(tail)))
 		if _, err := bw.Write(scratch[:4]); err != nil {
 			return err
 		}
-		// The unsealed bins, tail then line, go out a block at a time,
-		// as the reader takes them in (all into its tail).
+		// The unsealed bins go out a block at a time, as the reader takes
+		// them in (all into its tail).
 		var block [64 * 8]byte
-		for _, tail := range [2][]float64{e.tail, e.pend[:e.npend]} {
-			for len(tail) > 0 {
-				n := min(len(tail), len(block)/8)
-				for i, v := range tail[:n] {
-					binary.BigEndian.PutUint64(block[8*i:], math.Float64bits(v))
-				}
-				if _, err := bw.Write(block[:8*n]); err != nil {
-					return err
-				}
-				tail = tail[n:]
+		for len(tail) > 0 {
+			n := min(len(tail), len(block)/8)
+			for i, v := range tail[:n] {
+				binary.BigEndian.PutUint64(block[8*i:], math.Float64bits(v))
 			}
+			if _, err := bw.Write(block[:8*n]); err != nil {
+				return err
+			}
+			tail = tail[n:]
 		}
 	}
-	return bw.Flush()
+	err := bw.Flush()
+	return err
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // ReadSnapshot reconstructs a Store from a snapshot stream. Chunks

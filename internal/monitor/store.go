@@ -147,17 +147,22 @@ type storeShard struct {
 // writing, but sealed chunks are immutable and shared by reference —
 // RangeInto captures the chunks slice and head under the shard lock,
 // then decodes after releasing it (holding only epochMu.RLock, which
-// excludes Prune). Writers therefore never mutate an element of a
-// chunks slice a reader may hold: a late write into sealed territory
-// re-encodes into a copied slice (copy-on-write), and Prune installs a
-// freshly built slice. Appending a newly sealed chunk in place is safe
-// because readers captured the older, shorter slice header.
+// excludes Prune), and a snapshot cut captures them to encode with no
+// lock held at all (see snapshotCut). Writers therefore never mutate an
+// element of a chunks slice once it is published: a late write into
+// sealed territory re-encodes into a copied slice (copy-on-write), as
+// does fsck's repair, and Prune installs a freshly built slice.
+// Appending a newly sealed chunk in place is safe because readers
+// captured the older, shorter slice header.
 //
 // arrivalNanos is zero until the first live append; snapshot restore
 // stamps it with the restore time (the data's true arrival time died
 // with the previous process, and time-since-restore is the honest
 // lower bound on evidence staleness).
 type seriesEntry struct {
+	// chunks is append-only in place: an element is never written once
+	// the slice is published; a change to one builds a new slice. Range
+	// reads and snapshot cuts rely on it.
 	chunks       []*chunk.Chunk
 	head         int
 	tail         []float64
@@ -356,6 +361,7 @@ func (s *Store) SetCollector(c *obs.Collector) {
 			defer p.logMu.Unlock()
 			return p.rotations
 		})
+		c.SetGaugeFunc(obs.GaugeSnapshotBytes, func() int64 { return p.snapBytes.Load() })
 		// persist_state: 0 healthy, 1 degraded (re-arm pending), 2
 		// failed (fail-stopped) — the one-glance durability light.
 		c.SetGaugeFunc("monitor.persist_state", func() int64 {

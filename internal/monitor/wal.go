@@ -25,7 +25,8 @@ import (
 
 // Write-ahead persistence: a Store opened with OpenPersistent logs
 // every stored measurement to one append-only file before the ingest
-// path returns, and periodically compacts the log into a snapshot. A
+// path returns, and compacts the log into a snapshot once the log has
+// grown to the snapshot's size (and to CompactBytes). A
 // crashed funnelserve reopens the directory and replays snapshot + logs
 // back to the exact pre-crash store; composed with the subscribe-since
 // watermarks (frame 0x03) downstream consumers resume with no loss end
@@ -43,6 +44,26 @@ import (
 // overwritten to keep it — an open and a rotation both start generation
 // live+1 beside what is there, and a generation is deleted only after a
 // snapshot that covers it has been installed.
+//
+// Compaction stops the world for a cut, not a rewrite. Under every
+// shard lock it rotates the log and captures an immutable image of the
+// store — per series the key, the sealed chunks' slice header as it
+// stands and a copy of the unsealed bins (see snapshotCut) — and it
+// sorts, encodes, writes and fsyncs the snapshot with no shard lock
+// held. Sealed chunks are immutable and a published chunks slice is
+// never written in place, so the image stays valid while appends go on
+// into the fresh generation. Before it takes the locks it fsyncs the
+// live log and sizes the cut's buffers, so the fsync that retires the
+// log under them waits only on what arrived since, and the copy
+// allocates nothing. A compaction is due once the log not yet
+// in a snapshot reaches max(CompactBytes, size of the installed
+// snapshot): each rewrites at most as many bytes as the log it retires,
+// so rewrite work per logged byte stays bounded as the history grows,
+// and an open replays at most that much log. The price is disk: the log
+// may grow as large as the snapshot before it folds. The retired log
+// stops counting at the rotation, and the cut meets any request queued
+// before it, so appends during a compaction's write do not ask for
+// another.
 //
 // A log starts with a header:
 //
@@ -109,7 +130,7 @@ import (
 // a fresh generation, fsyncs the directory once and is open — the
 // generations it replayed stay where they are until the next
 // compaction, which an open that found more than one of them (a crash
-// loop) or at least CompactBytes of log asks the background loop for.
+// loop), or a log due by the rule above, asks the background loop for.
 // A generation replays the same under any shard count: reopening
 // 16 → 4 → 16 leaves three files whose shard bytes run to 16, 4 and 16.
 //
@@ -142,8 +163,9 @@ func walName(gen uint64) string {
 	return fmt.Sprintf("%s%d%s", walPrefix, gen, walSuffix)
 }
 
-// DefaultCompactBytes is the total size of the logs not yet covered by
-// a snapshot that triggers a background compaction.
+// DefaultCompactBytes is the floor of the compaction trigger: the logs
+// not yet covered by a snapshot are compacted once they reach this size
+// and the installed snapshot's.
 const DefaultCompactBytes = 64 << 20
 
 // DefaultSyncInterval is the background fsync cadence for the log.
@@ -187,10 +209,11 @@ func (s PersistState) String() string {
 type PersistOptions struct {
 	// Shards is the store's lock-stripe count (default StoreShards).
 	Shards int
-	// CompactBytes triggers a background compaction once the logs not
-	// yet covered by a snapshot — replayed at open or written since —
-	// grow past it in total (default DefaultCompactBytes; negative
-	// disables automatic compaction — Compact can still be called).
+	// CompactBytes is the floor of the background compaction trigger:
+	// one runs once the logs not yet covered by a snapshot — replayed at
+	// open or written since — reach both it and the installed snapshot's
+	// size (default DefaultCompactBytes; negative disables automatic
+	// compaction — Compact can still be called).
 	CompactBytes int64
 	// SyncInterval is the background fsync cadence (default
 	// DefaultSyncInterval; negative disables the background pass —
@@ -279,8 +302,13 @@ type persister struct {
 	// file logMu's f names, once the store is open.
 	gen uint64
 	// walBytes is the log bytes not yet in a snapshot: replayed at open
-	// or written since, less what each compaction covered.
+	// or written since, less what each compaction covered (taken off at
+	// its rotation, given back if its install fails).
 	walBytes atomic.Int64
+	// snapBytes is the size of the installed snapshot: read at open,
+	// then what each compaction wrote. The log folds into a new snapshot
+	// once it has grown as large (see compactDue).
+	snapBytes atomic.Int64
 	// state is the durability health (a PersistState); the WAL write
 	// path gates on it with one atomic load per append.
 	state atomic.Int32
@@ -301,7 +329,8 @@ type persister struct {
 	logBytes  int64 // record bytes in the live log
 	rotations int64
 
-	compactMu  sync.Mutex // one compaction/re-arm/fsync pass at a time
+	compactMu  sync.Mutex  // one compaction/re-arm/fsync pass at a time
+	cut        snapshotCut // the compactions' image of the store; compactMu guards it
 	compactReq chan struct{}
 	rearmReq   chan struct{}
 	quit       chan struct{}
@@ -474,9 +503,18 @@ func (p *persister) flush() {
 	p.logMu.Lock()
 	p.flushLocked() // a failure is the persister's state from here on
 	p.logMu.Unlock()
-	if p.opts.CompactBytes > 0 && p.walBytes.Load() >= p.opts.CompactBytes {
+	if p.compactDue() {
 		p.requestCompact()
 	}
+}
+
+// compactDue reports whether the log not yet in a snapshot has grown to
+// the CompactBytes floor and to the size of the installed snapshot. A
+// compaction then rewrites no more bytes than the log it retires, so
+// the rewrite work per logged byte stays bounded however long the
+// history grows, and replay at open is bounded by the larger of the two.
+func (p *persister) compactDue() bool {
+	return p.opts.CompactBytes > 0 && p.walBytes.Load() >= max(p.opts.CompactBytes, p.snapBytes.Load())
 }
 
 // flushLocked is flush for a caller that holds logMu; a failed write is
@@ -611,12 +649,14 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 	var store *Store
 	snapPath := filepath.Join(dir, snapshotFile)
 	if f, err := p.fs.Open(snapPath); err == nil {
-		store, err = readSnapshotShards(f, opts.Shards, &p.recovered.QuarantinedChunks)
+		cr := &countingReader{r: f}
+		store, err = readSnapshotShards(cr, opts.Shards, &p.recovered.QuarantinedChunks)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("monitor: recovering snapshot: %w", err)
 		}
 		p.recovered.SnapshotSeries = store.Len()
+		p.snapBytes.Store(cr.n)
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
@@ -657,7 +697,7 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 	p.recovered.ReplayTime = time.Since(phase)
 
 	// Phase 3: attach a fresh generation above the ones replayed. They
-	// stay on disk, and count against CompactBytes, until a compaction
+	// stay on disk, and count towards the next compaction, until one
 	// covers them.
 	phase = time.Now()
 	store.persist = p
@@ -681,7 +721,7 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 	}
 	p.recovered.AttachTime = time.Since(phase)
 
-	if opts.CompactBytes > 0 && (len(gens) > 1 || p.recovered.LogBytes >= opts.CompactBytes) {
+	if p.compactDue() || opts.CompactBytes > 0 && len(gens) > 1 {
 		p.requestCompact()
 	}
 	go p.run()
@@ -1070,17 +1110,27 @@ func (p *persister) compact() error { return p.compactAs(false) }
 // restart.
 func (p *persister) rearm() error { return p.compactAs(true) }
 
-// compactAs is the shared rotate-snapshot-install cycle. In rearming
-// mode the old log is closed without a flush or an fsync (it is already
-// damaged goods) and the WAL write path is re-enabled — under the shard
-// locks, so no append can fall between the snapshot cut and the fresh
-// log.
+// compactAs is the shared rotate-cut-install cycle. Under every shard
+// lock it only rotates the log and takes the cut — an immutable image of
+// the store (see snapshotCut) — so appends stall for the cut, not for
+// the write; sorting, encoding, writing and fsyncing the snapshot run
+// with no shard lock held. In rearming mode the old log is closed
+// without a flush or an fsync (it is already damaged goods) and the WAL
+// write path is re-enabled — under the shard locks, so no append can
+// fall between the cut and the fresh log; a snapshot write that fails
+// after that opens a new degraded episode, as any later disk fault does.
 func (p *persister) compactAs(rearming bool) error {
 	p.compactMu.Lock()
 	defer p.compactMu.Unlock()
 	if err := p.err(); err != nil {
 		return err
 	}
+	// Fsync the live log and size the cut before taking the shard locks:
+	// the fsync that retires the log under them then waits only on what
+	// is logged in between, not on up to a sync interval of records, and
+	// the cut copies into memory that is already there.
+	p.syncLocked()
+	p.cut.reserve(p.store)
 	if !rearming && !p.healthy() {
 		// A degraded persister cannot trust its live log; a manual
 		// Compact during an episode performs the re-arm instead.
@@ -1092,12 +1142,13 @@ func (p *persister) compactAs(rearming bool) error {
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
 	}
+	held := time.Now()
 	// Rotate: close the live log where it lies — every record sealed so
 	// far goes into it, no shard seals another until its lock is released
 	// — and start generation live+1 at the current epoch, so every record
 	// of the new generation is younger than every record of the ones
-	// below it. It is one file swapped under the locks: a rotation that
-	// dies leaves the old generation, or both.
+	// below it, and younger than the cut. It is one file swapped under the
+	// locks: a rotation that dies leaves the old generation, or both.
 	p.logMu.Lock()
 	p.rotations++
 	rotateErr := p.closeLogLocked(rearming)
@@ -1105,39 +1156,54 @@ func (p *persister) compactAs(rearming bool) error {
 	if rotateErr == nil {
 		rotateErr = p.openGenerationLocked()
 	}
+	if rotateErr == nil {
+		// The fresh generation starts the count towards the next
+		// compaction; appends during this one's write must not ask for
+		// another. A failed install gives the covered bytes back.
+		p.walBytes.Add(-covered)
+	}
 	p.logMu.Unlock()
 	live := p.gen
-	var snapErr error
-	var tmp faultfs.File
 	rearmed := false
-	tmpPath := filepath.Join(p.dir, snapshotTmpFile)
 	if rotateErr == nil {
-		tmp, snapErr = p.fs.Create(tmpPath)
-		if snapErr == nil {
-			snapErr = s.writeSnapshotLocked(tmp)
+		p.cut.takeLocked(s)
+		// This cut meets every compaction asked for so far — by a log
+		// that reached the trigger, a prune, an open — so a request still
+		// queued is dropped rather than run on an all but empty log.
+		select {
+		case <-p.compactReq:
+		default:
 		}
-		if snapErr == nil && rearming {
-			// Re-enable the WAL write path while every shard is still
-			// locked: the snapshot buffer holds everything up to this
-			// instant, the fresh log will hold everything after it.
-			if p.state.CompareAndSwap(int32(PersistDegraded), int32(PersistHealthy)) {
-				rearmed = true
-			}
-		}
+		// Re-enable the WAL write path while every shard is still locked:
+		// the cut holds everything up to this instant, the fresh log will
+		// hold everything after it.
+		rearmed = rearming && p.state.CompareAndSwap(int32(PersistDegraded), int32(PersistHealthy))
 	}
+	hold := time.Since(held)
 	for i := len(s.shards) - 1; i >= 0; i-- {
 		s.shards[i].mu.Unlock()
 	}
 	s.epochMu.RUnlock()
+	s.obs.Load().Observe(obs.StageCompactLock, hold)
 
 	if rotateErr != nil {
 		p.fail(rotateErr)
 		return rotateErr
 	}
+	installed := false
+	defer func() {
+		if !installed {
+			p.walBytes.Add(covered)
+		}
+	}()
+	tmpPath := filepath.Join(p.dir, snapshotTmpFile)
+	tmp, snapErr := p.fs.Create(tmpPath)
+	written := &countingWriter{w: tmp}
 	if snapErr == nil {
-		snapErr = tmp.Sync()
-	}
-	if tmp != nil {
+		snapErr = p.cut.writeTo(written)
+		if snapErr == nil {
+			snapErr = tmp.Sync()
+		}
 		if err := tmp.Close(); err != nil && snapErr == nil {
 			snapErr = err
 		}
@@ -1154,6 +1220,7 @@ func (p *persister) compactAs(rearming bool) error {
 		p.fail(err)
 		return err
 	}
+	p.snapBytes.Store(written.n)
 	// The snapshot now covers everything the generations below the live
 	// one held.
 	gens, err := listWALs(p.fs, p.dir)
@@ -1169,7 +1236,7 @@ func (p *persister) compactAs(rearming bool) error {
 		p.fail(err)
 		return err
 	}
-	p.walBytes.Add(-covered)
+	installed = true
 	s.obs.Load().Add(obs.CtrCompactions, 1)
 	if rearmed {
 		s.obs.Load().Add(obs.CtrWALRearms, 1)
@@ -1188,6 +1255,14 @@ func (p *persister) syncAll() {
 	}
 	p.compactMu.Lock()
 	defer p.compactMu.Unlock()
+	p.syncLocked()
+}
+
+// syncLocked is syncAll for a caller that holds compactMu.
+func (p *persister) syncLocked() {
+	if !p.healthy() {
+		return
+	}
 	p.logMu.Lock()
 	err := p.flushLocked()
 	f := p.f
@@ -1280,11 +1355,13 @@ func (s *Store) Sync() error {
 }
 
 // Compact folds the logs into a fresh snapshot and starts an empty
-// one. The background loop calls it automatically once the logs grow
-// past PersistOptions.CompactBytes; exposing it lets operators compact
-// on demand (e.g. right after a Prune). On a degraded persister it
-// performs the durability re-arm immediately instead of waiting for
-// the backoff loop. In-memory stores return ErrNotPersistent.
+// one. The background loop calls it automatically once the logs reach
+// PersistOptions.CompactBytes and the installed snapshot's size;
+// appends wait only for its cut, not for the snapshot write. Exposing
+// it lets operators compact on demand (e.g. right after a Prune). On a
+// degraded persister it performs the durability re-arm immediately
+// instead of waiting for the backoff loop. In-memory stores return
+// ErrNotPersistent.
 func (s *Store) Compact() error {
 	if s.persist == nil {
 		return ErrNotPersistent

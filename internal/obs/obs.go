@@ -66,6 +66,12 @@ const (
 	// histogram's p50/p90/p99 answer the paper's "within minutes" claim
 	// (Table 3) for a live deployment.
 	StageBinToVerdict = "bin_to_verdict"
+	// StageCompactLock is how long one compaction (or durability re-arm)
+	// held every shard lock of a persistent store: the log rotation and
+	// the snapshot cut, which ingest waits out. The snapshot write that
+	// follows holds none. Its _us fields are the monitor.compact_lock_us
+	// figure: O(series), not growing with history.
+	StageCompactLock = "compact_lock"
 )
 
 // Counter names. Counters are expvar.Ints inside the collector's map;
@@ -141,6 +147,9 @@ const (
 	// re-arm has started (persistent stores only).
 	GaugeWALLogBytes  = "monitor.wal_log_bytes"
 	GaugeWALRotations = "monitor.wal_rotations"
+	// GaugeSnapshotBytes is the size of the installed snapshot; the log
+	// is compacted once it grows to this size (and to CompactBytes).
+	GaugeSnapshotBytes = "monitor.snapshot_bytes"
 	// CtrWALAppends counts measurements appended to the write-ahead log.
 	CtrWALAppends = "monitor.wal_appends"
 	// CtrWALReplayed counts WAL records replayed into the store during

@@ -149,6 +149,7 @@ var promHelp = map[string]string{
 	CtrCompactions:         "WAL compactions (snapshot dump + log truncation).",
 	GaugeWALLogBytes:       "Record bytes in the live log generation.",
 	GaugeWALRotations:      "Log generations started by a compaction or a durability re-arm.",
+	GaugeSnapshotBytes:     "Bytes of the installed snapshot; the log compacts once it grows as large.",
 	CtrRecoveryMillis:      "Milliseconds the store spent in crash recovery before it could take its first bin.",
 	CtrRecoveryGenerations: "Log generations the last open found and replayed (more than one: it died before compacting).",
 	CtrRecoveryLogBytes:    "Bytes of log records the last open replayed.",
