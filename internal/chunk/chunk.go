@@ -25,6 +25,10 @@
 //
 // The value count is carried out of band (the store knows its span);
 // trailing pad bits in the final byte are zero.
+//
+// The encoder packs the stream a 64-bit word at a time and writes each
+// token in at most two word operations; a sealed chunk holds exactly its
+// encoded bytes, with no spare capacity.
 package chunk
 
 import (
@@ -33,6 +37,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // DefaultSpan is the number of bins a store seals into one chunk: 512
@@ -67,62 +72,84 @@ type Chunk struct {
 }
 
 // Encode compresses vals into a sealed chunk. The input slice is not
-// retained.
+// retained. The stream is built in a pooled scratch buffer and copied
+// out once, so the chunk's bytes have no spare capacity and a call
+// allocates only the Chunk and its bytes.
 func Encode(vals []float64) *Chunk {
 	c := &Chunk{count: len(vals)}
 	if len(vals) == 0 {
 		return c
 	}
-	w := bitWriter{buf: make([]byte, 0, 16+len(vals)/4)}
+	scratch := encodeScratch.Get().(*[]byte)
+	// No token is longer than 79 bits, so 10 bytes a value (plus the
+	// seed word's 8) is room for any stream: appends never reallocate.
+	if need := 8 + 10*len(vals); cap(*scratch) < need {
+		*scratch = make([]byte, 0, need)
+	}
+	w := bitWriter{buf: (*scratch)[:0]}
 	prev := math.Float64bits(vals[0])
-	w.writeBits(prev, 64)
+	w.put(prev, 64)
 	run := 0
-	lead, mean := -1, 0
+	// No nonzero XOR has 64 leading zeros, so the first one always
+	// declares a window.
+	lead, mean := 64, 0
 	for _, v := range vals[1:] {
 		cur := math.Float64bits(v)
 		if cur == prev {
 			run++
 			continue
 		}
-		flushRun(&w, run)
-		run = 0
+		if run > 0 {
+			flushRun(&w, run)
+			run = 0
+		}
 		x := cur ^ prev
 		l := bits.LeadingZeros64(x)
 		t := bits.TrailingZeros64(x)
-		if lead >= 0 && l >= lead && t >= 64-lead-mean {
-			w.writeBits(0b10, 2)
-			w.writeBits(x>>(64-lead-mean), mean)
+		if l >= lead && t >= 64-lead-mean {
+			payload := x >> uint(64-lead-mean)
+			if mean <= 62 {
+				w.put(0b10<<uint(mean)|payload, 2+mean)
+			} else {
+				w.put(0b10, 2)
+				w.put(payload, mean)
+			}
 		} else {
 			m := 64 - l - t
-			w.writeBits(0b110, 3)
-			w.writeBits(uint64(l), 6)
-			w.writeBits(uint64(m-1), 6)
-			w.writeBits(x>>t, m)
+			header := 0b110<<12 | uint64(l)<<6 | uint64(m-1)
+			if m <= 49 {
+				w.put(header<<uint(m)|x>>uint(t), 15+m)
+			} else {
+				w.put(header, 15)
+				w.put(x>>uint(t), m)
+			}
 			lead, mean = l, m
 		}
 		prev = cur
 	}
 	flushRun(&w, run)
-	c.data = w.finish()
+	out := w.finish() // still *scratch's array: it never reallocates
+	c.data = make([]byte, len(out))
+	copy(c.data, out)
 	c.crc = crc32.ChecksumIEEE(c.data)
+	encodeScratch.Put(scratch)
 	return c
 }
 
-// flushRun emits a pending repeat run: run records for long runs,
-// single repeat bits for the remainder.
+// encodeScratch pools the buffers Encode builds its streams in; each
+// is sized for the longest input it has encoded.
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// flushRun emits a pending repeat run: 19-bit run records while at
+// least runMinLen repeats remain, then the fewer than runMinLen left as
+// that many zero repeat bits in one put.
 func flushRun(w *bitWriter, run int) {
 	for run >= runMinLen {
-		n := run
-		if n > maxRun {
-			n = maxRun
-		}
-		w.writeBits(0b111, 3)
-		w.writeBits(uint64(n), 16)
+		n := min(run, maxRun)
+		w.put(0b111<<16|uint64(n), 19)
 		run -= n
 	}
-	for ; run > 0; run-- {
-		w.writeBits(0, 1)
-	}
+	w.put(0, run)
 }
 
 // Count returns the number of values in the chunk.
@@ -341,39 +368,38 @@ const oneLoadBits = 57
 // errTruncated reports a stream that ended before its value count.
 var errTruncated = fmt.Errorf("truncated stream")
 
-// bitWriter appends MSB-first bit strings to a byte buffer.
+// bitWriter appends MSB-first bit strings to a byte buffer. Bits
+// collect in a left-aligned 64-bit accumulator that spills to the
+// buffer as 8 big-endian bytes each time it fills, so the bytes are
+// those a bit-at-a-time writer would produce.
 type bitWriter struct {
 	buf []byte
-	cur uint8
-	n   uint8 // bits used in cur
+	acc uint64 // pending bits, left-aligned; the rest are zero
+	n   int    // bits pending in acc, always < 64
 }
 
-// writeBits appends the low n bits of v, most significant first.
-func (w *bitWriter) writeBits(v uint64, n int) {
-	for n > 0 {
-		free := 8 - int(w.n)
-		take := n
-		if take > free {
-			take = free
-		}
-		part := (v >> uint(n-take)) & (1<<uint(take) - 1)
-		w.cur |= uint8(part) << uint(free-take)
-		w.n += uint8(take)
-		n -= take
-		if w.n == 8 {
-			w.buf = append(w.buf, w.cur)
-			w.cur, w.n = 0, 0
-		}
+// put appends the low n bits of v, most significant first. v must have
+// no bits set at or above bit n, and n must be at most 64.
+func (w *bitWriter) put(v uint64, n int) {
+	free := 64 - w.n
+	if n < free {
+		w.acc |= v << uint(free-n)
+		w.n += n
+		return
 	}
+	// The word fills: spill it, and keep v's low n−free bits.
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc|v>>uint(n-free))
+	w.n = n - free
+	w.acc = v << uint(64-w.n) // a shift by 64 leaves 0
 }
 
-// finish flushes the partial final byte (padded with zero bits) and
-// returns the buffer.
+// finish appends the pending bits (the last byte padded with zero bits)
+// and returns the buffer.
 func (w *bitWriter) finish() []byte {
-	if w.n > 0 {
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.n = 0, 0
+	for i := 0; i < w.n; i += 8 {
+		w.buf = append(w.buf, byte(w.acc>>uint(56-i)))
 	}
+	w.acc, w.n = 0, 0
 	return w.buf
 }
 

@@ -4,6 +4,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -185,6 +186,68 @@ func TestDecodeIntoAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("DecodeInto allocates %v per op, want 0", n)
 	}
+}
+
+// TestEncodeAllocs pins what a seal costs and keeps: a 512-bin Encode
+// allocates the Chunk and its bytes and nothing else, and the bytes
+// carry no spare capacity, on counts, noise and gap runs alike.
+func TestEncodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop Puts; alloc guarantee does not hold")
+	}
+	rng := rand.New(rand.NewSource(13))
+	counts, noise, gaps := make([]float64, 512), make([]float64, 512), make([]float64, 512)
+	for i := range counts {
+		counts[i] = float64(10000 + rng.Intn(200))
+		noise[i] = rng.NormFloat64() * 1e3
+		gaps[i] = math.NaN()
+		if i%100 < 10 {
+			gaps[i] = float64(rng.Intn(50))
+		}
+	}
+	for name, vals := range map[string][]float64{"counts": counts, "noise": noise, "gaps": gaps} {
+		var c *Chunk
+		if n := testing.AllocsPerRun(100, func() { c = Encode(vals) }); n != 2 {
+			t.Errorf("%s: Encode allocates %v per op, want 2 (the Chunk and its bytes)", name, n)
+		}
+		if d := c.Data(); cap(d) != len(d) {
+			t.Errorf("%s: sealed chunk holds %d bytes in a buffer of %d", name, len(d), cap(d))
+		}
+	}
+}
+
+// TestEncodeConcurrent seals from several goroutines at once, as the
+// store's shards do, and checks every chunk against a serial encode:
+// no chunk may share bytes with the pooled scratch another seal reuses.
+func TestEncodeConcurrent(t *testing.T) {
+	const workers, inputs = 4, 16
+	vals := make([][]float64, inputs)
+	want := make([]string, inputs)
+	for i := range vals {
+		rng := rand.New(rand.NewSource(int64(i)))
+		vals[i] = make([]float64, 64+rng.Intn(512))
+		for j := range vals[i] {
+			vals[i][j] = float64(rng.Intn(1 << (2 * i)))
+		}
+		want[i] = string(Encode(vals[i]).Data())
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var held []*Chunk
+			for k := 0; k < 50; k++ {
+				held = append(held, Encode(vals[(w+k)%inputs]))
+			}
+			for k, c := range held {
+				if string(c.Data()) != want[(w+k)%inputs] {
+					t.Errorf("worker %d: chunk %d changed after later seals", w, k)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestFromEncodedAllocs pins the validate-only decode: wrapping an

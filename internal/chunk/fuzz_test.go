@@ -1,15 +1,17 @@
 package chunk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
 )
 
 // FuzzRoundTrip feeds adversarial bit patterns through encode/decode
-// and asserts exact reproduction. The corpus seeds cover the float64
-// corners the XOR codec must not normalize away: NaN payloads, ±Inf,
-// signed zeros, denormals and sign flips.
+// and asserts exact reproduction, and that Encode writes the
+// bit-at-a-time reference encoder's stream byte for byte. The corpus
+// seeds cover the float64 corners the XOR codec must not normalize
+// away: NaN payloads, ±Inf, signed zeros, denormals and sign flips.
 func FuzzRoundTrip(f *testing.F) {
 	seed := func(vals ...uint64) {
 		buf := make([]byte, 8*len(vals))
@@ -25,6 +27,9 @@ func FuzzRoundTrip(f *testing.F) {
 	seed(0, 0x8000000000000000, 0, 0x8000000000000000) // ±0 flips
 	seed(1, 2, 3, 0x0000000000000001)                  // denormal tail
 	seed(math.Float64bits(1.5), math.Float64bits(-1.5), math.Float64bits(1.5))
+	run := make([]uint64, 70) // a run record of 68
+	run[69] = nan
+	seed(run...)
 	seed()
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -37,6 +42,9 @@ func FuzzRoundTrip(f *testing.F) {
 			vals[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*i:]))
 		}
 		c := Encode(vals)
+		if want, _ := referenceEncode(vals); !bytes.Equal(c.Data(), want) {
+			t.Fatalf("Encode wrote %x, the reference encoder %x", c.Data(), want)
+		}
 		got := make([]float64, n)
 		c.DecodeInto(got, 0, n)
 		for i := range vals {

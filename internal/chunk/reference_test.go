@@ -1,11 +1,97 @@
 package chunk
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	mbits "math/bits"
 	"testing"
 )
+
+// referenceEncode is the stream-layout comment at the top of chunk.go
+// written one bit at a time: the stream Encode must produce byte for
+// byte. Like referenceDecode it is the slow, obvious one, sharing
+// nothing with bitWriter. It also returns the stream's length in bits
+// before padding.
+func referenceEncode(vals []float64) (data []byte, nbits int) {
+	put := func(v uint64, n int) {
+		for i := n - 1; i >= 0; i-- {
+			if nbits%8 == 0 {
+				data = append(data, 0)
+			}
+			data[nbits/8] |= byte(v>>uint(i)&1) << (7 - nbits%8)
+			nbits++
+		}
+	}
+	if len(vals) == 0 {
+		return nil, 0
+	}
+	prev := math.Float64bits(vals[0])
+	put(prev, 64)
+	lead, mean := -1, 0
+	run := 0
+	flush := func() {
+		for run >= runMinLen { // the previous value repeats n more times
+			n := min(run, maxRun)
+			put(0b111, 3)
+			put(uint64(n), 16)
+			run -= n
+		}
+		for ; run > 0; run-- { // same bits as the previous value
+			put(0, 1)
+		}
+	}
+	for _, v := range vals[1:] {
+		cur := math.Float64bits(v)
+		if cur == prev {
+			run++
+			continue
+		}
+		flush()
+		x := cur ^ prev
+		l, t := mbits.LeadingZeros64(x), mbits.TrailingZeros64(x)
+		if lead >= 0 && l >= lead && 64-t <= lead+mean {
+			// The XOR fits inside the previous window.
+			put(0b10, 2)
+			put(x>>uint(64-lead-mean), mean)
+		} else {
+			lead, mean = l, 64-l-t
+			put(0b110, 3)
+			put(uint64(lead), 6)
+			put(uint64(mean-1), 6)
+			put(x>>uint(t), mean)
+		}
+		prev = cur
+	}
+	flush()
+	return data, nbits
+}
+
+// checkEncodeAgainstReference fails unless Encode(vals) is the
+// reference encoder's stream, byte for byte, and the reference decoder
+// reads it back to vals.
+func checkEncodeAgainstReference(t *testing.T, vals []float64) {
+	t.Helper()
+	want, _ := referenceEncode(vals)
+	got := Encode(vals).Data()
+	if !bytes.Equal(got, want) {
+		at := 0
+		for at < min(len(got), len(want)) && got[at] == want[at] {
+			at++
+		}
+		t.Fatalf("Encode wrote %d bytes, the reference %d; first difference at byte %d", len(got), len(want), at)
+	}
+	back, err := referenceDecode(got, len(vals))
+	if err != nil {
+		t.Fatalf("the reference decoder refused Encode's stream: %v", err)
+	}
+	for i, v := range vals {
+		if back[i] != math.Float64bits(v) {
+			t.Fatalf("value %d decodes to %016x, want %016x", i, back[i], math.Float64bits(v))
+		}
+	}
+}
 
 // referenceDecode is the stream-layout comment at the top of chunk.go
 // read one bit at a time: the decoder decodeRange must agree with, on
@@ -124,15 +210,15 @@ func TestDecodeTokenAtEveryPhase(t *testing.T) {
 	}
 	window := func(lead, mean int, payload uint64) func(*bitWriter) {
 		return func(w *bitWriter) {
-			w.writeBits(0b110, 3)
-			w.writeBits(uint64(lead), 6)
-			w.writeBits(uint64(mean-1), 6)
-			w.writeBits(payload, mean)
+			w.put(0b110, 3)
+			w.put(uint64(lead), 6)
+			w.put(uint64(mean-1), 6)
+			w.put(payload, mean)
 		}
 	}
 	tokens := []token{
-		{"repeat", func(w *bitWriter) int { w.writeBits(0, 1); return 1 }},
-		{"run", func(w *bitWriter) int { w.writeBits(0b111, 3); w.writeBits(40, 16); return 40 }},
+		{"repeat", func(w *bitWriter) int { w.put(0, 1); return 1 }},
+		{"run", func(w *bitWriter) int { w.put(0b111, 3); w.put(40, 16); return 40 }},
 	}
 	for _, mean := range []int{1, 17, 42, 43, 55, 56, 64} {
 		payload := uint64(1)<<(mean-1) | 1 // both ends of the window set
@@ -143,8 +229,8 @@ func TestDecodeTokenAtEveryPhase(t *testing.T) {
 			}},
 			token{fmt.Sprintf("reused window m=%d", mean), func(w *bitWriter) int {
 				window(64-mean, mean, payload)(w)
-				w.writeBits(0b10, 2)
-				w.writeBits(payload>>1|1, mean)
+				w.put(0b10, 2)
+				w.put(payload>>1|1, mean)
 				return 2
 			}},
 		)
@@ -153,15 +239,15 @@ func TestDecodeTokenAtEveryPhase(t *testing.T) {
 		for phase := 0; phase < 8; phase++ {
 			for _, trailing := range []int{0, 3, 80} {
 				w := bitWriter{}
-				w.writeBits(math.Float64bits(1234.5), 64)
+				w.put(math.Float64bits(1234.5), 64)
 				count := 1
 				for i := 0; i < phase; i++ {
-					w.writeBits(0, 1) // repeat bits shift the phase
+					w.put(0, 1) // repeat bits shift the phase
 					count++
 				}
 				count += tk.emit(&w)
 				for i := 0; i < trailing; i++ {
-					w.writeBits(0, 1)
+					w.put(0, 1)
 					count++
 				}
 				data := w.finish()
@@ -174,6 +260,82 @@ func TestDecodeTokenAtEveryPhase(t *testing.T) {
 						t.Fatal("a stream cut short was accepted")
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestEncodeTokenAtEveryPhase puts each token kind at each of the 64
+// phases of the encoder's accumulator, so every token both fits inside
+// the pending word and crosses a spill at every offset, and checks
+// Encode against the reference encoder byte for byte.
+//
+// Values are written as XOR deltas from the previous one (0 repeats it),
+// starting from a NaN with a payload. A prefix of one new window of at
+// most 48 bits, after up to 16 repeat bits, sets the phase and leaves a
+// window with 16 or more leading zeros; every setup below declares a
+// window with fewer, so it is always a new window and each token is the
+// kind its name says.
+func TestEncodeTokenAtEveryPhase(t *testing.T) {
+	bit := func(i ...int) (x uint64) {
+		for _, b := range i {
+			x |= 1 << b
+		}
+		return x
+	}
+	repeats := func(n int, then uint64) []uint64 {
+		d := make([]uint64, n+1)
+		d[n] = then
+		return d
+	}
+	tokens := []struct {
+		name          string
+		setup, deltas []uint64
+	}{
+		{"repeat bit", nil, repeats(1, bit(5))},
+		{"31 repeat bits", nil, repeats(runMinLen-1, bit(5))},
+		{"run record of 32", nil, repeats(runMinLen, bit(5))},
+		{"run record of 65535", nil, repeats(maxRun, bit(5))},
+		{"run record of 65535 then 31 repeat bits", nil, repeats(maxRun+runMinLen-1, bit(5))},
+		{"run records of 65535 and 40", nil, repeats(maxRun+40, bit(5))},
+		{"reused window m=62", []uint64{bit(62, 1)}, []uint64{bit(62, 1), bit(2)}},
+		{"reused window m=63", []uint64{bit(62, 0)}, []uint64{bit(62, 0), bit(61)}},
+		{"reused window m=64", []uint64{bit(63, 0)}, []uint64{bit(63, 0), bit(40)}},
+		{"new window m=1", nil, []uint64{bit(63)}},
+		{"new window m=49", nil, []uint64{bit(63, 15)}},
+		{"new window m=50", nil, []uint64{bit(63, 14)}},
+		{"new window m=64", nil, []uint64{bit(63, 0)}},
+		{"NaN payloads", nil, []uint64{0xbeef, 0xdead00, bit(50)}},
+	}
+	const nanSeed = 0x7ff8_0000_0000_0001
+	for _, tk := range tokens {
+		var seen [64]bool
+		for p := 0; p < 64; p++ {
+			r, m := 0, (p+64-16)%64+1 // 15+m header and payload bits ≡ p
+			if m > 48 {
+				r, m = m-48, 48
+			}
+			deltas := append(repeats(r, 1<<m-1), tk.setup...)
+			prefix := 1 + len(deltas)
+			deltas = append(deltas, tk.deltas...)
+			deltas = append(deltas, bit(9), 0, 0, 0)
+			vals := make([]float64, 1+len(deltas))
+			cur := uint64(nanSeed)
+			vals[0] = math.Float64frombits(cur)
+			for i, d := range deltas {
+				cur ^= d
+				vals[1+i] = math.Float64frombits(cur)
+			}
+			_, before := referenceEncode(vals[:prefix])
+			phase := before % 64
+			seen[phase] = true
+			t.Run(fmt.Sprintf("%s/phase=%d", tk.name, phase), func(t *testing.T) {
+				checkEncodeAgainstReference(t, vals)
+			})
+		}
+		for phase, ok := range seen {
+			if !ok {
+				t.Errorf("%s: never encoded at accumulator phase %d", tk.name, phase)
 			}
 		}
 	}

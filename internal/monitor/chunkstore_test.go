@@ -477,6 +477,37 @@ func TestLateWriteIsCopyOnWrite(t *testing.T) {
 	}
 }
 
+// TestLateSealedWriteAllocs counts what one late write into a sealed
+// chunk allocates: the re-encoded chunk (the Chunk and its bytes) and
+// the copy-on-write chunks slice. The span-sized decode buffer comes
+// from the store's pool and goes back to it.
+func TestLateSealedWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop Puts; alloc guarantee does not hold")
+	}
+	const span = 64
+	s := chunkedStore(t, span)
+	for i := 0; i < 4*span; i++ {
+		s.Append(Measurement{kCPU, t0.Add(time.Duration(i) * time.Minute), float64(i % 50)})
+	}
+	sh := s.shardFor(kCPU)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e := sh.series[kCPU]
+	v := 0.0
+	if n := testing.AllocsPerRun(100, func() {
+		v++
+		s.setBinLocked(e, span+7, v)
+	}); n != 3 {
+		t.Fatalf("a late sealed write allocates %v times, want 3", n)
+	}
+	var got [span]float64
+	e.chunks[1].DecodeInto(got[:], 0, span)
+	if got[7] != v {
+		t.Fatalf("patched bin = %v, want %v", got[7], v)
+	}
+}
+
 // TestPruneLateWriteSnapshotRoundTrip proves the prune + late-write
 // state (non-zero head, re-encoded chunks) survives the snapshot
 // format bit-exactly.

@@ -516,11 +516,12 @@ func (s *Store) setBinLocked(e *seriesEntry, idx int, v float64) {
 		// reader outside the shard lock may hold the current header.
 		pos := idx + e.head
 		ci := pos / span
-		scratch := s.spanBuf()
+		p := s.spanBuf()
+		scratch := *p
 		e.chunks[ci].DecodeInto(scratch, 0, span)
 		scratch[pos%span] = v
 		nc := chunk.Encode(scratch)
-		s.spanScratch.Put(&scratch)
+		s.spanScratch.Put(p)
 		chunks := make([]*chunk.Chunk, len(e.chunks))
 		copy(chunks, e.chunks)
 		chunks[ci] = nc
@@ -581,12 +582,14 @@ func (s *Store) decodeFromLocked(e *seriesEntry, lo int, dst []float64) {
 	e.copyTail(dst[sealed+tlo-lo:], tlo, e.tailLen())
 }
 
-// spanBuf returns a span-sized scratch buffer from the pool.
-func (s *Store) spanBuf() []float64 {
+// spanBuf returns a span-sized scratch buffer from the pool. The caller
+// puts the same pointer back, so a reused buffer allocates nothing.
+func (s *Store) spanBuf() *[]float64 {
 	if p, _ := s.spanScratch.Get().(*[]float64); p != nil && len(*p) == s.span {
-		return *p
+		return p
 	}
-	return make([]float64, s.span)
+	buf := make([]float64, s.span)
+	return &buf
 }
 
 // Append records a measurement, growing the key's series as needed
