@@ -24,7 +24,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/changelog"
 	"repro/internal/monitor"
 	"repro/internal/topo"
 	"repro/internal/workload"
@@ -105,7 +104,7 @@ func build(kind string, changes, history int, seed int64) (*workload.Trace, erro
 		if err != nil {
 			return nil, err
 		}
-		return caseTrace("redis", rc.Start, rc.Change, rc.Source), nil
+		return workload.SourceTrace("redis", rc.Log, rc.Source), nil
 	case "adclicks":
 		ac, err := workload.GenerateAdClicks(workload.AdParams{
 			Seed: seed, HistoryDays: history + 4, ChangeMinuteOfDay: 600,
@@ -114,7 +113,7 @@ func build(kind string, changes, history int, seed int64) (*workload.Trace, erro
 		if err != nil {
 			return nil, err
 		}
-		return caseTrace("adclicks", ac.Start, ac.Change, ac.Source), nil
+		return workload.SourceTrace("adclicks", ac.Log, ac.Source), nil
 	default:
 		return nil, fmt.Errorf("unknown case %q", kind)
 	}
@@ -163,20 +162,4 @@ func runLoad(addr string, servers, kpis, bins int, seed int64, start time.Time) 
 		total, servers, kpis, bins, elapsed.Round(time.Millisecond),
 		float64(total)/elapsed.Seconds(), pub.Reconnects(), pub.Dropped())
 	return nil
-}
-
-// caseTrace wraps one case study's change and source into a trace.
-func caseTrace(kind string, start time.Time, change changelog.Change, src *workload.MapSource) *workload.Trace {
-	t := &workload.Trace{Kind: kind, Start: start, StepSec: 60}
-	t.Changes = append(t.Changes, workload.TraceChange{
-		ID: change.ID, Type: change.Type.String(), Service: change.Service,
-		Servers: change.Servers, At: change.At,
-	})
-	for _, key := range src.Keys() {
-		s, _ := src.Series(key)
-		t.Series = append(t.Series, workload.TraceSeries{
-			Scope: key.Scope.String(), Entity: key.Entity, Metric: key.Metric, Values: s.Values,
-		})
-	}
-	return t
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/monitor"
+	"repro/internal/workload"
 )
 
 // TestMain lets the test binary stand in for the command: re-executed
@@ -72,6 +73,27 @@ func TestLoadFillsStore(t *testing.T) {
 	for deadline := time.Now().Add(5 * time.Second); !full(); time.Sleep(2 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("store holds %d series after -load, want 6 × 5 bins", store.Len())
+		}
+	}
+}
+
+// TestTracesAreReproducible: building a trace twice with the same
+// parameters encodes to the same bytes, so traces can serve as
+// regression fixtures.
+func TestTracesAreReproducible(t *testing.T) {
+	for _, kind := range []string{"scenario", "redis", "adclicks"} {
+		var enc [2]bytes.Buffer
+		for i := range enc {
+			tr, err := build(kind, 2, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := workload.WriteTrace(&enc[i], tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(enc[0].Bytes(), enc[1].Bytes()) {
+			t.Errorf("%s: two builds with one seed encode differently", kind)
 		}
 	}
 }

@@ -73,7 +73,9 @@ const (
 	ControlHistorical = funnel.ControlHistorical
 )
 
-// SeriesSource supplies KPI series by key; *Store and *MapSource
+// SeriesSource is the assessor's one read contract: windows of KPI
+// series by key through RangeInto, with the full Series as the fallback
+// for a window that cannot reproduce it. *Store and a Scenario's Source
 // implement it.
 type SeriesSource = funnel.SeriesSource
 

@@ -27,10 +27,23 @@ import (
 	"repro/internal/topo"
 )
 
-// SeriesSource supplies KPI series by key. monitor.Store and
-// workload.MapSource both satisfy it.
+// SeriesSource supplies KPI series by key; monitor.Store and
+// workload.MapSource both satisfy it. An assessment reads windows through
+// RangeInto, and a key's full Series only where a window alone cannot
+// reproduce the full series' answer.
 type SeriesSource interface {
+	// Series returns the key's full series from the epoch, and whether
+	// the key exists.
 	Series(key topo.KPIKey) (*timeseries.Series, bool)
+	// Start returns the source's epoch (bin 0 of every full series).
+	Start() time.Time
+	// Step returns the bin width.
+	Step() time.Duration
+	// RangeInto copies the key's bins covering [from, to), clamped to
+	// the stored span, into dst (reusing its capacity). It returns the
+	// window values, the window's start time, and whether the clamped
+	// window is non-empty.
+	RangeInto(key topo.KPIKey, from, to time.Time, dst []float64) ([]float64, time.Time, bool)
 }
 
 // ArrivalSource is the optional second face of a SeriesSource that
@@ -339,9 +352,6 @@ func (r *Report) Flagged() []Assessment {
 type Assessor struct {
 	cfg    Config
 	source SeriesSource
-	// win is source's windowed face when it has one (monitor.Store);
-	// nil sources keep the flat full-series reads.
-	win    WindowSource
 	topo   *topo.Topology
 	scorer *sst.SlidingScorer
 	det    *detect.Gate
@@ -417,8 +427,7 @@ func NewAssessor(source SeriesSource, tp *topo.Topology, cfg Config) (*Assessor,
 			}
 		}
 	}
-	win, _ := source.(WindowSource)
-	return &Assessor{cfg: cfg, source: source, win: win, topo: tp, scorer: scorer, det: det, obs: cfg.Obs}, nil
+	return &Assessor{cfg: cfg, source: source, topo: tp, scorer: scorer, det: det, obs: cfg.Obs}, nil
 }
 
 // stamp records a stage duration in the collector's histogram and on
@@ -462,22 +471,12 @@ func (a *Assessor) Assess(change changelog.Change) (*Report, error) {
 	// averages are memoized per assessment so concurrent KPIs sharing a
 	// control group compute it once.
 	n := len(keys)
-	// Series are read through two views. On the flat path both are the
-	// source itself. With a windowed source they are the two depths of a
-	// shared fetcher that decodes only the window each reader needs, once
-	// per KPI, into pooled buffers released with the fetcher: near is all
-	// that gap gating, detection and a concurrent-control DiD read; deep
-	// adds the HistoryDays the historical-control arm reads.
-	near := &seriesView{src: a.source}
-	deep := near
-	var fx *winFetcher
-	if a.win != nil {
-		fx = newWinFetcher(a.win, change.At, &a.cfg, &a.fetchBufs)
-		near, deep = &seriesView{src: &fx.near}, &seriesView{src: &fx.deep}
-		// Reports carry indices and scalars, never fetched values, so
-		// the buffers can recycle as soon as this assessment returns.
-		defer fx.release()
-	}
+	// Series are read through the two depths (near, deep) of a shared
+	// fetcher that decodes only the window each reader needs, once per KPI,
+	// into pooled buffers. Reports carry indices and scalars, never fetched
+	// values, so the buffers recycle as soon as this assessment returns.
+	fx := newWinFetcher(a.source, change.At, &a.cfg, &a.fetchBufs)
+	defer fx.release()
 	assessments := make([]Assessment, n)
 	bins := make([]int, n)
 	var kts []*obs.KPITrace
@@ -490,7 +489,7 @@ func (a *Assessor) Assess(change changelog.Change) (*Report, error) {
 			kt = &obs.KPITrace{Key: keys[i].String()}
 			kts[i] = kt
 		}
-		assessments[i], bins[i] = a.assessKPI(change, set, keys[i], kt, near, deep, fx)
+		assessments[i], bins[i] = a.assessKPI(change, set, keys[i], kt, fx)
 	}
 	workers := a.cfg.AssessWorkers
 	if workers <= 0 {
@@ -565,9 +564,7 @@ func (a *Assessor) Assess(change changelog.Change) (*Report, error) {
 		a.obs.Add(obs.CtrChangesAssessed, 1)
 		a.obs.Add(obs.CtrKPIsAssessed, int64(len(report.Assessments)))
 		a.obs.Add(obs.CtrKPIsFlagged, int64(len(report.Flagged())))
-		if fx != nil {
-			a.obs.Add(obs.CtrHistoryFetches, fx.deep.fetches.Load())
-		}
+		a.obs.Add(obs.CtrHistoryFetches, fx.deep.fetches.Load())
 	}
 	return report, nil
 }
@@ -577,13 +574,12 @@ func (a *Assessor) Assess(change changelog.Change) (*Report, error) {
 // resolved (the same bin for every KPI of a change; the caller stores
 // the last valid one on the report). kt, when non-nil, accumulates this
 // KPI's stage trace; the caller attaches it to the change trace after
-// all workers finish. near is where the KPI and its concurrent control
-// are read from, deep where determine reads a historical control (the
-// same view on the flat path); each memoizes its group averages across
-// the KPIs of one assessment. fx (nil on the flat path) translates
-// window-relative bin indices back to full-series positions for
-// everything the report carries.
-func (a *Assessor) assessKPI(change changelog.Change, set *topo.ImpactSet, key topo.KPIKey, kt *obs.KPITrace, near, deep *seriesView, fx *winFetcher) (out Assessment, bin int) {
+// all workers finish. fx's near depth is where the KPI and its
+// concurrent control are read from, its deep depth where determine reads
+// a historical control; each memoizes its group averages across the KPIs
+// of one assessment. fx also translates window-relative bin indices back
+// to full-series positions for everything the report carries.
+func (a *Assessor) assessKPI(change changelog.Change, set *topo.ImpactSet, key topo.KPIKey, kt *obs.KPITrace, fx *winFetcher) (out Assessment, bin int) {
 	out = Assessment{Key: key}
 	bin = -1
 	if kt != nil {
@@ -602,14 +598,13 @@ func (a *Assessor) assessKPI(change changelog.Change, set *topo.ImpactSet, key t
 			}
 		}()
 	}
-	series, ok := a.treatedSeries(near, set, key)
+	series, ok := a.treatedSeries(&fx.near, set, key)
 	if !ok {
 		out.Err = fmt.Errorf("funnel: no series for %v", key)
 		return out, bin
 	}
 	// Everything below indexes into series' own timeline; off maps those
-	// positions back to the full-series frame for report consumers (0 on
-	// the flat path, where the two frames coincide).
+	// positions back to the full-series frame for report consumers.
 	off := fx.offsetOf(series)
 	// Gap accounting runs on the raw series, before interpolation: a
 	// bin is missing when no measurement ever arrived for it. The
@@ -665,7 +660,7 @@ func (a *Assessor) assessKPI(change changelog.Change, set *topo.ImpactSet, key t
 	}
 
 	// Steps 4–11: determine the cause.
-	det, err := a.determine(change, set, key, series, changeBin, kt, near, deep)
+	det, err := a.determine(change, set, key, series, changeBin, kt, fx)
 	out.Alpha = det.res.Alpha
 	out.TStat = det.res.TStat
 	out.ControlKind = det.kind
@@ -686,17 +681,17 @@ func (a *Assessor) assessKPI(change changelog.Change, set *topo.ImpactSet, key t
 	return out, bin
 }
 
-// treatedSeries resolves the series a KPI is assessed on, as read
-// through v: the stored series; for a service-scope key the source lacks,
+// treatedSeries resolves the series a KPI is assessed on, as read at
+// depth d: the stored series; for a service-scope key the source lacks,
 // the average of the service's instances; and for the changed service's
 // own aggregate under Dark Launching, the tinstance average.
-func (a *Assessor) treatedSeries(v *seriesView, set *topo.ImpactSet, key topo.KPIKey) (*timeseries.Series, bool) {
-	series, ok := v.src.Series(key)
+func (a *Assessor) treatedSeries(d *fetchDepth, set *topo.ImpactSet, key topo.KPIKey) (*timeseries.Series, bool) {
+	series, ok := d.Series(key)
 	if !ok && key.Scope == topo.ScopeService {
 		// The paper's centralized database stores service KPIs as
 		// aggregations of instance KPIs (§2.2); when the source lacks
 		// the aggregate, compute it from the service's instances.
-		if agg, err := a.groupAverage(v, a.topo.InstancesOf(key.Entity), key.Metric); err == nil {
+		if agg, err := d.groupAverage(a.topo.InstancesOf(key.Entity), key.Metric); err == nil {
 			series, ok = agg, true
 		}
 	}
@@ -709,7 +704,7 @@ func (a *Assessor) treatedSeries(v *seriesView, set *topo.ImpactSet, key topo.KP
 		// Dark Launching the aggregate dilutes the effect by the
 		// untreated instances, so both detection and determination run
 		// on the tinstance average instead.
-		if treated, err := a.groupAverage(v, set.TInstances, key.Metric); err == nil {
+		if treated, err := d.groupAverage(set.TInstances, key.Metric); err == nil {
 			series = treated
 		}
 	}
@@ -833,10 +828,10 @@ type determination struct {
 
 // determine applies the Fig. 3 decision tree for cause determination.
 // Control-group selection and DiD estimation are timed as separate
-// stages. series is the gap-filled treated series read through near,
-// which also supplies a concurrent control; only the historical arm
-// reads deep.
-func (a *Assessor) determine(change changelog.Change, set *topo.ImpactSet, key topo.KPIKey, series *timeseries.Series, changeBin int, kt *obs.KPITrace, near, deep *seriesView) (determination, error) {
+// stages. series is the gap-filled treated series read at fx's near
+// depth, which also supplies a concurrent control; only the historical
+// arm reads the deep one.
+func (a *Assessor) determine(change changelog.Change, set *topo.ImpactSet, key topo.KPIKey, series *timeseries.Series, changeBin int, kt *obs.KPITrace, fx *winFetcher) (determination, error) {
 	w := a.cfg.DiDWindow
 	if changeBin-w < 0 || changeBin+w > series.Len() {
 		return determination{}, fmt.Errorf("funnel: DiD periods out of range for %v", key)
@@ -859,7 +854,7 @@ func (a *Assessor) determine(change changelog.Change, set *topo.ImpactSet, key t
 	if set.Dark() && len(controls) > 0 {
 		// Steps 8–10: concurrent control group.
 		out := determination{kind: ControlConcurrent}
-		control, cerr := a.controlAverage(near, controls)
+		control, cerr := fx.near.controlAverage(controls)
 		if cerr != nil {
 			a.stamp(kt, obs.StageDiDControl, tc)
 			return determination{}, cerr
@@ -903,17 +898,15 @@ func (a *Assessor) determine(change changelog.Change, set *topo.ImpactSet, key t
 	// exactly; the day-based pool is the fallback. This is the one
 	// reader of the KPI's history: take the treated series again at that
 	// depth, in its own timeline.
-	if deep != near {
-		hist, ok := a.treatedSeries(deep, set, key)
-		if !ok {
-			a.stamp(kt, obs.StageDiDControl, tc)
-			return determination{}, fmt.Errorf("funnel: no history for %v", key)
-		}
-		if hist.HasGaps() {
-			hist = hist.Clone().FillGaps()
-		}
-		series, changeBin = hist, int(change.At.Sub(hist.Start)/hist.Step)
+	hist, found := a.treatedSeries(&fx.deep, set, key)
+	if !found {
+		a.stamp(kt, obs.StageDiDControl, tc)
+		return determination{}, fmt.Errorf("funnel: no history for %v", key)
 	}
+	if hist.HasGaps() {
+		hist = hist.Clone().FillGaps()
+	}
+	series, changeBin = hist, int(change.At.Sub(hist.Start)/hist.Step)
 	var cPre, cPost []float64
 	ok := false
 	if a.cfg.HistoryDays >= 7 {
@@ -977,18 +970,6 @@ func (a *Assessor) causal(res did.Result, service string) bool {
 	return res.Causal(thr) && res.Significant(a.cfg.MinTStat)
 }
 
-// seriesView is where one Assess call reads series at one depth: the
-// source, and the group averages already built over it. Every treated
-// server KPI of a metric shares its control group, so in both the serial
-// and the fanned-out path only the first KPI to ask pays the
-// align-and-average; the rest (and any concurrent askers, via the
-// per-entry once) share the result. Entries are read-only after creation
-// — every downstream consumer clones before mutating.
-type seriesView struct {
-	src  SeriesSource
-	avgs sync.Map // joined key string → *avgEntry
-}
-
 // avgEntry is one memoized average; once guards the single computation.
 type avgEntry struct {
 	once sync.Once
@@ -997,35 +978,40 @@ type avgEntry struct {
 }
 
 // groupAverage averages one metric across a set of instances.
-func (a *Assessor) groupAverage(v *seriesView, instances []string, metric string) (*timeseries.Series, error) {
+func (d *fetchDepth) groupAverage(instances []string, metric string) (*timeseries.Series, error) {
 	keys := make([]topo.KPIKey, 0, len(instances))
 	for _, in := range instances {
 		keys = append(keys, topo.KPIKey{Scope: topo.ScopeInstance, Entity: in, Metric: metric})
 	}
-	return a.controlAverage(v, keys)
+	return d.controlAverage(keys)
 }
 
 // controlAverage pulls and averages the control-group series (§3.2.4
 // uses the average of all control KPIs so hotspots wash out), memoized
-// in the view.
-func (a *Assessor) controlAverage(v *seriesView, keys []topo.KPIKey) (*timeseries.Series, error) {
+// at this depth.
+func (d *fetchDepth) controlAverage(keys []topo.KPIKey) (*timeseries.Series, error) {
 	var sb strings.Builder
 	for _, k := range keys {
 		sb.WriteString(k.String())
 		sb.WriteByte(0)
 	}
-	e, _ := v.avgs.LoadOrStore(sb.String(), &avgEntry{})
+	e, _ := d.avgs.LoadOrStore(sb.String(), &avgEntry{})
 	entry := e.(*avgEntry)
-	entry.once.Do(func() { entry.s, entry.err = a.averageSeries(v.src, keys) })
+	entry.once.Do(func() { entry.s, entry.err = d.averageSeries(keys, false) })
 	return entry.s, entry.err
 }
 
 // averageSeries is the uncached align-and-average over whichever of the
-// keys resolve to series.
-func (a *Assessor) averageSeries(src SeriesSource, keys []topo.KPIKey) (*timeseries.Series, error) {
+// keys resolve to series: their windows at this depth, or with full set,
+// the source's full series.
+func (d *fetchDepth) averageSeries(keys []topo.KPIKey, full bool) (*timeseries.Series, error) {
+	read := d.Series
+	if full {
+		read = d.f.src.Series
+	}
 	var series []*timeseries.Series
 	for _, k := range keys {
-		s, ok := src.Series(k)
+		s, ok := read(k)
 		if !ok {
 			continue
 		}
@@ -1039,11 +1025,11 @@ func (a *Assessor) averageSeries(src SeriesSource, keys []topo.KPIKey) (*timeser
 	}
 	aligned, err := timeseries.Align(series...)
 	if err != nil {
-		if _, windowed := src.(*fetchDepth); windowed {
+		if !full {
 			// Windowed members that share no span: one of them ended
 			// before the window and fell back to its short full series.
-			// Only the full series reproduce the flat path's answer.
-			return a.averageSeries(a.source, keys)
+			// Only the full series reproduce the full read's answer.
+			return d.averageSeries(keys, true)
 		}
 		return nil, err
 	}

@@ -375,7 +375,7 @@ func TestAssessMissingSeriesReported(t *testing.T) {
 			break
 		}
 	}
-	src := workload.NewMapSource()
+	src := workload.NewMapSource(sc.Start, sc.Step)
 	for _, key := range sc.Source.Keys() {
 		if key == victim {
 			continue

@@ -24,12 +24,12 @@ type accuracyCorpus struct {
 	store func(t *testing.T) *monitor.Store
 }
 
-// sources lists what the invariance tests assess a corpus from: the flat
-// MapSource, and — except under -short, since ingesting a corpus (48 M
-// measurements for the default one) is most of these tests' time — a
-// chunked store, which takes the windowed read path.
+// sources lists what the invariance tests assess a corpus from: the
+// generated MapSource, and — except under -short, since ingesting a
+// corpus (48 M measurements for the default one) is most of these tests'
+// time — a chunked store.
 func (c *accuracyCorpus) sources(t *testing.T) map[string]SeriesSource {
-	out := map[string]SeriesSource{"flat": c.sc.Source}
+	out := map[string]SeriesSource{"map": c.sc.Source}
 	if !testing.Short() {
 		out["store"] = c.store(t)
 	}
@@ -71,8 +71,8 @@ var accuracyCorpora = sync.OnceValues(func() ([]accuracyCorpus, error) {
 })
 
 // TestTelemetryInvariance: attaching a collector changes no Assessment
-// field on either accuracy corpus, over the flat source and over a
-// chunked store — only Report.Trace may differ.
+// field on either accuracy corpus, over the generated MapSource and over
+// a chunked store — only Report.Trace may differ.
 func TestTelemetryInvariance(t *testing.T) {
 	corpora, err := accuracyCorpora()
 	if err != nil {
@@ -135,7 +135,7 @@ func TestTelemetryInvariance(t *testing.T) {
 
 // TestBoundFirstInvariance: telling the sweep the detection threshold
 // (sst.SlidingScorer.Floor, set by NewAssessor) changes no Assessment
-// field on either accuracy corpus, flat or windowed, against an assessor
+// field on either accuracy corpus, from either source, against an assessor
 // whose scorer solves every window.
 func TestBoundFirstInvariance(t *testing.T) {
 	corpora, err := accuracyCorpora()

@@ -10,32 +10,6 @@ import (
 	"repro/internal/topo"
 )
 
-// WindowSource is the optional windowed face of a SeriesSource
-// (monitor.Store implements it). When the assessor's source provides
-// it, Assess fetches only the windows an assessment actually reads —
-// the detection window around the change for every KPI, the
-// seasonal-DiD lookback only for a detected KPI with no concurrent
-// control — via RangeInto, into pooled buffers, instead of copying every
-// KPI's full retained history. Verdicts and reports are byte-identical
-// to the flat path: all fetches at one depth share the same window
-// bounds (so cross-series index arithmetic still lines up), report-facing
-// bin indices are translated back to full-series positions, and any
-// window the fetch cannot reproduce exactly falls back to the full
-// series. Offline sources (workload.MapSource, replay
-// corpora) simply do not implement it and keep the flat path.
-type WindowSource interface {
-	SeriesSource
-	// Start returns the source's epoch (bin 0 of every full series).
-	Start() time.Time
-	// Step returns the bin width.
-	Step() time.Duration
-	// RangeInto decodes the key's bins covering [from, to), clamped to
-	// the stored span, into dst (reusing its capacity). It returns the
-	// window values, the window's start time, and whether the clamped
-	// window is non-empty.
-	RangeInto(key topo.KPIKey, from, to time.Time, dst []float64) ([]float64, time.Time, bool)
-}
-
 // fetchSlack pads the computed fetch horizon so bin-rounding at the
 // window edges can never make a windowed read shorter than what the
 // deepest reader indexes.
@@ -44,7 +18,11 @@ const fetchSlack = 16
 // winFetcher serves one Assess call's series reads from windowed
 // RangeInto fetches at two depths, each with a per-assessment cache: a
 // key decodes at most once per depth, into buffers recycled across
-// assessments via the assessor-level pool.
+// assessments via the assessor-level pool. Reports are exactly what the
+// keys' full series would give: all fetches at one depth share the same
+// bounds (so cross-series index arithmetic lines up), bin indices are
+// translated back to full-series positions, and any window the fetch
+// cannot reproduce exactly falls back to the full series.
 //
 // near reaches back over what every KPI reads — gap gating, the
 // detection window, the concurrent-control DiD periods with their
@@ -53,8 +31,8 @@ const fetchSlack = 16
 // detected KPI (determine). Both end at the same bin. A KPI with no
 // detection, or with a concurrent control, never decodes its history.
 type winFetcher struct {
-	src  WindowSource
-	base time.Time // store epoch at fetch-bound time: a flat Series would start here
+	src  SeriesSource
+	base time.Time // source epoch at fetch-bound time: a full Series starts here
 	step time.Duration
 	pool *sync.Pool
 
@@ -67,12 +45,18 @@ type winFetcher struct {
 	bufs [][]float64
 }
 
-// fetchDepth is one of a winFetcher's two windows: the SeriesSource the
-// assessment code reads at that depth.
+// fetchDepth is one of a winFetcher's two windows: where the assessment
+// reads series at that depth, and the group averages already built over
+// them. Every treated server KPI of a metric shares its control group, so
+// in both the serial and the fanned-out path only the first KPI to ask
+// pays the align-and-average; the rest (and any concurrent askers, via
+// the per-entry once) share the result. Entries are read-only after
+// creation — every downstream consumer clones before mutating.
 type fetchDepth struct {
 	f        *winFetcher
 	from, to time.Time
 	m        sync.Map     // topo.KPIKey → *fetchEntry
+	avgs     sync.Map     // joined key string → *avgEntry
 	fetches  atomic.Int64 // series decoded at this depth
 }
 
@@ -90,7 +74,7 @@ type fetchEntry struct {
 // scorer's past span and the two pre-change DiD periods the placebo
 // test reads; deep adds the seasonal-DiD lookback (HistoryDays of
 // same-clock-time windows).
-func newWinFetcher(src WindowSource, at time.Time, cfg *Config, pool *sync.Pool) *winFetcher {
+func newWinFetcher(src SeriesSource, at time.Time, cfg *Config, pool *sync.Pool) *winFetcher {
 	step := src.Step()
 	binsPerDay := 0
 	if step <= 24*time.Hour {
@@ -120,7 +104,7 @@ func (d *fetchDepth) Series(key topo.KPIKey) (*timeseries.Series, bool) {
 }
 
 // fetch performs the windowed read, falling back to the full series
-// whenever the window alone could not reproduce the flat path exactly.
+// whenever the window alone could not reproduce its answer exactly.
 func (d *fetchDepth) fetch(key topo.KPIKey) (*timeseries.Series, bool) {
 	f := d.f
 	d.fetches.Add(1)
@@ -132,14 +116,14 @@ func (d *fetchDepth) fetch(key topo.KPIKey) (*timeseries.Series, bool) {
 	f.keep(vals)
 	if !ok {
 		// Unknown key, or a series that ends before the window starts;
-		// the flat path would still return the short series, so fall
-		// back to it (a missing key stays missing).
+		// the full read still returns the short series, so fall back to
+		// it (a missing key stays missing).
 		return f.src.Series(key)
 	}
 	if n := len(vals); n > 0 && (math.IsNaN(vals[0]) || math.IsNaN(vals[n-1])) {
 		// A gap run crosses the fetch boundary: gap interpolation would
-		// anchor on bins outside the window and diverge from the flat
-		// path, so this series pays the full copy instead.
+		// anchor on bins outside the window and diverge from the full
+		// series, so this series pays the full copy instead.
 		return f.src.Series(key)
 	}
 	return timeseries.New(start, f.step, vals), true
@@ -157,21 +141,15 @@ func (f *winFetcher) keep(b []float64) {
 
 // offsetOf translates a fetched series' bin indices back to positions
 // in the key's full series (what reports and detections carry): the
-// number of bins between the store epoch and the fetched window start.
-// A nil fetcher (flat path) or a fallback full series translates by 0.
+// number of bins between the source epoch and the fetched window start.
+// A fallback full series translates by 0.
 func (f *winFetcher) offsetOf(s *timeseries.Series) int {
-	if f == nil {
-		return 0
-	}
 	return int(s.Start.Sub(f.base) / f.step)
 }
 
 // release returns every fetched buffer to the pool; the caller
 // guarantees no live Report references them.
 func (f *winFetcher) release() {
-	if f == nil {
-		return
-	}
 	f.mu.Lock()
 	bufs := f.bufs
 	f.bufs = nil

@@ -16,16 +16,25 @@ import (
 	"repro/internal/workload"
 )
 
-// The store must keep offering the windowed face; losing it silently
-// falls the assessor back to full-series copies.
-var _ WindowSource = (*monitor.Store)(nil)
+// Both sources serve the one read contract.
+var (
+	_ SeriesSource = (*monitor.Store)(nil)
+	_ SeriesSource = (*workload.MapSource)(nil)
+)
 
-// flatStore narrows a monitor.Store to its Series-only face, so an
-// assessor built over it takes the flat full-copy path while reading
-// the exact same bits as the windowed assessor.
-type flatStore struct{ st *monitor.Store }
+// flatStore is the full-series reference: a monitor.Store whose
+// RangeInto ignores the window and returns the key's whole series from
+// the epoch, so an assessor built over it reads every KPI in full while
+// reading the exact same bits as the windowed assessor.
+type flatStore struct{ *monitor.Store }
 
-func (f flatStore) Series(key topo.KPIKey) (*timeseries.Series, bool) { return f.st.Series(key) }
+func (f flatStore) RangeInto(key topo.KPIKey, _, _ time.Time, dst []float64) ([]float64, time.Time, bool) {
+	s, ok := f.Series(key)
+	if !ok {
+		return dst, time.Time{}, false
+	}
+	return append(dst[:0], s.Values...), s.Start, true
+}
 
 // storeFromScenario ingests every scenario series into a chunked store.
 // NaN bins are skipped, not written: a store bin with no measurement
@@ -46,11 +55,12 @@ func storeFromScenario(t *testing.T, sc *workload.Scenario, span int) *monitor.S
 	return st
 }
 
-// TestWindowedAssessMatchesFlat is the tentpole equality gate: over a
-// config matrix and several chunk spans, assessing from the windowed
-// store path must produce reports reflect.DeepEqual to the flat
-// full-series path reading the same store — same verdicts, same
-// detection indices in the full-series frame, same error strings.
+// TestWindowedAssessMatchesFlat is the windowed-read equality gate: over
+// a config matrix and several chunk spans, assessing from the store's
+// windows must produce reports reflect.DeepEqual to the flatStore
+// reference reading every key's full series from the same store — same
+// verdicts, same detection indices in the full-series frame, same error
+// strings.
 func TestWindowedAssessMatchesFlat(t *testing.T) {
 	p := workload.DefaultParams()
 	p.Changes = 4
@@ -143,6 +153,64 @@ func TestWindowedAssessMatchesFlat(t *testing.T) {
 	}
 }
 
+// TestRangeIntoContract holds both sources to one RangeInto: a chunked
+// store and a MapSource holding the same gap-free series return the same
+// window bits, window start and ok for every way a window can sit
+// against the stored span.
+func TestRangeIntoContract(t *testing.T) {
+	t0 := time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC)
+	const n = 100
+	key := topo.KPIKey{Scope: topo.ScopeServer, Entity: "s1", Metric: "cpu"}
+	vals := make([]float64, n)
+	st := monitor.NewStore(t0, time.Minute)
+	st.SetChunkSpan(16)
+	for i := range vals {
+		vals[i] = 40 + 10*math.Sin(float64(i)/7) + float64(i%3)/8
+		st.Append(monitor.Measurement{Key: key, T: t0.Add(time.Duration(i) * time.Minute), V: vals[i]})
+	}
+	ms := workload.NewMapSource(t0, time.Minute)
+	ms.Put(key, timeseries.New(t0, time.Minute, vals))
+
+	at := func(m float64) time.Time { return t0.Add(time.Duration(m * float64(time.Minute))) }
+	cases := []struct {
+		name     string
+		key      topo.KPIKey
+		from, to time.Time
+		ok       bool
+	}{
+		{"before-epoch", key, at(-30), at(-10), false},
+		{"straddles-epoch", key, at(-10), at(10), true},
+		{"interior", key, at(20), at(50), true},
+		{"straddles-end", key, at(90), at(120), true},
+		{"past-end", key, at(n), at(n + 30), false},
+		{"empty", key, at(20), at(20), false},
+		{"to-mid-bin", key, at(20), at(30.5), true},
+		{"from-mid-bin", key, at(20.5), at(30), true},
+		{"unknown-key", topo.KPIKey{Scope: topo.ScopeServer, Entity: "s2", Metric: "cpu"}, at(0), at(10), false},
+	}
+	for _, c := range cases {
+		want, wstart, wok := st.RangeInto(c.key, c.from, c.to, nil)
+		got, gstart, gok := ms.RangeInto(c.key, c.from, c.to, nil)
+		if gok != wok || wok != c.ok {
+			t.Fatalf("%s: ok map %v, store %v, want %v", c.name, gok, wok, c.ok)
+		}
+		if !gstart.Equal(wstart) {
+			t.Fatalf("%s: start map %v, store %v", c.name, gstart, wstart)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: map %d bins, store %d", c.name, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: bin %d map %v, store %v", c.name, i, got[i], want[i])
+			}
+		}
+	}
+	if got, _, _ := ms.RangeInto(key, at(20), at(30.5), nil); len(got) != 11 {
+		t.Fatalf("a to inside bin 30 must round up to 11 bins, got %d", len(got))
+	}
+}
+
 // TestWindowedAssessRepeatable pins worker-count independence on the
 // windowed path itself: serial and fanned-out assessments of the same
 // change must be identical (the fetch cache is shared per assessment).
@@ -175,7 +243,7 @@ func TestWinFetcherReturnsTrueWindows(t *testing.T) {
 	sc := smallScenario(t, 1)
 	st := storeFromScenario(t, sc, 64)
 	a := newAssessorOver(t, st, sc, nil)
-	fx := newWinFetcher(a.win, sc.Cases[0].Change.At, &a.cfg, &a.fetchBufs)
+	fx := newWinFetcher(a.source, sc.Cases[0].Change.At, &a.cfg, &a.fetchBufs)
 	defer fx.release()
 	for name, depth := range map[string]*fetchDepth{"near": &fx.near, "deep": &fx.deep} {
 		windowed := 0
@@ -242,8 +310,9 @@ func (c *countingStore) Series(key topo.KPIKey) (*timeseries.Series, bool) {
 	return s, ok
 }
 
-// TestOnDemandHistoryMatchesFlat holds the two-depth fetcher to the flat
-// full-series path over the situations where the depths part ways: gap
+// TestOnDemandHistoryMatchesFlat holds the two-depth fetcher to the
+// flatStore full-series reference over the situations where the depths
+// part ways: gap
 // runs crossing one depth's edge but not the other's, history read by
 // the daily pool and by the weekly one, a computed service aggregate on
 // the historical arm, a control member whose feed ended before the near

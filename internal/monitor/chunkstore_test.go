@@ -84,25 +84,27 @@ func TestRangeIntoMatchesSeries(t *testing.T) {
 }
 
 func TestRangeIntoMatchesRange(t *testing.T) {
-	// The legacy Range API must agree with RangeInto bin for bin,
-	// including the clamping conventions at the edges.
+	// RangeInto must return exactly the requested range of the full
+	// series, including the clamping conventions at the edges: a window
+	// reaching past the end stops at the last stored bin.
 	s := chunkedStore(t, 8)
 	fillRandom(s, kCPU, 100, 4)
-	cases := []struct{ lo, hi int }{{0, 100}, {0, 5}, {95, 100}, {3, 97}, {50, 51}}
+	full, ok := s.Series(kCPU)
+	if !ok {
+		t.Fatal("series missing")
+	}
+	n := full.Len()
+	cases := []struct{ lo, hi int }{{0, 100}, {0, 5}, {95, 100}, {3, 97}, {50, 51}, {90, 200}}
 	for _, c := range cases {
 		from := t0.Add(time.Duration(c.lo) * time.Minute)
 		to := t0.Add(time.Duration(c.hi) * time.Minute)
-		ser, ok := s.Range(kCPU, from, to)
-		vals, _, ok2 := s.RangeInto(kCPU, from, to, nil)
-		if !ok || !ok2 {
-			t.Fatalf("[%d,%d): ok=%v ok2=%v", c.lo, c.hi, ok, ok2)
+		vals, wstart, ok := s.RangeInto(kCPU, from, to, nil)
+		if !ok || !wstart.Equal(from) {
+			t.Fatalf("[%d,%d): ok=%v start %v", c.lo, c.hi, ok, wstart)
 		}
-		sameBits(t, vals, ser.Values, "range")
+		sameBits(t, vals, full.Values[c.lo:min(c.hi, n)], "range")
 	}
-	// Empty and unknown windows fail in both.
-	if _, ok := s.Range(kCPU, t0.Add(500*time.Minute), t0.Add(600*time.Minute)); ok {
-		t.Fatal("past-end Range should be !ok")
-	}
+	// Empty and unknown windows fail.
 	if _, _, ok := s.RangeInto(kCPU, t0.Add(500*time.Minute), t0.Add(600*time.Minute), nil); ok {
 		t.Fatal("past-end RangeInto should be !ok")
 	}

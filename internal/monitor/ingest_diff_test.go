@@ -160,11 +160,11 @@ func (tw *ingestTwin) send(payload []byte) {
 // markerValue reads the marker's bin (NaN until the first step).
 func markerValue(s *Store) float64 {
 	at := t0.Add(twinMarkerBin * time.Minute)
-	ser, ok := s.Range(twinMarker, at, at.Add(time.Minute))
-	if !ok || ser.Len() == 0 {
+	vals, _, ok := s.RangeInto(twinMarker, at, at.Add(time.Minute), nil)
+	if !ok || len(vals) == 0 {
 		return math.NaN()
 	}
-	return ser.Values[0]
+	return vals[0]
 }
 
 // step ends a group of frames: a marker frame follows them, and once

@@ -69,14 +69,14 @@ func TestStoreRange(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Append(Measurement{kCPU, t0.Add(time.Duration(i) * time.Minute), float64(i)})
 	}
-	r, ok := s.Range(kCPU, t0.Add(2*time.Minute), t0.Add(5*time.Minute))
-	if !ok || r.Len() != 3 || r.Values[0] != 2 {
-		t.Fatalf("Range = %+v ok=%v", r, ok)
+	r, start, ok := s.RangeInto(kCPU, t0.Add(2*time.Minute), t0.Add(5*time.Minute), nil)
+	if !ok || len(r) != 3 || r[0] != 2 || !start.Equal(t0.Add(2*time.Minute)) {
+		t.Fatalf("RangeInto = %v from %v, ok=%v", r, start, ok)
 	}
-	if _, ok := s.Range(kCPU, t0.Add(time.Hour), t0.Add(2*time.Hour)); ok {
+	if _, _, ok := s.RangeInto(kCPU, t0.Add(time.Hour), t0.Add(2*time.Hour), nil); ok {
 		t.Fatal("empty clamped range should be !ok")
 	}
-	if _, ok := s.Range(kPV, t0, t0.Add(time.Minute)); ok {
+	if _, _, ok := s.RangeInto(kPV, t0, t0.Add(time.Minute), nil); ok {
 		t.Fatal("unknown key should be !ok")
 	}
 }

@@ -1065,19 +1065,6 @@ func (s *Store) SeriesLen(key topo.KPIKey) (int, bool) {
 	return n, ok
 }
 
-// Range returns a copy of the key's bins covering [from, to), clamped
-// to the stored span. ok is false when the key is unknown or the
-// clamped range is empty. Unlike the historical implementation it
-// copies (and decodes) only the requested window, never the full
-// series.
-func (s *Store) Range(key topo.KPIKey, from, to time.Time) (*timeseries.Series, bool) {
-	vals, wstart, ok := s.RangeInto(key, from, to, nil)
-	if !ok {
-		return nil, false
-	}
-	return timeseries.New(wstart, s.step, vals), true
-}
-
 // Keys returns every stored KPI key, in unspecified order.
 func (s *Store) Keys() []topo.KPIKey {
 	s.epochMu.RLock()

@@ -60,8 +60,8 @@ func GenerateRedis(p RedisParams) (*RedisCase, error) {
 	rc := &RedisCase{
 		Topo:   topo.NewTopology(),
 		Log:    changelog.NewLog(),
-		Source: NewMapSource(),
-		Start:  time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC),
+		Source: NewMapSource(corpusEpoch, timeseries.DefaultStep),
+		Start:  corpusEpoch,
 	}
 	svc := "cache.redisquery"
 	historyBins := p.HistoryDays * MinutesPerDay
@@ -192,8 +192,8 @@ func GenerateAdClicks(p AdParams) (*AdCase, error) {
 	ac := &AdCase{
 		Topo:    topo.NewTopology(),
 		Log:     changelog.NewLog(),
-		Source:  NewMapSource(),
-		Start:   time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC),
+		Source:  NewMapSource(corpusEpoch, timeseries.DefaultStep),
+		Start:   corpusEpoch,
 		Service: "ads.serving",
 	}
 	historyBins := p.HistoryDays * MinutesPerDay

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"time"
 
 	"repro/internal/changelog"
@@ -38,18 +39,25 @@ type Case struct {
 	Truth map[topo.KPIKey]Truth
 }
 
-// MapSource is an in-memory KPI source keyed by KPIKey; it satisfies
-// the funnel.SeriesSource shape.
+// corpusEpoch is bin 0 of every generated corpus.
+var corpusEpoch = time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC)
+
+// MapSource is an in-memory KPI source keyed by KPIKey, every series on
+// one epoch and bin width; it satisfies funnel.SeriesSource.
 type MapSource struct {
+	start  time.Time
+	step   time.Duration
 	series map[topo.KPIKey]*timeseries.Series
 }
 
-// NewMapSource returns an empty source.
-func NewMapSource() *MapSource {
-	return &MapSource{series: make(map[topo.KPIKey]*timeseries.Series)}
+// NewMapSource returns an empty source whose series start at start, one
+// bin per step.
+func NewMapSource(start time.Time, step time.Duration) *MapSource {
+	return &MapSource{start: start, step: step, series: make(map[topo.KPIKey]*timeseries.Series)}
 }
 
-// Put stores a series under a key.
+// Put stores a series under a key. The series must start at the
+// source's epoch and use its step: RangeInto indexes it from there.
 func (m *MapSource) Put(key topo.KPIKey, s *timeseries.Series) { m.series[key] = s }
 
 // Series returns the series for key.
@@ -58,15 +66,46 @@ func (m *MapSource) Series(key topo.KPIKey) (*timeseries.Series, bool) {
 	return s, ok
 }
 
+// Start returns the source's epoch (bin 0 of every series).
+func (m *MapSource) Start() time.Time { return m.start }
+
+// Step returns the bin width.
+func (m *MapSource) Step() time.Duration { return m.step }
+
+// RangeInto copies the key's bins covering [from, to), clamped to the
+// series, into dst (reusing its capacity), and returns them with the
+// window's start time. It clamps and rounds as monitor.Store.RangeInto
+// does; ok is false, with dst returned unread, for an unknown key or an
+// empty clamped window. The values are a copy, never the stored series.
+func (m *MapSource) RangeInto(key topo.KPIKey, from, to time.Time, dst []float64) ([]float64, time.Time, bool) {
+	s, ok := m.series[key]
+	if !ok {
+		return dst, time.Time{}, false
+	}
+	lo, hi := 0, s.Len()
+	if from.After(m.start) {
+		lo = int(from.Sub(m.start) / m.step)
+	}
+	if to.Before(s.End()) {
+		hi = int(to.Sub(m.start)+m.step-1) / int(m.step)
+	}
+	if lo >= hi {
+		return dst, time.Time{}, false
+	}
+	return append(dst[:0], s.Values[lo:hi]...), m.start.Add(time.Duration(lo) * m.step), true
+}
+
 // Len returns the number of stored series.
 func (m *MapSource) Len() int { return len(m.series) }
 
-// Keys returns all stored keys in unspecified order.
+// Keys returns all stored keys sorted by KPIKey.String, so a walk over
+// them (trace export, gap punching) is reproducible.
 func (m *MapSource) Keys() []topo.KPIKey {
 	out := make([]topo.KPIKey, 0, len(m.series))
 	for k := range m.series {
 		out = append(out, k)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }
 
@@ -180,8 +219,8 @@ func Generate(p Params) (*Scenario, error) {
 	sc := &Scenario{
 		Topo:        topo.NewTopology(),
 		Log:         changelog.NewLog(),
-		Source:      NewMapSource(),
-		Start:       time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC),
+		Source:      NewMapSource(corpusEpoch, timeseries.DefaultStep),
+		Start:       corpusEpoch,
 		Step:        timeseries.DefaultStep,
 		HistoryBins: p.HistoryDays * MinutesPerDay,
 	}

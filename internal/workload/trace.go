@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"time"
 
@@ -50,26 +51,38 @@ type TraceTruth struct {
 	StartBin int    `json:"start_bin,omitempty"`
 }
 
-// ExportTrace renders a scenario in wire form.
-func ExportTrace(sc *Scenario) *Trace {
-	t := &Trace{Kind: "scenario", Start: sc.Start, StepSec: int(sc.Step.Seconds())}
-	for _, c := range sc.Log.All() {
+// SourceTrace renders a change log and every series of a source in wire
+// form, series in key order, so one source always encodes to the same
+// bytes.
+func SourceTrace(kind string, log *changelog.Log, src *MapSource) *Trace {
+	t := &Trace{Kind: kind, Start: src.Start(), StepSec: int(src.Step().Seconds())}
+	for _, c := range log.All() {
 		t.Changes = append(t.Changes, TraceChange{
 			ID: c.ID, Type: c.Type.String(), Service: c.Service, Servers: c.Servers, At: c.At,
 		})
 	}
-	for _, key := range sc.Source.Keys() {
-		s, _ := sc.Source.Series(key)
+	for _, key := range src.Keys() {
+		s, _ := src.Series(key)
 		t.Series = append(t.Series, TraceSeries{
 			Scope: key.Scope.String(), Entity: key.Entity, Metric: key.Metric, Values: s.Values,
 		})
 	}
+	return t
+}
+
+// ExportTrace renders a scenario in wire form, its truth labels in
+// (change, key) order.
+func ExportTrace(sc *Scenario) *Trace {
+	t := SourceTrace("scenario", sc.Log, sc.Source)
 	for _, cs := range sc.Cases {
+		from := len(t.Truth)
 		for key, tr := range cs.Truth {
 			t.Truth = append(t.Truth, TraceTruth{
 				ChangeID: cs.Change.ID, Key: key.String(), Changed: tr.Changed, StartBin: tr.StartBin,
 			})
 		}
+		labels := t.Truth[from:]
+		sort.Slice(labels, func(i, j int) bool { return labels[i].Key < labels[j].Key })
 	}
 	return t
 }
@@ -111,9 +124,9 @@ func parseScope(s string) (topo.Scope, error) {
 // and the change log. Truth labels are returned keyed by change then
 // KPI for evaluation use.
 func (t *Trace) Build() (*MapSource, *topo.Topology, *changelog.Log, map[string]map[topo.KPIKey]Truth, error) {
-	source := NewMapSource()
-	tp := topo.NewTopology()
 	step := time.Duration(t.StepSec) * time.Second
+	source := NewMapSource(t.Start, step)
+	tp := topo.NewTopology()
 
 	for _, ts := range t.Series {
 		scope, err := parseScope(ts.Scope)

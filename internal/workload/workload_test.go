@@ -271,12 +271,32 @@ func TestGenerateAdClicksShape(t *testing.T) {
 }
 
 func TestMapSource(t *testing.T) {
-	m := NewMapSource()
+	start := time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC)
+	m := NewMapSource(start, time.Minute)
 	if m.Len() != 0 || len(m.Keys()) != 0 {
 		t.Fatal("empty source not empty")
 	}
 	if _, ok := m.Series(topo.KPIKey{}); ok {
 		t.Fatal("missing key should be !ok")
+	}
+	if !m.Start().Equal(start) || m.Step() != time.Minute {
+		t.Fatalf("epoch %v step %v", m.Start(), m.Step())
+	}
+	for _, e := range []string{"b", "c", "a"} {
+		m.Put(topo.KPIKey{Scope: topo.ScopeServer, Entity: e, Metric: "m"}, timeseries.New(start, time.Minute, []float64{1, 2, 3}))
+	}
+	if keys := m.Keys(); keys[0].Entity != "a" || keys[1].Entity != "b" || keys[2].Entity != "c" {
+		t.Fatalf("Keys not sorted: %v", keys)
+	}
+	// RangeInto hands out a copy: the fetcher recycles its buffers.
+	key := topo.KPIKey{Scope: topo.ScopeServer, Entity: "a", Metric: "m"}
+	vals, from, ok := m.RangeInto(key, start.Add(time.Minute), start.Add(time.Hour), nil)
+	if !ok || len(vals) != 2 || vals[0] != 2 || !from.Equal(start.Add(time.Minute)) {
+		t.Fatalf("RangeInto = %v from %v, ok %v", vals, from, ok)
+	}
+	vals[0] = 99
+	if s, _ := m.Series(key); s.Values[1] != 2 {
+		t.Fatal("RangeInto aliased the stored series")
 	}
 }
 
