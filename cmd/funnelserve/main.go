@@ -228,11 +228,11 @@ func runFsck(dir string, repair bool) int {
 		case w.ReadError != nil:
 			fmt.Printf("%s: UNREADABLE: %v\n", w.Path, w.ReadError)
 		case w.TornTail && w.TornAt > 0:
-			fmt.Printf("%s: %d records, then a bad record at offset %d: %d bytes left unread\n", w.Path, w.Records, w.TornAt, w.Unread)
+			fmt.Printf("%s: v%d, %d records, then a bad record at offset %d: %d bytes left unread\n", w.Path, w.Version, w.Records, w.TornAt, w.Unread)
 		case w.TornTail:
-			fmt.Printf("%s: %d records, a shard's cut short at a body that does not decode\n", w.Path, w.Records)
+			fmt.Printf("%s: v%d, %d records, a shard's cut short at an entry that does not decode\n", w.Path, w.Version, w.Records)
 		default:
-			fmt.Printf("%s: %d records, clean\n", w.Path, w.Records)
+			fmt.Printf("%s: v%d, %d records, clean\n", w.Path, w.Version, w.Records)
 		}
 	}
 	switch {

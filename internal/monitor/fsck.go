@@ -13,12 +13,13 @@ import (
 // FsckWAL is the health of one log generation as seen by Fsck.
 type FsckWAL struct {
 	Path     string
-	Records  int  // group-decoded measurements replayed
-	TornTail bool // replay dropped records: see OpenPersistent's RecoveryStats.TornTails
+	Version  uint16 // the log format its header names; 0 when no header was read
+	Records  int    // group-decoded measurements replayed
+	TornTail bool   // replay dropped records: see OpenPersistent's RecoveryStats.TornTails
 	// TornAt is the file offset of the record that failed its length or
 	// CRC check and ended the replay, Unread the bytes from there to the
 	// end of the file, none of which were replayed; both 0 when no record
-	// did (TornTail is then a shard ended by an undecodable body).
+	// did (TornTail is then a shard ended by an undecodable entry).
 	TornAt, Unread int64
 	ReadError      error // header damage or a failed read: the store it left is partial
 }
@@ -103,6 +104,7 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 	for _, r := range replayGenerations(fsys, gens, store) {
 		rep.WALs = append(rep.WALs, FsckWAL{
 			Path:      r.path,
+			Version:   r.version,
 			Records:   r.stats.WALRecords,
 			TornTail:  r.stats.TornTails > 0,
 			TornAt:    r.tornAt,

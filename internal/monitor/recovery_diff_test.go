@@ -83,9 +83,11 @@ func oracleReplayWAL(path string, store *Store, step time.Duration, shards, span
 	if string(hdr[:len(walMagic)]) != walMagic {
 		return store, fmt.Errorf("bad WAL magic in %s", path)
 	}
-	if v := binary.BigEndian.Uint16(hdr[4:6]); v != walVersion {
+	v := binary.BigEndian.Uint16(hdr[4:6])
+	if v != walVersion && v != walVersionWire {
 		return store, fmt.Errorf("unsupported WAL version %d in %s", v, path)
 	}
+	dec := newLogDecoder(v)
 	hdrStart := time.Unix(0, int64(binary.BigEndian.Uint64(hdr[6:14]))).UTC()
 	hdrStep := time.Duration(binary.BigEndian.Uint64(hdr[14:22]))
 	if hdrStep <= 0 {
@@ -99,7 +101,7 @@ func oracleReplayWAL(path string, store *Store, step time.Duration, shards, span
 		store.span = span
 	}
 	var lenBuf [4]byte
-	ended := make(map[byte]bool) // shards an undecodable body has ended
+	ended := make(map[byte]bool) // shards an undecodable entry has ended
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			if err == io.EOF {
@@ -130,19 +132,110 @@ func oracleReplayWAL(path string, store *Store, step time.Duration, shards, span
 			return store, nil
 		}
 		stats.LogBytes += int64(len(payload)) + 4
-		for len(body) > 0 && !ended[payload[0]] {
-			m, rest, err := decodeMeasurementBody(body, nil)
-			if err != nil {
-				// As when the shard had a log of its own: it ends here.
-				stats.TornTails++
-				ended[payload[0]] = true
-				break
-			}
-			store.Append(m)
+		if ended[payload[0]] {
+			continue
+		}
+		entries, err := dec.record(payload[0], body)
+		for _, e := range entries {
+			store.Append(e.m)
 			stats.WALRecords++
-			body = rest
+		}
+		if err != nil {
+			// As when the shard had a log of its own: it ends here.
+			stats.TornTails++
+			ended[payload[0]] = true
 		}
 	}
+}
+
+// logDecoder is the tests' one reader of log record payloads: the serial
+// oracle replays through it, and the tests that edit raw log bytes find
+// the entries with it. It decodes with the wire codec alone, apart from
+// keyTable: a version 2 payload is measurement bodies, a version 3
+// payload defines and references, whose ids it numbers per shard byte of
+// the one generation it reads.
+type logDecoder struct {
+	version uint16
+	ids     map[byte][]topo.KPIKey
+}
+
+func newLogDecoder(version uint16) *logDecoder {
+	return &logDecoder{version: version, ids: make(map[byte][]topo.KPIKey)}
+}
+
+// logEntry is one decoded measurement and the bytes its entry spans in
+// the payload, tag or id included.
+type logEntry struct {
+	m        Measurement
+	off, end int
+	define   bool
+}
+
+// record decodes the payload of one record of shard up to the first
+// entry that does not decode, and returns that entry's error.
+func (d *logDecoder) record(shard byte, payload []byte) ([]logEntry, error) {
+	var out []logEntry
+	for off := 0; off < len(payload); off = out[len(out)-1].end {
+		b := payload[off:]
+		e := logEntry{off: off}
+		var rest []byte
+		var err error
+		switch {
+		case d.version == walVersionWire:
+			e.m, rest, err = decodeMeasurementBody(b, nil)
+		case b[0] == 0:
+			e.define = true
+			if e.m, rest, err = decodeMeasurementBody(b[1:], nil); err == nil {
+				d.ids[shard] = append(d.ids[shard], e.m.Key)
+			}
+		default:
+			id, n := binary.Uvarint(b)
+			switch {
+			case n <= 0:
+				err = errors.New("bad id")
+			case id == 0 || id > uint64(len(d.ids[shard])):
+				err = fmt.Errorf("id %d of %d defined", id, len(d.ids[shard]))
+			case len(b) < n+16:
+				err = fmt.Errorf("reference of %d bytes", len(b))
+			default:
+				nanos := int64(binary.BigEndian.Uint64(b[n:]))
+				e.m = Measurement{d.ids[shard][id-1], time.Unix(0, nanos).UTC(), math.Float64frombits(binary.BigEndian.Uint64(b[n+8:]))}
+				rest = b[n+16:]
+			}
+		}
+		if err != nil {
+			return out, err
+		}
+		e.end = len(payload) - len(rest)
+		out = append(out, e)
+	}
+	return out, nil
+}
+
+// loggedRecord is one record of a log file as logRecords read it.
+type loggedRecord struct {
+	off     int    // file offset of its length word
+	payload []byte // aliasing the file's bytes
+	shard   byte
+	entries []logEntry
+}
+
+// logRecords decodes every record of a log file's bytes, in file order,
+// with one logDecoder; an entry that does not decode fails the test.
+func logRecords(t *testing.T, raw []byte) []loggedRecord {
+	t.Helper()
+	dec := newLogDecoder(binary.BigEndian.Uint16(raw[4:6]))
+	var recs []loggedRecord
+	for _, off := range walRecordOffsets(t, raw) {
+		n := int(binary.BigEndian.Uint32(raw[off:]))
+		r := loggedRecord{off: off, payload: raw[off+5 : off+5+n], shard: raw[off+4]}
+		var err error
+		if r.entries, err = dec.record(r.shard, r.payload); err != nil {
+			t.Fatalf("record at offset %d: %v", off, err)
+		}
+		recs = append(recs, r)
+	}
+	return recs
 }
 
 // oracleReadSnapshot reads a version-3 snapshot on one goroutine,
@@ -537,30 +630,28 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 			},
 		},
 		{
-			// The CRC holds but a body inside the group does not decode:
-			// the bodies before it apply, then that shard's records end as
+			// The CRC holds but an entry inside the group does not decode:
+			// the entries before it apply, then that shard's records end as
 			// its log used to; the other shards' replay on.
 			name:   "undecodable body inside a group",
 			shards: []int{4},
 			build: func(t *testing.T) string {
 				dir := writeImage(t, 4, t0, diffWALBins, diffValue)
 				rewriteFile(t, genLog(t, dir, 0), func(raw []byte) []byte {
-					offs := walRecordOffsets(t, raw)
-					for _, off := range offs[len(offs)/3:] {
-						n := int(binary.BigEndian.Uint32(raw[off:]))
-						rec := raw[off+4 : off+5+n] // shard byte and bodies
-						_, rest, err := decodeMeasurementBody(rec[1:], nil)
-						if err != nil {
-							t.Fatal(err)
+					recs := logRecords(t, raw)
+					for _, r := range recs[len(recs)/3:] {
+						if len(r.entries) < 2 {
+							continue // a single-measurement group
 						}
-						if len(rest) == 0 {
-							continue // a single-record group
+						if e := r.entries[1]; e.define {
+							r.payload[e.off+1] = 0xEE // the second define's scope
+						} else {
+							r.payload[e.off] = 0x7F // an id no define has given yet
 						}
-						rec[len(rec)-len(rest)] = 0xEE // the second body's scope
-						binary.BigEndian.PutUint32(raw[off+5+n:], crc32.ChecksumIEEE(rec))
+						binary.BigEndian.PutUint32(raw[r.off+5+len(r.payload):], crc32.ChecksumIEEE(raw[r.off+4:r.off+5+len(r.payload)]))
 						return raw
 					}
-					t.Fatal("no multi-record group in the last two thirds of the log")
+					t.Fatal("no multi-measurement group in the last two thirds of the log")
 					return nil
 				})
 				return dir
@@ -698,6 +789,62 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 				if got := bin(s, keys[9], 70); got != -diffValue(9, 70) {
 					t.Fatalf("the 4-shard generation did not win over the 16-shard one below it: bin 70 = %v", got)
 				}
+			},
+		},
+		{
+			// A prune drops a series whole and a later bin re-creates it in
+			// the same generation: its key is defined twice, under two ids
+			// of one shard. The prune's compaction is held at its pre-cut
+			// fsync until the directory has been copied.
+			name:   "prune and re-create within one generation",
+			shards: []int{4, 16},
+			build: func(t *testing.T) string {
+				dir := writeImage(t, 4, t0, diffWALBins, diffValue)
+				bfs := &blockingSyncFS{FS: faultfs.OS, entered: make(chan struct{}), release: make(chan struct{})}
+				opts := persistOptsNoBG(4)
+				opts.ChunkSpan = diffSpan
+				opts.FS = bfs
+				st, err := OpenPersistent(dir, time.Time{}, 0, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gone := fleetKeys(diffKeys + 1)[diffKeys] // a series the prune drops whole
+				bin := diffSnapBins + diffWALBins
+				for b := 0; b < 5; b++ {
+					st.Append(Measurement{gone, t0.Add(time.Duration(b) * time.Minute), float64(b)})
+				}
+				st.Append(Measurement{keys[3], t0.Add(time.Duration(bin) * time.Minute), 1})
+				bfs.armed.Store(true)
+				st.Prune(t0.Add(10 * time.Minute))
+				<-bfs.entered
+				for b := bin; b < bin+3; b++ {
+					st.AppendBatch([]Measurement{
+						{gone, t0.Add(time.Duration(b) * time.Minute), float64(-b)},
+						{keys[3], t0.Add(time.Duration(b) * time.Minute), float64(b)},
+					})
+				}
+				image := copyImage(t, dir)
+				bfs.armed.Store(false)
+				close(bfs.release)
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				raw, err := os.ReadFile(genLog(t, image, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defines := 0
+				for _, r := range logRecords(t, raw) {
+					for _, e := range r.entries {
+						if e.define && e.m.Key == gone {
+							defines++
+						}
+					}
+				}
+				if defines != 2 {
+					t.Fatalf("the re-created key is defined %d times in the generation, want 2", defines)
+				}
+				return image
 			},
 		},
 		{

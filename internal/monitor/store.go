@@ -175,7 +175,12 @@ type seriesEntry struct {
 	// feed registration and closure recompute it for every series,
 	// Refilter for the keys it is given.
 	feedTracked bool
-	pend        [pendBins]float64
+	// walID is the id the series' key has in the live log generation,
+	// valid while walGen is that generation's stamp (shardWAL.gen): its
+	// first measurement in a generation defines the key, the later ones
+	// reference the id (see wal.go). Zero on an entry never logged.
+	walGen, walID uint32
+	pend          [pendBins]float64
 }
 
 // pendBins is the width of seriesEntry.pend: one cache line of values,
@@ -471,7 +476,7 @@ func (s *Store) commitLocked(sh *storeShard, e *seriesEntry, key *topo.KPIKey, i
 	s.setBinLocked(e, idx, v)
 	e.arrivalNanos = now
 	if sh.wal != nil {
-		sh.wal.appendLocked(wire, m)
+		sh.wal.appendLocked(e, wire, m)
 	}
 	if e.feedTracked {
 		s.notifyFeeds(key, wire, m)
@@ -676,6 +681,21 @@ func (g *shardGrouping) grow(n int) {
 // of a batch scan per shard, each stripe visited once over one
 // contiguous run, and per-key order kept.
 func (g *shardGrouping) sort(shards int) (offsets [maxStoreShards + 1]int32) {
+	lead := 0 // the batch's leading run on one shard
+	for lead < len(g.idx) && g.idx[lead] == g.idx[0] {
+		lead++
+	}
+	if lead == len(g.idx) && lead > 0 {
+		// One shard, as a log record replayed in the layout that wrote it:
+		// the batch order is the order.
+		for i := range g.order {
+			g.order[i] = int32(i)
+		}
+		for si := int(g.idx[0]) + 1; si <= shards; si++ {
+			offsets[si] = int32(len(g.order))
+		}
+		return offsets
+	}
 	for _, si := range g.idx {
 		offsets[int(si)+1]++
 	}
@@ -838,11 +858,69 @@ func (t *keyTable) scan(b []byte, max int) (n, used int, err error) {
 	return n, used, nil
 }
 
+// scanLog is scan for the payload of a version 3 log record, whose
+// entries are defines — tag 0 and a measurement body — and references —
+// an id and the body's last 16 bytes (see wal.go). A table scans one
+// form only: a connection's frames, or one writer shard's records of one
+// generation. A define appends its key's handle, so the handles are the
+// shard's ids in define order and a reference is an index, handles[id-1]:
+// no key bytes to match, and no cap, since every id names a series the
+// writer held. It returns how many entries it accepted and the error
+// that stopped it at a malformed one. Nothing touches the store.
+func (t *keyTable) scanLog(b []byte) (n int, err error) {
+	t.recs = t.recs[:0]
+	for used := 0; used < len(b); n++ {
+		if b[used] == 0 {
+			used++
+			body := b[used:]
+			metOff, keyEnd, err := measurementKeySpan(body)
+			if err != nil {
+				return n, err
+			}
+			if len(body) < keyEnd+16 {
+				return n, fmt.Errorf("monitor: bad measurement tail length %d", len(body)-keyEnd)
+			}
+			key := keyFromSpan(body, metOff, keyEnd)
+			t.recs = append(t.recs, frameRec{handle: int32(len(t.handles)), off: int32(used), end: int32(used + keyEnd + 16)})
+			t.handles = append(t.handles, keyHandle{key: key, shard: uint8(t.s.shardIndex(key))})
+			used += keyEnd + 16
+			continue
+		}
+		// Ids below 2^14, every shard's first 16 383 keys, take one or two
+		// bytes; decode those inline.
+		var id uint64
+		var w int
+		switch c := b[used]; {
+		case c < 0x80:
+			id, w = uint64(c), 1
+		case used+1 < len(b) && b[used+1] < 0x80:
+			id, w = uint64(c&0x7f)|uint64(b[used+1])<<7, 2
+		default:
+			id, w = binary.Uvarint(b[used:])
+		}
+		switch {
+		case w <= 0:
+			return n, fmt.Errorf("monitor: bad log id")
+		case id == 0 || id > uint64(len(t.handles)):
+			return n, fmt.Errorf("monitor: log reference to undefined id %d", id)
+		case len(b)-used-w < 16:
+			return n, fmt.Errorf("monitor: bad log reference length %d", len(b)-used)
+		}
+		used += w
+		t.recs = append(t.recs, frameRec{handle: int32(id - 1), off: int32(used), end: int32(used + 16)})
+		used += 16
+	}
+	return n, nil
+}
+
 // apply applies the bodies scan accepted from b to the store, with
 // Append's semantics per measurement and AppendBatch's per batch: one
 // clock read, one epoch lock, each shard locked once over its run of
 // the batch (grouped by the handles' shards, no key re-hashed), the log
-// written once, measurements of one key in frame order.
+// written once, measurements of one key in frame order. After scanLog a
+// reference's body is its last 16 bytes only, which commitLocked logs
+// and feeds nothing from on a store that has no log or feed yet — the
+// only store a log is replayed into.
 func (t *keyTable) apply(b []byte) {
 	if len(t.recs) == 0 {
 		return

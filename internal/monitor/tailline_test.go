@@ -282,8 +282,8 @@ func TestTailSeedsReachEveryRegion(t *testing.T) {
 // bin allocates nothing; and the entry stays in its allocation size
 // class.
 func TestSteadyBinLeavesTailUntouched(t *testing.T) {
-	if size := unsafe.Sizeof(seriesEntry{}); size > 160 {
-		t.Fatalf("seriesEntry is %d bytes, want at most 160", size)
+	if size := unsafe.Sizeof(seriesEntry{}); size > 144 {
+		t.Fatalf("seriesEntry is %d bytes, want at most 144, its allocation size class", size)
 	}
 	const span, series = chunk.DefaultSpan, 4000
 	s := NewStore(t0, time.Minute)

@@ -74,12 +74,38 @@ import (
 //
 //	payloadLen uint32 | shard byte | payload | crc32(shard ‖ payload) uint32
 //
-// where payload is one or more concatenated measurement bodies shared
-// with the 0x01/0x04 wire frames (absolute timestamps, so records stay
-// valid across epoch rebases) and shard is the lock stripe, of the
-// layout that wrote the generation, all of them belong to. The
-// measurements one append, batch or socket frame brings to a shard
-// share one group record — one length prefix, one CRC.
+// where shard is the lock stripe, of the layout that wrote the
+// generation, the payload's measurements all belong to, and the payload
+// is one or more entries, one per measurement (version 3):
+//
+//	define:    0 | scope byte | entity | metric | unixNano int64 | value float64
+//	reference: uvarint(id ≥ 1) | unixNano int64 | value float64
+//
+// A define is tag 0 followed by the measurement body exactly as the
+// 0x01/0x04 wire frames carry it (absolute timestamps, so records stay
+// valid across epoch rebases); a socket frame's body is copied through
+// verbatim. It gives its series the shard's next id in this generation —
+// 1, 2, … in log order — and every later measurement of the series in
+// the generation is a reference: the id, then the body's last 16 bytes.
+// Ids are per (generation, shard byte), so a key goes to disk once per
+// generation and a generation replays on its own; they restart where a
+// rotation (or an open) starts a generation with every shard lock held
+// (openGenerationLocked), and a series entry keeps its id beside the
+// generation that issued it (seriesEntry.walGen). The measurements one
+// append, batch or socket frame brings to a shard share one group
+// record — one length prefix, one CRC. Version 2 logs, whose payloads
+// are wire bodies only, still replay (through the ingest socket's key
+// scan); only version 3 is written.
+//
+// The prefix invariant: within a generation, the bytes on disk are a
+// prefix of the sequence of sealed records. A write that fails, or a
+// rotation that leaves no live log, puts the persister out of the
+// healthy state, and from then on nothing more is written to that
+// generation — only a rotation under every shard lock, which starts
+// the next generation and its ids afresh, makes it healthy again. So a
+// define that was sealed and dropped can never be referenced by a
+// record that reaches the disk: a series' first measurement after the
+// rotation defines it again.
 //
 // Group commit and log order. A shard's run is sealed into the
 // persister's one buffer while the shard's lock is still held, so the
@@ -102,8 +128,10 @@ import (
 // and hands each verified payload, by its shard byte, to one of at most
 // GOMAXPROCS workers; a worker applies a shard's records in log order —
 // a group record under one clock read and one lock round trip — through
-// a table per shard from framed key bytes to series entry (keyTable, the
-// one the ingest socket keeps per connection). The shards of the writing
+// a table per shard whose handles are the generation's ids in define
+// order, so a reference is an array index (keyTable, the one the ingest
+// socket keeps per connection, which scans a version 2 log's bodies by
+// their key bytes). The shards of the writing
 // layout hold disjoint keys, so the workers' interleaving equals the
 // serial order, also when the reading layout differs: apply regroups by
 // the live one. The first bad record ends the generation: a short
@@ -112,10 +140,12 @@ import (
 // and nothing past a record that cannot be trusted can be framed.
 // Everything before it replays, the rest of the file is left unread,
 // and TornTails counts it: at most one per generation. (A record whose
-// CRC holds and whose body does not decode is nothing a crash or the
-// disk can produce, and its framing stands: the bodies before the bad
-// one are applied and the later records of that shard, as of a shard
-// log before, are not — also counted in TornTails.) The snapshot read is split the same way: one goroutine
+// CRC holds and whose entry does not decode — a define with a bad key or
+// short tail, a reference cut short or to an id not yet defined — is
+// nothing a crash or the disk can produce, and its framing stands: the
+// entries before the bad one are applied and the later records of that
+// shard, as of a shard log before, are not — also counted in
+// TornTails.) The snapshot read is split the same way: one goroutine
 // parses the length-prefixed framing and a pool of at most GOMAXPROCS
 // workers runs each chunk's CRC check and validation decode, installing
 // the chunk or its tombstone. Without a snapshot the store's epoch comes
@@ -147,7 +177,10 @@ import (
 // serving.
 const (
 	walMagic   = "FNLW"
-	walVersion = 2
+	walVersion = 3
+	// walVersionWire is the format before: payloads of wire bodies, keys
+	// and all. It is replayed, never written.
+	walVersionWire = 2
 
 	snapshotFile    = "snapshot.fnls"
 	snapshotTmpFile = "snapshot.tmp"
@@ -320,14 +353,16 @@ type persister struct {
 
 	// logMu guards the live log: its file (nil once closed, or when a
 	// rotation could not start the next generation), the sealed records
-	// not yet written to it, how many measurements those hold, and the
-	// two figures behind the log gauges. Lock order: shard.mu → logMu.
-	logMu     sync.Mutex
-	f         faultfs.File
-	buf       []byte
-	pending   int64
-	logBytes  int64 // record bytes in the live log
-	rotations int64
+	// not yet written to it, how many measurements and key defines those
+	// hold, and the two figures behind the log gauges. Lock order:
+	// shard.mu → logMu.
+	logMu          sync.Mutex
+	f              faultfs.File
+	buf            []byte
+	pending        int64
+	pendingDefines int64
+	logBytes       int64 // record bytes in the live log
+	rotations      int64
 
 	compactMu  sync.Mutex  // one compaction/re-arm/fsync pass at a time
 	cut        snapshotCut // the compactions' image of the store; compactMu guards it
@@ -348,16 +383,22 @@ func (p *persister) logger() *slog.Logger {
 }
 
 // shardWAL is one shard's group record in progress: its shard byte and
-// the measurement bodies the current run has logged and not yet sealed
-// into the persister's buffer. All methods suffixed Locked require the
-// owning shard's mutex.
+// the entries the current run has logged and not yet sealed into the
+// persister's buffer, and the shard's ids in the live generation. All
+// methods suffixed Locked require the owning shard's mutex.
 type shardWAL struct {
 	p *persister
 	// rec is the record from its shard byte on, the part the CRC covers;
 	// rec[1:] is the payload so far.
 	rec []byte
-	// appends counts the measurements in rec, for telemetry.
-	appends int64
+	// appends counts the measurements in rec, defines the keys it
+	// defines, for telemetry.
+	appends, defines int64
+	// gen is the live generation, as it stamps the ids a series entry
+	// holds (seriesEntry.walGen), and next the id the shard's next define
+	// takes. Both are reset by openGenerationLocked, whose caller holds
+	// every shard lock.
+	gen, next uint32
 }
 
 // walGroupCap bounds one group record's payload; a run that outgrows
@@ -366,9 +407,10 @@ type shardWAL struct {
 const walGroupCap = 32 << 10
 
 // maxWALRecord is the replay-side length sanity cap: a record may
-// overshoot walGroupCap by at most one maximal measurement body
-// (direct Append callers are not bound by the wire frame cap).
-const maxWALRecord = walGroupCap + 1 + 2 + 65535 + 2 + 65535 + 16
+// overshoot walGroupCap by at most one maximal entry, a define — tag and
+// measurement body (direct Append callers are not bound by the wire
+// frame cap).
+const maxWALRecord = walGroupCap + 1 + 1 + 2 + 65535 + 2 + 65535 + 16
 
 // walRecordOverhead is what a record adds to its payload: length word,
 // shard byte, CRC.
@@ -444,28 +486,44 @@ func (p *persister) healthy() bool {
 	return p.state.Load() == int32(PersistHealthy)
 }
 
-// appendLocked adds one measurement body to the group record in
-// progress: wire, the body as it arrived framed, copied verbatim — the
+// appendLocked adds the entry of one measurement of e to the group
+// record in progress. The series' first in this generation is a define:
+// tag 0, then wire, the body as it arrived framed, copied verbatim — the
 // wire and the log share the encoding — or, when wire is nil, m
-// encoded. The record is sealed by the caller before it releases the
-// shard (or when it outgrows walGroupCap), so measurements from one
-// batch share a single length prefix and CRC. While degraded or
-// failed the append is skipped: the damaged log cannot be trusted, and
-// the re-arm snapshot (or the operator's restart) re-covers memory
-// wholesale.
-func (w *shardWAL) appendLocked(wire []byte, m *Measurement) {
+// encoded; it gives e the shard's next id. Every later one is a
+// reference: the id, then the body's last 16 bytes, timestamp and value.
+// The record is sealed by the caller before it releases the shard (or
+// when it outgrows walGroupCap), so measurements from one batch share a
+// single length prefix and CRC. While degraded or failed the append is
+// skipped: the damaged log cannot be trusted, and the re-arm snapshot
+// (or the operator's restart) re-covers memory wholesale.
+func (w *shardWAL) appendLocked(e *seriesEntry, wire []byte, m *Measurement) {
 	if !w.p.healthy() {
 		return
 	}
-	if wire != nil {
-		w.rec = append(w.rec, wire...)
-	} else {
-		rec, err := appendMeasurementBody(w.rec, *m)
-		if err != nil {
-			w.p.fail(err)
-			return
+	switch {
+	case e.walGen == w.gen && wire != nil:
+		w.rec = binary.AppendUvarint(w.rec, uint64(e.walID))
+		w.rec = append(w.rec, wire[len(wire)-16:]...)
+	case e.walGen == w.gen:
+		w.rec = binary.AppendUvarint(w.rec, uint64(e.walID))
+		w.rec = binary.BigEndian.AppendUint64(w.rec, uint64(m.T.UnixNano()))
+		w.rec = binary.BigEndian.AppendUint64(w.rec, math.Float64bits(m.V))
+	default:
+		rec := append(w.rec, 0)
+		if wire != nil {
+			rec = append(rec, wire...)
+		} else {
+			var err error
+			if rec, err = appendMeasurementBody(rec, *m); err != nil {
+				w.p.fail(err)
+				return
+			}
 		}
 		w.rec = rec
+		e.walGen, e.walID = w.gen, w.next
+		w.next++
+		w.defines++
 	}
 	w.appends++
 	if len(w.rec) > walGroupCap {
@@ -486,9 +544,10 @@ func (w *shardWAL) sealLocked() {
 		p.buf = append(p.buf, w.rec...)
 		p.buf = binary.BigEndian.AppendUint32(p.buf, crc)
 		p.pending += w.appends
+		p.pendingDefines += w.defines
 		p.logMu.Unlock()
 	}
-	w.rec, w.appends = w.rec[:1], 0
+	w.rec, w.appends, w.defines = w.rec[:1], 0, 0
 }
 
 // flush pushes the sealed records to the OS with one write — the
@@ -520,7 +579,8 @@ func (p *persister) compactDue() bool {
 // flushLocked is flush for a caller that holds logMu; a failed write is
 // also returned. Records sealed around a fault, or around a rotation
 // that left no live log, are dropped: memory holds them, and the
-// snapshot that re-arms durability covers memory.
+// snapshot that re-arms durability covers memory. Nothing more reaches
+// the generation after a drop (the prefix invariant, see the header).
 func (p *persister) flushLocked() error {
 	if len(p.buf) == 0 {
 		return nil
@@ -532,10 +592,12 @@ func (p *persister) flushLocked() error {
 		} else {
 			p.walBytes.Add(int64(len(p.buf)))
 			p.logBytes += int64(len(p.buf))
-			p.store.obs.Load().Add(obs.CtrWALAppends, p.pending)
+			col := p.store.obs.Load()
+			col.Add(obs.CtrWALAppends, p.pending)
+			col.Add(obs.CtrWALKeyDefines, p.pendingDefines)
 		}
 	}
-	p.buf, p.pending = p.buf[:0], 0
+	p.buf, p.pending, p.pendingDefines = p.buf[:0], 0, 0
 	return err
 }
 
@@ -548,7 +610,7 @@ func (p *persister) closeLogLocked(discard bool) error {
 		return nil
 	}
 	if discard {
-		p.buf, p.pending = p.buf[:0], 0
+		p.buf, p.pending, p.pendingDefines = p.buf[:0], 0, 0
 		p.f = nil
 		f.Close()
 		return nil
@@ -565,11 +627,18 @@ func (p *persister) closeLogLocked(discard bool) error {
 }
 
 // openGenerationLocked starts generation gen+1: a fresh log with its
-// header, beside whatever is on disk. The caller holds logMu and either
-// every shard lock or a store it has not yet published.
+// header, beside whatever is on disk, and fresh ids — a series' next
+// measurement defines its key again, whether or not the file could be
+// started. The caller holds logMu and either every shard lock or a store
+// it has not yet published, so no shard has a record in progress.
 func (p *persister) openGenerationLocked() error {
 	s := p.store
 	p.gen++
+	for i := range s.shards {
+		if w := s.shards[i].wal; w != nil {
+			w.gen, w.next = uint32(p.gen), 1
+		}
+	}
 	f, err := p.fs.Create(filepath.Join(p.dir, walName(p.gen)))
 	if err != nil {
 		return err
@@ -768,44 +837,53 @@ func oldestWALHeader(fsys faultfs.FS, gens []walGeneration) (start time.Time, st
 		if err != nil {
 			continue
 		}
-		start, step, ok, err := readWALHeader(f, g.path)
+		hdr, ok, err := readWALHeader(f, g.path)
 		f.Close()
 		if err == nil && ok {
-			return start, step, true
+			return hdr.start, hdr.step, true
 		}
 	}
 	return time.Time{}, 0, false
 }
 
-// readWALHeader consumes a log's header from r and returns its epoch.
-// ok is false for a log killed before its header write: empty, nothing
-// to replay.
-func readWALHeader(r io.Reader, path string) (start time.Time, step time.Duration, ok bool, err error) {
-	var hdr [walHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// walHeader is what a log's header says: the epoch of the store that
+// wrote it and the format of its records.
+type walHeader struct {
+	start   time.Time
+	step    time.Duration
+	version uint16
+}
+
+// readWALHeader consumes a log's header from r. ok is false for a log
+// killed before its header write: empty, nothing to replay.
+func readWALHeader(r io.Reader, path string) (hdr walHeader, ok bool, err error) {
+	var b [walHeaderLen]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return time.Time{}, 0, false, nil
+			return walHeader{}, false, nil
 		}
-		return time.Time{}, 0, false, err
+		return walHeader{}, false, err
 	}
-	if string(hdr[:len(walMagic)]) != walMagic {
-		return time.Time{}, 0, false, fmt.Errorf("monitor: bad WAL magic in %s", path)
+	if string(b[:len(walMagic)]) != walMagic {
+		return walHeader{}, false, fmt.Errorf("monitor: bad WAL magic in %s", path)
 	}
-	if v := binary.BigEndian.Uint16(hdr[4:6]); v != walVersion {
-		return time.Time{}, 0, false, fmt.Errorf("monitor: unsupported WAL version %d in %s", v, path)
+	hdr.version = binary.BigEndian.Uint16(b[4:6])
+	if hdr.version != walVersion && hdr.version != walVersionWire {
+		return walHeader{}, false, fmt.Errorf("monitor: unsupported WAL version %d in %s", hdr.version, path)
 	}
-	start = time.Unix(0, int64(binary.BigEndian.Uint64(hdr[6:14]))).UTC()
-	step = time.Duration(binary.BigEndian.Uint64(hdr[14:22]))
-	if step <= 0 {
-		return time.Time{}, 0, false, fmt.Errorf("monitor: bad WAL step %v in %s", step, path)
+	hdr.start = time.Unix(0, int64(binary.BigEndian.Uint64(b[6:14]))).UTC()
+	hdr.step = time.Duration(binary.BigEndian.Uint64(b[14:22]))
+	if hdr.step <= 0 {
+		return walHeader{}, false, fmt.Errorf("monitor: bad WAL step %v in %s", hdr.step, path)
 	}
-	return start, step, true, nil
+	return hdr, true, nil
 }
 
 // walReplay is the outcome of replaying one generation.
 type walReplay struct {
-	path  string
-	stats RecoveryStats // WALRecords, TornTails and LogBytes of this log
+	path    string
+	version uint16        // the header's; 0 when it could not be read
+	stats   RecoveryStats // WALRecords, TornTails and LogBytes of this log
 	// tornAt is the file offset of the record that ended the replay and
 	// unread the bytes from there to the end of the file, when one did.
 	tornAt, unread int64
@@ -856,20 +934,22 @@ type replayBatch struct {
 // reader: it frames the records in file order and checks their CRCs,
 // stops at the first bad one (see the header), and hands the verified
 // payloads on, a block's worth at a time, to the worker their shard byte
-// names. A
-// worker applies a group record the way the ingest socket applies a
-// batch frame, the record's bodies being the bodies of a frame, through
-// one handle table per shard: a shard's records list its keys in one
-// order, so the table is small and resolves by position.
+// names. A worker applies a group record the way the ingest socket
+// applies a batch frame, through one handle table per shard: in a
+// version 3 log a define appends a handle and a reference indexes it by
+// id; a version 2 record's bodies are the bodies of a frame, resolved by
+// their key bytes.
 func replayWAL(fsys faultfs.FS, path string, store *Store, out *walReplay) error {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if _, _, ok, err := readWALHeader(f, path); err != nil || !ok {
+	hdr, ok, err := readWALHeader(f, path)
+	if err != nil || !ok {
 		return err
 	}
+	out.version = hdr.version
 	if store == nil {
 		// The callers derive the store from the first readable header, so
 		// this takes a header that read differently the second time.
@@ -899,11 +979,17 @@ func replayWAL(fsys faultfs.FS, path string, store *Store, out *walReplay) error
 						keys = newKeyTable(store)
 						tables[rec.shard] = keys
 					}
-					n, _, err := keys.scan(rec.payload, math.MaxInt)
+					var n int
+					var err error
+					if hdr.version == walVersionWire {
+						n, _, err = keys.scan(rec.payload, math.MaxInt)
+					} else {
+						n, err = keys.scanLog(rec.payload)
+					}
 					keys.apply(rec.payload)
 					stats[w].WALRecords += n
 					if err != nil {
-						// The CRC holds and a body does not decode: the bodies
+						// The CRC holds and an entry does not decode: the ones
 						// before it are applied, the shard's later records not.
 						ended[rec.shard] = true
 						stats[w].TornTails++

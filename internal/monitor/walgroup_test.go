@@ -207,21 +207,16 @@ func TestReplayStopsAtFirstBadRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs := walRecordOffsets(t, raw)
-	if len(offs) != 4+len(keys)+4 {
-		t.Fatalf("%d records in the log, want %d", len(offs), 4+len(keys)+4)
+	recs := logRecords(t, raw)
+	if len(recs) != 4+len(keys)+4 {
+		t.Fatalf("%d records in the log, want %d", len(recs), 4+len(keys)+4)
 	}
 	// bodies[i] is how many measurements records [0, i) hold.
-	bodies := make([]int, len(offs)+1)
-	for i, off := range offs {
-		n := int(binary.BigEndian.Uint32(raw[off:]))
-		ms := 0
-		for b := raw[off+5 : off+5+n]; len(b) > 0; ms++ {
-			if _, b, err = decodeMeasurementBody(b, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		bodies[i+1] = bodies[i] + ms
+	bodies := make([]int, len(recs)+1)
+	offs := make([]int, len(recs))
+	for i, r := range recs {
+		bodies[i+1] = bodies[i] + len(r.entries)
+		offs[i] = r.off
 	}
 	type damage struct {
 		what string
@@ -418,7 +413,8 @@ func TestReplayAcrossBlocks(t *testing.T) {
 	}
 	keys := fleetKeys(3500)
 	batch := make([]Measurement, len(keys))
-	for bin := 0; bin < 3*diffSpan; bin++ {
+	const bins = 6 * diffSpan // a key costs its log about 18 bytes a bin
+	for bin := 0; bin < bins; bin++ {
 		for ki, k := range keys {
 			batch[ki] = Measurement{k, t0.Add(time.Duration(bin) * time.Minute), diffValue(ki, bin)}
 		}
@@ -434,7 +430,7 @@ func TestReplayAcrossBlocks(t *testing.T) {
 	if len(raw) < 5*replayBlock/2 {
 		t.Fatalf("the log is %d bytes, want more than two and a half blocks of %d", len(raw), replayBlock)
 	}
-	total := 3 * diffSpan * len(keys)
+	total := bins * len(keys)
 	for _, tc := range []struct {
 		what string
 		edit func(log []byte) []byte

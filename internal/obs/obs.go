@@ -152,6 +152,10 @@ const (
 	GaugeSnapshotBytes = "monitor.snapshot_bytes"
 	// CtrWALAppends counts measurements appended to the write-ahead log.
 	CtrWALAppends = "monitor.wal_appends"
+	// CtrWALKeyDefines counts the log entries that define a series' key:
+	// its first measurement in each log generation. The rest of
+	// CtrWALAppends name the series by a small id.
+	CtrWALKeyDefines = "monitor.wal_key_defines"
 	// CtrWALReplayed counts WAL records replayed into the store during
 	// crash recovery.
 	CtrWALReplayed = "monitor.wal_replayed"

@@ -146,6 +146,7 @@ var promHelp = map[string]string{
 	CtrIngestKeyResolves:   "Series lookups by ingest key handle tables (first sight or after a prune).",
 	CtrIngestKeyLookups:    "Measurements whose ingest key handle was found by map lookup instead of by position.",
 	CtrWALAppends:          "Measurements appended to the write-ahead log.",
+	CtrWALKeyDefines:       "Write-ahead log entries that define a series key (first measurement per log generation).",
 	CtrCompactions:         "WAL compactions (snapshot dump + log truncation).",
 	GaugeWALLogBytes:       "Record bytes in the live log generation.",
 	GaugeWALRotations:      "Log generations started by a compaction or a durability re-arm.",

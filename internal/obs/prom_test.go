@@ -161,6 +161,7 @@ func goldenCollector() *Collector {
 	c.Add(CtrIngested, 1234)
 	c.Add(CtrIngestKeyResolves, 56)
 	c.Add(CtrIngestKeyLookups, 9)
+	c.Add(CtrWALKeyDefines, 48)
 	c.Add(CtrConnsActive, 3)
 	c.Add(CtrConnsActive, -1)
 	c.Add(CtrChangesAssessed, 7)
