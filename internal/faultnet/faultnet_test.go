@@ -234,6 +234,58 @@ func TestProxySeverKillsLiveLinks(t *testing.T) {
 	}
 }
 
+// TestProxySeverAfterCutsAtTheByte: an armed link relays exactly the
+// bytes it was given, then both halves die.
+func TestProxySeverAfterCutsAtTheByte(t *testing.T) {
+	backend, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	sink := make(chan net.Conn, 1)
+	go func() {
+		if c, err := backend.Accept(); err == nil {
+			sink <- c
+		}
+	}()
+	p, err := NewProxy("127.0.0.1:0", backend.Addr().String(), Plan{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	client, err := net.Dial("tcp", p.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Write([]byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	srv := <-sink
+	defer srv.Close()
+	buf := make([]byte, 4)
+	if _, err := io.ReadFull(srv, buf); err != nil {
+		t.Fatal(err)
+	}
+
+	if n := p.SeverAfter(3); n != 1 {
+		t.Fatalf("SeverAfter armed %d links, want 1", n)
+	}
+	client.Write([]byte("abcdefgh")) // may fail once the cut lands
+	srv.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, _ := io.ReadAll(srv) // ends at the cut, as EOF or a reset
+	if string(got) != "abc" {
+		t.Fatalf("backend received %q after the cut, want %q", got, "abc")
+	}
+	client.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := client.Read(buf); err == nil {
+		t.Fatal("client read succeeded after the cut")
+	}
+	if st := p.Stats(); st.Resets != 1 {
+		t.Fatalf("stats = %+v, want 1 reset", st)
+	}
+}
+
 func TestProxyRefuseBlocksNewConns(t *testing.T) {
 	backend, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // Proxy is a fault-injecting TCP relay: it accepts connections on its
@@ -26,6 +27,36 @@ type Proxy struct {
 // proxyLink is one proxied client↔backend pair.
 type proxyLink struct {
 	client, backend net.Conn
+	// left, once SeverAfter arms it, is how many more bytes the link
+	// relays upstream before it is severed; negative while unarmed.
+	left atomic.Int64
+}
+
+// cutWriter is a link's upstream end: it relays to w until the budget
+// SeverAfter armed runs out, then severs the link.
+type cutWriter struct {
+	p    *Proxy
+	link *proxyLink
+	w    io.Writer
+}
+
+func (c cutWriter) Write(b []byte) (int, error) {
+	for {
+		left := c.link.left.Load()
+		if left < 0 {
+			return c.w.Write(b)
+		}
+		if int64(len(b)) < left {
+			if c.link.left.CompareAndSwap(left, left-int64(len(b))) {
+				return c.w.Write(b)
+			}
+			continue
+		}
+		n, _ := c.w.Write(b[:left])
+		c.p.drop(c.link)
+		c.p.in.resets.Add(1)
+		return n, errInjected{"cut"}
+	}
 }
 
 // NewProxy starts a proxy on addr (e.g. "127.0.0.1:0") relaying to
@@ -75,6 +106,7 @@ func (p *Proxy) accept() {
 			continue
 		}
 		link := &proxyLink{client: client, backend: backend}
+		link.left.Store(-1)
 		p.mu.Lock()
 		p.conns[link] = struct{}{}
 		p.mu.Unlock()
@@ -83,7 +115,7 @@ func (p *Proxy) accept() {
 		// so torn writes and corruption hit the publisher path;
 		// downstream is relayed verbatim.
 		faulty := p.in.Wrap(backend)
-		go p.pipe(link, client, faulty)
+		go p.pipe(link, client, cutWriter{p: p, link: link, w: faulty})
 		go p.pipe(link, backend, client)
 	}
 }
@@ -124,6 +156,19 @@ func (p *Proxy) Sever() int {
 		p.in.resets.Add(1)
 	}
 	return len(links)
+}
+
+// SeverAfter arms every live link to relay n more bytes upstream and
+// then be severed, as Sever severs it: a stream cut at a chosen byte —
+// inside a frame, say — rather than wherever a timer lands. It returns
+// how many links it armed.
+func (p *Proxy) SeverAfter(n int64) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for l := range p.conns {
+		l.left.Store(n)
+	}
+	return len(p.conns)
 }
 
 // Refuse toggles whether new connections are rejected — a severed

@@ -3,6 +3,7 @@ package monitor
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"net"
@@ -29,22 +30,81 @@ import (
 // must leave the same bytes on disk and the same state in memory.
 
 // refIngestFrame applies one publisher frame the way IngestServer.handle
-// did before the handle table.
-func refIngestFrame(s *Store, cache *KeyCache, payload []byte) error {
-	if len(payload) > 0 && payload[0] == frameBatch {
-		ms, err := DecodeBatchInto(nil, payload, cache)
-		if err != nil {
-			return err
-		}
-		s.AppendBatch(ms)
-		return nil
-	}
-	m, err := DecodeMeasurement(payload)
+// did before the handle table; ids are the connection's key ids.
+func refIngestFrame(s *Store, cache *KeyCache, ids *logDecoder, payload []byte) error {
+	ms, err := refDecode(cache, ids, payload)
 	if err != nil {
 		return err
 	}
-	s.Append(m)
+	if payload[0] == frameMeasurement {
+		s.Append(ms[0])
+	} else {
+		s.AppendBatch(ms)
+	}
 	return nil
+}
+
+// refDecode decodes one publisher frame into Measurements: a batch
+// (0x04) through DecodeBatchInto, an id batch (0x05) through the
+// connection's ids, anything else as a single measurement (0x01).
+func refDecode(cache *KeyCache, ids *logDecoder, payload []byte) ([]Measurement, error) {
+	switch {
+	case len(payload) > 0 && payload[0] == frameBatch:
+		return DecodeBatchInto(nil, payload, cache)
+	case len(payload) > 0 && payload[0] == frameBatchID:
+		return decodeIDFrame(ids, payload)
+	}
+	m, err := DecodeMeasurement(payload)
+	if err != nil {
+		return nil, err
+	}
+	return []Measurement{m}, nil
+}
+
+// newWireIDs returns the reference's ids of a fresh connection: the
+// log decoder reads an id batch frame's entries as it reads a version 3
+// record's, with the publisher's cap on the ids issued.
+func newWireIDs() *logDecoder {
+	d := newLogDecoder(walVersion)
+	d.maxIDs = maxKeyCacheEntries
+	return d
+}
+
+// decodeIDFrame decodes an id batch frame with the connection's ids,
+// defining the ones its defines are issued.
+func decodeIDFrame(ids *logDecoder, payload []byte) ([]Measurement, error) {
+	if len(payload) < 3 || payload[0] != frameBatchID {
+		return nil, fmt.Errorf("not an id batch frame")
+	}
+	n := int(binary.BigEndian.Uint16(payload[1:3]))
+	entries, err := ids.record(0, payload[3:])
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 || len(entries) != n {
+		return nil, fmt.Errorf("%d entries in a frame that counts %d", len(entries), n)
+	}
+	ms := make([]Measurement, n)
+	for i, e := range entries {
+		ms[i] = e.m
+	}
+	return ms, nil
+}
+
+// idFrames encodes ms as the id batch frames a publisher with ids enc
+// writes, without their length words.
+func idFrames(t testing.TB, enc *keyIDs, ms []Measurement) [][]byte {
+	t.Helper()
+	var frames [][]byte
+	for len(ms) > 0 {
+		frame, rest, err := enc.appendFrame(nil, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame[4:])
+		ms = rest
+	}
+	return frames
 }
 
 const (
@@ -125,10 +185,14 @@ type ingestTwin struct {
 	cache     *KeyCache
 	steps     int
 	batches   int64 // batch frames sent
+	// enc is the connection's key ids as the publisher issues them, ids
+	// as the reference reads them.
+	enc keyIDs
+	ids *logDecoder
 }
 
 func newIngestTwin(t *testing.T) *ingestTwin {
-	tw := &ingestTwin{t: t, live: newTwinSide(t), ref: newTwinSide(t), cache: NewKeyCache()}
+	tw := &ingestTwin{t: t, live: newTwinSide(t), ref: newTwinSide(t), cache: NewKeyCache(), ids: newWireIDs()}
 	tw.srv = NewIngestServer(tw.live.s)
 	addr, err := tw.srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -149,11 +213,31 @@ func (tw *ingestTwin) send(payload []byte) {
 	if err := WriteFrame(tw.w, payload); err != nil {
 		tw.t.Fatal(err)
 	}
-	if payload[0] == frameBatch {
+	if payload[0] != frameMeasurement {
 		tw.batches++
 	}
-	if err := refIngestFrame(tw.ref.s, tw.cache, payload); err != nil {
+	if err := refIngestFrame(tw.ref.s, tw.cache, tw.ids, payload); err != nil {
 		tw.t.Fatalf("reference rejected a frame: %v", err)
+	}
+}
+
+// frames packs ms into frames of type wire: batch frames (0x04), or the
+// id batch frames (0x05) of the twins' one connection.
+func (tw *ingestTwin) frames(wire byte, ms []Measurement) [][]byte {
+	if wire == frameBatchID {
+		return idFrames(tw.t, &tw.enc, ms)
+	}
+	return batchFrames(tw.t, ms)
+}
+
+// compact rotates both logs between two frames: the live side's next
+// reference to each series must define it again.
+func (tw *ingestTwin) compact() {
+	tw.t.Helper()
+	for _, side := range []*twinSide{tw.live, tw.ref} {
+		if err := side.s.Compact(); err != nil {
+			tw.t.Fatal(err)
+		}
 	}
 }
 
@@ -355,22 +439,40 @@ func (tw *ingestTwin) compare(what string) {
 	}
 }
 
-// batchFrames packs ms into as few batch frames as the frame cap allows.
+// batchFrames packs ms into as few batch frames (0x04) as the frame cap
+// allows.
 func batchFrames(t testing.TB, ms []Measurement) [][]byte {
 	t.Helper()
 	var frames [][]byte
 	for len(ms) > 0 {
-		frame, rest, err := appendBatchFill(nil, ms)
+		n, size := 0, 3
+		for ; n < len(ms) && n < math.MaxUint16; n++ {
+			body := 1 + 2 + len(ms[n].Key.Entity) + 2 + len(ms[n].Key.Metric) + 16
+			if size+body > maxFrame {
+				break
+			}
+			size += body
+		}
+		frame, err := EncodeBatch(ms[:n])
 		if err != nil {
 			t.Fatal(err)
 		}
 		frames = append(frames, frame)
-		ms = rest
+		ms = ms[n:]
 	}
 	return frames
 }
 
+// TestIngestFrameMatchesAppendBatch runs one sequence of frames through
+// the socket and the reference twice: as batch frames, and as the id
+// batch frames a publisher writes, with batch and single-measurement
+// frames mixed into the same connection.
 func TestIngestFrameMatchesAppendBatch(t *testing.T) {
+	t.Run("batch", func(t *testing.T) { testIngestFrameMatchesAppendBatch(t, frameBatch) })
+	t.Run("id-batch", func(t *testing.T) { testIngestFrameMatchesAppendBatch(t, frameBatchID) })
+}
+
+func testIngestFrameMatchesAppendBatch(t *testing.T, wire byte) {
 	tw := newIngestTwin(t)
 	at := func(bin int) time.Time { return t0.Add(time.Duration(bin) * time.Minute) }
 	keys := fleetKeys(40)
@@ -379,7 +481,7 @@ func TestIngestFrameMatchesAppendBatch(t *testing.T) {
 	}
 	sendAll := func(ms []Measurement) {
 		t.Helper()
-		for _, f := range batchFrames(t, ms) {
+		for _, f := range tw.frames(wire, ms) {
 			tw.send(f)
 		}
 	}
@@ -416,6 +518,9 @@ func TestIngestFrameMatchesAppendBatch(t *testing.T) {
 	tw.step("reversed order")
 	sendAll(reordered(1, func(i int) int { return (i + 1) % len(keys) }))
 	tw.step("rotated by one")
+	if got := tw.live.col.Counter(obs.CtrIngestKeyLookups) - lookups; wire == frameBatchID && got > 6 {
+		t.Fatalf("%d lookups for three bins of references, want the markers' alone", got)
+	}
 	sendAll([]Measurement{{keys[6], at(1), 1}, {keys[6], at(1), 2}, {keys[6], at(2), 3}, {keys[7], at(1), 4}, {keys[7], at(1), 5}, {keys[5], at(1), 6}})
 	tw.step("one key back to back")
 
@@ -437,6 +542,24 @@ func TestIngestFrameMatchesAppendBatch(t *testing.T) {
 		sendAll(binOf(bin, func(ki int) float64 { return float64(bin*100 + ki) }))
 	}
 	tw.step("chunks sealed")
+
+	// A rotation between two frames: every series' next measurement
+	// defines it in the new log generation, and on the id path arrives as
+	// a reference, so the define is rebuilt from the key's framed bytes.
+	tw.compact()
+	sendAll(binOf(3*twinSpan+1, func(ki int) float64 { return float64(ki) - 0.5 }))
+	tw.step("the first bin after a log rotation")
+
+	// The two batch forms and single measurements on one connection.
+	mixed := binOf(3*twinSpan+2, func(ki int) float64 { return float64(ki) * 3 })
+	for _, f := range batchFrames(t, mixed[:len(mixed)/2]) {
+		tw.send(f)
+	}
+	sendAll(mixed[len(mixed)/2:])
+	for _, f := range idFrames(t, &tw.enc, mixed[:3]) {
+		tw.send(f)
+	}
+	tw.step("batch and id batch frames mixed")
 
 	sendAll([]Measurement{{keys[4], at(2), -2}, {keys[9], at(twinSpan + 1), -3}, {keys[4], at(3), -4}})
 	tw.step("late writes into sealed chunks")
@@ -513,9 +636,17 @@ func TestIngestFrameMatchesAppendBatch(t *testing.T) {
 	sendAll(binOf(58, func(ki int) float64 { return float64(ki) }))
 	tw.step("a prune that drops nothing whole")
 
+	// A prune storm: each prune rotates the log, and the handles and ids
+	// the connection holds outlive all of them.
+	for bin := 59; bin < 63; bin++ {
+		tw.prune(at(bin - 1))
+		sendAll(binOf(bin, func(ki int) float64 { return float64(bin + ki) }))
+		tw.step(fmt.Sprintf("prune storm, bin %d", bin))
+	}
+
 	// A frame the decoder rejects drops the connection and nothing else.
-	bad := append(batchFrames(t, binOf(59, func(int) float64 { return 1 }))[0], 0)
-	if err := refIngestFrame(tw.ref.s, tw.cache, bad); err == nil {
+	bad := append(tw.frames(wire, binOf(63, func(int) float64 { return 1 }))[0], 0)
+	if err := refIngestFrame(tw.ref.s, tw.cache, tw.ids, bad); err == nil {
 		t.Fatal("reference accepted a frame with a trailing byte")
 	}
 	if err := WriteFrame(tw.w, bad); err != nil {
@@ -860,15 +991,9 @@ func FuzzIngestFrame(f *testing.F) {
 	}
 	warm := batchFrames(f, ingestSeedBatch(0, 11))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		var ms []Measurement
-		var refErr error
-		if len(payload) > 0 && payload[0] == frameBatch {
-			ms, refErr = DecodeBatchInto(nil, payload, nil)
-		} else {
-			var m Measurement
-			m, refErr = DecodeMeasurement(payload)
-			ms = append(ms, m)
-		}
+		// The warm-up frames issue no ids: a fresh decoder reads the
+		// payload as the reference will the first time.
+		ms, refErr := refDecode(nil, newWireIDs(), payload)
 		if refErr == nil {
 			for _, m := range ms {
 				if m.T.Sub(t0) > fuzzHorizonBins*time.Minute {
@@ -878,12 +1003,12 @@ func FuzzIngestFrame(f *testing.F) {
 		}
 		live, liveDir := openTwinStore(t, 2, 4)
 		ref, refDir := openTwinStore(t, 2, 4)
-		table, cache := newKeyTable(live), NewKeyCache()
+		table, cache, ids := newKeyTable(live), NewKeyCache(), newWireIDs()
 		for _, frame := range warm {
 			if err := table.ingestFrame(frame); err != nil {
 				t.Fatal(err)
 			}
-			if err := refIngestFrame(ref, cache, frame); err != nil {
+			if err := refIngestFrame(ref, cache, ids, frame); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -893,7 +1018,7 @@ func FuzzIngestFrame(f *testing.F) {
 				t.Fatalf("ingestFrame error %v, reference error %v", err, refErr)
 			}
 			if err == nil {
-				if err := refIngestFrame(ref, cache, payload); err != nil {
+				if err := refIngestFrame(ref, cache, ids, payload); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"bufio"
 	"fmt"
 	"math"
 	"math/rand"
@@ -192,9 +191,10 @@ func DialRobustPublisher(addr string, cfg PublisherConfig) (*RobustPublisher, er
 	return p, nil
 }
 
-// attach installs a fresh connection.
+// attach installs a fresh connection. Its Publisher is new too, so the
+// resent ring defines its keys again: ids do not outlive a connection.
 func (p *RobustPublisher) attach(conn net.Conn) {
-	p.pub = &Publisher{conn: conn, w: bufio.NewWriter(conn)}
+	p.pub = newPublisher(conn)
 	p.bo.reset()
 	p.lastErr = nil
 }

@@ -157,6 +157,9 @@ func oracleReplayWAL(path string, store *Store, step time.Duration, shards, span
 type logDecoder struct {
 	version uint16
 	ids     map[byte][]topo.KPIKey
+	// maxIDs, when set, is how many ids a shard's defines are issued;
+	// later defines are issued none (the wire's cap, not the log's).
+	maxIDs int
 }
 
 func newLogDecoder(version uint16) *logDecoder {
@@ -185,7 +188,7 @@ func (d *logDecoder) record(shard byte, payload []byte) ([]logEntry, error) {
 			e.m, rest, err = decodeMeasurementBody(b, nil)
 		case b[0] == 0:
 			e.define = true
-			if e.m, rest, err = decodeMeasurementBody(b[1:], nil); err == nil {
+			if e.m, rest, err = decodeMeasurementBody(b[1:], nil); err == nil && (d.maxIDs == 0 || len(d.ids[shard]) < d.maxIDs) {
 				d.ids[shard] = append(d.ids[shard], e.m.Key)
 			}
 		default:

@@ -757,8 +757,10 @@ func (s *Store) AppendBatch(ms []Measurement) {
 // sends the same keys in the same order every bin (as a replayed log
 // holds them), so a measurement's handle is found by position: scan
 // compares the body's key bytes with the handle after the previous
-// body's, and goes to the map only when they differ. Not safe for
-// concurrent use.
+// body's, and goes to the map only when they differ. An id batch frame
+// names its keys outright: scanIDs resolves a define through the map
+// and gives its handle the connection's next id, and a reference is
+// conn[id-1], no key bytes read. Not safe for concurrent use.
 //
 // Invalidation: a handle's entry pointer is written and read only
 // under the entry's shard lock inside an epochMu.RLock section, and
@@ -772,9 +774,18 @@ type keyTable struct {
 	// index maps framed key bytes to a position in handles. It stops
 	// growing at maxKeyCacheEntries, so a hostile publisher streaming
 	// unique keys cannot grow it without bound; keys past the cap get a
-	// handle that lives for one frame, at handles[len(index):].
+	// handle that lives for one frame, at handles[len(index):]. A define
+	// that is issued an id is interned all the same, so the index holds
+	// at most twice the cap.
 	index   map[string]int32
 	handles []keyHandle
+	// conn is the connection's key ids (the id batch frame, wire.go):
+	// conn[id-1] is the handle of the define that was issued id. It stops
+	// at maxKeyCacheEntries, as the publisher's ids do.
+	conn []int32
+	// define is where apply rebuilds a define's body, for a reference
+	// whose series the live log generation has not named yet.
+	define []byte
 	// prev is the handle of the last body scanned; lookups counts the
 	// bodies of the frame being applied that position did not resolve.
 	prev    int32
@@ -815,10 +826,7 @@ func newKeyTable(s *Store) *keyTable {
 // and the error that stopped it at a malformed body. Nothing touches
 // the store.
 func (t *keyTable) scan(b []byte, max int) (n, used int, err error) {
-	clear(t.handles[len(t.index):]) // the last frame's past-the-cap handles
-	t.handles = t.handles[:len(t.index)]
-	t.recs = t.recs[:0]
-	t.lookups = 0
+	t.startFrame()
 	for n < max && used < len(b) {
 		body := b[used:]
 		metOff, keyEnd, err := measurementKeySpan(body)
@@ -836,24 +844,100 @@ func (t *keyTable) scan(b []byte, max int) (n, used int, err error) {
 			hi = 0
 		}
 		if int(hi) >= len(t.index) || t.handles[hi].framed != string(body[:keyEnd]) {
-			t.lookups++
-			var seen bool
-			if hi, seen = t.index[string(body[:keyEnd])]; !seen {
-				key := keyFromSpan(body, metOff, keyEnd)
-				hi = int32(len(t.handles))
-				h := keyHandle{key: key, shard: uint8(t.s.shardIndex(key))}
-				if len(t.index) < maxKeyCacheEntries {
-					h.framed = string(body[:keyEnd])
-					t.index[h.framed] = hi
-				}
-				t.handles = append(t.handles, h)
-			}
+			hi = t.lookup(body, metOff, keyEnd, false)
 		}
 		t.prev = hi
 		end := used + keyEnd + 16
 		t.recs = append(t.recs, frameRec{handle: hi, off: int32(used), end: int32(end)})
 		used = end
 		n++
+	}
+	return n, used, nil
+}
+
+// startFrame clears what the last frame's scan left: its notes for
+// apply, its lookup count and its past-the-cap handles.
+func (t *keyTable) startFrame() {
+	clear(t.handles[len(t.index):])
+	t.handles = t.handles[:len(t.index)]
+	t.recs = t.recs[:0]
+	t.lookups = 0
+}
+
+// lookup resolves the key framed in body[:keyEnd] through the index,
+// building its handle on first sight. The handle is interned while the
+// index holds fewer than maxKeyCacheEntries keys, or when keep asks for
+// it; otherwise it lives for the frame.
+func (t *keyTable) lookup(body []byte, metOff, keyEnd int, keep bool) int32 {
+	t.lookups++
+	if hi, seen := t.index[string(body[:keyEnd])]; seen {
+		return hi
+	}
+	key := keyFromSpan(body, metOff, keyEnd)
+	hi := int32(len(t.handles))
+	h := keyHandle{key: key, shard: uint8(t.s.shardIndex(key))}
+	if keep || len(t.index) < maxKeyCacheEntries {
+		h.framed = string(body[:keyEnd])
+		t.index[h.framed] = hi
+	}
+	t.handles = append(t.handles, h)
+	return hi
+}
+
+// scanIDs is scan for the entries of an id batch frame (wire.go):
+// defines — tag 0 and a measurement body — and references — an id and
+// the body's last 16 bytes. A define resolves its key through the index
+// and, while the connection has fewer than maxKeyCacheEntries ids, is
+// issued the next one, its handle interned whatever the index holds: an
+// id must name a handle that outlives the frame. A reference is
+// conn[id-1]. Within a frame every handle interned precedes every
+// handle that is not, as scan's do. It returns how many entries it
+// accepted and how many bytes they span, and the error that stopped it
+// at a malformed one. Nothing touches the store.
+func (t *keyTable) scanIDs(b []byte, max int) (n, used int, err error) {
+	t.startFrame()
+	for ; n < max && used < len(b); n++ {
+		if c := b[used]; c != 0 {
+			// As in scanLog, ids below 2^14 decode inline.
+			var id uint64
+			var w int
+			switch {
+			case c < 0x80:
+				id, w = uint64(c), 1
+			case used+1 < len(b) && b[used+1] < 0x80:
+				id, w = uint64(c&0x7f)|uint64(b[used+1])<<7, 2
+			default:
+				id, w = binary.Uvarint(b[used:])
+			}
+			switch {
+			case w <= 0:
+				return n, used, fmt.Errorf("monitor: bad key id")
+			case id == 0 || id > uint64(len(t.conn)):
+				return n, used, fmt.Errorf("monitor: reference to key id %d, %d issued", id, len(t.conn))
+			case len(b)-used-w < 16:
+				return n, used, fmt.Errorf("monitor: bad reference length %d", len(b)-used)
+			}
+			used += w
+			t.recs = append(t.recs, frameRec{handle: t.conn[id-1], off: int32(used), end: int32(used + 16)})
+			used += 16
+			continue
+		}
+		body := b[used+1:]
+		metOff, keyEnd, err := measurementKeySpan(body)
+		if err != nil {
+			return n, used, err
+		}
+		if len(body) < keyEnd+16 {
+			return n, used, fmt.Errorf("monitor: bad measurement tail length %d", len(body)-keyEnd)
+		}
+		issue := len(t.conn) < maxKeyCacheEntries
+		hi := t.lookup(body, metOff, keyEnd, issue)
+		if issue {
+			t.conn = append(t.conn, hi)
+		}
+		end := used + 1 + keyEnd + 16
+		t.recs = append(t.recs, frameRec{handle: hi, off: int32(used + 1), end: int32(end)})
+		used = end
 	}
 	return n, used, nil
 }
@@ -920,7 +1004,9 @@ func (t *keyTable) scanLog(b []byte) (n int, err error) {
 // written once, measurements of one key in frame order. After scanLog a
 // reference's body is its last 16 bytes only, which commitLocked logs
 // and feeds nothing from on a store that has no log or feed yet — the
-// only store a log is replayed into.
+// only store a log is replayed into. After scanIDs it is the same 16
+// bytes, and a series the live log generation has no id for gets its
+// define rebuilt here, so the log holds what a 0x04 frame leaves.
 func (t *keyTable) apply(b []byte) {
 	if len(t.recs) == 0 {
 		return
@@ -963,6 +1049,13 @@ func (t *keyTable) apply(b []byte) {
 			if h.e == nil {
 				h.e = s.entryLocked(sh, &h.key)
 				resolves++
+			}
+			if len(body) == 16 && sh.wal != nil && h.e.walGen != sh.wal.gen {
+				// A wire reference to a series the live log generation has
+				// not named yet: the log defines it with the body as a 0x04
+				// frame carries it, the key's framed bytes and the 16.
+				t.define = append(append(t.define[:0], h.framed...), tail...)
+				body = t.define
 			}
 			v := math.Float64frombits(binary.BigEndian.Uint64(tail[8:]))
 			p, d := s.commitLocked(sh, h.e, &h.key, idx, v, now, body, nil)

@@ -38,6 +38,23 @@ import (
 //	  Coalescing many measurements per frame amortizes the length
 //	  prefix, the write syscall and (server side) the per-frame read
 //	  into one allocation-free validate-and-apply pass.
+//	id batch frame (type 0x05), publisher → ingest server:
+//	  count uint16, then count × entry:
+//	    define:    0 | measurement body (the 0x04 layout)
+//	    reference: uvarint(id ≥ 1) | unixNano int64 | value float64
+//	  Ids are per connection. A define gives its key the connection's
+//	  next id — 1, 2, … in the order the defines arrive — until
+//	  maxKeyCacheEntries ids are issued; past that a define issues none,
+//	  and its key goes as a define every time. A reference is an id an
+//	  earlier define on the same connection issued (in this frame or an
+//	  earlier one), then the body's last 16 bytes. A reconnecting
+//	  publisher starts again at 1. An id not issued, id 0, or an entry
+//	  cut short drops the connection, as any malformed frame does. It is
+//	  the WAL's define/reference encoding (wal.go) with the connection in
+//	  place of the log generation. Publisher.PublishBatch writes only
+//	  this form and a server that predates it drops the connection, so
+//	  servers must be upgraded before publishers; servers keep accepting
+//	  0x04.
 //
 // Strings are raw bytes (the system uses ASCII identifiers). Frames are
 // capped at maxFrame to bound allocation from a misbehaving peer.
@@ -46,6 +63,7 @@ const (
 	frameSubscribe      = 0x02
 	frameSubscribeSince = 0x03
 	frameBatch          = 0x04
+	frameBatchID        = 0x05
 	maxFrame            = 1 << 16
 )
 
@@ -247,40 +265,12 @@ func EncodeBatchInto(dst []byte, ms []Measurement) ([]byte, error) {
 	return b, nil
 }
 
-// appendBatchFill encodes a maximal prefix of ms as one batch frame
-// appended to dst, packing measurements until the frame cap, and
-// returns the frame plus the unencoded remainder. It errors only when
-// the first measurement alone cannot fit an empty frame.
-func appendBatchFill(dst []byte, ms []Measurement) (frame []byte, rest []Measurement, err error) {
-	if len(ms) == 0 {
-		return nil, nil, fmt.Errorf("monitor: empty batch")
-	}
-	base := len(dst)
-	b := append(dst, frameBatch, 0, 0)
-	n := 0
-	for ; n < len(ms) && n < math.MaxUint16; n++ {
-		prev := len(b)
-		if b, err = appendMeasurementBody(b, ms[n]); err != nil {
-			return nil, nil, err
-		}
-		if len(b)-base > maxFrame {
-			if n == 0 {
-				return nil, nil, fmt.Errorf("%w (single measurement)", ErrFrameTooLarge)
-			}
-			b = b[:prev]
-			break
-		}
-	}
-	binary.BigEndian.PutUint16(b[base+1:base+3], uint16(n))
-	return b, ms[n:], nil
-}
-
 // DecodeBatchInto parses a batch frame payload, appending the decoded
 // measurements to dst (usually a reused slice cut to zero length). A
 // non-nil cache interns keys across calls. On error the
-// partially-decoded prefix is discarded. It accepts exactly the frames
-// the ingest server's keyTable.ingestFrame accepts (FuzzIngestFrame
-// holds the two together).
+// partially-decoded prefix is discarded. It accepts exactly the 0x04
+// frames the ingest server's keyTable.ingestFrame accepts
+// (FuzzIngestFrame holds the two together).
 func DecodeBatchInto(dst []Measurement, b []byte, cache *KeyCache) ([]Measurement, error) {
 	if len(b) < 3 || b[0] != frameBatch {
 		return dst, fmt.Errorf("monitor: not a batch frame")

@@ -127,8 +127,9 @@ const (
 	// CtrInconclusive counts per-KPI assessments that came back
 	// inconclusive because the feed was too gappy or stale.
 	CtrInconclusive = "assess.kpis_inconclusive"
-	// CtrBatchFrames counts batch (0x04) ingest frames decoded; each
-	// frame carries many measurements (those land in CtrIngested).
+	// CtrBatchFrames counts batch (0x04) and id batch (0x05) ingest
+	// frames decoded; each frame carries many measurements (those land
+	// in CtrIngested).
 	CtrBatchFrames = "monitor.batch_frames"
 	// CtrIngestKeyResolves counts series lookups by the ingest
 	// connections' key handle tables: one per key a connection sees for
@@ -139,8 +140,10 @@ const (
 	CtrIngestKeyResolves = "monitor.ingest_key_resolves"
 	// CtrIngestKeyLookups counts measurements whose key handle the
 	// tables found by a map lookup on the framed key bytes, not by
-	// position: about none per bin from a publisher that keeps its key
-	// order, one per measurement from one that shuffles it.
+	// position or id: one per key a connection defines, then none per
+	// bin from an id batch publisher or a batch publisher that keeps its
+	// key order, one per measurement from a batch publisher that
+	// shuffles it.
 	CtrIngestKeyLookups = "monitor.ingest_key_lookups"
 	// GaugeWALLogBytes is the record bytes in the live log generation,
 	// GaugeWALRotations how many generations a compaction or a durability
