@@ -116,7 +116,7 @@ func render(w io.Writer, addr string, s *snapshot) {
 
 	// Ingest panel: per-second rate trajectory plus lifetime total.
 	rates := h.Rates[obs.CtrIngested]
-	fmt.Fprintf(w, "ingest   %s %8.0f/s  total %.0f  batches %.0f  key resolves %.0f lookups %.0f  rejects %.0f\n",
+	fmt.Fprintf(w, "ingest   %s %8.0f/s  total %.0f  batches %.0f  key resolves %.0f defines %.0f  rejects %.0f\n",
 		sparkline(rates, 30), last(rates),
 		last(h.Series[obs.CtrIngested]),
 		last(h.Series[obs.CtrBatchFrames]),

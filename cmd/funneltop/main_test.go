@@ -101,7 +101,7 @@ func TestPollAndRender(t *testing.T) {
 		"solved 150",
 		"reads tail 4809 full 12",
 		"history fetches 4",
-		"key resolves 88 lookups 7",
+		"key resolves 88 defines 7",
 		"wal      3.0MiB on disk",
 		"rotations 5",
 		"chg-9",           // recent-verdicts panel

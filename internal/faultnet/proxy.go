@@ -108,9 +108,17 @@ func (p *Proxy) accept() {
 		link := &proxyLink{client: client, backend: backend}
 		link.left.Store(-1)
 		p.mu.Lock()
+		if p.closed {
+			// Close ran since the check above, and its Sever would miss
+			// this link: its pipes would block Close forever.
+			p.mu.Unlock()
+			client.Close()
+			backend.Close()
+			continue
+		}
 		p.conns[link] = struct{}{}
-		p.mu.Unlock()
 		p.wg.Add(2)
+		p.mu.Unlock()
 		// Upstream (client → backend) passes through the faulty conn,
 		// so torn writes and corruption hit the publisher path;
 		// downstream is relayed verbatim.

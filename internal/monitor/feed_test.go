@@ -87,13 +87,10 @@ func TestBinFeedLowWater(t *testing.T) {
 	})
 	t.Run("framed", func(t *testing.T) {
 		s := NewStore(t0, time.Minute)
-		table := newKeyTable(s)
+		table := newKeyTable(s, maxKeyCacheEntries)
+		var enc keyIDs
 		testBinFeedLowWater(t, s, func(m Measurement) {
-			frame, err := EncodeBatch([]Measurement{m})
-			if err == nil {
-				err = table.ingestFrame(frame)
-			}
-			if err != nil {
+			if err := table.ingestFrame(idFrames(t, &enc, []Measurement{m})[0]); err != nil {
 				t.Fatal(err)
 			}
 		})

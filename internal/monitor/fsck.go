@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -69,7 +70,8 @@ func (r FsckReport) Healthy() bool {
 // values.
 //
 // A snapshot whose framing is damaged (bad magic, truncated stream) is
-// beyond repair and returns an error.
+// beyond repair and returns an error, and so does a log of a version
+// this build does not read: repair leaves the directory as it found it.
 func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 	if fsys == nil {
 		fsys = faultfs.OS
@@ -127,6 +129,13 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 
 	if !repair || rep.Healthy() {
 		return rep, nil
+	}
+	for _, w := range rep.WALs {
+		if errors.Is(w.ReadError, errWALVersion) {
+			// The snapshot would lack the refused log's records, and the
+			// repair would then remove the log.
+			return rep, fmt.Errorf("monitor: fsck: not repairing: %w", w.ReadError)
+		}
 	}
 
 	// Repair: drop quarantines by making the loss explicit, then

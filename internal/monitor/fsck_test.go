@@ -1,9 +1,12 @@
 package monitor
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -120,6 +123,46 @@ func TestFsckRepairDropsQuarantine(t *testing.T) {
 	}
 	if nan != span {
 		t.Fatalf("%d NaN bins after repair, want one span (%d)", nan, span)
+	}
+}
+
+// TestFsckRepairKeepsRefusedLogs: a log of a version this build does
+// not read holds records the snapshot lacks, so repair refuses the
+// directory and leaves it byte for byte as it was.
+func TestFsckRepairKeepsRefusedLogs(t *testing.T) {
+	for _, version := range []uint16{2, 9} {
+		dir := t.TempDir()
+		st, err := OpenPersistent(dir, t0, time.Minute, persistOptsNoBG(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := topo.KPIKey{Scope: topo.ScopeServer, Entity: "srv-1", Metric: "cpu"}
+		for bin := 0; bin < 20; bin++ {
+			if bin == 10 {
+				if err := st.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st.Append(Measurement{k, t0.Add(time.Duration(bin) * time.Minute), float64(bin)})
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rewriteFile(t, genLog(t, dir, 0), func(raw []byte) []byte {
+			binary.BigEndian.PutUint16(raw[4:6], version)
+			return raw
+		})
+		before := dirImage(t, dir)
+		if _, ok := before[snapshotFile]; !ok {
+			t.Fatal("no snapshot beside the log")
+		}
+		rep, err := Fsck(dir, nil, true)
+		if !errors.Is(err, errWALVersion) || rep.Repaired {
+			t.Fatalf("version %d: repair %+v (%v), want it refused", version, rep, err)
+		}
+		if !reflect.DeepEqual(dirImage(t, dir), before) {
+			t.Fatalf("version %d: the refused repair changed the directory", version)
+		}
 	}
 }
 

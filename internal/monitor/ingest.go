@@ -51,8 +51,8 @@ func (s *IngestServer) handle(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, maxFrame)
 	// Per-connection state: the frame buffer and the key handle table
 	// persist across frames, so a steady publisher's measurement costs
-	// one lookup on its key bytes and no allocation.
-	keys := newKeyTable(s.store)
+	// an index into its ids and no allocation.
+	keys := newKeyTable(s.store, maxKeyCacheEntries)
 	var frameBuf []byte
 	for {
 		if rt > 0 {
@@ -70,48 +70,34 @@ func (s *IngestServer) handle(conn net.Conn) {
 			col.Add(obs.CtrConnDrops, 1)
 			return // protocol violation: drop the publisher
 		}
-		if payload[0] != frameMeasurement {
-			col.Add(obs.CtrBatchFrames, 1)
-		}
+		col.Add(obs.CtrBatchFrames, 1)
 	}
 }
 
-// ingestFrame applies one publisher frame — an id batch (0x05), a batch
-// (0x04) or a single measurement (0x01) — to the table's store. The
-// frame is validated whole first: a bad scope byte, string length or
-// tail, an id the connection has not issued, a count that disagrees with
-// the entries, or trailing bytes reject it with the store and its logs
-// untouched.
+// ingestFrame applies one publisher frame, an id batch (0x05, wire.go),
+// to the table's store. The frame is validated whole first: another
+// frame type, a bad scope byte, string length or tail, an id the
+// connection has not issued, a count that disagrees with the entries,
+// or trailing bytes reject it with the store and its logs untouched.
 func (t *keyTable) ingestFrame(payload []byte) error {
-	var bodies []byte
-	var want int
-	switch {
-	case len(payload) >= 3 && (payload[0] == frameBatch || payload[0] == frameBatchID):
-		if want = int(binary.BigEndian.Uint16(payload[1:3])); want == 0 {
-			return fmt.Errorf("monitor: empty batch frame")
-		}
-		bodies = payload[3:]
-	case len(payload) >= 2 && payload[0] == frameMeasurement:
-		want, bodies = 1, payload[1:]
-	default:
-		return fmt.Errorf("monitor: not a measurement or batch frame")
+	if len(payload) < 3 || payload[0] != frameBatchID {
+		return fmt.Errorf("monitor: not an id batch frame")
 	}
-	var n, used int
-	var err error
-	if payload[0] == frameBatchID {
-		n, used, err = t.scanIDs(bodies, want)
-	} else {
-		n, used, err = t.scan(bodies, want)
+	want := int(binary.BigEndian.Uint16(payload[1:3]))
+	if want == 0 {
+		return fmt.Errorf("monitor: empty batch frame")
 	}
+	entries := payload[3:]
+	n, used, err := t.scan(entries, want)
 	switch {
 	case err != nil:
 		return err
 	case n < want:
 		return fmt.Errorf("monitor: frame holds %d of %d measurements", n, want)
-	case used < len(bodies):
-		return fmt.Errorf("monitor: %d trailing bytes in frame", len(bodies)-used)
+	case used < len(entries):
+		return fmt.Errorf("monitor: %d trailing bytes in frame", len(entries)-used)
 	}
-	t.apply(bodies)
+	t.apply(entries)
 	return nil
 }
 
@@ -152,14 +138,11 @@ func DialPublisher(addr string) (*Publisher, error) {
 	return newPublisher(conn), nil
 }
 
-// Publish sends one measurement. Frames are buffered; call Flush at
-// bin boundaries (the agent cadence) to bound latency.
+// Publish sends one measurement, as a one-entry id batch frame. Frames
+// are buffered; call Flush at bin boundaries (the agent cadence) to
+// bound latency.
 func (p *Publisher) Publish(m Measurement) error {
-	frame, err := EncodeMeasurement(m)
-	if err != nil {
-		return err
-	}
-	return WriteFrame(p.w, frame)
+	return p.PublishBatch([]Measurement{m})
 }
 
 // PublishBatch sends many measurements in id batch frames (0x05),

@@ -24,48 +24,27 @@ import (
 
 // The differential ingest tests: the socket applies a frame through a
 // per-connection handle table, with the wire bytes copied into the WAL;
-// the reference below is the path it replaced — decode the frame into
-// Measurements, AppendBatch them — which stays in tree for in-process
-// callers. Both are fed the same frames on twin persistent stores and
-// must leave the same bytes on disk and the same state in memory.
+// the reference below decodes the frame into Measurements and
+// AppendBatches them, the path in-process callers take. Both are fed
+// the same frames on twin persistent stores and must leave the same
+// bytes on disk and the same state in memory.
 
-// refIngestFrame applies one publisher frame the way IngestServer.handle
-// did before the handle table; ids are the connection's key ids.
-func refIngestFrame(s *Store, cache *KeyCache, ids *logDecoder, payload []byte) error {
-	ms, err := refDecode(cache, ids, payload)
+// refIngestFrame applies one publisher frame as the socket must; ids
+// are the connection's key ids.
+func refIngestFrame(s *Store, ids *logDecoder, payload []byte) error {
+	ms, err := decodeIDFrame(ids, payload)
 	if err != nil {
 		return err
 	}
-	if payload[0] == frameMeasurement {
-		s.Append(ms[0])
-	} else {
-		s.AppendBatch(ms)
-	}
+	s.AppendBatch(ms)
 	return nil
 }
 
-// refDecode decodes one publisher frame into Measurements: a batch
-// (0x04) through DecodeBatchInto, an id batch (0x05) through the
-// connection's ids, anything else as a single measurement (0x01).
-func refDecode(cache *KeyCache, ids *logDecoder, payload []byte) ([]Measurement, error) {
-	switch {
-	case len(payload) > 0 && payload[0] == frameBatch:
-		return DecodeBatchInto(nil, payload, cache)
-	case len(payload) > 0 && payload[0] == frameBatchID:
-		return decodeIDFrame(ids, payload)
-	}
-	m, err := DecodeMeasurement(payload)
-	if err != nil {
-		return nil, err
-	}
-	return []Measurement{m}, nil
-}
-
 // newWireIDs returns the reference's ids of a fresh connection: the
-// log decoder reads an id batch frame's entries as it reads a version 3
+// log decoder reads an id batch frame's entries as it reads a log
 // record's, with the publisher's cap on the ids issued.
 func newWireIDs() *logDecoder {
-	d := newLogDecoder(walVersion)
+	d := newLogDecoder()
 	d.maxIDs = maxKeyCacheEntries
 	return d
 }
@@ -182,9 +161,8 @@ type ingestTwin struct {
 	srv       *IngestServer
 	conn      net.Conn
 	w         *bufio.Writer
-	cache     *KeyCache
 	steps     int
-	batches   int64 // batch frames sent
+	batches   int64 // frames sent
 	// enc is the connection's key ids as the publisher issues them, ids
 	// as the reference reads them.
 	enc keyIDs
@@ -192,7 +170,7 @@ type ingestTwin struct {
 }
 
 func newIngestTwin(t *testing.T) *ingestTwin {
-	tw := &ingestTwin{t: t, live: newTwinSide(t), ref: newTwinSide(t), cache: NewKeyCache(), ids: newWireIDs()}
+	tw := &ingestTwin{t: t, live: newTwinSide(t), ref: newTwinSide(t), ids: newWireIDs()}
 	tw.srv = NewIngestServer(tw.live.s)
 	addr, err := tw.srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -213,21 +191,16 @@ func (tw *ingestTwin) send(payload []byte) {
 	if err := WriteFrame(tw.w, payload); err != nil {
 		tw.t.Fatal(err)
 	}
-	if payload[0] != frameMeasurement {
-		tw.batches++
-	}
-	if err := refIngestFrame(tw.ref.s, tw.cache, tw.ids, payload); err != nil {
+	tw.batches++
+	if err := refIngestFrame(tw.ref.s, tw.ids, payload); err != nil {
 		tw.t.Fatalf("reference rejected a frame: %v", err)
 	}
 }
 
-// frames packs ms into frames of type wire: batch frames (0x04), or the
-// id batch frames (0x05) of the twins' one connection.
-func (tw *ingestTwin) frames(wire byte, ms []Measurement) [][]byte {
-	if wire == frameBatchID {
-		return idFrames(tw.t, &tw.enc, ms)
-	}
-	return batchFrames(tw.t, ms)
+// frames packs ms into the id batch frames of the twins' one
+// connection.
+func (tw *ingestTwin) frames(ms []Measurement) [][]byte {
+	return idFrames(tw.t, &tw.enc, ms)
 }
 
 // compact rotates both logs between two frames: the live side's next
@@ -259,11 +232,9 @@ func markerValue(s *Store) float64 {
 func (tw *ingestTwin) step(what string) {
 	tw.t.Helper()
 	tw.steps++
-	frame, err := EncodeBatch([]Measurement{{Key: twinMarker, T: t0.Add(twinMarkerBin * time.Minute), V: float64(tw.steps)}})
-	if err != nil {
-		tw.t.Fatal(err)
+	for _, f := range tw.frames([]Measurement{{Key: twinMarker, T: t0.Add(twinMarkerBin * time.Minute), V: float64(tw.steps)}}) {
+		tw.send(f)
 	}
-	tw.send(frame)
 	if err := tw.w.Flush(); err != nil {
 		tw.t.Fatal(err)
 	}
@@ -439,40 +410,14 @@ func (tw *ingestTwin) compare(what string) {
 	}
 }
 
-// batchFrames packs ms into as few batch frames (0x04) as the frame cap
-// allows.
-func batchFrames(t testing.TB, ms []Measurement) [][]byte {
-	t.Helper()
-	var frames [][]byte
-	for len(ms) > 0 {
-		n, size := 0, 3
-		for ; n < len(ms) && n < math.MaxUint16; n++ {
-			body := 1 + 2 + len(ms[n].Key.Entity) + 2 + len(ms[n].Key.Metric) + 16
-			if size+body > maxFrame {
-				break
-			}
-			size += body
-		}
-		frame, err := EncodeBatch(ms[:n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, frame)
-		ms = ms[n:]
-	}
-	return frames
-}
-
-// TestIngestFrameMatchesAppendBatch runs one sequence of frames through
-// the socket and the reference twice: as batch frames, and as the id
-// batch frames a publisher writes, with batch and single-measurement
-// frames mixed into the same connection.
+// TestIngestFrameMatchesAppendBatch runs one sequence of frames, the id
+// batch frames a publisher writes, through the socket and the
+// reference.
 func TestIngestFrameMatchesAppendBatch(t *testing.T) {
-	t.Run("batch", func(t *testing.T) { testIngestFrameMatchesAppendBatch(t, frameBatch) })
-	t.Run("id-batch", func(t *testing.T) { testIngestFrameMatchesAppendBatch(t, frameBatchID) })
+	t.Run("id-batch", testIngestFrameMatchesAppendBatch)
 }
 
-func testIngestFrameMatchesAppendBatch(t *testing.T, wire byte) {
+func testIngestFrameMatchesAppendBatch(t *testing.T) {
 	tw := newIngestTwin(t)
 	at := func(bin int) time.Time { return t0.Add(time.Duration(bin) * time.Minute) }
 	keys := fleetKeys(40)
@@ -481,7 +426,7 @@ func testIngestFrameMatchesAppendBatch(t *testing.T, wire byte) {
 	}
 	sendAll := func(ms []Measurement) {
 		t.Helper()
-		for _, f := range tw.frames(wire, ms) {
+		for _, f := range tw.frames(ms) {
 			tw.send(f)
 		}
 	}
@@ -496,10 +441,9 @@ func testIngestFrameMatchesAppendBatch(t *testing.T, wire byte) {
 	sendAll(binOf(0, func(ki int) float64 { return float64(ki) }))
 	tw.step("first sight, mixed shards")
 
-	// The orders a handle found by position has to survive: the last
-	// frame's again, its reverse, rotated by one, one key back to back.
-	// Every one must land as the reference's map-free decode does; only
-	// the first may do so without a lookup.
+	// The orders the ids have to survive: the last frame's again, its
+	// reverse, rotated by one, one key back to back. Every one must land
+	// as the reference's decode does, with no define.
 	reordered := func(bin int, order func(i int) int) []Measurement {
 		ms := binOf(bin, func(ki int) float64 { return float64(bin*100 + ki) })
 		out := make([]Measurement, len(ms))
@@ -508,18 +452,18 @@ func testIngestFrameMatchesAppendBatch(t *testing.T, wire byte) {
 		}
 		return out
 	}
-	lookups := tw.live.col.Counter(obs.CtrIngestKeyLookups)
+	defines := tw.live.col.Counter(obs.CtrIngestKeyLookups)
 	sendAll(reordered(1, func(i int) int { return i }))
 	tw.step("the same order again")
-	if got := tw.live.col.Counter(obs.CtrIngestKeyLookups) - lookups; got > 2 {
-		t.Fatalf("%d lookups for a bin in the first bin's order, want the marker's and at most the key after it", got)
+	if got := tw.live.col.Counter(obs.CtrIngestKeyLookups) - defines; got > 2 {
+		t.Fatalf("%d defines for a bin of keys the connection named, want at most 2", got)
 	}
 	sendAll(reordered(1, func(i int) int { return len(keys) - 1 - i }))
 	tw.step("reversed order")
 	sendAll(reordered(1, func(i int) int { return (i + 1) % len(keys) }))
 	tw.step("rotated by one")
-	if got := tw.live.col.Counter(obs.CtrIngestKeyLookups) - lookups; wire == frameBatchID && got > 6 {
-		t.Fatalf("%d lookups for three bins of references, want the markers' alone", got)
+	if got := tw.live.col.Counter(obs.CtrIngestKeyLookups) - defines; got > 6 {
+		t.Fatalf("%d defines for three bins of references, want at most 6", got)
 	}
 	sendAll([]Measurement{{keys[6], at(1), 1}, {keys[6], at(1), 2}, {keys[6], at(2), 3}, {keys[7], at(1), 4}, {keys[7], at(1), 5}, {keys[5], at(1), 6}})
 	tw.step("one key back to back")
@@ -544,22 +488,17 @@ func testIngestFrameMatchesAppendBatch(t *testing.T, wire byte) {
 	tw.step("chunks sealed")
 
 	// A rotation between two frames: every series' next measurement
-	// defines it in the new log generation, and on the id path arrives as
-	// a reference, so the define is rebuilt from the key's framed bytes.
+	// defines it in the new log generation, and arrives as a reference,
+	// so the define is rebuilt from the key.
 	tw.compact()
 	sendAll(binOf(3*twinSpan+1, func(ki int) float64 { return float64(ki) - 0.5 }))
 	tw.step("the first bin after a log rotation")
 
-	// The two batch forms and single measurements on one connection.
+	// A bin over two frames, the second of which starts it again.
 	mixed := binOf(3*twinSpan+2, func(ki int) float64 { return float64(ki) * 3 })
-	for _, f := range batchFrames(t, mixed[:len(mixed)/2]) {
-		tw.send(f)
-	}
 	sendAll(mixed[len(mixed)/2:])
-	for _, f := range idFrames(t, &tw.enc, mixed[:3]) {
-		tw.send(f)
-	}
-	tw.step("batch and id batch frames mixed")
+	sendAll(mixed[:3])
+	tw.step("a bin over two frames")
 
 	sendAll([]Measurement{{keys[4], at(2), -2}, {keys[9], at(twinSpan + 1), -3}, {keys[4], at(3), -4}})
 	tw.step("late writes into sealed chunks")
@@ -576,20 +515,17 @@ func testIngestFrameMatchesAppendBatch(t *testing.T, wire byte) {
 			wide = append(wide, Measurement{k, at(5), float64(i)})
 		}
 	}
-	frames := batchFrames(t, wide)
+	frames := idFrames(t, new(keyIDs), wide)
 	if len(frames[0]) <= walGroupCap+4096 {
 		t.Fatalf("frame of %d bytes does not cross the group cap", len(frames[0]))
 	}
 	sendAll(wide)
 	tw.step("a frame that crosses walGroupCap")
 
-	one, err := EncodeMeasurement(Measurement{keys[8], at(30), 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw.send(one)
-	tw.send(one)
-	tw.step("single-measurement frames")
+	// The frame Publish writes, a single entry.
+	sendAll([]Measurement{{keys[8], at(30), 0.5}})
+	sendAll([]Measurement{{keys[8], at(30), 0.5}})
+	tw.step("one-entry frames")
 
 	// More distinct keys than the table interns: the last ones get
 	// one-frame handles, every time they appear.
@@ -627,7 +563,7 @@ func testIngestFrameMatchesAppendBatch(t *testing.T, wire byte) {
 	resolves := tw.live.col.Counter(obs.CtrIngestKeyResolves)
 	sendAll(binOf(56, func(ki int) float64 { return float64(ki) }))
 	sendAll(binOf(54, func(ki int) float64 { return -1 }))                // before the new epoch
-	sendAll(binOf(57, func(ki int) float64 { return float64(ki) + 0.5 })) // by position, through handles the prune emptied
+	sendAll(binOf(57, func(ki int) float64 { return float64(ki) + 0.5 })) // by id, through handles the prune emptied
 	tw.step("dropped series come back after a prune")
 	if got := tw.live.col.Counter(obs.CtrIngestKeyResolves) - resolves; got != int64(len(keys))+1 {
 		t.Fatalf("%d key resolves after the prune, want one per key sent (%d) and the marker", got, len(keys))
@@ -645,8 +581,8 @@ func testIngestFrameMatchesAppendBatch(t *testing.T, wire byte) {
 	}
 
 	// A frame the decoder rejects drops the connection and nothing else.
-	bad := append(tw.frames(wire, binOf(63, func(int) float64 { return 1 }))[0], 0)
-	if err := refIngestFrame(tw.ref.s, tw.cache, tw.ids, bad); err == nil {
+	bad := append(tw.frames(binOf(63, func(int) float64 { return 1 }))[0], 0)
+	if err := refIngestFrame(tw.ref.s, tw.ids, bad); err == nil {
 		t.Fatal("reference accepted a frame with a trailing byte")
 	}
 	if err := WriteFrame(tw.w, bad); err != nil {
@@ -981,34 +917,40 @@ func TestIngestHandlesAcrossPruneStorm(t *testing.T) {
 // as at the parent, and that growth is not this target's subject.
 const fuzzHorizonBins = 4096
 
-// FuzzIngestFrame: an arbitrary payload is either rejected by the socket
-// path and by the reference, leaving store and logs untouched, or lands
-// identically on both twins — twice, so that the second application goes
-// through handles the first one resolved.
+// FuzzIngestFrame: an arbitrary payload that follows a warm-up on the
+// connection is either rejected by the socket path and by the
+// reference, leaving store and logs untouched, or lands identically on
+// both twins — twice, so that the second application goes through the
+// handles and ids the first one left. A rejection ends the run, as it
+// ends the connection.
 func FuzzIngestFrame(f *testing.F) {
 	for _, seed := range ingestFrameSeeds(f) {
 		f.Add(seed)
 	}
-	warm := batchFrames(f, ingestSeedBatch(0, 11))
+	warm := ingestIDWarm(f)
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		// The warm-up frames issue no ids: a fresh decoder reads the
-		// payload as the reference will the first time.
-		ms, refErr := refDecode(nil, newWireIDs(), payload)
-		if refErr == nil {
-			for _, m := range ms {
-				if m.T.Sub(t0) > fuzzHorizonBins*time.Minute {
-					t.Skip("timestamp past the horizon")
-				}
+		// A decoder warmed up as the reference will be reads the payload
+		// first.
+		pre := newWireIDs()
+		for _, frame := range warm {
+			if _, err := decodeIDFrame(pre, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ms, refErr := decodeIDFrame(pre, payload)
+		for _, m := range ms {
+			if m.T.Sub(t0) > fuzzHorizonBins*time.Minute {
+				t.Skip("timestamp past the horizon")
 			}
 		}
 		live, liveDir := openTwinStore(t, 2, 4)
 		ref, refDir := openTwinStore(t, 2, 4)
-		table, cache, ids := newKeyTable(live), NewKeyCache(), newWireIDs()
+		table, ids := newKeyTable(live, maxKeyCacheEntries), newWireIDs()
 		for _, frame := range warm {
 			if err := table.ingestFrame(frame); err != nil {
 				t.Fatal(err)
 			}
-			if err := refIngestFrame(ref, cache, ids, frame); err != nil {
+			if err := refIngestFrame(ref, ids, frame); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -1018,11 +960,14 @@ func FuzzIngestFrame(f *testing.F) {
 				t.Fatalf("ingestFrame error %v, reference error %v", err, refErr)
 			}
 			if err == nil {
-				if err := refIngestFrame(ref, cache, ids, payload); err != nil {
+				if err := refIngestFrame(ref, ids, payload); err != nil {
 					t.Fatal(err)
 				}
 			}
 			compareStores(t, fmt.Sprintf("round %d", round), live, ref, liveDir, refDir)
+			if err != nil {
+				return
+			}
 		}
 	})
 }
@@ -1039,34 +984,39 @@ func ingestSeedBatch(lo, hi int) []Measurement {
 	return ms
 }
 
-// ingestFrameSeeds are the well-formed seeds of FuzzIngestFrame (new
-// ones go at the end: the first four are named by position); the
-// corpus under testdata/fuzz/FuzzIngestFrame holds the malformed ones
-// (a count one too many and one too few, a bad scope byte, a truncated
-// tail, a trailing byte, a zero count, a bare type byte, another frame
-// type, nothing at all).
+// ingestFrameSeeds are the well-formed seeds of FuzzIngestFrame, each
+// as the publisher of the warm-up writes it next; the corpus under
+// testdata/fuzz/FuzzIngestFrame holds the malformed ones (a count one
+// too many and one too few, a bad scope byte, a truncated tail, a
+// trailing byte, a zero count, a bare type byte, another frame type,
+// nothing at all), which as batch (0x04) and single-measurement (0x01)
+// frames also pin the socket's refusal of those two forms.
 func ingestFrameSeeds(t testing.TB) [][]byte {
 	k := fleetKeys(6)
 	at := func(bin int) time.Time { return t0.Add(time.Duration(bin) * time.Minute) }
-	good := batchFrames(t, ingestSeedBatch(11, 13))[0]
-	dup, _ := EncodeBatch([]Measurement{{k[0], at(2), 1}, {k[1], at(30), 2}, {k[0], at(2), 3}, {k[0], at(-1), 4}})
-	single, _ := EncodeMeasurement(Measurement{k[2], at(12), 0.25})
-	fresh, _ := EncodeBatch([]Measurement{{topo.KPIKey{Scope: topo.ScopeService, Entity: "new", Metric: "qps"}, at(3), math.NaN()}})
-	// The warm-up frames hold the keys in k's order, bin after bin: the
-	// same order resolves by position, the others must fall back.
+	frame := func(ms ...Measurement) []byte {
+		var enc keyIDs
+		idFrames(t, &enc, ingestSeedBatch(0, 11))
+		return idFrames(t, &enc, ms)[0]
+	}
 	ordered := func(order func(i int) int) []byte {
 		ms := make([]Measurement, len(k))
 		for i := range k {
 			ms[i] = Measurement{k[order(i)], at(11), float64(i)}
 		}
-		frame, _ := EncodeBatch(ms)
-		return frame
+		return frame(ms...)
 	}
-	same := ordered(func(i int) int { return i })
-	reversed := ordered(func(i int) int { return len(k) - 1 - i })
-	rotated := ordered(func(i int) int { return (i + 1) % len(k) })
-	twice, _ := EncodeBatch([]Measurement{{k[3], at(11), 1}, {k[3], at(11), 2}, {k[3], at(12), 3}, {k[4], at(11), 4}})
-	return [][]byte{good, dup, single, fresh, same, reversed, rotated, twice}
+	fresh := topo.KPIKey{Scope: topo.ScopeService, Entity: "new", Metric: "qps"}
+	return [][]byte{
+		frame(ingestSeedBatch(11, 13)...),
+		frame(Measurement{k[0], at(2), 1}, Measurement{k[1], at(30), 2}, Measurement{k[0], at(2), 3}, Measurement{k[0], at(-1), 4}),
+		frame(Measurement{k[2], at(12), 0.25}),
+		frame(Measurement{fresh, at(3), math.NaN()}, Measurement{fresh, at(4), 1}),
+		ordered(func(i int) int { return i }),
+		ordered(func(i int) int { return len(k) - 1 - i }),
+		ordered(func(i int) int { return (i + 1) % len(k) }),
+		frame(Measurement{k[3], at(11), 1}, Measurement{k[3], at(11), 2}, Measurement{k[3], at(12), 3}, Measurement{k[4], at(11), 4}),
+	}
 }
 
 // TestBinClockMatchesBinAt pins the integer bin arithmetic of the wire

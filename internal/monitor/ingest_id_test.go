@@ -20,9 +20,9 @@ import (
 
 // Tests of the id batch frame (0x05): a publisher names a key once per
 // connection and by a small id after; the socket path must land it as
-// the batch frame's path does (the twins of ingest_diff_test.go run
-// both), reject what the reference rejects, keep its id table bounded,
-// and start the ids afresh on every connection.
+// the reference's decode and AppendBatch do (the twins of
+// ingest_diff_test.go), reject what the reference rejects, keep its id
+// table bounded, and start the ids afresh on every connection.
 
 // recordingConn keeps every Write a publisher makes.
 type recordingConn struct {
@@ -106,12 +106,12 @@ func TestPublisherWritesWholeFrames(t *testing.T) {
 		if b == 0 {
 			continue
 		}
-		var batch int
-		for _, f := range batchFrames(t, ms) {
-			batch += 4 + len(f)
+		var defines int
+		for _, f := range idFrames(t, new(keyIDs), ms) {
+			defines += 4 + len(f)
 		}
 		per := float64(size) / float64(len(ms))
-		t.Logf("a steady bin of %d: %.2f socket bytes a measurement, %.2f in batch frames", len(ms), per, float64(batch)/float64(len(ms)))
+		t.Logf("a steady bin of %d: %.2f socket bytes a measurement, %.2f as defines", len(ms), per, float64(defines)/float64(len(ms)))
 		if per > 19 {
 			t.Fatalf("a steady bin costs %.2f socket bytes a measurement, want at most 19", per)
 		}
@@ -143,7 +143,7 @@ func TestPublisherWritesWholeFrames(t *testing.T) {
 // time, and land.
 func TestIngestIDTableIsBounded(t *testing.T) {
 	st := NewStoreShards(t0, time.Minute, twinShards)
-	table, ref := newKeyTable(st), newWireIDs()
+	table, ref := newKeyTable(st, maxKeyCacheEntries), newWireIDs()
 	var enc keyIDs
 	keys := make([]topo.KPIKey, maxKeyCacheEntries+10)
 	for i := range keys {
@@ -174,11 +174,11 @@ func TestIngestIDTableIsBounded(t *testing.T) {
 			t.Fatalf("bin %d: %d defines, want %d", bin, defines, want)
 		}
 	}
-	if len(table.conn) != maxKeyCacheEntries || len(enc.keys) != maxKeyCacheEntries || len(ref.ids[0]) != maxKeyCacheEntries {
-		t.Fatalf("ids issued: server %d, publisher %d, reference %d, want %d each", len(table.conn), len(enc.keys), len(ref.ids[0]), maxKeyCacheEntries)
+	if table.issued != maxKeyCacheEntries || len(enc.keys) != maxKeyCacheEntries || len(ref.ids[0]) != maxKeyCacheEntries {
+		t.Fatalf("ids issued: server %d, publisher %d, reference %d, want %d each", table.issued, len(enc.keys), len(ref.ids[0]), maxKeyCacheEntries)
 	}
-	for i, hi := range table.conn {
-		if k := table.handles[hi].key; k != enc.keys[i] || k != ref.ids[0][i] {
+	for i, h := range table.handles[:table.issued] {
+		if k := h.key; k != enc.keys[i] || k != ref.ids[0][i] {
 			t.Fatalf("id %d: server %v, publisher %v, reference %v", i+1, k, enc.keys[i], ref.ids[0][i])
 		}
 	}
@@ -237,6 +237,8 @@ func ingestIDSeeds() []ingestIDSeed {
 	}
 	badScope := idDefine(Measurement{fresh, at(3), 1})
 	badScope[1] = 9
+	single, _ := EncodeMeasurement(Measurement{k[0], at(11), 1})
+	batch, _ := EncodeBatch([]Measurement{{k[0], at(11), 1}})
 	return []ingestIDSeed{
 		{"a reference to every id", idFrame(len(every), every...), true},
 		{"a define and a reference to its id", idFrame(3, idDefine(Measurement{fresh, at(3), 1}), idRef(7, 4, 2), idRef(1, 12, 3)), true},
@@ -253,6 +255,8 @@ func ingestIDSeeds() []ingestIDSeed {
 		{"a count one too few", idFrame(1, idRef(1, 11, 1), idRef(2, 11, 2)), false},
 		{"a trailing byte", append(idFrame(1, idRef(1, 11, 1)), 0x01), false},
 		{"a zero count", idFrame(0), false},
+		{"a single-measurement frame (0x01)", single, false},
+		{"a batch frame (0x04)", batch, false},
 	}
 }
 
@@ -269,17 +273,17 @@ func FuzzIngestIDStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		live, liveDir := openTwinStore(t, 2, 4)
 		ref, refDir := openTwinStore(t, 2, 4)
-		table, ids := newKeyTable(live), newWireIDs()
+		table, ids := newKeyTable(live, maxKeyCacheEntries), newWireIDs()
 		for _, frame := range warm {
 			if err := table.ingestFrame(frame); err != nil {
 				t.Fatal(err)
 			}
-			if err := refIngestFrame(ref, nil, ids, frame); err != nil {
+			if err := refIngestFrame(ref, ids, frame); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for round := 0; round < 2; round++ {
-			ms, refErr := refDecode(nil, ids, payload)
+			ms, refErr := decodeIDFrame(ids, payload)
 			for _, m := range ms {
 				if refErr == nil && m.T.Sub(t0) > fuzzHorizonBins*time.Minute {
 					t.Skip("timestamp past the horizon")
@@ -289,9 +293,7 @@ func FuzzIngestIDStream(f *testing.F) {
 			if (err != nil) != (refErr != nil) {
 				t.Fatalf("round %d: ingestFrame error %v, reference error %v", round, err, refErr)
 			}
-			if err == nil && payload[0] == frameMeasurement {
-				ref.Append(ms[0])
-			} else if err == nil {
+			if err == nil {
 				ref.AppendBatch(ms)
 			}
 			compareStores(t, fmt.Sprintf("round %d", round), live, ref, liveDir, refDir)

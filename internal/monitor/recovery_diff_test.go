@@ -83,11 +83,10 @@ func oracleReplayWAL(path string, store *Store, step time.Duration, shards, span
 	if string(hdr[:len(walMagic)]) != walMagic {
 		return store, fmt.Errorf("bad WAL magic in %s", path)
 	}
-	v := binary.BigEndian.Uint16(hdr[4:6])
-	if v != walVersion && v != walVersionWire {
+	if v := binary.BigEndian.Uint16(hdr[4:6]); v != walVersion {
 		return store, fmt.Errorf("unsupported WAL version %d in %s", v, path)
 	}
-	dec := newLogDecoder(v)
+	dec := newLogDecoder()
 	hdrStart := time.Unix(0, int64(binary.BigEndian.Uint64(hdr[6:14]))).UTC()
 	hdrStep := time.Duration(binary.BigEndian.Uint64(hdr[14:22]))
 	if hdrStep <= 0 {
@@ -148,22 +147,21 @@ func oracleReplayWAL(path string, store *Store, step time.Duration, shards, span
 	}
 }
 
-// logDecoder is the tests' one reader of log record payloads: the serial
-// oracle replays through it, and the tests that edit raw log bytes find
-// the entries with it. It decodes with the wire codec alone, apart from
-// keyTable: a version 2 payload is measurement bodies, a version 3
-// payload defines and references, whose ids it numbers per shard byte of
-// the one generation it reads.
+// logDecoder is the tests' one reader of log record payloads and id
+// batch frame entries: the serial oracle replays through it, and the
+// tests that edit raw log bytes find the entries with it. It decodes
+// with the wire codec alone, apart from keyTable: defines and
+// references, whose ids it numbers per shard byte of the one generation
+// it reads.
 type logDecoder struct {
-	version uint16
-	ids     map[byte][]topo.KPIKey
+	ids map[byte][]topo.KPIKey
 	// maxIDs, when set, is how many ids a shard's defines are issued;
 	// later defines are issued none (the wire's cap, not the log's).
 	maxIDs int
 }
 
-func newLogDecoder(version uint16) *logDecoder {
-	return &logDecoder{version: version, ids: make(map[byte][]topo.KPIKey)}
+func newLogDecoder() *logDecoder {
+	return &logDecoder{ids: make(map[byte][]topo.KPIKey)}
 }
 
 // logEntry is one decoded measurement and the bytes its entry spans in
@@ -184,8 +182,6 @@ func (d *logDecoder) record(shard byte, payload []byte) ([]logEntry, error) {
 		var rest []byte
 		var err error
 		switch {
-		case d.version == walVersionWire:
-			e.m, rest, err = decodeMeasurementBody(b, nil)
 		case b[0] == 0:
 			e.define = true
 			if e.m, rest, err = decodeMeasurementBody(b[1:], nil); err == nil && (d.maxIDs == 0 || len(d.ids[shard]) < d.maxIDs) {
@@ -227,7 +223,7 @@ type loggedRecord struct {
 // with one logDecoder; an entry that does not decode fails the test.
 func logRecords(t *testing.T, raw []byte) []loggedRecord {
 	t.Helper()
-	dec := newLogDecoder(binary.BigEndian.Uint16(raw[4:6]))
+	dec := newLogDecoder()
 	var recs []loggedRecord
 	for _, off := range walRecordOffsets(t, raw) {
 		n := int(binary.BigEndian.Uint32(raw[off:]))

@@ -313,7 +313,7 @@ func TestIngestServerBatchFrames(t *testing.T) {
 	if err := pub.PublishBatch(ms); err != nil {
 		t.Fatal(err)
 	}
-	// A single 0x01 frame on the same connection still works.
+	// A one-entry frame, as Publish writes it, on the same connection.
 	if err := pub.Publish(Measurement{kCPU, t0, 42}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,12 @@
 // measurements to downstream consumers "within one second" of
 // collection, exactly as the paper's subscription tool does. On the
 // inbound side, IngestServer accepts the same framing from remote
-// publishers, with a batch frame (0x04) that coalesces many
-// measurements per write (see Publisher.PublishBatch and
-// RobustPublisher). The store can optionally persist every append to a
-// write-ahead log with periodic compacted snapshots (see
-// OpenPersistent), so a restart replays to the exact pre-crash state.
+// publishers, with an id batch frame (0x05) that coalesces many
+// measurements per write and names each key once per connection (see
+// Publisher.PublishBatch and RobustPublisher). The store can optionally
+// persist every append to a write-ahead log with periodic compacted
+// snapshots (see OpenPersistent), so a restart replays to the exact
+// pre-crash state.
 //
 // See ARCHITECTURE.md at the repository root for the dataflow diagram
 // and the byte-level wire-protocol reference.
@@ -748,19 +749,21 @@ func (s *Store) AppendBatch(ms []Measurement) {
 	s.countIngest(ingested, pushes, drops)
 }
 
-// keyTable is the framed-key handle table of one ingest connection or
-// of one shard of a log under replay: it maps a measurement's key bytes
-// as framed (scope byte and both length-prefixed strings) to a handle
-// holding everything later measurements of that key need, so that a
-// key's strings are allocated, its shard hashed and its series looked
-// up once per connection. Handles are kept in first-seen order, and a publisher
-// sends the same keys in the same order every bin (as a replayed log
-// holds them), so a measurement's handle is found by position: scan
-// compares the body's key bytes with the handle after the previous
-// body's, and goes to the map only when they differ. An id batch frame
-// names its keys outright: scanIDs resolves a define through the map
-// and gives its handle the connection's next id, and a reference is
-// conn[id-1], no key bytes read. Not safe for concurrent use.
+// keyTable is the key handle table of one ingest connection or of one
+// shard of a log generation under replay. Both read the same entries —
+// an id batch frame's (wire.go) and a log record's (wal.go): a define,
+// tag 0 and a measurement body, and a reference, an id and the body's
+// last 16 bytes. A define builds its key's handle, which holds
+// everything later measurements of that key need — the interned key,
+// the shard that owns it, its series entry — and, while fewer than
+// maxIDs are issued, gives it the next id, so the ids are
+// handles[:issued] in define order and a reference is handles[id-1],
+// no key bytes read. A connection issues maxKeyCacheEntries ids at
+// most, as its publisher does, so a hostile publisher streaming unique
+// keys cannot grow its table without bound: later defines get a handle
+// that lives for one frame, stored after the issued ones. A log's table
+// has no cap: every id names a series the writer held. Not safe for
+// concurrent use.
 //
 // Invalidation: a handle's entry pointer is written and read only
 // under the entry's shard lock inside an epochMu.RLock section, and
@@ -770,41 +773,27 @@ func (s *Store) AppendBatch(ms []Measurement) {
 // left its shard, and no table keeps a pruned series alive past its
 // next frame.
 type keyTable struct {
-	s *Store
-	// index maps framed key bytes to a position in handles. It stops
-	// growing at maxKeyCacheEntries, so a hostile publisher streaming
-	// unique keys cannot grow it without bound; keys past the cap get a
-	// handle that lives for one frame, at handles[len(index):]. A define
-	// that is issued an id is interned all the same, so the index holds
-	// at most twice the cap.
-	index   map[string]int32
-	handles []keyHandle
-	// conn is the connection's key ids (the id batch frame, wire.go):
-	// conn[id-1] is the handle of the define that was issued id. It stops
-	// at maxKeyCacheEntries, as the publisher's ids do.
-	conn []int32
+	s              *Store
+	handles        []keyHandle
+	issued, maxIDs int
 	// define is where apply rebuilds a define's body, for a reference
 	// whose series the live log generation has not named yet.
 	define []byte
-	// prev is the handle of the last body scanned; lookups counts the
-	// bodies of the frame being applied that position did not resolve.
-	prev    int32
-	lookups int64
+	// defines counts the defines of the frame being applied.
+	defines int64
 	epoch   uint64
 	// recs is the frame scan left to apply, grp its grouping by shard.
 	recs []frameRec
 	grp  shardGrouping
 }
 
-// keyHandle is one key as a keyTable resolved it: its bytes as framed
-// (the index's key; empty past the cap), the interned KPIKey, the shard
-// that owns it, and its series entry there (nil until a measurement of
-// this key is first applied, and again after a prune).
+// keyHandle is one key as a keyTable resolved it: the interned KPIKey,
+// the shard that owns it, and its series entry there (nil until a
+// measurement of this key is first applied, and again after a prune).
 type keyHandle struct {
-	framed string
-	key    topo.KPIKey
-	e      *seriesEntry
-	shard  uint8
+	key   topo.KPIKey
+	e     *seriesEntry
+	shard uint8
 }
 
 // frameRec locates one validated measurement body in the scanned bytes
@@ -814,164 +803,44 @@ type frameRec struct {
 	off, end int32
 }
 
-// newKeyTable returns an empty handle table for s.
-func newKeyTable(s *Store) *keyTable {
-	return &keyTable{s: s, index: make(map[string]int32)}
+// newKeyTable returns an empty handle table for s that issues at most
+// maxIDs ids.
+func newKeyTable(s *Store, maxIDs int) *keyTable {
+	return &keyTable{s: s, maxIDs: maxIDs}
 }
 
-// scan validates up to max concatenated measurement bodies at the front
-// of b — the layout of a batch frame after its count and of a WAL group
-// record — and notes each for apply, resolving its key's handle.
-// It returns how many bodies it accepted and how many bytes they span,
-// and the error that stopped it at a malformed body. Nothing touches
-// the store.
+// scan validates up to max entries at the front of b — the entries of
+// an id batch frame after its count, or a log record's payload — and
+// notes each for apply, resolving its key's handle. It returns how many
+// entries it accepted and how many bytes they span, and the error that
+// stopped it at a malformed one. Nothing touches the store.
 func (t *keyTable) scan(b []byte, max int) (n, used int, err error) {
-	t.startFrame()
-	for n < max && used < len(b) {
-		body := b[used:]
-		metOff, keyEnd, err := measurementKeySpan(body)
-		if err != nil {
-			return n, used, err
-		}
-		if len(body) < keyEnd+16 {
-			return n, used, fmt.Errorf("monitor: bad measurement tail length %d", len(body)-keyEnd)
-		}
-		// The handle after the last body's, wrapping at the end of the
-		// indexed ones, if it is this key's; else by the map. Neither
-		// string(body[...]) allocates.
-		hi := t.prev + 1
-		if int(hi) >= len(t.index) {
-			hi = 0
-		}
-		if int(hi) >= len(t.index) || t.handles[hi].framed != string(body[:keyEnd]) {
-			hi = t.lookup(body, metOff, keyEnd, false)
-		}
-		t.prev = hi
-		end := used + keyEnd + 16
-		t.recs = append(t.recs, frameRec{handle: hi, off: int32(used), end: int32(end)})
-		used = end
-		n++
-	}
-	return n, used, nil
-}
-
-// startFrame clears what the last frame's scan left: its notes for
-// apply, its lookup count and its past-the-cap handles.
-func (t *keyTable) startFrame() {
-	clear(t.handles[len(t.index):])
-	t.handles = t.handles[:len(t.index)]
+	clear(t.handles[t.issued:])
+	t.handles = t.handles[:t.issued]
 	t.recs = t.recs[:0]
-	t.lookups = 0
-}
-
-// lookup resolves the key framed in body[:keyEnd] through the index,
-// building its handle on first sight. The handle is interned while the
-// index holds fewer than maxKeyCacheEntries keys, or when keep asks for
-// it; otherwise it lives for the frame.
-func (t *keyTable) lookup(body []byte, metOff, keyEnd int, keep bool) int32 {
-	t.lookups++
-	if hi, seen := t.index[string(body[:keyEnd])]; seen {
-		return hi
-	}
-	key := keyFromSpan(body, metOff, keyEnd)
-	hi := int32(len(t.handles))
-	h := keyHandle{key: key, shard: uint8(t.s.shardIndex(key))}
-	if keep || len(t.index) < maxKeyCacheEntries {
-		h.framed = string(body[:keyEnd])
-		t.index[h.framed] = hi
-	}
-	t.handles = append(t.handles, h)
-	return hi
-}
-
-// scanIDs is scan for the entries of an id batch frame (wire.go):
-// defines — tag 0 and a measurement body — and references — an id and
-// the body's last 16 bytes. A define resolves its key through the index
-// and, while the connection has fewer than maxKeyCacheEntries ids, is
-// issued the next one, its handle interned whatever the index holds: an
-// id must name a handle that outlives the frame. A reference is
-// conn[id-1]. Within a frame every handle interned precedes every
-// handle that is not, as scan's do. It returns how many entries it
-// accepted and how many bytes they span, and the error that stopped it
-// at a malformed one. Nothing touches the store.
-func (t *keyTable) scanIDs(b []byte, max int) (n, used int, err error) {
-	t.startFrame()
+	t.defines = 0
 	for ; n < max && used < len(b); n++ {
-		if c := b[used]; c != 0 {
-			// As in scanLog, ids below 2^14 decode inline.
-			var id uint64
-			var w int
-			switch {
-			case c < 0x80:
-				id, w = uint64(c), 1
-			case used+1 < len(b) && b[used+1] < 0x80:
-				id, w = uint64(c&0x7f)|uint64(b[used+1])<<7, 2
-			default:
-				id, w = binary.Uvarint(b[used:])
-			}
-			switch {
-			case w <= 0:
-				return n, used, fmt.Errorf("monitor: bad key id")
-			case id == 0 || id > uint64(len(t.conn)):
-				return n, used, fmt.Errorf("monitor: reference to key id %d, %d issued", id, len(t.conn))
-			case len(b)-used-w < 16:
-				return n, used, fmt.Errorf("monitor: bad reference length %d", len(b)-used)
-			}
-			used += w
-			t.recs = append(t.recs, frameRec{handle: t.conn[id-1], off: int32(used), end: int32(used + 16)})
-			used += 16
-			continue
-		}
-		body := b[used+1:]
-		metOff, keyEnd, err := measurementKeySpan(body)
-		if err != nil {
-			return n, used, err
-		}
-		if len(body) < keyEnd+16 {
-			return n, used, fmt.Errorf("monitor: bad measurement tail length %d", len(body)-keyEnd)
-		}
-		issue := len(t.conn) < maxKeyCacheEntries
-		hi := t.lookup(body, metOff, keyEnd, issue)
-		if issue {
-			t.conn = append(t.conn, hi)
-		}
-		end := used + 1 + keyEnd + 16
-		t.recs = append(t.recs, frameRec{handle: hi, off: int32(used + 1), end: int32(end)})
-		used = end
-	}
-	return n, used, nil
-}
-
-// scanLog is scan for the payload of a version 3 log record, whose
-// entries are defines — tag 0 and a measurement body — and references —
-// an id and the body's last 16 bytes (see wal.go). A table scans one
-// form only: a connection's frames, or one writer shard's records of one
-// generation. A define appends its key's handle, so the handles are the
-// shard's ids in define order and a reference is an index, handles[id-1]:
-// no key bytes to match, and no cap, since every id names a series the
-// writer held. It returns how many entries it accepted and the error
-// that stopped it at a malformed one. Nothing touches the store.
-func (t *keyTable) scanLog(b []byte) (n int, err error) {
-	t.recs = t.recs[:0]
-	for used := 0; used < len(b); n++ {
 		if b[used] == 0 {
-			used++
-			body := b[used:]
+			body := b[used+1:]
 			metOff, keyEnd, err := measurementKeySpan(body)
 			if err != nil {
-				return n, err
+				return n, used, err
 			}
 			if len(body) < keyEnd+16 {
-				return n, fmt.Errorf("monitor: bad measurement tail length %d", len(body)-keyEnd)
+				return n, used, fmt.Errorf("monitor: bad measurement tail length %d", len(body)-keyEnd)
 			}
 			key := keyFromSpan(body, metOff, keyEnd)
-			t.recs = append(t.recs, frameRec{handle: int32(len(t.handles)), off: int32(used), end: int32(used + keyEnd + 16)})
+			t.recs = append(t.recs, frameRec{handle: int32(len(t.handles)), off: int32(used + 1), end: int32(used + 1 + keyEnd + 16)})
 			t.handles = append(t.handles, keyHandle{key: key, shard: uint8(t.s.shardIndex(key))})
-			used += keyEnd + 16
+			if t.issued < t.maxIDs {
+				t.issued++
+			}
+			t.defines++
+			used += 1 + keyEnd + 16
 			continue
 		}
-		// Ids below 2^14, every shard's first 16 383 keys, take one or two
-		// bytes; decode those inline.
+		// Ids below 2^14, the first 16 383 keys, take one or two bytes;
+		// decode those inline.
 		var id uint64
 		var w int
 		switch c := b[used]; {
@@ -984,29 +853,29 @@ func (t *keyTable) scanLog(b []byte) (n int, err error) {
 		}
 		switch {
 		case w <= 0:
-			return n, fmt.Errorf("monitor: bad log id")
-		case id == 0 || id > uint64(len(t.handles)):
-			return n, fmt.Errorf("monitor: log reference to undefined id %d", id)
+			return n, used, fmt.Errorf("monitor: bad key id")
+		case id == 0 || id > uint64(t.issued):
+			return n, used, fmt.Errorf("monitor: reference to key id %d, %d issued", id, t.issued)
 		case len(b)-used-w < 16:
-			return n, fmt.Errorf("monitor: bad log reference length %d", len(b)-used)
+			return n, used, fmt.Errorf("monitor: bad reference length %d", len(b)-used)
 		}
 		used += w
 		t.recs = append(t.recs, frameRec{handle: int32(id - 1), off: int32(used), end: int32(used + 16)})
 		used += 16
 	}
-	return n, nil
+	return n, used, nil
 }
 
-// apply applies the bodies scan accepted from b to the store, with
+// apply applies the entries scan accepted from b to the store, with
 // Append's semantics per measurement and AppendBatch's per batch: one
 // clock read, one epoch lock, each shard locked once over its run of
 // the batch (grouped by the handles' shards, no key re-hashed), the log
-// written once, measurements of one key in frame order. After scanLog a
-// reference's body is its last 16 bytes only, which commitLocked logs
-// and feeds nothing from on a store that has no log or feed yet — the
-// only store a log is replayed into. After scanIDs it is the same 16
-// bytes, and a series the live log generation has no id for gets its
-// define rebuilt here, so the log holds what a 0x04 frame leaves.
+// written once, measurements of one key in frame order. A reference's
+// body is its last 16 bytes only. Replayed, commitLocked logs and feeds
+// nothing from it: a log is replayed into a store that has no log or
+// feed yet. From the socket, a series the live log generation has no id
+// for gets its define rebuilt here, so the log holds what a define of
+// the key would have left.
 func (t *keyTable) apply(b []byte) {
 	if len(t.recs) == 0 {
 		return
@@ -1052,9 +921,10 @@ func (t *keyTable) apply(b []byte) {
 			}
 			if len(body) == 16 && sh.wal != nil && h.e.walGen != sh.wal.gen {
 				// A wire reference to a series the live log generation has
-				// not named yet: the log defines it with the body as a 0x04
-				// frame carries it, the key's framed bytes and the 16.
-				t.define = append(append(t.define[:0], h.framed...), tail...)
+				// not named yet: the log defines it with the key's bytes as
+				// they were parsed, and the 16.
+				t.define, _ = appendKey(t.define[:0], h.key)
+				t.define = append(t.define, tail...)
 				body = t.define
 			}
 			v := math.Float64frombits(binary.BigEndian.Uint64(tail[8:]))
@@ -1074,8 +944,8 @@ func (t *keyTable) apply(b []byte) {
 	if resolves > 0 {
 		s.obs.Load().Add(obs.CtrIngestKeyResolves, resolves)
 	}
-	if t.lookups > 0 {
-		s.obs.Load().Add(obs.CtrIngestKeyLookups, t.lookups)
+	if t.defines > 0 {
+		s.obs.Load().Add(obs.CtrIngestKeyLookups, t.defines)
 	}
 }
 

@@ -81,21 +81,22 @@ import (
 //	define:    0 | scope byte | entity | metric | unixNano int64 | value float64
 //	reference: uvarint(id ≥ 1) | unixNano int64 | value float64
 //
-// A define is tag 0 followed by the measurement body exactly as the
-// 0x01/0x04 wire frames carry it (absolute timestamps, so records stay
-// valid across epoch rebases); a socket frame's body is copied through
-// verbatim. It gives its series the shard's next id in this generation —
-// 1, 2, … in log order — and every later measurement of the series in
-// the generation is a reference: the id, then the body's last 16 bytes.
+// A define is tag 0 followed by the measurement body exactly as an id
+// batch frame's define carries it (absolute timestamps, so records stay
+// valid across epoch rebases); a socket frame's define body is copied
+// through verbatim. It gives its series the shard's next id in this
+// generation — 1, 2, … in log order — and every later measurement of
+// the series in the generation is a reference: the id, then the body's
+// last 16 bytes.
 // Ids are per (generation, shard byte), so a key goes to disk once per
 // generation and a generation replays on its own; they restart where a
 // rotation (or an open) starts a generation with every shard lock held
 // (openGenerationLocked), and a series entry keeps its id beside the
 // generation that issued it (seriesEntry.walGen). The measurements one
 // append, batch or socket frame brings to a shard share one group
-// record — one length prefix, one CRC. Version 2 logs, whose payloads
-// are wire bodies only, still replay (through the ingest socket's key
-// scan); only version 3 is written.
+// record — one length prefix, one CRC. Version 3 is the one version
+// written and read: an open refuses a version 2 log (wire bodies, keys
+// and all) and names the last build that replays it.
 //
 // The prefix invariant: within a generation, the bytes on disk are a
 // prefix of the sequence of sealed records. A write that fails, or a
@@ -130,8 +131,7 @@ import (
 // a group record under one clock read and one lock round trip — through
 // a table per shard whose handles are the generation's ids in define
 // order, so a reference is an array index (keyTable, the one the ingest
-// socket keeps per connection, which scans a version 2 log's bodies by
-// their key bytes). The shards of the writing
+// socket keeps per connection). The shards of the writing
 // layout hold disjoint keys, so the workers' interleaving equals the
 // serial order, also when the reading layout differs: apply regroups by
 // the live one. The first bad record ends the generation: a short
@@ -178,9 +178,6 @@ import (
 const (
 	walMagic   = "FNLW"
 	walVersion = 3
-	// walVersionWire is the format before: payloads of wire bodies, keys
-	// and all. It is replayed, never written.
-	walVersionWire = 2
 
 	snapshotFile    = "snapshot.fnls"
 	snapshotTmpFile = "snapshot.tmp"
@@ -854,6 +851,11 @@ type walHeader struct {
 	version uint16
 }
 
+// errWALVersion marks a log whose header names a version this build
+// does not read. Its records are intact but unread, so Fsck must not
+// repair them away.
+var errWALVersion = errors.New("monitor: unsupported WAL version")
+
 // readWALHeader consumes a log's header from r. ok is false for a log
 // killed before its header write: empty, nothing to replay.
 func readWALHeader(r io.Reader, path string) (hdr walHeader, ok bool, err error) {
@@ -867,9 +869,12 @@ func readWALHeader(r io.Reader, path string) (hdr walHeader, ok bool, err error)
 	if string(b[:len(walMagic)]) != walMagic {
 		return walHeader{}, false, fmt.Errorf("monitor: bad WAL magic in %s", path)
 	}
-	hdr.version = binary.BigEndian.Uint16(b[4:6])
-	if hdr.version != walVersion && hdr.version != walVersionWire {
-		return walHeader{}, false, fmt.Errorf("monitor: unsupported WAL version %d in %s", hdr.version, path)
+	switch hdr.version = binary.BigEndian.Uint16(b[4:6]); hdr.version {
+	case walVersion:
+	case 2:
+		return walHeader{}, false, fmt.Errorf("%w 2 in %s: the last build that replays it is commit eace131; open the directory once with that build, whose compaction folds the log into the snapshot", errWALVersion, path)
+	default:
+		return walHeader{}, false, fmt.Errorf("%w %d in %s", errWALVersion, hdr.version, path)
 	}
 	hdr.start = time.Unix(0, int64(binary.BigEndian.Uint64(b[6:14]))).UTC()
 	hdr.step = time.Duration(binary.BigEndian.Uint64(b[14:22]))
@@ -935,10 +940,8 @@ type replayBatch struct {
 // stops at the first bad one (see the header), and hands the verified
 // payloads on, a block's worth at a time, to the worker their shard byte
 // names. A worker applies a group record the way the ingest socket
-// applies a batch frame, through one handle table per shard: in a
-// version 3 log a define appends a handle and a reference indexes it by
-// id; a version 2 record's bodies are the bodies of a frame, resolved by
-// their key bytes.
+// applies an id batch frame, through one handle table per shard: a
+// define appends a handle and a reference indexes it by id.
 func replayWAL(fsys faultfs.FS, path string, store *Store, out *walReplay) error {
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -976,16 +979,10 @@ func replayWAL(fsys faultfs.FS, path string, store *Store, out *walReplay) error
 					}
 					keys := tables[rec.shard]
 					if keys == nil {
-						keys = newKeyTable(store)
+						keys = newKeyTable(store, math.MaxInt)
 						tables[rec.shard] = keys
 					}
-					var n int
-					var err error
-					if hdr.version == walVersionWire {
-						n, _, err = keys.scan(rec.payload, math.MaxInt)
-					} else {
-						n, err = keys.scanLog(rec.payload)
-					}
+					n, _, err := keys.scan(rec.payload, math.MaxInt)
 					keys.apply(rec.payload)
 					stats[w].WALRecords += n
 					if err != nil {

@@ -58,11 +58,12 @@ func TestFrameIsOneLogWrite(t *testing.T) {
 		}
 		return ms
 	}
-	frames := batchFrames(t, binOf(0))
-	if len(frames) != 1 {
-		t.Fatalf("%d frames for one key per shard, want 1", len(frames))
+	var enc keyIDs
+	frames := append(idFrames(t, &enc, binOf(0)), idFrames(t, &enc, binOf(0))...)
+	if len(frames) != 2 {
+		t.Fatalf("%d frames for one key per shard, twice, want 2", len(frames))
 	}
-	table := newKeyTable(st)
+	table := newKeyTable(st, maxKeyCacheEntries)
 	for _, op := range []struct {
 		what string
 		do   func()
@@ -72,8 +73,8 @@ func TestFrameIsOneLogWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"the same frame again, through resolved handles", func() {
-			if err := table.ingestFrame(frames[0]); err != nil {
+		{"the same bin again, through resolved handles", func() {
+			if err := table.ingestFrame(frames[1]); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -120,7 +121,8 @@ func TestLogOrderAcrossConnections(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			table := newKeyTable(st)
+			table := newKeyTable(st, maxKeyCacheEntries)
+			var enc keyIDs
 			ms := make([]Measurement, len(keys))
 			for r := 0; r < rounds; r++ {
 				// Every round is its own trial: a bin nobody has written,
@@ -131,12 +133,12 @@ func TestLogOrderAcrossConnections(t *testing.T) {
 				for ki, k := range keys {
 					ms[ki] = Measurement{k, t0.Add(time.Duration(r) * time.Minute), float64(pub*10_000_000 + r*100 + ki)}
 				}
-				frame, err := EncodeBatch(ms)
+				frame, _, err := enc.appendFrame(nil, ms)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if err := table.ingestFrame(frame); err != nil {
+				if err := table.ingestFrame(frame[4:]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -344,23 +346,24 @@ func TestSyncHoldsNoShardLock(t *testing.T) {
 	}
 }
 
-// TestSteadyPublisherResolvesByPosition: a connection that sends the
-// same keys in the same order every bin, over several frames a bin,
-// goes to the key map for the first bin only; a prune changes nothing
-// about that, and a shuffled bin costs one lookup per measurement.
-func TestSteadyPublisherResolvesByPosition(t *testing.T) {
+// TestSteadyPublisherDefinesOnce: a connection that sends the same keys
+// every bin, over several frames a bin, defines each key on the first
+// bin and references it on every later one — after a prune, and in
+// reversed order — so the socket reads one define per key.
+func TestSteadyPublisherDefinesOnce(t *testing.T) {
 	st, _ := openTwinStore(t, twinShards, twinSpan)
 	col := obs.NewCollector()
 	st.SetCollector(col)
-	table := newKeyTable(st)
+	table := newKeyTable(st, maxKeyCacheEntries)
+	var enc keyIDs
 	keys := fleetKeys(3000) // more than one frame a bin
-	lookups := func() int64 { return col.Counter(obs.CtrIngestKeyLookups) }
+	defines := func() int64 { return col.Counter(obs.CtrIngestKeyLookups) }
 	send := func(bin int, order func(i int) int) int {
 		ms := make([]Measurement, len(keys))
 		for i := range keys {
 			ms[i] = Measurement{keys[order(i)], t0.Add(time.Duration(bin) * time.Minute), float64(bin)}
 		}
-		frames := batchFrames(t, ms)
+		frames := idFrames(t, &enc, ms)
 		for _, f := range frames {
 			if err := table.ingestFrame(f); err != nil {
 				t.Fatal(err)
@@ -372,23 +375,21 @@ func TestSteadyPublisherResolvesByPosition(t *testing.T) {
 	if frames := send(0, inOrder); frames < 2 {
 		t.Fatalf("a bin is %d frames, want several", frames)
 	}
-	if got := lookups(); got != int64(len(keys)) {
-		t.Fatalf("first bin: %d lookups, want one per key (%d)", got, len(keys))
+	if got := defines(); got != int64(len(keys)) {
+		t.Fatalf("first bin: %d defines, want one per key (%d)", got, len(keys))
 	}
-	for bin := 1; bin < 6; bin++ {
-		before := lookups()
-		if bin == 4 {
+	for bin := 1; bin <= 6; bin++ {
+		order := inOrder
+		switch bin {
+		case 4:
 			st.Prune(t0.Add(2 * time.Minute))
+		case 6:
+			order = func(i int) int { return len(keys) - 1 - i }
 		}
-		send(bin, inOrder)
-		if got := lookups() - before; got > 1 {
-			t.Fatalf("bin %d of a steady publisher: %d lookups, want at most 1", bin, got)
+		send(bin, order)
+		if got := defines() - int64(len(keys)); got != 0 {
+			t.Fatalf("bin %d: %d defines, want none", bin, got)
 		}
-	}
-	before := lookups()
-	send(6, func(i int) int { return len(keys) - 1 - i })
-	if got := lookups() - before; got < int64(len(keys))-2 {
-		t.Fatalf("a reversed bin: %d lookups, want about one per key (%d)", got, len(keys))
 	}
 	for _, k := range []topo.KPIKey{keys[0], keys[len(keys)/2], keys[len(keys)-1]} {
 		ser, ok := st.Series(k)

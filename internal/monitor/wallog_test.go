@@ -3,9 +3,12 @@ package monitor
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,76 +30,48 @@ func logVersion(t *testing.T, path string) uint16 {
 	return binary.BigEndian.Uint16(raw[4:6])
 }
 
-// TestUpgradeReplaysVersion2Log: testdata/wal-v2 holds a log the version
-// 2 writer left — wire bodies, keys and all, through Append, AppendBatch
-// and socket frames, with a late write into a sealed chunk — and
-// testdata/wal-v2.snapshot the WriteSnapshot bytes of the store that
-// wrote it. It replays to that store. So does the directory a crash loop
-// across the upgrade leaves, a version 2 generation under a version 3
-// one; only version 3 is written.
-func TestUpgradeReplaysVersion2Log(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "wal-v2.snapshot"))
+// dirImage returns the bytes of every file in dir, by name.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	image := copyImage(t, filepath.Join("testdata", "wal-v2"))
-	if v := logVersion(t, genLog(t, image, 0)); v != walVersionWire {
-		t.Fatalf("the committed log is version %d, want %d", v, walVersionWire)
-	}
-	for _, shards := range []int{4, 16} {
-		got, rec := diffRecover(t, image, shards)
-		if !bytes.Equal(snapshotBytes(t, got), want) {
-			t.Fatalf("%d shards: the version 2 log does not replay to the store that wrote it", shards)
-		}
-		if rec.WALRecords == 0 || rec.TornTails != 0 {
-			t.Fatalf("%d shards: recovery stats %+v", shards, rec)
-		}
-	}
-
-	// The crash loop: the version 2 directory opens under this writer,
-	// which overwrites some bins, adds others and a new key, and dies.
-	opts := persistOptsNoBG(4)
-	opts.ChunkSpan = diffSpan
-	st, err := OpenPersistent(image, time.Time{}, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	keys := fleetKeys(13)
-	table := newKeyTable(st)
-	for bin := 30; bin < 50; bin++ {
-		ms := make([]Measurement, len(keys))
-		for ki, k := range keys {
-			ms[ki] = Measurement{k, t0.Add(time.Duration(bin) * time.Minute), -float64(ki*1000 + bin)}
-		}
-		if bin%2 == 0 {
-			st.AppendBatch(ms)
-			continue
-		}
-		frame, err := EncodeBatch(ms)
+	files := make(map[string]string)
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := table.ingestFrame(frame); err != nil {
-			t.Fatal(err)
-		}
+		files[e.Name()] = string(raw)
 	}
-	crashed := copyImage(t, image)
-	if v := logVersion(t, genLog(t, crashed, 0)); v != walVersion {
-		t.Fatalf("the upgraded store writes version %d, want %d", v, walVersion)
+	return files
+}
+
+// TestOpenRefusesVersion2Log: testdata/wal-v2 holds a log the version 2
+// writer left — wire bodies, keys and all. An open refuses it, naming
+// the last build that replays it, and leaves the directory as it found
+// it; the oracle refuses it too, and Fsck reports the generation's read
+// error.
+func TestOpenRefusesVersion2Log(t *testing.T) {
+	image := copyImage(t, filepath.Join("testdata", "wal-v2"))
+	if v := logVersion(t, genLog(t, image, 0)); v != 2 {
+		t.Fatalf("the committed log is version %d, want 2", v)
 	}
-	rep, err := Fsck(copyImage(t, crashed), nil, false)
-	if err != nil || len(rep.WALs) != 2 || rep.WALs[0].Version != walVersionWire || rep.WALs[1].Version != walVersion || !rep.Healthy() {
-		t.Fatalf("fsck: %+v (%v), want a clean version 2 and version 3 generation", rep.WALs, err)
+	if got, _ := diffRecover(t, image, 4); got != nil {
+		t.Fatal("a version 2 log was replayed")
 	}
-	for _, shards := range []int{4, 16} {
-		got, rec := diffRecover(t, crashed, shards)
-		if !bytes.Equal(snapshotBytes(t, got), snapshotBytes(t, st)) {
-			t.Fatalf("%d shards: [v2, v3] does not replay to the store in memory", shards)
-		}
-		if rec.Generations != 2 || rec.TornTails != 0 {
-			t.Fatalf("%d shards: recovery stats %+v", shards, rec)
-		}
+	before := dirImage(t, image)
+	_, err := OpenPersistent(image, time.Time{}, 0, persistOptsNoBG(4))
+	if !errors.Is(err, errWALVersion) || !strings.Contains(err.Error(), "commit eace131") {
+		t.Fatalf("open: %v, want the version refused and the last build that replays it named", err)
+	}
+	if !reflect.DeepEqual(dirImage(t, image), before) {
+		t.Fatal("the refused open changed the directory")
+	}
+	rep, err := Fsck(image, nil, false)
+	if err != nil || len(rep.WALs) != 1 || !errors.Is(rep.WALs[0].ReadError, errWALVersion) || rep.Healthy() {
+		t.Fatalf("fsck: %+v (%v), want the generation's read error", rep, err)
 	}
 }
 
@@ -321,7 +296,7 @@ func FuzzReplayLog(f *testing.F) {
 		recs := decodeReplayLog(data)
 		// The store grows a series up to the bin it is told to write; that
 		// growth is not this target's subject.
-		dec, ended := newLogDecoder(walVersion), make(map[byte]bool)
+		dec, ended := newLogDecoder(), make(map[byte]bool)
 		for _, r := range recs {
 			if ended[r.shard] {
 				continue

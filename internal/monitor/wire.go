@@ -30,15 +30,15 @@ import (
 //	  low-water mark), then streams live. since 0 skips replay. The
 //	  replay and live streams may overlap; resuming clients dedup by
 //	  (key, bin).
-//	batch frame (type 0x04), publisher → ingest server:
+//	batch frame (type 0x04), the benchmark ladder's codec:
 //	  count uint16, then count × measurement body:
 //	    scope uint8 | entityLen uint16 | entity | metricLen uint16 |
 //	    metric | unixNano int64 | value float64 (IEEE 754 bits)
 //	  The body layout is the measurement frame minus its type byte.
-//	  Coalescing many measurements per frame amortizes the length
-//	  prefix, the write syscall and (server side) the per-frame read
-//	  into one allocation-free validate-and-apply pass.
-//	id batch frame (type 0x05), publisher → ingest server:
+//	  EncodeBatch and DecodeBatchInto read and write it in process; the
+//	  ingest socket refuses it, as it refuses 0x01.
+//	id batch frame (type 0x05), publisher → ingest server, the one
+//	frame the ingest socket reads:
 //	  count uint16, then count × entry:
 //	    define:    0 | measurement body (the 0x04 layout)
 //	    reference: uvarint(id ≥ 1) | unixNano int64 | value float64
@@ -51,10 +51,11 @@ import (
 //	  publisher starts again at 1. An id not issued, id 0, or an entry
 //	  cut short drops the connection, as any malformed frame does. It is
 //	  the WAL's define/reference encoding (wal.go) with the connection in
-//	  place of the log generation. Publisher.PublishBatch writes only
-//	  this form and a server that predates it drops the connection, so
-//	  servers must be upgraded before publishers; servers keep accepting
-//	  0x04.
+//	  place of the log generation. Publisher.Publish and PublishBatch
+//	  write only this form, which packs many measurements into one
+//	  frame: one length prefix, one write syscall and (server side) one
+//	  validate-and-apply pass. Any other frame type drops the
+//	  connection.
 //
 // Strings are raw bytes (the system uses ASCII identifiers). Frames are
 // capped at maxFrame to bound allocation from a misbehaving peer.
@@ -94,16 +95,23 @@ func readString(b []byte) (string, []byte, error) {
 	return string(b[:n]), b[n:], nil
 }
 
-// appendMeasurementBody appends the common measurement body (scope,
-// key strings, timestamp, value bits) shared by the 0x01 frame, the
-// 0x04 batch frame and the WAL record format.
-func appendMeasurementBody(b []byte, m Measurement) ([]byte, error) {
-	b = append(b, byte(m.Key.Scope))
+// appendKey appends a key as a measurement body frames it: the scope
+// byte and the two length-prefixed strings.
+func appendKey(b []byte, k topo.KPIKey) ([]byte, error) {
+	b = append(b, byte(k.Scope))
 	var err error
-	if b, err = appendString(b, m.Key.Entity); err != nil {
+	if b, err = appendString(b, k.Entity); err != nil {
 		return nil, err
 	}
-	if b, err = appendString(b, m.Key.Metric); err != nil {
+	return appendString(b, k.Metric)
+}
+
+// appendMeasurementBody appends the common measurement body (scope,
+// key strings, timestamp, value bits) shared by the 0x01 frame, the
+// 0x04 batch frame, the 0x05 define and the WAL define.
+func appendMeasurementBody(b []byte, m Measurement) ([]byte, error) {
+	b, err := appendKey(b, m.Key)
+	if err != nil {
 		return nil, err
 	}
 	b = binary.BigEndian.AppendUint64(b, uint64(m.T.UnixNano()))
@@ -184,9 +192,10 @@ func decodeMeasurementBody(b []byte, cache *KeyCache) (Measurement, []byte, erro
 	return m, b[16:], nil
 }
 
-// maxKeyCacheEntries bounds a KeyCache so a hostile publisher streaming
-// unique keys cannot grow it without bound (lookups still work past the
-// cap; new keys just stop being interned).
+// maxKeyCacheEntries bounds a KeyCache, and the ids one ingest
+// connection issues, so a hostile publisher streaming unique keys
+// cannot grow either without bound (lookups still work past the cap;
+// new keys just stop being interned or issued ids).
 const maxKeyCacheEntries = 1 << 16
 
 // KeyCache interns KPI keys decoded from batch frames. A cache kept
@@ -194,8 +203,8 @@ const maxKeyCacheEntries = 1 << 16
 // one map lookup on the raw key bytes — fleets publish the same few
 // thousand keys every bin. Not safe for concurrent use; keep one per
 // decode loop. (The ingest server does not decode into Measurements; it
-// keeps a keyTable per connection, which interns the same way and also
-// remembers where each key's series lives.)
+// keeps a keyTable per connection, whose ids name each key's handle,
+// and the handle where the key's series lives.)
 type KeyCache struct {
 	m map[string]topo.KPIKey
 }
@@ -268,9 +277,7 @@ func EncodeBatchInto(dst []byte, ms []Measurement) ([]byte, error) {
 // DecodeBatchInto parses a batch frame payload, appending the decoded
 // measurements to dst (usually a reused slice cut to zero length). A
 // non-nil cache interns keys across calls. On error the
-// partially-decoded prefix is discarded. It accepts exactly the 0x04
-// frames the ingest server's keyTable.ingestFrame accepts
-// (FuzzIngestFrame holds the two together).
+// partially-decoded prefix is discarded.
 func DecodeBatchInto(dst []Measurement, b []byte, cache *KeyCache) ([]Measurement, error) {
 	if len(b) < 3 || b[0] != frameBatch {
 		return dst, fmt.Errorf("monitor: not a batch frame")

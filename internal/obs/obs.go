@@ -127,9 +127,9 @@ const (
 	// CtrInconclusive counts per-KPI assessments that came back
 	// inconclusive because the feed was too gappy or stale.
 	CtrInconclusive = "assess.kpis_inconclusive"
-	// CtrBatchFrames counts batch (0x04) and id batch (0x05) ingest
-	// frames decoded; each frame carries many measurements (those land
-	// in CtrIngested).
+	// CtrBatchFrames counts the id batch (0x05) frames the ingest
+	// socket applied, the one frame it reads; a frame carries one
+	// measurement (Publish) or many (those land in CtrIngested).
 	CtrBatchFrames = "monitor.batch_frames"
 	// CtrIngestKeyResolves counts series lookups by the ingest
 	// connections' key handle tables: one per key a connection sees for
@@ -138,12 +138,10 @@ const (
 	// measurements; a rate near monitor.ingested means the tables are
 	// thrashing (unique keys past their cap, or a prune storm).
 	CtrIngestKeyResolves = "monitor.ingest_key_resolves"
-	// CtrIngestKeyLookups counts measurements whose key handle the
-	// tables found by a map lookup on the framed key bytes, not by
-	// position or id: one per key a connection defines, then none per
-	// bin from an id batch publisher or a batch publisher that keeps its
-	// key order, one per measurement from a batch publisher that
-	// shuffles it.
+	// CtrIngestKeyLookups counts the defines the ingest socket read:
+	// one per key a connection names, then none per bin from a steady
+	// publisher, whose later measurements reference the key by id; one
+	// per measurement of a key past the connection's id cap.
 	CtrIngestKeyLookups = "monitor.ingest_key_lookups"
 	// GaugeWALLogBytes is the record bytes in the live log generation,
 	// GaugeWALRotations how many generations a compaction or a durability

@@ -142,9 +142,9 @@ var promHelp = map[string]string{
 	CtrPushDrops:           "Measurements lost on slow subscribers.",
 	CtrConnsActive:         "Currently open monitor network connections.",
 	CtrSubsActive:          "Live store subscriptions.",
-	CtrBatchFrames:         "Batch (0x04) ingest frames decoded.",
+	CtrBatchFrames:         "Id batch (0x05) ingest frames applied.",
 	CtrIngestKeyResolves:   "Series lookups by ingest key handle tables (first sight or after a prune).",
-	CtrIngestKeyLookups:    "Measurements whose ingest key handle was found by map lookup instead of by position.",
+	CtrIngestKeyLookups:    "Key defines read by the ingest socket (one per key a connection names).",
 	CtrWALAppends:          "Measurements appended to the write-ahead log.",
 	CtrWALKeyDefines:       "Write-ahead log entries that define a series key (first measurement per log generation).",
 	CtrCompactions:         "WAL compactions (snapshot dump + log truncation).",
