@@ -13,16 +13,23 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/bsts"
 	"repro/internal/changelog"
+	"repro/internal/detect"
 	"repro/internal/funnel"
 	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/topo"
 	"repro/internal/workload"
 )
 
-// detectorName and causalityName carry the -detector / -causality flag
-// values to both assessor construction sites.
-var detectorName, causalityName string
+// options carries the flags every run shares, whatever its corpus.
+type options struct {
+	history, workers                   int
+	verbose, asJSON, summarize, trends bool
+	col                                *obs.Collector
+	stages                             funnel.Stages
+}
 
 func main() {
 	var (
@@ -40,32 +47,61 @@ func main() {
 		causality = flag.String("causality", "", "causality stage: \"did\" (classical, default) or \"bsts\" (Bayesian structural time series)")
 	)
 	flag.Parse()
-	detectorName, causalityName = *detector, *causality
 
-	var col *obs.Collector
-	if *timings {
-		col = obs.NewCollector()
+	stages, err := resolveStages(*detector, *causality)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "funnel:", err)
+		os.Exit(1)
 	}
-	var err error
+	o := options{history: *history, workers: *workers, verbose: *verbose, asJSON: *asJSON,
+		summarize: *summarize, trends: *trends, stages: stages}
+	if *timings {
+		o.col = obs.NewCollector()
+	}
 	if *traceFile != "" {
-		err = runTrace(*traceFile, *history, *verbose, *asJSON, *workers, *summarize, col)
+		err = runTrace(*traceFile, o)
 	} else {
-		err = run(*changes, *history, *seed, *verbose, *asJSON, *workers, *trends, *summarize, col)
+		err = run(*changes, *seed, o)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "funnel:", err)
 		os.Exit(1)
 	}
-	if col != nil {
-		if err := col.WriteMetrics(os.Stderr); err != nil {
+	if o.col != nil {
+		if err := o.col.WriteMetrics(os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, "funnel:", err)
 			os.Exit(1)
 		}
 	}
 }
 
+// resolveStages maps the -detector and -causality names to the stages
+// the assessor runs: "" or "sst" and "" or "did" keep the deployed ones,
+// any other detector comes from the registry, and "bsts" is the
+// Bayesian structural time-series stage.
+func resolveStages(detector, causality string) (funnel.Stages, error) {
+	var st funnel.Stages
+	switch detector {
+	case "", "sst":
+	default:
+		entry, err := detect.LookupDetector(detector)
+		if err != nil {
+			return st, err
+		}
+		st.Scorer = entry.New()
+	}
+	switch causality {
+	case "", "did":
+	case "bsts":
+		st.Estimate = bsts.Estimate
+	default:
+		return st, fmt.Errorf("funnel: unknown causality stage %q (want \"did\" or \"bsts\")", causality)
+	}
+	return st, nil
+}
+
 // runTrace assesses every change of an exported trace file.
-func runTrace(path string, history int, verbose, asJSON bool, workers int, summarize bool, col *obs.Collector) error {
+func runTrace(path string, o options) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -79,26 +115,7 @@ func runTrace(path string, history int, verbose, asJSON bool, workers int, summa
 	if err != nil {
 		return err
 	}
-	assessor, err := funnel.NewAssessor(source, tp, funnel.Config{
-		ServerMetrics:   traceMetrics(tr, "server"),
-		InstanceMetrics: traceMetrics(tr, "instance"),
-		HistoryDays:     history,
-		Detector:        detectorName,
-		Causality:       causalityName,
-		Obs:             col,
-	})
-	if err != nil {
-		return err
-	}
-	results := assessor.AssessAll(log.All(), workers)
-	reports := make([]*funnel.Report, 0, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			return fmt.Errorf("assessing %s: %w", r.Change.ID, r.Err)
-		}
-		reports = append(reports, r.Report)
-	}
-	return emit(reports, verbose, asJSON, summarize)
+	return assess(source, tp, log.All(), traceMetrics(tr, "server"), traceMetrics(tr, "instance"), o)
 }
 
 // traceMetrics collects the distinct metric names of one scope from a
@@ -115,53 +132,37 @@ func traceMetrics(tr *workload.Trace, scope string) []string {
 	return out
 }
 
-// emit renders reports in the selected format.
-func emit(reports []*funnel.Report, verbose, asJSON, summarize bool) error {
-	switch {
-	case asJSON:
-		return report.WriteJSON(os.Stdout, reports)
-	case summarize:
-		fmt.Print(report.Summary(reports))
-		return nil
-	default:
-		for _, rep := range reports {
-			if err := report.WriteText(os.Stdout, rep, verbose); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		return nil
-	}
-}
-
-func run(changes, history int, seed int64, verbose, asJSON bool, workers int, trends, summarize bool, col *obs.Collector) error {
+// run generates a scenario and assesses its changes.
+func run(changes int, seed int64, o options) error {
 	p := workload.DefaultParams()
 	p.Changes = changes
-	p.HistoryDays = history
+	p.HistoryDays = o.history
 	p.Seed = seed
 	sc, err := workload.Generate(p)
 	if err != nil {
 		return err
 	}
-	assessor, err := funnel.NewAssessor(sc.Source, sc.Topo, funnel.Config{
-		ServerMetrics:        workload.ServerMetrics(),
-		InstanceMetrics:      workload.InstanceMetrics(),
-		HistoryDays:          history,
-		Detector:             detectorName,
-		Causality:            causalityName,
-		VerifyParallelTrends: trends,
-		Obs:                  col,
-	})
-	if err != nil {
-		return err
-	}
-
 	batch := make([]changelog.Change, 0, len(sc.Cases))
 	for _, cs := range sc.Cases {
 		batch = append(batch, cs.Change)
 	}
-	results := assessor.AssessAll(batch, workers)
+	return assess(sc.Source, sc.Topo, batch, workload.ServerMetrics(), workload.InstanceMetrics(), o)
+}
 
+// assess runs every change through one assessor built from o and
+// renders the reports.
+func assess(source funnel.SeriesSource, tp *topo.Topology, changes []changelog.Change, serverMetrics, instanceMetrics []string, o options) error {
+	assessor, err := funnel.NewAssessorWith(source, tp, funnel.Config{
+		ServerMetrics:        serverMetrics,
+		InstanceMetrics:      instanceMetrics,
+		HistoryDays:          o.history,
+		VerifyParallelTrends: o.trends,
+		Obs:                  o.col,
+	}, o.stages)
+	if err != nil {
+		return err
+	}
+	results := assessor.AssessAll(changes, o.workers)
 	reports := make([]*funnel.Report, 0, len(results))
 	for _, r := range results {
 		if r.Err != nil {
@@ -169,6 +170,24 @@ func run(changes, history int, seed int64, verbose, asJSON bool, workers int, tr
 		}
 		reports = append(reports, r.Report)
 	}
+	return emit(reports, o)
+}
 
-	return emit(reports, verbose, asJSON, summarize)
+// emit renders reports in the selected format.
+func emit(reports []*funnel.Report, o options) error {
+	switch {
+	case o.asJSON:
+		return report.WriteJSON(os.Stdout, reports)
+	case o.summarize:
+		fmt.Print(report.Summary(reports))
+		return nil
+	default:
+		for _, rep := range reports {
+			if err := report.WriteText(os.Stdout, rep, o.verbose); err != nil {
+				return err
+			}
+			fmt.Println()
+		}
+		return nil
+	}
 }

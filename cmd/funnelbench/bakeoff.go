@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/baselines"
+	"repro/internal/bsts"
 	"repro/internal/edivisive"
 	"repro/internal/eval"
 	"repro/internal/funnel"
@@ -79,7 +80,8 @@ func bakeoffRows() ([]eval.BakeoffRow, error) {
 			Config: funnel.Config{HistoryDays: bakeoffHistory}}, ika},
 		// The Bayesian alternative: same detection, BSTS causality.
 		{"sst", "bsts", &eval.FunnelMethod{Label: "sst/bsts",
-			Config: funnel.Config{HistoryDays: bakeoffHistory, Causality: "bsts"}}, ika},
+			Config: funnel.Config{HistoryDays: bakeoffHistory},
+			Stages: funnel.Stages{Estimate: bsts.Estimate}}, ika},
 		// Improved SST with no causality stage at all.
 		{"sst", "—", &eval.FunnelMethod{Label: "sst/none",
 			Config: funnel.Config{HistoryDays: bakeoffHistory, SkipDiD: true}}, ika},

@@ -97,3 +97,49 @@ func ExampleNewStore() {
 	// Output:
 	// 3 bins, gap at 1: true
 }
+
+// ExampleDetectors lists the detector arena's roster.
+func ExampleDetectors() {
+	var names []string
+	for _, d := range funnel.Detectors() {
+		names = append(names, d.Name)
+	}
+	fmt.Println(names)
+	// Output:
+	// [cusum edivisive mrls sst sst-classic sst-robust wow]
+}
+
+// ExampleNewAssessorWith swaps both pipeline stages: the arena's
+// E-divisive detector and the Bayesian structural time-series cause
+// stage run behind the deployed impact set, persistence rule and
+// attribution rule.
+func ExampleNewAssessorWith() {
+	p := funnel.DefaultScenarioParams()
+	p.Changes, p.HistoryDays = 2, 2
+	sc, err := funnel.GenerateScenario(p)
+	if err != nil {
+		panic(err)
+	}
+	ediv, err := funnel.LookupDetector("edivisive")
+	if err != nil {
+		panic(err)
+	}
+	cfg := funnel.Config{ServerMetrics: []string{"mem.util"}, HistoryDays: p.HistoryDays}
+	assessor, err := funnel.NewAssessorWith(sc.Source, sc.Topo, cfg,
+		funnel.Stages{Scorer: ediv.New(), Estimate: funnel.EstimateBSTS})
+	if err != nil {
+		panic(err)
+	}
+	for _, cs := range sc.Cases {
+		rep, err := assessor.Assess(cs.Change)
+		if err != nil {
+			panic(err)
+		}
+		for _, a := range rep.Assessments {
+			fmt.Println(cs.Change.ID, a.Key, a.Verdict)
+		}
+	}
+	// Output:
+	// chg000 server/grp000-srv0/mem.util changed-by-software
+	// chg001 server/grp001-srv0/mem.util no-change
+}

@@ -24,6 +24,7 @@ package funnel
 
 import (
 	"repro/internal/baselines"
+	"repro/internal/bsts"
 	"repro/internal/changelog"
 	"repro/internal/detect"
 	"repro/internal/did"
@@ -82,6 +83,16 @@ type SeriesSource = funnel.SeriesSource
 // NewAssessor builds a pipeline over a series source and topology.
 func NewAssessor(source SeriesSource, tp *Topology, cfg Config) (*Assessor, error) {
 	return funnel.NewAssessor(source, tp, cfg)
+}
+
+// Stages replaces the pipeline's detection stage (a Scorer, e.g. a
+// Detectors entry) or cause stage (an Estimate, e.g. EstimateBSTS); a
+// nil field keeps the deployed one.
+type Stages = funnel.Stages
+
+// NewAssessorWith builds a pipeline whose stages st replaces.
+func NewAssessorWith(source SeriesSource, tp *Topology, cfg Config, st Stages) (*Assessor, error) {
+	return funnel.NewAssessorWith(source, tp, cfg, st)
 }
 
 // DetectionDelay measures the wall-clock delay of an assessment against
@@ -146,9 +157,8 @@ func ScoreSeries(s Scorer, x []float64) []float64 { return sst.ScoreSeries(s, x)
 // the roster and README's "Choosing a detector".
 type Detector = detect.Detector
 
-// DetectorEntry describes one registered detector (name, summary,
-// whether the pipeline pairs it with a causality stage, allocation
-// discipline, default constructor).
+// DetectorEntry is one registered detector: its name and default
+// constructor.
 type DetectorEntry = detect.Entry
 
 // Detectors returns the registered detector roster sorted by name.
@@ -247,6 +257,10 @@ var CheckParallelTrends = did.ParallelTrends
 // EstimateDiDRegression fits Eq. 15's linear model by least squares;
 // its α coincides with EstimateDiD's on the 2×2 design.
 var EstimateDiDRegression = did.EstimateRegression
+
+// EstimateBSTS is the Bayesian structural time-series cause stage, a
+// Stages.Estimate alternative to EstimateDiD with the same result shape.
+var EstimateBSTS = bsts.Estimate
 
 // ---- Topology, changes, series ----
 

@@ -64,11 +64,11 @@ type MRLS struct {
 // normalized windows, the trajectory/history/weighted matrices, the
 // IRLS state and the Jacobi SVD scratch.
 type mrlsWorkspace struct {
-	ds, norm, scratch          []float64
-	col, proj, res             []float64
-	weights, newW, resids      []float64
+	ds, norm, scratch           []float64
+	col, proj, res              []float64
+	weights, newW, resids       []float64
 	traj, hist, weighted, basis linalg.Matrix
-	svd                        linalg.SVDWorkspace
+	svd                         linalg.SVDWorkspace
 }
 
 // growf returns s resized to n, reusing its backing array when possible.

@@ -39,7 +39,7 @@
 // The inference keeps the CausalImpact shape — a credible interval on
 // the cumulative gap — reported through the same did.Result contract
 // (α, standard error, t-statistic) the funnel's attribution rule
-// already consumes, so funnel.Config.Causality can swap stages without
+// already consumes, so funnel.Stages.Estimate can swap stages without
 // touching the decision logic. Relative to classical DiD the model is
 // strictly more flexible — DiD is the special case b = 0, σ²_η = 0,
 // β = 1 — which buys robustness when the pre period drifts, at the cost

@@ -21,24 +21,12 @@ type Detector interface {
 	Name() string
 }
 
-// Entry describes one registered detector for the arena: how to build
-// its default configuration, how it relates to the funnel pipeline, and
-// what its hot path costs.
+// Entry is one registered detector: its registry name and how to build
+// its default configuration.
 type Entry struct {
-	// Name is the registry identifier, accepted by funnel.Config.Detector
-	// and the -detector flag.
+	// Name is the registry identifier, accepted by the -detector flag
+	// of cmd/funnel.
 	Name string
-	// Summary is a one-line description for docs and flag help.
-	Summary string
-	// CausalStage reports whether the funnel pipeline pairs this
-	// detector with a causality stage (DiD or Bayesian structural
-	// time-series) by default. Score-only baselines (false) stop at the
-	// persistence rule.
-	CausalStage bool
-	// ZeroAlloc reports whether the steady-state score path is
-	// allocation-free (pinned by AllocsPerRun gates in the owning
-	// package's tests).
-	ZeroAlloc bool
 	// New builds a default-configured instance.
 	New func() Detector
 }
@@ -47,55 +35,13 @@ type Entry struct {
 // side effects — so the dependency direction is detect → scorers and a
 // reader can see the full roster in one place.
 var registry = []Entry{
-	{
-		Name:        "sst",
-		Summary:     "IKA-accelerated robust SST, the scorer FUNNEL deploys (§3.2.3)",
-		CausalStage: true,
-		ZeroAlloc:   true,
-		New:         func() Detector { return sst.NewSliding(sst.NewIKA(sst.Config{})) },
-	},
-	{
-		Name:        "sst-classic",
-		Summary:     "original SVD-based SST (§3.2.1)",
-		CausalStage: true,
-		ZeroAlloc:   true,
-		New:         func() Detector { return sst.NewClassic(sst.Config{}) },
-	},
-	{
-		Name:        "sst-robust",
-		Summary:     "robustness-improved SST with exact decompositions (§3.2.2)",
-		CausalStage: true,
-		ZeroAlloc:   true,
-		New:         func() Detector { return sst.NewRobust(sst.Config{}) },
-	},
-	{
-		Name:        "cusum",
-		Summary:     "MERCURY-style bootstrap CUSUM baseline",
-		CausalStage: false,
-		ZeroAlloc:   false, // bootstrap RNG; bounded by an AllocsPerRun gate
-		New:         func() Detector { return baselines.NewCUSUM() },
-	},
-	{
-		Name:        "mrls",
-		Summary:     "PRISM-style multiscale robust local subspace baseline",
-		CausalStage: false,
-		ZeroAlloc:   true,
-		New:         func() Detector { return baselines.NewMRLS() },
-	},
-	{
-		Name:        "wow",
-		Summary:     "week-over-week differencing baseline (Chen et al. 2013)",
-		CausalStage: false,
-		ZeroAlloc:   false,
-		New:         func() Detector { return baselines.NewWoW() },
-	},
-	{
-		Name:        "edivisive",
-		Summary:     "E-divisive means energy-statistic detector with permutation significance (Hunter)",
-		CausalStage: false,
-		ZeroAlloc:   false, // pooled, but the permutation RNG allocates
-		New:         func() Detector { return edivisive.New() },
-	},
+	{"sst", func() Detector { return sst.NewSliding(sst.NewIKA(sst.Config{})) }}, // the deployed IKA-accelerated robust SST (§3.2.3)
+	{"sst-classic", func() Detector { return sst.NewClassic(sst.Config{}) }},     // original SVD-based SST (§3.2.1)
+	{"sst-robust", func() Detector { return sst.NewRobust(sst.Config{}) }},       // robustness-improved SST, exact decompositions (§3.2.2)
+	{"cusum", func() Detector { return baselines.NewCUSUM() }},                   // MERCURY-style bootstrap CUSUM
+	{"mrls", func() Detector { return baselines.NewMRLS() }},                     // PRISM-style multiscale robust local subspace
+	{"wow", func() Detector { return baselines.NewWoW() }},                       // week-over-week differencing (Chen et al. 2013)
+	{"edivisive", func() Detector { return edivisive.New() }},                    // E-divisive means with permutation significance (Hunter)
 }
 
 // Detectors returns the registered entries sorted by name.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/baselines"
+	"repro/internal/bsts"
 	"repro/internal/funnel"
 	"repro/internal/workload"
 )
@@ -39,7 +40,8 @@ func TestBakeoffTableGolden(t *testing.T) {
 	}
 	methods := []Method{
 		&FunnelMethod{Label: "sst/did", Config: funnel.Config{HistoryDays: p.HistoryDays}},
-		&FunnelMethod{Label: "sst/bsts", Config: funnel.Config{HistoryDays: p.HistoryDays, Causality: "bsts"}},
+		&FunnelMethod{Label: "sst/bsts", Config: funnel.Config{HistoryDays: p.HistoryDays},
+			Stages: funnel.Stages{Estimate: bsts.Estimate}},
 		&BaselineMethod{Label: "mrls", Scorer: mrls, Threshold: mthr, Persistence: 1},
 	}
 	results, err := Run(sc, methods, Options{NegativeWeight: 86})

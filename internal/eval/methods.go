@@ -18,6 +18,9 @@ type FunnelMethod struct {
 	// Config configures the assessor; metrics are filled in per
 	// scenario by AssessCase.
 	Config funnel.Config
+	// Stages replaces the assessor's detection or cause stage; the zero
+	// value runs the deployed pipeline.
+	Stages funnel.Stages
 }
 
 // Name identifies the method.
@@ -28,7 +31,7 @@ func (m *FunnelMethod) AssessCase(sc *workload.Scenario, cs workload.Case) (map[
 	cfg := m.Config
 	cfg.ServerMetrics = workload.ServerMetrics()
 	cfg.InstanceMetrics = workload.InstanceMetrics()
-	a, err := funnel.NewAssessor(sc.Source, sc.Topo, cfg)
+	a, err := funnel.NewAssessorWith(sc.Source, sc.Topo, cfg, m.Stages)
 	if err != nil {
 		return nil, err
 	}

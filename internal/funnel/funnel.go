@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bsts"
 	"repro/internal/changelog"
 	"repro/internal/detect"
 	"repro/internal/did"
@@ -62,27 +61,9 @@ type ArrivalSource interface {
 type Config struct {
 	// SST configures the change scorer; zero value gives the paper's
 	// ω = 9, η = 3, k = 5 with normalization and the robustness filter
-	// enabled. It applies only when Detector selects an SST scorer.
+	// enabled. Its spans also size the assessment window around the
+	// change.
 	SST sst.Config
-	// Detector selects the change-detection scorer by registry name
-	// (detect.LookupDetector): "" or "sst" is the deployed
-	// IKA-accelerated robust SST configured by the SST field; any other
-	// registered name ("sst-classic", "sst-robust", "cusum", "mrls",
-	// "wow", "edivisive") runs that detector's default configuration.
-	// DetectorThreshold's 1.6 default is tuned to normalized SST
-	// scores — other detectors score on different scales, so set a
-	// calibrated threshold (detect.Calibrate) when switching.
-	Detector string
-	// Causality selects the cause-determination stage applied to
-	// detected changes: "" or "did" is the classical
-	// Difference-in-Differences estimator (§3.2.4–3.2.5); "bsts" is the
-	// CausalImpact-style Bayesian structural time-series stage
-	// (internal/bsts), which fits a local-level-plus-trend state-space
-	// model with regression on the control on the pre period and scores
-	// the posterior predictive gap. Both consume the same
-	// treated/control windows and the same AlphaThreshold/MinTStat
-	// attribution rule.
-	Causality string
 	// DetectorThreshold is the change-score threshold (default 1.6).
 	// Calibrate with detect.Calibrate for production use.
 	DetectorThreshold float64
@@ -149,8 +130,7 @@ type Config struct {
 	// oversubscription.
 	AssessWorkers int
 	// SkipDetection disables the SST stage and treats every KPI as
-	// changed, leaving the decision entirely to DiD. Used by ablation
-	// benches.
+	// changed, leaving the decision entirely to DiD.
 	SkipDetection bool
 	// SkipDiD disables cause determination: every detected change is
 	// attributed to the software change. This reproduces the "Improved
@@ -356,6 +336,10 @@ type Assessor struct {
 	scorer *sst.SlidingScorer
 	det    *detect.Gate
 	obs    *obs.Collector
+	// estimate is the cause stage run on the normalized treated/control
+	// windows; every stage returns did.Result, so the attribution rule
+	// is stage-agnostic.
+	estimate func(tp, tq, cp, cq []float64) (did.Result, error)
 	// scores, when non-nil, is consulted before the SST sweep with the
 	// exact raw segment about to be scored; a hit replaces the sweep
 	// with pre-computed scores. The streaming assessor (stream.go)
@@ -376,41 +360,52 @@ type scoreCache interface {
 	cachedScores(key topo.KPIKey, absLo int, segment []float64) []float64
 }
 
-// NewAssessor builds an assessor. It returns an error when the SST
-// configuration is invalid, or when Detector or Causality name an
-// unknown stage.
+// Stages replaces the assessor's detection or cause stage; a nil field
+// keeps the deployed one. The bake-off and the CLI's -detector and
+// -causality flags use it to run the arena's alternatives through the
+// same impact set, persistence rule and attribution rule.
+type Stages struct {
+	// Scorer replaces the deployed sliding IKA SST. It is swept one
+	// ScoreAt per position, inside the window Config.SST's spans size.
+	// DetectorThreshold's 1.6 default is tuned to normalized SST scores,
+	// so set a calibrated threshold (detect.Calibrate) with it.
+	Scorer sst.Scorer
+	// Estimate replaces classical DiD (did.Estimate), for example with
+	// the Bayesian structural time-series stage (bsts.Estimate).
+	Estimate func(tp, tq, cp, cq []float64) (did.Result, error)
+}
+
+// NewAssessor builds the deployed assessor. It returns an error when
+// the SST configuration is invalid.
 func NewAssessor(source SeriesSource, tp *topo.Topology, cfg Config) (*Assessor, error) {
+	return NewAssessorWith(source, tp, cfg, Stages{})
+}
+
+// NewAssessorWith builds an assessor whose detection or cause stage is
+// replaced by st's non-nil fields.
+func NewAssessorWith(source SeriesSource, tp *topo.Topology, cfg Config, st Stages) (*Assessor, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.SST.Validate(); err != nil {
 		return nil, err
 	}
-	switch cfg.Causality {
-	case "", "did", "bsts":
-	default:
-		return nil, fmt.Errorf("funnel: unknown causality stage %q (want \"did\" or \"bsts\")", cfg.Causality)
-	}
-	// One scorer, whatever else is configured: the incremental sliding
-	// sweep, which maintains the Hankel Gram operators across consecutive
-	// window positions instead of rebuilding them and scores every window
-	// cold, so its scores are per-window IKA's to 1e-9 — the paper's
-	// algorithm is what the accuracy tables measure. The gate below reads
-	// a score only through `score >= DetectorThreshold` (and the peak of
-	// the scores that pass), so the sweep is told that threshold as its
-	// Floor and answers every position whose Eq. 11 multiplier is already
-	// under it without any eigen-solve. A non-SST Detector name puts that
-	// registered detector's default configuration behind the same wrapper,
-	// which then sweeps it one ScoreAt per position.
+	// The deployed scorer is the incremental sliding sweep, which
+	// maintains the Hankel Gram operators across consecutive window
+	// positions instead of rebuilding them and scores every window cold,
+	// so its scores are per-window IKA's to 1e-9 — the paper's algorithm
+	// is what the accuracy tables measure. The gate below reads a score
+	// only through `score >= DetectorThreshold` (and the peak of the
+	// scores that pass), so the sweep is told that threshold as its Floor
+	// and answers every position whose Eq. 11 multiplier is already under
+	// it without any eigen-solve.
 	var scorer *sst.SlidingScorer
-	switch cfg.Detector {
-	case "", "sst":
+	if st.Scorer == nil {
 		scorer = sst.NewSliding(sst.NewIKA(cfg.SST))
 		scorer.Floor = cfg.DetectorThreshold
-	default:
-		entry, err := detect.LookupDetector(cfg.Detector)
-		if err != nil {
-			return nil, err
-		}
-		scorer = sst.NewSliding(entry.New())
+	} else {
+		scorer = sst.NewSliding(st.Scorer)
+	}
+	if st.Estimate == nil {
+		st.Estimate = did.Estimate
 	}
 	det := detect.New(scorer, cfg.DetectorThreshold)
 	det.Persistence = cfg.Persistence
@@ -427,7 +422,7 @@ func NewAssessor(source SeriesSource, tp *topo.Topology, cfg Config) (*Assessor,
 			}
 		}
 	}
-	return &Assessor{cfg: cfg, source: source, topo: tp, scorer: scorer, det: det, obs: cfg.Obs}, nil
+	return &Assessor{cfg: cfg, source: source, topo: tp, scorer: scorer, det: det, obs: cfg.Obs, estimate: st.Estimate}, nil
 }
 
 // stamp records a stage duration in the collector's histogram and on
@@ -945,18 +940,6 @@ func serviceOf(set *topo.ImpactSet, key topo.KPIKey) string {
 		return key.Entity
 	}
 	return set.ChangedService
-}
-
-// estimate dispatches the configured causality stage on the normalized
-// treated/control windows: classical DiD by default, the Bayesian
-// structural time-series stage under Config.Causality = "bsts". Both
-// return the shared did.Result shape, so the attribution rule below is
-// stage-agnostic.
-func (a *Assessor) estimate(tp, tq, cp, cq []float64) (did.Result, error) {
-	if a.cfg.Causality == "bsts" {
-		return bsts.Estimate(tp, tq, cp, cq)
-	}
-	return did.Estimate(tp, tq, cp, cq)
 }
 
 // causal applies the two-part attribution rule: the impact estimate

@@ -127,11 +127,9 @@ type kpiStream struct {
 	key      topo.KPIKey
 	changeAt time.Time
 	// The window reaches lead bins before the change and tail bins after
-	// it (detectAround's geometry: WindowBins plus the SST spans);
-	// scoreFut is the scorer's own lookahead, which differs from the SST
-	// one under a non-SST Detector.
-	lead, tail int
-	scoreFut   int
+	// it (detectAround's geometry: WindowBins plus the SST spans); fut is
+	// the SST lookahead a score position needs.
+	lead, tail, fut int
 
 	mu       sync.Mutex
 	absLo    int
@@ -332,7 +330,7 @@ func (sr *Streamer) newKPIStream(key topo.KPIKey, changeAt time.Time) *kpiStream
 		changeAt: changeAt,
 		lead:     cfg.WindowBins + cfg.SST.PastSpan(),
 		tail:     cfg.WindowBins + cfg.SST.FutureSpan(),
-		scoreFut: sr.assessor.scorer.Config().FutureSpan(),
+		fut:      cfg.SST.FutureSpan(),
 		lastReal: -1,
 		sweep:    sr.assessor.scorer.NewStream(),
 	}
@@ -466,11 +464,11 @@ func (ks *kpiStream) advance(sr *Streamer) {
 	// extrapolate them today and replace them when data arrives, so
 	// scores touching them are not yet stable and must wait.
 	stable := ks.lastReal + 1
-	hi := ks.segLen - ks.scoreFut + 1
+	hi := ks.segLen - ks.fut + 1
 	x := ks.filled[:stable]
 	t0 := sr.col.Now()
 	n, bounded := 0, ks.sweep.Bounded()
-	for t := ks.sweep.Pos(); t < hi && t+ks.scoreFut <= stable; t = ks.sweep.Pos() {
+	for t := ks.sweep.Pos(); t < hi && t+ks.fut <= stable; t = ks.sweep.Pos() {
 		ks.scores[t] = ks.sweep.Next(x)
 		n++
 	}
@@ -535,7 +533,7 @@ func (ks *kpiStream) cached(absLo int, segment []float64) []float64 {
 	if ks.invalid || absLo != ks.absLo || len(segment) != ks.segLen {
 		return nil
 	}
-	if ks.sweep.Pos() < ks.segLen-ks.scoreFut+1 || ks.lastReal+1 < ks.segLen {
+	if ks.sweep.Pos() < ks.segLen-ks.fut+1 || ks.lastReal+1 < ks.segLen {
 		return nil // sweep not complete over the full window
 	}
 	// The batch path scores its gap-filled segment; ours must agree

@@ -264,14 +264,6 @@ func TestStreamerMatchesBatchInstrumented(t *testing.T) {
 	}
 }
 
-// TestStreamerMatchesBatchOtherDetector drives a registry detector whose
-// spans differ from the SST geometry that sizes the window: the streamed
-// positions must still be the ones the batch sweep scores.
-func TestStreamerMatchesBatchOtherDetector(t *testing.T) {
-	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, Detector: "mrls", DetectorThreshold: 6}
-	runStreamCase(t, cfg, StreamConfig{Workers: 2, PollInterval: 20 * time.Millisecond}, nil, true)
-}
-
 func TestStreamerMatchesBatchGapMask(t *testing.T) {
 	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, GapPolicy: GapMask}
 	fxGap := interiorGap(2*1440 + 300)

@@ -48,7 +48,7 @@ type SlidingScorer struct {
 	// vector at the full Krylov dimension.
 	//
 	// Deprecated: has no effect; remove with benchmark/layers.go:761,
-	// ROADMAP 2a.
+	// ROADMAP 1(c).
 	WarmStart bool
 	// Floor, when positive and the wrapped IKA has RobustFilter on, lets
 	// the sweep answer a position from the Eq. 11 multiplier alone: the
