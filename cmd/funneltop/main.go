@@ -174,7 +174,7 @@ func render(w io.Writer, addr string, s *snapshot) {
 	}
 
 	// Scoring economy, present once a sweep ran: how many window
-	// positions the Eq. 11 bound answered against how many were
+	// positions a bound answered against how many were
 	// eigen-solved, and how many series were read at history depth.
 	if line := scoringLine(h); line != "" {
 		fmt.Fprintf(w, "%s\n", line)

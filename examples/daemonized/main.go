@@ -134,7 +134,7 @@ func main() {
 	if err := json.Unmarshal(metrics["stage.sst_window"], &sstWindow); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%d (mean %d µs each; %s answered by the Eq. 11 bound, %s eigen-solved)\n",
+	fmt.Printf("%d (mean %d µs each; %s answered by a bound, %s eigen-solved)\n",
 		sstWindow.Count, sstWindow.AvgUs, metrics["sst.windows_bounded"], metrics["sst.windows_solved"])
 	fmt.Printf("/metrics: %s streaming advances read only their new bins, %s re-read the whole window\n",
 		metrics["stream.tail_reads"], metrics["stream.full_reads"])

@@ -17,11 +17,16 @@ const slideRefreshEvery = 64
 // Consecutive window positions share all but one lag vector, and the
 // entries of G along each diagonal are shifted copies of the same
 // sliding lag-product sequence: G[r][s] = S_{s−r}(lo+r) with
-// S_d(a) = Σ_c x[a+c]·x[a+c+d]. A slide therefore only has to shift the
-// matrix up-left by one and extend each diagonal by a single retire/add
-// update — O(ω) multiplications instead of the O(ω²·δ) rebuild — plus a
-// small contiguous copy for the shift. Every slideRefreshEvery slides
-// the matrix is rebuilt from scratch to wash out floating-point drift.
+// S_d(a) = Σ_c x[a+c]·x[a+c+d]. The operator therefore stores each
+// diagonal, not the matrix: a ring of the lag products S_d(a) indexed by
+// window start a, and a ring of the row sums R(a). A slide advances the
+// rings' head by one and writes one new value per lag, a single
+// retire/add update of the newest one — O(ω) multiplications and no
+// data movement instead of the O(ω²·δ) rebuild; GramInto and RowSumsInto
+// read G and R through the head. Each ring is kept twice over (slot i
+// and slot i+ω hold the same value), so a readout walks a contiguous
+// run from the head with no index wrap. Every slideRefreshEvery slides
+// the rings are rebuilt from scratch to wash out floating-point drift.
 //
 // The products of the centered samples y = x − c are maintained, where
 // the center c (0 after Init, moved by Recenter) should track the local
@@ -45,11 +50,16 @@ type SlidingHankelGram struct {
 	x            []float64
 	end          int
 	omega, delta int
-	c            float64   // maintained sample offset (see Recenter)
-	gram         []float64 // ω×ω row-major centered Gram
-	rows         []float64 // ω centered row sums
-	newcol       []float64 // slide scratch, length ω
-	slides       int       // incremental slides since the last rebuild
+	c            float64 // maintained sample offset (see Recenter)
+	// lags holds ω rings of 2ω slots, one per lag d: the window start
+	// lo+r, r < ω−d, is at slot head+r of ring d, which holds the
+	// centered S_d(lo+r); slot i+ω repeats slot i.
+	lags []float64
+	// rows is the ring of centered row sums, R(lo+r) at slot head+r,
+	// doubled like lags.
+	rows   []float64
+	head   int // ring slot of the window start lo, in [0, ω)
+	slides int // incremental slides since the last rebuild
 	// RefreshEvery overrides the rebuild cadence (0 = slideRefreshEvery,
 	// negative = never rebuild; used by drift tests and by callers that
 	// rebuild through Recenter on their own schedule).
@@ -65,18 +75,14 @@ func (g *SlidingHankelGram) Init(x []float64, end, omega, delta int) {
 	}
 	g.x, g.end, g.omega, g.delta = x, end, omega, delta
 	g.c = 0
-	if cap(g.gram) < omega*omega {
-		g.gram = make([]float64, omega*omega)
+	if cap(g.lags) < 2*omega*omega {
+		g.lags = make([]float64, 2*omega*omega)
 	}
-	g.gram = g.gram[:omega*omega]
-	if cap(g.rows) < omega {
+	g.lags = g.lags[:2*omega*omega]
+	if cap(g.rows) < 2*omega {
 		g.rows = make([]float64, 2*omega)
 	}
-	g.rows = g.rows[:omega]
-	if cap(g.newcol) < omega {
-		g.newcol = make([]float64, omega)
-	}
-	g.newcol = g.newcol[:omega]
+	g.rows = g.rows[:2*omega]
 	g.rebuild()
 }
 
@@ -106,9 +112,10 @@ func (g *SlidingHankelGram) Recenter(c float64) {
 // Dims returns the operator dimension ω.
 func (g *SlidingHankelGram) Dims() int { return g.omega }
 
-// rebuild recomputes the centered Gram and row sums from the series.
-// Subtracting a zero center is exact, so the uncentered results are
-// bit-identical to a direct computation on x.
+// rebuild recomputes the centered lag products and row sums from the
+// series, with the window start at slot 0. Subtracting a zero center is
+// exact, so the uncentered results are bit-identical to a direct
+// computation on x.
 func (g *SlidingHankelGram) rebuild() {
 	x, n, cc := g.x, g.omega, g.c
 	lo := g.end - g.delta - n + 1
@@ -118,17 +125,18 @@ func (g *SlidingHankelGram) rebuild() {
 		for c := 0; c < g.delta; c++ {
 			rs += x[baseR+c] - cc
 		}
-		g.rows[r] = rs
+		g.rows[r], g.rows[r+n] = rs, rs
 		for s := r; s < n; s++ {
 			baseS := lo + s
 			var acc float64
 			for c := 0; c < g.delta; c++ {
 				acc += (x[baseR+c] - cc) * (x[baseS+c] - cc)
 			}
-			g.gram[r*n+s] = acc
-			g.gram[s*n+r] = acc
+			ring := g.lags[(s-r)*2*n:]
+			ring[r], ring[r+n] = acc, acc
 		}
 	}
+	g.head = 0
 	g.slides = 0
 }
 
@@ -151,27 +159,31 @@ func (g *SlidingHankelGram) Slide() {
 
 	x, n, cc := g.x, g.omega, g.c
 	lo := g.end - 1 - g.delta - n + 1 // lo of the *previous* position
-	// Extend each diagonal by one lag product: the new last-column entry
-	// of row r retires y[lo+r]·y[lo+ω−1] and admits the product one δ
-	// later. Read the old last column before the shift overwrites it.
+	h := g.head
+	next := h + 1
+	if next == n {
+		next = 0
+	}
+	// Extend each diagonal by one lag product: lag d = ω−1−r gains
+	// S_d(lo+1+r), which retires y[lo+r]·y[lo+ω−1] from its newest value
+	// S_d(lo+r) and admits the product one δ later. It lands one slot
+	// past that newest value: a slot ring d left unused (it held ω−d
+	// starts) or, for d = 0, the retired start lo's.
 	xr1 := x[lo+n-1] - cc
 	xr2 := x[lo+n-1+g.delta] - cc
 	for r := 0; r < n; r++ {
-		g.newcol[r] = g.gram[r*n+n-1] - (x[lo+r]-cc)*xr1 + (x[lo+r+g.delta]-cc)*xr2
+		ring := g.lags[(n-1-r)*2*n : (n-r)*2*n]
+		v := ring[h+r] - (x[lo+r]-cc)*xr1 + (x[lo+r+g.delta]-cc)*xr2
+		slot := next + r
+		if slot >= n {
+			slot -= n
+		}
+		ring[slot], ring[slot+n] = v, v
 	}
-	// Shift the interior up-left: G'[r][s] = G[r+1][s+1].
-	for r := 0; r < n-1; r++ {
-		copy(g.gram[r*n:r*n+n-1], g.gram[(r+1)*n+1:(r+2)*n])
-	}
-	// Install the new last column and (by symmetry) last row.
-	for r := 0; r < n; r++ {
-		g.gram[r*n+n-1] = g.newcol[r]
-		g.gram[(n-1)*n+r] = g.newcol[r]
-	}
-	// Row sums shift by one window start; only the last is new.
-	last := g.rows[n-1] - xr1 + xr2
-	copy(g.rows[:n-1], g.rows[1:n])
-	g.rows[n-1] = last
+	// The row sums gain R(lo+ω) in the slot R(lo) leaves.
+	last := g.rows[h+n-1] - xr1 + xr2
+	g.rows[h], g.rows[h+n] = last, last
+	g.head = next
 }
 
 // GramInto writes the Gram matrix of the affinely transformed window
@@ -181,18 +193,22 @@ func (g *SlidingHankelGram) GramInto(dst *Matrix, med, inv float64) {
 	n := g.omega
 	dst.Reshape(n, n)
 	m := med - g.c
-	if m == 0 && inv == 1 {
-		copy(dst.Data, g.gram)
-		return
-	}
+	rows := g.rows[g.head : g.head+n]
+	raw := m == 0 && inv == 1
 	i2 := inv * inv
 	c2 := float64(g.delta) * m * m
 	for r := 0; r < n; r++ {
-		mr := g.rows[r]
+		mr := rows[r]
+		// G[r][s] = S_{s−r}(lo+r): slot head+r of ring s−r.
+		at := g.head + r
 		for s := r; s < n; s++ {
-			v := (g.gram[r*n+s] - m*(mr+g.rows[s]) + c2) * i2
+			v := g.lags[at]
+			if !raw {
+				v = (v - m*(mr+rows[s]) + c2) * i2
+			}
 			dst.Data[r*n+s] = v
 			dst.Data[s*n+r] = v
+			at += 2 * n
 		}
 	}
 }
@@ -202,7 +218,7 @@ func (g *SlidingHankelGram) GramInto(dst *Matrix, med, inv float64) {
 // vector IKA uses, without materializing H or the normalized window.
 func (g *SlidingHankelGram) RowSumsInto(dst []float64, med, inv float64) {
 	dm := float64(g.delta) * (med - g.c)
-	for r := 0; r < g.omega; r++ {
-		dst[r] = (g.rows[r] - dm) * inv
+	for r, v := range g.rows[g.head : g.head+g.omega] {
+		dst[r] = (v - dm) * inv
 	}
 }

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -231,4 +232,209 @@ func TestSlidingGramZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("allocs/op = %v, want 0", allocs)
 	}
+}
+
+// refSlidingGram is SlidingHankelGram as it kept the Gram before the lag
+// rings: the whole ω×ω matrix, shifted up-left by one at every slide and
+// extended by a new last column. The ring must read out what it read out,
+// bit for bit.
+type refSlidingGram struct {
+	x            []float64
+	end          int
+	omega, delta int
+	c            float64
+	gram         []float64
+	rows         []float64
+	newcol       []float64
+	slides       int
+	RefreshEvery int
+}
+
+func (g *refSlidingGram) Init(x []float64, end, omega, delta int) {
+	g.x, g.end, g.omega, g.delta = x, end, omega, delta
+	g.c = 0
+	g.gram = make([]float64, omega*omega)
+	g.rows = make([]float64, omega)
+	g.newcol = make([]float64, omega)
+	g.rebuild()
+}
+
+func (g *refSlidingGram) Recenter(c float64) {
+	g.c = c
+	g.rebuild()
+}
+
+func (g *refSlidingGram) rebuild() {
+	x, n, cc := g.x, g.omega, g.c
+	lo := g.end - g.delta - n + 1
+	for r := 0; r < n; r++ {
+		baseR := lo + r
+		var rs float64
+		for c := 0; c < g.delta; c++ {
+			rs += x[baseR+c] - cc
+		}
+		g.rows[r] = rs
+		for s := r; s < n; s++ {
+			baseS := lo + s
+			var acc float64
+			for c := 0; c < g.delta; c++ {
+				acc += (x[baseR+c] - cc) * (x[baseS+c] - cc)
+			}
+			g.gram[r*n+s] = acc
+			g.gram[s*n+r] = acc
+		}
+	}
+	g.slides = 0
+}
+
+func (g *refSlidingGram) Slide() {
+	g.end++
+	every := g.RefreshEvery
+	if every == 0 {
+		every = slideRefreshEvery
+	}
+	if every > 0 && g.slides+1 >= every {
+		g.rebuild()
+		return
+	}
+	g.slides++
+	x, n, cc := g.x, g.omega, g.c
+	lo := g.end - 1 - g.delta - n + 1
+	xr1 := x[lo+n-1] - cc
+	xr2 := x[lo+n-1+g.delta] - cc
+	for r := 0; r < n; r++ {
+		g.newcol[r] = g.gram[r*n+n-1] - (x[lo+r]-cc)*xr1 + (x[lo+r+g.delta]-cc)*xr2
+	}
+	for r := 0; r < n-1; r++ {
+		copy(g.gram[r*n:r*n+n-1], g.gram[(r+1)*n+1:(r+2)*n])
+	}
+	for r := 0; r < n; r++ {
+		g.gram[r*n+n-1] = g.newcol[r]
+		g.gram[(n-1)*n+r] = g.newcol[r]
+	}
+	last := g.rows[n-1] - xr1 + xr2
+	copy(g.rows[:n-1], g.rows[1:n])
+	g.rows[n-1] = last
+}
+
+func (g *refSlidingGram) GramInto(dst *Matrix, med, inv float64) {
+	n := g.omega
+	dst.Reshape(n, n)
+	m := med - g.c
+	if m == 0 && inv == 1 {
+		copy(dst.Data, g.gram)
+		return
+	}
+	i2 := inv * inv
+	c2 := float64(g.delta) * m * m
+	for r := 0; r < n; r++ {
+		mr := g.rows[r]
+		for s := r; s < n; s++ {
+			v := (g.gram[r*n+s] - m*(mr+g.rows[s]) + c2) * i2
+			dst.Data[r*n+s] = v
+			dst.Data[s*n+r] = v
+		}
+	}
+}
+
+func (g *refSlidingGram) RowSumsInto(dst []float64, med, inv float64) {
+	dm := float64(g.delta) * (med - g.c)
+	for r := 0; r < g.omega; r++ {
+		dst[r] = (g.rows[r] - dm) * inv
+	}
+}
+
+// ringRefresh and ringOffsets are the rebuild cadences and series levels
+// a ring schedule draws from: the default, never (Recenter only), a short
+// and the sweep's cadence; a zero, a small and a large-offset level.
+var (
+	ringRefresh = [4]int{0, -1, 5, 64}
+	ringOffsets = [3]float64{0, 50, 3.7e7}
+)
+
+// checkRingSchedule decodes a schedule — byte 0 picks ω, byte 1 δ (both
+// in 2..10), byte 2 the rebuild cadence, byte 3 the level; each further
+// byte is one sample, and a sample byte ≡ 3 (mod 16) recenters both
+// operators on it when the window end reaches it — and holds every
+// readout of the ring to the shift-based reference, bit for bit.
+func checkRingSchedule(t *testing.T, data []byte) {
+	t.Helper()
+	if len(data) < 4 {
+		return
+	}
+	omega, delta := 2+int(data[0])%9, 2+int(data[1])%9
+	refresh, offset := ringRefresh[data[2]%4], ringOffsets[data[3]%3]
+	samples := data[4:]
+	start := omega + delta - 1
+	if len(samples) < start {
+		return
+	}
+	x := make([]float64, len(samples))
+	for i, b := range samples {
+		x[i] = offset + (float64(b)-127.5)*0.1
+	}
+	var ring SlidingHankelGram
+	var ref refSlidingGram
+	ring.RefreshEvery, ref.RefreshEvery = refresh, refresh
+	ring.Init(x, start, omega, delta)
+	ref.Init(x, start, omega, delta)
+	var got, want Matrix
+	gotRows, wantRows := make([]float64, omega), make([]float64, omega)
+	for end := start; ; end++ {
+		if samples[end-1]%16 == 3 {
+			ring.Recenter(x[end-1])
+			ref.Recenter(x[end-1])
+		}
+		for _, aff := range [][2]float64{{0, 1}, {offset + 0.3, 0.42}} {
+			ring.GramInto(&got, aff[0], aff[1])
+			ref.GramInto(&want, aff[0], aff[1])
+			ring.RowSumsInto(gotRows, aff[0], aff[1])
+			ref.RowSumsInto(wantRows, aff[0], aff[1])
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("ω=%d δ=%d refresh=%d offset=%v end=%d affine %v: gram[%d] = %v, shift %v",
+						omega, delta, refresh, offset, end, aff, i, got.Data[i], want.Data[i])
+				}
+			}
+			for i := range wantRows {
+				if math.Float64bits(gotRows[i]) != math.Float64bits(wantRows[i]) {
+					t.Fatalf("ω=%d δ=%d refresh=%d offset=%v end=%d affine %v: rows[%d] = %v, shift %v",
+						omega, delta, refresh, offset, end, aff, i, gotRows[i], wantRows[i])
+				}
+			}
+		}
+		if end == len(x) {
+			return
+		}
+		ring.Slide()
+		ref.Slide()
+	}
+}
+
+// ringSchedules are 300 random schedules over every ω, δ, cadence and
+// level, 60 to 259 samples long.
+func ringSchedules() [][]byte {
+	rng := rand.New(rand.NewSource(78))
+	var out [][]byte
+	for i := 0; i < 300; i++ {
+		data := make([]byte, 4+60+rng.Intn(200))
+		rng.Read(data)
+		out = append(out, data)
+	}
+	return out
+}
+
+// The lag rings read out exactly what shifting the matrix did, through
+// slides, periodic rebuilds and recenters.
+func TestSlidingGramRingMatchesShift(t *testing.T) {
+	for _, data := range ringSchedules() {
+		checkRingSchedule(t, data)
+	}
+}
+
+func FuzzSlidingGram(f *testing.F) {
+	for _, data := range ringSchedules() {
+		f.Add(data)
+	}
+	f.Fuzz(checkRingSchedule)
 }

@@ -39,8 +39,9 @@ const (
 	// streaming advance records its n windows at their mean cost, so
 	// count is windows scored, sum is exact, and max and the buckets
 	// read mean per-window cost. The mean is over every position of the
-	// sweep, the ones the Eq. 11 bound answered (CtrWindowsBounded) and
-	// the ones that were eigen-solved (CtrWindowsSolved) alike.
+	// sweep, the ones a bound under the threshold answered
+	// (CtrWindowsBounded) and the ones whose every eigen-solve ran
+	// (CtrWindowsSolved) alike.
 	StageSSTWindow = "sst_window"
 	// StageSSTScore is the whole scoring pass over one KPI's
 	// assessment window (all sliding windows of that KPI).
@@ -222,10 +223,11 @@ const (
 	// work queue was full (the fleet outran the scoring workers; the
 	// state catches up at the next drain or at assess time).
 	CtrStreamSheds = "stream.sheds"
-	// CtrWindowsBounded counts SST window positions whose Eq. 11
-	// multiplier was already under the detection threshold, so the score
-	// was reported as that bound without the past eigen-solves;
-	// CtrWindowsSolved counts the positions that were solved in full.
+	// CtrWindowsBounded counts SST window positions whose score was
+	// reported as an upper bound under the detection threshold: the Eq. 11
+	// multiplier, before any eigen-solve, or the discordance sum stopped
+	// after some of its η solves; CtrWindowsSolved counts the positions
+	// whose every eigen-solve ran.
 	// Their sum is StageSSTWindow's count. Added once per sweep or
 	// streaming advance.
 	CtrWindowsBounded = "sst.windows_bounded"

@@ -155,8 +155,8 @@ var promHelp = map[string]string{
 	CtrRecoveryGenerations: "Log generations the last open found and replayed (more than one: it died before compacting).",
 	CtrRecoveryLogBytes:    "Bytes of log records the last open replayed.",
 	CtrChangesAssessed:     "Completed change assessments.",
-	CtrWindowsBounded:      "SST window positions answered by the Eq. 11 bound, without the past eigen-solves.",
-	CtrWindowsSolved:       "SST window positions eigen-solved in full.",
+	CtrWindowsBounded:      "SST window positions answered by an upper bound under the detection threshold.",
+	CtrWindowsSolved:       "SST window positions whose every eigen-solve ran.",
 	CtrHistoryFetches:      "Series decoded at the deep (HistoryDays) depth for a historical control.",
 	CtrStreamTailReads:     "Streaming advances that read only the bins past the consumed prefix.",
 	CtrStreamFullReads:     "Streaming advances that re-read and verified the whole window.",

@@ -12,7 +12,9 @@ import (
 
 // boundShapes are the series the bound-first tests sweep: shapes that
 // keep the Eq. 11 multiplier low for long stretches (so the bound fires)
-// broken by stretches where it does not.
+// broken by stretches where it does not, and a level shift visited by
+// non-finite, over-spanMax and ~1e150 values (Gram entries near the
+// float64 range), whose windows score NaN or huge at Floor 0.
 func boundShapes() map[string][]float64 {
 	const n = 320
 	rng := rand.New(rand.NewSource(91))
@@ -40,6 +42,13 @@ func boundShapes() map[string][]float64 {
 		shapes["constant"][i] = 7
 		shapes["antisymmetric"][i] = float64(1 - 2*(i%2))
 		shapes["large-offset"][i] = 3.7e7 + noise() + shift
+	}
+	for name, bad := range map[string]float64{"nan": math.NaN(), "+inf": math.Inf(1), "-inf": math.Inf(-1), "over-cap": -1.5 * spanMax, "1e150": 1.3e150} {
+		x := append([]float64(nil), shapes["level-shift"]...)
+		for _, i := range []int{60, 61, 140, 200, n - 1} {
+			x[i] = bad
+		}
+		shapes["visit-"+name] = x
 	}
 	return shapes
 }
@@ -118,6 +127,18 @@ func TestBoundFirstSweepExercisesBothArms(t *testing.T) {
 	if resumed == 0 {
 		t.Fatal("no above-floor position follows a below-floor one")
 	}
+
+	// Past the multiplier, the discordance bound stops some solves after
+	// the first φ and some after the second.
+	sl := NewSliding(NewIKA(cfg))
+	sl.Floor = 1.6
+	st := &slidingState{}
+	rcfg := sl.Config()
+	sl.scoreRange(st, nanSeries(len(x)), x, rcfg.PastSpan(), len(x)-rcfg.FutureSpan()+1)
+	if st.stopped[0] == 0 || st.stopped[1] == 0 {
+		t.Fatalf("level shift at floor 1.6: discordance solves stopped after one φ %d times, after two %d times; want both", st.stopped[0], st.stopped[1])
+	}
+	t.Logf("level shift at floor 1.6: %d solved, %d bounded, of which %v stopped after 1, 2 φ", solved, bounded, st.stopped[:2])
 }
 
 // Streaming with a Floor is the batch sweep with that Floor, whatever the

@@ -34,8 +34,11 @@ import (
 // workspace from the pool, so a single IKA value is safe for concurrent
 // use and its scores are bit-identical to sequential evaluation.
 type IKA struct {
-	cfg  Config
-	pool sync.Pool
+	cfg Config
+	// pastSpan and futureSpan are cfg.PastSpan() and cfg.FutureSpan(),
+	// which the sliding sweep reads at every position.
+	pastSpan, futureSpan int
+	pool                 sync.Pool
 }
 
 // NewIKA constructs the IKA-accelerated robust SST scorer. It panics on
@@ -45,7 +48,7 @@ func NewIKA(cfg Config) *IKA {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &IKA{cfg: cfg}
+	s := &IKA{cfg: cfg, pastSpan: cfg.PastSpan(), futureSpan: cfg.FutureSpan()}
 	s.pool.New = func() any { return &workspace{} }
 	return s
 }
@@ -78,7 +81,7 @@ func (s *IKA) scoreAt(ws *workspace, x []float64, t int) float64 {
 
 	ws.start = grow(ws.start, s.cfg.Omega)
 	ws.future.RowSums(ws.start)
-	score := s.scoreWindow(ws, &ws.past, &ws.future)
+	score, _ := s.scoreWindow(ws, &ws.past, &ws.future, 1, 0)
 	if s.cfg.RobustFilter {
 		score *= robustMultiplierWS(ws, w, tl, s.cfg.Omega)
 	}
@@ -86,24 +89,49 @@ func (s *IKA) scoreAt(ws *workspace, x []float64, t int) float64 {
 }
 
 // scoreWindow runs the IKA core — η future Ritz pairs, then the λ-weighted
-// discordance of each — against arbitrary past/future Gram operators, with
-// ws.start already holding the Krylov start vector for the future solve.
-// The per-window path passes the implicit HankelGram operators; the
-// sliding sweep passes incrementally maintained dense Gram matrices. A
-// degenerate window scores 0.
-func (s *IKA) scoreWindow(ws *workspace, past, future linalg.SymOp) float64 {
+// discordance x̂ = Σλᵢφᵢ / Σλᵢ — against arbitrary past/future Gram
+// operators, with ws.start already holding the Krylov start vector for the
+// future solve. The per-window path passes the implicit HankelGram
+// operators; the sliding sweep passes incrementally maintained dense Gram
+// matrices. A degenerate window scores 0.
+//
+// The window's score is x̂·mult. With floor > 0 and mult finite, the
+// discordance solves stop as soon as they cannot lift the score to floor:
+// after each φᵢ the undone terms are bounded by their λ (φ ≤ 1), and where
+// that bound b satisfies b·mult < floor, scoreWindow returns b and the
+// number of solves it ran. Otherwise it returns x̂ and 0. b is never under
+// x̂ — fl(λφ) ≤ λ, and rounded addition and division are monotone — and
+// floor 0 always returns x̂.
+func (s *IKA) scoreWindow(ws *workspace, past, future linalg.SymOp, mult, floor float64) (xhat float64, stoppedAfter int) {
 	eta := s.futureDirections(ws, future)
-	var num, den float64
-	for i := 0; i < eta; i++ {
+	lambdas := ws.lambdas[:eta]
+	var den float64
+	for _, l := range lambdas {
+		den += l
+	}
+	if !(den > 0) {
+		return 0, 0
+	}
+	// φ is in [0, 1] whatever the past Gram holds (clamp01 maps NaN to 0,
+	// a failed solve returns 0), so a finite den keeps every partial sum
+	// and bound finite; a NaN or infinite mult never stops the solves.
+	cut := floor > 0 && mult <= math.MaxFloat64 && den <= math.MaxFloat64
+	var num float64
+	for i, l := range lambdas {
 		beta := ws.betas[i*s.cfg.Omega : (i+1)*s.cfg.Omega]
-		phi := s.discordance(ws, past, beta)
-		num += ws.lambdas[i] * phi
-		den += ws.lambdas[i]
+		num += l * s.discordance(ws, past, beta)
+		if !cut || i == eta-1 {
+			continue
+		}
+		bound := num
+		for _, rest := range lambdas[i+1:] {
+			bound += rest
+		}
+		if b := clamp01(bound / den); b*mult < floor {
+			return b, i + 1
+		}
 	}
-	if den > 0 {
-		return clamp01(num / den)
-	}
-	return 0
+	return clamp01(num / den), 0
 }
 
 // futureDirections extracts η Ritz pairs of the future Gram operator via
@@ -173,7 +201,7 @@ func mulVecColTo(dst []float64, q, y *linalg.Matrix, col int) {
 // solve accumulates just that row of the rotations
 // (TridiagEigFirstRowWS) — bit-identical to reading row 0 of the full
 // eigenvector matrix at a fraction of the cost, and this eigensolve runs
-// η times per window against the future stage's once.
+// up to η times per window against the future stage's once.
 func (s *IKA) discordance(ws *workspace, past linalg.SymOp, beta []float64) float64 {
 	res, err := linalg.LanczosWS(&ws.lan, past, beta, s.cfg.K, false)
 	if err != nil {

@@ -54,10 +54,12 @@ type SlidingScorer struct {
 	// the sweep answer a position from the Eq. 11 multiplier alone: the
 	// solved score is x̂·mult with x̂ ∈ [0, 1], so where mult < Floor the
 	// sweep returns mult — an upper bound that is itself under Floor —
-	// without any eigen-solve. Every position whose score reaches Floor is
-	// solved and bit-identical to the Floor-0 sweep, which is all a gate
-	// thresholding at Floor reads; funnel.NewAssessor sets it to that
-	// threshold. 0 (the default) solves everything: calibration, ROC
+	// without any eigen-solve; past it, the discordance solves stop once
+	// their bound times mult is under Floor (IKA.scoreWindow) and the
+	// sweep returns that product. Every position whose score reaches
+	// Floor is solved and bit-identical to the Floor-0 sweep, which is
+	// all a gate thresholding at Floor reads; funnel.NewAssessor sets it
+	// to that threshold. 0 (the default) solves everything: calibration, ROC
 	// sweeps and the arena need exact sub-threshold scores. Set before
 	// first use; not safe to change concurrently with scoring.
 	Floor float64
@@ -82,7 +84,15 @@ type slidingState struct {
 	pastSpan, aftSpan []float64
 	spansOK           bool
 	untilRecen        int // positions until the next normalized-path recenter
-	bounded           int // positions since stepReset answered by the Floor bound
+	// floor is the Floor this sweep bounds against: the scorer's Floor
+	// with the robustness filter on, 0 (never) with it off.
+	floor float64
+	// bounded counts the positions since stepReset answered by a bound
+	// under floor: the Eq. 11 multiplier, or a discordance sum stopped
+	// part-way; stopped[i] counts the latter that stopped after i+1
+	// discordance solves.
+	bounded int
+	stopped []int
 }
 
 // NewSliding wraps inner with the incremental sweep fast path.
@@ -117,7 +127,7 @@ func (s *SlidingScorer) ScoreRangeInto(out, x []float64, lo, hi int) {
 }
 
 // Sweep is ScoreSeries over this scorer that also reports how the
-// positions were answered: solved by the eigen-solves, or bounded by
+// positions were answered: solved by every eigen-solve, or bounded under
 // Floor (always 0 at Floor 0 and for a non-IKA inner scorer).
 func (s *SlidingScorer) Sweep(x []float64) (scores []float64, solved, bounded int) {
 	cfg := s.inner.Config()
@@ -167,7 +177,17 @@ func (s *SlidingScorer) scoreRange(st *slidingState, out, x []float64, lo, hi in
 func (s *SlidingScorer) stepReset(st *slidingState) {
 	st.ws.start = grow(st.ws.start, s.ika.cfg.Omega)
 	st.spansOK = false
+	st.floor = 0
+	if s.ika.cfg.RobustFilter {
+		st.floor = s.Floor
+	}
 	st.bounded = 0
+	if eta := s.ika.cfg.Eta; cap(st.stopped) < eta {
+		st.stopped = make([]int, eta)
+	} else {
+		st.stopped = st.stopped[:eta]
+		clear(st.stopped)
+	}
 }
 
 // step scores position t of x, advancing the incremental Gram trackers
@@ -180,9 +200,11 @@ func (s *SlidingScorer) stepReset(st *slidingState) {
 //
 // The Eq. 11 multiplier is evaluated first: the solved score is
 // x̂·mult with x̂ ∈ [0, 1], so a multiplier under Floor already decides
-// the position, which then costs the two slides and Eq. 11 only. Every
-// solved position is scored cold — row-sum start vector, full Krylov
-// dimension — so it depends on its own window alone.
+// the position, which then costs the two slides and Eq. 11 only. Past
+// it, the discordance solves stop once their bound falls under Floor
+// (IKA.scoreWindow). Every solved position is scored cold — row-sum
+// start vector, full Krylov dimension — so it depends on its own window
+// alone.
 func (s *SlidingScorer) step(st *slidingState, x []float64, t, lo int) float64 {
 	cfg := s.ika.cfg
 	n := cfg.Omega
@@ -213,7 +235,7 @@ func (s *SlidingScorer) step(st *slidingState, x []float64, t, lo int) float64 {
 		st.untilRecen--
 	}
 	// A NaN multiplier compares false and is solved.
-	if cfg.RobustFilter && mult < s.Floor {
+	if mult < st.floor {
 		st.bounded++
 		return mult
 	}
@@ -221,7 +243,12 @@ func (s *SlidingScorer) step(st *slidingState, x []float64, t, lo int) float64 {
 	st.futG.GramInto(&st.gf, med, inv)
 	st.futG.RowSumsInto(st.ws.start, med, inv)
 	st.pastG.GramInto(&st.gp, med, inv)
-	return s.ika.scoreWindow(&st.ws, &st.gp, &st.gf) * mult
+	xhat, stopped := s.ika.scoreWindow(&st.ws, &st.gp, &st.gf, mult, st.floor)
+	if stopped > 0 {
+		st.bounded++
+		st.stopped[stopped-1]++
+	}
+	return xhat * mult
 }
 
 // spanMax bounds the values the sorted spans admit: with every |v| under
@@ -244,8 +271,8 @@ const spanMax = 1e300
 // sorting path (the sort's NaN order is not monotone-invariant).
 func (s *SlidingScorer) windowStats(st *slidingState, x []float64, t int) (med, inv, mult float64) {
 	cfg := s.ika.cfg
-	tl, span := cfg.PastSpan(), 2*cfg.Omega-1
-	w := x[t-tl : t+cfg.FutureSpan()]
+	tl, span := s.ika.pastSpan, 2*cfg.Omega-1
+	w := x[t-tl : t+s.ika.futureSpan]
 	past := w[:tl]
 	if !cfg.Normalize {
 		if !cfg.RobustFilter {

@@ -40,13 +40,14 @@ func sortingSweep(sl *SlidingScorer, x []float64, lo, hi int) []float64 {
 			st.untilRecen = recenterEvery
 		}
 		st.untilRecen--
-		if out[t] = mult; cfg.RobustFilter && mult < sl.Floor {
+		if out[t] = mult; mult < st.floor {
 			continue
 		}
 		st.futG.GramInto(&st.gf, med, inv)
 		st.futG.RowSumsInto(st.ws.start, med, inv)
 		st.pastG.GramInto(&st.gp, med, inv)
-		out[t] = sl.ika.scoreWindow(&st.ws, &st.gp, &st.gf) * mult
+		xhat, _ := sl.ika.scoreWindow(&st.ws, &st.gp, &st.gf, mult, st.floor)
+		out[t] = xhat * mult
 	}
 	return out
 }

@@ -53,8 +53,9 @@ func (sw *StreamSweep) Reset(lo int) {
 // Pos returns the next position Next will score.
 func (sw *StreamSweep) Pos() int { return sw.next }
 
-// Bounded returns how many positions since Reset the scorer's Floor
-// bound answered without a past solve.
+// Bounded returns how many positions since Reset were answered by a
+// bound under the scorer's Floor: the Eq. 11 multiplier, or a
+// discordance sum stopped part-way.
 func (sw *StreamSweep) Bounded() int { return sw.st.bounded }
 
 // Next scores the sweep's next position against x and advances. x is
