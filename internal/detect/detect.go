@@ -117,12 +117,18 @@ func New(scorer sst.Scorer, threshold float64) *Gate {
 	return &Gate{Scorer: scorer, Threshold: threshold, Persistence: DefaultPersistence, MaxGap: 2}
 }
 
-// persistence resolves the configured run length.
-func (d *Gate) persistence() int {
-	if d.Persistence <= 0 {
-		return DefaultPersistence
+// RunRule returns the rule fromScores declares runs by: a run is
+// declared at its minRun-th above-threshold bin (Persistence), and two
+// consecutive above-threshold bins of one run are at most link bins
+// apart (MaxGap + 1); a NaN score ends a run at once. A sweep told this
+// rule (sst.SlidingScorer's MinRun and RunLink) may leave scores no
+// declared run can read at an upper bound.
+func (d *Gate) RunRule() (minRun, link int) {
+	minRun = d.Persistence
+	if minRun <= 0 {
+		minRun = DefaultPersistence
 	}
-	return d.Persistence
+	return minRun, max(d.MaxGap, 0) + 1
 }
 
 // Detect scans the whole series and returns every declared change, in
@@ -148,11 +154,7 @@ func (d *Gate) DetectScored(x, scores []float64) []Detection {
 // once it holds Persistence above-threshold bins, at the bin of the
 // Persistence-th hit.
 func (d *Gate) fromScores(x, scores []float64) []Detection {
-	per := d.persistence()
-	gap := d.MaxGap
-	if gap < 0 {
-		gap = 0
-	}
+	per, link := d.RunRule()
 	future := 1
 	if d.Scorer != nil {
 		future = d.Scorer.Config().FutureSpan()
@@ -201,7 +203,7 @@ func (d *Gate) fromScores(x, scores []float64) []Detection {
 		}
 		// NaN always terminates a run (the scorer has no window there);
 		// a finite low score is tolerated up to MaxGap bins.
-		if run >= 0 && (math.IsNaN(v) || i-lastHit > gap) {
+		if run >= 0 && (math.IsNaN(v) || i-lastHit >= link) {
 			flush()
 		}
 	}

@@ -3,6 +3,7 @@ package detect
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/baselines"
@@ -146,6 +147,72 @@ func TestNaNScoresBreakRuns(t *testing.T) {
 	dets := d.fromScores(x, scores)
 	if len(dets) != 2 {
 		t.Fatalf("NaN should split runs: %+v", dets)
+	}
+}
+
+// scoresAt returns n sub-threshold scores with hits[i] written at i.
+func scoresAt(n int, hits map[int]float64) []float64 {
+	out := make([]float64, n)
+	for i, v := range hits {
+		out[i] = v
+	}
+	return out
+}
+
+// The gap rule: hits MaxGap + 1 apart are one run, MaxGap + 1
+// sub-threshold bins in a row end it, and a NaN ends it at once.
+func TestGateMaxGap(t *testing.T) {
+	x := make([]float64, 40)
+	d := &Gate{Threshold: 1, Persistence: 3, MaxGap: 2}
+	if per, link := d.RunRule(); per != 3 || link != 3 {
+		t.Fatalf("RunRule = %d, %d; want 3, 3", per, link)
+	}
+	cases := []struct {
+		name   string
+		scores []float64
+		runs   int // runs closed, declared or not
+		want   []Detection
+	}{
+		{"hits MaxGap+1 apart", scoresAt(40, map[int]float64{10: 2, 13: 3, 16: 2}), 1,
+			[]Detection{{Start: 10, DeclaredAt: 16, AvailableAt: 16, End: 16, Peak: 3}}},
+		{"MaxGap+1 low bins split", scoresAt(40, map[int]float64{10: 2, 14: 2, 18: 2}), 3, nil},
+		{"split after a declared run", scoresAt(40, map[int]float64{10: 2, 11: 2, 12: 2, 16: 5, 17: 5, 18: 5}), 2,
+			[]Detection{{Start: 10, DeclaredAt: 12, AvailableAt: 12, End: 12, Peak: 2}, {Start: 16, DeclaredAt: 18, AvailableAt: 18, End: 18, Peak: 5}}},
+		{"NaN splits at once", scoresAt(40, map[int]float64{10: 2, 11: 2, 12: math.NaN(), 13: 2, 14: 2}), 2, nil},
+		{"low bin instead of the NaN", scoresAt(40, map[int]float64{10: 2, 11: 2, 13: 2, 14: 2}), 1,
+			[]Detection{{Start: 10, DeclaredAt: 13, AvailableAt: 13, End: 14, Peak: 2}}},
+		{"declared run's fields", scoresAt(40, map[int]float64{20: 2, 21: 4, 23: 7, 24: 3, 26: 2, 30: 9}), 2,
+			[]Detection{{Start: 20, DeclaredAt: 23, AvailableAt: 23, End: 26, Peak: 7}}},
+	}
+	for _, c := range cases {
+		runs := 0
+		d.OnRun = func(bool) { runs++ }
+		got := d.DetectScored(x, c.scores)
+		for i := range got {
+			got[i].Kind = Unknown // a flat x classifies as nothing
+		}
+		if !reflect.DeepEqual(got, c.want) || runs != c.runs {
+			t.Errorf("%s: %+v over %d runs, want %+v over %d", c.name, got, runs, c.want, c.runs)
+		}
+	}
+
+	// The defaults: Persistence 0 is DefaultPersistence, a negative
+	// MaxGap is 0, and AvailableAt pays the scorer's future span.
+	d = &Gate{Threshold: 1, MaxGap: -4, Scorer: sst.NewIKA(sst.Config{})}
+	if per, link := d.RunRule(); per != DefaultPersistence || link != 1 {
+		t.Fatalf("default RunRule = %d, %d; want %d, 1", per, link, DefaultPersistence)
+	}
+	hits := map[int]float64{}
+	for i := 5; i < 12; i++ {
+		hits[i] = 2
+	}
+	got := d.DetectScored(x, scoresAt(40, hits))
+	if fut := d.Scorer.Config().FutureSpan(); len(got) != 1 || got[0].DeclaredAt != 11 || got[0].AvailableAt != 11+fut-1 {
+		t.Fatalf("seven consecutive hits: %+v, want one run declared at 11, available at %d", got, 11+fut-1)
+	}
+	hits[8] = 0 // MaxGap 0: one low bin splits the run into 3 + 3 hits
+	if got := d.DetectScored(x, scoresAt(40, hits)); len(got) != 0 {
+		t.Fatalf("a low bin with MaxGap 0: %+v, want no run", got)
 	}
 }
 

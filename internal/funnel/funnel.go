@@ -394,13 +394,14 @@ func NewAssessorWith(source SeriesSource, tp *topo.Topology, cfg Config, st Stag
 	// so its scores are per-window IKA's to 1e-9 — the paper's algorithm
 	// is what the accuracy tables measure. The gate below reads a score
 	// only through `score >= DetectorThreshold` (and the peak of the
-	// scores that pass), so the sweep is told that threshold as its Floor
-	// and answers every position whose Eq. 11 multiplier is already under
-	// it without any eigen-solve.
+	// scores that pass) inside a run it declares, so the sweep is told
+	// that threshold as its Floor and the gate's run rule: it answers
+	// every position whose Eq. 11 multiplier is already under the
+	// threshold, and every candidate no declarable run can reach, by a
+	// bound instead of an eigen-solve.
 	var scorer *sst.SlidingScorer
 	if st.Scorer == nil {
 		scorer = sst.NewSliding(sst.NewIKA(cfg.SST))
-		scorer.Floor = cfg.DetectorThreshold
 	} else {
 		scorer = sst.NewSliding(st.Scorer)
 	}
@@ -413,6 +414,10 @@ func NewAssessorWith(source SeriesSource, tp *topo.Topology, cfg Config, st Stag
 	// gap-free windows: on bursty KPIs the score wobbles through a
 	// transition, so the run tolerates short sub-threshold stretches.
 	det.MaxGap = 5
+	if st.Scorer == nil {
+		scorer.Floor = cfg.DetectorThreshold
+		scorer.MinRun, scorer.RunLink = det.RunRule()
+	}
 	if col := cfg.Obs; col != nil {
 		det.OnRun = func(declared bool) {
 			if declared {
@@ -747,8 +752,9 @@ func (a *Assessor) detectAround(series *timeseries.Series, gaps []bool, changeBi
 	if a.cfg.GapPolicy == GapMask && len(gaps) >= hi {
 		// Suppress scores whose SST window touches an interpolated bin:
 		// NaN scores terminate persistence runs, so no detection can be
-		// declared out of invented data.
-		scores = detect.MaskScores(scores, gaps[lo:hi], a.cfg.SST.PastSpan(), a.cfg.SST.FutureSpan())
+		// declared out of invented data. Position t's window reads
+		// [t−PastSpan, t+FutureSpan−1]; MaskScores' past counts t itself.
+		scores = detect.MaskScores(scores, gaps[lo:hi], a.cfg.SST.PastSpan()+1, a.cfg.SST.FutureSpan())
 	}
 	a.stamp(kt, obs.StageSSTScore, ts)
 	tp := a.obs.Now()

@@ -277,3 +277,37 @@ func TestMaskScoresWindowing(t *testing.T) {
 		}
 	}
 }
+
+// constScores is a scoreCache that serves one score at every position of
+// every window, so a test controls exactly what the gate reads.
+type constScores float64
+
+func (c constScores) cachedScores(_ topo.KPIKey, _ int, segment []float64) []float64 {
+	out := make([]float64, len(segment))
+	for i := range out {
+		out[i] = float64(c)
+	}
+	return out
+}
+
+// Under GapMask a gap masks every position whose SST window reads it. The
+// window of position t reads bins [t−PastSpan, t+FutureSpan−1], so a gap
+// at g masks [g−FutureSpan+1, g+PastSpan], and with every score over the
+// threshold the run that reaches past the change starts at g+PastSpan+1.
+func TestGapMaskCoversWholePastSpan(t *testing.T) {
+	const changeBin, total, g = 100, 160, 90
+	store, tp := gapFixture(t, total, nil, map[string]map[int]bool{"srv-0": {g: true}}, nil, changeBin)
+	a, err := NewAssessor(store, tp, Config{ServerMetrics: []string{"mem.util"}, WindowBins: 40, GapPolicy: GapMask})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.scores = constScores(10 * a.cfg.DetectorThreshold)
+	rep, err := a.Assess(gapChange(store, changeBin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := byEntity(rep)["srv-0"]
+	if want := g + a.cfg.SST.PastSpan() + 1; got.Detection.Start != want {
+		t.Fatalf("detection %+v after a gap at bin %d, want its run to start at %d", got.Detection, g, want)
+	}
+}

@@ -466,18 +466,26 @@ func (ks *kpiStream) advance(sr *Streamer) {
 	stable := ks.lastReal + 1
 	hi := ks.segLen - ks.fut + 1
 	x := ks.filled[:stable]
+	// A step may also revise earlier positions of ks.scores (the run
+	// rule solving a cluster it held back); once the last position is
+	// scored, End makes a still-short cluster's bounds final.
 	t0 := sr.col.Now()
-	n, bounded := 0, ks.sweep.Bounded()
+	n, solved, bounded := 0, ks.sweep.Solved(), ks.sweep.Bounded()
 	for t := ks.sweep.Pos(); t < hi && t+ks.fut <= stable; t = ks.sweep.Pos() {
-		ks.scores[t] = ks.sweep.Next(x)
+		ks.sweep.NextInto(ks.scores, x)
 		n++
 	}
-	if n > 0 && sr.col != nil {
-		bounded = ks.sweep.Bounded() - bounded
+	if n == 0 {
+		return
+	}
+	if ks.sweep.Pos() == hi {
+		ks.sweep.End()
+	}
+	if sr.col != nil {
 		sr.col.Add(obs.CtrStreamAdvances, 1)
 		sr.col.ObserveSinceN(obs.StageSSTWindow, t0, n)
-		sr.col.Add(obs.CtrWindowsSolved, int64(n-bounded))
-		sr.col.Add(obs.CtrWindowsBounded, int64(bounded))
+		sr.col.Add(obs.CtrWindowsSolved, int64(ks.sweep.Solved()-solved))
+		sr.col.Add(obs.CtrWindowsBounded, int64(ks.sweep.Bounded()-bounded))
 	}
 }
 

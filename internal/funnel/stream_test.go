@@ -599,3 +599,42 @@ func TestStreamerRegisterChange(t *testing.T) {
 		})
 	}
 }
+
+// A streamed window whose last positions form a cluster of candidates
+// still short of the persistence rule (a second shift six bins past the
+// last scored position): the state's last position makes that
+// cluster's bounds final, so every window is counted once, as solved or
+// bounded, and the report is the batch one.
+func TestStreamerCountsHeldClusterAtWindowEnd(t *testing.T) {
+	fx := newStreamFixture()
+	for bin := fx.changeMin + 66; bin < fx.total; bin++ {
+		fx.values[0][bin] += 9
+	}
+	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, Obs: obs.NewCollector()}
+	store := monitor.NewStore(fx.start, time.Minute)
+	sr, err := NewStreamer(store, fx.buildTopo(), cfg, StreamConfig{Workers: 1, PollInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+	if err := sr.RegisterChange(fx.change); err != nil {
+		t.Fatal(err)
+	}
+	fx.feed(store, 0, fx.total, nil)
+	rep := waitReport(t, sr.Reports())
+	bcfg := cfg
+	bcfg.Obs = nil
+	batch, err := NewAssessor(store, fx.buildTopo(), bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := batch.Assess(fx.change)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareReports(t, rep, want)
+	n := cfg.Obs.StageCount(obs.StageSSTWindow)
+	if solved, bounded := cfg.Obs.Counter(obs.CtrWindowsSolved), cfg.Obs.Counter(obs.CtrWindowsBounded); solved+bounded != n {
+		t.Fatalf("%d solved + %d bounded windows, sst_window count %d", solved, bounded, n)
+	}
+}

@@ -262,6 +262,7 @@ func oracleReadSnapshot(r io.Reader, shards int, quarantined *int) (*Store, erro
 		_, err := io.ReadFull(br, b[:])
 		return binary.BigEndian.Uint32(b[:]), err
 	}
+	var scratch []byte
 	for i := uint32(0); i < count; i++ {
 		scope, err := br.ReadByte()
 		if err != nil {
@@ -270,11 +271,11 @@ func oracleReadSnapshot(r io.Reader, shards int, quarantined *int) (*Store, erro
 		if s := topo.Scope(scope); s != topo.ScopeServer && s != topo.ScopeInstance && s != topo.ScopeService {
 			return nil, fmt.Errorf("bad snapshot scope %d", scope)
 		}
-		entity, err := readSnapshotString(br)
+		entity, err := readSnapshotString(br, &scratch)
 		if err != nil {
 			return nil, err
 		}
-		metric, err := readSnapshotString(br)
+		metric, err := readSnapshotString(br, &scratch)
 		if err != nil {
 			return nil, err
 		}

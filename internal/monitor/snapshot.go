@@ -371,6 +371,7 @@ func readSnapshotSeries(br *bufio.Reader, store *Store, count uint32, v *chunkVa
 	// reported latency by time-since-restore, which is the honest reading
 	// of "how stale is the evidence this verdict used".
 	restoredAt := time.Now().UnixNano()
+	var scratch []byte
 	for i := uint32(0); i < count; i++ {
 		var b [1]byte
 		if _, err := io.ReadFull(br, b[:]); err != nil {
@@ -380,11 +381,11 @@ func readSnapshotSeries(br *bufio.Reader, store *Store, count uint32, v *chunkVa
 		if scope != topo.ScopeServer && scope != topo.ScopeInstance && scope != topo.ScopeService {
 			return fmt.Errorf("monitor: bad snapshot scope %d", b[0])
 		}
-		entity, err := readSnapshotString(br)
+		entity, err := readSnapshotString(br, &scratch)
 		if err != nil {
 			return err
 		}
-		metric, err := readSnapshotString(br)
+		metric, err := readSnapshotString(br, &scratch)
 		if err != nil {
 			return err
 		}
@@ -563,14 +564,23 @@ func readSnapshotEntry(br *bufio.Reader, span int, v *chunkValidator) (*seriesEn
 	return e, nil
 }
 
-// readSnapshotString reads a uint16-length-prefixed string from br.
-func readSnapshotString(br *bufio.Reader) (string, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+// readSnapshotString reads a uint16-length-prefixed string from br
+// through *scratch, which it grows and keeps for the next call, so the
+// returned string is the one allocation (a local header array would
+// escape through io.ReadFull and cost another).
+func readSnapshotString(br *bufio.Reader, scratch *[]byte) (string, error) {
+	if cap(*scratch) < 2 {
+		*scratch = make([]byte, 2, 64)
+	}
+	hdr := (*scratch)[:2]
+	if _, err := io.ReadFull(br, hdr); err != nil {
 		return "", err
 	}
-	n := int(binary.BigEndian.Uint16(hdr[:]))
-	buf := make([]byte, n)
+	n := int(binary.BigEndian.Uint16(hdr))
+	if cap(*scratch) < n {
+		*scratch = make([]byte, n)
+	}
+	buf := (*scratch)[:n]
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return "", err
 	}

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"bufio"
 	"bytes"
 	"math"
 	"strings"
@@ -98,4 +99,29 @@ func TestSnapshotBadScope(t *testing.T) {
 // negative tests.
 func Measurementkey(scope uint8) topo.KPIKey {
 	return topo.KPIKey{Scope: topo.Scope(scope), Entity: "x", Metric: "y"}
+}
+
+// A snapshot string costs one allocation, the string itself: the bytes
+// are read through the caller's scratch.
+func TestReadSnapshotStringAllocs(t *testing.T) {
+	var framed []byte
+	for _, s := range []string{"srv-0042", "cpu.util", "grp000.core", ""} {
+		framed = append(framed, byte(len(s)>>8), byte(len(s)))
+		framed = append(framed, s...)
+	}
+	r := bytes.NewReader(framed)
+	br := bufio.NewReader(r)
+	scratch := make([]byte, 0, 64)
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Reset(framed)
+		br.Reset(r)
+		for _, want := range []string{"srv-0042", "cpu.util", "grp000.core", ""} {
+			if got, err := readSnapshotString(br, &scratch); err != nil || got != want {
+				t.Fatalf("read %q, %v; want %q", got, err, want)
+			}
+		}
+	})
+	if allocs != 3 { // the empty string allocates nothing
+		t.Fatalf("%v allocations for 4 strings, want 3", allocs)
+	}
 }

@@ -39,9 +39,10 @@ const (
 	// streaming advance records its n windows at their mean cost, so
 	// count is windows scored, sum is exact, and max and the buckets
 	// read mean per-window cost. The mean is over every position of the
-	// sweep, the ones a bound under the threshold answered
-	// (CtrWindowsBounded) and the ones whose every eigen-solve ran
-	// (CtrWindowsSolved) alike.
+	// sweep, the ones a bound answered (CtrWindowsBounded) and the ones
+	// whose every eigen-solve ran (CtrWindowsSolved) alike; a streaming
+	// advance counts the positions it stepped, even those whose answer
+	// the run rule has not yet made final.
 	StageSSTWindow = "sst_window"
 	// StageSSTScore is the whole scoring pass over one KPI's
 	// assessment window (all sliding windows of that KPI).
@@ -105,7 +106,10 @@ const (
 	// persistence rule and became detections.
 	CtrRunsDeclared = "detect.runs_declared"
 	// CtrRunsDiscarded counts score runs the persistence rule
-	// discarded as one-off events.
+	// discarded as one-off events. The deployed sweep leaves a candidate
+	// whose cluster cannot reach the persistence threshold at its Eq. 11
+	// bound, which passes the threshold, so this also counts runs over
+	// such bounds that exact scores might not have formed.
 	CtrRunsDiscarded = "detect.runs_discarded"
 	// CtrReconnects counts successful client/publisher redials after a
 	// broken connection.
@@ -224,12 +228,15 @@ const (
 	// state catches up at the next drain or at assess time).
 	CtrStreamSheds = "stream.sheds"
 	// CtrWindowsBounded counts SST window positions whose score was
-	// reported as an upper bound under the detection threshold: the Eq. 11
-	// multiplier, before any eigen-solve, or the discordance sum stopped
-	// after some of its η solves; CtrWindowsSolved counts the positions
-	// whose every eigen-solve ran.
-	// Their sum is StageSSTWindow's count. Added once per sweep or
-	// streaming advance.
+	// reported as an upper bound no declarable run reads: the Eq. 11
+	// multiplier under the detection threshold, before any eigen-solve;
+	// the discordance sum stopped after some of its η solves; or the
+	// multiplier of a candidate whose cluster closed short of the
+	// persistence rule (sst.SlidingScorer.MinRun). CtrWindowsSolved counts
+	// the positions whose every eigen-solve ran. A position is counted
+	// once, when its answer is final, so neither goes backwards; after a
+	// sweep or a streamed window ends their sum is StageSSTWindow's
+	// count. Added once per sweep or streaming advance.
 	CtrWindowsBounded = "sst.windows_bounded"
 	CtrWindowsSolved  = "sst.windows_solved"
 	// CtrHistoryFetches counts series decoded at the deep (HistoryDays)

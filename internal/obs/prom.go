@@ -155,12 +155,13 @@ var promHelp = map[string]string{
 	CtrRecoveryGenerations: "Log generations the last open found and replayed (more than one: it died before compacting).",
 	CtrRecoveryLogBytes:    "Bytes of log records the last open replayed.",
 	CtrChangesAssessed:     "Completed change assessments.",
-	CtrWindowsBounded:      "SST window positions answered by an upper bound under the detection threshold.",
+	CtrWindowsBounded:      "SST window positions answered by an upper bound no declarable run reads (under the threshold, or in a candidate cluster short of the persistence rule).",
 	CtrWindowsSolved:       "SST window positions whose every eigen-solve ran.",
 	CtrHistoryFetches:      "Series decoded at the deep (HistoryDays) depth for a historical control.",
 	CtrStreamTailReads:     "Streaming advances that read only the bins past the consumed prefix.",
 	CtrStreamFullReads:     "Streaming advances that re-read and verified the whole window.",
 	CtrKPIsFlagged:         "KPI changes attributed to software changes.",
+	CtrRunsDiscarded:       "Score runs the persistence rule discarded, runs over the sweep's bounds included.",
 	CtrDiskErrors:          "Disk I/O failures observed by the persister.",
 	CtrWALRearms:           "Durability re-arms after transient disk faults.",
 	CtrPersistErrors:       "Persist-state transitions out of healthy.",

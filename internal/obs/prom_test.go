@@ -170,6 +170,7 @@ func goldenCollector() *Collector {
 	c.Add(CtrRecoveryLogBytes, 30<<20)
 	c.Add(CtrWindowsBounded, 1060)
 	c.Add(CtrWindowsSolved, 150)
+	c.Add(CtrRunsDiscarded, 21)
 	c.Add(CtrHistoryFetches, 4)
 	c.Add(CtrStreamTailReads, 4809)
 	c.Add(CtrStreamFullReads, 12)

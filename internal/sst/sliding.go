@@ -63,6 +63,25 @@ type SlidingScorer struct {
 	// sweeps and the arena need exact sub-threshold scores. Set before
 	// first use; not safe to change concurrently with scoring.
 	Floor float64
+	// MinRun and RunLink are the run rule of the gate that reads the
+	// sweep (detect.Gate.RunRule): it declares a run only at its
+	// MinRun-th score at or over the threshold, and two consecutive such
+	// scores of one run are at most RunLink positions apart. With
+	// MinRun > 1, RunLink ≥ 1 and Floor in force, a position whose
+	// multiplier does not decide it (a candidate: mult ≥ Floor, or NaN)
+	// is solved only once its cluster — candidates at most RunLink
+	// apart — holds MinRun of them. Until then the sweep writes mult, an
+	// upper bound, and keeps the window's Gram readouts; the MinRun-th
+	// candidate solves the kept ones (at most MinRun−1) and itself, and
+	// every later member of the cluster is solved as it comes, each
+	// bit-identical to the sweep without the rule. A cluster that closes
+	// short, or is still short when the sweep ends, keeps its bounds. No
+	// run the gate declares passes through it: the gate's hits are
+	// candidates, one run's hits are at most RunLink apart, so a run
+	// lies inside one cluster and holds fewer than MinRun hits there.
+	// 0 (the default) leaves the rule off. Set with Floor, before first
+	// use.
+	MinRun, RunLink int
 
 	inner Scorer
 	ika   *IKA // non-nil when inner is *IKA: enables the incremental path
@@ -87,12 +106,31 @@ type slidingState struct {
 	// floor is the Floor this sweep bounds against: the scorer's Floor
 	// with the robustness filter on, 0 (never) with it off.
 	floor float64
-	// bounded counts the positions since stepReset answered by a bound
-	// under floor: the Eq. 11 multiplier, or a discordance sum stopped
-	// part-way; stopped[i] counts the latter that stopped after i+1
-	// discordance solves.
-	bounded int
-	stopped []int
+	// solved and bounded count the positions since stepReset whose
+	// answer is final: solved by every eigen-solve, or a bound under the
+	// threshold — the Eq. 11 multiplier, a discordance sum stopped
+	// part-way, or (ruled, a subset) the multiplier of a candidate whose
+	// cluster closed short of minRun. stopped[i] counts the discordance
+	// sums stopped after i+1 solves.
+	solved, bounded, ruled int
+	stopped                []int
+	// The run rule (SlidingScorer.MinRun), fixed in stepReset: minRun is
+	// 0 when it is off. cluster counts the candidates of the current
+	// cluster, lastCand is its latest, and pend[:npend] keeps the
+	// readouts of those waiting for the cluster to reach minRun.
+	minRun, link      int
+	cluster, lastCand int
+	pend              []pendingWindow
+	npend             int
+}
+
+// pendingWindow is a candidate window held back by the run rule: what
+// IKA.scoreWindow reads of it, captured at its position.
+type pendingWindow struct {
+	t      int
+	mult   float64
+	gp, gf linalg.Matrix
+	start  []float64
 }
 
 // NewSliding wraps inner with the incremental sweep fast path.
@@ -132,13 +170,13 @@ func (s *SlidingScorer) ScoreRangeInto(out, x []float64, lo, hi int) {
 func (s *SlidingScorer) Sweep(x []float64) (scores []float64, solved, bounded int) {
 	cfg := s.inner.Config()
 	scores = nanSeries(len(x))
-	n, bounded := s.sweepInto(scores, x, cfg.PastSpan(), len(x)-cfg.FutureSpan()+1)
-	return scores, n - bounded, bounded
+	solved, bounded = s.sweepInto(scores, x, cfg.PastSpan(), len(x)-cfg.FutureSpan()+1)
+	return scores, solved, bounded
 }
 
-// sweepInto is ScoreRangeInto returning the number of positions scored
-// and how many of them the Floor bound answered.
-func (s *SlidingScorer) sweepInto(out, x []float64, lo, hi int) (n, bounded int) {
+// sweepInto is ScoreRangeInto returning how many positions were solved
+// and how many answered by a bound.
+func (s *SlidingScorer) sweepInto(out, x []float64, lo, hi int) (solved, bounded int) {
 	cfg := s.inner.Config()
 	if min := cfg.PastSpan(); lo < min {
 		lo = min
@@ -158,22 +196,23 @@ func (s *SlidingScorer) sweepInto(out, x []float64, lo, hi int) (n, bounded int)
 	}
 	st := s.pool.Get().(*slidingState)
 	s.scoreRange(st, out, x, lo, hi)
-	bounded = st.bounded
+	solved, bounded = st.solved, st.bounded
 	s.pool.Put(st)
-	return hi - lo, bounded
+	return solved, bounded
 }
 
 // scoreRange runs the incremental IKA sweep with all state drawn from st.
 func (s *SlidingScorer) scoreRange(st *slidingState, out, x []float64, lo, hi int) {
 	s.stepReset(st)
 	for t := lo; t < hi; t++ {
-		out[t] = s.step(st, x, t, lo)
+		out[t] = s.step(st, out, x, t, lo)
 	}
+	st.closeCluster()
 }
 
 // stepReset prepares st for a fresh sweep whose first step position will
 // pass t == lo. It is the (batch and streaming) sweep prologue; step
-// performs one position.
+// performs one position and closeCluster the epilogue.
 func (s *SlidingScorer) stepReset(st *slidingState) {
 	st.ws.start = grow(st.ws.start, s.ika.cfg.Omega)
 	st.spansOK = false
@@ -181,13 +220,21 @@ func (s *SlidingScorer) stepReset(st *slidingState) {
 	if s.ika.cfg.RobustFilter {
 		st.floor = s.Floor
 	}
-	st.bounded = 0
+	st.solved, st.bounded, st.ruled = 0, 0, 0
 	if eta := s.ika.cfg.Eta; cap(st.stopped) < eta {
 		st.stopped = make([]int, eta)
 	} else {
 		st.stopped = st.stopped[:eta]
 		clear(st.stopped)
 	}
+	st.minRun, st.link = 0, 0
+	if st.floor > 0 && s.MinRun > 1 && s.RunLink >= 1 {
+		st.minRun, st.link = s.MinRun, s.RunLink
+		if len(st.pend) < st.minRun-1 {
+			st.pend = make([]pendingWindow, st.minRun-1)
+		}
+	}
+	st.cluster, st.npend = 0, 0
 }
 
 // step scores position t of x, advancing the incremental Gram trackers
@@ -200,12 +247,17 @@ func (s *SlidingScorer) stepReset(st *slidingState) {
 //
 // The Eq. 11 multiplier is evaluated first: the solved score is
 // x̂·mult with x̂ ∈ [0, 1], so a multiplier under Floor already decides
-// the position, which then costs the two slides and Eq. 11 only. Past
-// it, the discordance solves stop once their bound falls under Floor
-// (IKA.scoreWindow). Every solved position is scored cold — row-sum
-// start vector, full Krylov dimension — so it depends on its own window
-// alone.
-func (s *SlidingScorer) step(st *slidingState, x []float64, t, lo int) float64 {
+// the position, which then costs the two slides and Eq. 11 only. With
+// the run rule on, a candidate whose cluster is still short of minRun
+// returns mult and keeps its readouts; the one that brings the cluster
+// to minRun also solves the kept ones and writes them to their earlier
+// positions of out, the slice the caller writes every step's score to
+// (unused with the rule off). A solve's discordance sums stop once their
+// bound falls under Floor (IKA.scoreWindow). Every solved position is
+// scored cold — row-sum start vector, full Krylov dimension — from
+// readouts of its own window alone, so when it is solved does not
+// change its bits.
+func (s *SlidingScorer) step(st *slidingState, out, x []float64, t, lo int) float64 {
 	cfg := s.ika.cfg
 	n := cfg.Omega
 	if t == lo {
@@ -234,21 +286,58 @@ func (s *SlidingScorer) step(st *slidingState, x []float64, t, lo int) float64 {
 		}
 		st.untilRecen--
 	}
-	// A NaN multiplier compares false and is solved.
+	// A NaN multiplier compares false and is a candidate.
 	if mult < st.floor {
 		st.bounded++
+		if st.cluster > 0 && t-st.lastCand >= st.link {
+			st.closeCluster() // no later candidate can join it
+		}
 		return mult
 	}
-
+	if st.minRun > 0 {
+		st.lastCand = t
+		if st.cluster++; st.cluster < st.minRun {
+			p := &st.pend[st.npend]
+			st.npend++
+			p.t, p.mult = t, mult
+			p.start = grow(p.start, n)
+			st.futG.GramInto(&p.gf, med, inv)
+			st.futG.RowSumsInto(p.start, med, inv)
+			st.pastG.GramInto(&p.gp, med, inv)
+			return mult
+		}
+		for i := range st.pend[:st.npend] {
+			p := &st.pend[i]
+			st.ws.start, p.start = p.start, st.ws.start
+			out[p.t] = s.solve(st, &p.gp, &p.gf, p.mult)
+		}
+		st.npend = 0
+	}
 	st.futG.GramInto(&st.gf, med, inv)
 	st.futG.RowSumsInto(st.ws.start, med, inv)
 	st.pastG.GramInto(&st.gp, med, inv)
-	xhat, stopped := s.ika.scoreWindow(&st.ws, &st.gp, &st.gf, mult, st.floor)
+	return s.solve(st, &st.gp, &st.gf, mult)
+}
+
+// solve scores one window from its readouts — gp, gf and st.ws.start —
+// and counts it.
+func (s *SlidingScorer) solve(st *slidingState, gp, gf *linalg.Matrix, mult float64) float64 {
+	xhat, stopped := s.ika.scoreWindow(&st.ws, gp, gf, mult, st.floor)
 	if stopped > 0 {
 		st.bounded++
 		st.stopped[stopped-1]++
+	} else {
+		st.solved++
 	}
 	return xhat * mult
+}
+
+// closeCluster ends the current candidate cluster: the windows it still
+// holds back are final at their bounds.
+func (st *slidingState) closeCluster() {
+	st.bounded += st.npend
+	st.ruled += st.npend
+	st.cluster, st.npend = 0, 0
 }
 
 // spanMax bounds the values the sorted spans admit: with every |v| under
