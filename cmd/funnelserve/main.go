@@ -58,8 +58,6 @@ func main() {
 		histSpan  = flag.Duration("history-retention", obs.DefaultHistoryRetention, "metrics-history span kept in memory")
 		fsck      = flag.Bool("fsck", false, "verify the -data directory (snapshot CRCs, WAL framing) and exit: 0 clean, 1 damage found")
 		fsckFix   = flag.Bool("fsck-repair", false, "with -fsck: drop quarantined chunks as explicit gaps and rewrite a clean snapshot")
-		streamWrk = flag.Int("stream-workers", 0, "scoring worker goroutines (0 = default)")
-		streamQ   = flag.Int("stream-queue", 0, "bounded advance-queue depth; overflow sheds to the batch sweep (0 = default)")
 	)
 	flag.Parse()
 
@@ -119,8 +117,6 @@ func main() {
 		Logger:           logger,
 		HistoryStep:      *histStep,
 		HistoryRetention: *histSpan,
-		StreamWorkers:    *streamWrk,
-		StreamQueue:      *streamQ,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "funnelserve:", err)

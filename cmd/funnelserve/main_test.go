@@ -40,18 +40,21 @@ func runServe(t *testing.T, args ...string) (string, int) {
 	return "", 0
 }
 
-// TestHelpListsFlags: assessment always streams, so the streaming knobs
-// are listed and the flag that used to switch it on is gone.
+// TestHelpListsFlags: assessment always streams on one background
+// scorer, so neither the flag that used to switch streaming on nor the
+// knobs that sized the scoring pool and its queue are listed.
 func TestHelpListsFlags(t *testing.T) {
 	out, code := runServe(t, "-h")
 	if code != 0 {
 		t.Fatalf("-h exited %d:\n%s", code, out)
 	}
-	if !strings.Contains(out, "-stream-workers") {
-		t.Errorf("-h does not list -stream-workers:\n%s", out)
+	if !strings.Contains(out, "-history") {
+		t.Errorf("-h does not list -history:\n%s", out)
 	}
-	if regexp.MustCompile(`(?m)^\s*-stream\s*$`).MatchString(out) {
-		t.Errorf("-h still lists -stream:\n%s", out)
+	for _, gone := range []string{"stream", "stream-workers", "stream-queue"} {
+		if regexp.MustCompile(`(?m)^\s*-` + gone + `(\s|$)`).MatchString(out) {
+			t.Errorf("-h still lists -%s:\n%s", gone, out)
+		}
 	}
 }
 

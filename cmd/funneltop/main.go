@@ -166,9 +166,9 @@ func render(w io.Writer, addr string, s *snapshot) {
 	}
 
 	// Streaming assessment, present only when a streamer is attached:
-	// backlog pressure (queue depth and sheds), the score-state
-	// population, cache economics, and the freshness SLO itself — the
-	// p99 bin-to-verdict trajectory.
+	// backlog pressure (score states owed to the scorer), the
+	// score-state population, cache economics, and the freshness SLO
+	// itself — the p99 bin-to-verdict trajectory.
 	for _, line := range streamPanel(h) {
 		fmt.Fprintf(w, "%s\n", line)
 	}
@@ -360,12 +360,8 @@ func streamPanel(h *obs.HistoryDump) []string {
 	if hits+misses > 0 {
 		hitRate = fmt.Sprintf("%.0f%%", 100*hits/(hits+misses))
 	}
-	shedNote := ""
-	if sheds := last(h.Series[obs.CtrStreamSheds]); sheds > 0 {
-		shedNote = fmt.Sprintf("  SHEDS %.0f", sheds)
-	}
 	lines := []string{fmt.Sprintf(
-		"stream   queue %s %3.0f  tracked %.0f  pending %.0f  advances %.0f  reads tail %.0f full %.0f  cache-hit %s  invalidations %.0f%s",
+		"stream   queue %s %3.0f  tracked %.0f  pending %.0f  advances %.0f  reads tail %.0f full %.0f  cache-hit %s  invalidations %.0f",
 		sparkline(queueSeries, 12), last(queueSeries),
 		last(h.Series[obs.GaugeStreamTracked]),
 		last(h.Series[obs.GaugeStreamPending]),
@@ -373,7 +369,7 @@ func streamPanel(h *obs.HistoryDump) []string {
 		last(h.Series[obs.CtrStreamTailReads]),
 		last(h.Series[obs.CtrStreamFullReads]),
 		hitRate,
-		last(h.Series[obs.CtrStreamInvalidations]), shedNote)}
+		last(h.Series[obs.CtrStreamInvalidations]))}
 	if st, ok := h.Stages[obs.StageBinToVerdict]; ok && len(st.Count) > 0 && st.Count[len(st.Count)-1] > 0 {
 		p99s := make([]float64, len(st.P99us))
 		for i, v := range st.P99us {

@@ -197,13 +197,11 @@ func TestStreamPanel(t *testing.T) {
 		t.Fatalf("idle streamer panel = %q", lines)
 	}
 
-	// Sheds are an incident, not a statistic: they render in caps.
-	h.Series[obs.CtrStreamSheds] = []float64{7}
 	h.Series[obs.CtrStreamCacheHits] = []float64{3}
 	h.Series[obs.CtrStreamCacheMisses] = []float64{1}
 	lines = streamPanel(h)
-	if len(lines) != 1 || !strings.Contains(lines[0], "SHEDS 7") || !strings.Contains(lines[0], "cache-hit 75%") {
-		t.Fatalf("shedding streamer panel = %q", lines)
+	if len(lines) != 1 || !strings.Contains(lines[0], "cache-hit 75%") {
+		t.Fatalf("caching streamer panel = %q", lines)
 	}
 }
 

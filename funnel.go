@@ -106,8 +106,8 @@ func DetectionDelay(a Assessment, trueStart int) (int, bool) {
 // observation windows complete.
 type Streamer = funnel.Streamer
 
-// StreamConfig tunes the Streamer's workers and queues, never its
-// verdicts; the zero value takes the defaults.
+// StreamConfig tunes the Streamer's poll cadence and feed bound, never
+// its verdicts; the zero value takes the defaults.
 type StreamConfig = funnel.StreamConfig
 
 // NewStreamer builds the streaming assessor over a store and topology.

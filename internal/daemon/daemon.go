@@ -29,7 +29,8 @@ import (
 	"repro/internal/topo"
 )
 
-// Config wires a Daemon.
+// Config wires a Daemon. The streaming assessor scores on one
+// background goroutine and takes the funnel.StreamConfig defaults.
 type Config struct {
 	// Store is the central KPI store (its epoch bounds the history).
 	Store *monitor.Store
@@ -64,9 +65,6 @@ type Config struct {
 	// Deprecated: assessment always streams; removed with its last
 	// setter in the [benchmark] PR.
 	Stream bool
-	// StreamWorkers / StreamQueue tune the streaming assessor (zero =
-	// funnel.StreamConfig defaults).
-	StreamWorkers, StreamQueue int
 }
 
 // Daemon is a running FUNNEL service.
@@ -152,10 +150,7 @@ func Start(cfg Config) (*Daemon, error) {
 		done:   make(chan struct{}),
 	}
 	var err error
-	d.engine, err = funnel.NewStreamer(cfg.Store, tp, cfg.Pipeline, funnel.StreamConfig{
-		Workers:    cfg.StreamWorkers,
-		QueueDepth: cfg.StreamQueue,
-	})
+	d.engine, err = funnel.NewStreamer(cfg.Store, tp, cfg.Pipeline, funnel.StreamConfig{})
 	if err != nil {
 		return nil, err
 	}

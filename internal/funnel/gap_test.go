@@ -217,7 +217,7 @@ func TestOnlineForceAssessesStaleProbe(t *testing.T) {
 		ServerMetrics: []string{"mem.util"},
 		WindowBins:    40,
 		StaleBins:     15,
-	}, StreamConfig{Workers: 1, PollInterval: tick})
+	}, StreamConfig{PollInterval: tick})
 	if err != nil {
 		t.Fatal(err)
 	}

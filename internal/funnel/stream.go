@@ -36,8 +36,12 @@ import (
 // at assessment time the cached scores are used only when the window
 // the batch path fetched matches the streamed prefix bit-for-bit
 // (see cachedScores); any divergence (late write, prune rebase,
-// re-encode, shed advance) silently degrades to the batch sweep.
-// Failure can cost latency, never a wrong verdict.
+// re-encode) silently degrades to the batch sweep. Failure can cost
+// latency, never a wrong verdict.
+//
+// One background goroutine (scoreLoop) advances the owed score states,
+// leaving the other cores to ingest, registration and verdicts; the
+// assessment loop advances its own change's states inline.
 type Streamer struct {
 	assessor *Assessor
 	store    *monitor.Store
@@ -60,7 +64,13 @@ type Streamer struct {
 	nTracked atomic.Int64
 	nPending atomic.Int64
 
-	queue   chan *kpiStream
+	// owed holds the score states waiting for scoreLoop, each at most
+	// once (kpiStream.enq), in the order they were owed; wake has one
+	// slot and tells scoreLoop the list is non-empty.
+	owedMu sync.Mutex
+	owed   []*kpiStream
+	wake   chan struct{}
+
 	assessQ chan assessTask
 	out     chan *Report
 	quit    chan struct{}
@@ -68,16 +78,8 @@ type Streamer struct {
 }
 
 // StreamConfig tunes the streaming machinery around the assessor
-// proper. Zero fields take the documented defaults.
+// proper, never its verdicts. Zero fields take the documented defaults.
 type StreamConfig struct {
-	// Workers is the number of goroutines advancing per-KPI score
-	// states (default 2). Reports are identical for any worker count.
-	Workers int
-	// QueueDepth bounds the advance queue (default 1024). When the
-	// fleet outruns the workers, excess advance tasks are shed — the
-	// affected states simply catch up on a later wakeup or fall back
-	// to the batch sweep at assessment time.
-	QueueDepth int
 	// PollInterval is the fallback bookkeeping cadence: readiness and
 	// staleness are re-checked at least this often even if the feed
 	// goes quiet (default 500ms).
@@ -87,12 +89,6 @@ type StreamConfig struct {
 }
 
 func (c StreamConfig) withDefaults() StreamConfig {
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 500 * time.Millisecond
 	}
@@ -151,7 +147,7 @@ type kpiStream struct {
 	// drainLoop lowers it, advance swaps it out.
 	low atomic.Int64
 
-	enq atomic.Bool // already sitting in the advance queue
+	enq atomic.Bool // already on the owed list
 }
 
 const (
@@ -170,7 +166,7 @@ func (ks *kpiStream) noteLow(bin int64) {
 }
 
 // NewStreamer builds the streaming assessor on store and starts its
-// feed drain, scoring workers, and assessment loop. Close releases
+// feed drain, scorer, and assessment loop. Close releases
 // them. The assessor configuration cfg is exactly the batch one;
 // scfg tunes only the streaming machinery, never the verdicts.
 func NewStreamer(store *monitor.Store, tp *topo.Topology, cfg Config, scfg StreamConfig) (*Streamer, error) {
@@ -186,7 +182,7 @@ func NewStreamer(store *monitor.Store, tp *topo.Topology, cfg Config, scfg Strea
 		scfg:     scfg,
 		tracked:  make(map[topo.KPIKey][]*kpiStream),
 		seen:     make(map[string]bool),
-		queue:    make(chan *kpiStream, scfg.QueueDepth),
+		wake:     make(chan struct{}, 1),
 		assessQ:  make(chan assessTask, 64),
 		out:      make(chan *Report, 16),
 		quit:     make(chan struct{}),
@@ -194,16 +190,14 @@ func NewStreamer(store *monitor.Store, tp *topo.Topology, cfg Config, scfg Strea
 	assessor.scores = sr
 	sr.feed = store.NewBinFeed(sr.feedFilter, scfg.FeedKeys)
 	if sr.col != nil {
-		sr.col.SetGaugeFunc(obs.GaugeStreamQueue, func() int64 { return int64(len(sr.queue)) })
+		sr.col.SetGaugeFunc(obs.GaugeStreamQueue, sr.owedLen)
 		sr.col.SetGaugeFunc(obs.GaugeStreamTracked, sr.nTracked.Load)
 		sr.col.SetGaugeFunc(obs.GaugeStreamPending, sr.nPending.Load)
 	}
-	sr.wg.Add(2 + scfg.Workers)
+	sr.wg.Add(3)
 	go sr.drainLoop()
 	go sr.assessLoop()
-	for i := 0; i < scfg.Workers; i++ {
-		go sr.scoreLoop()
-	}
+	go sr.scoreLoop()
 	return sr, nil
 }
 
@@ -314,9 +308,7 @@ func (sr *Streamer) RegisterChange(c changelog.Change) error {
 	sr.mu.Unlock()
 	sr.refilter(sc)
 	// Catch up with bins that landed before registration.
-	for _, ks := range sc.states {
-		sr.enqueue(ks)
-	}
+	sr.enqueue(sc.states)
 	return nil
 }
 
@@ -581,34 +573,51 @@ func (sr *Streamer) cachedScores(key topo.KPIKey, absLo int, segment []float64) 
 	return ks.cached(absLo, segment)
 }
 
-// enqueue hands a state to the scoring workers, coalescing duplicates
-// and shedding when the bounded queue is full — a shed state catches
-// up on a later wakeup, or at worst the assessor falls back to the
-// batch sweep. Backpressure never reaches the ingest path.
-func (sr *Streamer) enqueue(ks *kpiStream) {
-	if ks.enq.Swap(true) {
-		return
-	}
-	select {
-	case sr.queue <- ks:
-	default:
-		ks.enq.Store(false)
-		if sr.col != nil {
-			sr.col.Add(obs.CtrStreamSheds, 1)
+// enqueue puts on the owed list every state of states not already on
+// it and wakes the scorer. The list holds each state at most once, so
+// it is bounded by the tracked states and nothing is ever shed; the
+// ingest path never waits on the scorer.
+func (sr *Streamer) enqueue(states []*kpiStream) {
+	sr.owedMu.Lock()
+	for _, ks := range states {
+		if !ks.enq.Swap(true) {
+			sr.owed = append(sr.owed, ks)
 		}
+	}
+	sr.owedMu.Unlock()
+	select {
+	case sr.wake <- struct{}{}:
+	default: // a wake-up is already pending
 	}
 }
 
-// scoreLoop drains the advance queue.
+// owedLen is the owed list's length, the stream.queue_depth gauge.
+func (sr *Streamer) owedLen() int64 {
+	sr.owedMu.Lock()
+	defer sr.owedMu.Unlock()
+	return int64(len(sr.owed))
+}
+
+// scoreLoop is the one background scorer: it takes the whole owed list
+// at each wake-up and advances its states in the order they were owed.
+// A state's enq clears just before its advance, so a bin that lands
+// during the advance owes it again rather than being missed.
 func (sr *Streamer) scoreLoop() {
 	defer sr.wg.Done()
+	var batch []*kpiStream
 	for {
 		select {
 		case <-sr.quit:
 			return
-		case ks := <-sr.queue:
+		case <-sr.wake:
+		}
+		sr.owedMu.Lock()
+		batch, sr.owed = sr.owed, batch[:0]
+		sr.owedMu.Unlock()
+		for i, ks := range batch {
 			ks.enq.Store(false)
 			ks.advance(sr)
+			batch[i] = nil // drop the reference until the next swap
 		}
 	}
 }
@@ -672,9 +681,7 @@ func (sr *Streamer) drainLoop() {
 			}
 		}
 		sr.mu.Unlock()
-		for _, ks := range toAdvance {
-			sr.enqueue(ks)
-		}
+		sr.enqueue(toAdvance)
 		clear(toAdvance) // drop the references until the next wake-up
 		advBuf = toAdvance
 		sr.checkReady(poll)
@@ -732,7 +739,7 @@ func (sr *Streamer) checkReady(poll bool) {
 
 // assessLoop materializes verdicts. Before assessing it flushes every
 // score state of the change inline, so the cache is as complete as the
-// store allows even when the advance queue shed work.
+// store allows without waiting for the background scorer to reach it.
 func (sr *Streamer) assessLoop() {
 	defer sr.wg.Done()
 	for {
@@ -782,7 +789,7 @@ func (sr *Streamer) retire(sc *streamChange) {
 	sr.refilter(sc)
 }
 
-// Close unregisters the feed, stops the workers, and closes the report
+// Close unregisters the feed, stops the loops, and closes the report
 // stream. Pending changes are dropped.
 func (sr *Streamer) Close() {
 	sr.mu.Lock()

@@ -46,7 +46,7 @@ const (
 	tailSpan      = 64 // chunk span: every window crosses sealed chunks
 )
 
-func newTailRun(t *testing.T, seed int64, scfg StreamConfig) *tailRun {
+func newTailRun(t *testing.T, seed int64, scfg StreamConfig, assessWorkers int) *tailRun {
 	t.Helper()
 	r := &tailRun{
 		t:         t,
@@ -75,7 +75,7 @@ func newTailRun(t *testing.T, seed int64, scfg StreamConfig) *tailRun {
 	}
 	r.store = monitor.NewStore(r.start, time.Minute)
 	r.store.SetChunkSpan(tailSpan)
-	r.cfg = Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 1, Obs: r.col}
+	r.cfg = Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 1, AssessWorkers: assessWorkers, Obs: r.col}
 	// No poll ticks: every wake-up of the drain loop is a feed mark, so
 	// what a state read and when is a function of the program alone.
 	scfg.PollInterval = time.Hour
@@ -149,21 +149,21 @@ func (r *tailRun) eachState(fn func(ks *kpiStream)) {
 }
 
 // settle waits until every tracked state has consumed its window as far
-// as the store holds it and no advance is queued or owed. It compares
+// as the store holds it and the owed list is empty. It compares
 // lengths, not values: a state that missed a rewrite still settles, and
 // is caught by what the run asserts of the counters and the cache.
 func (r *tailRun) settle() {
 	r.t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		idle := len(r.sr.queue) == 0
+		idle := r.sr.owedLen() == 0
 		r.eachState(func(ks *kpiStream) {
 			if ks.invalid {
 				return
 			}
 			n, _ := r.store.SeriesLen(ks.key)
 			want := min(n, ks.absLo+ks.segLen) - ks.absLo
-			if ks.enq.Load() || ks.low.Load() != lowNone || (want > 0 && len(ks.raw) != want) {
+			if ks.low.Load() != lowNone || (want > 0 && len(ks.raw) != want) {
 				idle = false
 			}
 		})
@@ -419,12 +419,12 @@ func TestStreamerTailReadMatchesBatch(t *testing.T) {
 		programs = append(programs, program{name: fmt.Sprintf("random-%d", seed), steps: steps})
 	}
 
+	// One scorer goroutine advances every state; the legs vary the
+	// assessor's own fan-out, which reads the cache concurrently.
 	for _, p := range programs {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", p.name, workers), func(t *testing.T) {
-				scfg := p.scfg
-				scfg.Workers = workers
-				r := newTailRun(t, 91, scfg)
+				r := newTailRun(t, 91, p.scfg, workers)
 				// History is in the store before anything streams.
 				for bin := 0; bin < r.changeMin+lead; bin++ {
 					for i := range r.servers {

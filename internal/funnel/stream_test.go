@@ -235,13 +235,13 @@ func interiorGap(changeMin int) func(srv string, bin int) bool {
 
 func TestStreamerMatchesBatchSliding(t *testing.T) {
 	runStreamCase(t, Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2},
-		StreamConfig{Workers: 1, PollInterval: 20 * time.Millisecond}, nil, true)
+		StreamConfig{PollInterval: 20 * time.Millisecond}, nil, true)
 }
 
 func TestStreamerMatchesBatchSlidingGapsWorkers(t *testing.T) {
 	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, AssessWorkers: 4}
 	fxGap := interiorGap(2*1440 + 300)
-	runStreamCase(t, cfg, StreamConfig{Workers: 4, PollInterval: 20 * time.Millisecond}, fxGap, true)
+	runStreamCase(t, cfg, StreamConfig{PollInterval: 20 * time.Millisecond}, fxGap, true)
 }
 
 // TestStreamerMatchesBatchInstrumented: a Streamer with a collector
@@ -249,7 +249,7 @@ func TestStreamerMatchesBatchSlidingGapsWorkers(t *testing.T) {
 // the sst_window stage.
 func TestStreamerMatchesBatchInstrumented(t *testing.T) {
 	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, Obs: obs.NewCollector()}
-	runStreamCase(t, cfg, StreamConfig{Workers: 2, PollInterval: 20 * time.Millisecond}, nil, true)
+	runStreamCase(t, cfg, StreamConfig{PollInterval: 20 * time.Millisecond}, nil, true)
 	if cfg.Obs.Counter(obs.CtrStreamCacheHits) == 0 {
 		t.Fatal("collector saw no stream cache hits")
 	}
@@ -267,7 +267,7 @@ func TestStreamerMatchesBatchInstrumented(t *testing.T) {
 func TestStreamerMatchesBatchGapMask(t *testing.T) {
 	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, GapPolicy: GapMask}
 	fxGap := interiorGap(2*1440 + 300)
-	runStreamCase(t, cfg, StreamConfig{Workers: 2, PollInterval: 20 * time.Millisecond}, fxGap, true)
+	runStreamCase(t, cfg, StreamConfig{PollInterval: 20 * time.Millisecond}, fxGap, true)
 }
 
 // TestStreamerLateWriteInvalidates rewrites a bin inside the consumed
@@ -277,7 +277,7 @@ func TestStreamerLateWriteInvalidates(t *testing.T) {
 	fx := newStreamFixture()
 	store := monitor.NewStore(fx.start, time.Minute)
 	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, Obs: obs.NewCollector()}
-	sr, err := NewStreamer(store, fx.buildTopo(), cfg, StreamConfig{Workers: 1, PollInterval: 20 * time.Millisecond})
+	sr, err := NewStreamer(store, fx.buildTopo(), cfg, StreamConfig{PollInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestStreamerStaleProbeCooldown(t *testing.T) {
 	fx := newStreamFixture()
 	store := monitor.NewStore(fx.start, time.Minute)
 	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2}
-	sr, err := NewStreamer(store, fx.buildTopo(), cfg, StreamConfig{Workers: 1, PollInterval: 10 * time.Millisecond})
+	sr, err := NewStreamer(store, fx.buildTopo(), cfg, StreamConfig{PollInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestOnlineStaleProbeCooldown(t *testing.T) {
 	store := monitor.NewStore(fx.start, time.Minute)
 	const tick = 5 * time.Millisecond
 	sr, err := NewStreamer(store, fx.buildTopo(), Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2},
-		StreamConfig{Workers: 1, PollInterval: tick})
+		StreamConfig{PollInterval: tick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestOnlineEmitsReportWhenWindowCompletes(t *testing.T) {
 			})
 	}
 	sr, err := NewStreamer(store, tp, Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2},
-		StreamConfig{Workers: 1, PollInterval: 5 * time.Millisecond})
+		StreamConfig{PollInterval: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +541,7 @@ func TestStreamerRegisterChange(t *testing.T) {
 			tp := topo.NewTopology()
 			tp.Deploy("svc", "s1")
 			tp.Deploy("svc", "s2")
-			sr, err := NewStreamer(store, tp, cfg, StreamConfig{Workers: 1, PollInterval: 5 * time.Millisecond})
+			sr, err := NewStreamer(store, tp, cfg, StreamConfig{PollInterval: 5 * time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -612,7 +612,7 @@ func TestStreamerCountsHeldClusterAtWindowEnd(t *testing.T) {
 	}
 	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, Obs: obs.NewCollector()}
 	store := monitor.NewStore(fx.start, time.Minute)
-	sr, err := NewStreamer(store, fx.buildTopo(), cfg, StreamConfig{Workers: 1, PollInterval: 20 * time.Millisecond})
+	sr, err := NewStreamer(store, fx.buildTopo(), cfg, StreamConfig{PollInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,15 +217,18 @@ const (
 	// to "why is the stream slow". Added once per advance that read.
 	CtrStreamTailReads = "stream.tail_reads"
 	CtrStreamFullReads = "stream.full_reads"
-	// GaugeStreamQueue is the streaming assessor's advance-queue depth;
+	// GaugeStreamQueue is the number of score states owed to the
+	// streaming assessor's background scorer, each at most once;
 	// GaugeStreamTracked the number of KPI score states it maintains;
 	// GaugeStreamPending the changes still awaiting their ready bin.
 	GaugeStreamQueue   = "stream.queue_depth"
 	GaugeStreamTracked = "stream.tracked_keys"
 	GaugeStreamPending = "stream.pending_changes"
-	// CtrStreamSheds counts advance tasks dropped because the streaming
-	// work queue was full (the fleet outran the scoring workers; the
-	// state catches up at the next drain or at assess time).
+	// CtrStreamSheds is never incremented: the streaming assessor's
+	// owed list holds every tracked score state and sheds nothing.
+	//
+	// Deprecated: kept for the benchmark's readers; removed with them in
+	// the [benchmark] PR.
 	CtrStreamSheds = "stream.sheds"
 	// CtrWindowsBounded counts SST window positions whose score was
 	// reported as an upper bound no declarable run reads: the Eq. 11

@@ -160,6 +160,7 @@ var promHelp = map[string]string{
 	CtrHistoryFetches:      "Series decoded at the deep (HistoryDays) depth for a historical control.",
 	CtrStreamTailReads:     "Streaming advances that read only the bins past the consumed prefix.",
 	CtrStreamFullReads:     "Streaming advances that re-read and verified the whole window.",
+	GaugeStreamQueue:       "Score states owed to the streaming assessor's background scorer.",
 	CtrKPIsFlagged:         "KPI changes attributed to software changes.",
 	CtrRunsDiscarded:       "Score runs the persistence rule discarded, runs over the sweep's bounds included.",
 	CtrDiskErrors:          "Disk I/O failures observed by the persister.",
