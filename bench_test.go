@@ -81,22 +81,21 @@ func BenchmarkLinalgKernels(b *testing.B) {
 	}
 	b.Run("SVD-9x9", func(b *testing.B) {
 		b.ReportAllocs()
+		var ws linalg.SVDWorkspace
 		for i := 0; i < b.N; i++ {
-			linalg.SVD(hank)
+			linalg.SVDWS(&ws, hank)
 		}
 	})
 	b.Run("Lanczos5-QL", func(b *testing.B) {
 		b.ReportAllocs()
-		// C = H·Hᵀ applied as H·(Hᵀ·v), on the workspaces IKA holds.
-		tmp := make([]float64, hank.Cols)
-		op := linalg.MatVec(func(dst, v []float64) {
-			hank.MulTVecTo(tmp, v)
-			hank.MulVecTo(dst, tmp)
-		})
+		// C = H·Hᵀ applied implicitly, on the operator and workspaces
+		// IKA holds.
+		var op linalg.HankelGram
+		op.Reset(x, 34, 9, 9)
 		var lws linalg.LanczosWorkspace
 		var ews linalg.EigWorkspace
 		for i := 0; i < b.N; i++ {
-			res, err := linalg.LanczosWS(&lws, op, start, 5, false)
+			res, err := linalg.LanczosWS(&lws, &op, start, 5, false)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -5,7 +5,7 @@
 // no analysis framework, no network — and prints one line per
 // violation:
 //
-//	doclint . ./internal/... ./cmd/... ./examples/...
+//	doclint . ./internal/... ./cmd/... ./examples/... ./benchmark/...
 //
 // Arguments are package directories; a trailing /... walks every
 // subdirectory containing Go files. Exit status is 1 when any
@@ -20,13 +20,16 @@
 // doc comment. Detectors are the repo's plugin surface; their packages
 // are where godoc readers land first, and an undocumented one would
 // ship a bake-off row nobody can interpret.
+//
+// A third rule keeps dead code from coming back: every export of a
+// non-main package must have a reader (see unreadExports) or an entry,
+// with its reason, in the committed allowlist.txt.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -43,24 +46,31 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	allow, err := parseAllowlist(allowlistText)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: allowlist: %v\n", err)
+		os.Exit(2)
+	}
+	pkgs, err := load(".", flag.Args())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		os.Exit(2)
+	}
 	bad := 0
-	for _, arg := range flag.Args() {
-		dirs, err := expand(arg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
-			os.Exit(2)
-		}
-		for _, dir := range dirs {
-			n, err := lintDir(dir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
-				os.Exit(2)
-			}
-			bad += n
-		}
+	for _, p := range pkgs {
+		bad += lintPkg(p)
+	}
+	unread := unreadExports(pkgs, allow)
+	for _, line := range unread {
+		fmt.Println(line)
 	}
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doclint: %d undocumented or misdocumented exported declarations\n", bad)
+	}
+	if len(unread) > 0 {
+		fmt.Fprintf(os.Stderr, "doclint: %d exports with no non-test reader and no allowlist entry\n", len(unread))
+	}
+	if bad > 0 || len(unread) > 0 {
 		os.Exit(1)
 	}
 }
@@ -97,24 +107,17 @@ func expand(arg string) ([]string, error) {
 	return dirs, err
 }
 
-// lintDir checks every non-test Go file in one directory and returns
-// the violation count.
-func lintDir(dir string) (int, error) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		return 0, err
-	}
+// lintPkg checks every non-test Go file in one package directory and
+// returns the violation count.
+func lintPkg(p *pkg) int {
 	bad := 0
-	for _, pkg := range pkgs {
-		for path, file := range pkg.Files {
-			bad += lintFile(fset, filepath.ToSlash(path), file)
+	for _, pk := range p.pkgs {
+		for path, file := range pk.Files {
+			bad += lintFile(p.fset, filepath.ToSlash(path), file)
 		}
-		bad += lintDetectorDocs(fset, pkg)
+		bad += lintDetectorDocs(p.fset, pk)
 	}
-	return bad, nil
+	return bad
 }
 
 // detectorMethods is the detect.Detector contract: a type exposing all

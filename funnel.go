@@ -2,34 +2,33 @@
 // automated tool for rapid and robust impact assessment of software
 // changes in large Internet-based services (Zhang et al., CoNEXT 2015).
 //
-// The package re-exports the pieces a downstream user composes:
+// The package re-exports what the examples compose, plus every type
+// those signatures name:
 //
-//   - the assessment pipeline (Assessor): impact-set identification,
-//     improved-SST change detection, and Difference-in-Differences
-//     cause determination — plus its deployed streaming form (Streamer);
-//   - the SST scorer family (classic, robust, IKA-accelerated) and the
-//     persistence-rule change detector, usable standalone on any
-//     1-minute-binned series;
+//   - the assessment pipeline (Assessor, NewAssessor): impact-set
+//     identification, improved-SST change detection, and
+//     Difference-in-Differences cause determination; NewAssessorWith
+//     and Stages swap a stage; Streamer is the deployed streaming form;
+//   - the IKA SST scorer and the persistence-rule change detector,
+//     usable standalone on any 1-minute-binned series, threshold
+//     calibration, and the detector registry (Detectors,
+//     LookupDetector);
+//   - the DiD estimator and its BSTS alternative;
 //   - the monitoring substrate: KPI store, TCP push subscription
 //     protocol, and per-server agents;
-//   - the service/server/instance topology model and software-change
-//     log;
-//   - the baselines (CUSUM, MRLS), synthetic workload generators and
-//     evaluation harness that regenerate the paper's tables and
-//     figures.
+//   - the service/server/instance topology and the software change;
+//   - the synthetic corpus and case-study generators, the KPI-type
+//     classifier, and the telemetry collector.
 //
 // See examples/quickstart for the fastest path to a working detector
 // and examples/darklaunch for a full dark-launch assessment.
 package funnel
 
 import (
-	"repro/internal/baselines"
 	"repro/internal/bsts"
 	"repro/internal/changelog"
 	"repro/internal/detect"
 	"repro/internal/did"
-	"repro/internal/edivisive"
-	"repro/internal/eval"
 	"repro/internal/funnel"
 	"repro/internal/monitor"
 	"repro/internal/obs"
@@ -48,30 +47,13 @@ type Assessor = funnel.Assessor
 // Config tunes the pipeline; the zero value takes the paper defaults.
 type Config = funnel.Config
 
-// Report is the outcome of assessing one software change.
-type Report = funnel.Report
-
-// Assessment is the per-KPI verdict inside a Report.
+// Assessment is the per-KPI verdict inside an assessor's report.
 type Assessment = funnel.Assessment
 
-// Verdict is FUNNEL's conclusion for one KPI.
-type Verdict = funnel.Verdict
-
-// Verdict values.
+// The Verdict values a flagged KPI carries.
 const (
-	NoChange          = funnel.NoChange
 	ChangedByOther    = funnel.ChangedByOther
 	ChangedBySoftware = funnel.ChangedBySoftware
-)
-
-// ControlKind says which control group the DiD stage used.
-type ControlKind = funnel.ControlKind
-
-// ControlKind values.
-const (
-	ControlNone       = funnel.ControlNone
-	ControlConcurrent = funnel.ControlConcurrent
-	ControlHistorical = funnel.ControlHistorical
 )
 
 // SeriesSource is the assessor's one read contract: windows of KPI
@@ -106,18 +88,12 @@ func DetectionDelay(a Assessment, trueStart int) (int, bool) {
 // observation windows complete.
 type Streamer = funnel.Streamer
 
-// StreamConfig tunes the Streamer's poll cadence and feed bound, never
-// its verdicts; the zero value takes the defaults.
+// StreamConfig tunes the Streamer's poll cadence, never its verdicts;
+// the zero value takes the defaults.
 type StreamConfig = funnel.StreamConfig
 
 // NewStreamer builds the streaming assessor over a store and topology.
 var NewStreamer = funnel.NewStreamer
-
-// AssessResult pairs a change with its report in batch assessment.
-type AssessResult = funnel.AssessResult
-
-// FlaggedAcross collects software-caused assessments across a batch.
-var FlaggedAcross = funnel.FlaggedAcross
 
 // ---- Scorers and detection ----
 
@@ -128,21 +104,8 @@ type SSTConfig = sst.Config
 // Scorer is a pointwise change scorer over a series.
 type Scorer = sst.Scorer
 
-// ClassicSST is the original SVD-based SST.
-type ClassicSST = sst.Classic
-
-// RobustSST is the paper's robustness-improved SST with exact
-// decompositions.
-type RobustSST = sst.Robust
-
 // IKASST is the Implicit-Krylov-Approximation SST FUNNEL deploys.
 type IKASST = sst.IKA
-
-// NewClassicSST builds a classic scorer.
-func NewClassicSST(cfg SSTConfig) *ClassicSST { return sst.NewClassic(cfg) }
-
-// NewRobustSST builds the exact robust scorer.
-func NewRobustSST(cfg SSTConfig) *RobustSST { return sst.NewRobust(cfg) }
 
 // NewIKASST builds the IKA-accelerated robust scorer.
 func NewIKASST(cfg SSTConfig) *IKASST { return sst.NewIKA(cfg) }
@@ -162,36 +125,14 @@ type Detector = detect.Detector
 type DetectorEntry = detect.Entry
 
 // Detectors returns the registered detector roster sorted by name.
-var Detectors = detect.Detectors
+func Detectors() []DetectorEntry { return detect.Detectors() }
 
 // LookupDetector resolves a registry name like "cusum" or "edivisive".
-var LookupDetector = detect.LookupDetector
-
-// EDivisive is the E-divisive means energy-statistic detector with
-// permutation significance testing.
-type EDivisive = edivisive.EDivisive
-
-// NewEDivisive returns the CI-sized default E-divisive scorer.
-func NewEDivisive() *EDivisive { return edivisive.New() }
+func LookupDetector(name string) (DetectorEntry, error) { return detect.LookupDetector(name) }
 
 // Gate applies a threshold plus the 7-minute persistence rule to a
 // scorer, turning pointwise scores into declared changes.
 type Gate = detect.Gate
-
-// Detection is one declared KPI change.
-type Detection = detect.Detection
-
-// ChangeKind classifies a change (level shift / ramp, up / down).
-type ChangeKind = detect.Kind
-
-// ChangeKind values.
-const (
-	KindUnknown        = detect.Unknown
-	KindLevelShiftUp   = detect.LevelShiftUp
-	KindLevelShiftDown = detect.LevelShiftDown
-	KindRampUp         = detect.RampUp
-	KindRampDown       = detect.RampDown
-)
 
 // NewDetector pairs a scorer with a threshold under the default
 // persistence rule.
@@ -202,33 +143,6 @@ func NewDetector(s Scorer, threshold float64) *Gate { return detect.New(s, thres
 func CalibrateThreshold(s Scorer, clean [][]float64, q, margin float64) (float64, error) {
 	return detect.Calibrate(s, clean, q, margin)
 }
-
-// ---- Baselines ----
-
-// CUSUM is the MERCURY-style bootstrap CUSUM baseline.
-type CUSUM = baselines.CUSUM
-
-// MRLS is the PRISM-style multiscale robust local subspace baseline.
-type MRLS = baselines.MRLS
-
-// NewCUSUM returns the paper-configured CUSUM baseline (W = 60).
-func NewCUSUM() *CUSUM { return baselines.NewCUSUM() }
-
-// NewMRLS returns the paper-configured MRLS baseline (W = 32).
-func NewMRLS() *MRLS { return baselines.NewMRLS() }
-
-// WoW is the week-over-week baseline (Chen et al. 2013, cited in §6).
-type WoW = baselines.WoW
-
-// NewWoW returns the default week-over-week scorer.
-func NewWoW() *WoW { return baselines.NewWoW() }
-
-// PCA is the multivariate subspace anomaly baseline (Lakhina et al.
-// 2005, cited in §6); it scores cross-KPI vectors, not single series.
-type PCA = baselines.PCA
-
-// NewPCA returns the default PCA detector.
-func NewPCA() *PCA { return baselines.NewPCA() }
 
 // ---- DiD ----
 
@@ -241,23 +155,6 @@ func EstimateDiD(treatedPre, treatedPost, controlPre, controlPost []float64) (Di
 	return did.Estimate(treatedPre, treatedPost, controlPre, controlPost)
 }
 
-// NormalizeDiDGroups makes the four group samples scale-free while
-// preserving α's meaning.
-func NormalizeDiDGroups(tp, tq, cp, cq []float64) (ntp, ntq, ncp, ncq []float64) {
-	return did.NormalizeGroups(tp, tq, cp, cq)
-}
-
-// TrendCheck is the outcome of a parallel-trends placebo diagnostic.
-type TrendCheck = did.TrendCheck
-
-// CheckParallelTrends runs the DiD placebo test on two pre-change
-// periods of aligned treated/control series.
-var CheckParallelTrends = did.ParallelTrends
-
-// EstimateDiDRegression fits Eq. 15's linear model by least squares;
-// its α coincides with EstimateDiD's on the 2×2 design.
-var EstimateDiDRegression = did.EstimateRegression
-
 // EstimateBSTS is the Bayesian structural time-series cause stage, a
 // Stages.Estimate alternative to EstimateDiD with the same result shape.
 var EstimateBSTS = bsts.Estimate
@@ -268,16 +165,10 @@ var EstimateBSTS = bsts.Estimate
 // relationships.
 type Topology = topo.Topology
 
-// ImpactSet is the treated/control split §3.1 derives for a change.
-type ImpactSet = topo.ImpactSet
-
 // KPIKey identifies one KPI series (scope + entity + metric).
 type KPIKey = topo.KPIKey
 
-// Scope is the KPI scope (server / instance / service).
-type Scope = topo.Scope
-
-// Scope values.
+// The KPI scopes (server / instance / service).
 const (
 	ScopeServer   = topo.ScopeServer
 	ScopeInstance = topo.ScopeInstance
@@ -290,31 +181,15 @@ func NewTopology() *Topology { return topo.NewTopology() }
 // Change is one software change (upgrade or configuration change).
 type Change = changelog.Change
 
-// ChangeLog is the append-only record of software changes.
-type ChangeLog = changelog.Log
-
-// ChangeType distinguishes upgrades from configuration changes.
-type ChangeType = changelog.Type
-
-// ChangeType values.
+// The change types: an upgrade or a configuration change.
 const (
 	Upgrade      = changelog.Upgrade
 	ConfigChange = changelog.Config
 )
 
-// NewChangeLog returns an empty change log.
-func NewChangeLog() *ChangeLog { return changelog.NewLog() }
-
-// CombineChanges merges concurrent/consecutive changes of one service
-// into a single combined change (§2.1's straw-man treatment).
-var CombineChanges = changelog.Combine
-
 // Series is a regularly sampled KPI time series (1-minute bins by
 // default).
 type Series = timeseries.Series
-
-// NewSeries wraps values into a series.
-var NewSeries = timeseries.New
 
 // ---- Monitoring substrate ----
 
@@ -334,18 +209,22 @@ type MonitorClient = monitor.Client
 // clock.
 type Agent = monitor.Agent
 
-// NewStore, NewMonitorServer, DialMonitor, NewAgent and
-// ReadStoreSnapshot construct and restore the monitoring pieces
-// (Store.WriteSnapshot is the counterpart dump).
+// NewStore and NewAgent construct the monitoring pieces.
 var (
-	NewStore          = monitor.NewStore
-	NewMonitorServer  = monitor.NewServer
-	DialMonitor       = monitor.Dial
-	NewAgent          = monitor.NewAgent
-	ReadStoreSnapshot = monitor.ReadSnapshot
+	NewStore = monitor.NewStore
+	NewAgent = monitor.NewAgent
 )
 
-// ---- Workload generation and evaluation ----
+// NewMonitorServer returns a push server over store.
+func NewMonitorServer(store *Store) *MonitorServer { return monitor.NewServer(store) }
+
+// DialMonitor connects to a push server and subscribes to the given key
+// prefixes (none = everything).
+func DialMonitor(addr string, prefixes ...string) (*MonitorClient, error) {
+	return monitor.Dial(addr, prefixes...)
+}
+
+// ---- Workload generation ----
 
 // Scenario is a synthetic evaluation corpus with ground truth.
 type Scenario = workload.Scenario
@@ -353,55 +232,27 @@ type Scenario = workload.Scenario
 // ScenarioParams sizes a scenario.
 type ScenarioParams = workload.Params
 
-// GenerateScenario, DefaultScenarioParams and the case-study generators
-// build reproducible corpora.
+// GenerateScenario builds a reproducible corpus.
+func GenerateScenario(p ScenarioParams) (*Scenario, error) { return workload.Generate(p) }
+
+// DefaultScenarioParams mirrors the paper's evaluation shape at reduced
+// scale.
+func DefaultScenarioParams() ScenarioParams { return workload.DefaultParams() }
+
+// GenerateRedisCase and GenerateAdClicksCase build the Fig. 6 and
+// Fig. 7 case studies.
 var (
-	GenerateScenario      = workload.Generate
-	DefaultScenarioParams = workload.DefaultParams
-	GenerateRedisCase     = workload.GenerateRedis
-	GenerateAdClicksCase  = workload.GenerateAdClicks
+	GenerateRedisCase    = workload.GenerateRedis
+	GenerateAdClicksCase = workload.GenerateAdClicks
 )
 
 // KPIType is the seasonal/stationary/variable KPI character.
 type KPIType = stats.KPIType
 
-// KPIType values.
-const (
-	Seasonal   = stats.Seasonal
-	Stationary = stats.Stationary
-	Variable   = stats.Variable
-)
-
 // ClassifyKPI labels a series by its character.
 func ClassifyKPI(xs []float64) KPIType {
 	return stats.ClassifyKPI(xs, stats.DefaultClassifierConfig())
 }
-
-// EvalMethod, EvalResult and RunEvaluation drive the paper-style
-// evaluation (Table 1, Fig. 5).
-type (
-	// EvalMethod is an assessment method under evaluation.
-	EvalMethod = eval.Method
-	// EvalResult aggregates per-type confusion matrices and delays.
-	EvalResult = eval.Result
-	// Confusion is a weighted confusion matrix with the paper's
-	// Precision/Recall/TNR/Accuracy accessors.
-	Confusion = eval.Confusion
-)
-
-// RunEvaluation evaluates methods on a scenario.
-var RunEvaluation = eval.Run
-
-// Trace is the portable JSON corpus format; ExportTrace/LoadTrace and
-// Trace.Build move corpora across the process boundary.
-type Trace = workload.Trace
-
-// Trace helpers.
-var (
-	ExportTrace = workload.ExportTrace
-	LoadTrace   = workload.LoadTrace
-	WriteTrace  = workload.WriteTrace
-)
 
 // ---- Telemetry ----
 
@@ -417,12 +268,5 @@ type Collector = obs.Collector
 var NewCollector = obs.NewCollector
 
 // PipelineTrace is the per-assessment pipeline trace attached to
-// Report.Trace when the assessor runs with a collector. (The Trace name
-// is taken by the workload corpus format above.)
+// Report.Trace when the assessor runs with a collector.
 type PipelineTrace = obs.Trace
-
-// KPITrace is one KPI's stage-by-stage record inside a PipelineTrace.
-type KPITrace = obs.KPITrace
-
-// StageHistogram is a lock-free bounded-bucket latency histogram.
-type StageHistogram = obs.Histogram

@@ -255,92 +255,3 @@ func TestWoWDefaults(t *testing.T) {
 	}
 	var _ sst.Scorer = w
 }
-
-func TestPCAFlagsCrossKPIAnomaly(t *testing.T) {
-	rng := rand.New(rand.NewSource(80))
-	p := NewPCA()
-	const k, n = 6, 200
-	// Correlated KPIs: one latent load factor drives them all.
-	series := make([][]float64, k)
-	for r := range series {
-		series[r] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		load := math.Sin(2*math.Pi*float64(i)/48) + 0.1*rng.NormFloat64()
-		for r := 0; r < k; r++ {
-			series[r][i] = 50 + 10*float64(r+1)*load + 0.5*rng.NormFloat64()
-		}
-	}
-	// Baseline score at a normal bin.
-	base, err := p.ScoreMatrix(series, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Break the correlation at bin 151: one KPI deviates alone.
-	series[2][151] += 40
-	broken, err := p.ScoreMatrix(series, 151)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if broken < 5*base+5 {
-		t.Fatalf("PCA anomaly score %v vs base %v", broken, base)
-	}
-}
-
-func TestPCAToleratesCommonShift(t *testing.T) {
-	// A shift in the latent factor moves every KPI coherently and stays
-	// mostly inside the principal subspace — PCA's blind spot for
-	// common-mode changes, which is why it cannot replace DiD.
-	rng := rand.New(rand.NewSource(81))
-	p := NewPCA()
-	const k, n = 5, 200
-	series := make([][]float64, k)
-	for r := range series {
-		series[r] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		load := math.Sin(2*math.Pi*float64(i)/48) + 0.1*rng.NormFloat64()
-		for r := 0; r < k; r++ {
-			series[r][i] = 50 + 10*float64(r+1)*load + 0.5*rng.NormFloat64()
-		}
-	}
-	coherent := make([][]float64, k)
-	for r := range series {
-		coherent[r] = append([]float64{}, series[r]...)
-		for i := 150; i < n; i++ {
-			coherent[r][i] += 10 * float64(r+1) // along the latent direction
-		}
-	}
-	vCoherent, err := p.ScoreMatrix(coherent, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The same energy concentrated on a single KPI scores far higher.
-	single := make([][]float64, k)
-	for r := range series {
-		single[r] = append([]float64{}, series[r]...)
-	}
-	for i := 150; i < n; i++ {
-		single[2][i] += 60
-	}
-	vSingle, err := p.ScoreMatrix(single, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vSingle < 2*vCoherent {
-		t.Fatalf("single-KPI break %v not above coherent shift %v", vSingle, vCoherent)
-	}
-}
-
-func TestPCAErrors(t *testing.T) {
-	p := NewPCA()
-	if _, err := p.ScoreMatrix(nil, 10); err == nil {
-		t.Fatal("empty matrix should error")
-	}
-	if _, err := p.ScoreMatrix([][]float64{make([]float64, 100), make([]float64, 90)}, 70); err == nil {
-		t.Fatal("ragged rows should error")
-	}
-	if _, err := p.ScoreMatrix([][]float64{make([]float64, 100)}, 10); err == nil {
-		t.Fatal("index inside training window should error")
-	}
-}

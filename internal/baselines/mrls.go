@@ -170,9 +170,9 @@ func (m *MRLS) scoreScale(ws *mrlsWorkspace, window []float64) float64 {
 	if delta < m.Rank+2 {
 		return 0
 	}
-	// Robust normalization of the window, inlining stats.NormalizeRobust
-	// onto the pooled buffers (same median/MAD arithmetic, same
-	// MAD → stddev → 1 scale-fallback chain).
+	// Robust normalization of the window on the pooled buffers: shift by
+	// the median and scale by MADScale·MAD, falling back to the standard
+	// deviation, then to 1.
 	ws.scratch = growf(ws.scratch, len(window))
 	med0, mad := stats.MedianMADInto(window, ws.scratch)
 	scale := mad * stats.MADScale

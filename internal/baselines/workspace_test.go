@@ -71,7 +71,7 @@ func refMRLSScale(m *MRLS, window []float64) float64 {
 	if delta < m.Rank+2 {
 		return 0
 	}
-	norm := stats.NormalizeRobust(window)
+	norm := normalizeRobust(window)
 	traj := linalg.Hankel(norm, len(norm), omega, delta)
 	hist := linalg.NewMatrix(omega, delta-1)
 	for r := 0; r < omega; r++ {
@@ -134,7 +134,7 @@ func refRobustSubspace(m *MRLS, traj *linalg.Matrix) *linalg.Matrix {
 				weighted.Data[r*delta+c] = traj.Data[r*delta+c] * wc
 			}
 		}
-		svd := linalg.SVD(weighted)
+		svd := linalg.SVDWS(&linalg.SVDWorkspace{}, weighted)
 		if svd.S[0] == 0 {
 			return nil
 		}
@@ -178,7 +178,7 @@ func refRobustSubspace(m *MRLS, traj *linalg.Matrix) *linalg.Matrix {
 }
 
 // The pooled-workspace rewrite must not move MRLS scores: every kernel
-// substitution (MedianMADInto for NormalizeRobust's MedianMAD, HankelInto
+// substitution (MedianMADInto for normalizeRobust's MedianMAD, HankelInto
 // for Hankel, SVDWS for SVD, strided column dots for Col extraction)
 // preserves accumulation order, so equality is exact.
 func TestMRLSMatchesReference(t *testing.T) {
@@ -280,4 +280,26 @@ func TestMRLSConcurrentMatchesSequential(t *testing.T) {
 	if i, ok := <-errs; ok {
 		t.Fatalf("concurrent mrls score[%d] diverged from sequential", lo+i)
 	}
+}
+
+// normalizeRobust returns a copy of xs shifted by its median and scaled
+// by MADScale·MAD, falling back to the standard deviation, then to 1,
+// when degenerate: the normalization the MRLS reference applies.
+func normalizeRobust(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	if len(xs) == 0 {
+		return out
+	}
+	med, mad := stats.MedianMAD(xs)
+	scale := mad * stats.MADScale
+	if scale == 0 {
+		scale = stats.Stddev(xs)
+	}
+	if scale == 0 {
+		scale = 1
+	}
+	for i, x := range xs {
+		out[i] = (x - med) / scale
+	}
+	return out
 }

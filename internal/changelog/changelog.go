@@ -120,17 +120,6 @@ func (l *Log) InRange(from, to time.Time) []Change {
 	return out
 }
 
-// ByService returns the changes of one service, in time order.
-func (l *Log) ByService(service string) []Change {
-	var out []Change
-	for _, c := range l.changes {
-		if c.Service == service {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // ConcurrentWith returns changes of other services whose deployment
 // time falls within window of c.At. The operations team avoids
 // concurrent changes within a service; across services they can occur

@@ -81,17 +81,6 @@ func TestInRange(t *testing.T) {
 	}
 }
 
-func TestByService(t *testing.T) {
-	l := NewLog()
-	must(t, l.Append(mk("1", "a", base)))
-	must(t, l.Append(mk("2", "b", base.Add(time.Minute))))
-	must(t, l.Append(mk("3", "a", base.Add(2*time.Minute))))
-	got := l.ByService("a")
-	if len(got) != 2 || got[0].ID != "1" || got[1].ID != "3" {
-		t.Fatalf("ByService = %+v", got)
-	}
-}
-
 func TestConcurrentWith(t *testing.T) {
 	l := NewLog()
 	c := mk("self", "a", base)

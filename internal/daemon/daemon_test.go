@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -519,11 +521,17 @@ func TestDaemonRestartFromSnapshot(t *testing.T) {
 	}
 	d1.Close()
 
-	// Restart on the restored store.
-	restored, err := monitor.ReadSnapshot(&snap)
+	// Restart on a store opened from a data directory holding only that
+	// snapshot.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.fnls"), snap.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := monitor.OpenPersistent(dir, start, time.Minute, monitor.PersistOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer restored.Close()
 	d2, err := Start(Config{Store: restored, Pipeline: pipeline, IngestAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)

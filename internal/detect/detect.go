@@ -51,19 +51,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Direction returns +1 for upward kinds, −1 for downward kinds and 0
-// for Unknown.
-func (k Kind) Direction() int {
-	switch k {
-	case LevelShiftUp, RampUp:
-		return 1
-	case LevelShiftDown, RampDown:
-		return -1
-	default:
-		return 0
-	}
-}
-
 // Detection is one declared KPI change.
 type Detection struct {
 	// Start is the bin index where the persistent score run began —

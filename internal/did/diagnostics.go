@@ -29,19 +29,13 @@ type TrendCheck struct {
 // disjoint pre-change windows.
 var ErrShortPrePeriod = errors.New("did: pre-change history too short for a placebo test")
 
-// ParallelTrends runs the placebo test for aligned treated/control
-// series around change bin t with period length w: period 0 is
-// [t−2w, t−w) and period 1 is [t−w, t), both strictly before the
-// change. alphaThreshold is the same |α| bound the caller uses for the
-// real decision; samples are normalized with NormalizeGroups first so
-// the bound is comparable.
-func ParallelTrends(treated, control *timeseries.Series, t, w int, alphaThreshold float64) (TrendCheck, error) {
-	return ParallelTrendsAt(treated, control, t, t, w, alphaThreshold)
-}
-
-// ParallelTrendsAt is ParallelTrends for series whose bin 0 falls at
-// different times: t indexes the change in treated's timeline, ct in
-// control's. With equal indices it is exactly ParallelTrends.
+// ParallelTrendsAt runs the placebo test for treated/control series
+// around the change, which falls at bin t of treated's timeline and at
+// bin ct of control's, with period length w: period 0 is [t−2w, t−w)
+// and period 1 is [t−w, t), both strictly before the change.
+// alphaThreshold is the same |α| bound the caller uses for the real
+// decision; samples are normalized with NormalizeGroups first so the
+// bound is comparable.
 func ParallelTrendsAt(treated, control *timeseries.Series, t, ct, w int, alphaThreshold float64) (TrendCheck, error) {
 	if t-2*w < 0 || t > treated.Len() || ct-2*w < 0 || ct > control.Len() {
 		return TrendCheck{}, ErrShortPrePeriod

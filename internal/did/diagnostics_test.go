@@ -22,7 +22,7 @@ func TestParallelTrendsHoldsForParallelGroups(t *testing.T) {
 	// Both groups share a common upward drift: the DiD cancels it.
 	treated := mkSeries(300, func(i int) float64 { return 10 + 0.02*float64(i) + 0.2*rng.NormFloat64() })
 	control := mkSeries(300, func(i int) float64 { return 50 + 0.02*float64(i) + 0.2*rng.NormFloat64() })
-	chk, err := ParallelTrends(treated, control, 250, 60, 0.5)
+	chk, err := ParallelTrendsAt(treated, control, 250, 250, 60, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestParallelTrendsDetectsDivergence(t *testing.T) {
 	// The treated group drifts relative to control before the change.
 	treated := mkSeries(300, func(i int) float64 { return 10 + 0.1*float64(i) + 0.2*rng.NormFloat64() })
 	control := mkSeries(300, func(i int) float64 { return 50 + 0.2*rng.NormFloat64() })
-	chk, err := ParallelTrends(treated, control, 250, 60, 0.5)
+	chk, err := ParallelTrendsAt(treated, control, 250, 250, 60, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestParallelTrendsDetectsDivergence(t *testing.T) {
 
 func TestParallelTrendsShortHistory(t *testing.T) {
 	s := mkSeries(100, func(i int) float64 { return 1 })
-	if _, err := ParallelTrends(s, s, 50, 60, 0.5); err != ErrShortPrePeriod {
+	if _, err := ParallelTrendsAt(s, s, 50, 50, 60, 0.5); err != ErrShortPrePeriod {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -106,19 +106,6 @@ func cleanMoments(xs []float64) (mean, variance float64, n int) {
 	return stats.Mean(clean), stats.Variance(clean), len(clean)
 }
 
-// EstimateSeries runs the estimator on aligned treated/control series
-// around the change bin t with pre/post periods of length w each: the
-// pre period covers bins [t−w, t) and the post period [t, t+w)
-// (§3.2.4's t = 0 and t = 1 periods of length ω).
-func EstimateSeries(treated, control *timeseries.Series, t, w int) (Result, error) {
-	if t-w < 0 || t+w > treated.Len() || t+w > control.Len() {
-		return Result{}, errors.New("did: pre/post periods out of range")
-	}
-	tPre, tPost := treated.Around(t, w)
-	cPre, cPost := control.Around(t, w)
-	return Estimate(tPre, tPost, cPre, cPost)
-}
-
 // HistoricalControl assembles the §3.2.5 control group for a KPI with
 // no concurrent control: for each of up to maxDays whole days before
 // the change bin t, it extracts the same-time-of-day pre/post windows
@@ -174,23 +161,6 @@ func EstimateSeasonal(s *timeseries.Series, t, w, maxDays int) (Result, error) {
 	}
 	tPre, tPost := s.Around(t, w)
 	return Estimate(tPre, tPost, cPre, cPost)
-}
-
-// EstimateSeasonalAuto prefers the weekday-matched weekly control when
-// at least one whole week of history exists (cancelling both the
-// time-of-day and the day-of-week effects of §3.2.5) and falls back to
-// the day-based control otherwise.
-func EstimateSeasonalAuto(s *timeseries.Series, t, w, maxDays int) (Result, error) {
-	if t-w < 0 || t+w > s.Len() {
-		return Result{}, errors.New("did: pre/post periods out of range")
-	}
-	if maxDays >= 7 {
-		if cPre, cPost, ok := HistoricalControlWeekly(s, t, w, maxDays/7); ok {
-			tPre, tPost := s.Around(t, w)
-			return Estimate(tPre, tPost, cPre, cPost)
-		}
-	}
-	return EstimateSeasonal(s, t, w, maxDays)
 }
 
 // NormalizeGroups robustly normalizes the four group samples so that α

@@ -125,31 +125,6 @@ func TestTStatDegenerate(t *testing.T) {
 	}
 }
 
-func TestEstimateSeries(t *testing.T) {
-	n := 60
-	tv := make([]float64, n)
-	cv := make([]float64, n)
-	for i := range tv {
-		cv[i] = 5
-		tv[i] = 5
-		if i >= 30 {
-			tv[i] = 9
-		}
-	}
-	treated := timeseries.New(t0, time.Minute, tv)
-	control := timeseries.New(t0, time.Minute, cv)
-	r, err := EstimateSeries(treated, control, 30, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Alpha != 4 {
-		t.Fatalf("α = %v", r.Alpha)
-	}
-	if _, err := EstimateSeries(treated, control, 5, 10); err == nil {
-		t.Fatal("out-of-range periods should error")
-	}
-}
-
 func TestHistoricalControl(t *testing.T) {
 	// Three days of data, change in day 3.
 	n := 3*1440 + 200
@@ -278,28 +253,6 @@ func TestHistoricalControlWeekly(t *testing.T) {
 	}
 	if _, _, ok := HistoricalControlWeekly(s, 100, 30, 4); ok {
 		t.Fatal("no weekly history before day 0")
-	}
-}
-
-func TestEstimateSeasonalAutoFallsBackToDaily(t *testing.T) {
-	// Only 3 days of history: the weekly control is unavailable and
-	// the daily one must be used.
-	n := 3*1440 + 200
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 100 + 40*math.Sin(2*math.Pi*float64(i%1440)/1440)
-	}
-	s := timeseries.New(t0, time.Minute, v)
-	tIdx := 3*1440 + 100
-	res, err := EstimateSeasonalAuto(s, tIdx, 30, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Alpha) > 1 {
-		t.Fatalf("daily fallback α = %v", res.Alpha)
-	}
-	if _, err := EstimateSeasonalAuto(s, 10, 30, 3); err == nil {
-		t.Fatal("out-of-range should error")
 	}
 }
 

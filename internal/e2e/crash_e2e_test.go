@@ -101,8 +101,8 @@ func TestCrashRecoveryE2E(t *testing.T) {
 			for _, srv := range servers {
 				s, ok := storeA.Series(key(srv))
 				p := pubs[srv]
-				t.Logf("%s: ok=%v len=%d gaps=%v connected=%v err=%v reconnects=%d dropped=%d",
-					srv, ok, s.Len(), s.HasGaps(), p.Connected(), p.Err(), p.Reconnects(), p.Dropped())
+				t.Logf("%s: ok=%v len=%d gaps=%v err=%v reconnects=%d dropped=%d",
+					srv, ok, s.Len(), s.HasGaps(), p.Err(), p.Reconnects(), p.Dropped())
 			}
 			t.Logf("proxy stats: %+v", proxyA.Stats())
 			t.Fatal("settled prefix never fully landed before the crash")

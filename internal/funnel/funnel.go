@@ -129,9 +129,6 @@ type Config struct {
 	// parallelize across changes (AssessAll) may want 1 here to avoid
 	// oversubscription.
 	AssessWorkers int
-	// SkipDetection disables the SST stage and treats every KPI as
-	// changed, leaving the decision entirely to DiD.
-	SkipDetection bool
 	// SkipDiD disables cause determination: every detected change is
 	// attributed to the software change. This reproduces the "Improved
 	// SST" row of Table 1.
@@ -281,14 +278,13 @@ type Assessment struct {
 	Err error
 }
 
-// ControlKind says where the DiD control group came from.
+// ControlKind says where the DiD control group came from. The zero
+// value means DiD did not run (no detection, SkipDiD, or error).
 type ControlKind int
 
 const (
-	// ControlNone: DiD did not run (no detection, SkipDiD, or error).
-	ControlNone ControlKind = iota
 	// ControlConcurrent: cservers/cinstances under Dark Launching.
-	ControlConcurrent
+	ControlConcurrent ControlKind = iota + 1
 	// ControlHistorical: same time-of-day windows of prior days.
 	ControlHistorical
 )
@@ -640,12 +636,6 @@ func (a *Assessor) assessKPI(change changelog.Change, set *topo.ImpactSet, key t
 	// Step 2 of Fig. 3: KPI change detection over the assessment
 	// window around the change.
 	detection, found := a.detectAround(series, gaps, changeBin, key, off, kt)
-	if a.cfg.SkipDetection {
-		found = true
-		if detection.Start == 0 && detection.End == 0 {
-			detection = detect.Detection{Start: changeBin, DeclaredAt: changeBin, AvailableAt: changeBin, End: changeBin}
-		}
-	}
 	if !found {
 		return out, bin // step 3: no performance change
 	}
@@ -1039,6 +1029,3 @@ func DetectionDelay(a Assessment, trueStart int) (int, bool) {
 	}
 	return d, true
 }
-
-// ChangeTime converts a bin index back to wall-clock time for a series.
-func ChangeTime(s *timeseries.Series, bin int) time.Time { return s.TimeAt(bin) }

@@ -164,7 +164,7 @@ func TestVerdictAndControlKindStrings(t *testing.T) {
 		ChangedBySoftware.String() != "changed-by-software" || Verdict(9).String() != "unknown" {
 		t.Fatal("verdict strings")
 	}
-	if ControlNone.String() != "none" || ControlConcurrent.String() != "concurrent" ||
+	if ControlKind(0).String() != "none" || ControlConcurrent.String() != "concurrent" ||
 		ControlHistorical.String() != "historical" {
 		t.Fatal("control kind strings")
 	}
@@ -330,40 +330,6 @@ func TestVerifyParallelTrendsQuietOnCleanData(t *testing.T) {
 	}
 }
 
-func TestSkipDetectionLeavesDecisionToDiD(t *testing.T) {
-	sc := smallScenario(t, 2)
-	a := newAssessor(t, sc, func(c *Config) { c.SkipDetection = true })
-	cs := sc.Cases[0]
-	rep, err := a.Assess(cs.Change)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every KPI reaches the DiD stage: nothing may remain NoChange.
-	for _, asmt := range rep.Assessments {
-		if asmt.Verdict == NoChange && asmt.Err == nil {
-			t.Fatalf("SkipDetection left %v undecided", asmt.Key)
-		}
-	}
-	// DiD still separates: changed KPIs flagged, most unchanged ones
-	// excluded.
-	var tp, fpLike int
-	for _, asmt := range rep.Assessments {
-		truth := cs.Truth[asmt.Key]
-		if truth.Changed && asmt.Verdict == ChangedBySoftware {
-			tp++
-		}
-		if !truth.Changed && asmt.Verdict == ChangedBySoftware {
-			fpLike++
-		}
-	}
-	if tp == 0 {
-		t.Fatal("DiD alone flagged nothing")
-	}
-	if fpLike > tp {
-		t.Fatalf("DiD alone: %d spurious vs %d true attributions", fpLike, tp)
-	}
-}
-
 func TestAssessMissingSeriesReported(t *testing.T) {
 	sc := smallScenario(t, 2)
 	cs := sc.Cases[0]
@@ -443,16 +409,15 @@ func TestControlSimilarityRecorded(t *testing.T) {
 	}
 }
 
+// TestAssessorConfigAndChangeTime checks that Config reports the
+// defaults it filled in. Its ChangeTime half went with the deleted
+// ChangeTime; the name is kept.
 func TestAssessorConfigAndChangeTime(t *testing.T) {
 	sc := smallScenario(t, 2)
 	a := newAssessor(t, sc, nil)
 	cfg := a.Config()
 	if cfg.DetectorThreshold != DefaultDetectorThreshold || cfg.HistoryDays != 2 {
 		t.Fatalf("Config = %+v", cfg)
-	}
-	s, _ := sc.Source.Series(sc.Source.Keys()[0])
-	if got := ChangeTime(s, 10); !got.Equal(s.TimeAt(10)) {
-		t.Fatalf("ChangeTime = %v", got)
 	}
 }
 

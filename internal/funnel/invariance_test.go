@@ -125,7 +125,7 @@ func TestTelemetryInvariance(t *testing.T) {
 					t.Errorf("with a collector attached, %d of %d KPI assessments differ in some field, %d of them in the verdict or detection kind",
 						differ, kpis, verdicts)
 				}
-				if n := oncfg.Obs.StageCount(obs.StageSSTWindow); n < int64(kpis) {
+				if n := oncfg.Obs.Stage(obs.StageSSTWindow).Count(); n < int64(kpis) {
 					t.Errorf("sst_window count = %d over %d KPIs: the sweep went untimed", n, kpis)
 				}
 			})

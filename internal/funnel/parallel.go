@@ -2,7 +2,6 @@ package funnel
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/changelog"
@@ -52,34 +51,4 @@ func (a *Assessor) AssessAll(changes []changelog.Change, workers int) []AssessRe
 	close(jobs)
 	wg.Wait()
 	return results
-}
-
-// FlaggedAcross collects every software-caused assessment across a
-// batch of results, sorted by change ID then KPI key so each change's
-// flagged KPIs stay grouped together in stable reporting order.
-func FlaggedAcross(results []AssessResult) []Assessment {
-	type tagged struct {
-		changeID string
-		a        Assessment
-	}
-	var flagged []tagged
-	for _, r := range results {
-		if r.Err != nil || r.Report == nil {
-			continue
-		}
-		for _, a := range r.Report.Flagged() {
-			flagged = append(flagged, tagged{changeID: r.Change.ID, a: a})
-		}
-	}
-	sort.Slice(flagged, func(i, j int) bool {
-		if flagged[i].changeID != flagged[j].changeID {
-			return flagged[i].changeID < flagged[j].changeID
-		}
-		return flagged[i].a.Key.String() < flagged[j].a.Key.String()
-	})
-	out := make([]Assessment, len(flagged))
-	for i, f := range flagged {
-		out[i] = f.a
-	}
-	return out
 }

@@ -3,13 +3,11 @@ package funnel
 import (
 	"errors"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/changelog"
 	"repro/internal/obs"
-	"repro/internal/topo"
 )
 
 // TestAssessWorkersMatchSerial is the tentpole determinism guarantee:
@@ -177,74 +175,5 @@ func TestAssessAllPropagatesErrors(t *testing.T) {
 	}
 	if res[1].Err != nil {
 		t.Fatalf("good change errored: %v", res[1].Err)
-	}
-}
-
-func TestFlaggedAcross(t *testing.T) {
-	sc := smallScenario(t, 2)
-	a := newAssessor(t, sc, nil)
-	var changes []changelog.Change
-	for _, cs := range sc.Cases {
-		changes = append(changes, cs.Change)
-	}
-	res := a.AssessAll(changes, 2)
-	all := FlaggedAcross(res)
-	if len(all) == 0 {
-		t.Fatal("no flagged assessments across the batch")
-	}
-	// Expected order: results sorted by change ID, and within each
-	// change its flagged keys sorted.
-	byID := append([]AssessResult(nil), res...)
-	sort.Slice(byID, func(i, j int) bool { return byID[i].Change.ID < byID[j].Change.ID })
-	var want []string
-	for _, r := range byID {
-		keys := flaggedKeys(r.Report)
-		sort.Strings(keys)
-		want = append(want, keys...)
-	}
-	var got []string
-	for _, a := range all {
-		got = append(got, a.Key.String())
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("FlaggedAcross order:\n got %v\nwant %v", got, want)
-	}
-}
-
-// Assessments from different changes must stay grouped by change even
-// when their KPI keys interleave. The old implementation sorted by key
-// alone, shuffling one change's KPIs into another's.
-func TestFlaggedAcrossGroupsByChange(t *testing.T) {
-	key := func(e string) topo.KPIKey {
-		return topo.KPIKey{Scope: topo.ScopeServer, Entity: e, Metric: "m"}
-	}
-	mk := func(id string, entities ...string) AssessResult {
-		rep := &Report{Change: changelog.Change{ID: id}}
-		for _, e := range entities {
-			rep.Assessments = append(rep.Assessments,
-				Assessment{Key: key(e), Verdict: ChangedBySoftware})
-		}
-		// A non-flagged assessment that must be filtered out.
-		rep.Assessments = append(rep.Assessments,
-			Assessment{Key: key("quiet"), Verdict: NoChange})
-		return AssessResult{Change: rep.Change, Report: rep}
-	}
-	res := []AssessResult{
-		mk("chg-2", "srv-b", "srv-a"), // overlapping keys, listed out of order
-		{Change: changelog.Change{ID: "broken"}, Err: errors.New("boom")},
-		mk("chg-1", "srv-c", "srv-a"),
-		{Change: changelog.Change{ID: "no-report"}},
-	}
-	all := FlaggedAcross(res)
-	var got []string
-	for _, a := range all {
-		got = append(got, a.Key.Entity)
-	}
-	want := []string{
-		"srv-a", "srv-c", // chg-1, keys sorted within the change
-		"srv-a", "srv-b", // chg-2
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("order = %v, want %v", got, want)
 	}
 }

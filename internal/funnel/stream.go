@@ -84,8 +84,6 @@ type StreamConfig struct {
 	// staleness are re-checked at least this often even if the feed
 	// goes quiet (default 500ms).
 	PollInterval time.Duration
-	// FeedKeys bounds the feed's dirty set (0 = the store default).
-	FeedKeys int
 }
 
 func (c StreamConfig) withDefaults() StreamConfig {
@@ -170,6 +168,13 @@ func (ks *kpiStream) noteLow(bin int64) {
 // them. The assessor configuration cfg is exactly the batch one;
 // scfg tunes only the streaming machinery, never the verdicts.
 func NewStreamer(store *monitor.Store, tp *topo.Topology, cfg Config, scfg StreamConfig) (*Streamer, error) {
+	return newStreamer(store, tp, cfg, scfg, 0)
+}
+
+// newStreamer is NewStreamer over a feed whose dirty set holds at most
+// feedKeys keys (0 = the store default); tests lower it to overflow the
+// feed.
+func newStreamer(store *monitor.Store, tp *topo.Topology, cfg Config, scfg StreamConfig, feedKeys int) (*Streamer, error) {
 	assessor, err := NewAssessor(store, tp, cfg)
 	if err != nil {
 		return nil, err
@@ -188,7 +193,7 @@ func NewStreamer(store *monitor.Store, tp *topo.Topology, cfg Config, scfg Strea
 		quit:     make(chan struct{}),
 	}
 	assessor.scores = sr
-	sr.feed = store.NewBinFeed(sr.feedFilter, scfg.FeedKeys)
+	sr.feed = store.NewBinFeed(sr.feedFilter, feedKeys)
 	if sr.col != nil {
 		sr.col.SetGaugeFunc(obs.GaugeStreamQueue, sr.owedLen)
 		sr.col.SetGaugeFunc(obs.GaugeStreamTracked, sr.nTracked.Load)

@@ -46,7 +46,7 @@ const (
 	tailSpan      = 64 // chunk span: every window crosses sealed chunks
 )
 
-func newTailRun(t *testing.T, seed int64, scfg StreamConfig, assessWorkers int) *tailRun {
+func newTailRun(t *testing.T, seed int64, feedKeys, assessWorkers int) *tailRun {
 	t.Helper()
 	r := &tailRun{
 		t:         t,
@@ -78,8 +78,7 @@ func newTailRun(t *testing.T, seed int64, scfg StreamConfig, assessWorkers int) 
 	r.cfg = Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 1, AssessWorkers: assessWorkers, Obs: r.col}
 	// No poll ticks: every wake-up of the drain loop is a feed mark, so
 	// what a state read and when is a function of the program alone.
-	scfg.PollInterval = time.Hour
-	sr, err := NewStreamer(r.store, r.tp, r.cfg, scfg)
+	sr, err := newStreamer(r.store, r.tp, r.cfg, StreamConfig{PollInterval: time.Hour}, feedKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,10 +372,10 @@ func TestStreamerTailReadMatchesBatch(t *testing.T) {
 		dirty = 2    // some event the streamer must fall back for
 	)
 	type program struct {
-		name  string
-		scfg  StreamConfig
-		steps []tailStep
-		reads int // clean, dirty, or 0: whatever the seed made of it
+		name     string
+		feedKeys int
+		steps    []tailStep
+		reads    int // clean, dirty, or 0: whatever the seed made of it
 	}
 	programs := []program{
 		// The clean programs register once the window has opened: settle
@@ -390,7 +389,7 @@ func TestStreamerTailReadMatchesBatch(t *testing.T) {
 		{name: "overwrite-newest", reads: dirty, steps: []tailStep{{lead, registerA}, {lead, registerB}, {10, overwriteNewest}}},
 		{name: "gap-then-backfill", reads: dirty, steps: []tailStep{{lead, registerA}, {lead, registerB}, {5, openGap}, {15, fillGap}}},
 		{name: "prune-mid-window", reads: dirty, steps: []tailStep{{lead, registerA}, {lead, registerB}, {20, pruneOld}}},
-		{name: "overflow", reads: dirty, scfg: StreamConfig{FeedKeys: 1}, steps: []tailStep{{lead, registerA}, {lead, registerB}, {30, lateInside}}},
+		{name: "overflow", reads: dirty, feedKeys: 1, steps: []tailStep{{lead, registerA}, {lead, registerB}, {30, lateInside}}},
 	}
 	// Seeded random programs over the same events: registrations at
 	// random bins, then up to four events after the first change, all
@@ -424,7 +423,7 @@ func TestStreamerTailReadMatchesBatch(t *testing.T) {
 	for _, p := range programs {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", p.name, workers), func(t *testing.T) {
-				r := newTailRun(t, 91, p.scfg, workers)
+				r := newTailRun(t, 91, p.feedKeys, workers)
 				// History is in the store before anything streams.
 				for bin := 0; bin < r.changeMin+lead; bin++ {
 					for i := range r.servers {

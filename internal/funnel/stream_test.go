@@ -259,7 +259,7 @@ func TestStreamerMatchesBatchInstrumented(t *testing.T) {
 	// One weighted sample per advance: count is windows scored, at least
 	// every position of the one treated KPI's ±60-bin window once.
 	positions := int64(2*60 + 1)
-	if n := cfg.Obs.StageCount(obs.StageSSTWindow); n < positions {
+	if n := cfg.Obs.Stage(obs.StageSSTWindow).Count(); n < positions {
 		t.Fatalf("sst_window count = %d, want ≥ %d windows", n, positions)
 	}
 }
@@ -633,7 +633,7 @@ func TestStreamerCountsHeldClusterAtWindowEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareReports(t, rep, want)
-	n := cfg.Obs.StageCount(obs.StageSSTWindow)
+	n := cfg.Obs.Stage(obs.StageSSTWindow).Count()
 	if solved, bounded := cfg.Obs.Counter(obs.CtrWindowsSolved), cfg.Obs.Counter(obs.CtrWindowsBounded); solved+bounded != n {
 		t.Fatalf("%d solved + %d bounded windows, sst_window count %d", solved, bounded, n)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/changelog"
 	"repro/internal/monitor"
 	"repro/internal/obs"
+	"repro/internal/sst"
 	"repro/internal/timeseries"
 	"repro/internal/topo"
 	"repro/internal/workload"
@@ -55,6 +56,13 @@ func storeFromScenario(t *testing.T, sc *workload.Scenario, span int) *monitor.S
 	return st
 }
 
+// alwaysChanged scores every position far above any threshold, so every
+// KPI is detected and its verdict is left to DiD.
+type alwaysChanged struct{}
+
+func (alwaysChanged) ScoreAt([]float64, int) float64 { return math.MaxFloat64 }
+func (alwaysChanged) Config() sst.Config             { return sst.Config{} }
+
 // TestWindowedAssessMatchesFlat is the windowed-read equality gate: over
 // a config matrix and several chunk spans, assessing from the store's
 // windows must produce reports reflect.DeepEqual to the flatStore
@@ -84,14 +92,15 @@ func TestWindowedAssessMatchesFlat(t *testing.T) {
 	matrix := []struct {
 		name   string
 		mutate func(*Config)
+		stages Stages
 	}{
-		{"default", nil},
-		{"gapmask", func(c *Config) { c.GapPolicy = GapMask }},
-		{"workers4", func(c *Config) { c.AssessWorkers = 4 }},
-		{"skipdid", func(c *Config) { c.SkipDiD = true }},
-		{"skipdetection", func(c *Config) { c.SkipDetection = true }},
-		{"trends", func(c *Config) { c.VerifyParallelTrends = true; c.AssessWorkers = 4 }},
-		{"history1", func(c *Config) { c.HistoryDays = 1 }},
+		{"default", nil, Stages{}},
+		{"gapmask", func(c *Config) { c.GapPolicy = GapMask }, Stages{}},
+		{"workers4", func(c *Config) { c.AssessWorkers = 4 }, Stages{}},
+		{"skipdid", func(c *Config) { c.SkipDiD = true }, Stages{}},
+		{"skipdetection", nil, Stages{Scorer: alwaysChanged{}}},
+		{"trends", func(c *Config) { c.VerifyParallelTrends = true; c.AssessWorkers = 4 }, Stages{}},
+		{"history1", func(c *Config) { c.HistoryDays = 1 }, Stages{}},
 	}
 
 	for _, span := range []int{64, 512} {
@@ -106,11 +115,11 @@ func TestWindowedAssessMatchesFlat(t *testing.T) {
 				if m.mutate != nil {
 					m.mutate(&cfg)
 				}
-				win, err := NewAssessor(st, sc.Topo, cfg)
+				win, err := NewAssessorWith(st, sc.Topo, cfg, m.stages)
 				if err != nil {
 					t.Fatal(err)
 				}
-				flat, err := NewAssessor(flatStore{st}, sc.Topo, cfg)
+				flat, err := NewAssessorWith(flatStore{st}, sc.Topo, cfg, m.stages)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -399,26 +408,27 @@ func TestOnDemandHistoryMatchesFlat(t *testing.T) {
 	matrix := []struct {
 		name   string
 		mutate func(*Config)
+		stages Stages
 	}{
-		{"daily3", func(c *Config) { c.HistoryDays = 3 }},
-		{"weekly7", func(c *Config) { c.HistoryDays = 7 }},
-		{"trends3", func(c *Config) { c.HistoryDays = 3; c.VerifyParallelTrends = true; c.AssessWorkers = 4 }},
-		{"trends7", func(c *Config) { c.HistoryDays = 7; c.VerifyParallelTrends = true }},
+		{"daily3", func(c *Config) { c.HistoryDays = 3 }, Stages{}},
+		{"weekly7", func(c *Config) { c.HistoryDays = 7 }, Stages{}},
+		{"trends3", func(c *Config) { c.HistoryDays = 3; c.VerifyParallelTrends = true; c.AssessWorkers = 4 }, Stages{}},
+		{"trends7", func(c *Config) { c.HistoryDays = 7; c.VerifyParallelTrends = true }, Stages{}},
 		// Every KPI reaches determine, so every full-launch and
 		// affected-service KPI reads its history.
-		{"all-determined", func(c *Config) { c.HistoryDays = 7; c.SkipDetection = true; c.VerifyParallelTrends = true }},
+		{"all-determined", func(c *Config) { c.HistoryDays = 7; c.VerifyParallelTrends = true }, Stages{Scorer: alwaysChanged{}}},
 	}
 	for _, m := range matrix {
 		t.Run(m.name, func(t *testing.T) {
 			cfg := base
 			m.mutate(&cfg)
 			cfg.Obs = obs.NewCollector()
-			win, err := NewAssessor(st, sc.Topo, cfg)
+			win, err := NewAssessorWith(st, sc.Topo, cfg, m.stages)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.Obs = nil
-			flat, err := NewAssessor(flatStore{st}, sc.Topo, cfg)
+			flat, err := NewAssessorWith(flatStore{st}, sc.Topo, cfg, m.stages)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -472,7 +482,7 @@ func TestOnDemandHistoryMatchesFlat(t *testing.T) {
 		cfg.HistoryDays = 7
 		cfg.Obs = obs.NewCollector()
 		wcfg := cfg.withDefaults()
-		nearWidth := 2*wcfg.DiDWindow + 2*wcfg.WindowBins + wcfg.SST.WindowSize() + 2*fetchSlack
+		nearWidth := 2*wcfg.DiDWindow + 2*wcfg.WindowBins + wcfg.SST.PastSpan() + wcfg.SST.FutureSpan() + 2*fetchSlack
 		checked := 0
 		for i, cs := range sc.Cases {
 			if i%3 != 2 {

@@ -3,16 +3,12 @@ package linalg
 import "fmt"
 
 // SymOp is an implicit symmetric linear operator: Apply writes A·v into
-// dst. dst and v never alias. It is the interface form of MatVec; using
-// an interface on the hot path lets a reusable struct operator be passed
-// to LanczosWS without allocating a closure per call.
+// dst. dst and v never alias. Using an interface on the hot path lets a
+// reusable struct operator be passed to LanczosWS without allocating a
+// closure per call.
 type SymOp interface {
 	Apply(dst, v []float64)
 }
-
-// Apply lets a MatVec function value be used wherever a SymOp is
-// expected. Converting a func value to an interface does not allocate.
-func (f MatVec) Apply(dst, v []float64) { f(dst, v) }
 
 // HankelGram is a reusable implicit Gram operator C = H·Hᵀ for the
 // Hankel trajectory matrix H of a series slice (the matrix Hankel would
@@ -51,9 +47,6 @@ func (h *HankelGram) Reset(x []float64, end, omega, delta int) {
 	}
 	h.tmp = h.tmp[:delta]
 }
-
-// Dims returns the operator's dimension ω (C is ω×ω).
-func (h *HankelGram) Dims() int { return h.omega }
 
 // Apply writes H·Hᵀ·v into dst (both length ω) without forming H:
 // (Hᵀv)[c] and (H·t)[r] are sliding dot products against the series.

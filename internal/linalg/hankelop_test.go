@@ -32,8 +32,8 @@ func TestHankelGramMatchesDenseGram(t *testing.T) {
 		dense := GramOp(Hankel(x, c.end, c.omega, c.delta))
 		var h HankelGram
 		h.Reset(x, c.end, c.omega, c.delta)
-		if h.Dims() != c.omega {
-			t.Fatalf("Dims = %d, want %d", h.Dims(), c.omega)
+		if h.omega != c.omega {
+			t.Fatalf("omega = %d, want %d", h.omega, c.omega)
 		}
 		v := randSeries(c.omega, int64(c.end))
 		v[0] = 0 // exercise the zero-skip path

@@ -5,10 +5,6 @@ import (
 	"math"
 )
 
-// MatVec is an implicit symmetric linear operator: it writes A·v into
-// dst. dst and v never alias.
-type MatVec func(dst, v []float64)
-
 // LanczosResult holds the k-step Lanczos tridiagonalization of a
 // symmetric operator C with respect to a start vector: Qᵀ·C·Q = T where
 // T is tridiagonal with diagonal Alpha and subdiagonal Beta, and the

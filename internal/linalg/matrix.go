@@ -73,31 +73,8 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// Mul returns m·b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: mul dimension mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Data[i*m.Cols : (i+1)*m.Cols]
-		oi := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, mik := range mi {
-			if mik == 0 {
-				continue
-			}
-			bk := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bkj := range bk {
-				oi[j] += mik * bkj
-			}
-		}
-	}
-	return out
-}
-
-// MulInto writes a·b into dst (reshaped to a.Rows×b.Cols), with the
-// same accumulation order and zero-skip term set as Mul, so results are
-// bit-identical to the allocating path. dst must not alias a or b.
+// MulInto writes a·b into dst (reshaped to a.Rows×b.Cols), summing over
+// k in order and skipping zero a[i][k] terms. dst must not alias a or b.
 func MulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("linalg: mul dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -123,8 +100,8 @@ func MulInto(dst, a, b *Matrix) {
 
 // GramSelfInto writes a·aᵀ into dst (reshaped to a.Rows×a.Rows) without
 // materializing the transpose. The accumulation mirrors
-// a.Mul(a.T()) term for term — same k order, same zero skips — so the
-// result is bit-identical to the allocating path.
+// MulInto(dst, a, a.T()) term for term — same k order, same zero skips —
+// so the result is bit-identical to it.
 func GramSelfInto(dst, a *Matrix) {
 	n := a.Rows
 	dst.Reshape(n, n)
@@ -142,16 +119,6 @@ func GramSelfInto(dst, a *Matrix) {
 			dst.Data[i*n+j] = s
 		}
 	}
-}
-
-// MulVec returns m·v as a new slice of length m.Rows.
-func (m *Matrix) MulVec(v []float64) []float64 {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("linalg: mulvec dimension mismatch %dx%d · %d", m.Rows, m.Cols, len(v)))
-	}
-	out := make([]float64, m.Rows)
-	m.MulVecTo(out, v)
-	return out
 }
 
 // MulVecTo writes m·v into dst, which must have length m.Rows.
@@ -199,19 +166,6 @@ func (m *Matrix) SetCol(j int, v []float64) {
 	for i := 0; i < m.Rows; i++ {
 		m.Data[i*m.Cols+j] = v[i]
 	}
-}
-
-// Equalish reports whether m and b agree elementwise within tol.
-func (m *Matrix) Equalish(b *Matrix, tol float64) bool {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if math.Abs(v-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // Identity returns the n×n identity matrix.

@@ -109,9 +109,6 @@ func (g *SlidingHankelGram) Recenter(c float64) {
 	g.rebuild()
 }
 
-// Dims returns the operator dimension ω.
-func (g *SlidingHankelGram) Dims() int { return g.omega }
-
 // rebuild recomputes the centered lag products and row sums from the
 // series, with the window start at slot 0. Subtracting a zero center is
 // exact, so the uncentered results are bit-identical to a direct

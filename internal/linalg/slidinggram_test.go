@@ -44,8 +44,8 @@ func TestSlidingGramInitMatchesDirect(t *testing.T) {
 	var dst Matrix
 	for _, c := range cases {
 		g.Init(x, c.end, c.omega, c.delta)
-		if g.End() != c.end || g.Dims() != c.omega {
-			t.Fatalf("case %+v: End=%d Dims=%d", c, g.End(), g.Dims())
+		if g.End() != c.end || g.omega != c.omega {
+			t.Fatalf("case %+v: End=%d omega=%d", c, g.End(), g.omega)
 		}
 		wantG, wantR := refGramRows(x, c.end, c.omega, c.delta)
 		g.GramInto(&dst, 0, 1)

@@ -33,21 +33,14 @@ type SVDWorkspace struct {
 	idx             []int
 }
 
-// SVD computes a thin singular value decomposition of a using one-sided
-// Jacobi rotations. Jacobi SVD is slower than Golub–Kahan for large
-// matrices but simple, unconditionally convergent and highly accurate —
-// exactly the trade-off the paper attributes to full SVD when motivating
-// the IKA fast path.
-func SVD(a *Matrix) SVDResult {
-	var ws SVDWorkspace
-	return SVDWS(&ws, a)
-}
-
-// SVDWS is SVD with every buffer drawn from ws, performing no allocation
-// once the workspace has warmed up. It runs the same rotation sequence
-// as SVD, so results are bit-identical to the allocating path. The
-// returned matrices and slice alias ws-owned memory; they are
-// invalidated by the next call with the same workspace.
+// SVDWS computes a thin singular value decomposition of a using
+// one-sided Jacobi rotations. Jacobi SVD is slower than Golub–Kahan for
+// large matrices but simple, unconditionally convergent and highly
+// accurate — exactly the trade-off the paper attributes to full SVD when
+// motivating the IKA fast path. Every buffer is drawn from ws, so a warm
+// workspace performs no allocation. The returned matrices and slice
+// alias ws-owned memory; they are invalidated by the next call with the
+// same workspace.
 func SVDWS(ws *SVDWorkspace, a *Matrix) SVDResult {
 	m, n := a.Rows, a.Cols
 	if m >= n {
@@ -209,20 +202,10 @@ func svdTall(ws *SVDWorkspace) SVDResult {
 	return SVDResult{U: us, S: ss, V: vs}
 }
 
-// TopLeftSingularVectors returns the first k left singular vectors of a
-// as the columns of an a.Rows×k matrix. It panics if k exceeds
-// min(a.Rows, a.Cols).
-func TopLeftSingularVectors(a *Matrix, k int) *Matrix {
-	var ws SVDWorkspace
-	out := &Matrix{}
-	TopLeftSingularVectorsWS(&ws, out, a, k)
-	return out
-}
-
-// TopLeftSingularVectorsWS is TopLeftSingularVectors with the
-// decomposition drawn from ws and the result written into dst (reshaped
-// to a.Rows×k), performing no allocation once both are warm. Values are
-// bit-identical to the allocating path.
+// TopLeftSingularVectorsWS writes the first k left singular vectors of
+// a into dst (reshaped to a.Rows×k) as its columns, with the
+// decomposition drawn from ws, performing no allocation once both are
+// warm. It panics if k exceeds min(a.Rows, a.Cols).
 func TopLeftSingularVectorsWS(ws *SVDWorkspace, dst, a *Matrix, k int) {
 	r := SVDWS(ws, a)
 	if k > len(r.S) {

@@ -58,6 +58,3 @@ func (a *Agent) Run(n int) {
 		a.Tick()
 	}
 }
-
-// Bin returns the next bin the agent will emit.
-func (a *Agent) Bin() int { return a.bin }

@@ -110,7 +110,7 @@ func TestCompactionHoldsShardsOnlyForTheCut(t *testing.T) {
 	if err := <-compacted; err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	if n := col.StageCount(obs.StageCompactLock); n != 1 {
+	if n := col.Stage(obs.StageCompactLock).Count(); n != 1 {
 		t.Fatalf("%d compact_lock observations, want 1", n)
 	}
 	want := snapshotBytes(t, st)

@@ -314,7 +314,7 @@ func TestSnapshotCorruptionQuarantines(t *testing.T) {
 	if nan != opts.ChunkSpan {
 		t.Fatalf("%d NaN bins, want exactly one chunk span (%d)", nan, opts.ChunkSpan)
 	}
-	if re.DegradedReads() == 0 {
+	if re.degradedReads.Load() == 0 {
 		t.Fatal("degraded read not counted")
 	}
 

@@ -3,7 +3,6 @@ package monitor
 import (
 	"encoding/binary"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/topo"
@@ -34,11 +33,11 @@ import (
 // holds, drained low-waters included, and re-reads in full.
 //
 // Admission control: the dirty set is bounded by maxKeys. When the
-// fleet outruns the consumer and the set is full, new keys are shed —
-// counted, and the overflow flag is raised so the next Drain tells the
-// consumer to treat *all* its tracked keys as dirty (a full resync)
-// instead of trusting the truncated set. Nothing is lost; the store
-// remains the source of truth.
+// fleet outruns the consumer and the set is full, new keys are shed
+// and the overflow flag is raised so the next Drain tells the consumer
+// to treat *all* its tracked keys as dirty (a full resync) instead of
+// trusting the truncated set. Nothing is lost; the store remains the
+// source of truth.
 //
 // Epoch: Prune rebases the store's bin origin, which shifts every
 // absolute bin index a consumer may have cached. Each rebase bumps the
@@ -54,8 +53,6 @@ type BinFeed struct {
 	overflow bool
 	epoch    uint64
 	closed   bool
-
-	shed atomic.Int64
 
 	notify chan struct{}
 }
@@ -158,10 +155,6 @@ func (f *BinFeed) drain(keys []topo.KPIKey, lows []int, withLows bool) ([]topo.K
 	return keys, lows, epoch, overflow
 }
 
-// Shed returns how many dirty-key marks were dropped because the set
-// was at capacity (each one also raised the overflow flag).
-func (f *BinFeed) Shed() int64 { return f.shed.Load() }
-
 // Close unregisters the feed from the store. The wakeup channel is not
 // closed (a concurrent mark may be sending); consumers exit via their
 // own quit signal.
@@ -206,7 +199,6 @@ func (f *BinFeed) mark(key topo.KPIKey, idx int) {
 		if len(f.dirty) >= f.maxKeys {
 			f.overflow = true
 			f.mu.Unlock()
-			f.shed.Add(1)
 			f.wake()
 			return
 		}

@@ -364,8 +364,8 @@ func TestAgentEmitsPerTick(t *testing.T) {
 		t.Fatalf("first tick bin = %d", b)
 	}
 	a.Run(4)
-	if a.Bin() != 5 {
-		t.Fatalf("Bin = %d", a.Bin())
+	if a.bin != 5 {
+		t.Fatalf("bin = %d", a.bin)
 	}
 	ser, _ := store.Series(kCPU)
 	if ser.Len() != 5 || ser.Values[3] != 6 {

@@ -347,10 +347,6 @@ func (p *RobustPublisher) probe() {
 	}
 }
 
-// Connected reports whether the publisher currently holds a live
-// connection.
-func (p *RobustPublisher) Connected() bool { return p.pub != nil }
-
 // Reconnects returns how many times the publisher redialed
 // successfully.
 func (p *RobustPublisher) Reconnects() int64 { return p.reconnects.Load() }

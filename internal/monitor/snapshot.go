@@ -287,21 +287,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadSnapshot reconstructs a Store from a snapshot stream. Chunks
-// whose checksum fails are quarantined as NaN tombstones (visible via
-// Stats and the quarantined_chunks gauge), not fatal.
-func ReadSnapshot(r io.Reader) (*Store, error) {
-	var quarantined int
-	store, err := readSnapshotShards(r, StoreShards, &quarantined)
-	if store != nil && quarantined > 0 {
-		store.quarantined.Add(int64(quarantined))
-	}
-	return store, err
-}
-
-// readSnapshotShards is ReadSnapshot into a store with the given shard
-// count (recovery reuses it so the reopened store matches the
-// configured striping); the chunk span is the snapshot's own.
+// readSnapshotShards reconstructs a Store with the given shard count
+// from a snapshot stream (recovery passes the configured striping); the
+// chunk span is the snapshot's own. Chunks whose checksum fails are
+// quarantined as NaN tombstones, not fatal.
 // quarantined (may be nil) accumulates the count of checksum-failed
 // chunks replaced by tombstones.
 func readSnapshotShards(r io.Reader, shards int, quarantined *int) (*Store, error) {

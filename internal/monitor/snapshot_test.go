@@ -3,6 +3,7 @@ package monitor
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -124,4 +125,15 @@ func TestReadSnapshotStringAllocs(t *testing.T) {
 	if allocs != 3 { // the empty string allocates nothing
 		t.Fatalf("%v allocations for 4 strings, want 3", allocs)
 	}
+}
+
+// ReadSnapshot reconstructs a default-striped Store from a snapshot
+// stream, counting its quarantined chunks the way recovery does.
+func ReadSnapshot(r io.Reader) (*Store, error) {
+	var quarantined int
+	store, err := readSnapshotShards(r, StoreShards, &quarantined)
+	if store != nil && quarantined > 0 {
+		store.quarantined.Add(int64(quarantined))
+	}
+	return store, err
 }

@@ -1063,10 +1063,6 @@ func (s *Store) rangeInto(key topo.KPIKey, from, to time.Time, dst []float64, al
 // NaN tombstones after failing their on-disk checksum.
 func (s *Store) QuarantinedChunks() int64 { return s.quarantined.Load() }
 
-// DegradedReads returns the number of RangeInto windows that crossed a
-// quarantined chunk (and therefore saw NaN where data was lost).
-func (s *Store) DegradedReads() int64 { return s.degradedReads.Load() }
-
 // ArrivalWatermark returns the node-local time the key's most recent
 // measurement was ingested, and whether the key holds one. Series
 // restored from a snapshot carry the restore time until their first

@@ -1404,9 +1404,6 @@ func (p *persister) close() error {
 // in-memory store.
 var ErrNotPersistent = errors.New("monitor: store is not persistent")
 
-// Persistent reports whether the store was opened with OpenPersistent.
-func (s *Store) Persistent() bool { return s.persist != nil }
-
 // PersistState returns the durability health of a persistent store.
 // In-memory stores report PersistHealthy (there is no disk to fail).
 func (s *Store) PersistState() PersistState {

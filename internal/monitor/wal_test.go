@@ -371,7 +371,7 @@ func TestPersistentStepMismatch(t *testing.T) {
 
 func TestInMemoryStorePersistenceNoOps(t *testing.T) {
 	s := NewStore(t0, time.Minute)
-	if s.Persistent() {
+	if s.persist != nil {
 		t.Fatal("in-memory store claims persistence")
 	}
 	if err := s.Sync(); err != ErrNotPersistent {

@@ -73,9 +73,6 @@ func (h *Histogram) record(sum, each, n int64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the total observed duration.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
 // Max returns the largest observation.
 func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 

@@ -25,11 +25,6 @@ func NewLogger(w io.Writer, level slog.Level, jsonFormat bool) *slog.Logger {
 	return slog.New(slog.NewTextHandler(w, opts))
 }
 
-// DiscardLogger returns the shared logger that drops every record
-// without allocating. (Go 1.22 predates slog.DiscardHandler; this is
-// the same idea.)
-func DiscardLogger() *slog.Logger { return discardLogger }
-
 var discardLogger = slog.New(discardHandler{})
 
 // discardHandler is a slog.Handler that is disabled at every level, so

@@ -373,18 +373,6 @@ func (c *Collector) Now() time.Time {
 	return time.Now()
 }
 
-// StageCount reports how many observations a stage histogram holds.
-func (c *Collector) StageCount(stage string) int64 {
-	if c == nil {
-		return 0
-	}
-	v, ok := c.stages.Load(stage)
-	if !ok {
-		return 0
-	}
-	return v.(*Histogram).Count()
-}
-
 // Stage returns the stage's histogram, creating it on first use.
 func (c *Collector) Stage(stage string) *Histogram {
 	if c == nil {
@@ -412,14 +400,6 @@ func (c *Collector) PutTrace(t *Trace) {
 		return
 	}
 	c.traces.Put(t)
-}
-
-// Traces exposes the trace ring (nil on a nil collector).
-func (c *Collector) Traces() *TraceStore {
-	if c == nil {
-		return nil
-	}
-	return c.traces
 }
 
 // WriteMetrics writes the full metrics document — the /metrics payload

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -29,11 +30,8 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	if got := c.Counter(CtrIngested); got != 0 {
 		t.Fatalf("nil counter = %d", got)
 	}
-	if got := c.StageCount(StageAssess); got != 0 {
-		t.Fatalf("nil stage count = %d", got)
-	}
-	if c.Traces() != nil {
-		t.Fatal("nil collector should expose no traces")
+	if c.Stage(StageAssess) != nil {
+		t.Fatal("nil collector should expose no stage histogram")
 	}
 	if !c.Now().IsZero() {
 		t.Fatal("nil collector Now() should be zero")
@@ -85,12 +83,12 @@ func TestCountersAndStages(t *testing.T) {
 	}
 	c.Observe(StageSSTWindow, 400*time.Microsecond)
 	c.Observe(StageSSTWindow, 500*time.Microsecond)
-	if got := c.StageCount(StageSSTWindow); got != 2 {
+	h := c.Stage(StageSSTWindow)
+	if got := h.Count(); got != 2 {
 		t.Fatalf("stage count = %d, want 2", got)
 	}
-	h := c.Stage(StageSSTWindow)
-	if h.Sum() != 900*time.Microsecond {
-		t.Fatalf("sum = %v", h.Sum())
+	if sum := time.Duration(h.sum.Load()); sum != 900*time.Microsecond {
+		t.Fatalf("sum = %v", sum)
 	}
 	if h.Max() != 500*time.Microsecond {
 		t.Fatalf("max = %v", h.Max())
@@ -104,8 +102,8 @@ func TestObserveNWeightsTheMean(t *testing.T) {
 	h.ObserveN(1210*time.Microsecond, 121) // one sweep: 121 windows, 10 µs each
 	h.ObserveN(time.Second, 0)             // nothing scored: nothing recorded
 	h.Observe(300 * time.Microsecond)
-	if h.Count() != 122 || h.Sum() != 1510*time.Microsecond {
-		t.Fatalf("count %d sum %v, want 122 and 1.51ms", h.Count(), h.Sum())
+	if sum := time.Duration(h.sum.Load()); h.Count() != 122 || sum != 1510*time.Microsecond {
+		t.Fatalf("count %d sum %v, want 122 and 1.51ms", h.Count(), sum)
 	}
 	if h.Max() != 300*time.Microsecond {
 		t.Fatalf("max = %v, want the single 300µs observation, not the sweep total", h.Max())
@@ -134,7 +132,7 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	}
 	// Negative durations clamp rather than corrupt.
 	h.Observe(-time.Second)
-	if h.Sum() < 0 {
+	if h.sum.Load() < 0 {
 		t.Fatal("negative observation corrupted the sum")
 	}
 	// The rendering must be valid JSON.
@@ -264,7 +262,8 @@ func TestHandlerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		t.Fatalf("trace JSON: %v", err)
 	}
-	if len(got.KPIs) != 1 || got.KPIs[0].StageNanos(StageSSTScore) != int64(3*time.Millisecond) {
+	want := []StageTiming{{Stage: StageSSTScore, Nanos: int64(3 * time.Millisecond)}}
+	if len(got.KPIs) != 1 || !reflect.DeepEqual(got.KPIs[0].Stages, want) {
 		t.Fatalf("trace round-trip = %+v", got)
 	}
 	if code, _ := get("/traces/unknown"); code != 404 {

@@ -54,20 +54,6 @@ func (k *KPITrace) AddStage(stage string, d time.Duration) {
 	k.Stages = append(k.Stages, StageTiming{Stage: stage, Nanos: int64(d)})
 }
 
-// StageNanos returns the recorded duration of a stage (0 when the
-// stage did not run).
-func (k *KPITrace) StageNanos(stage string) int64 {
-	if k == nil {
-		return 0
-	}
-	for _, s := range k.Stages {
-		if s.Stage == stage {
-			return s.Nanos
-		}
-	}
-	return 0
-}
-
 // Trace is the ordered record of one change assessment: every KPI of
 // the impact set with its stage timings and decision evidence.
 type Trace struct {

@@ -250,7 +250,7 @@ func TestSectionMultiplierMatchesSort(t *testing.T) {
 		rcfg := sl.Config()
 		st := &slidingState{}
 		for gname, g := range gens {
-			x := make([]float64, rcfg.WindowSize()+200)
+			x := make([]float64, rcfg.PastSpan()+rcfg.FutureSpan()+200)
 			for i := range x {
 				x[i] = g(i)
 			}

@@ -48,7 +48,7 @@ func (r *Robust) Name() string { return "sst-robust" }
 // eigensolve all live in the pooled workspace, so a steady-state score
 // allocates nothing; scores are bit-identical to the allocating
 // reference path (the allocating SVD and eigensolve delegate to the
-// same workspace kernels, and GramSelfInto mirrors Mul term for term).
+// same workspace kernels, and GramSelfInto mirrors MulInto term for term).
 func (r *Robust) ScoreAt(x []float64, t int) float64 {
 	ws := r.pool.Get().(*workspace)
 	defer r.pool.Put(ws)

@@ -126,11 +126,6 @@ func (c Config) FutureSpan() int {
 	return c.Rho + c.Gamma + c.Omega - 1
 }
 
-// WindowSize returns the total sliding-window length W = PastSpan +
-// FutureSpan. With the paper's defaults (ω = δ = γ = 9, ρ = 0) this is
-// 34, matching W_FUNNEL in §4.1.
-func (c Config) WindowSize() int { return c.PastSpan() + c.FutureSpan() }
-
 // Scorer is a change-point scorer over a raw series. ScoreAt evaluates
 // the change score of x at index t; it panics when t's analysis window
 // does not fit inside x.

@@ -49,8 +49,8 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Omega != 9 || cfg.Eta != 3 || cfg.Delta != 9 || cfg.Gamma != 9 || cfg.K != 5 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
-	if cfg.WindowSize() != 34 {
-		t.Fatalf("WindowSize = %d, want 34 (W_FUNNEL)", cfg.WindowSize())
+	if w := cfg.PastSpan() + cfg.FutureSpan(); w != 34 {
+		t.Fatalf("window = %d, want 34 (W_FUNNEL)", w)
 	}
 }
 
@@ -85,8 +85,8 @@ func TestSpanArithmetic(t *testing.T) {
 	if cfg.FutureSpan() != 9 {
 		t.Fatalf("FutureSpan = %d", cfg.FutureSpan())
 	}
-	if cfg.WindowSize() != 17 {
-		t.Fatalf("WindowSize = %d", cfg.WindowSize())
+	if w := cfg.PastSpan() + cfg.FutureSpan(); w != 17 {
+		t.Fatalf("window = %d", w)
 	}
 }
 
@@ -424,7 +424,7 @@ func TestScoreFiniteProperty(t *testing.T) {
 	cfg := Config{Normalize: true, RobustFilter: true}
 	scorersUnderTest := scorers(cfg)
 	f := func(raw []float64, seed int64) bool {
-		w := cfg.withDefaults().WindowSize()
+		w := cfg.PastSpan() + cfg.FutureSpan()
 		if len(raw) < w+1 {
 			return true
 		}
@@ -466,8 +466,7 @@ func TestWindowGeometryProperty(t *testing.T) {
 			K:     3,
 		}
 		r := cfg.withDefaults()
-		return cfg.WindowSize() == cfg.PastSpan()+cfg.FutureSpan() &&
-			cfg.PastSpan() == r.Delta+r.Omega-1 &&
+		return cfg.PastSpan() == r.Delta+r.Omega-1 &&
 			cfg.FutureSpan() == r.Rho+r.Gamma+r.Omega-1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

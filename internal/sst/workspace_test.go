@@ -79,7 +79,8 @@ func denseIKAScore(cfg Config, x []float64, t int) float64 {
 		if l < 0 {
 			l = 0
 		}
-		beta := res.Q.MulVec(vecs.Col(idx))
+		beta := make([]float64, res.Q.Rows)
+		res.Q.MulVecTo(beta, vecs.Col(idx))
 		linalg.Normalize(beta)
 		lambdas = append(lambdas, l)
 		betas = append(betas, beta)
@@ -105,8 +106,13 @@ func denseIKAScore(cfg Config, x []float64, t int) float64 {
 	return score
 }
 
+// matVec is a function usable as a linalg.SymOp.
+type matVec func(dst, v []float64)
+
+func (f matVec) Apply(dst, v []float64) { f(dst, v) }
+
 // gramOp is the dense operator C = B·Bᵀ, applied as B·(Bᵀ·v).
-func gramOp(b *linalg.Matrix) linalg.MatVec {
+func gramOp(b *linalg.Matrix) matVec {
 	tmp := make([]float64, b.Cols)
 	return func(dst, v []float64) {
 		b.MulTVecTo(tmp, v)
@@ -114,8 +120,16 @@ func gramOp(b *linalg.Matrix) linalg.MatVec {
 	}
 }
 
+// topLeftSingularVectors returns the first k left singular vectors of a
+// as the columns of a new matrix.
+func topLeftSingularVectors(a *linalg.Matrix, k int) *linalg.Matrix {
+	out := &linalg.Matrix{}
+	linalg.TopLeftSingularVectorsWS(&linalg.SVDWorkspace{}, out, a, k)
+	return out
+}
+
 // denseDiscordance is the Eq. 13 solve of the pre-workspace path.
-func denseDiscordance(cfg Config, pastOp linalg.MatVec, beta []float64) float64 {
+func denseDiscordance(cfg Config, pastOp matVec, beta []float64) float64 {
 	res, err := linalg.LanczosWS(&linalg.LanczosWorkspace{}, pastOp, beta, cfg.K, false)
 	if err != nil {
 		return 0
@@ -163,9 +177,9 @@ func TestIKAMatchesDenseHankelPath(t *testing.T) {
 func refClassicScore(cfg Config, x []float64, t int) float64 {
 	w, tl := analysisWindow(x, t, cfg)
 	b := pastMatrix(w, tl, cfg)
-	ueta := linalg.TopLeftSingularVectors(b, cfg.Eta)
+	ueta := topLeftSingularVectors(b, cfg.Eta)
 	a := futureMatrix(w, tl, cfg)
-	beta := linalg.TopLeftSingularVectors(a, 1).Col(0)
+	beta := topLeftSingularVectors(a, 1).Col(0)
 	if linalg.Norm2(beta) == 0 {
 		return 0
 	}
@@ -189,9 +203,10 @@ func refClassicScore(cfg Config, x []float64, t int) float64 {
 func refRobustScore(cfg Config, x []float64, t int) float64 {
 	w, tl := analysisWindow(x, t, cfg)
 	b := pastMatrix(w, tl, cfg)
-	ueta := linalg.TopLeftSingularVectors(b, cfg.Eta)
+	ueta := topLeftSingularVectors(b, cfg.Eta)
 	a := futureMatrix(w, tl, cfg)
-	gram := a.Mul(a.T())
+	gram := &linalg.Matrix{}
+	linalg.MulInto(gram, a, a.T())
 	vals, vecs, err := linalg.SymEigWS(&linalg.EigWorkspace{}, gram)
 	if err != nil {
 		return 0

@@ -1,7 +1,6 @@
 // Package stats provides the robust statistics used throughout FUNNEL:
-// medians, median absolute deviation (MAD), quantiles, robust
-// normalization, autocorrelation, and the empirical CCDF used to report
-// detection-delay distributions.
+// medians, median absolute deviation (MAD), quantiles, autocorrelation,
+// and the empirical CCDF used to report detection-delay distributions.
 //
 // FUNNEL (§3.2.2 of the paper) deliberately prefers the median/MAD pair
 // over mean/standard deviation because the former stay stable in the
@@ -10,7 +9,6 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
@@ -18,9 +16,6 @@ import (
 // MADScale converts a MAD into a consistent estimator of the standard
 // deviation for Gaussian data (1 / Φ⁻¹(3/4)).
 const MADScale = 1.4826
-
-// ErrEmpty is returned by functions that cannot operate on empty input.
-var ErrEmpty = errors.New("stats: empty input")
 
 // Mean returns the arithmetic mean of xs, or NaN if xs is empty.
 func Mean(xs []float64) float64 {
@@ -51,20 +46,6 @@ func Variance(xs []float64) float64 {
 
 // Stddev returns the sample standard deviation of xs.
 func Stddev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the smallest element of xs, or NaN if xs is empty.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
 
 // Max returns the largest element of xs, or NaN if xs is empty.
 func Max(xs []float64) float64 {
@@ -217,45 +198,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// RobustZ returns the robust z-score of x relative to the sample xs:
-// (x − median) / (MADScale · MAD). If the MAD is zero it falls back to
-// the standard deviation, and if that is also zero it returns 0.
-func RobustZ(x float64, xs []float64) float64 {
-	med, mad := MedianMAD(xs)
-	scale := mad * MADScale
-	if scale == 0 {
-		scale = Stddev(xs)
-	}
-	if scale == 0 {
-		return 0
-	}
-	return (x - med) / scale
-}
-
-// NormalizeRobust returns a copy of xs shifted by its median and scaled
-// by MADScale·MAD (falling back to the standard deviation, then to 1,
-// when degenerate). FUNNEL normalizes KPI windows this way so that SST
-// change scores and DiD thresholds are scale-free across KPIs whose raw
-// units differ by many orders of magnitude.
-func NormalizeRobust(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	med, mad := MedianMAD(xs)
-	scale := mad * MADScale
-	if scale == 0 {
-		scale = Stddev(xs)
-	}
-	if scale == 0 {
-		scale = 1
-	}
-	for i, x := range xs {
-		out[i] = (x - med) / scale
-	}
-	return out
-}
-
 // Autocorrelation returns the sample autocorrelation of xs at the given
 // lag. It returns 0 when the lag is out of range or the series has no
 // variance.
@@ -328,35 +270,6 @@ func Slope(xs []float64) float64 {
 		return 0
 	}
 	return num / den
-}
-
-// RollingMedianMAD computes, for every index t in [0, len(xs)), the
-// median and MAD of the window xs[max(0,t−w+1) .. t]. It is used by the
-// robustness filter to track local level and spread. The two returned
-// slices have the same length as xs.
-func RollingMedianMAD(xs []float64, w int) (medians, mads []float64) {
-	n := len(xs)
-	medians = make([]float64, n)
-	mads = make([]float64, n)
-	if w < 1 {
-		w = 1
-	}
-	buf := make([]float64, 0, w)
-	for t := 0; t < n; t++ {
-		lo := t - w + 1
-		if lo < 0 {
-			lo = 0
-		}
-		window := xs[lo : t+1]
-		med := MedianInto(window, buf)
-		dev := buf[:len(window)]
-		for i, x := range window {
-			dev[i] = math.Abs(x - med)
-		}
-		medians[t] = med
-		mads[t] = medianInPlace(dev)
-	}
-	return medians, mads
 }
 
 // Correlation returns the Pearson correlation of two equal-length

@@ -41,11 +41,11 @@ func TestVarianceStddev(t *testing.T) {
 
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("Min/Max = %v/%v", Min(xs), Max(xs))
+	if Max(xs) != 7 {
+		t.Fatalf("Max = %v", Max(xs))
 	}
-	if !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) {
-		t.Fatal("Min/Max of empty should be NaN")
+	if !math.IsNaN(Max(nil)) {
+		t.Fatal("Max of empty should be NaN")
 	}
 }
 
@@ -136,42 +136,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestRobustZ(t *testing.T) {
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = float64(i) // median 50, MAD 25
-	}
-	z := RobustZ(50+25*MADScale, xs)
-	if !almostEq(z, 1, 1e-12) {
-		t.Fatalf("RobustZ = %v, want 1", z)
-	}
-	// Degenerate: constant series → z = 0.
-	if RobustZ(5, []float64{3, 3, 3}) != 0 {
-		t.Fatal("RobustZ of constant sample should be 0")
-	}
-}
-
-func TestNormalizeRobustProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = 100 + 5*rng.NormFloat64()
-	}
-	ys := NormalizeRobust(xs)
-	if !almostEq(Median(ys), 0, 1e-9) {
-		t.Fatalf("normalized median = %v", Median(ys))
-	}
-	if m := MAD(ys) * MADScale; !almostEq(m, 1, 1e-9) {
-		t.Fatalf("normalized scaled MAD = %v", m)
-	}
-	// Constant input should not produce NaN.
-	for _, v := range NormalizeRobust([]float64{4, 4, 4, 4}) {
-		if math.IsNaN(v) {
-			t.Fatal("NormalizeRobust produced NaN on constant input")
-		}
-	}
-}
-
 func TestAutocorrelation(t *testing.T) {
 	// Perfect period-4 signal: ACF at lag 4 should be near 1.
 	xs := make([]float64, 400)
@@ -238,26 +202,6 @@ func TestSlope(t *testing.T) {
 	}
 }
 
-func TestRollingMedianMAD(t *testing.T) {
-	xs := []float64{1, 2, 3, 100, 5, 6}
-	med, mad := RollingMedianMAD(xs, 3)
-	if len(med) != len(xs) || len(mad) != len(xs) {
-		t.Fatal("length mismatch")
-	}
-	// At t=0 window is {1}.
-	if med[0] != 1 || mad[0] != 0 {
-		t.Fatalf("t=0: med=%v mad=%v", med[0], mad[0])
-	}
-	// At t=3 window is {2,3,100}: median 3.
-	if med[3] != 3 {
-		t.Fatalf("t=3 median = %v, want 3", med[3])
-	}
-	// At t=5 window is {100,5,6}: median 6.
-	if med[5] != 6 {
-		t.Fatalf("t=5 median = %v, want 6", med[5])
-	}
-}
-
 // Property: the median minimizes the sum of absolute deviations, so for
 // any sample the L1 cost at the median is no greater than at the mean.
 func TestMedianMinimizesL1Property(t *testing.T) {
@@ -311,32 +255,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: NormalizeRobust is invariant to affine shifts of the input
-// (up to sign of the scale): normalizing a+b·x with b>0 equals
-// normalizing x.
-func TestNormalizeAffineInvariantProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 50; trial++ {
-		n := 5 + rng.Intn(60)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		shift := rng.NormFloat64() * 100
-		scale := rng.Float64()*10 + 0.1
-		ys := make([]float64, n)
-		for i := range ys {
-			ys[i] = shift + scale*xs[i]
-		}
-		nx, ny := NormalizeRobust(xs), NormalizeRobust(ys)
-		for i := range nx {
-			if !almostEq(nx[i], ny[i], 1e-6) {
-				t.Fatalf("affine invariance violated at %d: %v vs %v", i, nx[i], ny[i])
-			}
-		}
 	}
 }
 

@@ -1,13 +1,12 @@
 // Package timeseries provides the fixed-interval KPI time-series model
-// used throughout FUNNEL: 1-minute-binned series built from raw
-// measurement events, with slicing by wall-clock period, day-over-day
-// extraction for the 30-day seasonal baseline (§3.2.5), and gap filling.
+// used throughout FUNNEL: 1-minute-binned series, with slicing by
+// wall-clock period, day-over-day extraction for the 30-day seasonal
+// baseline (§3.2.5), and gap filling.
 package timeseries
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -105,65 +104,6 @@ func (s *Series) SamePeriodDaysAgo(t, w, d int) (pre, post []float64, ok bool) {
 		return nil, nil, false
 	}
 	return s.Values[h-w : h], s.Values[h : h+w], true
-}
-
-// Event is a raw measurement: a timestamped value.
-type Event struct {
-	T time.Time
-	V float64
-}
-
-// AggMode selects how events within one bin are combined.
-type AggMode int
-
-const (
-	// AggMean averages event values within the bin (gauges such as
-	// memory utilization).
-	AggMean AggMode = iota
-	// AggSum totals event values within the bin (counters such as page
-	// view count).
-	AggSum
-	// AggLast keeps the final event in the bin.
-	AggLast
-)
-
-// Bin aggregates events into a regular series from start with n bins of
-// the given step. Events outside the span are dropped. Empty bins are
-// filled with NaN; call FillGaps to interpolate them.
-func Bin(events []Event, start time.Time, step time.Duration, n int, mode AggMode) *Series {
-	vals := make([]float64, n)
-	counts := make([]int, n)
-	for i := range vals {
-		vals[i] = math.NaN()
-	}
-	for _, e := range events {
-		if e.T.Before(start) {
-			continue
-		}
-		i := int(e.T.Sub(start) / step)
-		if i < 0 || i >= n {
-			continue
-		}
-		if counts[i] == 0 {
-			vals[i] = e.V
-		} else {
-			switch mode {
-			case AggMean:
-				// Incremental mean in the overflow-safe form: no
-				// intermediate exceeds max(|mean|, |v|), unlike
-				// mean + (v−mean)/n whose difference can overflow for
-				// near-extreme opposite-signed values.
-				c := float64(counts[i])
-				vals[i] = vals[i]*(c/(c+1)) + e.V/(c+1)
-			case AggSum:
-				vals[i] += e.V
-			case AggLast:
-				vals[i] = e.V
-			}
-		}
-		counts[i]++
-	}
-	return New(start, step, vals)
 }
 
 // FillGaps replaces NaN bins in place by linear interpolation between
@@ -293,50 +233,4 @@ func Average(series []*Series) (*Series, error) {
 		}
 	}
 	return New(series[0].Start, series[0].Step, v), nil
-}
-
-// SortEvents orders events by time in place; Bin does not require sorted
-// input but tests and generators do.
-func SortEvents(events []Event) {
-	sort.Slice(events, func(i, j int) bool { return events[i].T.Before(events[j].T) })
-}
-
-// Resample returns a new series at a coarser step that must be a whole
-// multiple of the current one; each coarse bin averages its fine bins
-// (NaN fine bins are skipped; an all-NaN group yields NaN). A trailing
-// partial group is averaged from what exists. MERCURY-style analyses
-// run on 5- or 15-minute bins; Resample bridges from the 1-minute
-// substrate.
-func (s *Series) Resample(step time.Duration) (*Series, error) {
-	if step <= 0 || step%s.Step != 0 {
-		return nil, fmt.Errorf("timeseries: resample step %v not a multiple of %v", step, s.Step)
-	}
-	factor := int(step / s.Step)
-	if factor == 1 {
-		return s.Clone(), nil
-	}
-	n := (len(s.Values) + factor - 1) / factor
-	out := make([]float64, n)
-	for g := 0; g < n; g++ {
-		lo := g * factor
-		hi := lo + factor
-		if hi > len(s.Values) {
-			hi = len(s.Values)
-		}
-		var sum float64
-		var cnt int
-		for _, v := range s.Values[lo:hi] {
-			if math.IsNaN(v) {
-				continue
-			}
-			sum += v
-			cnt++
-		}
-		if cnt == 0 {
-			out[g] = math.NaN()
-		} else {
-			out[g] = sum / float64(cnt)
-		}
-	}
-	return New(s.Start, step, out), nil
 }

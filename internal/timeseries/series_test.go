@@ -103,42 +103,6 @@ func TestSamePeriodDaysAgo(t *testing.T) {
 	}
 }
 
-func TestBinModes(t *testing.T) {
-	ev := []Event{
-		{t0.Add(10 * time.Second), 2},
-		{t0.Add(30 * time.Second), 4},
-		{t0.Add(90 * time.Second), 10},
-	}
-	mean := Bin(ev, t0, time.Minute, 3, AggMean)
-	if mean.Values[0] != 3 || mean.Values[1] != 10 {
-		t.Fatalf("AggMean = %v", mean.Values)
-	}
-	if !math.IsNaN(mean.Values[2]) {
-		t.Fatal("empty bin should be NaN")
-	}
-	sum := Bin(ev, t0, time.Minute, 3, AggSum)
-	if sum.Values[0] != 6 {
-		t.Fatalf("AggSum = %v", sum.Values)
-	}
-	last := Bin(ev, t0, time.Minute, 3, AggLast)
-	if last.Values[0] != 4 {
-		t.Fatalf("AggLast = %v", last.Values)
-	}
-}
-
-func TestBinDropsOutOfRange(t *testing.T) {
-	ev := []Event{
-		{t0.Add(-time.Second), 1},
-		{t0.Add(10 * time.Minute), 2},
-	}
-	s := Bin(ev, t0, time.Minute, 5, AggMean)
-	for _, v := range s.Values {
-		if !math.IsNaN(v) {
-			t.Fatalf("out-of-range events leaked: %v", s.Values)
-		}
-	}
-}
-
 func TestFillGapsInterior(t *testing.T) {
 	s := New(t0, time.Minute, []float64{1, math.NaN(), math.NaN(), 4})
 	s.FillGaps()
@@ -221,20 +185,16 @@ func TestAverage(t *testing.T) {
 	}
 }
 
-func TestSortEvents(t *testing.T) {
-	ev := []Event{{t0.Add(time.Minute), 1}, {t0, 2}}
-	SortEvents(ev)
-	if !ev[0].T.Equal(t0) {
-		t.Fatal("SortEvents did not sort")
-	}
-}
-
-// Property: Bin + FillGaps yields a finite series covering exactly n
-// bins for arbitrary event sets.
+// Property: FillGaps leaves a finite series of the same n bins for any
+// pattern of gaps. Its events used to go through Bin, deleted with no
+// non-test reader; the name is kept.
 func TestBinFillGapsProperty(t *testing.T) {
 	f := func(offsets []uint16, values []float64, nRaw uint8) bool {
 		n := int(nRaw%200) + 1
-		var events []Event
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = math.NaN()
+		}
 		for i := range offsets {
 			v := 0.0
 			if i < len(values) {
@@ -243,9 +203,11 @@ func TestBinFillGapsProperty(t *testing.T) {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				v = 1
 			}
-			events = append(events, Event{T: t0.Add(time.Duration(offsets[i]) * time.Second), V: v})
+			if b := int(offsets[i]) / 60; b < n {
+				vals[b] = v
+			}
 		}
-		s := Bin(events, t0, time.Minute, n, AggMean).FillGaps()
+		s := New(t0, time.Minute, vals).FillGaps()
 		if s.Len() != n {
 			return false
 		}
@@ -286,42 +248,5 @@ func TestWindowSliceAgreementProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestResample(t *testing.T) {
-	s := New(t0, time.Minute, []float64{1, 3, 5, 7, 9})
-	r, err := s.Resample(2 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 6, 9} // trailing partial group averages itself
-	if r.Len() != 3 || r.Step != 2*time.Minute {
-		t.Fatalf("resampled = %+v", r)
-	}
-	for i, w := range want {
-		if r.Values[i] != w {
-			t.Fatalf("values = %v", r.Values)
-		}
-	}
-	// NaN handling: group with one NaN averages the rest; all-NaN group
-	// stays NaN.
-	s2 := New(t0, time.Minute, []float64{1, math.NaN(), math.NaN(), math.NaN()})
-	r2, _ := s2.Resample(2 * time.Minute)
-	if r2.Values[0] != 1 || !math.IsNaN(r2.Values[1]) {
-		t.Fatalf("NaN resample = %v", r2.Values)
-	}
-	// Identity factor clones.
-	r3, _ := s.Resample(time.Minute)
-	r3.Values[0] = 99
-	if s.Values[0] == 99 {
-		t.Fatal("identity resample must copy")
-	}
-	// Errors.
-	if _, err := s.Resample(90 * time.Second); err == nil {
-		t.Fatal("non-multiple step should error")
-	}
-	if _, err := s.Resample(0); err == nil {
-		t.Fatal("zero step should error")
 	}
 }

@@ -140,16 +140,6 @@ func (t *Topology) Relate(a, b string) {
 	t.edges[b][a] = true
 }
 
-// Services returns the registered service names, sorted.
-func (t *Topology) Services() []string {
-	out := make([]string, 0, len(t.services))
-	for s := range t.services {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Servers returns the registered server names, sorted.
 func (t *Topology) Servers() []string {
 	out := make([]string, 0, len(t.servers))
@@ -165,12 +155,6 @@ func (t *Topology) InstancesOf(service string) []string {
 	out := make([]string, len(t.byService[service]))
 	copy(out, t.byService[service])
 	return out
-}
-
-// Instance looks up an instance by ID.
-func (t *Topology) Instance(id string) (Instance, bool) {
-	in, ok := t.instances[id]
-	return in, ok
 }
 
 // ServersOf returns the servers hosting a service, sorted.

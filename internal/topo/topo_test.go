@@ -42,22 +42,17 @@ func TestDeployAndLookups(t *testing.T) {
 	if got := tp.ServersOf("search.web"); !reflect.DeepEqual(got, []string{"srv-0", "srv-1"}) {
 		t.Fatalf("ServersOf = %v", got)
 	}
-	in, ok := tp.Instance(id)
-	if !ok || in.Service != "search.web" || in.Server != "srv-1" {
-		t.Fatalf("Instance = %+v, %v", in, ok)
-	}
-	if _, ok := tp.Instance("nope"); ok {
-		t.Fatal("unknown instance should be !ok")
+	if in, ok := tp.instances[id]; !ok || in.Service != "search.web" || in.Server != "srv-1" {
+		t.Fatalf("instance = %+v, %v", in, ok)
 	}
 }
 
+// TestServicesServersSorted pins Servers' order. Its Services half went
+// with the deleted Topology.Services; the name is kept.
 func TestServicesServersSorted(t *testing.T) {
 	tp := NewTopology()
 	tp.Deploy("b", "s2")
 	tp.Deploy("a", "s1")
-	if got := tp.Services(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Fatalf("Services = %v", got)
-	}
 	if got := tp.Servers(); !reflect.DeepEqual(got, []string{"s1", "s2"}) {
 		t.Fatalf("Servers = %v", got)
 	}

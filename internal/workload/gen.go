@@ -30,39 +30,21 @@ type Gen interface {
 	Noise() float64
 }
 
-// MinutesPerWeek is the number of 1-minute bins in a simulated week.
-const MinutesPerWeek = 7 * MinutesPerDay
-
 // Seasonal is a diurnal KPI (page views, clicks): a base level plus a
-// smooth daily cycle with a secondary harmonic, an optional day-of-week
-// modulation (§3.2.5 excludes both "the time of day and the day of
-// week effects"), and Gaussian noise.
+// smooth daily cycle with a secondary harmonic, and Gaussian noise.
 type Seasonal struct {
 	Level     float64 // mean level
 	Amplitude float64 // daily swing (peak-to-center)
 	Phase     float64 // phase offset in radians
 	NoiseSD   float64
-	// WeekendFactor scales the whole signal on days 5 and 6 of each
-	// simulated week (0 disables, i.e. factor 1). Consumer services
-	// typically see factors of 0.6–0.8 on weekends.
-	WeekendFactor float64
-	rng           *rand.Rand
-	cache         noiseCache
+	rng       *rand.Rand
+	cache     noiseCache
 }
 
-// NewSeasonal builds a seasonal generator with reproducible noise and
-// no weekend modulation.
+// NewSeasonal builds a seasonal generator with reproducible noise.
 func NewSeasonal(level, amplitude, noiseSD float64, seed int64) *Seasonal {
 	return &Seasonal{Level: level, Amplitude: amplitude, NoiseSD: noiseSD,
 		Phase: float64(seed%7) * 0.3, rng: rand.New(rand.NewSource(seed))}
-}
-
-// NewWeeklySeasonal builds a seasonal generator whose level and swing
-// scale by weekendFactor on the 6th and 7th day of every week.
-func NewWeeklySeasonal(level, amplitude, noiseSD, weekendFactor float64, seed int64) *Seasonal {
-	g := NewSeasonal(level, amplitude, noiseSD, seed)
-	g.WeekendFactor = weekendFactor
-	return g
 }
 
 // At returns the seasonal value at bin.
@@ -71,11 +53,6 @@ func (g *Seasonal) At(bin int) float64 {
 	v := g.Level +
 		g.Amplitude*math.Sin(day+g.Phase) +
 		0.25*g.Amplitude*math.Sin(2*day+1.1*g.Phase)
-	if g.WeekendFactor > 0 {
-		if dow := (bin % MinutesPerWeek) / MinutesPerDay; dow >= 5 {
-			v *= g.WeekendFactor
-		}
-	}
 	return v + g.cache.sample(bin, g.rng)*g.NoiseSD
 }
 
@@ -291,9 +268,6 @@ func (e Effect) At(bin int) float64 {
 	}
 	return e.Magnitude * float64(bin-e.StartBin) / float64(e.RampBins)
 }
-
-// IsRamp reports whether the effect is gradual.
-func (e Effect) IsRamp() bool { return e.RampBins > 0 }
 
 // WithEffects overlays additive effects on a base generator.
 type WithEffects struct {

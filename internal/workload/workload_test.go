@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/did"
 	"repro/internal/stats"
 	"repro/internal/timeseries"
 	"repro/internal/topo"
@@ -46,11 +45,11 @@ func TestGeneratorClasses(t *testing.T) {
 
 func TestEffectShapes(t *testing.T) {
 	shift := Effect{StartBin: 10, Magnitude: 5}
-	if shift.At(9) != 0 || shift.At(10) != 5 || shift.At(100) != 5 || shift.IsRamp() {
+	if shift.At(9) != 0 || shift.At(10) != 5 || shift.At(100) != 5 {
 		t.Fatal("level shift shape wrong")
 	}
 	ramp := Effect{StartBin: 10, Magnitude: 8, RampBins: 4}
-	if !ramp.IsRamp() || ramp.At(10) != 0 || ramp.At(12) != 4 || ramp.At(14) != 8 || ramp.At(99) != 8 {
+	if ramp.At(10) != 0 || ramp.At(12) != 4 || ramp.At(14) != 8 || ramp.At(99) != 8 {
 		t.Fatalf("ramp shape wrong: %v %v %v", ramp.At(10), ramp.At(12), ramp.At(14))
 	}
 }
@@ -297,45 +296,6 @@ func TestMapSource(t *testing.T) {
 	vals[0] = 99
 	if s, _ := m.Series(key); s.Values[1] != 2 {
 		t.Fatal("RangeInto aliased the stored series")
-	}
-}
-
-func TestWeeklySeasonalModulation(t *testing.T) {
-	g := NewWeeklySeasonal(100, 0, 0, 0.7, 1) // flat level, no noise
-	if v := g.At(0); v != 100 {
-		t.Fatalf("weekday level = %v", v)
-	}
-	if v := g.At(5 * MinutesPerDay); v != 70 {
-		t.Fatalf("weekend level = %v", v)
-	}
-	if v := g.At(7 * MinutesPerDay); v != 100 {
-		t.Fatalf("next-week level = %v", v)
-	}
-	// Still classified seasonal with the daily cycle present.
-	wk := NewWeeklySeasonal(1000, 380, 25, 0.7, 2)
-	if got := stats.ClassifyKPI(Render(wk, 3*MinutesPerDay), stats.DefaultClassifierConfig()); got != stats.Seasonal {
-		t.Fatalf("weekly seasonal classified %v", got)
-	}
-}
-
-func TestWeeklySeasonalHistoricalDiD(t *testing.T) {
-	// With a multi-week baseline, the seasonal DiD reads a weekend
-	// transition as non-causal: the same transition exists at the same
-	// clock time in the historical weeks.
-	g := NewWeeklySeasonal(1000, 200, 10, 0.7, 3)
-	n := 3*MinutesPerWeek + 6*MinutesPerDay
-	s := timeseries.New(time.Date(2015, 11, 2, 0, 0, 0, 0, time.UTC), time.Minute, Render(g, n))
-	// Assess at the Friday→Saturday boundary of the last simulated
-	// week: the KPI genuinely drops by 30%, but it does so every week.
-	tIdx := 3*MinutesPerWeek + 5*MinutesPerDay
-	res, err := did.EstimateSeasonalAuto(s, tIdx, 60, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Weekday-matched weekly lags cancel the weekend transition almost
-	// exactly (the raw drop is ≈ 300 units).
-	if math.Abs(res.Alpha) > 30 {
-		t.Fatalf("weekly seasonal α = %v, want well under the raw 300-unit drop", res.Alpha)
 	}
 }
 
