@@ -49,7 +49,7 @@ func main() {
 		epoch     = flag.String("epoch", "", "store epoch (RFC3339; default now − history − 1 day)")
 		asJSON    = flag.Bool("json", false, "emit reports as JSON instead of text")
 		debug     = flag.String("debug", "127.0.0.1:7104", "telemetry HTTP listen address: /metrics, /debug/pprof/*, /traces/<id> (empty = off)")
-		upstream  = flag.String("upstream", "", "subscribe-port address of another funnelserve to mirror measurements from (reconnects with backoff; empty = off)")
+		upstream  = flag.String("upstream", "", "subscribe-port address of another funnelserve to mirror measurements from (reconnects with backoff; after a resume, measurements at or before a key's last delivered bin are dropped; empty = off)")
 		data      = flag.String("data", "", "directory for write-ahead persistence: every measurement is logged before ingest acks and a restart replays to the exact pre-crash store (empty = in-memory only)")
 		shards    = flag.Int("shards", monitor.StoreShards, "store lock-stripe count")
 		verbose   = flag.Int("v", 0, "log verbosity to stderr: 0 = off, 1 = info, 2 = debug")

@@ -109,11 +109,6 @@ type Config struct {
 	// an interpolated bin, so a detection can never be declared out of
 	// invented data.
 	GapPolicy GapPolicy
-	// MaxGapFraction bounds the fraction of missing bins tolerated in
-	// the ±WindowBins assessment window (default 0.25). A gappier
-	// window yields Inconclusive instead of a verdict: a KPI fed
-	// through a severed connection must never produce a false flag.
-	MaxGapFraction float64
 	// StaleBins is the staleness horizon: when the assessment window
 	// is missing at least this many trailing bins (the feed stopped
 	// mid-window), the KPI is Inconclusive regardless of the overall
@@ -153,6 +148,10 @@ type Config struct {
 // production deployments calibrate per corpus with detect.Calibrate.
 const DefaultDetectorThreshold = 1.6
 
+// maxGapFraction (MaxGapFraction in the docs) bounds the missing share
+// of the ±WindowBins window: a gappier KPI is Inconclusive, never flagged.
+const maxGapFraction = 0.25
+
 // withDefaults resolves the zero-value conventions.
 func (c Config) withDefaults() Config {
 	if c.DetectorThreshold == 0 {
@@ -175,9 +174,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WindowBins <= 0 {
 		c.WindowBins = 60
-	}
-	if c.MaxGapFraction <= 0 {
-		c.MaxGapFraction = 0.25
 	}
 	if c.StaleBins <= 0 {
 		c.StaleBins = 15
@@ -622,7 +618,7 @@ func (a *Assessor) assessKPI(change changelog.Change, set *topo.ImpactSet, key t
 	// either direction.
 	gapFrac, staleTail := gapStats(series, gaps, changeBin, a.cfg.WindowBins)
 	out.GapFraction = gapFrac
-	if gapFrac > a.cfg.MaxGapFraction || staleTail >= a.cfg.StaleBins {
+	if gapFrac > maxGapFraction || staleTail >= a.cfg.StaleBins {
 		out.Verdict = Inconclusive
 		out.Err = fmt.Errorf("funnel: feed for %v too gappy to assess: %.0f%% of the ±%d-bin window missing (stale tail %d bins)",
 			key, gapFrac*100, a.cfg.WindowBins, staleTail)

@@ -22,24 +22,22 @@ func chunkedStore(t *testing.T, span int) *Store {
 	return s
 }
 
-// fillRandom appends a deterministic mix of values, gaps, repeats and
-// out-of-order late writes for n bins of key k.
-func fillRandom(s *Store, k topo.KPIKey, n int, seed int64) {
+// fillProgram appends about bins bins to key 0 of a program, by every
+// path: runs of values (every thirteenth a NaN), gaps, and now and then
+// a late write far enough back to be sealed.
+func fillProgram(seed int64, bins int) []int {
 	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < n; i++ {
-		switch rng.Intn(6) {
-		case 0: // leave a gap
-		case 1: // constant count
-			s.Append(Measurement{k, t0.Add(time.Duration(i) * time.Minute), 500})
-		default:
-			s.Append(Measurement{k, t0.Add(time.Duration(i) * time.Minute), float64(rng.Intn(1000))})
-		}
-		if rng.Intn(20) == 0 && i > 10 {
-			// Out-of-order: patch a bin far enough back to be sealed.
-			j := rng.Intn(i)
-			s.Append(Measurement{k, t0.Add(time.Duration(j) * time.Minute), float64(j)})
+	var p []int
+	for n := 0; n < bins; n += 16 {
+		p = append(p, opAppend, wr(0, rng.Intn(5), rng.Intn(32)))
+		switch rng.Intn(4) {
+		case 0:
+			p = append(p, opGap, wr(0, rng.Intn(5), rng.Intn(4)))
+		case 1:
+			p = append(p, opLateSealed, wr(0, rng.Intn(5), rng.Intn(256)))
 		}
 	}
+	return p
 }
 
 // sameBits asserts two float slices are bit-identical.
@@ -55,133 +53,36 @@ func sameBits(t testing.TB, got, want []float64, label string) {
 	}
 }
 
+// The store against the store reference model: windows at every region
+// edge after each op (RangeInto and Series alike), clamped past the
+// end, and after a prune into a chunk.
 func TestRangeIntoMatchesSeries(t *testing.T) {
 	for _, span := range []int{2, 7, 64} {
-		s := chunkedStore(t, span)
-		fillRandom(s, kCPU, 500, int64(span))
-		full, ok := s.Series(kCPU)
-		if !ok {
-			t.Fatal("series missing")
-		}
-		rng := rand.New(rand.NewSource(99))
-		dst := make([]float64, 0, full.Len())
-		for trial := 0; trial < 200; trial++ {
-			lo := rng.Intn(full.Len())
-			hi := lo + 1 + rng.Intn(full.Len()-lo)
-			from := t0.Add(time.Duration(lo) * time.Minute)
-			to := t0.Add(time.Duration(hi) * time.Minute)
-			vals, wstart, ok := s.RangeInto(kCPU, from, to, dst)
-			if !ok {
-				t.Fatalf("span %d: RangeInto [%d,%d) not ok", span, lo, hi)
-			}
-			if !wstart.Equal(from) {
-				t.Fatalf("span %d: window start %v, want %v", span, wstart, from)
-			}
-			sameBits(t, vals, full.Values[lo:hi], "window")
-			dst = vals[:0]
-		}
+		runProgram(t, progConfig{span: span, shards: 4}, progOps(fillProgram(int64(span), 500)...), nil)
 	}
 }
 
 func TestRangeIntoMatchesRange(t *testing.T) {
-	// RangeInto must return exactly the requested range of the full
-	// series, including the clamping conventions at the edges: a window
-	// reaching past the end stops at the last stored bin.
-	s := chunkedStore(t, 8)
-	fillRandom(s, kCPU, 100, 4)
-	full, ok := s.Series(kCPU)
-	if !ok {
-		t.Fatal("series missing")
-	}
-	n := full.Len()
-	cases := []struct{ lo, hi int }{{0, 100}, {0, 5}, {95, 100}, {3, 97}, {50, 51}, {90, 200}}
-	for _, c := range cases {
-		from := t0.Add(time.Duration(c.lo) * time.Minute)
-		to := t0.Add(time.Duration(c.hi) * time.Minute)
-		vals, wstart, ok := s.RangeInto(kCPU, from, to, nil)
-		if !ok || !wstart.Equal(from) {
-			t.Fatalf("[%d,%d): ok=%v start %v", c.lo, c.hi, ok, wstart)
-		}
-		sameBits(t, vals, full.Values[c.lo:min(c.hi, n)], "range")
-	}
-	// Empty and unknown windows fail.
-	if _, _, ok := s.RangeInto(kCPU, t0.Add(500*time.Minute), t0.Add(600*time.Minute), nil); ok {
-		t.Fatal("past-end RangeInto should be !ok")
-	}
-	if _, _, ok := s.RangeInto(kPV, t0, t0.Add(time.Minute), nil); ok {
-		t.Fatal("unknown key should be !ok")
-	}
+	runProgram(t, progConfig{span: 8, shards: 4}, progOps(append(fillProgram(4, 100), opAppend, wr(1, 1, 3))...), nil)
 }
 
 func TestRangeIntoAfterPrune(t *testing.T) {
 	for _, span := range []int{4, 16} {
-		s := chunkedStore(t, span)
-		fillRandom(s, kCPU, 300, 7)
-		before, _ := s.Series(kCPU)
-		// Prune mid-chunk: head skipping must keep logical alignment.
-		drop := span*3 + span/2
-		s.Prune(t0.Add(time.Duration(drop) * time.Minute))
-		after, ok := s.Series(kCPU)
-		if !ok {
-			t.Fatal("series missing after prune")
-		}
-		sameBits(t, after.Values, before.Values[drop:], "pruned series")
-		if !after.Start.Equal(t0.Add(time.Duration(drop) * time.Minute)) {
-			t.Fatalf("pruned start = %v", after.Start)
-		}
-		vals, _, ok := s.RangeInto(kCPU, after.Start.Add(5*time.Minute), after.Start.Add(50*time.Minute), nil)
-		if !ok {
-			t.Fatal("windowed read after prune failed")
-		}
-		sameBits(t, vals, after.Values[5:50], "pruned window")
+		p := append(fillProgram(7, 300), opPruneChunks, wr(0, 0, 3*span+span/2), opAppend, wr(0, 2, 5))
+		runProgram(t, progConfig{span: span, shards: 4}, progOps(p...), nil)
 	}
 }
 
+// TestPruneDropsWholeChunks: a prune three chunks and five bins into a
+// series of ten drops the three, and one past a shorter series' end
+// drops it whole.
 func TestPruneDropsWholeChunks(t *testing.T) {
-	s := chunkedStore(t, 10)
-	for i := 0; i < 100; i++ {
-		s.Append(Measurement{kCPU, t0.Add(time.Duration(i) * time.Minute), float64(i)})
-	}
-	if st := s.Stats(); st.Chunks != 10 {
-		t.Fatalf("chunks = %d, want 10", st.Chunks)
-	}
-	s.Prune(t0.Add(35 * time.Minute)) // 3 whole chunks + head 5
-	st := s.Stats()
-	if st.Chunks != 7 {
-		t.Fatalf("chunks after prune = %d, want 7", st.Chunks)
-	}
-	if st.Bins != 65 {
-		t.Fatalf("bins after prune = %d, want 65", st.Bins)
-	}
-	ser, _ := s.Series(kCPU)
-	for i, v := range ser.Values {
-		if v != float64(i+35) {
-			t.Fatalf("bin %d = %v, want %v", i, v, float64(i+35))
-		}
-	}
-	// Prune everything: the series must vanish.
-	s.Prune(t0.Add(200 * time.Minute))
-	if st := s.Stats(); st.SeriesCount != 0 || st.Chunks != 0 {
-		t.Fatalf("stats after full prune = %+v", st)
-	}
+	p := progOps(opAppend, wr(1, 1, 20), opAppend, 63, opAppend, 35, opPruneChunks, 35, opPruneTail, wr(0, 0, 8))
+	runProgram(t, progConfig{span: 10, shards: 4}, p, nil)
 }
 
 func TestLateWriteIntoSealedChunk(t *testing.T) {
-	s := chunkedStore(t, 8)
-	for i := 0; i < 40; i++ {
-		s.Append(Measurement{kCPU, t0.Add(time.Duration(i) * time.Minute), float64(i)})
-	}
-	// Bin 3 is sealed in the first chunk; overwrite it.
-	s.Append(Measurement{kCPU, t0.Add(3 * time.Minute), 999})
-	ser, _ := s.Series(kCPU)
-	if ser.Values[3] != 999 {
-		t.Fatalf("late write lost: bin 3 = %v", ser.Values[3])
-	}
-	for i, want := range []float64{0, 1, 2} {
-		if ser.Values[i] != want {
-			t.Fatalf("bin %d corrupted: %v", i, ser.Values[i])
-		}
-	}
+	runProgram(t, progConfig{span: 8, shards: 4}, progOps(opAppend, 39, opLateSealed, 3, opLateSealed, wr(0, 2, 9)), nil)
 }
 
 func TestRangeIntoAllocs(t *testing.T) {
@@ -207,21 +108,13 @@ func TestRangeIntoAllocs(t *testing.T) {
 	}
 }
 
+// TestStatsCompression: Stats against the chunk layout of the model.
 func TestStatsCompression(t *testing.T) {
-	s := chunkedStore(t, 100)
-	for i := 0; i < 1050; i++ {
-		s.Append(Measurement{kCPU, t0.Add(time.Duration(i) * time.Minute), float64(2000 + i%10)})
+	var p []int
+	for i := 0; i < 17; i++ {
+		p = append(p, opAppend, wr(0, i%2, 63))
 	}
-	st := s.Stats()
-	if st.Chunks != 10 || st.TailBins != 50 || st.Bins != 1050 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.CompressedBytes <= 0 || st.CompressedBytes >= 1000*8 {
-		t.Fatalf("compressed bytes = %d, want in (0, %d)", st.CompressedBytes, 1000*8)
-	}
-	if want := st.CompressedBytes + 50*8; st.ApproxBytes != want {
-		t.Fatalf("approx bytes = %d, want %d", st.ApproxBytes, want)
-	}
+	runProgram(t, progConfig{span: 100, shards: 4}, progOps(p...), nil)
 }
 
 // Counts are the paper's bread-and-butter KPIs (page views,
@@ -267,47 +160,11 @@ func TestResidentCompressionCountKPIs(t *testing.T) {
 	}
 }
 
+// TestSnapshotChunkedRoundTrip: a snapshot keeps the span, a pruned
+// head and the chunks verbatim.
 func TestSnapshotChunkedRoundTrip(t *testing.T) {
-	s := chunkedStore(t, 16)
-	fillRandom(s, kCPU, 200, 21)
-	fillRandom(s, kPV, 77, 22)
-	s.Prune(t0.Add(20 * time.Minute)) // non-zero head survives the trip
-
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ChunkSpan() != 16 {
-		t.Fatalf("restored span = %d, want 16", got.ChunkSpan())
-	}
-	for _, k := range []topo.KPIKey{kCPU, kPV} {
-		want, _ := s.Series(k)
-		have, ok := got.Series(k)
-		if !ok {
-			t.Fatalf("series %v missing after restore", k)
-		}
-		if !have.Start.Equal(want.Start) {
-			t.Fatalf("start = %v, want %v", have.Start, want.Start)
-		}
-		sameBits(t, have.Values, want.Values, k.Metric)
-	}
-	// A second snapshot of the restored store must be byte-identical:
-	// chunks are stored verbatim and the encoder is deterministic.
-	var buf2 bytes.Buffer
-	if err := s.WriteSnapshot(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	var buf3 bytes.Buffer
-	if err := got.WriteSnapshot(&buf3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf2.Bytes(), buf3.Bytes()) {
-		t.Fatal("restored store snapshots differently than the original")
-	}
+	p := append(fillProgram(21, 200), opAppend, wr(1, 1, 60), opPruneChunks, wr(0, 0, 20), opSnapshot, 0, opCompact, 0, opReopen, 0)
+	runProgram(t, progConfig{span: 16, shards: 4}, progOps(p...), nil)
 }
 
 // TestSnapshotRejectsOldVersions: versions 1 and 2 were never deployed
@@ -329,33 +186,8 @@ func TestSnapshotRejectsOldVersions(t *testing.T) {
 }
 
 func TestReplaySinceChunked(t *testing.T) {
-	flat := NewStore(t0, time.Minute)
-	ck := chunkedStore(t, 8)
-	for _, s := range []*Store{flat, ck} {
-		fillRandom(s, kCPU, 120, 31)
-		fillRandom(s, kPV, 90, 32)
-	}
-	since := t0.Add(37 * time.Minute)
-	a := flat.ReplaySince(nil, since)
-	b := ck.ReplaySince(nil, since)
-	if len(a) != len(b) {
-		t.Fatalf("replay lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		// Order ties are unspecified across keys; compare as multisets
-		// per timestamp by sorting equal-time runs on the fly is
-		// overkill — the deterministic fill gives unique (key, bin)
-		// values, so a simple containment check suffices.
-		found := false
-		for j := range b {
-			if a[i].Key == b[j].Key && a[i].T.Equal(b[j].T) && math.Float64bits(a[i].V) == math.Float64bits(b[j].V) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("measurement %+v missing from chunked replay", a[i])
-		}
+	for _, span := range []int{8, 512} {
+		runProgram(t, progConfig{span: span, shards: 4}, progOps(append(fillProgram(31, 120), opGap, wr(1, 1, 90))...), nil)
 	}
 }
 
@@ -376,66 +208,17 @@ func TestSetChunkSpanGuards(t *testing.T) {
 
 // TestPruneThenLateWriteAcrossSealBoundaries pins the interaction of
 // the two sealed-region mutators: after a mid-chunk prune (non-zero
-// head), late out-of-order writes must patch the correct bin even when
-// the logical index and the encoded position disagree by head — in
-// particular on the first and last bin of a sealed chunk, where an
-// off-by-head lands in the neighboring chunk.
+// head), late writes must patch the right bin even where the logical
+// index and the encoded position disagree by head — on the first and
+// last bin of a sealed chunk, where an off-by-head lands in the
+// neighbouring chunk — by every path, and a second prune stays aligned.
 func TestPruneThenLateWriteAcrossSealBoundaries(t *testing.T) {
-	const span = 8
-	s := chunkedStore(t, span)
-	const n = 10 * span
-	for i := 0; i < n; i++ {
-		s.Append(Measurement{kCPU, t0.Add(time.Duration(i) * time.Minute), float64(i)})
-	}
-	drop := 2*span + 3 // two whole chunks plus head 3
-	s.Prune(t0.Add(time.Duration(drop) * time.Minute))
-
-	// Patch bins whose encoded positions straddle every interesting
-	// boundary: first and last bin of a sealed chunk, both sides of a
-	// chunk seam, and the sealed/tail frontier.
-	patched := map[int]float64{}
-	patch := func(bin int) {
-		v := float64(bin) + 0.5
-		s.Append(Measurement{kCPU, t0.Add(time.Duration(bin) * time.Minute), v})
-		patched[bin] = v
-	}
-	patch(drop)         // oldest surviving bin (encoded pos = head)
-	patch(4*span - 1)   // last bin of a sealed chunk
-	patch(4 * span)     // first bin of the next chunk
-	patch(n - span - 1) // just below the sealed/tail frontier
-	patch(n - 1)        // inside the mutable tail
-
-	ser, ok := s.Series(kCPU)
-	if !ok {
-		t.Fatal("series missing")
-	}
-	if ser.Len() != n-drop {
-		t.Fatalf("len = %d, want %d", ser.Len(), n-drop)
-	}
-	for i, v := range ser.Values {
-		bin := i + drop
-		want := float64(bin)
-		if pv, hit := patched[bin]; hit {
-			want = pv
+	for path := 0; path < 5; path++ {
+		p := tailSeedPrograms()[0]
+		for i := 1; i < len(p); i += 3 {
+			p[i] |= byte(path << 3)
 		}
-		if v != want {
-			t.Fatalf("bin %d = %v, want %v", bin, v, want)
-		}
-	}
-
-	// A second prune after the late writes must stay aligned too.
-	drop2 := 5*span + 1
-	s.Prune(t0.Add(time.Duration(drop2) * time.Minute))
-	ser, _ = s.Series(kCPU)
-	for i, v := range ser.Values {
-		bin := i + drop2
-		want := float64(bin)
-		if pv, hit := patched[bin]; hit {
-			want = pv
-		}
-		if v != want {
-			t.Fatalf("after second prune: bin %d = %v, want %v", bin, v, want)
-		}
+		runProgram(t, progConfig{span: 8, shards: 4}, p, nil)
 	}
 }
 
@@ -510,33 +293,9 @@ func TestLateSealedWriteAllocs(t *testing.T) {
 	}
 }
 
-// TestPruneLateWriteSnapshotRoundTrip proves the prune + late-write
-// state (non-zero head, re-encoded chunks) survives the snapshot
-// format bit-exactly.
+// TestPruneLateWriteSnapshotRoundTrip: the prune + late-write state
+// (non-zero head, re-encoded chunks) survives the snapshot bit-exactly.
 func TestPruneLateWriteSnapshotRoundTrip(t *testing.T) {
-	const span = 8
-	s := chunkedStore(t, span)
-	fillRandom(s, kCPU, 12*span, 11)
-	s.Prune(t0.Add(time.Duration(3*span+5) * time.Minute))
-	// Late writes after the prune, across a seam.
-	s.Append(Measurement{kCPU, t0.Add(time.Duration(6*span-1) * time.Minute), 1e6})
-	s.Append(Measurement{kCPU, t0.Add(time.Duration(6*span) * time.Minute), 2e6})
-
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := s.Series(kCPU)
-	got, ok := r.Series(kCPU)
-	if !ok {
-		t.Fatal("series missing after round trip")
-	}
-	if !got.Start.Equal(want.Start) {
-		t.Fatalf("start %v, want %v", got.Start, want.Start)
-	}
-	sameBits(t, got.Values, want.Values, "prune+late-write round trip")
+	p := append(fillProgram(11, 96), opPruneChunks, 3*8+5, opLateSealed, wr(0, 1, 22), opLateSealed, wr(0, 1, 23), opSnapshot, 0)
+	runProgram(t, progConfig{span: 8, shards: 4}, progOps(p...), nil)
 }

@@ -246,95 +246,18 @@ func TestRearmGivesUpAfterMaxAttempts(t *testing.T) {
 }
 
 // TestSnapshotCorruptionQuarantines flips one byte inside a sealed
-// chunk of the on-disk snapshot and proves recovery degrades exactly
-// that chunk: its bins read NaN, everything else is intact, and the
-// accounting (RecoveryStats, Stats, gauges, degraded reads) sees it.
+// chunk of the on-disk snapshot: recovery degrades exactly that chunk —
+// its bins read NaN, every other bin as the store reference model says,
+// RecoveryStats and Stats count it — a read across it is counted, and
+// the tombstone round-trips through the next snapshot.
 func TestSnapshotCorruptionQuarantines(t *testing.T) {
-	dir := t.TempDir()
-	opts := persistOptsNoBG(2)
-	opts.ChunkSpan = 16
-	st, err := OpenPersistent(dir, t0, time.Minute, opts)
-	if err != nil {
-		t.Fatal(err)
+	r := newProgRunner(t, progConfig{span: 16, shards: 2}, nil)
+	r.run(progOps(opAppend, 63, opAppend, 15, opCompact, 0, opDamage, 10<<8))
+	if r.s.QuarantinedChunks() != 1 || r.s.degradedReads.Load() == 0 {
+		t.Fatalf("%d chunks quarantined, %d degraded reads", r.s.QuarantinedChunks(), r.s.degradedReads.Load())
 	}
-	k := topo.KPIKey{Scope: topo.ScopeServer, Entity: "srv-0", Metric: "cpu.util"}
-	const bins = 80 // 5 sealed chunks of 16
-	for bin := 0; bin < bins; bin++ {
-		st.Append(Measurement{k, t0.Add(time.Duration(bin) * time.Minute), float64(bin)})
-	}
-	if err := st.Compact(); err != nil { // everything into the snapshot
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Corrupt one byte well inside the snapshot body (past the header
-	// and key, inside chunk data — the CRC catches it wherever it
-	// lands within a chunk's bytes).
-	snap := filepath.Join(dir, snapshotFile)
-	raw, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := len(raw) / 2
-	raw[pos] ^= 0x40
-	if err := os.WriteFile(snap, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenPersistent(dir, time.Time{}, 0, opts)
-	if err != nil {
-		t.Fatalf("recovery died on a corrupt chunk instead of quarantining: %v", err)
-	}
-	defer re.Close()
-	rec := re.Recovered()
-	if rec.QuarantinedChunks != 1 {
-		t.Fatalf("QuarantinedChunks = %d, want 1", rec.QuarantinedChunks)
-	}
-	if re.QuarantinedChunks() != 1 || re.Stats().QuarantinedChunks != 1 {
-		t.Fatal("quarantine not visible via accessor/Stats")
-	}
-
-	got, ok := re.Series(k)
-	if !ok || got.Len() != bins {
-		t.Fatalf("series shape wrong after quarantine: ok=%v len=%d", ok, got.Len())
-	}
-	nan := 0
-	for i := 0; i < bins; i++ {
-		v := got.Values[i]
-		if math.IsNaN(v) {
-			nan++
-			continue
-		}
-		if v != float64(i) {
-			t.Fatalf("bin %d = %v, want %v (corruption must never yield wrong values)", i, v, float64(i))
-		}
-	}
-	if nan != opts.ChunkSpan {
-		t.Fatalf("%d NaN bins, want exactly one chunk span (%d)", nan, opts.ChunkSpan)
-	}
-	if re.degradedReads.Load() == 0 {
-		t.Fatal("degraded read not counted")
-	}
-
-	// The tombstone round-trips: a re-snapshot of the degraded store
-	// recovers to the same degraded store, byte for byte.
-	if err := re.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	want := snapshotBytes(t, re)
-	re2, err := OpenPersistent(dir, time.Time{}, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	if !bytes.Equal(snapshotBytes(t, re2), want) {
-		t.Fatal("tombstone did not round-trip through the snapshot")
-	}
-	if re2.QuarantinedChunks() != 1 {
-		t.Fatalf("re-recovered quarantine count = %d, want 1", re2.QuarantinedChunks())
-	}
+	r.run(progOps(opCompact, 0, opReopen, 0))
+	r.finish()
 }
 
 // TestReadCorruptionQuarantines lets faultfs flip bits on the read
@@ -431,7 +354,7 @@ func (f *countedFile) Close() error {
 // crash landed on — must have closed every file it opened, and one that
 // returns a store must have after Close.
 func TestFailedOpenLeaksNoFiles(t *testing.T) {
-	image := writeImage(t, 4, t0, diffWALBins, diffValue)
+	image := writeImage(t, 4, 30).dir
 	opts := persistOptsNoBG(4)
 	opts.ChunkSpan = diffSpan
 
@@ -475,41 +398,35 @@ func TestFailedOpenLeaksNoFiles(t *testing.T) {
 // as it stood when Compact was called, byte for byte. (A crash between
 // the two ranges tears an append; internal/e2e's sweep owns that.)
 func TestCrashAtEveryOpenAndRotateOp(t *testing.T) {
-	image := writeImage(t, 4, t0, diffWALBins, diffValue)
+	img := writeImage(t, 4, 30)
+	image := img.dir
 	opts := persistOptsNoBG(4)
 	opts.ChunkSpan = diffSpan
 	logMore := func(st *Store) {
 		var batch []Measurement
-		for bin := diffSnapBins + diffWALBins; bin < diffSnapBins+diffWALBins+3; bin++ {
+		for bin := 70; bin < 73; bin++ {
 			batch = batch[:0]
-			for si, k := range fleetKeys(diffKeys) {
-				batch = append(batch, Measurement{k, st.Start().Add(time.Duration(bin) * time.Minute), diffValue(si, bin)})
+			for si, k := range fleetKeys(48) {
+				batch = append(batch, Measurement{k, st.Start().Add(time.Duration(bin) * time.Minute), float64(si*1000 + bin)})
 			}
 			st.AppendBatch(batch)
 		}
 	}
 
-	before, _, err := oracleRecover(image, time.Time{}, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBefore := snapshotBytes(t, before)
-
-	// One clean instrumented run learns where the open ends and where
-	// the compaction starts and ends.
-	clean := faultfs.New(faultfs.Plan{}, nil)
-	opts.FS = clean
-	st, err := OpenPersistent(copyImage(t, image), time.Time{}, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opened := clean.Ops()
+	// One clean instrumented open, checked against the store reference
+	// model, learns the store the image holds, where the open ends and
+	// where the compaction starts and ends.
+	clean := img.fork(t)
+	clean.openRetry(4, diffSpan, 0, nil)
+	st := clean.s
+	wantBefore := snapshotBytes(t, st)
+	opened := clean.ffs.Ops()
 	logMore(st)
-	logged := clean.Ops()
+	logged := clean.ffs.Ops()
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	compacted := clean.Ops()
+	compacted := clean.ffs.Ops()
 	wantAfter := snapshotBytes(t, st)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -565,7 +482,7 @@ func TestCrashAtEveryOpenAndRotateOp(t *testing.T) {
 // threshold, starts no snapshot, leaves the one on disk untouched and
 // the generation it replayed in place.
 func TestCleanReopenWritesNoSnapshot(t *testing.T) {
-	image := writeImage(t, 4, t0, diffWALBins, diffValue)
+	image := writeImage(t, 4, 30).dir
 	dir := copyImage(t, image)
 	snapBefore, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
@@ -601,7 +518,6 @@ func TestCleanReopenWritesNoSnapshot(t *testing.T) {
 // the fold to the background loop — after it has returned, not before —
 // and one with automatic compaction disabled does not.
 func TestOpenRequestsBackgroundCompaction(t *testing.T) {
-	negate := func(series, bin int) float64 { return -diffValue(series, bin) }
 	cases := []struct {
 		name         string
 		generations  int
@@ -609,18 +525,15 @@ func TestOpenRequestsBackgroundCompaction(t *testing.T) {
 		compactBytes int64
 		want         bool
 	}{
-		{"two generations", 2, diffWALBins, 1 << 30, true},
-		{"one generation past CompactBytes", 1, diffWALBins, 1 << 10, true}, // and past the snapshot
-		{"one generation under the snapshot", 1, 6, 1 << 10, false},         // past CompactBytes
-		{"one generation under CompactBytes", 1, diffWALBins, 1 << 30, false},
-		{"three generations, compaction disabled", 3, diffWALBins, -1, false},
+		{"two generations", 2, 30, 1 << 30, true},
+		{"one generation past CompactBytes", 1, 30, 1 << 10, true},  // and past the snapshot
+		{"one generation under the snapshot", 1, 6, 1 << 10, false}, // past CompactBytes
+		{"one generation under CompactBytes", 1, 30, 1 << 30, false},
+		{"three generations, compaction disabled", 3, 30, -1, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := writeImage(t, 4, t0, tc.walBins, diffValue)
-			for g := 1; g < tc.generations; g++ {
-				addGeneration(t, dir, 4, 60+5*g, 80+5*g, negate)
-			}
+			dir := writeImage(t, 4, tc.walBins, make([]int, tc.generations-1)...).dir // reopened with 4 shards
 			cfs := &countingFS{FS: faultfs.OS}
 			st, err := OpenPersistent(dir, time.Time{}, 0, PersistOptions{Shards: 4, SyncInterval: -1, CompactBytes: tc.compactBytes, FS: cfs})
 			if err != nil {
@@ -692,27 +605,15 @@ func TestOpenRequestsBackgroundCompaction(t *testing.T) {
 // nothing reads; with no compaction at open to overwrite it, the open
 // removes it.
 func TestOpenRemovesStaleSnapshotTmp(t *testing.T) {
-	dir := writeImage(t, 4, t0, diffWALBins, diffValue)
-	tmp := filepath.Join(dir, snapshotTmpFile)
+	r := writeImage(t, 4, 30)
+	tmp := filepath.Join(r.dir, snapshotTmpFile)
 	if err := os.WriteFile(tmp, bytes.Repeat([]byte("half a snapshot "), 1<<10), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := diffRecover(t, dir, 4) // recovers copies: the oracle's view of the image
-	if st == nil {
-		t.Fatal("both recoveries refused the image")
-	}
-	opts := persistOptsNoBG(4)
-	opts.ChunkSpan = diffSpan
-	re, err := OpenPersistent(dir, time.Time{}, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
+	r.openRetry(4, diffSpan, 0, nil) // and the store is the model's
+	defer r.finish()
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("stale %s survived the open (stat: %v)", snapshotTmpFile, err)
-	}
-	if !bytes.Equal(snapshotBytes(t, re), snapshotBytes(t, st)) {
-		t.Fatal("the stale file changed what was recovered")
 	}
 }
 
@@ -724,7 +625,7 @@ func TestOpenRemovesStaleSnapshotTmp(t *testing.T) {
 // what refuses it.)
 func TestOpenRefusesUnrecognisedLogName(t *testing.T) {
 	for _, name := range []string{"wal-1-2.log", "wal-3-0.log", "wal-0.old", "wal-1.log.bak", "wal-01.log", "wal--1.log"} {
-		dir := writeImage(t, 2, t0, 2, diffValue)
+		dir := writeImage(t, 2, 2).dir
 		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -742,7 +643,7 @@ func TestOpenRefusesUnrecognisedLogName(t *testing.T) {
 	}
 	// A file of the oldest layout, wal-<shard>.log, has a generation's
 	// name; its header does not have a generation's version.
-	dir := writeImage(t, 2, t0, 2, diffValue)
+	dir := writeImage(t, 2, 2).dir
 	old := append([]byte(walMagic), 0, 1)
 	old = append(old, make([]byte, 16)...)
 	if err := os.WriteFile(filepath.Join(dir, "wal-0.log"), old, 0o644); err != nil {

@@ -1,232 +1,69 @@
 package monitor
 
 import (
-	"bytes"
-	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/topo"
 )
 
-// drainAll empties the feed's wakeup token and returns the drained set.
-func drainAll(f *BinFeed) ([]topo.KPIKey, uint64, bool) {
-	select {
-	case <-f.C():
-	default:
-	}
-	return f.Drain(nil)
-}
-
+// The feed against the store reference model: appends coalesce into
+// one mark per key carrying the lowest bin written since the drain, a
+// drain resets them, a prune bumps the epoch, and a closed feed marks
+// nothing — for measurements appended in-process and ones that arrived
+// framed.
 func TestBinFeedCoalescesAppends(t *testing.T) {
-	s := NewStore(t0, time.Minute)
-	f := s.NewBinFeed(nil, 0)
-	defer f.Close()
-
-	for i := 0; i < 10; i++ {
-		s.Append(Measurement{kCPU, t0.Add(time.Duration(i) * time.Minute), float64(i)})
-	}
-	s.Append(Measurement{kPV, t0, 1})
-
-	select {
-	case <-f.C():
-	default:
-		t.Fatal("no wakeup token after appends")
-	}
-	keys, _, overflow := f.Drain(nil)
-	if overflow {
-		t.Fatal("unexpected overflow")
-	}
-	if len(keys) != 2 {
-		t.Fatalf("drained %d keys, want 2 (coalesced): %v", len(keys), keys)
-	}
-	// Drained state does not reappear without new appends.
-	if keys, _, _ := f.Drain(nil); len(keys) != 0 {
-		t.Fatalf("second drain returned %v", keys)
-	}
+	p := progOps(opFeed, 0, opRefilter, 0, opRefilter, wr(4, 0, 0), opAppend, 9, opAppend, wr(4, 1, 0), opDrain, 0, opDrain, 0)
+	runProgram(t, progConfig{span: 8, shards: 4}, p, nil)
 }
 
+// TestBinFeedFilterAndShed: a key the filter refuses is never marked
+// (TestBinFeedLowWater sheds keys past the set's capacity).
 func TestBinFeedFilterAndShed(t *testing.T) {
-	s := NewStore(t0, time.Minute)
-	f := s.NewBinFeed(func(k topo.KPIKey) bool { return k.Metric == "cpu.ctxswitch" }, 1)
-	defer f.Close()
-
-	s.Append(Measurement{kPV, t0, 1}) // filtered out
-	if keys, _, _ := drainAll(f); len(keys) != 0 {
-		t.Fatalf("filtered key leaked: %v", keys)
-	}
-
-	k2 := topo.KPIKey{Scope: topo.ScopeServer, Entity: "srv-2", Metric: "cpu.ctxswitch"}
-	s.Append(Measurement{kCPU, t0, 1})
-	s.Append(Measurement{k2, t0, 2}) // over the 1-key cap: shed
-	keys, _, overflow := drainAll(f)
-	if !overflow {
-		t.Fatal("overflow flag not raised on a full dirty set")
-	}
-	if len(keys) != 1 {
-		t.Fatalf("drained %d keys, want the 1 that fit", len(keys))
-	}
-	// The flag resets after the drain reported it.
-	s.Append(Measurement{kCPU, t0.Add(time.Minute), 3})
-	if _, _, overflow := drainAll(f); overflow {
-		t.Fatal("overflow flag stuck")
-	}
+	p := progOps(opFeed, 0, opRefilter, 0, opAppend, wr(4, 0, 3), opAppend, 0, opDrain, 0, opAppend, wr(4, 1, 0), opDrain, 0)
+	runProgram(t, progConfig{span: 8, shards: 4}, p, nil)
 }
 
-// The dirty set carries, per key, the lowest bin written since the last
-// drain: coalesced marks keep the minimum whatever order they came in, a
-// drain resets it, and the keys-only Drain hands over the same keys —
-// for measurements appended in-process and for ones that arrived framed.
 func TestBinFeedLowWater(t *testing.T) {
-	t.Run("append", func(t *testing.T) {
-		s := NewStore(t0, time.Minute)
-		testBinFeedLowWater(t, s, s.Append)
-	})
-	t.Run("framed", func(t *testing.T) {
-		s := NewStore(t0, time.Minute)
-		table := newKeyTable(s, maxKeyCacheEntries)
-		var enc keyIDs
-		testBinFeedLowWater(t, s, func(m Measurement) {
-			if err := table.ingestFrame(idFrames(t, &enc, []Measurement{m})[0]); err != nil {
-				t.Fatal(err)
-			}
-		})
-	})
-}
-
-func testBinFeedLowWater(t *testing.T, s *Store, ingest func(Measurement)) {
+	for _, path := range []int{0, 2} {
+		p := progOps(opFeed, 0, opRefilter, 0, opRefilter, wr(4, 0, 0), opAppend, wr(0, path, 8), opLateTail, wr(0, path, 3),
+			opAppend, wr(4, path, 0), opDrain, 0, opAppend, wr(0, path, 1), opDrain, 0, opLateLine, wr(0, path, 1),
+			opLateSealed, wr(0, path, 2), opGap, wr(4, path, 3), opPruneTail, wr(0, 0, 2), opAppend, wr(4, path, 1), opDrain, 0,
+			opFeed, 0, opAppend, wr(0, path, 2), opFeed, 0, opAppend, wr(0, path, 2), opDrain, 0)
+		t.Run([...]string{"append", "", "framed"}[path], func(t *testing.T) { runProgram(t, progConfig{span: 8, shards: 4}, p, nil) })
+	}
+	// Over capacity the set is incomplete and says so; the keys that fit
+	// keep their low-waters, and Drain is DrainBins without the bins.
+	s := NewStore(t0, time.Minute)
 	f := s.NewBinFeed(nil, 2)
 	defer f.Close()
-	write := func(k topo.KPIKey, bins ...int) {
-		for _, b := range bins {
-			ingest(Measurement{k, t0.Add(time.Duration(b) * time.Minute), float64(b)})
-		}
-	}
-	lowOf := func(keys []topo.KPIKey, lows []int) map[topo.KPIKey]int {
-		t.Helper()
-		if len(keys) != len(lows) {
-			t.Fatalf("%d keys but %d low-waters", len(keys), len(lows))
-		}
-		m := make(map[topo.KPIKey]int)
-		for i, k := range keys {
-			m[k] = lows[i]
-		}
-		return m
-	}
-
-	write(kCPU, 7, 8, 3, 9) // in order, then a late write, then on
-	write(kPV, 5)
-	keys, lows, _, overflow := f.DrainBins(nil, nil)
-	if got := lowOf(keys, lows); overflow || len(got) != 2 || got[kCPU] != 3 || got[kPV] != 5 {
-		t.Fatalf("low-waters %v (overflow %v), want cpu 3, pv 5", got, overflow)
-	}
-
-	// Reset by the drain: the next low-water knows nothing of bin 3.
-	write(kCPU, 10, 11)
-	keys, lows, _, _ = f.DrainBins(keys[:0], lows[:0])
-	if got := lowOf(keys, lows); len(got) != 1 || got[kCPU] != 10 {
-		t.Fatalf("low-waters after a drain %v, want cpu 10 alone", got)
-	}
-
-	// An overwrite of the newest bin is a write like any other.
-	write(kCPU, 11)
-	if _, lows, _, _ = f.DrainBins(nil, nil); len(lows) != 1 || lows[0] != 11 {
-		t.Fatalf("low-water of an overwrite %v, want 11", lows)
-	}
-
-	// Over capacity the set is incomplete and says so; the keys that
-	// fit keep their low-waters, and a shed key lowers nobody's.
 	k3 := topo.KPIKey{Scope: topo.ScopeServer, Entity: "srv-3", Metric: "cpu.ctxswitch"}
-	write(kCPU, 12)
-	write(kPV, 6)
-	write(k3, 0)
-	write(kCPU, 4)
-	keys, lows, _, overflow = f.DrainBins(nil, nil)
-	if got := lowOf(keys, lows); !overflow || len(got) != 2 || got[kCPU] != 4 || got[kPV] != 6 {
-		t.Fatalf("low-waters %v (overflow %v), want cpu 4, pv 6 and an overflow", got, overflow)
+	for _, m := range []Measurement{{kCPU, t0.Add(12 * time.Minute), 1}, {kPV, t0.Add(6 * time.Minute), 1}, {k3, t0, 1}, {kCPU, t0.Add(4 * time.Minute), 1}} {
+		s.Append(m)
 	}
-
-	// Drain is DrainBins without the bins.
-	write(kCPU, 13)
-	write(kPV, 7)
-	only, _, overflow := f.Drain(nil)
-	got := make(map[topo.KPIKey]bool)
-	for _, k := range only {
-		got[k] = true
+	keys, lows, _, overflow := f.DrainBins(nil, nil)
+	if got := map[topo.KPIKey]int{keys[0]: lows[0], keys[1]: lows[1]}; !overflow || len(keys) != 2 || got[kCPU] != 4 || got[kPV] != 6 {
+		t.Fatalf("low-waters %v %v (overflow %v), want cpu 4, pv 6 and an overflow", keys, lows, overflow)
 	}
-	if overflow || len(only) != 2 || !got[kCPU] || !got[kPV] {
-		t.Fatalf("Drain returned %v (overflow %v), want cpu and pv", only, overflow)
-	}
-	if keys, lows, _, _ = f.DrainBins(nil, nil); len(keys) != 0 || len(lows) != 0 {
-		t.Fatalf("Drain left %v %v behind", keys, lows)
+	s.Append(Measurement{kCPU, t0.Add(13 * time.Minute), 1})
+	if only, _, overflow := f.Drain(nil); overflow || len(only) != 1 || only[0] != kCPU {
+		t.Fatalf("Drain returned %v (overflow %v), want cpu", only, overflow)
 	}
 }
 
-// Refilter flips the flags of the keys it is given and no others, and a
-// named key with no series yet gets its flag when its series is made.
+// Refilter flips the flags of the keys it is given and no others (a
+// flipped key left unnamed keeps its flag, stale), and a named key with
+// no series yet gets its flag when its series is made.
 func TestRefilterKeys(t *testing.T) {
-	s := NewStore(t0, time.Minute)
-	k2 := topo.KPIKey{Scope: topo.ScopeServer, Entity: "srv-2", Metric: "cpu.ctxswitch"}
-	k3 := topo.KPIKey{Scope: topo.ScopeServer, Entity: "srv-3", Metric: "cpu.ctxswitch"}
-	s.Append(Measurement{kCPU, t0, 1})
-	s.Append(Measurement{kPV, t0, 1})
-	s.Append(Measurement{k2, t0, 1})
-	fc := newFeedConsumer(s)
-	defer fc.feed.Close()
-	flags := func() [4]bool {
-		return [4]bool{feedFlag(s, kCPU), feedFlag(s, kPV), feedFlag(s, k2), feedFlag(s, k3)}
-	}
-
-	fc.register([]topo.KPIKey{kCPU, k3})
-	if got := flags(); got != [4]bool{true, false, false, false} {
-		t.Fatalf("flags after registering cpu and the unborn srv-3: %v", got)
-	}
-	// The filter now wants kPV, but nobody named it: its flag stays down
-	// until somebody does, and its appends mark nothing meanwhile.
-	fc.refs[kPV]++
-	fc.register([]topo.KPIKey{k2})
-	if got := flags(); got != [4]bool{true, false, true, false} {
-		t.Fatalf("flags after registering srv-2 with pv unnamed: %v", got)
-	}
-	for _, k := range []topo.KPIKey{kCPU, kPV, k2, k3} {
-		s.Append(Measurement{k, t0.Add(time.Minute), 2})
-	}
-	fc.drain()
-	if want := map[topo.KPIKey]bool{kCPU: true, k2: true, k3: true}; !reflect.DeepEqual(fc.marked, want) {
-		t.Fatalf("marked %v, want %v", fc.marked, want)
-	}
-	if !feedFlag(s, k3) {
-		t.Fatal("srv-3 was tracked before its first append, but its series was made with the flag down")
-	}
-
-	fc.retire([]topo.KPIKey{kCPU})
-	if got := flags(); got != [4]bool{false, false, true, true} {
-		t.Fatalf("flags after retiring cpu: %v", got)
-	}
-	fc.retire([]topo.KPIKey{kPV, k2, k3})
-	if got := flags(); got != [4]bool{} {
-		t.Fatalf("flags after retiring everything: %v", got)
-	}
+	p := progOps(opAppend, 0, opAppend, wr(4, 0, 0), opFeed, 0, opRefilter, 0, opRefilter, wr(5, 0, 0), opRefilter, wr(4, 0, 1),
+		opAppend, wr(0, 1, 0), opAppend, wr(4, 2, 0), opAppend, wr(5, 3, 0), opDrain, 0, opRefilter, wr(4, 0, 0), opRefilter, 0,
+		opAppend, wr(0, 1, 0), opAppend, wr(4, 1, 0), opDrain, 0)
+	runProgram(t, progConfig{span: 8, shards: 4}, p, nil)
 }
 
 func TestBinFeedEpochBumpOnPrune(t *testing.T) {
-	s := NewStore(t0, time.Minute)
-	f := s.NewBinFeed(nil, 0)
-	defer f.Close()
-	s.Append(Measurement{kCPU, t0, 1})
-	s.Append(Measurement{kCPU, t0.Add(10 * time.Minute), 2})
-	_, epoch0, _ := drainAll(f)
-
-	s.Prune(t0.Add(5 * time.Minute))
-	select {
-	case <-f.C():
-	default:
-		t.Fatal("no wakeup after prune")
-	}
-	_, epoch1, _ := f.Drain(nil)
-	if epoch1 == epoch0 {
-		t.Fatalf("epoch did not advance across prune: %d", epoch1)
-	}
+	runProgram(t, progConfig{span: 8, shards: 4}, progOps(opFeed, 0, opAppend, 10, opPruneTail, 5, opDrain, 0), nil)
 }
 
 func TestBinFeedCloseUnregisters(t *testing.T) {
@@ -234,53 +71,79 @@ func TestBinFeedCloseUnregisters(t *testing.T) {
 	f := s.NewBinFeed(nil, 0)
 	f.Close()
 	s.Append(Measurement{kCPU, t0, 1})
-	if keys, _, _ := f.Drain(nil); len(keys) != 0 {
-		t.Fatalf("closed feed still marked: %v", keys)
-	}
-	if s.feeds.Load() != nil {
-		t.Fatal("feed list snapshot not cleared after close")
+	if keys, _, _ := f.Drain(nil); len(keys) != 0 || s.feeds.Load() != nil {
+		t.Fatalf("closed feed still marked %v, or is still listed", keys)
 	}
 }
 
 func TestSeriesLen(t *testing.T) {
-	s := NewStore(t0, time.Minute)
-	if n, ok := s.SeriesLen(kCPU); ok || n != 0 {
-		t.Fatalf("missing key: n=%d ok=%v", n, ok)
+	runProgram(t, progConfig{span: 8, shards: 4}, progOps(opGap, 6), nil)
+}
+
+// TestSnapshotRestoreRestampsWatermark: a series restored from a
+// snapshot carries the restore time as its arrival watermark, so the
+// first assessment after a restart reports a bounded bin-to-verdict
+// latency, and a live append moves it forward (the store reference
+// model's opSnapshot and opReopen check both).
+func TestSnapshotRestoreRestampsWatermark(t *testing.T) {
+	p := progOps(opAppend, 3, opSnapshot, 0, opCompact, 0, opReopen, 0, opAppend, 0)
+	runProgram(t, progConfig{span: 8, shards: 4}, p, nil)
+}
+
+// feedConsumer is the streaming assessor's side of a BinFeed, reduced
+// to what the store sees of it: a tracked-key snapshot the filter reads
+// lock-free, registration and retirement that republish it and refilter
+// only the keys they name, and a drain that remembers every key marked.
+// One goroutine registers and retires; drains must not overlap.
+type feedConsumer struct {
+	feed    *BinFeed
+	refs    map[topo.KPIKey]int
+	tracked atomic.Pointer[map[topo.KPIKey]struct{}]
+	marked  map[topo.KPIKey]bool
+}
+
+func newFeedConsumer(s *Store) *feedConsumer {
+	fc := &feedConsumer{refs: make(map[topo.KPIKey]int), marked: make(map[topo.KPIKey]bool)}
+	fc.feed = s.NewBinFeed(func(k topo.KPIKey) bool {
+		m := fc.tracked.Load()
+		if m == nil {
+			return false
+		}
+		_, ok := (*m)[k]
+		return ok
+	}, 0)
+	return fc
+}
+
+func (fc *feedConsumer) register(keys []topo.KPIKey) { fc.track(keys, +1) }
+func (fc *feedConsumer) retire(keys []topo.KPIKey)   { fc.track(keys, -1) }
+
+func (fc *feedConsumer) track(keys []topo.KPIKey, d int) {
+	for _, k := range keys {
+		if fc.refs[k] += d; fc.refs[k] == 0 {
+			delete(fc.refs, k)
+		}
 	}
-	s.Append(Measurement{kCPU, t0.Add(7 * time.Minute), 1})
-	if n, ok := s.SeriesLen(kCPU); !ok || n != 8 {
-		t.Fatalf("n=%d ok=%v, want 8 true", n, ok)
+	m := make(map[topo.KPIKey]struct{}, len(fc.refs))
+	for k := range fc.refs {
+		m[k] = struct{}{}
+	}
+	fc.tracked.Store(&m)
+	fc.feed.Refilter(keys)
+}
+
+func (fc *feedConsumer) drain() {
+	keys, _, _ := fc.feed.Drain(nil)
+	for _, k := range keys {
+		fc.marked[k] = true
 	}
 }
 
-// Satellite regression: a snapshot-restored series must carry an
-// arrival watermark (the restore time) so the first post-restart
-// assessment reports a real, bounded bin-to-verdict latency instead of
-// none at all.
-func TestSnapshotRestoreRestampsWatermark(t *testing.T) {
-	s := NewStore(t0, time.Minute)
-	s.Append(Measurement{kCPU, t0, 1.5})
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	before := time.Now()
-	got, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := time.Now()
-	wm, ok := got.ArrivalWatermark(kCPU)
-	if !ok {
-		t.Fatal("restored series has no arrival watermark")
-	}
-	if wm.Before(before) || wm.After(after) {
-		t.Fatalf("restamped watermark %v outside restore interval [%v, %v]", wm, before, after)
-	}
-	// A live append moves the watermark forward as before.
-	got.Append(Measurement{kCPU, t0.Add(time.Minute), 2})
-	wm2, _ := got.ArrivalWatermark(kCPU)
-	if wm2.Before(wm) {
-		t.Fatalf("live append moved watermark backwards: %v < %v", wm2, wm)
-	}
+// feedFlag reads key's cached tracked flag; false when it has no series.
+func feedFlag(s *Store, key topo.KPIKey) bool {
+	sh := s.shardFor(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	e := sh.series[key]
+	return e != nil && e.feedTracked
 }

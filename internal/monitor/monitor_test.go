@@ -19,20 +19,10 @@ var (
 	kPV  = topo.KPIKey{Scope: topo.ScopeInstance, Entity: "web@srv-1", Metric: "pv.count"}
 )
 
+// Appends, gaps, writes before the epoch, windows and prunes against the
+// store reference model.
 func TestStoreAppendAndSeries(t *testing.T) {
-	s := NewStore(t0, time.Minute)
-	s.Append(Measurement{kCPU, t0, 1})
-	s.Append(Measurement{kCPU, t0.Add(2 * time.Minute), 3})
-	ser, ok := s.Series(kCPU)
-	if !ok || ser.Len() != 3 {
-		t.Fatalf("Series len = %v ok=%v", ser, ok)
-	}
-	if ser.Values[0] != 1 || !math.IsNaN(ser.Values[1]) || ser.Values[2] != 3 {
-		t.Fatalf("values = %v", ser.Values)
-	}
-	if _, ok := s.Series(kPV); ok {
-		t.Fatal("unknown key should be !ok")
-	}
+	runProgram(t, progConfig{span: 8, shards: 4}, progOps(opAppend, 0, opGap, 1, opAppend, wr(1, 1, 2)), nil)
 }
 
 func TestStoreOverwriteSameBin(t *testing.T) {
@@ -46,11 +36,7 @@ func TestStoreOverwriteSameBin(t *testing.T) {
 }
 
 func TestStoreDropsPreEpoch(t *testing.T) {
-	s := NewStore(t0, time.Minute)
-	s.Append(Measurement{kCPU, t0.Add(-time.Minute), 7})
-	if _, ok := s.Series(kCPU); ok {
-		t.Fatal("pre-epoch measurement should be dropped")
-	}
+	runProgram(t, progConfig{span: 8, shards: 4}, progOps(opGap, 0x80, opGap, wr(1, 2, 0x81), opAppend, 0), nil)
 }
 
 func TestStoreSeriesIsCopy(t *testing.T) {
@@ -65,20 +51,7 @@ func TestStoreSeriesIsCopy(t *testing.T) {
 }
 
 func TestStoreRange(t *testing.T) {
-	s := NewStore(t0, time.Minute)
-	for i := 0; i < 10; i++ {
-		s.Append(Measurement{kCPU, t0.Add(time.Duration(i) * time.Minute), float64(i)})
-	}
-	r, start, ok := s.RangeInto(kCPU, t0.Add(2*time.Minute), t0.Add(5*time.Minute), nil)
-	if !ok || len(r) != 3 || r[0] != 2 || !start.Equal(t0.Add(2*time.Minute)) {
-		t.Fatalf("RangeInto = %v from %v, ok=%v", r, start, ok)
-	}
-	if _, _, ok := s.RangeInto(kCPU, t0.Add(time.Hour), t0.Add(2*time.Hour), nil); ok {
-		t.Fatal("empty clamped range should be !ok")
-	}
-	if _, _, ok := s.RangeInto(kPV, t0, t0.Add(time.Minute), nil); ok {
-		t.Fatal("unknown key should be !ok")
-	}
+	runProgram(t, progConfig{span: 64, shards: 4}, progOps(opAppend, 9, opAppend, wr(1, 1, 0)), nil)
 }
 
 func TestStoreKeysAndLen(t *testing.T) {
@@ -377,42 +350,17 @@ func TestAgentEmitsPerTick(t *testing.T) {
 	}
 }
 
+// TestStorePrune: a prune rebases the epoch and drops what lies wholly
+// before it; a prune backwards is a no-op; appends before the new epoch
+// are dropped, after it they land at the right offsets.
 func TestStorePrune(t *testing.T) {
+	p := progOps(opAppend, 9, opAppend, wr(1, 0, 0), opPruneTail, 4, opGap, 0x83, opGap, 2, opAppend, wr(1, 2, 3))
+	runProgram(t, progConfig{span: 64, shards: 4}, p, nil)
 	s := NewStore(t0, time.Minute)
-	for i := 0; i < 10; i++ {
-		s.Append(Measurement{kCPU, t0.Add(time.Duration(i) * time.Minute), float64(i)})
-	}
-	s.Append(Measurement{kPV, t0, 1}) // only bin 0: fully pruned below
+	s.Append(Measurement{kCPU, t0.Add(9 * time.Minute), 1})
 	s.Prune(t0.Add(4 * time.Minute))
-	if !s.Start().Equal(t0.Add(4 * time.Minute)) {
-		t.Fatalf("epoch = %v", s.Start())
-	}
-	ser, ok := s.Series(kCPU)
-	if !ok || ser.Len() != 6 || ser.Values[0] != 4 {
-		t.Fatalf("pruned series = %+v", ser)
-	}
-	if !ser.Start.Equal(t0.Add(4 * time.Minute)) {
-		t.Fatalf("series start = %v", ser.Start)
-	}
-	if _, ok := s.Series(kPV); ok {
-		t.Fatal("fully-pruned key should disappear")
-	}
-	// No-op prunes.
-	s.Prune(t0)
-	if s.Start().Equal(t0) {
-		t.Fatal("backwards prune must not rewind the epoch")
-	}
-	// Appends before the new epoch are dropped; after it, they land at
-	// the right offsets.
-	s.Append(Measurement{kCPU, t0, 99})
-	ser, _ = s.Series(kCPU)
-	if ser.Values[0] != 4 {
-		t.Fatal("pre-epoch append leaked after prune")
-	}
-	s.Append(Measurement{kCPU, t0.Add(12 * time.Minute), 12})
-	ser, _ = s.Series(kCPU)
-	if ser.Values[8] != 12 {
-		t.Fatalf("post-prune append misplaced: %v", ser.Values)
+	if s.Prune(t0); !s.Start().Equal(t0.Add(4 * time.Minute)) {
+		t.Fatalf("a backwards prune moved the epoch to %v", s.Start())
 	}
 }
 
@@ -572,14 +520,8 @@ func TestDialErrors(t *testing.T) {
 }
 
 func TestStoreStats(t *testing.T) {
-	s := NewStore(t0, time.Minute)
-	if st := s.Stats(); st.SeriesCount != 0 || st.LastBin != -1 {
+	if st := NewStore(t0, time.Minute).Stats(); st.SeriesCount != 0 || st.LastBin != -1 {
 		t.Fatalf("empty stats = %+v", st)
 	}
-	s.Append(Measurement{kCPU, t0.Add(4 * time.Minute), 1}) // 5 bins incl. gaps
-	s.Append(Measurement{kPV, t0, 2})                       // 1 bin
-	st := s.Stats()
-	if st.SeriesCount != 2 || st.Bins != 6 || st.ApproxBytes != 48 || st.LastBin != 4 {
-		t.Fatalf("stats = %+v", st)
-	}
+	runProgram(t, progConfig{span: 8, shards: 4}, progOps(opGap, 3, opAppend, wr(1, 0, 0), opAppend, wr(2, 1, 20)), nil)
 }

@@ -220,7 +220,9 @@ type ClientConfig struct {
 	// redial the client asks the server to replay from the earliest
 	// per-key watermark it holds, and drops redelivered (key, bin)
 	// pairs, so a connection flap loses and duplicates nothing that
-	// the server still stores.
+	// the server still stores. After a resume, a measurement at or
+	// before its key's last delivered bin (a late write, an overwrite)
+	// is dropped too: the protocol does not mark where a replay ends.
 	Reconnect bool
 	// Backoff paces reconnect attempts (zero value = defaults).
 	Backoff Backoff
@@ -431,13 +433,15 @@ func (c *Client) consume(conn net.Conn) error {
 			return err
 		}
 		if c.cfg.Reconnect {
+			// Only a resumed connection replays duplicates; lastSeen keeps each key's newest bin.
 			c.mu.Lock()
 			last, seen := c.lastSeen[m.Key]
-			if seen && !m.T.After(last) {
+			if !seen || m.T.After(last) {
+				c.lastSeen[m.Key] = m.T
+			} else if c.reconnects > 0 {
 				c.mu.Unlock()
 				continue // replayed or overlapping delivery: already seen
 			}
-			c.lastSeen[m.Key] = m.T
 			c.mu.Unlock()
 		}
 		select {

@@ -109,6 +109,46 @@ func TestClientReconnectResumesWithoutLossOrDup(t *testing.T) {
 	}
 }
 
+// TestReconnectingClientDeliversLiveLateWrites: on a link that never
+// dropped there is no replay to dedup, so a reconnecting client delivers
+// a late write and a same-bin overwrite as a plain one does, and the
+// late write does not pull its key's resume watermark back.
+func TestReconnectingClientDeliversLiveLateWrites(t *testing.T) {
+	store := NewStore(t0, time.Minute)
+	srv := NewServer(store)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	bins := []int{10, 11, 5, 11, 12}
+	for _, reconnect := range []bool{false, true} {
+		cli, err := DialConfig(addr.String(), ClientConfig{Reconnect: reconnect, Backoff: fastBackoff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "subscription", func() bool { return store.Subscribers() == 1 })
+		for i, b := range bins {
+			store.Append(Measurement{kPV, t0.Add(time.Duration(b) * time.Minute), float64(i)})
+		}
+		for i, b := range bins {
+			select {
+			case m := <-cli.C():
+				if got := int(m.T.Sub(t0) / time.Minute); got != b || m.V != float64(i) {
+					t.Fatalf("reconnect %v: delivery %d is bin %d = %v, want bin %d = %d", reconnect, i, got, m.V, b, i)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("reconnect %v: %d of %d measurements delivered", reconnect, i, len(bins))
+			}
+		}
+		if wm := cli.watermark(); reconnect && !wm.Equal(t0.Add(12*time.Minute)) {
+			t.Fatalf("resume watermark %v, want bin 12", wm)
+		}
+		cli.Close()
+		waitFor(t, "unsubscribe", func() bool { return store.Subscribers() == 0 })
+	}
+}
+
 func TestClientErrDistinguishesCloseFromBreak(t *testing.T) {
 	store := NewStore(t0, time.Minute)
 	srv := NewServer(store)

@@ -1,9 +1,9 @@
 package monitor
 
 import (
-	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -51,68 +51,28 @@ func TestShardCountClamped(t *testing.T) {
 	}
 }
 
-// TestShardedStoreMatchesSingleShard drives identical traffic into a
-// 1-shard and a 16-shard store and requires byte-identical snapshots:
-// striping must never change semantics.
+// TestShardedStoreMatchesSingleShard runs one program on a 1-shard and
+// a 16-shard store, and TestAppendBatchMatchesAppend by Append and by
+// AppendBatch (a key twice in one batch: the later wins), against the
+// store reference model: striping and batching never change semantics.
 func TestShardedStoreMatchesSingleShard(t *testing.T) {
-	one := NewStoreShards(t0, time.Minute, 1)
-	many := NewStoreShards(t0, time.Minute, 16)
-	keys := fleetKeys(40)
+	var p []int
 	for bin := 0; bin < 50; bin++ {
-		for ki, k := range keys {
-			m := Measurement{k, t0.Add(time.Duration(bin) * time.Minute), float64(bin*100 + ki)}
-			one.Append(m)
-			many.Append(m)
-		}
+		p = append(p, opBin, wr(0, bin%2, bin%4))
 	}
-	// Same-bin overwrites and pre-epoch drops behave identically too.
-	for _, s := range []*Store{one, many} {
-		s.Append(Measurement{keys[0], t0.Add(10 * time.Second), -5})
-		s.Append(Measurement{keys[1], t0.Add(-time.Hour), 1})
-	}
-	var a, b bytes.Buffer
-	if err := one.WriteSnapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := many.WriteSnapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("1-shard and 16-shard stores diverged")
-	}
-	if one.Len() != many.Len() || one.Stats() != many.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", one.Stats(), many.Stats())
+	p = append(p, opLateSealed, 3, opGap, 0x80)
+	for _, shards := range []int{1, 16} {
+		runProgram(t, progConfig{span: 16, shards: shards, keys: fleetKeys(40)}, progOps(p...), nil)
 	}
 }
 
 func TestAppendBatchMatchesAppend(t *testing.T) {
-	ref := NewStoreShards(t0, time.Minute, 8)
-	bat := NewStoreShards(t0, time.Minute, 8)
-	keys := fleetKeys(24)
-	var batch []Measurement
-	for bin := 0; bin < 20; bin++ {
-		batch = batch[:0]
-		for ki, k := range keys {
-			m := Measurement{k, t0.Add(time.Duration(bin) * time.Minute), float64(bin + ki)}
-			ref.Append(m)
-			batch = append(batch, m)
+	for path := 0; path < 2; path++ {
+		var p []int
+		for bin := 0; bin < 20; bin++ {
+			p = append(p, opBin, wr(0, path, 4))
 		}
-		// Same key twice in one batch: later element wins, like two
-		// Appends.
-		dup := Measurement{keys[0], t0.Add(time.Duration(bin) * time.Minute), float64(-bin)}
-		ref.Append(dup)
-		batch = append(batch, dup)
-		bat.AppendBatch(batch)
-	}
-	var a, b bytes.Buffer
-	if err := ref.WriteSnapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := bat.WriteSnapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("AppendBatch diverged from sequential Append")
+		runProgram(t, progConfig{span: 8, shards: 8, keys: fleetKeys(24)}, progOps(p...), nil)
 	}
 }
 
@@ -176,22 +136,13 @@ func TestConcurrentAppendAcrossShards(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	ref := NewStoreShards(t0, time.Minute, 1)
+	m := newStoreModel(t0, s.ChunkSpan())
 	for bin := 0; bin < bins; bin++ {
 		for ki, k := range keys {
-			ref.Append(Measurement{k, t0.Add(time.Duration(bin) * time.Minute), float64(bin*1000 + ki)})
+			m.apply([]Measurement{{k, t0.Add(time.Duration(bin) * time.Minute), float64(bin*1000 + ki)}})
 		}
 	}
-	var a, b bytes.Buffer
-	if err := s.WriteSnapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.WriteSnapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("concurrent sharded ingest lost or misfiled measurements")
-	}
+	m.check(t, s, nil, rand.New(rand.NewSource(1)))
 }
 
 func TestEncodeDecodeBatchRoundTrip(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"io"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -12,40 +11,11 @@ import (
 	"repro/internal/topo"
 )
 
+// TestSnapshotRoundTrip: gaps survive, and the restored store keeps
+// working (see the store reference model's opSnapshot and opReopen).
 func TestSnapshotRoundTrip(t *testing.T) {
-	s := NewStore(t0, time.Minute)
-	s.Append(Measurement{kCPU, t0, 1.5})
-	s.Append(Measurement{kCPU, t0.Add(3 * time.Minute), 4.5}) // NaN gap at 1, 2
-	s.Append(Measurement{kPV, t0, 100})
-
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Start().Equal(t0) || got.Step() != time.Minute || got.Len() != 2 {
-		t.Fatalf("header mismatch: start=%v step=%v len=%d", got.Start(), got.Step(), got.Len())
-	}
-	ser, ok := got.Series(kCPU)
-	if !ok || ser.Len() != 4 {
-		t.Fatalf("cpu series = %v", ser)
-	}
-	if ser.Values[0] != 1.5 || !math.IsNaN(ser.Values[1]) || !math.IsNaN(ser.Values[2]) || ser.Values[3] != 4.5 {
-		t.Fatalf("cpu values = %v", ser.Values)
-	}
-	pv, _ := got.Series(kPV)
-	if pv.Values[0] != 100 {
-		t.Fatalf("pv values = %v", pv.Values)
-	}
-	// The restored store keeps working.
-	got.Append(Measurement{kPV, t0.Add(time.Minute), 101})
-	pv, _ = got.Series(kPV)
-	if pv.Values[1] != 101 {
-		t.Fatal("restored store rejects appends")
-	}
+	p := progOps(opAppend, 0, opGap, 2, opAppend, wr(1, 1, 0), opSnapshot, 0, opCompact, 0, opReopen, 0, opAppend, wr(1, 2, 0))
+	runProgram(t, progConfig{span: 8, shards: 4}, p, nil)
 }
 
 func TestSnapshotEmptyStore(t *testing.T) {

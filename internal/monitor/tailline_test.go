@@ -1,10 +1,13 @@
 package monitor
 
 import (
-	"bytes"
-	"math"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,264 +18,114 @@ import (
 	"repro/internal/topo"
 )
 
-// The unsealed region of a series is tail ++ pend[:npend]. The tests
-// here drive it from outside and check it against a flat model.
+// The unsealed region of a series is tail ++ pend[:npend]. FuzzTailWrites
+// drives it, and the rest of the store, through op programs checked
+// against the store reference model (model_test.go); the tests below
+// pin its mechanism.
 
-// Ops of a tail program: three bytes each, an opcode and a 16-bit
-// argument that the op reduces onto the region it aims at.
-const (
-	opAppend      = iota // arg%64+1 bins at the series' end
-	opLateLine           // rewrite a bin of the line
-	opLateTail           // rewrite a bin of the tail
-	opLateSealed         // rewrite a bin of a sealed chunk
-	opGap                // write arg%(3·span)+1 bins past the end
-	opPruneChunks        // prune to a bin of the sealed region
-	opPruneTail          // prune to a bin of the tail
-	opPruneLine          // prune to a bin of the line
-	opSnapshot           // snapshot and restore; an odd arg goes on with the restored store
-	numTailOps
-)
-
-var tailSpans = [...]int{2, 5, 8, 12, 64}
-
-// tailProg assembles a program from (op, arg) pairs.
-func tailProg(pairs ...int) []byte {
-	var p []byte
-	for i := 0; i+1 < len(pairs); i += 2 {
-		p = append(p, byte(pairs[i]), byte(pairs[i+1]>>8), byte(pairs[i+1]))
-	}
-	return p
-}
-
-// tailCoverage counts what a run reached.
-type tailCoverage struct {
-	lateLine, lateTail, lateSealed, gapPastLine int
-	pruneChunks, pruneTail, pruneLine           int
-	snapLine                                    uint8 // bit n: a snapshot was taken with n bins in the line
-}
-
-// tailModel is one series as a flat slice: phys holds the bins of the
-// sealed chunks' pruned head and then the logical bins.
-type tailModel struct {
-	phys []float64
-	head int
-}
-
-func (m *tailModel) bins() []float64 { return m.phys[m.head:] }
-
-func (m *tailModel) set(bin int, v float64) {
-	for len(m.bins()) <= bin {
-		m.phys = append(m.phys, math.NaN())
-	}
-	m.bins()[bin] = v
-}
-
-// prune drops the first drop logical bins, as the store does: whole
-// chunks go, a cut chunk keeps its bins behind head, and a cut at or
-// past the sealed region leaves none.
-func (m *tailModel) prune(drop, span int) {
-	p := m.head + drop
-	if sealedEnd := len(m.phys) / span * span; p < sealedEnd {
-		m.phys = m.phys[p/span*span:]
-		m.head = p % span
-		return
-	}
-	m.phys = m.phys[p:]
-	m.head = 0
-}
-
-// runTailProgram runs prog on one series of a store of the given span,
-// checking the store against the model after every op.
-func runTailProgram(t *testing.T, span int, prog []byte, cov *tailCoverage) {
-	t.Helper()
-	s := NewStore(t0, time.Minute)
-	s.SetChunkSpan(span)
-	key := kCPU
-	var m tailModel
-	rng := rand.New(rand.NewSource(int64(len(prog))*31 + int64(span)))
-	next := 0.0
-	write := func(bin int) {
-		next++
-		v := next
-		if int(next)%7 == 0 {
-			v += 0.25
-		}
-		s.Append(Measurement{key, s.Start().Add(time.Duration(bin) * time.Minute), v})
-		m.set(bin, v)
-	}
-	// shape reads the entry's regions: sealed, tail and line lengths.
-	shape := func(s *Store) (sealed, nt, np int) {
-		sh := s.shardFor(key)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		if e := sh.series[key]; e != nil {
-			return e.sealedLen(span), len(e.tail), int(e.npend)
-		}
-		return 0, 0, 0
-	}
-
-	// check compares a store with the model: length, windows between the
-	// region boundaries, their neighbours and anywhere, and the counts.
-	check := func(s *Store, step, op int) {
-		t.Helper()
-		want := m.bins()
-		n := len(want)
-		if got, _ := s.SeriesLen(key); got != n {
-			t.Fatalf("op %d (%d): SeriesLen = %d, model %d", step, op, got, n)
-		}
-		if n == 0 {
-			return
-		}
-		sealed, nt, _ := shape(s)
-		edge := func() int {
-			at := [...]int{0, sealed, sealed + nt, n, rng.Intn(n + 1)}[rng.Intn(5)] + rng.Intn(3) - 1
-			return max(0, min(at, n))
-		}
-		for w := 0; w < 8; w++ {
-			lo, hi := edge(), edge()
-			if w == 0 {
-				lo, hi = 0, n
-			}
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if lo == hi {
-				continue
-			}
-			from := s.Start().Add(time.Duration(lo) * time.Minute)
-			got, wstart, ok := s.RangeInto(key, from, from.Add(time.Duration(hi-lo)*time.Minute), nil)
-			if !ok || !wstart.Equal(from) {
-				t.Fatalf("op %d (%d): RangeInto [%d,%d) of %d: ok %v, start %v", step, op, lo, hi, n, ok, wstart)
-			}
-			sameBits(t, got, want[lo:hi], "window")
-		}
-		st, chunks := s.Stats(), len(m.phys)/span
-		approx := int64(len(m.phys)%span) * 8
-		for ci := 0; ci < chunks; ci++ {
-			approx += int64(chunk.Encode(m.phys[ci*span : (ci+1)*span]).EncodedBytes())
-		}
-		if st.Bins != n || st.Chunks != chunks || st.TailBins != len(m.phys)%span || st.ApproxBytes != approx {
-			t.Fatalf("op %d (%d): stats %+v, model %d bins, %d chunks, %d tail bins, %d bytes", step, op, st, n, chunks, len(m.phys)%span, approx)
-		}
-	}
-
-	for pc := 0; pc+3 <= len(prog) && pc < 3*128; pc += 3 {
-		op, arg := int(prog[pc])%numTailOps, int(prog[pc+1])<<8|int(prog[pc+2])
-		sealed, nt, np := shape(s)
-		n := sealed + nt + np
-		switch op {
-		case opAppend:
-			for i := arg%64 + 1; i > 0; i-- {
-				write(len(m.bins()))
-			}
-		case opLateLine:
-			if np > 0 {
-				write(sealed + nt + arg%np)
-				cov.lateLine++
-			}
-		case opLateTail:
-			if nt > 0 {
-				write(sealed + arg%nt)
-				cov.lateTail++
-			}
-		case opLateSealed:
-			if sealed > 0 {
-				write(arg % sealed)
-				cov.lateSealed++
-			}
-		case opGap:
-			gap := arg%(3*span) + 1
-			write(n + gap)
-			if np+gap >= pendBins {
-				cov.gapPastLine++
-			}
-		case opPruneChunks, opPruneTail, opPruneLine:
-			drop := 0
-			switch {
-			case op == opPruneChunks && sealed > 0:
-				drop = arg % sealed
-				cov.pruneChunks++
-			case op == opPruneTail && nt > 0:
-				drop = sealed + arg%nt
-				cov.pruneTail++
-			case op == opPruneLine && np > 0:
-				drop = sealed + nt + arg%np
-				cov.pruneLine++
-			}
-			if drop > 0 {
-				s.Prune(s.Start().Add(time.Duration(drop) * time.Minute))
-				m.prune(drop, span)
-			}
-		case opSnapshot:
-			snap := snapshotBytes(t, s)
-			r, err := ReadSnapshot(bytes.NewReader(snap))
-			if err != nil {
-				t.Fatalf("op %d: restore: %v", pc/3, err)
-			}
-			if again := snapshotBytes(t, r); !bytes.Equal(snap, again) {
-				t.Fatalf("op %d: snapshot with %d bins in the line is %d bytes, its restore's %d and they differ", pc/3, np, len(snap), len(again))
-			}
-			check(r, pc/3, op)
-			if arg%2 == 1 {
-				s = r
-			}
-			cov.snapLine |= 1 << np
-		}
-
-		check(s, pc/3, op)
-	}
-}
-
-// tailSeedPrograms are FuzzTailWrites' seeds. The first is
-// TestPruneThenLateWriteAcrossSealBoundaries' sequence at span 8; the
-// rest walk the line: every fill level snapshotted, late writes and
-// prunes into each region, gaps that stay inside the line and gaps that
-// leave it.
+// tailSeedPrograms are FuzzTailWrites' seeds, each run at every span of
+// progSpans. The first is TestPruneThenLateWriteAcrossSealBoundaries'
+// sequence; the second snapshots the line at every fill; the rest mix
+// late writes, gaps and prunes into each region with frames over three
+// connections, the feed, compactions, reopens and damaged records.
 func tailSeedPrograms() [][]byte {
-	const span = 8
-	seeds := [][]byte{
-		tailProg(opAppend, 63, opAppend, 15, opPruneChunks, 2*span+3,
-			opLateSealed, 0, opLateSealed, 4*span-1-(2*span+3), opLateSealed, 4*span-(2*span+3),
-			opLateSealed, 80-span-1-(2*span+3), opLateSealed, 80-1-(2*span+3), opPruneChunks, 5*span+1-(2*span+3)),
-		tailProg(opAppend, 2, opLateLine, 1, opSnapshot, 1, opLateTail, 2, opAppend, 4, opLateLine, 0, opPruneLine, 2, opAppend, 20, opPruneTail, 1, opPruneChunks, 3),
-		tailProg(opGap, 2, opSnapshot, 0, opGap, 5, opGap, 6, opLateLine, 1, opGap, 7, opGap, 40, opLateSealed, 9, opGap, 191, opSnapshot, 1),
-		tailProg(opAppend, 69, opPruneLine, 1, opAppend, 0, opSnapshot, 0, opPruneTail, 0, opPruneTail, 2, opAppend, 63, opLateTail, 3, opPruneLine, 0),
-	}
+	const span, d = 8, 2*8 + 3
 	var fills []int
 	for fill := 1; fill <= 2*pendBins; fill++ {
 		fills = append(fills, opAppend, 0, opSnapshot, 0)
 	}
-	return append(seeds, tailProg(fills...))
+	return [][]byte{
+		progOps(opAppend, 63, opAppend, 15, opPruneChunks, d, opLateSealed, 0, opLateSealed, 4*span-1-d,
+			opLateSealed, 4*span-d, opLateSealed, 80-span-1-d, opLateSealed, 80-1-d, opPruneChunks, 5*span+1-d),
+		progOps(fills...),
+		progOps(opFeed, 0, opRefilter, wr(0, 0, 0), opRefilter, wr(4, 0, 1), opAppend, wr(0, 2, 2), opLateLine, wr(0, 3, 1),
+			opSnapshot, 0, opLateTail, wr(0, 4, 2), opAppend, wr(4, 2, 4), opDrain, 0, opLateLine, wr(0, 1, 0), opPruneLine, 2,
+			opAppend, wr(0, 2, 20), opBin, wr(0, 3, 1), opPruneTail, 1, opRefilter, wr(1, 0, 0), opBin, wr(0, 4, 6), opPruneChunks, 3,
+			opDrain, 0, opFeed, 0, opCompact, 0),
+		progOps(opGap, wr(5, 1, 2), opSnapshot, 0, opGap, wr(5, 2, 5), opGap, 6, opLateLine, wr(5, 3, 1), opGap, wr(5, 4, 7),
+			opGap, 40, opLateSealed, wr(5, 2, 9), opReconnect, 0, opBin, wr(0, 2, 2), opGap, 191, opSnapshot, 1,
+			opReopen, ro(1, 0, 0), opBin, wr(0, 3, 0), opDamage, 9<<8|40<<2, opBin, wr(0, 1, 4), opCompact, 0, opDamage, 10<<8, opBin, 0),
+		progOps(opAppend, 69, opPruneLine, 1, opAppend, 0, opSnapshot, 0, opPruneTail, 0, opPruneTail, 2, opAppend, 63,
+			opLateTail, 3, opPruneLine, 0, opBin, wr(0, 2, 0), opCompact, 0, opBin, wr(0, 3, 2), opPruneChunks, wr(0, 0, 5),
+			opBin, wr(0, 2, 0), opCompact, 0, opReopen, ro(2, 3, 0), opAppend, wr(2, 2, 9), opDamage, 1<<8|1,
+			opBin, wr(0, 4, 1), opReopen, ro(0, 0, 13), opBin, 0, opBin, wr(0, 2, 0), opBin, 0, opDamage, 0, opBin, wr(0, 1, 0),
+			opDamage, 2<<8|63<<2, opBin, 0, opDamage, 3<<8|32<<2, opBin, wr(0, 1, 0), opDamage, 4<<8|63<<2, opBin, 0,
+			opDamage, 5<<8|20<<2, opBin, wr(0, 1, 0), opDamage, 7<<8|50<<2, opBin, 0),
+	}
 }
 
-// FuzzTailWrites runs op programs over the unsealed region — appends,
-// late writes into the line, the tail and the sealed chunks, gaps,
-// prunes into each region, snapshot round trips — at spans the line
-// divides, straddles and exceeds, against a flat model.
+// FuzzTailWrites runs store programs — see the ops in model_test.go —
+// at spans the line divides, straddles and exceeds, against the store
+// reference model. Its corpus under testdata/fuzz/FuzzTailWrites holds
+// one program per hand-built recovery and ingest scenario.
 func FuzzTailWrites(f *testing.F) {
 	for _, p := range tailSeedPrograms() {
-		for si := range tailSpans {
+		for si := range progSpans {
 			f.Add(uint8(si), p)
 		}
 	}
 	f.Fuzz(func(t *testing.T, spanSel uint8, prog []byte) {
-		runTailProgram(t, tailSpans[int(spanSel)%len(tailSpans)], prog, new(tailCoverage))
+		runProgram(t, progConfig{span: progSpans[int(spanSel)%len(progSpans)], shards: 4}, fuzzProgram(prog), nil)
 	})
 }
 
-// TestTailSeedsReachEveryRegion keeps the seeds honest: between them
-// they reach every op's region, and snapshot the line at every fill.
+// maxFuzzOps bounds the ops of one fuzzed program, so that every input
+// runs in bounded time.
+const maxFuzzOps = 128
+
+// fuzzProgram is what FuzzTailWrites runs of prog: its first maxFuzzOps
+// ops.
+func fuzzProgram(prog []byte) []byte { return prog[:min(len(prog), 3*maxFuzzOps)] }
+
+// TestTailSeedsReachEveryRegion keeps the seeds honest: between them,
+// FuzzTailWrites' seeds and its committed corpus reach every op, every
+// region and every kind of damage, and snapshot the line at every fill.
 func TestTailSeedsReachEveryRegion(t *testing.T) {
-	var cov tailCoverage
-	for _, p := range tailSeedPrograms() {
-		for _, span := range tailSpans {
-			runTailProgram(t, span, p, &cov)
+	cov := make(map[string]int)
+	for i, p := range tailSeedPrograms() {
+		if len(p) > 3*maxFuzzOps {
+			t.Fatalf("seed %d has %d ops; FuzzTailWrites runs the first %d", i, len(p)/3, maxFuzzOps)
+		}
+		for _, span := range progSpans {
+			runProgram(t, progConfig{span: span, shards: 4}, p, cov)
 		}
 	}
-	if cov.lateLine == 0 || cov.lateTail == 0 || cov.lateSealed == 0 || cov.gapPastLine == 0 ||
-		cov.pruneChunks == 0 || cov.pruneTail == 0 || cov.pruneLine == 0 || cov.snapLine != 0xff {
-		t.Fatalf("seed programs miss a region: %+v", cov)
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzTailWrites", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus (%v)", err)
 	}
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		lines := strings.Split(string(raw), "\n")
+		if err != nil || len(lines) < 3 {
+			t.Fatalf("%s: %d lines (%v)", name, len(lines), err)
+		}
+		sel, err1 := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "byte("), ")"))
+		prog, err2 := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[2], "[]byte("), ")"))
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: %v, %v", name, err1, err2)
+		}
+		runProgram(t, progConfig{span: progSpans[int(sel[0])%len(progSpans)], shards: 4}, fuzzProgram([]byte(prog)), cov)
+	}
+	want := []string{"late line", "late tail", "late sealed", "gap past the line", "before the epoch", "prune into the chunks", "prune into the tail",
+		"prune into the line", "prune drops a series", "re-created in one generation", "compaction", "reopen", "reshard or respan",
+		"nothing lost", "epoch from a log header", "crash in a write op", "crash in a compaction op", "crash in an open",
+		"feed attached", "refilter", "refilter left stale", "drain", "reconnect", "handles across a prune"}
+	for i := 0; i < pendBins; i++ {
+		want = append(want, fmt.Sprintf("snapshot with %d bins in the line", i))
+	}
+	for i := 0; i <= 10; i++ {
+		want = append(want, fmt.Sprintf("damage %d", i))
+	}
+	for i := 0; i < 5; i++ {
+		want = append(want, fmt.Sprintf("path %d", i))
+	}
+	for _, w := range want {
+		if cov[w] == 0 {
+			t.Errorf("no seed reaches %q", w)
+		}
+	}
+	t.Logf("coverage: %v", cov)
 }
 
 // TestSteadyBinLeavesTailUntouched pins the mechanism as counts. A
@@ -288,9 +141,8 @@ func TestSteadyBinLeavesTailUntouched(t *testing.T) {
 	const span, series = chunk.DefaultSpan, 4000
 	s := NewStore(t0, time.Minute)
 	keys := fleetKeys(series)
-	// The reference settles its line after every append.
-	ref := NewStore(t0, time.Minute)
-	refKeys := keys[:8]
+	// The model seals a chunk the moment its bins are written.
+	m := newStoreModel(t0, span)
 
 	batch := make([]Measurement, series)
 	entries := make([]*seriesEntry, series)
@@ -306,13 +158,8 @@ func TestSteadyBinLeavesTailUntouched(t *testing.T) {
 			batch[i] = Measurement{k, at, float64(bin + i)}
 		}
 		s.AppendBatch(batch)
-		for i, k := range refKeys {
-			ref.Append(Measurement{k, at, float64(bin + i)})
-			e := ref.shardFor(k).series[k]
-			e.tail = append(e.tail, e.pend[:e.npend]...)
-			e.npend = 0
-		}
-		refChunks := len(ref.shardFor(refKeys[0]).series[refKeys[0]].chunks)
+		m.apply(batch[:8])
+		refChunks := len(m.series[keys[0]].enc)
 		for i, k := range keys {
 			if bin == 0 {
 				entries[i] = s.shardFor(k).series[k]
@@ -323,7 +170,7 @@ func TestSteadyBinLeavesTailUntouched(t *testing.T) {
 				moves[i]++
 			}
 			if len(e.chunks) != refChunks {
-				t.Fatalf("bin %d: series %d has %d chunks, the settled reference %d", bin, i, len(e.chunks), refChunks)
+				t.Fatalf("bin %d: series %d has %d chunks, the model %d", bin, i, len(e.chunks), refChunks)
 			}
 		}
 		if (bin+1)%span == 0 {
@@ -335,10 +182,9 @@ func TestSteadyBinLeavesTailUntouched(t *testing.T) {
 			clear(moves)
 		}
 	}
-	for _, k := range refKeys {
+	for k, ms := range m.series {
 		got, _ := s.Series(k)
-		want, _ := ref.Series(k)
-		sameBits(t, got.Values, want.Values, k.String())
+		sameBits(t, got.Values, ms.bins(), k.String())
 	}
 
 	bin := 2 * span
@@ -357,7 +203,7 @@ func TestSteadyBinLeavesTailUntouched(t *testing.T) {
 // Compact walk the store. A key's bins are written in order, so every
 // read must be a prefix of the model with no hole in it.
 func TestTailLineReadersStorm(t *testing.T) {
-	s, _ := openTwinStore(t, twinShards, 64)
+	s, _ := openTestStore(t, 4, 64)
 	keys := fleetKeys(24)
 	value := func(ki, bin int) float64 { return float64(bin*100 + ki) }
 	bins := 600

@@ -1,11 +1,11 @@
 package monitor
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
+	"path/filepath"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -176,84 +176,26 @@ func TestLogOrderAcrossConnections(t *testing.T) {
 // TestReplayStopsAtFirstBadRecord damages a small log at every record in
 // turn — a flipped bit in the length word, the shard byte, the payload
 // and the CRC, and a truncation at, just past and well inside the
-// record — and checks that exactly the records before it replay, on one
-// worker and on several, as the serial oracle says.
+// record — and reopens it on one worker and on several: exactly the
+// records before it replay, as the store reference model says.
 func TestReplayStopsAtFirstBadRecord(t *testing.T) {
-	// A dozen and a half records: group records of four shards around a
-	// run of single-measurement ones.
-	image := t.TempDir()
-	opts := persistOptsNoBG(4)
-	opts.ChunkSpan = diffSpan
-	st, err := OpenPersistent(image, t0, time.Minute, opts)
-	if err != nil {
-		t.Fatal(err)
+	// Group records of four shards around a run of single-measurement ones.
+	base := newProgRunner(t, progConfig{span: diffSpan, shards: 4, keys: fleetKeys(10)}, nil)
+	base.run(progOps(opBin, wr(0, 1, 0), opBin, wr(0, 0, 0), opBin, wr(0, 1, 0)))
+	gen := base.s.persist.gen
+	if n := len(base.gens[gen].recs); n != 4+10+4 {
+		t.Fatalf("%d records in the log, want %d", n, 4+10+4)
 	}
-	keys := fleetKeys(10)
-	for bin := 0; bin < 3; bin++ {
-		var batch []Measurement
-		for ki, k := range keys {
-			batch = append(batch, Measurement{k, t0.Add(time.Duration(bin) * time.Minute), diffValue(ki, bin)})
-		}
-		if bin == 1 {
-			for _, m := range batch {
-				st.Append(m)
-			}
-			continue
-		}
-		st.AppendBatch(batch)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(genLog(t, image, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := logRecords(t, raw)
-	if len(recs) != 4+len(keys)+4 {
-		t.Fatalf("%d records in the log, want %d", len(recs), 4+len(keys)+4)
-	}
-	// bodies[i] is how many measurements records [0, i) hold.
-	bodies := make([]int, len(recs)+1)
-	offs := make([]int, len(recs))
-	for i, r := range recs {
-		bodies[i+1] = bodies[i] + len(r.entries)
-		offs[i] = r.off
-	}
-	type damage struct {
-		what string
-		torn bool
-		edit func(log []byte, off, n int) []byte
-	}
-	flip := func(at func(off, n int) int) func([]byte, int, int) []byte {
-		return func(log []byte, off, n int) []byte {
-			log[at(off, n)] ^= 0x10
-			return log
-		}
-	}
-	damages := []damage{
-		{"bit flipped in the length word", true, flip(func(off, n int) int { return off + 3 })},
-		{"bit flipped in the shard byte", true, flip(func(off, n int) int { return off + 4 })},
-		{"bit flipped in the payload", true, flip(func(off, n int) int { return off + 5 + n/2 })},
-		{"bit flipped in the CRC", true, flip(func(off, n int) int { return off + 5 + n + 1 })},
-		{"truncated at the record", false, func(log []byte, off, n int) []byte { return log[:off] }},
-		{"truncated inside the length word", true, func(log []byte, off, n int) []byte { return log[:off+2] }},
-		{"truncated inside the payload", true, func(log []byte, off, n int) []byte { return log[:off+5+n/2] }},
-		{"truncated inside the CRC", true, func(log []byte, off, n int) []byte { return log[:off+5+n+2] }},
-	}
+	before := base.close()
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			for i, off := range offs {
-				n := int(binary.BigEndian.Uint32(raw[off:]))
-				for _, d := range damages {
-					dir := copyImage(t, image)
-					rewriteFile(t, genLog(t, dir, 0), func(log []byte) []byte { return d.edit(log, off, n) })
-					_, rec := diffRecover(t, dir, 4)
-					if rec.WALRecords != bodies[i] || (rec.TornTails == 1) != d.torn || rec.TornTails > 1 {
-						t.Fatalf("record %d of %d, %s: replayed %d measurements with %d torn tails, want the %d before it and torn = %v",
-							i, len(offs), d.what, rec.WALRecords, rec.TornTails, bodies[i], d.torn)
-					}
+			for i := 0; i < 4+10+4; i++ {
+				for kind := 0; kind < 8; kind++ {
+					r := base.fork(t)
+					r.damageRecord(r.gens[gen], filepath.Join(r.dir, walName(gen)), i, kind)
+					r.openRetry(4, diffSpan, 0, before)
+					r.s.Close() // the open checked the store against the model
 				}
 			}
 		})
@@ -351,7 +293,7 @@ func TestSyncHoldsNoShardLock(t *testing.T) {
 // bin and references it on every later one — after a prune, and in
 // reversed order — so the socket reads one define per key.
 func TestSteadyPublisherDefinesOnce(t *testing.T) {
-	st, _ := openTwinStore(t, twinShards, twinSpan)
+	st, _ := openTestStore(t, 4, 8)
 	col := obs.NewCollector()
 	st.SetCollector(col)
 	table := newKeyTable(st, maxKeyCacheEntries)
@@ -401,55 +343,43 @@ func TestSteadyPublisherDefinesOnce(t *testing.T) {
 
 // TestReplayAcrossBlocks replays a log several reader blocks long —
 // records straddle the block ends, and every block's records go to the
-// workers regrouped by shard — intact, with a flipped bit inside the
-// second block and cut short inside the third, against the serial
-// oracle.
+// workers regrouped by shard — intact, with a flipped bit in a record
+// inside the second block and cut short inside the third, against the
+// store reference model.
 func TestReplayAcrossBlocks(t *testing.T) {
-	image := t.TempDir()
-	opts := persistOptsNoBG(4)
-	opts.ChunkSpan = diffSpan
-	st, err := OpenPersistent(image, t0, time.Minute, opts)
-	if err != nil {
-		t.Fatal(err)
+	var writes []int
+	for bin := 0; bin < 6*diffSpan; bin++ { // a key costs its log about 18 bytes a bin
+		writes = append(writes, opBin, wr(0, 1, 0))
 	}
-	keys := fleetKeys(3500)
-	batch := make([]Measurement, len(keys))
-	const bins = 6 * diffSpan // a key costs its log about 18 bytes a bin
-	for bin := 0; bin < bins; bin++ {
-		for ki, k := range keys {
-			batch[ki] = Measurement{k, t0.Add(time.Duration(bin) * time.Minute), diffValue(ki, bin)}
-		}
-		st.AppendBatch(batch)
+	base := newProgRunner(t, progConfig{span: diffSpan, shards: 4, keys: fleetKeys(3500)}, nil)
+	base.run(progOps(writes...))
+	gen := base.s.persist.gen
+	g := base.gens[gen]
+	if g.size < 5*replayBlock/2 {
+		t.Fatalf("the log is %d bytes, want more than two and a half blocks of %d", g.size, replayBlock)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(genLog(t, image, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) < 5*replayBlock/2 {
-		t.Fatalf("the log is %d bytes, want more than two and a half blocks of %d", len(raw), replayBlock)
-	}
-	total := bins * len(keys)
+	before := base.close()
 	for _, tc := range []struct {
-		what string
-		edit func(log []byte) []byte
-		torn int
+		what     string
+		at, kind int
 	}{
-		{"intact", func(log []byte) []byte { return log }, 0},
-		{"bit flipped inside the second block", func(log []byte) []byte { log[3*replayBlock/2] ^= 0x04; return log }, 1},
-		{"cut short inside the third block", func(log []byte) []byte { return log[:9*replayBlock/4] }, 1},
+		{"intact", 0, -1},
+		{"bit flipped inside the second block", 3 * replayBlock / 2, 2},
+		{"cut short inside the third block", 9 * replayBlock / 4, 6},
 	} {
 		for _, procs := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/procs=%d", tc.what, procs), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				dir := copyImage(t, image)
-				rewriteFile(t, genLog(t, dir, 0), tc.edit)
-				_, rec := diffRecover(t, dir, 4)
-				if rec.TornTails != tc.torn || (tc.torn == 0) != (rec.WALRecords == total) {
-					t.Fatalf("recovery stats %+v, want %d torn tails of %d records", rec, tc.torn, total)
+				r := base.fork(t)
+				if tc.kind >= 0 {
+					i := sort.Search(len(g.recs), func(i int) bool { return g.recs[i].off+g.recs[i].size > int64(tc.at) })
+					r.damageRecord(r.gens[gen], filepath.Join(r.dir, walName(gen)), i, tc.kind)
 				}
+				r.openRetry(4, diffSpan, 0, before)
+				if rec := r.s.Recovered(); (rec.TornTails == 1) != (tc.kind >= 0) {
+					t.Fatalf("recovery stats %+v", rec)
+				}
+				r.s.Close() // the open checked the store against the model
 			})
 		}
 	}
