@@ -38,7 +38,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "scenario seed")
 		verbose   = flag.Bool("v", false, "also print KPIs whose changes were excluded or absent")
 		asJSON    = flag.Bool("json", false, "emit machine-readable JSON instead of text")
-		workers   = flag.Int("workers", 0, "parallel assessment workers (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "KPIs of one change assessed in parallel (0 = GOMAXPROCS)")
 		trends    = flag.Bool("trends", false, "run the parallel-trends placebo diagnostics")
 		summarize = flag.Bool("summary", false, "print a one-line-per-change summary instead of full reports")
 		traceFile = flag.String("trace", "", "assess a workload.Trace JSON file instead of generating a scenario")
@@ -157,18 +157,19 @@ func assess(source funnel.SeriesSource, tp *topo.Topology, changes []changelog.C
 		InstanceMetrics:      instanceMetrics,
 		HistoryDays:          o.history,
 		VerifyParallelTrends: o.trends,
+		AssessWorkers:        o.workers,
 		Obs:                  o.col,
 	}, o.stages)
 	if err != nil {
 		return err
 	}
-	results := assessor.AssessAll(changes, o.workers)
-	reports := make([]*funnel.Report, 0, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			return fmt.Errorf("assessing %s: %w", r.Change.ID, r.Err)
+	reports := make([]*funnel.Report, 0, len(changes))
+	for _, c := range changes {
+		rep, err := assessor.Assess(c)
+		if err != nil {
+			return fmt.Errorf("assessing %s: %w", c.ID, err)
 		}
-		reports = append(reports, r.Report)
+		reports = append(reports, rep)
 	}
 	return emit(reports, o)
 }

@@ -636,19 +636,31 @@ func TestDaemonStreamMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ChangeBin != want.ChangeBin || len(got.Assessments) != len(want.Assessments) {
-		t.Fatalf("report: bin %d, %d assessments; batch: bin %d, %d assessments",
-			got.ChangeBin, len(got.Assessments), want.ChangeBin, len(want.Assessments))
+	if d := reportDiff(got, want); d != "" {
+		t.Errorf("daemon report differs from batch: %s", d)
+	}
+}
+
+// reportDiff names how got differs from want, "" when it does not. The
+// change, impact set, change bin and each Assessment compare through
+// their %+v text, which prints every field — one added later too — a
+// float as its shortest round-trip form (bit for bit, any NaN equal to
+// any NaN) and an error as its message. Trace is left out: its timings
+// are wall-clock.
+func reportDiff(got, want *funnel.Report) string {
+	head := func(r *funnel.Report) string { return fmt.Sprintf("%+v %+v %d", r.Change, r.Set, r.ChangeBin) }
+	if g, w := head(got), head(want); g != w {
+		return fmt.Sprintf("\n got: %s\nwant: %s", g, w)
+	}
+	if len(got.Assessments) != len(want.Assessments) {
+		return fmt.Sprintf("%d assessments, want %d", len(got.Assessments), len(want.Assessments))
 	}
 	for i := range want.Assessments {
-		g, w := got.Assessments[i], want.Assessments[i]
-		if g.Key != w.Key || g.Verdict != w.Verdict || g.Detection != w.Detection ||
-			g.Alpha != w.Alpha || g.TStat != w.TStat || g.ControlKind != w.ControlKind ||
-			g.TrendWarning != w.TrendWarning || g.GapFraction != w.GapFraction ||
-			g.ControlSimilarity != w.ControlSimilarity || fmt.Sprint(g.Err) != fmt.Sprint(w.Err) {
-			t.Errorf("assessment %d (%v) differs from batch:\n daemon: %+v\n batch:  %+v", i, w.Key, g, w)
+		if g, w := fmt.Sprintf("%+v", got.Assessments[i]), fmt.Sprintf("%+v", want.Assessments[i]); g != w {
+			return fmt.Sprintf("assessment %d:\n got: %s\nwant: %s", i, g, w)
 		}
 	}
+	return ""
 }
 
 // A daemon started on a recovered store exports what the recovery

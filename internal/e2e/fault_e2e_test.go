@@ -8,7 +8,6 @@ package e2e
 import (
 	"math/rand"
 	"net"
-	"reflect"
 	"testing"
 	"time"
 
@@ -344,9 +343,9 @@ func TestFaultE2EAcceptFailures(t *testing.T) {
 
 // TestFaultE2EParallelAssessIdentical pins the per-KPI fan-out to the
 // serial path on real ingested data: assessing the clean-run store with
-// one worker and with many must produce deeply identical reports —
-// same assessment order, verdicts, DiD estimates and change bin. Traces
-// are disabled because their nanosecond timings are wall-clock.
+// one worker and with many must produce identical reports — same
+// assessment order, verdicts, DiD estimates and change bin — and, with
+// no collector, no trace.
 func TestFaultE2EParallelAssessIdentical(t *testing.T) {
 	store, _ := runIngest(t, func(_, ingest string) string { return ingest }, nil, nil)
 	tp := topo.NewTopology()
@@ -370,12 +369,15 @@ func TestFaultE2EParallelAssessIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if rep.Trace != nil {
+			t.Fatalf("workers=%d: report carries a trace without a collector", workers)
+		}
 		return rep
 	}
 	want := run(1)
 	for _, workers := range []int{0, 8} {
-		if got := run(workers); !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: parallel e2e report differs from serial", workers)
+		if d := reportDiff(run(workers), want); d != "" {
+			t.Fatalf("workers=%d: parallel e2e report differs from serial: %s", workers, d)
 		}
 	}
 	for _, srv := range servers {

@@ -44,28 +44,26 @@ func streamChange() changelog.Change {
 	}
 }
 
-// compareStreamReports asserts the streaming report equals the batch
-// reference field by field — same KPIs in the same order, same
-// verdicts, detections, and DiD statistics. Traces are excluded (their
-// timings are wall-clock by design).
-func compareStreamReports(t *testing.T, tag string, got, want *funnel.Report) {
-	t.Helper()
-	if got.ChangeBin != want.ChangeBin {
-		t.Errorf("%s: ChangeBin %d != batch %d", tag, got.ChangeBin, want.ChangeBin)
+// reportDiff names how got differs from want, "" when it does not. The
+// change, impact set, change bin and each Assessment compare through
+// their %+v text, which prints every field — one added later too — a
+// float as its shortest round-trip form (bit for bit, any NaN equal to
+// any NaN) and an error as its message. Trace is left out: its timings
+// are wall-clock.
+func reportDiff(got, want *funnel.Report) string {
+	head := func(r *funnel.Report) string { return fmt.Sprintf("%+v %+v %d", r.Change, r.Set, r.ChangeBin) }
+	if g, w := head(got), head(want); g != w {
+		return fmt.Sprintf("\n got: %s\nwant: %s", g, w)
 	}
 	if len(got.Assessments) != len(want.Assessments) {
-		t.Fatalf("%s: %d assessments != batch %d", tag, len(got.Assessments), len(want.Assessments))
+		return fmt.Sprintf("%d assessments, want %d", len(got.Assessments), len(want.Assessments))
 	}
 	for i := range want.Assessments {
-		g, w := got.Assessments[i], want.Assessments[i]
-		if g.Key != w.Key || g.Verdict != w.Verdict || g.Detection != w.Detection ||
-			g.Alpha != w.Alpha || g.TStat != w.TStat || g.ControlKind != w.ControlKind ||
-			g.TrendWarning != w.TrendWarning || g.GapFraction != w.GapFraction ||
-			g.ControlSimilarity != w.ControlSimilarity || fmt.Sprint(g.Err) != fmt.Sprint(w.Err) {
-			t.Errorf("%s: assessment %d (%v) differs from batch:\n stream: %+v\n batch:  %+v",
-				tag, i, w.Key, g, w)
+		if g, w := fmt.Sprintf("%+v", got.Assessments[i]), fmt.Sprintf("%+v", want.Assessments[i]); g != w {
+			return fmt.Sprintf("assessment %d:\n got: %s\nwant: %s", i, g, w)
 		}
 	}
+	return ""
 }
 
 // batchReference assesses the store with a fresh batch assessor and
@@ -227,7 +225,9 @@ func TestStreamE2ENetworkFlap(t *testing.T) {
 			t.Errorf("%s: streamed verdict %v, want %v", srv, got[srv], want)
 		}
 	}
-	compareStreamReports(t, "flap", rep, batchReference(t, store))
+	if d := reportDiff(rep, batchReference(t, store)); d != "" {
+		t.Errorf("flap: streamed report differs from batch: %s", d)
+	}
 }
 
 // TestStreamE2EDegradedDisk runs the streamer on a persistent store
@@ -303,5 +303,7 @@ func TestStreamE2EDegradedDisk(t *testing.T) {
 			t.Errorf("%s: streamed verdict %v through the ENOSPC episode, want %v", srv, got[srv], want)
 		}
 	}
-	compareStreamReports(t, "degraded-disk", rep, batchReference(t, store))
+	if d := reportDiff(rep, batchReference(t, store)); d != "" {
+		t.Errorf("degraded-disk: streamed report differs from batch: %s", d)
+	}
 }

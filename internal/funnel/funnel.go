@@ -120,9 +120,7 @@ type Config struct {
 	// concurrently inside a single Assess call. Zero means GOMAXPROCS;
 	// 1 forces the serial path. Reports are deterministic regardless of
 	// the setting: assessments keep impact-set order, and per-KPI traces
-	// are merged after all workers finish. Batch drivers that already
-	// parallelize across changes (AssessAll) may want 1 here to avoid
-	// oversubscription.
+	// are merged after all workers finish.
 	AssessWorkers int
 	// SkipDiD disables cause determination: every detected change is
 	// attributed to the software change. This reproduces the "Improved
@@ -437,6 +435,12 @@ func (a *Assessor) stamp(kt *obs.KPITrace, stage string, start time.Time) {
 // Config returns the resolved configuration.
 func (a *Assessor) Config() Config { return a.cfg }
 
+// errNoKPIs is the error for a change whose impact set holds no KPI
+// the configuration names.
+func errNoKPIs(id string) error {
+	return fmt.Errorf("funnel: impact set of %s has no KPIs — configure ServerMetrics/InstanceMetrics", id)
+}
+
 // Assess runs the full pipeline for one software change. With a
 // collector configured, every stage is counted and timed, and the
 // report carries (and the collector stores) a per-KPI trace.
@@ -449,7 +453,7 @@ func (a *Assessor) Assess(change changelog.Change) (*Report, error) {
 	}
 	keys := set.TreatedKPIs(a.cfg.ServerMetrics, a.cfg.InstanceMetrics)
 	if len(keys) == 0 {
-		return nil, fmt.Errorf("funnel: impact set of %s has no KPIs — configure ServerMetrics/InstanceMetrics", change.ID)
+		return nil, errNoKPIs(change.ID)
 	}
 	report := &Report{Change: change, Set: set}
 	var tr *obs.Trace

@@ -266,7 +266,8 @@ func (sr *Streamer) Pending() int {
 // RegisterChange records a deployed software change for streaming
 // assessment. Impact-set identification runs immediately to fail fast
 // on bad registrations: the service must be known, the change must
-// treat at least one server, and the change ID must be fresh —
+// treat at least one server whose KPIs the configuration names, and
+// the change ID must be fresh —
 // a duplicate would double-assess and double-report the same rollout.
 func (sr *Streamer) RegisterChange(c changelog.Change) error {
 	set, err := sr.assessor.topo.IdentifyImpactSet(c.Service, c.Servers)
@@ -292,6 +293,9 @@ func (sr *Streamer) RegisterChange(c changelog.Change) error {
 			continue // aggregates are computed at assess time, not stored
 		}
 		sc.states = append(sc.states, sr.newKPIStream(k, c.At))
+	}
+	if len(sc.states) == 0 {
+		return errNoKPIs(c.ID) // nothing would ever make it ready
 	}
 	sr.mu.Lock()
 	if sr.closed {

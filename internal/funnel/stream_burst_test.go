@@ -157,7 +157,7 @@ func TestStreamerBurstBeyondOldQueue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareReports(t, rep, want)
+		requireSame(t, rep, want)
 		flagged += len(rep.Flagged())
 	}
 	if flagged == 0 {

@@ -275,7 +275,7 @@ func (r *tailRun) takeReport() {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	compareReports(r.t, rep, brep)
+	requireSame(r.t, rep, brep)
 	// The assessment brings its change's states up to date before it
 	// fetches, so the sweep is always served from the stream; a state
 	// that never noticed a rewrite fails the cache's bit comparison here.

@@ -1,7 +1,6 @@
 package funnel
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -12,7 +11,9 @@ import (
 	"repro/internal/changelog"
 	"repro/internal/monitor"
 	"repro/internal/obs"
+	"repro/internal/timeseries"
 	"repro/internal/topo"
+	"repro/internal/workload"
 )
 
 // streamFixture is a 3-server service with a +9 shift on on-0 at
@@ -85,78 +86,42 @@ func (f *streamFixture) feed(store *monitor.Store, from, to int, gap func(srv st
 	}
 }
 
+// corpus is the fixture as a matrix corpus: the three servers' series,
+// the bins gap claims left out, and the one change.
+func (f *streamFixture) corpus(cfg Config, gap func(srv string, bin int) bool) *corpus {
+	src := workload.NewMapSource(f.start, time.Minute)
+	for i, srv := range f.servers {
+		vals := append([]float64(nil), f.values[i]...)
+		for bin := range vals {
+			if gap != nil && gap(srv, bin) {
+				vals[bin] = math.NaN()
+			}
+		}
+		src.Put(f.key(srv), timeseries.New(f.start, time.Minute, vals))
+	}
+	return &corpus{name: "fixture", src: src, tp: f.buildTopo(), changes: []changelog.Change{f.change}, cfg: cfg}
+}
+
 // countingCache wraps the streamer's score cache so tests can prove
 // the fast path actually served the assessment, independent of the
-// obs-collector configuration.
+// obs-collector configuration. misses counts stored KPIs only; computed
+// counts service aggregates, which no score state tracks.
 type countingCache struct {
-	inner        scoreCache
-	hits, misses atomic.Int64
+	inner                  scoreCache
+	hits, misses, computed atomic.Int64
 }
 
 func (c *countingCache) cachedScores(key topo.KPIKey, absLo int, segment []float64) []float64 {
 	out := c.inner.cachedScores(key, absLo, segment)
-	if out != nil {
+	switch {
+	case out != nil:
 		c.hits.Add(1)
-	} else {
+	case key.Scope == topo.ScopeService:
+		c.computed.Add(1)
+	default:
 		c.misses.Add(1)
 	}
 	return out
-}
-
-// sameFloat compares bit-for-bit, treating any-NaN-equals-any-NaN as
-// the report comparison needs (payload bits are not meaningful).
-func sameFloat(a, b float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return math.IsNaN(a) && math.IsNaN(b)
-	}
-	return math.Float64bits(a) == math.Float64bits(b)
-}
-
-// assessmentDiff names the first field on which two assessments of the
-// same KPI differ, "" when none does. Floats compare bit-for-bit.
-func assessmentDiff(a, b Assessment) string {
-	ae, be := "", ""
-	if a.Err != nil {
-		ae = a.Err.Error()
-	}
-	if b.Err != nil {
-		be = b.Err.Error()
-	}
-	switch {
-	case a.Key != b.Key:
-		return fmt.Sprintf("key: %v vs %v", a.Key, b.Key)
-	case a.Verdict != b.Verdict:
-		return fmt.Sprintf("verdict: %v vs %v", a.Verdict, b.Verdict)
-	case a.Detection != b.Detection:
-		return fmt.Sprintf("detection: %+v vs %+v", a.Detection, b.Detection)
-	case !sameFloat(a.Alpha, b.Alpha) || !sameFloat(a.TStat, b.TStat):
-		return fmt.Sprintf("DiD: (%v, %v) vs (%v, %v)", a.Alpha, a.TStat, b.Alpha, b.TStat)
-	case a.ControlKind != b.ControlKind || a.TrendWarning != b.TrendWarning:
-		return fmt.Sprintf("control: (%v, %v) vs (%v, %v)", a.ControlKind, a.TrendWarning, b.ControlKind, b.TrendWarning)
-	case !sameFloat(a.GapFraction, b.GapFraction) || !sameFloat(a.ControlSimilarity, b.ControlSimilarity):
-		return fmt.Sprintf("gap/similarity: (%v, %v) vs (%v, %v)", a.GapFraction, a.ControlSimilarity, b.GapFraction, b.ControlSimilarity)
-	case ae != be:
-		return fmt.Sprintf("err: %q vs %q", ae, be)
-	}
-	return ""
-}
-
-// compareReports requires the streaming report to be indistinguishable
-// from the batch one, field by field (traces excluded: they carry
-// wall-clock latencies).
-func compareReports(t *testing.T, stream, batch *Report) {
-	t.Helper()
-	if stream.ChangeBin != batch.ChangeBin {
-		t.Fatalf("ChangeBin: stream %d, batch %d", stream.ChangeBin, batch.ChangeBin)
-	}
-	if len(stream.Assessments) != len(batch.Assessments) {
-		t.Fatalf("assessment count: stream %d, batch %d", len(stream.Assessments), len(batch.Assessments))
-	}
-	for i := range stream.Assessments {
-		if d := assessmentDiff(stream.Assessments[i], batch.Assessments[i]); d != "" {
-			t.Fatalf("%v, stream vs batch: %s", stream.Assessments[i].Key, d)
-		}
-	}
 }
 
 func waitReport(t *testing.T, ch <-chan *Report) *Report {
@@ -173,55 +138,15 @@ func waitReport(t *testing.T, ch <-chan *Report) *Report {
 	return nil
 }
 
-// runStreamCase drives one full streaming-vs-batch equivalence round:
-// register, feed bin-by-bin, take the streaming report, then run a
-// fresh batch assessor over the same store and demand bit-identity.
-func runStreamCase(t *testing.T, cfg Config, scfg StreamConfig, gap func(srv string, bin int) bool, wantHits bool) {
-	t.Helper()
-	fx := newStreamFixture()
-	store := monitor.NewStore(fx.start, time.Minute)
-	sr, err := NewStreamer(store, fx.buildTopo(), cfg, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sr.Close()
-	cc := &countingCache{inner: sr}
-	sr.assessor.scores = cc
-
-	if err := sr.RegisterChange(fx.change); err != nil {
-		t.Fatal(err)
-	}
-	if err := sr.RegisterChange(fx.change); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	fx.feed(store, 0, fx.total, gap)
-	rep := waitReport(t, sr.Reports())
-	if sr.Pending() != 0 {
-		t.Fatalf("pending = %d after report", sr.Pending())
-	}
-	if wantHits && cc.hits.Load() == 0 {
-		t.Fatalf("streaming report was served without a single cache hit (misses=%d)", cc.misses.Load())
-	}
-
-	// The batch truth over the identical store, never with a collector:
-	// telemetry on the streaming side must not show in the report.
-	bcfg := cfg
-	bcfg.Obs = nil
-	ba, err := NewAssessor(store, fx.buildTopo(), bcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	brep, err := ba.Assess(fx.change)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareReports(t, rep, brep)
-
-	// Sanity beyond equality: the shift on on-0 must be flagged.
-	flagged := rep.Flagged()
-	if len(flagged) != 1 || flagged[0].Key.Entity != "on-0" {
-		t.Fatalf("flagged = %+v", flagged)
-	}
+// streamFixtureCase streams the fixture, its gap bins left out, against
+// the batch reference, the score cache turning away refused KPIs; the
+// shift on on-0 must be the one flag.
+func streamFixtureCase(t *testing.T, cfg Config, gap func(srv string, bin int) bool, refused int) {
+	newStreamFixture().corpus(cfg, gap).run(t, leg{name: "stream", stream: true, refused: refused, each: func(t *testing.T, rep *Report) {
+		if flagged := rep.Flagged(); len(flagged) != 1 || flagged[0].Key.Entity != "on-0" {
+			t.Errorf("flagged = %+v", flagged)
+		}
+	}})
 }
 
 // interiorGap knocks out bins [changeMin+10, changeMin+18) of control
@@ -234,14 +159,24 @@ func interiorGap(changeMin int) func(srv string, bin int) bool {
 }
 
 func TestStreamerMatchesBatchSliding(t *testing.T) {
-	runStreamCase(t, Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2},
-		StreamConfig{PollInterval: 20 * time.Millisecond}, nil, true)
+	streamFixtureCase(t, Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2}, nil, 0)
 }
 
+// TestStreamerMatchesBatchSlidingGapsWorkers streams with four KPI
+// workers, first under the interior gap, where the cache must serve on-0,
+// then with a gap run on on-0 across the first bin of its score window
+// added: the batch sweep interpolates that run from a bin before the
+// window, the stream state cannot, so the cache must refuse the KPI and
+// the batch sweep serve it.
 func TestStreamerMatchesBatchSlidingGapsWorkers(t *testing.T) {
 	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, AssessWorkers: 4}
-	fxGap := interiorGap(2*1440 + 300)
-	runStreamCase(t, cfg, StreamConfig{PollInterval: 20 * time.Millisecond}, fxGap, true)
+	changeMin := 2*1440 + 300
+	lo := changeMin - 60 - cfg.withDefaults().SST.PastSpan()
+	interior := interiorGap(changeMin)
+	streamFixtureCase(t, cfg, interior, 0)
+	streamFixtureCase(t, cfg, func(srv string, bin int) bool {
+		return interior(srv, bin) || srv == "on-0" && bin >= lo-4 && bin < lo+4
+	}, 1)
 }
 
 // TestStreamerMatchesBatchInstrumented: a Streamer with a collector
@@ -249,7 +184,7 @@ func TestStreamerMatchesBatchSlidingGapsWorkers(t *testing.T) {
 // the sst_window stage.
 func TestStreamerMatchesBatchInstrumented(t *testing.T) {
 	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, Obs: obs.NewCollector()}
-	runStreamCase(t, cfg, StreamConfig{PollInterval: 20 * time.Millisecond}, nil, true)
+	streamFixtureCase(t, cfg, nil, 0)
 	if cfg.Obs.Counter(obs.CtrStreamCacheHits) == 0 {
 		t.Fatal("collector saw no stream cache hits")
 	}
@@ -266,8 +201,7 @@ func TestStreamerMatchesBatchInstrumented(t *testing.T) {
 
 func TestStreamerMatchesBatchGapMask(t *testing.T) {
 	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, GapPolicy: GapMask}
-	fxGap := interiorGap(2*1440 + 300)
-	runStreamCase(t, cfg, StreamConfig{PollInterval: 20 * time.Millisecond}, fxGap, true)
+	streamFixtureCase(t, cfg, interiorGap(2*1440+300), 0)
 }
 
 // TestStreamerLateWriteInvalidates rewrites a bin inside the consumed
@@ -324,7 +258,7 @@ func TestStreamerLateWriteInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareReports(t, rep, brep)
+	requireSame(t, rep, brep)
 }
 
 // TestStreamerStaleProbeCooldown severs the treated feed mid-window:
@@ -385,7 +319,7 @@ func TestStreamerStaleProbeCooldown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareReports(t, final, brep)
+	requireSame(t, final, brep)
 	if len(final.Flagged()) != 1 {
 		t.Fatalf("recovered verdict not flagged: %+v", final.Assessments)
 	}
@@ -529,12 +463,14 @@ func TestStreamerRegisterChange(t *testing.T) {
 			}
 		}, wantErr: "already registered"},
 		{name: "after-close", prep: func(sr *Streamer, _ changelog.Change) { sr.Close() }, wantErr: "closed"},
+		// Batch Assess refuses it too; accepted, it would never be ready.
+		{name: "no-metrics", cfg: Config{HistoryDays: 1}, wantErr: "has no KPIs"},
 		{name: "instance-probe", cfg: Config{InstanceMetrics: []string{"pv.count"}, HistoryDays: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			if cfg.ServerMetrics == nil && cfg.InstanceMetrics == nil {
+			if cfg.HistoryDays == 0 {
 				cfg = Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 1}
 			}
 			store := monitor.NewStore(start, time.Minute)
@@ -595,7 +531,7 @@ func TestStreamerRegisterChange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareReports(t, rep, brep)
+			requireSame(t, rep, brep)
 		})
 	}
 }
@@ -632,7 +568,7 @@ func TestStreamerCountsHeldClusterAtWindowEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareReports(t, rep, want)
+	requireSame(t, rep, want)
 	n := cfg.Obs.Stage(obs.StageSSTWindow).Count()
 	if solved, bounded := cfg.Obs.Counter(obs.CtrWindowsSolved), cfg.Obs.Counter(obs.CtrWindowsBounded); solved+bounded != n {
 		t.Fatalf("%d solved + %d bounded windows, sst_window count %d", solved, bounded, n)

@@ -3,12 +3,10 @@ package funnel
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/changelog"
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/sst"
@@ -37,25 +35,6 @@ func (f flatStore) RangeInto(key topo.KPIKey, _, _ time.Time, dst []float64) ([]
 	return append(dst[:0], s.Values...), s.Start, true
 }
 
-// storeFromScenario ingests every scenario series into a chunked store.
-// NaN bins are skipped, not written: a store bin with no measurement
-// already reads as NaN, so gaps survive the trip.
-func storeFromScenario(t *testing.T, sc *workload.Scenario, span int) *monitor.Store {
-	t.Helper()
-	st := monitor.NewStore(sc.Start, sc.Step)
-	st.SetChunkSpan(span)
-	for _, key := range sc.Source.Keys() {
-		s, _ := sc.Source.Series(key)
-		for i, v := range s.Values {
-			if math.IsNaN(v) {
-				continue
-			}
-			st.Append(monitor.Measurement{Key: key, T: s.Start.Add(time.Duration(i) * s.Step), V: v})
-		}
-	}
-	return st
-}
-
 // alwaysChanged scores every position far above any threshold, so every
 // KPI is detected and its verdict is left to DiD.
 type alwaysChanged struct{}
@@ -63,12 +42,13 @@ type alwaysChanged struct{}
 func (alwaysChanged) ScoreAt([]float64, int) float64 { return math.MaxFloat64 }
 func (alwaysChanged) Config() sst.Config             { return sst.Config{} }
 
-// TestWindowedAssessMatchesFlat is the windowed-read equality gate: over
-// a config matrix and several chunk spans, assessing from the store's
-// windows must produce reports reflect.DeepEqual to the flatStore
-// reference reading every key's full series from the same store — same
-// verdicts, same detection indices in the full-series frame, same error
-// strings.
+// TestWindowedAssessMatchesFlat is the windowed-read equality gate:
+// over a config matrix and two chunk spans, assessing from the store's
+// windows and from flatStore, which reads every key's full series, must
+// give the reference's reports — same verdicts, same detection indices
+// in the full-series frame, same error strings — also for a change near
+// the epoch (the fetch window clamps to bin 0) and one before it
+// (negative change bin).
 func TestWindowedAssessMatchesFlat(t *testing.T) {
 	p := workload.DefaultParams()
 	p.Changes = 4
@@ -88,6 +68,8 @@ func TestWindowedAssessMatchesFlat(t *testing.T) {
 			s.Values[b] = math.NaN()
 		}
 	}
+	base := scenarioCorpus("windowed", sc, 2)
+	base.extra = []time.Time{sc.Start.Add(40 * sc.Step), sc.Start.Add(-2 * time.Hour)}
 
 	matrix := []struct {
 		name   string
@@ -102,61 +84,15 @@ func TestWindowedAssessMatchesFlat(t *testing.T) {
 		{"trends", func(c *Config) { c.VerifyParallelTrends = true; c.AssessWorkers = 4 }, Stages{}},
 		{"history1", func(c *Config) { c.HistoryDays = 1 }, Stages{}},
 	}
-
+	variants := make([]*corpus, len(matrix))
+	for i, m := range matrix {
+		variants[i] = base.variant(m.mutate, m.stages)
+	}
 	for _, span := range []int{64, 512} {
-		st := storeFromScenario(t, sc, span)
-		for _, m := range matrix {
+		for i, m := range matrix {
 			t.Run(fmt.Sprintf("span%d/%s", span, m.name), func(t *testing.T) {
-				cfg := Config{
-					ServerMetrics:   workload.ServerMetrics(),
-					InstanceMetrics: workload.InstanceMetrics(),
-					HistoryDays:     2,
-				}
-				if m.mutate != nil {
-					m.mutate(&cfg)
-				}
-				win, err := NewAssessorWith(st, sc.Topo, cfg, m.stages)
-				if err != nil {
-					t.Fatal(err)
-				}
-				flat, err := NewAssessorWith(flatStore{st}, sc.Topo, cfg, m.stages)
-				if err != nil {
-					t.Fatal(err)
-				}
-				changes := make([]struct {
-					label string
-					at    time.Time
-				}, 0, len(sc.Cases)+2)
-				for i, cs := range sc.Cases {
-					changes = append(changes, struct {
-						label string
-						at    time.Time
-					}{fmt.Sprintf("case%d", i), cs.Change.At})
-				}
-				// Degenerate change times: near the epoch (fetch window
-				// clamps to bin 0) and before it (negative change bin).
-				changes = append(changes,
-					struct {
-						label string
-						at    time.Time
-					}{"near-start", sc.Start.Add(40 * sc.Step)},
-					struct {
-						label string
-						at    time.Time
-					}{"before-start", sc.Start.Add(-2 * time.Hour)},
-				)
-				for _, cc := range changes {
-					ch := sc.Cases[0].Change
-					ch.At = cc.at
-					got, gerr := win.Assess(ch)
-					want, werr := flat.Assess(ch)
-					if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
-						t.Fatalf("%s: err %v vs flat %v", cc.label, gerr, werr)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: windowed report diverges from flat\n got: %+v\nwant: %+v", cc.label, got, want)
-					}
-				}
+				variants[i].run(t, leg{name: "chunked", source: chunked(span, monitor.StoreShards)})
+				variants[i].run(t, leg{name: "flat", source: flat(span)})
 			})
 		}
 	}
@@ -221,26 +157,12 @@ func TestRangeIntoContract(t *testing.T) {
 }
 
 // TestWindowedAssessRepeatable pins worker-count independence on the
-// windowed path itself: serial and fanned-out assessments of the same
-// change must be identical (the fetch cache is shared per assessment).
+// windowed path itself, over a one-shard store: fanned-out assessments
+// share one fetch cache per assessment.
 func TestWindowedAssessRepeatable(t *testing.T) {
-	sc := smallScenario(t, 2)
-	st := storeFromScenario(t, sc, 64)
-	serial := newAssessorOver(t, st, sc, func(c *Config) { c.AssessWorkers = 1 })
-	fanned := newAssessorOver(t, st, sc, func(c *Config) { c.AssessWorkers = 8 })
-	for _, cs := range sc.Cases {
-		a, err := serial.Assess(cs.Change)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := fanned.Assess(cs.Change)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("worker fan-out changed the windowed report")
-		}
-	}
+	l := workers(8)
+	l.name, l.source = "chunked, 1 shard", chunked(64, 1)
+	smallCorpus(t).run(t, l)
 }
 
 // TestWinFetcherReturnsTrueWindows proves the windowed path engages at
@@ -250,8 +172,15 @@ func TestWindowedAssessRepeatable(t *testing.T) {
 // positions, and the near window must be the tail of the deep one.
 func TestWinFetcherReturnsTrueWindows(t *testing.T) {
 	sc := smallScenario(t, 1)
-	st := storeFromScenario(t, sc, 64)
-	a := newAssessorOver(t, st, sc, nil)
+	st := storeOf(sc.Source, 64, monitor.StoreShards)
+	a, err := NewAssessor(st, sc.Topo, Config{
+		ServerMetrics:   workload.ServerMetrics(),
+		InstanceMetrics: workload.InstanceMetrics(),
+		HistoryDays:     2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fx := newWinFetcher(a.source, sc.Cases[0].Change.At, &a.cfg, &a.fetchBufs)
 	defer fx.release()
 	for name, depth := range map[string]*fetchDepth{"near": &fx.near, "deep": &fx.deep} {
@@ -389,21 +318,25 @@ func TestOnDemandHistoryMatchesFlat(t *testing.T) {
 	if !deadControl {
 		t.Fatal("no dark case to give a dead control member")
 	}
-	// Service aggregates are left out of the store, so every
-	// service-scope KPI is computed from its instances at either depth.
-	st := monitor.NewStore(sc.Start, sc.Step)
-	st.SetChunkSpan(128)
+	// The corpus holds what a store fed the scenario would: service
+	// aggregates are left out, so every service-scope KPI is computed
+	// from its instances at either depth, and a series ends at its last
+	// real bin.
+	src := workload.NewMapSource(sc.Start, sc.Step)
 	for _, key := range sc.Source.Keys() {
-		if key.Scope == topo.ScopeService {
-			continue
-		}
 		s, _ := sc.Source.Series(key)
-		for b, v := range s.Values {
-			if !math.IsNaN(v) {
-				st.Append(monitor.Measurement{Key: key, T: s.Start.Add(time.Duration(b) * s.Step), V: v})
-			}
+		n := s.Len()
+		for n > 0 && math.IsNaN(s.Values[n-1]) {
+			n--
+		}
+		if key.Scope != topo.ScopeService && n > 0 {
+			src.Put(key, timeseries.New(s.Start, s.Step, s.Values[:n]))
 		}
 	}
+	od := scenarioCorpus("on-demand", sc, 0)
+	od.src = src
+	// Too early for any history: half a day after the epoch.
+	od.extra = []time.Time{sc.Start.Add(700 * sc.Step)}
 
 	matrix := []struct {
 		name   string
@@ -420,63 +353,36 @@ func TestOnDemandHistoryMatchesFlat(t *testing.T) {
 	}
 	for _, m := range matrix {
 		t.Run(m.name, func(t *testing.T) {
-			cfg := base
-			m.mutate(&cfg)
-			cfg.Obs = obs.NewCollector()
-			win, err := NewAssessorWith(st, sc.Topo, cfg, m.stages)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Obs = nil
-			flat, err := NewAssessorWith(flatStore{st}, sc.Topo, cfg, m.stages)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := od.variant(m.mutate, m.stages)
 			historical, aggregates := 0, 0
-			assess := func(label string, ch changelog.Change) {
-				got, gerr := win.Assess(ch)
-				want, werr := flat.Assess(ch)
-				if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
-					t.Fatalf("%s: err %v vs flat %v", label, gerr, werr)
-				}
-				if gerr != nil {
-					return
-				}
-				got.Trace = nil
-				if !reflect.DeepEqual(got, want) {
-					for k := range want.Assessments {
-						if d := assessmentDiff(got.Assessments[k], want.Assessments[k]); d != "" {
-							t.Errorf("%s %v: %s", label, want.Assessments[k].Key, d)
+			c.run(t, leg{
+				name: "chunked", source: chunked(128, monitor.StoreShards),
+				edit: func(cfg *Config, _ *Stages) { cfg.Obs = obs.NewCollector() },
+				each: func(_ *testing.T, rep *Report) {
+					for _, a := range rep.Assessments {
+						if a.ControlKind == ControlHistorical {
+							historical++
+							if a.Key.Scope == topo.ScopeService {
+								aggregates++
+							}
 						}
 					}
-					t.Fatalf("%s: two-depth report diverges from flat", label)
-				}
-				for _, a := range want.Assessments {
-					if a.ControlKind == ControlHistorical {
-						historical++
-						if a.Key.Scope == topo.ScopeService {
-							aggregates++
-						}
+				},
+				done: func(t *testing.T, cfg Config, _ int) {
+					if historical == 0 || aggregates == 0 {
+						t.Fatalf("%d historical-arm verdicts, %d of them on computed aggregates: the deep depth went unexercised", historical, aggregates)
 					}
-				}
-			}
-			for i, cs := range sc.Cases {
-				assess(fmt.Sprintf("case%d", i), cs.Change)
-			}
-			// Too early for any history: half a day after the epoch.
-			early := sc.Cases[0].Change
-			early.At = sc.Start.Add(700 * sc.Step)
-			assess("early", early)
-			if historical == 0 || aggregates == 0 {
-				t.Fatalf("%d historical-arm verdicts, %d of them on computed aggregates: the deep depth went unexercised", historical, aggregates)
-			}
-			if n := win.obs.Counter(obs.CtrHistoryFetches); n == 0 {
-				t.Fatal("funnel.history_fetches stayed 0 with historical-arm verdicts")
-			}
+					if n := cfg.Obs.Counter(obs.CtrHistoryFetches); n == 0 {
+						t.Fatal("funnel.history_fetches stayed 0 with historical-arm verdicts")
+					}
+				},
+			})
+			c.run(t, leg{name: "flat", source: flat(128)})
 		})
 	}
 
 	// A KPI with no detection decodes the near window and nothing else.
+	st := storeOf(src, 128, monitor.StoreShards)
 	t.Run("decoded-bins", func(t *testing.T) {
 		cfg := base
 		cfg.HistoryDays = 7
@@ -525,21 +431,4 @@ func TestOnDemandHistoryMatchesFlat(t *testing.T) {
 			t.Fatal("no clean case without a historical-arm verdict")
 		}
 	})
-}
-
-func newAssessorOver(t *testing.T, src SeriesSource, sc *workload.Scenario, mutate func(*Config)) *Assessor {
-	t.Helper()
-	cfg := Config{
-		ServerMetrics:   workload.ServerMetrics(),
-		InstanceMetrics: workload.InstanceMetrics(),
-		HistoryDays:     2,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	a, err := NewAssessor(src, sc.Topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
 }

@@ -30,7 +30,7 @@ import (
 // matrices exist only as implicit linalg.HankelGram operators over the
 // window slice, and every Krylov basis, tridiagonal scratch and Ritz
 // vector lives in a pooled workspace. Concurrent callers (the assessor's
-// per-KPI workers, funnel.AssessAll workers) each draw their own
+// per-KPI workers, concurrent Assess calls) each draw their own
 // workspace from the pool, so a single IKA value is safe for concurrent
 // use and its scores are bit-identical to sequential evaluation.
 type IKA struct {
