@@ -336,6 +336,7 @@ type Assessor struct {
 	// installs its incremental score states here; the batch path leaves
 	// it nil and pays one nil check.
 	scores scoreCache
+	fp     footprint // what an assessment reads around a change
 	// fetchBufs recycles windowed-fetch buffers across Assess calls.
 	fetchBufs sync.Pool
 }
@@ -417,7 +418,8 @@ func NewAssessorWith(source SeriesSource, tp *topo.Topology, cfg Config, st Stag
 			}
 		}
 	}
-	return &Assessor{cfg: cfg, source: source, topo: tp, scorer: scorer, det: det, obs: cfg.Obs, estimate: st.Estimate}, nil
+	return &Assessor{cfg: cfg, source: source, topo: tp, scorer: scorer, det: det, obs: cfg.Obs, estimate: st.Estimate,
+		fp: newFootprint(&cfg, source.Step())}, nil
 }
 
 // stamp records a stage duration in the collector's histogram and on
@@ -471,7 +473,7 @@ func (a *Assessor) Assess(change changelog.Change) (*Report, error) {
 	// fetcher that decodes only the window each reader needs, once per KPI,
 	// into pooled buffers. Reports carry indices and scalars, never fetched
 	// values, so the buffers recycle as soon as this assessment returns.
-	fx := newWinFetcher(a.source, change.At, &a.cfg, &a.fetchBufs)
+	fx := newWinFetcher(a.source, change.At, &a.fp, &a.fetchBufs)
 	defer fx.release()
 	assessments := make([]Assessment, n)
 	bins := make([]int, n)
@@ -620,7 +622,8 @@ func (a *Assessor) assessKPI(change changelog.Change, set *topo.ImpactSet, key t
 	// Feed-health gate: a window with too many missing bins, or one
 	// whose feed went stale mid-window, cannot support a verdict in
 	// either direction.
-	gapFrac, staleTail := gapStats(series, gaps, changeBin, a.cfg.WindowBins)
+	lo, hi := a.fp.gateWindow(changeBin)
+	gapFrac, staleTail := gapStats(gaps, lo, hi)
 	out.GapFraction = gapFrac
 	if gapFrac > maxGapFraction || staleTail >= a.cfg.StaleBins {
 		out.Verdict = Inconclusive
@@ -701,23 +704,16 @@ func (a *Assessor) treatedSeries(d *fetchDepth, set *topo.ImpactSet, key topo.KP
 	return series, true
 }
 
-// detectAround runs the detector on the ±WindowBins assessment window
-// and returns the first detection whose run touches the post-change
-// half, with indices translated to absolute series positions. The
-// scoring pass and the persistence gating are timed as separate
-// stages. key and off identify the window in the store's absolute
+// detectAround runs the detector on the change's detection segment
+// (footprint.segment, clamped to the series) and returns the first
+// detection whose run touches the post-change half, with indices
+// translated to absolute series positions. The scoring pass and the
+// persistence gating are timed as separate stages. key and off identify the window in the store's absolute
 // frame for the streaming score cache; a hit skips the sweep entirely
 // (the dominant cost of a verdict), a miss changes nothing.
 func (a *Assessor) detectAround(series *timeseries.Series, gaps []bool, changeBin int, key topo.KPIKey, off int, kt *obs.KPITrace) (detect.Detection, bool) {
-	w := a.cfg.WindowBins
-	lo := changeBin - w - a.cfg.SST.PastSpan()
-	if lo < 0 {
-		lo = 0
-	}
-	hi := changeBin + w + a.cfg.SST.FutureSpan()
-	if hi > series.Len() {
-		hi = series.Len()
-	}
+	lo, hi := a.fp.segment(changeBin)
+	hi = min(hi, series.Len())
 	if lo >= hi {
 		return detect.Detection{}, false
 	}
@@ -744,7 +740,7 @@ func (a *Assessor) detectAround(series *timeseries.Series, gaps []bool, changeBi
 		// NaN scores terminate persistence runs, so no detection can be
 		// declared out of invented data. Position t's window reads
 		// [t−PastSpan, t+FutureSpan−1]; MaskScores' past counts t itself.
-		scores = detect.MaskScores(scores, gaps[lo:hi], a.cfg.SST.PastSpan()+1, a.cfg.SST.FutureSpan())
+		scores = detect.MaskScores(scores, gaps[lo:hi], a.fp.past+1, a.fp.fut)
 	}
 	a.stamp(kt, obs.StageSSTScore, ts)
 	tp := a.obs.Now()
@@ -775,21 +771,13 @@ func gapBitmap(s *timeseries.Series) []bool {
 	return out
 }
 
-// gapStats measures feed health inside the ±w assessment window around
-// changeBin: frac is the fraction of window bins with no measurement
-// (interior gaps plus any part of the window past the series end — a
-// feed that died never delivers those bins), staleTail is the length
-// of the consecutive missing run at the window's end (a feed that
-// stopped mid-window and never came back).
-func gapStats(s *timeseries.Series, gaps []bool, changeBin, w int) (frac float64, staleTail int) {
-	lo := changeBin - w
-	if lo < 0 {
-		lo = 0
-	}
-	hi := changeBin + w
-	if hi <= lo {
-		return 0, 0
-	}
+// gapStats measures feed health inside the gap gate window [lo, hi)
+// (never empty) of a series' gap bitmap: frac is the fraction of window
+// bins with no measurement (interior gaps plus any part of the window
+// past the series end — a feed that died never delivers those bins),
+// staleTail is the length of the consecutive missing run at the
+// window's end (a feed that stopped mid-window and never came back).
+func gapStats(gaps []bool, lo, hi int) (frac float64, staleTail int) {
 	missing := 0
 	n := len(gaps)
 	for i := lo; i < hi; i++ {

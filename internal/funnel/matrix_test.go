@@ -34,7 +34,8 @@ import (
 //   - chunked: a monitor.Store at chunk span 64, 128 or 512 and 1 or
 //     StoreShards shards, read through the two-depth fetcher;
 //   - flat: flatStore, every key read in full;
-//   - stream: the Streamer, fed the corpus time-major.
+//   - stream: the Streamer, fed the corpus time-major, in full or
+//     only up to each change's ready bin.
 
 // corpus is one input of the matrix.
 type corpus struct {
@@ -144,6 +145,12 @@ type leg struct {
 	// score cache must turn away refused stored KPIs and serve the rest.
 	stream  bool
 	refused int
+	// ready, with stream, holds the feed at each change's ready bin until
+	// the change has reported and stops it after the last: every change
+	// is assessed on exactly the bins readiness waits for, and must still
+	// match the reference made from the complete data. Each probe KPI
+	// must hold its ready bin.
+	ready bool
 	// each sees every report the leg made, one at a time; done runs
 	// after the last, with the leg's config and the number of KPI
 	// assessments compared.
@@ -189,7 +196,7 @@ func (c *corpus) run(t *testing.T, l leg) {
 		}
 	}
 	if l.stream {
-		streamCorpus(t, c, cases, cfg, l.refused, check)
+		streamCorpus(t, c, cases, cfg, l, check)
 	} else {
 		src := SeriesSource(c.src)
 		if l.source != nil {
@@ -309,12 +316,12 @@ func flat(span int) func(*testing.T, *corpus) SeriesSource {
 
 // streamCorpus feeds the corpus to a Streamer time-major — bin b of every
 // key in one AppendBatch, then bin b+1 — with every case registered
-// before the first bin, and checks each report as it arrives. All but
-// refused of the treated KPIs the store holds must be served from the
-// stream's score cache; service aggregates, which have no score state,
-// miss it too. The Streamer runs the deployed stages, whatever the
-// corpus's.
-func streamCorpus(t *testing.T, c *corpus, cases []changelog.Change, cfg Config, refused int, check func(int, *Report, error)) {
+// before the first bin, and checks each report as it arrives; l.ready
+// holds the feed at ready bins. All but l.refused of the treated KPIs
+// the store holds must be served from the stream's score cache; service
+// aggregates, which have no score state, miss it too. The Streamer runs
+// the deployed stages, whatever the corpus's.
+func streamCorpus(t *testing.T, c *corpus, cases []changelog.Change, cfg Config, l leg, check func(int, *Report, error)) {
 	t.Helper()
 	store := monitor.NewStore(c.src.Start(), c.src.Step())
 	sr, err := NewStreamer(store, c.tp, cfg, StreamConfig{PollInterval: time.Hour})
@@ -348,6 +355,16 @@ func streamCorpus(t *testing.T, c *corpus, cases []changelog.Change, cfg Config,
 		}
 		keys = slices.DeleteFunc(keys, func(k topo.KPIKey) bool { return !read[k.Entity] })
 	}
+	// due lists the ready bins the feed still has to hold at, ascending;
+	// reported gets one token per report checked.
+	var due []int
+	reported := make(chan struct{}, len(cases))
+	if l.ready {
+		for _, ch := range cases {
+			due = append(due, sr.assessor.fp.readyBin(int(ch.At.Sub(store.Start())/store.Step())))
+		}
+		slices.Sort(due)
+	}
 	stop, fed := make(chan struct{}), make(chan struct{})
 	defer func() {
 		close(stop)
@@ -375,6 +392,20 @@ func streamCorpus(t *testing.T, c *corpus, cases []changelog.Change, cfg Config,
 				}
 			}
 			store.AppendBatch(batch)
+			if !l.ready {
+				continue
+			}
+			for len(due) > 0 && due[0] <= b {
+				select {
+				case <-reported:
+					due = due[1:]
+				case <-stop:
+					return
+				}
+			}
+			if len(due) == 0 {
+				return
+			}
 		}
 	}()
 	deadline := time.After(5 * time.Minute)
@@ -382,6 +413,7 @@ func streamCorpus(t *testing.T, c *corpus, cases []changelog.Change, cfg Config,
 		select {
 		case rep := <-sr.Reports():
 			check(index[rep.Change.ID], rep, nil)
+			reported <- struct{}{}
 		case <-deadline:
 			t.Fatalf("%d changes still pending", sr.Pending())
 		}
@@ -389,8 +421,8 @@ func streamCorpus(t *testing.T, c *corpus, cases []changelog.Change, cfg Config,
 	if n := sr.Pending(); n != 0 {
 		t.Errorf("%d changes pending after every report", n)
 	}
-	if hits, misses := cc.hits.Load(), cc.misses.Load(); hits != states-int64(refused) || misses != int64(refused) {
-		t.Errorf("score cache: %d hits and %d misses on stored KPIs, %d score states, %d to refuse", hits, misses, states, refused)
+	if hits, misses := cc.hits.Load(), cc.misses.Load(); hits != states-int64(l.refused) || misses != int64(l.refused) {
+		t.Errorf("score cache: %d hits and %d misses on stored KPIs, %d score states, %d to refuse", hits, misses, states, l.refused)
 	}
 	t.Logf("%s: %d score states, %d served from the stream; %d service aggregates swept at assessment",
 		c.name, states, cc.hits.Load(), cc.computed.Load())
@@ -532,6 +564,21 @@ func TestStreamedCorpusMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	corpora[0].run(t, leg{name: "stream", stream: true})
+}
+
+// TestReadyBinCorpusMatchesBatch streams the bake-off corpus only up to
+// each change's ready bin, at the defaults and with a DiD post-period
+// longer than the detection segment's reach: every report equals the
+// batch reference on the complete data.
+func TestReadyBinCorpusMatchesBatch(t *testing.T) {
+	corpora, err := accuracyCorpora()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, did := range []int{0, 90} {
+		v := corpora[0].variant(func(cfg *Config) { cfg.DiDWindow = did }, Stages{})
+		v.run(t, leg{name: fmt.Sprintf("ready, DiDWindow %d", did), stream: true, ready: true})
+	}
 }
 
 // smallCorpus is smallScenario(2) under the default metrics.

@@ -11,16 +11,18 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/sst"
+	"repro/internal/timeseries"
 	"repro/internal/topo"
 )
 
 // Streamer is the deployed form of FUNNEL (§5): it accepts software-
 // change registrations as the operations team deploys them and emits an
-// assessment report for each change as soon as its post-change
-// observation window has fully arrived in the store — the paper's "1 h
-// is enough for software change assessment" horizon plus the scorer's
-// lookahead. Instead of re-sweeping the full ±WindowBins assessment
-// window at that moment, it subscribes to the store's coalescing bin
+// assessment report for each change as soon as everything the
+// assessment reads after the change has arrived in the store
+// (footprint.readyBin) — the paper's "1 h is enough for software change
+// assessment" horizon plus the scorer's lookahead, or the DiD
+// post-period where that reaches further. Instead of re-sweeping the
+// detection segment at that moment, it subscribes to the store's coalescing bin
 // feed and advances a per-KPI sliding scorer as each bin lands. By the
 // time the last required bin arrives, every score position is already
 // computed, so materializing the verdict costs only the DiD
@@ -114,16 +116,14 @@ type assessTask struct {
 }
 
 // kpiStream is the incremental score state for one (change, KPI) pair:
-// the assessment window [absLo, absLo+segLen) in store-absolute bins,
-// the raw prefix streamed so far, its gap-filled image, and the score
-// positions completed by the resumable sweep.
+// the change's detection segment (footprint.segment) [absLo,
+// absLo+segLen) in store-absolute bins, the raw prefix streamed so far,
+// its gap-filled image, and the score positions completed by the
+// resumable sweep.
 type kpiStream struct {
 	key      topo.KPIKey
 	changeAt time.Time
-	// The window reaches lead bins before the change and tail bins after
-	// it (detectAround's geometry: WindowBins plus the SST spans); fut is
-	// the SST lookahead a score position needs.
-	lead, tail, fut int
+	fp       *footprint // the assessor's
 
 	mu       sync.Mutex
 	absLo    int
@@ -325,13 +325,10 @@ func (sr *Streamer) RegisterChange(c changelog.Change) error {
 // sweep of the assessor's own scorer, so the streamed positions replay
 // the batch sweep's operation sequence.
 func (sr *Streamer) newKPIStream(key topo.KPIKey, changeAt time.Time) *kpiStream {
-	cfg := sr.assessor.cfg
 	ks := &kpiStream{
 		key:      key,
 		changeAt: changeAt,
-		lead:     cfg.WindowBins + cfg.SST.PastSpan(),
-		tail:     cfg.WindowBins + cfg.SST.FutureSpan(),
-		fut:      cfg.SST.FutureSpan(),
+		fp:       &sr.assessor.fp,
 		lastReal: -1,
 		sweep:    sr.assessor.scorer.NewStream(),
 	}
@@ -354,11 +351,8 @@ func (ks *kpiStream) rebaseLocked(store *monitor.Store) {
 		return
 	}
 	ks.invalid = false
-	ks.absLo = changeBin - ks.lead
-	if ks.absLo < 0 {
-		ks.absLo = 0
-	}
-	ks.segLen = changeBin + ks.tail - ks.absLo
+	lo, hi := ks.fp.segment(changeBin)
+	ks.absLo, ks.segLen = lo, hi-lo
 	ks.resetLocked()
 }
 
@@ -465,14 +459,14 @@ func (ks *kpiStream) advance(sr *Streamer) {
 	// extrapolate them today and replace them when data arrives, so
 	// scores touching them are not yet stable and must wait.
 	stable := ks.lastReal + 1
-	hi := ks.segLen - ks.fut + 1
+	hi := ks.segLen - ks.fp.fut + 1
 	x := ks.filled[:stable]
 	// A step may also revise earlier positions of ks.scores (the run
 	// rule solving a cluster it held back); once the last position is
 	// scored, End makes a still-short cluster's bounds final.
 	t0 := sr.col.Now()
 	n, solved, bounded := 0, ks.sweep.Solved(), ks.sweep.Bounded()
-	for t := ks.sweep.Pos(); t < hi && t+ks.fut <= stable; t = ks.sweep.Pos() {
+	for t := ks.sweep.Pos(); t < hi && t+ks.fp.fut <= stable; t = ks.sweep.Pos() {
 		ks.sweep.NextInto(ks.scores, x)
 		n++
 	}
@@ -492,46 +486,13 @@ func (ks *kpiStream) advance(sr *Streamer) {
 
 // refillLocked extends filled from the image of raw[:prev+1] it holds
 // (prev = -1: nothing) to raw[:lastReal+1], as timeseries.FillGaps
-// would over that prefix. The transform is prefix-stable: a bin's
-// filled value depends only on the nearest real bins around it, all at
-// or before lastReal, so growing the series append-only never changes
-// already-filled positions — which is what the resumable sweep requires
-// of its input, and why the bins up to the previous lastReal need no
-// second pass.
+// would over that prefix. timeseries.FillThrough is prefix-stable, so
+// growing the series append-only never changes already-filled positions
+// — which is what the resumable sweep requires of its input, and why the
+// bins up to the previous lastReal need no second pass.
 func (ks *kpiStream) refillLocked(prev int) {
-	n := ks.lastReal + 1
-	if cap(ks.filled) < n {
-		ks.filled = append(ks.filled[:cap(ks.filled)], make([]float64, n-cap(ks.filled))...)
-	}
-	ks.filled = ks.filled[:n]
-	copy(ks.filled[prev+1:], ks.raw[prev+1:n])
-	v := ks.filled
-	last := prev
-	if last < 0 {
-		// Leading gap: extend the first real bin backwards.
-		for i := range v {
-			if !math.IsNaN(v[i]) {
-				last = i
-				break
-			}
-		}
-		for i := 0; i < last; i++ {
-			v[i] = v[last]
-		}
-	}
-	for i := last + 1; i < n; i++ {
-		if math.IsNaN(v[i]) {
-			continue
-		}
-		if i > last+1 {
-			span := float64(i - last)
-			for k := last + 1; k < i; k++ {
-				frac := float64(k-last) / span
-				v[k] = v[last]*(1-frac) + v[i]*frac
-			}
-		}
-		last = i
-	}
+	ks.filled = append(ks.filled[:prev+1], ks.raw[prev+1:ks.lastReal+1]...)
+	timeseries.FillThrough(ks.filled, prev)
 }
 
 // cached returns a copy of the completed score series when it provably
@@ -542,13 +503,16 @@ func (ks *kpiStream) cached(absLo int, segment []float64) []float64 {
 	if ks.invalid || absLo != ks.absLo || len(segment) != ks.segLen {
 		return nil
 	}
-	if ks.sweep.Pos() < ks.segLen-ks.fut+1 || ks.lastReal+1 < ks.segLen {
+	if ks.sweep.Pos() < ks.segLen-ks.fp.fut+1 || ks.lastReal+1 < ks.segLen {
 		return nil // sweep not complete over the full window
 	}
 	// The batch path scores its gap-filled segment; ours must agree
-	// bit-for-bit or the cache abstains. This is the whole-series vs
-	// window FillGaps edge too: when real bins outside the window feed
-	// an interpolation inside it, the images differ and we fall back.
+	// bit-for-bit or the cache abstains. This covers the fill edge too:
+	// the batch series may reach before the segment (a near depth wider
+	// than the segment, or the full series a gap run across the fetch
+	// edge falls back to) and interpolate a leading gap of the segment
+	// from a real bin there, which this state, reading from the
+	// segment's first bin, extends flat instead; the images differ.
 	for i, v := range segment {
 		if math.Float64bits(v) != math.Float64bits(ks.filled[i]) {
 			return nil
@@ -707,14 +671,14 @@ func (sr *Streamer) drainLoop() {
 // real verdict and a permanently-severed one produces exactly one.
 func (sr *Streamer) checkReady(poll bool) {
 	start, step := sr.store.Start(), sr.store.Step()
-	cfg := sr.assessor.cfg
+	fp, staleBins := &sr.assessor.fp, sr.assessor.cfg.StaleBins
 	var tasks []assessTask
 	var stats monitor.Stats
 	statsLoaded := false
 	sr.mu.Lock()
 	still := sr.pending[:0]
 	for _, sc := range sr.pending {
-		readyBin := int(sc.change.At.Sub(start)/step) + cfg.WindowBins + cfg.SST.FutureSpan()
+		readyBin := fp.readyBin(int(sc.change.At.Sub(start) / step))
 		if n, ok := sr.store.SeriesLen(sc.probe); ok && n > readyBin {
 			tasks = append(tasks, assessTask{sc: sc, final: true})
 			continue
@@ -723,7 +687,7 @@ func (sr *Streamer) checkReady(poll bool) {
 			if !statsLoaded {
 				stats, statsLoaded = sr.store.Stats(), true
 			}
-			if stats.LastBin >= readyBin+cfg.StaleBins {
+			if stats.LastBin >= readyBin+staleBins {
 				sc.forced = true
 				tasks = append(tasks, assessTask{sc: sc, final: false})
 			}

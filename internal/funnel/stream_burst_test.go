@@ -61,10 +61,8 @@ func TestStreamerBurstBeyondOldQueue(t *testing.T) {
 	defer sr.Close()
 	cc := &countingCache{inner: sr}
 	sr.assessor.scores = cc
-	rcfg := sr.Config()
-	readyBin := func(c changelog.Change) int {
-		return int(c.At.Sub(start)/time.Minute) + rcfg.WindowBins + rcfg.SST.FutureSpan()
-	}
+	fp := &sr.assessor.fp
+	readyBin := func(c changelog.Change) int { return fp.readyBin(int(c.At.Sub(start) / time.Minute)) }
 	firstReady, lastReady := readyBin(changes[0]), readyBin(changes[nChanges-1])
 
 	// One bin of every key in one batch, as an ingest frame lands; a
@@ -92,8 +90,8 @@ func TestStreamerBurstBeyondOldQueue(t *testing.T) {
 	}
 
 	// History first; the windows open after every change is registered.
-	lead := rcfg.WindowBins + rcfg.SST.PastSpan()
-	feed(0, changeMin-lead-10)
+	windowLo, _ := fp.segment(changeMin)
+	feed(0, windowLo-10)
 	for _, c := range changes {
 		if err := sr.RegisterChange(c); err != nil {
 			t.Fatal(err)
@@ -126,7 +124,7 @@ func TestStreamerBurstBeyondOldQueue(t *testing.T) {
 			time.Sleep(20 * time.Microsecond)
 		}
 	}()
-	feed(changeMin-lead-10, firstReady)
+	feed(windowLo-10, firstReady)
 	stop.Store(true)
 	sampling.Wait()
 	if n := over.Load(); n != 0 {

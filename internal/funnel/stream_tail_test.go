@@ -119,8 +119,7 @@ func (r *tailRun) change(id string) changelog.Change {
 
 // readyBin is the bin of the probe whose arrival completes c's window.
 func (r *tailRun) readyBin(c changelog.Change) int {
-	cfg := r.sr.Config()
-	return int(c.At.Sub(r.start)/time.Minute) + cfg.WindowBins + cfg.SST.FutureSpan()
+	return r.sr.assessor.fp.readyBin(int(c.At.Sub(r.start) / time.Minute))
 }
 
 func (r *tailRun) register(id string) {

@@ -1,6 +1,7 @@
 package funnel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -162,6 +163,17 @@ func TestStreamerMatchesBatchSliding(t *testing.T) {
 	streamFixtureCase(t, Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2}, nil, 0)
 }
 
+// TestReadyBinStreamMatchesBatch feeds the fixture only up to the ready
+// bin: the streamed report, made from exactly the bins readiness waits
+// for, must equal batch on the complete data — at the defaults, and
+// with a DiD post-period that reaches past the detection segment.
+func TestReadyBinStreamMatchesBatch(t *testing.T) {
+	for _, did := range []int{0, 90} {
+		cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, DiDWindow: did}
+		newStreamFixture().corpus(cfg, nil).run(t, leg{name: fmt.Sprintf("ready, DiDWindow %d", did), stream: true, ready: true})
+	}
+}
+
 // TestStreamerMatchesBatchSlidingGapsWorkers streams with four KPI
 // workers, first under the interior gap, where the cache must serve on-0,
 // then with a gap run on on-0 across the first bin of its score window
@@ -171,7 +183,9 @@ func TestStreamerMatchesBatchSliding(t *testing.T) {
 func TestStreamerMatchesBatchSlidingGapsWorkers(t *testing.T) {
 	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2, AssessWorkers: 4}
 	changeMin := 2*1440 + 300
-	lo := changeMin - 60 - cfg.withDefaults().SST.PastSpan()
+	wcfg := cfg.withDefaults()
+	fp := newFootprint(&wcfg, time.Minute)
+	lo, _ := fp.segment(changeMin)
 	interior := interiorGap(changeMin)
 	streamFixtureCase(t, cfg, interior, 0)
 	streamFixtureCase(t, cfg, func(srv string, bin int) bool {

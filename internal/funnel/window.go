@@ -10,10 +10,59 @@ import (
 	"repro/internal/topo"
 )
 
-// fetchSlack pads the computed fetch horizon so bin-rounding at the
-// window edges can never make a windowed read shorter than what the
-// deepest reader indexes.
-const fetchSlack = 16
+// footprint is what assessing a change reads of a KPI, in bins relative
+// to the change bin, resolved once per Assessor from the Config and the
+// source's step. It is the one place WindowBins, DiDWindow and the SST
+// spans combine into a reach; the fetch depths, the gap gate, the
+// detection segment (which the Streamer scores) and the ready bin read
+// it. No reach carries slack: one bin short moves reports.
+type footprint struct {
+	past, fut int // one score position's SST reach: [t−past, t+fut)
+	gate      int // the gap gate's half-width, WindowBins
+	// nearBack and fwd are the furthest any reader reaches back and
+	// forward at lag 0: the detection segment, or the DiD periods with
+	// the placebo's extra pre-period. deepBack is the historical arm's:
+	// those periods at every daily lag up to HistoryDays.
+	nearBack, deepBack, fwd int
+}
+
+// newFootprint resolves the footprint of cfg (with defaults applied)
+// over a source of bin width step.
+func newFootprint(cfg *Config, step time.Duration) footprint {
+	binsPerDay := 0
+	if step <= 24*time.Hour {
+		binsPerDay = int(24 * time.Hour / step)
+	}
+	past, fut := cfg.SST.PastSpan(), cfg.SST.FutureSpan()
+	didBack := cfg.DiDWindow
+	if cfg.VerifyParallelTrends {
+		didBack *= 2
+	}
+	return footprint{
+		past:     past,
+		fut:      fut,
+		gate:     cfg.WindowBins,
+		nearBack: max(cfg.WindowBins+past, didBack),
+		deepBack: cfg.HistoryDays*binsPerDay + didBack,
+		fwd:      max(cfg.WindowBins+fut, cfg.DiDWindow),
+	}
+}
+
+// segment is the detection segment [lo, hi) of a change at changeBin,
+// clamped at the series start.
+func (fp *footprint) segment(changeBin int) (lo, hi int) {
+	return max(changeBin-fp.gate-fp.past, 0), changeBin + fp.gate + fp.fut
+}
+
+// gateWindow is the gap gate's window [lo, hi) around changeBin:
+// ±WindowBins, clamped at the series start.
+func (fp *footprint) gateWindow(changeBin int) (lo, hi int) {
+	return max(changeBin-fp.gate, 0), changeBin + fp.gate
+}
+
+// readyBin is the first bin past everything an assessment of a change
+// at changeBin reads: once a series holds it, the series is complete.
+func (fp *footprint) readyBin(changeBin int) int { return changeBin + fp.fwd }
 
 // winFetcher serves one Assess call's series reads from windowed
 // RangeInto fetches at two depths, each with a per-assessment cache: a
@@ -24,12 +73,13 @@ const fetchSlack = 16
 // translated back to full-series positions, and any window the fetch
 // cannot reproduce exactly falls back to the full series.
 //
-// near reaches back over what every KPI reads — gap gating, the
-// detection window, the concurrent-control DiD periods with their
-// similarity and parallel-trends checks. deep reaches back HistoryDays
-// further and is touched only by the historical-control arm of a
-// detected KPI (determine). Both end at the same bin. A KPI with no
-// detection, or with a concurrent control, never decodes its history.
+// The depths are the footprint's. near covers what every KPI reads —
+// gap gating, the detection segment, the concurrent-control DiD periods
+// with their similarity and parallel-trends checks. deep also covers
+// the same-clock windows of up to HistoryDays earlier days and is
+// touched only by the historical-control arm of a detected KPI
+// (determine). Both end at the same bin. A KPI with no detection, or
+// with a concurrent control, never decodes its history.
 type winFetcher struct {
 	src  SeriesSource
 	base time.Time // source epoch at fetch-bound time: a full Series starts here
@@ -69,28 +119,14 @@ type fetchEntry struct {
 }
 
 // newWinFetcher builds the per-assessment fetcher for a change at this
-// time. Forwards, both depths cover the detection window plus the DiD
-// post period. Backwards, near covers the detection window with the
-// scorer's past span and the two pre-change DiD periods the placebo
-// test reads; deep adds the seasonal-DiD lookback (HistoryDays of
-// same-clock-time windows).
-func newWinFetcher(src SeriesSource, at time.Time, cfg *Config, pool *sync.Pool) *winFetcher {
+// time: both depths end fp.fwd bins after the change, near starts
+// fp.nearBack bins before it and deep fp.deepBack bins.
+func newWinFetcher(src SeriesSource, at time.Time, fp *footprint, pool *sync.Pool) *winFetcher {
 	step := src.Step()
-	binsPerDay := 0
-	if step <= 24*time.Hour {
-		binsPerDay = int(24 * time.Hour / step)
-	}
-	nearBack := 2*cfg.DiDWindow + cfg.WindowBins + cfg.SST.PastSpan() + fetchSlack
-	deepBack := cfg.HistoryDays*binsPerDay + nearBack
-	needFwd := cfg.WindowBins + cfg.SST.FutureSpan()
-	if cfg.DiDWindow > needFwd {
-		needFwd = cfg.DiDWindow
-	}
-	needFwd += fetchSlack
 	f := &winFetcher{src: src, base: src.Start(), step: step, pool: pool}
-	to := at.Add(time.Duration(needFwd) * step)
-	f.near = fetchDepth{f: f, from: at.Add(-time.Duration(nearBack) * step), to: to}
-	f.deep = fetchDepth{f: f, from: at.Add(-time.Duration(deepBack) * step), to: to}
+	to := at.Add(time.Duration(fp.fwd) * step)
+	f.near = fetchDepth{f: f, from: at.Add(-time.Duration(fp.nearBack) * step), to: to}
+	f.deep = fetchDepth{f: f, from: at.Add(-time.Duration(fp.deepBack) * step), to: to}
 	return f
 }
 

@@ -3,6 +3,7 @@ package funnel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -181,7 +182,7 @@ func TestWinFetcherReturnsTrueWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := newWinFetcher(a.source, sc.Cases[0].Change.At, &a.cfg, &a.fetchBufs)
+	fx := newWinFetcher(a.source, sc.Cases[0].Change.At, &a.fp, &a.fetchBufs)
 	defer fx.release()
 	for name, depth := range map[string]*fetchDepth{"near": &fx.near, "deep": &fx.deep} {
 		windowed := 0
@@ -267,12 +268,14 @@ func TestOnDemandHistoryMatchesFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Config{ServerMetrics: workload.ServerMetrics(), InstanceMetrics: workload.InstanceMetrics()}
-	geom := func(days int, at time.Time) (nearLo, deepLo int) {
+	// geom is the first bin of each depth for a change at changeBin,
+	// under days of history, with or without the placebo test.
+	geom := func(days int, trends bool, changeBin int) (nearLo, deepLo int) {
 		cfg := base
-		cfg.HistoryDays = days
+		cfg.HistoryDays, cfg.VerifyParallelTrends = days, trends
 		cfg = cfg.withDefaults()
-		fx := newWinFetcher(monitor.NewStore(sc.Start, sc.Step), at, &cfg, &sync.Pool{})
-		return int(fx.near.from.Sub(sc.Start) / sc.Step), int(fx.deep.from.Sub(sc.Start) / sc.Step)
+		fp := newFootprint(&cfg, sc.Step)
+		return changeBin - fp.nearBack, changeBin - fp.deepBack
 	}
 	punch := func(key topo.KPIKey, lo, hi int) {
 		if s, ok := sc.Source.Series(key); ok {
@@ -283,9 +286,15 @@ func TestOnDemandHistoryMatchesFlat(t *testing.T) {
 	}
 	deadControl := false
 	for i, cs := range sc.Cases {
-		nearLo, deep3 := geom(3, cs.Change.At)
-		_, deep7 := geom(7, cs.Change.At)
-		if deep7 <= 0 {
+		nearLo, _ := geom(3, false, cs.ChangeBin)
+		var deepLos []int
+		for _, days := range []int{3, 7} {
+			for _, trends := range []bool{false, true} {
+				_, lo := geom(days, trends, cs.ChangeBin)
+				deepLos = append(deepLos, lo)
+			}
+		}
+		if slices.Min(deepLos) <= 0 {
 			t.Fatalf("case %d: change bin %d leaves no room for a 7-day window", i, cs.ChangeBin)
 		}
 		// A gap run across one edge: that depth falls back to the full
@@ -295,8 +304,9 @@ func TestOnDemandHistoryMatchesFlat(t *testing.T) {
 			case 0:
 				punch(key, nearLo-6, nearLo+6)
 			case 1:
-				punch(key, deep3-6, deep3+6)
-				punch(key, deep7-6, deep7+6)
+				for _, lo := range deepLos {
+					punch(key, lo-6, lo+6)
+				}
 			case 2:
 				// Interior to the deep window only, inside yesterday's
 				// control period: the history is gap-filled like the
@@ -387,9 +397,10 @@ func TestOnDemandHistoryMatchesFlat(t *testing.T) {
 		cfg := base
 		cfg.HistoryDays = 7
 		cfg.Obs = obs.NewCollector()
-		wcfg := cfg.withDefaults()
-		nearWidth := 2*wcfg.DiDWindow + 2*wcfg.WindowBins + wcfg.SST.PastSpan() + wcfg.SST.FutureSpan() + 2*fetchSlack
-		checked := 0
+		// The default footprint: WindowBins plus the SST past span back,
+		// WindowBins plus the SST future span forward.
+		const nearWidth = 154
+		checked, widest := 0, 0
 		for i, cs := range sc.Cases {
 			if i%3 != 2 {
 				continue // cases with a gap at a window edge pay full copies by design
@@ -425,10 +436,14 @@ func TestOnDemandHistoryMatchesFlat(t *testing.T) {
 				if n > nearWidth {
 					t.Errorf("case %d %v: decoded %d bins, near window is %d", i, key, n, nearWidth)
 				}
+				widest = max(widest, n)
 			}
 		}
 		if checked == 0 {
 			t.Fatal("no clean case without a historical-arm verdict")
+		}
+		if widest != nearWidth {
+			t.Errorf("widest decode %d bins, near window is %d", widest, nearWidth)
 		}
 	})
 }

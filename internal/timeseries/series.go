@@ -111,26 +111,39 @@ func (s *Series) SamePeriodDaysAgo(t, w, d int) (pre, post []float64, ok bool) {
 // with no valid samples is zero-filled. It returns the receiver.
 func (s *Series) FillGaps() *Series {
 	v := s.Values
-	n := len(v)
-	// Find first valid sample.
-	first := -1
-	for i, x := range v {
-		if !math.IsNaN(x) {
-			first = i
-			break
+	last, tail := FillThrough(v, -1), 0.0
+	if last >= 0 {
+		tail = v[last]
+	}
+	for i := last + 1; i < len(v); i++ {
+		v[i] = tail
+	}
+	return s
+}
+
+// FillThrough is FillGaps up to v's last valid sample, whose index it
+// returns (-1 when v has none); NaN bins after it are left alone. done
+// is the last valid index of a prefix an earlier call already filled
+// (-1: none), and only bins after it are visited: a filled bin depends
+// only on the valid samples around it, so filling a series as it grows
+// append-only gives, bit for bit, what one call on the whole would.
+func FillThrough(v []float64, done int) int {
+	last := done
+	if last < 0 {
+		for i, x := range v {
+			if !math.IsNaN(x) {
+				last = i
+				break
+			}
+		}
+		if last < 0 {
+			return -1
+		}
+		for i := 0; i < last; i++ {
+			v[i] = v[last]
 		}
 	}
-	if first == -1 {
-		for i := range v {
-			v[i] = 0
-		}
-		return s
-	}
-	for i := 0; i < first; i++ {
-		v[i] = v[first]
-	}
-	last := first
-	for i := first + 1; i < n; i++ {
+	for i := last + 1; i < len(v); i++ {
 		if math.IsNaN(v[i]) {
 			continue
 		}
@@ -144,10 +157,7 @@ func (s *Series) FillGaps() *Series {
 		}
 		last = i
 	}
-	for i := last + 1; i < n; i++ {
-		v[i] = v[last]
-	}
-	return s
+	return last
 }
 
 // HasGaps reports whether the series contains NaN bins.

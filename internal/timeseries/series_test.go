@@ -127,6 +127,36 @@ func TestFillGapsEdges(t *testing.T) {
 	}
 }
 
+// TestFillThroughPrefixStable grows a gappy series one bin at a time,
+// filling it with FillThrough from the previous call's last valid bin:
+// every stage must equal FillGaps over the same prefix, bit for bit, up
+// to its last valid bin.
+func TestFillThroughPrefixStable(t *testing.T) {
+	nan := math.NaN()
+	raw := []float64{nan, nan, 3, nan, 7.25, 8, nan, nan, nan, 1.5, nan, 0.1, nan}
+	grown := make([]float64, 0, len(raw))
+	done := -1
+	for n := 1; n <= len(raw); n++ {
+		grown = append(grown, raw[n-1])
+		done = FillThrough(grown, done)
+		want := New(t0, time.Minute, append([]float64(nil), raw[:n]...)).FillGaps().Values
+		if done == -1 {
+			if n > 2 {
+				t.Fatalf("prefix %d: no valid bin found", n)
+			}
+			continue
+		}
+		for i := 0; i <= done; i++ {
+			if math.Float64bits(grown[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("prefix %d bin %d: FillThrough %v, FillGaps %v", n, i, grown[i], want[i])
+			}
+		}
+	}
+	if done != len(raw)-2 {
+		t.Fatalf("last valid bin %d, want %d", done, len(raw)-2)
+	}
+}
+
 func TestHasGaps(t *testing.T) {
 	if !New(t0, time.Minute, []float64{1, math.NaN()}).HasGaps() {
 		t.Fatal("gap not detected")
