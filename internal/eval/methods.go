@@ -88,14 +88,8 @@ func (m *BaselineMethod) AssessCase(sc *workload.Scenario, cs workload.Case) (ma
 		if !ok {
 			continue
 		}
-		lo := cs.ChangeBin - w - cfg.PastSpan()
-		if lo < 0 {
-			lo = 0
-		}
-		hi := cs.ChangeBin + w + cfg.FutureSpan()
-		if hi > series.Len() {
-			hi = series.Len()
-		}
+		lo, hi := funnel.DetectionSegment(cs.ChangeBin, w, cfg.PastSpan(), cfg.FutureSpan())
+		hi = min(hi, series.Len())
 		var pred Prediction
 		for _, d := range det.Detect(series.Values[lo:hi]) {
 			if d.End+lo >= cs.ChangeBin-2 {

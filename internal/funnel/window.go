@@ -51,7 +51,16 @@ func newFootprint(cfg *Config, step time.Duration) footprint {
 // segment is the detection segment [lo, hi) of a change at changeBin,
 // clamped at the series start.
 func (fp *footprint) segment(changeBin int) (lo, hi int) {
-	return max(changeBin-fp.gate-fp.past, 0), changeBin + fp.gate + fp.fut
+	return DetectionSegment(changeBin, fp.gate, fp.past, fp.fut)
+}
+
+// DetectionSegment is the bins [lo, hi) a detector scores to judge a
+// change at changeBin: ±windowBins around it, widened by the scorer's
+// reach — pastSpan bins before a score position and futureSpan from it
+// on (sst.Config's PastSpan and FutureSpan) — and clamped at the series
+// start. FUNNEL and the baseline methods read the same segment.
+func DetectionSegment(changeBin, windowBins, pastSpan, futureSpan int) (lo, hi int) {
+	return max(changeBin-windowBins-pastSpan, 0), changeBin + windowBins + futureSpan
 }
 
 // gateWindow is the gap gate's window [lo, hi) around changeBin:

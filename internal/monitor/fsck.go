@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 
 	"repro/internal/chunk"
@@ -54,11 +53,11 @@ func (r FsckReport) Healthy() bool {
 	return true
 }
 
-// Fsck verifies a persistence directory offline: it recovers the
-// snapshot (checking every sealed chunk's CRC) and replays every log
-// generation exactly as OpenPersistent does — each up to its first bad
-// record, whose offset and the bytes left unread behind it it reports —
-// instead of mutating anything. No store process may be using dir.
+// Fsck verifies a persistence directory offline: it runs OpenPersistent's
+// recovery pass (recoverDir) — the snapshot, every sealed chunk's CRC
+// checked, then every log generation up to its first bad record, whose
+// offset and the bytes left unread behind it it reports — instead of
+// mutating anything. No store process may be using dir.
 //
 // With repair set and damage found, the recovered state is
 // consolidated back to disk: quarantined chunks are rewritten as
@@ -78,32 +77,15 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 	}
 	var rep FsckReport
 
-	var store *Store
-	snapPath := filepath.Join(dir, snapshotFile)
-	if f, err := fsys.Open(snapPath); err == nil {
-		store, err = readSnapshotShards(f, StoreShards, &rep.QuarantinedChunks)
-		f.Close()
-		if err != nil {
-			return rep, fmt.Errorf("monitor: fsck: snapshot unrecoverable: %w", err)
-		}
-		rep.SnapshotPresent = true
-		rep.SnapshotSeries = store.Len()
-	} else if !os.IsNotExist(err) {
-		return rep, err
-	}
-
-	gens, err := listWALs(fsys, dir)
+	rc, err := recoverDir(fsys, dir, StoreShards, 0)
 	if err != nil {
 		return rep, err
 	}
-	if store == nil {
-		// With no snapshot the oldest readable log header carries the
-		// epoch, as in OpenPersistent.
-		if hdrStart, hdrStep, ok := oldestWALHeader(fsys, gens); ok {
-			store = NewStoreShards(hdrStart, hdrStep, StoreShards)
-		}
-	}
-	for _, r := range replayGenerations(fsys, gens, store) {
+	store := rc.store
+	rep.SnapshotPresent = rc.snapBytes > 0
+	rep.SnapshotSeries = rc.stats.SnapshotSeries
+	rep.QuarantinedChunks = rc.stats.QuarantinedChunks
+	for _, r := range rc.gens {
 		rep.WALs = append(rep.WALs, FsckWAL{
 			Path:      r.path,
 			Version:   r.version,
@@ -113,9 +95,9 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 			Unread:    r.unread,
 			ReadError: r.err,
 		})
-		rep.WALRecords += r.stats.WALRecords
-		rep.TornTails += r.stats.TornTails
 	}
+	rep.WALRecords = rc.stats.WALRecords
+	rep.TornTails = rc.stats.TornTails
 
 	if store == nil {
 		return rep, nil // empty directory: nothing to verify
@@ -180,7 +162,7 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 		fsys.Remove(tmpPath)
 		return rep, err
 	}
-	if err := fsys.Rename(tmpPath, snapPath); err != nil {
+	if err := fsys.Rename(tmpPath, filepath.Join(dir, snapshotFile)); err != nil {
 		fsys.Remove(tmpPath)
 		return rep, err
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/faultfs"
+	"repro/internal/topo"
 )
 
 // copyImage copies a flat data directory into a fresh temp dir.
@@ -132,9 +135,10 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 		writer  int   // shards of the writing store
 		shards  []int // reopen with each of these
 		program func(t *testing.T) []int
+		keys    []topo.KPIKey // cfg's when nil
 	}{
-		{"written with 16 shards", 16, []int{16, 4, 1}, func(*testing.T) []int { return image }},
-		{"written with 4 shards", 4, []int{16}, func(*testing.T) []int { return image }},
+		{"written with 16 shards", 16, []int{16, 4, 1}, func(*testing.T) []int { return image }, nil},
+		{"written with 4 shards", 4, []int{16}, func(*testing.T) []int { return image }, nil},
 		{
 			// The prune's compaction installs its snapshot and dies deleting
 			// the generation below: its records, some before the new epoch,
@@ -144,12 +148,14 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 				crash := crashAt(t, cat(held, []int{opCompact, 0})) // the compaction's last op: a removal
 				return cat([]int{opReopen, ro(0, 0, crash)}, held[2:], []int{opCompact, 0}, late, grow(2), late)
 			},
+			nil,
 		},
 		{
 			"torn tail and garbage length", 4, []int{4},
 			func(*testing.T) []int {
 				return cat(image, []int{opReopen, ro(0, 0, 0)}, grow(10), []int{opDamage, 8<<8 | 32<<2 | 1, opDamage, 6<<8 | 40<<2})
 			},
+			nil,
 		},
 		{
 			// The CRC holds but the last entry of a group does not decode:
@@ -157,8 +163,9 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 			// the other shards replay on.
 			"undecodable body inside a group", 4, []int{4},
 			func(*testing.T) []int { return cat(image, []int{opDamage, 9<<8 | 40<<2}) },
+			nil,
 		},
-		{"one rotten snapshot chunk", 4, []int{4}, func(*testing.T) []int { return cat(image, []int{opCompact, 0, opDamage, 10 << 8}) }},
+		{"one rotten snapshot chunk", 4, []int{4}, func(*testing.T) []int { return cat(image, []int{opCompact, 0, opDamage, 10 << 8}) }, nil},
 		{
 			// No snapshot: the epoch comes from the first generation with a
 			// header, not the oldest, whose open died at its header write,
@@ -167,6 +174,7 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 			func(*testing.T) []int {
 				return cat([]int{opReopen, ro(0, 0, 7)}, grow(20), []int{opReopen, ro(0, 0, 7)}, grow(5), late)
 			},
+			nil,
 		},
 		{
 			// Three generations, each rewriting bins of the one below.
@@ -174,6 +182,7 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 			func(*testing.T) []int {
 				return cat(image, []int{opReopen, ro(1, 0, 0)}, late, grow(4), []int{opReopen, ro(1, 0, 0)}, late, grow(4))
 			},
+			nil,
 		},
 		{
 			// Each generation replays by the shard bytes of the layout that
@@ -182,6 +191,7 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 			func(*testing.T) []int {
 				return cat(grow(20), []int{opReopen, ro(0, 0, 0)}, grow(10), late, []int{opReopen, ro(1, 0, 0)}, grow(10))
 			},
+			nil,
 		},
 		{
 			// A prune drops series whole and later bins re-create them in the
@@ -192,6 +202,7 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 				crash := crashAt(t, held) + 1 // the compaction's first op
 				return cat([]int{opReopen, ro(0, 0, crash)}, held[2:], []int{opCompact, 0})
 			},
+			nil,
 		},
 		{
 			// Consecutive group records of a shard carry its keys in
@@ -204,6 +215,7 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 				}
 				return p
 			},
+			nil,
 		},
 		{
 			// A bad record ends its own generation and nothing else: every
@@ -213,16 +225,42 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 				return cat(image, []int{opReopen, ro(0, 0, 0)}, grow(5), []int{opReopen, ro(0, 0, 0)}, grow(5),
 					[]int{opDamage, 6<<8 | 32<<2 | 2, opDamage, 8<<8 | 32<<2 | 1})
 			},
+			nil,
+		},
+		{
+			// A snapshot and two generations, written at 2 shards and at 16,
+			// rewrite the same bins. At four workers a key's records go to
+			// worker h mod 2 in the first generation and h mod 4 in the
+			// second, and every key here has h mod 4 of 2 or 3, so lives in
+			// a shard whose owner is not the first's worker. Only the wait
+			// for the snapshot's installs keeps the first generation's writes
+			// from landing under its series, and only the barrier between
+			// the generations keeps them from landing after the second's.
+			name: "generations at two shard counts rewrite the same bins", writer: 2, shards: []int{16, 4},
+			keys: keysWhere(64, func(h int) bool { return h%4 >= 2 }),
+			program: func(*testing.T) []int {
+				rewrite := func(p []int) []int {
+					for k := range 8 {
+						p = append(p, opLateSealed, wr(k, k%2, 37*k), opLateTail, wr(k, 1, k), opLateLine, wr(k, 0, k))
+					}
+					return p
+				}
+				p := rewrite(cat(grow(150), []int{opCompact, 0}, grow(20)))
+				return rewrite(append(p, opReopen, ro(1, 0, 0))) // 16 shards
+			},
 		},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			cfg := cfg
 			cfg.shards = sc.writer
+			if sc.keys != nil {
+				cfg.keys = sc.keys
+			}
 			image := newProgRunner(t, cfg, nil)
 			image.run(progOps(sc.program(t)...))
 			before := image.close()
-			for _, procs := range []int{4, 1} {
+			for _, procs := range []int{4, 3, 1} {
 				for _, shards := range sc.shards {
 					t.Run(fmt.Sprintf("procs=%d/shards=%d", procs, shards), func(t *testing.T) {
 						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -234,6 +272,18 @@ func TestRecoveryMatchesSerialOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// keysWhere returns the first n fleet keys whose FNV-1a hash, reduced
+// mod 16 as a 16-shard store stripes it, satisfies keep.
+func keysWhere(n int, keep func(h int) bool) []topo.KPIKey {
+	var keys []topo.KPIKey
+	for _, k := range fleetKeys(16 * n) {
+		if len(keys) < n && keep(shardOf(16, byte(k.Scope), k.Entity, k.Metric)) {
+			keys = append(keys, k)
+		}
+	}
+	return keys
 }
 
 // readFailFS fails the reads of one file once they pass a byte count.
@@ -265,11 +315,14 @@ func (f *readFailFile) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestRecoveryErrorJoinsWorkers breaks the second and third of three
-// generations — a read that fails with the second's workers busy, a
-// header the third's reader refuses: the open must fail with the
-// second's error (the first in generation order) and leave no replay or
-// validation goroutine behind.
+// TestRecoveryErrorJoinsWorkers breaks a recovery two ways. First the
+// second and third of three generations — a read that fails with the
+// second's workers busy, a header the third's reader refuses: the open
+// must fail with the second's error (the first in generation order).
+// Then a snapshot whose framing breaks in its second block, after the
+// first block's series went to the workers: the open must fail with
+// the framing error. Either way no worker may outlive the open, and no
+// file may stay open.
 func TestRecoveryErrorJoinsWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	image := writeImage(t, 8, 30, 0, 0).dir // written with 8 shards, reopened with 4 twice
@@ -280,8 +333,10 @@ func TestRecoveryErrorJoinsWorkers(t *testing.T) {
 	})
 	opts := persistOptsNoBG(8)
 	opts.ChunkSpan = diffSpan
-	opts.FS = readFailFS{FS: faultfs.OS, path: second, after: 4 << 10}
+	failRead := readFailFS{FS: faultfs.OS, path: second, after: 4 << 10}
 	before := runtime.NumGoroutine()
+	cfs := &countingFS{FS: failRead}
+	opts.FS = cfs
 	st, err := OpenPersistent(copyImage(t, image), time.Time{}, 0, opts)
 	if err == nil {
 		st.Close()
@@ -290,10 +345,54 @@ func TestRecoveryErrorJoinsWorkers(t *testing.T) {
 	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("error %q, want the read failure in %s", err, filepath.Base(second))
 	}
-	rep, err := Fsck(copyImage(t, image), opts.FS, false)
+	if n := cfs.open.Load(); n != 0 {
+		t.Fatalf("failed open (%v): %d files left open", err, n)
+	}
+	rep, err := Fsck(copyImage(t, image), failRead, false)
 	if err != nil || len(rep.WALs) != 3 || rep.WALs[0].ReadError != nil || !errors.Is(rep.WALs[1].ReadError, faultfs.ErrInjected) || rep.WALs[2].ReadError == nil {
 		t.Fatalf("fsck: %+v (%v), want the first generation readable and the other two not", rep.WALs, err)
 	}
+
+	// A snapshot of several reader blocks, cut short inside the second.
+	dir := t.TempDir()
+	st, err = OpenPersistent(dir, t0, time.Minute, persistOptsNoBG(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := fleetKeys(400)
+	rng := rand.New(rand.NewPCG(1, 2))
+	batch := make([]Measurement, len(keys))
+	for bin := range 1300 {
+		for i, k := range keys {
+			batch[i] = Measurement{k, t0.Add(time.Duration(bin) * time.Minute), rng.NormFloat64()}
+		}
+		st.AppendBatch(batch)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rewriteFile(t, filepath.Join(dir, snapshotFile), func(raw []byte) []byte {
+		if len(raw) < 2*replayBlock {
+			t.Fatalf("the snapshot is %d bytes, want more than two blocks of %d", len(raw), replayBlock)
+		}
+		return raw[:3*replayBlock/2]
+	})
+	cfs = &countingFS{FS: faultfs.OS}
+	st, err = OpenPersistent(dir, time.Time{}, 0, PersistOptions{Shards: 8, SyncInterval: -1, CompactBytes: -1, FS: cfs})
+	if err == nil {
+		st.Close()
+		t.Fatal("OpenPersistent recovered a snapshot cut short")
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("error %q, want the snapshot's framing cut short", err)
+	}
+	if n := cfs.open.Load(); n != 0 {
+		t.Fatalf("failed open (%v): %d files left open", err, n)
+	}
+
 	// Joined workers have returned from their function; give the
 	// scheduler a moment to retire them before calling it a leak.
 	deadline := time.Now().Add(2 * time.Second)
@@ -302,6 +401,6 @@ func TestRecoveryErrorJoinsWorkers(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		buf := make([]byte, 1<<16)
-		t.Fatalf("%d goroutines before the failed open, %d after:\n%s", before, n, buf[:runtime.Stack(buf, true)])
+		t.Fatalf("%d goroutines before the failed opens, %d after:\n%s", before, n, buf[:runtime.Stack(buf, true)])
 	}
 }

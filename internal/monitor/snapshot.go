@@ -3,13 +3,9 @@ package monitor
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/chunk"
@@ -42,10 +38,12 @@ import (
 // deterministic, so two stores with identical logical contents produce
 // byte-identical snapshots — the crash-recovery e2e depends on this.
 //
-// Reading splits the work in two: one goroutine parses the framing, and
-// a pool of at most GOMAXPROCS workers runs each sealed chunk's CRC
-// check and validation decode (see chunkValidator), all joined before
-// the read returns.
+// Reading is a recovery pass's first stream (see recover.go): one
+// reader checks the framing a block at a time and hands each series'
+// bytes to the worker that owns its key's shard, which builds the entry
+// from them — both key strings in one allocation, the shard maps sized
+// from seriesCount, bounded by the snapshot's size — runs each sealed
+// chunk's CRC check and validation decode, and installs the series.
 //
 // A chunk whose stored CRC does not match its bytes (or whose stream
 // fails validation) is quarantined, not fatal: the reader installs a
@@ -285,293 +283,4 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// readSnapshotShards reconstructs a Store with the given shard count
-// from a snapshot stream (recovery passes the configured striping); the
-// chunk span is the snapshot's own. Chunks whose checksum fails are
-// quarantined as NaN tombstones, not fatal.
-// quarantined (may be nil) accumulates the count of checksum-failed
-// chunks replaced by tombstones.
-func readSnapshotShards(r io.Reader, shards int, quarantined *int) (*Store, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, err
-	}
-	if string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("monitor: bad snapshot magic %q", magic)
-	}
-	var scratch [8]byte
-	if _, err := io.ReadFull(br, scratch[:2]); err != nil {
-		return nil, err
-	}
-	if version := binary.BigEndian.Uint16(scratch[:2]); version != snapshotVersion {
-		return nil, fmt.Errorf("monitor: unsupported snapshot version %d", version)
-	}
-	if _, err := io.ReadFull(br, scratch[:]); err != nil {
-		return nil, err
-	}
-	start := time.Unix(0, int64(binary.BigEndian.Uint64(scratch[:]))).UTC()
-	if _, err := io.ReadFull(br, scratch[:]); err != nil {
-		return nil, err
-	}
-	step := time.Duration(binary.BigEndian.Uint64(scratch[:]))
-	if step <= 0 {
-		return nil, fmt.Errorf("monitor: bad snapshot step %v", step)
-	}
-	if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-		return nil, err
-	}
-	span := int(binary.BigEndian.Uint32(scratch[:4]))
-	if span < 2 || span > maxSnapshotSpan {
-		return nil, fmt.Errorf("monitor: bad snapshot chunk span %d", span)
-	}
-	if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-		return nil, err
-	}
-	count := binary.BigEndian.Uint32(scratch[:4])
-
-	store := NewStoreShards(start, step, shards)
-	store.span = span
-	v := startChunkValidator(span)
-	err := readSnapshotSeries(br, store, count, v)
-	// Join the workers on every path.
-	nq := v.wait()
-	if quarantined != nil {
-		*quarantined += nq
-	}
-	if err != nil {
-		return nil, err
-	}
-	return store, nil
-}
-
-// readSnapshotSeries parses count series bodies from br into store,
-// handing sealed chunks to v for validation.
-func readSnapshotSeries(br *bufio.Reader, store *Store, count uint32, v *chunkValidator) error {
-	span := store.span
-	// One clock read stamps every restored series' arrival watermark with
-	// the restore time. The data's true arrival time died with the
-	// previous process; leaving the watermark empty instead made the
-	// first post-restart assessment of an untouched series report an
-	// absent bin-to-verdict latency (and a bogus one if the key's first
-	// live append landed mid-assessment). Restamping bounds the first
-	// reported latency by time-since-restore, which is the honest reading
-	// of "how stale is the evidence this verdict used".
-	restoredAt := time.Now().UnixNano()
-	var scratch []byte
-	for i := uint32(0); i < count; i++ {
-		var b [1]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return err
-		}
-		scope := topo.Scope(b[0])
-		if scope != topo.ScopeServer && scope != topo.ScopeInstance && scope != topo.ScopeService {
-			return fmt.Errorf("monitor: bad snapshot scope %d", b[0])
-		}
-		entity, err := readSnapshotString(br, &scratch)
-		if err != nil {
-			return err
-		}
-		metric, err := readSnapshotString(br, &scratch)
-		if err != nil {
-			return err
-		}
-		e, err := readSnapshotEntry(br, span, v)
-		if err != nil {
-			return err
-		}
-		key := topo.KPIKey{Scope: scope, Entity: entity, Metric: metric}
-		e.arrivalNanos = restoredAt
-		store.shardFor(key).series[key] = e
-	}
-	return nil
-}
-
-// chunkValidator takes the per-chunk work of a snapshot read off the
-// goroutine that parses the framing: a pool of at most GOMAXPROCS
-// workers checks each chunk's CRC, runs chunk.FromEncoded's validation
-// decode, and installs the chunk — or a tombstone for one that fails
-// either check.
-type chunkValidator struct {
-	span int
-	jobs chan chunkJob
-	wg   sync.WaitGroup
-	// pending collects one entry's jobs until its chunks slice has
-	// stopped growing (parser goroutine only).
-	pending []chunkJob
-
-	quarantined atomic.Int64
-}
-
-// chunkJob is one sealed chunk as framed on disk, and the slot of its
-// series entry that receives the validated chunk.
-type chunkJob struct {
-	e    *seriesEntry
-	slot int
-	data []byte
-	crc  uint32
-}
-
-// startChunkValidator starts the worker pool for a snapshot of the
-// given chunk span.
-func startChunkValidator(span int) *chunkValidator {
-	workers := runtime.GOMAXPROCS(0)
-	v := &chunkValidator{
-		span: span,
-		// A few jobs of slack per worker, so the parser keeps reading
-		// while every worker is inside a decode.
-		jobs: make(chan chunkJob, 4*workers),
-	}
-	for ; workers > 0; workers-- {
-		v.wg.Add(1)
-		go v.work()
-	}
-	return v
-}
-
-// work validates chunks until the job channel closes.
-func (v *chunkValidator) work() {
-	defer v.wg.Done()
-	for j := range v.jobs {
-		ck, err := chunk.FromEncoded(j.data, v.span)
-		if err != nil || ck.CRC() != j.crc {
-			// The framing held (the length-delimited read succeeded) but
-			// the bytes are rotten: quarantine this chunk and keep
-			// recovering the rest of the store.
-			ck = chunk.Tombstone(v.span)
-			v.quarantined.Add(1)
-		}
-		j.e.chunks[j.slot] = ck
-	}
-}
-
-// add queues one framed chunk for the entry being parsed and reserves
-// its slot.
-func (v *chunkValidator) add(e *seriesEntry, data []byte, crc uint32) {
-	v.pending = append(v.pending, chunkJob{e: e, slot: len(e.chunks), data: data, crc: crc})
-	e.chunks = append(e.chunks, nil)
-}
-
-// tombstone installs a quarantine placeholder read from the stream.
-func (v *chunkValidator) tombstone(e *seriesEntry) {
-	e.chunks = append(e.chunks, chunk.Tombstone(v.span))
-	v.quarantined.Add(1)
-}
-
-// dispatch hands the parsed entry's chunks to the workers. The entry's
-// chunks slice must not grow again before wait returns: the workers
-// write its elements.
-func (v *chunkValidator) dispatch() {
-	for _, j := range v.pending {
-		v.jobs <- j
-	}
-	clear(v.pending) // drop the references to the dispatched bytes
-	v.pending = v.pending[:0]
-}
-
-// wait joins the workers and returns the number of chunks quarantined.
-func (v *chunkValidator) wait() (quarantined int) {
-	close(v.jobs)
-	v.wg.Wait()
-	return int(v.quarantined.Load())
-}
-
-// readSnapshotEntry reads one series body: head, verbatim sealed
-// chunks, each with its CRC-32 (or a tombstone sentinel in its place),
-// then the raw tail. The chunks themselves are checked off-thread by v
-// — a rotten one degrades one chunk, not the whole recovery — while
-// anything wrong with the framing fails the entry here.
-func readSnapshotEntry(br *bufio.Reader, span int, v *chunkValidator) (*seriesEntry, error) {
-	var scratch [8]byte
-	if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-		return nil, err
-	}
-	head := binary.BigEndian.Uint32(scratch[:4])
-	if int(head) >= span {
-		return nil, fmt.Errorf("monitor: snapshot head %d exceeds chunk span %d", head, span)
-	}
-	if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-		return nil, err
-	}
-	chunkCount := binary.BigEndian.Uint32(scratch[:4])
-	if head > 0 && chunkCount == 0 {
-		return nil, fmt.Errorf("monitor: snapshot head %d with no chunks", head)
-	}
-	e := &seriesEntry{head: int(head)}
-	for c := uint32(0); c < chunkCount; c++ {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return nil, err
-		}
-		encLen := binary.BigEndian.Uint32(scratch[:4])
-		if encLen == snapshotTombstone {
-			// A quarantined chunk from a previous recovery round-trips
-			// as a tombstone.
-			v.tombstone(e)
-			continue
-		}
-		// Bound the pre-allocation by what a span of values can encode
-		// (~9 bytes/value worst case) so a corrupt length fails at
-		// ReadFull instead of demanding gigabytes.
-		if int(encLen) > 10*span {
-			return nil, fmt.Errorf("monitor: snapshot chunk of %d bytes exceeds span %d", encLen, span)
-		}
-		if _, err := io.ReadFull(br, scratch[4:8]); err != nil {
-			return nil, err
-		}
-		wantCRC := binary.BigEndian.Uint32(scratch[4:8])
-		data := make([]byte, encLen)
-		if _, err := io.ReadFull(br, data); err != nil {
-			return nil, err
-		}
-		v.add(e, data, wantCRC)
-	}
-	v.dispatch()
-	if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-		return nil, err
-	}
-	tailCount := binary.BigEndian.Uint32(scratch[:4])
-	if int(tailCount) >= span {
-		return nil, fmt.Errorf("monitor: snapshot tail of %d bins exceeds chunk span %d", tailCount, span)
-	}
-	// Read the tail a block at a time. The up-front capacity is capped:
-	// the count is untrusted until the bytes behind it have arrived.
-	e.tail = make([]float64, 0, min(int(tailCount), 4096))
-	var block [64 * 8]byte
-	for left := int(tailCount); left > 0; {
-		n := min(left, len(block)/8)
-		buf := block[:8*n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, err
-		}
-		for ; len(buf) > 0; buf = buf[8:] {
-			e.tail = append(e.tail, math.Float64frombits(binary.BigEndian.Uint64(buf)))
-		}
-		left -= n
-	}
-	return e, nil
-}
-
-// readSnapshotString reads a uint16-length-prefixed string from br
-// through *scratch, which it grows and keeps for the next call, so the
-// returned string is the one allocation (a local header array would
-// escape through io.ReadFull and cost another).
-func readSnapshotString(br *bufio.Reader, scratch *[]byte) (string, error) {
-	if cap(*scratch) < 2 {
-		*scratch = make([]byte, 2, 64)
-	}
-	hdr := (*scratch)[:2]
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return "", err
-	}
-	n := int(binary.BigEndian.Uint16(hdr))
-	if cap(*scratch) < n {
-		*scratch = make([]byte, n)
-	}
-	buf := (*scratch)[:n]
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }

@@ -310,7 +310,13 @@ func (s *Store) SetChunkSpan(span int) {
 // shardIndex maps a key to its stripe by FNV-1a over scope, entity and
 // metric (with a NUL separator, mirroring KPIKey.String uniqueness).
 func (s *Store) shardIndex(key topo.KPIKey) int {
-	if len(s.shards) == 1 {
+	return shardOf(len(s.shards), byte(key.Scope), key.Entity, key.Metric)
+}
+
+// shardOf is the FNV-1a stripe of a key among shards, from its strings
+// or from their framed bytes.
+func shardOf[S string | []byte](shards int, scope byte, entity, metric S) int {
+	if shards == 1 {
 		return 0
 	}
 	const (
@@ -318,15 +324,15 @@ func (s *Store) shardIndex(key topo.KPIKey) int {
 		prime32  = 16777619
 	)
 	h := uint32(offset32)
-	h = (h ^ uint32(key.Scope)) * prime32
-	for i := 0; i < len(key.Entity); i++ {
-		h = (h ^ uint32(key.Entity[i])) * prime32
+	h = (h ^ uint32(scope)) * prime32
+	for i := 0; i < len(entity); i++ {
+		h = (h ^ uint32(entity[i])) * prime32
 	}
 	h = (h ^ 0) * prime32
-	for i := 0; i < len(key.Metric); i++ {
-		h = (h ^ uint32(key.Metric[i])) * prime32
+	for i := 0; i < len(metric); i++ {
+		h = (h ^ uint32(metric[i])) * prime32
 	}
-	return int(h % uint32(len(s.shards)))
+	return int(h % uint32(shards))
 }
 
 // shardFor returns the stripe owning key.
@@ -463,16 +469,17 @@ func (s *Store) entryLocked(sh *storeShard, key *topo.KPIKey) *seriesEntry {
 	return e
 }
 
-// commitLocked is the one place a measurement becomes store state, for
-// Append, AppendBatch, the ingest socket and WAL replay alike: bin
-// write, arrival watermark, WAL, feed mark, subscriber delivery, in
-// that order. e is key's entry in sh and idx the measurement's bin;
-// the caller holds sh's mutex and epochMu.RLock, and read the clock
-// (now) once per append or batch. A measurement that arrived framed
+// commitLocked is the one place a live measurement becomes store state,
+// for Append, AppendBatch and the ingest socket alike: bin write,
+// arrival watermark, WAL, feed mark, subscriber delivery, in that
+// order. e is key's entry in sh and idx the measurement's bin; the
+// caller holds sh's mutex and epochMu.RLock, and read the clock (now)
+// once per append or batch. A measurement that arrived framed
 // passes its body as wire, which is logged verbatim, and is rebuilt as
 // a Measurement only if somebody subscribes; an in-process caller
-// passes m and a nil wire. Replay is the same call on a store that has
-// no log, feed or subscriber yet. It returns the delivery counts.
+// passes m and a nil wire. It returns the delivery counts. Recovery
+// does not come here: on a store that has no log, feed or subscriber yet
+// it writes a key's replayed bins as a run (see keyRuns.writeLocked).
 func (s *Store) commitLocked(sh *storeShard, e *seriesEntry, key *topo.KPIKey, idx int, v float64, now int64, wire []byte, m *Measurement) (pushes, drops int64) {
 	s.setBinLocked(e, idx, v)
 	e.arrivalNanos = now
@@ -560,12 +567,35 @@ func (s *Store) setBinLocked(e *seriesEntry, idx int, v float64) {
 		}
 		tail[ti] = v
 	}
+	e.tail = s.sealLocked(e, tail)
+}
+
+// appendRunLocked writes vs at e's next bins, from its end on: the line
+// and the run go to the tail, sealed a span at a time, so the tail never
+// holds more than a span. Recovery writes a key's consecutive replayed
+// bins so. The caller holds the owning shard's mutex.
+func (s *Store) appendRunLocked(e *seriesEntry, vs []float64) {
+	tail := append(e.tail, e.pend[:e.npend]...)
+	e.npend = 0
+	for len(vs) > 0 {
+		n := min(len(vs), s.span-len(tail))
+		tail = s.sealLocked(e, append(tail, vs[:n]...))
+		vs = vs[n:]
+	}
+	e.tail = tail
+}
+
+// sealLocked seals the full spans off the front of tail, e's unsealed
+// bins with the line moved in, into e's chunks, and returns the rest,
+// which the caller makes e's tail.
+func (s *Store) sealLocked(e *seriesEntry, tail []float64) []float64 {
+	span := s.span
 	for len(tail) >= span {
 		e.chunks = append(e.chunks, chunk.Encode(tail[:span]))
 		n := copy(tail, tail[span:])
 		tail = tail[:n]
 	}
-	e.tail = tail
+	return tail
 }
 
 // decodeFromLocked decodes logical bins [lo, binLen) of e into dst
@@ -809,6 +839,13 @@ func newKeyTable(s *Store, maxIDs int) *keyTable {
 	return &keyTable{s: s, maxIDs: maxIDs}
 }
 
+// reset empties the table for the next log generation, whose ids start
+// again from 1.
+func (t *keyTable) reset() {
+	clear(t.handles)
+	t.handles, t.issued = t.handles[:0], 0
+}
+
 // scan validates up to max entries at the front of b — the entries of
 // an id batch frame after its count, or a log record's payload — and
 // notes each for apply, resolving its key's handle. It returns how many
@@ -871,11 +908,9 @@ func (t *keyTable) scan(b []byte, max int) (n, used int, err error) {
 // clock read, one epoch lock, each shard locked once over its run of
 // the batch (grouped by the handles' shards, no key re-hashed), the log
 // written once, measurements of one key in frame order. A reference's
-// body is its last 16 bytes only. Replayed, commitLocked logs and feeds
-// nothing from it: a log is replayed into a store that has no log or
-// feed yet. From the socket, a series the live log generation has no id
-// for gets its define rebuilt here, so the log holds what a define of
-// the key would have left.
+// body is its last 16 bytes only: a series the live log generation has
+// no id for gets its define rebuilt here, so the log holds what a define
+// of the key would have left.
 func (t *keyTable) apply(b []byte) {
 	if len(t.recs) == 0 {
 		return

@@ -8,11 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"math"
-	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -122,39 +118,28 @@ import (
 // against machine crashes comes from the periodic fsync pass, which
 // waits on the disk with no shard lock held.
 //
-// Recovery order is snapshot, then the generations found, oldest first;
-// a generation starts only when the one before it has finished, so a
-// (key, bin) present in two ends up with the newer one's value. Within
-// a generation one reader frames and checks the records in file order
-// and hands each verified payload, by its shard byte, to one of at most
-// GOMAXPROCS workers; a worker applies a shard's records in log order —
-// a group record under one clock read and one lock round trip — through
-// a table per shard whose handles are the generation's ids in define
+// Recovery order is snapshot, then the generations found, oldest first,
+// in one pass (recoverDir; recover.go has its reader and worker pool),
+// so a (key, bin) present in two generations ends up with the newer
+// one's value. A generation's records replay in file order through a
+// table per shard byte whose handles are the generation's ids in define
 // order, so a reference is an array index (keyTable, the one the ingest
-// socket keeps per connection). The shards of the writing
-// layout hold disjoint keys, so the workers' interleaving equals the
-// serial order, also when the reading layout differs: apply regroups by
-// the live one. The first bad record ends the generation: a short
-// read, a length outside (0, maxWALRecord] or a CRC mismatch — all a
-// process kill can do to an append-only file is tear its final record,
-// and nothing past a record that cannot be trusted can be framed.
-// Everything before it replays, the rest of the file is left unread,
-// and TornTails counts it: at most one per generation. (A record whose
-// CRC holds and whose entry does not decode — a define with a bad key or
-// short tail, a reference cut short or to an id not yet defined — is
-// nothing a crash or the disk can produce, and its framing stands: the
-// entries before the bad one are applied and the later records of that
-// shard, as of a shard log before, are not — also counted in
-// TornTails.) The snapshot read is split the same way: one goroutine
-// parses the length-prefixed framing and a pool of at most GOMAXPROCS
-// workers runs each chunk's CRC check and validation decode, installing
-// the chunk or its tombstone. Without a snapshot the store's epoch comes
-// from the first generation with a header, read before any replay
-// starts. Every worker is joined before OpenPersistent returns, with a
-// store or with an error. Replay is idempotent: the store overwrites by
-// (key, bin), so records already captured in the snapshot (a compaction
-// that crashed between the rename and the deletion of the generations
-// it covered) change nothing.
+// socket keeps per connection). The first bad record ends the
+// generation: a short read, a length outside (0, maxWALRecord] or a CRC
+// mismatch — all a process kill can do to an append-only file is tear
+// its final record, and nothing past a record that cannot be trusted can
+// be framed. Everything before it replays, the rest of the file is left
+// unread, and TornTails counts it: at most one per generation. (A record
+// whose CRC holds and whose entry does not decode — a define with a bad
+// key or short tail, a reference cut short or to an id not yet defined —
+// is nothing a crash or the disk can produce, and its framing stands:
+// the entries before the bad one are applied and the later records of
+// that shard, as of a shard log before, are not — also counted in
+// TornTails.) Without a snapshot the store's epoch comes from the first
+// generation with a header. Replay is idempotent: the store overwrites
+// by (key, bin), so records already captured in the snapshot (a
+// compaction that crashed between the rename and the deletion of the
+// generations it covered) change nothing.
 //
 // Recovery reads; it does not rewrite. After replay the store attaches
 // a fresh generation, fsyncs the directory once and is open — the
@@ -308,10 +293,13 @@ type RecoveryStats struct {
 	// LogBytes is the size of the records replayed from them, the log
 	// the next compaction has to fold into the snapshot.
 	LogBytes int64
-	// SnapshotTime, ReplayTime and AttachTime are the wall time of the
-	// three recovery phases: reading the snapshot, replaying the logs,
-	// and attaching a fresh generation. The store is blind to
-	// arriving bins for their sum.
+	// SnapshotTime, ReplayTime and AttachTime partition the open's wall
+	// time. Recovery is one pass whose reader streams the snapshot and
+	// then the logs to one worker pool (see recover.go), so the phases
+	// overlap in the workers: SnapshotTime lasts until the reader has
+	// handed out the snapshot's last series, ReplayTime from then until
+	// the last worker has drained, and AttachTime is attaching a fresh
+	// generation. The store is blind to arriving bins for their sum.
 	SnapshotTime, ReplayTime, AttachTime time.Duration
 }
 
@@ -710,62 +698,36 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 	// overwrite it.
 	p.fs.Remove(filepath.Join(dir, snapshotTmpFile))
 
-	// Phase 1: snapshot.
-	phase := time.Now()
-	var store *Store
-	snapPath := filepath.Join(dir, snapshotFile)
-	if f, err := p.fs.Open(snapPath); err == nil {
-		cr := &countingReader{r: f}
-		store, err = readSnapshotShards(cr, opts.Shards, &p.recovered.QuarantinedChunks)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("monitor: recovering snapshot: %w", err)
-		}
-		p.recovered.SnapshotSeries = store.Len()
-		p.snapBytes.Store(cr.n)
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	p.recovered.SnapshotTime = time.Since(phase)
-
-	// Phase 2: the logs, one generation after the other; a generation's
-	// records replay concurrently by shard (shards hold disjoint keys).
-	phase = time.Now()
-	gens, err := listWALs(p.fs, dir)
+	// Recovery: the snapshot and the logs, in one pass (see recover.go).
+	rc, err := recoverDir(p.fs, dir, opts.Shards, opts.ChunkSpan)
 	if err != nil {
 		return nil, err
 	}
-	if store == nil {
-		// No snapshot: the oldest non-empty log's header carries the epoch;
-		// nothing on disk at all is a fresh directory.
-		hdrStart, hdrStep, ok := oldestWALHeader(p.fs, gens)
-		if !ok {
-			hdrStart, hdrStep = start, step
+	for _, g := range rc.gens {
+		if g.err != nil {
+			return nil, g.err
 		}
-		store = NewStoreShards(hdrStart, hdrStep, opts.Shards)
+	}
+	store := rc.store
+	if store == nil {
+		// Nothing on disk at all: a fresh directory.
+		store = NewStoreShards(start, step, opts.Shards)
 		store.span = opts.ChunkSpan
 	}
 	if step > 0 && store.step != step {
 		return nil, fmt.Errorf("monitor: step mismatch: store has %v, caller wants %v", store.step, step)
 	}
-	for _, r := range replayGenerations(p.fs, gens, store) {
-		if r.err != nil {
-			return nil, r.err
-		}
-		p.recovered.WALRecords += r.stats.WALRecords
-		p.recovered.TornTails += r.stats.TornTails
-		p.recovered.LogBytes += r.stats.LogBytes
-	}
-	p.recovered.Generations = len(gens)
+	p.recovered = rc.stats
+	p.snapBytes.Store(rc.snapBytes)
 	if p.recovered.QuarantinedChunks > 0 {
 		store.quarantined.Add(int64(p.recovered.QuarantinedChunks))
 	}
-	p.recovered.ReplayTime = time.Since(phase)
+	gens := rc.gens
 
 	// Phase 3: attach a fresh generation above the ones replayed. They
 	// stay on disk, and count towards the next compaction, until one
 	// covers them.
-	phase = time.Now()
+	phase := time.Now()
 	store.persist = p
 	p.store = store
 	if len(gens) > 0 {
@@ -800,47 +762,11 @@ type walGeneration struct {
 	path string
 }
 
-// listWALs returns the log generations in dir, oldest first. A wal-
-// file that does not follow walName is an error, not something to step
-// over: it may hold records.
+// listWALs returns the log generations in dir, oldest first (see
+// scanDir).
 func listWALs(fsys faultfs.FS, dir string) ([]walGeneration, error) {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var gens []walGeneration
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, walPrefix) {
-			continue
-		}
-		var gen uint64
-		if _, err := fmt.Sscanf(name, walPrefix+"%d"+walSuffix, &gen); err != nil || walName(gen) != name {
-			return nil, fmt.Errorf("monitor: unrecognised log file %s", filepath.Join(dir, name))
-		}
-		gens = append(gens, walGeneration{gen: gen, path: filepath.Join(dir, name)})
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i].gen < gens[j].gen })
-	return gens, nil
-}
-
-// oldestWALHeader returns the epoch in the first readable header among
-// gens, for a directory without a snapshot. A log killed before its
-// header write is passed over, and so is one whose header is damaged:
-// its replay reports that.
-func oldestWALHeader(fsys faultfs.FS, gens []walGeneration) (start time.Time, step time.Duration, ok bool) {
-	for _, g := range gens {
-		f, err := fsys.Open(g.path)
-		if err != nil {
-			continue
-		}
-		hdr, ok, err := readWALHeader(f, g.path)
-		f.Close()
-		if err == nil && ok {
-			return hdr.start, hdr.step, true
-		}
-	}
-	return time.Time{}, 0, false
+	gens, _, err := scanDir(fsys, dir)
+	return gens, err
 }
 
 // walHeader is what a log's header says: the epoch of the store that
@@ -882,209 +808,6 @@ func readWALHeader(r io.Reader, path string) (hdr walHeader, ok bool, err error)
 		return walHeader{}, false, fmt.Errorf("monitor: bad WAL step %v in %s", hdr.step, path)
 	}
 	return hdr, true, nil
-}
-
-// walReplay is the outcome of replaying one generation.
-type walReplay struct {
-	path    string
-	version uint16        // the header's; 0 when it could not be read
-	stats   RecoveryStats // WALRecords, TornTails and LogBytes of this log
-	// tornAt is the file offset of the record that ended the replay and
-	// unread the bytes from there to the end of the file, when one did.
-	tornAt, unread int64
-	err            error
-}
-
-// replayGenerations replays gens into store, a generation at a time and
-// oldest first, and returns one result per generation. OpenPersistent
-// and Fsck both recover through it.
-func replayGenerations(fsys faultfs.FS, gens []walGeneration, store *Store) []walReplay {
-	out := make([]walReplay, len(gens))
-	for i, g := range gens {
-		out[i].path = g.path
-		out[i].err = replayWAL(fsys, g.path, store, &out[i])
-	}
-	return out
-}
-
-// replayBlock is how much of a log the reader verifies before it hands
-// the records on, grouped by shard; it must hold the largest record.
-// replayPiece is how much of that it reads at a time: little enough to
-// still be in cache when the records it completes are checked.
-const (
-	replayBlock = 2 << 20
-	replayPiece = 256 << 10
-)
-
-// walRecord is one verified record of a log under replay.
-type walRecord struct {
-	shard   byte
-	payload []byte // in the reader's block
-}
-
-// replayBatch is the records of one block that go to one worker,
-// shard after shard. The last worker to finish with a block hands its
-// memory back to the reader: a replay then allocates three blocks, not
-// one per block of log — garbage that had the collector walk the
-// half-built store every few of them.
-type replayBatch struct {
-	recs  []walRecord
-	users *atomic.Int32 // batches of this block not yet applied
-	block []byte
-}
-
-// replayWAL replays one generation into store — on a store that as yet
-// has no log, feed or subscriber, which is all that makes it a replay —
-// and joins its workers before it returns. This goroutine is the
-// reader: it frames the records in file order and checks their CRCs,
-// stops at the first bad one (see the header), and hands the verified
-// payloads on, a block's worth at a time, to the worker their shard byte
-// names. A worker applies a group record the way the ingest socket
-// applies an id batch frame, through one handle table per shard: a
-// define appends a handle and a reference indexes it by id.
-func replayWAL(fsys faultfs.FS, path string, store *Store, out *walReplay) error {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	hdr, ok, err := readWALHeader(f, path)
-	if err != nil || !ok {
-		return err
-	}
-	out.version = hdr.version
-	if store == nil {
-		// The callers derive the store from the first readable header, so
-		// this takes a header that read differently the second time.
-		return fmt.Errorf("monitor: no store to replay %s into", path)
-	}
-
-	workers := make([]chan replayBatch, runtime.GOMAXPROCS(0))
-	stats := make([]RecoveryStats, len(workers)) // WALRecords and TornTails, by worker
-	// Three blocks at most are alive: one the workers are applying, one
-	// queued behind it, one the reader is verifying.
-	free := make(chan []byte, 3)
-	var wg sync.WaitGroup
-	for w := range workers {
-		workers[w] = make(chan replayBatch, 1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var tables [maxStoreShards]*keyTable
-			var ended [maxStoreShards]bool
-			for b := range workers[w] {
-				for _, rec := range b.recs {
-					if ended[rec.shard] {
-						continue
-					}
-					keys := tables[rec.shard]
-					if keys == nil {
-						keys = newKeyTable(store, math.MaxInt)
-						tables[rec.shard] = keys
-					}
-					n, _, err := keys.scan(rec.payload, math.MaxInt)
-					keys.apply(rec.payload)
-					stats[w].WALRecords += n
-					if err != nil {
-						// The CRC holds and an entry does not decode: the ones
-						// before it are applied, the shard's later records not.
-						ended[rec.shard] = true
-						stats[w].TornTails++
-					}
-				}
-				if b.users.Add(-1) == 0 {
-					select {
-					case free <- b.block:
-					default:
-					}
-				}
-			}
-		}()
-	}
-	defer func() {
-		for _, ch := range workers {
-			close(ch)
-		}
-		wg.Wait()
-		for _, st := range stats {
-			out.stats.WALRecords += st.WALRecords
-			out.stats.TornTails += st.TornTails
-		}
-	}()
-
-	var (
-		pos        = int64(walHeaderLen) // file offset of block[0]
-		block      = make([]byte, 0, replayBlock)
-		off        int         // block[:off] is framed and verified
-		recs       []walRecord // what it holds, in log order
-		bad, atEOF bool
-	)
-	for !bad && !atEOF {
-		n, err := f.Read(block[len(block):min(len(block)+replayPiece, cap(block))])
-		block = block[:len(block)+n]
-		if atEOF = err == io.EOF; err != nil && !atEOF {
-			return err
-		}
-		for !bad && len(block)-off >= 4 {
-			plen := int(binary.BigEndian.Uint32(block[off:]))
-			if plen == 0 || plen > maxWALRecord {
-				bad = true // a garbage length: a partial length word, or rot
-				break
-			}
-			end := off + plen + walRecordOverhead
-			if end > len(block) {
-				break // the rest of the record is still to be read, or torn off
-			}
-			rec := block[off+4 : end-4] // shard byte and payload
-			if crc32.ChecksumIEEE(rec) != binary.BigEndian.Uint32(block[end-4:]) {
-				bad = true
-				break
-			}
-			out.stats.LogBytes += int64(plen) + walRecordOverhead
-			recs = append(recs, walRecord{rec[0], rec[1:]})
-			off = end
-		}
-		if !bad && !atEOF && len(block) < cap(block) {
-			continue
-		}
-		// A worker gets its share of the block shard after shard, so that
-		// a shard's series stay in cache over the bins the block spans; an
-		// empty share still counts the block's users down.
-		sort.SliceStable(recs, func(i, j int) bool {
-			wi, wj := int(recs[i].shard)%len(workers), int(recs[j].shard)%len(workers)
-			return wi < wj || wi == wj && recs[i].shard < recs[j].shard
-		})
-		users := new(atomic.Int32)
-		users.Store(int32(len(workers)))
-		for w, lo := 0, 0; w < len(workers); w++ {
-			hi := lo
-			for hi < len(recs) && int(recs[hi].shard)%len(workers) == w {
-				hi++
-			}
-			workers[w] <- replayBatch{recs[lo:hi], users, block}
-			lo = hi
-		}
-		// The workers own this block now; the partial record at its end
-		// moves to the front of another.
-		if !bad && !atEOF {
-			var next []byte
-			select {
-			case next = <-free:
-			default:
-				next = make([]byte, 0, replayBlock)
-			}
-			pos += int64(off)
-			block = append(next[:0], block[off:]...)
-			off, recs = 0, make([]walRecord, 0, len(recs))
-		}
-	}
-	if bad || off < len(block) {
-		out.stats.TornTails++
-		out.tornAt = pos + int64(off)
-		rest, _ := io.Copy(io.Discard, f)
-		out.unread = int64(len(block)-off) + rest
-	}
-	return nil
 }
 
 // discardLog closes the live log a failed open left open and detaches
