@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"encoding/binary"
 	"sync"
 	"time"
 
@@ -227,30 +226,23 @@ func (f *BinFeed) wake() {
 	}
 }
 
-// notifyFeeds marks the bin a measurement of key was just committed to
-// dirty on every registered feed; the measurement comes as commitLocked
-// has it, m or its framed body. The append path calls it only for
-// series whose cached tracked flag is set; each feed's own filter still
-// runs inside mark, so a flag gone stale (Refilter pending) marks
-// nothing it should not.
+// notifyFeeds marks the bin of a measurement of key just committed at
+// the Unix-nanosecond timestamp nanos dirty on every registered feed.
+// The append path calls it only for series whose cached tracked flag is
+// set; each feed's own filter still runs inside mark, so a flag gone
+// stale (Refilter pending) marks nothing it should not.
 //
 // The bin is worked out again here, from the timestamp and under the
 // epoch read lock the caller binned it under, instead of being handed
 // over: keeping it alive across commitLocked's calls, for a branch 32 of
 // 20 000 appends take, cost ingest-flood a tenth of its median latency
 // in alternating pairs (EXPERIMENTS.md, "Streaming advance").
-func (s *Store) notifyFeeds(key *topo.KPIKey, wire []byte, m *Measurement) {
+func (s *Store) notifyFeeds(key *topo.KPIKey, nanos int64) {
 	fs := s.feeds.Load()
 	if fs == nil {
 		return
 	}
-	var t time.Time
-	if m != nil {
-		t = m.T
-	} else {
-		t = time.Unix(0, int64(binary.BigEndian.Uint64(wire[len(wire)-16:])))
-	}
-	idx, _ := binAt(s.start, s.step, t)
+	idx, _ := binAt(s.start, s.step, time.Unix(0, nanos))
 	for _, f := range *fs {
 		f.mark(*key, idx)
 	}

@@ -97,7 +97,7 @@ func (t *keyTable) ingestFrame(payload []byte) error {
 	case used < len(entries):
 		return fmt.Errorf("monitor: %d trailing bytes in frame", len(entries)-used)
 	}
-	t.apply(entries)
+	t.apply()
 	return nil
 }
 

@@ -729,14 +729,12 @@ func (w *recoveryWorker) apply(items []recoveryItem) {
 			w.records += n
 			runs.grow(len(t.handles))
 			for _, fr := range t.recs {
-				body := it.b[fr.off:fr.end]
-				tail := body[len(body)-16:]
-				if nanos := int64(binary.BigEndian.Uint64(tail)); nanos != lastNanos {
-					lastNanos = nanos
-					bin, binOK = clk.bin(nanos)
+				if fr.nanos != lastNanos {
+					lastNanos = fr.nanos
+					bin, binOK = clk.bin(fr.nanos)
 				}
 				if binOK {
-					runs.add(fr.handle, bin, math.Float64frombits(binary.BigEndian.Uint64(tail[8:])))
+					runs.add(fr.handle, bin, fr.v)
 				}
 			}
 			if err != nil {

@@ -116,10 +116,11 @@ type Store struct {
 // storeShard is one lock stripe: a mutex, the series that hash to it,
 // and (for persistent stores) the shard's record in the write-ahead
 // log. Series are held by pointer so that a resolved entry can be
-// written, and kept, without its key: Append pays one lookup by KPIKey
-// per measurement, while the ingest socket and WAL replay pay it once
-// per key and afterwards reach the entry through a keyTable handle,
-// which stays valid until the next Prune (see Store.pruneEpoch).
+// written, and kept, without its key: every writer looks a key up once
+// per keyTable handle — once per run of a key in an AppendBatch, once
+// per key on an ingest connection or in a replayed log generation — and
+// afterwards reaches the entry through the handle, which stays valid
+// until the next Prune (see Store.pruneEpoch).
 type storeShard struct {
 	mu     sync.RWMutex
 	series map[topo.KPIKey]*seriesEntry
@@ -469,33 +470,27 @@ func (s *Store) entryLocked(sh *storeShard, key *topo.KPIKey) *seriesEntry {
 	return e
 }
 
-// commitLocked is the one place a live measurement becomes store state,
-// for Append, AppendBatch and the ingest socket alike: bin write,
-// arrival watermark, WAL, feed mark, subscriber delivery, in that
-// order. e is key's entry in sh and idx the measurement's bin; the
-// caller holds sh's mutex and epochMu.RLock, and read the clock (now)
-// once per append or batch. A measurement that arrived framed
-// passes its body as wire, which is logged verbatim, and is rebuilt as
-// a Measurement only if somebody subscribes; an in-process caller
-// passes m and a nil wire. It returns the delivery counts. Recovery
-// does not come here: on a store that has no log, feed or subscriber yet
-// it writes a key's replayed bins as a run (see keyRuns.writeLocked).
-func (s *Store) commitLocked(sh *storeShard, e *seriesEntry, key *topo.KPIKey, idx int, v float64, now int64, wire []byte, m *Measurement) (pushes, drops int64) {
+// commitLocked is the one place a live measurement becomes store state:
+// bin write, arrival watermark, WAL, feed mark, subscriber delivery, in
+// that order. e is key's entry in sh and idx the bin of the measurement's
+// Unix-nanosecond timestamp nanos; the caller (keyTable.apply) holds sh's
+// mutex and epochMu.RLock, and read the clock (now) once per batch. It
+// returns the delivery counts. Recovery does not come here: on a store
+// that has no log, feed or subscriber yet it writes a key's replayed bins
+// as a run (see keyRuns.writeLocked).
+func (s *Store) commitLocked(sh *storeShard, e *seriesEntry, key *topo.KPIKey, idx int, nanos int64, v float64, now int64) (pushes, drops int64) {
 	s.setBinLocked(e, idx, v)
 	e.arrivalNanos = now
 	if sh.wal != nil {
-		sh.wal.appendLocked(e, wire, m)
+		sh.wal.appendLocked(e, key, nanos, v)
 	}
 	if e.feedTracked {
-		s.notifyFeeds(key, wire, m)
+		s.notifyFeeds(key, nanos)
 	}
 	if s.numSubs.Load() == 0 {
 		return 0, 0 // fast path: nobody listening, skip the scan
 	}
-	if m == nil {
-		nanos := int64(binary.BigEndian.Uint64(wire[len(wire)-16:]))
-		m = &Measurement{Key: *key, T: time.Unix(0, nanos).UTC(), V: v}
-	}
+	m := Measurement{Key: *key, T: time.Unix(0, nanos).UTC(), V: v}
 	// Deliver while still holding the shard lock so measurements for
 	// one key reach each subscriber in append order.
 	s.subMu.RLock()
@@ -503,7 +498,7 @@ func (s *Store) commitLocked(sh *storeShard, e *seriesEntry, key *topo.KPIKey, i
 		if sub.filter != nil && !sub.filter(*key) {
 			continue
 		}
-		p, d := sub.deliver(*m)
+		p, d := sub.deliver(m)
 		pushes += p
 		drops += d
 		if d > 0 {
@@ -629,64 +624,19 @@ func (s *Store) spanBuf() *[]float64 {
 }
 
 // Append records a measurement, growing the key's series as needed
-// (intermediate bins are NaN). Measurements before the epoch are
-// dropped. A second measurement in the same bin overwrites the first
-// (agents emit one sample per bin). Subscribers whose filter matches
-// receive the measurement; a subscriber that has fallen behind by more
-// than its buffer loses the oldest deliveries rather than blocking the
-// ingest path.
+// (intermediate bins are NaN). A measurement the log and the wire cannot
+// carry is dropped, as one before the epoch is: one whose entity or
+// metric is over 65 535 bytes, or whose time is outside the
+// Unix-nanosecond range (1677-09-21 to 2262-04-11 UTC). A second
+// measurement in the same bin overwrites the first (agents emit one
+// sample per bin).
+// Subscribers whose filter matches receive the measurement; a
+// subscriber that has fallen behind by more than its buffer loses the
+// oldest deliveries rather than blocking the ingest path.
 func (s *Store) Append(m Measurement) {
-	now := time.Now().UnixNano()
-	s.epochMu.RLock()
-	sh := s.shardFor(m.Key)
-	ms, run := [1]Measurement{m}, [1]int32{0}
-	pushes, drops, ingested := s.appendRun(sh, now, ms[:], run[:])
-	s.epochMu.RUnlock()
-	s.persist.flush()
-	s.countIngest(ingested, pushes, drops)
+	ms := [1]Measurement{m}
+	s.AppendBatch(ms[:])
 }
-
-// appendRun applies ms[i] for each i of run — measurements that
-// all belong to shard sh — under sh's lock, and seals sh's log record.
-// The caller holds epochMu.RLock, and flushes the log before it returns.
-func (s *Store) appendRun(sh *storeShard, now int64, ms []Measurement, run []int32) (pushes, drops, ingested int64) {
-	start := s.start
-	sh.mu.Lock()
-	for _, i := range run {
-		// binAt and entryLocked's lookup, written out: the two calls
-		// per measurement showed in a series-major load.
-		m := &ms[i]
-		if m.T.Before(start) {
-			continue
-		}
-		idx := int(m.T.Sub(start) / s.step)
-		e := sh.series[m.Key]
-		if e == nil {
-			e = s.entryLocked(sh, &m.Key)
-		}
-		p, d := s.commitLocked(sh, e, &m.Key, idx, m.V, now, nil, m)
-		pushes += p
-		drops += d
-		ingested++
-	}
-	if sh.wal != nil {
-		sh.wal.sealLocked()
-	}
-	sh.mu.Unlock()
-	return pushes, drops, ingested
-}
-
-// countIngest reports one append or batch to the collector, if any.
-func (s *Store) countIngest(ingested, pushes, drops int64) {
-	col := s.obs.Load()
-	col.Add(obs.CtrIngested, ingested)
-	col.Add(obs.CtrPushes, pushes)
-	col.Add(obs.CtrPushDrops, drops)
-}
-
-// batchScratch pools AppendBatch's shard-grouping scratch so the hot
-// ingest path does not allocate per batch.
-var batchScratch = sync.Pool{New: func() any { return new(shardGrouping) }}
 
 // shardGrouping is the workspace that groups a batch by shard: the
 // shard of each measurement, and the measurements' indices
@@ -717,8 +667,8 @@ func (g *shardGrouping) sort(shards int) (offsets [maxStoreShards + 1]int32) {
 		lead++
 	}
 	if lead == len(g.idx) && lead > 0 {
-		// One shard, as a log record replayed in the layout that wrote it:
-		// the batch order is the order.
+		// One shard, as for Append's one measurement or a store of one
+		// stripe: the batch order is the order.
 		for i := range g.order {
 			g.order[i] = int32(i)
 		}
@@ -741,59 +691,42 @@ func (g *shardGrouping) sort(shards int) (offsets [maxStoreShards + 1]int32) {
 	return offsets
 }
 
-// AppendBatch records many measurements, grouping them by shard so each
-// stripe is locked once per batch (and, for persistent stores, the log
-// written once per batch). Semantics per measurement are identical to
-// Append; measurements for the same key keep their slice order.
+// batchTables pools AppendBatch's key handle tables so the in-process
+// ingest path does not allocate per batch.
+var batchTables = sync.Pool{New: func() any { return new(keyTable) }}
+
+// AppendBatch records many measurements with Append's semantics each, as
+// the ingest socket applies a frame (keyTable.apply): one clock read
+// stamps the whole batch's arrival watermarks, each stripe is locked once
+// over its share of the batch, a persistent store's log is written once,
+// and measurements of one key keep their slice order.
 func (s *Store) AppendBatch(ms []Measurement) {
-	if len(ms) == 0 {
-		return
-	}
-	if len(ms) == 1 {
-		s.Append(ms[0])
-		return
-	}
-	// One clock read stamps the whole batch's arrival watermarks — the
-	// batch arrived together, and the amortized cost keeps the ingest
-	// hot path flat.
-	now := time.Now().UnixNano()
-	g := batchScratch.Get().(*shardGrouping)
-	g.grow(len(ms))
-	s.epochMu.RLock()
-	for i := range ms {
-		g.idx[i] = uint8(s.shardIndex(ms[i].Key))
-	}
-	offsets := g.sort(len(s.shards))
-	var pushes, drops, ingested int64
-	for si := range s.shards {
-		if run := g.order[offsets[si]:offsets[si+1]]; len(run) > 0 {
-			p, d, n := s.appendRun(&s.shards[si], now, ms, run)
-			pushes += p
-			drops += d
-			ingested += n
-		}
-	}
-	s.epochMu.RUnlock()
-	s.persist.flush()
-	batchScratch.Put(g)
-	s.countIngest(ingested, pushes, drops)
+	t := batchTables.Get().(*keyTable)
+	t.s = s
+	t.fill(ms)
+	t.apply()
+	batchTables.Put(t)
 }
 
-// keyTable is the key handle table of one ingest connection or of one
-// shard of a log generation under replay. Both read the same entries —
-// an id batch frame's (wire.go) and a log record's (wal.go): a define,
-// tag 0 and a measurement body, and a reference, an id and the body's
-// last 16 bytes. A define builds its key's handle, which holds
-// everything later measurements of that key need — the interned key,
-// the shard that owns it, its series entry — and, while fewer than
-// maxIDs are issued, gives it the next id, so the ids are
+// keyTable is the store's one live write batch, and the key handle table
+// of one ingest connection, of one AppendBatch call or of one shard of a
+// log generation under replay. Whatever the source, a measurement is a
+// record of its key's handle, its Unix-nanosecond timestamp and its
+// value (frameRec), and apply writes them. A connection and a log read
+// the same entries — an id batch frame's (wire.go) and a log record's
+// (wal.go): a define, tag 0 and a measurement body, and a reference, an
+// id and the body's last 16 bytes. A define builds its key's handle,
+// which holds everything later measurements of that key need — the
+// interned key, the shard that owns it, its series entry — and, while
+// fewer than maxIDs are issued, gives it the next id, so the ids are
 // handles[:issued] in define order and a reference is handles[id-1],
 // no key bytes read. A connection issues maxKeyCacheEntries ids at
 // most, as its publisher does, so a hostile publisher streaming unique
 // keys cannot grow its table without bound: later defines get a handle
 // that lives for one frame, stored after the issued ones. A log's table
-// has no cap: every id names a series the writer held. Not safe for
-// concurrent use.
+// has no cap: every id names a series the writer held. An AppendBatch
+// table issues none: each run of one key's consecutive measurements
+// gets a handle for the batch (fill). Not safe for concurrent use.
 //
 // Invalidation: a handle's entry pointer is written and read only
 // under the entry's shard lock inside an epochMu.RLock section, and
@@ -806,13 +739,11 @@ type keyTable struct {
 	s              *Store
 	handles        []keyHandle
 	issued, maxIDs int
-	// define is where apply rebuilds a define's body, for a reference
-	// whose series the live log generation has not named yet.
-	define []byte
 	// defines counts the defines of the frame being applied.
 	defines int64
 	epoch   uint64
-	// recs is the frame scan left to apply, grp its grouping by shard.
+	// recs is the batch scan or fill left to apply, grp its grouping by
+	// shard.
 	recs []frameRec
 	grp  shardGrouping
 }
@@ -826,11 +757,18 @@ type keyHandle struct {
 	shard uint8
 }
 
-// frameRec locates one validated measurement body in the scanned bytes
-// and names its key's handle.
+// frameRec is one measurement left to apply: its key's handle, its
+// Unix-nanosecond timestamp and its value.
 type frameRec struct {
-	handle   int32
-	off, end int32
+	handle int32
+	nanos  int64
+	v      float64
+}
+
+// decodeRec is the record of a measurement of handle h whose timestamp
+// and value bits, the last 16 bytes of its body, start b.
+func decodeRec(h int32, b []byte) frameRec {
+	return frameRec{handle: h, nanos: int64(binary.BigEndian.Uint64(b)), v: math.Float64frombits(binary.BigEndian.Uint64(b[8:]))}
 }
 
 // newKeyTable returns an empty handle table for s that issues at most
@@ -848,7 +786,7 @@ func (t *keyTable) reset() {
 
 // scan validates up to max entries at the front of b — the entries of
 // an id batch frame after its count, or a log record's payload — and
-// notes each for apply, resolving its key's handle. It returns how many
+// records each for apply, resolving its key's handle. It returns how many
 // entries it accepted and how many bytes they span, and the error that
 // stopped it at a malformed one. Nothing touches the store.
 func (t *keyTable) scan(b []byte, max int) (n, used int, err error) {
@@ -867,7 +805,7 @@ func (t *keyTable) scan(b []byte, max int) (n, used int, err error) {
 				return n, used, fmt.Errorf("monitor: bad measurement tail length %d", len(body)-keyEnd)
 			}
 			key := keyFromSpan(body, metOff, keyEnd)
-			t.recs = append(t.recs, frameRec{handle: int32(len(t.handles)), off: int32(used + 1), end: int32(used + 1 + keyEnd + 16)})
+			t.recs = append(t.recs, decodeRec(int32(len(t.handles)), body[keyEnd:]))
 			t.handles = append(t.handles, keyHandle{key: key, shard: uint8(t.s.shardIndex(key))})
 			if t.issued < t.maxIDs {
 				t.issued++
@@ -897,21 +835,50 @@ func (t *keyTable) scan(b []byte, max int) (n, used int, err error) {
 			return n, used, fmt.Errorf("monitor: bad reference length %d", len(b)-used)
 		}
 		used += w
-		t.recs = append(t.recs, frameRec{handle: int32(id - 1), off: int32(used), end: int32(used + 16)})
+		t.recs = append(t.recs, decodeRec(int32(id-1), b[used:]))
 		used += 16
 	}
 	return n, used, nil
 }
 
-// apply applies the entries scan accepted from b to the store, with
+// fill records ms for apply, as AppendBatch's table: one handle for each
+// run of one key's consecutive measurements, resolved once, and the
+// measurements the log and the wire cannot carry dropped (see Append).
+func (t *keyTable) fill(ms []Measurement) {
+	t.handles, t.recs = t.handles[:0], t.recs[:0]
+	for i := range ms {
+		m := &ms[i]
+		nanos, ok := unixNanos(m.T)
+		if !ok || len(m.Key.Entity) > math.MaxUint16 || len(m.Key.Metric) > math.MaxUint16 {
+			continue
+		}
+		if n := len(t.handles); n == 0 || t.handles[n-1].key != m.Key {
+			t.handles = append(t.handles, keyHandle{key: m.Key, shard: uint8(t.s.shardIndex(m.Key))})
+		}
+		t.recs = append(t.recs, frameRec{handle: int32(len(t.handles) - 1), nanos: nanos, v: m.V})
+	}
+}
+
+// unixNanos returns t as a Unix-nanosecond timestamp, the log's and the
+// wire's, and false when t is outside the range one carries. Only a time
+// in the first or last second of that range is compared with its bounds:
+// the two comparisons on every measurement showed in a time-major
+// AppendBatch's CPU profile.
+func unixNanos(t time.Time) (int64, bool) {
+	if sec := t.Unix(); sec < math.MinInt64/int64(time.Second) || sec >= math.MaxInt64/int64(time.Second) {
+		if t.Before(time.Unix(0, math.MinInt64)) || t.After(time.Unix(0, math.MaxInt64)) {
+			return 0, false
+		}
+	}
+	return t.UnixNano(), true
+}
+
+// apply applies the records scan or fill left to the store, with
 // Append's semantics per measurement and AppendBatch's per batch: one
-// clock read, one epoch lock, each shard locked once over its run of
-// the batch (grouped by the handles' shards, no key re-hashed), the log
-// written once, measurements of one key in frame order. A reference's
-// body is its last 16 bytes only: a series the live log generation has
-// no id for gets its define rebuilt here, so the log holds what a define
-// of the key would have left.
-func (t *keyTable) apply(b []byte) {
+// clock read, one epoch lock, each shard locked once over its run of the
+// batch (grouped by the handles' shards, no key re-hashed), the log
+// written once, measurements of one key in batch order.
+func (t *keyTable) apply() {
 	if len(t.recs) == 0 {
 		return
 	}
@@ -942,10 +909,8 @@ func (t *keyTable) apply(b []byte) {
 		sh := &s.shards[si]
 		sh.mu.Lock()
 		for _, i := range run {
-			r := t.recs[i]
-			body := b[r.off:r.end]
-			tail := body[len(body)-16:]
-			idx, ok := clk.bin(int64(binary.BigEndian.Uint64(tail)))
+			r := &t.recs[i]
+			idx, ok := clk.bin(r.nanos)
 			if !ok {
 				continue
 			}
@@ -954,16 +919,7 @@ func (t *keyTable) apply(b []byte) {
 				h.e = s.entryLocked(sh, &h.key)
 				resolves++
 			}
-			if len(body) == 16 && sh.wal != nil && h.e.walGen != sh.wal.gen {
-				// A wire reference to a series the live log generation has
-				// not named yet: the log defines it with the key's bytes as
-				// they were parsed, and the 16.
-				t.define, _ = appendKey(t.define[:0], h.key)
-				t.define = append(t.define, tail...)
-				body = t.define
-			}
-			v := math.Float64frombits(binary.BigEndian.Uint64(tail[8:]))
-			p, d := s.commitLocked(sh, h.e, &h.key, idx, v, now, body, nil)
+			p, d := s.commitLocked(sh, h.e, &h.key, idx, r.nanos, r.v, now)
 			pushes += p
 			drops += d
 			ingested++
@@ -975,12 +931,15 @@ func (t *keyTable) apply(b []byte) {
 	}
 	s.epochMu.RUnlock()
 	s.persist.flush()
-	s.countIngest(ingested, pushes, drops)
+	col := s.obs.Load()
+	col.Add(obs.CtrIngested, ingested)
+	col.Add(obs.CtrPushes, pushes)
+	col.Add(obs.CtrPushDrops, drops)
 	if resolves > 0 {
-		s.obs.Load().Add(obs.CtrIngestKeyResolves, resolves)
+		col.Add(obs.CtrIngestKeyResolves, resolves)
 	}
 	if t.defines > 0 {
-		s.obs.Load().Add(obs.CtrIngestKeyLookups, t.defines)
+		col.Add(obs.CtrIngestKeyLookups, t.defines)
 	}
 }
 
@@ -1355,9 +1314,11 @@ func (s *Store) Subscribers() int {
 }
 
 // Subscribe registers a listener for measurements whose key passes the
-// filter (nil matches everything). buffer is the channel capacity
-// (min 1). Cancel releases the subscription and returns the number of
-// measurements this subscription lost to a full buffer — slow
+// filter (nil matches everything). A delivered measurement's T is the
+// UTC instant of its Unix-nanosecond timestamp, whether it came by
+// Append, AppendBatch or the ingest socket. buffer is the channel
+// capacity (min 1). Cancel releases the subscription and returns the
+// number of measurements this subscription lost to a full buffer — slow
 // subscribers no longer lose data invisibly. The channel is closed by
 // cancel and must not be closed by the caller; calling cancel again
 // returns the same count.

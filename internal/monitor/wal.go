@@ -17,6 +17,7 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/faultfs"
 	"repro/internal/obs"
+	"repro/internal/topo"
 )
 
 // Write-ahead persistence: a Store opened with OpenPersistent logs
@@ -79,11 +80,11 @@ import (
 //
 // A define is tag 0 followed by the measurement body exactly as an id
 // batch frame's define carries it (absolute timestamps, so records stay
-// valid across epoch rebases); a socket frame's define body is copied
-// through verbatim. It gives its series the shard's next id in this
-// generation — 1, 2, … in log order — and every later measurement of
-// the series in the generation is a reference: the id, then the body's
-// last 16 bytes.
+// valid across epoch rebases), written from the series' key whichever
+// path the measurement came by. It gives its series the shard's next id
+// in this generation — 1, 2, … in log order — and every later
+// measurement of the series in the generation is a reference: the id,
+// then the body's last 16 bytes.
 // Ids are per (generation, shard byte), so a key goes to disk once per
 // generation and a generation replays on its own; they restart where a
 // rotation (or an open) starts a generation with every shard lock held
@@ -108,15 +109,16 @@ import (
 // persister's one buffer while the shard's lock is still held, so the
 // records of a shard — hence of a key — sit in the buffer, and then in
 // the file, in the order they were applied to memory, whichever
-// connection applied them. Append, AppendBatch and the socket's frame
-// path each write the buffer out with exactly one Write before they
-// return, taking along whatever other callers sealed in the meantime:
-// acknowledged means written to the OS, so a process kill cannot lose
-// an acknowledged measurement. (A bin can be read from memory for the
-// microseconds between its shard's unlock and that write, as a
-// subscriber has always received it before the write.) Durability
-// against machine crashes comes from the periodic fsync pass, which
-// waits on the disk with no shard lock held.
+// connection applied them. Every write — an AppendBatch (Append is one
+// of one) or a socket frame, both through keyTable.apply — writes the
+// buffer out with exactly one Write before it returns, taking along
+// whatever other writers sealed in the meantime: acknowledged means
+// written to the OS, so a process kill cannot lose an acknowledged
+// measurement. (A bin can be read from memory for the microseconds
+// between its shard's unlock and that write, as a subscriber has always
+// received it before the write.) Durability against machine crashes
+// comes from the periodic fsync pass, which waits on the disk with no
+// shard lock held.
 //
 // Recovery order is snapshot, then the generations found, oldest first,
 // in one pass (recoverDir; recover.go has its reader and worker pool),
@@ -471,45 +473,38 @@ func (p *persister) healthy() bool {
 	return p.state.Load() == int32(PersistHealthy)
 }
 
-// appendLocked adds the entry of one measurement of e to the group
-// record in progress. The series' first in this generation is a define:
-// tag 0, then wire, the body as it arrived framed, copied verbatim — the
-// wire and the log share the encoding — or, when wire is nil, m
-// encoded; it gives e the shard's next id. Every later one is a
-// reference: the id, then the body's last 16 bytes, timestamp and value.
-// The record is sealed by the caller before it releases the shard (or
-// when it outgrows walGroupCap), so measurements from one batch share a
-// single length prefix and CRC. While degraded or failed the append is
-// skipped: the damaged log cannot be trusted, and the re-arm snapshot
-// (or the operator's restart) re-covers memory wholesale.
-func (w *shardWAL) appendLocked(e *seriesEntry, wire []byte, m *Measurement) {
+// appendLocked adds the entry of one measurement of e, key's series, to
+// the group record in progress. The series' first in this generation is
+// a define: tag 0, then the key as a measurement body frames it
+// (appendKey), timestamp and value — the wire's define and the log's
+// share the encoding; it gives e the shard's next id. Every later one is
+// a reference: the id, then timestamp and value. The record is sealed by
+// the caller before it releases the shard (or when it outgrows
+// walGroupCap), so measurements from one batch share a single length
+// prefix and CRC. While degraded or failed the append is skipped: the
+// damaged log cannot be trusted, and the re-arm snapshot (or the
+// operator's restart) re-covers memory wholesale.
+func (w *shardWAL) appendLocked(e *seriesEntry, key *topo.KPIKey, nanos int64, v float64) {
 	if !w.p.healthy() {
 		return
 	}
-	switch {
-	case e.walGen == w.gen && wire != nil:
+	if e.walGen == w.gen {
 		w.rec = binary.AppendUvarint(w.rec, uint64(e.walID))
-		w.rec = append(w.rec, wire[len(wire)-16:]...)
-	case e.walGen == w.gen:
-		w.rec = binary.AppendUvarint(w.rec, uint64(e.walID))
-		w.rec = binary.BigEndian.AppendUint64(w.rec, uint64(m.T.UnixNano()))
-		w.rec = binary.BigEndian.AppendUint64(w.rec, math.Float64bits(m.V))
-	default:
-		rec := append(w.rec, 0)
-		if wire != nil {
-			rec = append(rec, wire...)
-		} else {
-			var err error
-			if rec, err = appendMeasurementBody(rec, *m); err != nil {
-				w.p.fail(err)
-				return
-			}
+	} else {
+		rec, err := appendKey(append(w.rec, 0), *key)
+		if err != nil {
+			// No such key reaches the store: the wire cannot frame it, and
+			// AppendBatch drops it (keyTable.fill).
+			w.p.fail(err)
+			return
 		}
 		w.rec = rec
 		e.walGen, e.walID = w.gen, w.next
 		w.next++
 		w.defines++
 	}
+	w.rec = binary.BigEndian.AppendUint64(w.rec, uint64(nanos))
+	w.rec = binary.BigEndian.AppendUint64(w.rec, math.Float64bits(v))
 	w.appends++
 	if len(w.rec) > walGroupCap {
 		w.sealLocked()

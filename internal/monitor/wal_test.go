@@ -3,12 +3,15 @@ package monitor
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faultfs"
+	"repro/internal/topo"
 )
 
 // persistOptsNoBG disables the background loop's timers so tests
@@ -247,5 +250,70 @@ func TestListWALsOrdersNumerically(t *testing.T) {
 	want := []string{"9:wal-9.log", "10:wal-10.log", "20:wal-20.log", "100:wal-100.log"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("listWALs = %v, want %v", got, want)
+	}
+}
+
+// TestAppendDropsWhatTheLogCannotCarry: an in-process measurement whose
+// entity or metric is over 65 535 bytes, or whose time is outside the
+// Unix-nanosecond range, is dropped on the way in, as one before the
+// epoch is. It neither reaches memory nor fail-stops persistence, and
+// what is appended beside and after it is logged and survives a reopen.
+func TestAppendDropsWhatTheLogCannotCarry(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenPersistent(dir, t0, time.Minute, persistOptsNoBG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("x", 70000)
+	bad := []Measurement{
+		{topo.KPIKey{Scope: topo.ScopeServer, Entity: long, Metric: "cpu"}, t0, 1},
+		{topo.KPIKey{Scope: topo.ScopeServer, Entity: "web-01", Metric: long}, t0, 2},
+		{topo.KPIKey{Scope: topo.ScopeServer, Entity: "web-01", Metric: "far"}, time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC), 3},
+	}
+	st.Append(bad[0])
+	if got := st.PersistState(); got != PersistHealthy {
+		t.Fatalf("after one Append of a %d-byte entity the store is %v, want healthy", len(long), got)
+	}
+	good := Measurement{kCPU, t0.Add(time.Minute), 4}
+	st.AppendBatch([]Measurement{bad[1], good, bad[2]})
+	if got := st.PersistState(); got != PersistHealthy {
+		t.Fatalf("after a batch with one good measurement in three the store is %v, want healthy", got)
+	}
+	for _, m := range bad {
+		if _, ok := st.SeriesLen(m.Key); ok {
+			t.Errorf("key with a %d-byte entity and a %d-byte metric at %v is in memory", len(m.Key.Entity), len(m.Key.Metric), m.T)
+		}
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenPersistent(dir, t0, time.Minute, persistOptsNoBG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rc := re.Recovered(); rc.WALRecords != 1 || rc.TornTails != 0 {
+		t.Fatalf("reopen replayed %d records with %d torn tails, want 1 and 0", rc.WALRecords, rc.TornTails)
+	}
+	if got, ok := re.Series(kCPU); !ok || got.Len() != 2 || got.Values[1] != good.V || re.Len() != 1 {
+		t.Fatalf("reopened store holds %d series, %v of the good key, want only it with %v at bin 1", re.Len(), got, good.V)
+	}
+}
+
+// TestUnixNanosRange: AppendBatch's time test keeps the first and last
+// instants a Unix-nanosecond timestamp carries and drops the ones just
+// outside, where its whole-second shortcut does not decide.
+func TestUnixNanosRange(t *testing.T) {
+	lo, hi := time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+	for _, c := range []struct {
+		t  time.Time
+		ok bool
+	}{{lo, true}, {lo.Add(-1), false}, {hi, true}, {hi.Add(1), false}, {lo.Add(time.Second), true}, {t0, true}} {
+		if n, ok := unixNanos(c.t); ok != c.ok || ok && n != c.t.UnixNano() {
+			t.Errorf("unixNanos(%v) = %d, %v; want ok %v", c.t, n, ok, c.ok)
+		}
 	}
 }

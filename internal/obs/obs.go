@@ -136,12 +136,15 @@ const (
 	// socket applied, the one frame it reads; a frame carries one
 	// measurement (Publish) or many (those land in CtrIngested).
 	CtrBatchFrames = "monitor.batch_frames"
-	// CtrIngestKeyResolves counts series lookups by the ingest
-	// connections' key handle tables: one per key a connection sees for
-	// the first time, and one per key it sees again after a prune
-	// invalidated its handles. It tracks distinct keys, not
-	// measurements; a rate near monitor.ingested means the tables are
-	// thrashing (unique keys past their cap, or a prune storm).
+	// CtrIngestKeyResolves counts series lookups by the store's live
+	// key handle tables: on an ingest connection one per key it sees
+	// for the first time, and one per key it sees again after a prune
+	// invalidated its handles; in an in-process AppendBatch (or Append)
+	// one per run of a key's consecutive measurements. It tracks keys
+	// and runs, not measurements, on the socket; a rate near
+	// monitor.ingested there means the tables are thrashing (unique
+	// keys past their cap, or a prune storm), and in process that the
+	// batches are time-major, one measurement per key.
 	CtrIngestKeyResolves = "monitor.ingest_key_resolves"
 	// CtrIngestKeyLookups counts the defines the ingest socket read:
 	// one per key a connection names, then none per bin from a steady

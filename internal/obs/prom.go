@@ -143,7 +143,7 @@ var promHelp = map[string]string{
 	CtrConnsActive:         "Currently open monitor network connections.",
 	CtrSubsActive:          "Live store subscriptions.",
 	CtrBatchFrames:         "Id batch (0x05) ingest frames applied.",
-	CtrIngestKeyResolves:   "Series lookups by ingest key handle tables (first sight or after a prune).",
+	CtrIngestKeyResolves:   "Series lookups by live key handle tables (a connection's first sight or after a prune, one per run of a key in AppendBatch).",
 	CtrIngestKeyLookups:    "Key defines read by the ingest socket (one per key a connection names).",
 	CtrWALAppends:          "Measurements appended to the write-ahead log.",
 	CtrWALKeyDefines:       "Write-ahead log entries that define a series key (first measurement per log generation).",
