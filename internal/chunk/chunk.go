@@ -184,41 +184,107 @@ func Tombstone(count int) *Chunk {
 }
 
 // FromEncoded wraps a previously encoded stream (e.g. read back from a
-// snapshot) as a chunk of count values. The stream is validated by a
-// full decode, so a chunk accepted here can never fail (or run out of
-// bounds) in a later DecodeInto.
+// snapshot) as a chunk of count values. The stream is checked token by
+// token against the layout above (checkStream), which builds no value,
+// so a chunk accepted here can never fail (or run out of bounds) in a
+// later DecodeInto.
 func FromEncoded(data []byte, count int) (*Chunk, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("chunk: negative count %d", count)
 	}
-	c := &Chunk{count: count, data: data, crc: crc32.ChecksumIEEE(data)}
-	if err := c.decodeRange(nil, 0, count); err != nil {
+	if err := checkStream(data, count); err != nil {
 		return nil, fmt.Errorf("chunk: invalid stream: %w", err)
 	}
-	return c, nil
+	return &Chunk{count: count, data: data, crc: crc32.ChecksumIEEE(data)}, nil
+}
+
+// checkStream reports whether data is a well-formed stream of count
+// values: the 64-bit seed, then tokens until count values are out, each
+// whole within data, no reused window before one is declared, no
+// declared window past 64 bits, and no run record that is empty or
+// overflows count. It is the decoder's grammar with only the bit
+// position advanced. While 8 bytes remain at the cursor one load holds
+// a token's whole header (at most 19 bits); within the last 8 bytes the
+// bit reader gathers what is left, zero-padded. A token passes only if
+// it ends at or before the end of data, so pad bits never pass for
+// stream bits.
+func checkStream(data []byte, count int) error {
+	if count == 0 {
+		return nil
+	}
+	end := 8 * len(data)
+	if end < 64 {
+		return errTruncated
+	}
+	pos := 64
+	mean := 0 // the declared window's width; 0 before any
+	for i := 1; i < count; i++ {
+		var w uint64 // the bits at the cursor, left-aligned
+		if at := pos >> 3; at+8 <= len(data) {
+			w = binary.BigEndian.Uint64(data[at:]) << uint(pos&7)
+		} else {
+			r := bitReader{data: data, pos: pos}
+			left := end - pos
+			v, _ := r.readBits(left)
+			w = v << uint(64-left) // a shift by 64 leaves 0
+		}
+		switch {
+		case w>>63 == 0: // 0: repeat previous bits
+			pos++
+		case w>>62 == 0b10: // XOR inside the previous window
+			if mean == 0 {
+				if pos+2 > end {
+					return errTruncated
+				}
+				return fmt.Errorf("window reuse before any window at value %d", i)
+			}
+			pos += 2 + mean
+		case w>>61 == 0b110: // XOR with a new window
+			if pos+15 > end {
+				return errTruncated
+			}
+			l, m := int(w>>55&63), int(w>>49&63)+1
+			if l+m > 64 {
+				return fmt.Errorf("bad window leading=%d meaningful=%d", l, m)
+			}
+			mean = m
+			pos += 15 + m
+		default: // 111: run record
+			if pos+19 > end {
+				return errTruncated
+			}
+			n := int(w >> 45 & maxRun)
+			if n == 0 {
+				return fmt.Errorf("empty run record at value %d", i)
+			}
+			if i+n > count {
+				return fmt.Errorf("run record of %d overflows chunk of %d at value %d", n, count, i)
+			}
+			pos += 19
+			i += n - 1
+		}
+		if pos > end {
+			return errTruncated
+		}
+	}
+	return nil
 }
 
 // DecodeInto decodes values [lo, hi) of the chunk into dst[:hi-lo].
 // It allocates nothing and stops reading the stream as soon as hi
 // values have been produced, so a small window near the front of a
 // chunk pays only for the prefix it touches. It panics on a corrupt
-// stream — chunks built by Encode or validated by FromEncoded never
-// are.
+// stream — chunks built by Encode or checked by FromEncoded never
+// are — and on a dst shorter than hi−lo.
 func (c *Chunk) DecodeInto(dst []float64, lo, hi int) {
-	if dst == nil && hi > lo {
-		// decodeRange would take a nil dst for a validate-only pass.
-		panic("chunk: decode into nil buffer")
-	}
 	if err := c.decodeRange(dst, lo, hi); err != nil {
 		panic("chunk: " + err.Error())
 	}
 }
 
-// decodeRange is DecodeInto with an error return, shared with
-// FromEncoded's validation pass. A nil dst is validate-only: the
-// stream is walked with the same bounds, window and run-record checks
-// and nothing is stored, so validating an untrusted chunk costs no
-// span-sized scratch.
+// decodeRange is DecodeInto with an error return. It keeps the
+// grammar's checks, so a stream checkStream refuses fails here too
+// rather than running out of bounds.
 func (c *Chunk) decodeRange(dst []float64, lo, hi int) error {
 	if lo < 0 || hi > c.count || lo > hi {
 		return fmt.Errorf("decode range [%d, %d) outside chunk of %d values", lo, hi, c.count)
@@ -226,11 +292,7 @@ func (c *Chunk) decodeRange(dst []float64, lo, hi int) error {
 	if hi == lo {
 		return nil
 	}
-	if dst == nil {
-		// Every store below is guarded by i >= lo (or lo == 0) and the
-		// loop stops at hi, so an empty window stores nothing.
-		lo = hi
-	} else if len(dst) < hi-lo {
+	if len(dst) < hi-lo {
 		return fmt.Errorf("decode buffer too short: %d < %d", len(dst), hi-lo)
 	}
 	if c.quarantined {

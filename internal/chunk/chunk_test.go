@@ -250,9 +250,9 @@ func TestEncodeConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFromEncodedAllocs pins the validate-only decode: wrapping an
-// untrusted stream allocates the Chunk and nothing that scales with the
-// declared count (a snapshot header may declare a span of 1<<20).
+// TestFromEncodedAllocs pins the token walk: wrapping an untrusted
+// stream allocates the Chunk and nothing that scales with the declared
+// count (a snapshot header may declare a span of 1<<20).
 func TestFromEncodedAllocs(t *testing.T) {
 	vals := make([]float64, 1<<16)
 	for i := range vals {
@@ -266,8 +266,8 @@ func TestFromEncodedAllocs(t *testing.T) {
 	}); n > 1 {
 		t.Fatalf("FromEncoded allocates %v per op, want ≤ 1 (the Chunk)", n)
 	}
-	// The nil buffer that selects validate-only inside the package must
-	// not be reachable through DecodeInto.
+	// A nil buffer is one too short for the window: DecodeInto panics
+	// rather than decode without storing.
 	defer func() {
 		if recover() == nil {
 			t.Fatal("DecodeInto(nil, 0, n) did not panic")

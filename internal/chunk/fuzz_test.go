@@ -73,13 +73,52 @@ func FuzzRoundTrip(f *testing.F) {
 
 // FuzzFromEncoded throws arbitrary bytes at the snapshot-restore
 // entry point: it must reject or accept without panicking, and exactly
-// when the bit-at-a-time reference decoder does; its validate-only pass
-// must agree with a storing decode of the same bytes; and anything
-// accepted must decode in full to the reference's values, bit for bit.
+// when the bit-at-a-time reference decoder does; checkStream, the token
+// walk FromEncoded runs, and decodeRange must agree with the reference
+// on the same bytes; and anything accepted must decode in full to the
+// reference's values, bit for bit. The seeds cut each token kind off
+// within the last 8 bytes of its stream, where the walk reads through
+// the bit reader, and hold each token the grammar refuses: a run record
+// that overflows the count or is empty, a reused window before any, and
+// a window past 64 bits.
 func FuzzFromEncoded(f *testing.F) {
 	f.Add([]byte{}, 0)
 	f.Add([]byte{0xff, 0xff, 0xff}, 5)
 	f.Add(Encode([]float64{1, 2, 3}).Data(), 3)
+	// Each stream below is the seed value, a declared window and one
+	// token; cut one byte short, its last token ends past the stream.
+	tokens := []func(w *bitWriter) (values int){
+		func(w *bitWriter) int { w.put(0, 1); return 1 },                                    // repeat
+		func(w *bitWriter) int { w.put(0b10, 2); w.put(0x2a5, 10); return 1 },               // reused window
+		func(w *bitWriter) int { w.put(0b110<<12|20<<6|9, 15); w.put(0x3ff, 10); return 1 }, // new window
+		func(w *bitWriter) int { w.put(0b111<<16|40, 19); return 40 },                       // run record
+		func(w *bitWriter) int { w.put(0b111<<16|40, 19); return 39 },                       // a run past the count
+	}
+	for _, emit := range tokens {
+		w := bitWriter{}
+		w.put(math.Float64bits(1234.5), 64)
+		w.put(0b110<<12|20<<6|9, 15) // leading 20, meaningful 10
+		w.put(0x155, 10)
+		count := 2 + emit(&w)
+		data := w.finish()
+		f.Add(data, count)
+		f.Add(data[:len(data)-1], count)
+	}
+	// The seed value alone, one value short.
+	f.Add(Encode([]float64{7}).Data(), 2)
+	// Tokens the grammar refuses whole: a window reused before any is
+	// declared, a window of 63 leading and 2 meaningful bits, an empty
+	// run record.
+	for _, bad := range []struct {
+		bits uint64
+		n    int
+	}{{0b10, 2}, {0b110<<12 | 63<<6 | 1, 15}, {0b111 << 16, 19}} {
+		w := bitWriter{}
+		w.put(math.Float64bits(1234.5), 64)
+		w.put(bad.bits, bad.n)
+		w.put(0, 24) // room for a payload: the token is refused, not cut
+		f.Add(w.finish(), 3)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, count int) {
 		if count < 0 || count > 1<<16 {
 			return

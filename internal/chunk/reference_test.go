@@ -95,7 +95,8 @@ func checkEncodeAgainstReference(t *testing.T, vals []float64) {
 
 // referenceDecode is the stream-layout comment at the top of chunk.go
 // read one bit at a time: the decoder decodeRange must agree with, on
-// what it accepts and on every value it produces. It is deliberately
+// what it accepts and on every value it produces, and checkStream on
+// what it accepts. It is deliberately
 // the slow, obvious one — no word loads, no fast path, no sharing with
 // bitReader.
 func referenceDecode(data []byte, count int) ([]uint64, error) {
@@ -171,9 +172,10 @@ func referenceDecode(data []byte, count int) ([]uint64, error) {
 }
 
 // checkAgainstReference decodes data as count values through
-// decodeRange — storing and validate-only — and through the reference,
-// fails unless all three agree on acceptance and on every bit, and
-// reports whether they accepted.
+// decodeRange and through the reference, and checks it with
+// checkStream, the walk FromEncoded runs; it fails unless all three
+// agree on acceptance and the two decoders on every bit, and reports
+// whether they accepted.
 func checkAgainstReference(t *testing.T, data []byte, count int) (accepted bool) {
 	t.Helper()
 	want, wantErr := referenceDecode(data, count)
@@ -183,8 +185,8 @@ func checkAgainstReference(t *testing.T, data []byte, count int) (accepted bool)
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("decodeRange says %v, the reference decoder says %v", err, wantErr)
 	}
-	if verr := c.decodeRange(nil, 0, count); (verr == nil) != (err == nil) {
-		t.Fatalf("validate-only says %v, storing decode says %v", verr, err)
+	if werr := checkStream(data, count); (werr == nil) != (wantErr == nil) {
+		t.Fatalf("checkStream says %v, the reference decoder says %v", werr, wantErr)
 	}
 	if err != nil {
 		return false
@@ -200,9 +202,9 @@ func checkAgainstReference(t *testing.T, data []byte, count int) (accepted bool)
 // TestDecodeTokenAtEveryPhase puts each token kind at every bit phase,
 // once with enough stream after it for the one-load path and once
 // within the last 8 bytes of the stream, where the bit reader takes
-// over, and checks decodeRange against the reference decoder. The
-// payload widths straddle the one-load limits: a reused window holds up
-// to 55 bits in one load, a new window up to 42.
+// over, and checks decodeRange and checkStream against the reference
+// decoder. The payload widths straddle the decoder's one-load limits: a
+// reused window holds up to 55 bits in one load, a new window up to 42.
 func TestDecodeTokenAtEveryPhase(t *testing.T) {
 	type token struct {
 		name string

@@ -27,8 +27,10 @@ import (
 //
 //   - A snapshot series goes to the owner of its key's shard, which
 //     builds the entry from the block's bytes, checks each sealed chunk
-//     (CRC and validation decode, a tombstone in place of one that fails
-//     either) and installs it.
+//     (CRC and chunk.FromEncoded's token walk, a tombstone in place of
+//     one that fails either), cuts its tail at span capacity from the
+//     worker's slab, where replay appends (keyRuns.newTail), and
+//     installs it.
 //   - A log record goes to the worker its shard byte names, modulo W.
 //     Its keys are the owner's own when the writing layout is the
 //     reading one; each worker's queue is FIFO, so its snapshot series
@@ -669,7 +671,8 @@ func (w *recoveryWorker) install(it recoveryItem) {
 		e.chunks[i] = ck
 	}
 	if n := int(binary.BigEndian.Uint32(b)); n > 0 {
-		e.tail = make([]float64, n)
+		// Cut where replay appends: the log's bins extend it in place.
+		e.tail = w.runs.newTail(span, n)
 		for i := range e.tail {
 			e.tail[i] = math.Float64frombits(binary.BigEndian.Uint64(b[4+8*i:]))
 		}
@@ -783,14 +786,7 @@ func (w *recoveryWorker) write(t *keyTable, now int64) {
 
 // keyRuns gathers one shard's entries of a block by key: per key handle
 // a chain of its bins in log order, and the keys in order of their first
-// entry.
-//
-// A run that outgrows its series' tail gets a span-sized one — what a
-// tail the line feeds grows to before each seal — cut from slab, which
-// holds tailsPerSlab of them: one allocation per tailsPerSlab series
-// where a tail of its own cost one each, which showed as about a tenth
-// of restart-recover's open. A slab lives as long as any tail cut from
-// it.
+// entry. It also holds the worker's slab of tails (see newTail).
 type keyRuns struct {
 	ents        []runEntry
 	first, last []int32 // by handle; −1 for a key with no entry yet
@@ -799,8 +795,28 @@ type keyRuns struct {
 	slab        []float64
 }
 
-// tailsPerSlab is how many span-sized tails a keyRuns slab holds.
-const tailsPerSlab = 64
+// slabBins is the size of a keyRuns slab: 64 tails of the default span.
+const slabBins = 64 * chunk.DefaultSpan
+
+// newTail returns a tail of n bins with span capacity — what a tail the
+// line feeds grows to before each seal — cut from the slab: one
+// allocation per slab where a tail of its own cost one each, which
+// showed as about a tenth of restart-recover's open. A snapshot tail and
+// a replayed run alike get one, so replay appends in place. A slab lives
+// as long as any tail cut from it. A span wider than a slab gets a tail
+// of n bins that grows by append, as a live one does, so that a
+// snapshot header's span alone cannot demand memory.
+func (k *keyRuns) newTail(span, n int) []float64 {
+	if span > slabBins {
+		return make([]float64, n)
+	}
+	if len(k.slab) < span {
+		k.slab = make([]float64, slabBins/span*span)
+	}
+	t := k.slab[:n:span]
+	k.slab = k.slab[span:]
+	return t
+}
 
 // runEntry is one entry: its bin and value, and the index of its key's
 // next entry (−1 for none).
@@ -855,11 +871,7 @@ func (k *keyRuns) writeLocked(s *Store, e *seriesEntry, h int32) {
 				next++
 			}
 			if e.tailLen()+len(k.vals) > cap(e.tail) && cap(e.tail) < s.span {
-				if len(k.slab) < s.span {
-					k.slab = make([]float64, tailsPerSlab*s.span)
-				}
-				e.tail = append(k.slab[:0:s.span], e.tail...)
-				k.slab = k.slab[s.span:]
+				e.tail = append(k.newTail(s.span, 0), e.tail...)
 			}
 			s.appendRunLocked(e, k.vals)
 			continue

@@ -43,7 +43,8 @@ import (
 // bytes to the worker that owns its key's shard, which builds the entry
 // from them — both key strings in one allocation, the shard maps sized
 // from seriesCount, bounded by the snapshot's size — runs each sealed
-// chunk's CRC check and validation decode, and installs the series.
+// chunk's CRC check and token walk (chunk.FromEncoded), and installs
+// the series.
 //
 // A chunk whose stored CRC does not match its bytes (or whose stream
 // fails validation) is quarantined, not fatal: the reader installs a

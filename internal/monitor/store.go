@@ -625,11 +625,11 @@ func (s *Store) spanBuf() *[]float64 {
 
 // Append records a measurement, growing the key's series as needed
 // (intermediate bins are NaN). A measurement the log and the wire cannot
-// carry is dropped, as one before the epoch is: one whose entity or
-// metric is over 65 535 bytes, or whose time is outside the
-// Unix-nanosecond range (1677-09-21 to 2262-04-11 UTC). A second
-// measurement in the same bin overwrites the first (agents emit one
-// sample per bin).
+// carry is dropped, as one before the epoch is: one whose scope is none
+// of topo's three, whose entity or metric is over 65 535 bytes, or whose
+// time is outside the Unix-nanosecond range (1677-09-21 to 2262-04-11
+// UTC). A second measurement in the same bin overwrites the first
+// (agents emit one sample per bin).
 // Subscribers whose filter matches receive the measurement; a
 // subscriber that has fallen behind by more than its buffer loses the
 // oldest deliveries rather than blocking the ingest path.
@@ -849,7 +849,8 @@ func (t *keyTable) fill(ms []Measurement) {
 	for i := range ms {
 		m := &ms[i]
 		nanos, ok := unixNanos(m.T)
-		if !ok || len(m.Key.Entity) > math.MaxUint16 || len(m.Key.Metric) > math.MaxUint16 {
+		if !ok || m.Key.Scope < topo.ScopeServer || m.Key.Scope > topo.ScopeService ||
+			len(m.Key.Entity) > math.MaxUint16 || len(m.Key.Metric) > math.MaxUint16 {
 			continue
 		}
 		if n := len(t.handles); n == 0 || t.handles[n-1].key != m.Key {

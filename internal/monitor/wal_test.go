@@ -303,6 +303,38 @@ func TestAppendDropsWhatTheLogCannotCarry(t *testing.T) {
 	}
 }
 
+// TestAppendDropsUnknownScope: a key whose scope is none of the three
+// is dropped, not logged as a define that replay refuses, which would
+// end its shard's generation there and lose every measurement
+// acknowledged after it.
+func TestAppendDropsUnknownScope(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenPersistent(dir, t0, time.Minute, persistOptsNoBG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := topo.KPIKey{Scope: 99, Entity: "x", Metric: "y"}
+	st.Append(Measurement{bad, t0, 1})
+	st.Append(Measurement{kCPU, t0, 2})
+	if _, ok := st.SeriesLen(bad); ok {
+		t.Error("a key of scope 99 is in memory")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenPersistent(dir, t0, time.Minute, persistOptsNoBG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rc := re.Recovered(); rc.WALRecords != 1 || rc.TornTails != 0 {
+		t.Fatalf("reopen replayed %d records with %d torn tails, want 1 and 0", rc.WALRecords, rc.TornTails)
+	}
+	if got, ok := re.Series(kCPU); !ok || got.Len() != 1 || got.Values[0] != 2 || re.Len() != 1 {
+		t.Fatalf("reopened store holds %d series, %v of the good key, want only it with 2 at bin 0", re.Len(), got)
+	}
+}
+
 // TestUnixNanosRange: AppendBatch's time test keeps the first and last
 // instants a Unix-nanosecond timestamp carries and drops the ones just
 // outside, where its whole-second shortcut does not decide.

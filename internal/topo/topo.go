@@ -79,6 +79,10 @@ type Topology struct {
 	byService map[string][]string
 	// edges holds the explicit bidirectional service relationships.
 	edges map[string]map[string]bool
+	// children lists the services under each dotted parent name, in
+	// order of registration: a service's naming-rule siblings are its
+	// parent's children.
+	children map[string][]string
 }
 
 // NewTopology returns an empty topology.
@@ -89,6 +93,7 @@ func NewTopology() *Topology {
 		instances: make(map[string]Instance),
 		byService: make(map[string][]string),
 		edges:     make(map[string]map[string]bool),
+		children:  make(map[string][]string),
 	}
 }
 
@@ -96,7 +101,15 @@ func NewTopology() *Topology {
 func (t *Topology) AddServer(name string) { t.servers[name] = true }
 
 // AddService registers a service; idempotent.
-func (t *Topology) AddService(name string) { t.services[name] = true }
+func (t *Topology) AddService(name string) {
+	if t.services[name] {
+		return
+	}
+	t.services[name] = true
+	if parent := parentName(name); parent != "" {
+		t.children[parent] = append(t.children[parent], name)
+	}
+}
 
 // Deploy places an instance of service on server, registering both as a
 // side effect, and returns the instance ID. Deploying the same pair
@@ -179,11 +192,8 @@ func (t *Topology) Related(service string) []string {
 		set[s] = true
 	}
 	if parent := parentName(service); parent != "" {
-		prefix := parent + "."
-		for s := range t.services {
-			if s != service && strings.HasPrefix(s, prefix) && !strings.Contains(s[len(prefix):], ".") {
-				set[s] = true
-			}
+		for _, s := range t.children[parent] {
+			set[s] = true
 		}
 	}
 	delete(set, service)

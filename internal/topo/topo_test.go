@@ -1,7 +1,10 @@
 package topo
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -80,6 +83,86 @@ func TestRelatedNamingSiblings(t *testing.T) {
 	}
 	if got := tp.Related("search.web"); len(got) != 0 {
 		t.Fatalf("unrelated service has relations: %v", got)
+	}
+}
+
+// TestSiblingIndexMatchesScan builds random topologies — services
+// registered by AddService, Deploy and Relate, names with empty and
+// repeated dots among them — and holds Related and AffectedServices to
+// a scan of every service by the naming rule.
+func TestSiblingIndexMatchesScan(t *testing.T) {
+	segs := []string{"a", "b", "c", ""}
+	name := func(rng *rand.Rand) string {
+		parts := make([]string, 1+rng.Intn(3))
+		for i := range parts {
+			parts[i] = segs[rng.Intn(len(segs))]
+		}
+		return strings.Join(parts, ".")
+	}
+	scanRelated := func(tp *Topology, service string) []string {
+		set := make(map[string]bool)
+		for s := range tp.edges[service] {
+			set[s] = true
+		}
+		if parent := parentName(service); parent != "" {
+			prefix := parent + "."
+			for s := range tp.services {
+				if strings.HasPrefix(s, prefix) && !strings.Contains(s[len(prefix):], ".") {
+					set[s] = true
+				}
+			}
+		}
+		delete(set, service)
+		out := []string{}
+		for s := range set {
+			out = append(out, s)
+		}
+		sort.Strings(out)
+		return out
+	}
+	scanAffected := func(tp *Topology, changed string) []string {
+		seen := map[string]bool{changed: true}
+		for queue := []string{changed}; len(queue) > 0; queue = queue[1:] {
+			for _, next := range scanRelated(tp, queue[0]) {
+				if !seen[next] {
+					seen[next] = true
+					queue = append(queue, next)
+				}
+			}
+		}
+		delete(seen, changed)
+		var out []string
+		for s := range seen {
+			out = append(out, s)
+		}
+		sort.Strings(out)
+		return out
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tp := NewTopology()
+		for op := rng.Intn(40); op > 0; op-- {
+			switch rng.Intn(3) {
+			case 0:
+				tp.AddService(name(rng))
+			case 1:
+				tp.Deploy(name(rng), server(rng.Intn(4)))
+			default:
+				tp.Relate(name(rng), name(rng))
+			}
+		}
+		probes := []string{name(rng), name(rng)} // perhaps unregistered
+		for s := range tp.services {
+			probes = append(probes, s)
+		}
+		for _, s := range probes {
+			if got, want := tp.Related(s), scanRelated(tp, s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: Related(%q) = %q, the scan %q", seed, s, got, want)
+			}
+			if got, want := tp.AffectedServices(s), scanAffected(tp, s); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: AffectedServices(%q) = %q, the scan %q", seed, s, got, want)
+			}
+		}
 	}
 }
 
