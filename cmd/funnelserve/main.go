@@ -56,8 +56,8 @@ func main() {
 		logJSON   = flag.Bool("log-json", false, "emit structured logs as JSON (one object per line) instead of text")
 		histStep  = flag.Duration("history-step", obs.DefaultHistoryStep, "metrics-history self-scrape cadence (/metrics/history)")
 		histSpan  = flag.Duration("history-retention", obs.DefaultHistoryRetention, "metrics-history span kept in memory")
-		fsck      = flag.Bool("fsck", false, "verify the -data directory (snapshot CRCs, WAL framing) and exit: 0 clean, 1 damage found")
-		fsckFix   = flag.Bool("fsck-repair", false, "with -fsck: drop quarantined chunks as explicit gaps and rewrite a clean snapshot")
+		fsck      = flag.Bool("fsck", false, "verify the -data directory (segment chunks' CRCs and token walks, WAL framing) and exit: 0 clean, 1 damage found")
+		fsckFix   = flag.Bool("fsck-repair", false, "with -fsck: drop quarantined chunks as explicit gaps and rewrite one clean segment and head")
 	)
 	flag.Parse()
 
@@ -93,7 +93,7 @@ func main() {
 		}
 		if rec := store.Recovered(); rec.SnapshotSeries > 0 || rec.WALRecords > 0 || rec.TornTails > 0 {
 			ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
-			fmt.Printf("funnelserve: recovered %d series from snapshot, %d WAL records from %d bytes in %d log generations (%d torn tails discarded) in %v (snapshot streamed %v, logs drained %v later, attach %v)\n",
+			fmt.Printf("funnelserve: recovered %d series from the head and segments, %d WAL records from %d bytes in %d log generations (%d torn tails discarded) in %v (segments streamed %v, logs drained %v later, attach %v)\n",
 				rec.SnapshotSeries, rec.WALRecords, rec.LogBytes, rec.Generations, rec.TornTails,
 				ms(rec.Total()), ms(rec.SnapshotTime), ms(rec.ReplayTime), ms(rec.AttachTime))
 		}
@@ -200,7 +200,7 @@ func splitList(s string) []string {
 }
 
 // runFsck verifies (and with repair, fixes) a persistence directory,
-// printing the snapshot's health and each log generation's. Exit codes:
+// printing the head and segments' health and each log generation's. Exit codes:
 // 0 the directory is clean (or was repaired), 1 damage remains, 2 usage
 // error.
 func runFsck(dir string, repair bool) int {
@@ -214,10 +214,10 @@ func runFsck(dir string, repair bool) int {
 		return 1
 	}
 	if rep.SnapshotPresent {
-		fmt.Printf("snapshot: %d series, %d chunks, %d quarantined\n",
+		fmt.Printf("head: %d series, %d chunks, %d quarantined\n",
 			rep.SnapshotSeries, rep.Chunks, rep.QuarantinedChunks)
 	} else {
-		fmt.Println("snapshot: none")
+		fmt.Println("head: none")
 	}
 	for _, w := range rep.WALs {
 		switch {
@@ -233,7 +233,7 @@ func runFsck(dir string, repair bool) int {
 	}
 	switch {
 	case rep.Repaired:
-		fmt.Printf("repaired: %d quarantined chunks dropped as explicit gaps, snapshot rewritten\n", rep.DroppedChunks)
+		fmt.Printf("repaired: %d quarantined chunks dropped as explicit gaps, segment and head rewritten\n", rep.DroppedChunks)
 		return 0
 	case rep.Healthy():
 		fmt.Println("clean")

@@ -9,8 +9,8 @@
 // raw IEEE-754 bits, never on float values.
 //
 // Encoding is deterministic — the same values always produce the same
-// bytes — so two stores with identical logical contents serialize to
-// byte-identical snapshots (the crash-recovery e2e depends on this).
+// bytes — so two stores with identical logical contents write
+// byte-identical segments (the crash-recovery e2e depends on this).
 //
 // Stream layout (bits, MSB first within each byte):
 //
@@ -37,7 +37,9 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultSpan is the number of bins a store seals into one chunk: 512
@@ -63,13 +65,30 @@ const maxRun = 1<<16 - 1
 // behind when a sealed chunk's on-disk checksum no longer matched its
 // bytes. A tombstone keeps the chunk's position and span in the series
 // but decodes every bin to NaN, so the corruption surfaces through the
-// normal gap machinery as missing data rather than as wrong values.
+// normal gap machinery as missing data rather than as wrong values. A
+// chunk read back from disk (FromEncoded) whose stream then fails its
+// token walk at the first decode becomes one for every later read.
 type Chunk struct {
-	count       int
-	data        []byte
-	crc         uint32
-	quarantined bool
+	count int
+	data  []byte
+	crc   uint32
+	// walk is the token walk's state: walkDone for a chunk Encode built
+	// or one whose walk passed, walkPending for one FromEncoded wrapped,
+	// walkRunning while one Check walks it, walkFailed for a tombstone —
+	// one whose walk failed, or one Tombstone built.
+	walk atomic.Uint32
+	// home is the owner's bookkeeping: where durable storage holds the
+	// chunk (see SetHome).
+	home atomic.Uint64
 }
+
+// The states of Chunk.walk.
+const (
+	walkDone uint32 = iota
+	walkPending
+	walkRunning
+	walkFailed
+)
 
 // Encode compresses vals into a sealed chunk. The input slice is not
 // retained. The stream is built in a pooled scratch buffer and copied
@@ -159,19 +178,30 @@ func (c *Chunk) Count() int { return c.count }
 func (c *Chunk) EncodedBytes() int { return len(c.data) }
 
 // Data returns the encoded stream. Callers must treat it as read-only;
-// snapshots write it verbatim and FromEncoded wraps it verbatim.
+// segments write it verbatim and FromEncoded wraps it verbatim.
 func (c *Chunk) Data() []byte { return c.data }
 
 // CRC returns the IEEE CRC-32 of the encoded stream, computed at seal
-// time (Encode) or wrap time (FromEncoded). Snapshots persist it next
+// time (Encode) or wrap time (FromEncoded). Segments persist it next
 // to the stream so a flipped bit on disk is caught on read instead of
 // decoding into silently wrong values.
 func (c *Chunk) CRC() uint32 { return c.crc }
 
 // Quarantined reports whether the chunk is a corruption tombstone —
-// its original bytes failed their checksum and every bin decodes to
-// NaN.
-func (c *Chunk) Quarantined() bool { return c.quarantined }
+// its original bytes failed their checksum, or its stream failed the
+// token walk of a Check, and every bin decodes to NaN. A chunk whose
+// walk is still pending reports false.
+func (c *Chunk) Quarantined() bool { return c.walk.Load() == walkFailed }
+
+// Home returns where durable storage holds the chunk, as SetHome last
+// recorded it; 0 for nowhere. For the monitor store it is the number of
+// the segment that holds the chunk's newest copy.
+func (c *Chunk) Home() uint64 { return c.home.Load() }
+
+// SetHome records where durable storage holds the chunk (not 0). It is
+// the one thing about a chunk that changes after it is built, and no
+// decode reads it.
+func (c *Chunk) SetHome(h uint64) { c.home.Store(h) }
 
 // Tombstone builds a quarantine placeholder for a chunk of count bins
 // whose stored bytes failed validation. It carries no data; DecodeInto
@@ -180,22 +210,52 @@ func Tombstone(count int) *Chunk {
 	if count < 0 {
 		count = 0
 	}
-	return &Chunk{count: count, quarantined: true}
+	c := &Chunk{count: count}
+	c.walk.Store(walkFailed)
+	return c
 }
 
 // FromEncoded wraps a previously encoded stream (e.g. read back from a
-// snapshot) as a chunk of count values. The stream is checked token by
-// token against the layout above (checkStream), which builds no value,
-// so a chunk accepted here can never fail (or run out of bounds) in a
-// later DecodeInto.
+// segment) as a chunk of count values, and computes its CRC. The token
+// walk that proves the stream decodes (checkStream) is deferred to the
+// chunk's first Check — DecodeInto runs one — so an open pays for the
+// checksum only, and a chunk nothing reads is never walked. A stream
+// that fails the walk makes the chunk a tombstone from then on.
 func FromEncoded(data []byte, count int) (*Chunk, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("chunk: negative count %d", count)
 	}
-	if err := checkStream(data, count); err != nil {
-		return nil, fmt.Errorf("chunk: invalid stream: %w", err)
+	c := &Chunk{count: count, data: data, crc: crc32.ChecksumIEEE(data)}
+	if count > 0 {
+		c.walk.Store(walkPending)
 	}
-	return &Chunk{count: count, data: data, crc: crc32.ChecksumIEEE(data)}, nil
+	return c, nil
+}
+
+// Check token-walks a chunk FromEncoded wrapped, exactly once: the first
+// caller walks it and any concurrent one waits for the outcome. It
+// reports whether this call is the one whose walk failed — true once
+// per bad chunk, however many readers race to it — so a caller can
+// count quarantines exactly. On any other chunk it is one atomic load.
+func (c *Chunk) Check() bool {
+	for {
+		switch c.walk.Load() {
+		case walkPending:
+			if !c.walk.CompareAndSwap(walkPending, walkRunning) {
+				continue
+			}
+			if checkStream(c.data, c.count) != nil {
+				c.walk.Store(walkFailed)
+				return true
+			}
+			c.walk.Store(walkDone)
+			return false
+		case walkRunning:
+			runtime.Gosched()
+		default:
+			return false
+		}
+	}
 }
 
 // checkStream reports whether data is a well-formed stream of count
@@ -273,9 +333,9 @@ func checkStream(data []byte, count int) error {
 // DecodeInto decodes values [lo, hi) of the chunk into dst[:hi-lo].
 // It allocates nothing and stops reading the stream as soon as hi
 // values have been produced, so a small window near the front of a
-// chunk pays only for the prefix it touches. It panics on a corrupt
-// stream — chunks built by Encode or checked by FromEncoded never
-// are — and on a dst shorter than hi−lo.
+// chunk pays only for the prefix it touches. A chunk FromEncoded
+// wrapped is walked first (Check); one that fails decodes to NaN. It
+// panics on a dst shorter than hi−lo.
 func (c *Chunk) DecodeInto(dst []float64, lo, hi int) {
 	if err := c.decodeRange(dst, lo, hi); err != nil {
 		panic("chunk: " + err.Error())
@@ -295,8 +355,12 @@ func (c *Chunk) decodeRange(dst []float64, lo, hi int) error {
 	if len(dst) < hi-lo {
 		return fmt.Errorf("decode buffer too short: %d < %d", len(dst), hi-lo)
 	}
-	if c.quarantined {
-		// A tombstone has no bytes; its bins are all missing.
+	if c.walk.Load() != walkDone {
+		c.Check()
+	}
+	if c.Quarantined() {
+		// A tombstone's bytes are gone or do not decode; its bins are
+		// all missing.
 		for i := range dst[:hi-lo] {
 			dst[i] = math.NaN()
 		}

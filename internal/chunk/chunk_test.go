@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -151,6 +152,9 @@ func TestFromEncodedValidates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromEncoded(valid) = %v", err)
 	}
+	if re.Check() || re.Quarantined() {
+		t.Fatal("a valid stream failed its walk")
+	}
 	got := make([]float64, len(vals))
 	re.DecodeInto(got, 0, len(vals))
 	for i, v := range vals {
@@ -158,19 +162,63 @@ func TestFromEncodedValidates(t *testing.T) {
 			t.Fatalf("value %d = %v, want %v", i, got[i], v)
 		}
 	}
-	// Truncation, garbage, a count overrunning the stream, and a
-	// negative count must all be rejected instead of panicking later.
-	if _, err := FromEncoded(c.Data()[:4], len(vals)); err == nil {
-		t.Fatal("truncated stream accepted")
-	}
-	if _, err := FromEncoded([]byte{0xff, 0xff}, 3); err == nil {
-		t.Fatal("garbage stream accepted")
-	}
-	if _, err := FromEncoded(c.Data(), len(vals)+100); err == nil {
-		t.Fatal("overlong count accepted")
+	// Truncation, garbage and a count overrunning the stream are wrapped,
+	// fail their walk at the first Check — once — and then decode to NaN
+	// instead of panicking; a negative count is refused outright.
+	for _, bad := range []struct {
+		data  []byte
+		count int
+	}{{c.Data()[:4], len(vals)}, {[]byte{0xff, 0xff}, 3}, {c.Data(), len(vals) + 100}} {
+		ck, err := FromEncoded(bad.data, bad.count)
+		if err != nil {
+			t.Fatalf("FromEncoded(%x, %d) = %v, want the walk deferred", bad.data, bad.count, err)
+		}
+		if ck.Quarantined() {
+			t.Fatal("quarantined before its walk")
+		}
+		if !ck.Check() || ck.Check() || !ck.Quarantined() {
+			t.Fatalf("stream %x of %d values: want one failed walk, then a tombstone", bad.data, bad.count)
+		}
+		dst := make([]float64, bad.count)
+		ck.DecodeInto(dst, 0, bad.count)
+		for i, v := range dst {
+			if !math.IsNaN(v) {
+				t.Fatalf("bin %d of a failed chunk decodes to %v", i, v)
+			}
+		}
 	}
 	if _, err := FromEncoded(c.Data(), -1); err == nil {
 		t.Fatal("negative count accepted")
+	}
+}
+
+// TestCheckOnceUnderConcurrentReaders: readers racing to the first
+// decode of a chunk whose stream fails its walk see NaN, and exactly one
+// of their Checks reports the failure.
+func TestCheckOnceUnderConcurrentReaders(t *testing.T) {
+	data := Encode([]float64{1, 2, 3, 4, 5, 6, 7, 8}).Data()
+	for round := 0; round < 50; round++ {
+		ck, _ := FromEncoded(data[:9], 8)
+		var failed atomic.Int32
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if ck.Check() {
+					failed.Add(1)
+				}
+				dst := make([]float64, 8)
+				ck.DecodeInto(dst, 0, 8)
+				if !math.IsNaN(dst[3]) {
+					t.Errorf("a failed chunk decoded %v", dst[3])
+				}
+			}()
+		}
+		wg.Wait()
+		if n := failed.Load(); n != 1 {
+			t.Fatalf("round %d: %d Checks reported the failure, want 1", round, n)
+		}
 	}
 }
 
@@ -251,8 +299,8 @@ func TestEncodeConcurrent(t *testing.T) {
 }
 
 // TestFromEncodedAllocs pins the token walk: wrapping an untrusted
-// stream allocates the Chunk and nothing that scales with the declared
-// count (a snapshot header may declare a span of 1<<20).
+// stream and walking it allocates the Chunk and nothing that scales
+// with the declared count (a head file may declare a span of 1<<20).
 func TestFromEncodedAllocs(t *testing.T) {
 	vals := make([]float64, 1<<16)
 	for i := range vals {
@@ -260,7 +308,8 @@ func TestFromEncodedAllocs(t *testing.T) {
 	}
 	data := Encode(vals).Data()
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := FromEncoded(data, len(vals)); err != nil {
+		c, err := FromEncoded(data, len(vals))
+		if err != nil || c.Check() {
 			t.Fatal(err)
 		}
 	}); n > 1 {

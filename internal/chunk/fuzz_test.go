@@ -71,10 +71,11 @@ func FuzzRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzFromEncoded throws arbitrary bytes at the snapshot-restore
-// entry point: it must reject or accept without panicking, and exactly
-// when the bit-at-a-time reference decoder does; checkStream, the token
-// walk FromEncoded runs, and decodeRange must agree with the reference
+// FuzzFromEncoded throws arbitrary bytes at the segment-restore entry
+// point: the deferred walk (Check) must fail without panicking, and
+// exactly when the bit-at-a-time reference decoder refuses, after which
+// the chunk decodes to NaN; checkStream, the token walk Check runs, and
+// decodeRange must agree with the reference
 // on the same bytes; and anything accepted must decode in full to the
 // reference's values, bit for bit. The seeds cut each token kind off
 // within the last 8 bytes of its stream, where the walk reads through
@@ -125,12 +126,16 @@ func FuzzFromEncoded(f *testing.F) {
 		}
 		accepted := checkAgainstReference(t, data, count)
 		c, err := FromEncoded(data, count)
-		if (err == nil) != accepted {
-			t.Fatalf("FromEncoded says %v, the reference decoder accepted: %v", err, accepted)
-		}
 		if err != nil {
-			return
+			t.Fatalf("FromEncoded refused a count of %d: %v", count, err)
 		}
-		c.DecodeInto(make([]float64, count), 0, count)
+		if failed := c.Check(); failed == accepted {
+			t.Fatalf("the walk failed: %v, the reference decoder accepted: %v", failed, accepted)
+		}
+		dst := make([]float64, count)
+		c.DecodeInto(dst, 0, count)
+		if !accepted && count > 0 && !math.IsNaN(dst[0]) {
+			t.Fatalf("a chunk that failed its walk decodes %v", dst[0])
+		}
 	})
 }

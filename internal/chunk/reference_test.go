@@ -173,7 +173,7 @@ func referenceDecode(data []byte, count int) ([]uint64, error) {
 
 // checkAgainstReference decodes data as count values through
 // decodeRange and through the reference, and checks it with
-// checkStream, the walk FromEncoded runs; it fails unless all three
+// checkStream, the walk Check runs; it fails unless all three
 // agree on acceptance and the two decoders on every bit, and reports
 // whether they accepted.
 func checkAgainstReference(t *testing.T, data []byte, count int) (accepted bool) {

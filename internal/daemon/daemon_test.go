@@ -2,15 +2,12 @@ package daemon
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -19,6 +16,7 @@ import (
 	"repro/internal/funnel"
 	"repro/internal/monitor"
 	"repro/internal/obs"
+	"repro/internal/testrig"
 	"repro/internal/topo"
 )
 
@@ -471,12 +469,16 @@ func TestDaemonCloseIdempotent(t *testing.T) {
 }
 
 // The durability story end to end: a daemon accumulates history, is
-// snapshotted and torn down; a replacement daemon restores the store,
+// compacted and torn down; a replacement daemon restores the store,
 // receives only the post-restart data, and still has enough baseline to
 // assess a change registered after the restart.
 func TestDaemonRestartFromSnapshot(t *testing.T) {
 	start := time.Date(2015, 12, 1, 0, 0, 0, 0, time.UTC)
-	firstStore := monitor.NewStore(start, time.Minute)
+	dir := t.TempDir()
+	firstStore, err := monitor.OpenPersistent(dir, start, time.Minute, monitor.PersistOptions{CompactBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	pipeline := funnel.Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 2}
 
 	d1, err := Start(Config{Store: firstStore, Pipeline: pipeline, IngestAddr: "127.0.0.1:0"})
@@ -514,19 +516,17 @@ func TestDaemonRestartFromSnapshot(t *testing.T) {
 	feed(d1.IngestAddr(), 0, historyBins, 42)
 	waitForBins(t, firstStore, historyBins)
 
-	// Snapshot and tear down.
-	var snap bytes.Buffer
-	if err := firstStore.WriteSnapshot(&snap); err != nil {
+	// Compact and tear down: the directory then holds the head and its
+	// segment, and an empty log.
+	if err := firstStore.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	d1.Close()
-
-	// Restart on a store opened from a data directory holding only that
-	// snapshot.
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "snapshot.fnls"), snap.Bytes(), 0o644); err != nil {
+	if err := firstStore.Close(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Restart on a store opened from that directory.
 	restored, err := monitor.OpenPersistent(dir, start, time.Minute, monitor.PersistOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -636,31 +636,9 @@ func TestDaemonStreamMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := reportDiff(got, want); d != "" {
-		t.Errorf("daemon report differs from batch: %s", d)
+	if d := testrig.ReportDiff(got, want, false); len(d) > 0 {
+		t.Errorf("daemon report differs from batch: %s", strings.Join(d, "; "))
 	}
-}
-
-// reportDiff names how got differs from want, "" when it does not. The
-// change, impact set, change bin and each Assessment compare through
-// their %+v text, which prints every field — one added later too — a
-// float as its shortest round-trip form (bit for bit, any NaN equal to
-// any NaN) and an error as its message. Trace is left out: its timings
-// are wall-clock.
-func reportDiff(got, want *funnel.Report) string {
-	head := func(r *funnel.Report) string { return fmt.Sprintf("%+v %+v %d", r.Change, r.Set, r.ChangeBin) }
-	if g, w := head(got), head(want); g != w {
-		return fmt.Sprintf("\n got: %s\nwant: %s", g, w)
-	}
-	if len(got.Assessments) != len(want.Assessments) {
-		return fmt.Sprintf("%d assessments, want %d", len(got.Assessments), len(want.Assessments))
-	}
-	for i := range want.Assessments {
-		if g, w := fmt.Sprintf("%+v", got.Assessments[i]), fmt.Sprintf("%+v", want.Assessments[i]); g != w {
-			return fmt.Sprintf("assessment %d:\n got: %s\nwant: %s", i, g, w)
-		}
-	}
-	return ""
 }
 
 // A daemon started on a recovered store exports what the recovery

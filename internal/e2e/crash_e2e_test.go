@@ -1,7 +1,6 @@
 package e2e
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -9,6 +8,7 @@ import (
 	"repro/internal/funnel"
 	"repro/internal/monitor"
 	"repro/internal/obs"
+	"repro/internal/testrig"
 )
 
 // noBG disables the persister's background sync/compaction so an
@@ -20,9 +20,9 @@ var noBG = monitor.PersistOptions{SyncInterval: -1, CompactBytes: -1}
 // TestCrashRecoveryE2E kills the serving side mid-ingest — after the
 // software change lands, inside its observation window — and restarts
 // it over the same data directory. The restarted store must replay
-// snapshot + WAL back to the exact pre-crash contents, the publishers'
-// reconnect/replay machinery must close the crash gap, and the final
-// store and verdicts must be byte-identical to a run that never
+// head, segments and WAL back to the exact pre-crash contents, the
+// publishers' reconnect/replay machinery must close the crash gap, and
+// the final store and verdicts must be identical to a run that never
 // crashed.
 func TestCrashRecoveryE2E(t *testing.T) {
 	dir := t.TempDir()
@@ -123,7 +123,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	}
 
 	// "kill -9": tear down the frontend and the ingest loop and abandon
-	// storeA without Close — no snapshot, no final sync. Whatever its
+	// storeA without Close — no compaction, no final sync. Whatever its
 	// per-append WAL flushes pushed to the OS is all a restart gets.
 	proxyA.Close()
 	ingestA.Close()
@@ -212,18 +212,10 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		t.Fatal("no resets injected before the crash — test is vacuous")
 	}
 
-	// The recovered-and-caught-up store must be byte-identical to the
-	// uninterrupted run: WriteSnapshot is sorted and shard-agnostic, so
-	// equal stores serialize to equal bytes.
-	var got, want bytes.Buffer
-	if err := storeB.WriteSnapshot(&got); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.WriteSnapshot(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("recovered store differs from uninterrupted run: %d vs %d snapshot bytes", got.Len(), want.Len())
+	// The recovered-and-caught-up store must hold what the uninterrupted
+	// run holds, bin for bit-identical bin.
+	if d := testrig.StoreDiff(storeB, ref); d != "" {
+		t.Fatalf("recovered store differs from uninterrupted run: %s", d)
 	}
 
 	// And the assessment over the recovered store must agree.
@@ -248,9 +240,10 @@ func TestCrashRecoveryE2E(t *testing.T) {
 // TestCrashRecoveryChunkedSnapshot runs the crash/restart cycle with a
 // chunk span small enough that sealed, compressed chunks exist — the
 // 500-bin run never seals a default 512-bin chunk — and with a
-// compaction mid-run, so recovery reads a chunked v2 snapshot plus a
-// WAL suffix. The recovered store must serialize byte-identically to an
-// uninterrupted chunked run and produce the same verdicts.
+// compaction mid-run, so recovery reads a head and a segment of sealed
+// chunks plus a WAL suffix. The recovered store must hold what an
+// uninterrupted chunked run holds, chunk layout and bits, and produce
+// the same verdicts.
 func TestCrashRecoveryChunkedSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	opts := noBG
@@ -278,8 +271,8 @@ func TestCrashRecoveryChunkedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendAll(storeA, compactAt, totalBins)
-	// Abandon without Close: the snapshot plus per-append WAL flushes
-	// are all a restart gets.
+	// Abandon without Close: the head and segment plus per-append WAL
+	// flushes are all a restart gets.
 
 	storeB, err := monitor.OpenPersistent(dir, epoch, time.Minute, opts)
 	if err != nil {
@@ -288,24 +281,17 @@ func TestCrashRecoveryChunkedSnapshot(t *testing.T) {
 	defer storeB.Close()
 	rec := storeB.Recovered()
 	if rec.SnapshotSeries == 0 {
-		t.Fatal("compaction left no snapshot — the chunked snapshot path was not exercised")
+		t.Fatal("compaction left no head — the segment path was not exercised")
 	}
 	if rec.WALRecords == 0 {
-		t.Fatal("no WAL suffix replayed on top of the snapshot — test is vacuous")
+		t.Fatal("no WAL suffix replayed on top of the head — test is vacuous")
 	}
 	if st := storeB.Stats(); st.Chunks == 0 {
 		t.Fatalf("recovered store holds no sealed chunks (stats %+v)", st)
 	}
 
-	var got, want bytes.Buffer
-	if err := storeB.WriteSnapshot(&got); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.WriteSnapshot(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("recovered chunked store differs from uninterrupted run: %d vs %d snapshot bytes", got.Len(), want.Len())
+	if d := testrig.StoreDiff(storeB, ref); d != "" {
+		t.Fatalf("recovered chunked store differs from uninterrupted run: %s", d)
 	}
 
 	gotV := verdicts(assess(t, storeB))

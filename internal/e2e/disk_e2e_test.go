@@ -39,16 +39,17 @@ func dValue(srv string, bin int) float64 {
 }
 
 // runDiskWorkload appends the whole workload directly (no network —
-// the disk is the component under test), compacting mid-run so the
-// crash schedule also lands inside snapshot writes and WAL rotations.
-// Persistence errors are ignored: a degraded or fail-stopped disk must
-// never stop ingest.
+// the disk is the component under test), compacting three times so the
+// crash schedule also lands inside WAL rotations, segment and head
+// writes, and the third compaction's merge, which deletes the second's
+// segment. Persistence errors are ignored: a degraded or fail-stopped
+// disk must never stop ingest.
 func runDiskWorkload(st *monitor.Store) {
 	for bin := 0; bin < dTotalBins; bin++ {
 		for _, srv := range servers {
 			st.Append(monitor.Measurement{Key: key(srv), T: epoch.Add(time.Duration(bin) * time.Minute), V: dValue(srv, bin)})
 		}
-		if bin == dTotalBins/2 {
+		if bin%(dTotalBins/4) == 0 && bin > 0 {
 			st.Compact() //nolint:errcheck
 		}
 	}
@@ -111,17 +112,22 @@ func checkRecovered(t *testing.T, st *monitor.Store, tag string) {
 
 // TestCrashScheduleSweepE2E kills the persistence layer at every
 // mutating filesystem operation of the workload — Create, Write, Sync,
-// Rename, Remove, including the ones inside the mid-run compaction —
+// Rename, Remove, including the ones inside the three compactions: each
+// segment write and fsync, each head write, fsync and rename, and each
+// segment and log deletion —
 // across several fault seeds (the seed varies how much of the crashing
 // write lands). Every resulting directory must recover to a store that
 // is byte-identical to the pre-crash truth where data survived and
 // explicitly degraded where it did not, and must never flag a control
 // server. A crash at the final op must lose nothing.
 func TestCrashScheduleSweepE2E(t *testing.T) {
-	// Learn the op schedule from one clean instrumented run.
+	// Learn the op schedule from one clean instrumented run. A span of 8
+	// seals chunks, so the segments hold some.
+	sweep := noBG
+	sweep.ChunkSpan = 8
 	probe := faultfs.New(faultfs.Plan{Seed: 1}, nil)
 	{
-		opts := noBG
+		opts := sweep
 		opts.FS = probe
 		st, err := monitor.OpenPersistent(t.TempDir(), epoch, time.Minute, opts)
 		if err != nil {
@@ -147,7 +153,7 @@ func TestCrashScheduleSweepE2E(t *testing.T) {
 		for c := int64(1); c <= totalOps; c += stride {
 			dir := t.TempDir()
 			ff := faultfs.New(faultfs.Plan{Seed: seed, CrashAtOp: c}, nil)
-			opts := noBG
+			opts := sweep
 			opts.FS = ff
 			st, err := monitor.OpenPersistent(dir, epoch, time.Minute, opts)
 			if err == nil {

@@ -8,6 +8,7 @@ package e2e
 import (
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/funnel"
 	"repro/internal/monitor"
 	"repro/internal/obs"
+	"repro/internal/testrig"
 	"repro/internal/topo"
 )
 
@@ -376,8 +378,8 @@ func TestFaultE2EParallelAssessIdentical(t *testing.T) {
 	}
 	want := run(1)
 	for _, workers := range []int{0, 8} {
-		if d := reportDiff(run(workers), want); d != "" {
-			t.Fatalf("workers=%d: parallel e2e report differs from serial: %s", workers, d)
+		if d := testrig.ReportDiff(run(workers), want, false); len(d) > 0 {
+			t.Fatalf("workers=%d: parallel e2e report differs from serial: %s", workers, strings.Join(d, "; "))
 		}
 	}
 	for _, srv := range servers {

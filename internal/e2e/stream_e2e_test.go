@@ -1,7 +1,7 @@
 package e2e
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +11,7 @@ import (
 	"repro/internal/funnel"
 	"repro/internal/monitor"
 	"repro/internal/obs"
+	"repro/internal/testrig"
 	"repro/internal/topo"
 )
 
@@ -42,28 +43,6 @@ func streamChange() changelog.Change {
 		Servers: []string{"srv-0", "srv-1"},
 		At:      epoch.Add(changeBin * time.Minute),
 	}
-}
-
-// reportDiff names how got differs from want, "" when it does not. The
-// change, impact set, change bin and each Assessment compare through
-// their %+v text, which prints every field — one added later too — a
-// float as its shortest round-trip form (bit for bit, any NaN equal to
-// any NaN) and an error as its message. Trace is left out: its timings
-// are wall-clock.
-func reportDiff(got, want *funnel.Report) string {
-	head := func(r *funnel.Report) string { return fmt.Sprintf("%+v %+v %d", r.Change, r.Set, r.ChangeBin) }
-	if g, w := head(got), head(want); g != w {
-		return fmt.Sprintf("\n got: %s\nwant: %s", g, w)
-	}
-	if len(got.Assessments) != len(want.Assessments) {
-		return fmt.Sprintf("%d assessments, want %d", len(got.Assessments), len(want.Assessments))
-	}
-	for i := range want.Assessments {
-		if g, w := fmt.Sprintf("%+v", got.Assessments[i]), fmt.Sprintf("%+v", want.Assessments[i]); g != w {
-			return fmt.Sprintf("assessment %d:\n got: %s\nwant: %s", i, g, w)
-		}
-	}
-	return ""
 }
 
 // batchReference assesses the store with a fresh batch assessor and
@@ -225,8 +204,8 @@ func TestStreamE2ENetworkFlap(t *testing.T) {
 			t.Errorf("%s: streamed verdict %v, want %v", srv, got[srv], want)
 		}
 	}
-	if d := reportDiff(rep, batchReference(t, store)); d != "" {
-		t.Errorf("flap: streamed report differs from batch: %s", d)
+	if d := testrig.ReportDiff(rep, batchReference(t, store), false); len(d) > 0 {
+		t.Errorf("flap: streamed report differs from batch: %s", strings.Join(d, "; "))
 	}
 }
 
@@ -303,7 +282,7 @@ func TestStreamE2EDegradedDisk(t *testing.T) {
 			t.Errorf("%s: streamed verdict %v through the ENOSPC episode, want %v", srv, got[srv], want)
 		}
 	}
-	if d := reportDiff(rep, batchReference(t, store)); d != "" {
-		t.Errorf("degraded-disk: streamed report differs from batch: %s", d)
+	if d := testrig.ReportDiff(rep, batchReference(t, store), false); len(d) > 0 {
+		t.Errorf("degraded-disk: streamed report differs from batch: %s", strings.Join(d, "; "))
 	}
 }

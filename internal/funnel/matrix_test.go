@@ -13,6 +13,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/sst"
+	"repro/internal/testrig"
 	"repro/internal/timeseries"
 	"repro/internal/topo"
 	"repro/internal/workload"
@@ -22,7 +23,7 @@ import (
 // the change and the configuration alone. Each corpus is assessed once by
 // the reference — batch Assess over its MapSource, one worker, no
 // collector — and each leg assesses it again along one axis a verdict
-// must not feel, every report held to the reference by reportDiff and,
+// must not feel, every report held to the reference by testrig.ReportDiff and,
 // when the leg attaches no collector, required to carry no trace:
 //
 //   - workers: Config.AssessWorkers 0, 2, 4 and 8;
@@ -176,7 +177,7 @@ func (c *corpus) run(t *testing.T, l leg) {
 		case (err == nil) != (want.err == nil) || err != nil && err.Error() != want.err.Error():
 			diffs = []string{fmt.Sprintf("error %v, want %v", err, want.err)}
 		case err == nil:
-			diffs = reportDiff(rep, want.rep, l.peak)
+			diffs = testrig.ReportDiff(rep, want.rep, l.peak)
 			if cfg.Obs == nil && rep.Trace != nil {
 				diffs = append(diffs, "trace attached without a collector")
 			}
@@ -227,38 +228,10 @@ func (c *corpus) run(t *testing.T, l leg) {
 	}
 }
 
-// reportDiff lists how got differs from want, one line per differing
-// Assessment. The change, impact set, change bin and each Assessment
-// compare through their %+v text, as internal/e2e and internal/daemon
-// compare reports: every field, floats in shortest round-trip form (bit
-// for bit, any NaN equal to any NaN), errors by message. Trace is left
-// out: its timings are wall-clock. With peak, a detection peak within
-// 1e-9 relative counts as equal.
-func reportDiff(got, want *Report, peak bool) []string {
-	var out []string
-	head := func(r *Report) string { return fmt.Sprintf("%+v %+v %d", r.Change, r.Set, r.ChangeBin) }
-	if g, w := head(got), head(want); g != w {
-		out = append(out, fmt.Sprintf("got %s, want %s", g, w))
-	}
-	if len(got.Assessments) != len(want.Assessments) {
-		return append(out, fmt.Sprintf("%d assessments, want %d", len(got.Assessments), len(want.Assessments)))
-	}
-	for k, wa := range want.Assessments {
-		ga := got.Assessments[k]
-		if peak && math.Abs(ga.Detection.Peak-wa.Detection.Peak) <= 1e-9*math.Abs(wa.Detection.Peak) {
-			ga.Detection.Peak = wa.Detection.Peak
-		}
-		if g, w := fmt.Sprintf("%+v", ga), fmt.Sprintf("%+v", wa); g != w {
-			out = append(out, fmt.Sprintf("%s: got %s, want %s", wa.Key, g, w))
-		}
-	}
-	return out
-}
-
-// requireSame fails t unless got equals want under reportDiff.
+// requireSame fails t unless got equals want under testrig.ReportDiff.
 func requireSame(t *testing.T, got, want *Report) {
 	t.Helper()
-	if d := reportDiff(got, want, false); len(d) > 0 {
+	if d := testrig.ReportDiff(got, want, false); len(d) > 0 {
 		t.Fatalf("%s: report differs from batch: %s", want.Change.ID, strings.Join(d, "; "))
 	}
 }

@@ -167,20 +167,28 @@ func TestSnapshotChunkedRoundTrip(t *testing.T) {
 	runProgram(t, progConfig{span: 16, shards: 4}, progOps(p...), nil)
 }
 
-// TestSnapshotRejectsOldVersions: versions 1 and 2 were never deployed
-// and their readers are gone; a header declaring one is refused by
-// name, not misread as version 3.
+// TestSnapshotRejectsOldVersions: a head or segment declaring a
+// version this build does not write is refused by name, not misread as
+// the current one; version 3, the single-file snapshot's last, among
+// them.
 func TestSnapshotRejectsOldVersions(t *testing.T) {
-	for _, version := range []uint16{0, 1, 2, 4} {
-		var hdr [4 + 2 + 8 + 8 + 4 + 4]byte
-		copy(hdr[:], snapshotMagic)
-		binary.BigEndian.PutUint16(hdr[4:6], version)
-		binary.BigEndian.PutUint64(hdr[6:14], uint64(t0.UnixNano()))
-		binary.BigEndian.PutUint64(hdr[14:22], uint64(time.Minute))
-		binary.BigEndian.PutUint32(hdr[22:26], 16) // chunk span
-		_, err := ReadSnapshot(bytes.NewReader(hdr[:]))
-		if want := fmt.Sprintf("unsupported snapshot version %d", version); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("version %d: error %v, want %q", version, err, want)
+	s := NewStore(t0, time.Minute)
+	s.SetChunkSpan(2)
+	s.Append(Measurement{kCPU, t0, 1})
+	s.Append(Measurement{kCPU, t0.Add(time.Minute), 2})
+	good := imageOf(t, s)
+	for _, version := range []uint16{0, 2, 3, 4} {
+		head := bytes.Clone(good.head)
+		binary.BigEndian.PutUint16(head[4:6], version)
+		_, err := restoreImage(image{head: head, seg: good.seg})
+		if want := fmt.Sprintf("unsupported head version %d", version); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("head version %d: error %v, want %q", version, err, want)
+		}
+		seg := bytes.Clone(good.seg)
+		binary.BigEndian.PutUint16(seg[4:6], version)
+		_, err = restoreImage(image{head: good.head, seg: seg})
+		if want := fmt.Sprintf("unsupported segment version %d", version); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("segment version %d: error %v, want %q", version, err, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,7 @@ import (
 	"repro/internal/obs"
 )
 
-// blockingSnapshotFS blocks the first Write to snapshot.tmp until
+// blockingSnapshotFS blocks the first Write to a segment file until
 // release is closed, announcing it on entered.
 type blockingSnapshotFS struct {
 	faultfs.FS
@@ -30,7 +31,7 @@ type blockingSnapshotFile struct {
 
 func (fs *blockingSnapshotFS) Create(name string) (faultfs.File, error) {
 	f, err := fs.FS.Create(name)
-	if err != nil || filepath.Base(name) != snapshotTmpFile {
+	if err != nil || !strings.HasPrefix(filepath.Base(name), segmentPrefix) {
 		return f, err
 	}
 	return blockingSnapshotFile{f, fs}, nil
@@ -45,11 +46,11 @@ func (f blockingSnapshotFile) Write(p []byte) (int, error) {
 }
 
 // TestCompactionHoldsShardsOnlyForTheCut: a compaction takes every shard
-// lock for its rotation and cut, not for the snapshot write — appends to
+// lock for its rotation and cut, not for the segment write — appends to
 // every shard, a late write into a sealed chunk and a new series all go
 // through while the write waits on the disk — and the directory it
-// leaves, the cut's snapshot plus the fresh generation, reopens to the
-// live store byte for byte.
+// leaves, the cut's head and segment plus the fresh generation, reopens
+// to the live store byte for byte.
 func TestCompactionHoldsShardsOnlyForTheCut(t *testing.T) {
 	bfs := &blockingSnapshotFS{FS: faultfs.OS, entered: make(chan struct{}), release: make(chan struct{})}
 	opts := persistOptsNoBG(StoreShards)
@@ -78,7 +79,7 @@ func TestCompactionHoldsShardsOnlyForTheCut(t *testing.T) {
 	logged := st.persist.walBytes.Load()
 	compacted := make(chan error, 1)
 	go func() { compacted <- st.Compact() }()
-	<-bfs.entered // the snapshot write is inside its first Write
+	<-bfs.entered // the segment write is inside its first Write
 
 	appended := make(chan struct{})
 	go func() {
@@ -94,11 +95,11 @@ func TestCompactionHoldsShardsOnlyForTheCut(t *testing.T) {
 	select {
 	case <-appended:
 	case <-time.After(10 * time.Second):
-		t.Fatal("appends are stuck behind the snapshot write: a shard lock is held while it is written")
+		t.Fatal("appends are stuck behind the segment write: a shard lock is held while it is written")
 	}
 	select {
 	case err := <-compacted:
-		t.Fatalf("Compact returned (%v) before its snapshot write did", err)
+		t.Fatalf("Compact returned (%v) before its segment write did", err)
 	default:
 	}
 	// The retired log no longer counts towards the next compaction: what
@@ -114,12 +115,8 @@ func TestCompactionHoldsShardsOnlyForTheCut(t *testing.T) {
 		t.Fatalf("%d compact_lock observations, want 1", n)
 	}
 	want := snapshotBytes(t, st)
-	info, err := os.Stat(filepath.Join(dir, snapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := st.persist.snapBytes.Load(); got != info.Size() {
-		t.Fatalf("snapBytes = %d, the installed snapshot is %d bytes", got, info.Size())
+	if got, head, all := st.persist.snapBytes.Load(), fileBytes(t, dir, headFile), fileBytes(t, dir, headFile, segmentPrefix); got != all || st.persist.headBytes.Load() != head {
+		t.Fatalf("snapBytes = %d and headBytes %d; the head and segments are %d bytes, the head %d", got, st.persist.headBytes.Load(), all, head)
 	}
 
 	re, err := OpenPersistent(copyImage(t, dir), time.Time{}, 0, persistOptsNoBG(StoreShards))
@@ -131,7 +128,7 @@ func TestCompactionHoldsShardsOnlyForTheCut(t *testing.T) {
 		t.Fatalf("recovery stats %+v, want the %d appends made during the write in one generation", rec, 2*len(keys)+2)
 	}
 	if !bytes.Equal(snapshotBytes(t, re), want) {
-		t.Fatal("the cut's snapshot plus the fresh generation do not reopen to the live store")
+		t.Fatal("the cut's head and segment plus the fresh generation do not reopen to the live store")
 	}
 }
 
@@ -231,10 +228,11 @@ func TestCompactionCutStorm(t *testing.T) {
 	}
 }
 
-// TestCompactionTriggerTracksSnapshot: once the installed snapshot is
-// larger than CompactBytes, a log below the snapshot's size asks for no
-// compaction and a log that reaches it asks for one. The size comes from
-// the snapshot file at open, and from what each compaction wrote.
+// TestCompactionTriggerTracksSnapshot: once the installed head is
+// larger than CompactBytes, a log below the head's size asks for no
+// compaction and a log that reaches it asks for one — however large the
+// segments are, which a compaction does not rewrite. The size comes from
+// the head file at open, and from what each compaction wrote.
 func TestCompactionTriggerTracksSnapshot(t *testing.T) {
 	const floor = 1 << 10
 	keys := fleetKeys(48)
@@ -246,17 +244,9 @@ func TestCompactionTriggerTracksSnapshot(t *testing.T) {
 		}
 		return ms
 	}
-	snapSize := func(dir string) int64 {
-		t.Helper()
-		info, err := os.Stat(filepath.Join(dir, snapshotFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return info.Size()
-	}
 
-	// A history whose snapshot dwarfs the floor, compacted, one
-	// generation left.
+	// A history whose head dwarfs the floor (15 unsealed bins a series),
+	// compacted, one generation left.
 	base := t.TempDir()
 	opts := persistOptsNoBG(4)
 	opts.ChunkSpan = 16
@@ -264,7 +254,7 @@ func TestCompactionTriggerTracksSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const history = 200
+	const history = 207
 	for bin := 0; bin < history; bin++ {
 		st.AppendBatch(batch(bin))
 	}
@@ -274,14 +264,14 @@ func TestCompactionTriggerTracksSnapshot(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap := snapSize(base)
-	if snap < 4*floor {
-		t.Fatalf("the snapshot is %d bytes, want it well past the %d-byte floor", snap, floor)
+	head, image := fileBytes(t, base, headFile), fileBytes(t, base, headFile, segmentPrefix)
+	if head < 4*floor || image < 2*head {
+		t.Fatalf("the head is %d bytes and with its segment %d, want it well past the %d-byte floor and the segment larger", head, image, floor)
 	}
 
 	// open reopens a copy of the history with the floor in force and
-	// checks that snapBytes came from the file.
-	open := func() (*Store, *countingFS, string) {
+	// checks that headBytes and snapBytes came from the files.
+	open := func() (*Store, *countingFS, *obs.Collector) {
 		t.Helper()
 		dir := copyImage(t, base)
 		cfs := &countingFS{FS: faultfs.OS}
@@ -295,13 +285,13 @@ func TestCompactionTriggerTracksSnapshot(t *testing.T) {
 		if err := col.WriteMetrics(&doc); err != nil {
 			t.Fatal(err)
 		}
-		if got := st.persist.snapBytes.Load(); got != snap {
-			t.Fatalf("after the open snapBytes = %d, the snapshot file is %d bytes", got, snap)
+		if got, all := st.persist.headBytes.Load(), st.persist.snapBytes.Load(); got != head || all != image {
+			t.Fatalf("after the open headBytes = %d and snapBytes %d, the files are %d and %d bytes", got, all, head, image)
 		}
 		if !bytes.Contains(doc.Bytes(), []byte(`"`+obs.GaugeSnapshotBytes+`": `)) {
 			t.Fatalf("no %s gauge in %s", obs.GaugeSnapshotBytes, doc.Bytes())
 		}
-		return st, cfs, dir
+		return st, cfs, col
 	}
 	// requested closes st and reports whether a compaction was asked
 	// for: one ran, or the request is still queued.
@@ -310,48 +300,74 @@ func TestCompactionTriggerTracksSnapshot(t *testing.T) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return cfs.snapshotWrites.Load() > 0 || len(st.persist.compactReq) > 0
+		return cfs.headWrites.Load() > 0 || len(st.persist.compactReq) > 0
 	}
 
-	// Below the snapshot: past the floor many times over, and nothing.
+	// Below the head: past the floor many times over, and nothing.
 	st, cfs, _ := open()
 	bin := history
 	st.AppendBatch(batch(bin))
 	bin++
 	per := st.persist.walBytes.Load()
-	for st.persist.walBytes.Load()+per < snap {
+	for st.persist.walBytes.Load()+per < head {
 		st.AppendBatch(batch(bin))
 		bin++
 	}
-	if wal := st.persist.walBytes.Load(); wal < 2*floor || wal >= snap {
-		t.Fatalf("log at %d bytes, want it past the floor and under the %d-byte snapshot", wal, snap)
+	if wal := st.persist.walBytes.Load(); wal < 2*floor || wal >= head {
+		t.Fatalf("log at %d bytes, want it past the floor and under the %d-byte head", wal, head)
 	}
 	if requested(st, cfs) {
-		t.Fatal("a log smaller than the snapshot asked for a compaction")
+		t.Fatal("a log smaller than the head asked for a compaction")
 	}
 
-	// Reaching the snapshot: exactly one compaction, which installs the
-	// new size.
-	st, cfs, dir := open()
+	// Reaching the head: exactly one compaction, which installs the new
+	// sizes.
+	st, cfs, col := open()
 	bin = history
-	for st.persist.walBytes.Load() < snap {
+	for st.persist.walBytes.Load() < head {
 		st.AppendBatch(batch(bin))
 		bin++
 	}
-	// Wait for the install, not the rotation: the log's count drops, and
-	// snapshot.tmp is created, before the snapshot is written.
-	waitFor(t, "a compaction of a log that reached the snapshot's size", func() bool {
-		return st.persist.snapBytes.Load() != snap
+	waitFor(t, "a compaction of a log that reached the head's size", func() bool {
+		return col.Counter(obs.CtrCompactions) == 1
 	})
-	if got, want := st.persist.snapBytes.Load(), snapSize(dir); got != want || got <= snap {
-		t.Fatalf("after the compaction snapBytes = %d, the snapshot file is %d bytes (was %d)", got, want, snap)
+	dir := st.persist.dir
+	if got, want := st.persist.headBytes.Load(), fileBytes(t, dir, headFile); got != want {
+		t.Fatalf("after the compaction headBytes = %d, the head file is %d bytes", got, want)
+	}
+	if got, want := st.persist.snapBytes.Load(), fileBytes(t, dir, headFile, segmentPrefix); got != want || len(st.persist.live) != 2 {
+		t.Fatalf("after the compaction snapBytes = %d, the head and segments are %d bytes; live segments %+v, want the base and a new one", got, want, st.persist.live)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := cfs.snapshotWrites.Load(); n != 1 || len(st.persist.compactReq) != 0 {
+	if n := cfs.headWrites.Load(); n != 1 || len(st.persist.compactReq) != 0 {
 		t.Fatalf("%d compactions and %d queued, want one and none", n, len(st.persist.compactReq))
 	}
+}
+
+// fileBytes sums the sizes of dir's files whose name is, or begins with,
+// one of names.
+func fileBytes(t testing.TB, dir string, names ...string) int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, e := range entries {
+		for _, name := range names {
+			if strings.HasPrefix(e.Name(), name) {
+				info, err := e.Info()
+				if err != nil {
+					t.Fatal(err)
+				}
+				n += info.Size()
+				break
+			}
+		}
+	}
+	return n
 }
 
 // TestCompactionMeetsQueuedRequests: a compaction asked for while
@@ -372,11 +388,11 @@ func TestCompactionMeetsQueuedRequests(t *testing.T) {
 	waitFor(t, "the loop to take the request", func() bool { return len(p.compactReq) == 0 })
 	p.requestCompact() // a prune, say, while it waits
 	p.compactMu.Unlock()
-	waitFor(t, "the compaction", func() bool { return cfs.snapshotWrites.Load() == 1 && p.walBytes.Load() == 0 })
+	waitFor(t, "the compaction", func() bool { return cfs.headWrites.Load() == 1 && p.walBytes.Load() == 0 })
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n, queued := cfs.snapshotWrites.Load(), len(p.compactReq); n != 1 || queued != 0 {
+	if n, queued := cfs.headWrites.Load(), len(p.compactReq); n != 1 || queued != 0 {
 		t.Fatalf("%d compactions ran and %d is queued, want one and none", n, queued)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -262,7 +263,11 @@ func TestSnapshotCorruptionQuarantines(t *testing.T) {
 
 // TestReadCorruptionQuarantines lets faultfs flip bits on the read
 // path during recovery — latent media errors surfacing at reopen —
-// and asserts the store comes up degraded-not-wrong.
+// and asserts the store comes up degraded-not-wrong. Each seed reopens
+// its own copy of the image; a flip lands on one of the reads in three
+// (the head, the segment, the log), and the seeds are enough that some
+// land inside chunk data — the run is deterministic, and none landing
+// there fails the test.
 func TestReadCorruptionQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	opts := persistOptsNoBG(1)
@@ -284,14 +289,15 @@ func TestReadCorruptionQuarantines(t *testing.T) {
 
 	reopened := false
 	for seed := int64(1); seed <= 20; seed++ {
-		ff := faultfs.New(faultfs.Plan{Seed: seed, CorruptReadProb: 0.005}, nil)
+		ff := faultfs.New(faultfs.Plan{Seed: seed, CorruptReadProb: 0.3}, nil)
 		ropts := opts
 		ropts.FS = ff
-		re, err := OpenPersistent(dir, time.Time{}, 0, ropts)
+		re, err := OpenPersistent(copyImage(t, dir), time.Time{}, 0, ropts)
 		if err != nil {
-			// The flipped bit can land in framing (header, lengths,
-			// keys) where recovery has no choice but to reject the
-			// snapshot; that is a clean error, not corruption served.
+			// The flipped bit can land in the head, whose checksum then
+			// fails, or in framing (lengths, keys) where recovery has no
+			// choice but to reject the file; that is a clean error, not
+			// corruption served.
 			continue
 		}
 		if re.QuarantinedChunks() > 0 {
@@ -309,16 +315,16 @@ func TestReadCorruptionQuarantines(t *testing.T) {
 		re.Close()
 	}
 	if !reopened {
-		t.Skip("no seed landed a flip inside chunk data; covered by TestSnapshotCorruptionQuarantines")
+		t.Fatal("no seed landed a flip inside chunk data")
 	}
 }
 
 // countingFS counts the files open through the FS seam, and the
-// snapshots started through it.
+// heads started through it.
 type countingFS struct {
 	faultfs.FS
-	open           atomic.Int64
-	snapshotWrites atomic.Int64 // Create calls on snapshot.tmp
+	open       atomic.Int64
+	headWrites atomic.Int64 // Create calls on head.tmp
 }
 
 func (c *countingFS) counted(f faultfs.File, err error) (faultfs.File, error) {
@@ -330,8 +336,8 @@ func (c *countingFS) counted(f faultfs.File, err error) (faultfs.File, error) {
 }
 
 func (c *countingFS) Create(name string) (faultfs.File, error) {
-	if filepath.Base(name) == snapshotTmpFile {
-		c.snapshotWrites.Add(1)
+	if filepath.Base(name) == headTmpFile {
+		c.headWrites.Add(1)
 	}
 	return c.counted(c.FS.Create(name))
 }
@@ -390,13 +396,17 @@ func TestFailedOpenLeaksNoFiles(t *testing.T) {
 
 // TestCrashAtEveryOpenAndRotateOp kills the disk at every mutating
 // operation of an open and, in a second range, of the rotation and
-// snapshot install that follow it. A crash inside the open must leave
-// the directory recovering to the store it held before; a crash inside
-// the compaction — with generation live+1 created or not, with the
-// snapshot half written, renamed but not yet fsynced, or with the
-// covered generations half deleted — to the store
-// as it stood when Compact was called, byte for byte. (A crash between
-// the two ranges tears an append; internal/e2e's sweep owns that.)
+// install that follow it. The image holds a base segment and a level-0
+// one, so the compaction merges: it writes a level-1 segment, installs a
+// head listing the base and it, and deletes the level-0 segment and the
+// covered generation. A crash inside the open must leave the directory
+// recovering to the store it held before; a crash inside the compaction
+// — with generation live+1 created or not, with the segment half
+// written or not fsynced, the head half written, renamed but not yet
+// fsynced, or with the old segment or the covered generations half
+// deleted — to the store as it stood when Compact was called, byte for
+// byte. (A crash between the two ranges tears an append; internal/e2e's
+// sweep owns that.)
 func TestCrashAtEveryOpenAndRotateOp(t *testing.T) {
 	img := writeImage(t, 4, 30)
 	image := img.dir
@@ -428,6 +438,9 @@ func TestCrashAtEveryOpenAndRotateOp(t *testing.T) {
 	}
 	compacted := clean.ffs.Ops()
 	wantAfter := snapshotBytes(t, st)
+	if live := st.persist.live; len(live) != 2 || live[0].level != baseLevel || live[1].level != 1 {
+		t.Fatalf("live segments after the compaction %+v, want the base and a level-1 merge", live)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -479,14 +492,23 @@ func TestCrashAtEveryOpenAndRotateOp(t *testing.T) {
 
 // TestCleanReopenWritesNoSnapshot pins the one ending of a recovery:
 // reopening a cleanly closed store, with the default compaction
-// threshold, starts no snapshot, leaves the one on disk untouched and
-// the generation it replayed in place.
+// threshold, starts no head, leaves the head and segments on disk
+// untouched and the generation it replayed in place.
 func TestCleanReopenWritesNoSnapshot(t *testing.T) {
 	image := writeImage(t, 4, 30).dir
 	dir := copyImage(t, image)
-	snapBefore, err := os.ReadFile(filepath.Join(dir, snapshotFile))
-	if err != nil {
-		t.Fatal(err)
+	installed := func() map[string]string {
+		files := dirImage(t, dir)
+		for name := range files {
+			if strings.HasPrefix(name, walPrefix) {
+				delete(files, name)
+			}
+		}
+		return files
+	}
+	snapBefore := installed()
+	if len(snapBefore) != 3 {
+		t.Fatalf("the image holds %d head and segment files, want the head and two segments", len(snapBefore))
 	}
 	cfs := &countingFS{FS: faultfs.OS}
 	st, err := OpenPersistent(dir, time.Time{}, 0, PersistOptions{Shards: 4, SyncInterval: -1, FS: cfs})
@@ -497,12 +519,11 @@ func TestCleanReopenWritesNoSnapshot(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := cfs.snapshotWrites.Load(); n != 0 {
-		t.Fatalf("the reopen started %d snapshots, want none", n)
+	if n := cfs.headWrites.Load(); n != 0 {
+		t.Fatalf("the reopen started %d heads, want none", n)
 	}
-	snapAfter, err := os.ReadFile(filepath.Join(dir, snapshotFile))
-	if err != nil || !bytes.Equal(snapAfter, snapBefore) {
-		t.Fatalf("the reopen touched the snapshot (read: %v)", err)
+	if !reflect.DeepEqual(installed(), snapBefore) {
+		t.Fatal("the reopen touched the head or a segment")
 	}
 	if rec.Generations != 1 || rec.LogBytes == 0 || rec.LogBytes > logBytes(t, image) {
 		t.Fatalf("recovery stats %+v, want one generation of at most %d log bytes", rec, logBytes(t, image))
@@ -514,7 +535,7 @@ func TestCleanReopenWritesNoSnapshot(t *testing.T) {
 
 // TestOpenRequestsBackgroundCompaction: an open that found more than
 // one generation (the store died at least twice without compacting), or
-// a log that reaches both CompactBytes and the snapshot's size, hands
+// a log that reaches both CompactBytes and the head's size, hands
 // the fold to the background loop — after it has returned, not before —
 // and one with automatic compaction disabled does not.
 func TestOpenRequestsBackgroundCompaction(t *testing.T) {
@@ -526,8 +547,8 @@ func TestOpenRequestsBackgroundCompaction(t *testing.T) {
 		want         bool
 	}{
 		{"two generations", 2, 30, 1 << 30, true},
-		{"one generation past CompactBytes", 1, 30, 1 << 10, true},  // and past the snapshot
-		{"one generation under the snapshot", 1, 6, 1 << 10, false}, // past CompactBytes
+		{"one generation past CompactBytes", 1, 30, 1 << 10, true},  // and past the head
+		{"one generation under the snapshot", 1, 6, 1 << 10, false}, // past CompactBytes, under the head
 		{"one generation under CompactBytes", 1, 30, 1 << 30, false},
 		{"three generations, compaction disabled", 3, 30, -1, false},
 	}
@@ -545,10 +566,10 @@ func TestOpenRequestsBackgroundCompaction(t *testing.T) {
 				t.Fatalf("Generations = %d, want %d", rec.Generations, tc.generations)
 			}
 			// In the 1 KiB cases the log is past CompactBytes and the
-			// snapshot's size decides.
-			if snap := st.persist.snapBytes.Load(); tc.compactBytes == 1<<10 &&
-				(rec.LogBytes < tc.compactBytes || (rec.LogBytes >= snap) != tc.want) {
-				t.Fatalf("the image holds %d log bytes against a %d-byte snapshot: not the case named", rec.LogBytes, snap)
+			// head's size decides.
+			if head := st.persist.headBytes.Load(); tc.compactBytes == 1<<10 &&
+				(rec.LogBytes < tc.compactBytes || (rec.LogBytes >= head) != tc.want) {
+				t.Fatalf("the image holds %d log bytes against a %d-byte head: not the case named", rec.LogBytes, head)
 			}
 			want := snapshotBytes(t, st)
 			if !tc.want {
@@ -560,8 +581,8 @@ func TestOpenRequestsBackgroundCompaction(t *testing.T) {
 				if err := st.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if n := cfs.snapshotWrites.Load(); n != 0 {
-					t.Fatalf("%d snapshots started, want none", n)
+				if n := cfs.headWrites.Load(); n != 0 {
+					t.Fatalf("%d heads started, want none", n)
 				}
 				if gens, err := listWALs(faultfs.OS, dir); err != nil || len(gens) != tc.generations+1 {
 					t.Fatalf("generations %+v (%v), want the %d replayed and the live one", gens, err, tc.generations)
@@ -575,12 +596,12 @@ func TestOpenRequestsBackgroundCompaction(t *testing.T) {
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatalf("no background compaction: generations %+v (%v), %d snapshots started", gens, err, cfs.snapshotWrites.Load())
+					t.Fatalf("no background compaction: generations %+v (%v), %d heads started", gens, err, cfs.headWrites.Load())
 				}
 				time.Sleep(time.Millisecond)
 			}
-			if n := cfs.snapshotWrites.Load(); n != 1 {
-				t.Fatalf("%d snapshots started, want 1", n)
+			if n := cfs.headWrites.Load(); n != 1 {
+				t.Fatalf("%d heads started, want 1", n)
 			}
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
@@ -601,19 +622,75 @@ func TestOpenRequestsBackgroundCompaction(t *testing.T) {
 }
 
 // TestOpenRemovesStaleSnapshotTmp: a compaction that died between
-// creating snapshot.tmp and renaming it leaves a snapshot-sized file
-// nothing reads; with no compaction at open to overwrite it, the open
-// removes it.
+// creating head.tmp and renaming it leaves a head-sized file nothing
+// reads; with no compaction at open to overwrite it, the open removes
+// it. A segment the head does not list — a compaction's that died
+// before its head's rename — goes too.
 func TestOpenRemovesStaleSnapshotTmp(t *testing.T) {
 	r := writeImage(t, 4, 30)
-	tmp := filepath.Join(r.dir, snapshotTmpFile)
-	if err := os.WriteFile(tmp, bytes.Repeat([]byte("half a snapshot "), 1<<10), 0o644); err != nil {
+	tmp := filepath.Join(r.dir, headTmpFile)
+	if err := os.WriteFile(tmp, bytes.Repeat([]byte("half a head "), 1<<10), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r.openRetry(4, diffSpan, 0, nil) // and the store is the model's
 	defer r.finish()
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("stale %s survived the open (stat: %v)", snapshotTmpFile, err)
+		t.Fatalf("stale %s survived the open (stat: %v)", headTmpFile, err)
+	}
+}
+
+// TestOpenRemovesUnlistedSegments: a segment file the head does not
+// list is a compaction's that died before its head was installed. The
+// open reads nothing from it and removes it; the head's segments stay.
+// Fsck, which mutates nothing, steps over it.
+func TestOpenRemovesUnlistedSegments(t *testing.T) {
+	r := writeImage(t, 4, 30)
+	listed := installedImage(t, r.dir)
+	stray := filepath.Join(r.dir, segmentName(99))
+	if err := os.WriteFile(stray, []byte("FNLC garbage a compaction never finished"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := Fsck(r.dir, nil, false); err != nil || !rep.Healthy() {
+		t.Fatalf("fsck over a stray segment: %+v, %v", rep, err)
+	}
+	if _, err := os.Stat(stray); err != nil {
+		t.Fatalf("fsck removed the stray segment: %v", err)
+	}
+	r.openRetry(4, diffSpan, 0, nil) // and the store is the model's
+	defer r.finish()
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Fatalf("the unlisted %s survived the open (stat: %v)", segmentName(99), err)
+	}
+	if got := installedImage(t, r.dir); !bytes.Equal(got, listed) {
+		t.Fatal("the open changed what the head and its segments hold")
+	}
+}
+
+// TestOpenRefusesVersion3Snapshot: the single-file snapshot.fnls of
+// version 3 is not read; an open, and Fsck, refuse a directory holding
+// one by name and point at the last build that reads it, leaving the
+// directory as it was.
+func TestOpenRefusesVersion3Snapshot(t *testing.T) {
+	dir := writeImage(t, 2, 2).dir
+	snap := append([]byte("FNLS"), 0, 3)
+	snap = append(snap, make([]byte, 24)...)
+	if err := os.WriteFile(filepath.Join(dir, legacySnapshot), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirImage(t, dir)
+	st, err := OpenPersistent(dir, time.Time{}, 0, persistOptsNoBG(2))
+	if err == nil {
+		st.Close()
+		t.Fatal("the open read past a version 3 snapshot")
+	}
+	if !errors.Is(err, errLegacySnapshot) || !strings.Contains(err.Error(), "17935ff") || !strings.Contains(err.Error(), legacySnapshot) {
+		t.Fatalf("error %q, want the version 3 snapshot refused by name with its last build", err)
+	}
+	if _, err := Fsck(dir, nil, true); !errors.Is(err, errLegacySnapshot) {
+		t.Fatalf("fsck error %v, want the version 3 snapshot refused", err)
+	}
+	if !reflect.DeepEqual(dirImage(t, dir), before) {
+		t.Fatal("the refused open or fsck changed the directory")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
 
 	"repro/internal/chunk"
 	"repro/internal/faultfs"
@@ -26,11 +25,11 @@ type FsckWAL struct {
 
 // FsckReport is the result of walking a persistence directory.
 type FsckReport struct {
-	SnapshotPresent   bool
-	SnapshotSeries    int
-	Series            int // series after WAL replay
-	Chunks            int // sealed chunks across all series
-	QuarantinedChunks int // chunks failing their CRC (or tombstoned earlier)
+	SnapshotPresent   bool // a head file is installed
+	SnapshotSeries    int  // series the head holds
+	Series            int  // series after WAL replay
+	Chunks            int  // sealed chunks across all series
+	QuarantinedChunks int  // chunks failing their CRC or token walk (or tombstoned earlier)
 	WALs              []FsckWAL
 	WALRecords        int
 	TornTails         int
@@ -54,23 +53,26 @@ func (r FsckReport) Healthy() bool {
 }
 
 // Fsck verifies a persistence directory offline: it runs OpenPersistent's
-// recovery pass (recoverDir) — the snapshot, every sealed chunk's CRC
+// recovery pass (recoverDir) — the head, every sealed chunk's CRC
 // checked, then every log generation up to its first bad record, whose
-// offset and the bytes left unread behind it it reports — instead of
-// mutating anything. No store process may be using dir.
+// offset and the bytes left unread behind it it reports — and then
+// token-walks every sealed chunk, which an open leaves to the chunk's
+// first decode, instead of mutating anything. No store process may be
+// using dir.
 //
 // With repair set and damage found, the recovered state is
 // consolidated back to disk: quarantined chunks are rewritten as
 // explicit NaN gaps (the data is gone either way — this makes the loss
-// a plain gap instead of a quarantine flag), a clean snapshot is
-// installed atomically, and the now-consolidated logs are removed. The
-// directory then reopens with zero quarantines; the missing bins keep
-// surfacing through gap accounting as Inconclusive, never as invented
-// values.
+// a plain gap instead of a quarantine flag), a base segment and a head
+// listing it alone are installed atomically, and the now-consolidated
+// logs and every other segment are removed. The directory then reopens
+// with zero quarantines; the missing bins keep surfacing through gap
+// accounting as Inconclusive, never as invented values.
 //
-// A snapshot whose framing is damaged (bad magic, truncated stream) is
-// beyond repair and returns an error, and so does a log of a version
-// this build does not read: repair leaves the directory as it found it.
+// A head or segment whose framing is damaged (bad magic, truncated
+// stream, a head checksum that fails) is beyond repair and returns an
+// error, and so does a log of a version this build does not read:
+// repair leaves the directory as it found it.
 func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 	if fsys == nil {
 		fsys = faultfs.OS
@@ -82,7 +84,7 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 		return rep, err
 	}
 	store := rc.store
-	rep.SnapshotPresent = rc.snapBytes > 0
+	rep.SnapshotPresent = rc.headBytes > 0
 	rep.SnapshotSeries = rc.stats.SnapshotSeries
 	rep.QuarantinedChunks = rc.stats.QuarantinedChunks
 	for _, r := range rc.gens {
@@ -106,6 +108,11 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 	for i := range store.shards {
 		for _, e := range store.shards[i].series {
 			rep.Chunks += len(e.chunks)
+			for _, c := range e.chunks {
+				if c.Check() {
+					rep.QuarantinedChunks++
+				}
+			}
 		}
 	}
 
@@ -114,14 +121,14 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 	}
 	for _, w := range rep.WALs {
 		if errors.Is(w.ReadError, errWALVersion) {
-			// The snapshot would lack the refused log's records, and the
+			// The base segment would lack the refused log's records, and the
 			// repair would then remove the log.
 			return rep, fmt.Errorf("monitor: fsck: not repairing: %w", w.ReadError)
 		}
 	}
 
 	// Repair: drop quarantines by making the loss explicit, then
-	// consolidate everything into one clean snapshot.
+	// consolidate everything into one base segment.
 	gap := make([]float64, store.span)
 	for i := range gap {
 		gap[i] = math.NaN()
@@ -143,38 +150,20 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 	}
 	store.quarantined.Store(0)
 
-	tmpPath := filepath.Join(dir, snapshotTmpFile)
-	tmp, err := fsys.Create(tmpPath)
-	if err != nil {
+	var c snapshotCut
+	c.take(store)
+	seq := rc.maxSeq + 1
+	live := []segmentRef{{seq: seq, level: baseLevel}}
+	if _, err := writeSegmentFile(fsys, dir, seq, &c, pickAll); err != nil {
 		return rep, err
 	}
-	if err := store.WriteSnapshot(tmp); err != nil {
-		tmp.Close()
-		fsys.Remove(tmpPath)
+	if _, err := commitHead(fsys, dir, &c, live); err != nil {
 		return rep, err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		fsys.Remove(tmpPath)
+	// The head now covers every log's contents and every other segment;
+	// damaged or not, they are dead weight.
+	if err := removeStale(fsys, dir, live, math.MaxUint64); err != nil {
 		return rep, err
-	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(tmpPath)
-		return rep, err
-	}
-	if err := fsys.Rename(tmpPath, filepath.Join(dir, snapshotFile)); err != nil {
-		fsys.Remove(tmpPath)
-		return rep, err
-	}
-	if err := syncFSDir(fsys, dir); err != nil {
-		return rep, err
-	}
-	// The snapshot now covers every log's contents; damaged or not,
-	// they are dead weight.
-	for _, w := range rep.WALs {
-		if err := fsys.Remove(w.Path); err != nil {
-			return rep, err
-		}
 	}
 	rep.Repaired = true
 	return rep, nil

@@ -13,7 +13,7 @@ import (
 	"repro/internal/topo"
 )
 
-// buildCorruptDir creates a persistence directory whose snapshot has
+// buildCorruptDir creates a persistence directory whose segment has
 // exactly one CRC-failing chunk, and returns it with the series key
 // and chunk span used.
 func buildCorruptDir(t *testing.T) (string, topo.KPIKey, int) {
@@ -35,7 +35,7 @@ func buildCorruptDir(t *testing.T) (string, topo.KPIKey, int) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap := filepath.Join(dir, snapshotFile)
+	snap := filepath.Join(dir, segmentName(1))
 	raw, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestFsckVerifyReportsQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Healthy() {
-		t.Fatal("fsck called a corrupt snapshot healthy")
+		t.Fatal("fsck called a corrupt segment healthy")
 	}
 	if rep.QuarantinedChunks != 1 || rep.Repaired {
 		t.Fatalf("verify pass: %+v", rep)
@@ -127,7 +127,7 @@ func TestFsckRepairDropsQuarantine(t *testing.T) {
 }
 
 // TestFsckRepairKeepsRefusedLogs: a log of a version this build does
-// not read holds records the snapshot lacks, so repair refuses the
+// not read holds records the segments lack, so repair refuses the
 // directory and leaves it byte for byte as it was.
 func TestFsckRepairKeepsRefusedLogs(t *testing.T) {
 	for _, version := range []uint16{2, 9} {
@@ -153,8 +153,8 @@ func TestFsckRepairKeepsRefusedLogs(t *testing.T) {
 			return raw
 		})
 		before := dirImage(t, dir)
-		if _, ok := before[snapshotFile]; !ok {
-			t.Fatal("no snapshot beside the log")
+		if _, ok := before[headFile]; !ok {
+			t.Fatal("no head beside the log")
 		}
 		rep, err := Fsck(dir, nil, true)
 		if !errors.Is(err, errWALVersion) || rep.Repaired {
@@ -215,10 +215,10 @@ func TestFsckCountsWALRecordsAndTornTails(t *testing.T) {
 
 func TestFsckUnrecoverableSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte("GARBAGE"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, headFile), []byte("GARBAGE"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Fsck(dir, nil, true); err == nil {
-		t.Fatal("fsck accepted a snapshot with destroyed framing")
+		t.Fatal("fsck accepted a head with destroyed framing")
 	}
 }

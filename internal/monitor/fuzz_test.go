@@ -65,27 +65,25 @@ func FuzzDecodeSubscribe(f *testing.F) {
 	})
 }
 
-// FuzzReadSnapshot feeds arbitrary bytes to the snapshot reader: no
-// panics, and every accepted snapshot must re-serialize.
+// FuzzReadSnapshot feeds arbitrary bytes to the head reader, beside a
+// well-formed segment: no panics, and every accepted head must restore
+// to a store that re-serializes.
 func FuzzReadSnapshot(f *testing.F) {
 	s := NewStore(time.Unix(0, 0).UTC(), time.Minute)
-	s.Append(Measurement{Key: topo.KPIKey{Scope: topo.ScopeServer, Entity: "s", Metric: "m"},
-		T: time.Unix(60, 0).UTC(), V: 2})
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		f.Fatal(err)
+	s.SetChunkSpan(2)
+	for i := range 3 {
+		s.Append(Measurement{Key: topo.KPIKey{Scope: topo.ScopeServer, Entity: "s", Metric: "m"},
+			T: time.Unix(int64(60*(i+1)), 0).UTC(), V: float64(i)})
 	}
-	f.Add(buf.Bytes())
-	f.Add([]byte("FNLS"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		store, err := ReadSnapshot(bytes.NewReader(data))
+	good := imageOf(f, s)
+	f.Add(good.head)
+	f.Add([]byte("FNLH"))
+	f.Fuzz(func(t *testing.T, head []byte) {
+		store, err := restoreImage(image{head: head, seg: good.seg})
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if err := store.WriteSnapshot(&out); err != nil {
-			t.Fatalf("accepted snapshot failed to re-serialize: %v", err)
-		}
+		imageOf(t, store)
 	})
 }
 
@@ -208,19 +206,13 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotRestore hammers the restore path with arbitrary bytes
-// seeded from well-formed snapshots of three shapes and corrupted
-// variants of each: restore must either error cleanly or produce a
-// store that re-serializes deterministically — never panic, and never
-// allocate proportionally to a corrupt length field.
+// FuzzSnapshotRestore hammers the restore path — a head and the
+// segment it lists — with arbitrary bytes seeded from well-formed images
+// of three shapes and corrupted variants of each: restore must either
+// error cleanly or produce a store whose image restores to itself —
+// never panic, and never allocate proportionally to a corrupt length
+// field. A restored chunk whose stream fails its walk reads as NaN.
 func FuzzSnapshotRestore(f *testing.F) {
-	dump := func(s *Store) []byte {
-		var buf bytes.Buffer
-		if err := s.WriteSnapshot(&buf); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	at := func(i int) time.Time { return time.Unix(int64(60*(i+1)), 0).UTC() }
 	k := topo.KPIKey{Scope: topo.ScopeServer, Entity: "srv", Metric: "m"}
 
@@ -231,7 +223,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 		s.Append(Measurement{Key: k, T: at(i), V: float64(i)})
 	}
 	s.shardFor(k).series[k].chunks[1] = chunk.Tombstone(4)
-	chunked := dump(s)
+	chunked := imageOf(f, s)
 
 	// Three scopes, gaps, and a pruned head inside the first chunk.
 	s = NewStore(time.Unix(0, 0).UTC(), time.Minute)
@@ -242,48 +234,51 @@ func FuzzSnapshotRestore(f *testing.F) {
 		s.Append(Measurement{Key: topo.KPIKey{Scope: topo.ScopeService, Entity: "kv", Metric: "lat"}, T: at(i / 2), V: math.Inf(1)})
 	}
 	s.Prune(at(2))
-	pruned := dump(s)
+	pruned := imageOf(f, s)
 
 	// Tails only: no series has sealed a chunk yet.
 	s = NewStore(time.Unix(0, 0).UTC(), time.Minute)
 	for i, v := range []float64{1, 2, 3} {
 		s.Append(Measurement{Key: k, T: at(i), V: v})
 	}
-	tails := dump(s)
+	tails := imageOf(f, s)
 
-	// Each shape, one flipped byte in each region of it, a truncation,
-	// and a hostile length field.
-	for _, seed := range [][]byte{chunked, pruned, tails} {
-		f.Add(seed)
-		for _, pos := range []int{5, len(seed) / 2, len(seed) - 2} {
-			c := append([]byte(nil), seed...)
-			c[pos] ^= 0x80
-			f.Add(c)
-		}
-		f.Add(seed[:len(seed)/3]) // truncation
+	// Each shape, one flipped byte in the head, one in each region of
+	// the segment, a truncated segment, and a hostile length field.
+	flip := func(b []byte, pos int) []byte {
+		c := bytes.Clone(b)
+		c[pos] ^= 0x80
+		return c
 	}
-	huge := append([]byte(nil), tails[:len(tails)-3*8-4]...)
+	for _, im := range []image{chunked, pruned, tails} {
+		f.Add(im.head, im.seg)
+		f.Add(flip(im.head, len(im.head)/2), im.seg)
+		for _, pos := range []int{5, len(im.seg) / 2, len(im.seg) - 2} {
+			f.Add(im.head, flip(im.seg, pos))
+		}
+		f.Add(im.head, im.seg[:len(im.seg)/3]) // truncation
+	}
+	huge := bytes.Clone(tails.head[:len(tails.head)-3*8-8])
 	huge = append(huge, 0xFF, 0xFF, 0xFF, 0xFE) // absurd tail count
-	f.Add(huge)
+	f.Add(huge, tails.seg)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		store, err := ReadSnapshot(bytes.NewReader(data))
+	f.Fuzz(func(t *testing.T, head, seg []byte) {
+		store, err := restoreImage(image{head: head, seg: seg})
 		if err != nil {
 			return
 		}
-		var out1, out2 bytes.Buffer
-		if err := store.WriteSnapshot(&out1); err != nil {
-			t.Fatalf("accepted snapshot failed to re-serialize: %v", err)
-		}
-		again, err := ReadSnapshot(bytes.NewReader(out1.Bytes()))
+		out1 := imageOf(t, store)
+		again, err := restoreImage(out1)
 		if err != nil {
-			t.Fatalf("re-serialized snapshot failed to restore: %v", err)
+			t.Fatalf("a re-serialized image failed to restore: %v", err)
 		}
-		if err := again.WriteSnapshot(&out2); err != nil {
-			t.Fatalf("second re-serialize failed: %v", err)
-		}
-		if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
+		out2 := imageOf(t, again)
+		if !bytes.Equal(out1.head, out2.head) || !bytes.Equal(out1.seg, out2.seg) {
 			t.Fatal("restore → serialize is not deterministic")
+		}
+		// Every window reads: a chunk that fails its walk is NaN.
+		for _, key := range store.Keys() {
+			store.RangeInto(key, store.Start(), store.Start().Add(time.Hour), nil)
 		}
 	})
 }

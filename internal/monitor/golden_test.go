@@ -18,12 +18,13 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // leaves (TestLogBytesGolden).
 const goldenDir = "testdata/golden-v3"
 
-// TestLogBytesGolden pins the version 3 log and snapshot bytes across
-// builds. One fixed program — in-process batches series-major and
-// time-major, one-measurement Appends, 0x05 frames with defines and
-// references, late writes into sealed chunks, a gap, and a Compact
-// between two generations — must leave every wal-<gen>.log and the
-// snapshot byte for byte as committed under testdata/golden-v3. The
+// TestLogBytesGolden pins the version 3 log bytes, and the head and
+// segment bytes, across builds. One fixed program — in-process batches
+// series-major and time-major, one-measurement Appends, 0x05 frames with
+// defines and references, late writes into sealed chunks, a gap, and a
+// Compact between two generations — must leave every wal-<gen>.log, the
+// head and the base segment byte for byte as committed under
+// testdata/golden-v3. The
 // store model's AppendBatch rerun holds the socket path to the
 // in-process one within one build; this holds a build to the ones
 // before it, so a change to both paths at once shows here. Rewrite the
@@ -102,7 +103,7 @@ func TestLogBytesGolden(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if want := []string{snapshotFile, "wal-2.log"}; !slices.Equal(names, want) {
+	if want := []string{headFile, segmentName(1), "wal-2.log"}; !slices.Equal(names, want) {
 		t.Fatalf("directory holds %v, want %v", names, want)
 	}
 	for _, name := range names {

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -301,7 +302,7 @@ const (
 	opSnapshot           // snapshot and restore in memory
 	opCompact            // let a prune's compaction run, or compact
 	opReopen             // close and reopen: shards bits 0–1, span bits 2–4, crash at the new store's op arg>>5
-	opDamage             // close, damage a log record or the snapshot, reopen (see damage)
+	opDamage             // close, damage a log record, a segment chunk or the head, reopen (see damage)
 	opFeed               // attach the feed, or detach it
 	opRefilter           // flip whether the feed tracks the key; an odd arg leaves its flag stale
 	opDrain              // drain the feed
@@ -854,12 +855,12 @@ func (r *progRunner) compact() {
 	r.compacted()
 }
 
-// compacted records a compaction that completed: its snapshot, which
-// must be the cut's, and the generation it started.
+// compacted records a compaction that completed: its head and segments,
+// which must hold the cut, and the generation it started.
 func (r *progRunner) compacted() {
-	raw, err := os.ReadFile(filepath.Join(r.dir, snapshotFile))
-	if err != nil || !bytes.Equal(raw, r.cut) {
-		r.t.Fatalf("the compaction installed %d bytes (%v), its cut is %d", len(raw), err, len(r.cut))
+	raw := installedImage(r.t, r.dir)
+	if !bytes.Equal(raw, r.cut) {
+		r.t.Fatalf("the compaction installed an image of %d bytes, its cut is %d", len(raw), len(r.cut))
 	}
 	r.snap, r.snapFile, r.cut = r.cutModel, raw, nil
 	r.noteGens(r.m.start)
@@ -892,13 +893,14 @@ func (r *progRunner) noteGens(start time.Time) []walGeneration {
 	return gens
 }
 
-// roundTrip restores a snapshot of the store in memory: the restored
-// store reads as the model, stamped during the restore, and snapshots
-// to the same bytes.
+// roundTrip restores an image of the store — a head and a base
+// segment — in memory: the restored store reads as the model, stamped
+// during the restore, and writes the same image.
 func (r *progRunner) roundTrip() {
-	snap := snapshotBytes(r.t, r.s)
+	im := imageOf(r.t, r.s)
+	snap := append(bytes.Clone(im.head), im.seg...)
 	began := time.Now()
-	re, err := ReadSnapshot(bytes.NewReader(snap))
+	re, err := restoreImage(im)
 	if err != nil {
 		r.t.Fatalf("restore: %v", err)
 	}
@@ -910,7 +912,7 @@ func (r *progRunner) roundTrip() {
 		}
 	}
 	if again := snapshotBytes(r.t, re); !bytes.Equal(snap, again) {
-		r.t.Fatalf("a snapshot of %d bytes restores to one of %d", len(snap), len(again))
+		r.t.Fatalf("an image of %d bytes restores to one of %d", len(snap), len(again))
 	}
 }
 
@@ -932,17 +934,17 @@ func (r *progRunner) close() []byte {
 }
 
 // settle notes what a close or a kill left: every generation's size,
-// and whether a compaction cut short installed its snapshot — the file
-// must be the one installed before or the cut.
+// and whether a compaction cut short installed its head — what the head
+// and its segments hold must be the image installed before or the cut.
 func (r *progRunner) settle(start time.Time) {
 	r.noteGens(start)
 	if r.cut == nil {
 		return
 	}
-	raw, _ := os.ReadFile(filepath.Join(r.dir, snapshotFile))
+	raw := installedImage(r.t, r.dir)
 	if !bytes.Equal(raw, r.snapFile) {
 		if !bytes.Equal(raw, r.cut) {
-			r.t.Fatalf("after a crash the snapshot is %d bytes: neither the installed one (%d) nor the cut (%d)", len(raw), len(r.snapFile), len(r.cut))
+			r.t.Fatalf("after a crash the installed image is %d bytes: neither the one installed before (%d) nor the cut (%d)", len(raw), len(r.snapFile), len(r.cut))
 		}
 		r.snap, r.snapFile = r.cutModel, raw
 	}
@@ -1083,11 +1085,15 @@ func (r *progRunner) open(shards, span int, crash int64, before []byte) bool {
 // word, the shard byte, the payload or the CRC (0–3); the file cut at
 // the record, inside its length word, its payload or its CRC (4–7); a
 // garbage length (8); the last entry cut by a byte under a CRC that
-// holds (9). Kind 10 rots a sealed chunk of the snapshot.
+// holds (9). Kind 10 rots a sealed chunk of a segment; kind 11 flips a
+// byte of the head, which the open must refuse — the head is then put
+// back.
 func (r *progRunner) damage(arg int) {
 	before := r.close()
-	if kind := arg >> 8 % 11; kind == 10 {
-		r.rotSnapshot(arg >> 2 & 63)
+	if kind := arg >> 8 % 12; kind == 10 {
+		r.rotSegment(arg >> 2 & 63)
+	} else if kind == 11 {
+		r.rotHead(arg >> 2 & 63)
 	} else if g, path := r.damaged(arg & 3); g != nil {
 		r.damageRecord(g, path, (arg>>2&63)*wholeRecs(g)/64, kind)
 	}
@@ -1158,12 +1164,25 @@ func (r *progRunner) damaged(back int) (*genModel, string) {
 	return r.gens[g.gen], g.path
 }
 
-// rotSnapshot flips a byte inside the sel-th sealed chunk of the
-// installed snapshot whose bytes occur in the file once: recovery must
-// quarantine it, and the model turns it into a tombstone.
-func (r *progRunner) rotSnapshot(sel int) {
+// rotSegment flips a byte inside the sel-th sealed chunk of the
+// installed image whose bytes occur in the segment files once — the
+// live copy: recovery must quarantine it, and the model turns it into a
+// tombstone.
+func (r *progRunner) rotSegment(sel int) {
 	if r.snap == nil {
 		return
+	}
+	segs := make(map[string][]byte)
+	entries, err := os.ReadDir(r.dir)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), segmentPrefix) {
+			if segs[e.Name()], err = os.ReadFile(filepath.Join(r.dir, e.Name())); err != nil {
+				r.t.Fatal(err)
+			}
+		}
 	}
 	var cands [][2]int // key index, chunk
 	for ki, k := range r.keys {
@@ -1178,15 +1197,22 @@ func (r *progRunner) rotSnapshot(sel int) {
 		c := cands[(sel+i)%len(cands)]
 		s := r.snap.series[r.keys[c[0]]]
 		data := chunk.Encode(s.phys[c[1]*span : (c[1]+1)*span]).Data()
-		if bytes.Count(r.snapFile, data) != 1 {
+		var in string
+		n := 0
+		for name, raw := range segs {
+			if k := bytes.Count(raw, data); k > 0 {
+				n, in = n+k, name
+			}
+		}
+		if n != 1 {
 			continue
 		}
-		raw := bytes.Clone(r.snapFile)
+		raw := segs[in]
 		raw[bytes.Index(raw, data)+len(data)/2] ^= 0x40
-		if err := os.WriteFile(filepath.Join(r.dir, snapshotFile), raw, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(r.dir, in), raw, 0o644); err != nil {
 			r.t.Fatal(err)
 		}
-		r.snapFile = raw
+		r.snapFile = installedImage(r.t, r.dir)
 		s.enc[c[1]] = -1
 		for b := c[1] * span; b < (c[1]+1)*span; b++ {
 			s.phys[b] = math.NaN()
@@ -1194,6 +1220,31 @@ func (r *progRunner) rotSnapshot(sel int) {
 		r.cov["damage 10"]++
 		return
 	}
+}
+
+// rotHead flips byte sel/64 of the way into the head: the open must
+// refuse the directory rather than read a series or a segment list the
+// checksum does not vouch for. The byte is then flipped back.
+func (r *progRunner) rotHead(sel int) {
+	path := filepath.Join(r.dir, headFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return // no head yet
+	}
+	at := sel * len(raw) / 64
+	raw[at] ^= 0x08
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		r.t.Fatal(err)
+	}
+	if st, err := OpenPersistent(r.dir, t0, time.Minute, PersistOptions{Shards: r.shards, SyncInterval: -1, CompactBytes: -1, FS: unsyncedFS{faultfs.OS}}); err == nil {
+		st.Close()
+		r.t.Fatalf("the open read a head with byte %d of %d flipped", at, len(raw))
+	}
+	raw[at] ^= 0x08
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		r.t.Fatal(err)
+	}
+	r.cov["damage 11"]++
 }
 
 // unsyncedFS is the real filesystem with fsync turned into a no-op: a

@@ -21,68 +21,84 @@ import (
 
 // Recovery rebuilds a store from a data directory in one pass, the same
 // one for OpenPersistent and Fsck (recoverDir). One reader streams the
-// snapshot and then each log generation, oldest first, in file order,
-// a block at a time, to one pool of at most GOMAXPROCS workers; worker
-// w owns the store shards si with si mod W = w.
+// head file, then each live segment, oldest first, and then each log
+// generation, oldest first, in file order, a block at a time, to one
+// pool of at most GOMAXPROCS workers; worker w owns the store shards si
+// with si mod W = w.
 //
-//   - A snapshot series goes to the owner of its key's shard, which
-//     builds the entry from the block's bytes, checks each sealed chunk
-//     (CRC and chunk.FromEncoded's token walk, a tombstone in place of
-//     one that fails either), cuts its tail at span capacity from the
-//     worker's slab, where replay appends (keyRuns.newTail), and
-//     installs it.
+//   - A head series goes to the owner of its key's shard, which builds
+//     the entry from the block's bytes — its chunk slots still empty —
+//     cuts its tail at span capacity from the worker's slab, where
+//     replay appends (keyRuns.newTail), and installs it.
+//   - A segment group goes to the same worker, which fills the series'
+//     chunk slots from it: each chunk's CRC is checked (a tombstone in
+//     place of one that fails) and its token walk left to its first
+//     decode (chunk.Check). A later segment's copy supersedes an earlier
+//     one. At the end of the segments the worker tombstones every slot
+//     no segment filled and counts the tombstones.
 //   - A log record goes to the worker its shard byte names, modulo W.
 //     Its keys are the owner's own when the writing layout is the
-//     reading one; each worker's queue is FIFO, so its snapshot series
+//     reading one; each worker's queue is FIFO, so its restored series
 //     are installed before it applies a record. A key that lives in
 //     another worker's shard — a reopen at another shard count — makes
-//     the worker wait, once, for every worker's snapshot installs.
+//     the worker wait, once, for every worker's installs.
 //   - A generation's records are all applied before the next
 //     generation's first is handed out: a key's writer shard, and with it
 //     its worker, can change between generations.
 //
-// The reader frames and checks, the workers build and apply: a snapshot
-// whose framing breaks, or a log read that fails, ends the pass with an
-// error, and every worker is joined before recoverDir returns.
+// The reader frames and checks, the workers build and apply: a head or
+// segment whose framing breaks, a head whose checksum fails, or a log
+// read that fails, ends the pass with an error, and every worker is
+// joined before recoverDir returns.
 
 // replayBlock is how much of a file the reader frames before it hands
 // the items on, regrouped by worker; it holds the largest log record,
-// and a block grows for a snapshot series that does not fit. replayPiece
-// is how much of that it reads at a time: little enough to still be in
-// cache when the items it completes are framed.
+// and a block grows for a head series or segment group that does not
+// fit. replayPiece is how much of that it reads at a time: little
+// enough to still be in cache when the items it completes are framed.
 const (
 	replayBlock = 2 << 20
 	replayPiece = 256 << 10
 )
 
-// minSnapshotSeries is the fewest bytes a snapshot series takes: a
-// scope, two empty strings, head, chunk count and tail count. It bounds
-// the shard maps' pre-sizing by the snapshot's size, so that a corrupt
-// series count cannot demand memory.
-const minSnapshotSeries = 1 + 2 + 2 + 4 + 4 + 4
+// minHeadSeries is the fewest bytes a head series takes: a scope, two
+// empty strings, head, chunk count and tail count. It bounds the shard
+// maps' pre-sizing by the head's size, so that a corrupt series count
+// cannot demand memory. minSegmentChunk, a chunk's index and the
+// tombstone sentinel, bounds a series' chunk count by the live segments'
+// size so.
+const (
+	minHeadSeries   = 1 + 2 + 2 + 4 + 4 + 4
+	minSegmentChunk = 4 + 4
+)
 
 // recovery is one recovery pass: the reader's state, the worker pool
 // and what the pass found.
 type recovery struct {
 	fsys   faultfs.FS
 	shards int
-	span   int // the chunk span of a store without a snapshot; 0 keeps the default
+	span   int // the chunk span of a store without a head; 0 keeps the default
 	store  *Store
 
 	workers []*recoveryWorker
 	wg      sync.WaitGroup // the workers
-	// snapshotDone is released by every worker at the snapshot's end, genDone
-	// at a generation's.
+	// snapshotDone is released by every worker at the end of the head and
+	// segments, genDone at a generation's.
 	snapshotDone, genDone sync.WaitGroup
 	// free hands a block back to the reader once every worker that had
 	// items in it is done with them: a pass allocates three blocks or so,
 	// not one per block of input.
 	free       chan []byte
-	restoredAt int64 // the arrival watermark of every snapshot series
+	restoredAt int64 // the arrival watermark of every restored series
 
-	stats     RecoveryStats
-	snapBytes int64
-	gens      []walReplay
+	stats RecoveryStats
+	// live is the head's segment list, with each file's size; headBytes
+	// is the head's size and snapBytes its and the live segments' (0
+	// without a head). maxSeq is the highest segment number on disk.
+	live                 []segmentRef
+	headBytes, snapBytes int64
+	maxSeq               uint64
+	gens                 []walReplay
 }
 
 // walReplay is the outcome of replaying one generation.
@@ -97,36 +113,35 @@ type walReplay struct {
 	err            error
 }
 
-// recoverDir reads the snapshot and every log generation in dir into a
-// store with the given shard count, and returns the pass: its store
-// (nil when dir holds neither a snapshot nor a readable log header),
-// stats and per-generation outcomes. Its error is a failed listing or
-// an unreadable snapshot; a generation's is in its walReplay, and the
-// generations after it still replay.
+// recoverDir reads the head, its live segments and every log
+// generation in dir into a store with the given shard count, and
+// returns the pass: its store (nil when dir holds neither a head nor a
+// readable log header), stats and per-generation outcomes. Its error is
+// a failed listing, a version 3 snapshot, or an unreadable head or
+// segment; a generation's is in its walReplay, and the generations
+// after it still replay.
 func recoverDir(fsys faultfs.FS, dir string, shards, span int) (*recovery, error) {
 	r := &recovery{fsys: fsys, shards: shards, span: span}
 	defer r.join()
 	began := time.Now()
-	gens, snapSize, err := scanDir(fsys, dir)
+	d, err := scanDir(fsys, dir)
 	if err != nil {
 		return r, err
 	}
-	if snapSize >= 0 {
-		f, err := fsys.Open(filepath.Join(dir, snapshotFile))
-		if err != nil {
-			return r, err
+	if d.legacy {
+		return r, fmt.Errorf("%w; %s", errLegacySnapshot, filepath.Join(dir, legacySnapshot))
+	}
+	for seq := range d.segs {
+		r.maxSeq = max(r.maxSeq, seq)
+	}
+	if d.headSize >= 0 {
+		if err := r.readImage(dir, d); err != nil {
+			return r, fmt.Errorf("monitor: recovering the head and segments: %w", err)
 		}
-		cr := &countingReader{r: f}
-		err = r.readSnapshot(cr, snapSize)
-		f.Close()
-		if err != nil {
-			return r, fmt.Errorf("monitor: recovering snapshot: %w", err)
-		}
-		r.snapBytes = cr.n
 	}
 	r.stats.SnapshotTime = time.Since(began)
-	r.gens = make([]walReplay, len(gens))
-	for i, g := range gens {
+	r.gens = make([]walReplay, len(d.gens))
+	for i, g := range d.gens {
 		out := &r.gens[i]
 		out.gen, out.path = g.gen, g.path
 		out.err = r.replayLog(g.path, out)
@@ -134,46 +149,96 @@ func recoverDir(fsys faultfs.FS, dir string, shards, span int) (*recovery, error
 		r.stats.TornTails += out.stats.TornTails
 		r.stats.LogBytes += out.stats.LogBytes
 	}
-	r.stats.Generations = len(gens)
+	r.stats.Generations = len(d.gens)
 	r.join()
 	r.stats.ReplayTime = time.Since(began) - r.stats.SnapshotTime
 	return r, nil
 }
 
-// scanDir lists dir once: its log generations, oldest first, and the
-// snapshot's size (−1 when there is none). A wal- file that does not
-// follow walName is an error, not something to step over: it may hold
+// dirListing is what scanDir finds: the log generations, oldest first,
+// the head's size (−1 when there is none), every segment file's size by
+// sequence number, and whether a version 3 snapshot is there.
+type dirListing struct {
+	gens     []walGeneration
+	headSize int64
+	segs     map[uint64]int64
+	legacy   bool
+}
+
+// scanDir lists dir once. A wal- or seg- file that does not follow its
+// naming rule is an error, not something to step over: it may hold
 // records.
-func scanDir(fsys faultfs.FS, dir string) (gens []walGeneration, snapSize int64, err error) {
+func scanDir(fsys faultfs.FS, dir string) (d dirListing, err error) {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
-		return nil, 0, err
+		return d, err
 	}
-	snapSize = -1
+	d.headSize, d.segs = -1, make(map[uint64]int64)
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
 		name := e.Name()
-		if name == snapshotFile {
+		var seq uint64
+		switch {
+		case name == legacySnapshot:
+			d.legacy = true
+		case name == headFile:
 			info, err := e.Info()
 			if err != nil {
-				return nil, 0, err
+				return d, err
 			}
-			snapSize = info.Size()
-			continue
+			d.headSize = info.Size()
+		case strings.HasPrefix(name, segmentPrefix):
+			if _, err := fmt.Sscanf(name, segmentPrefix+"%d"+segmentSuffix, &seq); err != nil || segmentName(seq) != name {
+				return d, fmt.Errorf("monitor: unrecognised segment file %s", filepath.Join(dir, name))
+			}
+			info, err := e.Info()
+			if err != nil {
+				return d, err
+			}
+			d.segs[seq] = info.Size()
+		case strings.HasPrefix(name, walPrefix):
+			if _, err := fmt.Sscanf(name, walPrefix+"%d"+walSuffix, &seq); err != nil || walName(seq) != name {
+				return d, fmt.Errorf("monitor: unrecognised log file %s", filepath.Join(dir, name))
+			}
+			d.gens = append(d.gens, walGeneration{gen: seq, path: filepath.Join(dir, name)})
 		}
-		if !strings.HasPrefix(name, walPrefix) {
-			continue
-		}
-		var gen uint64
-		if _, err := fmt.Sscanf(name, walPrefix+"%d"+walSuffix, &gen); err != nil || walName(gen) != name {
-			return nil, 0, fmt.Errorf("monitor: unrecognised log file %s", filepath.Join(dir, name))
-		}
-		gens = append(gens, walGeneration{gen: gen, path: filepath.Join(dir, name)})
 	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i].gen < gens[j].gen })
-	return gens, snapSize, nil
+	sort.Slice(d.gens, func(i, j int) bool { return d.gens[i].gen < d.gens[j].gen })
+	return d, nil
+}
+
+// readImage reads the head and then the segments it lists, oldest
+// first, and marks the end of both for every worker.
+func (r *recovery) readImage(dir string, d dirListing) error {
+	f, err := r.fsys.Open(filepath.Join(dir, headFile))
+	if err != nil {
+		return err
+	}
+	live, err := r.readHead(f, d)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	r.headBytes, r.snapBytes = d.headSize, d.headSize
+	for i := range live {
+		g := &live[i]
+		g.size = d.segs[g.seq]
+		f, err := r.fsys.Open(filepath.Join(dir, segmentName(g.seq)))
+		if err != nil {
+			return err
+		}
+		err = r.readSegment(f, g.seq, g.size)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %w", segmentName(g.seq), err)
+		}
+		r.snapBytes += g.size
+	}
+	r.live = live
+	r.mark(batchSnapshotEnd)
+	return nil
 }
 
 // start makes store the pass's store and starts its workers.
@@ -214,9 +279,11 @@ func (r *recovery) mark(kind batchKind) {
 	}
 }
 
-// recoveryBatch is what a worker gets: one block's items, or a marker.
+// recoveryBatch is what a worker gets: one block's items, or a marker;
+// seq numbers the segment the items of a batchChunks come from.
 type recoveryBatch struct {
 	kind  batchKind
+	seq   uint64
 	items []recoveryItem
 	// users counts the workers not yet done with block.
 	users *atomic.Int32
@@ -226,15 +293,16 @@ type recoveryBatch struct {
 type batchKind uint8
 
 const (
-	batchSeries        batchKind = iota // snapshot series bodies
+	batchSeries        batchKind = iota // head series bodies
+	batchChunks                         // segment groups
 	batchRecords                        // verified log records, shard after shard
-	batchSnapshotEnd                    // every snapshot series has been handed out
+	batchSnapshotEnd                    // every head series and segment group has been handed out
 	batchGenerationEnd                  // every record of the generation has been handed out
 )
 
-// recoveryItem is a snapshot series' body, with its key's shard in the
-// store, or a verified log record's payload, with its shard byte in the
-// layout that wrote it. b lies in the batch's block.
+// recoveryItem is a head series' body or a segment group, with its
+// key's shard in the store, or a verified log record's payload, with its
+// shard byte in the layout that wrote it. b lies in the batch's block.
 type recoveryItem struct {
 	b     []byte
 	shard int
@@ -242,7 +310,7 @@ type recoveryItem struct {
 
 // dispatch hands each worker its share of the items framed in block: an
 // item goes to the worker its shard names (see owner).
-func (r *recovery) dispatch(kind batchKind, block []byte, items []recoveryItem) {
+func (r *recovery) dispatch(kind batchKind, seq uint64, block []byte, items []recoveryItem) {
 	counts := make([]int, len(r.workers))
 	for _, it := range items {
 		counts[r.owner(it.shard)]++
@@ -265,7 +333,7 @@ func (r *recovery) dispatch(kind batchKind, block []byte, items []recoveryItem) 
 	}
 	for w, s := range shares {
 		if len(s) > 0 {
-			r.workers[w].in <- recoveryBatch{kind: kind, items: s, users: users, block: block}
+			r.workers[w].in <- recoveryBatch{kind: kind, seq: seq, items: s, users: users, block: block}
 		}
 	}
 }
@@ -342,48 +410,70 @@ func (br *blockReader) next() {
 	br.block, br.off = append(b, rest...), 0
 }
 
-// readSnapshot streams a snapshot of size bytes (see the format at the
-// top of snapshot.go) to the workers, creating the pass's store from its
-// header. The chunk span is the snapshot's own. It returns once every
-// series is handed out; the workers install them.
-func (r *recovery) readSnapshot(f io.Reader, size int64) error {
-	// The header — magic, version, start, step, span and series count —
-	// comes in with the first piece of the stream.
+// readHead streams the head (see the format at the top of snapshot.go)
+// to the workers, creating the pass's store from it, and returns its
+// segment list. The chunk span is the head's own. It returns once every
+// series is handed out and the checksum over all of it holds; the
+// workers install them.
+func (r *recovery) readHead(f io.Reader, d dirListing) ([]segmentRef, error) {
+	// The fixed header — magic, version, start, step, span and segment
+	// count — then the segment list and the series count come in with
+	// the first piece of the stream.
 	br := r.newBlockReader(f, 0)
-	const hdrLen = 4 + 2 + 8 + 8 + 4 + 4
-	for len(br.block) < hdrLen && !br.eof {
-		if err := br.read(); err != nil {
-			return err
-		}
+	const fixedLen = 4 + 2 + 8 + 8 + 4 + 4
+	if err := br.fill(fixedLen); err != nil {
+		return nil, err
 	}
 	hdr := br.block
-	if len(hdr) >= 4 && string(hdr[:4]) != snapshotMagic {
-		return fmt.Errorf("monitor: bad snapshot magic %q", hdr[:4])
+	if len(hdr) >= 4 && string(hdr[:4]) != headMagic {
+		return nil, fmt.Errorf("monitor: bad head magic %q", hdr[:4])
 	}
 	if len(hdr) >= 6 {
-		if version := binary.BigEndian.Uint16(hdr[4:6]); version != snapshotVersion {
-			return fmt.Errorf("monitor: unsupported snapshot version %d", version)
+		if version := binary.BigEndian.Uint16(hdr[4:6]); version != headVersion {
+			return nil, fmt.Errorf("monitor: unsupported head version %d", version)
 		}
 	}
-	if len(hdr) < hdrLen {
-		return io.ErrUnexpectedEOF
+	if len(hdr) < fixedLen {
+		return nil, io.ErrUnexpectedEOF
 	}
 	start := time.Unix(0, int64(binary.BigEndian.Uint64(hdr[6:14]))).UTC()
 	step := time.Duration(binary.BigEndian.Uint64(hdr[14:22]))
 	if step <= 0 {
-		return fmt.Errorf("monitor: bad snapshot step %v", step)
+		return nil, fmt.Errorf("monitor: bad head step %v", step)
 	}
 	span := int(binary.BigEndian.Uint32(hdr[22:26]))
 	if span < 2 || span > maxSnapshotSpan {
-		return fmt.Errorf("monitor: bad snapshot chunk span %d", span)
+		return nil, fmt.Errorf("monitor: bad head chunk span %d", span)
 	}
-	count := int64(binary.BigEndian.Uint32(hdr[26:30]))
+	nsegs := int(binary.BigEndian.Uint32(hdr[26:30]))
+	if nsegs > maxLiveSegments {
+		return nil, fmt.Errorf("monitor: head lists %d segments", nsegs)
+	}
+	hdrLen := fixedLen + 9*nsegs + 4
+	if err := br.fill(hdrLen); err != nil {
+		return nil, err
+	}
+	if len(br.block) < hdrLen {
+		return nil, io.ErrUnexpectedEOF
+	}
+	live := make([]segmentRef, nsegs)
+	var segBytes int64
+	for i := range live {
+		b := br.block[fixedLen+9*i:]
+		live[i] = segmentRef{seq: binary.BigEndian.Uint64(b), level: b[8]}
+		size, ok := d.segs[live[i].seq]
+		if !ok {
+			return nil, fmt.Errorf("monitor: the head lists %s, which is missing", segmentName(live[i].seq))
+		}
+		segBytes += size
+	}
+	count := int64(binary.BigEndian.Uint32(br.block[hdrLen-4:]))
 
 	store := NewStoreShards(start, step, r.shards)
 	store.span = span
 	// Size each shard's map for its share of the series, bounded by what
-	// the snapshot's bytes can hold.
-	perShard := min(count, size/minSnapshotSeries) / int64(len(store.shards))
+	// the head's bytes can hold.
+	perShard := min(count, d.headSize/minHeadSeries) / int64(len(store.shards))
 	perShard += perShard / 8
 	for i := range store.shards {
 		store.shards[i].series = make(map[topo.KPIKey]*seriesEntry, perShard)
@@ -399,11 +489,78 @@ func (r *recovery) readSnapshot(f io.Reader, size int64) error {
 	r.restoredAt = time.Now().UnixNano()
 	r.start(store)
 
+	sum := crc32.ChecksumIEEE(br.block[:hdrLen])
 	br.off = hdrLen
+	maxChunks := segBytes / minSegmentChunk
+	frame := func(b []byte) (int, int, error) { return frameHeadSeries(b, store, maxChunks) }
+	if err := r.frameStream(br, count, batchSeries, 0, frame, func(b []byte) { sum = crc32.Update(sum, crc32.IEEETable, b) }); err != nil {
+		return nil, err
+	}
+	if err := br.fill(4); err != nil {
+		return nil, err
+	}
+	if end := br.pos + int64(br.off) + 4; len(br.unframed()) < 4 || end != d.headSize {
+		return nil, fmt.Errorf("monitor: head of %d bytes ends at %d", d.headSize, end)
+	}
+	if want := binary.BigEndian.Uint32(br.unframed()); sum != want {
+		return nil, fmt.Errorf("monitor: head checksum %08x, stored %08x", sum, want)
+	}
+	return live, nil
+}
+
+// readSegment streams segment seq, of size bytes, to the workers, which
+// set the chunks of the series the head installed from it.
+func (r *recovery) readSegment(f io.Reader, seq uint64, size int64) error {
+	br := r.newBlockReader(f, 0)
+	const hdrLen = 4 + 2 + 4 + 4
+	if err := br.fill(hdrLen); err != nil {
+		return err
+	}
+	hdr := br.block
+	if len(hdr) < hdrLen {
+		return io.ErrUnexpectedEOF
+	}
+	if string(hdr[:4]) != segmentMagic {
+		return fmt.Errorf("monitor: bad segment magic %q", hdr[:4])
+	}
+	if version := binary.BigEndian.Uint16(hdr[4:6]); version != segmentVersion {
+		return fmt.Errorf("monitor: unsupported segment version %d", version)
+	}
+	if span := int(binary.BigEndian.Uint32(hdr[6:10])); span != r.store.span {
+		return fmt.Errorf("monitor: segment chunk span %d, the head's is %d", span, r.store.span)
+	}
+	count := int64(binary.BigEndian.Uint32(hdr[10:14]))
+	br.off = hdrLen
+	frame := func(b []byte) (int, int, error) { return frameGroup(b, r.store) }
+	if err := r.frameStream(br, count, batchChunks, seq, frame, nil); err != nil {
+		return err
+	}
+	if end := br.pos + int64(br.off); end != size || len(br.unframed()) > 0 {
+		return fmt.Errorf("monitor: segment of %d bytes ends at %d", size, end)
+	}
+	return nil
+}
+
+// fill reads until the block holds n bytes or the file ends.
+func (br *blockReader) fill(n int) error {
+	for len(br.block) < n && !br.eof {
+		if err := br.read(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// frameStream frames count items with frame from br and hands them to
+// the workers as kind (of segment seq), a block at a time, moving on to
+// a fresh block after each; framed, when set, sees each block's framed
+// bytes first. It returns once every item is handed out.
+func (r *recovery) frameStream(br *blockReader, count int64, kind batchKind, seq uint64, frame func([]byte) (n, shard int, err error), framed func([]byte)) error {
 	var items []recoveryItem
+	from := br.off
 	for left := count; ; {
 		for left > 0 {
-			n, shard, err := frameSeries(br.unframed(), store)
+			n, shard, err := frame(br.unframed())
 			if err != nil {
 				return err
 			}
@@ -418,78 +575,104 @@ func (r *recovery) readSnapshot(f io.Reader, size int64) error {
 			return io.ErrUnexpectedEOF
 		}
 		if left == 0 || br.full() && br.off > 0 {
-			r.dispatch(batchSeries, br.block, items)
-			items = items[:0]
-			if left == 0 {
-				break
+			if framed != nil {
+				framed(br.block[from:br.off])
 			}
+			r.dispatch(kind, seq, br.block, items)
+			items = items[:0]
 			br.next()
+			from = 0
+			if left == 0 {
+				return nil
+			}
 		}
 		if err := br.read(); err != nil {
 			return err
 		}
 	}
-	r.mark(batchSnapshotEnd)
-	return nil
 }
 
-// frameSeries frames the snapshot series at the front of b: its length,
-// or 0 when b does not hold all of it yet, and its key's shard in store.
-// Anything wrong with the framing is an error, found as soon as the
-// bytes that show it are in b; the chunks' contents are the workers' to
-// check.
-func frameSeries(b []byte, store *Store) (n, shard int, err error) {
-	span := store.span
+// frameKey frames the key at the front of b: the offsets of its metric
+// and of its end, or 0 for the end when b does not hold all of it yet.
+func frameKey(b []byte) (metOff, end int, err error) {
 	if len(b) < 1 {
 		return 0, 0, nil
 	}
 	if scope := topo.Scope(b[0]); scope != topo.ScopeServer && scope != topo.ScopeInstance && scope != topo.ScopeService {
-		return 0, 0, fmt.Errorf("monitor: bad snapshot scope %d", b[0])
+		return 0, 0, fmt.Errorf("monitor: bad scope %d", b[0])
 	}
 	if len(b) < 3 {
 		return 0, 0, nil
 	}
-	metOff := 3 + int(binary.BigEndian.Uint16(b[1:]))
+	metOff = 3 + int(binary.BigEndian.Uint16(b[1:]))
 	if len(b) < metOff+2 {
 		return 0, 0, nil
 	}
-	p := metOff + 2 + int(binary.BigEndian.Uint16(b[metOff:]))
-	if len(b) < p+8 {
+	end = metOff + 2 + int(binary.BigEndian.Uint16(b[metOff:]))
+	if len(b) < end {
 		return 0, 0, nil
+	}
+	return metOff, end, nil
+}
+
+// frameHeadSeries frames the head series at the front of b: its length,
+// or 0 when b does not hold all of it yet, and its key's shard in store.
+// Anything wrong with the framing is an error, found as soon as the
+// bytes that show it are in b.
+func frameHeadSeries(b []byte, store *Store, maxChunks int64) (n, shard int, err error) {
+	span := store.span
+	metOff, p, err := frameKey(b)
+	if err != nil || p == 0 || len(b) < p+12 {
+		return 0, 0, err
 	}
 	keyEnd := p
 	head := binary.BigEndian.Uint32(b[p:])
 	chunks := binary.BigEndian.Uint32(b[p+4:])
+	tail := binary.BigEndian.Uint32(b[p+8:])
 	if int64(head) >= int64(span) {
-		return 0, 0, fmt.Errorf("monitor: snapshot head %d exceeds chunk span %d", head, span)
+		return 0, 0, fmt.Errorf("monitor: head %d exceeds chunk span %d", head, span)
 	}
 	if head > 0 && chunks == 0 {
-		return 0, 0, fmt.Errorf("monitor: snapshot head %d with no chunks", head)
+		return 0, 0, fmt.Errorf("monitor: head %d with no chunks", head)
 	}
-	p += 8
-	for ; chunks > 0; chunks-- {
-		if len(b) < p+4 {
+	if int64(chunks) > maxChunks {
+		return 0, 0, fmt.Errorf("monitor: %d chunks, more than the segments hold", chunks)
+	}
+	if int64(tail) >= int64(span) {
+		return 0, 0, fmt.Errorf("monitor: tail of %d bins exceeds chunk span %d", tail, span)
+	}
+	if p += 12 + 8*int(tail); len(b) < p {
+		return 0, 0, nil
+	}
+	return p, shardOf(len(store.shards), b[0], b[3:metOff], b[metOff+2:keyEnd]), nil
+}
+
+// frameGroup frames the segment group at the front of b as
+// frameHeadSeries frames a head series; the chunks' contents are the
+// workers' to check.
+func frameGroup(b []byte, store *Store) (n, shard int, err error) {
+	metOff, p, err := frameKey(b)
+	if err != nil || p == 0 || len(b) < p+4 {
+		return 0, 0, err
+	}
+	keyEnd := p
+	chunks := binary.BigEndian.Uint32(b[p:])
+	for p += 4; chunks > 0; chunks-- {
+		if len(b) < p+8 {
 			return 0, 0, nil
 		}
-		encLen := binary.BigEndian.Uint32(b[p:])
-		p += 4
-		if encLen == snapshotTombstone {
+		encLen := binary.BigEndian.Uint32(b[p+4:])
+		p += 8
+		if encLen == chunkTombstone {
 			continue
 		}
 		// What a span of values can encode, ~9 bytes a value at worst.
-		if int64(encLen) > 10*int64(span) {
-			return 0, 0, fmt.Errorf("monitor: snapshot chunk of %d bytes exceeds span %d", encLen, span)
+		if int64(encLen) > 10*int64(store.span) {
+			return 0, 0, fmt.Errorf("monitor: segment chunk of %d bytes exceeds span %d", encLen, store.span)
 		}
 		p += 4 + int(encLen)
 	}
-	if len(b) < p+4 {
-		return 0, 0, nil
-	}
-	tail := binary.BigEndian.Uint32(b[p:])
-	if int64(tail) >= int64(span) {
-		return 0, 0, fmt.Errorf("monitor: snapshot tail of %d bins exceeds chunk span %d", tail, span)
-	}
-	if p += 4 + 8*int(tail); len(b) < p {
+	if len(b) < p {
 		return 0, 0, nil
 	}
 	return p, shardOf(len(store.shards), b[0], b[3:metOff], b[metOff+2:keyEnd]), nil
@@ -569,7 +752,7 @@ func (r *recovery) replayLog(path string, out *walReplay) error {
 		// A worker gets its share of the block shard after shard, so that
 		// it applies a shard's records of the block as one run.
 		sort.SliceStable(items, func(i, j int) bool { return items[i].shard < items[j].shard })
-		r.dispatch(batchRecords, block, items)
+		r.dispatch(batchRecords, 0, block, items)
 		items = items[:0]
 		if !bad && !br.eof {
 			br.next()
@@ -591,11 +774,17 @@ type recoveryWorker struct {
 	id int
 	in chan recoveryBatch
 	// waited is set once the worker has waited for every worker's
-	// snapshot installs.
+	// installs.
 	waited bool
 
-	series, quarantined int // snapshot series installed (distinct) and chunks quarantined
+	series, quarantined int // head series installed (distinct) and chunks quarantined
 	records, torn       int // this generation's measurements replayed, and shards ended by a bad entry
+
+	// restored lists the series the worker installed from the head, in
+	// key order, for the segments' groups to find (see entry); at is the
+	// last one a group found.
+	restored []restoredSeries
+	at       int
 
 	// tables holds the generation's key handles per shard byte, ended the
 	// shard bytes an undecodable entry ended.
@@ -614,9 +803,14 @@ func (w *recoveryWorker) run() {
 			for _, it := range b.items {
 				w.install(it)
 			}
+		case batchChunks:
+			for _, it := range b.items {
+				w.installChunks(it.b, b.seq)
+			}
 		case batchRecords:
 			w.apply(b.items)
 		case batchSnapshotEnd:
+			w.settle()
 			w.r.snapshotDone.Done()
 		case batchGenerationEnd:
 			for i, t := range w.tables {
@@ -633,9 +827,16 @@ func (w *recoveryWorker) run() {
 	}
 }
 
-// install builds the snapshot series framed in it.b (see frameSeries)
-// and puts it in its shard, which no other worker touches before every
-// worker's installs are done.
+// restoredSeries is a series a worker installed from the head.
+type restoredSeries struct {
+	key topo.KPIKey
+	e   *seriesEntry
+}
+
+// install builds the head series framed in it.b (see frameHeadSeries),
+// its chunk slots empty for the segments to fill, and puts it in its
+// shard, which no other worker touches before every worker's installs
+// are done.
 func (w *recoveryWorker) install(it recoveryItem) {
 	s := w.r.store
 	span := s.span
@@ -643,38 +844,14 @@ func (w *recoveryWorker) install(it recoveryItem) {
 	w.keyBuf = keyBuf
 
 	e := &seriesEntry{head: int(binary.BigEndian.Uint32(b)), arrivalNanos: w.r.restoredAt}
-	nchunks := int(binary.BigEndian.Uint32(b[4:]))
-	b = b[8:]
-	if nchunks > 0 {
-		e.chunks = make([]*chunk.Chunk, nchunks)
+	if n := binary.BigEndian.Uint32(b[4:]); n > 0 {
+		e.chunks = make([]*chunk.Chunk, n)
 	}
-	for i := range e.chunks {
-		encLen := binary.BigEndian.Uint32(b)
-		if encLen == snapshotTombstone {
-			// A quarantined chunk from a previous recovery round-trips as a
-			// tombstone.
-			e.chunks[i] = chunk.Tombstone(span)
-			w.quarantined++
-			b = b[4:]
-			continue
-		}
-		crc := binary.BigEndian.Uint32(b[4:])
-		data := append([]byte(nil), b[8:8+encLen]...)
-		b = b[8+encLen:]
-		ck, err := chunk.FromEncoded(data, span)
-		if err != nil || ck.CRC() != crc {
-			// The framing held but the bytes are rotten: quarantine this
-			// chunk and keep recovering the rest of the store.
-			ck = chunk.Tombstone(span)
-			w.quarantined++
-		}
-		e.chunks[i] = ck
-	}
-	if n := int(binary.BigEndian.Uint32(b)); n > 0 {
+	if n := int(binary.BigEndian.Uint32(b[8:])); n > 0 {
 		// Cut where replay appends: the log's bins extend it in place.
 		e.tail = w.runs.newTail(span, n)
 		for i := range e.tail {
-			e.tail[i] = math.Float64frombits(binary.BigEndian.Uint64(b[4+8*i:]))
+			e.tail[i] = math.Float64frombits(binary.BigEndian.Uint64(b[12+8*i:]))
 		}
 	}
 	series := s.shards[it.shard].series
@@ -682,6 +859,107 @@ func (w *recoveryWorker) install(it recoveryItem) {
 		w.series++
 	}
 	series[key] = e
+	w.restored = append(w.restored, restoredSeries{key: key, e: e})
+}
+
+// installChunks sets the chunks of the group framed in b (see
+// frameGroup), of segment seq, in its series: each is checked against
+// its CRC, its token walk left to its first decode, and seq recorded as
+// its home. A chunk of a series the head does not hold, or past its
+// chunk count, is stepped over.
+func (w *recoveryWorker) installChunks(b []byte, seq uint64) {
+	span := w.r.store.span
+	e, b := w.entry(b)
+	n := int(binary.BigEndian.Uint32(b))
+	b = b[4:]
+	for ; n > 0; n-- {
+		ci, encLen := int(binary.BigEndian.Uint32(b)), binary.BigEndian.Uint32(b[4:])
+		b = b[8:]
+		var ck *chunk.Chunk
+		if encLen == chunkTombstone {
+			// A quarantined chunk round-trips as a tombstone.
+			ck = chunk.Tombstone(span)
+		} else {
+			crc := binary.BigEndian.Uint32(b)
+			if e != nil && ci < len(e.chunks) {
+				ck, _ = chunk.FromEncoded(append([]byte(nil), b[4:4+encLen]...), span)
+				if ck.CRC() != crc {
+					// The framing held but the bytes are rotten: quarantine this
+					// chunk and keep recovering the rest of the store.
+					ck = chunk.Tombstone(span)
+				}
+			}
+			b = b[4+encLen:]
+		}
+		if e != nil && ci < len(e.chunks) {
+			ck.SetHome(seq)
+			e.chunks[ci] = ck
+		}
+	}
+}
+
+// entry finds the restored series whose key is at the front of a
+// framed group b, and returns it (nil for none) and the rest of b. A
+// segment's groups come in key order, as the head's series did, so the
+// search walks on from the last series found, and starts over by
+// bisection when a key lies behind it — the next segment's first.
+func (w *recoveryWorker) entry(b []byte) (*seriesEntry, []byte) {
+	scope := topo.Scope(b[0])
+	el := int(binary.BigEndian.Uint16(b[1:]))
+	entity := b[3 : 3+el]
+	ml := int(binary.BigEndian.Uint16(b[3+el:]))
+	metric := b[5+el : 5+el+ml]
+	rest := b[5+el+ml:]
+	cmp := func(k *topo.KPIKey) int {
+		switch {
+		case k.Scope != scope:
+			return int(k.Scope) - int(scope)
+		case k.Entity != string(entity):
+			if k.Entity < string(entity) {
+				return -1
+			}
+			return 1
+		case k.Metric != string(metric):
+			if k.Metric < string(metric) {
+				return -1
+			}
+			return 1
+		}
+		return 0
+	}
+	i := w.at
+	if i > 0 && i <= len(w.restored) && cmp(&w.restored[i-1].key) >= 0 {
+		i = sort.Search(len(w.restored), func(j int) bool { return cmp(&w.restored[j].key) >= 0 })
+	}
+	for i < len(w.restored) && cmp(&w.restored[i].key) < 0 {
+		i++
+	}
+	w.at = i
+	if i < len(w.restored) && cmp(&w.restored[i].key) == 0 {
+		w.at = i + 1
+		return w.restored[i].e, rest
+	}
+	return nil, rest
+}
+
+// settle closes the worker's installs: a chunk slot no segment filled
+// gets a tombstone, which the next compaction writes, and every
+// tombstone is counted as quarantined.
+func (w *recoveryWorker) settle() {
+	span := w.r.store.span
+	for _, rs := range w.restored {
+		e := rs.e
+		for i, ck := range e.chunks {
+			if ck == nil {
+				ck = chunk.Tombstone(span)
+				e.chunks[i] = ck
+			}
+			if ck.Quarantined() {
+				w.quarantined++
+			}
+		}
+	}
+	w.restored = nil
 }
 
 // snapshotKey reads the key at the front of a framed series body b —

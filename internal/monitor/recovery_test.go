@@ -54,15 +54,16 @@ func genLog(t *testing.T, dir string, back int) string {
 // diffSpan is the chunk span of the recovery images.
 const diffSpan = 16
 
-// imageProg writes a crash image: 40 bins of 48 keys compacted into the
-// snapshot, walBins more in the log — by Append and AppendBatch, with a
-// late write into a sealed chunk and one (key, bin) twice in a batch —
-// and then a generation of 20 more bins per reopen in gens, each the
+// imageProg writes a crash image: 40 bins of 48 keys compacted into a
+// base segment, walBins more — half of them compacted into a level-0
+// segment, the rest in the log — by Append and AppendBatch, with a late
+// write into a sealed chunk and one (key, bin) twice in a batch, and
+// then a generation of 20 more bins per reopen in gens, each the
 // progShards selector of the reopen.
 func imageProg(walBins int, gens ...int) []int {
 	var p []int
 	for bin := 0; bin < 40+walBins; bin++ {
-		if bin == 40 {
+		if bin == 40 || bin == 40+walBins/2 && walBins >= 2 {
 			p = append(p, opCompact, 0)
 		}
 		p = append(p, opBin, wr(0, bin%2, bin%4|bin%5/4*4))
@@ -362,7 +363,8 @@ func TestRecoveryErrorJoinsWorkers(t *testing.T) {
 	keys := fleetKeys(400)
 	rng := rand.New(rand.NewPCG(1, 2))
 	batch := make([]Measurement, len(keys))
-	for bin := range 1300 {
+	for bin := range 1600 { // three sealed chunks a series
+
 		for i, k := range keys {
 			batch[i] = Measurement{k, t0.Add(time.Duration(bin) * time.Minute), rng.NormFloat64()}
 		}
@@ -374,9 +376,9 @@ func TestRecoveryErrorJoinsWorkers(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rewriteFile(t, filepath.Join(dir, snapshotFile), func(raw []byte) []byte {
+	rewriteFile(t, filepath.Join(dir, segmentName(1)), func(raw []byte) []byte {
 		if len(raw) < 2*replayBlock {
-			t.Fatalf("the snapshot is %d bytes, want more than two blocks of %d", len(raw), replayBlock)
+			t.Fatalf("the segment is %d bytes, want more than two blocks of %d", len(raw), replayBlock)
 		}
 		return raw[:3*replayBlock/2]
 	})
@@ -384,10 +386,10 @@ func TestRecoveryErrorJoinsWorkers(t *testing.T) {
 	st, err = OpenPersistent(dir, time.Time{}, 0, PersistOptions{Shards: 8, SyncInterval: -1, CompactBytes: -1, FS: cfs})
 	if err == nil {
 		st.Close()
-		t.Fatal("OpenPersistent recovered a snapshot cut short")
+		t.Fatal("OpenPersistent recovered a segment cut short")
 	}
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("error %q, want the snapshot's framing cut short", err)
+		t.Fatalf("error %q, want the segment's framing cut short", err)
 	}
 	if n := cfs.open.Load(); n != 0 {
 		t.Fatalf("failed open (%v): %d files left open", err, n)

@@ -3,92 +3,147 @@ package monitor
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
+	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/chunk"
+	"repro/internal/faultfs"
 	"repro/internal/topo"
 )
 
-// Snapshot format: a durable dump of a Store, so a FUNNEL deployment
-// can restart without losing the 30-day baselines the seasonal DiD
-// needs (§3.2.5). Version 3 stores each series' sealed chunks
-// verbatim with a per-chunk CRC-32 — the snapshot is as compressed as
-// the resident store, recovery skips re-encoding, and a flipped bit on
-// disk is caught on read instead of decoding into silently wrong
-// values. Layout (all integers big-endian):
+// The segment store: the durable image of a Store, so a FUNNEL
+// deployment can restart without losing the 30-day baselines the
+// seasonal DiD needs (§3.2.5). Sealed chunks are immutable, so each is
+// written once, into an immutable segment file, and stays there; what
+// changes from one compaction to the next — the epoch, the series, each
+// series' pruned head, chunk count and unsealed bins — goes into one
+// small head file, rewritten whole. The data directory stays flat:
 //
-//	magic "FNLS" | version uint16 | startUnixNano int64 |
-//	stepNanos int64 | chunkSpan uint32 | seriesCount uint32,
-//	then per series:
+//	head.fnlh     — the head, the commit point: written to head.tmp,
+//	  fsynced, renamed over, and the directory fsynced
+//	seg-<seq>.fnlc — a segment; the head lists the live ones, and any
+//	  other is the leftover of a compaction that died, which the next
+//	  open removes
+//
+// Head layout (all integers big-endian):
+//
+//	magic "FNLH" | version uint16 | startUnixNano int64 |
+//	stepNanos int64 | chunkSpan uint32 |
+//	segmentCount uint32, then per live segment, oldest first:
+//	  seq uint64 | level uint8,
+//	seriesCount uint32, then per series:
 //	  scope uint8 | entityLen uint16 | entity | metricLen uint16 |
-//	  metric | head uint32 | chunkCount uint32,
-//	  then per sealed chunk (each holding exactly chunkSpan bins):
-//	    encLen uint32 | crc32(data) uint32 | encLen encoded bytes
-//	    (see internal/chunk), or the single sentinel word
-//	    0xFFFFFFFF for a quarantined chunk (no crc, no data),
-//	  then tailCount uint32 | tailCount × float64 bits
+//	  metric | head uint32 | chunkCount uint32 |
+//	  tailCount uint32 | tailCount × float64 bits,
+//	crc32(every byte before it) uint32
 //
+// Segment layout:
+//
+//	magic "FNLC" | version uint16 | chunkSpan uint32 | groupCount uint32,
+//	then per group (one series):
+//	  scope uint8 | entityLen uint16 | entity | metricLen uint16 |
+//	  metric | chunkCount uint32,
+//	  then per chunk, by ascending index:
+//	    index uint32 | encLen uint32 | crc32(data) uint32 | encLen
+//	    encoded bytes (see internal/chunk), or index uint32 | the
+//	    sentinel 0xFFFFFFFF for a quarantined chunk (no crc, no data)
+//
+// A series' chunk i is the copy of (key, i) in the newest live segment
+// that holds one; every index below the head's chunkCount must have one.
 // head is the count of already-pruned leading bins inside the first
-// chunk. NaN gaps round-trip exactly (the chunk codec is bit-exact,
-// and the raw tail stores quiet-NaN bits as-is). Series are written in
-// sorted key order (scope, entity, metric) and the chunk encoder is
-// deterministic, so two stores with identical logical contents produce
-// byte-identical snapshots — the crash-recovery e2e depends on this.
+// chunk. Series and groups are written in sorted key order (scope,
+// entity, metric) and the chunk encoder is deterministic, so the same
+// compactions of the same data write the same bytes.
+//
+// What a compaction writes (persister.compactAs): one new segment
+// holding the chunks no live segment holds — the newly sealed ones and
+// the ones a late write rebuilt, which are new chunks, where a chunk
+// read back or written before records the segment it is in
+// (chunk.SetHome) — and a fresh head. Segments merge binary-counter
+// style: a segment has a level, the new one 0, and it absorbs the
+// newest live segments while their levels read 0, 1, 2, … back from the
+// newest, taking the level one past the last it absorbed; it writes the
+// chunks whose home is one of them again, so a merged segment holds each
+// chunk of its inputs once, its newest copy. So O(log n) segments are live after
+// n compactions and a chunk is rewritten O(log n) times. A base
+// segment, which holds every chunk, is never merged: the first
+// compaction, the one after a Prune (which renumbers chunks) and an fsck
+// repair write one, and the head then lists it alone.
 //
 // Reading is a recovery pass's first stream (see recover.go): one
-// reader checks the framing a block at a time and hands each series'
-// bytes to the worker that owns its key's shard, which builds the entry
-// from them — both key strings in one allocation, the shard maps sized
-// from seriesCount, bounded by the snapshot's size — runs each sealed
-// chunk's CRC check and token walk (chunk.FromEncoded), and installs
-// the series.
+// reader checks the framing a block at a time and hands each series, and
+// then each group of the live segments, oldest first, to the worker
+// that owns its key's shard. The worker builds the entry from the head,
+// then sets each chunk from a group — a later copy supersedes an earlier
+// one — after checking its CRC. The token walk that proves a stream
+// decodes is deferred to the chunk's first decode (chunk.Check), so an
+// open pays for the checksum only.
 //
-// A chunk whose stored CRC does not match its bytes (or whose stream
-// fails validation) is quarantined, not fatal: the reader installs a
-// NaN tombstone in its place and continues, because the record framing
-// is length-prefixed and stays decodable. The corruption then surfaces
-// through the store's gap accounting as an explicitly degraded
-// (Inconclusive) verdict rather than a crash or a confident lie.
-// Quarantined chunks round-trip through the sentinel, so re-snapshots
-// stay deterministic.
+// A chunk whose stored CRC does not match its bytes, or that no live
+// segment holds, is quarantined, not fatal: the reader installs a NaN
+// tombstone in its place and continues, because the record framing is
+// length-prefixed and stays decodable. A stream that passes its CRC and
+// fails its walk becomes a tombstone at its first decode. The
+// corruption then surfaces through the store's gap accounting as an
+// explicitly degraded (Inconclusive) verdict rather than a crash or a
+// confident lie. Quarantined chunks round-trip through the sentinel.
+// A head whose checksum fails, or a file whose framing breaks, ends the
+// open with an error.
 //
-// Version 3 is the only version read: the checksum-less version 2 and
-// the flat version 1 were never deployed, and a snapshot declaring
-// either is refused as unsupported.
+// This is the one on-disk form of a store's image. The single-file
+// snapshot.fnls of version 3 is refused by name; commit 17935ff is the
+// last build that reads it.
 const (
-	snapshotMagic   = "FNLS"
-	snapshotVersion = 3
+	headMagic      = "FNLH"
+	segmentMagic   = "FNLC"
+	headVersion    = 1
+	segmentVersion = 1
+
+	headFile       = "head.fnlh"
+	headTmpFile    = "head.tmp"
+	segmentPrefix  = "seg-"
+	segmentSuffix  = ".fnlc"
+	legacySnapshot = "snapshot.fnls"
 )
 
-// snapshotTombstone is the encLen sentinel marking a quarantined chunk
-// in a snapshot.
-const snapshotTombstone = 0xFFFFFFFF
+// segmentName is the one naming rule for segments.
+func segmentName(seq uint64) string {
+	return fmt.Sprintf("%s%d%s", segmentPrefix, seq, segmentSuffix)
+}
 
-// maxSnapshotSpan bounds the chunk span a snapshot header may declare.
+// errLegacySnapshot refuses a directory holding a version 3 snapshot.
+var errLegacySnapshot = errors.New("monitor: unsupported snapshot version 3 (" + legacySnapshot + "): the last build that reads it is commit 17935ff")
+
+// chunkTombstone is the encLen sentinel marking a quarantined chunk in
+// a segment.
+const chunkTombstone = 0xFFFFFFFF
+
+// baseLevel is a base segment's level: no merge absorbs it.
+const baseLevel = 0xFF
+
+// maxLiveSegments bounds the segment list a head may declare: levels
+// below baseLevel, plus the base.
+const maxLiveSegments = 64
+
+// maxSnapshotSpan bounds the chunk span a head or segment may declare.
 // Real spans are a few hundred bins (a day is 1440); the bound exists
-// because the per-chunk allocation limit is derived from the span, so
-// a corrupt header must not be able to demand gigabytes.
+// because the per-chunk allocation limit is derived from the span, so a
+// corrupt header must not be able to demand gigabytes.
 const maxSnapshotSpan = 1 << 20
 
-// WriteSnapshot dumps the store's full contents in sorted key order. It
-// holds every shard read-locked only for the cut (see snapshotCut), so
-// the dump is a consistent image even against concurrent appends and
-// prunes, and encodes and writes it with no lock held.
-func (s *Store) WriteSnapshot(w io.Writer) error {
-	var c snapshotCut
-	s.epochMu.RLock()
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-	}
-	c.takeLocked(s)
-	for i := range s.shards {
-		s.shards[i].mu.RUnlock()
-	}
-	s.epochMu.RUnlock()
-	return c.writeTo(w)
+// segmentRef is one live segment: its sequence number, which names
+// its file, its merge level, and its size on disk.
+type segmentRef struct {
+	seq   uint64
+	level uint8
+	size  int64
 }
 
 // snapshotCut is an immutable image of a store, taken under its locks
@@ -99,13 +154,18 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 // reader captured, or is replaced (see seriesEntry) — so the headers
 // keep describing the cut while writers go on.
 type snapshotCut struct {
-	start  time.Time
-	step   time.Duration
-	span   int
+	start time.Time
+	step  time.Duration
+	span  int
+	prune uint64 // the store's pruneEpoch
+	// series is sorted by key once sort has run.
 	series []cutSeries
 	// bins holds every series' unsealed bins, tail then line, back to
 	// back; a compacting persister reuses it from one cut to the next.
 	bins []float64
+	// picks holds the chunk indices the last segment write took, series
+	// i's ending at ends[i].
+	picks, ends []int
 }
 
 // cutSeries is one series of a cut; bins[lo:hi] of the cut are its
@@ -148,7 +208,7 @@ func (c *snapshotCut) reserve(s *Store) {
 // takeLocked captures s into c, reusing c's buffers. The caller holds
 // epochMu and every shard lock, for reading at least.
 func (c *snapshotCut) takeLocked(s *Store) {
-	c.start, c.step, c.span = s.start, s.step, s.span
+	c.start, c.step, c.span, c.prune = s.start, s.step, s.span, s.pruneEpoch
 	c.series, c.bins = c.series[:0], c.bins[:0]
 	for i := range s.shards {
 		for k, e := range s.shards[i].series {
@@ -160,13 +220,25 @@ func (c *snapshotCut) takeLocked(s *Store) {
 	}
 }
 
-// writeTo writes the cut as a snapshot stream, series in sorted key
-// order. It drops the cut's references to the store's chunks on the way
-// out, so a kept cut does not hold pruned history alive.
-func (c *snapshotCut) writeTo(w io.Writer) error {
-	defer clear(c.series)
+// take is takeLocked for a caller that holds no lock.
+func (c *snapshotCut) take(s *Store) {
+	s.epochMu.RLock()
+	for i := range s.shards {
+		s.shards[i].mu.RLock()
+	}
+	c.takeLocked(s)
+	for i := range s.shards {
+		s.shards[i].mu.RUnlock()
+	}
+	s.epochMu.RUnlock()
+	c.sort()
+}
+
+// sort puts the cut's series in key order (scope, entity, metric): the
+// order of series in a head and of groups in a segment.
+func (c *snapshotCut) sort() {
 	sort.Slice(c.series, func(i, j int) bool {
-		a, b := c.series[i].key, c.series[j].key
+		a, b := &c.series[i].key, &c.series[j].key
 		if a.Scope != b.Scope {
 			return a.Scope < b.Scope
 		}
@@ -175,103 +247,200 @@ func (c *snapshotCut) writeTo(w io.Writer) error {
 		}
 		return a.Metric < b.Metric
 	})
+}
 
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return err
-	}
-	var scratch [8]byte
-	binary.BigEndian.PutUint16(scratch[:2], snapshotVersion)
-	if _, err := bw.Write(scratch[:2]); err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint64(scratch[:], uint64(c.start.UnixNano()))
-	if _, err := bw.Write(scratch[:]); err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint64(scratch[:], uint64(c.step))
-	if _, err := bw.Write(scratch[:]); err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint32(scratch[:4], uint32(c.span))
-	if _, err := bw.Write(scratch[:4]); err != nil {
-		return err
-	}
+// release drops the cut's references to the store's chunks, so a kept
+// cut does not hold pruned history alive.
+func (c *snapshotCut) release() { clear(c.series) }
 
-	binary.BigEndian.PutUint32(scratch[:4], uint32(len(c.series)))
-	if _, err := bw.Write(scratch[:4]); err != nil {
+// writeHead writes the cut as a head file listing live, series in key
+// order (the cut is sorted).
+func (c *snapshotCut) writeHead(w io.Writer, live []segmentRef) error {
+	sum := crc32.NewIEEE()
+	bw := bufio.NewWriterSize(io.MultiWriter(w, sum), 1<<16)
+	rec := append(make([]byte, 0, 256), headMagic...)
+	rec = binary.BigEndian.AppendUint16(rec, headVersion)
+	rec = binary.BigEndian.AppendUint64(rec, uint64(c.start.UnixNano()))
+	rec = binary.BigEndian.AppendUint64(rec, uint64(c.step))
+	rec = binary.BigEndian.AppendUint32(rec, uint32(c.span))
+	rec = binary.BigEndian.AppendUint32(rec, uint32(len(live)))
+	for _, g := range live {
+		rec = binary.BigEndian.AppendUint64(rec, g.seq)
+		rec = append(rec, g.level)
+	}
+	rec = binary.BigEndian.AppendUint32(rec, uint32(len(c.series)))
+	if _, err := bw.Write(rec); err != nil {
 		return err
 	}
 	for _, cs := range c.series {
-		hdr := []byte{byte(cs.key.Scope)}
-		var err error
-		if hdr, err = appendString(hdr, cs.key.Entity); err != nil {
+		rec, err := appendKey(rec[:0], cs.key)
+		if err != nil {
 			return err
 		}
-		if hdr, err = appendString(hdr, cs.key.Metric); err != nil {
+		tail := c.bins[cs.lo:cs.hi]
+		rec = binary.BigEndian.AppendUint32(rec, uint32(cs.head))
+		rec = binary.BigEndian.AppendUint32(rec, uint32(len(cs.chunks)))
+		rec = binary.BigEndian.AppendUint32(rec, uint32(len(tail)))
+		for _, v := range tail {
+			rec = binary.BigEndian.AppendUint64(rec, math.Float64bits(v))
+		}
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
-		if _, err := bw.Write(hdr); err != nil {
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	_, err := w.Write(binary.BigEndian.AppendUint32(rec[:0], sum.Sum32()))
+	return err
+}
+
+// pickFunc appends to idx the indices of cs's chunks a segment takes,
+// ascending.
+type pickFunc func(cs *cutSeries, idx []int) []int
+
+// pickAll takes every chunk: a base segment.
+func pickAll(cs *cutSeries, idx []int) []int {
+	for i := range cs.chunks {
+		idx = append(idx, i)
+	}
+	return idx
+}
+
+// pickHomes returns a pickFunc that takes the chunks no live segment
+// holds — the ones sealed since the last compaction, and the ones a late
+// write rebuilt — and the ones whose home is in folded, the segments a
+// merge absorbs.
+func pickHomes(folded []segmentRef) pickFunc {
+	return func(cs *cutSeries, idx []int) []int {
+		for i, ck := range cs.chunks {
+			if h := ck.Home(); h == 0 || slices.ContainsFunc(folded, func(g segmentRef) bool { return g.seq == h }) {
+				idx = append(idx, i)
+			}
+		}
+		return idx
+	}
+}
+
+// writeSegment writes a segment of the chunks pick takes from the cut,
+// groups in key order (the cut is sorted).
+func (c *snapshotCut) writeSegment(w io.Writer, pick pickFunc) error {
+	// The picks first: the header counts the groups.
+	c.picks, c.ends = c.picks[:0], c.ends[:0]
+	groups := 0
+	for i := range c.series {
+		n := len(c.picks)
+		c.picks = pick(&c.series[i], c.picks)
+		if len(c.picks) > n {
+			groups++
+		}
+		c.ends = append(c.ends, len(c.picks))
+	}
+	bw := bufio.NewWriterSize(w, 1<<16)
+	rec := append(make([]byte, 0, 256), segmentMagic...)
+	rec = binary.BigEndian.AppendUint16(rec, segmentVersion)
+	rec = binary.BigEndian.AppendUint32(rec, uint32(c.span))
+	rec = binary.BigEndian.AppendUint32(rec, uint32(groups))
+	if _, err := bw.Write(rec); err != nil {
+		return err
+	}
+	from := 0
+	for i, cs := range c.series {
+		idx := c.picks[from:c.ends[i]]
+		from = c.ends[i]
+		if len(idx) == 0 {
+			continue
+		}
+		rec, err := appendKey(rec[:0], cs.key)
+		if err != nil {
 			return err
 		}
-		binary.BigEndian.PutUint32(scratch[:4], uint32(cs.head))
-		if _, err := bw.Write(scratch[:4]); err != nil {
-			return err
-		}
-		binary.BigEndian.PutUint32(scratch[:4], uint32(len(cs.chunks)))
-		if _, err := bw.Write(scratch[:4]); err != nil {
-			return err
-		}
-		for _, ck := range cs.chunks {
-			if ck.Quarantined() {
-				binary.BigEndian.PutUint32(scratch[:4], snapshotTombstone)
-				if _, err := bw.Write(scratch[:4]); err != nil {
-					return err
-				}
+		rec = binary.BigEndian.AppendUint32(rec, uint32(len(idx)))
+		for _, ci := range idx {
+			ck := cs.chunks[ci]
+			rec = binary.BigEndian.AppendUint32(rec, uint32(ci))
+			if ck.Quarantined() && ck.Data() == nil {
+				rec = binary.BigEndian.AppendUint32(rec, chunkTombstone)
 				continue
 			}
-			binary.BigEndian.PutUint32(scratch[:4], uint32(ck.EncodedBytes()))
-			binary.BigEndian.PutUint32(scratch[4:8], ck.CRC())
-			if _, err := bw.Write(scratch[:8]); err != nil {
+			rec = binary.BigEndian.AppendUint32(rec, uint32(ck.EncodedBytes()))
+			rec = binary.BigEndian.AppendUint32(rec, ck.CRC())
+			if _, err := bw.Write(rec); err != nil {
 				return err
 			}
 			if _, err := bw.Write(ck.Data()); err != nil {
 				return err
 			}
+			rec = rec[:0]
 		}
-		tail := c.bins[cs.lo:cs.hi]
-		binary.BigEndian.PutUint32(scratch[:4], uint32(len(tail)))
-		if _, err := bw.Write(scratch[:4]); err != nil {
+		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
-		// The unsealed bins go out a block at a time, as the reader takes
-		// them in (all into its tail).
-		var block [64 * 8]byte
-		for len(tail) > 0 {
-			n := min(len(tail), len(block)/8)
-			for i, v := range tail[:n] {
-				binary.BigEndian.PutUint64(block[8*i:], math.Float64bits(v))
-			}
-			if _, err := bw.Write(block[:8*n]); err != nil {
-				return err
-			}
-			tail = tail[n:]
-		}
 	}
-	err := bw.Flush()
-	return err
+	return bw.Flush()
 }
 
-// countingReader counts the bytes read through it.
-type countingReader struct {
-	r io.Reader
-	n int64
+// setHomes records segment seq as the home of the chunks the last
+// segment write took, once the head that lists it is installed.
+func (c *snapshotCut) setHomes(seq uint64) {
+	from := 0
+	for i, cs := range c.series {
+		for _, ci := range c.picks[from:c.ends[i]] {
+			cs.chunks[ci].SetHome(seq)
+		}
+		from = c.ends[i]
+	}
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+// writeSegmentFile writes a segment of the chunks pick takes from c to
+// dir as seg-<seq>, fsynced, and returns its size. A failed write
+// removes the file.
+func writeSegmentFile(fsys faultfs.FS, dir string, seq uint64, c *snapshotCut, pick pickFunc) (int64, error) {
+	path := filepath.Join(dir, segmentName(seq))
+	f, err := fsys.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	cw := &countingWriter{w: f}
+	err = c.writeSegment(cw, pick)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fsys.Remove(path)
+		return 0, err
+	}
+	return cw.n, nil
+}
+
+// commitHead installs a head of c listing live: it is written to
+// head.tmp and fsynced, renamed over head.fnlh — the commit point — and
+// the directory is fsynced. It returns the head's size.
+func commitHead(fsys faultfs.FS, dir string, c *snapshotCut, live []segmentRef) (int64, error) {
+	tmpPath := filepath.Join(dir, headTmpFile)
+	f, err := fsys.Create(tmpPath)
+	if err != nil {
+		return 0, err
+	}
+	cw := &countingWriter{w: f}
+	err = c.writeHead(cw, live)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmpPath, filepath.Join(dir, headFile))
+	}
+	if err != nil {
+		fsys.Remove(tmpPath)
+		return 0, err
+	}
+	return cw.n, syncFSDir(fsys, dir)
 }
 
 // countingWriter counts the bytes written through it.

@@ -2,12 +2,14 @@ package monitor
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"io"
+	"hash/crc32"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/topo"
 )
 
@@ -20,58 +22,72 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotEmptyStore(t *testing.T) {
 	s := NewStore(t0, time.Minute)
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(&buf)
+	got, err := restoreImage(imageOf(t, s))
 	if err != nil || got.Len() != 0 {
-		t.Fatalf("empty round trip: len=%d err=%v", got.Len(), err)
+		t.Fatalf("empty round trip: %v", err)
 	}
 }
 
 func TestSnapshotRejectsGarbage(t *testing.T) {
-	cases := []string{
+	s := NewStore(t0, time.Minute)
+	s.SetChunkSpan(4)
+	for bin := range 6 {
+		s.Append(Measurement{kCPU, t0.Add(time.Duration(bin) * time.Minute), float64(bin)})
+	}
+	good := imageOf(t, s)
+	for i, head := range []string{
 		"",
 		"XXXX",
-		"FNLS\x00\x63", // wrong version
-	}
-	for i, c := range cases {
-		if _, err := ReadSnapshot(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d should fail", i)
+		"FNLH\x00\x63",                       // wrong version
+		string(good.head[:len(good.head)-4]), // truncated
+		string(good.head) + "\x00",           // trailing bytes
+		string(good.head[:len(good.head)-1]) + "\x00", // checksum
+	} {
+		if _, err := restoreImage(image{head: []byte(head), seg: good.seg}); err == nil {
+			t.Errorf("head case %d should fail", i)
 		}
 	}
-	// Truncated body.
-	s := NewStore(t0, time.Minute)
-	s.Append(Measurement{kCPU, t0, 1})
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
+	for i, seg := range []string{
+		"",
+		"XXXX",
+		"FNLC\x00\x63",
+		string(good.seg[:len(good.seg)-4]),
+		string(good.seg) + "\x00",
+	} {
+		if _, err := restoreImage(image{head: good.head, seg: []byte(seg)}); err == nil {
+			t.Errorf("segment case %d should fail", i)
+		}
 	}
-	full := buf.Bytes()
-	if _, err := ReadSnapshot(bytes.NewReader(full[:len(full)-4])); err == nil {
-		t.Error("truncated snapshot should fail")
+	if _, err := restoreImage(good); err != nil {
+		t.Fatalf("the unpatched image: %v", err)
 	}
 }
 
-// TestSnapshotBadScope: a series whose scope byte names none of the
-// three scopes is refused on read. Append drops such a key, so the bad
-// snapshot is a valid one with the first series' scope byte patched.
+// TestSnapshotBadScope: a series or group whose scope byte names none
+// of the three scopes is refused on read. Append drops such a key, so
+// the bad file is a valid one with the first key's scope byte patched
+// (and the head's checksum made good again).
 func TestSnapshotBadScope(t *testing.T) {
 	s := NewStore(t0, time.Minute)
+	s.SetChunkSpan(2)
 	s.Append(Measurement{kCPU, t0, 1})
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
+	s.Append(Measurement{kCPU, t0.Add(time.Minute), 2})
+	im := imageOf(t, s)
+	const headScopeAt = 4 + 2 + 8 + 8 + 4 + 4 + 9 + 4 // header, one segment, series count
+	const segScopeAt = 4 + 2 + 4 + 4
+	if _, err := restoreImage(im); err != nil || im.head[headScopeAt] != byte(kCPU.Scope) || im.seg[segScopeAt] != byte(kCPU.Scope) {
+		t.Fatalf("unpatched image: %v, scope bytes %d and %d", err, im.head[headScopeAt], im.seg[segScopeAt])
 	}
-	snap := buf.Bytes()
-	const scopeAt = 4 + 2 + 8 + 8 + 4 + 4 // the header's length
-	if _, err := ReadSnapshot(bytes.NewReader(snap)); err != nil || snap[scopeAt] != byte(kCPU.Scope) {
-		t.Fatalf("unpatched snapshot: %v, scope byte %d", err, snap[scopeAt])
+	head := bytes.Clone(im.head)
+	head[headScopeAt] = 99
+	binary.BigEndian.PutUint32(head[len(head)-4:], crc32.ChecksumIEEE(head[:len(head)-4]))
+	if _, err := restoreImage(image{head: head, seg: im.seg}); err == nil || !strings.Contains(err.Error(), "bad scope") {
+		t.Fatalf("a head series of invalid scope: %v", err)
 	}
-	snap[scopeAt] = 99
-	if _, err := ReadSnapshot(bytes.NewReader(snap)); err == nil {
-		t.Fatal("invalid scope should be rejected on read")
+	seg := bytes.Clone(im.seg)
+	seg[segScopeAt] = 99
+	if _, err := restoreImage(image{head: im.head, seg: seg}); err == nil || !strings.Contains(err.Error(), "bad scope") {
+		t.Fatalf("a segment group of invalid scope: %v", err)
 	}
 }
 
@@ -103,13 +119,13 @@ func TestReadSnapshotStringAllocs(t *testing.T) {
 	}
 }
 
-// TestRestoreSeriesAllocs pins what restoring a series from a snapshot
-// allocates: its entry, key, chunk list, and each chunk's bytes and
-// chunk. Its tail is cut from its worker's slab (keyRuns.newTail), and
-// the pass's own allocations — store, maps sized from the header,
-// blocks, workers — do not grow with the series count.
+// TestRestoreSeriesAllocs pins what restoring a series from a head and
+// a segment allocates: its entry, key, chunk list, and each chunk's
+// bytes and chunk. Its tail is cut from its worker's slab
+// (keyRuns.newTail), and the pass's own allocations — store, maps sized
+// from the header, blocks, workers — do not grow with the series count.
 func TestRestoreSeriesAllocs(t *testing.T) {
-	image := func(n int) []byte {
+	build := func(n int) image {
 		s := NewStore(t0, time.Minute)
 		s.SetChunkSpan(16)
 		for i := range n {
@@ -118,23 +134,16 @@ func TestRestoreSeriesAllocs(t *testing.T) {
 				s.Append(Measurement{k, t0.Add(time.Duration(bin) * time.Minute), float64(bin * i)})
 			}
 		}
-		var buf bytes.Buffer
-		if err := s.WriteSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return imageOf(t, s)
 	}
-	restore := func(snap []byte) float64 {
+	restore := func(im image) float64 {
 		return testing.AllocsPerRun(5, func() {
-			rc := &recovery{shards: StoreShards}
-			err := rc.readSnapshot(bytes.NewReader(snap), int64(len(snap)))
-			rc.join()
-			if err != nil || rc.stats.SnapshotSeries == 0 {
-				t.Fatalf("restore: %v, %d series", err, rc.stats.SnapshotSeries)
+			if st, err := restoreImage(im); err != nil || st.Len() == 0 {
+				t.Fatalf("restore: %v", err)
 			}
 		})
 	}
-	small, large := restore(image(256)), restore(image(2048))
+	small, large := restore(build(256)), restore(build(2048))
 	perSeries := (large - small) / (2048 - 256)
 	t.Logf("%.3f allocations per restored series", perSeries)
 	if perSeries > 5.05 {
@@ -142,7 +151,7 @@ func TestRestoreSeriesAllocs(t *testing.T) {
 	}
 }
 
-// TestRestoredTailHasSpanCapacity: a series restored with a snapshot
+// TestRestoredTailHasSpanCapacity: a series restored with a head's
 // tail holds it at span capacity, where replay appends in place, and
 // one without a tail holds none; after a reopen replays bins onto the
 // tail, it still has span capacity and the store's values. At a span
@@ -166,17 +175,14 @@ func TestRestoredTailHasSpanCapacity(t *testing.T) {
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	var snap bytes.Buffer
-	if err := st.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	write(tailed, span+4, span+7) // into the log, onto the snapshot's tail
+	snap := imageOf(t, st)
+	write(tailed, span+4, span+7) // into the log, onto the head's tail
 	want := snapshotBytes(t, st)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	restored, err := ReadSnapshot(&snap)
+	restored, err := restoreImage(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +197,7 @@ func TestRestoredTailHasSpanCapacity(t *testing.T) {
 	wide := NewStore(t0, time.Minute)
 	wide.SetChunkSpan(maxSnapshotSpan)
 	wide.Append(Measurement{tailed, t0, 1})
-	var wideSnap bytes.Buffer
-	if err := wide.WriteSnapshot(&wideSnap); err != nil {
-		t.Fatal(err)
-	}
-	if restored, err = ReadSnapshot(&wideSnap); err != nil {
+	if restored, err = restoreImage(imageOf(t, wide)); err != nil {
 		t.Fatal(err)
 	}
 	if e := restored.shardFor(tailed).series[tailed]; len(e.tail) != 1 || cap(e.tail) > slabBins {
@@ -215,15 +217,40 @@ func TestRestoredTailHasSpanCapacity(t *testing.T) {
 	}
 }
 
-// ReadSnapshot reconstructs a default-striped Store from a snapshot
-// stream, counting its quarantined chunks the way recovery does.
-func ReadSnapshot(r io.Reader) (*Store, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
+// image is a store's head and one base segment holding every chunk —
+// the files a compaction that writes a base leaves — in memory.
+type image struct{ head, seg []byte }
+
+// imageOf writes s's image: its head lists one base segment, number 1.
+func imageOf(t testing.TB, s *Store) image {
+	t.Helper()
+	var c snapshotCut
+	c.take(s)
+	defer c.release()
+	var head, seg bytes.Buffer
+	if err := c.writeSegment(&seg, pickAll); err != nil {
+		t.Fatal(err)
 	}
+	if err := c.writeHead(&head, []segmentRef{{seq: 1, level: baseLevel}}); err != nil {
+		t.Fatal(err)
+	}
+	return image{head: head.Bytes(), seg: seg.Bytes()}
+}
+
+// snapshotBytes dumps a store for byte-level comparison: its image's
+// head and segment, back to back.
+func snapshotBytes(t testing.TB, s *Store) []byte {
+	t.Helper()
+	im := imageOf(t, s)
+	return append(im.head, im.seg...)
+}
+
+// restoreImage reconstructs a default-striped Store from an image whose
+// head lists segment 1 (or none), as recovery reads a directory's, and
+// counts its quarantined chunks the way an open does.
+func restoreImage(im image) (*Store, error) {
 	rc := &recovery{shards: StoreShards}
-	err = rc.readSnapshot(bytes.NewReader(data), int64(len(data)))
+	err := rc.restore(im)
 	rc.join()
 	if err != nil {
 		return nil, err
@@ -232,4 +259,36 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		rc.store.quarantined.Add(int64(n))
 	}
 	return rc.store, nil
+}
+
+func (rc *recovery) restore(im image) error {
+	d := dirListing{headSize: int64(len(im.head)), segs: map[uint64]int64{1: int64(len(im.seg))}}
+	live, err := rc.readHead(bytes.NewReader(im.head), d)
+	if err != nil {
+		return err
+	}
+	if len(live) > 0 {
+		if err := rc.readSegment(bytes.NewReader(im.seg), 1, int64(len(im.seg))); err != nil {
+			return err
+		}
+	}
+	rc.mark(batchSnapshotEnd)
+	return nil
+}
+
+// installedImage is the image of what dir's head and live segments hold
+// (see snapshotBytes), or nil when it has no head.
+func installedImage(t testing.TB, dir string) []byte {
+	t.Helper()
+	rc := &recovery{fsys: faultfs.OS, shards: StoreShards}
+	d, err := scanDir(faultfs.OS, dir)
+	if err != nil || d.headSize < 0 {
+		return nil
+	}
+	err = rc.readImage(dir, d)
+	rc.join()
+	if err != nil {
+		t.Fatalf("reading the installed head: %v", err)
+	}
+	return snapshotBytes(t, rc.store)
 }

@@ -101,7 +101,8 @@ type Store struct {
 	obs atomic.Pointer[obs.Collector]
 
 	// quarantined counts sealed chunks replaced by NaN tombstones
-	// after failing their on-disk checksum; degradedReads counts
+	// after failing their on-disk checksum at open or their token walk
+	// at their first decode; degradedReads counts
 	// RangeInto calls whose window overlapped at least one such
 	// tombstone. Atomics: quarantine happens during recovery (before
 	// any collector is attached) and reads happen concurrently.
@@ -526,7 +527,7 @@ func (s *Store) setBinLocked(e *seriesEntry, idx int, v float64) {
 		ci := pos / span
 		p := s.spanBuf()
 		scratch := *p
-		e.chunks[ci].DecodeInto(scratch, 0, span)
+		s.decodeChunk(e.chunks[ci], scratch, 0, span)
 		scratch[pos%span] = v
 		nc := chunk.Encode(scratch)
 		s.spanScratch.Put(p)
@@ -606,11 +607,23 @@ func (s *Store) decodeFromLocked(e *seriesEntry, lo int, dst []float64) {
 				clo = 0
 			}
 			off := ci*span + clo - plo
-			e.chunks[ci].DecodeInto(dst[off:off+span-clo], clo, span)
+			s.decodeChunk(e.chunks[ci], dst[off:off+span-clo], clo, span)
 		}
 	}
 	tlo := max(lo-sealed, 0)
 	e.copyTail(dst[sealed+tlo-lo:], tlo, e.tailLen())
+}
+
+// decodeChunk decodes values [lo, hi) of ck into dst and reports
+// whether they came back as NaN because ck is quarantined. A chunk read
+// back from disk is token-walked at its first decode (chunk.Check), and
+// the one call whose walk fails counts it in monitor.quarantined_chunks.
+func (s *Store) decodeChunk(ck *chunk.Chunk, dst []float64, lo, hi int) bool {
+	if ck.Check() {
+		s.quarantined.Add(1)
+	}
+	ck.DecodeInto(dst, lo, hi)
+	return ck.Quarantined()
 }
 
 // spanBuf returns a span-sized scratch buffer from the pool. The caller
@@ -1039,8 +1052,7 @@ func (s *Store) rangeInto(key topo.KPIKey, from, to time.Time, dst []float64, al
 				chi = span
 			}
 			off := ci*span + clo - plo
-			chunks[ci].DecodeInto(dst[off:off+chi-clo], clo, chi)
-			if chunks[ci].Quarantined() {
+			if s.decodeChunk(chunks[ci], dst[off:off+chi-clo], clo, chi) {
 				degraded = true
 			}
 		}
@@ -1055,7 +1067,8 @@ func (s *Store) rangeInto(key topo.KPIKey, from, to time.Time, dst []float64, al
 }
 
 // QuarantinedChunks returns the number of sealed chunks replaced by
-// NaN tombstones after failing their on-disk checksum.
+// NaN tombstones after failing their on-disk checksum at open or their
+// token walk at their first decode.
 func (s *Store) QuarantinedChunks() int64 { return s.quarantined.Load() }
 
 // ArrivalWatermark returns the node-local time the key's most recent
@@ -1211,8 +1224,9 @@ type Stats struct {
 	CompressedBytes int64
 	// Chunks is the number of sealed chunks across all series.
 	Chunks int
-	// QuarantinedChunks is how many of them are checksum-failure
-	// tombstones (all their bins read as NaN).
+	// QuarantinedChunks is how many of them are tombstones (all their
+	// bins read as NaN): checksum failures at open, and chunks whose
+	// token walk failed at a decode so far.
 	QuarantinedChunks int
 	// TailBins is the number of mutable (uncompressed) tail bins.
 	TailBins int

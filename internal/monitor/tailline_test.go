@@ -44,7 +44,8 @@ func tailSeedPrograms() [][]byte {
 			opDrain, 0, opFeed, 0, opCompact, 0),
 		progOps(opGap, wr(5, 1, 2), opSnapshot, 0, opGap, wr(5, 2, 5), opGap, 6, opLateLine, wr(5, 3, 1), opGap, wr(5, 4, 7),
 			opGap, 40, opLateSealed, wr(5, 2, 9), opReconnect, 0, opBin, wr(0, 2, 2), opGap, 191, opSnapshot, 1,
-			opReopen, ro(1, 0, 0), opBin, wr(0, 3, 0), opDamage, 9<<8|40<<2, opBin, wr(0, 1, 4), opCompact, 0, opDamage, 10<<8, opBin, 0),
+			opReopen, ro(1, 0, 0), opBin, wr(0, 3, 0), opDamage, 9<<8|40<<2, opBin, wr(0, 1, 4), opCompact, 0, opDamage, 10<<8, opBin, 0,
+			opCompact, 0, opDamage, 11<<8|20<<2, opBin, 0),
 		progOps(opAppend, 69, opPruneLine, 1, opAppend, 0, opSnapshot, 0, opPruneTail, 0, opPruneTail, 2, opAppend, 63,
 			opLateTail, 3, opPruneLine, 0, opBin, wr(0, 2, 0), opCompact, 0, opBin, wr(0, 3, 2), opPruneChunks, wr(0, 0, 5),
 			opBin, wr(0, 2, 0), opCompact, 0, opReopen, ro(2, 3, 0), opAppend, wr(2, 2, 9), opDamage, 1<<8|1,
@@ -114,7 +115,7 @@ func TestTailSeedsReachEveryRegion(t *testing.T) {
 	for i := 0; i < pendBins; i++ {
 		want = append(want, fmt.Sprintf("snapshot with %d bins in the line", i))
 	}
-	for i := 0; i <= 10; i++ {
+	for i := 0; i <= 11; i++ {
 		want = append(want, fmt.Sprintf("damage %d", i))
 	}
 	for i := 0; i < 5; i++ {

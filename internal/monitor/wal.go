@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"math"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -22,42 +23,47 @@ import (
 
 // Write-ahead persistence: a Store opened with OpenPersistent logs
 // every stored measurement to one append-only file before the ingest
-// path returns, and compacts the log into a snapshot once the log has
-// grown to the snapshot's size (and to CompactBytes). A
-// crashed funnelserve reopens the directory and replays snapshot + logs
-// back to the exact pre-crash store; composed with the subscribe-since
-// watermarks (frame 0x03) downstream consumers resume with no loss end
-// to end.
+// path returns, and compacts the log into the segment store (see
+// snapshot.go) once the log has grown to the head file's size (and to
+// CompactBytes). A crashed funnelserve reopens the directory and
+// replays head, segments and logs back to the exact pre-crash store;
+// composed with the subscribe-since watermarks (frame 0x03) downstream
+// consumers resume with no loss end to end.
 //
-// On-disk layout inside the data directory:
+// On-disk layout inside the data directory (flat):
 //
-//	snapshot.fnls — latest compacted snapshot (the Store snapshot
-//	  format, written atomically via rename from snapshot.tmp)
-//	wal-<gen>.log — the log, one numbered generation per open and per
+//	head.fnlh      — the installed head: epoch, live segment list, and
+//	  per series its key, pruned head, chunk count and unsealed bins
+//	  (written atomically via rename from head.tmp)
+//	seg-<seq>.fnlc — an immutable segment of sealed chunks
+//	wal-<gen>.log  — the log, one numbered generation per open and per
 //	  rotation; the highest generation is the live one
 //
-// The invariant: the snapshot plus every generation on disk, replayed
-// in ascending order, is the store. Nothing is ever renamed or
-// overwritten to keep it — an open and a rotation both start generation
-// live+1 beside what is there, and a generation is deleted only after a
-// snapshot that covers it has been installed.
+// The invariant: the head and its live segments, plus every generation
+// on disk replayed in ascending order, is the store. Nothing is ever
+// renamed or overwritten to keep it but the head — an open and a
+// rotation both start generation live+1 beside what is there, a
+// segment is written once under a fresh number, and a generation or a
+// segment is deleted only after a head that no longer needs it has been
+// installed.
 //
 // Compaction stops the world for a cut, not a rewrite. Under every
 // shard lock it rotates the log and captures an immutable image of the
 // store — per series the key, the sealed chunks' slice header as it
-// stands and a copy of the unsealed bins (see snapshotCut) — and it
-// sorts, encodes, writes and fsyncs the snapshot with no shard lock
-// held. Sealed chunks are immutable and a published chunks slice is
-// never written in place, so the image stays valid while appends go on
-// into the fresh generation. Before it takes the locks it fsyncs the
-// live log and sizes the cut's buffers, so the fsync that retires the
-// log under them waits only on what arrived since, and the copy
-// allocates nothing. A compaction is due once the log not yet
-// in a snapshot reaches max(CompactBytes, size of the installed
-// snapshot): each rewrites at most as many bytes as the log it retires,
-// so rewrite work per logged byte stays bounded as the history grows,
-// and an open replays at most that much log. The price is disk: the log
-// may grow as large as the snapshot before it folds. The retired log
+// stands, the one the live segments hold, and a copy of the unsealed
+// bins (see snapshotCut) — and it sorts, encodes, writes and fsyncs the
+// new segment and head with no shard lock held. Sealed chunks are
+// immutable and a published chunks slice is never written in place, so
+// the image stays valid while appends go on into the fresh generation.
+// Before it takes the locks it fsyncs the live log and sizes the cut's
+// buffers, so the fsync that retires the log under them waits only on
+// what arrived since, and the copy allocates nothing. A compaction
+// writes only the chunks sealed or rebuilt since the last one (plus
+// what its binary-counter merge absorbs) and a head that holds no
+// sealed chunk, so its cost follows the data that arrived, not the
+// history held. It is due once the log not yet compacted reaches
+// max(CompactBytes, size of the installed head): an open then replays
+// at most that much log whatever the history length. The retired log
 // stops counting at the rotation, and the cut meets any request queued
 // before it, so appends during a compaction's write do not ask for
 // another.
@@ -120,36 +126,39 @@ import (
 // comes from the periodic fsync pass, which waits on the disk with no
 // shard lock held.
 //
-// Recovery order is snapshot, then the generations found, oldest first,
-// in one pass (recoverDir; recover.go has its reader and worker pool),
-// so a (key, bin) present in two generations ends up with the newer
-// one's value. A generation's records replay in file order through a
-// table per shard byte whose handles are the generation's ids in define
-// order, so a reference is an array index (keyTable, the one the ingest
-// socket keeps per connection). The first bad record ends the
-// generation: a short read, a length outside (0, maxWALRecord] or a CRC
-// mismatch — all a process kill can do to an append-only file is tear
-// its final record, and nothing past a record that cannot be trusted can
-// be framed. Everything before it replays, the rest of the file is left
-// unread, and TornTails counts it: at most one per generation. (A record
-// whose CRC holds and whose entry does not decode — a define with a bad
-// key or short tail, a reference cut short or to an id not yet defined —
-// is nothing a crash or the disk can produce, and its framing stands:
-// the entries before the bad one are applied and the later records of
-// that shard, as of a shard log before, are not — also counted in
-// TornTails.) Without a snapshot the store's epoch comes from the first
-// generation with a header. Replay is idempotent: the store overwrites
-// by (key, bin), so records already captured in the snapshot (a
-// compaction that crashed between the rename and the deletion of the
-// generations it covered) change nothing.
+// Recovery order is the head and its segments, then the generations
+// found, oldest first, in one pass (recoverDir; recover.go has its
+// reader and worker pool), so a (key, bin) present in two generations
+// ends up with the newer one's value. A generation's records replay in
+// file order through a table per shard byte whose handles are the
+// generation's ids in define order, so a reference is an array index
+// (keyTable, the one the ingest socket keeps per connection). The first
+// bad record ends the generation: a short read, a length outside (0,
+// maxWALRecord] or a CRC mismatch — all a process kill can do to an
+// append-only file is tear its final record, and nothing past a record
+// that cannot be trusted can be framed. Everything before it replays,
+// the rest of the file is left unread, and TornTails counts it: at most
+// one per generation. (A record whose CRC holds and whose entry does not
+// decode — a define with a bad key or short tail, a reference cut short
+// or to an id not yet defined — is nothing a crash or the disk can
+// produce, and its framing stands: the entries before the bad one are
+// applied and the later records of that shard, as of a shard log
+// before, are not — also counted in TornTails.) Without a head the
+// store's epoch comes from the first generation with a header. Replay is
+// idempotent: the store overwrites by (key, bin), so records already
+// captured in the head and segments (a compaction that crashed between
+// the head's rename and the deletion of the generations it covered)
+// change nothing.
 //
-// Recovery reads; it does not rewrite. After replay the store attaches
-// a fresh generation, fsyncs the directory once and is open — the
-// generations it replayed stay where they are until the next
-// compaction, which an open that found more than one of them (a crash
-// loop), or a log due by the rule above, asks the background loop for.
-// A generation replays the same under any shard count: reopening
-// 16 → 4 → 16 leaves three files whose shard bytes run to 16, 4 and 16.
+// Recovery reads; it does not rewrite. After replay the store removes
+// the segment files the head does not list (a compaction that died
+// before its head's rename left them), attaches a fresh generation,
+// fsyncs the directory once and is open — the generations it replayed
+// stay where they are until the next compaction, which an open that
+// found more than one of them (a crash loop), or a log due by the rule
+// above, asks the background loop for. A generation replays the same
+// under any shard count: reopening 16 → 4 → 16 leaves three files whose
+// shard bytes run to 16, 4 and 16.
 //
 // Disk faults are classified, not latched blindly. A transient failure
 // (ENOSPC, EINTR, EAGAIN, or an injected faultfs error) puts the
@@ -157,7 +166,7 @@ import (
 // cannot be trusted), the store stays fully usable in memory, and a
 // background loop retries with exponential backoff until it re-arms
 // durability — leave the damaged generation behind, start a fresh one,
-// and write a complete snapshot from in-memory state, after which the
+// and write a head and a segment from in-memory state, after which the
 // store is durable again with no restart. Anything else (a programming
 // error, a crash-schedule horizon) is permanent: the first such error
 // latches, persistence fail-stops, and only the in-memory store keeps
@@ -166,10 +175,8 @@ const (
 	walMagic   = "FNLW"
 	walVersion = 3
 
-	snapshotFile    = "snapshot.fnls"
-	snapshotTmpFile = "snapshot.tmp"
-	walPrefix       = "wal-"
-	walSuffix       = ".log"
+	walPrefix = "wal-"
+	walSuffix = ".log"
 )
 
 // walHeaderLen is the size of a log's header.
@@ -181,8 +188,8 @@ func walName(gen uint64) string {
 }
 
 // DefaultCompactBytes is the floor of the compaction trigger: the logs
-// not yet covered by a snapshot are compacted once they reach this size
-// and the installed snapshot's.
+// not yet compacted are folded into the segment store once they reach
+// this size and the installed head's.
 const DefaultCompactBytes = 64 << 20
 
 // DefaultSyncInterval is the background fsync cadence for the log.
@@ -195,12 +202,12 @@ const DefaultSyncInterval = time.Second
 type PersistState int32
 
 const (
-	// PersistHealthy: WALs live, snapshot current; every acknowledged
+	// PersistHealthy: WALs live, head current; every acknowledged
 	// append is durable.
 	PersistHealthy PersistState = iota
 	// PersistDegraded: a transient disk fault stopped WAL writes; the
 	// store serves from memory while the background loop retries a
-	// durability re-arm (fresh logs + full snapshot).
+	// durability re-arm (fresh logs, head and segment).
 	PersistDegraded
 	// PersistFailed: a permanent disk error latched; persistence is
 	// fail-stopped until restart, memory keeps serving.
@@ -227,9 +234,9 @@ type PersistOptions struct {
 	// Shards is the store's lock-stripe count (default StoreShards).
 	Shards int
 	// CompactBytes is the floor of the background compaction trigger:
-	// one runs once the logs not yet covered by a snapshot — replayed at
-	// open or written since — reach both it and the installed snapshot's
-	// size (default DefaultCompactBytes; negative disables automatic
+	// one runs once the logs not yet compacted — replayed at open or
+	// written since — reach both it and the installed head's size
+	// (default DefaultCompactBytes; negative disables automatic
 	// compaction — Compact can still be called).
 	CompactBytes int64
 	// SyncInterval is the background fsync cadence (default
@@ -237,8 +244,8 @@ type PersistOptions struct {
 	// Sync can still be called).
 	SyncInterval time.Duration
 	// ChunkSpan is the sealed-chunk width in bins (default
-	// chunk.DefaultSpan). It applies to directories without a snapshot;
-	// a snapshot keeps the span it was written with.
+	// chunk.DefaultSpan). It applies to directories without a head; a
+	// head keeps the span it was written with.
 	ChunkSpan int
 	// FS is the filesystem the persister talks to (default the real
 	// OS). Tests substitute a faultfs.FaultFS to inject disk faults
@@ -274,7 +281,7 @@ func (o PersistOptions) withDefaults() PersistOptions {
 
 // RecoveryStats reports what OpenPersistent rebuilt from disk.
 type RecoveryStats struct {
-	// SnapshotSeries is the number of series loaded from the snapshot.
+	// SnapshotSeries is the number of series loaded from the head.
 	SnapshotSeries int
 	// WALRecords is the number of logged measurements replayed on top
 	// of it.
@@ -284,22 +291,26 @@ type RecoveryStats struct {
 	// left unread (earlier records still replay); at most one each, but
 	// for the shards an undecodable body in a CRC-valid record ended.
 	TornTails int
-	// QuarantinedChunks is the number of sealed chunks whose stored
-	// checksum failed on snapshot read; each was replaced by a NaN
-	// tombstone instead of aborting recovery.
+	// QuarantinedChunks is the number of sealed chunks the open found
+	// bad: a stored CRC that failed, a chunk no live segment holds, or
+	// one quarantined before; each is a NaN tombstone instead of an
+	// aborted recovery. The token walk of each chunk runs at its first
+	// decode, and a failure there adds to monitor.quarantined_chunks
+	// only.
 	QuarantinedChunks int
 	// Generations is the number of log generations found and replayed:
 	// one after a clean shutdown or a single crash, more when the store
 	// keeps dying before it compacts.
 	Generations int
 	// LogBytes is the size of the records replayed from them, the log
-	// the next compaction has to fold into the snapshot.
+	// the next compaction has to fold into the segment store.
 	LogBytes int64
 	// SnapshotTime, ReplayTime and AttachTime partition the open's wall
-	// time. Recovery is one pass whose reader streams the snapshot and
-	// then the logs to one worker pool (see recover.go), so the phases
-	// overlap in the workers: SnapshotTime lasts until the reader has
-	// handed out the snapshot's last series, ReplayTime from then until
+	// time. Recovery is one pass whose reader streams the head, the
+	// segments and then the logs to one worker pool (see recover.go), so
+	// the phases overlap in the workers: SnapshotTime lasts until the
+	// reader has handed out the segments' last group, ReplayTime from
+	// then until
 	// the last worker has drained, and AttachTime is attaching a fresh
 	// generation. The store is blind to arriving bins for their sum.
 	SnapshotTime, ReplayTime, AttachTime time.Duration
@@ -311,7 +322,8 @@ func (r RecoveryStats) Total() time.Duration {
 }
 
 // persister owns the on-disk state of a persistent store: the live
-// log, the snapshot, and the background sync/compact/re-arm goroutine.
+// log, the head and segments, and the background sync/compact/re-arm
+// goroutine.
 type persister struct {
 	dir   string
 	opts  PersistOptions
@@ -321,14 +333,15 @@ type persister struct {
 	// gen is the live generation's number; compactMu guards it, and which
 	// file logMu's f names, once the store is open.
 	gen uint64
-	// walBytes is the log bytes not yet in a snapshot: replayed at open
-	// or written since, less what each compaction covered (taken off at
-	// its rotation, given back if its install fails).
+	// walBytes is the log bytes not yet compacted: replayed at open or
+	// written since, less what each compaction covered (taken off at its
+	// rotation, given back if its install fails).
 	walBytes atomic.Int64
-	// snapBytes is the size of the installed snapshot: read at open,
-	// then what each compaction wrote. The log folds into a new snapshot
-	// once it has grown as large (see compactDue).
-	snapBytes atomic.Int64
+	// headBytes is the size of the installed head, snapBytes its and the
+	// live segments': read at open, then what each compaction left. The
+	// log is compacted once it has grown as large as the head (see
+	// compactDue).
+	headBytes, snapBytes atomic.Int64
 	// state is the durability health (a PersistState); the WAL write
 	// path gates on it with one atomic load per append.
 	state atomic.Int32
@@ -351,8 +364,15 @@ type persister struct {
 	logBytes       int64 // record bytes in the live log
 	rotations      int64
 
-	compactMu  sync.Mutex  // one compaction/re-arm/fsync pass at a time
-	cut        snapshotCut // the compactions' image of the store; compactMu guards it
+	compactMu sync.Mutex  // one compaction/re-arm/fsync pass at a time
+	cut       snapshotCut // the compactions' image of the store
+	// live is the installed head's segment list, oldest first, and
+	// nextSeq the number the next segment takes. basePrune is the
+	// store's pruneEpoch the live segments' chunk indices are good for; a
+	// Prune renumbers chunks. compactMu guards the cut and these.
+	live       []segmentRef
+	nextSeq    uint64
+	basePrune  uint64
 	compactReq chan struct{}
 	rearmReq   chan struct{}
 	quit       chan struct{}
@@ -482,7 +502,7 @@ func (p *persister) healthy() bool {
 // the caller before it releases the shard (or when it outgrows
 // walGroupCap), so measurements from one batch share a single length
 // prefix and CRC. While degraded or failed the append is skipped: the
-// damaged log cannot be trusted, and the re-arm snapshot (or the
+// damaged log cannot be trusted, and the re-arm's head and segment (or the
 // operator's restart) re-covers memory wholesale.
 func (w *shardWAL) appendLocked(e *seriesEntry, key *topo.KPIKey, nanos int64, v float64) {
 	if !w.p.healthy() {
@@ -547,19 +567,19 @@ func (p *persister) flush() {
 	}
 }
 
-// compactDue reports whether the log not yet in a snapshot has grown to
-// the CompactBytes floor and to the size of the installed snapshot. A
-// compaction then rewrites no more bytes than the log it retires, so
-// the rewrite work per logged byte stays bounded however long the
-// history grows, and replay at open is bounded by the larger of the two.
+// compactDue reports whether the log not yet compacted has grown to the
+// CompactBytes floor and to the size of the installed head. A compaction
+// writes the head whole, so it then rewrites no more of it than the log
+// it retires, and replay at open is bounded by the larger of the two,
+// whatever the history the segments hold.
 func (p *persister) compactDue() bool {
-	return p.opts.CompactBytes > 0 && p.walBytes.Load() >= max(p.opts.CompactBytes, p.snapBytes.Load())
+	return p.opts.CompactBytes > 0 && p.walBytes.Load() >= max(p.opts.CompactBytes, p.headBytes.Load())
 }
 
 // flushLocked is flush for a caller that holds logMu; a failed write is
 // also returned. Records sealed around a fault, or around a rotation
-// that left no live log, are dropped: memory holds them, and the
-// snapshot that re-arms durability covers memory. Nothing more reaches
+// that left no live log, are dropped: memory holds them, and the head
+// and segment that re-arm durability cover memory. Nothing more reaches
 // the generation after a drop (the prefix invariant, see the header).
 func (p *persister) flushLocked() error {
 	if len(p.buf) == 0 {
@@ -636,11 +656,12 @@ func (p *persister) openGenerationLocked() error {
 }
 
 // OpenPersistent opens (or creates) a persistent store backed by dir.
-// An existing directory is recovered: snapshot first, then the log
-// generations found (oldest first), each up to its first bad record.
-// What was read stays on disk as it is — the open attaches a fresh
-// generation beside it and leaves folding the rest into a snapshot to
-// the next compaction. start and step apply only to a fresh directory;
+// An existing directory is recovered: the head and its segments first,
+// then the log generations found (oldest first), each up to its first
+// bad record. What was read stays on disk as it is — the open attaches a
+// fresh generation beside it and leaves folding the rest into the
+// segment store to the next compaction. A directory holding a version 3
+// snapshot.fnls is refused. start and step apply only to a fresh directory;
 // recovered state keeps its own epoch, and a non-zero step that
 // contradicts the recovered one is an error. The store must be released
 // with Close.
@@ -688,12 +709,13 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 		return nil, fmt.Errorf("monitor: data directory not writable: %w", cerr)
 	}
 
-	// A compaction that died between creating snapshot.tmp and renaming
-	// it left a file no recovery reads, and no compaction is due here to
+	// A compaction that died between creating head.tmp and renaming it
+	// left a file no recovery reads, and no compaction is due here to
 	// overwrite it.
-	p.fs.Remove(filepath.Join(dir, snapshotTmpFile))
+	p.fs.Remove(filepath.Join(dir, headTmpFile))
 
-	// Recovery: the snapshot and the logs, in one pass (see recover.go).
+	// Recovery: the head, the segments and the logs, in one pass (see
+	// recover.go).
 	rc, err := recoverDir(p.fs, dir, opts.Shards, opts.ChunkSpan)
 	if err != nil {
 		return nil, err
@@ -703,6 +725,10 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 			return nil, g.err
 		}
 	}
+	// A segment the head does not list is a compaction's that died before
+	// its head was installed: nothing reads it. Removing it is best-effort;
+	// the next compaction tries again.
+	removeStale(p.fs, dir, rc.live, 0)
 	store := rc.store
 	if store == nil {
 		// Nothing on disk at all: a fresh directory.
@@ -713,7 +739,9 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 		return nil, fmt.Errorf("monitor: step mismatch: store has %v, caller wants %v", store.step, step)
 	}
 	p.recovered = rc.stats
+	p.headBytes.Store(rc.headBytes)
 	p.snapBytes.Store(rc.snapBytes)
+	p.live, p.nextSeq = rc.live, rc.maxSeq+1
 	if p.recovered.QuarantinedChunks > 0 {
 		store.quarantined.Add(int64(p.recovered.QuarantinedChunks))
 	}
@@ -760,8 +788,8 @@ type walGeneration struct {
 // listWALs returns the log generations in dir, oldest first (see
 // scanDir).
 func listWALs(fsys faultfs.FS, dir string) ([]walGeneration, error) {
-	gens, _, err := scanDir(fsys, dir)
-	return gens, err
+	d, err := scanDir(fsys, dir)
+	return d.gens, err
 }
 
 // walHeader is what a log's header says: the epoch of the store that
@@ -896,30 +924,31 @@ func (p *persister) rearmLoop() {
 	}
 }
 
-// compact starts a fresh log generation, dumps a consistent snapshot of
-// the whole store, atomically installs it, and deletes the generations
-// it covers. A crash at any point leaves a directory that recovers to
-// the same store: before the snapshot rename the old snapshot plus
-// every generation cover everything; after it the covered generations
-// replay idempotently.
+// compact starts a fresh log generation, writes a segment of what
+// sealed since the last compaction and a head that lists it, and
+// deletes the generations and segments the head no longer needs. A crash
+// at any point leaves a directory that recovers to the same store:
+// before the head's rename the old head, its segments and every
+// generation cover everything; after it the covered generations replay
+// idempotently, and a segment left behind is removed at the next open.
 func (p *persister) compact() error { return p.compactAs(false) }
 
 // rearm is compact in recovery mode: the damaged live log is closed
 // best-effort and left where it is (its tail may be torn — replay
-// handles that), a fresh generation is started, and a complete snapshot
-// of in-memory state is written, restoring full durability without a
-// restart.
+// handles that), a fresh generation is started, and a head and a
+// segment of in-memory state are written, restoring full durability
+// without a restart.
 func (p *persister) rearm() error { return p.compactAs(true) }
 
 // compactAs is the shared rotate-cut-install cycle. Under every shard
 // lock it only rotates the log and takes the cut — an immutable image of
 // the store (see snapshotCut) — so appends stall for the cut, not for
-// the write; sorting, encoding, writing and fsyncing the snapshot run
-// with no shard lock held. In rearming mode the old log is closed
-// without a flush or an fsync (it is already damaged goods) and the WAL
-// write path is re-enabled — under the shard locks, so no append can
-// fall between the cut and the fresh log; a snapshot write that fails
-// after that opens a new degraded episode, as any later disk fault does.
+// the write; sorting, encoding, writing and fsyncing the segment and the
+// head run with no shard lock held. In rearming mode the old log is
+// closed without a flush or an fsync (it is already damaged goods) and
+// the WAL write path is re-enabled — under the shard locks, so no append
+// can fall between the cut and the fresh log; a write that fails after
+// that opens a new degraded episode, as any later disk fault does.
 func (p *persister) compactAs(rearming bool) error {
 	p.compactMu.Lock()
 	defer p.compactMu.Unlock()
@@ -993,47 +1022,18 @@ func (p *persister) compactAs(rearming bool) error {
 	}
 	installed := false
 	defer func() {
+		p.cut.release()
 		if !installed {
 			p.walBytes.Add(covered)
 		}
 	}()
-	tmpPath := filepath.Join(p.dir, snapshotTmpFile)
-	tmp, snapErr := p.fs.Create(tmpPath)
-	written := &countingWriter{w: tmp}
-	if snapErr == nil {
-		snapErr = p.cut.writeTo(written)
-		if snapErr == nil {
-			snapErr = tmp.Sync()
-		}
-		if err := tmp.Close(); err != nil && snapErr == nil {
-			snapErr = err
-		}
-	}
-	if snapErr == nil {
-		snapErr = p.fs.Rename(tmpPath, filepath.Join(p.dir, snapshotFile))
-	}
-	if snapErr != nil {
-		p.fs.Remove(tmpPath)
-		p.fail(snapErr)
-		return snapErr
-	}
-	if err := syncFSDir(p.fs, p.dir); err != nil {
+	if err := p.install(); err != nil {
 		p.fail(err)
 		return err
 	}
-	p.snapBytes.Store(written.n)
-	// The snapshot now covers everything the generations below the live
-	// one held.
-	gens, err := listWALs(p.fs, p.dir)
-	for _, g := range gens {
-		if g.gen >= live {
-			break
-		}
-		if rmErr := p.fs.Remove(g.path); rmErr != nil && err == nil {
-			err = rmErr
-		}
-	}
-	if err != nil {
+	// The head now covers everything the generations below the live one
+	// held, and every segment it does not list.
+	if err := removeStale(p.fs, p.dir, p.live, live); err != nil {
 		p.fail(err)
 		return err
 	}
@@ -1041,9 +1041,86 @@ func (p *persister) compactAs(rearming bool) error {
 	s.obs.Load().Add(obs.CtrCompactions, 1)
 	if rearmed {
 		s.obs.Load().Add(obs.CtrWALRearms, 1)
-		p.logger().Info("durability re-armed: fresh log + full snapshot", "dir", p.dir)
+		p.logger().Info("durability re-armed: fresh log, head and segment", "dir", p.dir)
 	}
 	return nil
+}
+
+// install writes the cut's segment and commits a head that lists it. The
+// segment holds every chunk — a base — after a Prune and when no
+// segment is live; otherwise the chunks no live segment holds, merged
+// binary-counter style with the newest live segments: while their
+// levels read 0, 1, 2, … back from the newest, the new segment absorbs
+// them, writing the chunks whose home they are again from the cut, and
+// takes the level one past the last. A re-arm is an install like any
+// other: the live segments are whole, and the head and the new segment
+// hold the rest of memory.
+func (p *persister) install() error {
+	c := &p.cut
+	c.sort()
+	live, level, pick := []segmentRef(nil), uint8(baseLevel), pickFunc(pickAll)
+	if len(p.live) > 0 && c.prune == p.basePrune {
+		fold := 0
+		for fold < len(p.live) && p.live[len(p.live)-1-fold].level == uint8(fold) {
+			fold++
+		}
+		live, level = slices.Clip(p.live[:len(p.live)-fold]), uint8(fold)
+		pick = pickHomes(p.live[len(p.live)-fold:])
+	}
+	seq := p.nextSeq
+	p.nextSeq++
+	size, err := writeSegmentFile(p.fs, p.dir, seq, c, pick)
+	if err != nil {
+		return err
+	}
+	live = append(live, segmentRef{seq: seq, level: level, size: size})
+	headSize, err := commitHead(p.fs, p.dir, c, live)
+	if err != nil {
+		return err
+	}
+	c.setHomes(seq)
+	p.live, p.basePrune = live, c.prune
+	total := headSize
+	for _, g := range live {
+		total += g.size
+	}
+	p.headBytes.Store(headSize)
+	p.snapBytes.Store(total)
+	return nil
+}
+
+// removeStale deletes from dir every segment that live does not list and
+// every log generation below gen (none for gen 0).
+func removeStale(fsys faultfs.FS, dir string, live []segmentRef, gen uint64) error {
+	d, err := scanDir(fsys, dir)
+	if err != nil {
+		return err
+	}
+	keep := make(map[uint64]bool, len(live))
+	for _, g := range live {
+		keep[g.seq] = true
+	}
+	var seqs []uint64
+	for seq := range d.segs {
+		if !keep[seq] {
+			seqs = append(seqs, seq)
+		}
+	}
+	slices.Sort(seqs)
+	for _, seq := range seqs {
+		if rmErr := fsys.Remove(filepath.Join(dir, segmentName(seq))); rmErr != nil && err == nil {
+			err = rmErr
+		}
+	}
+	for _, g := range d.gens {
+		if g.gen >= gen {
+			break
+		}
+		if rmErr := fsys.Remove(g.path); rmErr != nil && err == nil {
+			err = rmErr
+		}
+	}
+	return err
 }
 
 // syncAll writes out what is sealed and fsyncs the live log. It waits
@@ -1152,10 +1229,11 @@ func (s *Store) Sync() error {
 	return s.persist.stateErr()
 }
 
-// Compact folds the logs into a fresh snapshot and starts an empty
-// one. The background loop calls it automatically once the logs reach
-// PersistOptions.CompactBytes and the installed snapshot's size;
-// appends wait only for its cut, not for the snapshot write. Exposing
+// Compact folds the logs into the segment store — a segment of what
+// sealed since, and a fresh head — and starts an empty log. The
+// background loop calls it automatically once the logs reach
+// PersistOptions.CompactBytes and the installed head's size; appends
+// wait only for its cut, not for the writes. Exposing
 // it lets operators compact on demand (e.g. right after a Prune). On a
 // degraded persister it performs the durability re-arm immediately
 // instead of waiting for the backoff loop. In-memory stores return

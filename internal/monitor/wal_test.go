@@ -20,16 +20,6 @@ func persistOptsNoBG(shards int) PersistOptions {
 	return PersistOptions{Shards: shards, SyncInterval: -1, CompactBytes: -1}
 }
 
-// snapshotBytes dumps a store for byte-level comparison.
-func snapshotBytes(t *testing.T, s *Store) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // The store reference model drives these: every reopen must recover
 // what it says reached the disk, RecoveryStats included.
 func TestPersistentRoundTrip(t *testing.T) {
@@ -64,17 +54,17 @@ func TestPersistentCRCCatchesCorruption(t *testing.T) {
 }
 
 // TestCompactTruncatesLogsAndSurvivesReopen: one compaction leaves
-// exactly one snapshot and one generation — the live one, numbered
-// above the one it folded in — and the logs written after it replay on
-// top of the snapshot.
+// exactly one head, one segment and one generation — the live one,
+// numbered above the one it folded in — and the logs written after it
+// replay on top of the head and segment.
 func TestCompactTruncatesLogsAndSurvivesReopen(t *testing.T) {
 	r := newProgRunner(t, progConfig{span: 16, shards: 2, keys: fleetKeys(8)}, nil)
 	bins := func(n int) []byte { return bytes.Repeat(progOps(opBin, wr(0, 0, 0)), n) }
 	r.run(bins(10))
 	preCompact := logBytes(t, r.dir)
 	before, err := listWALs(faultfs.OS, r.dir)
-	if _, serr := os.Stat(filepath.Join(r.dir, snapshotFile)); err != nil || len(before) != 1 || !os.IsNotExist(serr) {
-		t.Fatalf("generations %+v (%v) and a snapshot (stat: %v) before the compaction, want one and none", before, err, serr)
+	if _, serr := os.Stat(filepath.Join(r.dir, headFile)); err != nil || len(before) != 1 || !os.IsNotExist(serr) {
+		t.Fatalf("generations %+v (%v) and a head (stat: %v) before the compaction, want one and none", before, err, serr)
 	}
 	r.run(progOps(opCompact, 0))
 	if got := logBytes(t, r.dir); got >= preCompact {
@@ -84,17 +74,17 @@ func TestCompactTruncatesLogsAndSurvivesReopen(t *testing.T) {
 	if err != nil || len(after) != 1 || after[0].gen != before[0].gen+1 {
 		t.Fatalf("generations after the compaction: %+v (%v), want only generation %d", after, err, before[0].gen+1)
 	}
-	if entries, err := os.ReadDir(r.dir); err != nil || len(entries) != 2 { // the snapshot and the live generation's log
-		t.Fatalf("compaction left %d files behind (%v), want 2: %v", len(entries), err, entries)
+	if entries, err := os.ReadDir(r.dir); err != nil || len(entries) != 3 { // the head, its segment and the live generation's log
+		t.Fatalf("compaction left %d files behind (%v), want 3: %v", len(entries), err, entries)
 	}
 	// Post-compaction appends land in the fresh log, and replay on top
-	// of the snapshot.
+	// of the head and segment.
 	r.run(append(bins(5), progOps(opReopen, ro(3, 0, 0))...))
 	r.finish()
 }
 
 // TestRecoveryReplaysRotatedLogs fakes a compaction that crashed after
-// rotation but before the snapshot rename: the generation it rotated
+// rotation but before the head's rename: the generation it rotated
 // away from must replay (and replaying it below a generation that holds
 // the same records is idempotent). The reopen reads both and rewrites
 // neither.
@@ -104,8 +94,7 @@ func TestRecoveryReplaysRotatedLogs(t *testing.T) {
 	gen := r.s.persist.gen
 	before := r.close()
 	// The rotation started a generation above the one holding the records
-	// and the replacement snapshot never landed; the same records sit in
-	// both.
+	// and the head never landed; the same records sit in both.
 	raw, err := os.ReadFile(filepath.Join(r.dir, walName(gen)))
 	if err == nil {
 		err = os.WriteFile(filepath.Join(r.dir, walName(gen+1)), raw, 0o644)
@@ -119,8 +108,8 @@ func TestRecoveryReplaysRotatedLogs(t *testing.T) {
 		t.Fatalf("recovery stats %+v, want 12 records from each of 2 generations", rec)
 	}
 	after, err := listWALs(faultfs.OS, r.dir)
-	if _, serr := os.Stat(filepath.Join(r.dir, snapshotFile)); err != nil || len(after) != 3 || after[2].gen != gen+2 || !os.IsNotExist(serr) {
-		t.Fatalf("generations after the reopen: %+v (%v), want the two replayed and a live one above them and no snapshot (%v)", after, err, serr)
+	if _, serr := os.Stat(filepath.Join(r.dir, headFile)); err != nil || len(after) != 3 || after[2].gen != gen+2 || !os.IsNotExist(serr) {
+		t.Fatalf("generations after the reopen: %+v (%v), want the two replayed and a live one above them and no head (%v)", after, err, serr)
 	}
 	// The next compaction is what consumes them.
 	r.run(progOps(opCompact, 0))
@@ -198,11 +187,8 @@ func TestAutoCompactTriggers(t *testing.T) {
 		for ki, k := range keys {
 			st.Append(Measurement{k, t0.Add(time.Duration(bin) * time.Minute), float64(bin + ki)})
 		}
-		if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err == nil {
-			info, _ := os.Stat(filepath.Join(dir, snapshotFile))
-			if info.Size() > 64 { // more than a bare header: a real dump landed
-				break
-			}
+		if info, err := os.Stat(filepath.Join(dir, headFile)); err == nil && info.Size() > 64 { // more than a bare header: a real head landed
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("background compaction never fired")
@@ -234,7 +220,7 @@ func logBytes(t *testing.T, dir string) int64 {
 // says.
 func TestListWALsOrdersNumerically(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{walName(100), walName(10), walName(9), walName(20), snapshotFile, "notes.txt"} {
+	for _, name := range []string{walName(100), walName(10), walName(9), walName(20), headFile, segmentName(3), "notes.txt"} {
 		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -70,8 +70,8 @@ const (
 	StageBinToVerdict = "bin_to_verdict"
 	// StageCompactLock is how long one compaction (or durability re-arm)
 	// held every shard lock of a persistent store: the log rotation and
-	// the snapshot cut, which ingest waits out. The snapshot write that
-	// follows holds none. Its _us fields are the monitor.compact_lock_us
+	// the cut, which ingest waits out. The segment and head writes that
+	// follow hold none. Its _us fields are the monitor.compact_lock_us
 	// figure: O(series), not growing with history.
 	StageCompactLock = "compact_lock"
 )
@@ -156,8 +156,9 @@ const (
 	// re-arm has started (persistent stores only).
 	GaugeWALLogBytes  = "monitor.wal_log_bytes"
 	GaugeWALRotations = "monitor.wal_rotations"
-	// GaugeSnapshotBytes is the size of the installed snapshot; the log
-	// is compacted once it grows to this size (and to CompactBytes).
+	// GaugeSnapshotBytes is the size of the installed segment store: the
+	// head file plus the live segments. The log is compacted once it
+	// grows to the head's size (and to CompactBytes).
 	GaugeSnapshotBytes = "monitor.snapshot_bytes"
 	// CtrWALAppends counts measurements appended to the write-ahead log.
 	CtrWALAppends = "monitor.wal_appends"
@@ -170,7 +171,7 @@ const (
 	CtrWALReplayed = "monitor.wal_replayed"
 	// CtrRecoveryMillis is the wall time, in milliseconds, the store
 	// spent in crash recovery before it could take its first bin
-	// (snapshot read + log replay + attaching fresh logs).
+	// (head and segment read + log replay + attaching fresh logs).
 	CtrRecoveryMillis = "monitor.recovery_ms"
 	// CtrRecoveryGenerations is the number of log generations that
 	// recovery found and replayed, and CtrRecoveryLogBytes the size of
@@ -178,8 +179,8 @@ const (
 	// crash; several mean the store kept dying before it compacted.
 	CtrRecoveryGenerations = "monitor.recovery_generations"
 	CtrRecoveryLogBytes    = "monitor.recovery_log_bytes"
-	// CtrCompactions counts WAL compactions (snapshot dump + log
-	// truncation).
+	// CtrCompactions counts WAL compactions (a segment of what sealed
+	// since the last one, a fresh head, and log truncation).
 	CtrCompactions = "monitor.compactions"
 	// CtrWALSyncs counts explicit fsync passes over the log.
 	CtrWALSyncs = "monitor.wal_syncs"
@@ -189,7 +190,7 @@ const (
 	CtrDiskErrors = "monitor.disk_errors"
 	// CtrWALRearms counts successful durability re-arms: after a
 	// transient disk fault the persister rotated to fresh logs and
-	// rewrote a full snapshot from memory.
+	// wrote a head and segment from memory.
 	CtrWALRearms = "monitor.wal_rearms"
 	// CtrPersistErrors counts persist-state transitions out of
 	// healthy — the operator-facing "durability was lost" signal,

@@ -147,10 +147,10 @@ var promHelp = map[string]string{
 	CtrIngestKeyLookups:    "Key defines read by the ingest socket (one per key a connection names).",
 	CtrWALAppends:          "Measurements appended to the write-ahead log.",
 	CtrWALKeyDefines:       "Write-ahead log entries that define a series key (first measurement per log generation).",
-	CtrCompactions:         "WAL compactions (snapshot dump + log truncation).",
+	CtrCompactions:         "WAL compactions (a segment of what sealed since the last, a fresh head, log truncation).",
 	GaugeWALLogBytes:       "Record bytes in the live log generation.",
 	GaugeWALRotations:      "Log generations started by a compaction or a durability re-arm.",
-	GaugeSnapshotBytes:     "Bytes of the installed snapshot; the log compacts once it grows as large.",
+	GaugeSnapshotBytes:     "Bytes of the installed head file plus the live segments; the log compacts once it grows as large as the head.",
 	CtrRecoveryMillis:      "Milliseconds the store spent in crash recovery before it could take its first bin.",
 	CtrRecoveryGenerations: "Log generations the last open found and replayed (more than one: it died before compacting).",
 	CtrRecoveryLogBytes:    "Bytes of log records the last open replayed.",
