@@ -43,7 +43,7 @@ func main() {
 		ingest    = flag.String("ingest", "127.0.0.1:7101", "measurement ingest listen address")
 		subscribe = flag.String("subscribe", "127.0.0.1:7102", "subscription push listen address (empty = off)")
 		admin     = flag.String("admin", "127.0.0.1:7103", "change-registration listen address")
-		history   = flag.Int("history", 7, "days of history kept for the seasonal DiD baseline")
+		history   = flag.Int("history", 7, "days of history the seasonal DiD baseline reads (the historical control, §3.2.5)")
 		serverM   = flag.String("server-metrics", "mem.util,cpu.ctxswitch", "comma-separated server metrics")
 		instM     = flag.String("instance-metrics", "", "comma-separated instance metrics")
 		epoch     = flag.String("epoch", "", "store epoch (RFC3339; default now − history − 1 day)")

@@ -31,10 +31,12 @@ import (
 // RangeInto, and a key's full Series only where a window alone cannot
 // reproduce the full series' answer.
 type SeriesSource interface {
-	// Series returns the key's full series from the epoch, and whether
-	// the key exists.
+	// Series returns the key's full series, from its first kept bin,
+	// and whether the key exists.
 	Series(key topo.KPIKey) (*timeseries.Series, bool)
-	// Start returns the source's epoch (bin 0 of every full series).
+	// Start returns the source's epoch, the bin 0 every bin index
+	// counts from; a full series starts there unless a prune dropped
+	// its first bins.
 	Start() time.Time
 	// Step returns the bin width.
 	Step() time.Duration

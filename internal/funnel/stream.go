@@ -37,8 +37,8 @@ import (
 // batch path. The streamer never trusts its own incremental state —
 // at assessment time the cached scores are used only when the window
 // the batch path fetched matches the streamed prefix bit-for-bit
-// (see cachedScores); any divergence (late write, prune rebase,
-// re-encode) silently degrades to the batch sweep. Failure can cost
+// (see cachedScores); any divergence (late write, prune, re-encode)
+// silently degrades to the batch sweep. Failure can cost
 // latency, never a wrong verdict.
 //
 // One background goroutine (scoreLoop) advances the owed score states,
@@ -55,13 +55,11 @@ type Streamer struct {
 	// the ingest hot path (lock-free; nil rejects everything).
 	filter atomic.Pointer[map[topo.KPIKey]struct{}]
 
-	mu        sync.Mutex
-	pending   []*streamChange
-	tracked   map[topo.KPIKey][]*kpiStream
-	seen      map[string]bool
-	lastEpoch uint64
-	epochSet  bool
-	closed    bool
+	mu      sync.Mutex
+	pending []*streamChange
+	tracked map[topo.KPIKey][]*kpiStream
+	seen    map[string]bool
+	closed  bool
 
 	nTracked atomic.Int64
 	nPending atomic.Int64
@@ -133,7 +131,7 @@ type kpiStream struct {
 	scores   []float64 // len segLen; NaN until scored
 	scratch  []float64 // RangeInto reuse buffer
 	lastReal int       // index of last non-NaN raw bin, -1 when none
-	invalid  bool      // geometry unrecoverable (change pruned away)
+	invalid  bool      // the change precedes the store epoch
 
 	// sweep scores the window's positions in order, resumably; its Pos
 	// is the next score position (segment frame).
@@ -141,7 +139,7 @@ type kpiStream struct {
 
 	// low is the lowest store-absolute bin the feed reported written to
 	// key since the last advance took it: lowNone when nothing is
-	// pending, lowAll when the drain could not say (overflow, rebase).
+	// pending, lowAll when the drain could not say (overflow).
 	// drainLoop lowers it, advance swaps it out.
 	low atomic.Int64
 
@@ -333,27 +331,18 @@ func (sr *Streamer) newKPIStream(key topo.KPIKey, changeAt time.Time) *kpiStream
 		sweep:    sr.assessor.scorer.NewStream(),
 	}
 	ks.low.Store(lowNone)
-	ks.mu.Lock()
-	ks.rebaseLocked(sr.store)
-	ks.mu.Unlock()
-	return ks
-}
-
-// rebaseLocked recomputes the window geometry from the store's current
-// epoch and resets all incremental state. Called at construction and
-// after every prune rebase; caller holds ks.mu.
-func (ks *kpiStream) rebaseLocked(store *monitor.Store) {
-	changeBin := int(ks.changeAt.Sub(store.Start()) / store.Step())
+	// The window's geometry, in store bins, which never renumber.
+	changeBin := int(changeAt.Sub(sr.store.Start()) / sr.store.Step())
 	if changeBin < 0 {
-		// The change time fell off the store epoch; the batch path owns
-		// this case (it reports the error per KPI).
+		// The change precedes the store epoch; the batch path owns this
+		// case (it reports the error per KPI).
 		ks.invalid = true
-		return
+		return ks
 	}
-	ks.invalid = false
 	lo, hi := ks.fp.segment(changeBin)
 	ks.absLo, ks.segLen = lo, hi-lo
 	ks.resetLocked()
+	return ks
 }
 
 // resetLocked discards the streamed prefix and score progress, keeping
@@ -378,7 +367,7 @@ func (ks *kpiStream) resetLocked() {
 // the consumed prefix — the steady state, one new bin — only the bins
 // [absLo+len(raw), absLo+segLen) are read and appended. Inside the
 // prefix (a late write, a gap fill, an overwrite), unknown (feed
-// overflow, rebase) or with nothing consumed yet, the whole window is
+// overflow) or with nothing consumed yet, the whole window is
 // re-read and the consumed prefix verified bit-for-bit, a mismatch
 // restarting the state to re-amortize. Either way the FillGaps
 // transform is replayed over the arrived bins. All incremental state
@@ -411,8 +400,8 @@ func (ks *kpiStream) advance(sr *Streamer) {
 		return // no bin of the range stored yet
 	}
 	if !wstart.Equal(from) {
-		// Store geometry moved under us (prune racing this advance);
-		// the epoch bump re-bases the state on the next drain.
+		// A prune dropped the window's first bins: this state can never
+		// complete, and the batch path owns the window.
 		return
 	}
 	if n := ks.absLo + ks.segLen - lo; len(vals) > n {
@@ -615,28 +604,10 @@ func (sr *Streamer) drainLoop() {
 		case <-ticker.C:
 			poll = true
 		}
-		keys, lows, epoch, overflow := sr.feed.DrainBins(keyBuf[:0], lowBuf[:0])
+		keys, lows, overflow := sr.feed.DrainBins(keyBuf[:0], lowBuf[:0])
 		keyBuf, lowBuf = keys, lows
 		toAdvance := advBuf[:0]
 		sr.mu.Lock()
-		if !sr.epochSet {
-			sr.lastEpoch, sr.epochSet = epoch, true
-		}
-		if epoch != sr.lastEpoch {
-			// Prune rebased the store: every cached absolute bin index
-			// shifted, the drained low-waters among them. Re-derive
-			// geometry and start the sweeps over.
-			sr.lastEpoch = epoch
-			for _, states := range sr.tracked {
-				for _, ks := range states {
-					ks.mu.Lock()
-					ks.rebaseLocked(sr.store)
-					ks.mu.Unlock()
-					sr.col.Add(obs.CtrStreamInvalidations, 1)
-				}
-			}
-			overflow = true // everything needs a fresh look
-		}
 		if overflow {
 			for _, states := range sr.tracked {
 				for _, ks := range states {

@@ -218,22 +218,17 @@ func (r *tailRun) awaitInvalidation(before int64, what string) {
 	}
 }
 
-// prune drops the store's first bins; every tracked state rebases.
+// prune raises the store's horizon to bin before, below every tracked
+// window: the epoch stays, and no score state is invalidated.
 func (r *tailRun) prune(before int) {
 	r.t.Helper()
-	if !r.at(before).After(r.store.Start()) {
-		return // already pruned that far
-	}
 	r.settle()
-	tracked := 0
-	r.eachState(func(*kpiStream) { tracked++ })
 	inv := r.col.Counter(obs.CtrStreamInvalidations)
 	r.store.Prune(r.at(before))
-	if tracked > 0 {
-		r.dirtied = true
-		r.awaitInvalidation(inv, "a prune")
-	}
 	r.settle()
+	if n := r.col.Counter(obs.CtrStreamInvalidations) - inv; n != 0 || !r.store.Start().Equal(r.start) {
+		r.t.Errorf("a prune below every window invalidated %d score states; the epoch is %v", n, r.store.Start())
+	}
 }
 
 // feedTo writes bins [next, end) in order, one bin of every server at a
@@ -305,7 +300,7 @@ func (r *tailRun) finish() (fullReads, tailReads int64) {
 	}
 	inv := r.col.Counter(obs.CtrStreamInvalidations)
 	if r.dirtied != (inv > 0) {
-		r.t.Errorf("stream.invalidations = %d, but a write inside a consumed prefix or a prune happened: %v", inv, r.dirtied)
+		r.t.Errorf("stream.invalidations = %d, but a write inside a consumed prefix happened: %v", inv, r.dirtied)
 	}
 	return r.col.Counter(obs.CtrStreamFullReads), r.col.Counter(obs.CtrStreamTailReads)
 }
@@ -361,9 +356,9 @@ var (
 // TestStreamerTailReadMatchesBatch: whatever order bins arrive in and
 // whatever the feed could tell the streamer about them, every report
 // equals a fresh batch assessment; a state is invalidated exactly when
-// a write landed inside what it had consumed (or a prune rebased it);
-// and when nothing arrives out of order, each state re-reads its window
-// once, at birth, and reads only new bins ever after.
+// a write landed inside what it had consumed, never by a prune below its
+// window; and when nothing arrives out of order, each state re-reads its
+// window once, at birth, and reads only new bins ever after.
 func TestStreamerTailReadMatchesBatch(t *testing.T) {
 	const (
 		lead  = -100 // before either window opens
@@ -387,7 +382,7 @@ func TestStreamerTailReadMatchesBatch(t *testing.T) {
 		{name: "late-before-window", reads: dirty, steps: []tailStep{{lead, registerA}, {lead, registerB}, {30, lateBefore}}},
 		{name: "overwrite-newest", reads: dirty, steps: []tailStep{{lead, registerA}, {lead, registerB}, {10, overwriteNewest}}},
 		{name: "gap-then-backfill", reads: dirty, steps: []tailStep{{lead, registerA}, {lead, registerB}, {5, openGap}, {15, fillGap}}},
-		{name: "prune-mid-window", reads: dirty, steps: []tailStep{{lead, registerA}, {lead, registerB}, {20, pruneOld}}},
+		{name: "prune-mid-window", reads: clean, steps: []tailStep{{-70, registerA}, {-40, registerB}, {20, pruneOld}}},
 		{name: "overflow", reads: dirty, feedKeys: 1, steps: []tailStep{{lead, registerA}, {lead, registerB}, {30, lateInside}}},
 	}
 	// Seeded random programs over the same events: registrations at
@@ -443,4 +438,96 @@ func TestStreamerTailReadMatchesBatch(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestStreamerPrunesUnderIngest prunes again and again, below every
+// window the assessment reads, while a publisher streams the fixture
+// through the ingest socket and the Streamer scores it: the epoch never
+// moves, no prune invalidates a score state, and the streamed report
+// equals a batch assessment of the pruned store.
+func TestStreamerPrunesUnderIngest(t *testing.T) {
+	fx := newStreamFixture()
+	store := monitor.NewStore(fx.start, time.Minute)
+	store.SetChunkSpan(tailSpan)
+	cfg := Config{ServerMetrics: []string{"mem.util"}, HistoryDays: 1, Obs: obs.NewCollector()}
+	sr, err := NewStreamer(store, fx.buildTopo(), cfg, StreamConfig{PollInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+	if err := sr.RegisterChange(fx.change); err != nil {
+		t.Fatal(err)
+	}
+	srv := monitor.NewIngestServer(store)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pub, err := monitor.DialPublisher(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+
+	// The deepest window the assessment reads starts at floor; every 16
+	// bins the publisher hands a pruner the horizon a few bins behind it,
+	// up to floor, and goes on publishing while the prune runs.
+	wcfg := cfg.withDefaults()
+	floor := fx.changeMin - newFootprint(&wcfg, time.Minute).deepBack
+	horizons, pruned := make(chan int), make(chan int)
+	go func() {
+		n := 0
+		for h := range horizons {
+			store.Prune(fx.start.Add(time.Duration(h) * time.Minute))
+			n++
+		}
+		pruned <- n
+	}()
+	for bin := 0; bin < fx.total; bin++ {
+		ms := make([]monitor.Measurement, len(fx.servers))
+		for i, s := range fx.servers {
+			ms[i] = monitor.Measurement{Key: fx.key(s), T: fx.start.Add(time.Duration(bin) * time.Minute), V: fx.values[i][bin]}
+		}
+		if err := pub.PublishBatch(ms); err != nil {
+			t.Fatal(err)
+		}
+		if err := pub.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if bin%16 == 0 && bin > 8 {
+			horizons <- min(bin-8, floor)
+		}
+	}
+	close(horizons)
+	rep := waitReport(t, sr.Reports())
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		n, _ := store.SeriesLen(fx.key(fx.servers[len(fx.servers)-1]))
+		if n == fx.total {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d bins applied", n, fx.total)
+		}
+	}
+	if n := <-pruned; n < floor/16 {
+		t.Fatalf("%d prunes ran under ingest, want several", n)
+	}
+	if s, _ := store.Series(fx.key("on-1")); !store.Start().Equal(fx.start) || !s.Start.After(fx.start) {
+		t.Fatalf("epoch %v, on-1 from %v: want the epoch %v kept and chunks below the horizon dropped", store.Start(), s.Start, fx.start)
+	}
+	if n := cfg.Obs.Counter(obs.CtrStreamInvalidations); n != 0 {
+		t.Fatalf("%d score states invalidated by prunes below their windows", n)
+	}
+	bcfg := cfg
+	bcfg.Obs = nil
+	ba, err := NewAssessor(store, fx.buildTopo(), bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	brep, err := ba.Assess(fx.change)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSame(t, rep, brep)
 }

@@ -91,7 +91,7 @@ func (fp *footprint) readyBin(changeBin int) int { return changeBin + fp.fwd }
 // with a concurrent control, never decodes its history.
 type winFetcher struct {
 	src  SeriesSource
-	base time.Time // source epoch at fetch-bound time: a full Series starts here
+	base time.Time // source epoch: bin 0 of the full-series frame
 	step time.Duration
 	pool *sync.Pool
 
@@ -186,8 +186,8 @@ func (f *winFetcher) keep(b []float64) {
 
 // offsetOf translates a fetched series' bin indices back to positions
 // in the key's full series (what reports and detections carry): the
-// number of bins between the source epoch and the fetched window start.
-// A fallback full series translates by 0.
+// number of bins between the source epoch and the fetched window start,
+// or the full series' first kept bin for a fallback.
 func (f *winFetcher) offsetOf(s *timeseries.Series) int {
 	return int(s.Start.Sub(f.base) / f.step)
 }

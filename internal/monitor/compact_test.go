@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -394,5 +395,44 @@ func TestCompactionMeetsQueuedRequests(t *testing.T) {
 	}
 	if n, queued := cfs.headWrites.Load(), len(p.compactReq); n != 1 || queued != 0 {
 		t.Fatalf("%d compactions ran and %d is queued, want one and none", n, queued)
+	}
+}
+
+// TestCompactionAfterPruneKeepsLiveSegments: bins never renumber, so a
+// prune leaves the live segments' chunks good, and the compaction after
+// it writes what sealed since beside them rather than a new base; the
+// pruned chunks the base still holds are stepped over on reading.
+func TestCompactionAfterPruneKeepsLiveSegments(t *testing.T) {
+	st, dir := openTestStore(t, 4, 4)
+	write := func(lo, hi int) {
+		for bin := lo; bin < hi; bin++ {
+			st.AppendBatch([]Measurement{{kCPU, t0.Add(time.Duration(bin) * time.Minute), float64(bin)}, {kPV, t0.Add(time.Duration(bin) * time.Minute), float64(-bin)}})
+		}
+	}
+	write(0, 40)
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	write(40, 48)
+	st.Prune(t0.Add(10 * time.Minute))
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	// The prune's own request may still run a compaction: read the
+	// directory between two.
+	p := st.persist
+	p.compactMu.Lock()
+	defer p.compactMu.Unlock()
+	live := slices.Clone(p.live)
+	if len(live) < 2 || live[0] != (segmentRef{seq: 1, level: baseLevel, size: live[0].size}) {
+		t.Fatalf("live segments %+v after a prune, want the first base, seg 1, and what sealed since", live)
+	}
+	for _, g := range live[1:] {
+		if g.level == baseLevel {
+			t.Fatalf("live segments %+v: a compaction after a prune wrote a base", live)
+		}
+	}
+	if got, want := installedImage(t, dir), snapshotBytes(t, st); !bytes.Equal(got, want) {
+		t.Fatalf("the installed image is %d bytes, the pruned store's %d", len(got), len(want))
 	}
 }

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/topo"
 )
@@ -22,14 +21,10 @@ import (
 // only [b, …) when the low-water is at or past b, and must re-read
 // and re-verify what it holds when the low-water falls inside it (a
 // late write, a gap fill, an overwrite). Whatever mutated, the key
-// shows up dirty with a low-water at or below the mutation.
-//
-// The low-water is a store-absolute bin of the epoch in force when the
-// append was marked. A Prune between that mark and the drain rebases
-// the store and leaves the number stale (too high by the bins dropped).
-// That is harmless because of the epoch below: the same prune bumps
-// it, and a consumer seeing the epoch move discards every bin index it
-// holds, drained low-waters included, and re-reads in full.
+// shows up dirty with a low-water at or below the mutation. The
+// low-water is a store bin, and store bins never renumber (a Prune drops
+// chunks and keeps the epoch), so a drained low-water stays good however
+// many prunes ran since its mark.
 //
 // Admission control: the dirty set is bounded by maxKeys. When the
 // fleet outruns the consumer and the set is full, new keys are shed
@@ -37,11 +32,6 @@ import (
 // to treat *all* its tracked keys as dirty (a full resync) instead of
 // trusting the truncated set. Nothing is lost; the store remains the
 // source of truth.
-//
-// Epoch: Prune rebases the store's bin origin, which shifts every
-// absolute bin index a consumer may have cached. Each rebase bumps the
-// feed epoch; a consumer seeing the epoch move discards cached
-// geometry.
 type BinFeed struct {
 	store   *Store
 	filter  func(topo.KPIKey) bool
@@ -50,7 +40,6 @@ type BinFeed struct {
 	mu       sync.Mutex
 	dirty    map[topo.KPIKey]int // key → low-water bin
 	overflow bool
-	epoch    uint64
 	closed   bool
 
 	notify chan struct{}
@@ -103,8 +92,6 @@ func (s *Store) NewBinFeed(filter func(topo.KPIKey) bool, maxKeys int) *BinFeed 
 // set itself changes (NewBinFeed, Close).
 func (f *BinFeed) Refilter(keys []topo.KPIKey) {
 	s := f.store
-	s.epochMu.RLock()
-	defer s.epochMu.RUnlock()
 	for _, key := range keys {
 		sh := s.shardFor(key)
 		sh.mu.Lock()
@@ -120,25 +107,24 @@ func (f *BinFeed) Refilter(keys []topo.KPIKey) {
 func (f *BinFeed) C() <-chan struct{} { return f.notify }
 
 // Drain moves the dirty set into keys (appending to it; pass a reused
-// buf[:0] to avoid allocation) and resets it. epoch is the feed's
-// current epoch (bumped by every store prune); overflow reports that
-// the set hit capacity since the last drain, in which case keys is
+// buf[:0] to avoid allocation) and resets it. overflow reports that the
+// set hit capacity since the last drain, in which case keys is
 // incomplete and the consumer must treat every key it tracks as dirty.
-func (f *BinFeed) Drain(keys []topo.KPIKey) (out []topo.KPIKey, epoch uint64, overflow bool) {
-	out, _, epoch, overflow = f.drain(keys, nil, false)
-	return out, epoch, overflow
+// The middle result is vestigial, always 0: it was a prune epoch, and
+// stays until the last caller of Drain moves to DrainBins.
+func (f *BinFeed) Drain(keys []topo.KPIKey) (out []topo.KPIKey, _ uint64, overflow bool) {
+	out, _, overflow = f.drain(keys, nil, false)
+	return out, 0, overflow
 }
 
 // DrainBins is Drain that also hands over each key's low-water bin:
 // lows[i] (appended like keys) is the lowest bin written to keys[i]
-// since the previous drain, in the bin frame of the epoch at which it
-// was marked — meaningful only while epoch is the one the consumer
-// already works in (see the type comment).
-func (f *BinFeed) DrainBins(keys []topo.KPIKey, lows []int) (outKeys []topo.KPIKey, outLows []int, epoch uint64, overflow bool) {
+// since the previous drain.
+func (f *BinFeed) DrainBins(keys []topo.KPIKey, lows []int) (outKeys []topo.KPIKey, outLows []int, overflow bool) {
 	return f.drain(keys, lows, true)
 }
 
-func (f *BinFeed) drain(keys []topo.KPIKey, lows []int, withLows bool) ([]topo.KPIKey, []int, uint64, bool) {
+func (f *BinFeed) drain(keys []topo.KPIKey, lows []int, withLows bool) ([]topo.KPIKey, []int, bool) {
 	f.mu.Lock()
 	for k, low := range f.dirty {
 		keys = append(keys, k)
@@ -149,9 +135,8 @@ func (f *BinFeed) drain(keys []topo.KPIKey, lows []int, withLows bool) ([]topo.K
 	}
 	overflow := f.overflow
 	f.overflow = false
-	epoch := f.epoch
 	f.mu.Unlock()
-	return keys, lows, epoch, overflow
+	return keys, lows, overflow
 }
 
 // Close unregisters the feed from the store. The wakeup channel is not
@@ -209,15 +194,6 @@ func (f *BinFeed) mark(key topo.KPIKey, idx int) {
 	f.wake()
 }
 
-// bumpEpoch advances the feed epoch (store geometry changed) and wakes
-// the consumer.
-func (f *BinFeed) bumpEpoch() {
-	f.mu.Lock()
-	f.epoch++
-	f.mu.Unlock()
-	f.wake()
-}
-
 // wake deposits the non-blocking notification token.
 func (f *BinFeed) wake() {
 	select {
@@ -232,17 +208,17 @@ func (f *BinFeed) wake() {
 // set; each feed's own filter still runs inside mark, so a flag gone
 // stale (Refilter pending) marks nothing it should not.
 //
-// The bin is worked out again here, from the timestamp and under the
-// epoch read lock the caller binned it under, instead of being handed
-// over: keeping it alive across commitLocked's calls, for a branch 32 of
-// 20 000 appends take, cost ingest-flood a tenth of its median latency
-// in alternating pairs (EXPERIMENTS.md, "Streaming advance").
+// The bin is worked out again here, from the timestamp, instead of being
+// handed over: keeping it alive across commitLocked's calls, for a
+// branch 32 of 20 000 appends take, cost ingest-flood a tenth of its
+// median latency in alternating pairs (EXPERIMENTS.md, "Streaming
+// advance").
 func (s *Store) notifyFeeds(key *topo.KPIKey, nanos int64) {
 	fs := s.feeds.Load()
 	if fs == nil {
 		return
 	}
-	idx, _ := binAt(s.start, s.step, time.Unix(0, nanos))
+	idx, _ := s.clock.bin(nanos)
 	for _, f := range *fs {
 		f.mark(*key, idx)
 	}
@@ -269,8 +245,6 @@ func (s *Store) feedWants(key topo.KPIKey) bool {
 // locked in turn — it runs only when a feed registers or closes; a
 // feed whose filter changes its answer names the keys (Refilter).
 func (s *Store) refreshFeedFlags() {
-	s.epochMu.RLock()
-	defer s.epochMu.RUnlock()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -278,16 +252,5 @@ func (s *Store) refreshFeedFlags() {
 			e.feedTracked = s.feedWants(key)
 		}
 		sh.mu.Unlock()
-	}
-}
-
-// bumpFeedEpochs advances every feed's epoch after a store rebase.
-func (s *Store) bumpFeedEpochs() {
-	fs := s.feeds.Load()
-	if fs == nil {
-		return
-	}
-	for _, f := range *fs {
-		f.bumpEpoch()
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // The feed against the store reference model: appends coalesce into
 // one mark per key carrying the lowest bin written since the drain, a
-// drain resets them, a prune bumps the epoch, and a closed feed marks
-// nothing — for measurements appended in-process and ones that arrived
+// drain resets them, a prune leaves them as they are, and a closed
+// feed marks nothing — for measurements appended in-process and ones that arrived
 // framed.
 func TestBinFeedCoalescesAppends(t *testing.T) {
 	p := progOps(opFeed, 0, opRefilter, 0, opRefilter, wr(4, 0, 0), opAppend, 9, opAppend, wr(4, 1, 0), opDrain, 0, opDrain, 0)
@@ -42,7 +42,7 @@ func TestBinFeedLowWater(t *testing.T) {
 	for _, m := range []Measurement{{kCPU, t0.Add(12 * time.Minute), 1}, {kPV, t0.Add(6 * time.Minute), 1}, {k3, t0, 1}, {kCPU, t0.Add(4 * time.Minute), 1}} {
 		s.Append(m)
 	}
-	keys, lows, _, overflow := f.DrainBins(nil, nil)
+	keys, lows, overflow := f.DrainBins(nil, nil)
 	if got := map[topo.KPIKey]int{keys[0]: lows[0], keys[1]: lows[1]}; !overflow || len(keys) != 2 || got[kCPU] != 4 || got[kPV] != 6 {
 		t.Fatalf("low-waters %v %v (overflow %v), want cpu 4, pv 6 and an overflow", keys, lows, overflow)
 	}
@@ -62,8 +62,31 @@ func TestRefilterKeys(t *testing.T) {
 	runProgram(t, progConfig{span: 8, shards: 4}, p, nil)
 }
 
-func TestBinFeedEpochBumpOnPrune(t *testing.T) {
-	runProgram(t, progConfig{span: 8, shards: 4}, progOps(opFeed, 0, opAppend, 10, opPruneTail, 5, opDrain, 0), nil)
+// TestBinFeedLowWaterAcrossPrune: a prune leaves the epoch where it was
+// and the feed's marks as they were, and wakes no consumer; a low-water
+// drained after it still names the bin that was written.
+func TestBinFeedLowWaterAcrossPrune(t *testing.T) {
+	p := progOps(opFeed, 0, opRefilter, 0, opAppend, 20, opDrain, 0, opLateTail, 3, opPruneTail, 1, opDrain, 0,
+		opAppend, 2, opPruneChunks, 9, opAppend, wr(4, 0, 0), opDrain, 0)
+	runProgram(t, progConfig{span: 8, shards: 4}, p, nil)
+	s := NewStore(t0, time.Minute)
+	s.SetChunkSpan(4)
+	f := s.NewBinFeed(nil, 0)
+	defer f.Close()
+	for bin := range 12 {
+		s.Append(Measurement{kCPU, t0.Add(time.Duration(bin) * time.Minute), float64(bin)})
+	}
+	f.Drain(nil)
+	s.Append(Measurement{kCPU, t0.Add(9 * time.Minute), -1})
+	s.Prune(t0.Add(8 * time.Minute))
+	keys, lows, _ := f.DrainBins(nil, nil)
+	if !s.Start().Equal(t0) || len(keys) != 1 || lows[0] != 9 {
+		t.Fatalf("after a prune: epoch %v, low-waters %v %v; want %v, cpu at 9", s.Start(), keys, lows, t0)
+	}
+	from := s.Start().Add(time.Duration(lows[0]) * time.Minute)
+	if vals, start, ok := s.RangeInto(kCPU, from, from.Add(time.Minute), nil); !ok || !start.Equal(from) || vals[0] != -1 {
+		t.Fatalf("the drained low-water reads %v from %v (%v), want -1 from %v", vals, start, ok, from)
+	}
 }
 
 func TestBinFeedCloseUnregisters(t *testing.T) {

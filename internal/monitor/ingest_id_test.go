@@ -14,10 +14,10 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/chunk"
 	"repro/internal/faultnet"
 	"repro/internal/obs"
 	"repro/internal/topo"
@@ -566,9 +566,10 @@ func idFrames(t testing.TB, enc *keyIDs, ms []Measurement) [][]byte {
 }
 
 // TestIngestTableDropsPrunedSeries checks the other half of the handle
-// rule: after a prune, the first frame a connection applies clears its
-// pointers to the entries the prune dropped, so the table does not keep
-// their chunks alive.
+// rule: a prune marks the entries it drops deleted and empties them, so
+// a connection's table, which still points at them, keeps none of their
+// chunks alive, and the next measurement of a dropped key makes a new
+// series.
 func TestIngestTableDropsPrunedSeries(t *testing.T) {
 	s := NewStoreShards(t0, time.Minute, 4)
 	s.SetChunkSpan(4)
@@ -611,42 +612,56 @@ func TestIngestTableDropsPrunedSeries(t *testing.T) {
 	}
 	marker(1)
 
-	var freed atomic.Int64
-	collected := make(chan struct{}, len(keys))
-	func() {
-		for _, k := range keys {
-			sh := s.shardFor(k)
-			sh.mu.Lock()
-			e := sh.series[k]
-			if len(e.chunks) == 0 {
-				t.Errorf("%v has no sealed chunk", k)
-			}
-			runtime.SetFinalizer(e, func(*seriesEntry) {
-				freed.Add(1)
-				collected <- struct{}{}
-			})
-			sh.mu.Unlock()
+	var dropped []*seriesEntry
+	var chunks int
+	collected := make(chan struct{}, 2*len(keys))
+	for _, k := range keys {
+		sh := s.shardFor(k)
+		sh.mu.Lock()
+		e := sh.series[k]
+		if len(e.chunks) == 0 {
+			t.Errorf("%v has no sealed chunk", k)
 		}
-	}()
+		for _, ck := range e.chunks {
+			runtime.SetFinalizer(ck, func(*chunk.Chunk) { collected <- struct{}{} })
+			chunks++
+		}
+		dropped = append(dropped, e)
+		sh.mu.Unlock()
+	}
 	s.Prune(t0.Add(20 * time.Minute))
 	if s.Len() != 1 {
 		t.Fatalf("prune left %d series, want the marker alone", s.Len())
 	}
-	// Nothing has arrived since the prune: the table still points at the
-	// dropped entries, which is all that keeps them reachable.
-	runtime.GC()
-	if n := freed.Load(); n != 0 {
-		t.Fatalf("%d dropped entries collected while the connection's table still held them", n)
+	for i, e := range dropped {
+		sh := s.shardFor(keys[i])
+		sh.mu.Lock()
+		if !e.deleted || e.chunks != nil || e.tail != nil || e.npend != 0 {
+			t.Errorf("%v: a dropped entry is deleted %v and holds %d chunks, %d tail bins", keys[i], e.deleted, len(e.chunks), e.tailLen())
+		}
+		sh.mu.Unlock()
 	}
-	marker(2)
-	for n := 0; n < len(keys); {
+	// Nothing has arrived since the prune, and the table still points at
+	// the dropped entries; their chunks are collected all the same.
+	for n := 0; n < chunks; {
 		runtime.GC()
 		select {
 		case <-collected:
 			n++
 		case <-time.After(5 * time.Second):
-			t.Fatalf("%d of %d dropped entries collected after the connection's next frame", freed.Load(), len(keys))
+			t.Fatalf("%d of %d chunks of dropped series collected", n, chunks)
 		}
+	}
+	if err := pub.PublishBatch([]Measurement{{keys[0], t0.Add(30 * time.Minute), 7}}); err != nil {
+		t.Fatal(err)
+	}
+	marker(2)
+	sh := s.shardFor(keys[0])
+	sh.mu.Lock()
+	e := sh.series[keys[0]]
+	sh.mu.Unlock()
+	if vals, _, ok := s.RangeInto(keys[0], t0.Add(30*time.Minute), t0.Add(31*time.Minute), nil); e == nil || e == dropped[0] || !ok || vals[0] != 7 {
+		t.Fatalf("a dropped key written again reads %v (%v), from a new entry: %v", vals, ok, e != dropped[0])
 	}
 }
 
@@ -788,7 +803,7 @@ func TestIngestHandlesAcrossPruneStorm(t *testing.T) {
 		for p := 0; p < pubs; p++ {
 			waitFor(t, "burst applied", func() bool {
 				n, _ := s.SeriesLen(steadyKey(p, 0))
-				return n+int(s.Start().Sub(t0)/time.Minute) > after
+				return n > after
 			})
 		}
 		// The publishers are streaming the rest of the cycle. Cut into
@@ -837,7 +852,7 @@ func TestIngestHandlesAcrossPruneStorm(t *testing.T) {
 
 	// Every key a cycle tracked was marked, none other; a series' flag is
 	// whether the consumer tracks its key now; and the store holds what
-	// the rounds wrote from the last prune's epoch on.
+	// the rounds wrote, pruned as the store prunes to the last horizon.
 	everTracked := make(map[topo.KPIKey]bool)
 	for c := 0; c < cycles; c++ {
 		for _, k := range changeKeys(c) {
@@ -859,13 +874,13 @@ func TestIngestHandlesAcrossPruneStorm(t *testing.T) {
 			m.apply(roundOf(p, r))
 		}
 	}
-	m.prune(s.Start())
+	m.prune(m.at(int(s.horizon.Load())))
 	if s.Len() != len(m.series) || len(m.series) != pubs*(steady+bursty) {
 		t.Fatalf("%d series, model %d, want %d", s.Len(), len(m.series), pubs*(steady+bursty))
 	}
 	for k, ms := range m.series {
 		got, _ := s.Series(k)
-		sameBits(t, got.Values, ms.bins(), k.String())
+		sameBits(t, got.Values, ms.bins, k.String())
 	}
 }
 
@@ -973,7 +988,7 @@ func TestBinClockMatchesBinAt(t *testing.T) {
 	for _, e := range epochs {
 		start := e.start
 		s := NewStore(start, time.Minute)
-		clk := s.binClockLocked()
+		clk := s.clock
 		if clk.exact != e.exact {
 			t.Fatalf("epoch %v: exact = %v", start, clk.exact)
 		}

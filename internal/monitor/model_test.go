@@ -23,69 +23,69 @@ import (
 	"repro/internal/topo"
 )
 
-// The store reference model: every series a flat slice of bins, plus
-// the epoch, the feed's tracked flags and low-water marks. Op programs
-// (progRunner) drive a real persistent store and the model in
-// lock-step: after every op the store must read as the model does, and
-// after a reopen as the model rebuilt from the installed snapshot and
-// the log records the runner's journal says reached the disk.
+// The store reference model: every series a flat slice of bins from its
+// first kept chunk on, plus the epoch, the horizon, the feed's tracked
+// flags and low-water marks. Op programs (progRunner) drive a real
+// persistent store and the model in lock-step: after every op the store
+// must read as the model does, and after a reopen as the model rebuilt
+// from the installed snapshot and the log records the runner's journal
+// says reached the disk.
 
-// modelSeries is one series: phys holds the bins of the first sealed
-// chunk's pruned head and then the logical bins; enc the encoded size
-// of each sealed chunk, −1 for a checksum-failure tombstone.
+// modelSeries is one series: bins holds its bins from first·span, the
+// first bin of its first kept chunk; enc the encoded size of each sealed
+// chunk, −1 for a checksum-failure tombstone.
 type modelSeries struct {
-	phys []float64
-	head int
-	enc  []int
+	first int
+	bins  []float64
+	enc   []int
 }
 
-func (ms *modelSeries) bins() []float64 { return ms.phys[ms.head:] }
+// end is the bin past the series' last one.
+func (ms *modelSeries) end(span int) int { return ms.first*span + len(ms.bins) }
 
-// set writes bin, re-encoding the sealed chunk it patches or completes.
+// set writes bin, at or past the first kept one, re-encoding the sealed
+// chunk it patches or completes.
 func (ms *modelSeries) set(bin int, v float64, span int) {
-	for len(ms.bins()) <= bin {
-		ms.phys = append(ms.phys, math.NaN())
+	p := bin - ms.first*span
+	for len(ms.bins) <= p {
+		ms.bins = append(ms.bins, math.NaN())
 	}
-	p := ms.head + bin
-	ms.phys[p] = v
+	ms.bins[p] = v
 	if ci := p / span; ci < len(ms.enc) {
-		ms.enc[ci] = chunk.Encode(ms.phys[ci*span : (ci+1)*span]).EncodedBytes()
+		ms.enc[ci] = chunk.Encode(ms.bins[ci*span : (ci+1)*span]).EncodedBytes()
 	}
-	for ci := len(ms.enc); ci < len(ms.phys)/span; ci++ {
-		ms.enc = append(ms.enc, chunk.Encode(ms.phys[ci*span:(ci+1)*span]).EncodedBytes())
+	for ci := len(ms.enc); ci < len(ms.bins)/span; ci++ {
+		ms.enc = append(ms.enc, chunk.Encode(ms.bins[ci*span:(ci+1)*span]).EncodedBytes())
 	}
 }
 
-// prune drops the first drop logical bins as the store does: whole
-// chunks go, a cut chunk keeps its bins behind head, and a cut at or
-// past the sealed region leaves none. It reports whether anything is
-// left of the series.
-func (ms *modelSeries) prune(drop, span int) bool {
-	if drop >= len(ms.bins()) {
+// prune drops the sealed chunks that lie wholly below horizon, as the
+// store does. It reports whether the series is kept: false when its last
+// bin lies below the horizon.
+func (ms *modelSeries) prune(horizon, span int) bool {
+	if ms.end(span) <= horizon {
 		return false
 	}
-	if p := ms.head + drop; p < len(ms.enc)*span {
-		ms.phys, ms.enc, ms.head = ms.phys[p/span*span:], ms.enc[p/span:], p%span
-	} else {
-		ms.phys, ms.enc, ms.head = ms.phys[p:], nil, 0
+	if drop := min(horizon/span-ms.first, len(ms.enc)); drop > 0 {
+		ms.bins, ms.enc, ms.first = ms.bins[drop*span:], ms.enc[drop:], ms.first+drop
 	}
 	return true
 }
 
 // storeModel is the reference store.
 type storeModel struct {
-	start  time.Time
-	span   int
-	series map[topo.KPIKey]*modelSeries
+	start   time.Time
+	horizon int
+	span    int
+	series  map[topo.KPIKey]*modelSeries
 	// The feed: whether one is attached, the keys its filter accepts,
 	// each series' cached flag, the lowest bin marked per key since the
-	// last drain, the prunes since it was attached, and whether a mark
-	// or a prune since the last look has left a wakeup token.
+	// last drain, and whether a mark since the last look has left a
+	// wakeup token.
 	feed, woken bool
 	tracked     map[topo.KPIKey]bool
 	flags       map[topo.KPIKey]bool
 	lows        map[topo.KPIKey]int
-	feedEpoch   uint64
 }
 
 func newStoreModel(start time.Time, span int) *storeModel {
@@ -93,18 +93,22 @@ func newStoreModel(start time.Time, span int) *storeModel {
 		tracked: make(map[topo.KPIKey]bool), flags: make(map[topo.KPIKey]bool), lows: make(map[topo.KPIKey]int)}
 }
 
+// at is the time of bin.
+func (m *storeModel) at(bin int) time.Time { return m.start.Add(time.Duration(bin) * time.Minute) }
+
 // apply writes ms one after the other, as Append does, and returns the
-// ones at or past the epoch — the ones the store keeps and logs.
+// ones at or past the epoch and the horizon — the ones the store keeps
+// and logs. A series made after a prune starts at the horizon's chunk.
 func (m *storeModel) apply(ms []Measurement) (kept []Measurement) {
 	for _, x := range ms {
-		if x.T.Before(m.start) {
+		bin := int(x.T.Sub(m.start) / time.Minute)
+		if x.T.Before(m.start) || bin < m.horizon {
 			continue
 		}
 		kept = append(kept, x)
-		bin := int(x.T.Sub(m.start) / time.Minute)
 		s := m.series[x.Key]
 		if s == nil {
-			s = &modelSeries{}
+			s = &modelSeries{first: m.horizon / m.span}
 			m.series[x.Key] = s
 			m.flags[x.Key] = m.feed && m.tracked[x.Key]
 		}
@@ -120,56 +124,56 @@ func (m *storeModel) apply(ms []Measurement) (kept []Measurement) {
 	return kept
 }
 
+// prune raises the horizon to the bin of before, when that is above it,
+// and prunes every series to it; the feed's marks stay as they are.
 func (m *storeModel) prune(before time.Time) {
-	drop := int(before.Sub(m.start) / time.Minute)
-	if drop <= 0 {
+	h := int(before.Sub(m.start) / time.Minute)
+	if before.Before(m.start) || h <= m.horizon {
 		return
 	}
+	m.horizon = h
 	for k, s := range m.series {
-		if !s.prune(drop, m.span) {
+		if !s.prune(h, m.span) {
 			delete(m.series, k)
 			delete(m.flags, k)
 		}
-	}
-	m.start = m.start.Add(time.Duration(drop) * time.Minute)
-	if m.feed {
-		m.feedEpoch++
-		m.woken = true
 	}
 }
 
 // setFeed attaches or detaches the feed: every flag takes the filter's
 // answer, or falls.
 func (m *storeModel) setFeed(on bool) {
-	m.feed, m.feedEpoch, m.woken = on, 0, false
+	m.feed, m.woken = on, false
 	clear(m.lows)
 	for k := range m.series {
 		m.flags[k] = on && m.tracked[k]
 	}
 }
 
-// clone is what a snapshot of m holds: its series, epoch and span.
+// clone is what a snapshot of m holds: its series, epoch, horizon and
+// span.
 func (m *storeModel) clone() *storeModel {
 	c := newStoreModel(m.start, m.span)
+	c.horizon = m.horizon
 	for k, s := range m.series {
-		c.series[k] = &modelSeries{phys: slices.Clone(s.phys), head: s.head, enc: slices.Clone(s.enc)}
+		c.series[k] = &modelSeries{first: s.first, bins: slices.Clone(s.bins), enc: slices.Clone(s.enc)}
 	}
 	return c
 }
 
 // sameContent reports whether a and b hold the same bins in the same
-// chunk layout, bit for bit.
+// chunk layout, bit for bit, under the same horizon.
 func sameContent(a, b *storeModel) bool {
-	if !a.start.Equal(b.start) || a.span != b.span || len(a.series) != len(b.series) {
+	if !a.start.Equal(b.start) || a.horizon != b.horizon || a.span != b.span || len(a.series) != len(b.series) {
 		return false
 	}
 	for k, s := range a.series {
 		o := b.series[k]
-		if o == nil || s.head != o.head || !slices.Equal(s.enc, o.enc) || len(s.phys) != len(o.phys) {
+		if o == nil || s.first != o.first || !slices.Equal(s.enc, o.enc) || len(s.bins) != len(o.bins) {
 			return false
 		}
-		for i, v := range s.phys[s.head:] {
-			if math.Float64bits(v) != math.Float64bits(o.bins()[i]) {
+		for i, v := range s.bins {
+			if math.Float64bits(v) != math.Float64bits(o.bins[i]) {
 				return false
 			}
 		}
@@ -177,14 +181,15 @@ func sameContent(a, b *storeModel) bool {
 	return true
 }
 
-// check fails unless s reads as m: the epoch, and for each of keys the
-// length, windows at the edges of its regions (clamped past the end as
-// RangeInto clamps), a replay from one of them, and the whole store's
-// Stats from the model's chunk layout. Nil keys means every series.
+// check fails unless s reads as m: the epoch and the horizon, and for
+// each of keys the length, windows at the edges of its regions (clamped
+// to its first kept bin and past its end, as RangeInto clamps), a replay
+// from one of them, and the whole store's Stats from the model's chunk
+// layout. Nil keys means every series.
 func (m *storeModel) check(t testing.TB, s *Store, keys []topo.KPIKey, rng *rand.Rand) {
 	t.Helper()
-	if !s.Start().Equal(m.start) {
-		t.Fatalf("epoch %v, model %v", s.Start(), m.start)
+	if !s.Start().Equal(m.start) || s.horizon.Load() != int64(m.horizon) {
+		t.Fatalf("epoch %v, horizon %d; model %v, %d", s.Start(), s.horizon.Load(), m.start, m.horizon)
 	}
 	if keys == nil {
 		for k := range m.series {
@@ -195,18 +200,18 @@ func (m *storeModel) check(t testing.TB, s *Store, keys []topo.KPIKey, rng *rand
 		n, ok := s.SeriesLen(k)
 		ms := m.series[k]
 		if ms == nil {
-			if _, _, got := s.RangeInto(k, m.start, m.start.Add(time.Hour), nil); ok || got {
+			if _, _, got := s.RangeInto(k, m.start, m.at(n+60), nil); ok || got {
 				t.Fatalf("%v: the store holds %d bins, the model no series", k, n)
 			}
 			continue
 		}
-		want := ms.bins()
-		if !ok || n != len(want) {
-			t.Fatalf("%v: SeriesLen = %d (%v), model %d", k, n, ok, len(want))
+		base := ms.first * m.span
+		if !ok || n != ms.end(m.span) {
+			t.Fatalf("%v: SeriesLen = %d (%v), model %d", k, n, ok, ms.end(m.span))
 		}
-		sealed, nt, _ := shapeOf(s, k)
+		_, sealed, tail, _ := shapeOf(s, k)
 		edge := func() int {
-			at := [...]int{0, sealed, sealed + nt, n, rng.Intn(n + 1)}[rng.Intn(5)] + rng.Intn(3) - 1
+			at := [...]int{base, sealed, tail, n, rng.Intn(n + 1)}[rng.Intn(5)] + rng.Intn(3) - 1
 			return max(0, min(at, n+1))
 		}
 		for w := 0; w < 6 && (w == 0 || ki < 64); w++ { // past 64 keys, the whole series only
@@ -217,17 +222,17 @@ func (m *storeModel) check(t testing.TB, s *Store, keys []topo.KPIKey, rng *rand
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			from := m.start.Add(time.Duration(lo) * time.Minute)
-			got, wstart, ok := s.RangeInto(k, from, from.Add(time.Duration(hi-lo)*time.Minute), nil)
-			if ok != (lo < min(hi, n)) || ok && !wstart.Equal(from) {
-				t.Fatalf("%v: RangeInto [%d,%d) of %d: ok %v, start %v", k, lo, hi, n, ok, wstart)
+			clo, chi := max(lo, base), min(hi, n)
+			got, wstart, ok := s.RangeInto(k, m.at(lo), m.at(hi), nil)
+			if ok != (clo < chi) || ok && !wstart.Equal(m.at(clo)) {
+				t.Fatalf("%v: RangeInto [%d,%d) of [%d,%d): ok %v, start %v", k, lo, hi, base, n, ok, wstart)
 			}
-			if ok && len(got) != min(hi, n)-lo {
-				t.Fatalf("%v: window [%d,%d) of %d holds %d bins", k, lo, hi, n, len(got))
+			if ok && len(got) != chi-clo {
+				t.Fatalf("%v: window [%d,%d) of [%d,%d) holds %d bins", k, lo, hi, base, n, len(got))
 			}
 			for i := 0; ok && i < len(got); i++ {
-				if math.Float64bits(got[i]) != math.Float64bits(want[lo+i]) {
-					t.Fatalf("%v: window [%d,%d): bin %d = %v, model %v", k, lo, hi, lo+i, got[i], want[lo+i])
+				if math.Float64bits(got[i]) != math.Float64bits(ms.bins[clo-base+i]) {
+					t.Fatalf("%v: window [%d,%d): bin %d = %v, model %v", k, lo, hi, clo+i, got[i], ms.bins[clo-base+i])
 				}
 			}
 		}
@@ -235,11 +240,11 @@ func (m *storeModel) check(t testing.TB, s *Store, keys []topo.KPIKey, rng *rand
 			continue // a replay reads the whole store; sixteen keys will do
 		}
 		since := edge()
-		got := s.ReplaySince(func(x topo.KPIKey) bool { return x == k }, m.start.Add(time.Duration(since)*time.Minute))
+		got := s.ReplaySince(func(x topo.KPIKey) bool { return x == k }, m.at(since))
 		i := 0
-		for bin := min(since, n); bin < n; bin++ {
-			if v := want[bin]; !math.IsNaN(v) {
-				if i >= len(got) || !got[i].T.Equal(m.start.Add(time.Duration(bin)*time.Minute)) || math.Float64bits(got[i].V) != math.Float64bits(v) {
+		for bin := max(since, base); bin < n; bin++ {
+			if v := ms.bins[bin-base]; !math.IsNaN(v) {
+				if i >= len(got) || !got[i].T.Equal(m.at(bin)) || math.Float64bits(got[i].V) != math.Float64bits(v) {
 					t.Fatalf("%v: replay since bin %d: entry %d of %d is not bin %d = %v", k, since, i, len(got), bin, v)
 				}
 				i++
@@ -252,11 +257,10 @@ func (m *storeModel) check(t testing.TB, s *Store, keys []topo.KPIKey, rng *rand
 	want := Stats{SeriesCount: len(m.series), Start: m.start, LastBin: -1}
 	tomb := int64(chunk.Tombstone(m.span).EncodedBytes())
 	for _, ms := range m.series {
-		n := len(ms.bins())
-		want.Bins += n
-		want.LastBin = max(want.LastBin, n-1)
+		want.Bins += len(ms.bins)
+		want.LastBin = max(want.LastBin, ms.end(m.span)-1)
 		want.Chunks += len(ms.enc)
-		want.TailBins += len(ms.phys) - len(ms.enc)*m.span
+		want.TailBins += len(ms.bins) - len(ms.enc)*m.span
 		for _, b := range ms.enc {
 			if b < 0 {
 				want.QuarantinedChunks++
@@ -272,16 +276,20 @@ func (m *storeModel) check(t testing.TB, s *Store, keys []topo.KPIKey, rng *rand
 	}
 }
 
-// shapeOf reads the regions of key's series: sealed, tail and line
-// lengths.
-func shapeOf(s *Store, key topo.KPIKey) (sealed, nt, np int) {
+// shapeOf reads the regions of key's series: its first kept bin, and the
+// ends of its sealed region, tail and line. A key with no series reads
+// as one that would start at the horizon.
+func shapeOf(s *Store, key topo.KPIKey) (base, sealed, tail, end int) {
 	sh := s.shardFor(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if e := sh.series[key]; e != nil {
-		return e.sealedLen(s.span), len(e.tail), int(e.npend)
+	e := sh.series[key]
+	if e == nil {
+		h := int(s.horizon.Load())
+		return h, h, h, h
 	}
-	return 0, 0, 0
+	sealed = e.sealedEnd(s.span)
+	return e.first * s.span, sealed, sealed + len(e.tail), sealed + e.tailLen()
 }
 
 // Ops of a store program: three bytes each, an opcode and a 16-bit
@@ -290,13 +298,13 @@ func shapeOf(s *Store, key topo.KPIKey) (sealed, nt, np int) {
 // and, in its low byte, a count or the offset it reduces onto the
 // region it aims at.
 const (
-	opAppend      = iota // arg%64+1 bins at the series' end
+	opAppend      = iota // arg%64+1 bins at the series' end (a new series' at the horizon)
 	opLateLine           // rewrite a bin of the line
 	opLateTail           // rewrite a bin of the tail
-	opLateSealed         // rewrite a bin of a sealed chunk
+	opLateSealed         // rewrite a bin of a sealed chunk, which may lie below the horizon
 	opGap                // write arg%(3·span)+1 bins past the end; bit 7 one before the epoch
-	opBin                // a bin of every key past the longest series; bits 0–1 the order, bit 2 a key twice
-	opPruneChunks        // prune to a bin of the key's sealed region
+	opBin                // a bin of every key past the longest series and the horizon; bits 0–1 the order, bit 2 a key twice
+	opPruneChunks        // raise the horizon to a bin of the key's sealed region
 	opPruneTail          // … of its tail
 	opPruneLine          // … of its line
 	opSnapshot           // snapshot and restore in memory
@@ -494,8 +502,8 @@ func (r *progRunner) step(op, arg int) {
 	t.Helper()
 	key := r.keys[arg>>8%8%len(r.keys)]
 	path := arg >> 11 % 5
-	sealed, nt, np := shapeOf(r.s, key)
-	n := sealed + nt + np
+	base, sealed, tail, n := shapeOf(r.s, key)
+	nt, np := tail-sealed, n-tail
 	began := time.Now()
 	var wrote []Measurement
 	full := false
@@ -503,7 +511,7 @@ func (r *progRunner) step(op, arg int) {
 	case opAppend:
 		wrote = r.write(path, r.bins(key, n, arg%64+1))
 	case opLateLine, opLateTail, opLateSealed:
-		lo, size, what := [...]int{sealed + nt, sealed, 0}[op-opLateLine], [...]int{np, nt, sealed}[op-opLateLine], [...]string{"line", "tail", "sealed"}[op-opLateLine]
+		lo, size, what := [...]int{tail, sealed, base}[op-opLateLine], [...]int{np, nt, sealed - base}[op-opLateLine], [...]string{"line", "tail", "sealed"}[op-opLateLine]
 		if size > 0 {
 			wrote = r.write(path, r.bins(key, lo+arg%256%size, 1))
 			r.cov["late "+what]++
@@ -520,7 +528,7 @@ func (r *progRunner) step(op, arg int) {
 			r.cov["gap past the line"]++
 		}
 	case opBin:
-		end := 0
+		end := r.m.horizon
 		for _, k := range r.keys {
 			l, _ := r.s.SeriesLen(k)
 			end = max(end, l)
@@ -535,9 +543,9 @@ func (r *progRunner) step(op, arg int) {
 		}
 		wrote = r.write(path, ms)
 	case opPruneChunks, opPruneTail, opPruneLine:
-		lo, size, what := [...]int{0, sealed, sealed + nt}[op-opPruneChunks], [...]int{sealed, nt, np}[op-opPruneChunks], [...]string{"chunks", "tail", "line"}[op-opPruneChunks]
-		if drop := lo + arg%256%max(size, 1); size > 0 && drop > 0 {
-			r.prune(drop)
+		lo, size, what := [...]int{base, sealed, tail}[op-opPruneChunks], [...]int{sealed - base, nt, np}[op-opPruneChunks], [...]string{"chunks", "tail", "line"}[op-opPruneChunks]
+		if h := lo + arg%256%max(size, 1); size > 0 && h > 0 {
+			r.prune(h)
 			r.cov["prune into the "+what]++
 			full = true
 		}
@@ -578,13 +586,13 @@ func (r *progRunner) step(op, arg int) {
 		}
 	case opDrain:
 		if r.feed != nil {
-			keys, lows, epoch, overflow := r.feed.DrainBins(nil, nil)
+			keys, lows, overflow := r.feed.DrainBins(nil, nil)
 			got := make(map[topo.KPIKey]int)
 			for i, k := range keys {
 				got[k] = lows[i]
 			}
-			if overflow || epoch != r.m.feedEpoch || !maps.Equal(got, r.m.lows) {
-				t.Fatalf("drained %v at epoch %d (overflow %v), model %v at %d", got, epoch, overflow, r.m.lows, r.m.feedEpoch)
+			if overflow || !maps.Equal(got, r.m.lows) {
+				t.Fatalf("drained %v (overflow %v), model %v", got, overflow, r.m.lows)
 			}
 			clear(r.m.lows)
 			r.cov["drain"]++
@@ -613,7 +621,7 @@ func (r *progRunner) bins(key topo.KPIKey, lo, count int) []Measurement {
 		case int(r.next)%7 == 0:
 			v += 0.25
 		}
-		ms[i] = Measurement{key, r.m.start.Add(time.Duration(lo+i) * time.Minute), v}
+		ms[i] = Measurement{key, r.m.at(lo + i), v}
 	}
 	return ms
 }
@@ -623,7 +631,11 @@ func (r *progRunner) bins(key topo.KPIKey, lo, count int) []Measurement {
 func (r *progRunner) write(path int, ms []Measurement) (kept []Measurement) {
 	r.cov[fmt.Sprintf("path %d", path)]++
 	for _, m := range ms {
-		if r.held && r.dropped[m.Key] && !m.T.Before(r.m.start) {
+		switch {
+		case m.T.Before(r.m.start):
+		case m.T.Before(r.m.at(r.m.horizon)):
+			r.cov["below the horizon"]++
+		case r.held && r.dropped[m.Key]:
 			r.cov["re-created in one generation"]++
 		}
 	}
@@ -775,10 +787,10 @@ func (r *progRunner) checkOp(began time.Time, wrote []Measurement, full bool) {
 	}
 	if f := r.feed; f != nil {
 		f.mu.Lock()
-		got, overflow, epoch := maps.Clone(f.dirty), f.overflow, f.epoch
+		got, overflow := maps.Clone(f.dirty), f.overflow
 		f.mu.Unlock()
-		if overflow || epoch != r.m.feedEpoch || !maps.Equal(got, r.m.lows) {
-			t.Fatalf("feed marks %v at epoch %d (overflow %v), model %v at %d", got, epoch, overflow, r.m.lows, r.m.feedEpoch)
+		if overflow || !maps.Equal(got, r.m.lows) {
+			t.Fatalf("feed marks %v (overflow %v), model %v", got, overflow, r.m.lows)
 		}
 		select {
 		case <-f.C():
@@ -794,10 +806,15 @@ func (r *progRunner) checkOp(began time.Time, wrote []Measurement, full bool) {
 	}
 }
 
-// prune prunes drop bins and holds the compaction it asks for until the
-// next op that needs the disk quiet (release).
-func (r *progRunner) prune(drop int) {
+// prune raises the horizon to bin h and holds the compaction it asks for
+// until the next op that needs the disk quiet (release).
+func (r *progRunner) prune(h int) {
 	r.release()
+	if h <= r.m.horizon {
+		r.s.Prune(r.m.at(h)) // a no-op, which asks for no compaction
+		r.cov["prune at or below the horizon"]++
+		return
+	}
 	before := len(r.m.series)
 	if !r.crashed() {
 		r.s.persist.compactMu.Lock()
@@ -807,7 +824,7 @@ func (r *progRunner) prune(drop int) {
 	for k := range r.m.series {
 		r.dropped[k] = true
 	}
-	at := r.m.start.Add(time.Duration(drop) * time.Minute)
+	at := r.m.at(h)
 	r.s.Prune(at)
 	r.m.prune(at)
 	r.prunes++
@@ -1196,7 +1213,7 @@ func (r *progRunner) rotSegment(sel int) {
 	for i := range cands {
 		c := cands[(sel+i)%len(cands)]
 		s := r.snap.series[r.keys[c[0]]]
-		data := chunk.Encode(s.phys[c[1]*span : (c[1]+1)*span]).Data()
+		data := chunk.Encode(s.bins[c[1]*span : (c[1]+1)*span]).Data()
 		var in string
 		n := 0
 		for name, raw := range segs {
@@ -1215,7 +1232,7 @@ func (r *progRunner) rotSegment(sel int) {
 		r.snapFile = installedImage(r.t, r.dir)
 		s.enc[c[1]] = -1
 		for b := c[1] * span; b < (c[1]+1)*span; b++ {
-			s.phys[b] = math.NaN()
+			s.bins[b] = math.NaN()
 		}
 		r.cov["damage 10"]++
 		return

@@ -350,17 +350,23 @@ func TestAgentEmitsPerTick(t *testing.T) {
 	}
 }
 
-// TestStorePrune: a prune rebases the epoch and drops what lies wholly
-// before it; a prune backwards is a no-op; appends before the new epoch
-// are dropped, after it they land at the right offsets.
+// TestStorePrune: a prune raises the horizon, drops what lies wholly
+// below it and leaves the epoch where it was; a prune backwards is a
+// no-op; appends below the horizon are dropped, at or past it they land
+// at their bins.
 func TestStorePrune(t *testing.T) {
-	p := progOps(opAppend, 9, opAppend, wr(1, 0, 0), opPruneTail, 4, opGap, 0x83, opGap, 2, opAppend, wr(1, 2, 3))
+	p := progOps(opAppend, 9, opAppend, wr(1, 0, 0), opPruneTail, 4, opGap, 0x83, opLateTail, 0, opGap, 2, opAppend, wr(1, 2, 3))
 	runProgram(t, progConfig{span: 64, shards: 4}, p, nil)
 	s := NewStore(t0, time.Minute)
 	s.Append(Measurement{kCPU, t0.Add(9 * time.Minute), 1})
 	s.Prune(t0.Add(4 * time.Minute))
-	if s.Prune(t0); !s.Start().Equal(t0.Add(4 * time.Minute)) {
-		t.Fatalf("a backwards prune moved the epoch to %v", s.Start())
+	s.Prune(t0)
+	s.Append(Measurement{kCPU, t0.Add(3 * time.Minute), 2})
+	if n, _ := s.SeriesLen(kCPU); !s.Start().Equal(t0) || s.horizon.Load() != 4 || n != 10 {
+		t.Fatalf("epoch %v, horizon %d, %d bins; want %v, 4, 10", s.Start(), s.horizon.Load(), n, t0)
+	}
+	if v, _, _ := s.RangeInto(kCPU, t0.Add(3*time.Minute), t0.Add(4*time.Minute), nil); !math.IsNaN(v[0]) {
+		t.Fatalf("a write below the horizon landed: %v", v)
 	}
 }
 

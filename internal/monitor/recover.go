@@ -62,7 +62,7 @@ const (
 )
 
 // minHeadSeries is the fewest bytes a head series takes: a scope, two
-// empty strings, head, chunk count and tail count. It bounds the shard
+// empty strings, first chunk, chunk count and tail count. It bounds the shard
 // maps' pre-sizing by the head's size, so that a corrupt series count
 // cannot demand memory. minSegmentChunk, a chunk's index and the
 // tombstone sentinel, bounds a series' chunk count by the live segments'
@@ -416,11 +416,11 @@ func (br *blockReader) next() {
 // series is handed out and the checksum over all of it holds; the
 // workers install them.
 func (r *recovery) readHead(f io.Reader, d dirListing) ([]segmentRef, error) {
-	// The fixed header — magic, version, start, step, span and segment
-	// count — then the segment list and the series count come in with
-	// the first piece of the stream.
+	// The fixed header — magic, version, start, step, span, horizon (not
+	// in version 1) and segment count — then the segment list and the
+	// series count come in with the first piece of the stream.
 	br := r.newBlockReader(f, 0)
-	const fixedLen = 4 + 2 + 8 + 8 + 4 + 4
+	fixedLen := 4 + 2 + 8 + 8 + 4 + 8 + 4
 	if err := br.fill(fixedLen); err != nil {
 		return nil, err
 	}
@@ -428,8 +428,13 @@ func (r *recovery) readHead(f io.Reader, d dirListing) ([]segmentRef, error) {
 	if len(hdr) >= 4 && string(hdr[:4]) != headMagic {
 		return nil, fmt.Errorf("monitor: bad head magic %q", hdr[:4])
 	}
+	v1 := false
 	if len(hdr) >= 6 {
-		if version := binary.BigEndian.Uint16(hdr[4:6]); version != headVersion {
+		switch version := binary.BigEndian.Uint16(hdr[4:6]); version {
+		case headVersion:
+		case 1:
+			v1, fixedLen = true, fixedLen-8
+		default:
 			return nil, fmt.Errorf("monitor: unsupported head version %d", version)
 		}
 	}
@@ -445,7 +450,13 @@ func (r *recovery) readHead(f io.Reader, d dirListing) ([]segmentRef, error) {
 	if span < 2 || span > maxSnapshotSpan {
 		return nil, fmt.Errorf("monitor: bad head chunk span %d", span)
 	}
-	nsegs := int(binary.BigEndian.Uint32(hdr[26:30]))
+	var horizon int64
+	if !v1 {
+		if horizon = int64(binary.BigEndian.Uint64(hdr[26:34])); horizon < 0 {
+			return nil, fmt.Errorf("monitor: bad head horizon %d", uint64(horizon))
+		}
+	}
+	nsegs := int(binary.BigEndian.Uint32(hdr[fixedLen-4 : fixedLen]))
 	if nsegs > maxLiveSegments {
 		return nil, fmt.Errorf("monitor: head lists %d segments", nsegs)
 	}
@@ -471,6 +482,7 @@ func (r *recovery) readHead(f io.Reader, d dirListing) ([]segmentRef, error) {
 
 	store := NewStoreShards(start, step, r.shards)
 	store.span = span
+	store.horizon.Store(horizon)
 	// Size each shard's map for its share of the series, bounded by what
 	// the head's bytes can hold.
 	perShard := min(count, d.headSize/minHeadSeries) / int64(len(store.shards))
@@ -492,7 +504,7 @@ func (r *recovery) readHead(f io.Reader, d dirListing) ([]segmentRef, error) {
 	sum := crc32.ChecksumIEEE(br.block[:hdrLen])
 	br.off = hdrLen
 	maxChunks := segBytes / minSegmentChunk
-	frame := func(b []byte) (int, int, error) { return frameHeadSeries(b, store, maxChunks) }
+	frame := func(b []byte) (int, int, error) { return frameHeadSeries(b, store, maxChunks, v1) }
 	if err := r.frameStream(br, count, batchSeries, 0, frame, func(b []byte) { sum = crc32.Update(sum, crc32.IEEETable, b) }); err != nil {
 		return nil, err
 	}
@@ -618,22 +630,25 @@ func frameKey(b []byte) (metOff, end int, err error) {
 // frameHeadSeries frames the head series at the front of b: its length,
 // or 0 when b does not hold all of it yet, and its key's shard in store.
 // Anything wrong with the framing is an error, found as soon as the
-// bytes that show it are in b.
-func frameHeadSeries(b []byte, store *Store, maxChunks int64) (n, shard int, err error) {
+// bytes that show it are in b. In a version 1 head (v1) the first chunk
+// field is a count of pruned bins, which must be 0.
+func frameHeadSeries(b []byte, store *Store, maxChunks int64, v1 bool) (n, shard int, err error) {
 	span := store.span
 	metOff, p, err := frameKey(b)
 	if err != nil || p == 0 || len(b) < p+12 {
 		return 0, 0, err
 	}
 	keyEnd := p
-	head := binary.BigEndian.Uint32(b[p:])
+	first := binary.BigEndian.Uint32(b[p:])
 	chunks := binary.BigEndian.Uint32(b[p+4:])
 	tail := binary.BigEndian.Uint32(b[p+8:])
-	if int64(head) >= int64(span) {
-		return 0, 0, fmt.Errorf("monitor: head %d exceeds chunk span %d", head, span)
-	}
-	if head > 0 && chunks == 0 {
-		return 0, 0, fmt.Errorf("monitor: head %d with no chunks", head)
+	switch {
+	case v1 && first != 0:
+		return 0, 0, fmt.Errorf("monitor: a version 1 head with %d bins pruned inside a series' first chunk: the last build that reads it is commit e8b4fb7", first)
+	case int64(first)*int64(span) > store.horizon.Load():
+		return 0, 0, fmt.Errorf("monitor: first chunk %d lies past the horizon %d", first, store.horizon.Load())
+	case int64(first)+int64(chunks) > math.MaxUint32:
+		return 0, 0, fmt.Errorf("monitor: chunks %d to %d overflow a segment's chunk index", first, int64(first)+int64(chunks))
 	}
 	if int64(chunks) > maxChunks {
 		return 0, 0, fmt.Errorf("monitor: %d chunks, more than the segments hold", chunks)
@@ -843,7 +858,7 @@ func (w *recoveryWorker) install(it recoveryItem) {
 	key, b, keyBuf := snapshotKey(it.b, w.keyBuf)
 	w.keyBuf = keyBuf
 
-	e := &seriesEntry{head: int(binary.BigEndian.Uint32(b)), arrivalNanos: w.r.restoredAt}
+	e := &seriesEntry{first: int(binary.BigEndian.Uint32(b)), arrivalNanos: w.r.restoredAt}
 	if n := binary.BigEndian.Uint32(b[4:]); n > 0 {
 		e.chunks = make([]*chunk.Chunk, n)
 	}
@@ -865,8 +880,8 @@ func (w *recoveryWorker) install(it recoveryItem) {
 // installChunks sets the chunks of the group framed in b (see
 // frameGroup), of segment seq, in its series: each is checked against
 // its CRC, its token walk left to its first decode, and seq recorded as
-// its home. A chunk of a series the head does not hold, or past its
-// chunk count, is stepped over.
+// its home. A chunk of a series the head does not hold, or outside its
+// chunks — pruned below its first, or past its count — is stepped over.
 func (w *recoveryWorker) installChunks(b []byte, seq uint64) {
 	span := w.r.store.span
 	e, b := w.entry(b)
@@ -875,13 +890,17 @@ func (w *recoveryWorker) installChunks(b []byte, seq uint64) {
 	for ; n > 0; n-- {
 		ci, encLen := int(binary.BigEndian.Uint32(b)), binary.BigEndian.Uint32(b[4:])
 		b = b[8:]
+		if e != nil {
+			ci -= e.first
+		}
+		held := e != nil && ci >= 0 && ci < len(e.chunks)
 		var ck *chunk.Chunk
 		if encLen == chunkTombstone {
 			// A quarantined chunk round-trips as a tombstone.
 			ck = chunk.Tombstone(span)
 		} else {
 			crc := binary.BigEndian.Uint32(b)
-			if e != nil && ci < len(e.chunks) {
+			if held {
 				ck, _ = chunk.FromEncoded(append([]byte(nil), b[4:4+encLen]...), span)
 				if ck.CRC() != crc {
 					// The framing held but the bytes are rotten: quarantine this
@@ -891,7 +910,7 @@ func (w *recoveryWorker) installChunks(b []byte, seq uint64) {
 			}
 			b = b[4+encLen:]
 		}
-		if e != nil && ci < len(e.chunks) {
+		if held {
 			ck.SetHome(seq)
 			e.chunks[ci] = ck
 		}
@@ -986,7 +1005,7 @@ func snapshotKey(b, scratch []byte) (key topo.KPIKey, rest, scratchOut []byte) {
 // written key by key (see keyRuns).
 func (w *recoveryWorker) apply(items []recoveryItem) {
 	s := w.r.store
-	clk := s.binClockLocked() // nothing moves the epoch while a store recovers
+	horizon := int(s.horizon.Load()) // nothing prunes a store under recovery
 	now := time.Now().UnixNano()
 	for lo := 0; lo < len(items); {
 		shard := items[lo].shard
@@ -1012,7 +1031,8 @@ func (w *recoveryWorker) apply(items []recoveryItem) {
 			for _, fr := range t.recs {
 				if fr.nanos != lastNanos {
 					lastNanos = fr.nanos
-					bin, binOK = clk.bin(fr.nanos)
+					bin, binOK = s.clock.bin(fr.nanos)
+					binOK = binOK && bin >= horizon
 				}
 				if binOK {
 					runs.add(fr.handle, bin, fr.v)
@@ -1052,7 +1072,7 @@ func (w *recoveryWorker) write(t *keyTable, now int64) {
 			locked = sh
 		}
 		if hd.e == nil {
-			hd.e = s.entryLocked(sh, &hd.key)
+			hd.e = s.entryLocked(sh, &hd.key, int(s.horizon.Load()))
 		}
 		w.runs.writeLocked(s, hd.e, h)
 		hd.e.arrivalNanos = now
@@ -1142,7 +1162,7 @@ func (k *keyRuns) add(h int32, bin int, v float64) {
 func (k *keyRuns) writeLocked(s *Store, e *seriesEntry, h int32) {
 	for i := k.first[h]; i >= 0; {
 		en := &k.ents[i]
-		if next := e.binLen(s.span); en.bin == next {
+		if next := e.end(s.span); en.bin == next {
 			k.vals = k.vals[:0]
 			for ; i >= 0 && k.ents[i].bin == next; i = k.ents[i].next {
 				k.vals = append(k.vals, k.ents[i].v)

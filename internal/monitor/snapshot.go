@@ -22,9 +22,9 @@ import (
 // deployment can restart without losing the 30-day baselines the
 // seasonal DiD needs (§3.2.5). Sealed chunks are immutable, so each is
 // written once, into an immutable segment file, and stays there; what
-// changes from one compaction to the next — the epoch, the series, each
-// series' pruned head, chunk count and unsealed bins — goes into one
-// small head file, rewritten whole. The data directory stays flat:
+// changes from one compaction to the next — the horizon, the series,
+// each series' first chunk, chunk count and unsealed bins — goes into
+// one small head file, rewritten whole. The data directory stays flat:
 //
 //	head.fnlh     — the head, the commit point: written to head.tmp,
 //	  fsynced, renamed over, and the directory fsynced
@@ -34,13 +34,13 @@ import (
 //
 // Head layout (all integers big-endian):
 //
-//	magic "FNLH" | version uint16 | startUnixNano int64 |
-//	stepNanos int64 | chunkSpan uint32 |
+//	magic "FNLH" | version uint16 (2) | startUnixNano int64 |
+//	stepNanos int64 | chunkSpan uint32 | horizon uint64 |
 //	segmentCount uint32, then per live segment, oldest first:
 //	  seq uint64 | level uint8,
 //	seriesCount uint32, then per series:
 //	  scope uint8 | entityLen uint16 | entity | metricLen uint16 |
-//	  metric | head uint32 | chunkCount uint32 |
+//	  metric | first uint32 | chunkCount uint32 |
 //	  tailCount uint32 | tailCount × float64 bits,
 //	crc32(every byte before it) uint32
 //
@@ -55,12 +55,23 @@ import (
 //	    encoded bytes (see internal/chunk), or index uint32 | the
 //	    sentinel 0xFFFFFFFF for a quarantined chunk (no crc, no data)
 //
+// Bin indices are absolute: bin 0 is the epoch, for the store's whole
+// life. horizon is the lowest bin a write may land in (see Store.Prune),
+// and a series' chunks are chunks first, first+1, …, first+chunkCount−1,
+// chunk i holding bins [i·span, (i+1)·span); its unsealed bins follow.
 // A series' chunk i is the copy of (key, i) in the newest live segment
-// that holds one; every index below the head's chunkCount must have one.
-// head is the count of already-pruned leading bins inside the first
-// chunk. Series and groups are written in sorted key order (scope,
-// entity, metric) and the chunk encoder is deterministic, so the same
-// compactions of the same data write the same bytes.
+// that holds one; every index of the series must have one, and a copy of
+// an index below first is a pruned chunk, stepped over. Series and
+// groups are written in sorted key order (scope, entity, metric) and the
+// chunk encoder is deterministic, so the same compactions of the same
+// data write the same bytes.
+//
+// Version 1 is version 2 without the horizon, and with each series'
+// count of pruned bins inside its first chunk (head) in place of first,
+// in a store whose prune renumbered bins. A version 1 head whose series
+// all have head 0 reads as version 2 with horizon 0 and first 0: the
+// same store. One with any other head is refused; commit e8b4fb7 is the
+// last build that reads it.
 //
 // What a compaction writes (persister.compactAs): one new segment
 // holding the chunks no live segment holds — the newly sealed ones and
@@ -71,11 +82,11 @@ import (
 // newest live segments while their levels read 0, 1, 2, … back from the
 // newest, taking the level one past the last it absorbed; it writes the
 // chunks whose home is one of them again, so a merged segment holds each
-// chunk of its inputs once, its newest copy. So O(log n) segments are live after
-// n compactions and a chunk is rewritten O(log n) times. A base
-// segment, which holds every chunk, is never merged: the first
-// compaction, the one after a Prune (which renumbers chunks) and an fsck
-// repair write one, and the head then lists it alone.
+// chunk of its inputs once, its newest copy, and none that a Prune
+// dropped. So O(log n) segments are live after n compactions and a chunk
+// is rewritten O(log n) times. A base segment, which holds every chunk,
+// is never merged: the first compaction and an fsck repair write one,
+// and the head then lists it alone.
 //
 // Reading is a recovery pass's first stream (see recover.go): one
 // reader checks the framing a block at a time and hands each series, and
@@ -103,7 +114,7 @@ import (
 const (
 	headMagic      = "FNLH"
 	segmentMagic   = "FNLC"
-	headVersion    = 1
+	headVersion    = 2
 	segmentVersion = 1
 
 	headFile       = "head.fnlh"
@@ -147,17 +158,17 @@ type segmentRef struct {
 }
 
 // snapshotCut is an immutable image of a store, taken under its locks
-// and written after they are released: the epoch, and per series the
-// key, head, the chunks slice header as it stood, and a copy of the
-// unsealed bins. Sealed chunks are immutable and a published chunks
+// and written after they are released: the epoch and the horizon, and
+// per series the key, first chunk, the chunks slice header as it stood,
+// and a copy of the unsealed bins. Sealed chunks are immutable and a published chunks
 // slice is never written in place — it only grows past the length a
 // reader captured, or is replaced (see seriesEntry) — so the headers
 // keep describing the cut while writers go on.
 type snapshotCut struct {
-	start time.Time
-	step  time.Duration
-	span  int
-	prune uint64 // the store's pruneEpoch
+	start   time.Time
+	step    time.Duration
+	span    int
+	horizon int64
 	// series is sorted by key once sort has run.
 	series []cutSeries
 	// bins holds every series' unsealed bins, tail then line, back to
@@ -172,7 +183,7 @@ type snapshotCut struct {
 // unsealed bins.
 type cutSeries struct {
 	key    topo.KPIKey
-	head   int
+	first  int
 	chunks []*chunk.Chunk
 	lo, hi int
 }
@@ -206,23 +217,22 @@ func (c *snapshotCut) reserve(s *Store) {
 }
 
 // takeLocked captures s into c, reusing c's buffers. The caller holds
-// epochMu and every shard lock, for reading at least.
+// every shard lock, for reading at least.
 func (c *snapshotCut) takeLocked(s *Store) {
-	c.start, c.step, c.span, c.prune = s.start, s.step, s.span, s.pruneEpoch
+	c.start, c.step, c.span, c.horizon = s.start, s.step, s.span, s.horizon.Load()
 	c.series, c.bins = c.series[:0], c.bins[:0]
 	for i := range s.shards {
 		for k, e := range s.shards[i].series {
 			lo := len(c.bins)
 			c.bins = append(c.bins, e.tail...)
 			c.bins = append(c.bins, e.pend[:e.npend]...)
-			c.series = append(c.series, cutSeries{key: k, head: e.head, chunks: e.chunks, lo: lo, hi: len(c.bins)})
+			c.series = append(c.series, cutSeries{key: k, first: e.first, chunks: e.chunks, lo: lo, hi: len(c.bins)})
 		}
 	}
 }
 
 // take is takeLocked for a caller that holds no lock.
 func (c *snapshotCut) take(s *Store) {
-	s.epochMu.RLock()
 	for i := range s.shards {
 		s.shards[i].mu.RLock()
 	}
@@ -230,7 +240,6 @@ func (c *snapshotCut) take(s *Store) {
 	for i := range s.shards {
 		s.shards[i].mu.RUnlock()
 	}
-	s.epochMu.RUnlock()
 	c.sort()
 }
 
@@ -263,6 +272,7 @@ func (c *snapshotCut) writeHead(w io.Writer, live []segmentRef) error {
 	rec = binary.BigEndian.AppendUint64(rec, uint64(c.start.UnixNano()))
 	rec = binary.BigEndian.AppendUint64(rec, uint64(c.step))
 	rec = binary.BigEndian.AppendUint32(rec, uint32(c.span))
+	rec = binary.BigEndian.AppendUint64(rec, uint64(c.horizon))
 	rec = binary.BigEndian.AppendUint32(rec, uint32(len(live)))
 	for _, g := range live {
 		rec = binary.BigEndian.AppendUint64(rec, g.seq)
@@ -278,7 +288,7 @@ func (c *snapshotCut) writeHead(w io.Writer, live []segmentRef) error {
 			return err
 		}
 		tail := c.bins[cs.lo:cs.hi]
-		rec = binary.BigEndian.AppendUint32(rec, uint32(cs.head))
+		rec = binary.BigEndian.AppendUint32(rec, uint32(cs.first))
 		rec = binary.BigEndian.AppendUint32(rec, uint32(len(cs.chunks)))
 		rec = binary.BigEndian.AppendUint32(rec, uint32(len(tail)))
 		for _, v := range tail {
@@ -358,7 +368,7 @@ func (c *snapshotCut) writeSegment(w io.Writer, pick pickFunc) error {
 		rec = binary.BigEndian.AppendUint32(rec, uint32(len(idx)))
 		for _, ci := range idx {
 			ck := cs.chunks[ci]
-			rec = binary.BigEndian.AppendUint32(rec, uint32(ci))
+			rec = binary.BigEndian.AppendUint32(rec, uint32(cs.first+ci))
 			if ck.Quarantined() && ck.Data() == nil {
 				rec = binary.BigEndian.AppendUint32(rec, chunkTombstone)
 				continue

@@ -73,7 +73,7 @@ func TestSnapshotBadScope(t *testing.T) {
 	s.Append(Measurement{kCPU, t0, 1})
 	s.Append(Measurement{kCPU, t0.Add(time.Minute), 2})
 	im := imageOf(t, s)
-	const headScopeAt = 4 + 2 + 8 + 8 + 4 + 4 + 9 + 4 // header, one segment, series count
+	const headScopeAt = 4 + 2 + 8 + 8 + 4 + 8 + 4 + 9 + 4 // header, one segment, series count
 	const segScopeAt = 4 + 2 + 4 + 4
 	if _, err := restoreImage(im); err != nil || im.head[headScopeAt] != byte(kCPU.Scope) || im.seg[segScopeAt] != byte(kCPU.Scope) {
 		t.Fatalf("unpatched image: %v, scope bytes %d and %d", err, im.head[headScopeAt], im.seg[segScopeAt])

@@ -55,17 +55,18 @@ type Measurement struct {
 // reads for different keys proceed in parallel; all operations on a
 // single key serialize on its shard, preserving per-key delivery order.
 type Store struct {
-	start time.Time // guarded by epochMu (Prune rebases it)
+	// start is bin 0 for the store's whole life: every bin index the
+	// store takes or hands out counts from it, and clock converts
+	// timestamps to those bins.
+	start time.Time
 	step  time.Duration
+	clock binClock
 
-	// pruneEpoch counts the prunes that rebased the store (guarded by
-	// epochMu, like start). Prune is the only operation that takes a
-	// seriesEntry out of its shard, and it advances pruneEpoch in the
-	// same epochMu.Lock section, so an entry resolved under
-	// epochMu.RLock is still the one its shard holds for as long as
-	// pruneEpoch reads the same under a later RLock. keyTable caches
-	// entry pointers on that rule.
-	pruneEpoch uint64
+	// horizon is the lowest bin a write may land in. Prune raises it,
+	// nothing lowers it; writers read it under their shard's lock, after
+	// which Prune, which stores it before it walks the shards, has either
+	// pruned that shard to it or waits for the lock.
+	horizon atomic.Int64
 
 	// span is the sealed-chunk width in bins: each series keeps its
 	// history as immutable chunk.Chunk blocks of exactly span bins plus
@@ -77,10 +78,7 @@ type Store struct {
 	// write into sealed territory (decode → patch → re-encode).
 	spanScratch sync.Pool
 
-	// epochMu orders epoch rebases (Prune, Compact) against appends
-	// and reads. Lock order: epochMu → shard.mu → subMu.
-	epochMu sync.RWMutex
-
+	// Lock order: shard.mu → subMu, and shard.mu → feed.mu → logMu.
 	shards []storeShard
 
 	subMu  sync.RWMutex
@@ -120,8 +118,8 @@ type Store struct {
 // written, and kept, without its key: every writer looks a key up once
 // per keyTable handle — once per run of a key in an AppendBatch, once
 // per key on an ingest connection or in a replayed log generation — and
-// afterwards reaches the entry through the handle, which stays valid
-// until the next Prune (see Store.pruneEpoch).
+// afterwards reaches the entry through the handle, until Prune marks
+// the entry deleted.
 type storeShard struct {
 	mu     sync.RWMutex
 	series map[topo.KPIKey]*seriesEntry
@@ -133,24 +131,24 @@ type storeShard struct {
 // arrival time of the most recent ingested measurement (the ingest
 // high-watermark bin-to-verdict latency is measured against).
 //
-// Layout: every chunk holds exactly span bins; the first head bins of
-// chunks[0] are pruned (logically absent), so logical bin i lives at
-// encoded position i+head of the sealed region. The unsealed bins are
-// tail ++ pend[:npend]: pend is a write-combining line inside the entry
-// that takes the bins written past len(tail), and moves to tail with
-// one append when it is full (see setBinLocked). A time-major feed
-// writes one bin of every series, then the next; each tail is its own
-// page-sized allocation, so writing there would touch a cold page per
-// measurement, where the entry's lines are hot already. The logical
-// length is len(chunks)·span − head + len(tail) + npend, always short
-// of a further span: when the unsealed bins reach span, the first span
-// of them are encoded and sealed.
+// Layout: bins are the store's absolute bins, and every chunk holds
+// exactly span of them: chunks[i] is chunk first+i, bins
+// [(first+i)·span, (first+i+1)·span). The bins below first·span are
+// pruned or were never kept (a series created after a prune starts at
+// the horizon's chunk, NaN up to its first write). The unsealed bins
+// that follow the sealed ones are tail ++ pend[:npend]: pend is a
+// write-combining line inside the entry that takes the bins written past
+// len(tail), and moves to tail with one append when it is full (see
+// setBinLocked). A time-major feed writes one bin of every series, then
+// the next; each tail is its own page-sized allocation, so writing there
+// would touch a cold page per measurement, where the entry's lines are
+// hot already. The unsealed bins are always short of a span: when they
+// reach span, the first span of them are encoded and sealed.
 //
-// Concurrency: all fields are guarded by the owning shard's mutex for
-// writing, but sealed chunks are immutable and shared by reference —
-// RangeInto captures the chunks slice and head under the shard lock,
-// then decodes after releasing it (holding only epochMu.RLock, which
-// excludes Prune), and a snapshot cut captures them to encode with no
+// Concurrency: all fields are guarded by the owning shard's mutex, but
+// sealed chunks are immutable and shared by reference — RangeInto
+// captures the chunks slice and first under the shard lock, then decodes
+// after releasing it, and a snapshot cut captures them to encode with no
 // lock held at all (see snapshotCut). Writers therefore never mutate an
 // element of a chunks slice once it is published: a late write into
 // sealed territory re-encodes into a copied slice (copy-on-write), as
@@ -167,7 +165,7 @@ type seriesEntry struct {
 	// the slice is published; a change to one builds a new slice. Range
 	// reads and snapshot cuts rely on it.
 	chunks       []*chunk.Chunk
-	head         int
+	first        int
 	tail         []float64
 	arrivalNanos int64
 	npend        uint8
@@ -178,6 +176,10 @@ type seriesEntry struct {
 	// feed registration and closure recompute it for every series,
 	// Refilter for the keys it is given.
 	feedTracked bool
+	// deleted is set by the Prune that takes the entry out of its shard,
+	// which drops its bins too, so that a handle still pointing at it
+	// (keyHandle.e) pins no history and resolves its key again.
+	deleted bool
 	// walID is the id the series' key has in the live log generation,
 	// valid while walGen is that generation's stamp (shardWAL.gen): its
 	// first measurement in a generation defines the key, the later ones
@@ -191,15 +193,15 @@ type seriesEntry struct {
 // each of its moves to the tail writes one line there.
 const pendBins = 8
 
-// sealedLen returns the logical length of the sealed (compressed)
-// region given the store's span.
-func (e *seriesEntry) sealedLen(span int) int {
-	return len(e.chunks)*span - e.head
+// sealedEnd returns the bin past the sealed (compressed) region given
+// the store's span: where the unsealed bins start.
+func (e *seriesEntry) sealedEnd(span int) int {
+	return (e.first + len(e.chunks)) * span
 }
 
-// binLen returns the series' logical bin count given the store's span.
-func (e *seriesEntry) binLen(span int) int {
-	return e.sealedLen(span) + e.tailLen()
+// end returns the bin past the series' last one given the store's span.
+func (e *seriesEntry) end(span int) int {
+	return e.sealedEnd(span) + e.tailLen()
 }
 
 // tailLen returns the number of unsealed bins, tail and line.
@@ -274,9 +276,11 @@ func NewStoreShards(start time.Time, step time.Duration, shards int) *Store {
 	if shards > maxStoreShards {
 		shards = maxStoreShards
 	}
+	n := start.UnixNano()
 	s := &Store{
 		start:  start,
 		step:   step,
+		clock:  binClock{start: start, step: step, startNanos: n, exact: time.Unix(0, n).Equal(start)},
 		span:   chunk.DefaultSpan,
 		shards: make([]storeShard, shards),
 		subs:   make(map[int]*subscription),
@@ -301,9 +305,7 @@ func (s *Store) SetChunkSpan(span int) {
 	if span < 2 {
 		span = 2
 	}
-	s.epochMu.Lock()
-	defer s.epochMu.Unlock()
-	if s.lenLocked() != 0 {
+	if s.Len() != 0 {
 		panic("monitor: SetChunkSpan on a populated store")
 	}
 	s.span = span
@@ -405,12 +407,8 @@ func (s *Store) Collector() *obs.Collector {
 	return s.obs.Load()
 }
 
-// Start returns the store's epoch (which Prune advances).
-func (s *Store) Start() time.Time {
-	s.epochMu.RLock()
-	defer s.epochMu.RUnlock()
-	return s.start
-}
+// Start returns the store's epoch, its bin 0, which nothing moves.
+func (s *Store) Start() time.Time { return s.start }
 
 // Step returns the bin width.
 func (s *Store) Step() time.Duration { return s.step }
@@ -425,22 +423,15 @@ func binAt(start time.Time, step time.Duration, t time.Time) (int, bool) {
 	return int(t.Sub(start) / step), true
 }
 
-// binClock converts wire timestamps (Unix nanoseconds) to bins against
-// one reading of the store epoch, in integer arithmetic whenever the
-// epoch is representable in Unix nanoseconds (any epoch a deployment
-// uses; the zero Time is not) and through binAt otherwise. Both agree
-// on every timestamp.
+// binClock converts wire timestamps (Unix nanoseconds) to bins of the
+// store epoch, in integer arithmetic whenever the epoch is representable
+// in Unix nanoseconds (any epoch a deployment uses; the zero Time is
+// not) and through binAt otherwise. Both agree on every timestamp.
 type binClock struct {
 	start      time.Time
 	step       time.Duration
 	startNanos int64
 	exact      bool
-}
-
-// binClockLocked reads the epoch; the caller holds epochMu.
-func (s *Store) binClockLocked() binClock {
-	n := s.start.UnixNano()
-	return binClock{start: s.start, step: s.step, startNanos: n, exact: time.Unix(0, n).Equal(s.start)}
 }
 
 // bin is binAt for the instant nanos.
@@ -458,14 +449,16 @@ func (c *binClock) bin(nanos int64) (int, bool) {
 	return int(d / int64(c.step)), true
 }
 
-// entryLocked returns key's series in sh, creating it on first sight.
-// The caller holds sh's mutex and epochMu.RLock. Keys travel by pointer
-// on this path: a KPIKey is five words, and copying it into each call
-// cost a tenth of a series-major AppendBatch load.
-func (s *Store) entryLocked(sh *storeShard, key *topo.KPIKey) *seriesEntry {
+// entryLocked returns key's series in sh, creating it on first sight at
+// the chunk of horizon, the one the caller read under sh's mutex, which
+// it holds, and checked its bins against: a Prune may have raised the
+// store's since. Keys travel by pointer on this path: a KPIKey is five
+// words, and copying it into each call cost a tenth of a series-major
+// AppendBatch load.
+func (s *Store) entryLocked(sh *storeShard, key *topo.KPIKey, horizon int) *seriesEntry {
 	e := sh.series[*key]
 	if e == nil {
-		e = &seriesEntry{feedTracked: s.feedWants(*key)}
+		e = &seriesEntry{first: horizon / s.span, feedTracked: s.feedWants(*key)}
 		sh.series[*key] = e
 	}
 	return e
@@ -474,9 +467,9 @@ func (s *Store) entryLocked(sh *storeShard, key *topo.KPIKey) *seriesEntry {
 // commitLocked is the one place a live measurement becomes store state:
 // bin write, arrival watermark, WAL, feed mark, subscriber delivery, in
 // that order. e is key's entry in sh and idx the bin of the measurement's
-// Unix-nanosecond timestamp nanos; the caller (keyTable.apply) holds sh's
-// mutex and epochMu.RLock, and read the clock (now) once per batch. It
-// returns the delivery counts. Recovery does not come here: on a store
+// Unix-nanosecond timestamp nanos, at or past the horizon; the caller
+// (keyTable.apply) holds sh's mutex, and read the clock (now) once per
+// batch. It returns the delivery counts. Recovery does not come here: on a store
 // that has no log, feed or subscriber yet it writes a key's replayed bins
 // as a run (see keyRuns.writeLocked).
 func (s *Store) commitLocked(sh *storeShard, e *seriesEntry, key *topo.KPIKey, idx int, nanos int64, v float64, now int64) (pushes, drops int64) {
@@ -510,25 +503,25 @@ func (s *Store) commitLocked(sh *storeShard, e *seriesEntry, key *topo.KPIKey, i
 	return pushes, drops
 }
 
-// setBinLocked writes v at logical bin idx of e. A bin past the tail
-// goes to the line, which moves to the tail when it is full or completes
-// a span; a bin beyond the line's reach settles the line and grows the
-// tail with NaN gaps. Either way full spans are sealed off the tail's
-// front. The caller holds the owning shard's mutex.
+// setBinLocked writes v at bin idx of e, at or past its first kept bin
+// (the horizon, which writers check, is never below it). A bin past the
+// tail goes to the line, which moves to the tail when it is full or
+// completes a span; a bin beyond the line's reach settles the line and
+// grows the tail with NaN gaps. Either way full spans are sealed off the
+// tail's front. The caller holds the owning shard's mutex.
 func (s *Store) setBinLocked(e *seriesEntry, idx int, v float64) {
 	span := s.span
-	sealed := e.sealedLen(span)
+	sealed := e.sealedEnd(span)
 	if idx < sealed {
 		// Late write into sealed territory (an out-of-order measurement
 		// older than the mutable tail): decode the owning chunk, patch
 		// the bin, re-encode. Copy-on-write on the chunks slice — a
 		// reader outside the shard lock may hold the current header.
-		pos := idx + e.head
-		ci := pos / span
+		ci := idx/span - e.first
 		p := s.spanBuf()
 		scratch := *p
 		s.decodeChunk(e.chunks[ci], scratch, 0, span)
-		scratch[pos%span] = v
+		scratch[idx%span] = v
 		nc := chunk.Encode(scratch)
 		s.spanScratch.Put(p)
 		chunks := make([]*chunk.Chunk, len(e.chunks))
@@ -594,13 +587,14 @@ func (s *Store) sealLocked(e *seriesEntry, tail []float64) []float64 {
 	return tail
 }
 
-// decodeFromLocked decodes logical bins [lo, binLen) of e into dst
-// (of length binLen−lo). The caller holds the owning shard's mutex.
+// decodeFromLocked decodes bins [lo, end) of e into dst (of length
+// end−lo), lo at or past its first kept bin. The caller holds the owning
+// shard's mutex.
 func (s *Store) decodeFromLocked(e *seriesEntry, lo int, dst []float64) {
 	span := s.span
-	sealed := e.sealedLen(span)
+	sealed := e.sealedEnd(span)
 	if lo < sealed {
-		plo, phi := lo+e.head, len(e.chunks)*span
+		plo, phi := lo-e.first*span, len(e.chunks)*span
 		for ci := plo / span; ci*span < phi; ci++ {
 			clo := plo - ci*span
 			if clo < 0 {
@@ -742,19 +736,15 @@ func (s *Store) AppendBatch(ms []Measurement) {
 // gets a handle for the batch (fill). Not safe for concurrent use.
 //
 // Invalidation: a handle's entry pointer is written and read only
-// under the entry's shard lock inside an epochMu.RLock section, and
-// every such section starts by comparing epoch with the store's
-// pruneEpoch, dropping every pointer when it moved (see
-// Store.pruneEpoch). So no handle ever writes into an entry that has
-// left its shard, and no table keeps a pruned series alive past its
-// next frame.
+// under the entry's shard lock, and an entry Prune took out of its shard
+// is marked deleted there, so a handle resolves its key again rather
+// than write into it; the deleted entry holds no bins.
 type keyTable struct {
 	s              *Store
 	handles        []keyHandle
 	issued, maxIDs int
 	// defines counts the defines of the frame being applied.
 	defines int64
-	epoch   uint64
 	// recs is the batch scan or fill left to apply, grp its grouping by
 	// shard.
 	recs []frameRec
@@ -763,7 +753,7 @@ type keyTable struct {
 
 // keyHandle is one key as a keyTable resolved it: the interned KPIKey,
 // the shard that owns it, and its series entry there (nil until a
-// measurement of this key is first applied, and again after a prune).
+// measurement of this key is first applied).
 type keyHandle struct {
 	key   topo.KPIKey
 	e     *seriesEntry
@@ -889,9 +879,10 @@ func unixNanos(t time.Time) (int64, bool) {
 
 // apply applies the records scan or fill left to the store, with
 // Append's semantics per measurement and AppendBatch's per batch: one
-// clock read, one epoch lock, each shard locked once over its run of the
-// batch (grouped by the handles' shards, no key re-hashed), the log
-// written once, measurements of one key in batch order.
+// clock read, each shard locked once over its run of the batch (grouped
+// by the handles' shards, no key re-hashed), the log written once,
+// measurements of one key in batch order. A measurement before the
+// epoch or the horizon is dropped.
 func (t *keyTable) apply() {
 	if len(t.recs) == 0 {
 		return
@@ -905,16 +896,7 @@ func (t *keyTable) apply() {
 	}
 	offsets := g.sort(len(s.shards))
 	var pushes, drops, ingested, resolves int64
-	s.epochMu.RLock()
-	clk := s.binClockLocked()
-	if t.epoch != s.pruneEpoch {
-		// A prune ran since the last frame and may have dropped any of
-		// the series these handles point at.
-		for i := range t.handles {
-			t.handles[i].e = nil
-		}
-		t.epoch = s.pruneEpoch
-	}
+	clk := s.clock
 	for si := range s.shards {
 		run := g.order[offsets[si]:offsets[si+1]]
 		if len(run) == 0 {
@@ -922,15 +904,16 @@ func (t *keyTable) apply() {
 		}
 		sh := &s.shards[si]
 		sh.mu.Lock()
+		horizon := int(s.horizon.Load())
 		for _, i := range run {
 			r := &t.recs[i]
 			idx, ok := clk.bin(r.nanos)
-			if !ok {
+			if !ok || idx < horizon {
 				continue
 			}
 			h := &t.handles[r.handle]
-			if h.e == nil {
-				h.e = s.entryLocked(sh, &h.key)
+			if h.e == nil || h.e.deleted {
+				h.e = s.entryLocked(sh, &h.key, horizon)
 				resolves++
 			}
 			p, d := s.commitLocked(sh, h.e, &h.key, idx, r.nanos, r.v, now)
@@ -943,7 +926,6 @@ func (t *keyTable) apply() {
 		}
 		sh.mu.Unlock()
 	}
-	s.epochMu.RUnlock()
 	s.persist.flush()
 	col := s.obs.Load()
 	col.Add(obs.CtrIngested, ingested)
@@ -957,9 +939,10 @@ func (t *keyTable) apply() {
 	}
 }
 
-// Series returns a copy of the key's series from the store epoch
-// through the last appended bin, and whether the key exists. Gaps are
-// NaN; callers typically FillGaps before analysis.
+// Series returns a copy of the key's series from its first kept bin —
+// the store epoch unless a prune dropped chunks of it — through the last
+// appended bin, and whether the key exists. Gaps are NaN; callers
+// typically FillGaps before analysis.
 func (s *Store) Series(key topo.KPIKey) (*timeseries.Series, bool) {
 	vals, start, ok := s.rangeInto(key, time.Time{}, time.Time{}, nil, true)
 	if !ok {
@@ -969,17 +952,18 @@ func (s *Store) Series(key topo.KPIKey) (*timeseries.Series, bool) {
 }
 
 // RangeInto decodes the key's bins covering [from, to), clamped to the
-// stored span, into dst. It returns the window's values (aliasing
-// dst's storage when its capacity suffices — steady-state callers
-// reusing a buffer pay zero allocations), the window's start time, and
-// whether the window is non-empty; ok is false when the key is unknown
-// or the clamped range is empty, with dst returned unread.
+// stored span — from its first kept bin to its last — into dst. It
+// returns the window's values (aliasing dst's storage when its capacity
+// suffices — steady-state callers reusing a buffer pay zero
+// allocations), the clamped window's start time, and whether the window
+// is non-empty; ok is false when the key is unknown or the clamped range
+// is empty, with dst returned unread.
 //
 // This is the assessment hot path: only the sealed chunks overlapping
-// the window are decoded, sealed chunks are shared by reference
-// instead of copied (the epoch read-lock held for the duration
-// excludes Prune), and the shard lock is released before any decoding
-// happens — only the small mutable tail is copied under it.
+// the window are decoded, sealed chunks are shared by reference instead
+// of copied (they are copy-on-write, so the slice captured under the
+// shard lock stays valid), and the shard lock is released before any
+// decoding happens — only the small mutable tail is copied under it.
 func (s *Store) RangeInto(key topo.KPIKey, from, to time.Time, dst []float64) ([]float64, time.Time, bool) {
 	return s.rangeInto(key, from, to, dst, false)
 }
@@ -987,8 +971,6 @@ func (s *Store) RangeInto(key topo.KPIKey, from, to time.Time, dst []float64) ([
 // rangeInto implements Series (all=true: the full span regardless of
 // from/to, ok for any existing key) and RangeInto (all=false).
 func (s *Store) rangeInto(key topo.KPIKey, from, to time.Time, dst []float64, all bool) ([]float64, time.Time, bool) {
-	s.epochMu.RLock()
-	defer s.epochMu.RUnlock()
 	start := s.start
 	span := s.span
 	sh := s.shardFor(key)
@@ -998,20 +980,17 @@ func (s *Store) rangeInto(key topo.KPIKey, from, to time.Time, dst []float64, al
 		sh.mu.RUnlock()
 		return dst, time.Time{}, false
 	}
-	sealed := e.sealedLen(span)
+	base, sealed := e.first*span, e.sealedEnd(span)
 	n := sealed + e.tailLen()
-	lo, hi := 0, n
+	lo, hi := base, n
 	if !all {
 		if from.After(start) {
-			lo = int(from.Sub(start) / s.step)
+			lo = max(lo, int(from.Sub(start)/s.step))
 		}
 		if end := start.Add(time.Duration(n) * s.step); to.Before(end) {
-			hi = int(to.Sub(start)+s.step-1) / int(s.step)
-			if hi > n {
-				hi = n
-			}
+			hi = min(int(to.Sub(start)+s.step-1)/int(s.step), n)
 		}
-		if lo >= hi || lo >= n {
+		if lo >= hi {
 			sh.mu.RUnlock()
 			return dst, time.Time{}, false
 		}
@@ -1021,11 +1000,10 @@ func (s *Store) rangeInto(key topo.KPIKey, from, to time.Time, dst []float64, al
 		dst = make([]float64, m)
 	}
 	dst = dst[:m]
-	head := e.head
 	chunks := e.chunks
 	// Copy the window's share of the unsealed bins while still holding
 	// the shard lock; the sealed chunks are immutable and decode after
-	// release (epochMu.RLock alone keeps Prune out).
+	// release.
 	if hi > sealed {
 		tlo := lo
 		if tlo < sealed {
@@ -1039,9 +1017,9 @@ func (s *Store) rangeInto(key topo.KPIKey, from, to time.Time, dst []float64, al
 		if shi > sealed {
 			shi = sealed
 		}
-		// Decode encoded positions [lo+head, shi+head), chunk by chunk.
+		// Decode positions [lo−base, shi−base) of chunks, chunk by chunk.
 		degraded := false
-		plo, phi := lo+head, shi+head
+		plo, phi := lo-base, shi-base
 		for ci := plo / span; ci*span < phi; ci++ {
 			clo := plo - ci*span
 			if clo < 0 {
@@ -1078,7 +1056,6 @@ func (s *Store) QuarantinedChunks() int64 { return s.quarantined.Load() }
 // from verdict emission time to get the end-to-end bin-to-verdict
 // latency.
 func (s *Store) ArrivalWatermark(key topo.KPIKey) (time.Time, bool) {
-	s.epochMu.RLock()
 	sh := s.shardFor(key)
 	sh.mu.RLock()
 	var ns int64
@@ -1086,35 +1063,30 @@ func (s *Store) ArrivalWatermark(key topo.KPIKey) (time.Time, bool) {
 		ns = e.arrivalNanos
 	}
 	sh.mu.RUnlock()
-	s.epochMu.RUnlock()
 	if ns == 0 {
 		return time.Time{}, false
 	}
 	return time.Unix(0, ns), true
 }
 
-// SeriesLen returns the key's logical bin count (index of the last
-// stored bin plus one) and whether the key exists, without decoding or
-// copying anything — the online assessor's per-tick readiness probe.
+// SeriesLen returns the index of the key's last stored bin plus one,
+// and whether the key exists, without decoding or copying anything —
+// the online assessor's per-tick readiness probe.
 func (s *Store) SeriesLen(key topo.KPIKey) (int, bool) {
-	s.epochMu.RLock()
 	sh := s.shardFor(key)
 	sh.mu.RLock()
 	e, ok := sh.series[key]
 	n := 0
 	if ok {
-		n = e.binLen(s.span)
+		n = e.end(s.span)
 	}
 	sh.mu.RUnlock()
-	s.epochMu.RUnlock()
 	return n, ok
 }
 
 // Keys returns every stored KPI key, in unspecified order.
 func (s *Store) Keys() []topo.KPIKey {
-	s.epochMu.RLock()
-	defer s.epochMu.RUnlock()
-	out := make([]topo.KPIKey, 0, s.lenLocked())
+	out := make([]topo.KPIKey, 0, s.Len())
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
@@ -1126,8 +1098,8 @@ func (s *Store) Keys() []topo.KPIKey {
 	return out
 }
 
-// lenLocked sums series counts across shards (caller holds epochMu).
-func (s *Store) lenLocked() int {
+// Len returns the number of stored series.
+func (s *Store) Len() int {
 	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -1138,73 +1110,46 @@ func (s *Store) lenLocked() int {
 	return n
 }
 
-// Len returns the number of stored series.
-func (s *Store) Len() int {
-	s.epochMu.RLock()
-	defer s.epochMu.RUnlock()
-	return s.lenLocked()
-}
-
-// Prune drops all bins before the given time, advancing the store's
-// epoch to the containing bin boundary. Long-running deployments use it
-// to bound memory at (history window) × (KPI count): the paper's
-// seasonal DiD needs 30 days of baseline (§3.2.5), so a deployment
-// prunes to now − 31 days once per day. Pruning to a time at or before
-// the current epoch is a no-op. On a persistent store a prune schedules
-// a compaction, so the dropped bins also leave the on-disk logs.
+// Prune raises the horizon to the bin holding before and drops what lies
+// wholly below it: every sealed chunk whose bins all do, and every
+// series whose last bin does. It never cuts inside a chunk, a tail or
+// the line, and it never moves the epoch, so every bin index handed out
+// before it stays good. Writes below the horizon are dropped from then
+// on, as writes before the epoch are. Pruning to a time at or below the
+// current horizon is a no-op. On a persistent store a prune schedules a
+// compaction, which records the horizon, so the dropped bins also leave
+// the on-disk logs.
 func (s *Store) Prune(before time.Time) {
-	s.epochMu.Lock()
-	if !before.After(s.start) {
-		s.epochMu.Unlock()
-		return
-	}
-	drop := int(before.Sub(s.start) / s.step)
-	if drop <= 0 {
-		s.epochMu.Unlock()
-		return
+	h, ok := binAt(s.start, s.step, before)
+	for old := s.horizon.Load(); ; old = s.horizon.Load() {
+		if !ok || int64(h) <= old {
+			return
+		}
+		if s.horizon.CompareAndSwap(old, int64(h)) {
+			break
+		}
 	}
 	span := s.span
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for key, e := range sh.series {
-			sealed := e.sealedLen(span)
-			if drop >= sealed+e.tailLen() {
+			if e.end(span) <= h {
 				delete(sh.series, key)
+				e.deleted, e.chunks, e.tail, e.npend = true, nil, nil, 0
 				continue
 			}
-			if drop < sealed {
-				// Drop whole leading chunks; the remainder of a partial
-				// chunk stays encoded and is skipped via head. The kept
-				// slice is rebuilt (not re-sliced) so the dropped chunks'
-				// pointers leave the backing array and can be collected.
-				p := e.head + drop
-				if dc := p / span; dc > 0 {
-					kept := make([]*chunk.Chunk, len(e.chunks)-dc)
-					copy(kept, e.chunks[dc:])
-					e.chunks = kept
-				}
-				e.head = p % span
-				continue
+			if drop := min(h/span-e.first, len(e.chunks)); drop > 0 {
+				// A fresh slice, so the dropped chunks leave the backing
+				// array a reader may still hold, and can be collected.
+				kept := make([]*chunk.Chunk, len(e.chunks)-drop)
+				copy(kept, e.chunks[drop:])
+				e.chunks, e.first = kept, e.first+drop
 			}
-			td, n := drop-sealed, e.tailLen()
-			kept := make([]float64, n-td)
-			e.copyTail(kept, td, n)
-			e.chunks = nil
-			e.head = 0
-			e.tail = kept
-			e.npend = 0
 		}
 		sh.mu.Unlock()
 	}
-	s.start = s.start.Add(time.Duration(drop) * s.step)
-	s.pruneEpoch++
-	p := s.persist
-	s.epochMu.Unlock()
-	// Every absolute bin index a streaming consumer cached just shifted
-	// by drop; the epoch bump tells it to resync.
-	s.bumpFeedEpochs()
-	if p != nil {
+	if p := s.persist; p != nil {
 		p.requestCompact()
 	}
 }
@@ -1213,8 +1158,8 @@ func (s *Store) Prune(before time.Time) {
 type Stats struct {
 	// SeriesCount is the number of distinct KPI series.
 	SeriesCount int
-	// Bins is the total number of stored (logical) bins across all
-	// series, sealed and mutable alike.
+	// Bins is the total number of stored bins across all series, from
+	// each one's first kept bin, sealed and mutable alike.
 	Bins int
 	// ApproxBytes estimates the resident size of the stored values:
 	// the encoded bytes of sealed chunks plus 8 bytes per mutable tail
@@ -1230,16 +1175,14 @@ type Stats struct {
 	QuarantinedChunks int
 	// TailBins is the number of mutable (uncompressed) tail bins.
 	TailBins int
-	// Start and LastBin bound the stored span; LastBin is −1 for an
-	// empty store.
+	// Start is the store epoch, bin 0; LastBin is the highest bin any
+	// series holds, −1 for an empty store.
 	Start   time.Time
 	LastBin int
 }
 
 // Stats returns a snapshot of the store's size.
 func (s *Store) Stats() Stats {
-	s.epochMu.RLock()
-	defer s.epochMu.RUnlock()
 	st := Stats{Start: s.start, LastBin: -1}
 	span := s.span
 	for i := range s.shards {
@@ -1247,8 +1190,8 @@ func (s *Store) Stats() Stats {
 		sh.mu.RLock()
 		st.SeriesCount += len(sh.series)
 		for _, e := range sh.series {
-			n := e.binLen(span)
-			st.Bins += n
+			n := e.end(span)
+			st.Bins += n - e.first*span
 			if n-1 > st.LastBin {
 				st.LastBin = n - 1
 			}
@@ -1274,11 +1217,10 @@ func (s *Store) Stats() Stats {
 // resuming subscriber replays from its last-seen low-water mark and
 // dedups the overlap by (key, bin).
 func (s *Store) ReplaySince(filter func(topo.KPIKey) bool, since time.Time) []Measurement {
-	s.epochMu.RLock()
 	start := s.start
-	lo := 0
+	from := 0
 	if since.After(start) {
-		lo = int(since.Sub(start) / s.step)
+		from = int(since.Sub(start) / s.step)
 	}
 	var out []Measurement
 	span := s.span
@@ -1290,7 +1232,7 @@ func (s *Store) ReplaySince(filter func(topo.KPIKey) bool, since time.Time) []Me
 			if filter != nil && !filter(key) {
 				continue
 			}
-			n := e.binLen(span)
+			n, lo := e.end(span), max(from, e.first*span)
 			if lo >= n {
 				continue
 			}
@@ -1314,7 +1256,6 @@ func (s *Store) ReplaySince(filter func(topo.KPIKey) bool, since time.Time) []Me
 		}
 		sh.mu.RUnlock()
 	}
-	s.epochMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].T.Before(out[j].T) })
 	return out
 }

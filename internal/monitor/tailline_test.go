@@ -109,7 +109,7 @@ func TestTailSeedsReachEveryRegion(t *testing.T) {
 		runProgram(t, progConfig{span: progSpans[int(sel[0])%len(progSpans)], shards: 4}, fuzzProgram([]byte(prog)), cov)
 	}
 	want := []string{"late line", "late tail", "late sealed", "gap past the line", "before the epoch", "prune into the chunks", "prune into the tail",
-		"prune into the line", "prune drops a series", "re-created in one generation", "compaction", "reopen", "reshard or respan",
+		"prune into the line", "prune drops a series", "re-created in one generation", "compaction", "reopen", "reshard or respan", "below the horizon",
 		"nothing lost", "epoch from a log header", "crash in a write op", "crash in a compaction op", "crash in an open",
 		"feed attached", "refilter", "refilter left stale", "drain", "reconnect", "handles across a prune"}
 	for i := 0; i < pendBins; i++ {
@@ -185,7 +185,7 @@ func TestSteadyBinLeavesTailUntouched(t *testing.T) {
 	}
 	for k, ms := range m.series {
 		got, _ := s.Series(k)
-		sameBits(t, got.Values, ms.bins(), k.String())
+		sameBits(t, got.Values, ms.bins, k.String())
 	}
 
 	bin := 2 * span

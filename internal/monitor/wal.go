@@ -32,9 +32,9 @@ import (
 //
 // On-disk layout inside the data directory (flat):
 //
-//	head.fnlh      — the installed head: epoch, live segment list, and
-//	  per series its key, pruned head, chunk count and unsealed bins
-//	  (written atomically via rename from head.tmp)
+//	head.fnlh      — the installed head: epoch, horizon, live segment
+//	  list, and per series its key, first chunk, chunk count and
+//	  unsealed bins (written atomically via rename from head.tmp)
 //	seg-<seq>.fnlc — an immutable segment of sealed chunks
 //	wal-<gen>.log  — the log, one numbered generation per open and per
 //	  rotation; the highest generation is the live one
@@ -85,8 +85,8 @@ import (
 //	reference: uvarint(id ≥ 1) | unixNano int64 | value float64
 //
 // A define is tag 0 followed by the measurement body exactly as an id
-// batch frame's define carries it (absolute timestamps, so records stay
-// valid across epoch rebases), written from the series' key whichever
+// batch frame's define carries it (absolute timestamps, binned against
+// the store's fixed epoch at replay), written from the series' key whichever
 // path the measurement came by. It gives its series the shard's next id
 // in this generation — 1, 2, … in log order — and every later
 // measurement of the series in the generation is a reference: the id,
@@ -144,11 +144,12 @@ import (
 // produce, and its framing stands: the entries before the bad one are
 // applied and the later records of that shard, as of a shard log
 // before, are not — also counted in TornTails.) Without a head the
-// store's epoch comes from the first generation with a header. Replay is
-// idempotent: the store overwrites by (key, bin), so records already
-// captured in the head and segments (a compaction that crashed between
-// the head's rename and the deletion of the generations it covered)
-// change nothing.
+// store's epoch comes from the first generation with a header. Replay
+// drops a record below the head's horizon, as a live write is dropped.
+// It is idempotent: the store overwrites by (key, bin), so records
+// already captured in the head and segments (a compaction that crashed
+// between the head's rename and the deletion of the generations it
+// covered) change nothing.
 //
 // Recovery reads; it does not rewrite. After replay the store removes
 // the segment files the head does not list (a compaction that died
@@ -367,12 +368,10 @@ type persister struct {
 	compactMu sync.Mutex  // one compaction/re-arm/fsync pass at a time
 	cut       snapshotCut // the compactions' image of the store
 	// live is the installed head's segment list, oldest first, and
-	// nextSeq the number the next segment takes. basePrune is the
-	// store's pruneEpoch the live segments' chunk indices are good for; a
-	// Prune renumbers chunks. compactMu guards the cut and these.
+	// nextSeq the number the next segment takes. compactMu guards the cut
+	// and these.
 	live       []segmentRef
 	nextSeq    uint64
-	basePrune  uint64
 	compactReq chan struct{}
 	rearmReq   chan struct{}
 	quit       chan struct{}
@@ -968,14 +967,13 @@ func (p *persister) compactAs(rearming bool) error {
 	}
 	s := p.store
 
-	s.epochMu.RLock()
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
 	}
 	held := time.Now()
 	// Rotate: close the live log where it lies — every record sealed so
 	// far goes into it, no shard seals another until its lock is released
-	// — and start generation live+1 at the current epoch, so every record
+	// — and start generation live+1, so every record
 	// of the new generation is younger than every record of the ones
 	// below it, and younger than the cut. It is one file swapped under the
 	// locks: a rotation that dies leaves the old generation, or both.
@@ -1013,7 +1011,6 @@ func (p *persister) compactAs(rearming bool) error {
 	for i := len(s.shards) - 1; i >= 0; i-- {
 		s.shards[i].mu.Unlock()
 	}
-	s.epochMu.RUnlock()
 	s.obs.Load().Observe(obs.StageCompactLock, hold)
 
 	if rotateErr != nil {
@@ -1047,8 +1044,8 @@ func (p *persister) compactAs(rearming bool) error {
 }
 
 // install writes the cut's segment and commits a head that lists it. The
-// segment holds every chunk — a base — after a Prune and when no
-// segment is live; otherwise the chunks no live segment holds, merged
+// segment holds every chunk — a base — when no segment is live;
+// otherwise the chunks no live segment holds, merged
 // binary-counter style with the newest live segments: while their
 // levels read 0, 1, 2, … back from the newest, the new segment absorbs
 // them, writing the chunks whose home they are again from the cut, and
@@ -1059,7 +1056,7 @@ func (p *persister) install() error {
 	c := &p.cut
 	c.sort()
 	live, level, pick := []segmentRef(nil), uint8(baseLevel), pickFunc(pickAll)
-	if len(p.live) > 0 && c.prune == p.basePrune {
+	if len(p.live) > 0 {
 		fold := 0
 		for fold < len(p.live) && p.live[len(p.live)-1-fold].level == uint8(fold) {
 			fold++
@@ -1079,7 +1076,7 @@ func (p *persister) install() error {
 		return err
 	}
 	c.setHomes(seq)
-	p.live, p.basePrune = live, c.prune
+	p.live = live
 	total := headSize
 	for _, g := range live {
 		total += g.size

@@ -139,7 +139,7 @@ const (
 	// CtrIngestKeyResolves counts series lookups by the store's live
 	// key handle tables: on an ingest connection one per key it sees
 	// for the first time, and one per key it sees again after a prune
-	// invalidated its handles; in an in-process AppendBatch (or Append)
+	// dropped its series; in an in-process AppendBatch (or Append)
 	// one per run of a key's consecutive measurements. It tracks keys
 	// and runs, not measurements, on the socket; a rate near
 	// monitor.ingested there means the tables are thrashing (unique
@@ -210,13 +210,13 @@ const (
 	CtrStreamCacheMisses = "stream.cache_misses"
 	// CtrStreamInvalidations counts streaming score states discarded
 	// because their raw window diverged from the store (late write into
-	// scored territory, prune rebase, quarantined re-read).
+	// scored territory, quarantined re-read).
 	CtrStreamInvalidations = "stream.invalidations"
 	// CtrStreamTailReads counts advances that read only the bins past
 	// the prefix the score state had consumed (the feed's low-water was
 	// at or past it); CtrStreamFullReads counts the ones that re-read
 	// and verified the whole window instead — a state's first read, a
-	// write inside its prefix, a feed overflow, a prune rebase. A full
+	// write inside its prefix, a feed overflow. A full
 	// read is the streamer's fallback, so a rate of them is the answer
 	// to "why is the stream slow". Added once per advance that read.
 	CtrStreamTailReads = "stream.tail_reads"

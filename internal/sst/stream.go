@@ -23,7 +23,7 @@ package sst
 // at position t reads x[t−PastSpan, t+FutureSpan) and the maintained
 // Gram products summarize earlier bins, so mutating a consumed bin
 // silently desynchronizes the state. Streaming callers detect mutation
-// (late writes, prune) upstream and Reset.
+// (late writes) upstream and Reset.
 //
 // A StreamSweep is not safe for concurrent use; guard it with the
 // owning stream state's lock.
