@@ -93,7 +93,7 @@ func main() {
 		}
 		if rec := store.Recovered(); rec.SnapshotSeries > 0 || rec.WALRecords > 0 || rec.TornTails > 0 {
 			ms := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
-			fmt.Printf("funnelserve: recovered %d series from the head and segments, %d WAL records from %d bytes in %d log generations (%d torn tails discarded) in %v (segments streamed %v, logs drained %v later, attach %v)\n",
+			fmt.Printf("funnelserve: recovered %d series from the head (sealed chunks left in their segments), %d WAL records from %d bytes in %d log generations (%d torn tails discarded) in %v (head streamed %v, logs drained %v later, attach %v)\n",
 				rec.SnapshotSeries, rec.WALRecords, rec.LogBytes, rec.Generations, rec.TornTails,
 				ms(rec.Total()), ms(rec.SnapshotTime), ms(rec.ReplayTime), ms(rec.AttachTime))
 		}
@@ -216,6 +216,8 @@ func runFsck(dir string, repair bool) int {
 	if rep.SnapshotPresent {
 		fmt.Printf("head: %d series, %d chunks, %d quarantined\n",
 			rep.SnapshotSeries, rep.Chunks, rep.QuarantinedChunks)
+		fmt.Printf("chunks read: %d (%d bytes) at the offsets the head's index records, %d entries disagree with the segments\n",
+			rep.ChunkReads, rep.ChunkReadBytes, rep.IndexMismatches)
 	} else {
 		fmt.Println("head: none")
 	}

@@ -33,11 +33,14 @@ package chunk
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -67,25 +70,35 @@ const maxRun = 1<<16 - 1
 // but decodes every bin to NaN, so the corruption surfaces through the
 // normal gap machinery as missing data rather than as wrong values. A
 // chunk read back from disk (FromEncoded) whose stream then fails its
-// token walk at the first decode becomes one for every later read.
+// token walk at the first decode becomes one for every later read, and
+// so does an unread one (Unread) whose bytes fail their read or their
+// checksum there.
 type Chunk struct {
-	count int
-	data  []byte
-	crc   uint32
-	// walk is the token walk's state: walkDone for a chunk Encode built
-	// or one whose walk passed, walkPending for one FromEncoded wrapped,
-	// walkRunning while one Check walks it, walkFailed for a tombstone —
-	// one whose walk failed, or one Tombstone built.
+	// count is the number of values, size the length of the encoded
+	// stream: data's, or for an unread chunk the recorded one.
+	count, size int32
+	crc         uint32
+	// walk is the chunk's state: walkDone for a chunk Encode built or
+	// one whose walk passed, walkPending for one FromEncoded wrapped,
+	// walkUnread for one Unread built, walkRunning while one Check reads
+	// or walks it, walkFailed for a tombstone — one whose read, checksum
+	// or walk failed, or one Tombstone built.
 	walk atomic.Uint32
-	// home is the owner's bookkeeping: where durable storage holds the
-	// chunk (see SetHome).
+	data []byte
+	// src and off locate an unread chunk's bytes; they never change.
+	src io.ReaderAt
+	off int64
+	// home and at are the owner's bookkeeping: where durable storage
+	// holds the chunk's newest copy (see SetHome).
 	home atomic.Uint64
+	at   atomic.Int64
 }
 
 // The states of Chunk.walk.
 const (
 	walkDone uint32 = iota
 	walkPending
+	walkUnread
 	walkRunning
 	walkFailed
 )
@@ -95,7 +108,7 @@ const (
 // out once, so the chunk's bytes have no spare capacity and a call
 // allocates only the Chunk and its bytes.
 func Encode(vals []float64) *Chunk {
-	c := &Chunk{count: len(vals)}
+	c := &Chunk{count: int32(len(vals))}
 	if len(vals) == 0 {
 		return c
 	}
@@ -149,6 +162,7 @@ func Encode(vals []float64) *Chunk {
 	flushRun(&w, run)
 	out := w.finish() // still *scratch's array: it never reallocates
 	c.data = make([]byte, len(out))
+	c.size = int32(len(out))
 	copy(c.data, out)
 	c.crc = crc32.ChecksumIEEE(c.data)
 	encodeScratch.Put(scratch)
@@ -172,36 +186,45 @@ func flushRun(w *bitWriter, run int) {
 }
 
 // Count returns the number of values in the chunk.
-func (c *Chunk) Count() int { return c.count }
+func (c *Chunk) Count() int { return int(c.count) }
 
-// EncodedBytes returns the size of the compressed stream.
-func (c *Chunk) EncodedBytes() int { return len(c.data) }
+// EncodedBytes returns the size of the compressed stream: for an unread
+// chunk, the size recorded for it.
+func (c *Chunk) EncodedBytes() int { return int(c.size) }
 
-// Data returns the encoded stream. Callers must treat it as read-only;
-// segments write it verbatim and FromEncoded wraps it verbatim.
+// Data returns the encoded stream; nil for an unread chunk or a
+// tombstone without bytes. Callers must treat it as read-only, and read
+// it only once Quarantined holds or a Check or Encoded call has
+// returned: an unread chunk's first Check sets it.
 func (c *Chunk) Data() []byte { return c.data }
 
 // CRC returns the IEEE CRC-32 of the encoded stream, computed at seal
-// time (Encode) or wrap time (FromEncoded). Segments persist it next
-// to the stream so a flipped bit on disk is caught on read instead of
-// decoding into silently wrong values.
+// time (Encode) or wrap time (FromEncoded), or recorded for an unread
+// chunk (Unread). Segments persist it next to the stream so a flipped
+// bit on disk is caught on read instead of decoding into silently wrong
+// values.
 func (c *Chunk) CRC() uint32 { return c.crc }
 
 // Quarantined reports whether the chunk is a corruption tombstone —
-// its original bytes failed their checksum, or its stream failed the
-// token walk of a Check, and every bin decodes to NaN. A chunk whose
-// walk is still pending reports false.
+// its bytes failed their read or checksum, or its stream failed the
+// token walk of a Check, and every bin decodes to NaN. A chunk not yet
+// read or walked reports false.
 func (c *Chunk) Quarantined() bool { return c.walk.Load() == walkFailed }
 
-// Home returns where durable storage holds the chunk, as SetHome last
-// recorded it; 0 for nowhere. For the monitor store it is the number of
-// the segment that holds the chunk's newest copy.
-func (c *Chunk) Home() uint64 { return c.home.Load() }
+// Home returns where durable storage holds the chunk's newest copy, as
+// SetHome last recorded it: for the monitor store, the number of the
+// segment and the offset of the stream in it; seq 0 for nowhere.
+func (c *Chunk) Home() (seq uint64, off int64) { return c.home.Load(), c.at.Load() }
 
-// SetHome records where durable storage holds the chunk (not 0). It is
-// the one thing about a chunk that changes after it is built, and no
-// decode reads it.
-func (c *Chunk) SetHome(h uint64) { c.home.Store(h) }
+// SetHome records where durable storage holds the chunk's newest copy
+// (seq not 0). It is the one thing about a chunk that changes after it
+// is built but for its state, no decode reads it, and the owner
+// serializes its calls with its reads of Home. It leaves where an
+// unread chunk reads its bytes from as it was.
+func (c *Chunk) SetHome(seq uint64, off int64) {
+	c.at.Store(off)
+	c.home.Store(seq)
+}
 
 // Tombstone builds a quarantine placeholder for a chunk of count bins
 // whose stored bytes failed validation. It carries no data; DecodeInto
@@ -210,7 +233,7 @@ func Tombstone(count int) *Chunk {
 	if count < 0 {
 		count = 0
 	}
-	c := &Chunk{count: count}
+	c := &Chunk{count: int32(count)}
 	c.walk.Store(walkFailed)
 	return c
 }
@@ -225,26 +248,93 @@ func FromEncoded(data []byte, count int) (*Chunk, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("chunk: negative count %d", count)
 	}
-	c := &Chunk{count: count, data: data, crc: crc32.ChecksumIEEE(data)}
+	c := &Chunk{count: int32(count), size: int32(len(data)), data: data, crc: crc32.ChecksumIEEE(data)}
 	if count > 0 {
 		c.walk.Store(walkPending)
 	}
 	return c, nil
 }
 
-// Check token-walks a chunk FromEncoded wrapped, exactly once: the first
-// caller walks it and any concurrent one waits for the outcome. It
-// reports whether this call is the one whose walk failed — true once
-// per bad chunk, however many readers race to it — so a caller can
-// count quarantines exactly. On any other chunk it is one atomic load.
-func (c *Chunk) Check() bool {
+// Unread builds a chunk of count values whose size encoded bytes, of
+// IEEE CRC-32 crc, lie at off in src, and reads none of them: its first
+// Check — DecodeInto runs one — reads them with one ReadAt, checks the
+// CRC and then walks the stream, and a chunk nothing reads stays on
+// disk. A failed read or checksum makes the chunk a tombstone from then
+// on, as a failed walk does. src must stay readable while the chunk may
+// be read.
+func Unread(src io.ReaderAt, off int64, size int, crc uint32, count int) *Chunk {
+	c := &Chunk{count: int32(count), size: int32(size), crc: crc, src: src, off: off}
+	c.walk.Store(walkUnread)
+	return c
+}
+
+// errChecksum reports bytes read back that do not match their CRC.
+var errChecksum = errors.New("chunk: checksum mismatch")
+
+// read reads an unread chunk's bytes into buf's storage, grown as
+// needed, and checks them against the CRC.
+func (c *Chunk) read(buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], int(c.size))[:c.size]
+	if n, err := c.src.ReadAt(buf, c.off); n < len(buf) {
+		if err == nil {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(buf) != c.crc {
+		return nil, errChecksum
+	}
+	return buf, nil
+}
+
+// Encoded returns the chunk's encoded stream without walking or
+// decoding it: its bytes in memory, or an unread chunk's read into
+// buf's storage and checked against its CRC, the chunk left unread — a
+// copy of a chunk nothing has read yet pulls nothing onto the heap. An
+// unread chunk whose read or checksum fails becomes a tombstone; failed
+// reports whether this call made it one, once per bad chunk as Check's
+// result is, and data is nil for any tombstone without bytes.
+func (c *Chunk) Encoded(buf []byte) (data []byte, failed bool) {
 	for {
 		switch c.walk.Load() {
-		case walkPending:
-			if !c.walk.CompareAndSwap(walkPending, walkRunning) {
+		case walkUnread:
+			data, err := c.read(buf)
+			if err == nil {
+				return data, false
+			}
+			if c.walk.CompareAndSwap(walkUnread, walkFailed) {
+				return nil, true
+			}
+		case walkRunning:
+			runtime.Gosched()
+		default:
+			return c.data, false
+		}
+	}
+}
+
+// Check reads and token-walks a chunk Unread built, or token-walks one
+// FromEncoded wrapped, exactly once: the first caller does it and any
+// concurrent one waits for the outcome. It reports whether this call is
+// the one whose read, checksum or walk failed — true once per bad
+// chunk, however many readers race to it — so a caller can count
+// quarantines exactly. On any other chunk it is one atomic load.
+func (c *Chunk) Check() bool {
+	for {
+		switch state := c.walk.Load(); state {
+		case walkPending, walkUnread:
+			if !c.walk.CompareAndSwap(state, walkRunning) {
 				continue
 			}
-			if checkStream(c.data, c.count) != nil {
+			if state == walkUnread {
+				data, err := c.read(nil)
+				if err != nil {
+					c.walk.Store(walkFailed)
+					return true
+				}
+				c.data = data
+			}
+			if checkStream(c.data, int(c.count)) != nil {
 				c.walk.Store(walkFailed)
 				return true
 			}
@@ -334,8 +424,9 @@ func checkStream(data []byte, count int) error {
 // It allocates nothing and stops reading the stream as soon as hi
 // values have been produced, so a small window near the front of a
 // chunk pays only for the prefix it touches. A chunk FromEncoded
-// wrapped is walked first (Check); one that fails decodes to NaN. It
-// panics on a dst shorter than hi−lo.
+// wrapped is walked first, and one Unread built read and walked
+// (Check); one that fails decodes to NaN. It panics on a dst shorter
+// than hi−lo.
 func (c *Chunk) DecodeInto(dst []float64, lo, hi int) {
 	if err := c.decodeRange(dst, lo, hi); err != nil {
 		panic("chunk: " + err.Error())
@@ -346,7 +437,8 @@ func (c *Chunk) DecodeInto(dst []float64, lo, hi int) {
 // grammar's checks, so a stream checkStream refuses fails here too
 // rather than running out of bounds.
 func (c *Chunk) decodeRange(dst []float64, lo, hi int) error {
-	if lo < 0 || hi > c.count || lo > hi {
+	count := int(c.count)
+	if lo < 0 || hi > count || lo > hi {
 		return fmt.Errorf("decode range [%d, %d) outside chunk of %d values", lo, hi, c.count)
 	}
 	if hi == lo {
@@ -376,7 +468,7 @@ func (c *Chunk) decodeRange(dst []float64, lo, hi int) error {
 	}
 	i := 1
 	lead, mean := -1, 0
-	for i < c.count && i < hi {
+	for i < count && i < hi {
 		// One load covers the token when 8 bytes remain at the cursor: the
 		// word then holds at least 57 stream bits at any bit phase, which
 		// is a whole repeat bit, a reused-window token of up to 55 payload
@@ -473,8 +565,8 @@ func (c *Chunk) decodeRange(dst []float64, lo, hi int) error {
 		if n == 0 {
 			return fmt.Errorf("empty run record at value %d", i)
 		}
-		if i+int(n) > c.count {
-			return fmt.Errorf("run record of %d overflows chunk of %d at value %d", n, c.count, i)
+		if i+int(n) > count {
+			return fmt.Errorf("run record of %d overflows chunk of %d at value %d", n, count, i)
 		}
 		v := math.Float64frombits(prev)
 		for j := 0; j < int(n); j++ {

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"errors"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -218,6 +219,90 @@ func TestCheckOnceUnderConcurrentReaders(t *testing.T) {
 		wg.Wait()
 		if n := failed.Load(); n != 1 {
 			t.Fatalf("round %d: %d Checks reported the failure, want 1", round, n)
+		}
+	}
+}
+
+// countingReaderAt serves b at an offset and counts the reads; fail
+// makes every read fail.
+type countingReaderAt struct {
+	b     []byte
+	reads atomic.Int32
+	fail  bool
+}
+
+func (r *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	r.reads.Add(1)
+	if r.fail {
+		return 0, errors.New("read failed")
+	}
+	return copy(p, r.b[off:]), nil
+}
+
+// TestUnreadReadAtFirstCheck: a chunk Unread built reads nothing until
+// its first Check, which reads its bytes once however many readers race
+// to it, and decodes them; Encoded copies its bytes without reading it
+// into memory. A read that fails, or bytes that fail their CRC, make it
+// a tombstone that decodes to NaN, reported once — by the first Check or
+// the first Encoded — with no bytes to copy.
+func TestUnreadReadAtFirstCheck(t *testing.T) {
+	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	enc := Encode(vals)
+	file := append([]byte("head"), enc.Data()...)
+	src := &countingReaderAt{b: file}
+	ck := Unread(src, 4, enc.EncodedBytes(), enc.CRC(), len(vals))
+	if src.reads.Load() != 0 || ck.Data() != nil || ck.EncodedBytes() != enc.EncodedBytes() || ck.Quarantined() {
+		t.Fatal("an unread chunk read its bytes, or reports none")
+	}
+	if data, failed := ck.Encoded(nil); failed || string(data) != string(enc.Data()) || ck.Data() != nil {
+		t.Fatalf("Encoded copied %x (failed %v), want %x and the chunk left unread", data, failed, enc.Data())
+	}
+	src.reads.Store(0)
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := make([]float64, 8)
+			ck.DecodeInto(dst, 0, 8)
+			for i, v := range dst {
+				if v != vals[i] {
+					t.Errorf("bin %d = %v, want %v", i, v, vals[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := src.reads.Load(); n != 1 {
+		t.Fatalf("%d reads under 8 readers, want 1", n)
+	}
+
+	rotten := append([]byte(nil), file...)
+	rotten[6] ^= 0x10
+	for _, src := range []*countingReaderAt{{b: rotten}, {b: file, fail: true}} {
+		for _, viaEncoded := range []bool{false, true} {
+			ck := Unread(src, 4, enc.EncodedBytes(), enc.CRC(), len(vals))
+			var first bool
+			if viaEncoded {
+				var data []byte
+				data, first = ck.Encoded(nil)
+				if data != nil {
+					t.Fatal("Encoded returned bytes that failed")
+				}
+			} else {
+				first = ck.Check()
+			}
+			if !first || ck.Check() || !ck.Quarantined() {
+				t.Fatalf("fail %v, via Encoded %v: reported %v, then %v, quarantined %v", src.fail, viaEncoded, first, ck.Check(), ck.Quarantined())
+			}
+			if data, failed := ck.Encoded(nil); data != nil || failed {
+				t.Fatal("a tombstone copied bytes, or reported its failure twice")
+			}
+			dst := make([]float64, 8)
+			ck.DecodeInto(dst, 0, 8)
+			if !math.IsNaN(dst[0]) {
+				t.Fatalf("a failed chunk decoded %v", dst[0])
+			}
 		}
 	}
 }

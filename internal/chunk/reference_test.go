@@ -180,7 +180,7 @@ func checkAgainstReference(t *testing.T, data []byte, count int) (accepted bool)
 	t.Helper()
 	want, wantErr := referenceDecode(data, count)
 	dst := make([]float64, count)
-	c := &Chunk{count: count, data: data}
+	c := &Chunk{count: int32(count), size: int32(len(data)), data: data}
 	err := c.decodeRange(dst, 0, count)
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("decodeRange says %v, the reference decoder says %v", err, wantErr)

@@ -26,9 +26,11 @@ import (
 )
 
 // File is the slice of *os.File the persister uses: sequential reads
-// for recovery, writes and fsyncs for the logs and snapshots.
+// for recovery, reads at an offset for the sealed chunks an open leaves
+// on disk, writes and fsyncs for the logs and snapshots.
 type File interface {
 	io.Reader
+	io.ReaderAt
 	io.Writer
 	io.Closer
 	// Sync flushes the file (or directory) to stable storage.
@@ -41,7 +43,7 @@ type FS interface {
 	// Create truncates-or-creates a file for writing.
 	Create(name string) (File, error)
 	// Open opens a file (or directory, for directory fsyncs) for
-	// reading.
+	// reading, sequentially or at an offset.
 	Open(name string) (File, error)
 	// Rename atomically moves oldpath to newpath.
 	Rename(oldpath, newpath string) error
@@ -362,6 +364,18 @@ func (f *faultFile) Write(p []byte) (int, error) {
 // media error surfacing on the read path.
 func (f *faultFile) Read(p []byte) (int, error) {
 	n, err := f.inner.Read(p)
+	if n > 0 {
+		if bit, ok := f.fs.corruptRead(n); ok {
+			p[bit/8] ^= 1 << (bit % 8)
+		}
+	}
+	return n, err
+}
+
+// ReadAt forwards, then possibly flips one bit of the result, as Read
+// does.
+func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.inner.ReadAt(p, off)
 	if n > 0 {
 		if bit, ok := f.fs.corruptRead(n); ok {
 			p[bit/8] ^= 1 << (bit % 8)

@@ -280,6 +280,37 @@ func TestCorruptReadFlipsOneBit(t *testing.T) {
 	}
 }
 
+// TestCorruptReadAtFlipsOneBit: a read at an offset meets the same
+// read faults as a sequential one, and a zero plan passes it through.
+func TestCorruptReadAtFlipsOneBit(t *testing.T) {
+	dir := t.TempDir()
+	name := filepath.Join(dir, "r")
+	want := bytes.Repeat([]byte{0x5A}, 256)
+	if err := os.WriteFile(name, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, prob := range []float64{0, 1} {
+		ff := New(Plan{Seed: 5, CorruptReadProb: prob}, nil)
+		f, err := ff.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 64)
+		n, err := f.ReadAt(got, 100)
+		f.Close()
+		if err != nil || n != len(got) {
+			t.Fatalf("ReadAt: %d bytes, %v", n, err)
+		}
+		diff := 0
+		for i := range got {
+			diff += popcount8(got[i] ^ want[100+i])
+		}
+		if wantDiff := int(prob); diff != wantDiff || ff.Stats().CorruptReads != int64(wantDiff) {
+			t.Fatalf("CorruptReadProb %v: flipped %d bits, stats say %d", prob, diff, ff.Stats().CorruptReads)
+		}
+	}
+}
+
 func popcount8(b byte) int {
 	n := 0
 	for ; b != 0; b &= b - 1 {

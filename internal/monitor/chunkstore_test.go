@@ -169,15 +169,15 @@ func TestSnapshotChunkedRoundTrip(t *testing.T) {
 
 // TestSnapshotRejectsOldVersions: a head or segment declaring a
 // version this build does not read is refused by name, not misread as
-// the current one; version 3, the single-file snapshot's last, among
-// them. (A version 1 head is read: see TestOpenReadsVersion1Head.)
+// the current one. (Version 1 and 2 heads are read: see
+// TestOpenReadsVersion1Head.)
 func TestSnapshotRejectsOldVersions(t *testing.T) {
 	s := NewStore(t0, time.Minute)
 	s.SetChunkSpan(2)
 	s.Append(Measurement{kCPU, t0, 1})
 	s.Append(Measurement{kCPU, t0.Add(time.Minute), 2})
 	good := imageOf(t, s)
-	for _, version := range []uint16{0, 2, 3, 4} {
+	for _, version := range []uint16{0, 3, 4} {
 		head := bytes.Clone(good.head)
 		binary.BigEndian.PutUint16(head[4:6], version)
 		_, err := restoreImage(image{head: head, seg: good.seg})

@@ -6,10 +6,12 @@ import (
 	"log/slog"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/topo"
 )
 
 // TestEndpointLifecycle pins the connection core's contract: a
@@ -82,5 +84,81 @@ func TestEndpointLifecycle(t *testing.T) {
 	ep.Serve(ln)
 	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("listener served after Close: Accept = %v, want net.ErrClosed", err)
+	}
+}
+
+// TestEndpointPanicUnderShardLock: a subscriber's filter that panics
+// while a batch from the ingest socket holds a shard's lock ends that
+// connection only. The handler recovers, the shard's lock is released
+// and its log record sealed, so Stats, Prune, a further batch on a new
+// connection and a reopen all complete, and what the log holds replays.
+func TestEndpointPanicUnderShardLock(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenPersistent(dir, t0, time.Minute, persistOptsNoBG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := obs.NewCollector()
+	store.SetCollector(col)
+	var armed atomic.Bool
+	armed.Store(true)
+	_, cancel := store.Subscribe(func(topo.KPIKey) bool {
+		if armed.CompareAndSwap(true, false) {
+			panic("filter")
+		}
+		return false
+	}, 1)
+	defer cancel()
+	srv := NewIngestServer(store)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	publish := func(bin int) {
+		t.Helper()
+		pub, err := DialPublisher(addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pub.Close()
+		var ms []Measurement
+		for _, k := range fleetKeys(8) {
+			ms = append(ms, Measurement{k, t0.Add(time.Duration(bin) * time.Minute), float64(bin)})
+		}
+		if err := pub.PublishBatch(ms); err != nil {
+			t.Fatal(err)
+		}
+		pub.Flush()
+	}
+	publish(0)
+	waitFor(t, "the handler's panic", func() bool { return col.Counter(obs.CtrConnPanics) == 1 })
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		store.Stats()
+		store.Prune(t0)
+		publish(1)
+		waitFor(t, "the second batch", func() bool { n, _ := store.SeriesLen(fleetKeys(1)[0]); return n == 2 })
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the store wedged after a panic under a shard lock")
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenPersistent(dir, time.Time{}, 0, persistOptsNoBG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rec := re.Recovered(); rec.TornTails != 0 {
+		t.Fatalf("the log after the panic replays with %d torn tails", rec.TornTails)
+	}
+	if n, _ := re.SeriesLen(fleetKeys(1)[0]); n != 2 {
+		t.Fatalf("the reopened store holds %d bins of a key written twice", n)
 	}
 }

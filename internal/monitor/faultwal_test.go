@@ -262,12 +262,13 @@ func TestSnapshotCorruptionQuarantines(t *testing.T) {
 }
 
 // TestReadCorruptionQuarantines lets faultfs flip bits on the read
-// path during recovery — latent media errors surfacing at reopen —
-// and asserts the store comes up degraded-not-wrong. Each seed reopens
-// its own copy of the image; a flip lands on one of the reads in three
-// (the head, the segment, the log), and the seeds are enough that some
-// land inside chunk data — the run is deterministic, and none landing
-// there fails the test.
+// path — latent media errors surfacing at reopen, and at the first
+// decode of a chunk the open left on disk — and asserts the store comes
+// up degraded-not-wrong. Each seed reopens its own copy of the image and
+// reads the series whole; a flip lands on one of the reads in three
+// (the head, a segment's header or chunk, the log), and the seeds are
+// enough that some land inside chunk data — the run is deterministic,
+// and none landing there fails the test.
 func TestReadCorruptionQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	opts := persistOptsNoBG(1)
@@ -300,11 +301,11 @@ func TestReadCorruptionQuarantines(t *testing.T) {
 			// corruption served.
 			continue
 		}
+		got, ok := re.Series(k)
+		if !ok {
+			t.Fatal("series lost")
+		}
 		if re.QuarantinedChunks() > 0 {
-			got, ok := re.Series(k)
-			if !ok {
-				t.Fatal("series lost")
-			}
 			for i := 0; i < got.Len(); i++ {
 				if v := got.Values[i]; !math.IsNaN(v) && v != float64(i)*1.5 {
 					t.Fatalf("seed %d: bin %d = %v, want %v or NaN", seed, i, v, float64(i)*1.5)

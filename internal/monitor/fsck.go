@@ -30,18 +30,23 @@ type FsckReport struct {
 	Series            int  // series after WAL replay
 	Chunks            int  // sealed chunks across all series
 	QuarantinedChunks int  // chunks failing their CRC or token walk (or tombstoned earlier)
+	IndexMismatches   int  // chunks the head's index places elsewhere than their newest copy in the segments
 	WALs              []FsckWAL
 	WALRecords        int
 	TornTails         int
 	Repaired          bool
 	DroppedChunks     int // quarantined chunks rewritten as explicit NaN gaps
+	// ChunkReads and ChunkReadBytes are the reads of chunks at the
+	// offsets the head's index records, and their bytes (see
+	// monitor.chunk_reads).
+	ChunkReads, ChunkReadBytes int64
 }
 
 // Healthy reports whether the directory recovers with no data loss
-// beyond what a clean crash allows: no quarantined chunks, no torn log
-// tails, no unreadable logs.
+// beyond what a clean crash allows: no quarantined chunks, a head whose
+// index agrees with the segments, no torn log tails, no unreadable logs.
 func (r FsckReport) Healthy() bool {
-	if r.QuarantinedChunks > 0 || r.TornTails > 0 {
+	if r.QuarantinedChunks > 0 || r.IndexMismatches > 0 || r.TornTails > 0 {
 		return false
 	}
 	for _, w := range r.WALs {
@@ -53,12 +58,14 @@ func (r FsckReport) Healthy() bool {
 }
 
 // Fsck verifies a persistence directory offline: it runs OpenPersistent's
-// recovery pass (recoverDir) — the head, every sealed chunk's CRC
-// checked, then every log generation up to its first bad record, whose
-// offset and the bytes left unread behind it it reports — and then
-// token-walks every sealed chunk, which an open leaves to the chunk's
-// first decode, instead of mutating anything. No store process may be
-// using dir.
+// recovery pass (recoverDir) eagerly — the head, then every live
+// segment's framing and every chunk's newest copy in them, which a
+// version 3 head's index must name (a version 2 head's chunks are read
+// from them and CRC-checked), then every log generation up to its first
+// bad record, whose offset and the bytes left unread behind it it
+// reports — and then reads, CRC-checks and token-walks every sealed
+// chunk, which an open leaves to the chunk's first decode, instead of
+// mutating anything. No store process may be using dir.
 //
 // With repair set and damage found, the recovered state is
 // consolidated back to disk: quarantined chunks are rewritten as
@@ -79,14 +86,16 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 	}
 	var rep FsckReport
 
-	rc, err := recoverDir(fsys, dir, StoreShards, 0)
+	rc, err := recoverDir(fsys, dir, StoreShards, 0, true)
 	if err != nil {
 		return rep, err
 	}
+	defer rc.closeSegments()
 	store := rc.store
 	rep.SnapshotPresent = rc.headBytes > 0
 	rep.SnapshotSeries = rc.stats.SnapshotSeries
 	rep.QuarantinedChunks = rc.stats.QuarantinedChunks
+	rep.IndexMismatches = rc.mismatches
 	for _, r := range rc.gens {
 		rep.WALs = append(rep.WALs, FsckWAL{
 			Path:      r.path,
@@ -115,6 +124,7 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 			}
 		}
 	}
+	rep.ChunkReads, rep.ChunkReadBytes = store.chunkReads.Load(), store.chunkReadBytes.Load()
 
 	if !repair || rep.Healthy() {
 		return rep, nil

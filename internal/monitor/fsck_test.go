@@ -126,6 +126,47 @@ func TestFsckRepairDropsQuarantine(t *testing.T) {
 	}
 }
 
+// TestFsckChecksTheIndex: a head whose index places a chunk elsewhere
+// than its copy in the segment — here a later chunk's bytes, under the
+// chunk's own CRC — is reported, by entry, as a mismatch with the
+// segments' framing (and the chunk, read where the index says, as
+// quarantined); a repair rewrites the head, which then agrees.
+func TestFsckChecksTheIndex(t *testing.T) {
+	dir := t.TempDir()
+	opts := persistOptsNoBG(2)
+	opts.ChunkSpan = 16
+	st, err := OpenPersistent(dir, t0, time.Minute, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bin := 0; bin < 80; bin++ {
+		st.Append(Measurement{kCPU, t0.Add(time.Duration(bin) * time.Minute), float64(bin)})
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	_, later := st.shardFor(kCPU).series[kCPU].chunks[3].Home()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rewriteFile(t, filepath.Join(dir, headFile), func(raw []byte) []byte {
+		return patchIndex(raw, func(e []byte) { binary.BigEndian.PutUint64(e[1:], uint64(later)) })
+	})
+	rep, err := Fsck(dir, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.IndexMismatches != 1 || rep.QuarantinedChunks != 1 || rep.Healthy() || rep.ChunkReads != int64(rep.Chunks) {
+		t.Fatalf("fsck of a head indexing a chunk at another's bytes: %+v", rep)
+	}
+	if rep, err = Fsck(dir, nil, true); err != nil || !rep.Repaired {
+		t.Fatalf("repair: %+v (%v)", rep, err)
+	}
+	if rep, err = Fsck(dir, nil, false); err != nil || !rep.Healthy() || rep.IndexMismatches != 0 {
+		t.Fatalf("after the repair: %+v (%v)", rep, err)
+	}
+}
+
 // TestFsckRepairKeepsRefusedLogs: a log of a version this build does
 // not read holds records the segments lack, so repair refuses the
 // directory and leaves it byte for byte as it was.

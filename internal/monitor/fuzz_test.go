@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 	"time"
@@ -78,6 +79,9 @@ func FuzzReadSnapshot(f *testing.F) {
 	good := imageOf(f, s)
 	f.Add(good.head)
 	f.Add([]byte("FNLH"))
+	for _, head := range badIndexHeads(good) {
+		f.Add(head)
+	}
 	f.Fuzz(func(t *testing.T, head []byte) {
 		store, err := restoreImage(image{head: head, seg: good.seg})
 		if err != nil {
@@ -261,6 +265,11 @@ func FuzzSnapshotRestore(f *testing.F) {
 	huge := bytes.Clone(tails.head[:len(tails.head)-3*8-8])
 	huge = append(huge, 0xFF, 0xFF, 0xFF, 0xFE) // absurd tail count
 	f.Add(huge, tails.seg)
+	for _, im := range []image{chunked, pruned} {
+		for _, head := range badIndexHeads(im) {
+			f.Add(head, im.seg)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, head, seg []byte) {
 		store, err := restoreImage(image{head: head, seg: seg})
@@ -276,9 +285,43 @@ func FuzzSnapshotRestore(f *testing.F) {
 		if !bytes.Equal(out1.head, out2.head) || !bytes.Equal(out1.seg, out2.seg) {
 			t.Fatal("restore → serialize is not deterministic")
 		}
-		// Every window reads: a chunk that fails its walk is NaN.
+		// Every series decodes: a chunk whose bytes fail their CRC or walk
+		// reads NaN.
 		for _, key := range store.Keys() {
-			store.RangeInto(key, store.Start(), store.Start().Add(time.Hour), nil)
+			store.Series(key)
 		}
 	})
+}
+
+// badIndexHeads returns im's head with its first series' first index
+// entry patched, under a checksum made good again: the chunk placed past
+// the segment's end, and in a segment the head does not list.
+func badIndexHeads(im image) [][]byte {
+	var heads [][]byte
+	for _, patch := range []func(e []byte){
+		func(e []byte) { binary.BigEndian.PutUint64(e[1:], uint64(len(im.seg))+8) },
+		func(e []byte) { e[0] = 1 },
+	} {
+		if head := patchIndex(im.head, patch); head != nil {
+			heads = append(heads, head)
+		}
+	}
+	return heads
+}
+
+// patchIndex returns a copy of head with patch applied to its first
+// series' first index entry and the checksum made good again, or nil
+// when that series has no chunks.
+func patchIndex(head []byte, patch func(entry []byte)) []byte {
+	at := 4 + 2 + 8 + 8 + 4 + 8 + 4
+	at += 9*int(binary.BigEndian.Uint32(head[at-4:])) + 4
+	at += 1 + 2 + int(binary.BigEndian.Uint16(head[at+1:])) // scope, entity
+	at += 2 + int(binary.BigEndian.Uint16(head[at:]))       // metric
+	if binary.BigEndian.Uint32(head[at+4:]) == 0 {
+		return nil
+	}
+	head = bytes.Clone(head)
+	patch(head[at+8:]) // past first chunk and chunk count
+	binary.BigEndian.PutUint32(head[len(head)-4:], crc32.ChecksumIEEE(head[:len(head)-4]))
+	return head
 }

@@ -33,19 +33,24 @@ import (
 
 // modelSeries is one series: bins holds its bins from first·span, the
 // first bin of its first kept chunk; enc the encoded size of each sealed
-// chunk, −1 for a checksum-failure tombstone.
+// chunk, −1 for a tombstone the head records; rot marks a chunk whose
+// bytes on disk are bad, which its first decode quarantines — its bins
+// read NaN, its enc stays.
 type modelSeries struct {
 	first int
 	bins  []float64
 	enc   []int
+	rot   []bool
 }
 
 // end is the bin past the series' last one.
 func (ms *modelSeries) end(span int) int { return ms.first*span + len(ms.bins) }
 
 // set writes bin, at or past the first kept one, re-encoding the sealed
-// chunk it patches or completes.
-func (ms *modelSeries) set(bin int, v float64, span int) {
+// chunk it patches or completes. It reports whether it patched a chunk
+// with bad bytes on disk, which the store decodes (and quarantines) to
+// patch.
+func (ms *modelSeries) set(bin int, v float64, span int) (healed bool) {
 	p := bin - ms.first*span
 	for len(ms.bins) <= p {
 		ms.bins = append(ms.bins, math.NaN())
@@ -53,10 +58,14 @@ func (ms *modelSeries) set(bin int, v float64, span int) {
 	ms.bins[p] = v
 	if ci := p / span; ci < len(ms.enc) {
 		ms.enc[ci] = chunk.Encode(ms.bins[ci*span : (ci+1)*span]).EncodedBytes()
+		healed = ms.rot[ci]
+		ms.rot[ci] = false
 	}
 	for ci := len(ms.enc); ci < len(ms.bins)/span; ci++ {
 		ms.enc = append(ms.enc, chunk.Encode(ms.bins[ci*span:(ci+1)*span]).EncodedBytes())
+		ms.rot = append(ms.rot, false)
 	}
+	return healed
 }
 
 // prune drops the sealed chunks that lie wholly below horizon, as the
@@ -67,7 +76,7 @@ func (ms *modelSeries) prune(horizon, span int) bool {
 		return false
 	}
 	if drop := min(horizon/span-ms.first, len(ms.enc)); drop > 0 {
-		ms.bins, ms.enc, ms.first = ms.bins[drop*span:], ms.enc[drop:], ms.first+drop
+		ms.bins, ms.enc, ms.rot, ms.first = ms.bins[drop*span:], ms.enc[drop:], ms.rot[drop:], ms.first+drop
 	}
 	return true
 }
@@ -78,6 +87,8 @@ type storeModel struct {
 	horizon int
 	span    int
 	series  map[topo.KPIKey]*modelSeries
+	// healed counts the writes into a chunk with bad bytes on disk.
+	healed int
 	// The feed: whether one is attached, the keys its filter accepts,
 	// each series' cached flag, the lowest bin marked per key since the
 	// last drain, and whether a mark since the last look has left a
@@ -112,7 +123,9 @@ func (m *storeModel) apply(ms []Measurement) (kept []Measurement) {
 			m.series[x.Key] = s
 			m.flags[x.Key] = m.feed && m.tracked[x.Key]
 		}
-		s.set(bin, x.V, m.span)
+		if s.set(bin, x.V, m.span) {
+			m.healed++
+		}
 		if !m.feed || !m.flags[x.Key] || !m.tracked[x.Key] {
 			continue
 		}
@@ -156,9 +169,44 @@ func (m *storeModel) clone() *storeModel {
 	c := newStoreModel(m.start, m.span)
 	c.horizon = m.horizon
 	for k, s := range m.series {
-		c.series[k] = &modelSeries{first: s.first, bins: slices.Clone(s.bins), enc: slices.Clone(s.enc)}
+		c.series[k] = &modelSeries{first: s.first, bins: slices.Clone(s.bins), enc: slices.Clone(s.enc), rot: slices.Clone(s.rot)}
 	}
 	return c
+}
+
+// image is what an image of m holds once every chunk with bad bytes has
+// been read: a tombstone in its place.
+func (m *storeModel) image() *storeModel {
+	c := m.clone()
+	for _, s := range c.series {
+		for ci, rot := range s.rot {
+			if rot {
+				s.enc[ci], s.rot[ci] = -1, false
+			}
+		}
+	}
+	return c
+}
+
+// rot marks sealed chunk ci of s bad on disk: its first decode reads
+// NaN.
+func (ms *modelSeries) rotChunk(ci, span int) {
+	ms.rot[ci] = true
+	for b := ci * span; b < (ci+1)*span; b++ {
+		ms.bins[b] = math.NaN()
+	}
+}
+
+// rotten counts the chunks of m whose bytes on disk are bad.
+func (m *storeModel) rotten() (n int) {
+	for _, s := range m.series {
+		for _, rot := range s.rot {
+			if rot {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // sameContent reports whether a and b hold the same bins in the same
@@ -169,7 +217,7 @@ func sameContent(a, b *storeModel) bool {
 	}
 	for k, s := range a.series {
 		o := b.series[k]
-		if o == nil || s.first != o.first || !slices.Equal(s.enc, o.enc) || len(s.bins) != len(o.bins) {
+		if o == nil || s.first != o.first || !slices.Equal(s.enc, o.enc) || !slices.Equal(s.rot, o.rot) || len(s.bins) != len(o.bins) {
 			return false
 		}
 		for i, v := range s.bins {
@@ -261,11 +309,16 @@ func (m *storeModel) check(t testing.TB, s *Store, keys []topo.KPIKey, rng *rand
 		want.LastBin = max(want.LastBin, ms.end(m.span)-1)
 		want.Chunks += len(ms.enc)
 		want.TailBins += len(ms.bins) - len(ms.enc)*m.span
-		for _, b := range ms.enc {
-			if b < 0 {
+		for ci, b := range ms.enc {
+			switch {
+			case b < 0:
 				want.QuarantinedChunks++
 				want.CompressedBytes += tomb
-			} else {
+			case ms.rot[ci]:
+				// Read by the windows above: a tombstone of its recorded size.
+				want.QuarantinedChunks++
+				want.CompressedBytes += int64(b)
+			default:
 				want.CompressedBytes += int64(b)
 			}
 		}
@@ -377,11 +430,14 @@ type progRunner struct {
 	snap          *storeModel
 	snapFile, cut []byte
 	cutModel      *storeModel
-	gens          map[uint64]*genModel
-	logs          map[uint64]string // each generation's bytes, once frames were sent
-	held          bool
-	heldAt        int64
-	dropped       map[topo.KPIKey]bool // series the last prune dropped
+	// lazy makes an open skip its reads, readAtFault fail the reads of
+	// the chunks it leaves on disk (damage kinds 12 and 13).
+	lazy, readAtFault bool
+	gens              map[uint64]*genModel
+	logs              map[uint64]string // each generation's bytes, once frames were sent
+	held              bool
+	heldAt            int64
+	dropped           map[topo.KPIKey]bool // series the last prune dropped
 }
 
 type progConn struct {
@@ -847,7 +903,7 @@ func (r *progRunner) release() {
 		return
 	}
 	r.noteGens(r.m.start)
-	r.cut, r.cutModel = snapshotBytes(r.t, r.s), r.m.clone()
+	r.cut, r.cutModel = snapshotBytes(r.t, r.s), r.m.image()
 	r.s.persist.compactMu.Unlock()
 	waitFor(r.t, "the prune's compaction", func() bool { return r.col.Counter(obs.CtrCompactions) > r.heldAt || r.crashed() })
 	if !r.crashed() {
@@ -862,12 +918,16 @@ func (r *progRunner) compact() {
 		return
 	}
 	r.noteGens(r.m.start)
-	r.cut, r.cutModel = snapshotBytes(r.t, r.s), r.m.clone()
+	r.cut, r.cutModel = snapshotBytes(r.t, r.s), r.m.image()
+	reads := r.s.chunkReads.Load()
 	if err := r.s.Compact(); err != nil {
 		if !r.crashed() {
 			r.t.Fatalf("compact: %v", err)
 		}
 		return
+	}
+	if r.s.chunkReads.Load() > reads {
+		r.cov["merge copied an unread chunk"]++
 	}
 	r.compacted()
 }
@@ -922,7 +982,7 @@ func (r *progRunner) roundTrip() {
 		r.t.Fatalf("restore: %v", err)
 	}
 	now := time.Now()
-	r.m.check(r.t, re, r.keys, r.rng)
+	r.m.image().check(r.t, re, r.keys, r.rng)
 	for k := range r.m.series {
 		if wm, ok := re.ArrivalWatermark(k); !ok || wm.Before(began) || wm.After(now) {
 			r.t.Fatalf("%v: restored watermark %v (%v), restored during [%v, %v]", k, wm, ok, began, now)
@@ -984,9 +1044,15 @@ func (r *progRunner) durable(gens []walGeneration, span int) (want *storeModel, 
 		want = r.snap.clone()
 		st.SnapshotSeries = len(want.series)
 		for _, s := range want.series {
-			for _, b := range s.enc {
-				if b < 0 {
+			for ci, b := range s.enc {
+				switch {
+				case b < 0:
 					st.QuarantinedChunks++
+				case r.readAtFault && !s.rot[ci]:
+					// Every chunk left on disk fails its read at its first
+					// decode.
+					s.rotChunk(ci, want.span)
+					r.cov["ReadAt fault at first decode"]++
 				}
 			}
 		}
@@ -1052,7 +1118,11 @@ func (r *progRunner) open(shards, span int, crash int64, before []byte) bool {
 	if start = t0; !fresh {
 		start = t0.Add(-7 * time.Minute) // the directory's epoch must win
 	}
-	r.ffs = faultfs.New(faultfs.Plan{Seed: crash, CrashAtOp: crash}, unsyncedFS{faultfs.OS})
+	var fsys faultfs.FS = unsyncedFS{faultfs.OS}
+	if r.readAtFault {
+		fsys = readAtFailFS{fsys}
+	}
+	r.ffs = faultfs.New(faultfs.Plan{Seed: crash, CrashAtOp: crash}, fsys)
 	began := time.Now()
 	st, err := OpenPersistent(r.dir, start, time.Minute, PersistOptions{Shards: shards, SyncInterval: -1, CompactBytes: -1, ChunkSpan: span, FS: r.ffs})
 	if err != nil {
@@ -1071,14 +1141,10 @@ func (r *progRunner) open(shards, span int, crash int64, before []byte) bool {
 	if got != wantStats {
 		t.Fatalf("recovery stats %+v, model %+v", got, wantStats)
 	}
+	lost := true
 	if r.m != nil {
 		want.tracked = r.m.tracked
-		if before != nil && sameContent(r.m, want) {
-			if after := snapshotBytes(t, st); !bytes.Equal(after, before) {
-				t.Fatalf("nothing was lost, but the reopened store snapshots to %d bytes, the store before to %d", len(after), len(before))
-			}
-			r.cov["nothing lost"]++
-		}
+		lost = before == nil || !sameContent(r.m, want)
 	}
 	r.m, r.feed, r.conns = want, nil, [3]progConn{}
 	r.noteGens(want.start)
@@ -1090,9 +1156,47 @@ func (r *progRunner) open(shards, span int, crash int64, before []byte) bool {
 		}
 		r.wm[k] = wm
 	}
-	want.check(t, st, r.keys, r.rng)
 	r.cov["reopen"]++
+	if r.lazy {
+		return true // the caller reads the store
+	}
+	want.check(t, st, r.keys, r.rng)
+	// Each chunk with bad bytes on disk is quarantined by its first
+	// decode — a replayed late write's, or the check's — and counted once.
+	if got, wantQ := st.QuarantinedChunks(), int64(wantStats.QuarantinedChunks+want.rotten()+want.healed); got != wantQ {
+		t.Fatalf("monitor.quarantined_chunks = %d after the reopen's reads, want %d", got, wantQ)
+	}
+	if st.chunkReads.Load() > 0 {
+		r.cov["first decode after a reopen"]++
+	}
+	if !lost {
+		if after := snapshotBytes(t, st); !bytes.Equal(after, before) {
+			t.Fatalf("nothing was lost, but the reopened store snapshots to %d bytes, the store before to %d", len(after), len(before))
+		}
+		r.cov["nothing lost"]++
+	}
 	return true
+}
+
+// readAtFailFS fails every read at an offset past a segment's header:
+// the reads of the chunks an open left on disk.
+type readAtFailFS struct{ faultfs.FS }
+
+type readAtFailFile struct{ faultfs.File }
+
+func (fs readAtFailFS) Open(name string) (faultfs.File, error) {
+	f, err := fs.FS.Open(name)
+	if err != nil || !strings.HasPrefix(filepath.Base(name), segmentPrefix) {
+		return f, err
+	}
+	return readAtFailFile{f}, nil
+}
+
+func (f readAtFailFile) ReadAt(p []byte, off int64) (int, error) {
+	if off >= segmentHeaderLen {
+		return 0, faultfs.ErrInjected
+	}
+	return f.File.ReadAt(p, off)
 }
 
 // damage closes the store, damages what the argument names and opens
@@ -1104,15 +1208,40 @@ func (r *progRunner) open(shards, span int, crash int64, before []byte) bool {
 // garbage length (8); the last entry cut by a byte under a CRC that
 // holds (9). Kind 10 rots a sealed chunk of a segment; kind 11 flips a
 // byte of the head, which the open must refuse — the head is then put
-// back.
+// back. Kind 12 damages nothing: the reopen compacts before anything
+// reads the store, so a merge copies the chunks the open left on disk,
+// and reads them after; kind 13 reopens on a disk where every read of a
+// chunk the open left there fails.
 func (r *progRunner) damage(arg int) {
 	before := r.close()
-	if kind := arg >> 8 % 12; kind == 10 {
+	switch kind := arg >> 8 % 14; {
+	case kind == 10:
 		r.rotSegment(arg >> 2 & 63)
-	} else if kind == 11 {
+	case kind == 11:
 		r.rotHead(arg >> 2 & 63)
-	} else if g, path := r.damaged(arg & 3); g != nil {
-		r.damageRecord(g, path, (arg>>2&63)*wholeRecs(g)/64, kind)
+	case kind == 12 && r.snap != nil && r.snap.rotten() == 0:
+		r.lazy = true
+		r.openRetry(r.shards, r.m.span, 0, nil)
+		r.lazy = false
+		merges := r.cov["merge copied an unread chunk"]
+		r.compact()
+		reads := r.s.chunkReads.Load()
+		r.m.check(r.t, r.s, r.keys, r.rng)
+		if r.cov["merge copied an unread chunk"] > merges && r.s.chunkReads.Load() > reads {
+			r.cov["first decode after a merge copy"]++
+		}
+		r.cov["damage 12"]++
+		return
+	case kind == 13:
+		r.readAtFault = true
+		r.openRetry(r.shards, r.m.span, 0, nil)
+		r.readAtFault = false
+		r.cov["damage 13"]++
+		return
+	case kind < 10:
+		if g, path := r.damaged(arg & 3); g != nil {
+			r.damageRecord(g, path, (arg>>2&63)*wholeRecs(g)/64, kind)
+		}
 	}
 	r.openRetry(r.shards, r.m.span, 0, before)
 }
@@ -1204,7 +1333,7 @@ func (r *progRunner) rotSegment(sel int) {
 	var cands [][2]int // key index, chunk
 	for ki, k := range r.keys {
 		for ci := 0; r.snap.series[k] != nil && ci < len(r.snap.series[k].enc); ci++ {
-			if r.snap.series[k].enc[ci] >= 0 {
+			if r.snap.series[k].enc[ci] >= 0 && !r.snap.series[k].rot[ci] {
 				cands = append(cands, [2]int{ki, ci})
 			}
 		}
@@ -1230,10 +1359,7 @@ func (r *progRunner) rotSegment(sel int) {
 			r.t.Fatal(err)
 		}
 		r.snapFile = installedImage(r.t, r.dir)
-		s.enc[c[1]] = -1
-		for b := c[1] * span; b < (c[1]+1)*span; b++ {
-			s.bins[b] = math.NaN()
-		}
+		s.rotChunk(c[1], span)
 		r.cov["damage 10"]++
 		return
 	}

@@ -21,21 +21,25 @@ import (
 
 // Recovery rebuilds a store from a data directory in one pass, the same
 // one for OpenPersistent and Fsck (recoverDir). One reader streams the
-// head file, then each live segment, oldest first, and then each log
-// generation, oldest first, in file order, a block at a time, to one
-// pool of at most GOMAXPROCS workers; worker w owns the store shards si
-// with si mod W = w.
+// head file and then each log generation, oldest first, in file order, a
+// block at a time, to one pool of at most GOMAXPROCS workers; worker w
+// owns the store shards si with si mod W = w.
 //
 //   - A head series goes to the owner of its key's shard, which builds
-//     the entry from the block's bytes — its chunk slots still empty —
-//     cuts its tail at span capacity from the worker's slab, where
-//     replay appends (keyRuns.newTail), and installs it.
-//   - A segment group goes to the same worker, which fills the series'
-//     chunk slots from it: each chunk's CRC is checked (a tombstone in
-//     place of one that fails) and its token walk left to its first
-//     decode (chunk.Check). A later segment's copy supersedes an earlier
-//     one. At the end of the segments the worker tombstones every slot
-//     no segment filled and counts the tombstones.
+//     the entry from the block's bytes — each chunk unread where its
+//     index entry says it lies (chunk.Unread), to be read at its first
+//     decode — cuts its tail at span capacity from the worker's slab,
+//     where replay appends (keyRuns.newTail), and installs it. Of each
+//     live segment the reader reads only the header, before the series.
+//   - The eager pass — Fsck's, and a version 2 head's — then streams
+//     each live segment, oldest first, and hands each group to the same
+//     worker. For a version 2 head, whose series' chunk slots are empty,
+//     the worker fills them from it: each chunk's CRC is checked (a
+//     tombstone in place of one that fails), its token walk left to its
+//     first decode, and a later segment's copy supersedes an earlier
+//     one; at the end of the segments it tombstones every slot no
+//     segment filled. For Fsck's version 3 head it checks that each
+//     chunk's newest copy lies where the head's index says.
 //   - A log record goes to the worker its shard byte names, modulo W.
 //     Its keys are the owner's own when the writing layout is the
 //     reading one; each worker's queue is FIFO, so its restored series
@@ -48,8 +52,10 @@ import (
 //
 // The reader frames and checks, the workers build and apply: a head or
 // segment whose framing breaks, a head whose checksum fails, or a log
-// read that fails, ends the pass with an error, and every worker is
-// joined before recoverDir returns.
+// read that fails, ends the pass with an error, every worker is joined
+// and every segment it opened closed before recoverDir returns. The
+// pass's store keeps the live segments open (recovery.segs) for the
+// chunks left on disk.
 
 // replayBlock is how much of a file the reader frames before it hands
 // the items on, regrouped by worker; it holds the largest log record,
@@ -78,7 +84,10 @@ type recovery struct {
 	fsys   faultfs.FS
 	shards int
 	span   int // the chunk span of a store without a head; 0 keeps the default
-	store  *Store
+	// eager streams every live segment's groups after the head: Fsck sets
+	// it, and a head older than version 3 does.
+	eager bool
+	store *Store
 
 	workers []*recoveryWorker
 	wg      sync.WaitGroup // the workers
@@ -86,20 +95,33 @@ type recovery struct {
 	// segments, genDone at a generation's.
 	snapshotDone, genDone sync.WaitGroup
 	// free hands a block back to the reader once every worker that had
-	// items in it is done with them: a pass allocates three blocks or so,
-	// not one per block of input.
+	// items in it is done with them. A pass makes maxBlocks blocks at
+	// most, and free has room for all of them.
 	free       chan []byte
+	blocks     int
 	restoredAt int64 // the arrival watermark of every restored series
+	// grp groups a log block's records by shard byte.
+	grp shardGrouping
 
 	stats RecoveryStats
-	// live is the head's segment list, with each file's size; headBytes
+	// live is the head's segment list, with each file's size, and segs
+	// the open segments, in its order; version is the head's. headBytes
 	// is the head's size and snapBytes its and the live segments' (0
 	// without a head). maxSeq is the highest segment number on disk.
 	live                 []segmentRef
+	segs                 []*segmentFile
+	version              uint16
 	headBytes, snapBytes int64
 	maxSeq               uint64
-	gens                 []walReplay
+	// mismatches counts the chunks whose newest copy in the segments is
+	// not the one the head's index names (eager pass, version 3 only).
+	mismatches int
+	gens       []walReplay
 }
+
+// maxBlocks caps the blocks a pass makes: one the reader fills while the
+// workers hold the others.
+const maxBlocks = 3
 
 // walReplay is the outcome of replaying one generation.
 type walReplay struct {
@@ -113,15 +135,16 @@ type walReplay struct {
 	err            error
 }
 
-// recoverDir reads the head, its live segments and every log
-// generation in dir into a store with the given shard count, and
-// returns the pass: its store (nil when dir holds neither a head nor a
-// readable log header), stats and per-generation outcomes. Its error is
-// a failed listing, a version 3 snapshot, or an unreadable head or
-// segment; a generation's is in its walReplay, and the generations
-// after it still replay.
-func recoverDir(fsys faultfs.FS, dir string, shards, span int) (*recovery, error) {
-	r := &recovery{fsys: fsys, shards: shards, span: span}
+// recoverDir reads the head, its live segments' headers — and with
+// eager, their groups too — and every log generation in dir into a
+// store with the given shard count, and returns the pass: its store (nil
+// when dir holds neither a head nor a readable log header), the open
+// segments its chunks read from, stats and per-generation outcomes. Its
+// error is a failed listing, a version 3 snapshot, or an unreadable head
+// or segment, and it then has closed every segment; a generation's is in
+// its walReplay, and the generations after it still replay.
+func recoverDir(fsys faultfs.FS, dir string, shards, span int, eager bool) (*recovery, error) {
+	r := &recovery{fsys: fsys, shards: shards, span: span, eager: eager}
 	defer r.join()
 	began := time.Now()
 	d, err := scanDir(fsys, dir)
@@ -136,6 +159,8 @@ func recoverDir(fsys faultfs.FS, dir string, shards, span int) (*recovery, error
 	}
 	if d.headSize >= 0 {
 		if err := r.readImage(dir, d); err != nil {
+			r.join()
+			r.closeSegments()
 			return r, fmt.Errorf("monitor: recovering the head and segments: %w", err)
 		}
 	}
@@ -153,6 +178,14 @@ func recoverDir(fsys faultfs.FS, dir string, shards, span int) (*recovery, error
 	r.join()
 	r.stats.ReplayTime = time.Since(began) - r.stats.SnapshotTime
 	return r, nil
+}
+
+// closeSegments closes the segments the pass opened.
+func (r *recovery) closeSegments() {
+	for _, sf := range r.segs {
+		sf.f.Close()
+	}
+	r.segs = nil
 }
 
 // dirListing is what scanDir finds: the log generations, oldest first,
@@ -209,35 +242,85 @@ func scanDir(fsys faultfs.FS, dir string) (d dirListing, err error) {
 	return d, nil
 }
 
-// readImage reads the head and then the segments it lists, oldest
-// first, and marks the end of both for every worker.
+// readImage reads the head, and on the eager pass the segments it
+// lists, oldest first, and marks the end of both for every worker.
 func (r *recovery) readImage(dir string, d dirListing) error {
 	f, err := r.fsys.Open(filepath.Join(dir, headFile))
 	if err != nil {
 		return err
 	}
-	live, err := r.readHead(f, d)
+	live, err := r.readHead(f, dir, d)
 	f.Close()
 	if err != nil {
 		return err
 	}
 	r.headBytes, r.snapBytes = d.headSize, d.headSize
-	for i := range live {
-		g := &live[i]
-		g.size = d.segs[g.seq]
+	for i, g := range live {
+		if r.eager {
+			if err := r.readSegment(io.NewSectionReader(r.segs[i].f, 0, g.size), g.seq, g.size); err != nil {
+				return fmt.Errorf("%s: %w", segmentName(g.seq), err)
+			}
+		}
+		r.snapBytes += g.size
+	}
+	r.mark(batchSnapshotEnd)
+	return nil
+}
+
+// segmentFile is a live segment an open read the header of: the chunks
+// it left on disk (chunk.Unread) read their bytes from it, each read
+// counted in monitor.chunk_reads and monitor.chunk_read_bytes. The
+// persister keeps it open until the store closes, whatever compactions
+// do, so no first decode fails because a merge copied its chunk on and
+// removeStale deleted the file.
+type segmentFile struct {
+	f     faultfs.File
+	store *Store
+}
+
+// ReadAt reads a chunk's bytes, and counts them.
+func (sf *segmentFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := sf.f.ReadAt(p, off)
+	sf.store.chunkReads.Add(1)
+	sf.store.chunkReadBytes.Add(int64(n))
+	return n, err
+}
+
+// openSegments opens the live segments of dir and checks each header
+// against the head's chunk span.
+func (r *recovery) openSegments(dir string, live []segmentRef) error {
+	for _, g := range live {
 		f, err := r.fsys.Open(filepath.Join(dir, segmentName(g.seq)))
 		if err != nil {
 			return err
 		}
-		err = r.readSegment(f, g.seq, g.size)
-		f.Close()
-		if err != nil {
+		r.segs = append(r.segs, &segmentFile{f: f, store: r.store})
+		var hdr [segmentHeaderLen]byte
+		if n, err := f.ReadAt(hdr[:], 0); n < len(hdr) {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return fmt.Errorf("%s: %w", segmentName(g.seq), err)
 		}
-		r.snapBytes += g.size
+		if err := checkSegmentHeader(hdr[:], r.store.span); err != nil {
+			return fmt.Errorf("%s: %w", segmentName(g.seq), err)
+		}
 	}
-	r.live = live
-	r.mark(batchSnapshotEnd)
+	return nil
+}
+
+// checkSegmentHeader checks a segment's header — magic, version and
+// chunk span; the group count is the eager pass's to read.
+func checkSegmentHeader(hdr []byte, span int) error {
+	if string(hdr[:4]) != segmentMagic {
+		return fmt.Errorf("monitor: bad segment magic %q", hdr[:4])
+	}
+	if version := binary.BigEndian.Uint16(hdr[4:6]); version != segmentVersion {
+		return fmt.Errorf("monitor: unsupported segment version %d", version)
+	}
+	if got := int(binary.BigEndian.Uint32(hdr[6:10])); got != span {
+		return fmt.Errorf("monitor: segment chunk span %d, the head's is %d", got, span)
+	}
 	return nil
 }
 
@@ -245,7 +328,7 @@ func (r *recovery) readImage(dir string, d dirListing) error {
 func (r *recovery) start(store *Store) {
 	r.store = store
 	n := min(runtime.GOMAXPROCS(0), len(store.shards))
-	r.free = make(chan []byte, 3)
+	r.free = make(chan []byte, maxBlocks)
 	r.snapshotDone.Add(n)
 	for id := range n {
 		w := &recoveryWorker{r: r, id: id, in: make(chan recoveryBatch, 1)}
@@ -268,6 +351,7 @@ func (r *recovery) join() {
 	for _, w := range r.workers {
 		r.stats.SnapshotSeries += w.series
 		r.stats.QuarantinedChunks += w.quarantined
+		r.mismatches += w.mismatches
 	}
 	r.workers = nil
 }
@@ -301,11 +385,13 @@ const (
 )
 
 // recoveryItem is a head series' body or a segment group, with its
-// key's shard in the store, or a verified log record's payload, with its
-// shard byte in the layout that wrote it. b lies in the batch's block.
+// key's shard in the store and its offset in its file, or a verified log
+// record's payload, with its shard byte in the layout that wrote it. b
+// lies in the batch's block.
 type recoveryItem struct {
 	b     []byte
 	shard int
+	pos   int64
 }
 
 // dispatch hands each worker its share of the items framed in block: an
@@ -338,13 +424,9 @@ func (r *recovery) dispatch(kind batchKind, seq uint64, block []byte, items []re
 	}
 }
 
-// recycle offers a block the workers are done with back to the reader.
-func (r *recovery) recycle(block []byte) {
-	select {
-	case r.free <- block:
-	default:
-	}
-}
+// recycle hands a block the workers are done with back to the reader.
+// free has room for every block the pass makes, so it never drops one.
+func (r *recovery) recycle(block []byte) { r.free <- block }
 
 // owner is the worker that owns store shard si, and the one a log
 // record with shard byte si goes to.
@@ -366,16 +448,25 @@ func (r *recovery) newBlockReader(f io.Reader, pos int64) *blockReader {
 	return &blockReader{r: r, f: f, block: r.takeBlock(0), pos: pos}
 }
 
-// takeBlock returns an empty block with room for at least n bytes.
+// takeBlock returns an empty block with room for at least n bytes: a
+// returned one, a fresh one while the pass has made fewer than
+// maxBlocks, or else the next one the workers return. A returned block
+// too small for n is replaced by one that holds it.
 func (r *recovery) takeBlock(n int) []byte {
+	var b []byte
 	select {
-	case b := <-r.free:
-		if cap(b) >= n {
-			return b[:0]
-		}
+	case b = <-r.free:
 	default:
+		if r.blocks < maxBlocks {
+			r.blocks++
+			return make([]byte, 0, max(n, replayBlock))
+		}
+		b = <-r.free
 	}
-	return make([]byte, 0, max(n, replayBlock))
+	if cap(b) < n {
+		return make([]byte, 0, max(n, replayBlock))
+	}
+	return b[:0]
 }
 
 // unframed is what has been read and not yet framed.
@@ -411,11 +502,12 @@ func (br *blockReader) next() {
 }
 
 // readHead streams the head (see the format at the top of snapshot.go)
-// to the workers, creating the pass's store from it, and returns its
+// to the workers, creating the pass's store from it, opens the live
+// segments of dir it lists and checks their headers, and returns its
 // segment list. The chunk span is the head's own. It returns once every
 // series is handed out and the checksum over all of it holds; the
 // workers install them.
-func (r *recovery) readHead(f io.Reader, d dirListing) ([]segmentRef, error) {
+func (r *recovery) readHead(f io.Reader, dir string, d dirListing) ([]segmentRef, error) {
 	// The fixed header — magic, version, start, step, span, horizon (not
 	// in version 1) and segment count — then the segment list and the
 	// series count come in with the first piece of the stream.
@@ -428,19 +520,20 @@ func (r *recovery) readHead(f io.Reader, d dirListing) ([]segmentRef, error) {
 	if len(hdr) >= 4 && string(hdr[:4]) != headMagic {
 		return nil, fmt.Errorf("monitor: bad head magic %q", hdr[:4])
 	}
-	v1 := false
 	if len(hdr) >= 6 {
-		switch version := binary.BigEndian.Uint16(hdr[4:6]); version {
-		case headVersion:
+		switch r.version = binary.BigEndian.Uint16(hdr[4:6]); r.version {
+		case headVersion, 2:
 		case 1:
-			v1, fixedLen = true, fixedLen-8
+			fixedLen -= 8
 		default:
-			return nil, fmt.Errorf("monitor: unsupported head version %d", version)
+			return nil, fmt.Errorf("monitor: unsupported head version %d", r.version)
 		}
 	}
 	if len(hdr) < fixedLen {
 		return nil, io.ErrUnexpectedEOF
 	}
+	// A head without an index finds its chunks in the segments' groups.
+	r.eager = r.eager || r.version < 3
 	start := time.Unix(0, int64(binary.BigEndian.Uint64(hdr[6:14]))).UTC()
 	step := time.Duration(binary.BigEndian.Uint64(hdr[14:22]))
 	if step <= 0 {
@@ -451,7 +544,7 @@ func (r *recovery) readHead(f io.Reader, d dirListing) ([]segmentRef, error) {
 		return nil, fmt.Errorf("monitor: bad head chunk span %d", span)
 	}
 	var horizon int64
-	if !v1 {
+	if r.version > 1 {
 		if horizon = int64(binary.BigEndian.Uint64(hdr[26:34])); horizon < 0 {
 			return nil, fmt.Errorf("monitor: bad head horizon %d", uint64(horizon))
 		}
@@ -476,6 +569,7 @@ func (r *recovery) readHead(f io.Reader, d dirListing) ([]segmentRef, error) {
 		if !ok {
 			return nil, fmt.Errorf("monitor: the head lists %s, which is missing", segmentName(live[i].seq))
 		}
+		live[i].size = size
 		segBytes += size
 	}
 	count := int64(binary.BigEndian.Uint32(br.block[hdrLen-4:]))
@@ -500,11 +594,16 @@ func (r *recovery) readHead(f io.Reader, d dirListing) ([]segmentRef, error) {
 	// of "how stale is the evidence this verdict used".
 	r.restoredAt = time.Now().UnixNano()
 	r.start(store)
+	defer br.done()
+	r.live = live
+	if err := r.openSegments(dir, live); err != nil {
+		return nil, err
+	}
 
 	sum := crc32.ChecksumIEEE(br.block[:hdrLen])
 	br.off = hdrLen
 	maxChunks := segBytes / minSegmentChunk
-	frame := func(b []byte) (int, int, error) { return frameHeadSeries(b, store, maxChunks, v1) }
+	frame := func(b []byte) (int, int, error) { return frameHeadSeries(b, store, maxChunks, r.version, nsegs) }
 	if err := r.frameStream(br, count, batchSeries, 0, frame, func(b []byte) { sum = crc32.Update(sum, crc32.IEEETable, b) }); err != nil {
 		return nil, err
 	}
@@ -520,29 +619,23 @@ func (r *recovery) readHead(f io.Reader, d dirListing) ([]segmentRef, error) {
 	return live, nil
 }
 
-// readSegment streams segment seq, of size bytes, to the workers, which
-// set the chunks of the series the head installed from it.
+// readSegment streams segment seq, of size bytes, to the workers: the
+// eager pass.
 func (r *recovery) readSegment(f io.Reader, seq uint64, size int64) error {
 	br := r.newBlockReader(f, 0)
-	const hdrLen = 4 + 2 + 4 + 4
-	if err := br.fill(hdrLen); err != nil {
+	defer br.done()
+	if err := br.fill(segmentHeaderLen); err != nil {
 		return err
 	}
 	hdr := br.block
-	if len(hdr) < hdrLen {
+	if len(hdr) < segmentHeaderLen {
 		return io.ErrUnexpectedEOF
 	}
-	if string(hdr[:4]) != segmentMagic {
-		return fmt.Errorf("monitor: bad segment magic %q", hdr[:4])
-	}
-	if version := binary.BigEndian.Uint16(hdr[4:6]); version != segmentVersion {
-		return fmt.Errorf("monitor: unsupported segment version %d", version)
-	}
-	if span := int(binary.BigEndian.Uint32(hdr[6:10])); span != r.store.span {
-		return fmt.Errorf("monitor: segment chunk span %d, the head's is %d", span, r.store.span)
+	if err := checkSegmentHeader(hdr, r.store.span); err != nil {
+		return err
 	}
 	count := int64(binary.BigEndian.Uint32(hdr[10:14]))
-	br.off = hdrLen
+	br.off = segmentHeaderLen
 	frame := func(b []byte) (int, int, error) { return frameGroup(b, r.store) }
 	if err := r.frameStream(br, count, batchChunks, seq, frame, nil); err != nil {
 		return err
@@ -551,6 +644,16 @@ func (r *recovery) readSegment(f io.Reader, seq uint64, size int64) error {
 		return fmt.Errorf("monitor: segment of %d bytes ends at %d", size, end)
 	}
 	return nil
+}
+
+// done hands the block the reader holds back once its stream is over:
+// a pass makes maxBlocks blocks, and one the reader dropped would be
+// waited for in vain.
+func (br *blockReader) done() {
+	if br.block != nil {
+		br.r.recycle(br.block)
+		br.block = nil
+	}
 }
 
 // fill reads until the block holds n bytes or the file ends.
@@ -579,7 +682,7 @@ func (r *recovery) frameStream(br *blockReader, count int64, kind batchKind, seq
 			if n == 0 {
 				break
 			}
-			items = append(items, recoveryItem{b: br.unframed()[:n], shard: shard})
+			items = append(items, recoveryItem{b: br.unframed()[:n], shard: shard, pos: br.pos + int64(br.off)})
 			br.off += n
 			left--
 		}
@@ -627,23 +730,24 @@ func frameKey(b []byte) (metOff, end int, err error) {
 	return metOff, end, nil
 }
 
-// frameHeadSeries frames the head series at the front of b: its length,
-// or 0 when b does not hold all of it yet, and its key's shard in store.
-// Anything wrong with the framing is an error, found as soon as the
-// bytes that show it are in b. In a version 1 head (v1) the first chunk
-// field is a count of pruned bins, which must be 0.
-func frameHeadSeries(b []byte, store *Store, maxChunks int64, v1 bool) (n, shard int, err error) {
+// frameHeadSeries frames the head series at the front of b, of a head
+// of the given version listing nsegs segments: its length, or 0 when b
+// does not hold all of it yet, and its key's shard in store. Anything
+// wrong with the framing is an error, found as soon as the bytes that
+// show it are in b; an index entry's extent is the worker's to check. In
+// a version 1 head the first chunk field is a count of pruned bins,
+// which must be 0.
+func frameHeadSeries(b []byte, store *Store, maxChunks int64, version uint16, nsegs int) (n, shard int, err error) {
 	span := store.span
 	metOff, p, err := frameKey(b)
-	if err != nil || p == 0 || len(b) < p+12 {
+	if err != nil || p == 0 || len(b) < p+8 {
 		return 0, 0, err
 	}
 	keyEnd := p
 	first := binary.BigEndian.Uint32(b[p:])
 	chunks := binary.BigEndian.Uint32(b[p+4:])
-	tail := binary.BigEndian.Uint32(b[p+8:])
 	switch {
-	case v1 && first != 0:
+	case version == 1 && first != 0:
 		return 0, 0, fmt.Errorf("monitor: a version 1 head with %d bins pruned inside a series' first chunk: the last build that reads it is commit e8b4fb7", first)
 	case int64(first)*int64(span) > store.horizon.Load():
 		return 0, 0, fmt.Errorf("monitor: first chunk %d lies past the horizon %d", first, store.horizon.Load())
@@ -653,10 +757,29 @@ func frameHeadSeries(b []byte, store *Store, maxChunks int64, v1 bool) (n, shard
 	if int64(chunks) > maxChunks {
 		return 0, 0, fmt.Errorf("monitor: %d chunks, more than the segments hold", chunks)
 	}
+	p += 8
+	if version >= 3 {
+		if len(b) < p+indexEntryLen*int(chunks) {
+			return 0, 0, nil
+		}
+		for end := p + indexEntryLen*int(chunks); p < end; p += indexEntryLen {
+			encLen := binary.BigEndian.Uint32(b[p+9:])
+			if seg := int(b[p]); seg >= nsegs {
+				return 0, 0, fmt.Errorf("monitor: a chunk in segment %d of a head that lists %d", seg, nsegs)
+			}
+			if encLen != chunkTombstone && int64(encLen) > 10*int64(span) {
+				return 0, 0, fmt.Errorf("monitor: index entry of %d bytes exceeds span %d", encLen, span)
+			}
+		}
+	}
+	if len(b) < p+4 {
+		return 0, 0, nil
+	}
+	tail := binary.BigEndian.Uint32(b[p:])
 	if int64(tail) >= int64(span) {
 		return 0, 0, fmt.Errorf("monitor: tail of %d bins exceeds chunk span %d", tail, span)
 	}
-	if p += 12 + 8*int(tail); len(b) < p {
+	if p += 4 + 8*int(tail); len(b) < p {
 		return 0, 0, nil
 	}
 	return p, shardOf(len(store.shards), b[0], b[3:metOff], b[metOff+2:keyEnd]), nil
@@ -733,11 +856,12 @@ func (r *recovery) replayLog(path string, out *walReplay) error {
 
 	br := r.newBlockReader(f, int64(walHeaderLen))
 	var (
-		items []recoveryItem
-		bad   bool
+		items, grouped []recoveryItem
+		bad            bool
 	)
 	for !bad && !br.eof {
 		if err := br.read(); err != nil {
+			br.done() // the next generation's reader takes it
 			return err
 		}
 		block := br.block
@@ -764,10 +888,8 @@ func (r *recovery) replayLog(path string, out *walReplay) error {
 		if !bad && !br.eof && !br.full() {
 			continue
 		}
-		// A worker gets its share of the block shard after shard, so that
-		// it applies a shard's records of the block as one run.
-		sort.SliceStable(items, func(i, j int) bool { return items[i].shard < items[j].shard })
-		r.dispatch(batchRecords, 0, block, items)
+		grouped = r.groupByShard(items, grouped)
+		r.dispatch(batchRecords, 0, block, grouped)
 		items = items[:0]
 		if !bad && !br.eof {
 			br.next()
@@ -782,6 +904,25 @@ func (r *recovery) replayLog(path string, out *walReplay) error {
 	return nil
 }
 
+// groupByShard returns items ordered by shard byte into out's storage,
+// each shard's in log order — the counting pass AppendBatch groups its
+// batches with (shardGrouping) — so that a worker gets its share of a
+// block shard after shard and applies a shard's records of the block as
+// one run.
+func (r *recovery) groupByShard(items, out []recoveryItem) []recoveryItem {
+	g := &r.grp
+	g.grow(len(items))
+	for i, it := range items {
+		g.idx[i] = uint8(it.shard)
+	}
+	g.sort(maxStoreShards)
+	out = out[:0]
+	for _, i := range g.order {
+		out = append(out, items[i])
+	}
+	return out
+}
+
 // recoveryWorker is one worker of a recovery pass. Its fields other than
 // in are its own until join, or a marker, hands them to the reader.
 type recoveryWorker struct {
@@ -793,11 +934,12 @@ type recoveryWorker struct {
 	waited bool
 
 	series, quarantined int // head series installed (distinct) and chunks quarantined
+	mismatches          int // chunks whose newest copy is not the one the head's index names
 	records, torn       int // this generation's measurements replayed, and shards ended by a bad entry
 
 	// restored lists the series the worker installed from the head, in
-	// key order, for the segments' groups to find (see entry); at is the
-	// last one a group found.
+	// key order, for the eager pass's groups to find (see entry); at is
+	// the last one a group found.
 	restored []restoredSeries
 	at       int
 
@@ -820,7 +962,7 @@ func (w *recoveryWorker) run() {
 			}
 		case batchChunks:
 			for _, it := range b.items {
-				w.installChunks(it.b, b.seq)
+				w.installChunks(it, b.seq)
 			}
 		case batchRecords:
 			w.apply(b.items)
@@ -842,31 +984,53 @@ func (w *recoveryWorker) run() {
 	}
 }
 
-// restoredSeries is a series a worker installed from the head.
+// restoredSeries is a series a worker installed from the head, for the
+// eager pass. For a version 3 head, seen holds the newest copy of each
+// of its chunks the segments' groups showed.
 type restoredSeries struct {
-	key topo.KPIKey
-	e   *seriesEntry
+	key  topo.KPIKey
+	e    *seriesEntry
+	seen []chunkCopy
 }
 
-// install builds the head series framed in it.b (see frameHeadSeries),
-// its chunk slots empty for the segments to fill, and puts it in its
-// shard, which no other worker touches before every worker's installs
-// are done.
+// chunkCopy is a copy of a chunk in a segment: the segment, the offset
+// of its bytes, their length — chunkTombstone for a tombstone — and
+// their CRC.
+type chunkCopy struct {
+	seq       uint64
+	off       int64
+	size, crc uint32
+}
+
+// install builds the head series framed in it.b (see frameHeadSeries) —
+// its chunks where the head's index says they lie, or for a version 2
+// head its chunk slots empty for the segments to fill — and puts it in
+// its shard, which no other worker touches before every worker's
+// installs are done.
 func (w *recoveryWorker) install(it recoveryItem) {
-	s := w.r.store
+	r := w.r
+	s := r.store
 	span := s.span
 	key, b, keyBuf := snapshotKey(it.b, w.keyBuf)
 	w.keyBuf = keyBuf
 
-	e := &seriesEntry{first: int(binary.BigEndian.Uint32(b)), arrivalNanos: w.r.restoredAt}
-	if n := binary.BigEndian.Uint32(b[4:]); n > 0 {
+	e := &seriesEntry{first: int(binary.BigEndian.Uint32(b)), arrivalNanos: r.restoredAt}
+	n := int(binary.BigEndian.Uint32(b[4:]))
+	b = b[8:]
+	if n > 0 {
 		e.chunks = make([]*chunk.Chunk, n)
 	}
-	if n := int(binary.BigEndian.Uint32(b[8:])); n > 0 {
+	if r.version >= 3 {
+		for i := range e.chunks {
+			e.chunks[i] = w.indexed(b[indexEntryLen*i:])
+		}
+		b = b[indexEntryLen*n:]
+	}
+	if n := int(binary.BigEndian.Uint32(b)); n > 0 {
 		// Cut where replay appends: the log's bins extend it in place.
 		e.tail = w.runs.newTail(span, n)
 		for i := range e.tail {
-			e.tail[i] = math.Float64frombits(binary.BigEndian.Uint64(b[12+8*i:]))
+			e.tail[i] = math.Float64frombits(binary.BigEndian.Uint64(b[4+8*i:]))
 		}
 	}
 	series := s.shards[it.shard].series
@@ -874,45 +1038,85 @@ func (w *recoveryWorker) install(it recoveryItem) {
 		w.series++
 	}
 	series[key] = e
-	w.restored = append(w.restored, restoredSeries{key: key, e: e})
+	if r.eager {
+		rs := restoredSeries{key: key, e: e}
+		if r.version >= 3 {
+			rs.seen = make([]chunkCopy, n)
+		}
+		w.restored = append(w.restored, rs)
+	}
 }
 
-// installChunks sets the chunks of the group framed in b (see
-// frameGroup), of segment seq, in its series: each is checked against
-// its CRC, its token walk left to its first decode, and seq recorded as
-// its home. A chunk of a series the head does not hold, or outside its
-// chunks — pruned below its first, or past its count — is stepped over.
-func (w *recoveryWorker) installChunks(b []byte, seq uint64) {
+// indexed builds the chunk a head's index entry b describes: unread
+// where it lies, or a tombstone — the head's, or one for an entry whose
+// extent lies outside its segment — counted as quarantined. The latter
+// has no home, so the next compaction writes it.
+func (w *recoveryWorker) indexed(b []byte) *chunk.Chunk {
+	r := w.r
+	span := r.store.span
+	g := r.live[b[0]]
+	off, encLen := int64(binary.BigEndian.Uint64(b[1:])), binary.BigEndian.Uint32(b[9:])
+	switch {
+	case encLen == chunkTombstone:
+		// A quarantined chunk round-trips as a tombstone.
+		w.quarantined++
+		ck := chunk.Tombstone(span)
+		ck.SetHome(g.seq, 0)
+		return ck
+	case off < segmentHeaderLen || off > g.size-int64(encLen):
+		w.quarantined++
+		return chunk.Tombstone(span)
+	}
+	ck := chunk.Unread(r.segs[b[0]], off, int(encLen), binary.BigEndian.Uint32(b[13:]), span)
+	ck.SetHome(g.seq, off)
+	return ck
+}
+
+// installChunks reads the group framed in it (see frameGroup), of
+// segment seq, for the series the head installed. For a version 2 head
+// it sets each chunk: checked against its CRC, its token walk left to
+// its first decode, and seq and the offset of its bytes recorded as its
+// home. For a version 3 one it notes each copy for settle to check the
+// index against. A chunk of a series the head does not hold, or outside
+// its chunks — pruned below its first, or past its count — is stepped
+// over.
+func (w *recoveryWorker) installChunks(it recoveryItem, seq uint64) {
 	span := w.r.store.span
-	e, b := w.entry(b)
+	rs, b := w.entry(it.b)
+	pos := it.pos + int64(len(it.b)-len(b)) // b's offset in the file
 	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
+	b, pos = b[4:], pos+4
 	for ; n > 0; n-- {
 		ci, encLen := int(binary.BigEndian.Uint32(b)), binary.BigEndian.Uint32(b[4:])
-		b = b[8:]
-		if e != nil {
-			ci -= e.first
+		b, pos = b[8:], pos+8
+		if rs != nil {
+			ci -= rs.e.first
 		}
-		held := e != nil && ci >= 0 && ci < len(e.chunks)
+		held := rs != nil && ci >= 0 && ci < len(rs.e.chunks)
+		cp := chunkCopy{seq: seq, size: encLen}
 		var ck *chunk.Chunk
 		if encLen == chunkTombstone {
 			// A quarantined chunk round-trips as a tombstone.
 			ck = chunk.Tombstone(span)
 		} else {
-			crc := binary.BigEndian.Uint32(b)
-			if held {
+			cp.off, cp.crc = pos+4, binary.BigEndian.Uint32(b)
+			if held && rs.seen == nil {
 				ck, _ = chunk.FromEncoded(append([]byte(nil), b[4:4+encLen]...), span)
-				if ck.CRC() != crc {
+				if ck.CRC() != cp.crc {
 					// The framing held but the bytes are rotten: quarantine this
 					// chunk and keep recovering the rest of the store.
 					ck = chunk.Tombstone(span)
 				}
 			}
-			b = b[4+encLen:]
+			b, pos = b[4+encLen:], pos+4+int64(encLen)
 		}
-		if held {
-			ck.SetHome(seq)
-			e.chunks[ci] = ck
+		switch {
+		case !held:
+		case rs.seen != nil:
+			rs.seen[ci] = cp
+		default:
+			ck.SetHome(seq, cp.off)
+			rs.e.chunks[ci] = ck
 		}
 	}
 }
@@ -922,7 +1126,7 @@ func (w *recoveryWorker) installChunks(b []byte, seq uint64) {
 // segment's groups come in key order, as the head's series did, so the
 // search walks on from the last series found, and starts over by
 // bisection when a key lies behind it — the next segment's first.
-func (w *recoveryWorker) entry(b []byte) (*seriesEntry, []byte) {
+func (w *recoveryWorker) entry(b []byte) (*restoredSeries, []byte) {
 	scope := topo.Scope(b[0])
 	el := int(binary.BigEndian.Uint16(b[1:]))
 	entity := b[3 : 3+el]
@@ -956,19 +1160,28 @@ func (w *recoveryWorker) entry(b []byte) (*seriesEntry, []byte) {
 	w.at = i
 	if i < len(w.restored) && cmp(&w.restored[i].key) == 0 {
 		w.at = i + 1
-		return w.restored[i].e, rest
+		return &w.restored[i], rest
 	}
 	return nil, rest
 }
 
-// settle closes the worker's installs: a chunk slot no segment filled
-// gets a tombstone, which the next compaction writes, and every
-// tombstone is counted as quarantined.
+// settle closes the worker's installs on the eager pass. For a version
+// 2 head a chunk slot no segment filled gets a tombstone, which the next
+// compaction writes, and every tombstone is counted as quarantined. For
+// a version 3 head each chunk the index places on disk is checked
+// against the newest copy the segments showed.
 func (w *recoveryWorker) settle() {
 	span := w.r.store.span
 	for _, rs := range w.restored {
 		e := rs.e
 		for i, ck := range e.chunks {
+			if rs.seen != nil {
+				seq, off := ck.Home()
+				if c := rs.seen[i]; !ck.Quarantined() && (c.seq != seq || c.off != off || c.size != uint32(ck.EncodedBytes()) || c.crc != ck.CRC()) {
+					w.mismatches++
+				}
+				continue
+			}
 			if ck == nil {
 				ck = chunk.Tombstone(span)
 				e.chunks[i] = ck

@@ -320,10 +320,11 @@ func (f *readFailFile) Read(p []byte) (int, error) {
 // second and third of three generations — a read that fails with the
 // second's workers busy, a header the third's reader refuses: the open
 // must fail with the second's error (the first in generation order).
-// Then a snapshot whose framing breaks in its second block, after the
-// first block's series went to the workers: the open must fail with
-// the framing error. Either way no worker may outlive the open, and no
-// file may stay open.
+// Then a segment whose framing breaks in its second block, after the
+// first block's groups went to the workers: Fsck's eager pass must fail
+// with the framing error, and an open, which reads the segment's header
+// only, quarantines the chunks past the cut. Either way no worker may
+// outlive the open, and no file may stay open.
 func TestRecoveryErrorJoinsWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	image := writeImage(t, 8, 30, 0, 0).dir // written with 8 shards, reopened with 4 twice
@@ -383,16 +384,26 @@ func TestRecoveryErrorJoinsWorkers(t *testing.T) {
 		return raw[:3*replayBlock/2]
 	})
 	cfs = &countingFS{FS: faultfs.OS}
-	st, err = OpenPersistent(dir, time.Time{}, 0, PersistOptions{Shards: 8, SyncInterval: -1, CompactBytes: -1, FS: cfs})
-	if err == nil {
-		st.Close()
-		t.Fatal("OpenPersistent recovered a segment cut short")
-	}
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("error %q, want the segment's framing cut short", err)
+	if _, err := Fsck(dir, cfs, false); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("fsck: error %v, want the segment's framing cut short", err)
 	}
 	if n := cfs.open.Load(); n != 0 {
-		t.Fatalf("failed open (%v): %d files left open", err, n)
+		t.Fatalf("failed fsck: %d files left open", n)
+	}
+	// An open reads the segment's header only: the chunks the head's
+	// index places past the cut are quarantined there, and the store
+	// closes every file it opened.
+	cfs = &countingFS{FS: faultfs.OS}
+	st, err = OpenPersistent(dir, time.Time{}, 0, PersistOptions{Shards: 8, SyncInterval: -1, CompactBytes: -1, FS: cfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := st.Recovered().QuarantinedChunks; q == 0 || q >= len(keys)*3 {
+		t.Fatalf("%d chunks quarantined at open, want those past the cut", q)
+	}
+	st.Close()
+	if n := cfs.open.Load(); n != 0 {
+		t.Fatalf("closed store: %d files left open", n)
 	}
 
 	// Joined workers have returned from their function; give the

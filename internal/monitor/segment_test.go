@@ -110,10 +110,11 @@ func TestRestoredChunkWalkedAtFirstDecode(t *testing.T) {
 	}
 }
 
-// segmentWrites counts the bytes written to segment and head files.
+// segmentWrites counts the bytes written to segment files, and to head
+// files.
 type segmentWrites struct {
 	faultfs.FS
-	n atomic.Int64
+	seg, head atomic.Int64
 }
 
 type segmentWriteFile struct {
@@ -123,10 +124,15 @@ type segmentWriteFile struct {
 
 func (fs *segmentWrites) Create(name string) (faultfs.File, error) {
 	f, err := fs.FS.Create(name)
-	if base := filepath.Base(name); err != nil || !strings.HasPrefix(base, segmentPrefix) && base != headTmpFile {
+	switch base := filepath.Base(name); {
+	case err != nil:
 		return f, err
+	case strings.HasPrefix(base, segmentPrefix):
+		return segmentWriteFile{f, &fs.seg}, nil
+	case base == headTmpFile:
+		return segmentWriteFile{f, &fs.head}, nil
 	}
-	return segmentWriteFile{f, &fs.n}, nil
+	return f, err
 }
 
 func (f segmentWriteFile) Write(p []byte) (int, error) {
@@ -134,17 +140,19 @@ func (f segmentWriteFile) Write(p []byte) (int, error) {
 	return f.File.Write(p)
 }
 
-// TestCompactionWritesFlatInHistory: what a run of compactions writes,
-// and how many segments it leaves live, does not grow with the history
-// the store holds. Two stores differ only in history — 8 and 32 sealed
-// chunks a series under a base segment — and then take the same bins
-// and the same 16 compactions, each sealing a chunk a series. They
-// write the same bytes, binary-counter merges included, and leave at
-// most the base and one segment per bit of the compaction count.
+// TestCompactionWritesFlatInHistory: what a run of compactions writes
+// to segments, and how many segments it leaves live, does not grow with
+// the history the store holds, and the heads grow by the index entries
+// of the history's chunks alone. Two stores differ only in history — 8
+// and 32 sealed chunks a series under a base segment — and then take the
+// same bins and the same 16 compactions, each sealing a chunk a series.
+// They write the same segment bytes, binary-counter merges included,
+// heads that differ by an index entry per chunk of history, and leave
+// at most the base and one segment per bit of the compaction count.
 func TestCompactionWritesFlatInHistory(t *testing.T) {
 	const span, rounds = 16, 16
 	keys := fleetKeys(24)
-	run := func(history int) (written int64, live []segmentRef) {
+	run := func(history int) (segs, heads int64, live []segmentRef) {
 		fsys := &segmentWrites{FS: faultfs.OS}
 		opts := persistOptsNoBG(4)
 		opts.ChunkSpan, opts.FS = span, fsys
@@ -166,7 +174,7 @@ func TestCompactionWritesFlatInHistory(t *testing.T) {
 		if err := st.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		before := fsys.n.Load()
+		segs, heads = fsys.seg.Load(), fsys.head.Load()
 		for r := range rounds {
 			// The same values in both stores, whatever their history.
 			add(span, func(ki, b int) float64 { return float64(ki*1000 + r*span + b%span) })
@@ -178,15 +186,163 @@ func TestCompactionWritesFlatInHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return fsys.n.Load() - before, st.persist.live
+		return fsys.seg.Load() - segs, fsys.head.Load() - heads, st.persist.live
 	}
-	short, shortLive := run(8)
-	long, longLive := run(32)
-	t.Logf("%d compactions wrote %d bytes over 8 chunks of history a series, %d over 32; live segments %+v", rounds, short, long, longLive)
+	short, shortHeads, shortLive := run(8)
+	long, longHeads, longLive := run(32)
+	t.Logf("%d compactions wrote %d segment and %d head bytes over 8 chunks of history a series, %d and %d over 32; live segments %+v",
+		rounds, short, shortHeads, long, longHeads, longLive)
 	if short != long {
-		t.Fatalf("%d compactions wrote %d bytes over 8 chunks of history, %d over 32: want the same", rounds, short, long)
+		t.Fatalf("%d compactions wrote %d segment bytes over 8 chunks of history, %d over 32: want the same", rounds, short, long)
+	}
+	if want := int64(rounds * len(keys) * (32 - 8) * indexEntryLen); longHeads-shortHeads != want {
+		t.Fatalf("%d compactions wrote %d head bytes over 8 chunks of history, %d over 32: want %d more, an index entry per chunk", rounds, shortHeads, longHeads, want)
 	}
 	if len(longLive) != len(shortLive) || len(longLive) > 1+bits.Len(rounds) || longLive[0].level != baseLevel {
 		t.Fatalf("live segments %+v after %d compactions, want the base and at most %d more", longLive, rounds, bits.Len(rounds))
+	}
+}
+
+// readLog records, per segment file, the bytes read from it: by Read,
+// and by ReadAt past the header.
+type readLog struct {
+	faultfs.FS
+	mu     sync.Mutex
+	seq    map[string]int64   // bytes read sequentially
+	chunks map[string][]int64 // offsets read at past the header
+}
+
+type readLogFile struct {
+	faultfs.File
+	log  *readLog
+	name string
+}
+
+func (l *readLog) Open(name string) (faultfs.File, error) {
+	f, err := l.FS.Open(name)
+	if err != nil || !strings.HasPrefix(filepath.Base(name), segmentPrefix) {
+		return f, err
+	}
+	return readLogFile{f, l, filepath.Base(name)}, nil
+}
+
+func (f readLogFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	f.log.mu.Lock()
+	f.log.seq[f.name] += int64(n)
+	f.log.mu.Unlock()
+	return n, err
+}
+
+func (f readLogFile) ReadAt(p []byte, off int64) (int, error) {
+	if off+int64(len(p)) > segmentHeaderLen {
+		f.log.mu.Lock()
+		f.log.chunks[f.name] = append(f.log.chunks[f.name], off)
+		f.log.mu.Unlock()
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestOpenReadsNoChunkBytes: an open of a version 3 image reads no byte
+// of a segment past its header — the chunks stay on disk — and Stats
+// counts them by their recorded size. The first decode of a chunk reads
+// it from its segment once, at the offset the head records, however
+// many readers race to it; a merge copies a chunk nothing has read from
+// its segment without decoding it, and the chunk then reads as written.
+func TestOpenReadsNoChunkBytes(t *testing.T) {
+	const span = 16
+	dir := t.TempDir()
+	opts := persistOptsNoBG(4)
+	opts.ChunkSpan = span
+	st, err := OpenPersistent(dir, t0, time.Minute, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := fleetKeys(40)
+	at := func(bin int) time.Time { return t0.Add(time.Duration(bin) * time.Minute) }
+	write := func(st *Store, lo, hi int) {
+		for bin := lo; bin < hi; bin++ {
+			for ki, k := range keys {
+				st.Append(Measurement{k, at(bin), float64(ki*1000 + bin)})
+			}
+		}
+	}
+	write(st, 0, 3*span)
+	if err := st.Compact(); err != nil { // the base
+		t.Fatal(err)
+	}
+	write(st, 3*span, 5*span+3)
+	if err := st.Compact(); err != nil { // a level-0 segment
+		t.Fatal(err)
+	}
+	want := st.Stats()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fsys := &readLog{FS: faultfs.OS, seq: make(map[string]int64), chunks: make(map[string][]int64)}
+	opts.FS = fsys
+	re, err := OpenPersistent(dir, time.Time{}, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if len(fsys.seq) != 0 || len(fsys.chunks) != 0 {
+		t.Fatalf("the open read segment bytes past the headers: %v sequentially, at %v", fsys.seq, fsys.chunks)
+	}
+	if got := re.Stats(); got.CompressedBytes != want.CompressedBytes || got.ApproxBytes != want.ApproxBytes || got.Chunks != want.Chunks {
+		t.Fatalf("stats after the open %+v, before %+v", got, want)
+	}
+
+	// Eight readers race to the first decode of one chunk.
+	k := keys[7]
+	var wg sync.WaitGroup
+	var wrong atomic.Int32
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf, _, ok := re.RangeInto(k, at(span+2), at(span+9), nil)
+			for i, v := range buf {
+				if !ok || v != float64(7*1000+span+2+i) {
+					wrong.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if wrong.Load() != 0 {
+		t.Fatal("a reader read the chunk wrong")
+	}
+	ck := re.shardFor(k).series[k].chunks[1]
+	seq, off := ck.Home()
+	if reads := fsys.chunks[segmentName(seq)]; len(reads) != 1 || reads[0] != off || re.chunkReads.Load() != 1 || re.chunkReadBytes.Load() != int64(ck.EncodedBytes()) {
+		t.Fatalf("reads %v of %s, counted %d (%d bytes); want one at %d of %d bytes", fsys.chunks, segmentName(seq), re.chunkReads.Load(), re.chunkReadBytes.Load(), off, ck.EncodedBytes())
+	}
+
+	// The next compaction merges the level-0 segment: it copies the
+	// chunks that live there, none of them read yet, from the file and
+	// leaves them unread; their first decode then reads them again.
+	copied := re.chunkReads.Load()
+	if err := re.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	merged := re.chunkReads.Load() - copied
+	if merged == 0 {
+		t.Fatal("the merge copied no chunk from its segment")
+	}
+	for ki, k := range keys {
+		buf, _, ok := re.RangeInto(k, at(0), at(5*span), nil)
+		for bin, v := range buf {
+			if !ok || v != float64(ki*1000+bin) {
+				t.Fatalf("%v: bin %d = %v after the merge", k, bin, v)
+			}
+		}
+	}
+	if total := re.chunkReads.Load(); total != copied+merged+int64(5*len(keys)-1) {
+		t.Fatalf("%d chunk reads: %d first decodes before the merge, %d copies by it, and %d decodes after; want every chunk decoded once", total, copied, merged, total-copied-merged)
+	}
+	if re.QuarantinedChunks() != 0 {
+		t.Fatalf("%d chunks quarantined", re.QuarantinedChunks())
 	}
 }

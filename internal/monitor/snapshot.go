@@ -34,15 +34,22 @@ import (
 //
 // Head layout (all integers big-endian):
 //
-//	magic "FNLH" | version uint16 (2) | startUnixNano int64 |
+//	magic "FNLH" | version uint16 (3) | startUnixNano int64 |
 //	stepNanos int64 | chunkSpan uint32 | horizon uint64 |
 //	segmentCount uint32, then per live segment, oldest first:
 //	  seq uint64 | level uint8,
 //	seriesCount uint32, then per series:
 //	  scope uint8 | entityLen uint16 | entity | metricLen uint16 |
-//	  metric | first uint32 | chunkCount uint32 |
-//	  tailCount uint32 | tailCount × float64 bits,
+//	  metric | first uint32 | chunkCount uint32,
+//	  then per chunk, by ascending index, its index entry:
+//	    segment uint8 | offset uint64 | encLen uint32 | crc32(data) uint32,
+//	  then tailCount uint32 | tailCount × float64 bits,
 //	crc32(every byte before it) uint32
+//
+// An index entry says where the chunk's live copy lies: its segment, as
+// a position in the head's segment list, the offset of its encoded
+// bytes in that file, their length and their CRC — or, with encLen the
+// sentinel 0xFFFFFFFF (offset and crc 0), that the chunk is quarantined.
 //
 // Segment layout:
 //
@@ -60,53 +67,64 @@ import (
 // and a series' chunks are chunks first, first+1, …, first+chunkCount−1,
 // chunk i holding bins [i·span, (i+1)·span); its unsealed bins follow.
 // A series' chunk i is the copy of (key, i) in the newest live segment
-// that holds one; every index of the series must have one, and a copy of
-// an index below first is a pruned chunk, stepped over. Series and
-// groups are written in sorted key order (scope, entity, metric) and the
-// chunk encoder is deterministic, so the same compactions of the same
-// data write the same bytes.
+// that holds one — the one its index entry names; every index of the
+// series must have one, and a copy of an index below first is a pruned
+// chunk, stepped over. Series and groups are written in sorted key order
+// (scope, entity, metric) and the chunk encoder is deterministic, so the
+// same compactions of the same data write the same bytes.
 //
-// Version 1 is version 2 without the horizon, and with each series'
-// count of pruned bins inside its first chunk (head) in place of first,
-// in a store whose prune renumbered bins. A version 1 head whose series
-// all have head 0 reads as version 2 with horizon 0 and first 0: the
-// same store. One with any other head is refused; commit e8b4fb7 is the
-// last build that reads it.
+// Version 2 is version 3 without the index entries: its chunks are
+// found by reading every live segment's groups. Version 1 is version 2
+// without the horizon, and with each series' count of pruned bins inside
+// its first chunk (head) in place of first, in a store whose prune
+// renumbered bins. A version 1 head whose series all have head 0 reads
+// as version 2 with horizon 0 and first 0: the same store. One with any
+// other head is refused; commit e8b4fb7 is the last build that reads it.
+// Both open through the eager segment pass (see recover.go), and the
+// next compaction writes version 3.
 //
 // What a compaction writes (persister.compactAs): one new segment
 // holding the chunks no live segment holds — the newly sealed ones and
 // the ones a late write rebuilt, which are new chunks, where a chunk
-// read back or written before records the segment it is in
-// (chunk.SetHome) — and a fresh head. Segments merge binary-counter
-// style: a segment has a level, the new one 0, and it absorbs the
-// newest live segments while their levels read 0, 1, 2, … back from the
-// newest, taking the level one past the last it absorbed; it writes the
-// chunks whose home is one of them again, so a merged segment holds each
-// chunk of its inputs once, its newest copy, and none that a Prune
-// dropped. So O(log n) segments are live after n compactions and a chunk
-// is rewritten O(log n) times. A base segment, which holds every chunk,
-// is never merged: the first compaction and an fsck repair write one,
-// and the head then lists it alone.
+// read back or written before records the segment and offset of its
+// newest copy (chunk.SetHome) — and a fresh head that indexes every
+// chunk. Segments merge binary-counter style: a segment has a level, the
+// new one 0, and it absorbs the newest live segments while their levels
+// read 0, 1, 2, … back from the newest, taking the level one past the
+// last it absorbed; it writes the chunks whose home is one of them
+// again, so a merged segment holds each chunk of its inputs once, its
+// newest copy, and none that a Prune dropped. A chunk an open left on
+// disk is copied from the segment it was read from, its CRC checked on
+// the way, and stays off the heap (chunk.Encoded). So O(log n) segments
+// are live after n compactions and a chunk is rewritten O(log n) times.
+// A base segment, which holds every chunk, is never merged: the first
+// compaction and an fsck repair write one, and the head then lists it
+// alone.
 //
 // Reading is a recovery pass's first stream (see recover.go): one
-// reader checks the framing a block at a time and hands each series, and
-// then each group of the live segments, oldest first, to the worker
-// that owns its key's shard. The worker builds the entry from the head,
-// then sets each chunk from a group — a later copy supersedes an earlier
-// one — after checking its CRC. The token walk that proves a stream
-// decodes is deferred to the chunk's first decode (chunk.Check), so an
-// open pays for the checksum only.
+// reader checks the head's framing a block at a time and hands each
+// series to the worker that owns its key's shard, which builds the entry
+// with each chunk unread (chunk.Unread) where its index entry says it
+// lies. Of each live segment an open reads only the header. A chunk's
+// first decode (chunk.Check) reads its bytes with one ReadAt, checks
+// their CRC and walks the stream, so an open reads no chunk byte and a
+// chunk nothing decodes is never read. The eager pass — Fsck's, and a
+// version 2 head's — also streams every live segment's groups, oldest
+// first: for a version 2 head the workers set each chunk from a group
+// (a later copy supersedes an earlier one) after checking its CRC, and
+// Fsck checks a version 3 head's index against them.
 //
-// A chunk whose stored CRC does not match its bytes, or that no live
-// segment holds, is quarantined, not fatal: the reader installs a NaN
-// tombstone in its place and continues, because the record framing is
-// length-prefixed and stays decodable. A stream that passes its CRC and
-// fails its walk becomes a tombstone at its first decode. The
-// corruption then surfaces through the store's gap accounting as an
-// explicitly degraded (Inconclusive) verdict rather than a crash or a
-// confident lie. Quarantined chunks round-trip through the sentinel.
-// A head whose checksum fails, or a file whose framing breaks, ends the
-// open with an error.
+// A chunk whose bytes fail their read or CRC, or that no live segment
+// holds, is quarantined, not fatal: a NaN tombstone takes its place and
+// the store goes on. The open counts the head's tombstones and the
+// chunks whose index entry lies past their segment's end; a chunk whose
+// bytes fail at its first decode becomes a tombstone there, as one whose
+// stream passes its CRC and fails its walk does. The corruption then
+// surfaces through the store's gap accounting as an explicitly degraded
+// (Inconclusive) verdict rather than a crash or a confident lie.
+// Quarantined chunks round-trip through the sentinel. A head whose
+// checksum fails, a segment whose header does not match the head's, or
+// a file whose framing breaks ends the open with an error.
 //
 // This is the one on-disk form of a store's image. The single-file
 // snapshot.fnls of version 3 is refused by name; commit 17935ff is the
@@ -114,7 +132,7 @@ import (
 const (
 	headMagic      = "FNLH"
 	segmentMagic   = "FNLC"
-	headVersion    = 2
+	headVersion    = 3
 	segmentVersion = 1
 
 	headFile       = "head.fnlh"
@@ -135,6 +153,13 @@ var errLegacySnapshot = errors.New("monitor: unsupported snapshot version 3 (" +
 // chunkTombstone is the encLen sentinel marking a quarantined chunk in
 // a segment.
 const chunkTombstone = 0xFFFFFFFF
+
+// segmentHeaderLen is the size of a segment's header: magic, version,
+// chunk span and group count.
+const segmentHeaderLen = 4 + 2 + 4 + 4
+
+// indexEntryLen is the size of a head's index entry for one chunk.
+const indexEntryLen = 1 + 8 + 4 + 4
 
 // baseLevel is a base segment's level: no merge absorbs it.
 const baseLevel = 0xFF
@@ -175,8 +200,15 @@ type snapshotCut struct {
 	// back; a compacting persister reuses it from one cut to the next.
 	bins []float64
 	// picks holds the chunk indices the last segment write took, series
-	// i's ending at ends[i].
+	// i's ending at ends[i], and offs the offset it wrote each one's
+	// bytes at, −1 for a tombstone.
 	picks, ends []int
+	offs        []int64
+	// failed counts the unread chunks whose copy into a segment found
+	// their bytes bad, each made a tombstone there (chunk.Encoded); buf
+	// is what the copies read into.
+	failed int
+	buf    []byte
 }
 
 // cutSeries is one series of a cut; bins[lo:hi] of the cut are its
@@ -263,7 +295,9 @@ func (c *snapshotCut) sort() {
 func (c *snapshotCut) release() { clear(c.series) }
 
 // writeHead writes the cut as a head file listing live, series in key
-// order (the cut is sorted).
+// order (the cut is sorted). live's last segment is the one the cut's
+// last writeSegment wrote: a chunk it took is indexed there, any other
+// where its home is, which live must list.
 func (c *snapshotCut) writeHead(w io.Writer, live []segmentRef) error {
 	sum := crc32.NewIEEE()
 	bw := bufio.NewWriterSize(io.MultiWriter(w, sum), 1<<16)
@@ -274,15 +308,19 @@ func (c *snapshotCut) writeHead(w io.Writer, live []segmentRef) error {
 	rec = binary.BigEndian.AppendUint32(rec, uint32(c.span))
 	rec = binary.BigEndian.AppendUint64(rec, uint64(c.horizon))
 	rec = binary.BigEndian.AppendUint32(rec, uint32(len(live)))
-	for _, g := range live {
+	pos := make(map[uint64]int, len(live))
+	for i, g := range live {
 		rec = binary.BigEndian.AppendUint64(rec, g.seq)
 		rec = append(rec, g.level)
+		pos[g.seq] = i
 	}
 	rec = binary.BigEndian.AppendUint32(rec, uint32(len(c.series)))
 	if _, err := bw.Write(rec); err != nil {
 		return err
 	}
-	for _, cs := range c.series {
+	newest := len(live) - 1
+	from := 0
+	for i, cs := range c.series {
 		rec, err := appendKey(rec[:0], cs.key)
 		if err != nil {
 			return err
@@ -290,6 +328,35 @@ func (c *snapshotCut) writeHead(w io.Writer, live []segmentRef) error {
 		tail := c.bins[cs.lo:cs.hi]
 		rec = binary.BigEndian.AppendUint32(rec, uint32(cs.first))
 		rec = binary.BigEndian.AppendUint32(rec, uint32(len(cs.chunks)))
+		picked := c.picks[from:c.ends[i]]
+		for ci, ck := range cs.chunks {
+			seg, off := newest, int64(-1)
+			if len(picked) > 0 && picked[0] == ci {
+				off, picked = c.offs[from], picked[1:]
+				from++
+			} else {
+				seq, at := ck.Home()
+				p, ok := pos[seq]
+				if !ok {
+					return fmt.Errorf("monitor: chunk %d of %v lies in %s, which the head does not list", cs.first+ci, cs.key, segmentName(seq))
+				}
+				seg, off = p, at
+				if ck.Quarantined() && ck.Data() == nil {
+					off = -1
+				}
+			}
+			rec = append(rec, byte(seg))
+			if off < 0 {
+				rec = binary.BigEndian.AppendUint64(rec, 0)
+				rec = binary.BigEndian.AppendUint32(rec, chunkTombstone)
+				rec = binary.BigEndian.AppendUint32(rec, 0)
+				continue
+			}
+			rec = binary.BigEndian.AppendUint64(rec, uint64(off))
+			rec = binary.BigEndian.AppendUint32(rec, uint32(ck.EncodedBytes()))
+			rec = binary.BigEndian.AppendUint32(rec, ck.CRC())
+		}
+		from = c.ends[i]
 		rec = binary.BigEndian.AppendUint32(rec, uint32(len(tail)))
 		for _, v := range tail {
 			rec = binary.BigEndian.AppendUint64(rec, math.Float64bits(v))
@@ -324,7 +391,7 @@ func pickAll(cs *cutSeries, idx []int) []int {
 func pickHomes(folded []segmentRef) pickFunc {
 	return func(cs *cutSeries, idx []int) []int {
 		for i, ck := range cs.chunks {
-			if h := ck.Home(); h == 0 || slices.ContainsFunc(folded, func(g segmentRef) bool { return g.seq == h }) {
+			if h, _ := ck.Home(); h == 0 || slices.ContainsFunc(folded, func(g segmentRef) bool { return g.seq == h }) {
 				idx = append(idx, i)
 			}
 		}
@@ -333,10 +400,13 @@ func pickHomes(folded []segmentRef) pickFunc {
 }
 
 // writeSegment writes a segment of the chunks pick takes from the cut,
-// groups in key order (the cut is sorted).
+// groups in key order (the cut is sorted), and records where it wrote
+// each chunk's bytes for writeHead and setHomes. A chunk an open left
+// unread is copied from its segment, CRC-checked, without decoding it; a
+// bad one is written as a tombstone, and counted in failed.
 func (c *snapshotCut) writeSegment(w io.Writer, pick pickFunc) error {
 	// The picks first: the header counts the groups.
-	c.picks, c.ends = c.picks[:0], c.ends[:0]
+	c.picks, c.ends, c.offs, c.failed = c.picks[:0], c.ends[:0], c.offs[:0], 0
 	groups := 0
 	for i := range c.series {
 		n := len(c.picks)
@@ -354,6 +424,7 @@ func (c *snapshotCut) writeSegment(w io.Writer, pick pickFunc) error {
 	if _, err := bw.Write(rec); err != nil {
 		return err
 	}
+	at := int64(len(rec)) // the file offset rec starts at
 	from := 0
 	for i, cs := range c.series {
 		idx := c.picks[from:c.ends[i]]
@@ -369,34 +440,47 @@ func (c *snapshotCut) writeSegment(w io.Writer, pick pickFunc) error {
 		for _, ci := range idx {
 			ck := cs.chunks[ci]
 			rec = binary.BigEndian.AppendUint32(rec, uint32(cs.first+ci))
-			if ck.Quarantined() && ck.Data() == nil {
+			if n := ck.EncodedBytes(); cap(c.buf) < n {
+				c.buf = make([]byte, 0, n)
+			}
+			data, failed := ck.Encoded(c.buf)
+			if failed {
+				c.failed++
+			}
+			if data == nil {
 				rec = binary.BigEndian.AppendUint32(rec, chunkTombstone)
+				c.offs = append(c.offs, -1)
 				continue
 			}
-			rec = binary.BigEndian.AppendUint32(rec, uint32(ck.EncodedBytes()))
+			rec = binary.BigEndian.AppendUint32(rec, uint32(len(data)))
 			rec = binary.BigEndian.AppendUint32(rec, ck.CRC())
 			if _, err := bw.Write(rec); err != nil {
 				return err
 			}
-			if _, err := bw.Write(ck.Data()); err != nil {
+			at += int64(len(rec))
+			c.offs = append(c.offs, at)
+			if _, err := bw.Write(data); err != nil {
 				return err
 			}
+			at += int64(len(data))
 			rec = rec[:0]
 		}
 		if _, err := bw.Write(rec); err != nil {
 			return err
 		}
+		at += int64(len(rec))
 	}
 	return bw.Flush()
 }
 
-// setHomes records segment seq as the home of the chunks the last
-// segment write took, once the head that lists it is installed.
+// setHomes records the segment the cut's last writeSegment wrote, seq,
+// and the offset of each chunk's bytes there as the home of the chunks
+// it took, once the head that lists it is installed.
 func (c *snapshotCut) setHomes(seq uint64) {
 	from := 0
 	for i, cs := range c.series {
-		for _, ci := range c.picks[from:c.ends[i]] {
-			cs.chunks[ci].SetHome(seq)
+		for k, ci := range c.picks[from:c.ends[i]] {
+			cs.chunks[ci].SetHome(seq, max(c.offs[from+k], 0))
 		}
 		from = c.ends[i]
 	}

@@ -106,6 +106,9 @@ type Store struct {
 	// any collector is attached) and reads happen concurrently.
 	quarantined   atomic.Int64
 	degradedReads atomic.Int64
+	// chunkReads and chunkReadBytes count the reads of chunks an open
+	// left on disk (segmentFile.ReadAt), and their bytes.
+	chunkReads, chunkReadBytes atomic.Int64
 
 	// persist is non-nil for stores opened with OpenPersistent; each
 	// shard then carries its record of the write-ahead log (see wal.go).
@@ -388,6 +391,8 @@ func (s *Store) SetCollector(c *obs.Collector) {
 	// reads that crossed one (each such read surfaces as NaN gaps).
 	c.SetGaugeFunc("monitor.quarantined_chunks", func() int64 { return s.quarantined.Load() })
 	c.SetGaugeFunc("monitor.degraded_reads", func() int64 { return s.degradedReads.Load() })
+	c.SetGaugeFunc(obs.GaugeChunkReads, func() int64 { return s.chunkReads.Load() })
+	c.SetGaugeFunc(obs.GaugeChunkReadBytes, func() int64 { return s.chunkReadBytes.Load() })
 	// Compressed-store gauges: resident vs raw footprint of the binned
 	// history, for the dashboard's compression-ratio line. Each read
 	// walks the shards under their read locks — scrape-rate work.
@@ -484,12 +489,18 @@ func (s *Store) commitLocked(sh *storeShard, e *seriesEntry, key *topo.KPIKey, i
 	if s.numSubs.Load() == 0 {
 		return 0, 0 // fast path: nobody listening, skip the scan
 	}
-	m := Measurement{Key: *key, T: time.Unix(0, nanos).UTC(), V: v}
 	// Deliver while still holding the shard lock so measurements for
 	// one key reach each subscriber in append order.
+	return s.deliver(Measurement{Key: *key, T: time.Unix(0, nanos).UTC(), V: v})
+}
+
+// deliver hands m to every subscriber whose filter takes it. A filter
+// that panics leaves subMu released, as applyShard leaves the shard.
+func (s *Store) deliver(m Measurement) (pushes, drops int64) {
 	s.subMu.RLock()
+	defer s.subMu.RUnlock()
 	for _, sub := range s.subs {
-		if sub.filter != nil && !sub.filter(*key) {
+		if sub.filter != nil && !sub.filter(m.Key) {
 			continue
 		}
 		p, d := sub.deliver(m)
@@ -499,7 +510,6 @@ func (s *Store) commitLocked(sh *storeShard, e *seriesEntry, key *topo.KPIKey, i
 			sub.drops.Add(d)
 		}
 	}
-	s.subMu.RUnlock()
 	return pushes, drops
 }
 
@@ -896,35 +906,11 @@ func (t *keyTable) apply() {
 	}
 	offsets := g.sort(len(s.shards))
 	var pushes, drops, ingested, resolves int64
-	clk := s.clock
 	for si := range s.shards {
-		run := g.order[offsets[si]:offsets[si+1]]
-		if len(run) == 0 {
-			continue
+		if run := g.order[offsets[si]:offsets[si+1]]; len(run) > 0 {
+			p, d, n, r := t.applyShard(&s.shards[si], run, now)
+			pushes, drops, ingested, resolves = pushes+p, drops+d, ingested+n, resolves+r
 		}
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		horizon := int(s.horizon.Load())
-		for _, i := range run {
-			r := &t.recs[i]
-			idx, ok := clk.bin(r.nanos)
-			if !ok || idx < horizon {
-				continue
-			}
-			h := &t.handles[r.handle]
-			if h.e == nil || h.e.deleted {
-				h.e = s.entryLocked(sh, &h.key, horizon)
-				resolves++
-			}
-			p, d := s.commitLocked(sh, h.e, &h.key, idx, r.nanos, r.v, now)
-			pushes += p
-			drops += d
-			ingested++
-		}
-		if sh.wal != nil {
-			sh.wal.sealLocked()
-		}
-		sh.mu.Unlock()
 	}
 	s.persist.flush()
 	col := s.obs.Load()
@@ -937,6 +923,40 @@ func (t *keyTable) apply() {
 	if t.defines > 0 {
 		col.Add(obs.CtrIngestKeyLookups, t.defines)
 	}
+}
+
+// applyShard applies run, the records of shard sh, under sh's lock, and
+// seals the shard's log record before it releases it. A panic on the way
+// — a subscriber's filter, say — still seals the record, so the log
+// stays framed, and releases the lock, so the store does not wedge.
+func (t *keyTable) applyShard(sh *storeShard, run []int32, now int64) (pushes, drops, ingested, resolves int64) {
+	s := t.s
+	sh.mu.Lock()
+	defer func() {
+		if sh.wal != nil {
+			sh.wal.sealLocked()
+		}
+		sh.mu.Unlock()
+	}()
+	horizon := int(s.horizon.Load())
+	clk := s.clock
+	for _, i := range run {
+		r := &t.recs[i]
+		idx, ok := clk.bin(r.nanos)
+		if !ok || idx < horizon {
+			continue
+		}
+		h := &t.handles[r.handle]
+		if h.e == nil || h.e.deleted {
+			h.e = s.entryLocked(sh, &h.key, horizon)
+			resolves++
+		}
+		p, d := s.commitLocked(sh, h.e, &h.key, idx, r.nanos, r.v, now)
+		pushes += p
+		drops += d
+		ingested++
+	}
+	return pushes, drops, ingested, resolves
 }
 
 // Series returns a copy of the key's series from its first kept bin —

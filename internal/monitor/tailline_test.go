@@ -52,6 +52,10 @@ func tailSeedPrograms() [][]byte {
 			opBin, wr(0, 4, 1), opReopen, ro(0, 0, 13), opBin, 0, opBin, wr(0, 2, 0), opBin, 0, opDamage, 0, opBin, wr(0, 1, 0),
 			opDamage, 2<<8|63<<2, opBin, 0, opDamage, 3<<8|32<<2, opBin, wr(0, 1, 0), opDamage, 4<<8|63<<2, opBin, 0,
 			opDamage, 5<<8|20<<2, opBin, wr(0, 1, 0), opDamage, 7<<8|50<<2, opBin, 0),
+		// Chunks an open leaves on disk: a merge copies them unread before
+		// their first decode, and a disk whose reads of them fail.
+		progOps(opAppend, 63, opAppend, wr(1, 1, 63), opCompact, 0, opAppend, 63, opAppend, wr(1, 2, 63), opCompact, 0,
+			opDamage, 12<<8, opAppend, wr(2, 0, 40), opDamage, 13<<8, opBin, 0, opCompact, 0, opReopen, 0),
 	}
 }
 
@@ -111,11 +115,12 @@ func TestTailSeedsReachEveryRegion(t *testing.T) {
 	want := []string{"late line", "late tail", "late sealed", "gap past the line", "before the epoch", "prune into the chunks", "prune into the tail",
 		"prune into the line", "prune drops a series", "re-created in one generation", "compaction", "reopen", "reshard or respan", "below the horizon",
 		"nothing lost", "epoch from a log header", "crash in a write op", "crash in a compaction op", "crash in an open",
-		"feed attached", "refilter", "refilter left stale", "drain", "reconnect", "handles across a prune"}
+		"feed attached", "refilter", "refilter left stale", "drain", "reconnect", "handles across a prune",
+		"first decode after a reopen", "merge copied an unread chunk", "first decode after a merge copy", "ReadAt fault at first decode"}
 	for i := 0; i < pendBins; i++ {
 		want = append(want, fmt.Sprintf("snapshot with %d bins in the line", i))
 	}
-	for i := 0; i <= 11; i++ {
+	for i := 0; i <= 13; i++ {
 		want = append(want, fmt.Sprintf("damage %d", i))
 	}
 	for i := 0; i < 5; i++ {

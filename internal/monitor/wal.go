@@ -126,9 +126,9 @@ import (
 // comes from the periodic fsync pass, which waits on the disk with no
 // shard lock held.
 //
-// Recovery order is the head and its segments, then the generations
-// found, oldest first, in one pass (recoverDir; recover.go has its
-// reader and worker pool), so a (key, bin) present in two generations
+// Recovery order is the head — each sealed chunk left in its segment
+// until its first decode — then the generations found, oldest first, in
+// one pass (recoverDir; recover.go has its reader and worker pool), so a (key, bin) present in two generations
 // ends up with the newer one's value. A generation's records replay in
 // file order through a table per shard byte whose handles are the
 // generation's ids in define order, so a reference is an array index
@@ -293,11 +293,12 @@ type RecoveryStats struct {
 	// for the shards an undecodable body in a CRC-valid record ended.
 	TornTails int
 	// QuarantinedChunks is the number of sealed chunks the open found
-	// bad: a stored CRC that failed, a chunk no live segment holds, or
-	// one quarantined before; each is a NaN tombstone instead of an
-	// aborted recovery. The token walk of each chunk runs at its first
-	// decode, and a failure there adds to monitor.quarantined_chunks
-	// only.
+	// bad: the head's tombstones, the chunks whose index entry lies
+	// outside their segment, and for a version 2 head a stored CRC that
+	// failed or a chunk no live segment holds; each is a NaN tombstone
+	// instead of an aborted recovery. A chunk's bytes are read, checked
+	// against their CRC and token-walked at its first decode, and a
+	// failure there adds to monitor.quarantined_chunks only.
 	QuarantinedChunks int
 	// Generations is the number of log generations found and replayed:
 	// one after a clean shutdown or a single crash, more when the store
@@ -307,11 +308,10 @@ type RecoveryStats struct {
 	// the next compaction has to fold into the segment store.
 	LogBytes int64
 	// SnapshotTime, ReplayTime and AttachTime partition the open's wall
-	// time. Recovery is one pass whose reader streams the head, the
-	// segments and then the logs to one worker pool (see recover.go), so
-	// the phases overlap in the workers: SnapshotTime lasts until the
-	// reader has handed out the segments' last group, ReplayTime from
-	// then until
+	// time. Recovery is one pass whose reader streams the head and then
+	// the logs to one worker pool (see recover.go), so the phases overlap
+	// in the workers: SnapshotTime lasts until the reader has handed out
+	// the head's last series, ReplayTime from then until
 	// the last worker has drained, and AttachTime is attaching a fresh
 	// generation. The store is blind to arriving bins for their sum.
 	SnapshotTime, ReplayTime, AttachTime time.Duration
@@ -367,6 +367,10 @@ type persister struct {
 
 	compactMu sync.Mutex  // one compaction/re-arm/fsync pass at a time
 	cut       snapshotCut // the compactions' image of the store
+	// segs are the segments the open found live, which the chunks it
+	// left on disk read from: open until close, whatever compactions
+	// merge or delete.
+	segs []*segmentFile
 	// live is the installed head's segment list, oldest first, and
 	// nextSeq the number the next segment takes. compactMu guards the cut
 	// and these.
@@ -715,10 +719,19 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 
 	// Recovery: the head, the segments and the logs, in one pass (see
 	// recover.go).
-	rc, err := recoverDir(p.fs, dir, opts.Shards, opts.ChunkSpan)
+	rc, err := recoverDir(p.fs, dir, opts.Shards, opts.ChunkSpan, false)
 	if err != nil {
 		return nil, err
 	}
+	// The store's unread chunks read from the live segments (see
+	// segmentFile): they stay open until Close.
+	p.segs = rc.segs
+	opened := false
+	defer func() {
+		if !opened {
+			rc.closeSegments()
+		}
+	}()
 	for _, g := range rc.gens {
 		if g.err != nil {
 			return nil, g.err
@@ -774,6 +787,7 @@ func OpenPersistent(dir string, start time.Time, step time.Duration, opts Persis
 	if p.compactDue() || opts.CompactBytes > 0 && len(gens) > 1 {
 		p.requestCompact()
 	}
+	opened = true
 	go p.run()
 	return store, nil
 }
@@ -1067,6 +1081,9 @@ func (p *persister) install() error {
 	seq := p.nextSeq
 	p.nextSeq++
 	size, err := writeSegmentFile(p.fs, p.dir, seq, c, pick)
+	// A chunk the merge found bad is a tombstone from here on, written
+	// or not.
+	p.store.quarantined.Add(int64(c.failed))
 	if err != nil {
 		return err
 	}
@@ -1167,7 +1184,9 @@ func syncFSDir(fsys faultfs.FS, dir string) error {
 }
 
 // close stops the background loop, detaches the shards from the log,
-// writes out what they sealed, and fsyncs and closes the file.
+// writes out what they sealed, fsyncs and closes the file, and closes
+// the segments the open left chunks in: a chunk read for the first time
+// after that reads as a tombstone.
 func (p *persister) close() error {
 	p.closeOnce.Do(func() {
 		close(p.quit)
@@ -1184,6 +1203,9 @@ func (p *persister) close() error {
 		p.logMu.Lock()
 		err := p.closeLogLocked(!p.healthy())
 		p.logMu.Unlock()
+		for _, sf := range p.segs {
+			sf.f.Close()
+		}
 		if err == nil {
 			err = p.stateErr()
 		}
@@ -1243,8 +1265,10 @@ func (s *Store) Compact() error {
 }
 
 // Close releases the store's persistence resources (background loop,
-// log), flushing and fsyncing first. It is a no-op on in-memory
-// stores and safe to call twice.
+// log, the segments an open left chunks in), flushing and fsyncing
+// first. A chunk the store has not read since its open reads as a
+// quarantined tombstone after Close. It is a no-op on in-memory stores
+// and safe to call twice.
 func (s *Store) Close() error {
 	if s.persist == nil {
 		return nil

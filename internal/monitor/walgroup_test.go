@@ -341,31 +341,40 @@ func TestSteadyPublisherDefinesOnce(t *testing.T) {
 	}
 }
 
-// TestReplayAcrossBlocks replays a log several reader blocks long —
-// records straddle the block ends, and every block's records go to the
-// workers regrouped by shard — intact, with a flipped bit in a record
-// inside the second block and cut short inside the third, against the
-// store reference model.
+// TestReplayAcrossBlocks replays a log several reader blocks long, over
+// a head — records straddle the block ends, and every block's records go
+// to the workers regrouped by shard — intact, at the shard count that
+// wrote it and at another, with a flipped bit in a record inside the
+// second block and cut short inside the third, on one worker and on
+// four, against the store reference model. The pass makes maxBlocks
+// blocks and no more: at another shard count a worker waits for every
+// worker's installs while it holds a block, and the reader for a block
+// a worker returns, which must not deadlock.
 func TestReplayAcrossBlocks(t *testing.T) {
 	var writes []int
-	for bin := 0; bin < 6*diffSpan; bin++ { // a key costs its log about 18 bytes a bin
+	for bin := 0; bin < 2*diffSpan; bin++ {
+		writes = append(writes, opBin, wr(0, 1, 0))
+	}
+	writes = append(writes, opCompact, 0)
+	for bin := 0; bin < 8*diffSpan; bin++ { // a key costs its log about 18 bytes a bin
 		writes = append(writes, opBin, wr(0, 1, 0))
 	}
 	base := newProgRunner(t, progConfig{span: diffSpan, shards: 4, keys: fleetKeys(3500)}, nil)
 	base.run(progOps(writes...))
 	gen := base.s.persist.gen
 	g := base.gens[gen]
-	if g.size < 5*replayBlock/2 {
-		t.Fatalf("the log is %d bytes, want more than two and a half blocks of %d", g.size, replayBlock)
+	if g.size < 7*replayBlock/2 {
+		t.Fatalf("the log is %d bytes, want more than three and a half blocks of %d", g.size, replayBlock)
 	}
 	before := base.close()
 	for _, tc := range []struct {
-		what     string
-		at, kind int
+		what             string
+		at, kind, shards int
 	}{
-		{"intact", 0, -1},
-		{"bit flipped inside the second block", 3 * replayBlock / 2, 2},
-		{"cut short inside the third block", 9 * replayBlock / 4, 6},
+		{"intact", 0, -1, 4},
+		{"intact at another shard count", 0, -1, 16},
+		{"bit flipped inside the second block", 3 * replayBlock / 2, 2, 4},
+		{"cut short inside the third block", 9 * replayBlock / 4, 6, 4},
 	} {
 		for _, procs := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/procs=%d", tc.what, procs), func(t *testing.T) {
@@ -375,7 +384,15 @@ func TestReplayAcrossBlocks(t *testing.T) {
 					i := sort.Search(len(g.recs), func(i int) bool { return g.recs[i].off+g.recs[i].size > int64(tc.at) })
 					r.damageRecord(r.gens[gen], filepath.Join(r.dir, walName(gen)), i, tc.kind)
 				}
-				r.openRetry(4, diffSpan, 0, before)
+				rc, err := recoverDir(faultfs.OS, r.dir, tc.shards, diffSpan, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rc.closeSegments()
+				if rc.blocks > maxBlocks {
+					t.Fatalf("the pass made %d blocks, past the cap of %d", rc.blocks, maxBlocks)
+				}
+				r.openRetry(tc.shards, diffSpan, 0, before)
 				if rec := r.s.Recovered(); (rec.TornTails == 1) != (tc.kind >= 0) {
 					t.Fatalf("recovery stats %+v", rec)
 				}

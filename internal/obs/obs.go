@@ -160,6 +160,12 @@ const (
 	// head file plus the live segments. The log is compacted once it
 	// grows to the head's size (and to CompactBytes).
 	GaugeSnapshotBytes = "monitor.snapshot_bytes"
+	// GaugeChunkReads counts the sealed chunks an open left on disk that
+	// were then read from their segments, at a first decode or by a
+	// merge's copy, and GaugeChunkReadBytes their bytes: how much history
+	// a restarted store has pulled back.
+	GaugeChunkReads     = "monitor.chunk_reads"
+	GaugeChunkReadBytes = "monitor.chunk_read_bytes"
 	// CtrWALAppends counts measurements appended to the write-ahead log.
 	CtrWALAppends = "monitor.wal_appends"
 	// CtrWALKeyDefines counts the log entries that define a series' key:

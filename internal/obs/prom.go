@@ -151,6 +151,8 @@ var promHelp = map[string]string{
 	GaugeWALLogBytes:       "Record bytes in the live log generation.",
 	GaugeWALRotations:      "Log generations started by a compaction or a durability re-arm.",
 	GaugeSnapshotBytes:     "Bytes of the installed head file plus the live segments; the log compacts once it grows as large as the head.",
+	GaugeChunkReads:        "Reads of sealed chunks an open left on disk, from their segments, at a first decode or a merge's copy.",
+	GaugeChunkReadBytes:    "Bytes of sealed chunks an open left on disk read back from their segments.",
 	CtrRecoveryMillis:      "Milliseconds the store spent in crash recovery before it could take its first bin.",
 	CtrRecoveryGenerations: "Log generations the last open found and replayed (more than one: it died before compacting).",
 	CtrRecoveryLogBytes:    "Bytes of log records the last open replayed.",
