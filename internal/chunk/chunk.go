@@ -33,7 +33,6 @@ package chunk
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -71,8 +70,9 @@ const maxRun = 1<<16 - 1
 // normal gap machinery as missing data rather than as wrong values. A
 // chunk read back from disk (FromEncoded) whose stream then fails its
 // token walk at the first decode becomes one for every later read, and
-// so does an unread one (Unread) whose bytes fail their read or their
-// checksum there.
+// so does an unread one (Unread) whose bytes are missing or fail their
+// checksum there. A read that fails (an I/O error) makes nothing a
+// tombstone: the chunk stays unread, and the next decode reads it again.
 type Chunk struct {
 	// count is the number of values, size the length of the encoded
 	// stream: data's, or for an unread chunk the recorded one.
@@ -80,18 +80,26 @@ type Chunk struct {
 	crc         uint32
 	// walk is the chunk's state: walkDone for a chunk Encode built or
 	// one whose walk passed, walkPending for one FromEncoded wrapped,
-	// walkUnread for one Unread built, walkRunning while one Check reads
-	// or walks it, walkFailed for a tombstone — one whose read, checksum
-	// or walk failed, or one Tombstone built.
+	// walkUnread for one Unread built (or whose read failed, to be read
+	// again), walkRunning while one Check reads or walks it, walkFailed
+	// for a tombstone — one whose bytes were missing, failed their
+	// checksum or their walk, or one Tombstone built.
 	walk atomic.Uint32
 	data []byte
-	// src and off locate an unread chunk's bytes; they never change.
-	src io.ReaderAt
-	off int64
 	// home and at are the owner's bookkeeping: where durable storage
 	// holds the chunk's newest copy (see SetHome).
 	home atomic.Uint64
 	at   atomic.Int64
+	// src locates an unread chunk's bytes; nil for any other chunk. It
+	// keeps the 24 bytes of a location off the chunks that need none.
+	src *Source
+}
+
+// Source is where an unread chunk's bytes lie: at Off in R. A caller
+// that builds many unread chunks may cut their Sources from one slice.
+type Source struct {
+	R   io.ReaderAt
+	Off int64
 }
 
 // The states of Chunk.walk.
@@ -194,8 +202,8 @@ func (c *Chunk) EncodedBytes() int { return int(c.size) }
 
 // Data returns the encoded stream; nil for an unread chunk or a
 // tombstone without bytes. Callers must treat it as read-only, and read
-// it only once Quarantined holds or a Check or Encoded call has
-// returned: an unread chunk's first Check sets it.
+// it only once Quarantined holds or a Check has returned without an
+// error: an unread chunk's first Check sets it.
 func (c *Chunk) Data() []byte { return c.data }
 
 // CRC returns the IEEE CRC-32 of the encoded stream, computed at seal
@@ -206,9 +214,9 @@ func (c *Chunk) Data() []byte { return c.data }
 func (c *Chunk) CRC() uint32 { return c.crc }
 
 // Quarantined reports whether the chunk is a corruption tombstone —
-// its bytes failed their read or checksum, or its stream failed the
-// token walk of a Check, and every bin decodes to NaN. A chunk not yet
-// read or walked reports false.
+// its bytes were missing or failed their checksum, or its stream
+// failed the token walk of a Check, and every bin decodes to NaN. A
+// chunk not yet read or walked reports false.
 func (c *Chunk) Quarantined() bool { return c.walk.Load() == walkFailed }
 
 // Home returns where durable storage holds the chunk's newest copy, as
@@ -256,70 +264,77 @@ func FromEncoded(data []byte, count int) (*Chunk, error) {
 }
 
 // Unread builds a chunk of count values whose size encoded bytes, of
-// IEEE CRC-32 crc, lie at off in src, and reads none of them: its first
+// IEEE CRC-32 crc, lie where src says, and reads none of them: its first
 // Check — DecodeInto runs one — reads them with one ReadAt, checks the
 // CRC and then walks the stream, and a chunk nothing reads stays on
-// disk. A failed read or checksum makes the chunk a tombstone from then
-// on, as a failed walk does. src must stay readable while the chunk may
-// be read.
-func Unread(src io.ReaderAt, off int64, size int, crc uint32, count int) *Chunk {
-	c := &Chunk{count: int32(count), size: int32(size), crc: crc, src: src, off: off}
+// disk. Bytes that are missing (src ends before them) or fail their
+// checksum make the chunk a tombstone from then on, as a failed walk
+// does; a read that fails leaves it unread. src must not change, and
+// src.R must stay readable, while the chunk may be read.
+func Unread(src *Source, size int, crc uint32, count int) *Chunk {
+	c := &Chunk{count: int32(count), size: int32(size), crc: crc, src: src}
 	c.walk.Store(walkUnread)
 	return c
 }
 
-// errChecksum reports bytes read back that do not match their CRC.
-var errChecksum = errors.New("chunk: checksum mismatch")
-
 // read reads an unread chunk's bytes into buf's storage, grown as
-// needed, and checks them against the CRC.
-func (c *Chunk) read(buf []byte) ([]byte, error) {
+// needed. bad reports bytes that are not there — src ends before them —
+// or that do not match the CRC: the chunk's loss. err reports a read
+// that failed, which may pass another time.
+func (c *Chunk) read(buf []byte) (data []byte, bad bool, err error) {
 	buf = slices.Grow(buf[:0], int(c.size))[:c.size]
-	if n, err := c.src.ReadAt(buf, c.off); n < len(buf) {
-		if err == nil {
-			err = io.ErrUnexpectedEOF
+	if n, err := c.src.R.ReadAt(buf, c.src.Off); n < len(buf) {
+		if err == nil || err == io.EOF {
+			return nil, true, nil
 		}
-		return nil, err
+		return nil, false, err
 	}
 	if crc32.ChecksumIEEE(buf) != c.crc {
-		return nil, errChecksum
+		return nil, true, nil
 	}
-	return buf, nil
+	return buf, false, nil
 }
 
 // Encoded returns the chunk's encoded stream without walking or
 // decoding it: its bytes in memory, or an unread chunk's read into
 // buf's storage and checked against its CRC, the chunk left unread — a
 // copy of a chunk nothing has read yet pulls nothing onto the heap. An
-// unread chunk whose read or checksum fails becomes a tombstone; failed
-// reports whether this call made it one, once per bad chunk as Check's
-// result is, and data is nil for any tombstone without bytes.
-func (c *Chunk) Encoded(buf []byte) (data []byte, failed bool) {
+// unread chunk whose bytes are missing or fail their checksum becomes a
+// tombstone; failed reports whether this call made it one, once per bad
+// chunk as Check's result is, and data is nil for any tombstone without
+// bytes. A read that fails returns its error and leaves the chunk
+// unread, its bytes to be copied another time.
+func (c *Chunk) Encoded(buf []byte) (data []byte, failed bool, err error) {
 	for {
 		switch c.walk.Load() {
 		case walkUnread:
-			data, err := c.read(buf)
-			if err == nil {
-				return data, false
-			}
-			if c.walk.CompareAndSwap(walkUnread, walkFailed) {
-				return nil, true
+			data, bad, err := c.read(buf)
+			switch {
+			case err != nil:
+				return nil, false, err
+			case !bad:
+				return data, false, nil
+			case c.walk.CompareAndSwap(walkUnread, walkFailed):
+				return nil, true, nil
 			}
 		case walkRunning:
 			runtime.Gosched()
 		default:
-			return c.data, false
+			return c.data, false, nil
 		}
 	}
 }
 
 // Check reads and token-walks a chunk Unread built, or token-walks one
 // FromEncoded wrapped, exactly once: the first caller does it and any
-// concurrent one waits for the outcome. It reports whether this call is
-// the one whose read, checksum or walk failed — true once per bad
-// chunk, however many readers race to it — so a caller can count
-// quarantines exactly. On any other chunk it is one atomic load.
-func (c *Chunk) Check() bool {
+// concurrent one waits for the outcome. failed reports whether this
+// call is the one that found the bytes missing or failing their
+// checksum or walk — true once per bad chunk, however many readers race
+// to it — so a caller can count quarantines exactly. err reports a read
+// that failed: the chunk stays unread, not a tombstone, and the next
+// Check reads it again; the caller has no values this time. On any
+// other chunk it is one atomic load.
+func (c *Chunk) Check() (failed bool, err error) {
 	for {
 		switch state := c.walk.Load(); state {
 		case walkPending, walkUnread:
@@ -327,23 +342,27 @@ func (c *Chunk) Check() bool {
 				continue
 			}
 			if state == walkUnread {
-				data, err := c.read(nil)
+				data, bad, err := c.read(nil)
 				if err != nil {
+					c.walk.Store(walkUnread)
+					return false, err
+				}
+				if bad {
 					c.walk.Store(walkFailed)
-					return true
+					return true, nil
 				}
 				c.data = data
 			}
 			if checkStream(c.data, int(c.count)) != nil {
 				c.walk.Store(walkFailed)
-				return true
+				return true, nil
 			}
 			c.walk.Store(walkDone)
-			return false
+			return false, nil
 		case walkRunning:
 			runtime.Gosched()
 		default:
-			return false
+			return false, nil
 		}
 	}
 }
@@ -425,8 +444,8 @@ func checkStream(data []byte, count int) error {
 // values have been produced, so a small window near the front of a
 // chunk pays only for the prefix it touches. A chunk FromEncoded
 // wrapped is walked first, and one Unread built read and walked
-// (Check); one that fails decodes to NaN. It panics on a dst shorter
-// than hi−lo.
+// (Check); one that fails, or whose read fails this time, decodes to
+// NaN. It panics on a dst shorter than hi−lo.
 func (c *Chunk) DecodeInto(dst []float64, lo, hi int) {
 	if err := c.decodeRange(dst, lo, hi); err != nil {
 		panic("chunk: " + err.Error())
@@ -447,12 +466,13 @@ func (c *Chunk) decodeRange(dst []float64, lo, hi int) error {
 	if len(dst) < hi-lo {
 		return fmt.Errorf("decode buffer too short: %d < %d", len(dst), hi-lo)
 	}
+	var err error
 	if c.walk.Load() != walkDone {
-		c.Check()
+		_, err = c.Check()
 	}
-	if c.Quarantined() {
-		// A tombstone's bytes are gone or do not decode; its bins are
-		// all missing.
+	if err != nil || c.Quarantined() {
+		// A tombstone's bytes are gone or do not decode, and an unread
+		// chunk's could not be read this time; its bins are missing.
 		for i := range dst[:hi-lo] {
 			dst[i] = math.NaN()
 		}

@@ -3,11 +3,13 @@ package chunk
 import (
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // roundTrip encodes vals and asserts a bit-exact full decode.
@@ -153,7 +155,7 @@ func TestFromEncodedValidates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromEncoded(valid) = %v", err)
 	}
-	if re.Check() || re.Quarantined() {
+	if failed, err := re.Check(); failed || err != nil || re.Quarantined() {
 		t.Fatal("a valid stream failed its walk")
 	}
 	got := make([]float64, len(vals))
@@ -177,7 +179,7 @@ func TestFromEncodedValidates(t *testing.T) {
 		if ck.Quarantined() {
 			t.Fatal("quarantined before its walk")
 		}
-		if !ck.Check() || ck.Check() || !ck.Quarantined() {
+		if !checkFails(ck) || checkFails(ck) || !ck.Quarantined() {
 			t.Fatalf("stream %x of %d values: want one failed walk, then a tombstone", bad.data, bad.count)
 		}
 		dst := make([]float64, bad.count)
@@ -206,7 +208,7 @@ func TestCheckOnceUnderConcurrentReaders(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if ck.Check() {
+				if checkFails(ck) {
 					failed.Add(1)
 				}
 				dst := make([]float64, 8)
@@ -223,39 +225,55 @@ func TestCheckOnceUnderConcurrentReaders(t *testing.T) {
 	}
 }
 
+// checkFails runs ck's Check and reports whether this call quarantined
+// it; a read error fails the test.
+func checkFails(ck *Chunk) bool {
+	failed, err := ck.Check()
+	if err != nil {
+		panic(err)
+	}
+	return failed
+}
+
 // countingReaderAt serves b at an offset and counts the reads; fail
 // makes every read fail.
 type countingReaderAt struct {
 	b     []byte
 	reads atomic.Int32
-	fail  bool
+	fail  atomic.Bool
 }
+
+var errRead = errors.New("read failed")
 
 func (r *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	r.reads.Add(1)
-	if r.fail {
-		return 0, errors.New("read failed")
+	if r.fail.Load() {
+		return 0, errRead
 	}
-	return copy(p, r.b[off:]), nil
+	n := copy(p, r.b[min(off, int64(len(r.b))):])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
 // TestUnreadReadAtFirstCheck: a chunk Unread built reads nothing until
 // its first Check, which reads its bytes once however many readers race
 // to it, and decodes them; Encoded copies its bytes without reading it
-// into memory. A read that fails, or bytes that fail their CRC, make it
-// a tombstone that decodes to NaN, reported once — by the first Check or
-// the first Encoded — with no bytes to copy.
+// into memory. Bytes that fail their CRC, or that the source ends
+// before, make it a tombstone that decodes to NaN, reported once — by
+// the first Check or the first Encoded — with no bytes to copy.
 func TestUnreadReadAtFirstCheck(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	enc := Encode(vals)
 	file := append([]byte("head"), enc.Data()...)
 	src := &countingReaderAt{b: file}
-	ck := Unread(src, 4, enc.EncodedBytes(), enc.CRC(), len(vals))
+	ck := Unread(&Source{R: src, Off: 4}, enc.EncodedBytes(), enc.CRC(), len(vals))
 	if src.reads.Load() != 0 || ck.Data() != nil || ck.EncodedBytes() != enc.EncodedBytes() || ck.Quarantined() {
 		t.Fatal("an unread chunk read its bytes, or reports none")
 	}
-	if data, failed := ck.Encoded(nil); failed || string(data) != string(enc.Data()) || ck.Data() != nil {
-		t.Fatalf("Encoded copied %x (failed %v), want %x and the chunk left unread", data, failed, enc.Data())
+	if data, failed, err := ck.Encoded(nil); failed || err != nil || string(data) != string(enc.Data()) || ck.Data() != nil {
+		t.Fatalf("Encoded copied %x (failed %v, %v), want %x and the chunk left unread", data, failed, err, enc.Data())
 	}
 	src.reads.Store(0)
 	var wg sync.WaitGroup
@@ -279,23 +297,24 @@ func TestUnreadReadAtFirstCheck(t *testing.T) {
 
 	rotten := append([]byte(nil), file...)
 	rotten[6] ^= 0x10
-	for _, src := range []*countingReaderAt{{b: rotten}, {b: file, fail: true}} {
+	for _, src := range []*countingReaderAt{{b: rotten}, {b: file[:len(file)-1]}} {
 		for _, viaEncoded := range []bool{false, true} {
-			ck := Unread(src, 4, enc.EncodedBytes(), enc.CRC(), len(vals))
+			ck := Unread(&Source{R: src, Off: 4}, enc.EncodedBytes(), enc.CRC(), len(vals))
 			var first bool
 			if viaEncoded {
 				var data []byte
-				data, first = ck.Encoded(nil)
-				if data != nil {
-					t.Fatal("Encoded returned bytes that failed")
+				var err error
+				data, first, err = ck.Encoded(nil)
+				if data != nil || err != nil {
+					t.Fatalf("Encoded returned bytes that failed, or %v", err)
 				}
 			} else {
-				first = ck.Check()
+				first = checkFails(ck)
 			}
-			if !first || ck.Check() || !ck.Quarantined() {
-				t.Fatalf("fail %v, via Encoded %v: reported %v, then %v, quarantined %v", src.fail, viaEncoded, first, ck.Check(), ck.Quarantined())
+			if !first || checkFails(ck) || !ck.Quarantined() {
+				t.Fatalf("%d bytes, via Encoded %v: reported %v, then %v, quarantined %v", len(src.b), viaEncoded, first, checkFails(ck), ck.Quarantined())
 			}
-			if data, failed := ck.Encoded(nil); data != nil || failed {
+			if data, failed, err := ck.Encoded(nil); data != nil || failed || err != nil {
 				t.Fatal("a tombstone copied bytes, or reported its failure twice")
 			}
 			dst := make([]float64, 8)
@@ -304,6 +323,56 @@ func TestUnreadReadAtFirstCheck(t *testing.T) {
 				t.Fatalf("a failed chunk decoded %v", dst[0])
 			}
 		}
+	}
+}
+
+// TestUnreadReadErrorLeavesItUnread: a read that fails is no loss. The
+// Check, Encoded and DecodeInto that meet it report the error or decode
+// NaN, the chunk stays unread and unquarantined, and once reads pass
+// again it decodes as written and copies whole.
+func TestUnreadReadErrorLeavesItUnread(t *testing.T) {
+	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	enc := Encode(vals)
+	src := &countingReaderAt{b: append([]byte("head"), enc.Data()...)}
+	src.fail.Store(true)
+	ck := Unread(&Source{R: src, Off: 4}, enc.EncodedBytes(), enc.CRC(), len(vals))
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if failed, err := ck.Check(); failed || !errors.Is(err, errRead) {
+				t.Errorf("Check under a failing read = %v, %v; want false and the read's error", failed, err)
+			}
+			dst := make([]float64, 8)
+			ck.DecodeInto(dst, 0, 8)
+			for i, v := range dst {
+				if !math.IsNaN(v) {
+					t.Errorf("bin %d decoded %v from a read that failed", i, v)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if data, failed, err := ck.Encoded(nil); data != nil || failed || !errors.Is(err, errRead) {
+		t.Fatalf("Encoded under a failing read = %x, %v, %v; want no bytes and the read's error", data, failed, err)
+	}
+	if ck.Quarantined() || ck.Data() != nil {
+		t.Fatal("a read that failed quarantined the chunk, or left bytes")
+	}
+	src.fail.Store(false)
+	if data, failed, err := ck.Encoded(nil); failed || err != nil || string(data) != string(enc.Data()) {
+		t.Fatalf("Encoded once reads pass = %x, %v, %v; want the chunk's bytes", data, failed, err)
+	}
+	dst := make([]float64, 8)
+	ck.DecodeInto(dst, 0, 8)
+	for i, v := range dst {
+		if v != vals[i] {
+			t.Fatalf("bin %d = %v once reads pass, want %v", i, v, vals[i])
+		}
+	}
+	if ck.Quarantined() {
+		t.Fatal("quarantined once reads pass")
 	}
 }
 
@@ -394,7 +463,7 @@ func TestFromEncodedAllocs(t *testing.T) {
 	data := Encode(vals).Data()
 	if n := testing.AllocsPerRun(20, func() {
 		c, err := FromEncoded(data, len(vals))
-		if err != nil || c.Check() {
+		if err != nil || checkFails(c) {
 			t.Fatal(err)
 		}
 	}); n > 1 {
@@ -464,5 +533,13 @@ func TestTombstoneDecodesToNaN(t *testing.T) {
 	}
 	if Tombstone(-3).Count() != 0 {
 		t.Fatal("negative tombstone count not clamped")
+	}
+}
+
+// TestChunkHeaderSize pins the size of a chunk's header, which every
+// sealed chunk carries; only an unread one adds its source.
+func TestChunkHeaderSize(t *testing.T) {
+	if n := unsafe.Sizeof(Chunk{}); n > 64 {
+		t.Fatalf("a Chunk is %d bytes, want at most 64", n)
 	}
 }

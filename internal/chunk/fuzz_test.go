@@ -129,7 +129,7 @@ func FuzzFromEncoded(f *testing.F) {
 		if err != nil {
 			t.Fatalf("FromEncoded refused a count of %d: %v", count, err)
 		}
-		if failed := c.Check(); failed == accepted {
+		if failed := checkFails(c); failed == accepted {
 			t.Fatalf("the walk failed: %v, the reference decoder accepted: %v", failed, accepted)
 		}
 		dst := make([]float64, count)

@@ -118,7 +118,12 @@ func Fsck(dir string, fsys faultfs.FS, repair bool) (FsckReport, error) {
 		for _, e := range store.shards[i].series {
 			rep.Chunks += len(e.chunks)
 			for _, c := range e.chunks {
-				if c.Check() {
+				// The eager pass reads every chunk: none is left to a ReadAt.
+				failed, err := c.Check()
+				if err != nil {
+					return rep, fmt.Errorf("monitor: fsck: %w", err)
+				}
+				if failed {
 					rep.QuarantinedChunks++
 				}
 			}

@@ -3,6 +3,7 @@ package monitor
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -1044,15 +1045,9 @@ func (r *progRunner) durable(gens []walGeneration, span int) (want *storeModel, 
 		want = r.snap.clone()
 		st.SnapshotSeries = len(want.series)
 		for _, s := range want.series {
-			for ci, b := range s.enc {
-				switch {
-				case b < 0:
+			for _, b := range s.enc {
+				if b < 0 {
 					st.QuarantinedChunks++
-				case r.readAtFault && !s.rot[ci]:
-					// Every chunk left on disk fails its read at its first
-					// decode.
-					s.rotChunk(ci, want.span)
-					r.cov["ReadAt fault at first decode"]++
 				}
 			}
 		}
@@ -1126,6 +1121,13 @@ func (r *progRunner) open(shards, span int, crash int64, before []byte) bool {
 	began := time.Now()
 	st, err := OpenPersistent(r.dir, start, time.Minute, PersistOptions{Shards: shards, SyncInterval: -1, CompactBytes: -1, ChunkSpan: span, FS: r.ffs})
 	if err != nil {
+		if r.readAtFault && errors.Is(err, faultfs.ErrInjected) {
+			// A replayed late write could not read the restored chunk it
+			// lands in: the open fails, and loses nothing.
+			r.settle(want.start)
+			r.cov["read fault fails a late write's open"]++
+			return false
+		}
 		if !r.crashed() {
 			t.Fatalf("open: %v", err)
 		}
@@ -1211,7 +1213,8 @@ func (f readAtFailFile) ReadAt(p []byte, off int64) (int, error) {
 // back. Kind 12 damages nothing: the reopen compacts before anything
 // reads the store, so a merge copies the chunks the open left on disk,
 // and reads them after; kind 13 reopens on a disk where every read of a
-// chunk the open left there fails.
+// chunk the open left there fails (see underReadFault), then reopens once
+// the fault is gone, and nothing may be lost.
 func (r *progRunner) damage(arg int) {
 	before := r.close()
 	switch kind := arg >> 8 % 14; {
@@ -1233,9 +1236,13 @@ func (r *progRunner) damage(arg int) {
 		r.cov["damage 12"]++
 		return
 	case kind == 13:
-		r.readAtFault = true
-		r.openRetry(r.shards, r.m.span, 0, nil)
-		r.readAtFault = false
+		r.readAtFault, r.lazy = true, true
+		opened := r.open(r.shards, r.m.span, 0, nil)
+		r.readAtFault, r.lazy = false, false
+		if opened {
+			r.underReadFault()
+		}
+		r.openRetry(r.shards, r.m.span, 0, before)
 		r.cov["damage 13"]++
 		return
 	case kind < 10:
@@ -1244,6 +1251,55 @@ func (r *progRunner) damage(arg int) {
 		}
 	}
 	r.openRetry(r.shards, r.m.span, 0, before)
+}
+
+// underReadFault checks a store open on a disk where every read of a
+// chunk the open left there fails: each bin reads as the model's or, where
+// such a read failed, NaN, counted as a degraded read and quarantining
+// nothing; a segment of every chunk — what a merge writes of those it
+// folds — fails on such a chunk's read rather than writing it as a
+// tombstone. (TestUnreadReadErrorIsNoLoss compacts under the fault.) It
+// then closes the store, whose chunks the reopen after must read whole.
+func (r *progRunner) underReadFault() {
+	q, degraded := r.s.QuarantinedChunks(), r.s.degradedReads.Load()
+	failed := false
+	for k, ms := range r.m.series {
+		got, _, ok := r.s.RangeInto(k, r.m.start, r.m.at(ms.end(r.m.span)), nil)
+		if !ok || len(got) != len(ms.bins) {
+			r.t.Fatalf("%v: %d bins read under a read fault (%v), model %d", k, len(got), ok, len(ms.bins))
+		}
+		for i, v := range got {
+			if math.IsNaN(v) && !math.IsNaN(ms.bins[i]) {
+				failed = true
+			} else if math.Float64bits(v) != math.Float64bits(ms.bins[i]) {
+				r.t.Fatalf("%v: bin %d = %v under a read fault, model %v", k, ms.first*r.m.span+i, v, ms.bins[i])
+			}
+		}
+	}
+	if got := r.s.QuarantinedChunks(); got != q {
+		r.t.Fatalf("reads that failed quarantined %d chunks", got-q)
+	}
+	if failed {
+		if r.s.degradedReads.Load() == degraded {
+			r.t.Fatal("reads that came back NaN on a failed read were not counted as degraded")
+		}
+		r.cov["ReadAt fault at first decode"]++
+	}
+	var c snapshotCut
+	c.take(r.s)
+	err := c.writeSegment(io.Discard, pickAll)
+	c.release()
+	switch {
+	case err != nil && !errors.Is(err, faultfs.ErrInjected):
+		r.t.Fatalf("a segment written under a read fault: %v", err)
+	case err != nil:
+		r.cov["read fault fails a merge"]++
+	}
+	if c.failed != 0 || r.s.QuarantinedChunks() != q {
+		r.t.Fatal("a segment written under a read fault quarantined chunks")
+	}
+	r.s.Close()
+	r.settle(r.m.start)
 }
 
 // damageRecord damages record i of generation g, at path, as kind says

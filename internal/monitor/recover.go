@@ -51,9 +51,10 @@ import (
 //     its worker, can change between generations.
 //
 // The reader frames and checks, the workers build and apply: a head or
-// segment whose framing breaks, a head whose checksum fails, or a log
-// read that fails, ends the pass with an error, every worker is joined
-// and every segment it opened closed before recoverDir returns. The
+// segment whose framing breaks, a head whose checksum fails, a log read
+// that fails, or a restored chunk's read that fails under a replayed
+// late write, ends the pass with an error, every worker is joined and
+// every segment it opened closed before recoverDir returns. The
 // pass's store keeps the live segments open (recovery.segs) for the
 // chunks left on disk.
 
@@ -117,6 +118,9 @@ type recovery struct {
 	// not the one the head's index names (eager pass, version 3 only).
 	mismatches int
 	gens       []walReplay
+	// readErr is the first read of a restored chunk that a replayed late
+	// write needed and that failed.
+	readErr error
 }
 
 // maxBlocks caps the blocks a pass makes: one the reader fills while the
@@ -176,6 +180,15 @@ func recoverDir(fsys faultfs.FS, dir string, shards, span int, eager bool) (*rec
 	}
 	r.stats.Generations = len(d.gens)
 	r.join()
+	if r.readErr != nil {
+		// A replayed late write could not read the restored chunk it
+		// lands in. Made over NaN, the write would lose the chunk's
+		// bytes; dropped, its measurement, which only the logs hold,
+		// would be gone after the next compaction. The open fails
+		// instead, and the next one reads again.
+		r.closeSegments()
+		return r, fmt.Errorf("monitor: replaying a late write into a restored chunk: %w", r.readErr)
+	}
 	r.stats.ReplayTime = time.Since(began) - r.stats.SnapshotTime
 	return r, nil
 }
@@ -352,6 +365,9 @@ func (r *recovery) join() {
 		r.stats.SnapshotSeries += w.series
 		r.stats.QuarantinedChunks += w.quarantined
 		r.mismatches += w.mismatches
+		if r.readErr == nil {
+			r.readErr = w.readErr
+		}
 	}
 	r.workers = nil
 }
@@ -936,12 +952,18 @@ type recoveryWorker struct {
 	series, quarantined int // head series installed (distinct) and chunks quarantined
 	mismatches          int // chunks whose newest copy is not the one the head's index names
 	records, torn       int // this generation's measurements replayed, and shards ended by a bad entry
+	// readErr is the first read of a restored chunk that failed under a
+	// replayed late write: the open fails with it.
+	readErr error
 
 	// restored lists the series the worker installed from the head, in
 	// key order, for the eager pass's groups to find (see entry); at is
 	// the last one a group found.
 	restored []restoredSeries
 	at       int
+	// sources is the slab the unread chunks' locations are cut from:
+	// one allocation per sourceSlab chunks (see indexed).
+	sources []chunk.Source
 
 	// tables holds the generation's key handles per shard byte, ended the
 	// shard bytes an undecodable entry ended.
@@ -1067,10 +1089,20 @@ func (w *recoveryWorker) indexed(b []byte) *chunk.Chunk {
 		w.quarantined++
 		return chunk.Tombstone(span)
 	}
-	ck := chunk.Unread(r.segs[b[0]], off, int(encLen), binary.BigEndian.Uint32(b[13:]), span)
+	if len(w.sources) == 0 {
+		w.sources = make([]chunk.Source, sourceSlab)
+	}
+	src := &w.sources[0]
+	w.sources = w.sources[1:]
+	*src = chunk.Source{R: r.segs[b[0]], Off: off}
+	ck := chunk.Unread(src, int(encLen), binary.BigEndian.Uint32(b[13:]), span)
 	ck.SetHome(g.seq, off)
 	return ck
 }
+
+// sourceSlab is how many unread chunks' locations a worker allocates at
+// a time. A slab lives as long as any chunk that reads from it.
+const sourceSlab = 256
 
 // installChunks reads the group framed in it (see frameGroup), of
 // segment seq, for the series the head installed. For a version 2 head
@@ -1287,7 +1319,9 @@ func (w *recoveryWorker) write(t *keyTable, now int64) {
 		if hd.e == nil {
 			hd.e = s.entryLocked(sh, &hd.key, int(s.horizon.Load()))
 		}
-		w.runs.writeLocked(s, hd.e, h)
+		if err := w.runs.writeLocked(s, hd.e, h); err != nil && w.readErr == nil {
+			w.readErr = err
+		}
 		hd.e.arrivalNanos = now
 	}
 	if locked != nil {
@@ -1370,9 +1404,10 @@ func (k *keyRuns) add(h int32, bin int, v float64) {
 // writeLocked writes the bins of handle h's chain into e, in order. Bins
 // that extend the series one after the other, from its end on, go to
 // the tail in one write (appendRunLocked); any other — a late write, a
-// repeated bin, one past a gap — goes through setBinLocked. The caller
-// holds e's shard lock.
-func (k *keyRuns) writeLocked(s *Store, e *seriesEntry, h int32) {
+// repeated bin, one past a gap — goes through setBinLocked, and a late
+// write into a chunk whose read fails ends the chain with the read's
+// error. The caller holds e's shard lock.
+func (k *keyRuns) writeLocked(s *Store, e *seriesEntry, h int32) error {
 	for i := k.first[h]; i >= 0; {
 		en := &k.ents[i]
 		if next := e.end(s.span); en.bin == next {
@@ -1387,7 +1422,10 @@ func (k *keyRuns) writeLocked(s *Store, e *seriesEntry, h int32) {
 			s.appendRunLocked(e, k.vals)
 			continue
 		}
-		s.setBinLocked(e, en.bin, en.v)
+		if err := s.setBinLocked(e, en.bin, en.v); err != nil {
+			return err
+		}
 		i = en.next
 	}
+	return nil
 }

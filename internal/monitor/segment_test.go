@@ -3,6 +3,7 @@ package monitor
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"math/bits"
@@ -344,5 +345,226 @@ func TestOpenReadsNoChunkBytes(t *testing.T) {
 	}
 	if re.QuarantinedChunks() != 0 {
 		t.Fatalf("%d chunks quarantined", re.QuarantinedChunks())
+	}
+}
+
+// switchedReadFault fails every read past a segment's header while
+// fail is set: the reads of the chunks an open left on disk.
+type switchedReadFault struct {
+	faultfs.FS
+	fail atomic.Bool
+}
+
+type switchedReadFile struct {
+	faultfs.File
+	fs *switchedReadFault
+}
+
+func (fs *switchedReadFault) Open(name string) (faultfs.File, error) {
+	f, err := fs.FS.Open(name)
+	if err != nil || !strings.HasPrefix(filepath.Base(name), segmentPrefix) {
+		return f, err
+	}
+	return switchedReadFile{f, fs}, nil
+}
+
+func (f switchedReadFile) ReadAt(p []byte, off int64) (int, error) {
+	if off >= segmentHeaderLen && f.fs.fail.Load() {
+		return 0, faultfs.ErrInjected
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestUnreadReadErrorIsNoLoss: a read of a restored chunk that fails is
+// not the chunk's loss. While reads fail, a window over the chunk reads
+// NaN and counts a degraded read, a live late write into it is dropped
+// rather than made over NaN, a compaction whose merge must copy it
+// fails, and nothing is quarantined; once reads pass, the chunk reads as
+// written, the compaction goes through, and the reopened head holds no
+// tombstone. A late write in the log that lands in a chunk whose read
+// fails fails the open, and the next open, reads passing, applies it.
+func TestUnreadReadErrorIsNoLoss(t *testing.T) {
+	const span = 16
+	dir := t.TempDir()
+	opts := persistOptsNoBG(4)
+	opts.ChunkSpan = span
+	st, err := OpenPersistent(dir, t0, time.Minute, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := fleetKeys(8)
+	at := func(bin int) time.Time { return t0.Add(time.Duration(bin) * time.Minute) }
+	write := func(st *Store, lo, hi int) {
+		for bin := lo; bin < hi; bin++ {
+			for ki, k := range keys {
+				st.Append(Measurement{k, at(bin), float64(ki*1000 + bin)})
+			}
+		}
+	}
+	write(st, 0, 3*span)
+	if err := st.Compact(); err != nil { // the base
+		t.Fatal(err)
+	}
+	write(st, 3*span, 5*span+3)
+	if err := st.Compact(); err != nil { // a level-0 segment, which the next compaction merges
+		t.Fatal(err)
+	}
+	st.Close()
+	whole := func(st *Store) {
+		t.Helper()
+		for ki, k := range keys {
+			buf, _, ok := st.RangeInto(k, at(0), at(5*span+3), nil)
+			for bin, v := range buf {
+				if !ok || v != float64(ki*1000+bin) {
+					t.Fatalf("%v: bin %d = %v, want %d", k, bin, v, ki*1000+bin)
+				}
+			}
+		}
+	}
+
+	fsys := &switchedReadFault{FS: faultfs.OS}
+	fsys.fail.Store(true)
+	opts.FS = fsys
+	re, err := OpenPersistent(dir, time.Time{}, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := keys[3]
+	if buf, _, ok := re.RangeInto(k, at(span), at(2*span), nil); !ok || !math.IsNaN(buf[0]) || re.degradedReads.Load() != 1 {
+		t.Fatalf("a window over a chunk whose read fails: %v (%v), %d degraded reads; want NaN and 1", buf, ok, re.degradedReads.Load())
+	}
+	re.Append(Measurement{k, at(4*span + 1), -1})
+	if re.degradedReads.Load() != 2 {
+		t.Fatalf("%d degraded reads after a late write into a chunk whose read fails, want 2", re.degradedReads.Load())
+	}
+	if err := re.Compact(); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("a merge that must copy chunks whose reads fail: %v, want the read's error", err)
+	}
+	if q := re.QuarantinedChunks(); q != 0 {
+		t.Fatalf("%d chunks quarantined by reads that failed", q)
+	}
+	fsys.fail.Store(false)
+	whole(re) // the dropped late write is not there
+	if err := re.Compact(); err != nil {
+		t.Fatalf("compact once reads pass: %v", err)
+	}
+	if q := re.QuarantinedChunks(); q != 0 {
+		t.Fatalf("%d chunks quarantined", q)
+	}
+	re.Close()
+
+	re, err = OpenPersistent(dir, time.Time{}, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := re.Recovered().QuarantinedChunks; q != 0 {
+		t.Fatalf("the head holds %d tombstones", q)
+	}
+	whole(re)
+	re.Append(Measurement{k, at(span + 1), -1}) // logged: the log holds a late write
+	re.Close()
+	fsys.fail.Store(true)
+	if re, err := OpenPersistent(dir, time.Time{}, 0, opts); !errors.Is(err, faultfs.ErrInjected) {
+		if err == nil {
+			re.Close()
+		}
+		t.Fatalf("an open whose replayed late write cannot read its chunk: %v, want the read's error", err)
+	}
+	fsys.fail.Store(false)
+	re, err = OpenPersistent(dir, time.Time{}, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if buf, _, ok := re.RangeInto(k, at(span+1), at(span+2), nil); !ok || buf[0] != -1 {
+		t.Fatalf("the late write reads %v (%v) once reads pass, want -1", buf, ok)
+	}
+	if q := re.QuarantinedChunks(); q != 0 {
+		t.Fatalf("%d chunks quarantined", q)
+	}
+}
+
+// heldReadFS holds every read past a segment's header until release is
+// closed, signalling entered at the first.
+type heldReadFS struct {
+	faultfs.FS
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+type heldReadFile struct {
+	faultfs.File
+	fs *heldReadFS
+}
+
+func (fs *heldReadFS) Open(name string) (faultfs.File, error) {
+	f, err := fs.FS.Open(name)
+	if err != nil || !strings.HasPrefix(filepath.Base(name), segmentPrefix) {
+		return f, err
+	}
+	return heldReadFile{f, fs}, nil
+}
+
+func (f heldReadFile) ReadAt(p []byte, off int64) (int, error) {
+	if off >= segmentHeaderLen {
+		f.fs.once.Do(func() { close(f.fs.entered) })
+		<-f.fs.release
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestReplayReadsChunksOutsideTheShardLock: a subscriber's replay that
+// reads a restored chunk from disk holds no shard lock while it does —
+// an append to the same series completes while the read is held — and
+// then returns the series whole.
+func TestReplayReadsChunksOutsideTheShardLock(t *testing.T) {
+	const span = 16
+	dir := t.TempDir()
+	opts := persistOptsNoBG(4)
+	opts.ChunkSpan = span
+	st, err := OpenPersistent(dir, t0, time.Minute, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := fleetKeys(1)[0]
+	at := func(bin int) time.Time { return t0.Add(time.Duration(bin) * time.Minute) }
+	for bin := range 2 * span {
+		st.Append(Measurement{k, at(bin), float64(bin)})
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	fsys := &heldReadFS{FS: faultfs.OS, entered: make(chan struct{}), release: make(chan struct{})}
+	opts.FS = fsys
+	re, err := OpenPersistent(dir, time.Time{}, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	replayed := make(chan []Measurement)
+	go func() { replayed <- re.ReplaySince(nil, t0) }()
+	<-fsys.entered
+	appended := make(chan struct{})
+	go func() {
+		re.Append(Measurement{k, at(2 * span), float64(2 * span)})
+		close(appended)
+	}()
+	select {
+	case <-appended:
+	case <-time.After(10 * time.Second):
+		close(fsys.release)
+		t.Fatal("an append waited on a replay's chunk read")
+	}
+	close(fsys.release)
+	got := <-replayed
+	if len(got) < 2*span {
+		t.Fatalf("the replay returned %d measurements, want at least %d", len(got), 2*span)
+	}
+	for bin, m := range got[:2*span] {
+		if !m.T.Equal(at(bin)) || m.V != float64(bin) {
+			t.Fatalf("replayed measurement %d: %v = %v, want bin %d", bin, m.T, m.V, bin)
+		}
 	}
 }

@@ -114,14 +114,18 @@ import (
 // (a later copy supersedes an earlier one) after checking its CRC, and
 // Fsck checks a version 3 head's index against them.
 //
-// A chunk whose bytes fail their read or CRC, or that no live segment
-// holds, is quarantined, not fatal: a NaN tombstone takes its place and
-// the store goes on. The open counts the head's tombstones and the
-// chunks whose index entry lies past their segment's end; a chunk whose
-// bytes fail at its first decode becomes a tombstone there, as one whose
-// stream passes its CRC and fails its walk does. The corruption then
-// surfaces through the store's gap accounting as an explicitly degraded
-// (Inconclusive) verdict rather than a crash or a confident lie.
+// A chunk whose bytes fail their CRC, or that no live segment holds, is
+// quarantined, not fatal: a NaN tombstone takes its place and the store
+// goes on. The open counts the head's tombstones and the chunks whose
+// index entry lies past their segment's end; a chunk whose bytes fail at
+// its first decode becomes a tombstone there, as one whose stream passes
+// its CRC and fails its walk does. The corruption then surfaces through
+// the store's gap accounting as an explicitly degraded (Inconclusive)
+// verdict rather than a crash or a confident lie. A read that fails (an
+// I/O error) is not the bytes' loss and quarantines nothing: the decode
+// that met it reads NaN, the merge that met it fails (and the persister
+// retries it if the error is transient), a replayed late write that met
+// it fails the open, and the chunk stays where it is.
 // Quarantined chunks round-trip through the sentinel. A head whose
 // checksum fails, a segment whose header does not match the head's, or
 // a file whose framing breaks ends the open with an error.
@@ -403,7 +407,9 @@ func pickHomes(folded []segmentRef) pickFunc {
 // groups in key order (the cut is sorted), and records where it wrote
 // each chunk's bytes for writeHead and setHomes. A chunk an open left
 // unread is copied from its segment, CRC-checked, without decoding it; a
-// bad one is written as a tombstone, and counted in failed.
+// bad one is written as a tombstone, and counted in failed. A copy whose
+// read fails fails the segment, and with it the compaction; the chunk
+// keeps its bytes where they are.
 func (c *snapshotCut) writeSegment(w io.Writer, pick pickFunc) error {
 	// The picks first: the header counts the groups.
 	c.picks, c.ends, c.offs, c.failed = c.picks[:0], c.ends[:0], c.offs[:0], 0
@@ -443,7 +449,10 @@ func (c *snapshotCut) writeSegment(w io.Writer, pick pickFunc) error {
 			if n := ck.EncodedBytes(); cap(c.buf) < n {
 				c.buf = make([]byte, 0, n)
 			}
-			data, failed := ck.Encoded(c.buf)
+			data, failed, err := ck.Encoded(c.buf)
+			if err != nil {
+				return fmt.Errorf("monitor: copying a chunk of %v: %w", cs.key, err)
+			}
 			if failed {
 				c.failed++
 			}

@@ -168,8 +168,9 @@ func TestReadSnapshotStringAllocs(t *testing.T) {
 
 // TestRestoreSeriesAllocs pins what restoring a series from a head
 // allocates: its entry, key, chunk list, and each chunk, which reads its
-// bytes from the segment at its first decode. Its tail is cut from its worker's slab
-// (keyRuns.newTail), and the pass's own allocations — store, maps sized
+// bytes from the segment at its first decode. Its tail is cut from its
+// worker's slab (keyRuns.newTail), and so is each chunk's location
+// (recoveryWorker.sources), and the pass's own allocations — store, maps sized
 // from the header, blocks, workers — do not grow with the series count.
 func TestRestoreSeriesAllocs(t *testing.T) {
 	build := func(n int) image {

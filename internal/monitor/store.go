@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -99,11 +100,12 @@ type Store struct {
 	obs atomic.Pointer[obs.Collector]
 
 	// quarantined counts sealed chunks replaced by NaN tombstones
-	// after failing their on-disk checksum at open or their token walk
-	// at their first decode; degradedReads counts
-	// RangeInto calls whose window overlapped at least one such
-	// tombstone. Atomics: quarantine happens during recovery (before
-	// any collector is attached) and reads happen concurrently.
+	// after failing their on-disk checksum or their token walk;
+	// degradedReads counts RangeInto calls whose window overlapped at
+	// least one such tombstone or a chunk whose read failed, and late
+	// writes dropped because their chunk's read failed. Atomics:
+	// quarantine happens during recovery (before any collector is
+	// attached) and reads happen concurrently.
 	quarantined   atomic.Int64
 	degradedReads atomic.Int64
 	// chunkReads and chunkReadBytes count the reads of chunks an open
@@ -476,9 +478,14 @@ func (s *Store) entryLocked(sh *storeShard, key *topo.KPIKey, horizon int) *seri
 // (keyTable.apply) holds sh's mutex, and read the clock (now) once per
 // batch. It returns the delivery counts. Recovery does not come here: on a store
 // that has no log, feed or subscriber yet it writes a key's replayed bins
-// as a run (see keyRuns.writeLocked).
+// as a run (see keyRuns.writeLocked). A late write into a chunk whose
+// read fails is not made (setBinLocked): it is counted in
+// monitor.degraded_reads, and not logged, stamped or delivered.
 func (s *Store) commitLocked(sh *storeShard, e *seriesEntry, key *topo.KPIKey, idx int, nanos int64, v float64, now int64) (pushes, drops int64) {
-	s.setBinLocked(e, idx, v)
+	if s.setBinLocked(e, idx, v) != nil {
+		s.degradedReads.Add(1)
+		return 0, 0
+	}
 	e.arrivalNanos = now
 	if sh.wal != nil {
 		sh.wal.appendLocked(e, key, nanos, v)
@@ -518,8 +525,11 @@ func (s *Store) deliver(m Measurement) (pushes, drops int64) {
 // tail goes to the line, which moves to the tail when it is full or
 // completes a span; a bin beyond the line's reach settles the line and
 // grows the tail with NaN gaps. Either way full spans are sealed off the
-// tail's front. The caller holds the owning shard's mutex.
-func (s *Store) setBinLocked(e *seriesEntry, idx int, v float64) {
+// tail's front. A late write into a chunk an open left on disk reads it
+// (decodeChunk); when that read fails the write is not made, the chunk
+// is left as it is, and the read's error returned. The caller holds the
+// owning shard's mutex.
+func (s *Store) setBinLocked(e *seriesEntry, idx int, v float64) error {
 	span := s.span
 	sealed := e.sealedEnd(span)
 	if idx < sealed {
@@ -530,7 +540,12 @@ func (s *Store) setBinLocked(e *seriesEntry, idx int, v float64) {
 		ci := idx/span - e.first
 		p := s.spanBuf()
 		scratch := *p
-		s.decodeChunk(e.chunks[ci], scratch, 0, span)
+		if _, err := s.decodeChunk(e.chunks[ci], scratch, 0, span); err != nil {
+			// Re-encoded over the NaN of a read that failed, the chunk
+			// would lose what its segment still holds.
+			s.spanScratch.Put(p)
+			return err
+		}
 		scratch[idx%span] = v
 		nc := chunk.Encode(scratch)
 		s.spanScratch.Put(p)
@@ -538,12 +553,12 @@ func (s *Store) setBinLocked(e *seriesEntry, idx int, v float64) {
 		copy(chunks, e.chunks)
 		chunks[ci] = nc
 		e.chunks = chunks
-		return
+		return nil
 	}
 	ti := idx - sealed
 	if ti < len(e.tail) {
 		e.tail[ti] = v
-		return
+		return nil
 	}
 	pi := uint(ti - len(e.tail))
 	if pi < pendBins {
@@ -555,7 +570,7 @@ func (s *Store) setBinLocked(e *seriesEntry, idx int, v float64) {
 			e.npend = uint8(pi + 1)
 		}
 		if e.npend < pendBins && e.tailLen() < span {
-			return
+			return nil
 		}
 	}
 	tail := append(e.tail, e.pend[:e.npend]...)
@@ -567,6 +582,7 @@ func (s *Store) setBinLocked(e *seriesEntry, idx int, v float64) {
 		tail[ti] = v
 	}
 	e.tail = s.sealLocked(e, tail)
+	return nil
 }
 
 // appendRunLocked writes vs at e's next bins, from its end on: the line
@@ -597,37 +613,41 @@ func (s *Store) sealLocked(e *seriesEntry, tail []float64) []float64 {
 	return tail
 }
 
-// decodeFromLocked decodes bins [lo, end) of e into dst (of length
-// end−lo), lo at or past its first kept bin. The caller holds the owning
-// shard's mutex.
-func (s *Store) decodeFromLocked(e *seriesEntry, lo int, dst []float64) {
+// decodeChunks decodes positions [plo, phi) of chunks, laid end to end,
+// into dst (of length phi−plo), outside any lock: sealed chunks are
+// immutable. It reports whether any chunk's share came back as NaN
+// because it is quarantined or its read failed (see decodeChunk).
+func (s *Store) decodeChunks(chunks []*chunk.Chunk, plo, phi int, dst []float64) (degraded bool) {
 	span := s.span
-	sealed := e.sealedEnd(span)
-	if lo < sealed {
-		plo, phi := lo-e.first*span, len(e.chunks)*span
-		for ci := plo / span; ci*span < phi; ci++ {
-			clo := plo - ci*span
-			if clo < 0 {
-				clo = 0
-			}
-			off := ci*span + clo - plo
-			s.decodeChunk(e.chunks[ci], dst[off:off+span-clo], clo, span)
+	for ci := plo / span; ci*span < phi; ci++ {
+		clo, chi := max(plo-ci*span, 0), min(phi-ci*span, span)
+		off := ci*span + clo - plo
+		if nan, _ := s.decodeChunk(chunks[ci], dst[off:off+chi-clo], clo, chi); nan {
+			degraded = true
 		}
 	}
-	tlo := max(lo-sealed, 0)
-	e.copyTail(dst[sealed+tlo-lo:], tlo, e.tailLen())
+	return degraded
 }
 
 // decodeChunk decodes values [lo, hi) of ck into dst and reports
-// whether they came back as NaN because ck is quarantined. A chunk read
-// back from disk is token-walked at its first decode (chunk.Check), and
-// the one call whose walk fails counts it in monitor.quarantined_chunks.
-func (s *Store) decodeChunk(ck *chunk.Chunk, dst []float64, lo, hi int) bool {
-	if ck.Check() {
+// whether they came back as NaN: ck is quarantined, or its bytes could
+// not be read this time (err). A chunk read back from disk is checked at
+// its first decode (chunk.Check), and the one call that finds it bad
+// counts it in monitor.quarantined_chunks; a read that fails leaves it
+// unread for the next decode, and counts nothing.
+func (s *Store) decodeChunk(ck *chunk.Chunk, dst []float64, lo, hi int) (nan bool, err error) {
+	failed, err := ck.Check()
+	if failed {
 		s.quarantined.Add(1)
 	}
+	if err != nil {
+		for i := range dst[:hi-lo] {
+			dst[i] = math.NaN()
+		}
+		return true, err
+	}
 	ck.DecodeInto(dst, lo, hi)
-	return ck.Quarantined()
+	return ck.Quarantined(), nil
 }
 
 // spanBuf returns a span-sized scratch buffer from the pool. The caller
@@ -1037,27 +1057,11 @@ func (s *Store) rangeInto(key topo.KPIKey, from, to time.Time, dst []float64, al
 		if shi > sealed {
 			shi = sealed
 		}
-		// Decode positions [lo−base, shi−base) of chunks, chunk by chunk.
-		degraded := false
-		plo, phi := lo-base, shi-base
-		for ci := plo / span; ci*span < phi; ci++ {
-			clo := plo - ci*span
-			if clo < 0 {
-				clo = 0
-			}
-			chi := phi - ci*span
-			if chi > span {
-				chi = span
-			}
-			off := ci*span + clo - plo
-			if s.decodeChunk(chunks[ci], dst[off:off+chi-clo], clo, chi) {
-				degraded = true
-			}
-		}
-		if degraded {
-			// The window crossed a quarantined chunk: its bins came back
-			// as NaN (explicit missing data), and the read is counted so
-			// operators can tie Inconclusive verdicts to disk corruption.
+		if s.decodeChunks(chunks, lo-base, shi-base, dst[:shi-lo]) {
+			// The window crossed a quarantined chunk, or one whose read
+			// failed: its bins came back as NaN (explicit missing data),
+			// and the read is counted so operators can tie Inconclusive
+			// verdicts to the disk.
 			s.degradedReads.Add(1)
 		}
 	}
@@ -1237,11 +1241,18 @@ func (s *Store) Stats() Stats {
 // resuming subscriber replays from its last-seen low-water mark and
 // dedups the overlap by (key, bin).
 func (s *Store) ReplaySince(filter func(topo.KPIKey) bool, since time.Time) []Measurement {
-	start := s.start
 	from := 0
-	if since.After(start) {
-		from = int(since.Sub(start) / s.step)
+	if since.After(s.start) {
+		from = int(since.Sub(s.start) / s.step)
 	}
+	// A series' sealed bins replayed: its chunks start at bin base, and
+	// bins [lo, hi) are replayed.
+	type sealedRun struct {
+		key          topo.KPIKey
+		chunks       []*chunk.Chunk
+		base, lo, hi int
+	}
+	var runs []sealedRun
 	var out []Measurement
 	span := s.span
 	var buf []float64
@@ -1256,27 +1267,44 @@ func (s *Store) ReplaySince(filter func(topo.KPIKey) bool, since time.Time) []Me
 			if lo >= n {
 				continue
 			}
-			// Replay is a cold path (subscriber reconnect): decode the
-			// whole replayed suffix into a reused scratch buffer.
-			if cap(buf) < n-lo {
-				buf = make([]float64, n-lo)
+			// The unsealed bins are copied under the shard lock; the sealed
+			// chunks are immutable and decode after release, as RangeInto's
+			// do — a chunk an open left on disk is read there.
+			sealed := e.sealedEnd(span)
+			if lo < sealed {
+				runs = append(runs, sealedRun{key: key, chunks: e.chunks, base: e.first * span, lo: lo, hi: sealed})
 			}
-			buf = buf[:n-lo]
-			s.decodeFromLocked(e, lo, buf)
-			for i := lo; i < n; i++ {
-				if math.IsNaN(buf[i-lo]) {
-					continue
-				}
-				t := start.Add(time.Duration(i) * s.step)
-				if t.Before(since) {
-					continue
-				}
-				out = append(out, Measurement{Key: key, T: t, V: buf[i-lo]})
-			}
+			tlo := max(lo, sealed)
+			buf = slices.Grow(buf[:0], n-tlo)[:n-tlo]
+			e.copyTail(buf, tlo-sealed, n-sealed)
+			out = s.appendReplay(out, key, tlo, buf, since)
 		}
 		sh.mu.RUnlock()
 	}
+	for _, r := range runs {
+		// Replay is a cold path (subscriber reconnect): decode the whole
+		// replayed run into a reused scratch buffer.
+		buf = slices.Grow(buf[:0], r.hi-r.lo)[:r.hi-r.lo]
+		s.decodeChunks(r.chunks, r.lo-r.base, r.hi-r.base, buf)
+		out = s.appendReplay(out, r.key, r.lo, buf, since)
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].T.Before(out[j].T) })
+	return out
+}
+
+// appendReplay appends to out key's measurements vals, the first at bin
+// lo, skipping NaN and those before since.
+func (s *Store) appendReplay(out []Measurement, key topo.KPIKey, lo int, vals []float64, since time.Time) []Measurement {
+	for i, v := range vals {
+		if math.IsNaN(v) {
+			continue
+		}
+		t := s.start.Add(time.Duration(lo+i) * s.step)
+		if t.Before(since) {
+			continue
+		}
+		out = append(out, Measurement{Key: key, T: t, V: v})
+	}
 	return out
 }
 

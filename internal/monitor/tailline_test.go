@@ -116,7 +116,8 @@ func TestTailSeedsReachEveryRegion(t *testing.T) {
 		"prune into the line", "prune drops a series", "re-created in one generation", "compaction", "reopen", "reshard or respan", "below the horizon",
 		"nothing lost", "epoch from a log header", "crash in a write op", "crash in a compaction op", "crash in an open",
 		"feed attached", "refilter", "refilter left stale", "drain", "reconnect", "handles across a prune",
-		"first decode after a reopen", "merge copied an unread chunk", "first decode after a merge copy", "ReadAt fault at first decode"}
+		"first decode after a reopen", "merge copied an unread chunk", "first decode after a merge copy", "ReadAt fault at first decode",
+		"read fault fails a merge"}
 	for i := 0; i < pendBins; i++ {
 		want = append(want, fmt.Sprintf("snapshot with %d bins in the line", i))
 	}

@@ -1186,7 +1186,7 @@ func syncFSDir(fsys faultfs.FS, dir string) error {
 // close stops the background loop, detaches the shards from the log,
 // writes out what they sealed, fsyncs and closes the file, and closes
 // the segments the open left chunks in: a chunk read for the first time
-// after that reads as a tombstone.
+// after that reads as NaN, its read failing.
 func (p *persister) close() error {
 	p.closeOnce.Do(func() {
 		close(p.quit)
@@ -1266,8 +1266,8 @@ func (s *Store) Compact() error {
 
 // Close releases the store's persistence resources (background loop,
 // log, the segments an open left chunks in), flushing and fsyncing
-// first. A chunk the store has not read since its open reads as a
-// quarantined tombstone after Close. It is a no-op on in-memory stores
+// first. A chunk the store has not read since its open reads as NaN
+// after Close, its bytes left on disk. It is a no-op on in-memory stores
 // and safe to call twice.
 func (s *Store) Close() error {
 	if s.persist == nil {
